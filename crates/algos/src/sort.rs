@@ -526,9 +526,42 @@ mod tests {
     /// processors — read straight off the static schedule (no execution
     /// needed). For both sorts every such superstep moves Θ(n/p) keys per
     /// processor, so this count is the H(n, p, 0)/(n/p) shape.
-    fn crossing_steps<A: nob_machine::NobAlgorithm>(alg: &A, n: usize, p: usize) -> usize {
+    /// Supersteps of a label schedule that cross processors on `M(p)`.
+    fn crossing_steps(labels: &[u32], p: usize) -> usize {
         let log_p = p.trailing_zeros();
-        alg.build(n).labels().iter().filter(|&&l| l < log_p).count()
+        labels.iter().filter(|&&l| l < log_p).count()
+    }
+
+    /// The label schedule [`emit_sort`] lays down for every aligned
+    /// m-segment, without compiling a single route: the schedule depends on
+    /// `(n, m)` only.
+    fn columnsort_labels(n: usize, m: usize, out: &mut Vec<u32>) {
+        let label = ilog2(n) - ilog2(m);
+        if m <= BASE {
+            out.extend([label; 2]); // gather, scatter
+            return;
+        }
+        for _ in 0..4 {
+            columnsort_labels(n, column_len(m), out); // sort columns…
+            out.push(label); // …then permute
+        }
+    }
+
+    /// [`ColumnSort::build`]'s label schedule.
+    fn columnsort_schedule(n: usize) -> Vec<u32> {
+        let mut labels = Vec::new();
+        columnsort_labels(n, n, &mut labels);
+        labels.push(ilog2(n) - 1); // finalize
+        labels
+    }
+
+    /// [`BitonicSort::build`]'s label schedule.
+    fn bitonic_schedule(n: usize) -> Vec<u32> {
+        let log_n = ilog2(n);
+        let mut labels: Vec<u32> =
+            (1..=log_n).flat_map(|k| (0..k).rev().map(move |j| log_n - 1 - j)).collect();
+        labels.push(log_n - 1); // finalize
+        labels
     }
 
     #[test]
@@ -543,33 +576,40 @@ mod tests {
         let col = ColumnSort::<u64>::new(false);
         let bit = BitonicSort::<u64>::default();
 
-        // (a) Schedule-predicted shape matches measured H at n = 4096, p = 64.
+        // (a) Schedule-predicted shape matches measured H at n = 4096, p = 64
+        // — and the label-only schedules are the built programs' own.
         let mut rng = xorshift(31);
         let n = 4096;
         let p = 64;
+        assert_eq!(columnsort_schedule(n), col.build(n).labels());
+        assert_eq!(bitonic_schedule(n), bit.build(n).labels());
         let keys: Vec<u64> = (0..n).map(|_| rng()).collect();
         let (_, t_col) = execute(&col, n, &keys[..], &RunOptions::default()).unwrap();
         let (_, t_bit) = execute(&bit, n, &keys[..], &RunOptions::default()).unwrap();
         let per_proc = (n / p) as f64;
-        for (t, alg_steps, name) in [
-            (&t_col, crossing_steps(&col, n, p), "columnsort"),
-            (&t_bit, crossing_steps(&bit, n, p), "bitonic"),
-        ] {
+        let col_steps = crossing_steps(&columnsort_schedule(n), p);
+        let bit_steps = crossing_steps(&bitonic_schedule(n), p);
+        for (t, alg_steps, name) in
+            [(&t_col, col_steps, "columnsort"), (&t_bit, bit_steps, "bitonic")]
+        {
             let measured = t.comm_complexity(p, 0.0);
             let predicted = alg_steps as f64 * per_proc;
             let ratio = measured / predicted;
             assert!(ratio > 0.3 && ratio < 1.5, "{name}: measured {measured} vs predicted {predicted}");
         }
         // Below the crossover, bitonic's smaller step count wins.
-        assert!(crossing_steps(&bit, n, p) < crossing_steps(&col, n, p));
+        assert!(bit_steps < col_steps);
 
         // (b) Above the crossover (n = 2^20, p = 2^10 = n^{1/2}) the
         // oblivious recursion's constant step count beats bitonic's
-        // log p·(log n − log p) growth: 84 vs 165 supersteps.
+        // log p·(log n − log p) growth: 20 vs 55 crossing supersteps. Read
+        // off the label schedules: building the programs would compile
+        // every `StepPlan` for 2^20 VPs only to throw it away.
         let n = 1usize << 20;
         let p = 1usize << 10;
-        let c = crossing_steps(&col, n, p);
-        let b = crossing_steps(&bit, n, p);
+        let c = crossing_steps(&columnsort_schedule(n), p);
+        let b = crossing_steps(&bitonic_schedule(n), p);
+        assert_eq!((c, b), (20, 55));
         assert!(c < b, "above crossover columnsort should win: {c} vs {b}");
     }
 }

@@ -1,6 +1,6 @@
 //! The superstep execution engine: full-granularity and folded runs on
-//! zero-allocation mailbox arenas, executed serially or by the persistent
-//! sharded executor.
+//! zero-allocation mailbox arenas, executed serially or by the sharded
+//! executor's gang.
 //!
 //! # Architecture: shards over double-buffered mailbox arenas
 //!
@@ -72,6 +72,7 @@
 
 use crate::mailbox::{route_serial, Arena, ChunkStage, Inbox};
 use crate::program::{Ctx, Envelope, Program};
+use crate::shard::Executor;
 use nob_core::fault::FaultPlan;
 use nob_core::folding::message_allowed;
 use nob_core::metrics::{CommTrace, DegreeCounters, TraceBuilder};
@@ -165,9 +166,10 @@ pub struct RunOptions {
     /// current and future wait returns an error, the gang drains, and the
     /// run fails with [`ModelError::GangStall`] instead of deadlocking.
     /// Covers workers that are slow, descheduled, or lost mid-protocol; a
-    /// closure that *never* returns still wedges its OS thread (scoped
-    /// threads must join before the run can return), which no in-process
-    /// watchdog can recover — the documented limit of this mechanism.
+    /// closure that *never* returns still wedges its OS thread (the gang's
+    /// scope must collect every worker before the run can return), which no
+    /// in-process watchdog can recover — the documented limit of this
+    /// mechanism.
     pub stall_timeout: Option<Duration>,
     /// Phase-level telemetry sink (default: `None`). When armed, the
     /// executors record per-worker phase spans and barrier waits into the
@@ -228,7 +230,7 @@ const MIN_VPS_PER_WORKER: usize = 64;
 /// Hard ceiling on explicit worker requests: each shard is an OS thread,
 /// and a request large enough to make thread spawning itself fail would
 /// strand the already-spawned gang on its barrier.
-const MAX_WORKERS: usize = 256;
+pub(crate) const MAX_WORKERS: usize = 256;
 
 /// The metric granularity of a run, shared between the serial and sharded
 /// paths.
@@ -279,7 +281,7 @@ pub fn run<S: Send + Clone, M: Send>(
     opts: &RunOptions,
 ) -> Result<RunResult<S>, ModelError> {
     let log_v = prog.log_v();
-    run_core(prog, states, prog.v(), GranSpec { levels: log_v, gran_shift: 0, full: true }, opts)
+    run_core(prog, states, GranSpec { levels: log_v, gran_shift: 0, full: true }, opts)
 }
 
 /// Executes the *folding* of `prog` on `M(p)` with `p ≤ v`: processor `r`
@@ -312,72 +314,28 @@ pub fn run_folded<S: Send + Clone, M: Send>(
     }
     let log_p = log2_exact(p);
     let spec = GranSpec { levels: log_p, gran_shift: prog.log_v() - log_p, full: false };
-    run_core(prog, states, p, spec, opts)
+    run_core(prog, states, spec, opts)
 }
 
+/// Builds an executor for this one call — spawning the gang's threads when
+/// the width asks for any — runs `prog` through it, and drops it.
 fn run_core<S: Send + Clone, M: Send>(
     prog: &Program<S, M>,
     mut states: Vec<S>,
-    gran: usize,
     spec: GranSpec,
     opts: &RunOptions,
 ) -> Result<RunResult<S>, ModelError> {
     let v = prog.v();
     assert_eq!(states.len(), v, "one state per VP required");
-    let n_shards = shard_count(v, gran, opts);
-    // Plan-fallback degradation: armed only when a mismatch can actually
-    // surface from a trusted plan — validation off (under validation a
-    // mismatch is a model violation to report), plans on, and at least one
-    // oblivious route declared. A partial attempt mutates the states, so
-    // the pristine inputs are cloned up front — only when armed, keeping
-    // the default path allocation-profile unchanged.
-    let fallback_armed = opts.plan_fallback == PlanFallback::Dynamic
-        && opts.use_plans
-        && !opts.validate
-        && prog.planned_steps() > 0;
-    let saved = if fallback_armed { Some(states.clone()) } else { None };
-    match run_attempt(prog, &mut states, gran, spec, opts, n_shards) {
-        Ok((trace, message_log)) => Ok(RunResult { states, trace, message_log, fallback: None }),
-        Err(mismatch @ ModelError::PlanMismatch { .. }) if fallback_armed => {
-            let mut states = saved.unwrap_or_default();
-            let retry = RunOptions { use_plans: false, ..opts.clone() };
-            let (trace, message_log) =
-                run_attempt(prog, &mut states, gran, spec, &retry, n_shards)?;
-            Ok(RunResult { states, trace, message_log, fallback: Some(mismatch) })
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// One execution attempt (the whole superstep sequence) on fresh trace and
-/// log builders; [`run_core`] may invoke it twice under the plan-fallback
-/// policy.
-#[allow(clippy::type_complexity)]
-fn run_attempt<S: Send, M: Send>(
-    prog: &Program<S, M>,
-    states: &mut [S],
-    gran: usize,
-    spec: GranSpec,
-    opts: &RunOptions,
-    n_shards: usize,
-) -> Result<(CommTrace, Option<Vec<Vec<(u32, u32)>>>), ModelError> {
-    let mut trace = TraceBuilder::new(gran, prog.n(), prog.steps().len());
-    let mut message_log = opts.collect_messages.then(|| Vec::with_capacity(prog.steps().len()));
-    if n_shards <= 1 {
-        run_serial(prog, states, spec, opts, &mut trace, &mut message_log)?;
-    } else {
-        let (_rounds, outcome) = crate::shard::run_sharded(
-            prog,
-            states,
-            spec,
-            n_shards,
-            opts,
-            &mut trace,
-            &mut message_log,
-        );
-        outcome?;
-    }
-    Ok((trace.finish(), message_log))
+    let width = shard_count(v, 1 << spec.levels, opts);
+    let mut exec = Executor::new(width);
+    let done = exec.execute(prog, &mut states, spec, opts, width)?;
+    Ok(RunResult {
+        states,
+        trace: exec.trace.snapshot(),
+        message_log: done.message_log,
+        fallback: done.fallback,
+    })
 }
 
 /// Fault-injection sites instrumented on the serial path (the sharded
@@ -412,8 +370,8 @@ pub(crate) fn vp_panic_error(
 
 /// The single-shard execution loop: the whole machine is one shard, and
 /// steady-state supersteps allocate nothing (the engine's headline property,
-/// proven by `tests/allocation.rs`). `pub(crate)` so `crate::server` can
-/// route jobs too small for its gang through the same loop.
+/// proven by `tests/allocation.rs`) — what [`Executor::execute`] runs at
+/// width 1.
 pub(crate) fn run_serial<S: Send, M: Send>(
     prog: &Program<S, M>,
     states: &mut [S],

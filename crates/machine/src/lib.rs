@@ -86,17 +86,26 @@
 //!
 //! ## Shard/lane architecture
 //!
-//! The execution core is a **persistent sharded executor** built on the
-//! observation that the paper's folding semantics *is* a static sharding of
-//! the VP space: processor `r` of `M(p)` simulates the `v/p` consecutive
-//! VPs starting at `r·v/p`. Concretely:
+//! The execution core is a **sharded executor** built on the observation
+//! that the paper's folding semantics *is* a static sharding of the VP
+//! space: processor `r` of `M(p)` simulates the `v/p` consecutive VPs
+//! starting at `r·v/p`. Concretely:
 //!
-//! * **Shards** (`shard`): `n` long-lived workers, spawned once per run,
-//!   each exclusively owning a contiguous VP shard — its states, its pair
-//!   of double-buffered mailbox `mailbox::Arena`s, its send-staging
-//!   buffer, and a private set of shard-local degree counters
+//! * **Shards** (`shard`): `n` workers, each exclusively owning a
+//!   contiguous VP shard — its slice of the states, its pair of
+//!   double-buffered mailbox `mailbox::Arena`s, its send-staging buffer,
+//!   and a private set of shard-local degree counters
 //!   ([`nob_core::metrics::DegreeCounters`]). There is no global mailbox
-//!   and no global scatter.
+//!   and no global scatter. There is also exactly **one driver**: every
+//!   run — [`engine::run`], [`engine::run_folded`], a
+//!   [`server::JobServer`] job — goes through the same executor entry,
+//!   which owns a gang (`n − 1` parked threads; the caller is worker 0)
+//!   and the recyclable run state, and holds the only worker body, the
+//!   only gang rendezvous and the only plan-fallback retry. The two
+//!   callers differ in the executor's *lifetime* only: `run` builds one
+//!   for the call (threads spawned and joined per run), a server keeps
+//!   one until it drops. Width 1 is the same entry running the serial
+//!   loop on the calling thread.
 //! * **Lanes** ([`mailbox`]): cross-shard messages of *dynamic* supersteps
 //!   travel through one structure-of-arrays lane per (source, destination)
 //!   shard pair — compact `(src, dst, has-payload)` headers separate from
@@ -140,7 +149,14 @@
 //!
 //! ### Unsafe surface
 //!
-//! All `unsafe` is confined to [`mailbox`] behind five documented
+//! Two modules carry `unsafe`, and `crates/lint/unsafe_inventory.txt` pins
+//! their counts. `shard` has the calls into the grid accessors below — each
+//! with the phase argument that makes it sound — and one lifetime erasure:
+//! the gang's scope hands its parked threads a `'static`-erased reference
+//! to the caller's closure, sound because the scope returns only after
+//! every worker's done handshake, *including when the caller unwinds*
+//! (the argument of the standard library's scoped threads, with the join
+//! replaced by the handshake). Everything else is in [`mailbox`], behind five documented
 //! invariants: (1) arena slabs track their initialized prefix, (2) inbox
 //! views uniquely own the messages handed to closures, (3) lane-grid
 //! access is phase-disciplined — row-exclusive while sending,
@@ -197,21 +213,23 @@
 //!
 //! ## Serving
 //!
-//! [`engine::run`] is batch-shaped: it spawns the gang, compiles plans,
-//! executes one program and tears everything down. [`server::JobServer`]
-//! is the serving counterpart — many program runs multiplexed over **one
-//! persistent gang**:
+//! [`engine::run`] is batch-shaped: it builds an executor, executes one
+//! program and tears everything down. [`server::JobServer`] is the serving
+//! counterpart — admission, a plan cache and ticket bookkeeping in front
+//! of **one executor kept for the server's lifetime**:
 //!
-//! * **Gang lifetime** — the workers are spawned once, at server creation,
-//!   and live until the server drops; dispatching a job costs two condvar
-//!   rendezvous per worker (job handoff and done handshake) instead of
-//!   thread spawns and joins. Worker arenas, staging buffers, scatter
+//! * **Gang lifetime** — the executor's threads are spawned once, at
+//!   server creation, and stay parked between jobs until the server
+//!   drops; dispatching a job costs one rendezvous (publish the job, wake
+//!   the gang, collect the done handshakes) instead of thread spawns and
+//!   joins. A job's states are executed in place — each worker gets its
+//!   `split_at_mut` shard — and worker arenas, staging buffers, scatter
 //!   scratch, shard counters and the trace builder are recycled across
 //!   jobs, extending the engine's zero-allocation steady state *across*
 //!   jobs (pinned by `tests/allocation.rs`).
-//! * **Plan cache** — compiled programs (StepPlans, layouts, lane plans,
-//!   declared send totals) are cached under `(shape fingerprint, v,
-//!   n_shards)`, where the shape is the submitter-declared
+//! * **Plan cache** — compiled programs (StepPlans, layouts and the
+//!   declared send totals memoised on the program) are cached under
+//!   `(shape fingerprint, v, width)`, where the shape is the submitter-declared
 //!   [`server::ShapeKey`]. Captured-plan entries additionally key on a
 //!   fingerprint of the initial states — the capture validity rule above —
 //!   so a lookalike job with different data re-captures instead of
@@ -317,10 +335,9 @@
 //!   `Vec` mailboxes), kept as the differential-testing and benchmarking
 //!   baseline for the sharded engine.
 
-// Unsafe is denied everywhere except the `mailbox` module, which confines
-// the engine's entire unsafe surface behind documented invariants (and the
-// rayon shim's scoped-spawn lifetime extension, which lives in the shim
-// crate).
+// Unsafe is denied everywhere except `mailbox` and `shard` (see "Unsafe
+// surface" above; the rayon shim's scoped-spawn lifetime extension lives in
+// the shim crate).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,7 +1,9 @@
 //! Flat, double-buffered mailbox arenas and shard message lanes: the
 //! zero-allocation message path.
 //!
-//! All of the engine's `unsafe` lives here, behind four small abstractions:
+//! The engine's `unsafe` lives here, behind a few small abstractions (the
+//! rest is `crate::shard`'s calls into them and its one gang-scope lifetime
+//! erasure):
 //!
 //! * `Arena` — a contiguous message slab (`Vec<MaybeUninit<M>>`) plus
 //!   per-VP offset ranges. Each shard (the whole machine, for the serial
@@ -1177,15 +1179,6 @@ impl<M> Lane<M> {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.hdrs.len()
-    }
-
-    /// Pre-sizes the lane for a statically known traffic peak (communication
-    /// plans let the sharded executor compute each pair's high-water volume
-    /// before the first superstep, instead of growing lanes lazily).
-    pub(crate) fn reserve(&mut self, hdrs: usize, payloads: usize) {
-        debug_assert!(self.hdrs.is_empty() && self.payloads.is_empty());
-        self.hdrs.reserve(hdrs);
-        self.payloads.reserve(payloads);
     }
 
     /// Drains every staged *payload* message in send order, invoking

@@ -2,8 +2,10 @@
 
 use crate::mailbox::Inbox;
 use crate::plan::{Route, StepPlan};
+use crate::shard::lock;
 use nob_core::folding::message_allowed;
 use nob_core::model::log2_exact;
+use std::sync::{Arc, Mutex};
 
 /// Execution context handed to a superstep closure: the identity of the VP
 /// and the machine geometry (mirrors the paper's assumption that each
@@ -247,6 +249,9 @@ pub struct Program<S, M> {
     log_v: u32,
     n: usize,
     steps: Vec<Superstep<S, M>>,
+    /// Memo of [`Program::send_totals`], one entry per shard width asked
+    /// for; emptied whenever a step or a plan is added.
+    send_totals: Mutex<Vec<(usize, Arc<[u64]>)>>,
 }
 
 impl<S, M> Program<S, M> {
@@ -256,7 +261,13 @@ impl<S, M> Program<S, M> {
         // allow-panic: documented builder-time contract — program
         // construction, never the run path.
         assert!(v.is_power_of_two() && v >= 2, "v = {v} must be a power of two >= 2");
-        Program { v, log_v: log2_exact(v), n, steps: Vec::new() }
+        Program {
+            v,
+            log_v: log2_exact(v),
+            n,
+            steps: Vec::new(),
+            send_totals: Mutex::new(Vec::new()),
+        }
     }
 
     /// Number of virtual processors.
@@ -300,6 +311,7 @@ impl<S, M> Program<S, M> {
             self.v
         );
         self.steps.push(Superstep { label, name, exec: Box::new(exec), plan: None });
+        lock(&self.send_totals).clear();
         self
     }
 
@@ -339,6 +351,7 @@ impl<S, M> Program<S, M> {
         let plan =
             StepPlan::compile(self.v, self.log_v, self.n, label, out_degree, Box::new(route));
         self.steps.push(Superstep { label, name, exec: Box::new(exec), plan: Some(plan) });
+        lock(&self.send_totals).clear();
         self
     }
 
@@ -384,6 +397,7 @@ impl<S, M> Program<S, M> {
         telemetry: Option<&nob_core::telemetry::TelemetrySink>,
     ) -> Result<usize, nob_core::ModelError> {
         let captures = crate::engine::capture_run(self, states, faults, telemetry)?;
+        lock(&self.send_totals).clear();
         let mut added = 0;
         for (t, cap) in captures.into_iter().enumerate() {
             let Some((offsets, slots)) = cap else { continue };
@@ -397,6 +411,39 @@ impl<S, M> Program<S, M> {
             step.plan = Some(plan);
         }
         Ok(added)
+    }
+
+    /// The declared payload total of every `(superstep, shard)` pair at
+    /// `n_shards` executor shards, row-major by superstep (0 for steps
+    /// without a usable plan) — what the sharded planned path checks each
+    /// worker's written total against. It depends only on the plans and the
+    /// width, so the route enumeration is paid once per `(program, width)`
+    /// and every later run — a reused program under `run` exactly like a
+    /// warm served job — reads the memo.
+    ///
+    /// Trusting it is safe the same way trusting a declared route is: a
+    /// total that disagrees with what a run actually sends surfaces as the
+    /// planned path's written-total [`nob_core::ModelError::PlanMismatch`],
+    /// never as corruption.
+    pub(crate) fn send_totals(&self, n_shards: usize) -> Arc<[u64]> {
+        let mut memo = lock(&self.send_totals);
+        if let Some((_, totals)) = memo.iter().find(|(n, _)| *n == n_shards) {
+            return Arc::clone(totals);
+        }
+        let vps = self.v / n_shards;
+        let mut totals = vec![0u64; self.steps.len() * n_shards];
+        for (step, row) in self.steps.iter().zip(totals.chunks_mut(n_shards)) {
+            if let Some(plan) = step.plan().filter(|p| p.fault().is_none()) {
+                for (w, total) in row.iter_mut().enumerate() {
+                    plan.for_each_message(w * vps..(w + 1) * vps, |_, _, data| {
+                        *total += data as u64;
+                    });
+                }
+            }
+        }
+        let totals: Arc<[u64]> = totals.into();
+        memo.push((n_shards, Arc::clone(&totals)));
+        totals
     }
 
     /// Number of supersteps carrying a usable (fault-free) communication
@@ -617,6 +664,35 @@ mod tests {
     fn ctx_segment_rejects_zero() {
         let c = Ctx { vp: 0, v: 16, log_v: 4, n: 16 };
         let _ = c.segment(0);
+    }
+
+    #[test]
+    fn send_totals_are_memoised_per_width_until_the_plans_change() {
+        let v = 8usize;
+        let mut p: Program<u64, u64> = Program::new(v, v);
+        // VPs 0..4 send one payload each; a dummy never counts.
+        p.step_oblivious(
+            0,
+            "half",
+            2,
+            |ctx, k| match (ctx.vp < 4, k) {
+                (true, 0) => Route::Data(ctx.vp + 4),
+                (true, _) => Route::Dummy(ctx.vp),
+                _ => Route::End,
+            },
+            |_, _, _, _| {},
+        );
+        p.step(0, "dynamic", |_, ctx, _, out| out.send(ctx.vp ^ 1, 1));
+        let two = p.send_totals(2);
+        assert_eq!(&two[..], [4, 0, 0, 0], "[step][shard], plan-less steps are 0");
+        assert_eq!(&p.send_totals(4)[..], [2, 2, 0, 0, 0, 0, 0, 0]);
+        assert!(Arc::ptr_eq(&two, &p.send_totals(2)), "a second ask must not re-enumerate");
+        // Capturing plans the dynamic step: a stale memo would still say 0.
+        assert_eq!(p.capture_plans(vec![0; v]).unwrap(), 1);
+        assert_eq!(&p.send_totals(2)[..], [4, 0, 4, 4]);
+        // So does appending a step.
+        p.step(0, "more", |_, _, _, _| {});
+        assert_eq!(p.send_totals(2).len(), 6);
     }
 
     #[test]

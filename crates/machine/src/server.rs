@@ -1,37 +1,36 @@
 //! Multi-tenant job server: many program runs multiplexed over one
-//! persistent worker gang.
+//! long-lived executor.
 //!
-//! Everything below `crate::engine::run` executes **one** program and tears
-//! the world down afterwards: the gang is spawned and joined per run, plans
-//! are compiled per program instance, and every arena/table/trace buffer is
-//! allocated from scratch. That is the right shape for a batch experiment
-//! and the wrong one for serving — the paper's one-specification-everywhere
-//! argument has a serving corollary: one *compiled* specification should
-//! run many times at near-zero marginal setup cost. A [`JobServer`]
-//! delivers that with three mechanisms:
+//! `crate::engine::run` builds an executor per call and tears it down
+//! afterwards: the gang is spawned and joined per run, and every
+//! arena/table/trace buffer is allocated from scratch. That is the right
+//! shape for a batch experiment and the wrong one for serving — the paper's
+//! one-specification-everywhere argument has a serving corollary: one
+//! *compiled* specification should run many times at near-zero marginal
+//! setup cost. A [`JobServer`] is a scheduler thread that keeps **one**
+//! `crate::shard::Executor` for its lifetime and puts three things in front
+//! of it:
 //!
-//! * **A persistent gang.** `n_shards` OS threads are spawned once, at
-//!   server creation, and block on per-worker job slots instead of exiting
-//!   after a run. Dispatching a job costs one slot handoff to each worker
-//!   and one handshake back — two condvar rendezvous per worker — instead
-//!   of `n_shards` thread spawns and joins. The scheduler thread doubles as
-//!   worker 0 (the coordinator), exactly like the calling thread does in
-//!   `run`.
+//! * **Admission** — the FIFO + size-aware queue below.
 //! * **A compiled-plan cache** keyed by `(program shape fingerprint, v,
-//!   n_shards)`: repeat requests reuse the built [`Program`] — its
-//!   `StepPlan`s and `PlanLayout`s included — plus the lane plan and the
-//!   per-shard declared send totals, so a warm job skips program
-//!   construction, plan compilation *and* the per-worker route enumeration
-//!   of `prepare_run`. Captured plans (see [`Program::capture_plans`])
+//!   width)`: repeat requests reuse the built [`Program`] — its `StepPlan`s,
+//!   `PlanLayout`s and memoised declared send totals included — so a warm
+//!   job skips program construction, plan compilation *and* route
+//!   enumeration. Captured plans (see [`Program::capture_plans`])
 //!   additionally key on a fingerprint of the initial states, the PR-7
 //!   validity rule: a lookalike job with different states misses and
 //!   re-captures instead of replaying someone else's routes.
-//! * **Arena pooling.** Worker kits (arenas, staging, scatter scratch,
-//!   direct-write tables), shard cells, the epoch-merge scratch, the trace
-//!   builder and the lane grid are all recycled between jobs, so warm
-//!   steady state allocates nothing *across* jobs — extended from the
-//!   engine's long-standing within-one-run guarantee and proven by the
-//!   cross-job case in `tests/allocation.rs`.
+//! * **Ticket and telemetry bookkeeping** — per-job results, lifecycle
+//!   timing and counters.
+//!
+//! Everything else is the executor's, exactly as under `run`: the scheduler
+//! thread is worker 0 of every job, the gang's other threads are spawned
+//! once and parked between jobs, a job's states are executed in place (each
+//! worker gets its `split_at_mut` shard — no per-job copies), and worker
+//! kits, grids, shard cells, merge scratch and the trace builder are
+//! recycled, so warm steady state allocates nothing *across* jobs (the
+//! cross-job case in `tests/allocation.rs`). Jobs with `v` below the gang
+//! width run at width 1 on the scheduler thread.
 //!
 //! # Trust model of the cache key
 //!
@@ -43,21 +42,20 @@
 //! checks surface a [`ModelError::PlanMismatch`] (or a
 //! [`PlanFallback::Dynamic`] degrade) — never corruption and never an
 //! out-of-bounds write. For [`ProgramSource::Prebuilt`] jobs the submitted
-//! program is authoritative (the lane plan is recomputed from its real
-//! labels each job, allocation-free), so even a lying key cannot misroute
+//! program is authoritative (the executor derives the lane plan and send
+//! totals from the program it runs), so even a lying key cannot misroute
 //! the dynamic path.
 //!
 //! # Failure isolation
 //!
 //! A `VpPanic`, fault injection, or `GangStall` in one job fails **that
-//! job's ticket** and leaves the gang serviceable: the barrier poison that
-//! is deliberately sticky within a run is replaced between jobs by a fresh
-//! barrier generation (`GangCore::reset_for_job`), worker kits drain any
-//! mid-superstep residue, and the lanes are cleared. The one documented
-//! limit carries over from the engine: a VP closure that *never returns*
-//! wedges its worker thread forever, which no in-process watchdog can
-//! recover — `stall_timeout` converts every slow-or-lost-peer case into a
-//! structured per-job [`ModelError::GangStall`].
+//! job's ticket** and leaves the gang serviceable: the executor re-arms the
+//! barrier with a fresh generation, drains worker-kit residue and clears
+//! the lanes before every run. The one documented limit carries over from
+//! the engine: a VP closure that *never returns* wedges its worker thread
+//! forever, which no in-process watchdog can recover — `stall_timeout`
+//! converts every slow-or-lost-peer case into a structured per-job
+//! [`ModelError::GangStall`].
 //!
 //! # Admission
 //!
@@ -67,38 +65,19 @@
 //! sort. Each overtake increments the head's counter; a head overtaken
 //! `max_overtakes` times becomes non-overtakable, bounding large-job
 //! starvation.
-//!
-//! # Unsafe surface
-//!
-//! One pattern, mirroring `std::thread::scope`: the scheduler builds the
-//! per-job `Shared` view on its stack and hands the persistent workers a
-//! lifetime-erased pointer to it (`SharedView`). Soundness is the scoped
-//! rendezvous: workers drop the reference before posting their done
-//! handshake, and the scheduler keeps the pointee alive and unmoved until
-//! it has collected every handshake.
 
-#![allow(unsafe_code)]
-
-use crate::engine::{run_serial, GranSpec, PlanFallback, RunOptions};
-use crate::program::{LanePlan, Program};
-use crate::shard::{
-    prepare_run, prepare_run_cached, shard_loop, Coord, GangBarrier, GangCore, ShardCell, Shared,
-    Worker, WorkerKit,
-};
+use crate::engine::{GranSpec, PlanFallback, RunOptions};
+use crate::program::Program;
+use crate::shard::{lock, Executor};
 use nob_core::fault::FaultPlan;
-use nob_core::metrics::{CommTrace, EpochMerge, TraceBuilder};
-use nob_core::model::log2_exact;
+use nob_core::metrics::CommTrace;
 use nob_core::telemetry::{Counter, TelemetrySink};
 use nob_core::ModelError;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The submitter-declared identity of a program's *shape*: everything that
 /// determines its superstep sequence, labels and routes (but not its data).
@@ -127,9 +106,10 @@ impl ShapeKey {
 
 /// Where a job's program comes from.
 pub enum ProgramSource<S, M> {
-    /// An already-built program, shared by the submitter. The cache reuses
-    /// lane plans and send totals across equal-key submissions but the
-    /// submitted program itself is always the one executed.
+    /// An already-built program, shared by the submitter. The cache only
+    /// accounts it (hit or miss, byte budget): the submitted program itself
+    /// is always the one executed, and its memoised send totals travel with
+    /// it.
     Prebuilt(Arc<Program<S, M>>),
     /// Built on first use and cached under the job's [`ShapeKey`]; repeat
     /// submissions reuse the cached program, compiled plans included.
@@ -432,9 +412,6 @@ struct CacheKey {
 
 struct CacheEntry<S, M> {
     prog: Arc<Program<S, M>>,
-    /// Per-shard, per-step declared payload totals, harvested from the
-    /// first cold gang run ([`prepare_run`]'s output); `None` until then.
-    totals: Option<Arc<Vec<Vec<u64>>>>,
     /// Compiled-plan footprint of `prog` ([`Program::plan_bytes`]) — the
     /// unit the LRU budget is accounted in.
     bytes: u64,
@@ -470,7 +447,7 @@ impl<S, M> PlanCache<S, M> {
     fn insert(&mut self, key: CacheKey, prog: Arc<Program<S, M>>, tele: Option<&TelemetrySink>) {
         let bytes = prog.plan_bytes();
         self.tick += 1;
-        let entry = CacheEntry { prog, totals: None, bytes, last_used: self.tick };
+        let entry = CacheEntry { prog, bytes, last_used: self.tick };
         if let Some(old) = self.entries.insert(key, entry) {
             self.total_bytes -= old.bytes;
         }
@@ -491,255 +468,6 @@ impl<S, M> PlanCache<S, M> {
         }
         if let Some(tl) = tele {
             tl.set(Counter::CacheBytes, self.total_bytes);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gang plumbing
-// ---------------------------------------------------------------------------
-
-/// A lifetime-erased pointer to the scheduler's per-job [`Shared`] view.
-///
-/// # Safety contract (the scoped rendezvous)
-/// The scheduler guarantees the pointee outlives every use: it does not
-/// move or drop the `Shared` until each dispatched worker has posted its
-/// [`DoneMsg`], and workers drop their reference before posting. This is
-/// `std::thread::scope`'s argument with the join replaced by the done
-/// handshake (a `Mutex` + `Condvar` slot, so the release/acquire pairing
-/// carries the happens-before edge).
-struct SharedView<S: 'static, M: 'static> {
-    ptr: *const Shared<'static, S, M>,
-}
-
-// SAFETY: the view is only a pointer; the pointee is `Sync` (it is shared
-// across the gang by `run_sharded` the same way) and the rendezvous above
-// bounds every dereference within the pointee's true lifetime.
-unsafe impl<S: Send, M: Send> Send for SharedView<S, M> {}
-
-impl<S: 'static, M: 'static> SharedView<S, M> {
-    fn erase(shared: &Shared<'_, S, M>) -> Self {
-        SharedView { ptr: (shared as *const Shared<'_, S, M>).cast() }
-    }
-
-    /// # Safety
-    /// Caller must be inside the scoped rendezvous described on the type:
-    /// the scheduler still awaits this worker's done handshake.
-    unsafe fn get(&self) -> &Shared<'static, S, M> {
-        // SAFETY: the fn's contract — the pointee outlives the rendezvous
-        // the caller is inside of.
-        unsafe { &*self.ptr }
-    }
-}
-
-/// How a worker sizes its planned-path state for a job.
-enum Prep {
-    /// Enumerate routes and compute declared totals ([`prepare_run`]).
-    Cold,
-    /// Reuse cached per-shard totals ([`prepare_run_cached`]).
-    Cached(Arc<Vec<Vec<u64>>>),
-    /// Plans disabled for this job — nothing to size.
-    Dynamic,
-}
-
-enum GangMsg<S: 'static, M: 'static> {
-    Job { view: SharedView<S, M>, vps: usize, prep: Prep, chunk: Vec<S> },
-    Shutdown,
-}
-
-struct DoneMsg<S> {
-    chunk: Vec<S>,
-    /// This shard's declared totals, reported back on cold jobs for the
-    /// plan cache.
-    totals: Option<Vec<u64>>,
-}
-
-/// A one-item handoff slot: `put` never blocks (the protocol guarantees
-/// emptiness), `take` blocks until an item arrives. Allocation-free per
-/// message, unlike a channel.
-struct Slot<T> {
-    cell: Mutex<Option<T>>,
-    cv: Condvar,
-}
-
-impl<T> Slot<T> {
-    fn new() -> Self {
-        Slot { cell: Mutex::new(None), cv: Condvar::new() }
-    }
-
-    fn put(&self, item: T) {
-        let mut g = lock(&self.cell);
-        debug_assert!(g.is_none(), "slot handoff overlap");
-        *g = Some(item);
-        self.cv.notify_one();
-    }
-
-    fn take(&self) -> T {
-        let mut g = lock(&self.cell);
-        loop {
-            if let Some(item) = g.take() {
-                return item;
-            }
-            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-struct Chan<S: 'static, M: 'static> {
-    job: Slot<GangMsg<S, M>>,
-    done: Slot<DoneMsg<S>>,
-}
-
-/// The loop of persistent gang member `w` (`1..n_shards`): block on the job
-/// slot, run one job's shard loop, hand the chunk back, repeat. The worker
-/// kit lives here, across jobs — that is the arena pooling.
-fn gang_member<S: Send + 'static, M: Send + 'static>(w: usize, chan: Arc<Chan<S, M>>) {
-    let mut kit: Option<WorkerKit<M>> = None;
-    loop {
-        match chan.job.take() {
-            GangMsg::Shutdown => return,
-            GangMsg::Job { view, vps, prep, mut chunk } => {
-                let totals;
-                {
-                    // SAFETY: scoped rendezvous — the scheduler keeps the
-                    // pointee alive until our `done.put` below, and this
-                    // reference dies at the end of this block, before it.
-                    let shared = unsafe { view.get() };
-                    let kit_now = match kit.take() {
-                        Some(mut k) => {
-                            if let Some(tl) = shared.telemetry {
-                                tl.add(Counter::PoolReuses, 1);
-                            }
-                            k.reset(vps);
-                            k
-                        }
-                        None => WorkerKit::new(vps),
-                    };
-                    let mut me = Worker::from_kit(w, w * vps, vps, &mut chunk, kit_now);
-                    match &prep {
-                        Prep::Cold => prepare_run(&mut me, shared),
-                        Prep::Cached(t) => prepare_run_cached(&mut me, shared, &t[w]),
-                        Prep::Dynamic => {}
-                    }
-                    shard_loop(&mut me, shared, None);
-                    let k = me.into_kit();
-                    totals = matches!(prep, Prep::Cold).then(|| k.send_total().to_vec());
-                    kit = Some(k);
-                }
-                chan.done.put(DoneMsg { chunk, totals });
-            }
-        }
-    }
-}
-
-/// Per-trace-shape pooled coordinator state (shard cells + merge scratch),
-/// parked in a map so alternating shapes in a mixed workload don't
-/// re-allocate counters every job.
-struct ShapeRes {
-    cells: Vec<Mutex<ShardCell>>,
-    merge: EpochMerge,
-}
-
-/// Everything the scheduler thread owns: the persistent gang, the pooled
-/// run state, and the plan cache (scheduler-local, hence lock-free).
-struct Gang<S: Send + 'static, M: Send + 'static> {
-    n_shards: usize,
-    log_shards: u32,
-    chans: Vec<Arc<Chan<S, M>>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    core: GangCore<M>,
-    kit0: Option<WorkerKit<M>>,
-    chunk0: Vec<S>,
-    chunks: Vec<Vec<S>>,
-    shapes: HashMap<u32, ShapeRes>,
-    cur_shape: Option<u32>,
-    trace: TraceBuilder,
-    cache: PlanCache<S, M>,
-    /// The server's telemetry sink ([`ServerConfig::telemetry`]), shared
-    /// with every job's `Shared` view and run options.
-    telemetry: Option<Arc<TelemetrySink>>,
-}
-
-impl<S: Send + 'static, M: Send + 'static> Gang<S, M> {
-    fn spawn(n_shards: usize) -> Self {
-        let log_shards = log2_exact(n_shards);
-        let chans: Vec<Arc<Chan<S, M>>> = (1..n_shards)
-            .map(|_| Arc::new(Chan { job: Slot::new(), done: Slot::new() }))
-            .collect();
-        let handles = chans
-            .iter()
-            .enumerate()
-            .map(|(i, chan)| {
-                let chan = Arc::clone(chan);
-                std::thread::Builder::new()
-                    .name(format!("nob-gang-{}", i + 1))
-                    .spawn(move || gang_member(i + 1, chan))
-                    // allow-panic: thread spawn at server construction; a
-                    // spawn failure here is unrecoverable setup, like the
-                    // engine's own MAX_WORKERS rationale.
-                    .expect("spawn gang member")
-            })
-            .collect();
-        Gang {
-            n_shards,
-            log_shards,
-            chans,
-            handles,
-            core: GangCore {
-                plan: LanePlan::placeholder(),
-                grid: crate::mailbox::LaneGrid::new(n_shards),
-                direct: crate::mailbox::DirectGrid::new(n_shards),
-                cells: Vec::new(),
-                barrier: GangBarrier::new(n_shards, None),
-                abort_round: AtomicU64::new(u64::MAX),
-            },
-            kit0: None,
-            chunk0: Vec::new(),
-            chunks: (1..n_shards).map(|_| Vec::new()).collect(),
-            shapes: HashMap::new(),
-            cur_shape: None,
-            trace: TraceBuilder::new(1, 1, 0),
-            cache: PlanCache {
-                entries: HashMap::new(),
-                budget_bytes: u64::MAX,
-                total_bytes: 0,
-                tick: 0,
-            },
-            telemetry: None,
-        }
-    }
-
-    /// Installs the pooled shard cells for trace shape `log_v` (full
-    /// granularity), parking the previous shape's cells. Allocates only the
-    /// first time a shape is seen.
-    fn ensure_shape(&mut self, log_v: u32) {
-        if self.cur_shape == Some(log_v) {
-            return;
-        }
-        if let Some(prev) = self.cur_shape.take() {
-            let cells = std::mem::take(&mut self.core.cells);
-            if let Some(res) = self.shapes.get_mut(&prev) {
-                res.cells = cells;
-            }
-        }
-        let (n_shards, log_shards) = (self.n_shards, self.log_shards);
-        let spec = GranSpec { levels: log_v, gran_shift: 0, full: true };
-        let entry = self.shapes.entry(log_v).or_insert_with(|| ShapeRes {
-            cells: (0..n_shards)
-                .map(|w| Mutex::new(ShardCell::new(spec, log_v, log_shards, w)))
-                .collect(),
-            merge: EpochMerge::new(log_v, log_shards),
-        });
-        self.core.cells = std::mem::take(&mut entry.cells);
-        self.cur_shape = Some(log_v);
-    }
-
-    fn shutdown(mut self) {
-        for chan in &self.chans {
-            chan.job.put(GangMsg::Shutdown);
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
         }
     }
 }
@@ -900,9 +628,15 @@ where
     S: Send + Clone + 'static,
     M: Send + 'static,
 {
-    let mut gang: Gang<S, M> = Gang::spawn(cfg.n_shards);
-    gang.telemetry = cfg.telemetry.clone();
-    gang.cache.budget_bytes = cfg.plan_cache_bytes;
+    // The executor (gang threads, pooled run state) and the plan cache are
+    // scheduler-local, hence lock-free.
+    let mut exec: Executor<M> = Executor::new(cfg.n_shards);
+    let mut cache = PlanCache {
+        entries: HashMap::new(),
+        budget_bytes: cfg.plan_cache_bytes,
+        total_bytes: 0,
+        tick: 0,
+    };
     loop {
         let job = {
             let mut g = lock(&inner.queue);
@@ -913,7 +647,7 @@ where
                     break None;
                 }
                 if let Some(job) = g.q.pop() {
-                    if let Some(tl) = gang.telemetry.as_deref() {
+                    if let Some(tl) = cfg.telemetry.as_deref() {
                         // Mirror the queue's lifetime overtake total while
                         // the lock still serializes it (idempotent store).
                         tl.set(Counter::Overtakes, g.q.overtakes);
@@ -924,22 +658,21 @@ where
             }
         };
         let Some(job) = job else { break };
-        process_job(&mut gang, job, &stats);
+        process_job(&mut exec, &mut cache, &cfg, job, &stats);
     }
-    // Shutdown: fail whatever is still queued, then drain the gang.
-    {
-        let mut g = lock(&inner.queue);
-        for job in g.q.drain() {
-            fulfill(&job.ticket, Err(closed_error()));
-        }
+    // Shutdown: fail whatever is still queued; dropping the executor joins
+    // the gang.
+    let mut g = lock(&inner.queue);
+    for job in g.q.drain() {
+        fulfill(&job.ticket, Err(closed_error()));
     }
-    gang.shutdown();
 }
 
 /// Resolves a job's program through the plan cache. Returns the program to
-/// execute and whether this was a cache hit. (The lane plan is always
-/// recomputed from the executing program; the cache carries compiled
-/// plans and send totals, never routing authority.)
+/// execute and whether this was a cache hit. (The cache only ever
+/// short-circuits *cost* — program build, plan compilation, route
+/// enumeration — never routing authority: the executor derives the lane
+/// plan from the program it runs.)
 #[allow(clippy::type_complexity)]
 fn resolve_program<S: Send + Clone, M: Send>(
     cache: &mut PlanCache<S, M>,
@@ -1017,16 +750,20 @@ fn resolve_program<S: Send + Clone, M: Send>(
     }
 }
 
-fn process_job<S, M>(gang: &mut Gang<S, M>, mut job: JobRequest<S, M>, stats: &StatsInner)
-where
+fn process_job<S, M>(
+    exec: &mut Executor<M>,
+    cache: &mut PlanCache<S, M>,
+    cfg: &ServerConfig,
+    mut job: JobRequest<S, M>,
+    stats: &StatsInner,
+) where
     S: Send + Clone + 'static,
     M: Send + 'static,
 {
     // Lifecycle timing: queue wait ended the moment this job was popped
     // (process_job is called right after), service runs until fulfillment.
     // Every clock read is gated on the armed sink.
-    let tele_arc = gang.telemetry.clone();
-    let tele = tele_arc.as_deref();
+    let tele = cfg.telemetry.as_deref();
     let queue_wait = match (tele, job.enqueued) {
         (Some(tl), Some(t0)) => {
             let d = t0.elapsed();
@@ -1040,10 +777,10 @@ where
         Instant::now()
     });
 
-    let v = job.states.len();
-    let serial = v < gang.n_shards || gang.n_shards == 1;
-    let width = if serial { 1 } else { gang.n_shards };
-    let (prog, hit) = match resolve_program(&mut gang.cache, &mut job, width, tele) {
+    // Machines smaller than the gang run at width 1 on this thread, paying
+    // per-job scratch allocations — such jobs are tiny by definition.
+    let width = if job.states.len() < cfg.n_shards { 1 } else { cfg.n_shards };
+    let (prog, hit) = match resolve_program(cache, &mut job, width, tele) {
         Ok(r) => r,
         Err(e) => {
             stats.failed.fetch_add(1, Ordering::Relaxed);
@@ -1051,27 +788,37 @@ where
             return;
         }
     };
-    if hit {
-        stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(tl) = tele {
-            tl.add(Counter::CacheHits, 1);
-        }
+    let (stat, counter) = if hit {
+        (&stats.cache_hits, Counter::CacheHits)
     } else {
-        stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(tl) = tele {
-            tl.add(Counter::CacheMisses, 1);
-        }
+        (&stats.cache_misses, Counter::CacheMisses)
+    };
+    stat.fetch_add(1, Ordering::Relaxed);
+    if let Some(tl) = tele {
+        tl.add(counter, 1);
     }
-
-    let outcome = if serial {
+    if width == 1 {
         stats.serial_jobs.fetch_add(1, Ordering::Relaxed);
         if let Some(tl) = tele {
             tl.add(Counter::SerialJobs, 1);
         }
-        serial_job(gang, &prog, &mut job)
-    } else {
-        gang_job(gang, &prog, &mut job)
+    }
+
+    let opts = &job.spec.opts;
+    let run_opts = RunOptions {
+        validate: opts.validate,
+        collect_messages: opts.collect_messages,
+        use_plans: opts.use_plans,
+        fuse: opts.fuse,
+        plan_fallback: opts.plan_fallback,
+        faults: opts.faults.clone(),
+        stall_timeout: opts.stall_timeout,
+        telemetry: cfg.telemetry.clone(),
+        // The width is this server's, passed to the executor directly.
+        ..RunOptions::default()
     };
+    let spec = GranSpec { levels: prog.log_v(), gran_shift: 0, full: true };
+    let executed = exec.execute(&prog, &mut job.states, spec, &run_opts, width);
     let service = match (tele, svc0) {
         (Some(tl), Some(t0)) => {
             let d = t0.elapsed();
@@ -1080,10 +827,14 @@ where
         }
         _ => None,
     };
-    let outcome = outcome.map(|mut r| {
-        r.queue_wait = queue_wait;
-        r.service = service;
-        r
+    let outcome = executed.map(|done| JobResult {
+        states: std::mem::take(&mut job.states),
+        trace: opts.want_trace.then(|| exec.trace.snapshot()),
+        message_log: done.message_log,
+        rounds: exec.rounds,
+        fallback: done.fallback,
+        queue_wait,
+        service,
     });
     match &outcome {
         Ok(r) => {
@@ -1097,275 +848,6 @@ where
         }
     }
     fulfill(&job.ticket, outcome);
-}
-
-fn run_options(opts: &JobOptions, telemetry: Option<Arc<TelemetrySink>>) -> RunOptions {
-    RunOptions {
-        parallel: false,
-        validate: opts.validate,
-        collect_messages: opts.collect_messages,
-        workers: Some(1),
-        use_plans: opts.use_plans,
-        fuse: opts.fuse,
-        plan_fallback: opts.plan_fallback,
-        faults: opts.faults.clone(),
-        stall_timeout: opts.stall_timeout,
-        telemetry,
-    }
-}
-
-/// Whether a plan mismatch on this job may degrade to a dynamic re-run
-/// (mirrors `run_core`'s arming rule).
-fn fallback_armed<S, M>(opts: &JobOptions, prog: &Program<S, M>) -> bool {
-    opts.plan_fallback == PlanFallback::Dynamic
-        && opts.use_plans
-        && !opts.validate
-        && prog.planned_steps() > 0
-}
-
-/// Runs one job on the scheduler thread's serial path (machines smaller
-/// than the gang). Pays per-job scratch allocations — these jobs are tiny
-/// by definition; the pooled path is the gang.
-fn serial_job<S, M>(
-    gang: &mut Gang<S, M>,
-    prog: &Arc<Program<S, M>>,
-    job: &mut JobRequest<S, M>,
-) -> Result<JobResult<S>, ModelError>
-where
-    S: Send + Clone + 'static,
-    M: Send + 'static,
-{
-    let opts = &job.spec.opts;
-    let spec = GranSpec { levels: prog.log_v(), gran_shift: 0, full: true };
-    let ropts = run_options(opts, gang.telemetry.clone());
-    let armed = fallback_armed(opts, prog);
-    let saved = armed.then(|| job.states.clone());
-    gang.trace.reset(prog.v(), prog.n(), prog.steps().len());
-    let mut log = opts.collect_messages.then(|| Vec::with_capacity(prog.steps().len()));
-    let first = run_serial(prog, &mut job.states, spec, &ropts, &mut gang.trace, &mut log);
-    let fallback = match first {
-        Ok(()) => None,
-        Err(mismatch @ ModelError::PlanMismatch { .. }) if armed => {
-            job.states = saved.unwrap_or_default();
-            gang.trace.reset(prog.v(), prog.n(), prog.steps().len());
-            log = opts.collect_messages.then(|| Vec::with_capacity(prog.steps().len()));
-            let retry = RunOptions { use_plans: false, ..ropts };
-            run_serial(prog, &mut job.states, spec, &retry, &mut gang.trace, &mut log)?;
-            Some(mismatch)
-        }
-        Err(e) => return Err(e),
-    };
-    Ok(JobResult {
-        states: std::mem::take(&mut job.states),
-        trace: opts.want_trace.then(|| gang.trace.snapshot()),
-        message_log: log,
-        rounds: 0,
-        fallback,
-        queue_wait: None,
-        service: None,
-    })
-}
-
-/// Runs one job on the persistent gang, with one dynamic retry under the
-/// fallback policy. The job's input states stay pristine until a successful
-/// attempt gathers over them, so the retry needs no upfront clone.
-fn gang_job<S, M>(
-    gang: &mut Gang<S, M>,
-    prog: &Arc<Program<S, M>>,
-    job: &mut JobRequest<S, M>,
-) -> Result<JobResult<S>, ModelError>
-where
-    S: Send + Clone + 'static,
-    M: Send + 'static,
-{
-    let armed = fallback_armed(&job.spec.opts, prog);
-    match gang_attempt(gang, prog, job, true) {
-        Ok(res) => Ok(res),
-        Err(mismatch @ ModelError::PlanMismatch { .. }) if armed => {
-            let mut res = gang_attempt(gang, prog, job, false)?;
-            res.fallback = Some(mismatch);
-            Ok(res)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-fn gang_attempt<S, M>(
-    gang: &mut Gang<S, M>,
-    prog: &Arc<Program<S, M>>,
-    job: &mut JobRequest<S, M>,
-    plans_pass: bool,
-) -> Result<JobResult<S>, ModelError>
-where
-    S: Send + Clone + 'static,
-    M: Send + 'static,
-{
-    let opts = &job.spec.opts;
-    let v = prog.v();
-    let log_v = prog.log_v();
-    let n = gang.n_shards;
-    let vps = v / n;
-    let use_plans = opts.use_plans && plans_pass;
-    let key = CacheKey {
-        shape: job.spec.shape.fingerprint(),
-        v,
-        n_shards: n,
-        states_fp: job.states_fp,
-    };
-
-    // --- recycle the pooled run state -----------------------------------
-    let tele_arc = gang.telemetry.clone();
-    let tele = tele_arc.as_deref();
-    let t0 = tele.map(|_| Instant::now());
-    gang.ensure_shape(log_v);
-    gang.core.reset_for_job(opts.stall_timeout);
-    if let (Some(tl), Some(t0)) = (tele, t0) {
-        tl.add(Counter::EpochResetNanos, t0.elapsed().as_nanos() as u64);
-        tl.add(Counter::EpochResetCount, 1);
-    }
-    // The lane plan is always derived from the program actually executing
-    // (allocation-free in-place recompute, O(steps)), so even a shape key
-    // that misdescribes its Prebuilt program cannot misroute the dynamic
-    // path — the cache only ever short-circuits *cost* (compiled plans,
-    // send totals), never the routing authority.
-    gang.core.plan.recompute_pooled(prog, n);
-    let prep = if !use_plans {
-        Prep::Dynamic
-    } else {
-        match gang.cache.entries.get(&key).and_then(|e| e.totals.clone()) {
-            Some(t) => Prep::Cached(t),
-            None => Prep::Cold,
-        }
-    };
-    let cold = matches!(prep, Prep::Cold);
-
-    // --- scatter input chunks -------------------------------------------
-    gang.chunk0.clear();
-    gang.chunk0.extend_from_slice(&job.states[..vps]);
-    for i in 1..n {
-        let c = &mut gang.chunks[i - 1];
-        c.clear();
-        c.extend_from_slice(&job.states[i * vps..(i + 1) * vps]);
-    }
-
-    // --- per-job shared view + dispatch ---------------------------------
-    let spec = GranSpec { levels: log_v, gran_shift: 0, full: true };
-    let mut log = opts.collect_messages.then(|| Vec::with_capacity(prog.steps().len()));
-    gang.trace.reset(v, prog.n(), prog.steps().len());
-    let shared = Shared {
-        prog,
-        core: &gang.core,
-        faults: opts.faults.as_deref(),
-        spec,
-        validate: opts.validate,
-        collect_log: opts.collect_messages,
-        use_plans,
-        fuse: opts.fuse,
-        v,
-        log_v,
-        n_shards: n,
-        log_shards: gang.log_shards,
-        telemetry: tele,
-    };
-    let t0 = tele.map(|_| Instant::now());
-    for i in 1..n {
-        let chunk = std::mem::take(&mut gang.chunks[i - 1]);
-        let prep_i = match &prep {
-            Prep::Cold => Prep::Cold,
-            Prep::Cached(t) => Prep::Cached(Arc::clone(t)),
-            Prep::Dynamic => Prep::Dynamic,
-        };
-        gang.chans[i - 1].job.put(GangMsg::Job {
-            view: SharedView::erase(&shared),
-            vps,
-            prep: prep_i,
-            chunk,
-        });
-    }
-    if let (Some(tl), Some(t0)) = (tele, t0) {
-        tl.add(Counter::DispatchNanos, t0.elapsed().as_nanos() as u64);
-        tl.add(Counter::DispatchCount, 1);
-    }
-
-    // --- worker 0 (this thread) -----------------------------------------
-    let kit0 = match gang.kit0.take() {
-        Some(mut k) => {
-            if let Some(tl) = tele {
-                tl.add(Counter::PoolReuses, 1);
-            }
-            k.reset(vps);
-            k
-        }
-        None => WorkerKit::new(vps),
-    };
-    let rounds;
-    {
-        let mut me = Worker::from_kit(0, 0, vps, &mut gang.chunk0, kit0);
-        match &prep {
-            Prep::Cold => prepare_run(&mut me, &shared),
-            Prep::Cached(t) => prepare_run_cached(&mut me, &shared, &t[0]),
-            Prep::Dynamic => {}
-        }
-        // allow-panic: `ensure_shape` just installed this entry.
-        let res = gang.shapes.get_mut(&log_v).expect("shape installed by ensure_shape");
-        let coord = Coord::new(&mut res.merge, &mut gang.trace, log.as_mut());
-        rounds = shard_loop(&mut me, &shared, Some(coord));
-        gang.kit0 = Some(me.into_kit());
-    }
-
-    // --- collect the done handshakes (ends the scoped rendezvous) -------
-    let mut peer_totals: Vec<Option<Vec<u64>>> = Vec::new();
-    for i in 1..n {
-        let done = gang.chans[i - 1].done.take();
-        gang.chunks[i - 1] = done.chunk;
-        if cold {
-            peer_totals.push(done.totals);
-        }
-    }
-    // `shared` (borrowed by the erased views) stays alive until here —
-    // past every done handshake — and is dead from this point on.
-
-    // --- harvest cold totals into the cache -----------------------------
-    if cold {
-        let mut totals: Vec<Vec<u64>> = Vec::with_capacity(n);
-        // allow-panic: kit0 was put back right above.
-        let k0 = gang.kit0.as_ref().expect("kit0 returned after shard_loop");
-        totals.push(k0.send_total().to_vec());
-        let mut complete = true;
-        for t in peer_totals {
-            match t {
-                Some(t) => totals.push(t),
-                None => complete = false,
-            }
-        }
-        if complete {
-            if let Some(entry) = gang.cache.entries.get_mut(&key) {
-                entry.totals = Some(Arc::new(totals));
-            }
-        }
-    }
-
-    // --- first error in shard order wins (run_sharded's rule) -----------
-    for cell in &gang.core.cells {
-        if let Some(e) = lock(cell).error.take() {
-            return Err(e);
-        }
-    }
-
-    // --- gather results back into the job's states ----------------------
-    job.states[..vps].clone_from_slice(&gang.chunk0);
-    for i in 1..n {
-        job.states[i * vps..(i + 1) * vps].clone_from_slice(&gang.chunks[i - 1]);
-    }
-    Ok(JobResult {
-        states: std::mem::take(&mut job.states),
-        trace: opts.want_trace.then(|| gang.trace.snapshot()),
-        message_log: log,
-        rounds,
-        fallback: None,
-        queue_wait: None,
-        service: None,
-    })
 }
 
 #[cfg(test)]

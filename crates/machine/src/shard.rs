@@ -1,21 +1,32 @@
-//! The persistent sharded executor: long-lived workers over shard-owned
-//! mailboxes, exchanging messages through statically planned lanes
-//! (dynamic supersteps), direct cross-shard arena writes (planned
-//! supersteps), or no synchronization at all (fused shard-local planned
-//! supersteps).
+//! The sharded executor: one gang of workers over shard-owned mailboxes,
+//! exchanging messages through statically planned lanes (dynamic
+//! supersteps), direct cross-shard arena writes (planned supersteps), or no
+//! synchronization at all (fused shard-local planned supersteps).
 //!
 //! # Architecture
 //!
-//! Where the pre-shard engine forked one task per VP chunk every superstep
-//! and funneled *all* staged messages through a single global counting-sort
-//! scatter, this executor spawns `n_shards` workers **once per run**. Worker
-//! `w` exclusively owns the contiguous VP shard `[w·v/n, (w+1)·v/n)` — its
-//! states, its pair of double-buffered [`Arena`]s, its staging buffer and a
-//! private shard-local [`DegreeCounters`] — mirroring the paper's folding
-//! layout (processor `r` of `M(p)` simulates the `v/p` consecutive VPs
-//! starting at `r·v/p`). Each superstep then runs one of three protocols,
-//! chosen by whether it carries a usable communication plan and whether
-//! that plan's payloads provably stay shard-local at the current width.
+//! Worker `w` of an `n_shards`-wide run exclusively owns the contiguous VP
+//! shard `[w·v/n, (w+1)·v/n)` — its states, its pair of double-buffered
+//! [`Arena`]s, its staging buffer and a private shard-local
+//! [`DegreeCounters`] — mirroring the paper's folding layout (processor `r`
+//! of `M(p)` simulates the `v/p` consecutive VPs starting at `r·v/p`). Each
+//! superstep runs one of three protocols, chosen by whether it carries a
+//! usable communication plan and whether that plan's payloads provably stay
+//! shard-local at the current width.
+//!
+//! # One driver
+//!
+//! Whoever asks for a run — [`crate::engine::run`], `run_folded`, or a
+//! [`crate::server::JobServer`] job — it goes through [`Executor::execute`],
+//! which holds the only fallback-retry, the only `Shared` view and the only
+//! worker body. An executor owns a [`Gang`] (`n − 1` parked OS threads; the
+//! caller is worker 0) and the recyclable run state: lane and direct grids,
+//! barrier, per-worker [`WorkerKit`]s, per-trace-shape shard cells and merge
+//! scratch, and the trace builder. `run` builds an executor for the call and
+//! drops it — threads are spawned and joined per run; a `JobServer` keeps
+//! one for its lifetime, so a warm job costs one [`Gang::scope`] rendezvous
+//! and allocates nothing. Width 1 is the same entry with no gang: the
+//! serial loop of `crate::engine` on the calling thread.
 //!
 //! # Dynamic superstep protocol (three barriers)
 //!
@@ -144,8 +155,9 @@
 //! error, each worker records a [`ModelError::GangStall`] and leaves
 //! without further waits. A lost or descheduled worker thus becomes a
 //! structured error instead of a process deadlock. A closure that *never*
-//! returns still wedges its OS thread (scoped threads must join before the
-//! run can return) — the documented limit of in-process recovery.
+//! returns still wedges its OS thread ([`Gang::scope`] must collect every
+//! worker's done handshake before the run can return) — the documented limit
+//! of in-process recovery.
 //!
 //! ## Fault injection
 //!
@@ -173,22 +185,23 @@
 //!
 //! # Why not the rayon pool?
 //!
-//! The workers are std scoped threads, not pool tasks: a barrier-coupled
+//! The workers are the gang's own OS threads, not pool tasks: a barrier-coupled
 //! gang occupying pool workers could deadlock against other concurrent pool
 //! users (e.g. parallel tests), and oversubscription (`workers > pool
 //! width`) must stay legal because folded runs pin *shard = fold*. The pool
 //! width still determines the default shard count (see
 //! [`crate::engine::RunOptions::workers`]).
 
-// The only `unsafe` in this module are the calls into the lane-grid and
+// The `unsafe` in this module is the calls into the lane-grid and
 // direct-grid accessors of `mailbox`, whose safety contracts
 // (phase-disciplined row/column exclusivity for lanes — invariant 3 — and
 // phase-disciplined window publication plus per-source-shard cursor-row
 // exclusivity for direct cross-shard writes — invariant 5) the barrier
-// protocol here upholds; each call site carries its SAFETY note.
+// protocol here upholds, plus the one lifetime erasure of [`Gang::scope`];
+// each site carries its SAFETY note.
 #![allow(unsafe_code)]
 
-use crate::engine::{exec_chunk, GranSpec, RunOptions};
+use crate::engine::{exec_chunk, run_serial, GranSpec, PlanFallback, RunOptions, MAX_WORKERS};
 use crate::mailbox::{
     bump_count, Arena, ChunkStage, DirectGrid, DirectShard, DirectSink, DirectWindow, LaneGrid,
 };
@@ -202,7 +215,7 @@ use nob_core::telemetry::{Counter, Site, TelemetrySink};
 use nob_core::{ModelError, StalledWorker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Fault-injection sites instrumented by this executor, one per phase
@@ -229,43 +242,55 @@ const FAULT_FUSED_EXEC: &str = "shard:fused_exec";
 /// serializes access (the owning worker holds it during exec/flush/gather,
 /// the coordinator between the gather and merge barriers), so every lock is
 /// uncontended.
-pub(crate) struct ShardCell {
-    pub(crate) counters: DegreeCounters,
+struct ShardCell {
+    counters: DegreeCounters,
     /// This shard's slice of the superstep's message log, in source order.
-    pub(crate) log_frag: Vec<(u32, u32)>,
+    log_frag: Vec<(u32, u32)>,
     /// First model violation detected by this shard, if any.
-    pub(crate) error: Option<ModelError>,
+    error: Option<ModelError>,
 }
 
-impl ShardCell {
-    /// A fresh cell for shard `w` at the given trace shape.
-    pub(crate) fn new(spec: GranSpec, log_v: u32, log_shards: u32, w: usize) -> Self {
-        ShardCell {
-            counters: if spec.full {
+/// The pooled per-trace-shape coordinator state — shard cells and merge
+/// scratch sized by `(log v, fold levels, granularity)` — kept per shape so a
+/// server alternating shapes does not re-allocate counters every job.
+struct ShapeRes {
+    shape: (u32, u32, bool),
+    cells: Vec<Mutex<ShardCell>>,
+    merge: EpochMerge,
+}
+
+impl ShapeRes {
+    fn new(spec: GranSpec, log_v: u32, log_shards: u32) -> Self {
+        let counters = |w| {
+            if spec.full {
                 DegreeCounters::shard_full(log_v, log_shards, w)
             } else {
                 DegreeCounters::shard_folded(log_v, spec.levels, log_shards, w)
-            },
-            log_frag: Vec::new(),
-            error: None,
+            }
+        };
+        ShapeRes {
+            shape: (log_v, spec.levels, spec.full),
+            cells: (0..1usize << log_shards)
+                .map(|w| {
+                    Mutex::new(ShardCell { counters: counters(w), log_frag: Vec::new(), error: None })
+                })
+                .collect(),
+            merge: EpochMerge::new(spec.levels, log_shards),
         }
     }
 }
 
-/// The gang's long-lived infrastructure: every piece of executor-shared
-/// state that does **not** borrow from a particular program or run — the
-/// lane plan and grids, the shard cells, the barrier and the abort latch.
-/// [`run_sharded`] builds one per run; the persistent gang of
-/// `crate::server` builds one per server and recycles it across jobs (see
-/// [`GangCore::reset_for_job`]).
-pub(crate) struct GangCore<M> {
-    pub(crate) plan: LanePlan,
-    pub(crate) grid: LaneGrid<M>,
+/// The gang's shape-independent infrastructure: every piece of
+/// executor-shared state that does **not** borrow from a particular program
+/// or run — the lane plan and grids, the barrier and the abort latch —
+/// recycled across runs by [`GangCore::reset_for_job`].
+struct GangCore<M> {
+    plan: LanePlan,
+    grid: LaneGrid<M>,
     /// Published write-arena windows for planned supersteps, double-buffered
     /// by arena parity (invariant 5 in `mailbox`).
-    pub(crate) direct: DirectGrid<M>,
-    pub(crate) cells: Vec<Mutex<ShardCell>>,
-    pub(crate) barrier: GangBarrier,
+    direct: DirectGrid<M>,
+    barrier: GangBarrier,
     /// Earliest barrier round preceded by an error or panic (`u64::MAX`
     /// while the run is healthy). A failing worker stamps the round it is
     /// *about* to wait at — before waiting — so after every round `r` the
@@ -275,64 +300,60 @@ pub(crate) struct GangCore<M> {
     /// deliberately ignores. (A live boolean would race: a fast worker's
     /// next-phase failure could be observed by a slow worker's earlier
     /// check, splitting the gang across different exit barriers.)
-    pub(crate) abort_round: AtomicU64,
+    abort_round: AtomicU64,
 }
 
 impl<M> GangCore<M> {
-    /// Resets the recyclable run state between two jobs of a persistent
-    /// gang. Requires `&mut self` — the caller proves every worker has
-    /// quiesced — and replaces the sticky in-run barrier poison with a
-    /// fresh epoch, so one job's `GangStall`/`VpPanic` never outlives it:
+    /// Resets the recyclable run state before a run. Requires `&mut self` —
+    /// the caller proves every worker has quiesced — and replaces the sticky
+    /// in-run barrier poison with a fresh epoch, so one run's
+    /// `GangStall`/`VpPanic` never outlives it:
     ///
-    /// * the barrier restarts at a clean generation with the new job's
+    /// * the barrier restarts at a clean generation with the new run's
     ///   watchdog timeout;
     /// * the abort latch re-arms at `u64::MAX` (healthy);
-    /// * every cell's error and log fragment are cleared (counters are
-    ///   epoch-stamped and reset themselves at `begin_superstep`);
-    /// * the lanes are emptied — a job that aborted mid-superstep can leave
-    ///   staged traffic behind that must not leak into the next job's
+    /// * the lanes are emptied — a run that aborted mid-superstep can leave
+    ///   staged traffic behind that must not leak into the next run's
     ///   gather. Stale published windows in `direct` are left in place:
     ///   they are never read before the next prepare republishes them
     ///   (parity discipline, invariant 5 in `mailbox`).
-    ///
-    /// The caller is responsible for re-targeting `plan` and `cells` when
-    /// the job's shape differs from the previous one.
-    pub(crate) fn reset_for_job(&mut self, stall_timeout: Option<Duration>) {
+    fn reset_for_job(&mut self, stall_timeout: Option<Duration>) {
         self.barrier.reset(stall_timeout);
         *self.abort_round.get_mut() = u64::MAX;
-        for cell in &mut self.cells {
-            let cell = cell.get_mut().unwrap_or_else(|e| e.into_inner());
-            cell.error = None;
-            cell.log_frag.clear();
-        }
         self.grid.clear_all();
     }
 }
 
-/// Executor-wide shared state: the per-run (or per-job) view over a
-/// [`GangCore`], plus everything borrowed from the program and options.
-pub(crate) struct Shared<'p, S, M> {
-    pub(crate) prog: &'p Program<S, M>,
-    pub(crate) core: &'p GangCore<M>,
+/// Executor-wide shared state: the per-run view over a [`GangCore`] and the
+/// run's [`ShapeRes`] cells, plus everything borrowed from the program and
+/// options.
+struct Shared<'p, S, M> {
+    prog: &'p Program<S, M>,
+    core: &'p GangCore<M>,
+    cells: &'p [Mutex<ShardCell>],
+    /// The program's declared payload totals at this width
+    /// ([`Program::send_totals`], `[step][shard]` row-major) — the planned
+    /// path's written-total safety net. Empty when no step runs planned.
+    totals: &'p [u64],
     /// The run's fault-injection plan, if any (see the module docs).
-    pub(crate) faults: Option<&'p FaultPlan>,
+    faults: Option<&'p FaultPlan>,
     /// The run's telemetry sink, if any ([`RunOptions::telemetry`]): every
     /// phase records an entry stamp + duration span under the same site
     /// taxonomy as fault injection (plus `shard:exec` for the dynamic exec
     /// half and `shard:barrier_wait` for gang waits). Disarmed runs pay one
     /// `Option` discriminant test per phase and never touch the clock.
-    pub(crate) telemetry: Option<&'p TelemetrySink>,
-    pub(crate) spec: GranSpec,
-    pub(crate) validate: bool,
-    pub(crate) collect_log: bool,
-    pub(crate) use_plans: bool,
+    telemetry: Option<&'p TelemetrySink>,
+    spec: GranSpec,
+    validate: bool,
+    collect_log: bool,
+    use_plans: bool,
     /// Whether planned supersteps proven shard-local may run on the fused
     /// zero-barrier tier (see [`RunOptions::fuse`]).
-    pub(crate) fuse: bool,
-    pub(crate) v: usize,
-    pub(crate) log_v: u32,
-    pub(crate) n_shards: usize,
-    pub(crate) log_shards: u32,
+    fuse: bool,
+    v: usize,
+    log_v: u32,
+    n_shards: usize,
+    log_shards: u32,
 }
 
 /// One parity's direct-write tables of a worker: the region-start table
@@ -346,70 +367,12 @@ struct DirectTables {
     cursors: Vec<u32>,
 }
 
-/// The pooled, job-independent resources of one worker: everything a
-/// [`Worker`] owns except its identity and its states slice. The one-run
-/// executor builds a kit per worker and drops it with the run; the
-/// persistent workers of `crate::server` keep one kit alive across jobs
-/// ([`WorkerKit::reset`] between jobs), which is what makes warm
-/// steady state allocation-free *across* jobs, not just within one.
-pub(crate) struct WorkerKit<M> {
-    stage: ChunkStage<M>,
-    local: Vec<(u32, M)>,
-    arenas: [Arena<M>; 2],
-    dst_counts: Vec<u32>,
-    cursors: Vec<u32>,
-    direct_tabs: [DirectTables; 2],
-    send_total: Vec<u64>,
-}
-
-impl<M> WorkerKit<M> {
-    pub(crate) fn new(vps: usize) -> Self {
-        WorkerKit {
-            stage: ChunkStage::new(vps),
-            local: Vec::new(),
-            arenas: [Arena::new(vps), Arena::new(vps)],
-            dst_counts: vec![0u32; vps],
-            cursors: vec![0u32; vps],
-            direct_tabs: [DirectTables::default(), DirectTables::default()],
-            send_total: Vec::new(),
-        }
-    }
-
-    /// Re-targets a pooled kit at a job of `vps` VPs per shard: staging,
-    /// spill and arenas are emptied (a failed job can leave residue in any
-    /// of them, including a still-set out-of-band flag) and the scatter
-    /// scratch is rebuilt all-zero — the between-supersteps invariant
-    /// `prepare_write` maintains — while every buffer keeps its high-water
-    /// capacity, so a warm same-shape job allocates nothing here.
-    pub(crate) fn reset(&mut self, vps: usize) {
-        self.stage.reset();
-        self.stage.outbox.oob_dst = false;
-        self.stage.outbox.cur_vp = 0;
-        debug_assert!(self.stage.outbox.direct.is_none(), "direct sink across jobs");
-        self.local.clear();
-        for arena in &mut self.arenas {
-            arena.recycle(vps);
-        }
-        self.dst_counts.clear();
-        self.dst_counts.resize(vps, 0);
-        self.cursors.clear();
-        self.cursors.resize(vps, 0);
-    }
-
-    /// The per-step declared payload totals computed by the last
-    /// [`prepare_run`] on this kit (the plan cache harvests them once, on a
-    /// cold job).
-    pub(crate) fn send_total(&self) -> &[u64] {
-        &self.send_total
-    }
-}
-
-/// Resources owned exclusively by one worker.
-pub(crate) struct Worker<'a, S, M> {
-    w: usize,
-    vp_lo: usize,
-    vps: usize,
-    states: &'a mut [S],
+/// The pooled, run-independent resources of one worker: everything a
+/// [`Worker`] uses except its identity and its states slice. They live in
+/// the [`Executor`] across runs ([`WorkerKit::reset`] between them), which
+/// is what makes a server's warm steady state allocation-free *across*
+/// jobs, not just within one.
+struct WorkerKit<M> {
     stage: ChunkStage<M>,
     /// Shard-internal deliveries spilled during a dynamic flush: `(dst −
     /// vp_lo, payload)` in source order. Cross-shard payloads go to lanes
@@ -421,79 +384,78 @@ pub(crate) struct Worker<'a, S, M> {
     cursors: Vec<u32>,
     /// Direct-write region tables per arena parity (planned supersteps).
     direct_tabs: [DirectTables; 2],
-    /// Declared payload total of this shard's VPs per superstep (computed
-    /// once at startup from the routes); the written-total safety check of
-    /// the planned path compares against it.
-    send_total: Vec<u64>,
+}
+
+impl<M> WorkerKit<M> {
+    fn new(vps: usize) -> Self {
+        WorkerKit {
+            stage: ChunkStage::new(vps),
+            local: Vec::new(),
+            arenas: [Arena::new(vps), Arena::new(vps)],
+            dst_counts: vec![0u32; vps],
+            cursors: vec![0u32; vps],
+            direct_tabs: [DirectTables::default(), DirectTables::default()],
+        }
+    }
+
+    /// Re-targets a pooled kit at a run of `vps` VPs per shard: staging,
+    /// spill and arenas are emptied (a failed run can leave residue in any
+    /// of them, including a still-set out-of-band flag) and the scatter
+    /// scratch is rebuilt all-zero — the between-supersteps invariant
+    /// `prepare_write` maintains — while every buffer keeps its high-water
+    /// capacity, so a warm same-shape run allocates nothing here.
+    fn reset(&mut self, vps: usize) {
+        self.stage.reset();
+        self.stage.outbox.oob_dst = false;
+        self.stage.outbox.cur_vp = 0;
+        debug_assert!(self.stage.outbox.direct.is_none(), "direct sink across runs");
+        self.local.clear();
+        for arena in &mut self.arenas {
+            arena.recycle(vps);
+        }
+        self.dst_counts.clear();
+        self.dst_counts.resize(vps, 0);
+        self.cursors.clear();
+        self.cursors.resize(vps, 0);
+    }
+
+    /// Sizes both parities' direct-write tables for a run with planned
+    /// supersteps, within pooled capacity, so planned steady state starts at
+    /// its high-water shape instead of growing into it.
+    fn size_direct_tables(&mut self, n_shards: usize, vps: usize) {
+        for tabs in &mut self.direct_tabs {
+            tabs.starts.clear();
+            tabs.starts.resize((n_shards + 1) * vps, 0);
+            tabs.cursors.clear();
+            tabs.cursors.resize(n_shards * vps, 0);
+        }
+    }
+}
+
+/// One worker of one run: its identity, its states shard and its kit.
+struct Worker<'a, S, M> {
+    w: usize,
+    vp_lo: usize,
+    vps: usize,
+    states: &'a mut [S],
+    kit: &'a mut WorkerKit<M>,
     /// Payload total of the prepared write arena per parity, committed
     /// after the planned superstep's barrier.
     pending_total: [usize; 2],
 }
 
-impl<'a, S, M> Worker<'a, S, M> {
-    /// Assembles a worker for one job from its identity, its states chunk
-    /// and a (possibly pooled) resource kit. Plain field moves, zero cost;
-    /// [`Worker::into_kit`] gives the resources back afterwards.
-    pub(crate) fn from_kit(
-        w: usize,
-        vp_lo: usize,
-        vps: usize,
-        states: &'a mut [S],
-        kit: WorkerKit<M>,
-    ) -> Self {
-        Worker {
-            w,
-            vp_lo,
-            vps,
-            states,
-            stage: kit.stage,
-            local: kit.local,
-            arenas: kit.arenas,
-            dst_counts: kit.dst_counts,
-            cursors: kit.cursors,
-            direct_tabs: kit.direct_tabs,
-            send_total: kit.send_total,
-            pending_total: [0; 2],
-        }
-    }
-
-    /// Disassembles the worker back into its resource kit (see
-    /// [`Worker::from_kit`]).
-    pub(crate) fn into_kit(self) -> WorkerKit<M> {
-        WorkerKit {
-            stage: self.stage,
-            local: self.local,
-            arenas: self.arenas,
-            dst_counts: self.dst_counts,
-            cursors: self.cursors,
-            direct_tabs: self.direct_tabs,
-            send_total: self.send_total,
-        }
-    }
-}
-
 /// Coordinator-only resources, held by worker 0 (which runs on the calling
-/// thread). The merge scratch is borrowed, not owned, so a serving layer
-/// can pool it across jobs.
-pub(crate) struct Coord<'a, 'b> {
+/// thread).
+struct Coord<'a> {
     merge: &'a mut EpochMerge,
     trace: &'a mut TraceBuilder,
-    log: Option<&'b mut Vec<Vec<(u32, u32)>>>,
+    log: Option<&'a mut Vec<Vec<(u32, u32)>>>,
 }
 
-impl<'a, 'b> Coord<'a, 'b> {
-    pub(crate) fn new(
-        merge: &'a mut EpochMerge,
-        trace: &'a mut TraceBuilder,
-        log: Option<&'b mut Vec<Vec<(u32, u32)>>>,
-    ) -> Self {
-        Coord { merge, trace, log }
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A poisoned cell only means a peer panicked mid-phase; the abort
-    // protocol already guarantees we never read torn state.
+/// Locks a mutex whose data stays valid whatever a panicking holder left
+/// behind (the abort protocol never reads torn cells; the gang rendezvous
+/// and the memo tables only ever hold complete values).
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -504,7 +466,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `Err(missing)` — the number of workers that had not arrived when the
 /// watchdog fired — so the whole gang drains deterministically instead of
 /// deadlocking on a lost peer.
-pub(crate) struct GangBarrier {
+struct GangBarrier {
     state: Mutex<BarrierState>,
     cvar: Condvar,
     n: usize,
@@ -519,7 +481,7 @@ struct BarrierState {
 }
 
 impl GangBarrier {
-    pub(crate) fn new(n: usize, timeout: Option<Duration>) -> Self {
+    fn new(n: usize, timeout: Option<Duration>) -> Self {
         GangBarrier {
             state: Mutex::new(BarrierState { arrived: 0, generation: 0, stalled: None }),
             cvar: Condvar::new(),
@@ -532,9 +494,9 @@ impl GangBarrier {
     /// *within* a run so a failed gang drains deterministically — is
     /// cleared, the generation advances so no historic waiter can confuse
     /// epochs, and the watchdog adopts the new job's timeout. `&mut self`
-    /// proves no worker is waiting (the serving layer only calls this after
-    /// every worker posted its job-done handshake, which happens-after its
-    /// final wait).
+    /// proves no worker is waiting (a run only starts after the previous
+    /// [`Gang::scope`] collected every worker's done handshake, which
+    /// happens-after its final wait).
     fn reset(&mut self, timeout: Option<Duration>) {
         let st = self.state.get_mut().unwrap_or_else(|e| e.into_inner());
         st.arrived = 0;
@@ -584,91 +546,388 @@ impl GangBarrier {
     }
 }
 
-/// Executes `prog` on `n_shards` persistent workers. Trace granularity and
-/// folding semantics come from `spec`; results are bit-for-bit identical to
-/// the serial path. Returns the number of barrier rounds the gang walked
-/// (a protocol diagnostic: dynamic supersteps cost three, steady-state
-/// planned supersteps one — and on failure, the round the gang exited at,
-/// which the abort-protocol tests pin) together with the run outcome.
-pub(crate) fn run_sharded<S: Send, M: Send>(
-    prog: &Program<S, M>,
-    states: &mut [S],
-    spec: GranSpec,
-    n_shards: usize,
-    opts: &RunOptions,
-    trace: &mut TraceBuilder,
-    message_log: &mut Option<Vec<Vec<(u32, u32)>>>,
-) -> (u64, Result<(), ModelError>) {
-    let v = prog.v();
-    let log_v = prog.log_v();
-    let log_shards = log2_exact(n_shards);
-    debug_assert!(n_shards >= 2, "serial runs take the run_serial path");
-    debug_assert!(log_shards <= spec.levels, "shards must not outnumber fold processors");
-    let vps = v / n_shards;
+/// The erased form of the closure a [`Gang::scope`] runs.
+type GangJob = &'static (dyn Fn(usize) + Sync);
 
-    let core = GangCore {
-        plan: prog.lane_plan(n_shards),
-        grid: LaneGrid::new(n_shards),
-        direct: DirectGrid::new(n_shards),
-        cells: (0..n_shards)
-            .map(|w| Mutex::new(ShardCell::new(spec, log_v, log_shards, w)))
-            .collect(),
-        barrier: GangBarrier::new(n_shards, opts.stall_timeout),
-        abort_round: AtomicU64::new(u64::MAX),
-    };
-    let shared = Shared {
-        prog,
-        core: &core,
-        faults: opts.faults.as_deref(),
-        telemetry: opts.telemetry.as_deref(),
-        spec,
-        validate: opts.validate,
-        collect_log: message_log.is_some(),
-        use_plans: opts.use_plans,
-        fuse: opts.fuse,
-        v,
-        log_v,
-        n_shards,
-        log_shards,
-    };
+/// The rendezvous between a [`Gang`]'s caller and its parked threads.
+struct Rendezvous {
+    state: Mutex<RendezvousState>,
+    /// Workers park here between scopes.
+    start: Condvar,
+    /// The scope's caller parks here until every worker is done.
+    done: Condvar,
+}
 
-    let mut workers: Vec<Worker<'_, S, M>> = Vec::with_capacity(n_shards);
-    let mut rest = states;
-    for w in 0..n_shards {
-        let taken = std::mem::take(&mut rest);
-        let (mine, r) = taken.split_at_mut(vps);
-        rest = r;
-        workers.push(Worker::from_kit(w, w * vps, vps, mine, WorkerKit::new(vps)));
+struct RendezvousState {
+    /// Bumped once per scope; each worker runs each epoch's job once.
+    epoch: u64,
+    job: Option<GangJob>,
+    /// Workers that have not yet posted this epoch's done handshake.
+    running: usize,
+    /// A worker's escaped panic, re-raised on the caller by the scope.
+    panic: Option<Box<dyn std::any::Any + Send>>,
+    shutdown: bool,
+}
+
+/// `n − 1` parked OS threads that, together with the calling thread, run one
+/// closure per [`Gang::scope`] — the executor's only thread-spawn site. The
+/// threads live as long as the gang; dropping it joins them.
+struct Gang {
+    rv: Arc<Rendezvous>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Gang {
+    /// Spawns the `n − 1` threads of a gang of width `n ≥ 1`.
+    fn new(n: usize) -> Self {
+        let rv = Arc::new(Rendezvous {
+            state: Mutex::new(RendezvousState {
+                epoch: 0,
+                job: None,
+                running: 0,
+                panic: None,
+                shutdown: false,
+            }),
+            start: Condvar::new(),
+            done: Condvar::new(),
+        });
+        let handles = (1..n)
+            .map(|w| {
+                let rv = Arc::clone(&rv);
+                std::thread::Builder::new()
+                    .name(format!("nob-gang-{w}"))
+                    .spawn(move || gang_worker(w, &rv))
+                    // allow-panic: thread spawn is unrecoverable setup; the
+                    // width is capped (`MAX_WORKERS`) so that a legal
+                    // request cannot make it fail.
+                    .expect("spawn gang worker")
+            })
+            .collect();
+        Gang { rv, handles }
     }
 
-    let coordinator = workers.remove(0);
-    let mut rounds = 0u64;
-    std::thread::scope(|scope| {
-        for worker in workers {
-            let shared = &shared;
-            scope.spawn(move || {
-                let mut worker = worker;
-                if shared.use_plans {
-                    prepare_run(&mut worker, shared);
+    /// Runs `f(w)` on every parked thread `w` in `1..n` and `f(0)` on the
+    /// caller, returning only after every worker has posted its done
+    /// handshake — **including when `f(0)` unwinds**: the wait sits in a
+    /// drop guard. A panic escaping a worker's `f(w)` is re-raised here.
+    fn scope(&mut self, f: &(dyn Fn(usize) + Sync)) {
+        // SAFETY: lifetime erasure only — the types are identical but for
+        // the reference lifetime. The erased reference is published solely
+        // through `rv.state`; a worker copies it out, calls it and drops it
+        // *before* posting its done handshake, and `AllDone` below (dropped
+        // on return and on unwind alike) does not let this frame end until
+        // all `running` handshakes are in and the slot is cleared. `&mut
+        // self` keeps scopes from overlapping. So no use of the reference
+        // outlives the borrow `f` it was made from — the argument of the
+        // standard library's scoped threads with the join replaced by the
+        // handshake, whose mutex carries the happens-before edges.
+        let job: GangJob = unsafe { std::mem::transmute(f) };
+        {
+            let mut st = lock(&self.rv.state);
+            st.epoch += 1;
+            st.job = Some(job);
+            st.running = self.handles.len();
+        }
+        self.rv.start.notify_all();
+        let all_done = AllDone(&self.rv);
+        f(0);
+        drop(all_done);
+        if let Some(payload) = lock(&self.rv.state).panic.take() {
+            std::panic::resume_unwind(payload);
+        }
+    }
+}
+
+/// Waits out every worker of the current scope when dropped.
+struct AllDone<'a>(&'a Rendezvous);
+
+impl Drop for AllDone<'_> {
+    fn drop(&mut self) {
+        let mut st = lock(&self.0.state);
+        while st.running > 0 {
+            st = self.0.done.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        st.job = None;
+    }
+}
+
+impl Drop for Gang {
+    fn drop(&mut self) {
+        lock(&self.rv.state).shutdown = true;
+        self.rv.start.notify_all();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The loop of parked gang thread `w`: wait for the next epoch, run its job,
+/// post the done handshake, repeat until shutdown.
+fn gang_worker(w: usize, rv: &Rendezvous) {
+    let mut seen = 0u64;
+    loop {
+        let job = {
+            let mut st = lock(&rv.state);
+            loop {
+                if st.shutdown {
+                    return;
                 }
-                shard_loop(&mut worker, shared, None);
-            });
+                if let Some(job) = st.job.filter(|_| st.epoch != seen) {
+                    seen = st.epoch;
+                    break job;
+                }
+                st = rv.start.wait(st).unwrap_or_else(|e| e.into_inner());
+            }
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| job(w)));
+        let mut st = lock(&rv.state);
+        if let Err(payload) = outcome {
+            st.panic.get_or_insert(payload);
         }
-        let mut merge = EpochMerge::new(spec.levels, log_shards);
-        let coord = Coord { merge: &mut merge, trace, log: message_log.as_mut() };
-        let mut coordinator = coordinator;
-        if shared.use_plans {
-            prepare_run(&mut coordinator, &shared);
-        }
-        rounds = shard_loop(&mut coordinator, &shared, Some(coord));
-    });
-
-    for cell in &core.cells {
-        if let Some(e) = lock(cell).error.take() {
-            return (rounds, Err(e));
+        st.running -= 1;
+        if st.running == 0 {
+            rv.done.notify_one();
         }
     }
-    (rounds, Ok(()))
+}
+
+/// What [`Executor::execute`] hands back besides the states it ran in
+/// place; the trace and the barrier-round count stay readable on the
+/// executor.
+pub(crate) struct Executed {
+    /// The raw message log, when the options asked for one.
+    pub(crate) message_log: Option<Vec<Vec<(u32, u32)>>>,
+    /// The abandoned planned attempt's error when
+    /// [`PlanFallback::Dynamic`] re-executed the run dynamically.
+    pub(crate) fallback: Option<ModelError>,
+}
+
+/// The one driver (see the module docs): a gang plus the run state it
+/// recycles, behind the single entry [`Executor::execute`].
+pub(crate) struct Executor<M> {
+    /// `None` at width 1, which needs neither threads nor grids.
+    gang: Option<GangState<M>>,
+    /// The last attempt's trace; materialize it with
+    /// [`TraceBuilder::snapshot`].
+    pub(crate) trace: TraceBuilder,
+    /// Barrier rounds the gang walked in the last attempt — a protocol
+    /// diagnostic: dynamic supersteps cost three, steady-state planned
+    /// supersteps one, fused ones none; on failure, the round the gang
+    /// exited at. 0 on the serial path.
+    pub(crate) rounds: u64,
+}
+
+struct GangState<M> {
+    gang: Gang,
+    core: GangCore<M>,
+    /// One kit per worker, built on the worker's first run. The mutexes are
+    /// uncontended: worker `w` alone locks `kits[w]`, for a whole run.
+    kits: Vec<Mutex<Option<WorkerKit<M>>>>,
+    shapes: Vec<ShapeRes>,
+}
+
+impl<M: Send> Executor<M> {
+    /// An executor of `n_shards` workers (a power of two); spawns the gang's
+    /// `n_shards − 1` threads.
+    pub(crate) fn new(n_shards: usize) -> Self {
+        debug_assert!(n_shards.is_power_of_two() && n_shards <= MAX_WORKERS);
+        let gang = (n_shards >= 2).then(|| GangState {
+            gang: Gang::new(n_shards),
+            core: GangCore {
+                plan: LanePlan::placeholder(),
+                grid: LaneGrid::new(n_shards),
+                direct: DirectGrid::new(n_shards),
+                barrier: GangBarrier::new(n_shards, None),
+                abort_round: AtomicU64::new(u64::MAX),
+            },
+            kits: (0..n_shards).map(|_| Mutex::new(None)).collect(),
+            shapes: Vec::new(),
+        });
+        Executor { gang, trace: TraceBuilder::new(1, 1, 0), rounds: 0 }
+    }
+
+    /// Executes `prog` over `states` in place at `width` workers — the
+    /// executor's own width, or 1 for the serial loop — with trace
+    /// granularity and folding semantics from `spec`. Results are
+    /// bit-for-bit identical at every width.
+    ///
+    /// Holds the plan-fallback policy: degradation is armed only when a
+    /// mismatch can actually surface from a trusted plan — validation off
+    /// (under validation a mismatch is a model violation to report), plans
+    /// on, and at least one oblivious route declared. A partial attempt
+    /// mutates the states, so the pristine inputs are cloned up front — only
+    /// when armed, keeping the default path's allocation profile unchanged.
+    pub(crate) fn execute<S: Send + Clone>(
+        &mut self,
+        prog: &Program<S, M>,
+        states: &mut [S],
+        spec: GranSpec,
+        opts: &RunOptions,
+        width: usize,
+    ) -> Result<Executed, ModelError> {
+        let armed = opts.plan_fallback == PlanFallback::Dynamic
+            && opts.use_plans
+            && !opts.validate
+            && prog.planned_steps() > 0;
+        let saved = if armed { states.to_vec() } else { Vec::new() };
+        match self.attempt(prog, states, spec, opts, width) {
+            Err(mismatch @ ModelError::PlanMismatch { .. }) if armed => {
+                states.iter_mut().zip(saved).for_each(|(s, pristine)| *s = pristine);
+                let retry = RunOptions { use_plans: false, ..opts.clone() };
+                let message_log = self.attempt(prog, states, spec, &retry, width)?;
+                Ok(Executed { message_log, fallback: Some(mismatch) })
+            }
+            first => first.map(|message_log| Executed { message_log, fallback: None }),
+        }
+    }
+
+    /// One execution attempt (the whole superstep sequence) on a reset trace
+    /// and a fresh log.
+    #[allow(clippy::type_complexity)]
+    fn attempt<S: Send>(
+        &mut self,
+        prog: &Program<S, M>,
+        states: &mut [S],
+        spec: GranSpec,
+        opts: &RunOptions,
+        width: usize,
+    ) -> Result<Option<Vec<Vec<(u32, u32)>>>, ModelError> {
+        self.trace.reset(1 << spec.levels, prog.n(), prog.steps().len());
+        let mut log = opts.collect_messages.then(|| Vec::with_capacity(prog.steps().len()));
+        let (rounds, outcome) = match self.gang.as_mut().filter(|_| width >= 2) {
+            Some(gang) => {
+                debug_assert_eq!(width, gang.kits.len(), "a gang runs at its own width");
+                gang.run(prog, states, spec, opts, &mut self.trace, &mut log)
+            }
+            None => (0, run_serial(prog, states, spec, opts, &mut self.trace, &mut log)),
+        };
+        self.rounds = rounds;
+        outcome?;
+        Ok(log)
+    }
+}
+
+impl<M: Send> GangState<M> {
+    /// Runs `prog` on the gang: recycles the pooled state, hands every
+    /// worker its `split_at_mut` shard of `states`, and walks the superstep
+    /// loop inside one [`Gang::scope`]. Returns the barrier rounds walked
+    /// and the lowest-numbered shard's error, if any — also the first in
+    /// source order, matching the serial loop.
+    fn run<S: Send>(
+        &mut self,
+        prog: &Program<S, M>,
+        states: &mut [S],
+        spec: GranSpec,
+        opts: &RunOptions,
+        trace: &mut TraceBuilder,
+        log: &mut Option<Vec<Vec<(u32, u32)>>>,
+    ) -> (u64, Result<(), ModelError>) {
+        let n_shards = self.kits.len();
+        let log_shards = log2_exact(n_shards);
+        let (v, log_v) = (prog.v(), prog.log_v());
+        debug_assert!(log_shards <= spec.levels, "shards must not outnumber fold processors");
+        let vps = v / n_shards;
+        let tele = opts.telemetry.as_deref();
+
+        // --- recycle the pooled run state -------------------------------
+        let t0 = tele.map(|_| Instant::now());
+        let shape = (log_v, spec.levels, spec.full);
+        let at = self.shapes.iter().position(|s| s.shape == shape).unwrap_or_else(|| {
+            self.shapes.push(ShapeRes::new(spec, log_v, log_shards));
+            self.shapes.len() - 1
+        });
+        let ShapeRes { cells, merge, .. } = &mut self.shapes[at];
+        for cell in cells.iter_mut() {
+            // Counters are epoch-stamped and reset themselves at
+            // `begin_superstep`; only a failed run's residue needs clearing.
+            let cell = cell.get_mut().unwrap_or_else(|e| e.into_inner());
+            cell.error = None;
+            cell.log_frag.clear();
+        }
+        self.core.reset_for_job(opts.stall_timeout);
+        // Always derived from the program actually executing, so whatever a
+        // caller believes about the program's shape cannot misroute the
+        // dynamic path.
+        self.core.plan.recompute_pooled(prog, n_shards);
+        if let (Some(tl), Some(t0)) = (tele, t0) {
+            tl.add(Counter::EpochResetNanos, t0.elapsed().as_nanos() as u64);
+            tl.add(Counter::EpochResetCount, 1);
+        }
+
+        // --- run-level prepare: the program's declared send totals --------
+        let t0 = tele.map(|tl| {
+            tl.enter(0, Site::ShardPrepare, 0);
+            Instant::now()
+        });
+        let totals =
+            (opts.use_plans && prog.planned_steps() > 0).then(|| prog.send_totals(n_shards));
+        if let (Some(tl), Some(t0)) = (tele, t0) {
+            tl.record(0, Site::ShardPrepare, t0.elapsed());
+        }
+
+        let shared = Shared {
+            prog,
+            core: &self.core,
+            cells,
+            totals: totals.as_deref().unwrap_or_default(),
+            faults: opts.faults.as_deref(),
+            telemetry: tele,
+            spec,
+            validate: opts.validate,
+            collect_log: log.is_some(),
+            use_plans: opts.use_plans,
+            fuse: opts.fuse,
+            v,
+            log_v,
+            n_shards,
+            log_shards,
+        };
+
+        // --- seat every worker: its shard of the states, plus the
+        // coordinator's extras for worker 0, each taken once by its owner ---
+        let seats = [const { Mutex::new(None) }; MAX_WORKERS];
+        for (seat, shard) in seats.iter().zip(states.chunks_mut(vps)) {
+            *lock(seat) = Some(shard);
+        }
+        let coord = Mutex::new(Some(Coord { merge, trace, log: log.as_mut() }));
+        let rounds = AtomicU64::new(0);
+        let kits = &self.kits;
+        let t0 = tele.map(|_| Instant::now());
+        self.gang.scope(&|w| {
+            let coord = if w == 0 {
+                if let (Some(tl), Some(t0)) = (tele, t0) {
+                    tl.add(Counter::DispatchNanos, t0.elapsed().as_nanos() as u64);
+                    tl.add(Counter::DispatchCount, 1);
+                }
+                lock(&coord).take()
+            } else {
+                None
+            };
+            let mut slot = lock(&kits[w]);
+            let kit = match &mut *slot {
+                Some(kit) => {
+                    if let Some(tl) = tele {
+                        tl.add(Counter::PoolReuses, 1);
+                    }
+                    kit.reset(vps);
+                    kit
+                }
+                empty => empty.insert(WorkerKit::new(vps)),
+            };
+            if !shared.totals.is_empty() {
+                kit.size_direct_tables(n_shards, vps);
+            }
+            let states = lock(&seats[w]).take().unwrap_or_default();
+            let mut me = Worker { w, vp_lo: w * vps, vps, states, kit, pending_total: [0; 2] };
+            let walked = shard_loop(&mut me, &shared, coord);
+            if w == 0 {
+                rounds.store(walked, Ordering::Relaxed);
+            }
+        });
+
+        let first_error = shared.cells.iter().find_map(|cell| lock(cell).error.take());
+        (rounds.into_inner(), first_error.map_or(Ok(()), Err))
+    }
 }
 
 /// Fault-injection check at one of this executor's instrumented phase
@@ -750,7 +1009,7 @@ fn gang_wait<S, M>(shared: &Shared<'_, S, M>, w: usize, next_round: u64) -> bool
         Ok(()) => true,
         Err(missing) => {
             let stalled = stalled_workers(shared, next_round);
-            lock(&shared.core.cells[w])
+            lock(&shared.cells[w])
                 .error
                 .get_or_insert(ModelError::GangStall { round: next_round, missing, stalled });
             false
@@ -763,7 +1022,7 @@ fn gang_wait<S, M>(shared: &Shared<'_, S, M>, w: usize, next_round: u64) -> bool
 /// `vp` attribute the failure; the serial path produces the identical
 /// error). Either stamps `next_round` — the barrier round this worker is
 /// about to wait at — into the abort round, the gang's common exit point
-/// (see [`Shared::abort_round`]).
+/// (see `GangCore::abort_round`).
 fn settle<S, M>(
     shared: &Shared<'_, S, M>,
     w: usize,
@@ -777,7 +1036,7 @@ fn settle<S, M>(
         Ok(Err(e)) => e,
         Err(p) => crate::engine::vp_panic_error(step, vp, p),
     };
-    lock(&shared.core.cells[w]).error.get_or_insert(err);
+    lock(&shared.cells[w]).error.get_or_insert(err);
     // ordering: SeqCst — the round-stamped abort proof (module docs) assumes
     // one total order over every abort publication and every worker's
     // post-barrier check, so no worker can observe round r+1's barrier
@@ -825,13 +1084,12 @@ fn exec_span<S, M>(
 }
 
 /// The per-worker superstep loop (see the module docs for the two barrier
-/// protocols). `coord` is `Some` exactly for worker 0. The caller runs
-/// [`prepare_run`] (or its cached variant) first when plans are enabled.
-/// Returns the number of barrier rounds walked.
-pub(crate) fn shard_loop<S: Send, M: Send>(
+/// protocols). `coord` is `Some` exactly for worker 0. Returns the number of
+/// barrier rounds walked.
+fn shard_loop<S: Send, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
-    mut coord: Option<Coord<'_, '_>>,
+    mut coord: Option<Coord<'_>>,
 ) -> u64 {
     let mut rounds = 0u64;
     let mut read_idx = 0usize;
@@ -868,11 +1126,11 @@ pub(crate) fn shard_loop<S: Send, M: Send>(
                         push_planned_record(c, shared, step.label, plan);
                     }
                 }
-                me.arenas[widx].commit_write(me.pending_total[widx]);
+                me.kit.arenas[widx].commit_write(me.pending_total[widx]);
                 Ok(())
             }));
             if !matches!(outcome, Ok(Ok(()))) {
-                let vp = if outcome.is_err() { me.stage.outbox.panic_vp() } else { me.vp_lo };
+                let vp = if outcome.is_err() { me.kit.stage.outbox.panic_vp() } else { me.vp_lo };
                 settle(shared, me.w, outcome, step.name, vp, rounds + 1);
                 // Healthy peers next wait at `rounds + 1` iff some later
                 // step is non-fused; otherwise they run to completion
@@ -910,7 +1168,7 @@ pub(crate) fn shard_loop<S: Send, M: Send>(
                 if matches!(outcome, Ok(Ok(()))) {
                     span_end(shared, me.w, Site::ShardPrepare, t0);
                 }
-                let vp = if outcome.is_err() { me.stage.outbox.panic_vp() } else { me.vp_lo };
+                let vp = if outcome.is_err() { me.kit.stage.outbox.panic_vp() } else { me.vp_lo };
                 settle(shared, me.w, outcome, step.name, vp, rounds + 1);
                 if !gang_wait(shared, me.w, rounds + 1) {
                     break;
@@ -954,7 +1212,7 @@ pub(crate) fn shard_loop<S: Send, M: Send>(
                 // by construction, never a standalone phase of its own.
                 span_end(shared, me.w, Site::ShardExecPlanned, t0);
             }
-            let vp = if outcome.is_err() { me.stage.outbox.panic_vp() } else { me.vp_lo };
+            let vp = if outcome.is_err() { me.kit.stage.outbox.panic_vp() } else { me.vp_lo };
             settle(shared, me.w, outcome, step.name, vp, rounds + 1);
             if !gang_wait(shared, me.w, rounds + 1) {
                 break;
@@ -975,11 +1233,11 @@ pub(crate) fn shard_loop<S: Send, M: Send>(
             let t0 = span_start(shared, me.w, Site::ShardCommit, t);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 fault_check(shared, FAULT_COMMIT, me.w, t)?;
-                me.arenas[widx].commit_write(me.pending_total[widx]);
+                me.kit.arenas[widx].commit_write(me.pending_total[widx]);
                 Ok(())
             }));
             if !matches!(outcome, Ok(Ok(()))) {
-                let vp = if outcome.is_err() { me.stage.outbox.panic_vp() } else { me.vp_lo };
+                let vp = if outcome.is_err() { me.kit.stage.outbox.panic_vp() } else { me.vp_lo };
                 settle(shared, me.w, outcome, step.name, vp, rounds + 1);
                 if t + 1 < steps.len() && gang_wait(shared, me.w, rounds + 1) {
                     rounds += 1;
@@ -1009,7 +1267,7 @@ pub(crate) fn shard_loop<S: Send, M: Send>(
             }
             let t0 = span_start(shared, me.w, Site::ShardExec, t);
             {
-                let read = &mut me.arenas[read_idx];
+                let read = &mut me.kit.arenas[read_idx];
                 let (slab, offsets) = read.take_read();
                 exec_chunk(
                     shared.prog,
@@ -1019,17 +1277,17 @@ pub(crate) fn shard_loop<S: Send, M: Send>(
                     me.states,
                     slab,
                     offsets,
-                    &mut me.stage,
+                    &mut me.kit.stage,
                 );
             }
             span_end(shared, me.w, Site::ShardExec, t0);
             let t0 = span_start(shared, me.w, Site::ShardFlush, t);
-            let mut cell = lock(&shared.core.cells[me.w]);
+            let mut cell = lock(&shared.cells[me.w]);
             flush(me, shared, &mut cell, step, record_step)?;
             span_end(shared, me.w, Site::ShardFlush, t0);
             Ok(())
         }));
-        let vp = if outcome.is_err() { me.stage.outbox.panic_vp() } else { me.vp_lo };
+        let vp = if outcome.is_err() { me.kit.stage.outbox.panic_vp() } else { me.vp_lo };
         settle(shared, me.w, outcome, step.name, vp, rounds + 1);
         if !gang_wait(shared, me.w, rounds + 1) {
             break;
@@ -1045,7 +1303,7 @@ pub(crate) fn shard_loop<S: Send, M: Send>(
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             fault_check(shared, FAULT_GATHER, me.w, t)?;
             let t0 = span_start(shared, me.w, Site::ShardGather, t);
-            let mut cell = lock(&shared.core.cells[me.w]);
+            let mut cell = lock(&shared.cells[me.w]);
             gather(me, shared, &mut cell, t, record_step, 1 - read_idx)?;
             span_end(shared, me.w, Site::ShardGather, t0);
             Ok(())
@@ -1088,122 +1346,10 @@ pub(crate) fn shard_loop<S: Send, M: Send>(
     if let Some(tl) = shared.telemetry {
         tl.set_max(
             Counter::ArenaBytes,
-            me.arenas[0].slab_bytes() + me.arenas[1].slab_bytes(),
+            me.kit.arenas[0].slab_bytes() + me.kit.arenas[1].slab_bytes(),
         );
     }
     rounds
-}
-
-/// One-time run setup from the program's communication plans: per-step
-/// declared payload totals of this shard (the planned path's written-total
-/// safety net), direct-write table allocation, and lane/spill pre-sizing
-/// for the steps that will still run dynamically (faulted plans). Planned
-/// steady state therefore starts at its high-water capacity instead of
-/// growing into it during the first label cycle.
-pub(crate) fn prepare_run<S, M: Send>(me: &mut Worker<'_, S, M>, shared: &Shared<'_, S, M>) {
-    let t0 = span_start(shared, me.w, Site::ShardPrepare, 0);
-    let shard_shift = shared.log_v - shared.log_shards;
-    let n = shared.n_shards;
-    let mut hdr_need = vec![0usize; n];
-    let mut pay_need = vec![0usize; n];
-    let mut hdr_step = vec![0usize; n];
-    let mut pay_step = vec![0usize; n];
-    let mut local_need = 0usize;
-    let mut any_active = false;
-    me.send_total.clear();
-    me.send_total.resize(shared.prog.steps().len(), 0);
-    for (t, step) in shared.prog.steps().iter().enumerate() {
-        let Some(plan) = step.plan() else {
-            continue;
-        };
-        if plan.fault().is_none() {
-            // Direct path: only the send-side declared total is needed.
-            any_active = true;
-            let mut total = 0u64;
-            plan.for_each_message(me.vp_lo..me.vp_lo + me.vps, |_, _, data| {
-                if data {
-                    total += 1;
-                }
-            });
-            me.send_total[t] = total;
-            continue;
-        }
-        // Faulted plan: the step runs dynamically (or errors under
-        // validation) — pre-size its lane/spill traffic like any other
-        // dynamic superstep whose pattern we happen to know.
-        hdr_step.iter_mut().for_each(|c| *c = 0);
-        pay_step.iter_mut().for_each(|c| *c = 0);
-        let mut local_step = 0usize;
-        plan.for_each_message(me.vp_lo..me.vp_lo + me.vps, |_, d, data| {
-            let ds = d >> shard_shift;
-            if ds == me.w {
-                if data {
-                    local_step += 1;
-                }
-            } else if ds < n {
-                hdr_step[ds] += 1;
-                if data {
-                    pay_step[ds] += 1;
-                }
-            }
-        });
-        for d in 0..n {
-            hdr_need[d] = hdr_need[d].max(hdr_step[d]);
-            pay_need[d] = pay_need[d].max(pay_step[d]);
-        }
-        local_need = local_need.max(local_step);
-    }
-    me.local.reserve(local_need);
-    for d in 0..n {
-        if d != me.w && hdr_need[d] > 0 {
-            // SAFETY: pre-superstep setup — every worker touches only its
-            // own grid row, the send-phase discipline of invariant 3.
-            unsafe { shared.core.grid.lane_out(me.w, d) }.reserve(hdr_need[d], pay_need[d]);
-        }
-    }
-    if any_active {
-        for tabs in &mut me.direct_tabs {
-            tabs.starts.clear();
-            tabs.starts.resize((n + 1) * me.vps, 0);
-            tabs.cursors.clear();
-            tabs.cursors.resize(n * me.vps, 0);
-        }
-    }
-    span_end(shared, me.w, Site::ShardPrepare, t0);
-}
-
-/// The warm-path counterpart of [`prepare_run`] for a plan-cache hit: the
-/// per-step declared totals were computed once on the cold job and come
-/// from the cache, so the whole per-worker route enumeration is skipped —
-/// only the direct-write tables are (re)sized, within pooled capacity. The
-/// faulted-plan lane pre-sizing is skipped too: pooled lanes already sit at
-/// their high-water capacity from earlier jobs, and growth is one-time.
-///
-/// Trusting cached totals is safe the same way trusting a declared route
-/// is: a total that disagrees with what the job actually sends surfaces as
-/// the planned path's written-total [`ModelError::PlanMismatch`], never as
-/// corruption.
-pub(crate) fn prepare_run_cached<S, M: Send>(
-    me: &mut Worker<'_, S, M>,
-    shared: &Shared<'_, S, M>,
-    totals: &[u64],
-) {
-    let t0 = span_start(shared, me.w, Site::ShardPrepare, 0);
-    debug_assert_eq!(totals.len(), shared.prog.steps().len());
-    me.send_total.clear();
-    me.send_total.extend_from_slice(totals);
-    let n = shared.n_shards;
-    let any_active =
-        shared.prog.steps().iter().any(|s| s.plan().is_some_and(|p| p.fault().is_none()));
-    if any_active {
-        for tabs in &mut me.direct_tabs {
-            tabs.starts.clear();
-            tabs.starts.resize((n + 1) * me.vps, 0);
-            tabs.cursors.clear();
-            tabs.cursors.resize(n * me.vps, 0);
-        }
-    }
-    span_end(shared, me.w, Site::ShardPrepare, t0);
 }
 
 /// Lays out this worker's write arena of parity `widx` for planned
@@ -1241,16 +1387,16 @@ fn prepare_direct<S, M: Send>(
     if hi - lo == 1 {
         if let Some(layout) = plan.layout().filter(|_| shared.fuse) {
             let total =
-                me.arenas[widx].prepare_write_counts(|d| layout.count(vp_lo + d), &mut me.cursors);
-            let tabs = &mut me.direct_tabs[widx];
+                me.kit.arenas[widx].prepare_write_counts(|d| layout.count(vp_lo + d), &mut me.kit.cursors);
+            let tabs = &mut me.kit.direct_tabs[widx];
             for d in 0..vps {
-                let base = me.cursors[d];
+                let base = me.kit.cursors[d];
                 tabs.starts[lo * vps + d] = base;
                 tabs.cursors[lo * vps + d] = base;
                 tabs.starts[(lo + 1) * vps + d] = base + layout.count(vp_lo + d);
             }
-            let (slab, _offsets) = me.arenas[widx].split_for_scatter(total);
-            let tabs = &mut me.direct_tabs[widx];
+            let (slab, _offsets) = me.kit.arenas[widx].split_for_scatter(total);
+            let tabs = &mut me.kit.direct_tabs[widx];
             let window = DirectWindow::new(slab, &tabs.starts, &mut tabs.cursors, vp_lo as u32);
             me.pending_total[widx] = total;
             // SAFETY: identical publication discipline to the general path
@@ -1266,11 +1412,11 @@ fn prepare_direct<S, M: Send>(
     // (all-zero here, as always between supersteps) accumulates the
     // per-destination totals — checked, a capped count would corrupt the
     // prefix sums the unsafe scatter trusts.
-    let tabs = &mut me.direct_tabs[widx];
+    let tabs = &mut me.kit.direct_tabs[widx];
     tabs.starts[lo * vps..hi * vps].fill(0);
     let mut err = None;
     {
-        let dst_counts = &mut me.dst_counts;
+        let dst_counts = &mut me.kit.dst_counts;
         let starts = &mut tabs.starts;
         plan.for_each_message(lo * vps..hi * vps, |src, dst, data| {
             if !data || err.is_some() {
@@ -1291,27 +1437,27 @@ fn prepare_direct<S, M: Send>(
         return Err(e);
     }
 
-    // Offsets + slab sizing; `me.cursors[d]` becomes each destination's
+    // Offsets + slab sizing; `me.kit.cursors[d]` becomes each destination's
     // inbox base and `dst_counts` is re-zeroed (the engine invariant).
-    let total = me.arenas[widx].prepare_write(&mut me.dst_counts, &mut me.cursors);
+    let total = me.kit.arenas[widx].prepare_write(&mut me.kit.dst_counts, &mut me.kit.cursors);
 
     // Prefix transform: region (s, d) starts where region (s - 1, d)
-    // ends; `me.cursors` carries the running per-destination position and
+    // ends; `me.kit.cursors` carries the running per-destination position and
     // finishes at each inbox's end, which becomes the terminal bounds row.
-    let tabs = &mut me.direct_tabs[widx];
+    let tabs = &mut me.kit.direct_tabs[widx];
     for s in lo..hi {
         let row = s * vps;
-        for (d, acc) in me.cursors[..vps].iter_mut().enumerate() {
+        for (d, acc) in me.kit.cursors[..vps].iter_mut().enumerate() {
             let cnt = tabs.starts[row + d];
             tabs.starts[row + d] = *acc;
             tabs.cursors[row + d] = *acc;
             *acc += cnt;
         }
     }
-    tabs.starts[hi * vps..(hi + 1) * vps].copy_from_slice(&me.cursors[..vps]);
+    tabs.starts[hi * vps..(hi + 1) * vps].copy_from_slice(&me.kit.cursors[..vps]);
 
-    let (slab, _offsets) = me.arenas[widx].split_for_scatter(total);
-    let tabs = &mut me.direct_tabs[widx];
+    let (slab, _offsets) = me.kit.arenas[widx].split_for_scatter(total);
+    let tabs = &mut me.kit.direct_tabs[widx];
     // The full cursor table is published; peers only touch their own rows,
     // and only rows in the (symmetric) cluster span carry fresh regions —
     // the writer's span check keeps stale rows unreachable.
@@ -1348,10 +1494,10 @@ fn exec_planned<S, M: Send>(
     let sink = unsafe {
         DirectShard::new(&shared.core.direct, widx, me.w, span, shard_shift, me.vps, shared.v, check)
     };
-    me.stage.outbox.enter_direct(DirectSink::Sharded(sink));
+    me.kit.stage.outbox.enter_direct(DirectSink::Sharded(sink));
 
     {
-        let read = &mut me.arenas[read_idx];
+        let read = &mut me.kit.arenas[read_idx];
         let (slab, offsets) = read.take_read();
         crate::engine::exec_direct_chunk(
             step,
@@ -1359,19 +1505,19 @@ fn exec_planned<S, M: Send>(
             me.states,
             slab,
             offsets,
-            &mut me.stage.outbox,
+            &mut me.kit.stage.outbox,
             shared.v,
             shared.log_v,
             shared.prog.n(),
         );
     }
 
-    match me.stage.outbox.exit_direct() {
+    match me.kit.stage.outbox.exit_direct() {
         DirectSink::Sharded(out) => {
             if let Some((vp, reason)) = out.fault_info() {
                 return Err(ModelError::PlanMismatch { step: step.name, vp, reason });
             }
-            if out.written() != me.send_total[t] {
+            if out.written() != shared.totals[t * shared.n_shards + me.w] {
                 // Region capacities sum to the declared total, so a
                 // shortfall means some region of ours was left short:
                 // blame the first starved receiver (the sender is unknown
@@ -1397,7 +1543,7 @@ fn exec_planned<S, M: Send>(
 /// then send order). Runs inside the coordinator's exec phase, overlapped
 /// with the other workers' execution; no merge, no extra barrier.
 fn push_planned_record<S, M>(
-    coord: &mut Coord<'_, '_>,
+    coord: &mut Coord<'_>,
     shared: &Shared<'_, S, M>,
     label: u32,
     plan: &StepPlan,
@@ -1420,7 +1566,7 @@ fn flush<S, M: Send>(
     step: &Superstep<S, M>,
     record_step: bool,
 ) -> Result<(), ModelError> {
-    if me.stage.outbox.take_oob() {
+    if me.kit.stage.outbox.take_oob() {
         return Err(crate::program::oob_dst_error());
     }
     let v = shared.v;
@@ -1434,8 +1580,8 @@ fn flush<S, M: Send>(
     let want_log = record_step && shared.collect_log;
 
     let mut msg_idx = 0usize;
-    let mut staged = me.stage.outbox.msgs.drain(..);
-    for (i, &end) in me.stage.vp_ends.iter().enumerate() {
+    let mut staged = me.kit.stage.outbox.msgs.drain(..);
+    for (i, &end) in me.kit.stage.vp_ends.iter().enumerate() {
         let src = me.vp_lo + i;
         while msg_idx < end as usize {
             // allow-panic: `vp_ends` is built by `end_vp` from the same
@@ -1477,7 +1623,7 @@ fn flush<S, M: Send>(
             match env {
                 Envelope::Data(m) => {
                     if local {
-                        me.local.push((dst - vp_lo32, m));
+                        me.kit.local.push((dst - vp_lo32, m));
                     } else {
                         // SAFETY: send phase — this worker exclusively owns
                         // grid row `me.w` until the next barrier
@@ -1500,7 +1646,7 @@ fn flush<S, M: Send>(
         }
     }
     drop(staged);
-    me.stage.vp_ends.clear();
+    me.kit.stage.vp_ends.clear();
     Ok(())
 }
 
@@ -1523,9 +1669,9 @@ fn gather<S, M: Send>(
     let span =
         if shared.validate { shared.core.plan.peer_span(me.w, t) } else { 0..shared.n_shards };
     let vp_lo = me.vp_lo;
-    let local = &mut me.local;
-    let dst_counts = &mut me.dst_counts;
-    let cursors = &mut me.cursors;
+    let local = &mut me.kit.local;
+    let dst_counts = &mut me.kit.dst_counts;
+    let cursors = &mut me.kit.cursors;
 
     // `dst_counts` is all-zero here: `prepare_write` zeroes the counts as
     // it consumes them (no per-superstep `fill(0)` sweep).
@@ -1551,7 +1697,7 @@ fn gather<S, M: Send>(
     }
 
     crate::mailbox::fault_edge(shared.faults, crate::mailbox::FAULT_PREPARE_WRITE, me.w, t)?;
-    let write = &mut me.arenas[write_idx];
+    let write = &mut me.kit.arenas[write_idx];
     let total = write.prepare_write(dst_counts, cursors);
     let (slab, _offsets) = write.split_for_scatter(total);
     for s_prev in span {
@@ -1581,7 +1727,7 @@ fn gather<S, M: Send>(
 /// their records are pushed by [`push_planned_record`] with no merge at
 /// all.
 fn merge_superstep<S, M>(
-    coord: &mut Coord<'_, '_>,
+    coord: &mut Coord<'_>,
     shared: &Shared<'_, S, M>,
     label: u32,
     record_step: bool,
@@ -1592,7 +1738,7 @@ fn merge_superstep<S, M>(
     coord.merge.begin_superstep();
     let mut entry = shared.collect_log.then(Vec::new);
     for w in 0..shared.n_shards {
-        let cell = lock(&shared.core.cells[w]);
+        let cell = lock(&shared.cells[w]);
         coord.merge.add_shard(w, &cell.counters);
         if let Some(e) = entry.as_mut() {
             e.extend_from_slice(&cell.log_frag);
@@ -1659,19 +1805,30 @@ mod tests {
         prog
     }
 
+    /// One run through the single entry on a fresh `n_shards`-wide
+    /// executor, exposing rounds, trace *and* outcome (the failure tests
+    /// pin the round the gang exited at).
+    fn run_raw(
+        prog: &Program<u64, u64>,
+        states: &mut [u64],
+        n_shards: usize,
+        opts: &RunOptions,
+    ) -> (u64, nob_core::metrics::CommTrace, Result<(), ModelError>) {
+        let spec = GranSpec { levels: prog.log_v(), gran_shift: 0, full: true };
+        let mut exec = Executor::new(n_shards);
+        let outcome = exec.execute(prog, states, spec, opts, n_shards).map(|_| ());
+        (exec.rounds, exec.trace.snapshot(), outcome)
+    }
+
     fn run_counting(
         prog: &Program<u64, u64>,
         states: &mut [u64],
         n_shards: usize,
         opts: &RunOptions,
     ) -> (u64, nob_core::metrics::CommTrace) {
-        let spec = GranSpec { levels: prog.log_v(), gran_shift: 0, full: true };
-        let mut trace = TraceBuilder::new(prog.v(), prog.n(), prog.steps().len());
-        let mut log = None;
-        let (rounds, outcome) =
-            run_sharded(prog, states, spec, n_shards, opts, &mut trace, &mut log);
+        let (rounds, trace, outcome) = run_raw(prog, states, n_shards, opts);
         outcome.unwrap();
-        (rounds, trace.finish())
+        (rounds, trace)
     }
 
     #[test]
@@ -1757,20 +1914,6 @@ mod tests {
         assert_eq!(b, 9, "prepare pipelining must skip the extra barrier between planned steps");
     }
 
-    /// Raw sharded run exposing rounds *and* outcome (the failure tests pin
-    /// both).
-    fn run_raw(
-        prog: &Program<u64, u64>,
-        states: &mut [u64],
-        n_shards: usize,
-        opts: &RunOptions,
-    ) -> (u64, Result<(), ModelError>) {
-        let spec = GranSpec { levels: prog.log_v(), gran_shift: 0, full: true };
-        let mut trace = TraceBuilder::new(prog.v(), prog.n(), prog.steps().len());
-        let mut log = None;
-        run_sharded(prog, states, spec, n_shards, opts, &mut trace, &mut log)
-    }
-
     #[test]
     fn vp_panics_exit_the_gang_in_lockstep_at_every_width() {
         let v = 8usize;
@@ -1787,7 +1930,7 @@ mod tests {
         dynamic.step(0, "boom", boom);
         for w in [2usize, 4, 8] {
             let mut states = vec![0u64; v];
-            let (rounds, outcome) = run_raw(&dynamic, &mut states, w, &RunOptions::default());
+            let (rounds, _, outcome) = run_raw(&dynamic, &mut states, w, &RunOptions::default());
             assert_eq!(outcome.unwrap_err(), want, "dynamic error diverges at {w} workers");
             assert_eq!(rounds, 1, "dynamic gang must exit at the flush barrier at {w} workers");
         }
@@ -1801,7 +1944,7 @@ mod tests {
         planned.step_oblivious(0, "boom", 0, |_, _| Route::End, boom);
         for w in [2usize, 4, 8] {
             let mut states = vec![0u64; v];
-            let (rounds, outcome) = run_raw(&planned, &mut states, w, &RunOptions::default());
+            let (rounds, _, outcome) = run_raw(&planned, &mut states, w, &RunOptions::default());
             assert_eq!(outcome.unwrap_err(), want, "fused error diverges at {w} workers");
             assert_eq!(rounds, 0, "fused gang must exit without any barrier at {w} workers");
         }
@@ -1811,9 +1954,47 @@ mod tests {
         for w in [2usize, 4, 8] {
             let mut states = vec![0u64; v];
             let opts = RunOptions { fuse: false, ..Default::default() };
-            let (rounds, outcome) = run_raw(&planned, &mut states, w, &opts);
+            let (rounds, _, outcome) = run_raw(&planned, &mut states, w, &opts);
             assert_eq!(outcome.unwrap_err(), want, "planned error diverges at {w} workers");
             assert_eq!(rounds, 2, "planned gang must exit at the exec barrier at {w} workers");
+        }
+    }
+
+    #[test]
+    fn gang_scope_waits_out_every_worker_even_when_the_caller_unwinds() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
+        for n in [2usize, 4] {
+            let mut gang = Gang::new(n);
+            // Borrowed by the scope's closure and dropped right after it: the
+            // scope must not return — by unwinding either — while a worker
+            // can still touch them.
+            let finished = AtomicUsize::new(0);
+            let caller_unwinding = AtomicBool::new(false);
+            let scope = catch_unwind(AssertUnwindSafe(|| {
+                gang.scope(&|w| {
+                    if w == 0 {
+                        caller_unwinding.store(true, Ordering::SeqCst);
+                        panic!("worker 0 exploded");
+                    }
+                    // Every other worker is still mid-closure when worker 0
+                    // starts to unwind.
+                    while !caller_unwinding.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    for _ in 0..64 {
+                        std::thread::yield_now();
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            }));
+            assert!(scope.is_err(), "the caller's panic must propagate");
+            assert_eq!(finished.load(Ordering::SeqCst), n - 1, "scope returned before its workers");
+            // The gang is intact: the next scope runs on all n workers.
+            let ran = AtomicUsize::new(0);
+            gang.scope(&|_| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(ran.load(Ordering::SeqCst), n);
         }
     }
 
@@ -1860,7 +2041,7 @@ mod tests {
         let opts =
             RunOptions { stall_timeout: Some(Duration::from_millis(50)), ..Default::default() };
         let mut states = vec![0u64; v];
-        let (_, outcome) = run_raw(&prog, &mut states, 2, &opts);
+        let (_, _, outcome) = run_raw(&prog, &mut states, 2, &opts);
         assert_eq!(
             outcome.unwrap_err(),
             ModelError::GangStall { round: 1, missing: 1, stalled: vec![] },

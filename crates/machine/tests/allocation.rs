@@ -1,33 +1,81 @@
 //! Proves the arena engine's headline property: **steady-state supersteps
-//! perform zero heap allocations** on the serial path.
+//! perform zero heap allocations** — on the serial path, on the sharded
+//! paths, and across warm jobs of a server.
 //!
-//! A counting global allocator is armed *from inside the program itself*: a
-//! VP closure of an early superstep switches counting on and the final
-//! superstep's closure switches it off. The measurement window therefore
-//! covers, exactly: the tail of the arming superstep (its streaming
-//! metrics pass, routing scatter, and trace push) and the full
+//! A counting global allocator counts **only on threads that armed
+//! themselves**, and the arming happens *from inside the program itself*:
+//! in an early superstep the first VP of every shard arms the thread it is
+//! running on (so gang workers arm themselves), and in the final superstep
+//! it disarms it again. The measurement window therefore covers, exactly
+//! and on every participating thread: the tail of the arming superstep (its
+//! streaming metrics pass, routing scatter, and trace push) and the full
 //! execute–measure–route cycle of every steady superstep in between — while
 //! excluding one-time setup (arena/stage/counter construction, trace
-//! reservation) and end-of-run trace materialization.
+//! reservation), end-of-run trace materialization, and whatever libtest's
+//! other threads allocate meanwhile.
 
-use nob_machine::{run, PlanFallback, Program, RunOptions};
+use nob_machine::{run, Ctx, PlanFallback, Program, RunOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+/// Allocations made by armed threads since the current test began.
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-/// The counter is process-global, so the tests in this file must not run
-/// concurrently with each other.
+/// Threads currently armed; every window must bring it back to zero.
+static ARMED_THREADS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Whether this thread's allocations count. `const`-initialised and
+    /// destructor-free, so reading it inside the allocator never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+/// One total is shared by all armed threads, so the tests in this file must
+/// not run concurrently with each other.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+fn arm() {
+    if !ARMED.replace(true) {
+        ARMED_THREADS.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+fn disarm() {
+    if ARMED.replace(false) {
+        ARMED_THREADS.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Takes the file-wide lock and starts the test from a zero count.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    disarm();
+    ALLOCS.store(0, Ordering::SeqCst);
+    guard
+}
+
+/// The in-program window hook: the first VP of each of `shards` shards arms
+/// its thread in the arming superstep and disarms it in the last one.
+fn window_hook(ctx: &Ctx, shards: usize, arm_now: bool, last: bool) {
+    if ctx.vp.is_multiple_of(ctx.v / shards) {
+        if arm_now {
+            arm();
+        } else if last {
+            disarm();
+        }
+    }
+}
+
 struct CountingAlloc;
+
+fn count_if_armed() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: delegates to `System`, only adding a relaxed counter.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         unsafe { System.alloc(layout) }
     }
 
@@ -36,9 +84,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -46,54 +92,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A butterfly exchange: every VP sends one message per superstep — the
-/// densest per-VP pattern — with allocation-free closures.
-fn counting_butterfly(v: usize, rounds: usize) -> Program<u64, u64> {
-    let mut prog: Program<u64, u64> = Program::new(v, v);
-    let log_v = prog.log_v();
-    for r in 0..rounds {
-        let l = (r as u32) % log_v;
-        let d = v >> (l + 1);
-        // Supersteps 0 and 1 are warmup: they grow the staging buffer and
-        // fill each of the two arenas once, establishing the steady-state
-        // capacities.
-        let arm = r == 2;
-        let last = r == rounds - 1;
-        prog.step(l, "bfly", move |st, ctx, inbox, out| {
-            // VP 0 of superstep 2 arms the counter, so measurement starts
-            // with that superstep's own metrics + routing phases. The final
-            // closure disarms it before end-of-run trace materialization.
-            if ctx.vp == 0 {
-                if arm {
-                    ALLOCS.store(0, Ordering::SeqCst);
-                    COUNTING.store(true, Ordering::SeqCst);
-                } else if last {
-                    COUNTING.store(false, Ordering::SeqCst);
-                }
-            }
-            for m in inbox.drain(..) {
-                *st = st.wrapping_add(m);
-            }
-            if !last {
-                out.send(ctx.vp ^ d, *st);
-            }
-        });
-    }
-    prog
-}
-
 #[test]
 fn steady_state_supersteps_do_not_allocate() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     let v = 1 << 10;
     let rounds = 24;
-    let prog = counting_butterfly(v, rounds);
+    let prog = counting_butterfly_armed(v, rounds, 2, 1);
     let states: Vec<u64> = (0..v as u64).collect();
     // Serial path: the parallel path boxes one pool task per chunk per
     // superstep, which is the one documented exception.
     let opts = RunOptions { parallel: false, ..Default::default() };
     let res = run(&prog, states, &opts).unwrap();
-    assert!(!COUNTING.load(Ordering::SeqCst), "final superstep must disarm the counter");
+    assert_eq!(ARMED_THREADS.load(Ordering::SeqCst), 0, "final superstep must disarm every thread");
     assert_eq!(res.trace.superstep_count(), rounds);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
@@ -105,7 +115,7 @@ fn steady_state_supersteps_do_not_allocate() {
 
 #[test]
 fn warmup_allocations_do_not_grow_with_superstep_count() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     // Whole-run allocation totals for S and 2S supersteps differ only by
     // the trace-record materialization at the end of the run (2 allocations
     // per extra superstep: the record's degree vector and the builder's
@@ -118,9 +128,9 @@ fn warmup_allocations_do_not_grow_with_superstep_count() {
         let states: Vec<u64> = (0..v as u64).collect();
         let opts = RunOptions { parallel: false, ..Default::default() };
         ALLOCS.store(0, Ordering::SeqCst);
-        COUNTING.store(true, Ordering::SeqCst);
+        arm();
         let res = run(&prog, states, &opts).unwrap();
-        COUNTING.store(false, Ordering::SeqCst);
+        disarm();
         assert_eq!(res.trace.superstep_count(), rounds);
         ALLOCS.load(Ordering::SeqCst)
     };
@@ -137,7 +147,7 @@ fn warmup_allocations_do_not_grow_with_superstep_count() {
 
 #[test]
 fn sharded_steady_state_does_not_allocate_per_superstep() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     // The sharded executor allocates at run setup (workers, lanes, cells,
     // shard arenas) and as lanes/arenas grow to their high-water marks
     // during the first label cycle — but a steady superstep must cost
@@ -149,11 +159,11 @@ fn sharded_steady_state_does_not_allocate_per_superstep() {
     // trace materialization — the same windowing as the serial test above.
     let v = 1 << 8;
     let rounds = 24; // labels cycle 0..8; armed at round 16, 8 steady rounds
-    let prog = counting_butterfly_armed(v, rounds, 16);
+    let prog = counting_butterfly_armed(v, rounds, 16, 4);
     let states: Vec<u64> = (0..v as u64).collect();
     let opts = RunOptions { workers: Some(4), ..Default::default() };
     let res = run(&prog, states, &opts).unwrap();
-    assert!(!COUNTING.load(Ordering::SeqCst), "final superstep must disarm the counter");
+    assert_eq!(ARMED_THREADS.load(Ordering::SeqCst), 0, "final superstep must disarm every thread");
     assert_eq!(res.trace.superstep_count(), rounds);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
@@ -165,7 +175,7 @@ fn sharded_steady_state_does_not_allocate_per_superstep() {
 
 #[test]
 fn sharded_planned_steady_state_does_not_allocate_per_superstep() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     // The sharded *planned* path — pipelined prepare (route counting into
     // recycled region tables, prefix sums, window publication), direct
     // cross-shard arena writes, the written-total safety check, the
@@ -175,11 +185,11 @@ fn sharded_planned_steady_state_does_not_allocate_per_superstep() {
     // and all region tables have reached their high-water shapes.
     let v = 1 << 8;
     let rounds = 24;
-    let prog = planned_butterfly_armed(v, rounds, 16);
+    let prog = planned_butterfly_armed(v, rounds, 16, 4);
     let states: Vec<u64> = (0..v as u64).collect();
     let opts = RunOptions { workers: Some(4), ..Default::default() };
     let res = run(&prog, states, &opts).unwrap();
-    assert!(!COUNTING.load(Ordering::SeqCst), "final superstep must disarm the counter");
+    assert_eq!(ARMED_THREADS.load(Ordering::SeqCst), 0, "final superstep must disarm every thread");
     assert_eq!(res.trace.superstep_count(), rounds);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
@@ -193,7 +203,7 @@ fn sharded_planned_steady_state_does_not_allocate_per_superstep() {
 fn telemetry_armed_sharded_steady_state_does_not_allocate() {
     use nob_core::telemetry::{Site, TelemetrySink};
 
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     // Arming telemetry must not break the zero-alloc property: the sink's
     // slots are pre-sized at construction ([`TelemetrySink::for_workers`]),
     // so armed steady-state recording — span clock reads, per-site atomic
@@ -201,7 +211,7 @@ fn telemetry_armed_sharded_steady_state_does_not_allocate() {
     // windowing as the disarmed sharded test above.
     let v = 1 << 8;
     let rounds = 24;
-    let prog = planned_butterfly_armed(v, rounds, 16);
+    let prog = planned_butterfly_armed(v, rounds, 16, 4);
     let states: Vec<u64> = (0..v as u64).collect();
     let sink = std::sync::Arc::new(TelemetrySink::for_workers(4));
     let opts = RunOptions {
@@ -210,7 +220,7 @@ fn telemetry_armed_sharded_steady_state_does_not_allocate() {
         ..Default::default()
     };
     let res = run(&prog, states, &opts).unwrap();
-    assert!(!COUNTING.load(Ordering::SeqCst), "final superstep must disarm the counter");
+    assert_eq!(ARMED_THREADS.load(Ordering::SeqCst), 0, "final superstep must disarm every thread");
     assert_eq!(res.trace.superstep_count(), rounds);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
@@ -231,7 +241,7 @@ fn telemetry_armed_sharded_steady_state_does_not_allocate() {
 fn telemetry_disarmed_runs_are_bit_for_bit_unchanged() {
     use nob_core::telemetry::TelemetrySink;
 
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     // The observability rule in both directions: arming telemetry must not
     // perturb results (it only reads clocks), and a disarmed run is the
     // exact run the armed one observed — states, trace and message log all
@@ -263,18 +273,18 @@ fn telemetry_disarmed_runs_are_bit_for_bit_unchanged() {
 
 #[test]
 fn planned_steady_state_supersteps_do_not_allocate() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     // The planned serial path — route counting pass, prefix sum, direct
     // arena writes, O(log v) precomputed trace push — must preserve the
     // engine's headline property, with validation (lockstep route checks)
     // on. Same windowing as the dynamic test above.
     let v = 1 << 10;
     let rounds = 24;
-    let prog = planned_butterfly(v, rounds);
+    let prog = planned_butterfly_armed(v, rounds, 2, 1);
     let states: Vec<u64> = (0..v as u64).collect();
     let opts = RunOptions { parallel: false, ..Default::default() };
     let res = run(&prog, states, &opts).unwrap();
-    assert!(!COUNTING.load(Ordering::SeqCst), "final superstep must disarm the counter");
+    assert_eq!(ARMED_THREADS.load(Ordering::SeqCst), 0, "final superstep must disarm every thread");
     assert_eq!(res.trace.superstep_count(), rounds);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
@@ -286,7 +296,7 @@ fn planned_steady_state_supersteps_do_not_allocate() {
 
 #[test]
 fn log_collecting_runs_allocate_one_entry_per_recorded_superstep() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     // With `collect_messages` on, the engine fills a recycled scratch
     // buffer and pushes one exact-size clone per recorded superstep into
     // the pre-reserved log. So 16 extra supersteps cost exactly 16 log
@@ -298,20 +308,16 @@ fn log_collecting_runs_allocate_one_entry_per_recorded_superstep() {
         let states: Vec<u64> = (0..v as u64).collect();
         let opts = RunOptions { parallel: false, ..RunOptions::with_log() };
         ALLOCS.store(0, Ordering::SeqCst);
-        COUNTING.store(true, Ordering::SeqCst);
+        arm();
         let res = run(&prog, states, &opts).unwrap();
-        COUNTING.store(false, Ordering::SeqCst);
+        disarm();
         assert_eq!(res.trace.superstep_count(), rounds);
         ALLOCS.load(Ordering::SeqCst)
     };
-    // The counter is process-global, so rare allocations on libtest's
-    // monitor thread can leak into a window. Noise is strictly additive;
-    // the minimum over a few samples is the engine's true deterministic
-    // cost. (A throwaway run first absorbs one-time lazy init.)
+    // A throwaway run first absorbs one-time lazy init on this thread.
     let _ = count_run(8);
-    let sample = |rounds: usize| (0..3).map(|_| count_run(rounds)).min().unwrap();
-    let short = sample(8);
-    let long = sample(24);
+    let short = count_run(8);
+    let long = count_run(24);
     assert_eq!(
         long - short,
         32,
@@ -321,7 +327,7 @@ fn log_collecting_runs_allocate_one_entry_per_recorded_superstep() {
 
 #[test]
 fn dynamic_fallback_on_unplanned_programs_does_not_clone_states() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     // `PlanFallback::Dynamic` clones the pristine states up front so a
     // failed planned attempt can be retried from scratch — but the
     // insurance is only bought when a planned step exists to fail. A fully
@@ -339,19 +345,16 @@ fn dynamic_fallback_on_unplanned_programs_does_not_clone_states() {
             ..Default::default()
         };
         ALLOCS.store(0, Ordering::SeqCst);
-        COUNTING.store(true, Ordering::SeqCst);
+        arm();
         let res = run(&prog, states, &opts).unwrap();
-        COUNTING.store(false, Ordering::SeqCst);
+        disarm();
         assert!(res.fallback.is_none(), "nothing to fall back from");
         ALLOCS.load(Ordering::SeqCst)
     };
-    // Min-of-3 filters additive allocator noise from other threads, same
-    // as the log-collection test above.
     let _ = count_run(PlanFallback::Fail);
-    let sample = |fb: PlanFallback| (0..3).map(|_| count_run(fb)).min().unwrap();
     assert_eq!(
-        sample(PlanFallback::Dynamic),
-        sample(PlanFallback::Fail),
+        count_run(PlanFallback::Dynamic),
+        count_run(PlanFallback::Fail),
         "arming fallback on an unplanned program must not clone the states",
     );
 }
@@ -361,23 +364,28 @@ fn warm_server_jobs_do_not_allocate_across_jobs() {
     use nob_machine::server::{JobServer, JobSpec, ProgramSource, ServerConfig, ShapeKey};
     use nob_machine::Route;
 
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     // The job server's pooling claim, measured: after the first (cold) job
     // compiles plans and grows every pooled structure to its high-water
-    // shape — worker-kit arenas, staging, scatter scratch, chunk buffers,
-    // lane grid, shard cells, merge scratch, trace builder — warm jobs on
+    // shape — worker-kit arenas, staging, scatter scratch, lane grid, shard cells, merge scratch, trace builder — warm jobs on
     // the persistent gang allocate *nothing*, dispatch and handshake
-    // included. The counter is armed from inside job 3's first superstep
-    // and disarmed in job N's last, so the window spans whole warm jobs
-    // plus every inter-job seam (done handshakes, queue pop, cache hit,
-    // epoch reset, chunk scatter/gather, ticket fulfillment of jobs 3..N-1)
-    // while excluding the cold compile and the submission side. Job 1
+    // included. Every gang thread (the scheduler is worker 0) arms itself
+    // from inside job 3's first superstep and disarms in job N's last, so
+    // the window spans whole warm jobs plus every inter-job seam (done
+    // handshakes, queue pop, cache hit, epoch reset, seating, ticket
+    // fulfillment of jobs 3..N-1) while excluding the cold compile and the
+    // submission side. Job 1
     // stalls its last superstep until the main thread has finished
     // submitting, pinning every ticket/queue allocation before the window.
-    static JOBS_STARTED: AtomicUsize = AtomicUsize::new(0);
+    const SHARDS: usize = 4;
+    /// Jobs started so far, per shard: each shard's first VP counts for its
+    /// own thread, so no thread's window depends on another's progress.
+    static STARTED: [AtomicUsize; SHARDS] = [const { AtomicUsize::new(0) }; SHARDS];
     static SUBMITS_DONE: AtomicBool = AtomicBool::new(false);
     const JOBS: usize = 6;
-    JOBS_STARTED.store(0, Ordering::SeqCst);
+    for started in &STARTED {
+        started.store(0, Ordering::SeqCst);
+    }
     SUBMITS_DONE.store(false, Ordering::SeqCst);
 
     let v = 1 << 8;
@@ -394,23 +402,22 @@ fn warm_server_jobs_do_not_allocate_across_jobs() {
             if last { 0 } else { 1 },
             move |ctx, _| Route::Data(ctx.vp ^ d),
             move |st, ctx, inbox, out| {
-                if ctx.vp == 0 && first {
-                    let job = JOBS_STARTED.fetch_add(1, Ordering::SeqCst) + 1;
-                    if job == 3 {
-                        ALLOCS.store(0, Ordering::SeqCst);
-                        COUNTING.store(true, Ordering::SeqCst);
+                if ctx.vp.is_multiple_of(v / SHARDS) {
+                    let started = &STARTED[ctx.vp / (v / SHARDS)];
+                    if first && started.fetch_add(1, Ordering::SeqCst) + 1 == 3 {
+                        arm();
                     }
-                }
-                if ctx.vp == 0 && last {
-                    match JOBS_STARTED.load(Ordering::SeqCst) {
-                        // Hold job 1 open until the whole batch is queued.
-                        1 => {
-                            while !SUBMITS_DONE.load(Ordering::SeqCst) {
-                                std::thread::yield_now();
+                    if last {
+                        match started.load(Ordering::SeqCst) {
+                            // Hold job 1 open until the whole batch is queued.
+                            1 if ctx.vp == 0 => {
+                                while !SUBMITS_DONE.load(Ordering::SeqCst) {
+                                    std::thread::yield_now();
+                                }
                             }
+                            JOBS => disarm(),
+                            _ => {}
                         }
-                        JOBS => COUNTING.store(false, Ordering::SeqCst),
-                        _ => {}
                     }
                 }
                 for m in inbox.drain(..) {
@@ -424,7 +431,7 @@ fn warm_server_jobs_do_not_allocate_across_jobs() {
     }
     let prog = std::sync::Arc::new(prog);
     let states: Vec<u64> = (0..v as u64).collect();
-    let srv: JobServer<u64, u64> = JobServer::new(ServerConfig::with_shards(4)).unwrap();
+    let srv: JobServer<u64, u64> = JobServer::new(ServerConfig::with_shards(SHARDS)).unwrap();
     let mut spec = JobSpec::new(ShapeKey { algo: "bfly-served", variant: rounds as u64 });
     spec.opts.want_trace = false;
     let tickets: Vec<_> = (0..JOBS)
@@ -443,7 +450,7 @@ fn warm_server_jobs_do_not_allocate_across_jobs() {
     for (k, res) in results.enumerate() {
         assert_eq!(res.states, first.states, "warm job {} diverged", k + 2);
     }
-    assert!(!COUNTING.load(Ordering::SeqCst), "last job must disarm the counter");
+    assert_eq!(ARMED_THREADS.load(Ordering::SeqCst), 0, "last job must disarm every thread");
     let stats = srv.stats();
     assert_eq!(stats.cache_misses, 1);
     assert_eq!(stats.cache_hits, (JOBS - 1) as u64);
@@ -455,47 +462,14 @@ fn warm_server_jobs_do_not_allocate_across_jobs() {
     );
 }
 
-/// The [`counting_butterfly`] pattern declared as an oblivious route
+/// The [`counting_butterfly_armed`] pattern declared as an oblivious route
 /// (planned execution path).
-fn planned_butterfly(v: usize, rounds: usize) -> Program<u64, u64> {
-    use nob_machine::Route;
-    let mut prog: Program<u64, u64> = Program::new(v, v);
-    let log_v = prog.log_v();
-    for r in 0..rounds {
-        let l = (r as u32) % log_v;
-        let d = v >> (l + 1);
-        let arm = r == 2;
-        let last = r == rounds - 1;
-        prog.step_oblivious(
-            l,
-            "bfly-planned",
-            if last { 0 } else { 1 },
-            move |ctx, _| Route::Data(ctx.vp ^ d),
-            move |st, ctx, inbox, out| {
-                if ctx.vp == 0 {
-                    if arm {
-                        ALLOCS.store(0, Ordering::SeqCst);
-                        COUNTING.store(true, Ordering::SeqCst);
-                    } else if last {
-                        COUNTING.store(false, Ordering::SeqCst);
-                    }
-                }
-                for m in inbox.drain(..) {
-                    *st = st.wrapping_add(m);
-                }
-                if !last {
-                    out.send(ctx.vp ^ d, *st);
-                }
-            },
-        );
-    }
-    prog
-}
-
-/// Like [`planned_butterfly`] but arming at a configurable round (the
-/// sharded executor's arenas and direct-write region tables need a full
-/// label cycle of warmup, not two supersteps).
-fn planned_butterfly_armed(v: usize, rounds: usize, arm_at: usize) -> Program<u64, u64> {
+fn planned_butterfly_armed(
+    v: usize,
+    rounds: usize,
+    arm_at: usize,
+    shards: usize,
+) -> Program<u64, u64> {
     use nob_machine::Route;
     let mut prog: Program<u64, u64> = Program::new(v, v);
     let log_v = prog.log_v();
@@ -510,14 +484,7 @@ fn planned_butterfly_armed(v: usize, rounds: usize, arm_at: usize) -> Program<u6
             if last { 0 } else { 1 },
             move |ctx, _| Route::Data(ctx.vp ^ d),
             move |st, ctx, inbox, out| {
-                if ctx.vp == 0 {
-                    if arm {
-                        ALLOCS.store(0, Ordering::SeqCst);
-                        COUNTING.store(true, Ordering::SeqCst);
-                    } else if last {
-                        COUNTING.store(false, Ordering::SeqCst);
-                    }
-                }
+                window_hook(ctx, shards, arm, last);
                 for m in inbox.drain(..) {
                     *st = st.wrapping_add(m);
                 }
@@ -530,10 +497,20 @@ fn planned_butterfly_armed(v: usize, rounds: usize, arm_at: usize) -> Program<u6
     prog
 }
 
-/// Like [`counting_butterfly`] but arming at a configurable round (the
-/// sharded executor's lanes need a full label cycle of warmup, not two
-/// supersteps).
-fn counting_butterfly_armed(v: usize, rounds: usize, arm_at: usize) -> Program<u64, u64> {
+/// A butterfly exchange: every VP sends one message per superstep — the
+/// densest per-VP pattern — with allocation-free closures. The window opens
+/// in superstep `arm_at` (see [`window_hook`]), so measurement starts with
+/// that superstep's own metrics + routing phases, and closes in the final
+/// closure, before end-of-run trace materialization. The serial path warms
+/// up in two supersteps (they grow the staging buffer and fill each of the
+/// two arenas once); the sharded executor's lanes, arenas and direct-write
+/// region tables need a full label cycle.
+fn counting_butterfly_armed(
+    v: usize,
+    rounds: usize,
+    arm_at: usize,
+    shards: usize,
+) -> Program<u64, u64> {
     let mut prog: Program<u64, u64> = Program::new(v, v);
     let log_v = prog.log_v();
     for r in 0..rounds {
@@ -542,14 +519,7 @@ fn counting_butterfly_armed(v: usize, rounds: usize, arm_at: usize) -> Program<u
         let arm = r == arm_at;
         let last = r == rounds - 1;
         prog.step(l, "bfly", move |st, ctx, inbox, out| {
-            if ctx.vp == 0 {
-                if arm {
-                    ALLOCS.store(0, Ordering::SeqCst);
-                    COUNTING.store(true, Ordering::SeqCst);
-                } else if last {
-                    COUNTING.store(false, Ordering::SeqCst);
-                }
-            }
+            window_hook(ctx, shards, arm, last);
             for m in inbox.drain(..) {
                 *st = st.wrapping_add(m);
             }
@@ -561,7 +531,7 @@ fn counting_butterfly_armed(v: usize, rounds: usize, arm_at: usize) -> Program<u
     prog
 }
 
-/// Like [`counting_butterfly`] but without the in-closure arming (the whole
+/// Like [`counting_butterfly_armed`] but without the in-closure arming (the whole
 /// run is measured by the caller).
 fn counting_butterfly_silent(v: usize, rounds: usize) -> Program<u64, u64> {
     let mut prog: Program<u64, u64> = Program::new(v, v);

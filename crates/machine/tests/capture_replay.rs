@@ -215,3 +215,46 @@ fn stale_capture_degrades_to_dynamic_under_fallback() {
         assert_eq!(got.states, want.states, "degraded run diverged at {w} workers");
     }
 }
+
+/// The declared send totals the sharded planned path checks against are
+/// memoised on the program per width. One program run at width 2, then 4,
+/// then captured against drifted states (which plans its dynamic steps and
+/// so changes the totals), must keep matching its own `use_plans = false`
+/// execution bit for bit: a memo shared across widths, or one that survived
+/// the capture, would surface as a `PlanMismatch`.
+#[test]
+fn send_totals_memo_tracks_width_and_capture() {
+    use nob_machine::Route;
+    let v = 64;
+    let mut prog = build_dynamic(v, &[(0, 7, 2), (1, 11, 1)]);
+    prog.step_oblivious(
+        0,
+        "declared",
+        1,
+        move |ctx, _| Route::Data(ctx.vp ^ (v / 2)),
+        move |st, ctx, inbox, out| {
+            for m in inbox.drain(..) {
+                *st = st.wrapping_mul(31).wrapping_add(m);
+            }
+            out.send(ctx.vp ^ (v / 2), *st);
+        },
+    );
+    let check = |prog: &Program<u64, u64>, states: &[u64], what: &str| {
+        for w in [2usize, 4] {
+            let opts = RunOptions { workers: Some(w), ..RunOptions::with_log() };
+            let off = RunOptions { use_plans: false, ..opts.clone() };
+            let want = run(prog, states.to_vec(), &off).unwrap();
+            let got = run(prog, states.to_vec(), &opts)
+                .unwrap_or_else(|e| panic!("{what}, {w} workers: {e:?}"));
+            assert_eq!(got.states, want.states, "{what}: states at {w} workers");
+            assert_eq!(got.trace, want.trace, "{what}: trace at {w} workers");
+            assert_eq!(got.message_log, want.message_log, "{what}: log at {w} workers");
+        }
+    };
+    let states: Vec<u64> = (0..v as u64).map(mix).collect();
+    check(&prog, &states, "declared step only");
+    let drifted: Vec<u64> = states.iter().map(|&s| mix(s ^ 0xd81f)).collect();
+    assert_eq!(prog.capture_plans(drifted.clone()).unwrap(), 3);
+    assert_eq!(prog.planned_steps(), prog.steps().len());
+    check(&prog, &drifted, "after capture");
+}

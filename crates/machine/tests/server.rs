@@ -481,3 +481,93 @@ fn prebuilt_jobs_and_drop_semantics() {
     }
     assert!(refused > 0, "shutdown should refuse still-queued jobs");
 }
+
+/// A panic on shard 0 — the thread that called into the gang: the caller of
+/// `run`, the scheduler of a server — is contained like any other worker's,
+/// at widths 2 and 4, on both sides of the single driver: the run fails
+/// with the structured `VpPanic` only after every other worker has left the
+/// gang, and the next run is clean (on the server, on the same warm gang).
+#[test]
+fn panic_on_the_calling_shard_is_contained_served_and_direct() {
+    let v = 64;
+    let states = seed_states(v, 31);
+    let want = run(&butterfly(v), states.clone(), &RunOptions::default()).unwrap();
+    // Step 0 crosses shards at every width (planned tier); the final
+    // consume step is dynamic.
+    let last = butterfly(v).steps().len() - 1;
+    for w in [2usize, 4] {
+        let srv = server(w);
+        for (site, step) in [("shard:exec_planned", 0usize), ("shard:flush", last)] {
+            // An arm fires once, so each side gets its own plan.
+            let faults = || Some(Arc::new(FaultPlan::panic_at(site, 0, step)));
+            let stall_timeout = Some(Duration::from_secs(5));
+
+            let opts = RunOptions {
+                workers: Some(w),
+                faults: faults(),
+                stall_timeout,
+                ..Default::default()
+            };
+            let err = run(&butterfly(v), states.clone(), &opts).expect_err("direct run");
+            assert!(matches!(err, ModelError::VpPanic { .. }), "direct {site} w={w}: {err:?}");
+
+            let mut spec = JobSpec::new(ShapeKey { algo: "bfly", variant: v as u64 });
+            let submit = |spec: &JobSpec| {
+                srv.run_job(
+                    spec.clone(),
+                    states.clone(),
+                    ProgramSource::Build(Box::new(move || butterfly(v))),
+                )
+            };
+            let clean = submit(&spec).unwrap();
+            assert_eq!(clean.states, want.states, "served {site} w={w}: before the fault");
+            spec.opts = JobOptions { faults: faults(), stall_timeout, ..JobOptions::default() };
+            let err = submit(&spec).expect_err("served run");
+            assert!(matches!(err, ModelError::VpPanic { .. }), "served {site} w={w}: {err:?}");
+            spec.opts = JobOptions::default();
+            let clean = submit(&spec).unwrap();
+            assert_eq!(clean.states, want.states, "served {site} w={w}: gang not serviceable");
+            assert_eq!(clean.trace.as_ref(), Some(&want.trace), "served {site} w={w}: residue");
+        }
+    }
+}
+
+/// One server alternating two trace shapes and a machine smaller than its
+/// gang (the width-1 path) stays bit-for-bit the batch engine, job after
+/// job, and accounts its pool and serial counters per job: every gang job
+/// after the first reuses all four worker kits, whatever shape ran before.
+#[test]
+fn alternating_shapes_and_serial_jobs_match_run_and_keep_their_counters() {
+    use nob_core::telemetry::{Counter, TelemetrySink};
+
+    let sink = Arc::new(TelemetrySink::for_workers(4));
+    let cfg = ServerConfig { telemetry: Some(Arc::clone(&sink)), ..ServerConfig::with_shards(4) };
+    let srv: JobServer<u64, u64> = JobServer::new(cfg).unwrap();
+    let sizes = [1usize << 8, 1 << 10, 2];
+    let rounds = 3;
+    for round in 0..rounds {
+        for v in sizes {
+            let states = seed_states(v, 41 + round);
+            let want = run(&butterfly(v), states.clone(), &RunOptions::default()).unwrap();
+            let res = srv
+                .run_job(
+                    JobSpec::new(ShapeKey { algo: "bfly", variant: 0 }),
+                    states,
+                    ProgramSource::Build(Box::new(move || butterfly(v))),
+                )
+                .unwrap();
+            assert_eq!(res.states, want.states, "round {round}, v = {v}: states");
+            assert_eq!(res.trace.as_ref(), Some(&want.trace), "round {round}, v = {v}: trace");
+            assert_eq!(res.rounds == 0, v == 2, "round {round}, v = {v}: only width 1 is barrier-free");
+        }
+    }
+    let gang_jobs = 2 * rounds;
+    let stats = srv.stats();
+    assert_eq!(stats.completed, 3 * rounds);
+    assert_eq!(stats.serial_jobs, rounds);
+    assert_eq!((stats.cache_misses, stats.cache_hits), (3, 3 * rounds - 3));
+    assert_eq!(sink.get(Counter::SerialJobs), rounds);
+    assert_eq!(sink.get(Counter::DispatchCount), gang_jobs);
+    assert_eq!(sink.get(Counter::EpochResetCount), gang_jobs);
+    assert_eq!(sink.get(Counter::PoolReuses), 4 * (gang_jobs - 1));
+}

@@ -31,4 +31,9 @@ timeout 60 cargo test -q --offline -p nob-machine --test chaos
 
 scripts/bench_smoke.sh
 
+# The repo benchmark is a stand-alone crate outside the workspace, so the
+# workspace-wide `cargo test` above never sees its tests (manifest ==
+# BENCHMARK.json, toy-size smoke of all four workloads).
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "tier1: OK"

@@ -56,8 +56,11 @@
 //! assert_eq!(folded, product);
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory, `EXPERIMENTS.md` for the
-//! paper-vs-measured record, and `examples/` for domain scenarios.
+//! See the [`machine`] crate docs for the system inventory, the `exp_*`
+//! binaries of `crates/bench` for the paper-vs-measured tables,
+//! `benchmark/README.md` for the repo benchmark, `ROADMAP.md` and
+//! `CHANGES.md` for where the code is going and has been, and `examples/`
+//! for domain scenarios.
 
 pub use nob_algos as algos;
 pub use nob_core as core;
