@@ -1,4 +1,4 @@
-//! 100%-planned coverage via trace capture (PR 7 acceptance criterion).
+//! 100%-planned coverage via trace capture (the PR 7 acceptance bar).
 //!
 //! Every shipped algorithm must run *all* of its supersteps planned once
 //! `Program::capture_plans` has filled the gaps left by dynamic (data- or

@@ -1,9 +1,11 @@
-//! # nob-bench — experiment regenerators and benches
+//! # nob-bench — paper-experiment regenerators
 //!
-//! One `exp_*` binary per paper result (see DESIGN.md §4 for the full E1–E14
-//! index); each prints the measured-vs-theory tables recorded in
-//! EXPERIMENTS.md. This library holds the shared workload generators and the
-//! table printer.
+//! One `exp_*` binary per paper result (each binary's module docs name the
+//! theorem or figure it regenerates); each prints its measured-vs-theory
+//! tables to stdout. This library holds the shared workload generators and
+//! the table printer. Performance is not measured here: the repo benchmark
+//! is the stand-alone `benchmark/` crate, and its exact per-layer counts are
+//! gated by `scripts/exact_gate.sh`.
 
 #![forbid(unsafe_code)]
 

@@ -38,9 +38,10 @@ pub enum ModelError {
         /// The value supplied.
         value: usize,
     },
-    /// A parameter vector has the wrong length (must be `log2 p` entries).
+    /// A vector has the wrong length: a machine parameter vector (must be
+    /// `log2 p` entries) or a run's initial states (one per VP).
     BadVectorLength {
-        /// Name of the offending vector (`"g"` or `"ell"`).
+        /// Name of the offending vector (`"g"`, `"ell"` or `"states"`).
         what: &'static str,
         /// Expected number of entries.
         expected: usize,

@@ -7,7 +7,7 @@
 //! [`FaultPlan::check`] at phase boundaries; a run without a plan pays one
 //! `Option` discriminant test per phase and nothing per message, so the hot
 //! path stays allocation- and branch-free (pinned by the engine's counting
-//! allocator tests and the tier-1 bench guard).
+//! allocator tests).
 //!
 //! # Addressing and determinism
 //!

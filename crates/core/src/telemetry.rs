@@ -15,7 +15,8 @@
 //!   `Option<Arc<TelemetrySink>>` through their run options; a disarmed run
 //!   pays one discriminant test per phase and never calls
 //!   `Instant::now()` — the same zero-cost rule the fault framework obeys,
-//!   pinned by the same counting-allocator tests and bench guard.
+//!   pinned by the same counting-allocator tests and by `nob-lint`'s clock
+//!   gate (NL007).
 //! * **Slots are pre-sized.** [`TelemetrySink::for_workers`] allocates every
 //!   slot up front, so armed steady-state recording is allocation-free too.
 //!   Recording against a worker index beyond the sink's size is silently
@@ -27,7 +28,8 @@
 //!
 //! Reports serialize to a stable, hand-rolled JSON schema tagged
 //! `nob-telemetry-v1` (see [`RunReport::to_json`] and
-//! [`ServerReport::to_json`]) so shell tooling can validate them with `jq`.
+//! [`ServerReport::to_json`]) that external tooling can parse; the repo
+//! benchmark embeds both reports verbatim in its `layers.json`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -5,7 +5,7 @@
 //!
 //! | id    | rule                 | invariant |
 //! |-------|----------------------|-----------|
-//! | NL001 | `no-panic`           | non-test engine code surfaces failures as `ModelError`s, never `unwrap`/`expect`/`panic!`/bare `assert!` (escape: `allow-panic:`) |
+//! | NL001 | `no-panic`           | non-test engine code surfaces failures as `ModelError`s, never `unwrap`/`expect`/`panic!`/`assert!`/`assert_eq!`/`assert_ne!` (escape: `allow-panic:`) |
 //! | NL002 | `no-saturating`      | counts feeding the unsafe counting-sort scatters are checked, never silently capped (escape: `allow-saturating:`) |
 //! | NL003 | `unsafe-safety`      | every `unsafe` block/fn/impl carries a `// SAFETY:` comment within 3 lines |
 //! | NL004 | `unsafe-inventory`   | per-file unsafe counts match the checked-in baseline — new unsafe surface requires an explicit baseline edit |
@@ -141,7 +141,7 @@ impl Report {
 
     /// The machine-readable report (`nob-lint-v1`): stable key order, no
     /// timestamps — byte-identical across runs on an identical tree, so
-    /// it can be checked in and diffed like the bench JSONs.
+    /// it can be checked in and diffed.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n  \"schema\": \"nob-lint-v1\",\n");

@@ -129,19 +129,20 @@ fn justified(lex: &Lexed, line: usize, marker: &str) -> bool {
 }
 
 /// NL001 `no-panic`: non-test engine code must surface failures as
-/// structured `ModelError`s — `unwrap()` / `expect(` / `panic!` / bare
-/// `assert!` need an `allow-panic:` justification.
+/// structured `ModelError`s — `unwrap()` / `expect(` / `panic!` /
+/// `assert!` / `assert_eq!` / `assert_ne!` need an `allow-panic:`
+/// justification.
 pub fn no_panic(files: &[SourceFile], out: &mut Vec<Finding>) {
-    const TOKENS: [&str; 4] = [".unwrap()", ".expect(", "panic!", "assert!"];
+    const TOKENS: [&str; 6] =
+        [".unwrap()", ".expect(", "panic!", "assert!", "assert_eq!", "assert_ne!"];
     for f in files.iter().filter(|f| f.is_engine_src() || f.is_guarded_core()) {
         for (li, line) in f.lex.code.iter().enumerate() {
             if f.lex.test[li] {
                 continue;
             }
             for tok in TOKENS {
-                // `assert!` is the bare macro only: the boundary check
-                // rejects `debug_assert!`, and `assert_eq!`/`assert_ne!`
-                // don't contain the token.
+                // The boundary check rejects the `debug_` forms of all
+                // three assert macros: those vanish from release builds.
                 for _ in find_token(line, tok) {
                     if !justified(&f.lex, li, "allow-panic:") {
                         out.push(Finding::new(

@@ -40,6 +40,8 @@ fn no_panic_fires_after_a_test_module() {
             (Rule::NoPanic, f, 16), // .expect(
             (Rule::NoPanic, f, 17), // bare assert!
             (Rule::NoPanic, f, 19), // panic!
+            (Rule::NoPanic, f, 21), // assert_eq!
+            (Rule::NoPanic, f, 22), // assert_ne!
         ],
     );
 }

@@ -2,12 +2,12 @@
 
 /// Call `.unwrap()` at your peril — this doc comment is not code.
 pub fn clean(x: Option<u32>) -> u32 {
-    let s = "contains .unwrap() and panic! and assert!(false)";
+    let s = "contains .unwrap() and panic! and assert!(false) and assert_eq!(1, 2)";
     let t = r#"raw with .expect("x")"#;
     /* block comment: .unwrap() panic! assert!(true) */
     debug_assert!(!s.is_empty());
-    assert_eq!(s.len(), s.len());
-    assert_ne!(t.len(), 0);
+    debug_assert_eq!(s.len(), s.len());
+    debug_assert_ne!(t.len(), 0);
     x.unwrap_or(0)
 }
 

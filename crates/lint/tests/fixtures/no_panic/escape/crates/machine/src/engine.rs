@@ -13,3 +13,9 @@ pub fn window(x: Option<u32>) -> u32 {
     //
     x.unwrap()
 }
+
+pub fn comparing(a: u32, b: u32) {
+    // allow-panic: documented caller contract.
+    assert_eq!(a, b);
+    assert_ne!(a, 0); // allow-panic: same contract
+}

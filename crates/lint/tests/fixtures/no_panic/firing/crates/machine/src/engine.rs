@@ -18,5 +18,7 @@ pub fn after_tests(x: Option<u32>) -> u32 {
     if a == 3 {
         panic!("bad");
     }
+    assert_eq!(a, b, "the comparing forms panic just the same");
+    assert_ne!(a, 7);
     a + b
 }

@@ -54,11 +54,11 @@
 //!   (capped by the worker budget), which unifies the two execution modes
 //!   over one code path.
 //!
-//! The shard count derives from the rayon pool width (itself overridable
-//! with the `NOB_THREADS` environment variable) or from
-//! [`RunOptions::workers`]; both paths produce **bit-for-bit identical**
-//! states, traces and message logs — enforced by the differential property
-//! suites in `tests/engine_properties.rs` and `tests/engine_equivalence.rs`.
+//! The shard count derives from [`RunOptions::workers`] or, when that is
+//! `None`, from the `NOB_THREADS` environment variable or else the visible
+//! CPUs; every width produces **bit-for-bit identical** states, traces and
+//! message logs — enforced by the differential property suites in
+//! `tests/engine_properties.rs` and `tests/engine_equivalence.rs`.
 //!
 //! # Invariants
 //!
@@ -117,12 +117,12 @@ pub struct RunOptions {
     /// costs memory proportional to the total message volume.
     pub collect_messages: bool,
     /// Pins the number of executor shards (persistent workers). `None`
-    /// derives the width from the rayon pool (which honors the
-    /// `NOB_THREADS` environment variable); `Some(1)` forces the serial
-    /// path. Values are clamped to a power of two no larger than the
-    /// metric granularity of the run (and a hard ceiling of 256 OS
-    /// threads). Ignored when [`RunOptions::parallel`] is `false`, which
-    /// always takes the serial path.
+    /// derives the width from the `NOB_THREADS` environment variable or
+    /// else the visible CPUs (no thread is spawned to find out); `Some(1)`
+    /// forces the serial path. Values are clamped to a power of two no
+    /// larger than the metric granularity of the run (and a hard ceiling
+    /// of 256 OS threads). Ignored when [`RunOptions::parallel`] is
+    /// `false`, which always takes the serial path.
     pub workers: Option<usize>,
     /// Execute supersteps that declared an oblivious route
     /// ([`Program::step_oblivious`]) from their compiled [`crate::plan::StepPlan`]:
@@ -147,9 +147,8 @@ pub struct RunOptions {
     /// their own worker — no window publication, no cross-shard reads and
     /// **no barrier at all** (consecutive such steps form a zero-barrier
     /// pipeline). Results are bit-for-bit identical either way (enforced by
-    /// the differential suites and `scripts/bench_smoke.sh`); `false`
-    /// reproduces the one-barrier protocol exactly, for benchmarking and
-    /// differential testing.
+    /// the differential suites); `false` reproduces the one-barrier
+    /// protocol exactly, for benchmarking and differential testing.
     pub fuse: bool,
     /// Degradation policy for a [`ModelError::PlanMismatch`] on a
     /// non-validated planned run (default: [`PlanFallback::Fail`]).
@@ -158,7 +157,7 @@ pub struct RunOptions {
     /// the executors consult it at every instrumented phase boundary; when
     /// absent the cost is one `Option` discriminant test per phase — never
     /// anything per message — so the hot path is unchanged (pinned by
-    /// `tests/allocation.rs` and the tier-1 bench guard).
+    /// `tests/allocation.rs`).
     pub faults: Option<Arc<FaultPlan>>,
     /// Barrier watchdog for the sharded executor (default: `None` — wait
     /// forever, exactly the pre-watchdog behavior). When set, a worker
@@ -176,7 +175,7 @@ pub struct RunOptions {
     /// sink's pre-sized slots ([`nob_core::telemetry`]); when absent the
     /// cost is one `Option` discriminant test per phase and `Instant::now`
     /// is never called — the [`RunOptions::faults`] zero-cost rule, pinned
-    /// by the same allocation tests and bench guard.
+    /// by the same allocation tests and the `nob-lint` clock gate (NL007).
     pub telemetry: Option<Arc<TelemetrySink>>,
 }
 
@@ -221,10 +220,10 @@ pub struct RunResult<S> {
     pub fallback: Option<ModelError>,
 }
 
-/// Minimum VPs per shard for a pool-derived worker count: persistent-worker
-/// dispatch costs barriers per superstep, so tiny machines run serially no
-/// matter the pool width. An explicit [`RunOptions::workers`] overrides
-/// this floor (differential tests shard tiny machines on purpose).
+/// Minimum VPs per shard for a default (`workers: None`) worker count:
+/// gang dispatch costs barriers per superstep, so tiny machines run serially
+/// no matter how many CPUs are visible. An explicit [`RunOptions::workers`]
+/// overrides this floor (differential tests shard tiny machines on purpose).
 const MIN_VPS_PER_WORKER: usize = 64;
 
 /// Hard ceiling on explicit worker requests: each shard is an OS thread,
@@ -272,7 +271,8 @@ fn shard_count(v: usize, gran: usize, opts: &RunOptions) -> usize {
 
 /// Executes `prog` at full granularity on `M(v)`.
 ///
-/// `states` must hold exactly one state per VP. The returned trace records,
+/// `states` must hold exactly one state per VP (any other length is a
+/// [`ModelError::BadVectorLength`]). The returned trace records,
 /// for each superstep, the degree of every folding `M(2^j)`, so that
 /// `H(n, 2^j, σ)` and `D(n, p, g, ℓ)` can be evaluated analytically afterward.
 pub fn run<S: Send + Clone, M: Send>(
@@ -326,7 +326,7 @@ fn run_core<S: Send + Clone, M: Send>(
     opts: &RunOptions,
 ) -> Result<RunResult<S>, ModelError> {
     let v = prog.v();
-    assert_eq!(states.len(), v, "one state per VP required");
+    prog.check_states_len(states.len())?;
     let width = shard_count(v, 1 << spec.levels, opts);
     let mut exec = Executor::new(width);
     let done = exec.execute(prog, &mut states, spec, opts, width)?;
@@ -586,7 +586,7 @@ pub(crate) fn capture_run<S, M>(
     tele: Option<&TelemetrySink>,
 ) -> Result<Vec<Option<(Vec<u32>, Vec<(u32, bool)>)>>, ModelError> {
     let v = prog.v();
-    assert_eq!(states.len(), v, "one state per VP required");
+    prog.check_states_len(states.len())?;
     let log_v = prog.log_v();
     let mut stage: ChunkStage<M> = ChunkStage::new(v);
     let mut arenas = [Arena::<M>::new(v), Arena::<M>::new(v)];

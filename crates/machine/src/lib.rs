@@ -254,11 +254,11 @@
 //!   [`server::ServerConfig::telemetry`] take an
 //!   `Option<Arc<`[`nob_core::telemetry::TelemetrySink`]`>>`. Disarmed
 //!   (the default) the cost is one `Option` discriminant test per phase
-//!   boundary — no clock reads, no allocation, no atomics — pinned three
-//!   ways by tier-1: counting-allocator tests
-//!   (`tests/allocation.rs`), a bit-for-bit armed-vs-disarmed
-//!   differential, and the `bench_smoke.sh` throughput guard row (which
-//!   runs disarmed against the checked-in baseline).
+//!   boundary — no clock reads, no allocation, no atomics — pinned by
+//!   tier-1's counting-allocator tests (`tests/allocation.rs`) and a
+//!   bit-for-bit armed-vs-disarmed differential; armed, a job allocates
+//!   exactly what `scripts/exact_counts.txt` records (the exact-count
+//!   gate, `scripts/exact_gate.sh`, counts with the sink armed).
 //! * **Sites, not strings** — spans are keyed by the static
 //!   [`nob_core::telemetry::Site`] enum (serial planned/exec/capture;
 //!   shard prepare/exec/exec-planned/fused-exec/commit/flush/gather/
@@ -275,10 +275,11 @@
 //!   aggregates worker slots into a stable JSON snapshot
 //!   (`{"schema":"nob-telemetry-v1","kind":"run",...}`, always all 12
 //!   sites) and `server_report` the flat `"kind":"server"` counter
-//!   object; `bench_smoke.sh` emits and jq-validates one of each, and
-//!   the bench binaries surface them as per-row `phase_nanos` and
-//!   queue-wait/service-time percentile columns that
-//!   `bench_compare.sh` diffs informationally.
+//!   object. The chaos suite asserts that an armed run observes every
+//!   site, the server suite the lifecycle invariants; the repo benchmark's
+//!   traced run (`benchmark/`) turns both reports into its per-layer
+//!   `shard.*` / `server.*` metrics and keeps the raw reports in
+//!   `layers.json`.
 //! * **Fault attribution** — an armed sink also enriches
 //!   [`nob_core::ModelError::GangStall`] with the stalled workers' last
 //!   recorded phase, turning "the barrier timed out" into "worker 2
@@ -294,8 +295,8 @@
 //! non-test engine code:
 //!
 //! * **no-panic** (NL001) — non-test engine code surfaces failures as
-//!   `ModelError`s; every residual `unwrap`/`expect`/`panic!`/bare
-//!   `assert!` carries an `allow-panic:` justification.
+//!   `ModelError`s; every residual `unwrap`/`expect`/`panic!`/`assert!`/
+//!   `assert_eq!`/`assert_ne!` carries an `allow-panic:` justification.
 //! * **no-saturating** (NL002) — counts feeding the unsafe scatters use
 //!   checked adds; `allow-saturating:` justifies display-only clamps.
 //! * **unsafe-safety / unsafe-inventory** (NL003/NL004) — every `unsafe`
@@ -314,15 +315,15 @@
 //!
 //! Rules, escape hatches and the baseline workflow are documented in
 //! `crates/lint/README.md`; the deterministic JSON report
-//! (`LINT_report.json`) is checked in next to the bench baselines.
+//! (`LINT_report.json`) is checked in.
 //!
 //! [`Site`]: nob_core::telemetry::Site
 //!
 //! ## Execution modes
 //!
 //! * [`engine::run`] — full-granularity execution on `M(v)`, sharded across
-//!   the worker budget ([`engine::RunOptions::workers`], defaulting to the
-//!   rayon pool width, which honors `NOB_THREADS`). Produces the output
+//!   the worker budget ([`engine::RunOptions::workers`], defaulting to
+//!   `NOB_THREADS` or else the visible CPUs). Produces the output
 //!   states plus a [`nob_core::CommTrace`] carrying per-superstep degrees
 //!   for *every* folding `M(2^j)` at once.
 //! * [`engine::run_folded`] — actually executes the folding on `p < v`
@@ -332,12 +333,11 @@
 //! * [`protocol::ascend_descend`] — rewrites a message log into the
 //!   Section-5 ascend–descend protocol execution, the basis of Theorem 5.3.
 //! * [`reference::run_reference`] — the preserved legacy engine (per-VP
-//!   `Vec` mailboxes), kept as the differential-testing and benchmarking
-//!   baseline for the sharded engine.
+//!   `Vec` mailboxes, always serial), kept as the differential-testing
+//!   oracle and benchmarking baseline for the sharded engine.
 
 // Unsafe is denied everywhere except `mailbox` and `shard` (see "Unsafe
-// surface" above; the rayon shim's scoped-spawn lifetime extension lives in
-// the shim crate).
+// surface" above).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -355,6 +355,16 @@ impl<S, M> Program<S, M> {
         self
     }
 
+    /// `Ok` when `len` is one state per VP, else the structured
+    /// [`nob_core::ModelError::BadVectorLength`] every entry point — `run`,
+    /// `run_folded`, plan capture, the job server — reports for it.
+    pub(crate) fn check_states_len(&self, len: usize) -> Result<(), nob_core::ModelError> {
+        if len == self.v {
+            return Ok(());
+        }
+        Err(nob_core::ModelError::BadVectorLength { what: "states", expected: self.v, got: len })
+    }
+
     /// Records one dynamic execution of this program on `states` (the
     /// initial VP states, exactly as they would be passed to a run) and
     /// compiles the observed send sequence of every *plan-less* superstep
@@ -388,7 +398,7 @@ impl<S, M> Program<S, M> {
     /// [`Program::capture_plans`] with a deterministic fault plan and/or a
     /// telemetry sink armed for the capture run itself (fault site
     /// `serial:capture`; telemetry spans under the same name) — the chaos
-    /// suite's and the benches' entry point; production callers use
+    /// suite's and the job server's entry point; other callers use
     /// [`Program::capture_plans`].
     pub fn capture_plans_with(
         &mut self,

@@ -7,8 +7,9 @@
 //! 1. **Differential testing** — the arena engine must produce bit-for-bit
 //!    identical states, traces and message logs; the property tests in
 //!    `tests/engine_properties.rs` compare the two on random programs.
-//! 2. **Benchmarking** — `exp_engine_throughput` measures the arena engine's
-//!    speedup against this baseline (`BENCH_engine.json`).
+//! 2. **Benchmarking** — the repo benchmark (`benchmark/`) uses it as its
+//!    correctness oracle and reports the arena engine's speedup against it
+//!    (`reference.job_us`, `reference.speedup`).
 //!
 //! Its per-superstep costs (the reason it was replaced): `v` outbox
 //! allocations, one `(src, dst, 1)` tuple per message, `O(v)` zeroed scratch
@@ -21,9 +22,6 @@ use crate::program::{validate_outbox, Envelope, Outbox, Program};
 use nob_core::metrics::{CommTrace, SuperstepRecord};
 use nob_core::model::log2_exact;
 use nob_core::ModelError;
-
-/// The legacy engine's fixed parallelism cutoff.
-const PARALLEL_THRESHOLD: usize = 128;
 
 /// Executes one VP: delivers the inbox, runs the closure, returns the
 /// staged messages.
@@ -46,46 +44,17 @@ fn run_one<S, M>(
     out.msgs
 }
 
-/// Runs the computation + send phase for every VP, optionally in parallel
-/// over contiguous chunks, writing each VP's outbox into `outboxes`.
-fn exec_phase<S: Send, M: Send>(
+/// Runs the computation + send phase for every VP in ascending order and
+/// returns the outboxes, one per VP. Always serial, whatever
+/// [`RunOptions::parallel`] says: this is the oracle the differential suites
+/// trust, so it has one path.
+fn exec_phase<S, M>(
     prog: &Program<S, M>,
     step: &crate::program::Superstep<S, M>,
     states: &mut [S],
     inboxes: &mut [Vec<M>],
-    outboxes: &mut [Vec<(u32, Envelope<M>)>],
-    parallel: bool,
-) {
-    let v = prog.v();
-    if parallel && v >= PARALLEL_THRESHOLD && rayon::current_num_threads() > 1 {
-        let chunk = v.div_ceil(rayon::current_num_threads());
-        rayon::scope(|s| {
-            let mut st = states;
-            let mut ib = inboxes;
-            let mut ob = outboxes;
-            let mut vp_lo = 0usize;
-            while !st.is_empty() {
-                let take = chunk.min(st.len());
-                let (st_c, st_r) = std::mem::take(&mut st).split_at_mut(take);
-                st = st_r;
-                let (ib_c, ib_r) = std::mem::take(&mut ib).split_at_mut(take);
-                ib = ib_r;
-                let (ob_c, ob_r) = std::mem::take(&mut ob).split_at_mut(take);
-                ob = ob_r;
-                let lo = vp_lo;
-                s.spawn(move |_| {
-                    for i in 0..take {
-                        ob_c[i] = run_one(prog, step, lo + i, &mut st_c[i], &mut ib_c[i]);
-                    }
-                });
-                vp_lo += take;
-            }
-        });
-    } else {
-        for vp in 0..v {
-            outboxes[vp] = run_one(prog, step, vp, &mut states[vp], &mut inboxes[vp]);
-        }
-    }
+) -> Vec<Vec<(u32, Envelope<M>)>> {
+    (0..prog.v()).map(|vp| run_one(prog, step, vp, &mut states[vp], &mut inboxes[vp])).collect()
 }
 
 /// Legacy full-granularity execution (see the module docs). Semantically
@@ -97,14 +66,15 @@ pub fn run_reference<S: Send, M: Send>(
 ) -> Result<RunResult<S>, ModelError> {
     let v = prog.v();
     let log_v = prog.log_v();
+    // allow-panic: the legacy oracle keeps its historical caller contract
+    // (the arena engine reports `BadVectorLength`).
     assert_eq!(states.len(), v, "one state per VP required");
     let mut inboxes: Vec<Vec<M>> = (0..v).map(|_| Vec::new()).collect();
     let mut trace = CommTrace::new(v, prog.n());
     let mut message_log = opts.collect_messages.then(Vec::new);
 
     for step in prog.steps() {
-        let mut outboxes: Vec<Vec<(u32, Envelope<M>)>> = (0..v).map(|_| Vec::new()).collect();
-        exec_phase(prog, step, &mut states, &mut inboxes, &mut outboxes, opts.parallel);
+        let outboxes = exec_phase(prog, step, &mut states, &mut inboxes);
 
         if opts.validate {
             for (src, out) in outboxes.iter().enumerate() {
@@ -158,13 +128,14 @@ pub fn run_folded_reference<S: Send, M: Send>(
     }
     let log_p = log2_exact(p);
     let width = v / p;
+    // allow-panic: the legacy oracle keeps its historical caller contract
+    // (the arena engine reports `BadVectorLength`).
     assert_eq!(states.len(), v, "one state per VP required");
     let mut inboxes: Vec<Vec<M>> = (0..v).map(|_| Vec::new()).collect();
     let mut trace = CommTrace::new(p, prog.n());
 
     for step in prog.steps() {
-        let mut outboxes: Vec<Vec<(u32, Envelope<M>)>> = (0..v).map(|_| Vec::new()).collect();
-        exec_phase(prog, step, &mut states, &mut inboxes, &mut outboxes, opts.parallel);
+        let outboxes = exec_phase(prog, step, &mut states, &mut inboxes);
 
         if opts.validate {
             for (src, out) in outboxes.iter().enumerate() {

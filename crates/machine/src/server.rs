@@ -558,17 +558,25 @@ where
     }
 
     /// Submits a job; the returned ticket resolves when it has run.
+    ///
+    /// A [`ProgramSource::BuildCaptured`] source is refused with a
+    /// [`ModelError::BadParameter`]: its cache entry must key on the initial
+    /// states, which only [`JobServer::submit_captured`] fingerprints —
+    /// enqueued from here it would be cached without them, and a lookalike
+    /// job with other data would replay the wrong routes.
     pub fn submit(
         &self,
         spec: JobSpec,
         states: Vec<S>,
         source: ProgramSource<S, M>,
     ) -> Result<JobTicket<S>, ModelError> {
-        debug_assert!(
-            !matches!(source, ProgramSource::BuildCaptured(_)),
-            "captured sources go through submit_captured (their cache entry \
-             must key on the initial states)"
-        );
+        if matches!(source, ProgramSource::BuildCaptured(_)) {
+            return Err(ModelError::BadParameter {
+                what: "source",
+                reason: "captured sources go through submit_captured \
+                         (their cache entry must key on the initial states)",
+            });
+        }
         self.enqueue(spec, states, source, None)
     }
 
@@ -696,13 +704,7 @@ fn resolve_program<S: Send + Clone, M: Send>(
     };
     match source {
         ProgramSource::Prebuilt(prog) => {
-            if prog.v() != job.states.len() {
-                return Err(ModelError::BadVectorLength {
-                    what: "states",
-                    expected: prog.v(),
-                    got: job.states.len(),
-                });
-            }
+            prog.check_states_len(job.states.len())?;
             let hit = cache.entries.contains_key(&key);
             if hit {
                 cache.touch(&key);
@@ -722,26 +724,14 @@ fn resolve_program<S: Send + Clone, M: Send>(
         }
         ProgramSource::Build(build) => {
             let prog = build();
-            if prog.v() != job.states.len() {
-                return Err(ModelError::BadVectorLength {
-                    what: "states",
-                    expected: prog.v(),
-                    got: job.states.len(),
-                });
-            }
+            prog.check_states_len(job.states.len())?;
             let prog = Arc::new(prog);
             cache.insert(key, Arc::clone(&prog), tele);
             Ok((prog, false))
         }
         ProgramSource::BuildCaptured(build) => {
             let mut prog = build();
-            if prog.v() != job.states.len() {
-                return Err(ModelError::BadVectorLength {
-                    what: "states",
-                    expected: prog.v(),
-                    got: job.states.len(),
-                });
-            }
+            // A states/`v` mismatch is the capture run's own first check.
             prog.capture_plans_with(job.states.clone(), None, tele)?;
             let prog = Arc::new(prog);
             cache.insert(key, Arc::clone(&prog), tele);

@@ -183,14 +183,14 @@
 //! same single `Option` test per phase as disarmed fault injection and
 //! never read the clock (see `nob_core::telemetry`).
 //!
-//! # Why not the rayon pool?
+//! # Threads
 //!
-//! The workers are the gang's own OS threads, not pool tasks: a barrier-coupled
-//! gang occupying pool workers could deadlock against other concurrent pool
-//! users (e.g. parallel tests), and oversubscription (`workers > pool
-//! width`) must stay legal because folded runs pin *shard = fold*. The pool
-//! width still determines the default shard count (see
-//! [`crate::engine::RunOptions::workers`]).
+//! The workers are the gang's own OS threads — with the job server's
+//! scheduler, the only threads this crate spawns. There is no task pool: a
+//! barrier-coupled gang borrowing pool workers could deadlock against the
+//! pool's other users, and oversubscription (`workers >` CPUs) must stay
+//! legal because folded runs pin *shard = fold*. The default shard count
+//! is only a number (see [`crate::engine::RunOptions::workers`]).
 
 // The `unsafe` in this module is the calls into the lane-grid and
 // direct-grid accessors of `mailbox`, whose safety contracts

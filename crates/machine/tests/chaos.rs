@@ -236,6 +236,30 @@ fn every_instrumented_site_is_reachable() {
 }
 
 #[test]
+fn every_telemetry_site_is_observed_in_an_armed_run() {
+    use nob_core::telemetry::{Site, TelemetrySink};
+    // The telemetry twin of the reachability check above: the span sites
+    // share the failpoints' names, so naming a failpoint says nothing about
+    // whether its span is still *recorded*. One sink armed over the driver
+    // program sharded (prepare, exec, exec_planned, fused_exec, commit,
+    // flush, gather, merge, barrier_wait), serial (serial:planned,
+    // serial:exec) and captured (serial:capture) must have observed every
+    // site, so a dropped `record` call fails here with the site's name.
+    let sink = Arc::new(TelemetrySink::for_workers(4));
+    let mut prog = mixed_program();
+    for w in [4usize, 1] {
+        let armed = RunOptions { telemetry: Some(Arc::clone(&sink)), ..opts(w) };
+        run(&prog, init_states(), &armed).expect("armed run");
+    }
+    prog.capture_plans_with(init_states(), None, Some(&sink)).expect("armed capture");
+    let report = sink.run_report();
+    assert_eq!(report.sites.len(), Site::COUNT, "the report lists every site");
+    for site in Site::ALL {
+        assert!(report.count(site) > 0, "site {} was never observed", site.name());
+    }
+}
+
+#[test]
 fn armed_telemetry_attributes_gang_stalls() {
     use nob_core::telemetry::TelemetrySink;
     // VP 5 (shard 1 of 2) outsleeps the watchdog inside its exec phase.

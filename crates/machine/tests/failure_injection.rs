@@ -53,12 +53,22 @@ fn bad_fold_targets_are_rejected() {
     }
 }
 
+/// A state vector of the wrong length is a structured error on every entry
+/// point and at every width — the same one a served job gets — never a
+/// panic on the run path.
 #[test]
-#[should_panic(expected = "one state per VP")]
-fn wrong_state_count_panics() {
+fn wrong_state_count_is_a_structured_error() {
     let mut p: Program<u8, u8> = Program::new(8, 8);
     p.step(0, "noop", |_, _, _, _| {});
-    let _ = run(&p, vec![0; 7], &RunOptions::default());
+    let want = ModelError::BadVectorLength { what: "states", expected: 8, got: 7 };
+    for w in [1usize, 2] {
+        let opts = RunOptions { workers: Some(w), ..Default::default() };
+        let (full, folded) = (run(&p, vec![0; 7], &opts), run_folded(&p, vec![0; 7], 4, &opts));
+        assert_eq!(full.err(), Some(want.clone()), "run, width {w}");
+        assert_eq!(folded.err(), Some(want.clone()), "run_folded, width {w}");
+    }
+    assert_eq!(p.capture_plans(vec![0; 7]).err(), Some(want));
+    assert_eq!(p.planned_steps(), 0, "a refused capture adds no plan");
 }
 
 #[test]

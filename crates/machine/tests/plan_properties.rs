@@ -89,8 +89,8 @@ proptest! {
 
     /// Planned execution ≡ dynamic execution: same states, same trace, same
     /// message log — serial and sharded at p ∈ {2, 4, 8} (the direct
-    /// cross-shard scatter vs the lane path), plans on and off, validation
-    /// on and off.
+    /// cross-shard scatter vs the lane path), plans on and off, fusion on
+    /// and off, validation on and off.
     #[test]
     fn planned_execution_is_bit_for_bit_dynamic((v, steps) in arb_steps()) {
         let planned = build_program(v, &steps, true);
@@ -103,12 +103,17 @@ proptest! {
             ("serial", serial.clone()),
             ("plans-off", RunOptions { use_plans: false, ..serial.clone() }),
             ("no-validate", RunOptions { validate: false, ..serial.clone() }),
+            ("fuse-off", RunOptions { fuse: false, ..serial.clone() }),
             ("sharded-2", RunOptions { workers: Some(2), ..RunOptions::with_log() }),
             ("sharded-4", RunOptions { workers: Some(4), ..RunOptions::with_log() }),
             ("sharded-8", RunOptions { workers: Some(8), ..RunOptions::with_log() }),
             (
                 "sharded-4-no-validate",
                 RunOptions { validate: false, workers: Some(4), ..RunOptions::with_log() },
+            ),
+            (
+                "sharded-4-fuse-off",
+                RunOptions { fuse: false, workers: Some(4), ..RunOptions::with_log() },
             ),
             (
                 "sharded-8-plans-off",

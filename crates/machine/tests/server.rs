@@ -168,7 +168,8 @@ fn cache_misses_across_v_and_width() {
 
 /// Captured-plan entries key on the initial states: a lookalike job — same
 /// shape, same `v`, different data — misses and re-captures against its own
-/// states instead of replaying the other job's routes.
+/// states instead of replaying the other job's routes; the one door that
+/// would skip the fingerprint, a captured source through `submit`, is shut.
 #[test]
 fn captured_lookalike_misses_and_recaptures() {
     let v = 32;
@@ -180,6 +181,18 @@ fn captured_lookalike_misses_and_recaptures() {
 
     let srv = server(4);
     let spec = JobSpec::new(ShapeKey { algo: "captured", variant: 0 });
+    // Plain `submit` would enqueue a captured source without the states
+    // fingerprint and cache it under the bare shape, so it refuses it — in
+    // every profile (it was a `debug_assert!`: in a release build job B
+    // below hit job A's entry and failed with `PlanMismatch`). The counts
+    // at the end show the refusal reached neither the queue nor the cache.
+    let f = Arc::clone(&flag);
+    let captured = ProgramSource::BuildCaptured(Box::new(move || poisonable(v, &f)));
+    match srv.submit(spec.clone(), states_a.clone(), captured) {
+        Err(ModelError::BadParameter { what: "source", .. }) => {}
+        Err(e) => panic!("wrong error {e:?}"),
+        Ok(_) => panic!("a captured source was enqueued without its fingerprint"),
+    }
     let submit = |states: Vec<u64>| {
         let f = Arc::clone(&flag);
         srv.submit_captured(spec.clone(), states, move || poisonable(v, &f))
@@ -193,6 +206,34 @@ fn captured_lookalike_misses_and_recaptures() {
     let stats = srv.stats();
     assert_eq!(stats.cache_misses, 2, "two captures: states A and states B");
     assert_eq!(stats.cache_hits, 1, "one warm replay of A");
+    assert_eq!((stats.completed, stats.failed), (3, 0));
+}
+
+/// A job whose state vector does not match its program's `v` fails with the
+/// same structured `BadVectorLength` a direct `run` reports — whichever way
+/// the program arrives — and the server serves the next job.
+#[test]
+fn mismatched_states_length_fails_the_job_not_the_server() {
+    let (v, got) = (32usize, 64usize);
+    let srv = server(4);
+    let spec = JobSpec::new(ShapeKey { algo: "bfly", variant: 0 });
+    let want = ModelError::BadVectorLength { what: "states", expected: v, got };
+    let direct = run(&butterfly(v), seed_states(got, 1), &RunOptions::default());
+    assert_eq!(direct.err(), Some(want.clone()));
+    let long = || seed_states(got, 1);
+    let served = [
+        srv.run_job(spec.clone(), long(), ProgramSource::Prebuilt(Arc::new(butterfly(v)))),
+        srv.run_job(spec.clone(), long(), ProgramSource::Build(Box::new(move || butterfly(v)))),
+        srv.submit_captured(spec.clone(), long(), move || butterfly(v)).unwrap().wait(),
+    ];
+    for (i, res) in served.into_iter().enumerate() {
+        assert_eq!(res.err(), Some(want.clone()), "source {i}");
+    }
+    let states = seed_states(v, 1);
+    let clean = run(&butterfly(v), states.clone(), &RunOptions::default()).unwrap();
+    let source = ProgramSource::Build(Box::new(move || butterfly(v)));
+    assert_eq!(srv.run_job(spec, states, source).unwrap().states, clean.states);
+    assert_eq!(srv.stats().failed, 3);
 }
 
 /// A cached captured entry whose program has drifted is *detected* on the
@@ -536,6 +577,8 @@ fn panic_on_the_calling_shard_is_contained_served_and_direct() {
 /// gang (the width-1 path) stays bit-for-bit the batch engine, job after
 /// job, and accounts its pool and serial counters per job: every gang job
 /// after the first reuses all four worker kits, whatever shape ran before.
+/// Its armed sink's server report keeps the lifecycle invariants
+/// (`jobs == cache_hits + cache_misses`, service and dispatch recorded).
 #[test]
 fn alternating_shapes_and_serial_jobs_match_run_and_keep_their_counters() {
     use nob_core::telemetry::{Counter, TelemetrySink};
@@ -570,4 +613,13 @@ fn alternating_shapes_and_serial_jobs_match_run_and_keep_their_counters() {
     assert_eq!(sink.get(Counter::DispatchCount), gang_jobs);
     assert_eq!(sink.get(Counter::EpochResetCount), gang_jobs);
     assert_eq!(sink.get(Counter::PoolReuses), 4 * (gang_jobs - 1));
+    // The lifecycle report accounts every popped job exactly once and
+    // carries the timings an operator reads: a counter that stops being
+    // recorded fails here.
+    let report = sink.server_report();
+    assert_eq!(report.jobs, 3 * rounds);
+    assert_eq!(report.jobs, report.cache_hits + report.cache_misses, "{report:?}");
+    assert!(report.service_nanos > 0, "no service time recorded: {report:?}");
+    assert!(report.dispatch_count > 0 && report.dispatch_nanos > 0, "{report:?}");
+    assert_eq!(report.dispatch_count, report.epoch_reset_count, "{report:?}");
 }

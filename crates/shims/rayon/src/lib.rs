@@ -1,262 +1,35 @@
 //! Offline shim for the `rayon` crate (see `crates/shims/README.md`).
 //!
-//! Provides the subset of rayon's surface the workspace uses — scoped task
-//! spawning onto a **persistent global thread pool** — with real parallelism:
-//!
-//! * [`scope`] / [`Scope::spawn`] — spawn borrowing closures that are
-//!   guaranteed to finish before `scope` returns (the same shape as
-//!   `scoped_threadpool`/`std::thread::scope`);
-//! * [`join`] — run two closures, potentially in parallel;
-//! * [`current_num_threads`] — the pool width used for chunking decisions.
-//!
-//! The pool is created lazily on first use, sized by the `NOB_THREADS`
-//! environment variable when set (any integer ≥ 1; `1` disables the pool
-//! entirely) and by `std::thread::available_parallelism` otherwise, and
-//! falls back to inline (serial) execution if worker threads cannot be
-//! spawned. The resolved width is observable through
-//! [`current_num_threads`], so harnesses can both pin and report it —
-//! PR 1 ran in a silently 1-wide container with no way to do either.
-//! Panics inside spawned tasks are captured and re-raised from `scope`
-//! after every task of the scope has settled, so borrowed data is never
-//! observed mid-destruction.
-//!
-//! Limitation (documented, not enforced): do **not** call [`scope`] from
-//! inside a spawned task. Nested scopes block a worker while waiting, which
-//! can deadlock the fixed-width pool. The engine never nests scopes.
+//! The workspace uses exactly one thing of rayon's: the default worker
+//! width, [`current_num_threads`]. There is no pool behind it — the engine
+//! runs its shards on its own gang (`nob_machine::shard`), so this crate
+//! spawns nothing and only resolves a number, once per process.
 
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+#![forbid(unsafe_code)]
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+use std::sync::OnceLock;
 
-struct Pool {
-    sender: mpsc::Sender<Job>,
-    threads: usize,
-}
-
-/// The pool width to use: `NOB_THREADS` when set to a valid integer ≥ 1,
-/// else the machine's available parallelism.
-fn configured_threads() -> usize {
-    match std::env::var("NOB_THREADS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
+/// The default worker width: the `NOB_THREADS` environment variable when it
+/// is set to an integer ≥ 1, else `std::thread::available_parallelism`
+/// (1 if that is unknown). Resolved on first call and fixed from then on.
+pub fn current_num_threads() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        let cpus = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        match std::env::var("NOB_THREADS") {
+            Err(_) => cpus(),
+            Ok(raw) => raw.trim().parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
                 eprintln!("NOB_THREADS={raw:?} is not a positive integer; ignoring");
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            }
-        },
-        Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    }
-}
-
-fn pool() -> Option<&'static Pool> {
-    static POOL: OnceLock<Option<Pool>> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let threads = configured_threads();
-        if threads < 2 {
-            return None;
-        }
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut spawned = 0usize;
-        for i in 0..threads {
-            let rx = Arc::clone(&rx);
-            let ok = std::thread::Builder::new()
-                .name(format!("nob-pool-{i}"))
-                .spawn(move || loop {
-                    // Take the lock only to receive; run the job unlocked.
-                    let job = match rx.lock() {
-                        Ok(guard) => guard.recv(),
-                        Err(_) => break,
-                    };
-                    match job {
-                        Ok(job) => job(),
-                        Err(_) => break,
-                    }
-                })
-                .is_ok();
-            if ok {
-                spawned += 1;
-            }
-        }
-        if spawned == 0 {
-            None
-        } else {
-            Some(Pool { sender: tx, threads: spawned })
+                cpus()
+            }),
         }
     })
-    .as_ref()
 }
-
-/// Number of worker threads in the global pool (1 when the pool is
-/// unavailable and execution is inline).
-pub fn current_num_threads() -> usize {
-    pool().map(|p| p.threads).unwrap_or(1)
-}
-
-struct ScopeState {
-    pending: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-impl ScopeState {
-    fn new() -> Self {
-        ScopeState { pending: Mutex::new(0), done: Condvar::new(), panic: Mutex::new(None) }
-    }
-
-    fn finish_one(&self) {
-        let mut pending = self.pending.lock().unwrap();
-        *pending -= 1;
-        if *pending == 0 {
-            self.done.notify_all();
-        }
-    }
-}
-
-/// A spawn handle tied to the borrow region `'env`: every task spawned on it
-/// completes before the enclosing [`scope`] call returns, so tasks may borrow
-/// anything that outlives that call.
-pub struct Scope<'env> {
-    state: Arc<ScopeState>,
-    // Invariant in 'env: prevents the region from being shortened to inside
-    // the scope closure's body.
-    _inv: PhantomData<fn(&'env ()) -> &'env ()>,
-}
-
-impl<'env> Scope<'env> {
-    /// Spawns `f` onto the pool (or runs it inline if no pool exists). `f`
-    /// receives a [`Scope`] so tasks can spawn further siblings, mirroring
-    /// rayon's API.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'env>) + Send + 'env,
-    {
-        *self.state.pending.lock().unwrap() += 1;
-        let state = Arc::clone(&self.state);
-        let task_scope = Scope { state: Arc::clone(&self.state), _inv: PhantomData };
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| f(&task_scope)));
-            if let Err(p) = result {
-                state.panic.lock().unwrap().get_or_insert(p);
-            }
-            state.finish_one();
-        });
-        // SAFETY: `scope` does not return (normally or by unwind) until
-        // `pending` drops to zero, i.e. until this job has run to completion,
-        // so the `'env` borrows inside the box never dangle.
-        #[allow(unsafe_code)]
-        let job: Job = unsafe { std::mem::transmute(job) };
-        match pool() {
-            Some(p) => {
-                if let Err(rejected) = p.sender.send(job) {
-                    // Pool shut down (process teardown): degrade to inline.
-                    (rejected.0)();
-                }
-            }
-            None => job(),
-        }
-    }
-}
-
-/// Runs `f` with a [`Scope`], waits for every spawned task, then re-raises
-/// the first captured panic (if any). Returns `f`'s value.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'env>) -> R,
-{
-    let state = Arc::new(ScopeState::new());
-    let s = Scope { state: Arc::clone(&state), _inv: PhantomData };
-    let result = catch_unwind(AssertUnwindSafe(|| f(&s)));
-    let mut pending = state.pending.lock().unwrap();
-    while *pending > 0 {
-        pending = state.done.wait(pending).unwrap();
-    }
-    drop(pending);
-    if let Some(p) = state.panic.lock().unwrap().take() {
-        resume_unwind(p);
-    }
-    match result {
-        Ok(r) => r,
-        Err(p) => resume_unwind(p),
-    }
-}
-
-/// Runs both closures, the second potentially on the pool, and returns both
-/// results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let mut rb = None;
-    let ra = scope(|s| {
-        s.spawn(|_| rb = Some(b()));
-        a()
-    });
-    (ra, rb.expect("spawned half of join completed"))
-}
-
-/// Kept for drop-in compatibility with `use rayon::prelude::*` in downstream
-/// code; this shim's scoped API lives at the crate root.
-pub mod prelude {}
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn scope_runs_all_tasks_and_borrows_soundly() {
-        let mut data = vec![0u64; 64];
-        scope(|s| {
-            for chunk in data.chunks_mut(16) {
-                s.spawn(move |_| {
-                    for x in chunk.iter_mut() {
-                        *x += 1;
-                    }
-                });
-            }
-        });
-        assert!(data.iter().all(|&x| x == 1));
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!((a, b), (4, "ok"));
-    }
-
-    #[test]
-    fn nested_spawn_from_task_is_waited_for() {
-        let counter = AtomicUsize::new(0);
-        scope(|s| {
-            s.spawn(|s2| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                s2.spawn(|_| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            });
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn panics_propagate_after_scope_settles() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            scope(|s| {
-                s.spawn(|_| panic!("boom"));
-                s.spawn(|_| {}); // sibling must still complete
-            })
-        }));
-        assert!(result.is_err());
-    }
-
     #[test]
     fn pool_width_is_reported() {
-        assert!(current_num_threads() >= 1);
+        assert!(super::current_num_threads() >= 1);
     }
 }

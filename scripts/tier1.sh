@@ -20,8 +20,7 @@ cargo doc --no-deps -q --offline
 # comment/string/attribute-aware replacement for the old awk/grep gates
 # (which missed code after a file's first #[cfg(test)] and fired inside
 # strings). Rules, escape hatches, and the baseline workflow:
-# crates/lint/README.md. The JSON report is deterministic and checked in
-# next to the bench JSONs.
+# crates/lint/README.md. The JSON report is deterministic and checked in.
 cargo run --release --offline -q -p nob-lint -- --json LINT_report.json
 
 # Chaos suite: deterministic fault injection over every instrumented
@@ -29,11 +28,18 @@ cargo run --release --offline -q -p nob-lint -- --json LINT_report.json
 # class the suite guards against) fails tier-1 instead of wedging it.
 timeout 60 cargo test -q --offline -p nob-machine --test chaos
 
-scripts/bench_smoke.sh
+# Exact-count gate: one toy-length traced run of the unmodified repo
+# benchmark per workload — real sizes through its correctness +
+# obliviousness gate — failing on any drift of the per-job counts checked
+# in as scripts/exact_counts.txt (allocations, barrier rounds, planned
+# steps, plan bytes, messages, supersteps, cache/pool fractions). Builds
+# benchmark/target on first use; writes only to a temp dir. Its own failure
+# modes are pinned by tests/exact_gate.rs in the `cargo test` above.
+scripts/exact_gate.sh
 
 # The repo benchmark is a stand-alone crate outside the workspace, so the
 # workspace-wide `cargo test` above never sees its tests (manifest ==
-# BENCHMARK.json, toy-size smoke of all four workloads).
+# BENCHMARK.json, toy-size run of all four workloads).
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "tier1: OK"

@@ -45,12 +45,21 @@ where
     assert_eq!(plan_on.message_log, plan_off.message_log, "plan-on vs plan-off log, n = {n}");
     // Sharded planned execution (the direct cross-shard scatter) must agree
     // with the serial run bit for bit — states, trace and message log — at
-    // every width; the dynamic lane path and the validation-off planned
-    // path are cross-checked at one width to bound the suite's runtime.
+    // every width; the unfused one-barrier protocol, the dynamic lane path
+    // and the validation-off planned path are cross-checked at one width to
+    // bound the suite's runtime.
     for (what, opts) in [
         ("sharded planned", RunOptions { workers: Some(2), ..RunOptions::with_log() }),
         ("sharded planned", RunOptions { workers: Some(4), ..RunOptions::with_log() }),
         ("sharded planned", RunOptions { workers: Some(8), ..RunOptions::with_log() }),
+        (
+            "serial fuse-off",
+            RunOptions { workers: Some(1), fuse: false, ..RunOptions::with_log() },
+        ),
+        (
+            "sharded fuse-off",
+            RunOptions { workers: Some(4), fuse: false, ..RunOptions::with_log() },
+        ),
         (
             "sharded plans-off",
             RunOptions { workers: Some(4), use_plans: false, ..RunOptions::with_log() },
@@ -112,6 +121,18 @@ where
             sharded_folded.trace, folded.trace,
             "sharded folded trace at p = {p}, n = {n}"
         );
+        // Fusion changes cost, never results — folded, serial and sharded.
+        for w in [1usize, 4] {
+            let unfused = run_folded(
+                &prog,
+                states.clone(),
+                p,
+                &RunOptions { workers: Some(w), fuse: false, ..Default::default() },
+            )
+            .unwrap();
+            assert_eq!(unfused.states, folded.states, "folded fuse-off states, p = {p}, w = {w}");
+            assert_eq!(unfused.trace, folded.trace, "folded fuse-off trace, p = {p}, w = {w}");
+        }
         // And the sharded folding with plans disabled (lane path) matches
         // the sharded planned folding (direct cross-shard path) exactly.
         let sharded_folded_off = run_folded(
