@@ -44,10 +44,8 @@ impl<V: Semiring> MmInput<V> {
     }
 }
 
-/// A matrix entry in flight: global coordinates plus value.
-pub type Entry<V> = (u32, u32, V);
-
-/// Message payload of the MM algorithms.
+/// Message payload of the MM algorithms: a matrix entry in flight, as global
+/// coordinates plus value.
 #[derive(Debug, Clone)]
 pub enum MmMsg<V> {
     /// An entry of the left operand.
@@ -56,16 +54,4 @@ pub enum MmMsg<V> {
     B(u32, u32, V),
     /// A partial-product entry headed for a C owner.
     M(u32, u32, V),
-}
-
-/// Accumulates `val` into the entry with coordinates `(i, j)` of `acc`,
-/// inserting it if absent. Linear scan: per-VP entry counts are `O(n^{1/3})`.
-pub(crate) fn accumulate<V: Semiring>(acc: &mut Vec<Entry<V>>, i: u32, j: u32, val: V) {
-    for e in acc.iter_mut() {
-        if e.0 == i && e.1 == j {
-            e.2 = e.2.add(&val);
-            return;
-        }
-    }
-    acc.push((i, j, val));
 }

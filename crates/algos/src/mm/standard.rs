@@ -12,75 +12,200 @@
 //! Theorem 4.2: `H_MM(n, p, σ) = O(n/p^{2/3} + σ·log p)`; with the dummy
 //! messages (`wise: true`, the default) the algorithm is `(Θ(1), n)`-wise and
 //! `Θ(1)`-optimal for `σ = O(n/(p^{2/3}·log p))`.
+//!
+//! # A static algorithm, declared end to end
+//!
+//! The communication of this algorithm is a function of `n` alone, and the
+//! program says so: all `2τ + 1` supersteps are
+//! [`Program::step_oblivious`]. What makes every route a closed form is the
+//! data layout. At level `t` a segment's submatrix (side `√n/2^t`) is spread
+//! row-major over the segment, `2^t` consecutive entries per VP, so the entry
+//! with sub-local row-major index `e` lives on VP `segment base + (e >> t)`
+//! at slot `e & (2^t − 1)` of that VP's block (see [`MmState`]). The `k`-th
+//! send of a step is therefore a function of `(vp, k)` only — `Geometry`
+//! holds one destination helper per direction, and both the declared route
+//! and the step body call it, so declaration and sends cannot drift. Every
+//! VP receives the same number of payloads in every step, so each plan is an
+//! `O(1)` [`nob_machine::plan::PlanLayout::Uniform`] summary.
 
-use super::{accumulate, Entry, MmInput, MmMsg};
+use super::{MmInput, MmMsg};
 use crate::common::{wiseness_dummies, wiseness_route};
 use crate::semiring::{Matrix, Semiring};
-use nob_machine::{NobAlgorithm, Program, Route};
+use nob_machine::{Ctx, Inbox, NobAlgorithm, Program, Route};
 use std::marker::PhantomData;
 
-/// Per-VP state: current operand entries (descending the recursion) and the
-/// accumulated product entries (ascending).
+/// Per-VP state: one block of `2·2^τ` values (`τ = log_8 n`), full length
+/// from `init` on so that no step — and no per-job clone of the initial
+/// states — ever grows it.
+///
+/// The low half holds the VP's `A` entries while the recursion descends and
+/// its `C` entries while it ascends; the high half holds its `B` entries. At
+/// level `t` the first `2^t` slots of a half are live, slot `p` holding the
+/// entry with sub-local row-major index `(local VP index << t) + p`. At
+/// `t = τ` a segment is one VP and the two halves *are* the dense
+/// `n^{1/6}`-side operand blocks the base step multiplies in place; at
+/// `t = 0` slot 0 is the VP's single entry of `A`, `B` or (finally) `C`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MmState<V> {
-    a: Vec<Entry<V>>,
-    b: Vec<Entry<V>>,
-    c: Vec<Entry<V>>,
+    block: Vec<V>,
 }
 
-/// The subproblem owned by a VP's segment at a recursion level: operand and
-/// product offsets, submatrix side, and segment geometry. Derived from the VP
-/// index alone — the digits of `vp` in base 8 are the `(h, k, l)` choices of
-/// the path from the root.
+/// Row/column origins of the subproblem a VP's segment owns at some level:
+/// `A` starts at `(h, l)`, `B` at `(l, k)` and `C` at `(h, k)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SubProblem {
-    ra: usize,
-    ca: usize,
-    rb: usize,
-    cb: usize,
-    rc: usize,
-    cc: usize,
-    side: usize,
-    seg_base: usize,
-    seg_size: usize,
+struct Origin {
+    h: usize,
+    k: usize,
+    l: usize,
 }
 
-/// Walks `t` levels of the recursion tree towards `vp`.
-fn path(vp: usize, t: usize, s: usize, n: usize) -> SubProblem {
-    let mut sub = SubProblem {
-        ra: 0,
-        ca: 0,
-        rb: 0,
-        cb: 0,
-        rc: 0,
-        cc: 0,
-        side: s,
-        seg_base: 0,
-        seg_size: n,
-    };
-    for _ in 0..t {
-        let child = sub.seg_size / 8;
-        let digit = (vp - sub.seg_base) / child;
-        let (h, k, l) = (digit >> 2 & 1, digit >> 1 & 1, digit & 1);
-        let half = sub.side / 2;
-        sub.ra += h * half;
-        sub.ca += l * half;
-        sub.rb += l * half;
-        sub.cb += k * half;
-        sub.rc += h * half;
-        sub.cc += k * half;
-        sub.side = half;
-        sub.seg_base += digit * child;
-        sub.seg_size = child;
+/// The index arithmetic of the recursion for one problem size. Everything
+/// is a power of two — `n = 8^τ` VPs, matrix side `2^log_s`, level-`t`
+/// segments of `8^{τ−t}` VPs owning submatrices of side `2^{log_s−t}` — so
+/// it is all shifts and masks on the VP index.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    /// `log2 √n`.
+    log_s: u32,
+    /// Recursion depth `τ = log_8 n`.
+    tau: u32,
+}
+
+impl Geometry {
+    fn new(n: usize) -> Self {
+        let log_n = n.trailing_zeros();
+        Geometry { log_s: log_n / 2, tau: log_n / 3 }
     }
-    sub
+
+    /// Values per half of an [`MmState`] block: `2^τ`.
+    fn half(self) -> usize {
+        1 << self.tau
+    }
+
+    /// `log2` of the submatrix side at level `t`.
+    fn log_side(self, t: u32) -> u32 {
+        self.log_s - t
+    }
+
+    /// `log2` of the segment size at level `t`.
+    fn log_seg(self, t: u32) -> u32 {
+        3 * (self.tau - t)
+    }
+
+    /// Walks `t` levels of the recursion tree towards `vp`: the base-8 digits
+    /// of `vp`, most significant first, are the `(h, k, l)` choices of the
+    /// path from the root, and each choice is one more bit of an origin.
+    fn path(self, t: u32, vp: usize) -> Origin {
+        let mut o = Origin { h: 0, k: 0, l: 0 };
+        for d in 0..t {
+            let digit = vp >> self.log_seg(d + 1) & 7;
+            let bit = self.log_side(d + 1);
+            o.h |= (digit >> 2) << bit;
+            o.k |= (digit >> 1 & 1) << bit;
+            o.l |= (digit & 1) << bit;
+        }
+        o
+    }
+
+    /// Sub-local `(row, column)` of the entry in slot `p` of `vp` at level
+    /// `t`.
+    fn local(self, t: u32, vp: usize, p: usize) -> (usize, usize) {
+        let e = (vp & ((1 << self.log_seg(t)) - 1)) << t | p;
+        let bits = self.log_side(t);
+        (e >> bits, e & ((1 << bits) - 1))
+    }
+
+    /// The slot, on its level-`t` owner, of the entry with global (or
+    /// sub-local: only the low bits matter) coordinates `(i, j)` — the
+    /// inverse of [`Geometry::local`] on the receiving side.
+    fn slot(self, t: u32, i: u32, j: u32) -> usize {
+        let bits = self.log_side(t);
+        let mask = (1usize << bits) - 1;
+        ((i as usize & mask) << bits | (j as usize & mask)) & ((1 << t) - 1)
+    }
+
+    /// Operand messages each VP sends in `D_t`: two replicas of each of its
+    /// `2^t` entries of `A`, then the same for `B`.
+    fn replicas(t: u32) -> usize {
+        4 << t
+    }
+
+    /// Destination of the `k`-th operand message of `vp` in `D_t`
+    /// (`k < replicas(t)`): message `k` of either operand carries the entry
+    /// in slot `k >> 1` to the child segment picked by replica bit `k & 1` —
+    /// `A_{hl}` goes to `S_{h·l}`, `B_{lk}` to `S_{·kl}` — where it is owned
+    /// by the VP its index in the child's quadrant selects.
+    fn replica_dst(self, t: u32, vp: usize, k: usize) -> usize {
+        let per_operand = Self::replicas(t) / 2;
+        let (li, lj) = self.local(t, vp, (k & (per_operand - 1)) >> 1);
+        let r = k & 1;
+        let half_bits = self.log_side(t + 1);
+        let (hi, lo) = (li >> half_bits, lj >> half_bits);
+        let digit = if k < per_operand { hi << 2 | r << 1 | lo } else { r << 2 | lo << 1 | hi };
+        let mask = (1 << half_bits) - 1;
+        let e = (li & mask) << half_bits | (lj & mask);
+        let seg = self.log_seg(t);
+        (vp >> seg << seg) + (digit << self.log_seg(t + 1)) + (e >> (t + 1))
+    }
+
+    /// The level-`t − 1` owner of the `C` entry in slot `p` of `vp` at level
+    /// `t ≥ 1`: the `(h, k)` digits of `vp`'s child segment place its
+    /// `C_{hk}` quadrant inside the parent's `C`.
+    fn product_dst(self, t: u32, vp: usize, p: usize) -> usize {
+        let (li, lj) = self.local(t, vp, p);
+        let bits = self.log_side(t);
+        let digit = vp >> self.log_seg(t) & 7;
+        let e = ((digit >> 2) << bits | li) << (bits + 1) | (digit >> 1 & 1) << bits | lj;
+        let parent = self.log_seg(t - 1);
+        (vp >> parent << parent) + (e >> (t - 1))
+    }
 }
 
-/// The owner of the entry with sub-local linear index `e` in a segment whose
-/// VPs each hold `2^t` entries.
-#[inline]
-fn owner(seg_base: usize, e: usize, t: usize) -> usize {
-    seg_base + (e >> t)
+impl<V: Semiring> MmState<V> {
+    /// Files the operand entries routed here by `D_{t−1}` in their
+    /// level-`t` slots.
+    fn ingest_operands(&mut self, geo: Geometry, t: u32, inbox: &mut Inbox<'_, MmMsg<V>>) {
+        for msg in inbox.drain(..) {
+            match msg {
+                MmMsg::A(i, j, v) => self.block[geo.slot(t, i, j)] = v,
+                MmMsg::B(i, j, v) => self.block[geo.half() + geo.slot(t, i, j)] = v,
+                MmMsg::M(..) => unreachable!("no products during descent"),
+            }
+        }
+    }
+
+    /// Sums the partial products routed here into the level-`t` `C` slots.
+    /// The slots are filled with [`Semiring::zero`] and every arrival is
+    /// `add`-ed in, so the result is the plain sum of the two contributions
+    /// precisely because `zero` is the additive identity — `+∞` under
+    /// min-plus, `false` under Boolean or — not because it is numerically 0.
+    fn ingest_products(&mut self, geo: Geometry, t: u32, inbox: &mut Inbox<'_, MmMsg<V>>) {
+        self.block[..1 << t].fill(V::zero());
+        for msg in inbox.drain(..) {
+            if let MmMsg::M(i, j, v) = msg {
+                let c = &mut self.block[geo.slot(t, i, j)];
+                *c = c.add(&v);
+            }
+        }
+    }
+}
+
+/// The declared route of a step whose every VP sends `payloads` messages,
+/// the `k`-th to `dst(vp, k)`, followed by the wiseness dummy block of
+/// [`wiseness_dummies`]`(ctx, label, dummies, _)`.
+fn route(
+    payloads: usize,
+    label: u32,
+    dummies: u64,
+    dst: impl Fn(usize, usize) -> usize + Send + Sync + 'static,
+) -> impl Fn(&Ctx, usize) -> Route + Send + Sync + 'static {
+    move |ctx, k| {
+        if k < payloads {
+            Route::Data(dst(ctx.vp, k))
+        } else {
+            wiseness_route(ctx, label, dummies, k - payloads)
+        }
+    }
 }
 
 /// The 8-way recursive network-oblivious matrix multiplication.
@@ -129,178 +254,124 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
     fn init(&self, n: usize, input: &MmInput<V>) -> Vec<MmState<V>> {
         assert!(Self::supports(n), "RecursiveMm supports n = 64^e, got {n}");
         assert_eq!(input.n(), n);
-        let s = input.a.side();
+        let geo = Geometry::new(n);
         (0..n)
             .map(|vp| {
-                let (i, j) = ((vp / s) as u32, (vp % s) as u32);
-                MmState {
-                    a: vec![(i, j, input.a.get(i as usize, j as usize).clone())],
-                    b: vec![(i, j, input.b.get(i as usize, j as usize).clone())],
-                    c: Vec::new(),
-                }
+                let (i, j) = geo.local(0, vp, 0);
+                let mut block = vec![V::zero(); 2 * geo.half()];
+                block[0] = input.a.get(i, j).clone();
+                block[geo.half()] = input.b.get(i, j).clone();
+                MmState { block }
             })
             .collect()
     }
 
     fn build(&self, n: usize) -> Program<MmState<V>, MmMsg<V>> {
         assert!(Self::supports(n), "RecursiveMm supports n = 64^e, got {n}");
-        let s = 1usize << (n.trailing_zeros() / 2); // matrix side √n
-        let tau = (n.trailing_zeros() / 3) as usize; // recursion depth
+        let geo = Geometry::new(n);
+        let tau = geo.tau;
         let mut prog: Program<MmState<V>, MmMsg<V>> = Program::new(n, n);
         let log_v = prog.log_v();
         let wise = self.wise;
+        // A step's wiseness dummies trail its payloads.
+        let out_degree =
+            |payloads: usize, dummies: u64| payloads + usize::from(wise) * dummies as usize;
 
         // --- Distribution steps D_0 .. D_{τ−1} ------------------------------
-        // D_0 works on the initial one-entry-per-VP layout, so its fan-out
-        // (two copies of the A entry, two of B, plus one wiseness dummy) is
-        // a closed-form function of the VP index — declared as an oblivious
-        // route. Deeper levels (t ≥ 1) send one message per *held* entry,
-        // whose in-state order is the arrival order of the previous
-        // distribution — reproducible only by replaying that delivery — so
-        // they stay on the dynamic path.
         for t in 0..tau {
-            let label = (3 * t) as u32;
-            let body = move |st: &mut MmState<V>,
-                             ctx: &nob_machine::Ctx,
-                             inbox: &mut nob_machine::Inbox<'_, MmMsg<V>>,
-                             out: &mut nob_machine::Outbox<MmMsg<V>>| {
-                // Ingest the operand entries routed here by D_{t−1}.
-                if t > 0 {
-                    st.a.clear();
-                    st.b.clear();
-                    for msg in inbox.drain(..) {
-                        match msg {
-                            MmMsg::A(i, j, v) => st.a.push((i, j, v)),
-                            MmMsg::B(i, j, v) => st.b.push((i, j, v)),
-                            MmMsg::M(..) => unreachable!("no products during descent"),
-                        }
+            let label = 3 * t;
+            let (payloads, dummies) = (Geometry::replicas(t), 1u64 << t);
+            prog.step_oblivious(
+                label,
+                "mm-distribute",
+                out_degree(payloads, dummies),
+                route(payloads, label, dummies, move |vp, k| geo.replica_dst(t, vp, k)),
+                move |st, ctx, inbox, out| {
+                    if t > 0 {
+                        st.ingest_operands(geo, t, inbox);
                     }
-                }
-                let sub = path(ctx.vp, t, s, ctx.v);
-                let half = sub.side / 2;
-                let child_seg = sub.seg_size / 8;
-                let child_side = half;
-                for (i, j, val) in &st.a {
-                    let (li, lj) = (*i as usize - sub.ra, *j as usize - sub.ca);
-                    let (h, l) = ((li >= half) as usize, (lj >= half) as usize);
-                    let e = (li - h * half) * child_side + (lj - l * half);
-                    for k in 0..2usize {
-                        let seg = sub.seg_base + (h * 4 + k * 2 + l) * child_seg;
-                        out.send(owner(seg, e, t + 1), MmMsg::A(*i, *j, val.clone()));
+                    let o = geo.path(t, ctx.vp);
+                    let per_operand = payloads / 2;
+                    for k in 0..per_operand {
+                        let (li, lj) = geo.local(t, ctx.vp, k >> 1);
+                        let val = st.block[k >> 1].clone();
+                        out.send(
+                            geo.replica_dst(t, ctx.vp, k),
+                            MmMsg::A((o.h | li) as u32, (o.l | lj) as u32, val),
+                        );
                     }
-                }
-                for (i, j, val) in &st.b {
-                    let (li, lj) = (*i as usize - sub.rb, *j as usize - sub.cb);
-                    let (l, k) = ((li >= half) as usize, (lj >= half) as usize);
-                    let e = (li - l * half) * child_side + (lj - k * half);
-                    for h in 0..2usize {
-                        let seg = sub.seg_base + (h * 4 + k * 2 + l) * child_seg;
-                        out.send(owner(seg, e, t + 1), MmMsg::B(*i, *j, val.clone()));
+                    for k in 0..per_operand {
+                        let (li, lj) = geo.local(t, ctx.vp, k >> 1);
+                        let val = st.block[geo.half() + (k >> 1)].clone();
+                        out.send(
+                            geo.replica_dst(t, ctx.vp, per_operand + k),
+                            MmMsg::B((o.l | li) as u32, (o.k | lj) as u32, val),
+                        );
                     }
-                }
-                if wise {
-                    wiseness_dummies(ctx, label, 1 << t, out);
-                }
-            };
-            if t == 0 {
-                let out_degree = 4 + usize::from(wise);
-                prog.step_oblivious(
-                    label,
-                    "mm-distribute",
-                    out_degree,
-                    move |ctx, k| {
-                        let half = s / 2;
-                        let child_seg = ctx.v / 8;
-                        let (i, j) = (ctx.vp / s, ctx.vp % s);
-                        if k < 2 {
-                            // The A entry's two replicas (k picks the child's
-                            // k-digit).
-                            let (h, l) = (usize::from(i >= half), usize::from(j >= half));
-                            let e = (i - h * half) * half + (j - l * half);
-                            let seg = (h * 4 + k * 2 + l) * child_seg;
-                            Route::Data(seg + (e >> 1))
-                        } else if k < 4 {
-                            // The B entry's two replicas (k − 2 is the h-digit).
-                            let h = k - 2;
-                            let (l, kd) = (usize::from(i >= half), usize::from(j >= half));
-                            let e = (i - l * half) * half + (j - kd * half);
-                            let seg = (h * 4 + kd * 2 + l) * child_seg;
-                            Route::Data(seg + (e >> 1))
-                        } else {
-                            wiseness_route(ctx, 0, 1, k - 4)
-                        }
-                    },
-                    body,
-                );
-            } else {
-                prog.step(label, "mm-distribute", body);
-            }
+                    if wise {
+                        wiseness_dummies(ctx, label, dummies, out);
+                    }
+                },
+            );
         }
 
         // --- Base: sequential n^{1/6}-side multiply, send M upward ----------
         {
-            let label = (3 * (tau - 1)) as u32;
-            prog.step(label, "mm-base", move |st, ctx, inbox, out| {
-                st.a.clear();
-                st.b.clear();
-                for msg in inbox.drain(..) {
-                    match msg {
-                        MmMsg::A(i, j, v) => st.a.push((i, j, v)),
-                        MmMsg::B(i, j, v) => st.b.push((i, j, v)),
-                        MmMsg::M(..) => unreachable!("no products during descent"),
-                    }
-                }
-                let sub = path(ctx.vp, tau, s, ctx.v);
-                let side = sub.side;
-                // Dense local blocks.
-                let mut a = vec![V::zero(); side * side];
-                let mut b = vec![V::zero(); side * side];
-                for (i, j, v) in &st.a {
-                    a[(*i as usize - sub.ra) * side + (*j as usize - sub.ca)] = v.clone();
-                }
-                for (i, j, v) in &st.b {
-                    b[(*i as usize - sub.rb) * side + (*j as usize - sub.cb)] = v.clone();
-                }
-                let parent = path(ctx.vp, tau - 1, s, ctx.v);
-                for i in 0..side {
-                    for j in 0..side {
-                        let mut acc = V::zero();
-                        for k in 0..side {
-                            acc = acc.add(&a[i * side + k].mul(&b[k * side + j]));
+            let label = 3 * (tau - 1);
+            let (payloads, dummies) = (geo.half(), 1u64 << (tau - 1));
+            prog.step_oblivious(
+                label,
+                "mm-base",
+                out_degree(payloads, dummies),
+                route(payloads, label, dummies, move |vp, k| geo.product_dst(tau, vp, k)),
+                move |st, ctx, inbox, out| {
+                    st.ingest_operands(geo, tau, inbox);
+                    let o = geo.path(tau, ctx.vp);
+                    let side = 1usize << geo.log_side(tau);
+                    let (a, b) = st.block.split_at(geo.half());
+                    for i in 0..side {
+                        for j in 0..side {
+                            let mut acc = V::zero();
+                            for k in 0..side {
+                                acc = acc.add(&a[i * side + k].mul(&b[k * side + j]));
+                            }
+                            out.send(
+                                geo.product_dst(tau, ctx.vp, i * side + j),
+                                MmMsg::M((o.h | i) as u32, (o.k | j) as u32, acc),
+                            );
                         }
-                        let (gi, gj) = (sub.rc + i, sub.cc + j);
-                        let e = (gi - parent.rc) * parent.side + (gj - parent.cc);
-                        out.send(
-                            owner(parent.seg_base, e, tau - 1),
-                            MmMsg::M(gi as u32, gj as u32, acc),
-                        );
                     }
-                }
-                if wise {
-                    wiseness_dummies(ctx, label, 1 << (tau - 1), out);
-                }
-            });
+                    if wise {
+                        wiseness_dummies(ctx, label, dummies, out);
+                    }
+                },
+            );
         }
 
         // --- Combine steps K_{τ−1} .. K_1 -----------------------------------
         for t in (1..tau).rev() {
-            let label = (3 * (t - 1)) as u32;
-            prog.step(label, "mm-combine", move |st, ctx, inbox, out| {
-                st.c.clear();
-                for msg in inbox.drain(..) {
-                    if let MmMsg::M(i, j, v) = msg {
-                        accumulate(&mut st.c, i, j, v);
+            let label = 3 * (t - 1);
+            let (payloads, dummies) = (1usize << t, 1u64 << (t - 1));
+            prog.step_oblivious(
+                label,
+                "mm-combine",
+                out_degree(payloads, dummies),
+                route(payloads, label, dummies, move |vp, k| geo.product_dst(t, vp, k)),
+                move |st, ctx, inbox, out| {
+                    st.ingest_products(geo, t, inbox);
+                    let o = geo.path(t, ctx.vp);
+                    for p in 0..payloads {
+                        let (li, lj) = geo.local(t, ctx.vp, p);
+                        out.send(
+                            geo.product_dst(t, ctx.vp, p),
+                            MmMsg::M((o.h | li) as u32, (o.k | lj) as u32, st.block[p].clone()),
+                        );
                     }
-                }
-                let parent = path(ctx.vp, t - 1, s, ctx.v);
-                for (i, j, val) in &st.c {
-                    let e = (*i as usize - parent.rc) * parent.side + (*j as usize - parent.cc);
-                    out.send(owner(parent.seg_base, e, t - 1), MmMsg::M(*i, *j, val.clone()));
-                }
-                if wise {
-                    wiseness_dummies(ctx, label, 1 << (t - 1), out);
-                }
-            });
+                    if wise {
+                        wiseness_dummies(ctx, label, dummies, out);
+                    }
+                },
+            );
         }
 
         // --- Final ingest: every VP ends with its single C entry ------------
@@ -309,27 +380,14 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
             "mm-finalize",
             0,
             |_, _| Route::Skip,
-            move |st, _ctx, inbox, _out| {
-                st.c.clear();
-                for msg in inbox.drain(..) {
-                    if let MmMsg::M(i, j, v) = msg {
-                        accumulate(&mut st.c, i, j, v);
-                    }
-                }
-            },
+            move |st, _ctx, inbox, _out| st.ingest_products(geo, 0, inbox),
         );
         prog
     }
 
     fn extract(&self, n: usize, states: Vec<MmState<V>>) -> Matrix<V> {
-        let s = 1usize << (n.trailing_zeros() / 2);
-        let mut out = Matrix::zero(s);
-        for st in &states {
-            for (i, j, v) in &st.c {
-                out.set(*i as usize, *j as usize, v.clone());
-            }
-        }
-        out
+        let geo = Geometry::new(n);
+        Matrix::from_fn(1 << geo.log_s, |i, j| states[i << geo.log_s | j].block[0].clone())
     }
 }
 
@@ -337,7 +395,8 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
 mod tests {
     use super::*;
     use crate::semiring::{MinPlus, NumF64, WrapU64};
-    use nob_machine::{execute, execute_folded, RunOptions};
+    use nob_machine::plan::PlanLayout;
+    use nob_machine::{execute, execute_folded, run, RunOptions};
 
     fn random_input(s: usize, seed: u64) -> MmInput<WrapU64> {
         let mut state = seed | 1;
@@ -471,5 +530,60 @@ mod tests {
         let (_, trace) = execute(&alg, 64, &input, &RunOptions::default()).unwrap();
         let w = nob_core::wiseness::alpha_max(&trace, 64);
         assert!(w.alpha >= 0.2, "alpha = {}", w.alpha);
+    }
+
+    #[test]
+    fn every_step_is_declared_on_a_fixed_block() {
+        for (n, seed) in [(64usize, 13u64), (4096, 17)] {
+            let input = random_input(1 << (n.trailing_zeros() / 2), seed);
+            let block = 2 << (n.trailing_zeros() / 3);
+            for wise in [true, false] {
+                let alg = RecursiveMm::<WrapU64>::new(wise);
+                let prog = alg.build(n);
+                assert_eq!(prog.planned_steps(), prog.steps().len(), "n={n} wise={wise}");
+                for step in prog.steps() {
+                    let plan = step.plan().expect("declared");
+                    assert!(plan.fault().is_none(), "{}: {:?}", step.name, plan.fault());
+                    assert!(
+                        matches!(plan.layout(), Some(PlanLayout::Uniform(_))),
+                        "n={n} wise={wise} {}: {:?}",
+                        step.name,
+                        plan.layout()
+                    );
+                }
+                assert!(prog.plan_bytes() <= 2048, "{} plan bytes", prog.plan_bytes());
+                let states = alg.init(n, &input);
+                assert!(states.iter().all(|st| st.block.len() == block));
+                let done = run(&prog, states, &RunOptions::default()).unwrap();
+                let fixed = |st: &MmState<WrapU64>| {
+                    st.block.len() == block && st.block.capacity() == block
+                };
+                assert!(done.states.iter().all(fixed));
+            }
+        }
+    }
+
+    #[test]
+    fn planned_run_equals_dynamic_run_at_every_width() {
+        for (n, seed) in [(64usize, 19u64), (4096, 29)] {
+            let input = random_input(1 << (n.trailing_zeros() / 2), seed);
+            for wise in [true, false] {
+                let alg = RecursiveMm::<WrapU64>::new(wise);
+                let prog = alg.build(n);
+                let dynamic =
+                    RunOptions { use_plans: false, workers: Some(1), ..RunOptions::with_log() };
+                let want = run(&prog, alg.init(n, &input), &dynamic).unwrap();
+                assert_eq!(alg.extract(n, want.states.clone()), input.a.mul_reference(&input.b));
+                for workers in [1usize, 2, 4] {
+                    let planned = RunOptions { workers: Some(workers), ..RunOptions::with_log() };
+                    assert!(planned.validate && planned.use_plans);
+                    let got = run(&prog, alg.init(n, &input), &planned).unwrap();
+                    let what = format!("n={n} wise={wise} workers={workers}");
+                    assert_eq!(got.states, want.states, "{what}: states");
+                    assert_eq!(got.trace, want.trace, "{what}: trace");
+                    assert_eq!(got.message_log, want.message_log, "{what}: message log");
+                }
+            }
+        }
     }
 }

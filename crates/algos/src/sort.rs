@@ -209,7 +209,8 @@ fn emit_sort<K: SortKey>(prog: &mut Program<K, K>, n: usize, m: usize, wise: boo
             move |st: &mut K, ctx, inbox, out| {
                 let base = ctx.vp - ctx.vp % m;
                 if ctx.vp == base {
-                    let mut all: Vec<K> = inbox.drain(..).collect();
+                    let mut all: Vec<K> = Vec::with_capacity(inbox.len() + 1);
+                    all.extend(inbox.drain(..));
                     all.push(st.clone());
                     all.sort();
                     let mut iter = all.into_iter();

@@ -3,11 +3,11 @@
 //! Every shipped algorithm must run *all* of its supersteps planned once
 //! `Program::capture_plans` has filled the gaps left by dynamic (data- or
 //! value-dependent) steps. For algorithms that declare every route up front
-//! (FFT, sorts, Cannon, broadcasts) capture must be a no-op; for the rest
-//! (tree primitives, transpose, recursive/space MM inner levels, the
-//! diamond and octahedron stencils) capture must close every remaining gap
-//! and the captured replay — serial, sharded, fused and unfused — must be
-//! bit-for-bit identical to the live dynamic run.
+//! (FFT, sorts, recursive and Cannon MM, broadcasts) capture must be a
+//! no-op; for the rest (tree primitives, transpose, space-efficient MM inner
+//! levels, the diamond and octahedron stencils) capture must close every
+//! remaining gap and the captured replay — serial, sharded, fused and
+//! unfused — must be bit-for-bit identical to the live dynamic run.
 
 use nob_algos::broadcast::{AwareBroadcast, ObliviousBroadcast};
 use nob_algos::fft::{BinaryExchangeFft, Complex, RecursiveFft};
@@ -100,19 +100,15 @@ fn broadcasts_are_already_fully_planned() {
 }
 
 #[test]
-fn recursive_mm_inner_levels_capture_to_full_coverage() {
+fn recursive_mm_is_already_fully_planned() {
     let mut next = rng(23);
     let s = 8;
     let input = MmInput::new(
         Matrix::from_fn(s, |_, _| WrapU64(next())),
         Matrix::from_fn(s, |_, _| WrapU64(next())),
     );
-    // RecursiveMm declares its top-level exchanges but the inner recursion
-    // levels are dynamic — exactly the gap capture must close.
-    let alg = RecursiveMm::<WrapU64>::default();
-    let prog = alg.build(64);
-    assert!(prog.planned_steps() < prog.steps().len(), "fixture: no dynamic inner levels");
-    assert!(capture_and_replay(&alg, 64, &input) > 0);
+    assert_eq!(capture_and_replay(&RecursiveMm::<WrapU64>::new(true), 64, &input), 0);
+    assert_eq!(capture_and_replay(&RecursiveMm::<WrapU64>::new(false), 64, &input), 0);
 }
 
 #[test]

@@ -393,13 +393,12 @@ impl DegreeCounters {
 /// Precomputed metrics of one *oblivious* superstep: the analytic record of
 /// a message multiset that is a static function of the VP index.
 ///
-/// Communication-plan layers compile these once per program — streaming the
-/// declared route through the same [`DegreeCounters`] the engine would use
-/// at run time, so the stored values are **bit-for-bit identical** to what
-/// the streamed counters would produce for the same multiset (dummy
-/// messages included) — and then emit a superstep record in `O(log v)` per
-/// run via [`TraceBuilder::push_precomputed`], instead of paying the
-/// per-message `O(log v)` counter walk on every execution.
+/// Communication-plan layers compile these once per program with a
+/// [`StepMetricsBuilder`], whose result is **bit-for-bit identical** to what
+/// the engine's streamed [`DegreeCounters`] would produce for the same
+/// multiset (dummy messages included), and then emit a superstep record in
+/// `O(log v)` per run via [`TraceBuilder::push_precomputed`], instead of
+/// paying the per-message `O(log v)` counter walk on every execution.
 ///
 /// One instance serves **every** granularity at once: a folded run on
 /// `M(2^L)` reads the first `L` degree levels (identical, level by level,
@@ -420,48 +419,91 @@ pub struct StepMetrics {
     total: u64,
 }
 
-/// Streaming accumulator for [`StepMetrics`]: feed every declared message
-/// once (in any order), then [`StepMetricsBuilder::finish`].
+/// Accumulator for [`StepMetrics`]: feed every declared message once (in
+/// any order), then [`StepMetricsBuilder::finish`].
+///
+/// A message is external at fold `2^j` exactly for `j ≥ j_min`, its *first
+/// external level*. Instead of walking those levels per message (what the
+/// streamed [`DegreeCounters`] must do, because the engine needs every
+/// level's running maximum after each superstep), `record` only notes the
+/// two ends of that range — the per-VP count (level `log v`, where every
+/// non-self message is external) and the count at `j_min` — and `finish`
+/// recovers every level in one bottom-up `O(v)` pass: a processor's external
+/// traffic one level up is its two children's, minus the messages that first
+/// became external at the children's level.
 #[derive(Debug)]
 pub struct StepMetricsBuilder {
-    counters: DegreeCounters,
-    ext_hist: Vec<u64>,
+    log_v: u32,
+    /// Non-self messages sent / received per VP.
+    sent: Vec<u64>,
+    recv: Vec<u64>,
+    /// Messages sent / received by each fold-level processor whose first
+    /// external level is that processor's level; level `j` occupies the
+    /// `2^j` slots starting at `2^j - 2`.
+    sent_first: Vec<u64>,
+    recv_first: Vec<u64>,
     total: u64,
 }
 
 impl StepMetricsBuilder {
     /// An accumulator for a machine of `2^log_v` VPs (`log_v ≥ 1`).
     pub fn new(log_v: u32) -> Self {
-        let mut counters = DegreeCounters::full(log_v);
-        counters.begin_superstep();
-        StepMetricsBuilder { counters, ext_hist: vec![0; log_v as usize], total: 0 }
+        let v = 1usize << log_v;
+        StepMetricsBuilder {
+            log_v,
+            sent: vec![0; v],
+            recv: vec![0; v],
+            sent_first: vec![0; 2 * v - 2],
+            recv_first: vec![0; 2 * v - 2],
+            total: 0,
+        }
     }
 
     /// Records one declared message `src → dst` (data or dummy — the degree
-    /// metrics never distinguish them).
+    /// metrics never distinguish them); both ids must be below `2^log_v`.
     #[inline]
     pub fn record(&mut self, src: usize, dst: usize) {
-        self.counters.record(src, dst);
         self.total += 1;
         let x = src ^ dst;
-        if x != 0 {
-            // External at every fold 2^j with j ≥ j_min (same threshold
-            // arithmetic as DegreeCounters::record).
-            let bitlen = usize::BITS - x.leading_zeros();
-            let j_min = (self.counters.log_v - bitlen) + 1;
-            self.ext_hist[(j_min - 1) as usize] += 1;
+        if x == 0 {
+            return;
         }
+        // Same threshold arithmetic as DegreeCounters::record: the top
+        // differing bit sits `shift` places up, so the ids first fall into
+        // different processors at fold 2^(log_v - shift).
+        let shift = x.ilog2();
+        let base = (1usize << (self.log_v - shift)) - 2;
+        self.sent[src] += 1;
+        self.recv[dst] += 1;
+        self.sent_first[base + (src >> shift)] += 1;
+        self.recv_first[base + (dst >> shift)] += 1;
     }
 
     /// Seals the accumulated multiset into immutable [`StepMetrics`].
     pub fn finish(self) -> StepMetrics {
-        let levels = self.counters.levels();
-        let h_by_fold = (1..=levels).map(|j| self.counters.level_max(j)).collect();
-        let mut ext_prefix = self.ext_hist;
-        for j in 1..ext_prefix.len() {
-            ext_prefix[j] += ext_prefix[j - 1];
+        let StepMetricsBuilder { log_v, mut sent, mut recv, sent_first, recv_first, total } = self;
+        let mut h_by_fold = vec![0; log_v as usize];
+        let mut ext_prefix = vec![0; log_v as usize];
+        // Invariant: entering level j, `sent[p]` / `recv[p]` (p < 2^j) count
+        // the messages processor p of fold 2^j exchanges with other
+        // processors of that fold.
+        for j in (1..=log_v).rev() {
+            let procs = 1usize << j;
+            let base = procs - 2;
+            let (mut h, mut ext) = (0, 0);
+            for p in 0..procs / 2 {
+                let (l, r) = (2 * p, 2 * p + 1);
+                h = h.max(sent[l]).max(recv[l]).max(sent[r]).max(recv[r]);
+                ext += sent[l] + sent[r];
+                // Siblings merge into processor p of fold 2^(j-1); traffic
+                // that first became external here is internal to it.
+                sent[p] = (sent[l] - sent_first[base + l]) + (sent[r] - sent_first[base + r]);
+                recv[p] = (recv[l] - recv_first[base + l]) + (recv[r] - recv_first[base + r]);
+            }
+            h_by_fold[(j - 1) as usize] = h;
+            ext_prefix[(j - 1) as usize] = ext;
         }
-        StepMetrics { levels, h_by_fold, ext_prefix, total: self.total }
+        StepMetrics { levels: log_v, h_by_fold, ext_prefix, total }
     }
 }
 
@@ -1099,45 +1141,91 @@ mod tests {
         }
     }
 
-    #[test]
-    fn step_metrics_match_streamed_counters_at_every_granularity() {
-        // The precomputed plan metrics must be bit-for-bit what the engine's
-        // streamed counters produce for the same multiset — full granularity
-        // *and* every folded granularity (h levels and total policy alike).
-        let log_v = 5u32;
-        let v = 1usize << log_v;
-        let mut state = 0x5eed_cafeu64;
-        for round in 0..24 {
-            let mut b = StepMetricsBuilder::new(log_v);
-            let mut edges = Vec::new();
-            for _ in 0..round * 2 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let s = (state >> 20) as usize % v;
-                let d = (state >> 40) as usize % v;
-                edges.push((s, d, 1u64));
+    /// Asserts that `StepMetricsBuilder` over `edges` (multiplicity `c` =
+    /// `c` records, in the given order) is bit-for-bit what the engine's
+    /// streamed counters produce for the same multiset — full granularity
+    /// *and* every folded granularity (`h` prefix and both total policies)
+    /// — and what `from_counted_edges` derives from the edge list.
+    fn assert_step_metrics_match(log_v: u32, edges: &[(usize, usize, u64)], what: &str) {
+        let mut b = StepMetricsBuilder::new(log_v);
+        for &(s, d, c) in edges {
+            for _ in 0..c {
                 b.record(s, d);
             }
-            let m = b.finish();
-            // Full granularity: identical record.
-            let mut full = DegreeCounters::full(log_v);
-            full.begin_superstep();
-            for &(s, d, _) in &edges {
-                full.record(s, d);
+        }
+        let m = b.finish();
+        assert_eq!(m.levels(), log_v, "{what}");
+        let want = stream(0, &mut DegreeCounters::full(log_v), edges);
+        assert_eq!(m.h_prefix(log_v), &want.h_by_fold[..], "{what}");
+        assert_eq!(m.total_at(log_v, true), want.total_msgs, "{what}");
+        assert_eq!(want, SuperstepRecord::from_counted_edges(0, log_v, edges), "{what}");
+        for levels in 1..=log_v {
+            let want = stream(0, &mut DegreeCounters::folded(log_v, levels), edges);
+            assert_eq!(m.h_prefix(levels), &want.h_by_fold[..], "{what} L{levels}");
+            assert_eq!(m.total_at(levels, false), want.total_msgs, "{what} L{levels}");
+            // The folded record is also the counted-edge record of the
+            // processor-external edges at that granularity.
+            let shift = log_v - levels;
+            let ext: Vec<(usize, usize, u64)> = edges
+                .iter()
+                .map(|&(s, d, c)| (s >> shift, d >> shift, c))
+                .filter(|(ps, pd, _)| ps != pd)
+                .collect();
+            let counted = SuperstepRecord::from_counted_edges(0, levels, &ext);
+            assert_eq!(want, counted, "{what} L{levels}");
+        }
+    }
+
+    /// A deterministic pseudo-random value stream.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 20
+        }
+    }
+
+    #[test]
+    fn step_metrics_match_streamed_counters_at_every_granularity() {
+        for log_v in [1u32, 2, 5, 8] {
+            let v = 1usize << log_v;
+            let mut next = lcg(0x5eed_cafe ^ u64::from(log_v));
+            for round in 0..24 {
+                let edges: Vec<(usize, usize, u64)> = (0..round * 2)
+                    .map(|_| (next() as usize % v, next() as usize % v, 1 + next() % 3))
+                    .collect();
+                assert_step_metrics_match(log_v, &edges, &format!("log_v {log_v} round {round}"));
             }
-            let want = SuperstepRecord::from_degree_counters(0, &full);
-            assert_eq!(m.h_prefix(log_v), &want.h_by_fold[..], "round {round}");
-            assert_eq!(m.total_at(log_v, true), want.total_msgs, "round {round}");
-            // Every folded granularity: identical level prefix and total.
-            for levels in 1..=log_v {
-                let mut folded = DegreeCounters::folded(log_v, levels);
-                folded.begin_superstep();
-                for &(s, d, _) in &edges {
-                    folded.record(s, d);
-                }
-                let want = SuperstepRecord::from_degree_counters(0, &folded);
-                assert_eq!(m.h_prefix(levels), &want.h_by_fold[..], "round {round} L{levels}");
-                assert_eq!(m.total_at(levels, false), want.total_msgs, "round {round} L{levels}");
+        }
+    }
+
+    #[test]
+    fn step_metrics_match_streamed_counters_on_structured_patterns() {
+        for log_v in [1u32, 2, 5, 8] {
+            let v = 1usize << log_v;
+            // Nothing is external anywhere: only the full-granularity total
+            // sees these.
+            let selfs: Vec<_> = (0..v).map(|k| (k, k, 1 + (k as u64 & 1))).collect();
+            assert_step_metrics_match(log_v, &selfs, &format!("log_v {log_v} self-sends"));
+            // Total fan-in with multiplicity: the receive side sets every
+            // level's degree.
+            let fan_in: Vec<_> = (0..v).map(|k| (k, v - 1, 3)).collect();
+            assert_step_metrics_match(log_v, &fan_in, &format!("log_v {log_v} fan-in"));
+            // One butterfly per level: every message of a step has the same
+            // first external level.
+            for bit in 0..log_v {
+                let bfly: Vec<_> = (0..v).map(|k| (k, k ^ (1 << bit), 1)).collect();
+                assert_step_metrics_match(log_v, &bfly, &format!("log_v {log_v} butterfly {bit}"));
             }
+            // A mixed multiset recorded in a shuffled (not source-ascending)
+            // order: the result is a function of the multiset alone.
+            let mut mixed = [selfs, fan_in].concat();
+            mixed.extend((0..v).map(|k| (k, k ^ (v >> 1), 2)));
+            let mut next = lcg(0xfeed ^ u64::from(log_v));
+            for i in (1..mixed.len()).rev() {
+                mixed.swap(i, next() as usize % (i + 1));
+            }
+            assert_step_metrics_match(log_v, &mixed, &format!("log_v {log_v} shuffled"));
         }
     }
 

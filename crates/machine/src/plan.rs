@@ -9,10 +9,11 @@
 //! dynamic. A [`StepPlan`] exploits the declared structure instead:
 //!
 //! * **Analytic metrics** ([`nob_core::metrics::StepMetrics`]): the declared
-//!   route is streamed through the engine's own degree counters **once, at
-//!   program build time**; every later execution emits the superstep record
-//!   in `O(log v)`, bit-for-bit identical to what streamed counters would
-//!   produce (dummies included), at every granularity at once.
+//!   route is enumerated **once, at program build time** (`O(1)` per
+//!   message plus one `O(v)` fold); every later execution emits the
+//!   superstep record in `O(log v)`, bit-for-bit identical to what the
+//!   engine's streamed counters would produce (dummies included), at every
+//!   granularity at once.
 //! * **A one-time cluster-constraint proof**: every declared `(src, dst)`
 //!   pair is checked against [`message_allowed`] at compile time, so
 //!   validated runs skip the per-message check entirely. A route that
