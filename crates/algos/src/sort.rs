@@ -162,8 +162,40 @@ fn ingest_item<K: SortKey>(st: &mut K, inbox: &mut Inbox<'_, K>) {
     }
 }
 
-/// Emits the schedule sorting every aligned m-segment ascending.
-fn emit_sort<K: SortKey>(prog: &mut Program<K, K>, n: usize, m: usize, wise: bool) {
+/// The sub-schedules emitted so far, by segment size: `(m, entries)` with
+/// `entries` the [`Program::steps`] range [`emit_sort`] laid down for `m`.
+type Emitted = Vec<(usize, std::ops::Range<usize>)>;
+
+/// Emits the schedule sorting every aligned m-segment ascending. The
+/// sub-program for an `m`-segment is a function of `(n, m)` only — labels,
+/// routes and bodies are the same at every call — so the first call for a
+/// size compiles its steps and every later one repeats those schedule
+/// entries by reference ([`Program::repeat`]): `n = 4096` schedules 213
+/// supersteps over 15 compiled ones.
+fn emit_sort<K: SortKey>(
+    prog: &mut Program<K, K>,
+    n: usize,
+    m: usize,
+    wise: bool,
+    emitted: &mut Emitted,
+) {
+    if let Some((_, entries)) = emitted.iter().find(|(size, _)| *size == m) {
+        prog.repeat(entries.clone());
+        return;
+    }
+    let first = prog.steps().len();
+    compile_sort(prog, n, m, wise, emitted);
+    emitted.push((m, first..prog.steps().len()));
+}
+
+/// Compiles the steps of [`emit_sort`]'s sub-program for segment size `m`.
+fn compile_sort<K: SortKey>(
+    prog: &mut Program<K, K>,
+    n: usize,
+    m: usize,
+    wise: bool,
+    emitted: &mut Emitted,
+) {
     let log_v = ilog2(n);
     let label = log_v - ilog2(m);
     if m <= BASE {
@@ -209,13 +241,19 @@ fn emit_sort<K: SortKey>(prog: &mut Program<K, K>, n: usize, m: usize, wise: boo
             move |st: &mut K, ctx, inbox, out| {
                 let base = ctx.vp - ctx.vp % m;
                 if ctx.vp == base {
-                    let mut all: Vec<K> = Vec::with_capacity(inbox.len() + 1);
-                    all.extend(inbox.drain(..));
-                    all.push(st.clone());
-                    all.sort();
-                    let mut iter = all.into_iter();
-                    *st = iter.next().expect("segment non-empty");
-                    for (off, item) in iter.enumerate() {
+                    // The segment fits a fixed array (m ≤ BASE), so a leader
+                    // sorts without touching the heap: gathered keys in
+                    // arrival order, its own key last, the rest left default.
+                    let mut all: [K; BASE] = std::array::from_fn(|_| K::default());
+                    let mut len = 0;
+                    for item in inbox.drain(..).chain([std::mem::take(st)]) {
+                        all[len] = item;
+                        len += 1;
+                    }
+                    all[..len].sort();
+                    let mut sorted = all.into_iter().take(len);
+                    *st = sorted.next().expect("segment non-empty");
+                    for (off, item) in sorted.enumerate() {
                         out.send(base + off + 1, item);
                     }
                 } else {
@@ -258,13 +296,13 @@ fn emit_sort<K: SortKey>(prog: &mut Program<K, K>, n: usize, m: usize, wise: boo
         );
     };
 
-    emit_sort(prog, n, r, wise); // 1
+    emit_sort(prog, n, r, wise, emitted); // 1
     permute(prog, "sort-transpose", transpose); // 2
-    emit_sort(prog, n, r, wise); // 3
+    emit_sort(prog, n, r, wise, emitted); // 3
     permute(prog, "sort-untranspose", untranspose); // 4
-    emit_sort(prog, n, r, wise); // 5
+    emit_sort(prog, n, r, wise, emitted); // 5
     permute(prog, "sort-shift", shift); // 6
-    emit_sort(prog, n, r, wise); // 7
+    emit_sort(prog, n, r, wise, emitted); // 7
     permute(prog, "sort-unshift", unshift_fix); // 8
 }
 
@@ -291,7 +329,7 @@ impl<K: SortKey> NobAlgorithm for ColumnSort<K> {
     fn build(&self, n: usize) -> Program<K, K> {
         let mut prog = Program::new(n, n);
         let log_v = prog.log_v();
-        emit_sort(&mut prog, n, n, self.wise);
+        emit_sort(&mut prog, n, n, self.wise, &mut Vec::new());
         prog.step_oblivious(
             log_v - 1,
             "sort-finalize",
@@ -563,6 +601,51 @@ mod tests {
             (1..=log_n).flat_map(|k| (0..k).rev().map(move |j| log_n - 1 - j)).collect();
         labels.push(log_n - 1); // finalize
         labels
+    }
+
+    #[test]
+    fn build_compiles_each_distinct_superstep_once() {
+        // Sharing changes what is stored, never what is scheduled.
+        for n in [64usize, 512, 4096] {
+            for wise in [true, false] {
+                let prog = ColumnSort::<u64>::new(wise).build(n);
+                assert_eq!(prog.labels(), columnsort_schedule(n), "n={n} wise={wise}");
+                assert_eq!(prog.planned_steps(), prog.steps().len(), "n={n} wise={wise}");
+            }
+        }
+        // 213 entries over 15 compiled steps: every base-case gather is the
+        // one plan, and what is resident is kilobytes.
+        let prog = ColumnSort::<u64>::default().build(4096);
+        let gathers: Vec<_> = prog.steps().iter().filter(|s| s.name == "sort-gather").collect();
+        assert_eq!((prog.steps().len(), gathers.len()), (213, 64));
+        let plan_of = |s: &nob_machine::Superstep<u64, u64>| {
+            std::ptr::from_ref(s.plan().expect("declared"))
+        };
+        assert_eq!(plan_of(gathers[0]), plan_of(gathers[63]));
+        assert!(prog.plan_bytes() <= 36_000, "{} plan bytes", prog.plan_bytes());
+    }
+
+    #[test]
+    fn shared_steps_execute_like_unshared_ones_at_every_width() {
+        // The planned run over shared plans, the same program with plans
+        // off, and the seed engine agree on states, trace and message log.
+        let mut rng = xorshift(41);
+        let n = 4096;
+        let states: Vec<u64> = (0..n).map(|_| rng()).collect();
+        let prog = ColumnSort::<u64>::default().build(n);
+        let oracle =
+            nob_machine::reference::run_reference(&prog, states.clone(), &RunOptions::with_log())
+                .unwrap();
+        for w in [1usize, 2, 4] {
+            let planned = RunOptions { workers: Some(w), ..RunOptions::with_log() };
+            let dynamic = RunOptions { use_plans: false, ..planned.clone() };
+            for (what, opts) in [("planned", planned), ("dynamic", dynamic)] {
+                let got = nob_machine::run(&prog, states.clone(), &opts).unwrap();
+                assert_eq!(got.states, oracle.states, "{what} states at {w} workers");
+                assert_eq!(got.trace, oracle.trace, "{what} trace at {w} workers");
+                assert_eq!(got.message_log, oracle.message_log, "{what} log at {w} workers");
+            }
+        }
     }
 
     #[test]

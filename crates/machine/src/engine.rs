@@ -390,6 +390,25 @@ pub(crate) fn run_serial<S: Send, M: Send>(
     };
     let mut stage: ChunkStage<M> = ChunkStage::new(v);
     let mut arenas = [Arena::<M>::new(v), Arena::<M>::new(v)];
+    // Superstep `t` writes arena `1 − t % 2`. What a planned step will write
+    // is known before the run, so each slab is allocated once at its largest
+    // planned superstep rather than re-grown inside the job (a program of
+    // dynamic steps only reserves nothing and grows on demand, as ever).
+    if opts.use_plans {
+        let mut largest = [0u64; 2];
+        for (t, step) in prog.steps().iter().enumerate() {
+            if let Some(plan) = step.plan().filter(|p| p.fault().is_none()) {
+                largest[1 - t % 2] = largest[1 - t % 2].max(plan.total_data());
+            }
+        }
+        for (arena, total) in arenas.iter_mut().zip(largest) {
+            // A step beyond the arena's 2^32 − 1 message design limit is
+            // left to fail its own prepare's guard, not allocated for here.
+            if total < u64::from(u32::MAX) {
+                arena.reserve(total as usize);
+            }
+        }
+    }
     let mut read_idx = 0usize;
     // Invariant: all-zero between supersteps (`prepare_write` re-zeroes the
     // counts as it consumes them, so no per-superstep `fill(0)` sweep).

@@ -84,6 +84,15 @@
 //!   [`nob_core::ModelError::PlanMismatch`], or a transparent re-execution
 //!   on the dynamic path under [`engine::PlanFallback::Dynamic`].
 //!
+//! A program's step sequence is a *schedule* over its distinct supersteps:
+//! a recursive algorithm emits a sub-schedule once and appends it again with
+//! [`program::Program::repeat`], whose entries share the body and the
+//! compiled plan of the entries they repeat. Sharing is storage, not a
+//! tier — every executor walks the same slice of entries — but compiling,
+//! [`program::Program::plan_bytes`] and the per-width declared send totals
+//! are paid per distinct plan (Columnsort at `v = 2^12`: 213 entries, 15
+//! plans).
+//!
 //! ## Shard/lane architecture
 //!
 //! The execution core is a **sharded executor** built on the observation

@@ -199,9 +199,7 @@ impl<M> Arena<M> {
         assert!(acc < u64::from(u32::MAX), "superstep exceeds the 2^32 - 1 message design limit");
         self.offsets[v] = acc as u32;
         let total = acc as usize;
-        if self.slab.len() < total {
-            self.slab.resize_with(total, MaybeUninit::uninit);
-        }
+        self.reserve(total);
         total
     }
 
@@ -234,9 +232,7 @@ impl<M> Arena<M> {
         assert!(acc < u64::from(u32::MAX), "superstep exceeds the 2^32 - 1 message design limit");
         self.offsets[v] = acc as u32;
         let total = acc as usize;
-        if self.slab.len() < total {
-            self.slab.resize_with(total, MaybeUninit::uninit);
-        }
+        self.reserve(total);
         total
     }
 
@@ -267,9 +263,7 @@ impl<M> Arena<M> {
             cursors.copy_from_slice(&self.offsets[..v]);
         }
         let total = acc as usize;
-        if self.slab.len() < total {
-            self.slab.resize_with(total, MaybeUninit::uninit);
-        }
+        self.reserve(total);
         total
     }
 
@@ -284,6 +278,17 @@ impl<M> Arena<M> {
     pub(crate) fn commit_write(&mut self, total: usize) {
         debug_assert!(total <= self.slab.len());
         self.filled = total;
+    }
+
+    /// Grows the slab to hold `total` messages (never shrinks it). Every
+    /// prepare calls this for its own superstep; a run that knows its
+    /// largest superstep up front — the serial loop, from the plans — calls
+    /// it once before the first, so the slab is allocated at its final size
+    /// instead of being re-grown step by step inside the job.
+    pub(crate) fn reserve(&mut self, total: usize) {
+        if self.slab.len() < total {
+            self.slab.resize_with(total, MaybeUninit::uninit);
+        }
     }
 
     /// Re-targets a pooled arena at a machine of `v` VPs for the next job:
@@ -558,7 +563,10 @@ pub(crate) struct DirectCheck {
     /// The plan's route function. A raw pointer so [`DirectOut`] needs no
     /// lifetime (it lives inside the recycled `Outbox`); the engine installs
     /// and removes the writer within one superstep, during which the
-    /// `&Program` (and thus the boxed route) is borrowed and immovable.
+    /// `&Program` is borrowed: each of its schedule entries keeps a
+    /// reference count on its plan — shared with repeated entries or not —
+    /// and an entry's plan is replaced only through `&mut Program`, so the
+    /// plan and the route it boxes are alive and immovable.
     route: *const crate::plan::RouteDyn,
     ctx: crate::program::Ctx,
     k: usize,

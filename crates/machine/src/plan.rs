@@ -28,11 +28,18 @@
 //!   (`crate::mailbox::DirectOut`) — no staging copy, no counting sort.
 //!
 //! A *declared* plan deliberately stores **no O(v) or O(messages) tables** —
-//! only the boxed route function, `O(log v)` metric words and an `O(1)`
-//! [`PlanLayout`] summary when the per-destination payload counts are
-//! uniform (an explicit offsets table is kept only for small machines, see
-//! [`LAYOUT_TABLE_MAX_V`]) — so an 850-superstep folded Columnsort carries
-//! kilobytes of plan state, not hundreds of megabytes of precomputed slots.
+//! only the boxed route function, `O(log v)` metric words and a
+//! [`PlanLayout`] summary of the per-destination payload counts: `O(1)` when
+//! they are uniform, else a prefix-sum table over **one period** of them
+//! (32 entries for a Columnsort base-case gather at any `v`; a layout with
+//! no period shorter than [`LAYOUT_TABLE_MAX_V`] keeps no table at all). And
+//! a program compiles each *distinct* superstep once: a recursive schedule
+//! repeats its sub-schedules by reference
+//! ([`crate::program::Program::repeat`]), sharing their plans. Together that
+//! is why an 850-superstep folded Columnsort carries kilobytes of plan
+//! state, not hundreds of megabytes of precomputed slots — the 213-step
+//! `v = 2^12` instance holds 15 plans in 3.3 kB, where one plan per step
+//! with `v + 1`-entry tables (128 of them, 16 388 B each) made it 2.1 MB.
 //! A *captured* plan (`StepPlan::compile_captured`) is the deliberate
 //! exception: it **is** a table — the exact `(dst, kind)` sequence of one
 //! recorded dynamic superstep, wrapped in a route closure and compiled
@@ -57,11 +64,13 @@ use nob_core::folding::message_allowed;
 use nob_core::metrics::{StepMetrics, StepMetricsBuilder};
 use nob_core::ModelError;
 
-/// Largest machine for which a non-uniform per-destination layout is kept
-/// as an explicit offsets table (`(v + 1) · 4` bytes per step — 16 KiB at
-/// this cap). Beyond it a non-uniform plan simply keeps the counting-pass
-/// path: an 850-superstep program must never trade one route enumeration
-/// per execution for hundreds of megabytes of resident tables.
+/// Longest *period* of a non-uniform per-destination layout that is kept
+/// as an explicit offsets table (`(period + 1) · 4` bytes per distinct plan
+/// — 16 KiB at this cap; a layout with no shorter period has period `v`, so
+/// on machines up to this size every layout is kept). Beyond it a plan
+/// simply keeps the counting-pass path: a program of many distinct steps
+/// must never trade one route enumeration per execution for hundreds of
+/// megabytes of resident tables.
 pub const LAYOUT_TABLE_MAX_V: usize = 4096;
 
 /// The per-destination payload shape of a plan, detected once at compile
@@ -75,8 +84,12 @@ pub enum PlanLayout {
     /// (`O(1)` state — covers butterflies, shuffles, transposes, and idle
     /// steps, where the count is 0).
     Uniform(u32),
-    /// Prefix-sum offsets table (`v + 1` entries): destination `d` receives
-    /// `table[d + 1] - table[d]` payloads. Only kept for machines up to
+    /// Prefix-sum offsets over one period of the counts (`p + 1` entries,
+    /// `p` the smallest power of two with `count(d) == count(d mod p)` for
+    /// every `d`): destination `d` receives `table[i + 1] - table[i]`
+    /// payloads at `i = d mod p`. A segment-wise fan-in or fan-out (a leader
+    /// per 32 VPs) has the segment as its period whatever `v` is; a layout
+    /// without a shorter one has `p = v`. Only kept for periods up to
     /// [`LAYOUT_TABLE_MAX_V`].
     Table(Box<[u32]>),
 }
@@ -87,26 +100,39 @@ impl PlanLayout {
     pub(crate) fn count(&self, dst: usize) -> u32 {
         match self {
             PlanLayout::Uniform(c) => *c,
-            PlanLayout::Table(t) => t[dst + 1] - t[dst],
+            PlanLayout::Table(t) => {
+                // `t.len() == p + 1` with `p ≥ 2` a power of two.
+                let i = dst & (t.len() - 2);
+                t[i + 1] - t[i]
+            }
         }
     }
 
-    /// Detects the layout of a per-destination count vector.
+    /// Detects the layout of a per-destination count vector (one count per
+    /// VP, so a power-of-two length).
     fn detect(counts: &[u32], total_data: u64) -> Option<PlanLayout> {
-        let first = counts.first().copied().unwrap_or(0);
-        if counts.iter().all(|&c| c == first) {
-            return Some(PlanLayout::Uniform(first));
+        // The smallest power-of-two period, in one pass: a mismatch at `d`
+        // rules out every period ≤ `d` (each index below `d` already agrees
+        // with its residue), and any period above `d` trivially holds so far.
+        let mut period = 1usize;
+        for (d, &c) in counts.iter().enumerate() {
+            if c != counts[d & (period - 1)] {
+                period = (d + 1).next_power_of_two();
+            }
+        }
+        if period == 1 {
+            return Some(PlanLayout::Uniform(counts.first().copied().unwrap_or(0)));
         }
         // A table only helps when it is small, and its entries must fit the
         // u32 offsets the arenas run on.
-        if counts.len() > LAYOUT_TABLE_MAX_V || total_data >= u64::from(u32::MAX) {
+        if period > LAYOUT_TABLE_MAX_V || total_data >= u64::from(u32::MAX) {
             return None;
         }
-        let mut table = Vec::with_capacity(counts.len() + 1);
+        let mut table = Vec::with_capacity(period + 1);
         let mut acc = 0u32;
         table.push(0);
-        for &c in counts {
-            acc += c; // fits: total_data < u32::MAX checked above
+        for &c in &counts[..period] {
+            acc += c; // fits: one period's sum ≤ total_data < u32::MAX
             table.push(acc);
         }
         Some(PlanLayout::Table(table.into_boxed_slice()))
@@ -339,9 +365,9 @@ impl StepPlan {
     }
 
     /// The per-destination payload layout summary, if compile detected one
-    /// ([`PlanLayout::Uniform`] always, an explicit table only for small
-    /// machines). `None` means the executors fall back to the
-    /// `StepPlan::count_data` enumeration pass.
+    /// ([`PlanLayout::Uniform`] always, an explicit table only for periods
+    /// up to [`LAYOUT_TABLE_MAX_V`]). `None` means the executors fall back
+    /// to the `StepPlan::count_data` enumeration pass.
     #[inline]
     pub fn layout(&self) -> Option<&PlanLayout> {
         self.layout.as_ref()
@@ -358,8 +384,12 @@ impl StepPlan {
 
     /// The route as a raw trait-object pointer plus `out_degree`, for the
     /// lifetime-free lockstep checker inside [`crate::mailbox::DirectOut`].
-    /// The pointer is valid while the `&Program` owning this plan is
-    /// borrowed — i.e. for the whole run.
+    /// The pointer is valid while the `&Program` scheduling this plan is
+    /// borrowed — i.e. for the whole run: every schedule entry holds a
+    /// reference count on its plan (a plan shared by repeated entries has
+    /// several), the boxed route lives as long as the plan does, and an
+    /// entry's plan is only ever replaced through `&mut Program`
+    /// (`capture_plans`), which cannot coexist with the run's borrow.
     #[inline]
     pub(crate) fn route_raw(&self) -> (*const RouteDyn, usize) {
         (&*self.route as *const RouteDyn, self.out_degree)
@@ -538,6 +568,57 @@ mod tests {
         let bad = StepPlan::compile(8, 3, 8, 1, 1, route_exchange(4));
         assert!(bad.layout().is_none());
         assert!(!bad.shard_local(1));
+    }
+
+    /// Gather to / scatter from the leader of every `m`-segment — the
+    /// Columnsort base case.
+    fn route_gather(m: usize) -> RouteFn {
+        Box::new(move |ctx: &Ctx, _k| match ctx.vp % m {
+            0 => Route::End,
+            off => Route::Data(ctx.vp - off),
+        })
+    }
+
+    fn route_scatter(m: usize) -> RouteFn {
+        Box::new(move |ctx: &Ctx, k| match ctx.vp % m {
+            0 => Route::Data(ctx.vp + k + 1),
+            _ => Route::End,
+        })
+    }
+
+    #[test]
+    fn non_uniform_layouts_are_stored_at_their_period() {
+        let table_of = |plan: &StepPlan| match plan.layout() {
+            Some(PlanLayout::Table(t)) => t.to_vec(),
+            other => panic!("expected a table layout, got {other:?}"),
+        };
+        // Segments of 4 on v = 16: the counts repeat every 4 destinations,
+        // so 5 table entries describe all 16.
+        let gather = StepPlan::compile(16, 4, 16, 2, 1, route_gather(4));
+        let scatter = StepPlan::compile(16, 4, 16, 2, 3, route_scatter(4));
+        assert_eq!(table_of(&gather), [0, 3, 3, 3, 3]);
+        assert_eq!(table_of(&scatter), [0, 0, 1, 2, 3]);
+        for d in 0..16 {
+            let leader = d % 4 == 0;
+            assert_eq!(gather.layout().map(|l| l.count(d)), Some(if leader { 3 } else { 0 }));
+            assert_eq!(scatter.layout().map(|l| l.count(d)), Some(u32::from(!leader)));
+        }
+        assert_eq!(gather.approx_bytes(), std::mem::size_of::<StepPlan>() as u64 + 5 * 4);
+        // A fan-in with no shorter period keeps all v + 1 entries.
+        let fan = StepPlan::compile(16, 4, 16, 0, 1, Box::new(|_, _| Route::Data(5)));
+        let table = table_of(&fan);
+        assert_eq!(table.len(), 17);
+        assert_eq!((table[5], table[6]), (0, 16));
+        assert_eq!(fan.layout().map(|l| (l.count(5), l.count(13))), Some((16, 0)));
+        // The cap is on the period, not on v: past it the periodic steps
+        // keep their small table and only the period-v fan-in goes without.
+        let v = 2 * LAYOUT_TABLE_MAX_V;
+        let log_v = v.ilog2();
+        let wide = StepPlan::compile(v, log_v, v, log_v - 5, 1, route_gather(32));
+        assert_eq!(table_of(&wide).len(), 33);
+        assert_eq!(wide.layout().map(|l| (l.count(v - 32), l.count(v - 1))), Some((31, 0)));
+        let fan = StepPlan::compile(v, log_v, v, 0, 1, Box::new(|_, _| Route::Data(0)));
+        assert!(fan.fault().is_none() && fan.layout().is_none());
     }
 
     #[test]

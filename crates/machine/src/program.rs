@@ -5,6 +5,7 @@ use crate::plan::{Route, StepPlan};
 use crate::shard::lock;
 use nob_core::folding::message_allowed;
 use nob_core::model::log2_exact;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// Execution context handed to a superstep closure: the identity of the VP
@@ -208,8 +209,11 @@ pub(crate) fn oob_dst_error() -> nob_core::ModelError {
 /// The inbox holds the messages delivered to this VP at the end of the
 /// previous superstep (a view into the engine's flat mailbox arena);
 /// anything not consumed is discarded when the superstep ends.
+///
+/// Reference-counted so that [`Program::repeat`] can schedule the same body
+/// again without the algorithm rebuilding its closure.
 pub type StepFn<S, M> =
-    Box<dyn Fn(&mut S, &Ctx, &mut Inbox<'_, M>, &mut Outbox<M>) + Send + Sync>;
+    Arc<dyn Fn(&mut S, &Ctx, &mut Inbox<'_, M>, &mut Outbox<M>) + Send + Sync>;
 
 /// One labelled superstep: every VP runs `exec`, then a `sync(label)` barrier
 /// is performed. In an `i`-superstep messages may only target VPs in the
@@ -221,6 +225,12 @@ pub type StepFn<S, M> =
 /// compiled into a [`StepPlan`] that the engine executes with analytic
 /// metrics and a direct-write scatter). The `exec` closure is the same in
 /// both cases — a plan never changes semantics, only cost.
+///
+/// A `Superstep` is one **schedule entry**. Entries appended by
+/// [`Program::repeat`] share the body and the compiled plan of the entries
+/// they repeat (both are reference-counted), so a recursive program holds
+/// each *distinct* superstep once however often its schedule runs it; the
+/// executors see an ordinary slice of entries and cannot tell.
 pub struct Superstep<S, M> {
     /// The sync label `i` of this `i`-superstep, `0 ≤ i < log v`.
     pub label: u32,
@@ -228,15 +238,16 @@ pub struct Superstep<S, M> {
     pub name: &'static str,
     /// The SPMD closure.
     pub exec: StepFn<S, M>,
-    /// The compiled communication plan, for oblivious supersteps.
-    pub(crate) plan: Option<StepPlan>,
+    /// The compiled communication plan, for oblivious supersteps; shared
+    /// with every entry that repeats this one.
+    pub(crate) plan: Option<Arc<StepPlan>>,
 }
 
 impl<S, M> Superstep<S, M> {
     /// The compiled communication plan, if this superstep declared one.
     #[inline]
     pub fn plan(&self) -> Option<&StepPlan> {
-        self.plan.as_ref()
+        self.plan.as_deref()
     }
 }
 
@@ -244,6 +255,13 @@ impl<S, M> Superstep<S, M> {
 /// labelled supersteps. The paper's restrictions hold by construction: all
 /// processing elements share one sequence of sync labels, and the program
 /// ends at a barrier.
+///
+/// The sequence is a *schedule* over the program's distinct supersteps: a
+/// recursive algorithm whose sub-program for a segment size is the same at
+/// every call emits it once and [`Program::repeat`]s it afterwards, and
+/// everything that costs a route enumeration or resident bytes — compiling
+/// a plan, [`Program::plan_bytes`], the per-width declared send totals — is
+/// paid per distinct plan, not per schedule entry.
 pub struct Program<S, M> {
     v: usize,
     log_v: u32,
@@ -310,7 +328,7 @@ impl<S, M> Program<S, M> {
             "label {label} out of range for v = {} (program step `{name}`)",
             self.v
         );
-        self.steps.push(Superstep { label, name, exec: Box::new(exec), plan: None });
+        self.steps.push(Superstep { label, name, exec: Arc::new(exec), plan: None });
         lock(&self.send_totals).clear();
         self
     }
@@ -350,7 +368,42 @@ impl<S, M> Program<S, M> {
         );
         let plan =
             StepPlan::compile(self.v, self.log_v, self.n, label, out_degree, Box::new(route));
-        self.steps.push(Superstep { label, name, exec: Box::new(exec), plan: Some(plan) });
+        let plan = Some(Arc::new(plan));
+        self.steps.push(Superstep { label, name, exec: Arc::new(exec), plan });
+        lock(&self.send_totals).clear();
+        self
+    }
+
+    /// Appends the already-emitted schedule entries `entries` (indices into
+    /// [`Program::steps`]) again, in order: the new entries share the
+    /// originals' bodies and compiled plans, so no route is enumerated and
+    /// no table is stored a second time. This is how a recursive static
+    /// algorithm says "this sub-schedule again" — the sub-program the paper's
+    /// Columnsort runs on an `m`-segment is a function of `(n, m)` only, so
+    /// its first call emits it and every later call repeats it.
+    ///
+    /// A repeated entry is the same superstep (label, name, body, plan) at a
+    /// later position; where it sits in the schedule is the only difference
+    /// the executors see. A repeated *plan-less* entry stays plan-less, and
+    /// [`Program::capture_plans`] later records each occurrence on its own
+    /// (see there).
+    ///
+    /// # Panics
+    /// Panics if `entries` reaches past the schedule emitted so far.
+    pub fn repeat(&mut self, entries: std::ops::Range<usize>) -> &mut Self {
+        // allow-panic: documented builder-time contract.
+        assert!(
+            entries.end <= self.steps.len(),
+            "repeat({entries:?}) reaches past the {} entries emitted so far",
+            self.steps.len()
+        );
+        self.steps.reserve(entries.len());
+        for t in entries {
+            let Superstep { label, name, exec, plan } = &self.steps[t];
+            let again =
+                Superstep { label: *label, name, exec: Arc::clone(exec), plan: plan.clone() };
+            self.steps.push(again);
+        }
         lock(&self.send_totals).clear();
         self
     }
@@ -388,9 +441,16 @@ impl<S, M> Program<S, M> {
     /// (data-dependent routing) are not capturable — replay detection
     /// makes that an error, not a wrong answer.
     ///
-    /// Steps that already carry a plan (declared or captured) are left
-    /// untouched; the capture run replays them dynamically for fidelity
-    /// with the recorded execution.
+    /// Schedule entries that already carry a plan (declared or captured)
+    /// are left untouched; the capture run replays them dynamically for
+    /// fidelity with the recorded execution.
+    ///
+    /// **Repeated entries** ([`Program::repeat`]): a plan-less body may send
+    /// differently at each of its occurrences (its destinations can depend
+    /// on state), so capture un-shares — every plan-less *entry* gets the
+    /// plan compiled from what that occurrence sent, and one occurrence's
+    /// captured sequence is never replayed for another. Only the body stays
+    /// shared.
     pub fn capture_plans(&mut self, states: Vec<S>) -> Result<usize, nob_core::ModelError> {
         self.capture_plans_with(states, None, None)
     }
@@ -418,7 +478,7 @@ impl<S, M> Program<S, M> {
             if plan.fault().is_none() {
                 added += 1;
             }
-            step.plan = Some(plan);
+            step.plan = Some(Arc::new(plan));
         }
         Ok(added)
     }
@@ -427,7 +487,8 @@ impl<S, M> Program<S, M> {
     /// `n_shards` executor shards, row-major by superstep (0 for steps
     /// without a usable plan) — what the sharded planned path checks each
     /// worker's written total against. It depends only on the plans and the
-    /// width, so the route enumeration is paid once per `(program, width)`
+    /// width, so the route enumeration is paid once per `(distinct plan,
+    /// width)` — an entry sharing an earlier entry's plan copies that row —
     /// and every later run — a reused program under `run` exactly like a
     /// warm served job — reads the memo.
     ///
@@ -442,13 +503,21 @@ impl<S, M> Program<S, M> {
         }
         let vps = self.v / n_shards;
         let mut totals = vec![0u64; self.steps.len() * n_shards];
-        for (step, row) in self.steps.iter().zip(totals.chunks_mut(n_shards)) {
-            if let Some(plan) = step.plan().filter(|p| p.fault().is_none()) {
-                for (w, total) in row.iter_mut().enumerate() {
-                    plan.for_each_message(w * vps..(w + 1) * vps, |_, _, data| {
-                        *total += data as u64;
-                    });
-                }
+        // A plan shared by repeated entries is enumerated at its first
+        // entry only; the others copy that row.
+        let mut first_row: HashMap<*const StepPlan, usize> = HashMap::new();
+        for (t, step) in self.steps.iter().enumerate() {
+            let Some(plan) = step.plan.as_ref().filter(|p| p.fault().is_none()) else { continue };
+            let row = t * n_shards;
+            let first = *first_row.entry(Arc::as_ptr(plan)).or_insert(row);
+            if first < row {
+                totals.copy_within(first..first + n_shards, row);
+                continue;
+            }
+            for (w, total) in totals[row..row + n_shards].iter_mut().enumerate() {
+                plan.for_each_message(w * vps..(w + 1) * vps, |_, _, data| {
+                    *total += data as u64;
+                });
             }
         }
         let totals: Arc<[u64]> = totals.into();
@@ -463,10 +532,17 @@ impl<S, M> Program<S, M> {
     }
 
     /// Approximate resident bytes of this program's compiled plans (the sum
-    /// of every step's [`crate::plan::StepPlan::approx_bytes`]) — what the
-    /// job server's LRU plan cache charges an entry for.
+    /// of every *distinct* plan's [`crate::plan::StepPlan::approx_bytes`]; a
+    /// plan shared by repeated entries is resident, and counted, once) —
+    /// what the job server's LRU plan cache charges an entry for.
     pub fn plan_bytes(&self) -> u64 {
-        self.steps.iter().filter_map(|s| s.plan.as_ref()).map(|p| p.approx_bytes()).sum()
+        let mut seen = HashSet::new();
+        self.steps
+            .iter()
+            .filter_map(|s| s.plan.as_ref())
+            .filter(|p| seen.insert(Arc::as_ptr(p)))
+            .map(|p| p.approx_bytes())
+            .sum()
     }
 
     /// The sequence of sync labels (the paper's per-algorithm label trace).
@@ -703,6 +779,47 @@ mod tests {
         // So does appending a step.
         p.step(0, "more", |_, _, _, _| {});
         assert_eq!(p.send_totals(2).len(), 6);
+    }
+
+    #[test]
+    fn repeat_appends_entries_that_share_their_plans() {
+        let v = 8usize;
+        let mut p: Program<u64, u64> = Program::new(v, v);
+        // Every VP but the leader of its 4-segment sends the leader one
+        // payload: a non-uniform layout, so the plan owns a table.
+        p.step_oblivious(
+            0,
+            "fan-in",
+            1,
+            |ctx, _| match ctx.vp % 4 {
+                0 => Route::End,
+                off => Route::Data(ctx.vp - off),
+            },
+            |_, _, _, _| {},
+        );
+        p.step(1, "dynamic", |_, _, _, _| {});
+        let once = p.plan_bytes();
+        assert!(once > std::mem::size_of::<StepPlan>() as u64, "the table is charged");
+        assert_eq!(&p.send_totals(2)[..], [3, 3, 0, 0]);
+
+        p.repeat(0..2).repeat(1..3);
+        let names: Vec<_> = p.steps().iter().map(|s| s.name).collect();
+        assert_eq!(names, ["fan-in", "dynamic", "fan-in", "dynamic", "dynamic", "fan-in"]);
+        assert_eq!(p.labels(), [0, 1, 0, 1, 1, 0]);
+        assert_eq!(p.planned_steps(), 3, "coverage counts schedule entries");
+        assert_eq!(p.plan_bytes(), once, "a shared plan is resident, and charged, once");
+        let plan_at = |t: usize| p.steps()[t].plan().expect("declared");
+        assert!(std::ptr::eq(plan_at(0), plan_at(5)));
+        // A memo that survived `repeat` would still hold two rows.
+        assert_eq!(&p.send_totals(2)[..], [3, 3, 0, 0, 3, 3, 0, 0, 0, 0, 3, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past the 1 entries emitted so far")]
+    fn repeat_rejects_entries_not_yet_emitted() {
+        let mut p: Program<u64, u64> = Program::new(8, 8);
+        p.step(0, "only", |_, _, _, _| {});
+        p.repeat(0..2);
     }
 
     #[test]

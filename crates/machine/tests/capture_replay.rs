@@ -258,3 +258,57 @@ fn send_totals_memo_tracks_width_and_capture() {
     assert_eq!(prog.planned_steps(), prog.steps().len());
     check(&prog, &drifted, "after capture");
 }
+
+/// [`Program::repeat`] × capture. A repeated plan-less body may send
+/// differently at each occurrence — here every destination is derived from
+/// the evolving state — so capture gives each *schedule entry* the plan of
+/// what that occurrence sent: replaying one occurrence's sequence for
+/// another would fail the validated runs below with a `PlanMismatch`.
+/// Entries that already carry a plan, shared or not, are left untouched.
+#[test]
+fn capture_plans_each_occurrence_of_a_repeated_step_on_its_own() {
+    use nob_machine::Route;
+    let v = 32;
+    // Entries 0–2 are value-dependent (the last only consumes).
+    let mut prog = build_dynamic(v, &[(0, 3, 2), (1, 5, 1)]);
+    prog.step_oblivious(
+        0,
+        "declared",
+        1,
+        |ctx, _| Route::Data(ctx.vp ^ 1),
+        |st, ctx, inbox, out| {
+            for m in inbox.drain(..) {
+                *st = st.wrapping_mul(31).wrapping_add(m);
+            }
+            out.send(ctx.vp ^ 1, *st);
+        },
+    );
+    prog.repeat(0..4);
+    let plan_at = |prog: &Program<u64, u64>, t: usize| {
+        let plan = prog.steps()[t].plan().unwrap_or_else(|| panic!("entry {t} has no plan"));
+        std::ptr::from_ref(plan)
+    };
+    assert_eq!((prog.steps().len(), prog.planned_steps()), (8, 2));
+    let declared = plan_at(&prog, 3);
+    assert_eq!(declared, plan_at(&prog, 7), "repeat shares the declared plan");
+
+    let states: Vec<u64> = (0..v as u64).map(mix).collect();
+    let off = RunOptions { use_plans: false, workers: Some(1), ..RunOptions::with_log() };
+    let want = run(&prog, states.clone(), &off).unwrap();
+    let log = want.message_log.as_ref().unwrap();
+    assert_ne!(log[0], log[4], "fixture: the two occurrences must send differently");
+
+    assert_eq!(prog.capture_plans(states.clone()).unwrap(), 6, "one plan per plan-less entry");
+    assert_eq!(prog.planned_steps(), 8);
+    assert_eq!((plan_at(&prog, 3), plan_at(&prog, 7)), (declared, declared));
+    for t in 0..3 {
+        assert_ne!(plan_at(&prog, t), plan_at(&prog, t + 4), "entry {t} and its repeat");
+    }
+    for w in [1usize, 2, 4] {
+        let opts = RunOptions { workers: Some(w), ..RunOptions::with_log() };
+        let got = run(&prog, states.clone(), &opts).unwrap();
+        assert_eq!(got.states, want.states, "states at {w} workers");
+        assert_eq!(got.trace, want.trace, "trace at {w} workers");
+        assert_eq!(got.message_log, want.message_log, "log at {w} workers");
+    }
+}
