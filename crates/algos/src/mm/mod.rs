@@ -46,12 +46,32 @@ impl<V: Semiring> MmInput<V> {
 
 /// Message payload of the MM algorithms: a matrix entry in flight, as global
 /// coordinates plus value.
+///
+/// Coordinates travel as `u16`, which makes a message 16 bytes instead of 24
+/// for every 8-byte semiring (a third off both mailbox arenas): a matrix side
+/// is `√n`, so they fit for every `n ≤ 2^32` — no tighter than the
+/// engine's own `u32` VP ids, since these algorithms run on `v = n`. The
+/// builders assert it.
 #[derive(Debug, Clone)]
 pub enum MmMsg<V> {
     /// An entry of the left operand.
-    A(u32, u32, V),
+    A(u16, u16, V),
     /// An entry of the right operand.
-    B(u32, u32, V),
+    B(u16, u16, V),
     /// A partial-product entry headed for a C owner.
-    M(u32, u32, V),
+    M(u16, u16, V),
+}
+
+/// Largest `n` whose matrix coordinates fit [`MmMsg`]'s `u16` fields.
+const MAX_N: u64 = 1 << 32;
+
+#[cfg(test)]
+mod tests {
+    use super::MmMsg;
+    use crate::semiring::WrapU64;
+
+    #[test]
+    fn message_is_16_bytes_for_an_8_byte_semiring() {
+        assert_eq!(std::mem::size_of::<MmMsg<WrapU64>>(), 16);
+    }
 }

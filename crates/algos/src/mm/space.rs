@@ -77,16 +77,16 @@ fn send_permuted<V: Semiring>(
     let b_dst = seg_base + (((hi ^ lo ^ r) << 1) | lo) * child + off;
     let (ai, aj, av) = &st.a;
     let (bi, bj, bv) = &st.b;
-    out.send(a_dst, MmMsg::A(*ai, *aj, av.clone()));
-    out.send(b_dst, MmMsg::B(*bi, *bj, bv.clone()));
+    out.send(a_dst, MmMsg::A(*ai as u16, *aj as u16, av.clone()));
+    out.send(b_dst, MmMsg::B(*bi as u16, *bj as u16, bv.clone()));
 }
 
 /// Replaces the held operand entries with the ones that just arrived.
 fn ingest<V: Semiring>(st: &mut SpaceMmState<V>, inbox: &mut Inbox<'_, MmMsg<V>>) {
     for msg in inbox.drain(..) {
         match msg {
-            MmMsg::A(i, j, v) => st.a = (i, j, v),
-            MmMsg::B(i, j, v) => st.b = (i, j, v),
+            MmMsg::A(i, j, v) => st.a = (i.into(), j.into(), v),
+            MmMsg::B(i, j, v) => st.b = (i.into(), j.into(), v),
             MmMsg::M(..) => unreachable!("space-efficient MM sends no product messages"),
         }
     }
@@ -166,6 +166,7 @@ impl<V: Semiring> NobAlgorithm for SpaceEfficientMm<V> {
 
     fn build(&self, n: usize) -> Program<SpaceMmState<V>, MmMsg<V>> {
         assert!(Self::supports(n), "SpaceEfficientMm supports n = 4^m, got {n}");
+        assert!(n as u64 <= super::MAX_N, "MmMsg coordinates are u16: n = {n} > 2^32");
         let mut prog = Program::new(n, n);
         let log_v = prog.log_v();
         emit(&mut prog, n, 0, self.wise);

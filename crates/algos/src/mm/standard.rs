@@ -118,7 +118,7 @@ impl Geometry {
     /// The slot, on its level-`t` owner, of the entry with global (or
     /// sub-local: only the low bits matter) coordinates `(i, j)` — the
     /// inverse of [`Geometry::local`] on the receiving side.
-    fn slot(self, t: u32, i: u32, j: u32) -> usize {
+    fn slot(self, t: u32, i: u16, j: u16) -> usize {
         let bits = self.log_side(t);
         let mask = (1usize << bits) - 1;
         ((i as usize & mask) << bits | (j as usize & mask)) & ((1 << t) - 1)
@@ -268,6 +268,7 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
 
     fn build(&self, n: usize) -> Program<MmState<V>, MmMsg<V>> {
         assert!(Self::supports(n), "RecursiveMm supports n = 64^e, got {n}");
+        assert!(n as u64 <= super::MAX_N, "MmMsg coordinates are u16: n = {n} > 2^32");
         let geo = Geometry::new(n);
         let tau = geo.tau;
         let mut prog: Program<MmState<V>, MmMsg<V>> = Program::new(n, n);
@@ -297,7 +298,7 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                         let val = st.block[k >> 1].clone();
                         out.send(
                             geo.replica_dst(t, ctx.vp, k),
-                            MmMsg::A((o.h | li) as u32, (o.l | lj) as u32, val),
+                            MmMsg::A((o.h | li) as u16, (o.l | lj) as u16, val),
                         );
                     }
                     for k in 0..per_operand {
@@ -305,7 +306,7 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                         let val = st.block[geo.half() + (k >> 1)].clone();
                         out.send(
                             geo.replica_dst(t, ctx.vp, per_operand + k),
-                            MmMsg::B((o.l | li) as u32, (o.k | lj) as u32, val),
+                            MmMsg::B((o.l | li) as u16, (o.k | lj) as u16, val),
                         );
                     }
                     if wise {
@@ -337,7 +338,7 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                             }
                             out.send(
                                 geo.product_dst(tau, ctx.vp, i * side + j),
-                                MmMsg::M((o.h | i) as u32, (o.k | j) as u32, acc),
+                                MmMsg::M((o.h | i) as u16, (o.k | j) as u16, acc),
                             );
                         }
                     }
@@ -364,7 +365,7 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                         let (li, lj) = geo.local(t, ctx.vp, p);
                         out.send(
                             geo.product_dst(t, ctx.vp, p),
-                            MmMsg::M((o.h | li) as u32, (o.k | lj) as u32, st.block[p].clone()),
+                            MmMsg::M((o.h | li) as u16, (o.k | lj) as u16, st.block[p].clone()),
                         );
                     }
                     if wise {

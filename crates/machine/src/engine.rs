@@ -60,6 +60,33 @@
 //! message logs — enforced by the differential property suites in
 //! `tests/engine_properties.rs` and `tests/engine_equivalence.rs`.
 //!
+//! # What a serial run allocates
+//!
+//! A static program's tiers are known before it runs, so the serial loop
+//! decides once, in one walk over the schedule before the first superstep,
+//! which of them this `(program, options)` pair can execute, and allocates
+//! only those (`v` VPs, message type `M`):
+//!
+//! * **always** — the two arenas (a `4·(v + 1)`-byte offset table each; each
+//!   slab reserved once at its largest planned superstep), the cursor table
+//!   (`4·v`), the seen-bitmap (`v / 8`);
+//! * **dynamic tier** — the streaming [`DegreeCounters`] (`≈ 48·v` bytes at
+//!   full granularity) and the staging end markers (`4·v`; the staging
+//!   buffer itself grows to the largest dynamic superstep): iff some step
+//!   can reach the dynamic body — plans are off, the step has no plan, or
+//!   its plan carries a compile fault (which a validated run reports and a
+//!   non-validated one executes dynamically);
+//! * **per-destination counts** (`4·v`) — iff the dynamic tier is in, or
+//!   some planned step must count its route because fusion is off or its
+//!   plan has no [`crate::plan::PlanLayout`].
+//!
+//! The census is per *attempt*: [`PlanFallback::Dynamic`] retries with
+//! `use_plans = false`, and that retry sizes itself for the dynamic tier.
+//! Deciding up front rather than at the first dynamic step keeps every
+//! allocation out of the superstep loop (`tests/allocation.rs`). The sharded
+//! executor does not take a census yet: its worker kits always carry their
+//! shard's counters.
+//!
 //! # Invariants
 //!
 //! * **Delivery order** is ascending source VP, then send order — identical
@@ -368,6 +395,17 @@ pub(crate) fn vp_panic_error(
     ModelError::VpPanic { step, vp, payload: msg }
 }
 
+/// The plan the serial loop executes `step` from, if any: plans enabled and
+/// the step's route compiled without a fault. The tier census and the loop's
+/// dispatch both ask this one question, so what a run allocated and what it
+/// executes cannot disagree.
+fn runnable_plan<'a, S, M>(
+    step: &'a crate::program::Superstep<S, M>,
+    opts: &RunOptions,
+) -> Option<&'a crate::plan::StepPlan> {
+    step.plan().filter(|p| opts.use_plans && p.fault().is_none())
+}
+
 /// The single-shard execution loop: the whole machine is one shard, and
 /// steady-state supersteps allocate nothing (the engine's headline property,
 /// proven by `tests/allocation.rs`) — what [`Executor::execute`] runs at
@@ -383,36 +421,52 @@ pub(crate) fn run_serial<S: Send, M: Send>(
     let v = prog.v();
     let log_v = prog.log_v();
     let levels = spec.levels;
-    let mut counters = if spec.full {
-        DegreeCounters::full(log_v)
-    } else {
-        DegreeCounters::folded(log_v, levels)
-    };
-    let mut stage: ChunkStage<M> = ChunkStage::new(v);
     let mut arenas = [Arena::<M>::new(v), Arena::<M>::new(v)];
-    // Superstep `t` writes arena `1 − t % 2`. What a planned step will write
-    // is known before the run, so each slab is allocated once at its largest
-    // planned superstep rather than re-grown inside the job (a program of
-    // dynamic steps only reserves nothing and grows on demand, as ever).
-    if opts.use_plans {
-        let mut largest = [0u64; 2];
-        for (t, step) in prog.steps().iter().enumerate() {
-            if let Some(plan) = step.plan().filter(|p| p.fault().is_none()) {
+    // The tier census: one walk over the schedule, before the first
+    // superstep, decides what this attempt can execute and so what it
+    // allocates. Superstep `t` writes arena `1 − t % 2`, and what a planned
+    // step will write is known before the run, so each slab is allocated
+    // once at its largest planned superstep rather than re-grown inside the
+    // job (dynamic steps reserve nothing and grow on demand, as ever). A
+    // step the loop below will not run planned makes the attempt `dynamic`;
+    // a planned step that cannot be sized from its layout takes the
+    // `counting` pass.
+    let mut largest = [0u64; 2];
+    let (mut dynamic, mut counting) = (false, false);
+    for (t, step) in prog.steps().iter().enumerate() {
+        match runnable_plan(step, opts) {
+            Some(plan) => {
                 largest[1 - t % 2] = largest[1 - t % 2].max(plan.total_data());
+                counting |= !opts.fuse || plan.layout().is_none();
             }
-        }
-        for (arena, total) in arenas.iter_mut().zip(largest) {
-            // A step beyond the arena's 2^32 − 1 message design limit is
-            // left to fail its own prepare's guard, not allocated for here.
-            if total < u64::from(u32::MAX) {
-                arena.reserve(total as usize);
-            }
+            None => dynamic = true,
         }
     }
+    for (arena, total) in arenas.iter_mut().zip(largest) {
+        // A step beyond the arena's 2^32 − 1 message design limit is
+        // left to fail its own prepare's guard, not allocated for here.
+        if total < u64::from(u32::MAX) {
+            arena.reserve(total as usize);
+        }
+    }
+    // Dynamic-tier scratch — the streaming counters and the staging end
+    // markers — exists only when some step can reach the dynamic body.
+    let mut counters = dynamic.then(|| {
+        if spec.full {
+            DegreeCounters::full(log_v)
+        } else {
+            DegreeCounters::folded(log_v, levels)
+        }
+    });
+    let mut stage: ChunkStage<M> = ChunkStage::new(if dynamic { v } else { 0 });
     let mut read_idx = 0usize;
-    // Invariant: all-zero between supersteps (`prepare_write` re-zeroes the
-    // counts as it consumes them, so no per-superstep `fill(0)` sweep).
-    let mut dst_counts = vec![0u32; v];
+    // Per-destination counts of the dynamic body and of the planned counting
+    // pass. Invariant: all-zero between supersteps (`prepare_write` re-zeroes
+    // the counts as it consumes them, so no per-superstep `fill(0)` sweep).
+    let mut dst_counts = vec![0u32; if dynamic || counting { v } else { 0 }];
+    // Unconditional: every planned step's `DirectOut` bounds stray sends by
+    // the cursor table — an idle (`out_degree = 0`) step included — so it
+    // must never see an empty one.
     let mut cursors = vec![0u32; v];
     // Seen-bitmap scratch for unit-layout planned steps (one bit per VP,
     // re-zeroed per bitmap step), preallocated so planned steady state
@@ -430,64 +484,62 @@ pub(crate) fn run_serial<S: Send, M: Send>(
         let want_log = message_log.is_some() && record_step;
 
         // --- planned supersteps: direct-write scatter + analytic metrics --
-        if let Some(plan) = step.plan().filter(|_| opts.use_plans) {
-            match plan.fault() {
-                // A route that violates the model is reported like the
-                // dynamic engine would; with validation off, fall through
-                // and let the dynamic path execute (and deliver) it.
-                Some(fault) if opts.validate => return Err(fault.clone()),
-                Some(_) => {}
-                None => {
-                    let t0 = tele.map(|tl| {
-                        tl.enter(0, Site::SerialPlanned, t);
-                        Instant::now()
-                    });
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(f) = faults {
-                            f.check(FAULT_SERIAL_PLANNED, 0, t)?;
-                        }
-                        run_planned_step(
-                            step,
-                            plan,
-                            states,
-                            &mut arenas,
-                            read_idx,
-                            &mut dst_counts,
-                            &mut cursors,
-                            &mut dst_seen,
-                            &mut stage.outbox,
-                            opts.validate,
-                            opts.fuse,
-                        )
-                    }));
-                    match outcome {
-                        Ok(result) => result?,
-                        Err(payload) => {
-                            return Err(vp_panic_error(
-                                step.name,
-                                stage.outbox.panic_vp(),
-                                payload,
-                            ))
-                        }
-                    }
-                    if let (Some(tl), Some(t0)) = (tele, t0) {
-                        tl.record(0, Site::SerialPlanned, t0.elapsed());
-                    }
-                    if record_step {
-                        trace.push_precomputed(step.label, plan.metrics(), spec.full);
-                        if want_log {
-                            log_scratch.clear();
-                            plan_log_entry(plan, spec, &mut log_scratch);
-                            if let Some(log) = message_log.as_mut() {
-                                log.push(log_scratch.clone());
-                            }
-                        }
-                    }
-                    read_idx = 1 - read_idx;
-                    continue;
+        if let Some(plan) = runnable_plan(step, opts) {
+            let t0 = tele.map(|tl| {
+                tl.enter(0, Site::SerialPlanned, t);
+                Instant::now()
+            });
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(f) = faults {
+                    f.check(FAULT_SERIAL_PLANNED, 0, t)?;
+                }
+                run_planned_step(
+                    step,
+                    plan,
+                    states,
+                    &mut arenas,
+                    read_idx,
+                    &mut dst_counts,
+                    &mut cursors,
+                    &mut dst_seen,
+                    &mut stage.outbox,
+                    opts.validate,
+                    opts.fuse,
+                )
+            }));
+            match outcome {
+                Ok(result) => result?,
+                Err(payload) => {
+                    return Err(vp_panic_error(step.name, stage.outbox.panic_vp(), payload))
                 }
             }
+            if let (Some(tl), Some(t0)) = (tele, t0) {
+                tl.record(0, Site::SerialPlanned, t0.elapsed());
+            }
+            if record_step {
+                trace.push_precomputed(step.label, plan.metrics(), spec.full);
+                if want_log {
+                    log_scratch.clear();
+                    plan_log_entry(plan, spec, &mut log_scratch);
+                    if let Some(log) = message_log.as_mut() {
+                        log.push(log_scratch.clone());
+                    }
+                }
+            }
+            read_idx = 1 - read_idx;
+            continue;
         }
+        // A route that violates the model is reported like the dynamic
+        // engine would; with validation off, fall through and let the
+        // dynamic path execute (and deliver) it.
+        if opts.use_plans && opts.validate {
+            if let Some(fault) = step.plan().and_then(|p| p.fault()) {
+                return Err(fault.clone());
+            }
+        }
+        let Some(counters) = counters.as_mut() else {
+            unreachable!("the census allocates the dynamic tier for every step it does not plan")
+        };
 
         // --- computation + send phase -----------------------------------
         {
@@ -562,7 +614,7 @@ pub(crate) fn run_serial<S: Send, M: Send>(
             msg_idx = end as usize;
         }
         if record_step {
-            trace.push_superstep(step.label, &counters);
+            trace.push_superstep(step.label, counters);
             if want_log {
                 if let Some(log) = message_log.as_mut() {
                     log.push(log_scratch.clone());
@@ -734,7 +786,9 @@ fn run_planned_step<S, M: Send>(
 ) -> Result<(), ModelError> {
     let [a0, a1] = arenas;
     let (read, write) = if read_idx == 0 { (a0, a1) } else { (a1, a0) };
-    let v = dst_counts.len();
+    // Not `dst_counts.len()`: that table is empty on a run whose every
+    // planned step is sized from its layout.
+    let v = states.len();
 
     // Size the write arena: from the plan's O(1) layout summary when the
     // fused tier is enabled and compile detected one, else the counting
@@ -1419,6 +1473,91 @@ mod tests {
         let b = run(&q, states.clone(), &noval).unwrap();
         assert_eq!(a.states, b.states);
         assert_eq!(a.trace, b.trace);
+    }
+
+    /// Every branch of `run_serial`'s tier census against the reference
+    /// engine, each (where the branch allows it) on a program whose first
+    /// dynamic execution — or first counting pass — comes after fused
+    /// planned steps, so scratch the census left out would be missed then.
+    #[test]
+    fn every_census_branch_matches_the_reference_engine() {
+        use crate::plan::{Route, LAYOUT_TABLE_MAX_V};
+        type Body = fn(&mut u64, &Ctx, &mut Inbox<'_, u64>, &mut crate::program::Outbox<u64>);
+        let consume: Body = |st, _, inbox, _| {
+            for m in inbox.drain(..) {
+                *st = st.wrapping_add(m);
+            }
+        };
+        let check = |what: &str, prog: &Program<u64, u64>, opts: &RunOptions| {
+            let states: Vec<u64> = (0..prog.v() as u64).map(|x| x * 7 + 1).collect();
+            let got = run(prog, states.clone(), opts).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+            let want = crate::reference::run_reference(prog, states, opts).unwrap();
+            assert_eq!(got.states, want.states, "{what}: states");
+            assert_eq!(got.trace, want.trace, "{what}: trace");
+            assert_eq!(got.message_log, want.message_log, "{what}: message log");
+            got
+        };
+        let base = RunOptions { workers: Some(1), ..RunOptions::with_log() };
+        let noval = RunOptions { validate: false, ..base.clone() };
+        let v = 16usize;
+
+        // Nothing dynamic, nothing counted; then the option-driven branches.
+        let (declared, _) = butterfly_pair(v, 5);
+        check("fully declared", &declared, &base);
+        check("use_plans: false", &declared, &RunOptions { use_plans: false, ..base.clone() });
+        check("fuse: false", &declared, &RunOptions { fuse: false, ..base.clone() });
+
+        // A plan-less step after six planned ones.
+        let (mut tail, _) = butterfly_pair(v, 5);
+        tail.step(3, "tail", |st, ctx, inbox, out| {
+            for m in inbox.drain(..) {
+                *st = st.wrapping_add(m);
+            }
+            out.send(ctx.vp ^ 1, *st);
+        });
+        tail.step(3, "consume", consume);
+        check("plan-less step last", &tail, &base);
+
+        // A compile-faulted plan (a label-2 route crossing the bisection)
+        // falling through to the dynamic body under `validate: false`.
+        let (mut rogue, _) = butterfly_pair(v, 5);
+        let cross: Body = |st, ctx, inbox, out| {
+            for m in inbox.drain(..) {
+                *st = st.wrapping_add(m);
+            }
+            out.send(ctx.vp ^ 8, *st);
+        };
+        rogue.step_oblivious(2, "rogue", 1, |ctx, _| Route::Data(ctx.vp ^ 8), cross);
+        rogue.step_oblivious(2, "consume", 0, |_, _| Route::End, consume);
+        assert!(rogue.steps()[6].plan().is_some_and(|p| p.fault().is_some()));
+        check("faulted plan, validate off", &rogue, &noval);
+
+        // A mis-declared route (declared vp ^ 1, VP 0 hoards) after honest
+        // planned steps: the Dynamic policy's retry takes its own census.
+        let (mut lying, _) = butterfly_pair(v, 5);
+        lying.step_oblivious(0, "skew", 1, |ctx, _| Route::Data(ctx.vp ^ 1), |st, ctx, _, out| {
+            out.send(if ctx.vp < 2 { 0 } else { ctx.vp ^ 1 }, *st)
+        });
+        lying.step_oblivious(0, "consume", 0, |_, _| Route::End, consume);
+        let fallback = RunOptions { plan_fallback: PlanFallback::Dynamic, ..noval.clone() };
+        let res = check("PlanFallback::Dynamic", &lying, &fallback);
+        assert!(matches!(res.fallback, Some(ModelError::PlanMismatch { step: "skew", .. })));
+
+        // A fan-in whose layout has no period short enough to keep
+        // (`layout() == None`): the one planned step that counts its route.
+        let wide = 2 * LAYOUT_TABLE_MAX_V;
+        let (mut fan, _) = butterfly_pair(wide, 2);
+        fan.step_oblivious(0, "fan-in", 1, |_, _| Route::Data(0), |st, _, inbox, out| {
+            for m in inbox.drain(..) {
+                *st = st.wrapping_add(m);
+            }
+            out.send(0, *st);
+        });
+        fan.step_oblivious(0, "consume", 0, |_, _| Route::End, consume);
+        let fan_in = fan.steps()[3].plan().expect("declared");
+        assert!(fan_in.fault().is_none() && fan_in.layout().is_none());
+        check("layout-less fan-in", &fan, &base);
+        check("layout-less fan-in, validate off", &fan, &noval);
     }
 
     #[test]

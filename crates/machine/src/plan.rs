@@ -219,15 +219,20 @@ impl std::fmt::Debug for StepPlan {
 impl StepPlan {
     /// Compiles `route` for an `label`-superstep on `M(v)`: one enumeration
     /// of the declared multiset produces the analytic metrics, the payload
-    /// total, and the cluster-constraint proof.
-    pub(crate) fn compile(
+    /// total, and the cluster-constraint proof. Generic over the route so
+    /// that enumeration runs with it inlined; the stored plan boxes it
+    /// (every later, per-execution use goes through the [`RouteFn`]).
+    pub(crate) fn compile<R>(
         v: usize,
         log_v: u32,
         n: usize,
         label: u32,
         out_degree: usize,
-        route: RouteFn,
-    ) -> StepPlan {
+        route: R,
+    ) -> StepPlan
+    where
+        R: Fn(&Ctx, usize) -> Route + Send + Sync + 'static,
+    {
         let mut metrics = StepMetricsBuilder::new(log_v);
         let mut total_data = 0u64;
         let mut fault = None;
@@ -282,7 +287,7 @@ impl StepPlan {
             _ => 0,
         };
         StepPlan {
-            route,
+            route: Box::new(route),
             out_degree,
             v,
             log_v,
@@ -320,7 +325,7 @@ impl StepPlan {
         let table_bytes = (offsets.len() * std::mem::size_of::<u32>()
             + slots.len() * std::mem::size_of::<(u32, bool)>()) as u64;
         let out_degree = (0..v).map(|vp| (offsets[vp + 1] - offsets[vp]) as usize).max().unwrap_or(0);
-        let route: RouteFn = Box::new(move |ctx: &Ctx, k: usize| {
+        let route = move |ctx: &Ctx, k: usize| {
             let lo = offsets[ctx.vp] as usize;
             if lo + k < offsets[ctx.vp + 1] as usize {
                 let (dst, data) = slots[lo + k];
@@ -332,7 +337,7 @@ impl StepPlan {
             } else {
                 Route::End
             }
-        });
+        };
         let mut plan = StepPlan::compile(v, log_v, n, label, out_degree, route);
         plan.approx_bytes += table_bytes;
         plan
@@ -491,7 +496,7 @@ mod tests {
             bad.fault(),
             Some(ModelError::ClusterViolation { label: 1, src: 0, dst: 4 })
         ));
-        let oob = StepPlan::compile(8, 3, 8, 0, 1, Box::new(|_, _| Route::Data(8)));
+        let oob = StepPlan::compile(8, 3, 8, 0, 1, |_, _| Route::Data(8));
         assert!(matches!(oob.fault(), Some(ModelError::BadParameter { .. })));
     }
 
@@ -504,11 +509,11 @@ mod tests {
             4,
             0,
             2,
-            Box::new(|ctx: &Ctx, k| match (ctx.vp, k) {
+            |ctx, k| match (ctx.vp, k) {
                 (0, 0) => Route::Data(1),
                 (0, 1) => Route::Dummy(2),
                 _ => Route::Skip,
-            }),
+            },
         );
         assert!(plan.fault().is_none());
         assert_eq!(plan.total_data(), 1);
@@ -529,12 +534,12 @@ mod tests {
             4,
             0,
             3,
-            Box::new(|ctx: &Ctx, k| match (ctx.vp, k) {
+            |ctx, k| match (ctx.vp, k) {
                 (1, 0) => Route::Skip,
                 (1, 1) => Route::Data(0),
                 (1, 2) => Route::Dummy(3),
                 _ => Route::Skip,
-            }),
+            },
         );
         let ctx = Ctx { vp: 1, v: 4, log_v: 2, n: 4 };
         let mut k = 0;
@@ -552,11 +557,11 @@ mod tests {
         let fft = StepPlan::compile(8, 3, 8, 0, 1, route_exchange(1));
         assert!(matches!(fft.layout(), Some(PlanLayout::Uniform(1))));
         // All-idle step → Uniform(0).
-        let idle = StepPlan::compile(8, 3, 8, 0, 1, Box::new(|_, _| Route::End));
+        let idle = StepPlan::compile(8, 3, 8, 0, 1, |_, _| Route::End);
         assert!(matches!(idle.layout(), Some(PlanLayout::Uniform(0))));
         assert_eq!(idle.min_locality, 3, "no payloads: locality is log v");
         // Skewed fan-in: VP 0 receives everything → explicit table (v small).
-        let fan = StepPlan::compile(4, 2, 4, 0, 1, Box::new(|_, _| Route::Data(0)));
+        let fan = StepPlan::compile(4, 2, 4, 0, 1, |_, _| Route::Data(0));
         match fan.layout() {
             Some(PlanLayout::Table(t)) => assert_eq!(&t[..], &[0, 4, 4, 4, 4]),
             other => panic!("expected table layout, got {other:?}"),
@@ -605,7 +610,7 @@ mod tests {
         }
         assert_eq!(gather.approx_bytes(), std::mem::size_of::<StepPlan>() as u64 + 5 * 4);
         // A fan-in with no shorter period keeps all v + 1 entries.
-        let fan = StepPlan::compile(16, 4, 16, 0, 1, Box::new(|_, _| Route::Data(5)));
+        let fan = StepPlan::compile(16, 4, 16, 0, 1, |_, _| Route::Data(5));
         let table = table_of(&fan);
         assert_eq!(table.len(), 17);
         assert_eq!((table[5], table[6]), (0, 16));
@@ -617,7 +622,7 @@ mod tests {
         let wide = StepPlan::compile(v, log_v, v, log_v - 5, 1, route_gather(32));
         assert_eq!(table_of(&wide).len(), 33);
         assert_eq!(wide.layout().map(|l| (l.count(v - 32), l.count(v - 1))), Some((31, 0)));
-        let fan = StepPlan::compile(v, log_v, v, 0, 1, Box::new(|_, _| Route::Data(0)));
+        let fan = StepPlan::compile(v, log_v, v, 0, 1, |_, _| Route::Data(0));
         assert!(fan.fault().is_none() && fan.layout().is_none());
     }
 
@@ -639,10 +644,10 @@ mod tests {
             8,
             0,
             2,
-            Box::new(|ctx: &Ctx, k| match k {
+            |ctx, k| match k {
                 0 => Route::Data(ctx.vp),
                 _ => Route::Dummy(ctx.vp ^ 4),
-            }),
+            },
         );
         assert_eq!(dummy.min_locality, 3);
         assert!(dummy.shard_local(3));

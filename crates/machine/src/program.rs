@@ -366,8 +366,7 @@ impl<S, M> Program<S, M> {
             "label {label} out of range for v = {} (program step `{name}`)",
             self.v
         );
-        let plan =
-            StepPlan::compile(self.v, self.log_v, self.n, label, out_degree, Box::new(route));
+        let plan = StepPlan::compile(self.v, self.log_v, self.n, label, out_degree, route);
         let plan = Some(Arc::new(plan));
         self.steps.push(Superstep { label, name, exec: Arc::new(exec), plan });
         lock(&self.send_totals).clear();

@@ -21,6 +21,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Allocations made by armed threads since the current test began.
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes those allocations asked for (a `realloc` counts its whole new size).
+static ALLOC_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// Threads currently armed; every window must bring it back to zero.
 static ARMED_THREADS: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
@@ -49,6 +51,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     disarm();
     ALLOCS.store(0, Ordering::SeqCst);
+    ALLOC_BYTES.store(0, Ordering::SeqCst);
     guard
 }
 
@@ -66,16 +69,17 @@ fn window_hook(ctx: &Ctx, shards: usize, arm_now: bool, last: bool) {
 
 struct CountingAlloc;
 
-fn count_if_armed() {
+fn count_if_armed(bytes: usize) {
     if ARMED.try_with(Cell::get).unwrap_or(false) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(bytes, Ordering::Relaxed);
     }
 }
 
 // SAFETY: delegates to `System`, only adding a relaxed counter.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_if_armed();
+        count_if_armed(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -84,7 +88,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_if_armed();
+        count_if_armed(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -295,6 +299,41 @@ fn planned_steady_state_supersteps_do_not_allocate() {
 }
 
 #[test]
+fn a_declared_program_does_not_allocate_the_dynamic_tier() {
+    let _serial = serial();
+    // The serial loop sizes its scratch from the tiers the program can
+    // execute. A fully declared program, validation on, gets the planned
+    // tier only: two message slabs, two offset tables, the cursor table, the
+    // seen-bitmap (`12.125·v` bytes beside the slabs) and the trace — not
+    // the streaming counters (`48·v` bytes alone), the staging end markers
+    // or the per-destination counts (`4·v` each). One trailing plan-less
+    // step and the dynamic tier is back.
+    let v = 1 << 12;
+    let bytes_per_run = |trailing_dynamic: bool| -> usize {
+        let prog = planned_butterfly_silent(v, 24, trailing_dynamic);
+        let states: Vec<u64> = (0..v as u64).collect();
+        let opts = RunOptions { workers: Some(1), ..Default::default() };
+        assert!(opts.validate);
+        ALLOC_BYTES.store(0, Ordering::SeqCst);
+        arm();
+        let res = run(&prog, states, &opts).unwrap();
+        disarm();
+        assert_eq!(res.trace.superstep_count(), prog.steps().len());
+        ALLOC_BYTES.load(Ordering::SeqCst)
+    };
+    // A throwaway run first absorbs one-time lazy init on this thread.
+    let _ = bytes_per_run(false);
+    let declared = bytes_per_run(false);
+    let budget = 2 * v * std::mem::size_of::<u64>() + 16 * v + 8 * 1024;
+    assert!(declared <= budget, "declared run allocated {declared} B, budget {budget} B (v = {v})");
+    let mixed = bytes_per_run(true);
+    assert!(
+        mixed >= declared + 48 * v,
+        "a plan-less step must bring the dynamic tier back: {mixed} B vs {declared} B declared",
+    );
+}
+
+#[test]
 fn log_collecting_runs_allocate_one_entry_per_recorded_superstep() {
     let _serial = serial();
     // With `collect_messages` on, the engine fills a recycled scratch
@@ -493,6 +532,37 @@ fn planned_butterfly_armed(
                 }
             },
         );
+    }
+    prog
+}
+
+/// [`planned_butterfly_armed`] without the in-closure arming (the caller
+/// measures the whole run), optionally followed by one silent plan-less step.
+fn planned_butterfly_silent(v: usize, rounds: usize, trailing_dynamic: bool) -> Program<u64, u64> {
+    use nob_machine::Route;
+    let mut prog: Program<u64, u64> = Program::new(v, v);
+    let log_v = prog.log_v();
+    for r in 0..rounds {
+        let l = (r as u32) % log_v;
+        let d = v >> (l + 1);
+        let last = r == rounds - 1;
+        prog.step_oblivious(
+            l,
+            "bfly-planned",
+            if last { 0 } else { 1 },
+            move |ctx, _| Route::Data(ctx.vp ^ d),
+            move |st, ctx, inbox, out| {
+                for m in inbox.drain(..) {
+                    *st = st.wrapping_add(m);
+                }
+                if !last {
+                    out.send(ctx.vp ^ d, *st);
+                }
+            },
+        );
+    }
+    if trailing_dynamic {
+        prog.step(0, "idle", |_, _, _, _| {});
     }
     prog
 }

@@ -14,7 +14,7 @@ use nob_machine::server::{
 };
 use nob_machine::{run, PlanFallback, Program, RunOptions};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Splitmix-style hash for value-dependent routes and state seeding.
@@ -473,10 +473,53 @@ fn plan_cache_evicts_by_bytes_and_recompiles() {
     assert_eq!(sink.get(Counter::CacheHits), 1);
 }
 
+/// A latch for step closures: VP 0 of a [`parked`] program reports in and
+/// blocks until the test opens it.
+#[derive(Default)]
+struct Gate {
+    /// `(a job has arrived, open)`.
+    state: Mutex<(bool, bool)>,
+    cv: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cv.notify_all();
+    }
+
+    fn pass(&self) {
+        let mut g = self.state.lock().unwrap();
+        g.0 = true;
+        self.cv.notify_all();
+        let _open = self.cv.wait_while(g, |s| !s.1).unwrap();
+    }
+
+    /// Whether a job reached the gate within `timeout`.
+    fn arrived_within(&self, timeout: Duration) -> bool {
+        let g = self.state.lock().unwrap();
+        self.cv.wait_timeout_while(g, timeout, |s| !s.0).unwrap().0 .0
+    }
+}
+
+/// A one-superstep program that parks on `gate` and leaves the states alone.
+fn parked(v: usize, gate: &Arc<Gate>) -> Program<u64, u64> {
+    let gate = Arc::clone(gate);
+    let mut prog: Program<u64, u64> = Program::new(v, v);
+    prog.step(0, "park", move |_st, ctx, _inbox, _out| {
+        if ctx.vp == 0 {
+            gate.pass();
+        }
+    });
+    prog
+}
+
 /// Prebuilt submissions share one program across jobs; dropping the server
-/// fails still-queued tickets structurally instead of running the backlog.
+/// lets the running job finish and fails still-queued tickets structurally
+/// instead of running the backlog.
 #[test]
 fn prebuilt_jobs_and_drop_semantics() {
+    const PATIENCE: Duration = Duration::from_secs(10);
     let v = 32;
     let states = seed_states(v, 23);
     let prog = Arc::new(butterfly(v));
@@ -489,30 +532,52 @@ fn prebuilt_jobs_and_drop_semantics() {
         .unwrap();
     assert_eq!(res.states, want.states);
 
-    // Head the queue with a slow job, stack tickets behind it, drop.
-    let slow = Arc::new(butterfly(1 << 12));
-    let slow_states = seed_states(1 << 12, 1);
+    // A head job parked mid-superstep, three tickets stacked behind it.
+    let (head_gate, tail_gate) = (Arc::new(Gate::default()), Arc::new(Gate::default()));
     let head = srv
         .submit(
-            JobSpec::new(ShapeKey { algo: "bfly", variant: 1 << 12 }),
-            slow_states,
-            ProgramSource::Prebuilt(slow),
+            JobSpec::new(ShapeKey { algo: "parked", variant: 0 }),
+            states.clone(),
+            ProgramSource::Prebuilt(Arc::new(parked(v, &head_gate))),
         )
         .unwrap();
+    assert!(head_gate.arrived_within(PATIENCE), "head job never started");
+    let tail = Arc::new(parked(v, &tail_gate));
+    let tail_spec = JobSpec::new(ShapeKey { algo: "parked", variant: 1 });
     let queued: Vec<_> = (0..3)
         .map(|_| {
-            srv.submit(spec.clone(), states.clone(), ProgramSource::Prebuilt(Arc::clone(&prog)))
+            srv.submit(tail_spec.clone(), states.clone(), ProgramSource::Prebuilt(Arc::clone(&tail)))
                 .unwrap()
         })
         .collect();
-    drop(srv);
-    // The head may or may not have started; queued tickets behind it must
-    // resolve either way — completed or failed-by-shutdown, never hang.
-    let _ = head.wait();
+
+    // Request shutdown while the head is still running: `drop` flags the
+    // queue closed, then blocks joining the scheduler, so it runs on a
+    // helper thread and the head is released from here.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        tx.send("dropping").unwrap();
+        drop(srv);
+        tx.send("dropped").unwrap();
+    });
+    assert_eq!(rx.recv_timeout(PATIENCE), Ok("dropping"));
+    head_gate.open();
+    // The scheduler finds the flag when the head finishes, refuses the
+    // backlog and exits. Had the helper been descheduled between its signal
+    // and the flag, the first queued job would start instead — and park on
+    // its own gate, which stays shut until the flag has had ample time.
+    let dropped = rx.recv_timeout(PATIENCE);
+    tail_gate.open();
+    assert_eq!(dropped.or_else(|_| rx.recv_timeout(PATIENCE)), Ok("dropped"), "drop hung");
+    dropper.join().unwrap();
+
+    // Every ticket is resolved by now: the head ran to completion, and
+    // whatever was still queued at shutdown was refused, not run.
+    assert_eq!(head.wait().unwrap().states, states);
     let mut refused = 0;
     for t in queued {
         match t.wait() {
-            Ok(r) => assert_eq!(r.states, want.states),
+            Ok(r) => assert_eq!(r.states, states),
             Err(ModelError::BadParameter { what, .. }) => {
                 assert_eq!(what, "job server");
                 refused += 1;
@@ -520,7 +585,7 @@ fn prebuilt_jobs_and_drop_semantics() {
             Err(e) => panic!("unexpected queued-job error: {e:?}"),
         }
     }
-    assert!(refused > 0, "shutdown should refuse still-queued jobs");
+    assert!(refused >= 2, "shutdown must refuse still-queued jobs, refused {refused} of 3");
 }
 
 /// A panic on shard 0 — the thread that called into the gang: the caller of
