@@ -5,9 +5,11 @@
 //!
 //! * [`standard::RecursiveMm`] — the paper's 8-way recursive algorithm
 //!   (Thm. 4.2): `H_MM(n, p, σ) = O(n/p^{2/3} + σ·log p)`, `Θ(1)`-optimal.
-//! * [`space::SpaceEfficientMm`] — the §4.1.1 variant with `O(1)` memory
-//!   blow-up per VP: `H = O(n/√p + σ·√p)`, optimal among constant-memory
-//!   algorithms (Irony–Toledo–Tiskin bound).
+//!   Its `Θ(n^{1/3})` memory blow-up per VP exists in flight only: the
+//!   replicated operands are messages, and a VP's state stays two entries.
+//! * [`space::SpaceEfficientMm`] — the §4.1.1 variant that bounds the
+//!   blow-up in flight too, `O(1)` per VP: `H = O(n/√p + σ·√p)`, optimal
+//!   among constant-memory algorithms (Irony–Toledo–Tiskin bound).
 //! * [`cannon::CannonMm`] — Cannon's classic flat algorithm on a Morton
 //!   layout, the one-level class-C baseline: `H = O(n/√p + σ·√n)`. It loses
 //!   to the recursive algorithm on both the bandwidth term (`√p` vs `p^{2/3}`
@@ -60,6 +62,15 @@ pub enum MmMsg<V> {
     B(u16, u16, V),
     /// A partial-product entry headed for a C owner.
     M(u16, u16, V),
+}
+
+impl<V> MmMsg<V> {
+    /// The entry's value, whichever matrix it belongs to.
+    fn value(&self) -> &V {
+        match self {
+            MmMsg::A(_, _, v) | MmMsg::B(_, _, v) | MmMsg::M(_, _, v) => v,
+        }
+    }
 }
 
 /// Largest `n` whose matrix coordinates fit [`MmMsg`]'s `u16` fields.

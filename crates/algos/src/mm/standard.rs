@@ -20,34 +20,56 @@
 //! [`Program::step_oblivious`]. What makes every route a closed form is the
 //! data layout. At level `t` a segment's submatrix (side `√n/2^t`) is spread
 //! row-major over the segment, `2^t` consecutive entries per VP, so the entry
-//! with sub-local row-major index `e` lives on VP `segment base + (e >> t)`
-//! at slot `e & (2^t − 1)` of that VP's block (see [`MmState`]). The `k`-th
-//! send of a step is therefore a function of `(vp, k)` only — `Geometry`
+//! with sub-local row-major index `e` belongs to VP `segment base + (e >> t)`
+//! as its *slot* `e & (2^t − 1)`. The `k`-th send of a step carries a fixed
+//! slot to a destination that is a function of `(vp, k)` only — `Geometry`
 //! holds one destination helper per direction, and both the declared route
 //! and the step body call it, so declaration and sends cannot drift. Every
 //! VP receives the same number of payloads in every step, so each plan is an
 //! `O(1)` [`nob_machine::plan::PlanLayout::Uniform`] summary.
+//!
+//! # The blow-up is in flight only
+//!
+//! Replicating quadrants down the recursion gives a VP `2·2^t` operand
+//! entries at level `t` — `Θ(n^{1/3})` at the bottom — but only *between two
+//! supersteps*. So that is the only place they are kept: the slots of a level
+//! are the messages of one **inbox**, and a VP at rest owns its entry of `A`,
+//! of `B` and finally of `C` ([`MmState`]), nothing more. `D_0` sends from
+//! the state; every later `D_t` forwards each operand message it received
+//! unchanged (an entry's global coordinates do not depend on the level, only
+//! its next owner does); the base step multiplies straight out of its inbox;
+//! each `K_t` sends the sum of the two partial products of each `C` slot; and
+//! `mm-finalize` adds its two arrivals into the state. The engine's message
+//! arenas are the algorithm's working memory, and nothing copies them.
+//!
+//! A slot's message is *not* found by its position in the inbox. Arrival
+//! order is ascending source VP, then send order, which interleaves `A`
+//! with `B`, and — because a VP's consecutive entries can straddle quadrants
+//! — one child segment's entries with another's; the two products of a `C`
+//! slot arrive with other slots' in between. The bodies therefore index by
+//! coordinates: `Geometry::slot` of each message's `(i, j)` goes into a
+//! small stack table of inbox positions (`SLOT_TABLE` `u16`s, filled by
+//! `operand_slots` or `product_pairs`), through which the sends are issued
+//! in slot order — the order the declared routes, and so every plan, trace
+//! and message log, are defined by.
 
 use super::{MmInput, MmMsg};
 use crate::common::{wiseness_dummies, wiseness_route};
 use crate::semiring::{Matrix, Semiring};
-use nob_machine::{Ctx, Inbox, NobAlgorithm, Program, Route};
+use nob_machine::{Ctx, NobAlgorithm, Program, Route};
 use std::marker::PhantomData;
 
-/// Per-VP state: one block of `2·2^τ` values (`τ = log_8 n`), full length
-/// from `init` on so that no step — and no per-job clone of the initial
-/// states — ever grows it.
-///
-/// The low half holds the VP's `A` entries while the recursion descends and
-/// its `C` entries while it ascends; the high half holds its `B` entries. At
-/// level `t` the first `2^t` slots of a half are live, slot `p` holding the
-/// entry with sub-local row-major index `(local VP index << t) + p`. At
-/// `t = τ` a segment is one VP and the two halves *are* the dense
-/// `n^{1/6}`-side operand blocks the base step multiplies in place; at
-/// `t = 0` slot 0 is the VP's single entry of `A`, `B` or (finally) `C`.
+/// Per-VP state at rest: the VP's one entry of `A` and its one entry of `B`
+/// — the layout the paper prescribes for inputs and outputs. Nothing else is
+/// ever stored here: the operand replicas and partial products of the
+/// recursion live only as messages (see the module docs), so a clone of the
+/// states costs 16 bytes per VP for an 8-byte semiring, whatever `n` is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MmState<V> {
-    block: Vec<V>,
+    /// The VP's entry of `A`; `mm-finalize` replaces it by its entry of `C`.
+    a: V,
+    /// The VP's entry of `B`.
+    b: V,
 }
 
 /// Row/column origins of the subproblem a VP's segment owns at some level:
@@ -75,11 +97,6 @@ impl Geometry {
     fn new(n: usize) -> Self {
         let log_n = n.trailing_zeros();
         Geometry { log_s: log_n / 2, tau: log_n / 3 }
-    }
-
-    /// Values per half of an [`MmState`] block: `2^τ`.
-    fn half(self) -> usize {
-        1 << self.tau
     }
 
     /// `log2` of the submatrix side at level `t`.
@@ -161,33 +178,62 @@ impl Geometry {
     }
 }
 
-impl<V: Semiring> MmState<V> {
-    /// Files the operand entries routed here by `D_{t−1}` in their
-    /// level-`t` slots.
-    fn ingest_operands(&mut self, geo: Geometry, t: u32, inbox: &mut Inbox<'_, MmMsg<V>>) {
-        for msg in inbox.drain(..) {
-            match msg {
-                MmMsg::A(i, j, v) => self.block[geo.slot(t, i, j)] = v,
-                MmMsg::B(i, j, v) => self.block[geo.half() + geo.slot(t, i, j)] = v,
-                MmMsg::M(..) => unreachable!("no products during descent"),
-            }
-        }
-    }
+/// Deepest recursion the step bodies can index: `τ ≤ 6`, i.e. `n ≤ 2^18`.
+/// Not a limit anyone meets — the next size, `n = 64^4`, puts 137 GB of
+/// operand replicas in flight in `D_7` alone — but the reason the bodies'
+/// scratch is 256 bytes: a table for every `n` that [`MmMsg`]'s coordinates
+/// allow is 4 KB, and filling that on every VP call costs a tenth of a job at
+/// `n = 4096`, where this one costs nothing measurable.
+const MAX_TAU: u32 = 6;
 
-    /// Sums the partial products routed here into the level-`t` `C` slots.
-    /// The slots are filled with [`Semiring::zero`] and every arrival is
-    /// `add`-ed in, so the result is the plain sum of the two contributions
-    /// precisely because `zero` is the additive identity — `+∞` under
-    /// min-plus, `false` under Boolean or — not because it is numerically 0.
-    fn ingest_products(&mut self, geo: Geometry, t: u32, inbox: &mut Inbox<'_, MmMsg<V>>) {
-        self.block[..1 << t].fill(V::zero());
-        for msg in inbox.drain(..) {
-            if let MmMsg::M(i, j, v) = msg {
-                let c = &mut self.block[geo.slot(t, i, j)];
-                *c = c.add(&v);
-            }
+// Every `n` the bodies can index also fits `MmMsg`'s `u16` coordinates.
+const _: () = assert!(1u64 << (3 * MAX_TAU) <= super::MAX_N);
+
+/// Entries of a slot table, the stack scratch of one VP call: one inbox
+/// position per operand (or partial-product) message of the deepest level.
+const SLOT_TABLE: usize = 2 << MAX_TAU;
+
+/// A slot-table entry no message has claimed (no inbox is this long).
+const VACANT: u16 = u16::MAX;
+
+/// Where the operand message of each level-`t` slot sits in `msgs`, one
+/// VP's inbox in arrival order: `msgs[a[p]]` carries the VP's `p`-th entry
+/// of `A` and `msgs[b[p]]` its `p`-th entry of `B`, for `p < 2^t`; the
+/// returned `(a, b)` are carved out of `table`.
+fn operand_slots<'t, V>(
+    geo: Geometry,
+    t: u32,
+    msgs: &[MmMsg<V>],
+    table: &'t mut [u16],
+) -> (&'t [u16], &'t [u16]) {
+    let (a, b) = table[..2 << t].split_at_mut(1 << t);
+    for (at, msg) in msgs.iter().enumerate() {
+        match msg {
+            MmMsg::A(i, j, _) => a[geo.slot(t, *i, *j)] = at as u16,
+            MmMsg::B(i, j, _) => b[geo.slot(t, *i, *j)] = at as u16,
+            MmMsg::M(..) => unreachable!("no products during descent"),
         }
     }
+    (a, b)
+}
+
+/// Where the two partial products `M_{hk0}`, `M_{hk1}` of each level-`t`
+/// `C` slot sit in `msgs`, one VP's inbox in arrival order: slot `p < 2^t`
+/// owns entries `2p` (its first arrival) and `2p + 1` of the returned part of
+/// `table`, which must come in all [`VACANT`].
+fn product_pairs<'t, V>(
+    geo: Geometry,
+    t: u32,
+    msgs: &[MmMsg<V>],
+    table: &'t mut [u16],
+) -> &'t [u16] {
+    let pairs = &mut table[..2 << t];
+    for (at, msg) in msgs.iter().enumerate() {
+        let MmMsg::M(i, j, _) = msg else { unreachable!("only products ascend") };
+        let first = 2 * geo.slot(t, *i, *j);
+        pairs[first + usize::from(pairs[first] != VACANT)] = at as u16;
+    }
+    pairs
 }
 
 /// The declared route of a step whose every VP sends `payloads` messages,
@@ -211,7 +257,8 @@ fn route(
 /// The 8-way recursive network-oblivious matrix multiplication.
 ///
 /// Supported sizes: `n = 64^e` (so that the matrix side is a power of two and
-/// the recursion depth `log_8 n` is integral, as the paper assumes).
+/// the recursion depth `log_8 n` is integral, as the paper assumes), up to
+/// `64^3 = 2^18`.
 #[derive(Debug, Clone)]
 pub struct RecursiveMm<V> {
     /// Emit the wiseness dummy messages of Section 4.1 (default: true).
@@ -231,9 +278,24 @@ impl<V> RecursiveMm<V> {
         RecursiveMm { wise, _marker: PhantomData }
     }
 
-    /// Whether `n` is a supported problem size (`n = 64^e`, `e ≥ 1`).
+    /// Whether `n` is a supported problem size (`n = 64^e`, `1 ≤ e ≤ 3`).
     pub fn supports(n: usize) -> bool {
+        Self::is_power_of_64(n) && n.trailing_zeros() <= 3 * MAX_TAU
+    }
+
+    fn is_power_of_64(n: usize) -> bool {
         n >= 64 && n.is_power_of_two() && n.trailing_zeros().is_multiple_of(6)
+    }
+
+    /// Refuses, before any VP runs, a size the step bodies cannot index.
+    fn assert_supported(n: usize) {
+        assert!(Self::is_power_of_64(n), "RecursiveMm supports n = 64^e, got {n}");
+        assert!(
+            Self::supports(n),
+            "RecursiveMm's step bodies index inboxes of at most 2·2^{MAX_TAU} messages \
+             (n ≤ 2^{}): n = {n}",
+            3 * MAX_TAU
+        );
     }
 }
 
@@ -252,23 +314,19 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
     }
 
     fn init(&self, n: usize, input: &MmInput<V>) -> Vec<MmState<V>> {
-        assert!(Self::supports(n), "RecursiveMm supports n = 64^e, got {n}");
+        Self::assert_supported(n);
         assert_eq!(input.n(), n);
         let geo = Geometry::new(n);
         (0..n)
             .map(|vp| {
                 let (i, j) = geo.local(0, vp, 0);
-                let mut block = vec![V::zero(); 2 * geo.half()];
-                block[0] = input.a.get(i, j).clone();
-                block[geo.half()] = input.b.get(i, j).clone();
-                MmState { block }
+                MmState { a: input.a.get(i, j).clone(), b: input.b.get(i, j).clone() }
             })
             .collect()
     }
 
     fn build(&self, n: usize) -> Program<MmState<V>, MmMsg<V>> {
-        assert!(Self::supports(n), "RecursiveMm supports n = 64^e, got {n}");
-        assert!(n as u64 <= super::MAX_N, "MmMsg coordinates are u16: n = {n} > 2^32");
+        Self::assert_supported(n);
         let geo = Geometry::new(n);
         let tau = geo.tau;
         let mut prog: Program<MmState<V>, MmMsg<V>> = Program::new(n, n);
@@ -288,26 +346,22 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                 out_degree(payloads, dummies),
                 route(payloads, label, dummies, move |vp, k| geo.replica_dst(t, vp, k)),
                 move |st, ctx, inbox, out| {
-                    if t > 0 {
-                        st.ingest_operands(geo, t, inbox);
-                    }
-                    let o = geo.path(t, ctx.vp);
-                    let per_operand = payloads / 2;
-                    for k in 0..per_operand {
-                        let (li, lj) = geo.local(t, ctx.vp, k >> 1);
-                        let val = st.block[k >> 1].clone();
-                        out.send(
-                            geo.replica_dst(t, ctx.vp, k),
-                            MmMsg::A((o.h | li) as u16, (o.l | lj) as u16, val),
-                        );
-                    }
-                    for k in 0..per_operand {
-                        let (li, lj) = geo.local(t, ctx.vp, k >> 1);
-                        let val = st.block[geo.half() + (k >> 1)].clone();
-                        out.send(
-                            geo.replica_dst(t, ctx.vp, per_operand + k),
-                            MmMsg::B((o.l | li) as u16, (o.k | lj) as u16, val),
-                        );
+                    // Every level forwards what it received; D_0 "receives"
+                    // the VP's own two entries.
+                    let own;
+                    let msgs = if t == 0 {
+                        let (i, j) = geo.local(0, ctx.vp, 0);
+                        let (i, j) = (i as u16, j as u16);
+                        own = [MmMsg::A(i, j, st.a.clone()), MmMsg::B(i, j, st.b.clone())];
+                        &own[..]
+                    } else {
+                        inbox.as_slice()
+                    };
+                    let mut table = [VACANT; SLOT_TABLE];
+                    let (a, b) = operand_slots(geo, t, msgs, &mut table);
+                    // Two replicas per slot: all of A's, then all of B's.
+                    for (k, &at) in a.iter().chain(b).flat_map(|at| [at, at]).enumerate() {
+                        out.send(geo.replica_dst(t, ctx.vp, k), msgs[at as usize].clone());
                     }
                     if wise {
                         wiseness_dummies(ctx, label, dummies, out);
@@ -319,22 +373,27 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
         // --- Base: sequential n^{1/6}-side multiply, send M upward ----------
         {
             let label = 3 * (tau - 1);
-            let (payloads, dummies) = (geo.half(), 1u64 << (tau - 1));
+            let (payloads, dummies) = (1usize << tau, 1u64 << (tau - 1));
             prog.step_oblivious(
                 label,
                 "mm-base",
                 out_degree(payloads, dummies),
                 route(payloads, label, dummies, move |vp, k| geo.product_dst(tau, vp, k)),
-                move |st, ctx, inbox, out| {
-                    st.ingest_operands(geo, tau, inbox);
+                move |_st, ctx, inbox, out| {
+                    let msgs = inbox.as_slice();
                     let o = geo.path(tau, ctx.vp);
                     let side = 1usize << geo.log_side(tau);
-                    let (a, b) = st.block.split_at(geo.half());
+                    // At level τ a segment is one VP: the slots are the dense
+                    // row-major operand blocks.
+                    let mut table = [VACANT; SLOT_TABLE];
+                    let (a, b) = operand_slots(geo, tau, msgs, &mut table);
                     for i in 0..side {
                         for j in 0..side {
                             let mut acc = V::zero();
                             for k in 0..side {
-                                acc = acc.add(&a[i * side + k].mul(&b[k * side + j]));
+                                let a_ik = msgs[a[i * side + k] as usize].value();
+                                let b_kj = msgs[b[k * side + j] as usize].value();
+                                acc = acc.add(&a_ik.mul(b_kj));
                             }
                             out.send(
                                 geo.product_dst(tau, ctx.vp, i * side + j),
@@ -358,15 +417,16 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                 "mm-combine",
                 out_degree(payloads, dummies),
                 route(payloads, label, dummies, move |vp, k| geo.product_dst(t, vp, k)),
-                move |st, ctx, inbox, out| {
-                    st.ingest_products(geo, t, inbox);
-                    let o = geo.path(t, ctx.vp);
-                    for p in 0..payloads {
-                        let (li, lj) = geo.local(t, ctx.vp, p);
-                        out.send(
-                            geo.product_dst(t, ctx.vp, p),
-                            MmMsg::M((o.h | li) as u16, (o.k | lj) as u16, st.block[p].clone()),
-                        );
+                move |_st, ctx, inbox, out| {
+                    let msgs = inbox.as_slice();
+                    let mut table = [VACANT; SLOT_TABLE];
+                    let pairs = product_pairs(geo, t, msgs, &mut table);
+                    for (p, pair) in pairs.chunks_exact(2).enumerate() {
+                        let MmMsg::M(i, j, m0) = &msgs[pair[0] as usize] else {
+                            unreachable!("only products ascend")
+                        };
+                        let m1 = msgs[pair[1] as usize].value();
+                        out.send(geo.product_dst(t, ctx.vp, p), MmMsg::M(*i, *j, m0.add(m1)));
                     }
                     if wise {
                         wiseness_dummies(ctx, label, dummies, out);
@@ -375,20 +435,25 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
             );
         }
 
-        // --- Final ingest: every VP ends with its single C entry ------------
+        // --- Final sum: every VP ends with its single C entry ---------------
         prog.step_oblivious(
             log_v - 1,
             "mm-finalize",
             0,
             |_, _| Route::Skip,
-            move |st, _ctx, inbox, _out| st.ingest_products(geo, 0, inbox),
+            move |st, _ctx, inbox, _out| {
+                let [m0, m1] = inbox.as_slice() else {
+                    unreachable!("C_hk = M_hk0 + M_hk1: two arrivals per VP")
+                };
+                st.a = m0.value().add(m1.value());
+            },
         );
         prog
     }
 
     fn extract(&self, n: usize, states: Vec<MmState<V>>) -> Matrix<V> {
         let geo = Geometry::new(n);
-        Matrix::from_fn(1 << geo.log_s, |i, j| states[i << geo.log_s | j].block[0].clone())
+        Matrix::from_fn(1 << geo.log_s, |i, j| states[i << geo.log_s | j].a.clone())
     }
 }
 
@@ -418,6 +483,20 @@ mod tests {
         assert!(RecursiveMm::<WrapU64>::supports(4096));
         assert!(!RecursiveMm::<WrapU64>::supports(256));
         assert!(!RecursiveMm::<WrapU64>::supports(63));
+    }
+
+    #[test]
+    fn supports_stops_where_the_bodies_stop_indexing() {
+        // τ = 6 fills the slot table exactly.
+        assert!(RecursiveMm::<WrapU64>::supports(1 << 18));
+        RecursiveMm::<WrapU64>::assert_supported(1 << 18);
+        assert!(!RecursiveMm::<WrapU64>::supports(1 << 24));
+    }
+
+    #[test]
+    #[should_panic(expected = "2·2^6 messages (n ≤ 2^18): n = 16777216")]
+    fn a_size_past_the_slot_table_is_refused_by_name_up_front() {
+        RecursiveMm::<WrapU64>::default().build(1 << 24);
     }
 
     #[test]
@@ -534,15 +613,22 @@ mod tests {
     }
 
     #[test]
-    fn every_step_is_declared_on_a_fixed_block() {
-        for (n, seed) in [(64usize, 13u64), (4096, 17)] {
-            let input = random_input(1 << (n.trailing_zeros() / 2), seed);
-            let block = 2 << (n.trailing_zeros() / 3);
+    fn state_at_rest_is_two_values() {
+        assert_eq!(std::mem::size_of::<MmState<WrapU64>>(), 16);
+        // Labels and per-step payload totals as literals: the routes are
+        // pinned, not recomputed from the code under test.
+        let labels_64 = vec![0, 3, 3, 0, 5];
+        let data_64 = [256, 512, 256, 128, 0];
+        let labels_4096 = vec![0, 3, 6, 9, 9, 6, 3, 0, 11];
+        let data_4096 = [16_384, 32_768, 65_536, 131_072, 65_536, 32_768, 16_384, 8_192, 0];
+        for (n, labels, data) in
+            [(64usize, labels_64, &data_64[..]), (4096, labels_4096, &data_4096)]
+        {
             for wise in [true, false] {
-                let alg = RecursiveMm::<WrapU64>::new(wise);
-                let prog = alg.build(n);
+                let prog = RecursiveMm::<WrapU64>::new(wise).build(n);
                 assert_eq!(prog.planned_steps(), prog.steps().len(), "n={n} wise={wise}");
-                for step in prog.steps() {
+                assert_eq!(prog.labels(), labels, "n={n} wise={wise}");
+                for (step, &total) in prog.steps().iter().zip(data) {
                     let plan = step.plan().expect("declared");
                     assert!(plan.fault().is_none(), "{}: {:?}", step.name, plan.fault());
                     assert!(
@@ -551,16 +637,81 @@ mod tests {
                         step.name,
                         plan.layout()
                     );
+                    assert_eq!(plan.total_data(), total, "n={n} wise={wise} {}", step.name);
                 }
                 assert!(prog.plan_bytes() <= 2048, "{} plan bytes", prog.plan_bytes());
-                let states = alg.init(n, &input);
-                assert!(states.iter().all(|st| st.block.len() == block));
-                let done = run(&prog, states, &RunOptions::default()).unwrap();
-                let fixed = |st: &MmState<WrapU64>| {
-                    st.block.len() == block && st.block.capacity() == block
-                };
-                assert!(done.states.iter().all(fixed));
             }
+        }
+    }
+
+    /// A deterministic shuffle that sends neighbours far apart.
+    fn shuffled<T>(mut items: Vec<T>) -> Vec<T> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in (1..items.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            items.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        items
+    }
+
+    /// Feeds the slot helpers, at every level of depth-`τ` recursion, the
+    /// inbox some VP would receive — in an arrival order no engine produces.
+    fn slots_survive_any_arrival_order(tau: u32) {
+        let geo = Geometry::new(1 << (3 * tau));
+        for t in 1..=tau {
+            // A VP at the far end of the machine, so the origins are not 0.
+            let vp = (1usize << (3 * tau)) - 1 - (t as usize);
+            let o = geo.path(t, vp);
+            let slots = 1usize << t;
+            let coords = |p: usize, row0: usize, col0: usize| {
+                let (li, lj) = geo.local(t, vp, p);
+                ((row0 | li) as u16, (col0 | lj) as u16)
+            };
+            let mut operands = Vec::new();
+            let mut products = Vec::new();
+            for p in 0..slots {
+                let ((ai, aj), (bi, bj)) = (coords(p, o.h, o.l), coords(p, o.l, o.k));
+                let (ci, cj) = coords(p, o.h, o.k);
+                operands.push(MmMsg::A(ai, aj, WrapU64(p as u64)));
+                operands.push(MmMsg::B(bi, bj, WrapU64(1000 + p as u64)));
+                products.push(MmMsg::M(ci, cj, WrapU64(p as u64)));
+                products.push(MmMsg::M(ci, cj, WrapU64(p as u64)));
+            }
+            let operands = shuffled(operands);
+            let mut table = [VACANT; SLOT_TABLE];
+            let (a, b) = operand_slots(geo, t, &operands, &mut table);
+            assert_eq!((a.len(), b.len()), (slots, slots));
+            for p in 0..slots {
+                let what = format!("τ={tau} t={t} slot {p}");
+                let (at_a, at_b) = (&operands[a[p] as usize], &operands[b[p] as usize]);
+                assert!(matches!(at_a, MmMsg::A(..)), "{what}");
+                assert!(matches!(at_b, MmMsg::B(..)), "{what}");
+                assert_eq!(at_a.value(), &WrapU64(p as u64), "{what}: A");
+                assert_eq!(at_b.value(), &WrapU64(1000 + p as u64), "{what}: B");
+            }
+            let products = shuffled(products);
+            let mut table = [VACANT; SLOT_TABLE];
+            let pairs = product_pairs(geo, t, &products, &mut table);
+            assert_eq!(pairs.len(), 2 * slots);
+            for (p, pair) in pairs.chunks_exact(2).enumerate() {
+                let what = format!("τ={tau} t={t} slot {p}");
+                assert!(pair[0] < pair[1], "{what}: pair in arrival order");
+                assert_eq!(products[pair[0] as usize].value(), &WrapU64(p as u64), "{what}");
+                assert_eq!(products[pair[1] as usize].value(), &WrapU64(p as u64), "{what}");
+            }
+            if slots >= 4 {
+                let apart = pairs.chunks_exact(2).filter(|pair| pair[1] - pair[0] > 1).count();
+                assert!(apart >= slots / 2, "τ={tau} t={t}: the shuffle kept pairs adjacent");
+            }
+        }
+    }
+
+    #[test]
+    fn slot_helpers_index_by_coordinates_not_arrival_order() {
+        for tau in [2, 4, 6] {
+            slots_survive_any_arrival_order(tau);
         }
     }
 

@@ -508,6 +508,14 @@ impl StepMetricsBuilder {
 }
 
 impl StepMetrics {
+    /// The metrics of a superstep that sends nothing, on a machine of
+    /// `2^log_v` VPs — what a [`StepMetricsBuilder`] fed no message
+    /// finishes to, without its `O(v)` accumulators.
+    pub fn silent(log_v: u32) -> Self {
+        let zeros = vec![0; log_v as usize];
+        StepMetrics { levels: log_v, h_by_fold: zeros.clone(), ext_prefix: zeros, total: 0 }
+    }
+
     /// Fold levels covered.
     #[inline]
     pub fn levels(&self) -> u32 {
@@ -1226,6 +1234,13 @@ mod tests {
                 mixed.swap(i, next() as usize % (i + 1));
             }
             assert_step_metrics_match(log_v, &mixed, &format!("log_v {log_v} shuffled"));
+        }
+    }
+
+    #[test]
+    fn silent_step_metrics_are_what_an_unfed_builder_finishes_to() {
+        for log_v in [1u32, 2, 5, 8] {
+            assert_eq!(StepMetrics::silent(log_v), StepMetricsBuilder::new(log_v).finish());
         }
     }
 

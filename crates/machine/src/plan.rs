@@ -111,6 +111,13 @@ impl PlanLayout {
     /// Detects the layout of a per-destination count vector (one count per
     /// VP, so a power-of-two length).
     fn detect(counts: &[u32], total_data: u64) -> Option<PlanLayout> {
+        // The common case first: this comparison against one value
+        // vectorises, the period scan below (an index that depends on what
+        // it has found so far) does not.
+        let first = counts.first().copied().unwrap_or(0);
+        if counts.iter().all(|&c| c == first) {
+            return Some(PlanLayout::Uniform(first));
+        }
         // The smallest power-of-two period, in one pass: a mismatch at `d`
         // rules out every period ≤ `d` (each index below `d` already agrees
         // with its residue), and any period above `d` trivially holds so far.
@@ -119,9 +126,6 @@ impl PlanLayout {
             if c != counts[d & (period - 1)] {
                 period = (d + 1).next_power_of_two();
             }
-        }
-        if period == 1 {
-            return Some(PlanLayout::Uniform(counts.first().copied().unwrap_or(0)));
         }
         // A table only helps when it is small, and its entries must fit the
         // u32 offsets the arenas run on.
@@ -233,6 +237,23 @@ impl StepPlan {
     where
         R: Fn(&Ctx, usize) -> Route + Send + Sync + 'static,
     {
+        // A step that declares no message slot (every shipped program ends
+        // in one) has nothing to enumerate: no `O(v)` scratch, no scan.
+        if out_degree == 0 {
+            return StepPlan {
+                route: Box::new(route),
+                out_degree,
+                v,
+                log_v,
+                n,
+                metrics: StepMetrics::silent(log_v),
+                total_data: 0,
+                fault: None,
+                min_locality: log_v,
+                layout: Some(PlanLayout::Uniform(0)),
+                approx_bytes: std::mem::size_of::<StepPlan>() as u64,
+            };
+        }
         let mut metrics = StepMetricsBuilder::new(log_v);
         let mut total_data = 0u64;
         let mut fault = None;
@@ -573,6 +594,21 @@ mod tests {
         let bad = StepPlan::compile(8, 3, 8, 1, 1, route_exchange(4));
         assert!(bad.layout().is_none());
         assert!(!bad.shard_local(1));
+    }
+
+    #[test]
+    fn a_step_without_message_slots_compiles_without_a_scan() {
+        // Not even the route is consulted: this one would fault if it were.
+        let shortcut = StepPlan::compile(8, 3, 8, 2, 0, |_, _| Route::Data(usize::MAX));
+        // The same step through the enumeration.
+        let scanned = StepPlan::compile(8, 3, 8, 2, 1, |_, _| Route::End);
+        assert!(shortcut.fault().is_none());
+        assert!(matches!(shortcut.layout(), Some(PlanLayout::Uniform(0))));
+        assert_eq!(shortcut.total_data(), 0);
+        assert_eq!(shortcut.metrics(), scanned.metrics());
+        assert_eq!(shortcut.metrics().h_prefix(3), [0, 0, 0]);
+        assert_eq!(shortcut.min_locality, scanned.min_locality);
+        assert_eq!(shortcut.approx_bytes(), scanned.approx_bytes());
     }
 
     /// Gather to / scatter from the leader of every `m`-segment — the

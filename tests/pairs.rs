@@ -7,28 +7,35 @@
 //! reach the runs; medians, quartiles, the relative difference and the
 //! wins/ties count are what the planted values say; trees whose paths differ
 //! in length are refused before any run; and an incorrect, failed or silent
-//! run fails the whole comparison, naming side, pair and workload.
+//! run fails the whole comparison, naming side, pair and workload; and
+//! `--trace 1` runs the traced benchmark, tabulates only the named metrics
+//! (`:higher` flips the win test) and fails on a name no run reports.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// Stands in for `benchmark/run.sh`: appends `<tree> <args>` to the shared
-/// `calls.log`, then prints what `bench --trace 0` prints — the status line
-/// (from `status` when the case planted one) and the two gated metrics, read
-/// from line *k* of the tree's `values.txt` on its *k*-th call.
+/// `calls.log`, then prints what `bench` prints — the status line (from
+/// `status` when the case planted one) and two metrics read from line *k* of
+/// the tree's `values.txt` on its *k*-th call: the gated pair for
+/// `--trace 0`, two per-layer names (among others) for `--trace 1`.
 const STUB: &str = r#"#!/usr/bin/env bash
 tree="$(cd "$(dirname "$0")/.." && pwd)"
 echo "$(basename "$tree") $*" >> "$tree/../calls.log"
 k="$(grep -c "^$(basename "$tree") " "$tree/../calls.log")"
-read -r setup rss < <(sed -n "${k}p" "$tree/values.txt")
+read -r first second < <(sed -n "${k}p" "$tree/values.txt")
 if [ -e "$tree/status" ]; then cat "$tree/status"; else echo "workload w: correct=true attempted=5 failed=0"; fi
-printf '  %-34s %18.6f %-6s (samples: %d)\n' setup_s "$setup" s 5 peak_rss_mb "$rss" MB 1
+row() { printf '  %-34s %18.6f %-6s (samples: %d)\n' "$@"; }
+case "$*" in
+    *"--trace 1"*) row plan.bytes 1800 B 1 drive.job_p50_us "$first" us 5 drive.jobs_per_sec "$second" 1/s 5 ;;
+    *) row setup_s "$first" s 5 peak_rss_mb "$second" MB 1 ;;
+esac
 echo '{"correct": true, "attempted": 5, "failed": 0, "metrics": {}}'
 "#;
 
 /// Two stub trees `<case>/<parent>` and `<case>/<change>` replaying the given
-/// `(setup_s, peak_rss_mb)` rows.
+/// `(setup_s, peak_rss_mb)` — traced: `(job_p50_us, jobs_per_sec)` — rows.
 fn sandbox(case: &str, names: [&str; 2], rows: [&[(f64, f64)]; 2]) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("pairs").join(case);
     let _ = fs::remove_dir_all(&root);
@@ -122,4 +129,51 @@ fn an_incorrect_failed_or_silent_run_fails_the_comparison() {
         }
         assert!(!text(&out.stdout).contains("wins"), "{case}: a failed comparison prints no table");
     }
+}
+
+#[test]
+fn traced_pairs_tabulate_only_the_named_metrics_in_their_direction() {
+    let names = ["parent", "change"];
+    let root = sandbox("traced", names, [&CHANGE, &PARENT]);
+    let metrics = ["--metric", "drive.jobs_per_sec:higher", "--metric", "drive.job_p50_us"];
+    let out =
+        pairs(&root, names, &[&["--pairs", "4", "--trace", "1"], &metrics[..], &["w"]].concat());
+    assert!(out.status.success(), "{}", text(&out.stderr));
+
+    let log = fs::read_to_string(root.join("calls.log")).unwrap();
+    assert_eq!(log.lines().count(), 8);
+    for call in log.lines() {
+        assert!(call.ends_with(" --workload w --seed 1 --seconds 20 --trace 1"), "`{call}`");
+    }
+    let table = text(&out.stdout);
+    assert!(table.lines().next().unwrap().ends_with("--trace 1"), "{table}");
+    assert!(!table.contains("plan.bytes"), "an unnamed metric is not tabulated:\n{table}");
+    let row = |metric: &str| table.lines().find(|l| l.contains(metric)).unwrap().to_string();
+    // Parent 8 9 10 12, change 10 11 12 13; by pair 10>9, 12=12, 11>10, 13>8.
+    let rate = row("drive.jobs_per_sec");
+    for needle in
+        ["parent   9.500000", "change  11.500000", "+21.05 %", "wins 3/4 (1 tied) (higher wins)"]
+    {
+        assert!(rate.contains(needle), "`{needle}` not in `{rate}`");
+    }
+    // Lower still wins where `:higher` was not asked: tie, win, lose, tie.
+    let p50 = row("drive.job_p50_us");
+    assert!(p50.ends_with("wins 1/4 (2 tied)"), "`{p50}`");
+}
+
+#[test]
+fn a_metric_no_run_reports_fails_the_comparison() {
+    let names = ["parent", "change"];
+    let root = sandbox("unknown", names, [&PARENT, &CHANGE]);
+    let out = pairs(&root, names, &["--trace", "1", "--metric", "drive.job_p5O_us", "w"]);
+    let err = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    for n in ["parent run 1 of w", "no metric `drive.job_p5O_us`"] {
+        assert!(err.contains(n), "stderr does not name `{n}`:\n{err}");
+    }
+    assert!(!text(&out.stdout).contains("wins"), "a failed comparison prints no table");
+    // A traced table of every per-layer metric is never what was meant.
+    let out = pairs(&root, names, &["--trace", "1", "w"]);
+    assert_eq!(out.status.code(), Some(2), "{}", text(&out.stdout));
+    assert!(text(&out.stderr).contains("needs at least one --metric"), "{}", text(&out.stderr));
 }
