@@ -136,7 +136,24 @@ pub struct RunOptions {
     /// the serial path when the machine or the worker pool is too small for
     /// sharding to pay; see the module docs).
     pub parallel: bool,
-    /// Check the i-superstep cluster constraint on every message.
+    /// Check the run against the model (default: `true`). On a *dynamic*
+    /// superstep: the i-superstep cluster constraint on every message. On
+    /// a *planned* one — whose declared route was proven cluster-legal
+    /// once, at compile time — conformance of the actual sends to that
+    /// route: the direct writer sums a 64-bit route digest over every send
+    /// (destination, kind and position; dummies included) and the engine
+    /// compares it with the digest the plan stored, before the superstep's
+    /// arena is committed. A mismatch is a
+    /// [`ModelError::PlanMismatch`] naming the step and the first VP of the
+    /// shard whose sum differs (not the diverging send).
+    ///
+    /// What stays exact with or without this flag: a destination outside
+    /// the machine, a payload leaving its shard cluster, more payloads to a
+    /// destination than planned, fewer payloads written than declared. What
+    /// only the digest catches — with probability `1 − 2⁻⁶⁴` — is a
+    /// divergence that keeps all of those: another destination with the
+    /// same counts, sends swapped between or within VPs, a payload sent as
+    /// a dummy or the reverse, a dummy missing or extra.
     pub validate: bool,
     /// Keep the raw per-superstep message log — `(src VP, dst VP)` for
     /// [`run`], `(src proc, dst proc)` of processor-external messages for
@@ -766,10 +783,15 @@ pub(crate) fn capture_run<S, M>(
 /// Mis-declared plans are rejected, never silently executed: the direct
 /// writer bounds every write by its destination's planned range, and the
 /// payload total is compared against the plan *before* the arena is
-/// committed (an under-filled slab is never published — its partial
-/// payloads are leaked, not dropped, which is safe and bounded by one
-/// superstep). With validation on the writer additionally checks every
-/// send (dummies included) against the declared route in lockstep.
+/// committed (an under-filled slab is never published — its payloads are
+/// leaked, not dropped, which is safe and bounded by one superstep). Those
+/// checks are exact. With validation on, the writer also sums a route
+/// digest over every send (dummies included), compared at the same point
+/// against the plan's: a divergence in destination, kind or order that
+/// keeps every count is caught with probability `1 − 2⁻⁶⁴`, reported as
+/// a `PlanMismatch` of the step at VP 0 (the serial "shard"'s first VP —
+/// a sum names no send), and its fully written arena is leaked like any
+/// other rejected one.
 #[allow(clippy::too_many_arguments)]
 fn run_planned_step<S, M: Send>(
     step: &crate::program::Superstep<S, M>,
@@ -818,12 +840,11 @@ fn run_planned_step<S, M: Send>(
     // Arm the direct writer over the write arena's freshly sized slab.
     {
         let (wslab, woffsets) = write.split_for_scatter(total);
-        let check = validate.then(|| plan.route_raw());
         outbox.enter_direct(crate::mailbox::DirectSink::Serial(crate::mailbox::DirectOut::new(
             wslab,
             cursors,
             woffsets,
-            check,
+            validate,
             uniform_k,
             bitmap.then_some(&mut *dst_seen),
         )));
@@ -833,7 +854,7 @@ fn run_planned_step<S, M: Send>(
     let (rslab, roffsets) = read.take_read();
     exec_direct_chunk(step, 0, states, rslab, roffsets, outbox, v, plan.log_v, plan.n);
 
-    let (written, fault) = match outbox.exit_direct() {
+    let (written, fault, digest) = match outbox.exit_direct() {
         crate::mailbox::DirectSink::Serial(d) => d.finish(),
         crate::mailbox::DirectSink::Sharded(_) => unreachable!("serial path arms a serial sink"),
     };
@@ -842,8 +863,8 @@ fn run_planned_step<S, M: Send>(
     }
     if written != plan.total_data() {
         // Attribute the shortfall to the first destination whose inbox
-        // range was left short (without lockstep checking the sender is
-        // unknown, but the starved receiver is not).
+        // range was left short (the sender is unknown, but the starved
+        // receiver is not).
         let (_, woffsets) = write.split_for_scatter(total);
         let vp = if bitmap {
             (0..v).find(|&d| dst_seen[d >> 6] & (1u64 << (d & 63)) == 0).unwrap_or(0)
@@ -854,6 +875,13 @@ fn run_planned_step<S, M: Send>(
             step: step.name,
             vp,
             reason: "destination received fewer payload messages than the route declares",
+        });
+    }
+    if digest.is_some_and(|d| d != plan.digest) {
+        return Err(ModelError::PlanMismatch {
+            step: step.name,
+            vp: 0,
+            reason: crate::mailbox::DIGEST_MISMATCH,
         });
     }
     write.commit_write(total);
@@ -872,9 +900,9 @@ pub(crate) fn plan_log_entry(
 ) {
     let v = 1usize << plan.log_v;
     if spec.full {
-        plan.for_each_message(0..v, |s, d, _| out.push((s as u32, d as u32)));
+        plan.for_each_message(0..v, |s, _, d, _| out.push((s as u32, d as u32)));
     } else {
-        plan.for_each_message(0..v, |s, d, _| {
+        plan.for_each_message(0..v, |s, _, d, _| {
             let (ps, pd) = (s >> spec.gran_shift, d >> spec.gran_shift);
             if ps != pd {
                 out.push((ps as u32, pd as u32));
@@ -885,10 +913,13 @@ pub(crate) fn plan_log_entry(
 
 /// Runs one *planned* superstep's closures for a chunk of consecutive VPs
 /// with a direct writer armed in `outbox`: carves per-VP inboxes out of
-/// the read slab and brackets each closure with the writer's begin/end
-/// hooks (per-VP counter reset + lockstep exhaustion check). Shared by the
-/// serial path (one chunk covering the machine) and the sharded executor's
-/// workers, so planned inbox carving can never drift between the two.
+/// the read slab and starts each VP's sends on the writer (per-VP counter
+/// reset: the position every send of a VP adds to the route digest). No
+/// check runs between two VPs — a VP that sends too little shows in the
+/// written total or the digest its caller compares after the chunk. Shared
+/// by the serial path (one chunk covering the machine) and the sharded
+/// executor's workers, so planned inbox carving can never drift between
+/// the two.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_direct_chunk<S, M>(
     step: &crate::program::Superstep<S, M>,
@@ -911,9 +942,8 @@ pub(crate) fn exec_direct_chunk<S, M>(
         let mut inbox = Inbox::over_slab(mine);
         let ctx = Ctx { vp: vp_lo + i, v, log_v, n };
         outbox.cur_vp = vp_lo + i;
-        outbox.direct_mut().begin_vp(&ctx);
+        outbox.direct_mut().begin_vp(ctx.vp);
         (step.exec)(state, &ctx, &mut inbox, outbox);
-        outbox.direct_mut().end_vp();
     }
 }
 
@@ -1322,7 +1352,7 @@ mod tests {
                 "wrong error at {w} workers: {err:?}"
             );
         }
-        // Safety net without validation: route lockstep is off, but the
+        // Safety net without validation: the route digest is off, but the
         // payload *multiset* checks still refuse to publish an arena whose
         // slot occupancy disagrees with the plan — on the serial path
         // (cursor bounds + written total) and identically on the sharded

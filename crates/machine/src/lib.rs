@@ -66,20 +66,28 @@
 //!   (source shard, destination VP) and publishes a window peers write
 //!   through — no lane staging, no gather pass, one barrier per planned
 //!   superstep). Plan invariants: a plan never changes semantics, only
-//!   cost (enforced by differential suites); under validation a
-//!   mis-declared route is rejected on every path
-//!   ([`nob_core::ModelError::PlanMismatch`]) — each send is checked
-//!   against the route in lockstep, dummies included — and a
-//!   cluster-violating route faults at compile time and reports like the
-//!   dynamic engine would. With validation *off*, a mis-declared plan is
-//!   the program's problem (exactly like a cluster violation is), but
-//!   memory safety never trusts the declaration: on both paths the direct
-//!   writers bound every write by its planned slot region and verify the
-//!   payload multiset before any arena is published, so a divergent
-//!   multiset still surfaces as `PlanMismatch` rather than executing (a
-//!   divergence that *preserves* all per-region counts — one permutation
-//!   declared as another — executes with the declared metrics recorded
-//!   unchecked; only validation pins the exact sequence).
+//!   cost (enforced by differential suites); a cluster-violating route
+//!   faults at compile time and reports like the dynamic engine would; and
+//!   a mis-declared route surfaces as
+//!   [`nob_core::ModelError::PlanMismatch`], never as corrupt memory. Four
+//!   checks are exact on every run, because memory safety never trusts
+//!   the declaration: a destination outside the machine, a payload leaving
+//!   the shard cluster, more payloads to a destination than planned (the
+//!   direct writers bound every write by its planned slot region), fewer
+//!   payloads written than declared (checked before any arena is
+//!   published). A divergence that keeps all of those — another
+//!   destination with the same counts, one permutation declared as
+//!   another, sends reordered within a VP, a payload sent as a dummy or the
+//!   reverse, a dummy missing or extra — is caught under validation by a
+//!   **route digest**: compile sums a 64-bit term over every declared
+//!   send, the writers sum the same term over every actual one, and the
+//!   two sums are compared before the arena is committed, so the
+//!   per-superstep check costs one hash per send instead of a second
+//!   evaluation of the route. It holds with probability `1 − 2⁻⁶⁴` and
+//!   names the step and the first VP of the shard whose sum differs, not
+//!   the diverging send. With validation *off* such a divergence executes
+//!   with the declared metrics recorded unchecked — the program's problem,
+//!   exactly like a cluster violation is.
 //! * **Captured** ([`program::Program::capture_plans`]): a program whose
 //!   routes are deterministic for its inputs but inconvenient (or
 //!   impossible) to declare obliviously can record one dynamic run and
@@ -88,9 +96,9 @@
 //!   **Cache invalidation**: a capture is valid only for the same program
 //!   instance and the same `(initial states, v)` it was recorded against.
 //!   A run whose behavior drifts from its capture is *detected*, never
-//!   silently mis-delivered: under validation every send is checked
-//!   against the captured route in lockstep, and even without validation
-//!   the direct writers' slot bounds and payload-total gates reject any
+//!   silently mis-delivered: under validation the sends' digest is checked
+//!   against the captured route's, and even without validation the direct
+//!   writers' slot bounds and payload-total gates reject any
 //!   count-changing drift — either way a structured
 //!   [`nob_core::ModelError::PlanMismatch`], or a transparent re-execution
 //!   on the dynamic path under [`engine::PlanFallback::Dynamic`].
@@ -193,7 +201,9 @@
 //! window, every write is bounds-checked against its (source shard,
 //! destination) region, and per-worker written totals gate every commit —
 //! so slabs are only ever committed fully initialized, each slot written
-//! exactly once, whatever the routes declared. Lane payload moves
+//! exactly once, whatever the routes declared. (Validation's route digest
+//! is compared at the same gate but guards nothing in memory; an arena it
+//! rejects is leaked like any other.) Lane payload moves
 //! themselves go through safe `Vec` drains, so abandoned supersteps
 //! (validation errors, panics) drop staged messages through ordinary
 //! destructors.

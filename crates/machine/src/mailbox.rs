@@ -63,8 +63,10 @@
 //!    ranges ⇒ each slot written at most once) and the engine compares the
 //!    written total against the plan *before* `commit_write`, so a slab is
 //!    only ever published fully initialized. On the mismatch path nothing
-//!    is committed; partially written payloads are leaked (never dropped,
-//!    never re-observed), bounded by one superstep's traffic.
+//!    is committed; written payloads are leaked (never dropped, never
+//!    re-observed), bounded by one superstep's traffic. Validation's route
+//!    digest is compared at the same point and takes the same path: it is a
+//!    conformance check, not a memory guard.
 //! 5. `DirectGrid` slot ownership is phase-disciplined like the lane grid,
 //!    but at *slot-region* granularity. A window for write-arena parity `x`
 //!    is published only by the arena's owner during a *prepare* phase and
@@ -528,11 +530,18 @@ pub(crate) fn route_serial<M>(
 ///
 /// Together these make every committed slab fully initialized with each
 /// slot written exactly once. On the error path nothing is committed; the
-/// partially written payloads are leaked (not dropped) — safe, and bounded
-/// by one superstep's traffic. With validation on, the writer additionally
-/// walks the declared route in lockstep ([`DirectCheck`]) and flags the
-/// first divergence in destination, kind, order or count — dummies
-/// included, since those feed the precomputed metrics.
+/// written payloads are leaked (not dropped) — safe, and bounded by one
+/// superstep's traffic.
+///
+/// With validation on, the writer also sums every admitted send —
+/// destination, kind and position, dummies included, since those feed the
+/// precomputed metrics — into a route digest ([`crate::plan::mix`]), which
+/// the engine compares against the plan's before committing. The digest
+/// never guards memory: the bounds above alone do. A send it rejects has
+/// already been written into a bounded slot of an arena that is then never
+/// committed, so under validation too a wrong payload is leaked, never
+/// dropped or read — the same rule as for the non-validated path's wrong
+/// sends.
 pub(crate) struct DirectOut<M> {
     slab: *mut MaybeUninit<M>,
     slab_len: usize,
@@ -557,96 +566,50 @@ pub(crate) struct DirectOut<M> {
     core: DirectCore,
 }
 
-/// Validation-mode state of the direct writers: the declared route of the
-/// current VP, walked send by send.
-pub(crate) struct DirectCheck {
-    /// The plan's route function. A raw pointer so [`DirectOut`] needs no
-    /// lifetime (it lives inside the recycled `Outbox`); the engine installs
-    /// and removes the writer within one superstep, during which the
-    /// `&Program` is borrowed: each of its schedule entries keeps a
-    /// reference count on its plan — shared with repeated entries or not —
-    /// and an entry's plan is replaced only through `&mut Program`, so the
-    /// plan and the route it boxes are alive and immovable.
-    route: *const crate::plan::RouteDyn,
-    ctx: crate::program::Ctx,
-    k: usize,
-    out_degree: usize,
-}
-
-impl DirectCheck {
-    /// The next declared non-skip slot: `(dst, is_data)`. Delegates to the
-    /// one shared walking implementation ([`crate::plan::walk_next`]) so
-    /// the serial and sharded mis-declaration detectors cannot drift apart.
-    #[inline]
-    fn next_expected(&mut self) -> Option<(usize, bool)> {
-        // SAFETY: `route` outlives the superstep this checker is installed
-        // for (see the field docs).
-        let route = unsafe { &*self.route };
-        crate::plan::walk_next(route, &self.ctx, &mut self.k, self.out_degree)
-    }
-}
+/// The [`nob_core::ModelError::PlanMismatch`] reason of a route digest that
+/// disagrees with the declared one — attributed to the step and the first
+/// VP of the shard whose sum differs, since a sum cannot name the send.
+pub(crate) const DIGEST_MISMATCH: &str = "sends disagree with the declared route";
 
 /// State shared by both planned direct writers — [`DirectOut`] (serial)
 /// and [`DirectShard`] (sharded): per-VP send accounting, the first
-/// recorded fault, and the optional validation-mode lockstep checker. One
-/// implementation of the send preamble (fault short-circuit, lockstep
-/// route check, machine-range check) and of dummy metering, so the two
-/// paths' mis-declaration detectors cannot drift apart.
+/// recorded fault, and the validation-mode route digest. One
+/// implementation of the send preamble (fault short-circuit, machine-range
+/// check), of the digest term and of dummy metering, so the two paths'
+/// mis-declaration detectors cannot drift apart.
 pub(crate) struct DirectCore {
     v: usize,
     /// Payload messages written so far (whole superstep).
     written: u64,
     /// Messages (data + dummy) sent by the current VP, for
-    /// [`crate::program::Outbox::len`] semantics.
+    /// [`crate::program::Outbox::len`] semantics — and, less one, the
+    /// position of the send in progress.
     vp_sent: usize,
     cur_vp: usize,
-    /// First divergence from the plan: `(vp, reason)`.
+    /// First exact-check failure: `(vp, reason)`.
     fault: Option<(usize, &'static str)>,
-    /// Lockstep route checking (validation mode only).
-    check: Option<DirectCheck>,
+    /// Wrapping sum of [`crate::plan::mix`] over the admitted sends
+    /// (validation mode only; `None` costs nothing per send).
+    digest: Option<u64>,
 }
 
 impl DirectCore {
-    fn new(v: usize, check: Option<(*const crate::plan::RouteDyn, usize)>) -> Self {
+    fn new(v: usize, validate: bool) -> Self {
         DirectCore {
             v,
             written: 0,
             vp_sent: 0,
             cur_vp: 0,
             fault: None,
-            check: check.map(|(route, out_degree)| DirectCheck {
-                route,
-                ctx: crate::program::Ctx { vp: 0, v, log_v: 0, n: 0 },
-                k: 0,
-                out_degree,
-            }),
+            digest: validate.then_some(0),
         }
     }
 
-    /// Starts the given VP's sends (resets the per-VP counter and the
-    /// lockstep checker).
+    /// Starts the given VP's sends (resets the per-VP counter).
     #[inline]
-    fn begin_vp(&mut self, ctx: &crate::program::Ctx) {
-        self.cur_vp = ctx.vp;
+    fn begin_vp(&mut self, vp: usize) {
+        self.cur_vp = vp;
         self.vp_sent = 0;
-        if let Some(c) = self.check.as_mut() {
-            c.ctx = *ctx;
-            c.k = 0;
-        }
-    }
-
-    /// Ends the current VP's sends: with lockstep checking on, the VP must
-    /// have exhausted its declared slots.
-    #[inline]
-    fn end_vp(&mut self) {
-        if self.fault.is_none() {
-            if let Some(c) = self.check.as_mut() {
-                if c.next_expected().is_some() {
-                    self.fault =
-                        Some((self.cur_vp, "sent fewer messages than the route declares"));
-                }
-            }
-        }
     }
 
     #[inline]
@@ -656,30 +619,35 @@ impl DirectCore {
         }
     }
 
+    /// Adds the send in progress to the digest (validation mode).
+    #[inline]
+    fn accept(&mut self, dst: usize, data: bool) {
+        if let Some(d) = self.digest.as_mut() {
+            *d = d.wrapping_add(crate::plan::mix(self.cur_vp, self.vp_sent - 1, dst, data));
+        }
+    }
+
     /// The shared preamble of a payload send: counts it, short-circuits on
-    /// a recorded fault (drop quietly, the run aborts), walks the lockstep
-    /// checker and checks the machine range. Returns whether the write may
-    /// proceed.
+    /// a recorded fault (drop quietly, the run aborts) and checks the
+    /// machine range. Returns whether the write may proceed.
     #[inline]
     fn admit_data(&mut self, dst: usize) -> bool {
         self.vp_sent += 1;
         if self.fault.is_some() {
             return false;
         }
-        if let Some(c) = self.check.as_mut() {
-            match c.next_expected() {
-                Some((d, true)) if d == dst => {}
-                _ => {
-                    self.fail("send disagrees with the declared route");
-                    return false;
-                }
-            }
-        }
         if dst >= self.v {
             self.fail("message destination out of machine range");
             return false;
         }
         true
+    }
+
+    /// Records a payload written into its slot.
+    #[inline]
+    fn wrote(&mut self, dst: usize) {
+        self.written += 1;
+        self.accept(dst, true);
     }
 
     /// Meters a dummy message in full — no slot, no write, on either path;
@@ -690,18 +658,11 @@ impl DirectCore {
         if self.fault.is_some() {
             return;
         }
-        if let Some(c) = self.check.as_mut() {
-            match c.next_expected() {
-                Some((d, false)) if d == dst => {}
-                _ => {
-                    self.fail("dummy send disagrees with the declared route");
-                    return;
-                }
-            }
-        }
         if dst >= self.v {
             self.fail("message destination out of machine range");
+            return;
         }
+        self.accept(dst, false);
     }
 }
 
@@ -713,7 +674,7 @@ unsafe impl<M: Send> Send for DirectOut<M> {}
 
 impl<M> DirectOut<M> {
     /// Arms a writer over the engine's scatter state for one superstep.
-    /// `check` enables lockstep route validation (`(route, out_degree)`).
+    /// `validate` turns on the route digest.
     ///
     /// SAFETY contract (upheld by the engine): the three buffers outlive the
     /// superstep, are not accessed through any other path while the writer
@@ -729,7 +690,7 @@ impl<M> DirectOut<M> {
         slab: &mut [MaybeUninit<M>],
         cursors: &mut [u32],
         limits: &[u32],
-        check: Option<(*const crate::plan::RouteDyn, usize)>,
+        validate: bool,
         uniform_k: u32,
         bits: Option<&mut [u64]>,
     ) -> Self {
@@ -751,7 +712,7 @@ impl<M> DirectOut<M> {
             limits: limits.as_ptr(),
             uniform_k,
             bits,
-            core: DirectCore::new(v, check),
+            core: DirectCore::new(v, validate),
         }
     }
 
@@ -793,14 +754,15 @@ impl<M> DirectOut<M> {
                 *self.cursors.add(dst) = cur + 1;
             }
         }
-        self.core.written += 1;
+        self.core.wrote(dst);
     }
 
-    /// Disarms the writer: `(payloads written, first fault)`. The engine
-    /// must refuse to commit the arena unless the fault is `None` and the
-    /// written count equals the plan's payload total.
-    pub(crate) fn finish(self) -> (u64, Option<(usize, &'static str)>) {
-        (self.core.written, self.core.fault)
+    /// Disarms the writer: `(payloads written, first fault, route digest)`,
+    /// the digest `Some` under validation only. The engine must refuse to
+    /// commit the arena unless the fault is `None`, the written count equals
+    /// the plan's payload total and a digest equals the plan's.
+    pub(crate) fn finish(self) -> (u64, Option<(usize, &'static str)>, Option<u64>) {
+        (self.core.written, self.core.fault, self.core.digest)
     }
 }
 
@@ -836,14 +798,8 @@ impl<M> DirectSink<M> {
 
     /// Starts the given VP's sends.
     #[inline]
-    pub(crate) fn begin_vp(&mut self, ctx: &crate::program::Ctx) {
-        self.core_mut().begin_vp(ctx);
-    }
-
-    /// Ends the current VP's sends (lockstep exhaustion check).
-    #[inline]
-    pub(crate) fn end_vp(&mut self) {
-        self.core_mut().end_vp();
+    pub(crate) fn begin_vp(&mut self, vp: usize) {
+        self.core_mut().begin_vp(vp);
     }
 
     /// Messages sent by the current VP so far.
@@ -999,11 +955,13 @@ impl<M> DirectGrid<M> {
 ///   region exactly full — every committed slab fully initialized, each
 ///   slot written exactly once.
 ///
-/// On the fault path nothing is committed and partially written payloads
-/// are leaked (never dropped, never re-observed), bounded by one
-/// superstep's traffic — the same policy as the serial writer. With
-/// validation on, the writer walks the declared route in lockstep
-/// ([`DirectCheck`]) exactly like the serial path.
+/// On the fault path nothing is committed and written payloads are leaked
+/// (never dropped, never re-observed), bounded by one superstep's traffic —
+/// the same policy as the serial writer. With validation on, the writer
+/// sums the route digest exactly like the serial path; the executor
+/// compares each worker's sum against its shard's declared digest next to
+/// the written total, before any arena is committed, so a send only the
+/// digest rejects is likewise written, never committed, and leaked.
 pub(crate) struct DirectShard<M> {
     /// Window slots of this superstep's parity (`shards` entries).
     windows: *const UnsafeCell<DirectWindow<M>>,
@@ -1043,7 +1001,7 @@ impl<M> DirectShard<M> {
         shard_shift: u32,
         vps: usize,
         v: usize,
-        check: Option<(*const crate::plan::RouteDyn, usize)>,
+        validate: bool,
     ) -> Self {
         debug_assert!(parity < 2 && span.end <= grid.shards && span.contains(&shard));
         DirectShard {
@@ -1055,7 +1013,7 @@ impl<M> DirectShard<M> {
             span_hi: span.end,
             shard_shift,
             vps,
-            core: DirectCore::new(v, check),
+            core: DirectCore::new(v, validate),
         }
     }
 
@@ -1095,7 +1053,7 @@ impl<M> DirectShard<M> {
             (*w.slab.add(cur as usize)).write(msg);
             *cur_ptr = cur + 1;
         }
-        self.core.written += 1;
+        self.core.wrote(dst);
     }
 
     /// Payload messages written by this worker so far (whole superstep).
@@ -1104,15 +1062,21 @@ impl<M> DirectShard<M> {
         self.core.written
     }
 
-    /// The first divergence from the plan, if any: `(vp, reason)`.
+    /// The first exact-check failure, if any: `(vp, reason)`.
     #[inline]
     pub(crate) fn fault_info(&self) -> Option<(usize, &'static str)> {
         self.core.fault
     }
 
+    /// The route digest of this worker's sends (`Some` under validation).
+    #[inline]
+    pub(crate) fn digest(&self) -> Option<u64> {
+        self.core.digest
+    }
+
     /// The first destination VP whose slot region from this shard was left
     /// short — the starved receiver to blame when the written total falls
-    /// below the declared total without lockstep checking.
+    /// below the declared total (a sum names no sender).
     ///
     /// # Safety
     /// Exec phase only (same discipline as [`DirectShard::send`]): reads

@@ -55,9 +55,20 @@
 //! range and the engine checks the written total before publishing the
 //! arena, so any mismatch in the *data multiset* surfaces as
 //! [`ModelError::PlanMismatch`] instead of corrupt memory or metrics.
-//! Validated runs additionally walk the declared route in lockstep with the
-//! actual sends (destination, kind *and* order, dummies included) and
-//! reject the first divergence.
+//!
+//! Validated runs also pin the exact *sequence* — destination, kind and
+//! position of every send, dummies included — without consulting the route
+//! again. Compile sums one `mix` term per declared send into the plan's
+//! **route digest**; the direct writer sums the same term per actual send,
+//! and the engine compares the two before committing. Four checks stay
+//! exact on every run, validated or not: a destination outside the machine,
+//! a payload leaving the shard cluster (sharded path), more payloads to a
+//! destination than planned, fewer payloads written than declared. Anything
+//! else the old per-send route walk caught — a different destination that
+//! keeps every count, two sends swapped, a payload sent as a dummy or the
+//! reverse, a dummy missing or extra — is caught by the digest, with
+//! probability `1 − 2⁻⁶⁴`. It is attributed more coarsely: the step and the
+//! first VP of the shard whose sum disagrees, not the diverging send.
 
 use crate::program::Ctx;
 use nob_core::folding::message_allowed;
@@ -159,9 +170,10 @@ pub enum Route {
     /// No message in this slot **or any later slot of this VP**: a
     /// terminator that lets sparse fan-outs (a leader scattering to its
     /// whole segment while everyone else idles) cost one route call per
-    /// idle VP instead of `out_degree` — both in the engine's counting
-    /// pass and in validation's exhaustion check. Use [`Route::Skip`] only
-    /// for *holes* followed by more messages.
+    /// idle VP instead of `out_degree` — at compile and in every
+    /// enumeration after it (the engine's counting pass, the per-width
+    /// send totals and digests). Use [`Route::Skip`] only for *holes*
+    /// followed by more messages.
     End,
 }
 
@@ -171,6 +183,38 @@ pub(crate) type RouteDyn = dyn Fn(&Ctx, usize) -> Route + Send + Sync;
 
 /// Boxed [`RouteDyn`].
 pub(crate) type RouteFn = Box<RouteDyn>;
+
+/// SplitMix64's finalizer (its output function, without the generator's
+/// state increment): a full-avalanche bijection on `u64` that maps 0 to 0.
+#[inline]
+fn splitmix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// The route digest's term for one send: VP `vp`'s `j`-th send of the
+/// superstep (dummies count, [`Route::Skip`] holes do not) going to `dst`,
+/// a payload iff `data`. A digest is the wrapping sum of these terms, so
+/// the digest of a VP range is the sum of its VPs' and shard digests add up
+/// to the machine's.
+///
+/// The term must not be linear in its inputs — with a linear term, two
+/// sends of one VP trading destinations would cancel out of the sum — so
+/// it ends in a full-avalanche finalizer. `(vp, dst)` packs losslessly
+/// below the `2^32`-VP design limit and the finalizer is a bijection, so
+/// two sends at the same position and of the same kind differ in their
+/// term whenever they differ at all. The position and kind enter through
+/// a Fibonacci-hashing multiply, which spreads small values over all 64
+/// bits at the cost of one multiplication (one finalizer per send, not
+/// two: this runs on every validated send and every compiled one). Its
+/// `+ 1` keeps the finalizer's fixed point 0 out of reach: VP 0's first
+/// send, a dummy to itself, must not weigh nothing.
+#[inline]
+pub(crate) fn mix(vp: usize, j: usize, dst: usize, data: bool) -> u64 {
+    let pos = ((j as u64) << 1) | u64::from(data);
+    splitmix((((vp as u64) << 32) | dst as u64) ^ (pos + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+}
 
 /// The compiled communication plan of one oblivious superstep (see the
 /// module docs). Built once per program by
@@ -187,6 +231,11 @@ pub struct StepPlan {
     pub(crate) metrics: StepMetrics,
     /// Declared payload (deliverable) messages.
     pub(crate) total_data: u64,
+    /// Route digest of the whole machine: the wrapping sum of [`mix`] over
+    /// every declared send. Validated serial runs compare the writer's sum
+    /// against it; the sharded path checks per-shard digests from
+    /// [`crate::program::Program::send_totals`], which sum to this.
+    pub(crate) digest: u64,
     /// First route violation found at compile time (out-of-range
     /// destination or cluster escape), if any; a faulted plan is never
     /// executed directly.
@@ -248,6 +297,7 @@ impl StepPlan {
                 n,
                 metrics: StepMetrics::silent(log_v),
                 total_data: 0,
+                digest: 0,
                 fault: None,
                 min_locality: log_v,
                 layout: Some(PlanLayout::Uniform(0)),
@@ -256,6 +306,7 @@ impl StepPlan {
         }
         let mut metrics = StepMetricsBuilder::new(log_v);
         let mut total_data = 0u64;
+        let mut digest = 0u64;
         let mut fault = None;
         let mut min_locality = log_v;
         // Transient per-destination payload counts (compile-time only):
@@ -264,6 +315,7 @@ impl StepPlan {
         let mut counts_ok = true;
         'scan: for vp in 0..v {
             let ctx = Ctx { vp, v, log_v, n };
+            let mut j = 0;
             for k in 0..out_degree {
                 let (dst, data) = match (route)(&ctx, k) {
                     Route::Data(d) => (d, true),
@@ -271,6 +323,8 @@ impl StepPlan {
                     Route::Skip => continue,
                     Route::End => break,
                 };
+                digest = digest.wrapping_add(mix(vp, j, dst, data));
+                j += 1;
                 if dst >= v {
                     fault = Some(ModelError::BadParameter {
                         what: "dst",
@@ -315,6 +369,7 @@ impl StepPlan {
             n,
             metrics: metrics.finish(),
             total_data,
+            digest,
             fault,
             min_locality,
             layout,
@@ -327,8 +382,8 @@ impl StepPlan {
     /// (`v + 1` entries) over a flat `(dst, is_data)` slot table in send
     /// order. The table is wrapped in an ordinary route closure and pushed
     /// through [`StepPlan::compile`], so a captured plan gets the same
-    /// analytic metrics, cluster proof, direct-write scatter and lockstep
-    /// validation as a declared one — the executors cannot tell them apart,
+    /// analytic metrics, cluster proof, direct-write scatter and route
+    /// digest as a declared one — the executors cannot tell them apart,
     /// and a stale capture (the program's dynamic pattern changed) surfaces
     /// as a [`ModelError::PlanMismatch`] exactly like a mis-declared route.
     pub(crate) fn compile_captured(
@@ -408,19 +463,6 @@ impl StepPlan {
         self.min_locality >= log_shards
     }
 
-    /// The route as a raw trait-object pointer plus `out_degree`, for the
-    /// lifetime-free lockstep checker inside [`crate::mailbox::DirectOut`].
-    /// The pointer is valid while the `&Program` scheduling this plan is
-    /// borrowed — i.e. for the whole run: every schedule entry holds a
-    /// reference count on its plan (a plan shared by repeated entries has
-    /// several), the boxed route lives as long as the plan does, and an
-    /// entry's plan is only ever replaced through `&mut Program`
-    /// (`capture_plans`), which cannot coexist with the run's borrow.
-    #[inline]
-    pub(crate) fn route_raw(&self) -> (*const RouteDyn, usize) {
-        (&*self.route as *const RouteDyn, self.out_degree)
-    }
-
     /// Tallies the declared payload messages per destination into `counts`
     /// (the scatter's counting pass — one route call per declared slot, no
     /// staging, no per-message metric work). A route dense enough to
@@ -443,58 +485,31 @@ impl StepPlan {
         Ok(())
     }
 
-    /// Calls `f(src, dst, is_data)` for every declared message of the VPs in
-    /// `vps`, in send order (ascending VP, then slot index) — the exact
-    /// order the dynamic engine observes and logs.
+    /// Calls `f(src, j, dst, is_data)` for every declared message of the
+    /// VPs in `vps`, in send order (ascending VP, then slot index) — the
+    /// exact order the dynamic engine observes and logs. `j` is the
+    /// message's position among its VP's sends (`Skip` holes take none):
+    /// with the other three, the inputs of one [`mix`] term.
     pub(crate) fn for_each_message(
         &self,
         vps: std::ops::Range<usize>,
-        mut f: impl FnMut(usize, usize, bool),
+        mut f: impl FnMut(usize, usize, usize, bool),
     ) {
         for vp in vps {
             let ctx = Ctx { vp, v: self.v, log_v: self.log_v, n: self.n };
+            let mut j = 0;
             for k in 0..self.out_degree {
-                match (self.route)(&ctx, k) {
-                    Route::Data(d) => f(vp, d, true),
-                    Route::Dummy(d) => f(vp, d, false),
-                    Route::Skip => {}
+                let (dst, data) = match (self.route)(&ctx, k) {
+                    Route::Data(d) => (d, true),
+                    Route::Dummy(d) => (d, false),
+                    Route::Skip => continue,
                     Route::End => break,
-                }
+                };
+                f(vp, j, dst, data);
+                j += 1;
             }
         }
     }
-}
-
-/// Advances a lockstep walk of one VP's declared route to its next
-/// non-[`Route::Skip`] slot: returns `(dst, is_data)`, or `None` once the
-/// declaration is exhausted (`k` reaches `out_degree` or the route returns
-/// [`Route::End`]). The single walking implementation behind the
-/// mis-declaration detectors of both direct writers
-/// (`crate::mailbox::DirectOut` on the serial path,
-/// `crate::mailbox::DirectShard` on the sharded one, both via
-/// `DirectCheck`), so the two paths can never disagree on what a route
-/// declares.
-#[inline]
-pub(crate) fn walk_next(
-    route: &RouteDyn,
-    ctx: &Ctx,
-    k: &mut usize,
-    out_degree: usize,
-) -> Option<(usize, bool)> {
-    while *k < out_degree {
-        let r = (route)(ctx, *k);
-        *k += 1;
-        match r {
-            Route::Data(d) => return Some((d, true)),
-            Route::Dummy(d) => return Some((d, false)),
-            Route::Skip => {}
-            Route::End => {
-                *k = out_degree;
-                return None;
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -543,33 +558,62 @@ mod tests {
         plan.count_data(&mut counts).unwrap();
         assert_eq!(counts, vec![0, 1, 0, 0], "dummy takes no payload slot");
         let mut seen = Vec::new();
-        plan.for_each_message(0..4, |s, d, data| seen.push((s, d, data)));
+        plan.for_each_message(0..4, |s, _, d, data| seen.push((s, d, data)));
         assert_eq!(seen, vec![(0, 1, true), (0, 2, false)]);
     }
 
     #[test]
-    fn walk_next_skips_and_finishes() {
+    fn mix_is_not_linear_so_swapped_sends_change_the_digest() {
+        // VP 5 sends to 1 then 2, or to 2 then 1: same VP, same positions,
+        // same destinations — a linear term would sum both orders alike.
+        let sent = mix(5, 0, 1, true).wrapping_add(mix(5, 1, 2, true));
+        let swapped = mix(5, 0, 2, true).wrapping_add(mix(5, 1, 1, true));
+        assert_ne!(sent, swapped);
+        // No send weighs nothing — not even VP 0's first, a dummy to itself
+        // (the finalizer maps 0 to 0) — and no two sends of a small machine
+        // share a term: every input moves it, the kind bit included.
+        assert_ne!(mix(0, 0, 0, false), 0);
+        let mut seen = std::collections::HashSet::new();
+        for (vp, j, dst, data) in (0..16).flat_map(|vp| {
+            (0..8).flat_map(move |j| (0..16).flat_map(move |d| [(vp, j, d, true), (vp, j, d, false)]))
+        }) {
+            assert!(seen.insert(mix(vp, j, dst, data)), "term collision at {vp} {j} {dst} {data}");
+        }
+    }
+
+    #[test]
+    fn compile_digest_sums_one_term_per_declared_send() {
+        // Skip holes take no position and End stops the VP: VP 1 declares
+        // a payload to 0 at position 0 and a dummy to 3 at position 1.
         let plan = StepPlan::compile(
             4,
             2,
             4,
             0,
-            3,
+            5,
             |ctx, k| match (ctx.vp, k) {
                 (1, 0) => Route::Skip,
                 (1, 1) => Route::Data(0),
                 (1, 2) => Route::Dummy(3),
+                (1, 3) => Route::End,
+                (1, 4) => Route::Data(1),
+                (2, 0) => Route::Data(2),
                 _ => Route::Skip,
             },
         );
-        let ctx = Ctx { vp: 1, v: 4, log_v: 2, n: 4 };
-        let mut k = 0;
-        assert_eq!(walk_next(&*plan.route, &ctx, &mut k, plan.out_degree), Some((0, true)));
-        assert_eq!(walk_next(&*plan.route, &ctx, &mut k, plan.out_degree), Some((3, false)));
-        assert_eq!(walk_next(&*plan.route, &ctx, &mut k, plan.out_degree), None);
-        let idle = Ctx { vp: 2, v: 4, log_v: 2, n: 4 };
-        let mut k = 0;
-        assert_eq!(walk_next(&*plan.route, &idle, &mut k, plan.out_degree), None);
+        let want = [mix(1, 0, 0, true), mix(1, 1, 3, false), mix(2, 0, 2, true)];
+        assert_eq!(plan.digest, want.iter().fold(0u64, |s, &t| s.wrapping_add(t)));
+        // The run-time enumeration hands out the same terms, so any split
+        // of the VPs into ranges sums back to the plan's digest.
+        let mut sum = 0u64;
+        for vps in [0..1, 1..3, 3..4] {
+            plan.for_each_message(vps, |src, j, dst, data| {
+                sum = sum.wrapping_add(mix(src, j, dst, data));
+            });
+        }
+        assert_eq!(sum, plan.digest);
+        // A step without message slots has the empty sum.
+        assert_eq!(StepPlan::compile(4, 2, 4, 0, 0, |_, _| Route::End).digest, 0);
     }
 
     #[test]
@@ -700,7 +744,7 @@ mod tests {
         assert_eq!(plan.total_data(), 2);
         assert_eq!(plan.out_degree, 2);
         let mut seen = Vec::new();
-        plan.for_each_message(0..4, |s, d, data| seen.push((s, d, data)));
+        plan.for_each_message(0..4, |s, _, d, data| seen.push((s, d, data)));
         assert_eq!(seen, vec![(0, 1, true), (0, 0, false), (2, 3, true)]);
         assert_eq!(plan.min_locality, 1, "both payloads stay in their pair");
         assert!(plan.shard_local(1));

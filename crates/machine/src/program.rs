@@ -66,9 +66,9 @@ pub(crate) enum Envelope<M> {
 /// the payload straight into its destination arena slot — the whole-machine
 /// arena on the serial path (`DirectOut`), or the destination *shard's*
 /// arena on the sharded path (`DirectShard`, which writes across shards
-/// through published arena windows) — and `send_dummy` only advances the
-/// route checker. Algorithm closures use the same API either way and cannot
-/// observe the difference.
+/// through published arena windows) — and `send_dummy` only meters the
+/// dummy (under validation, one more term of the route digest). Algorithm
+/// closures use the same API either way and cannot observe the difference.
 pub struct Outbox<M> {
     pub(crate) msgs: Vec<(u32, Envelope<M>)>,
     pub(crate) vp_start: usize,
@@ -269,7 +269,21 @@ pub struct Program<S, M> {
     steps: Vec<Superstep<S, M>>,
     /// Memo of [`Program::send_totals`], one entry per shard width asked
     /// for; emptied whenever a step or a plan is added.
-    send_totals: Mutex<Vec<(usize, Arc<[u64]>)>>,
+    send_totals: Mutex<Vec<TotalsEntry>>,
+}
+
+/// One [`Program::send_totals`] memo entry: `(width, digests hashed, rows)`.
+type TotalsEntry = (usize, bool, Arc<[Declared]>);
+
+/// What one shard's VPs declare for one planned superstep (see
+/// [`Program::send_totals`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Declared {
+    /// Payload messages.
+    pub(crate) data: u64,
+    /// Route digest: the wrapping sum of [`crate::plan::mix`] over every
+    /// declared send, dummies included (0 in a memo filled without digests).
+    pub(crate) digest: u64,
 }
 
 impl<S, M> Program<S, M> {
@@ -345,7 +359,8 @@ impl<S, M> Program<S, M> {
     /// The closure must send **exactly** the declared messages, in slot
     /// order. The engine verifies the payload multiset on every planned
     /// execution (and, under validation, the full sequence including
-    /// dummies); divergence aborts the run with
+    /// dummies, through the plan's route digest); divergence aborts the run
+    /// with
     /// [`nob_core::ModelError::PlanMismatch`]. Plans can be ignored per run
     /// with [`crate::engine::RunOptions::use_plans`]` = false`, which
     /// executes the step on the ordinary dynamic path.
@@ -482,26 +497,34 @@ impl<S, M> Program<S, M> {
         Ok(added)
     }
 
-    /// The declared payload total of every `(superstep, shard)` pair at
-    /// `n_shards` executor shards, row-major by superstep (0 for steps
-    /// without a usable plan) — what the sharded planned path checks each
-    /// worker's written total against. It depends only on the plans and the
-    /// width, so the route enumeration is paid once per `(distinct plan,
-    /// width)` — an entry sharing an earlier entry's plan copies that row —
-    /// and every later run — a reused program under `run` exactly like a
-    /// warm served job — reads the memo.
+    /// The declared payload total and route digest of every `(superstep,
+    /// shard)` pair at `n_shards` executor shards, row-major by superstep
+    /// (zero for steps without a usable plan) — what the sharded planned
+    /// path checks each worker's written total and, under validation, its
+    /// sends' digest against. It depends only on the plans and the width,
+    /// so the route enumeration is paid once per `(distinct plan, width)` —
+    /// an entry sharing an earlier entry's plan copies that row — and every
+    /// later run — a reused program under `run` exactly like a warm served
+    /// job — reads the memo.
+    ///
+    /// The digests are hashed only when `digests` asks for them — a run with
+    /// validation off never reads them, so it pays for the totals alone and
+    /// its rows' digests stay 0; a later validated run at the same width
+    /// replaces that entry with a hashed one.
     ///
     /// Trusting it is safe the same way trusting a declared route is: a
-    /// total that disagrees with what a run actually sends surfaces as the
-    /// planned path's written-total [`nob_core::ModelError::PlanMismatch`],
-    /// never as corruption.
-    pub(crate) fn send_totals(&self, n_shards: usize) -> Arc<[u64]> {
+    /// row that disagrees with what a run actually sends surfaces as the
+    /// planned path's [`nob_core::ModelError::PlanMismatch`], never as
+    /// corruption.
+    pub(crate) fn send_totals(&self, n_shards: usize, digests: bool) -> Arc<[Declared]> {
         let mut memo = lock(&self.send_totals);
-        if let Some((_, totals)) = memo.iter().find(|(n, _)| *n == n_shards) {
+        if let Some((.., totals)) =
+            memo.iter().find(|&&(n, hashed, _)| n == n_shards && (hashed || !digests))
+        {
             return Arc::clone(totals);
         }
         let vps = self.v / n_shards;
-        let mut totals = vec![0u64; self.steps.len() * n_shards];
+        let mut totals = vec![Declared::default(); self.steps.len() * n_shards];
         // A plan shared by repeated entries is enumerated at its first
         // entry only; the others copy that row.
         let mut first_row: HashMap<*const StepPlan, usize> = HashMap::new();
@@ -513,14 +536,27 @@ impl<S, M> Program<S, M> {
                 totals.copy_within(first..first + n_shards, row);
                 continue;
             }
-            for (w, total) in totals[row..row + n_shards].iter_mut().enumerate() {
-                plan.for_each_message(w * vps..(w + 1) * vps, |_, _, data| {
-                    *total += data as u64;
+            for (w, shard) in totals[row..row + n_shards].iter_mut().enumerate() {
+                plan.for_each_message(w * vps..(w + 1) * vps, |src, j, dst, data| {
+                    shard.data += data as u64;
+                    if digests {
+                        shard.digest =
+                            shard.digest.wrapping_add(crate::plan::mix(src, j, dst, data));
+                    }
                 });
             }
+            debug_assert!(
+                !digests
+                    || totals[row..row + n_shards]
+                        .iter()
+                        .fold(0u64, |s, d| s.wrapping_add(d.digest))
+                        == plan.digest,
+                "shard digests must sum to the plan's"
+            );
         }
-        let totals: Arc<[u64]> = totals.into();
-        memo.push((n_shards, Arc::clone(&totals)));
+        let totals: Arc<[Declared]> = totals.into();
+        memo.retain(|&(n, ..)| n != n_shards);
+        memo.push((n_shards, digests, Arc::clone(&totals)));
         totals
     }
 
@@ -690,6 +726,12 @@ pub(crate) fn validate_outbox<M>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::mix;
+
+    /// The payload totals of a [`Program::send_totals`] memo.
+    fn data(rows: &[Declared]) -> Vec<u64> {
+        rows.iter().map(|d| d.data).collect()
+    }
 
     #[test]
     fn program_builder_checks_labels() {
@@ -768,16 +810,31 @@ mod tests {
             |_, _, _, _| {},
         );
         p.step(0, "dynamic", |_, ctx, _, out| out.send(ctx.vp ^ 1, 1));
-        let two = p.send_totals(2);
-        assert_eq!(&two[..], [4, 0, 0, 0], "[step][shard], plan-less steps are 0");
-        assert_eq!(&p.send_totals(4)[..], [2, 2, 0, 0, 0, 0, 0, 0]);
-        assert!(Arc::ptr_eq(&two, &p.send_totals(2)), "a second ask must not re-enumerate");
+        // A run without validation gets totals only; a validated one then
+        // needs digests, so the width's entry is hashed and replaced once —
+        // and serves both kinds of run from then on.
+        let bare = p.send_totals(2, false);
+        assert_eq!(data(&bare), [4, 0, 0, 0], "[step][shard], plan-less steps are 0");
+        assert!(bare.iter().all(|d| d.digest == 0), "nothing hashed without validation");
+        let two = p.send_totals(2, true);
+        assert_eq!(data(&two), data(&bare));
+        assert_eq!(data(&p.send_totals(4, true)), [2, 2, 0, 0, 0, 0, 0, 0]);
+        assert!(Arc::ptr_eq(&two, &p.send_totals(2, true)), "a second ask must not re-enumerate");
+        assert!(Arc::ptr_eq(&two, &p.send_totals(2, false)), "hashed rows serve any run");
+        // Shard digests are the plan's split by VP range, dummies included:
+        // VPs 4..8 declare nothing, so at width 2 shard 0 holds it all.
+        let plan = p.steps()[0].plan().expect("declared");
+        assert_eq!((two[0].digest, two[1].digest), (plan.digest, 0));
+        let four = p.send_totals(4, true);
+        let vp_terms = |vp: usize| mix(vp, 0, vp + 4, true).wrapping_add(mix(vp, 1, vp, false));
+        assert_eq!(four[0].digest, vp_terms(0).wrapping_add(vp_terms(1)));
+        assert_eq!(four[0].digest.wrapping_add(four[1].digest), plan.digest);
         // Capturing plans the dynamic step: a stale memo would still say 0.
         assert_eq!(p.capture_plans(vec![0; v]).unwrap(), 1);
-        assert_eq!(&p.send_totals(2)[..], [4, 0, 4, 4]);
+        assert_eq!(data(&p.send_totals(2, true)), [4, 0, 4, 4]);
         // So does appending a step.
         p.step(0, "more", |_, _, _, _| {});
-        assert_eq!(p.send_totals(2).len(), 6);
+        assert_eq!(p.send_totals(2, true).len(), 6);
     }
 
     #[test]
@@ -799,7 +856,7 @@ mod tests {
         p.step(1, "dynamic", |_, _, _, _| {});
         let once = p.plan_bytes();
         assert!(once > std::mem::size_of::<StepPlan>() as u64, "the table is charged");
-        assert_eq!(&p.send_totals(2)[..], [3, 3, 0, 0]);
+        assert_eq!(data(&p.send_totals(2, true)), [3, 3, 0, 0]);
 
         p.repeat(0..2).repeat(1..3);
         let names: Vec<_> = p.steps().iter().map(|s| s.name).collect();
@@ -810,7 +867,9 @@ mod tests {
         let plan_at = |t: usize| p.steps()[t].plan().expect("declared");
         assert!(std::ptr::eq(plan_at(0), plan_at(5)));
         // A memo that survived `repeat` would still hold two rows.
-        assert_eq!(&p.send_totals(2)[..], [3, 3, 0, 0, 3, 3, 0, 0, 0, 0, 3, 3]);
+        let rows = p.send_totals(2, true);
+        assert_eq!(data(&rows), [3, 3, 0, 0, 3, 3, 0, 0, 0, 0, 3, 3]);
+        assert_eq!(rows[0..2], rows[10..12], "a repeated entry copies its plan's digests");
     }
 
     #[test]

@@ -39,7 +39,8 @@
 //! and the cache trusts that name the same way the engine trusts a declared
 //! oblivious route. A key that misdescribes its program degrades exactly
 //! like a mis-declared route: the planned path's bounds and written-total
-//! checks surface a [`ModelError::PlanMismatch`] (or a
+//! checks (and, under validation, its route digest) surface a
+//! [`ModelError::PlanMismatch`] (or a
 //! [`PlanFallback::Dynamic`] degrade) — never corruption and never an
 //! out-of-bounds write. For [`ProgramSource::Prebuilt`] jobs the submitted
 //! program is authoritative (the executor derives the lane plan and send

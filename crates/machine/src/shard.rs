@@ -204,9 +204,10 @@
 use crate::engine::{exec_chunk, run_serial, GranSpec, PlanFallback, RunOptions, MAX_WORKERS};
 use crate::mailbox::{
     bump_count, Arena, ChunkStage, DirectGrid, DirectShard, DirectSink, DirectWindow, LaneGrid,
+    DIGEST_MISMATCH,
 };
 use crate::plan::StepPlan;
-use crate::program::{Envelope, LanePlan, Program, Superstep};
+use crate::program::{Declared, Envelope, LanePlan, Program, Superstep};
 use nob_core::folding::message_allowed;
 use nob_core::metrics::{DegreeCounters, EpochMerge, TraceBuilder};
 use nob_core::model::log2_exact;
@@ -331,10 +332,11 @@ struct Shared<'p, S, M> {
     prog: &'p Program<S, M>,
     core: &'p GangCore<M>,
     cells: &'p [Mutex<ShardCell>],
-    /// The program's declared payload totals at this width
-    /// ([`Program::send_totals`], `[step][shard]` row-major) — the planned
-    /// path's written-total safety net. Empty when no step runs planned.
-    totals: &'p [u64],
+    /// The program's declared payload totals and route digests at this
+    /// width ([`Program::send_totals`], `[step][shard]` row-major) — the
+    /// planned path's written-total safety net and validation's digest.
+    /// Empty when no step runs planned.
+    totals: &'p [Declared],
     /// The run's fault-injection plan, if any (see the module docs).
     faults: Option<&'p FaultPlan>,
     /// The run's telemetry sink, if any ([`RunOptions::telemetry`]): every
@@ -859,8 +861,8 @@ impl<M: Send> GangState<M> {
             tl.enter(0, Site::ShardPrepare, 0);
             Instant::now()
         });
-        let totals =
-            (opts.use_plans && prog.planned_steps() > 0).then(|| prog.send_totals(n_shards));
+        let totals = (opts.use_plans && prog.planned_steps() > 0)
+            .then(|| prog.send_totals(n_shards, opts.validate));
         if let (Some(tl), Some(t0)) = (tele, t0) {
             tl.record(0, Site::ShardPrepare, t0.elapsed());
         }
@@ -1418,7 +1420,7 @@ fn prepare_direct<S, M: Send>(
     {
         let dst_counts = &mut me.kit.dst_counts;
         let starts = &mut tabs.starts;
-        plan.for_each_message(lo * vps..hi * vps, |src, dst, data| {
+        plan.for_each_message(lo * vps..hi * vps, |src, _, dst, data| {
             if !data || err.is_some() {
                 return;
             }
@@ -1473,8 +1475,13 @@ fn prepare_direct<S, M: Send>(
 
 /// Executes one planned superstep on this worker's VPs with the cross-shard
 /// direct writer armed: payloads land straight in the destination shards'
-/// arenas, dummies only advance the lockstep checker, and the written total
-/// is verified against the declared total before anyone commits.
+/// arenas and dummies are only metered. Before anyone commits, the worker
+/// checks its sends against its row of [`Program::send_totals`]: the
+/// writer's exact checks (machine range, cluster span, region bounds), the
+/// written total, and — under validation — the route digest of its VPs'
+/// sends. A digest mismatch is a `PlanMismatch` at this shard's first VP
+/// (a sum names no send, only the shard whose sum differs); like every
+/// other rejection it leaves the written payloads uncommitted and leaked.
 fn exec_planned<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
@@ -1486,13 +1493,21 @@ fn exec_planned<S, M: Send>(
     let widx = 1 - read_idx;
     let span = exec_span(shared, me.w, t, plan);
     let shard_shift = shared.log_v - shared.log_shards;
-    let check = shared.validate.then(|| plan.route_raw());
     // SAFETY: exec phase — every window of parity `widx` in the span was
     // published before the barrier this phase follows, and cursor row
     // `me.w` of those windows is this worker's exclusively until the next
     // barrier (invariant 5).
     let sink = unsafe {
-        DirectShard::new(&shared.core.direct, widx, me.w, span, shard_shift, me.vps, shared.v, check)
+        DirectShard::new(
+            &shared.core.direct,
+            widx,
+            me.w,
+            span,
+            shard_shift,
+            me.vps,
+            shared.v,
+            shared.validate,
+        )
     };
     me.kit.stage.outbox.enter_direct(DirectSink::Sharded(sink));
 
@@ -1517,11 +1532,12 @@ fn exec_planned<S, M: Send>(
             if let Some((vp, reason)) = out.fault_info() {
                 return Err(ModelError::PlanMismatch { step: step.name, vp, reason });
             }
-            if out.written() != shared.totals[t * shared.n_shards + me.w] {
+            let declared = shared.totals[t * shared.n_shards + me.w];
+            if out.written() != declared.data {
                 // Region capacities sum to the declared total, so a
                 // shortfall means some region of ours was left short:
-                // blame the first starved receiver (the sender is unknown
-                // without lockstep checking, the starved inbox is not).
+                // blame the first starved receiver (the sender is unknown,
+                // the starved inbox is not).
                 // SAFETY: still this worker's exec phase — reads only its
                 // own cursor rows and the immutable region tables.
                 let vp = unsafe { out.first_starved() }.unwrap_or(me.vp_lo);
@@ -1529,6 +1545,13 @@ fn exec_planned<S, M: Send>(
                     step: step.name,
                     vp,
                     reason: "destination received fewer payload messages than the route declares",
+                });
+            }
+            if out.digest().is_some_and(|d| d != declared.digest) {
+                return Err(ModelError::PlanMismatch {
+                    step: step.name,
+                    vp: me.vp_lo,
+                    reason: DIGEST_MISMATCH,
                 });
             }
         }

@@ -280,8 +280,8 @@ fn planned_steady_state_supersteps_do_not_allocate() {
     let _serial = serial();
     // The planned serial path — route counting pass, prefix sum, direct
     // arena writes, O(log v) precomputed trace push — must preserve the
-    // engine's headline property, with validation (lockstep route checks)
-    // on. Same windowing as the dynamic test above.
+    // engine's headline property, with validation (the route digest) on.
+    // Same windowing as the dynamic test above.
     let v = 1 << 10;
     let rounds = 24;
     let prog = planned_butterfly_armed(v, rounds, 2, 1);

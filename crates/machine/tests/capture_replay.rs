@@ -134,8 +134,8 @@ proptest! {
 /// simulating a program whose behavior drifted out from under its cache.
 /// The poisoned variant changes per-destination *counts* (evens receive
 /// two payloads, odds none), so the drift is structurally detectable on
-/// every tier — with validation via the lockstep route check, without it
-/// via the direct writer's slot bounds.
+/// every tier — by the direct writer's slot bounds, with validation or
+/// without (validation's route digest would also disagree).
 fn poisonable(v: usize, flag: &Arc<AtomicBool>) -> Program<u64, u64> {
     let mut prog: Program<u64, u64> = Program::new(v, v);
     let log_v = prog.log_v();
