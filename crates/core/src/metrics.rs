@@ -426,22 +426,29 @@ pub struct StepMetrics {
 /// external level*. Instead of walking those levels per message (what the
 /// streamed [`DegreeCounters`] must do, because the engine needs every
 /// level's running maximum after each superstep), `record` only notes the
-/// two ends of that range — the per-VP count (level `log v`, where every
-/// non-self message is external) and the count at `j_min` — and `finish`
-/// recovers every level in one bottom-up `O(v)` pass: a processor's external
-/// traffic one level up is its two children's, minus the messages that first
-/// became external at the children's level.
+/// two ends of that range — the per-VP counts (level `log v`, where every
+/// non-self message is external) and one count at the node of the fold tree
+/// where the message stops being external — and `finish` recovers every
+/// level in one bottom-up `O(v)` pass: a processor's external traffic one
+/// level up is its two children's, minus the traffic between the two.
+///
+/// That subtraction needs one array, not one per direction. The messages
+/// that first become external at level `j` of processor `l` are exactly the
+/// ones exchanged with its sibling `l ^ 1`, so "received first at `l`"
+/// equals "sent first at `l ^ 1`", and both are halves of one quantity: the
+/// traffic whose *lowest common fold-tree node* is their parent. `cross`
+/// holds that per node, in heap order — entry `2^d + q` is processor `q` of
+/// fold `2^d` (`0 ≤ d < log v`; entry 0 is unused) — and `finish` subtracts
+/// it from the merged sent and the merged received count alike. Scratch is
+/// `3·v` words and `record` makes three scattered increments.
 #[derive(Debug)]
 pub struct StepMetricsBuilder {
     log_v: u32,
     /// Non-self messages sent / received per VP.
     sent: Vec<u64>,
     recv: Vec<u64>,
-    /// Messages sent / received by each fold-level processor whose first
-    /// external level is that processor's level; level `j` occupies the
-    /// `2^j` slots starting at `2^j - 2`.
-    sent_first: Vec<u64>,
-    recv_first: Vec<u64>,
+    /// Messages per lowest common fold-tree node, heap-indexed (see above).
+    cross: Vec<u64>,
     total: u64,
 }
 
@@ -449,14 +456,8 @@ impl StepMetricsBuilder {
     /// An accumulator for a machine of `2^log_v` VPs (`log_v ≥ 1`).
     pub fn new(log_v: u32) -> Self {
         let v = 1usize << log_v;
-        StepMetricsBuilder {
-            log_v,
-            sent: vec![0; v],
-            recv: vec![0; v],
-            sent_first: vec![0; 2 * v - 2],
-            recv_first: vec![0; 2 * v - 2],
-            total: 0,
-        }
+        let zeros = || vec![0; v];
+        StepMetricsBuilder { log_v, sent: zeros(), recv: zeros(), cross: zeros(), total: 0 }
     }
 
     /// Records one declared message `src → dst` (data or dummy — the degree
@@ -468,37 +469,36 @@ impl StepMetricsBuilder {
         if x == 0 {
             return;
         }
-        // Same threshold arithmetic as DegreeCounters::record: the top
-        // differing bit sits `shift` places up, so the ids first fall into
-        // different processors at fold 2^(log_v - shift).
-        let shift = x.ilog2();
-        let base = (1usize << (self.log_v - shift)) - 2;
+        // The top differing bit sits `shift` places up (DegreeCounters'
+        // threshold arithmetic), so the two ids share their top
+        // `log_v - shift - 1` bits: leaf `v + src` of the heap-ordered fold
+        // tree, lifted `shift + 1` levels, is their lowest common node.
+        let up = x.ilog2() + 1;
         self.sent[src] += 1;
         self.recv[dst] += 1;
-        self.sent_first[base + (src >> shift)] += 1;
-        self.recv_first[base + (dst >> shift)] += 1;
+        self.cross[((1usize << self.log_v) | src) >> up] += 1;
     }
 
     /// Seals the accumulated multiset into immutable [`StepMetrics`].
     pub fn finish(self) -> StepMetrics {
-        let StepMetricsBuilder { log_v, mut sent, mut recv, sent_first, recv_first, total } = self;
+        let StepMetricsBuilder { log_v, mut sent, mut recv, cross, total } = self;
         let mut h_by_fold = vec![0; log_v as usize];
         let mut ext_prefix = vec![0; log_v as usize];
         // Invariant: entering level j, `sent[p]` / `recv[p]` (p < 2^j) count
         // the messages processor p of fold 2^j exchanges with other
         // processors of that fold.
         for j in (1..=log_v).rev() {
-            let procs = 1usize << j;
-            let base = procs - 2;
+            let half = 1usize << (j - 1);
             let (mut h, mut ext) = (0, 0);
-            for p in 0..procs / 2 {
+            for p in 0..half {
                 let (l, r) = (2 * p, 2 * p + 1);
                 h = h.max(sent[l]).max(recv[l]).max(sent[r]).max(recv[r]);
                 ext += sent[l] + sent[r];
-                // Siblings merge into processor p of fold 2^(j-1); traffic
-                // that first became external here is internal to it.
-                sent[p] = (sent[l] - sent_first[base + l]) + (sent[r] - sent_first[base + r]);
-                recv[p] = (recv[l] - recv_first[base + l]) + (recv[r] - recv_first[base + r]);
+                // Siblings merge into processor p of fold 2^(j-1); the
+                // traffic between them is internal to it, in both counts.
+                let between = cross[half + p];
+                sent[p] = sent[l] + sent[r] - between;
+                recv[p] = recv[l] + recv[r] - between;
             }
             h_by_fold[(j - 1) as usize] = h;
             ext_prefix[(j - 1) as usize] = ext;
@@ -1234,6 +1234,31 @@ mod tests {
                 mixed.swap(i, next() as usize % (i + 1));
             }
             assert_step_metrics_match(log_v, &mixed, &format!("log_v {log_v} shuffled"));
+        }
+    }
+
+    #[test]
+    fn step_metrics_match_streamed_counters_at_fold_tree_boundaries() {
+        // log_v = 1: the root is the only common node; every edge, twice.
+        let pairs: Vec<_> = (0..4).map(|e| (e >> 1, e & 1, 2)).collect();
+        assert_step_metrics_match(1, &pairs, "log_v 1 all pairs");
+        for log_v in [2u32, 3, 6] {
+            let v = 1usize << log_v;
+            // Top differing bit log_v - 1: the lowest common node is the
+            // root (heap entry 1), from both sides of the bisection and
+            // across its middle.
+            let root = [(0, v - 1, 1), (v - 1, 0, 2), (v / 2 - 1, v / 2, 3), (v / 2, v / 2 - 1, 1)];
+            assert_step_metrics_match(log_v, &root, &format!("log_v {log_v} root"));
+            // Top differing bit 0: every lowest common node is a leaf pair's
+            // parent (the last v / 2 heap entries), mixed with self-sends
+            // that no level but the full total sees.
+            let leaves: Vec<_> = (0..v)
+                .flat_map(|k| [(k, k ^ 1, 1 + (k as u64 % 3)), (k, k, 1)])
+                .collect();
+            assert_step_metrics_match(log_v, &leaves, &format!("log_v {log_v} leaves"));
+            // Both ends at once, on the same VPs.
+            let both = [root.to_vec(), leaves].concat();
+            assert_step_metrics_match(log_v, &both, &format!("log_v {log_v} root + leaves"));
         }
     }
 

@@ -33,7 +33,8 @@
 //!   as an oblivious route ([`Program::step_oblivious`]) skip the whole
 //!   staged pipeline — one counting pass over the compiled
 //!   [`crate::plan::StepPlan`] sizes the write arena, VP closures write
-//!   payloads *directly* into their destination slots, and the superstep
+//!   payloads *directly* into their destination slots (run by the step's
+//!   chunk kernel: one call per chunk, the body inlined), and the superstep
 //!   record is the plan's precomputed metrics (`O(log v)`), with the
 //!   cluster constraint proven once at build time. On the sharded path
 //!   the destination slot may live in a *peer shard's* arena: each worker
@@ -774,11 +775,12 @@ pub(crate) fn capture_run<S, M>(
 /// the declared route sizes the write arena — or, on the fused tier
 /// (`fuse` and the plan carries a [`crate::plan::PlanLayout`]), the arena
 /// is sized straight from the `O(1)` layout summary with no route
-/// enumeration at all — every VP closure then writes its payloads
-/// **directly into the destination arena slot** through the cursor-guarded
-/// [`DirectOut`] — no staging copy, no validation scan, no streaming
-/// counters, no counting-sort scatter. The caller pushes the plan's
-/// precomputed metrics afterwards.
+/// enumeration at all — the step's chunk kernel
+/// ([`crate::program::ChunkKernel`]) then runs every VP closure, which
+/// writes its payloads **directly into the destination arena slot**
+/// through the cursor-guarded [`DirectOut`] — no staging copy, no
+/// validation scan, no streaming counters, no counting-sort scatter. The
+/// caller pushes the plan's precomputed metrics afterwards.
 ///
 /// Mis-declared plans are rejected, never silently executed: the direct
 /// writer bounds every write by its destination's planned range, and the
@@ -850,9 +852,11 @@ fn run_planned_step<S, M: Send>(
         )));
     }
 
-    // Execute the chunk, carving inboxes out of the read arena as usual.
+    // Execute the chunk through the step's kernel, carving inboxes out of
+    // the read arena as usual.
     let (rslab, roffsets) = read.take_read();
-    exec_direct_chunk(step, 0, states, rslab, roffsets, outbox, v, plan.log_v, plan.n);
+    let base = Ctx { vp: 0, v, log_v: plan.log_v, n: plan.n };
+    step.kernel().run_chunk(&step.exec, base, states, rslab, roffsets, outbox);
 
     let (written, fault, digest) = match outbox.exit_direct() {
         crate::mailbox::DirectSink::Serial(d) => d.finish(),
@@ -908,42 +912,6 @@ pub(crate) fn plan_log_entry(
                 out.push((ps as u32, pd as u32));
             }
         });
-    }
-}
-
-/// Runs one *planned* superstep's closures for a chunk of consecutive VPs
-/// with a direct writer armed in `outbox`: carves per-VP inboxes out of
-/// the read slab and starts each VP's sends on the writer (per-VP counter
-/// reset: the position every send of a VP adds to the route digest). No
-/// check runs between two VPs — a VP that sends too little shows in the
-/// written total or the digest its caller compares after the chunk. Shared
-/// by the serial path (one chunk covering the machine) and the sharded
-/// executor's workers, so planned inbox carving can never drift between
-/// the two.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_direct_chunk<S, M>(
-    step: &crate::program::Superstep<S, M>,
-    vp_lo: usize,
-    states: &mut [S],
-    slab: &mut [std::mem::MaybeUninit<M>],
-    offsets: &[u32],
-    outbox: &mut crate::program::Outbox<M>,
-    v: usize,
-    log_v: u32,
-    n: usize,
-) {
-    debug_assert_eq!((offsets[states.len()] - offsets[0]) as usize, slab.len());
-    let mut slab_rest = slab;
-    for (i, state) in states.iter_mut().enumerate() {
-        let len = (offsets[i + 1] - offsets[i]) as usize;
-        let taken = std::mem::take(&mut slab_rest);
-        let (mine, rest) = taken.split_at_mut(len);
-        slab_rest = rest;
-        let mut inbox = Inbox::over_slab(mine);
-        let ctx = Ctx { vp: vp_lo + i, v, log_v, n };
-        outbox.cur_vp = vp_lo + i;
-        outbox.direct_mut().begin_vp(ctx.vp);
-        (step.exec)(state, &ctx, &mut inbox, outbox);
     }
 }
 

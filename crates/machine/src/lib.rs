@@ -65,8 +65,16 @@
 //!   the sharded path (each worker pre-partitions its write arena by
 //!   (source shard, destination VP) and publishes a window peers write
 //!   through — no lane staging, no gather pass, one barrier per planned
-//!   superstep). Plan invariants: a plan never changes semantics, only
-//!   cost (enforced by differential suites); a cluster-violating route
+//!   superstep). Because `step_oblivious` knows the body's concrete type,
+//!   it also builds the step's **chunk kernel**: one loop over a range of
+//!   VPs with the body inlined, running over a stack-local copy of the
+//!   engine's outbox so the direct writer's state stays in registers. The
+//!   serial path (one chunk, the machine) and every sharded worker (one
+//!   chunk, its shard) run a planned step through that kernel — one
+//!   dynamic call per chunk instead of one per VP; the boxed body is kept
+//!   for the dynamic tier, capture and the reference engine. Plan
+//!   invariants: a plan never changes semantics, only cost (enforced by
+//!   differential suites); a cluster-violating route
 //!   faults at compile time and reports like the dynamic engine would; and
 //!   a mis-declared route surfaces as
 //!   [`nob_core::ModelError::PlanMismatch`], never as corrupt memory. Four
@@ -92,7 +100,8 @@
 //!   routes are deterministic for its inputs but inconvenient (or
 //!   impossible) to declare obliviously can record one dynamic run and
 //!   compile the observed routes into `StepPlan`s table-backed per step —
-//!   replayed, validated and direct-written exactly like declared routes.
+//!   replayed, validated and direct-written exactly like declared routes
+//!   (their chunk kernel calls the boxed body: its concrete type is gone).
 //!   **Cache invalidation**: a capture is valid only for the same program
 //!   instance and the same `(initial states, v)` it was recorded against.
 //!   A run whose behavior drifts from its capture is *detected*, never

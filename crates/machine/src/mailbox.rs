@@ -1019,7 +1019,13 @@ impl<M> DirectShard<M> {
 
     /// Delivers a payload message into its planned slot of the destination
     /// shard's arena.
-    #[inline]
+    ///
+    /// Kept out of line: a planned step's kernel inlines its body, and with
+    /// it every send site's writers. The serial writer's state lives in
+    /// registers there; this one reads its window through memory on every
+    /// send anyway, so a call costs little, while inlining it too would
+    /// double each send site's code.
+    #[inline(never)]
     pub(crate) fn send(&mut self, dst: usize, msg: M) {
         if !self.core.admit_data(dst) {
             return;

@@ -9,9 +9,11 @@
 //! dynamic. A [`StepPlan`] exploits the declared structure instead:
 //!
 //! * **Analytic metrics** ([`nob_core::metrics::StepMetrics`]): the declared
-//!   route is enumerated **once, at program build time** (`O(1)` per
-//!   message plus one `O(v)` fold); every later execution emits the
-//!   superstep record in `O(log v)`, bit-for-bit identical to what the
+//!   route is enumerated **once, at program build time** — three counter
+//!   increments per message (sent, received, and the traffic of the
+//!   lowest fold-tree node the message stays inside) into `3·v` words of
+//!   scratch, then one `O(v)` bottom-up fold; every later execution emits
+//!   the superstep record in `O(log v)`, bit-for-bit identical to what the
 //!   engine's streamed counters would produce (dummies included), at every
 //!   granularity at once.
 //! * **A one-time cluster-constraint proof**: every declared `(src, dst)`
@@ -26,6 +28,9 @@
 //!   VP closures write payloads **straight into the destination arena
 //!   slot** through cursor-guarded raw writes
 //!   (`crate::mailbox::DirectOut`) — no staging copy, no counting sort.
+//!   The closures run through the step's chunk kernel
+//!   (`crate::program::ChunkKernel`), one monomorphic loop per chunk of
+//!   VPs.
 //!
 //! A *declared* plan deliberately stores **no O(v) or O(messages) tables** —
 //! only the boxed route function, `O(log v)` metric words and a
@@ -560,6 +565,43 @@ mod tests {
         let mut seen = Vec::new();
         plan.for_each_message(0..4, |s, _, d, data| seen.push((s, d, data)));
         assert_eq!(seen, vec![(0, 1, true), (0, 2, false)]);
+    }
+
+    #[test]
+    fn compiled_metrics_with_dummies_match_streamed_counters() {
+        use nob_core::metrics::{DegreeCounters, SuperstepRecord};
+        // Per VP: a payload across the top bisection, a dummy to the
+        // neighbour (top differing bit 0), a self-send, a skipped slot, and
+        // on every third VP a dummy to VP 0.
+        let route = |ctx: &Ctx, k: usize| match k {
+            0 => Route::Data(ctx.vp ^ (ctx.v >> 1)),
+            1 => Route::Dummy(ctx.vp ^ 1),
+            2 => Route::Data(ctx.vp),
+            3 => Route::Skip,
+            _ if ctx.vp.is_multiple_of(3) => Route::Dummy(0),
+            _ => Route::End,
+        };
+        for log_v in [1u32, 2, 5] {
+            let v = 1usize << log_v;
+            let plan = StepPlan::compile(v, log_v, v, 0, 5, route);
+            assert!(plan.fault().is_none());
+            let mut sent = Vec::new();
+            plan.for_each_message(0..v, |s, _, d, _| sent.push((s, d)));
+            let stream = |mut c: DegreeCounters| {
+                c.begin_superstep();
+                sent.iter().for_each(|&(s, d)| c.record(s, d));
+                SuperstepRecord::from_degree_counters(0, &c)
+            };
+            let m = plan.metrics();
+            let full = stream(DegreeCounters::full(log_v));
+            assert_eq!(m.h_prefix(log_v), &full.h_by_fold[..], "v {v}");
+            assert_eq!(m.total_at(log_v, true), full.total_msgs, "v {v}");
+            for levels in 1..=log_v {
+                let folded = stream(DegreeCounters::folded(log_v, levels));
+                assert_eq!(m.h_prefix(levels), &folded.h_by_fold[..], "v {v}, L{levels}");
+                assert_eq!(m.total_at(levels, false), folded.total_msgs, "v {v}, L{levels}");
+            }
+        }
     }
 
     #[test]

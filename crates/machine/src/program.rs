@@ -215,6 +215,121 @@ pub(crate) fn oob_dst_error() -> nob_core::ModelError {
 pub type StepFn<S, M> =
     Arc<dyn Fn(&mut S, &Ctx, &mut Inbox<'_, M>, &mut Outbox<M>) + Send + Sync>;
 
+/// The planned path's body for a whole chunk of VPs (engine-internal).
+///
+/// Every closure type is its own kernel: the loop is monomorphised with the
+/// body inlined, so one dynamic call covers a chunk instead of one per VP,
+/// and [`Program::step_oblivious`] stores the body's one `Arc` both as
+/// `exec` and as the kernel. A step whose body's concrete type is gone (a
+/// captured plan) runs through [`Boxed`].
+pub(crate) trait ChunkKernel<S, M>: Send + Sync {
+    /// Runs the step's closure for consecutive VPs `base.vp ..` — one per
+    /// state — carving each VP's inbox out of the read `slab` by `offsets`
+    /// and sending through the direct writer armed in `out`. `exec` is the
+    /// step's boxed body; only [`Boxed`] calls it.
+    fn run_chunk(
+        &self,
+        exec: &StepFn<S, M>,
+        base: Ctx,
+        states: &mut [S],
+        slab: &mut [std::mem::MaybeUninit<M>],
+        offsets: &[u32],
+        out: &mut Outbox<M>,
+    );
+}
+
+impl<S, M, F> ChunkKernel<S, M> for F
+where
+    F: Fn(&mut S, &Ctx, &mut Inbox<'_, M>, &mut Outbox<M>) + Send + Sync,
+{
+    fn run_chunk(
+        &self,
+        _: &StepFn<S, M>,
+        base: Ctx,
+        states: &mut [S],
+        slab: &mut [std::mem::MaybeUninit<M>],
+        offsets: &[u32],
+        out: &mut Outbox<M>,
+    ) {
+        // The writer's state moves onto the stack for the chunk, so it
+        // need not round-trip through memory the slab writes might alias.
+        let mut local = OnStack::new(out);
+        chunk_loop(self, base, states, slab, offsets, &mut local.outbox);
+    }
+}
+
+/// The [`ChunkKernel`] of a captured plan's step: it calls the boxed body,
+/// on the engine's outbox (the call is opaque, so a copy on the stack would
+/// gain nothing).
+pub(crate) struct Boxed;
+
+impl<S, M> ChunkKernel<S, M> for Boxed {
+    fn run_chunk(
+        &self,
+        exec: &StepFn<S, M>,
+        base: Ctx,
+        states: &mut [S],
+        slab: &mut [std::mem::MaybeUninit<M>],
+        offsets: &[u32],
+        out: &mut Outbox<M>,
+    ) {
+        chunk_loop(&**exec, base, states, slab, offsets, out);
+    }
+}
+
+/// The loop of every [`ChunkKernel`]. Shared by the serial path (one chunk
+/// covering the machine) and the sharded executor's workers, so planned
+/// inbox carving cannot drift between the two. No check runs between two
+/// VPs — a VP that sends too little shows in the written total or the
+/// route digest the caller compares after the chunk.
+#[inline(always)]
+fn chunk_loop<S, M, F>(
+    exec: &F,
+    base: Ctx,
+    states: &mut [S],
+    slab: &mut [std::mem::MaybeUninit<M>],
+    offsets: &[u32],
+    out: &mut Outbox<M>,
+) where
+    F: Fn(&mut S, &Ctx, &mut Inbox<'_, M>, &mut Outbox<M>) + ?Sized,
+{
+    debug_assert_eq!((offsets[states.len()] - offsets[0]) as usize, slab.len());
+    let mut slab_rest = slab;
+    for (i, state) in states.iter_mut().enumerate() {
+        let len = (offsets[i + 1] - offsets[i]) as usize;
+        let (mine, rest) = std::mem::take(&mut slab_rest).split_at_mut(len);
+        slab_rest = rest;
+        let mut inbox = Inbox::over_slab(mine);
+        let ctx = Ctx { vp: base.vp + i, ..base };
+        out.direct_mut().begin_vp(ctx.vp);
+        exec(state, &ctx, &mut inbox, out);
+    }
+}
+
+/// An engine outbox moved onto the stack for one chunk, moved back when
+/// dropped — at the end of the chunk or while a panicking body unwinds, so
+/// the engine still finds the VP that unwound in its own outbox
+/// ([`Outbox::panic_vp`]).
+struct OnStack<'a, M> {
+    home: &'a mut Outbox<M>,
+    outbox: Outbox<M>,
+}
+
+impl<'a, M> OnStack<'a, M> {
+    #[inline]
+    fn new(home: &'a mut Outbox<M>) -> Self {
+        let outbox = std::mem::replace(home, Outbox::new());
+        OnStack { home, outbox }
+    }
+}
+
+impl<M> Drop for OnStack<'_, M> {
+    #[inline]
+    fn drop(&mut self) {
+        std::mem::swap(self.home, &mut self.outbox);
+    }
+}
+
 /// One labelled superstep: every VP runs `exec`, then a `sync(label)` barrier
 /// is performed. In an `i`-superstep messages may only target VPs in the
 /// sender's `i`-cluster (checked by the engine when validation is enabled).
@@ -241,6 +356,9 @@ pub struct Superstep<S, M> {
     /// The compiled communication plan, for oblivious supersteps; shared
     /// with every entry that repeats this one.
     pub(crate) plan: Option<Arc<StepPlan>>,
+    /// The planned path's [`ChunkKernel`] of `exec`: present exactly when
+    /// `plan` is, shared like it.
+    pub(crate) kernel: Option<Arc<dyn ChunkKernel<S, M>>>,
 }
 
 impl<S, M> Superstep<S, M> {
@@ -248,6 +366,15 @@ impl<S, M> Superstep<S, M> {
     #[inline]
     pub fn plan(&self) -> Option<&StepPlan> {
         self.plan.as_deref()
+    }
+
+    /// The chunk kernel the planned path runs this step through
+    /// (engine-internal; only asked for a step that has a plan).
+    #[inline]
+    pub(crate) fn kernel(&self) -> &dyn ChunkKernel<S, M> {
+        // allow-panic: builder invariant — every site that sets a plan sets
+        // its kernel; unreachable from user input.
+        self.kernel.as_deref().expect("a planned step carries its kernel")
     }
 }
 
@@ -342,7 +469,7 @@ impl<S, M> Program<S, M> {
             "label {label} out of range for v = {} (program step `{name}`)",
             self.v
         );
-        self.steps.push(Superstep { label, name, exec: Arc::new(exec), plan: None });
+        self.steps.push(Superstep { label, name, exec: Arc::new(exec), plan: None, kernel: None });
         lock(&self.send_totals).clear();
         self
     }
@@ -383,7 +510,9 @@ impl<S, M> Program<S, M> {
         );
         let plan = StepPlan::compile(self.v, self.log_v, self.n, label, out_degree, route);
         let plan = Some(Arc::new(plan));
-        self.steps.push(Superstep { label, name, exec: Arc::new(exec), plan });
+        let exec = Arc::new(exec);
+        let kernel: Arc<dyn ChunkKernel<S, M>> = exec.clone();
+        self.steps.push(Superstep { label, name, exec, plan, kernel: Some(kernel) });
         lock(&self.send_totals).clear();
         self
     }
@@ -413,9 +542,14 @@ impl<S, M> Program<S, M> {
         );
         self.steps.reserve(entries.len());
         for t in entries {
-            let Superstep { label, name, exec, plan } = &self.steps[t];
-            let again =
-                Superstep { label: *label, name, exec: Arc::clone(exec), plan: plan.clone() };
+            let Superstep { label, name, exec, plan, kernel } = &self.steps[t];
+            let again = Superstep {
+                label: *label,
+                name,
+                exec: Arc::clone(exec),
+                plan: plan.clone(),
+                kernel: kernel.clone(),
+            };
             self.steps.push(again);
         }
         lock(&self.send_totals).clear();
@@ -493,6 +627,7 @@ impl<S, M> Program<S, M> {
                 added += 1;
             }
             step.plan = Some(Arc::new(plan));
+            step.kernel = Some(Arc::new(Boxed));
         }
         Ok(added)
     }
@@ -866,6 +1001,12 @@ mod tests {
         assert_eq!(p.plan_bytes(), once, "a shared plan is resident, and charged, once");
         let plan_at = |t: usize| p.steps()[t].plan().expect("declared");
         assert!(std::ptr::eq(plan_at(0), plan_at(5)));
+        // The planned path's kernel is shared the same way; a plan-less
+        // entry has none.
+        let kernel_at = |t: usize| p.steps()[t].kernel.as_ref().expect("declared");
+        assert!(Arc::ptr_eq(kernel_at(0), kernel_at(2)));
+        assert!(Arc::ptr_eq(kernel_at(0), kernel_at(5)));
+        assert!([1, 3, 4].iter().all(|&t| p.steps()[t].kernel.is_none()));
         // A memo that survived `repeat` would still hold two rows.
         let rows = p.send_totals(2, true);
         assert_eq!(data(&rows), [3, 3, 0, 0, 3, 3, 0, 0, 0, 0, 3, 3]);

@@ -207,7 +207,7 @@ use crate::mailbox::{
     DIGEST_MISMATCH,
 };
 use crate::plan::StepPlan;
-use crate::program::{Declared, Envelope, LanePlan, Program, Superstep};
+use crate::program::{Ctx, Declared, Envelope, LanePlan, Program, Superstep};
 use nob_core::folding::message_allowed;
 use nob_core::metrics::{DegreeCounters, EpochMerge, TraceBuilder};
 use nob_core::model::log2_exact;
@@ -1473,15 +1473,17 @@ fn prepare_direct<S, M: Send>(
     Ok(())
 }
 
-/// Executes one planned superstep on this worker's VPs with the cross-shard
-/// direct writer armed: payloads land straight in the destination shards'
-/// arenas and dummies are only metered. Before anyone commits, the worker
-/// checks its sends against its row of [`Program::send_totals`]: the
-/// writer's exact checks (machine range, cluster span, region bounds), the
-/// written total, and — under validation — the route digest of its VPs'
-/// sends. A digest mismatch is a `PlanMismatch` at this shard's first VP
-/// (a sum names no send, only the shard whose sum differs); like every
-/// other rejection it leaves the written payloads uncommitted and leaked.
+/// Executes one planned superstep on this worker's VPs — one call of the
+/// step's chunk kernel ([`crate::program::ChunkKernel`]) over the shard —
+/// with the cross-shard direct writer armed: payloads land straight in the
+/// destination shards' arenas and dummies are only metered. Before anyone
+/// commits, the worker checks its sends against its row of
+/// [`Program::send_totals`]: the writer's exact checks (machine range,
+/// cluster span, region bounds), the written total, and — under validation
+/// — the route digest of its VPs' sends. A digest mismatch is a
+/// `PlanMismatch` at this shard's first VP (a sum names no send, only the
+/// shard whose sum differs); like every other rejection it leaves the
+/// written payloads uncommitted and leaked.
 fn exec_planned<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
@@ -1514,17 +1516,9 @@ fn exec_planned<S, M: Send>(
     {
         let read = &mut me.kit.arenas[read_idx];
         let (slab, offsets) = read.take_read();
-        crate::engine::exec_direct_chunk(
-            step,
-            me.vp_lo,
-            me.states,
-            slab,
-            offsets,
-            &mut me.kit.stage.outbox,
-            shared.v,
-            shared.log_v,
-            shared.prog.n(),
-        );
+        let base = Ctx { vp: me.vp_lo, v: shared.v, log_v: shared.log_v, n: shared.prog.n() };
+        let out = &mut me.kit.stage.outbox;
+        step.kernel().run_chunk(&step.exec, base, me.states, slab, offsets, out);
     }
 
     match me.kit.stage.outbox.exit_direct() {
@@ -1779,7 +1773,6 @@ mod tests {
     use super::*;
     use crate::mailbox::Inbox;
     use crate::plan::Route;
-    use crate::program::Ctx;
 
     /// A fully planned butterfly: every superstep carries a fault-free
     /// communication plan.

@@ -96,3 +96,45 @@ fn validation_off_really_skips_the_checks() {
     let res = run(&p, vec![(); 8], &opts).unwrap();
     assert_eq!(res.trace.steps[0].total_msgs, 1);
 }
+
+/// A body that panics mid-VP on the planned path is attributed to its VP —
+/// serial and sharded, fused and unfused, whether the step's kernel inlines
+/// a declared body or runs a captured one boxed. The planned path runs a
+/// chunk over a copy of the engine's outbox, so this holds only if the copy
+/// goes back before the engine asks which VP unwound.
+#[test]
+fn a_panic_on_the_planned_path_names_its_vp() {
+    use nob_machine::Route;
+    let v = 64usize;
+    // State: whether this VP panics. Every VP sends first, so the writer is
+    // mid-VP when VP 37 unwinds.
+    let body = |st: &mut bool, ctx: &nob_machine::Ctx, _: &mut nob_machine::Inbox<'_, u8>,
+                out: &mut nob_machine::Outbox<u8>| {
+        out.send(ctx.vp ^ 1, 7);
+        if *st {
+            panic!("vp {} gave up", ctx.vp);
+        }
+    };
+    let mut declared: Program<bool, u8> = Program::new(v, v);
+    declared.step_oblivious(0, "warm-up", 1, |ctx, _| Route::Data(ctx.vp ^ 1), |_, ctx, _, out| {
+        out.send(ctx.vp ^ 1, 1)
+    });
+    declared.step_oblivious(0, "boom", 1, |ctx, _| Route::Data(ctx.vp ^ 1), body);
+    let mut captured: Program<bool, u8> = Program::new(v, v);
+    captured.step(0, "boom", body);
+    assert_eq!(captured.capture_plans(vec![false; v]).unwrap(), 1);
+
+    let mut states = vec![false; v];
+    states[37] = true;
+    let want = ModelError::VpPanic { step: "boom", vp: 37, payload: "vp 37 gave up".into() };
+    for (what, prog) in [("declared", &declared), ("captured", &captured)] {
+        assert_eq!(prog.planned_steps(), prog.steps().len(), "{what}: every step planned");
+        for w in [1usize, 2] {
+            for fuse in [true, false] {
+                let opts = RunOptions { workers: Some(w), fuse, ..Default::default() };
+                let got = run(prog, states.clone(), &opts).err();
+                assert_eq!(got, Some(want.clone()), "{what}, width {w}, fuse {fuse}");
+            }
+        }
+    }
+}

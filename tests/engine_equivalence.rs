@@ -14,7 +14,7 @@ use network_oblivious::algos::sort::ColumnSort;
 use network_oblivious::algos::stencil::{stencil_reference, DiamondStencil, WrapSumOp};
 use network_oblivious::algos::stencil2::{stencil2_reference, OctaStencil, WrapSum2Op};
 use network_oblivious::machine::reference::{run_folded_reference, run_reference};
-use network_oblivious::machine::{run, run_folded, NobAlgorithm, RunOptions};
+use network_oblivious::machine::{run, run_folded, NobAlgorithm, Program, Route, RunOptions};
 use proptest::prelude::*;
 
 /// Checks the full set of equivalences for one algorithm instance:
@@ -161,6 +161,74 @@ where
             );
             q *= 2;
         }
+    }
+}
+
+/// `Outbox::len` mid-VP reads the same on every path: a declared step whose
+/// body records `out.len()` between its sends (into its own state and into
+/// the payloads it sends) must leave identical states, traces and logs
+/// whether it runs through its planned kernel — serial or sharded, fused or
+/// not, folded — on the dynamic path, or on the reference engine.
+#[test]
+fn outbox_len_mid_vp_reads_alike_on_every_path() {
+    let v = 32usize;
+    let mut prog: Program<Vec<usize>, usize> = Program::new(v, v);
+    let half = v / 2;
+    // Slots: a payload to the neighbour, a wiseness dummy across the
+    // bisection, a payload to the next VP — odd VPs skip the dummy.
+    let route = move |ctx: &network_oblivious::machine::Ctx, k: usize| match k {
+        0 => Route::Data(ctx.vp ^ 1),
+        1 if ctx.vp % 2 == 1 => Route::Skip,
+        1 => Route::Dummy(ctx.vp ^ half),
+        _ => Route::Data((ctx.vp + 1) % v),
+    };
+    let body = move |st: &mut Vec<usize>,
+                     ctx: &network_oblivious::machine::Ctx,
+                     inbox: &mut network_oblivious::machine::Inbox<'_, usize>,
+                     out: &mut network_oblivious::machine::Outbox<usize>| {
+        st.extend(inbox.drain(..));
+        st.push(out.len());
+        out.send(ctx.vp ^ 1, out.len());
+        if ctx.vp.is_multiple_of(2) {
+            out.send_dummy(ctx.vp ^ half);
+        }
+        st.push(out.len());
+        out.send((ctx.vp + 1) % v, 10 + out.len());
+        st.push(out.len());
+    };
+    for _ in 0..3 {
+        prog.step_oblivious(0, "len", 3, route, body);
+    }
+    prog.step_oblivious(0, "drain", 0, |_, _| Route::End, move |st, _, inbox, out| {
+        st.extend(inbox.drain(..));
+        st.push(out.len());
+    });
+    let states = vec![Vec::new(); v];
+    let logged = RunOptions::with_log();
+    let want = run_reference(&prog, states.clone(), &logged).unwrap();
+    // What VP 0 saw: its own counts, then its neighbour's and predecessor's
+    // payloads — the lengths read on the sending side.
+    assert_eq!(&want.states[0][..6], &[0, 2, 3, 0, 11, 0]);
+    assert_eq!(&want.states[1][..6], &[0, 1, 2, 0, 12, 0]);
+    for opts in [
+        logged.clone(),
+        RunOptions { use_plans: false, ..RunOptions::with_log() },
+        RunOptions { fuse: false, ..RunOptions::with_log() },
+        RunOptions { workers: Some(2), ..RunOptions::with_log() },
+        RunOptions { workers: Some(4), fuse: false, ..RunOptions::with_log() },
+        RunOptions { workers: Some(4), validate: false, ..RunOptions::with_log() },
+    ] {
+        let got = run(&prog, states.clone(), &opts).unwrap();
+        assert_eq!(got.states, want.states, "states under {opts:?}");
+        assert_eq!(got.trace, want.trace, "trace under {opts:?}");
+        assert_eq!(got.message_log, want.message_log, "log under {opts:?}");
+    }
+    for w in [1usize, 4] {
+        let opts = RunOptions { workers: Some(w), ..Default::default() };
+        let folded = run_folded(&prog, states.clone(), 4, &opts).unwrap();
+        let legacy = run_folded_reference(&prog, states.clone(), 4, &opts).unwrap();
+        assert_eq!(folded.states, want.states, "folded states at {w} workers");
+        assert_eq!(folded.trace, legacy.trace, "folded trace at {w} workers");
     }
 }
 
