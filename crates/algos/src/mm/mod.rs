@@ -46,31 +46,24 @@ impl<V: Semiring> MmInput<V> {
     }
 }
 
-/// Message payload of the MM algorithms: a matrix entry in flight, as global
-/// coordinates plus value.
+/// Message payload of [`space::SpaceEfficientMm`]: an operand entry in
+/// flight, tagged with its matrix and global coordinates. Both operands
+/// reach a VP in one inbox, so the tag tells them apart, and each entry
+/// carries its coordinates along as it moves.
 ///
 /// Coordinates travel as `u16`, which makes a message 16 bytes instead of 24
-/// for every 8-byte semiring (a third off both mailbox arenas): a matrix side
-/// is `√n`, so they fit for every `n ≤ 2^32` — no tighter than the
-/// engine's own `u32` VP ids, since these algorithms run on `v = n`. The
-/// builders assert it.
+/// for every 8-byte semiring (a third off both of that algorithm's mailbox
+/// arenas): a matrix side is `√n`, so they fit for every `n ≤ 2^32` — no
+/// tighter than the engine's own `u32` VP ids, since it runs on `v = n`. Its
+/// builder asserts it. ([`standard::RecursiveMm`] needs neither tag nor
+/// coordinates: it sends bare values and names an entry by its inbox
+/// position.)
 #[derive(Debug, Clone)]
 pub enum MmMsg<V> {
     /// An entry of the left operand.
     A(u16, u16, V),
     /// An entry of the right operand.
     B(u16, u16, V),
-    /// A partial-product entry headed for a C owner.
-    M(u16, u16, V),
-}
-
-impl<V> MmMsg<V> {
-    /// The entry's value, whichever matrix it belongs to.
-    fn value(&self) -> &V {
-        match self {
-            MmMsg::A(_, _, v) | MmMsg::B(_, _, v) | MmMsg::M(_, _, v) => v,
-        }
-    }
 }
 
 /// Largest `n` whose matrix coordinates fit [`MmMsg`]'s `u16` fields.

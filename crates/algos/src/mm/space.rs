@@ -87,7 +87,6 @@ fn ingest<V: Semiring>(st: &mut SpaceMmState<V>, inbox: &mut Inbox<'_, MmMsg<V>>
         match msg {
             MmMsg::A(i, j, v) => st.a = (i.into(), j.into(), v),
             MmMsg::B(i, j, v) => st.b = (i.into(), j.into(), v),
-            MmMsg::M(..) => unreachable!("space-efficient MM sends no product messages"),
         }
     }
 }

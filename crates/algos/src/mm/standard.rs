@@ -36,49 +36,48 @@
 //! are the messages of one **inbox**, and a VP at rest owns its entry of `A`,
 //! of `B` and finally of `C` ([`MmState`]), nothing more. `D_0` sends from
 //! the state; every later `D_t` forwards each operand message it received
-//! unchanged (an entry's global coordinates do not depend on the level, only
-//! its next owner does); the base step multiplies straight out of its inbox;
+//! unchanged, twice; the base step multiplies straight out of its inbox;
 //! each `K_t` sends the sum of the two partial products of each `C` slot; and
 //! `mm-finalize` adds its two arrivals into the state. The engine's message
 //! arenas are the algorithm's working memory, and nothing copies them.
 //!
-//! A slot's message is *not* found by its position in the inbox. Arrival
-//! order is ascending source VP, then send order, which interleaves `A`
-//! with `B`, and — because a VP's consecutive entries can straddle quadrants
-//! — one child segment's entries with another's; the two products of a `C`
-//! slot arrive with other slots' in between. The bodies therefore index by
-//! coordinates: `Geometry::slot` of each message's `(i, j)` goes into a
-//! small stack table of inbox positions (`SLOT_TABLE` `u16`s, filled by
-//! `operand_slots` or `product_pairs`), through which the sends are issued
-//! in slot order — the order the declared routes, and so every plan, trace
-//! and message log, are defined by.
+//! # An entry is named by its inbox position
+//!
+//! A message is the bare semiring value — no tag, no coordinates — because
+//! where each slot's message lands is as static as its route. The engine
+//! delivers in one order on every path, ascending source VP and then send
+//! order ([`nob_machine::Inbox`]), and every send here is a function of `n`
+//! alone. That order interleaves `A` with `B`, and — because a VP's
+//! consecutive entries can straddle quadrants — one child segment's entries
+//! with another's, and the two products of a `C` slot arrive with other
+//! slots' in between; but it depends only on the receiver's child digit
+//! (operands) or not on the receiver at all (partial products). So `build`
+//! enumerates each level's declared routes once, over the first parent
+//! segment, and keeps the inbox position of every slot on the first VP of
+//! each child segment (`Positions`, ≈ 1 KB at `n = 4096`, one `Arc` shared
+//! by the bodies). The bodies read `inbox.as_slice()` through those tables
+//! and issue their sends in slot order — the order the declared routes, and
+//! so every plan, trace and message log, are defined by.
 
-use super::{MmInput, MmMsg};
+use super::MmInput;
 use crate::common::{wiseness_dummies, wiseness_route};
 use crate::semiring::{Matrix, Semiring};
 use nob_machine::{Ctx, NobAlgorithm, Program, Route};
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Per-VP state at rest: the VP's one entry of `A` and its one entry of `B`
 /// — the layout the paper prescribes for inputs and outputs. Nothing else is
 /// ever stored here: the operand replicas and partial products of the
-/// recursion live only as messages (see the module docs), so a clone of the
-/// states costs 16 bytes per VP for an 8-byte semiring, whatever `n` is.
+/// recursion live only as bare values in the message arenas (see the module
+/// docs), so a clone of the states costs 16 bytes per VP for an 8-byte
+/// semiring, whatever `n` is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MmState<V> {
     /// The VP's entry of `A`; `mm-finalize` replaces it by its entry of `C`.
     a: V,
     /// The VP's entry of `B`.
     b: V,
-}
-
-/// Row/column origins of the subproblem a VP's segment owns at some level:
-/// `A` starts at `(h, l)`, `B` at `(l, k)` and `C` at `(h, k)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Origin {
-    h: usize,
-    k: usize,
-    l: usize,
 }
 
 /// The index arithmetic of the recursion for one problem size. Everything
@@ -109,21 +108,6 @@ impl Geometry {
         3 * (self.tau - t)
     }
 
-    /// Walks `t` levels of the recursion tree towards `vp`: the base-8 digits
-    /// of `vp`, most significant first, are the `(h, k, l)` choices of the
-    /// path from the root, and each choice is one more bit of an origin.
-    fn path(self, t: u32, vp: usize) -> Origin {
-        let mut o = Origin { h: 0, k: 0, l: 0 };
-        for d in 0..t {
-            let digit = vp >> self.log_seg(d + 1) & 7;
-            let bit = self.log_side(d + 1);
-            o.h |= (digit >> 2) << bit;
-            o.k |= (digit >> 1 & 1) << bit;
-            o.l |= (digit & 1) << bit;
-        }
-        o
-    }
-
     /// Sub-local `(row, column)` of the entry in slot `p` of `vp` at level
     /// `t`.
     fn local(self, t: u32, vp: usize, p: usize) -> (usize, usize) {
@@ -132,27 +116,19 @@ impl Geometry {
         (e >> bits, e & ((1 << bits) - 1))
     }
 
-    /// The slot, on its level-`t` owner, of the entry with global (or
-    /// sub-local: only the low bits matter) coordinates `(i, j)` — the
-    /// inverse of [`Geometry::local`] on the receiving side.
-    fn slot(self, t: u32, i: u16, j: u16) -> usize {
-        let bits = self.log_side(t);
-        let mask = (1usize << bits) - 1;
-        ((i as usize & mask) << bits | (j as usize & mask)) & ((1 << t) - 1)
-    }
-
     /// Operand messages each VP sends in `D_t`: two replicas of each of its
     /// `2^t` entries of `A`, then the same for `B`.
     fn replicas(t: u32) -> usize {
         4 << t
     }
 
-    /// Destination of the `k`-th operand message of `vp` in `D_t`
-    /// (`k < replicas(t)`): message `k` of either operand carries the entry
-    /// in slot `k >> 1` to the child segment picked by replica bit `k & 1` —
-    /// `A_{hl}` goes to `S_{h·l}`, `B_{lk}` to `S_{·kl}` — where it is owned
-    /// by the VP its index in the child's quadrant selects.
-    fn replica_dst(self, t: u32, vp: usize, k: usize) -> usize {
+    /// The `k`-th operand message of `vp` in `D_t` (`k < replicas(t)`): its
+    /// destination and the slot it fills there. Message `k` of either
+    /// operand carries the entry in slot `k >> 1` to the child segment
+    /// picked by replica bit `k & 1` — `A_{hl}` goes to `S_{h·l}`, `B_{lk}`
+    /// to `S_{·kl}` — where its row-major index `e` in the child's quadrant
+    /// makes it slot `e mod 2^{t+1}` of VP `e >> (t + 1)`.
+    fn replica(self, t: u32, vp: usize, k: usize) -> (usize, usize) {
         let per_operand = Self::replicas(t) / 2;
         let (li, lj) = self.local(t, vp, (k & (per_operand - 1)) >> 1);
         let r = k & 1;
@@ -162,79 +138,133 @@ impl Geometry {
         let mask = (1 << half_bits) - 1;
         let e = (li & mask) << half_bits | (lj & mask);
         let seg = self.log_seg(t);
-        (vp >> seg << seg) + (digit << self.log_seg(t + 1)) + (e >> (t + 1))
+        let child = (vp >> seg << seg) + (digit << self.log_seg(t + 1));
+        (child + (e >> (t + 1)), e & ((2 << t) - 1))
     }
 
-    /// The level-`t − 1` owner of the `C` entry in slot `p` of `vp` at level
-    /// `t ≥ 1`: the `(h, k)` digits of `vp`'s child segment place its
-    /// `C_{hk}` quadrant inside the parent's `C`.
-    fn product_dst(self, t: u32, vp: usize, p: usize) -> usize {
+    /// Destination of the `k`-th operand message of `vp` in `D_t`.
+    ///
+    /// Forced inline, like [`Geometry::product_dst`]: `StepPlan::compile`
+    /// calls the route once per declared send, and left to itself the
+    /// compiler calls this out of line there, which made `build` at
+    /// `n = 4096` ≈ 3.1 → 4.3 ms on a 2-vCPU Xeon VM.
+    #[inline(always)]
+    fn replica_dst(self, t: u32, vp: usize, k: usize) -> usize {
+        self.replica(t, vp, k).0
+    }
+
+    /// The `C` entry in slot `p` of `vp` at level `t ≥ 1`: its level-`t − 1`
+    /// owner and the slot it fills there. The `(h, k)` digits of `vp`'s
+    /// child segment place its `C_{hk}` quadrant inside the parent's `C`.
+    fn product(self, t: u32, vp: usize, p: usize) -> (usize, usize) {
         let (li, lj) = self.local(t, vp, p);
         let bits = self.log_side(t);
         let digit = vp >> self.log_seg(t) & 7;
         let e = ((digit >> 2) << bits | li) << (bits + 1) | (digit >> 1 & 1) << bits | lj;
         let parent = self.log_seg(t - 1);
-        (vp >> parent << parent) + (e >> (t - 1))
+        ((vp >> parent << parent) + (e >> (t - 1)), e & ((1 << (t - 1)) - 1))
+    }
+
+    /// The level-`t − 1` owner of the `C` entry in slot `p` of `vp`.
+    #[inline(always)]
+    fn product_dst(self, t: u32, vp: usize, p: usize) -> usize {
+        self.product(t, vp, p).0
     }
 }
 
-/// Deepest recursion the step bodies can index: `τ ≤ 6`, i.e. `n ≤ 2^18`.
-/// Not a limit anyone meets — the next size, `n = 64^4`, puts 137 GB of
-/// operand replicas in flight in `D_7` alone — but the reason the bodies'
-/// scratch is 256 bytes: a table for every `n` that [`MmMsg`]'s coordinates
-/// allow is 4 KB, and filling that on every VP call costs a tenth of a job at
-/// `n = 4096`, where this one costs nothing measurable.
+/// Where each slot's message sits in a VP's inbox, for every step that reads
+/// one: derived once, in `build`, from the declared routes (see the module
+/// docs), and shared by the step bodies.
+///
+/// The operand table of level `t ∈ 1..=τ` and child digit `d` — arrival
+/// order is a function of the receiver's digit `vp >> 3(τ − t) & 7` alone —
+/// holds the inbox positions of the VP's `2^t` slots of `A`, then of its
+/// `2^t` slots of `B`. The product table of level `t ∈ 1..τ` — the same for
+/// every VP — holds the first and the second arrival of each `C` slot,
+/// interleaved.
+struct Positions {
+    geo: Geometry,
+    operands: Box<[u16]>,
+    products: Box<[u16]>,
+}
+
+impl Positions {
+    /// Where the operand table of level `t` and child digit `digit` starts:
+    /// each level `s < t` holds eight tables of `2·2^s` entries.
+    fn operand_at(t: u32, digit: usize) -> usize {
+        16 * ((1 << t) - 2) + (digit << (t + 1))
+    }
+
+    /// Where the product table of level `t` starts: each level `s < t`
+    /// holds `2·2^s` entries.
+    fn product_at(t: u32) -> usize {
+        2 * ((1 << t) - 2)
+    }
+
+    /// Replays each level's sends in the engine's delivery order —
+    /// ascending source, then send order — over the first parent segment,
+    /// and numbers what reaches the first VP of each child segment.
+    fn new(geo: Geometry) -> Self {
+        let tau = geo.tau;
+        let mut operands = vec![0; Self::operand_at(tau + 1, 0)].into_boxed_slice();
+        for t in 1..=tau {
+            let (child, per_operand) = (geo.log_seg(t), Geometry::replicas(t - 1) / 2);
+            let mut arrived = [0u16; 8];
+            for src in 0..1 << geo.log_seg(t - 1) {
+                for k in 0..Geometry::replicas(t - 1) {
+                    let (dst, slot) = geo.replica(t - 1, src, k);
+                    if dst & ((1 << child) - 1) == 0 {
+                        let digit = dst >> child;
+                        let b = usize::from(k >= per_operand) << t;
+                        operands[Self::operand_at(t, digit) + b + slot] = arrived[digit];
+                        arrived[digit] += 1;
+                    }
+                }
+            }
+        }
+        // `u16::MAX`: the slot has had no arrival yet.
+        let mut products = vec![u16::MAX; Self::product_at(tau)].into_boxed_slice();
+        for t in 1..tau {
+            let mut arrived = 0;
+            for src in 0..1 << geo.log_seg(t) {
+                for p in 0..1 << (t + 1) {
+                    let (dst, slot) = geo.product(t + 1, src, p);
+                    if dst == 0 {
+                        let first = Self::product_at(t) + 2 * slot;
+                        products[first + usize::from(products[first] != u16::MAX)] = arrived;
+                        arrived += 1;
+                    }
+                }
+            }
+        }
+        Positions { geo, operands, products }
+    }
+
+    /// The inbox positions of `vp`'s `A` slots and of its `B` slots at level
+    /// `t ≥ 1`.
+    fn operands(&self, t: u32, vp: usize) -> (&[u16], &[u16]) {
+        let at = Self::operand_at(t, vp >> self.geo.log_seg(t) & 7);
+        self.operands[at..at + (2 << t)].split_at(1 << t)
+    }
+
+    /// The inbox positions of the two partial products of each `C` slot at
+    /// level `1 ≤ t < τ`: slot `p`'s first arrival at `2p`, its second at
+    /// `2p + 1`.
+    fn products(&self, t: u32) -> &[u16] {
+        let at = Self::product_at(t);
+        &self.products[at..at + (2 << t)]
+    }
+}
+
+/// Deepest recursion `build` accepts: `τ ≤ 6`, i.e. `n ≤ 2^18`. Not a limit
+/// of the position tables — their `u16` entries would index far longer
+/// inboxes than the deepest level's `2·2^τ` messages — but of what a run can
+/// hold, and so of what is ever tested: the next size, `n = 64^4`, puts
+/// `2^33` operand replicas in flight in `D_7` alone, 69 GB of 8-byte values.
 const MAX_TAU: u32 = 6;
 
-// Every `n` the bodies can index also fits `MmMsg`'s `u16` coordinates.
-const _: () = assert!(1u64 << (3 * MAX_TAU) <= super::MAX_N);
-
-/// Entries of a slot table, the stack scratch of one VP call: one inbox
-/// position per operand (or partial-product) message of the deepest level.
-const SLOT_TABLE: usize = 2 << MAX_TAU;
-
-/// A slot-table entry no message has claimed (no inbox is this long).
-const VACANT: u16 = u16::MAX;
-
-/// Where the operand message of each level-`t` slot sits in `msgs`, one
-/// VP's inbox in arrival order: `msgs[a[p]]` carries the VP's `p`-th entry
-/// of `A` and `msgs[b[p]]` its `p`-th entry of `B`, for `p < 2^t`; the
-/// returned `(a, b)` are carved out of `table`.
-fn operand_slots<'t, V>(
-    geo: Geometry,
-    t: u32,
-    msgs: &[MmMsg<V>],
-    table: &'t mut [u16],
-) -> (&'t [u16], &'t [u16]) {
-    let (a, b) = table[..2 << t].split_at_mut(1 << t);
-    for (at, msg) in msgs.iter().enumerate() {
-        match msg {
-            MmMsg::A(i, j, _) => a[geo.slot(t, *i, *j)] = at as u16,
-            MmMsg::B(i, j, _) => b[geo.slot(t, *i, *j)] = at as u16,
-            MmMsg::M(..) => unreachable!("no products during descent"),
-        }
-    }
-    (a, b)
-}
-
-/// Where the two partial products `M_{hk0}`, `M_{hk1}` of each level-`t`
-/// `C` slot sit in `msgs`, one VP's inbox in arrival order: slot `p < 2^t`
-/// owns entries `2p` (its first arrival) and `2p + 1` of the returned part of
-/// `table`, which must come in all [`VACANT`].
-fn product_pairs<'t, V>(
-    geo: Geometry,
-    t: u32,
-    msgs: &[MmMsg<V>],
-    table: &'t mut [u16],
-) -> &'t [u16] {
-    let pairs = &mut table[..2 << t];
-    for (at, msg) in msgs.iter().enumerate() {
-        let MmMsg::M(i, j, _) = msg else { unreachable!("only products ascend") };
-        let first = 2 * geo.slot(t, *i, *j);
-        pairs[first + usize::from(pairs[first] != VACANT)] = at as u16;
-    }
-    pairs
-}
+// Every inbox position fits a table entry.
+const _: () = assert!(2 << MAX_TAU <= u16::MAX as usize);
 
 /// The declared route of a step whose every VP sends `payloads` messages,
 /// the `k`-th to `dst(vp, k)`, followed by the wiseness dummy block of
@@ -287,13 +317,13 @@ impl<V> RecursiveMm<V> {
         n >= 64 && n.is_power_of_two() && n.trailing_zeros().is_multiple_of(6)
     }
 
-    /// Refuses, before any VP runs, a size the step bodies cannot index.
+    /// Refuses, before any VP runs, a size past [`MAX_TAU`].
     fn assert_supported(n: usize) {
         assert!(Self::is_power_of_64(n), "RecursiveMm supports n = 64^e, got {n}");
         assert!(
             Self::supports(n),
-            "RecursiveMm's step bodies index inboxes of at most 2·2^{MAX_TAU} messages \
-             (n ≤ 2^{}): n = {n}",
+            "RecursiveMm supports n ≤ 2^{} (the next size puts 2^33 operand replicas \
+             in flight): n = {n}",
             3 * MAX_TAU
         );
     }
@@ -301,7 +331,7 @@ impl<V> RecursiveMm<V> {
 
 impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
     type State = MmState<V>;
-    type Msg = MmMsg<V>;
+    type Msg = V;
     type Input = MmInput<V>;
     type Output = Matrix<V>;
 
@@ -325,11 +355,12 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
             .collect()
     }
 
-    fn build(&self, n: usize) -> Program<MmState<V>, MmMsg<V>> {
+    fn build(&self, n: usize) -> Program<MmState<V>, V> {
         Self::assert_supported(n);
         let geo = Geometry::new(n);
         let tau = geo.tau;
-        let mut prog: Program<MmState<V>, MmMsg<V>> = Program::new(n, n);
+        let positions = Arc::new(Positions::new(geo));
+        let mut prog: Program<MmState<V>, V> = Program::new(n, n);
         let log_v = prog.log_v();
         let wise = self.wise;
         // A step's wiseness dummies trail its payloads.
@@ -340,6 +371,7 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
         for t in 0..tau {
             let label = 3 * t;
             let (payloads, dummies) = (Geometry::replicas(t), 1u64 << t);
+            let positions = positions.clone();
             prog.step_oblivious(
                 label,
                 "mm-distribute",
@@ -349,16 +381,12 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                     // Every level forwards what it received; D_0 "receives"
                     // the VP's own two entries.
                     let own;
-                    let msgs = if t == 0 {
-                        let (i, j) = geo.local(0, ctx.vp, 0);
-                        let (i, j) = (i as u16, j as u16);
-                        own = [MmMsg::A(i, j, st.a.clone()), MmMsg::B(i, j, st.b.clone())];
-                        &own[..]
+                    let (msgs, (a, b)) = if t == 0 {
+                        own = [st.a.clone(), st.b.clone()];
+                        (&own[..], (&[0][..], &[1][..]))
                     } else {
-                        inbox.as_slice()
+                        (inbox.as_slice(), positions.operands(t, ctx.vp))
                     };
-                    let mut table = [VACANT; SLOT_TABLE];
-                    let (a, b) = operand_slots(geo, t, msgs, &mut table);
                     // Two replicas per slot: all of A's, then all of B's.
                     for (k, &at) in a.iter().chain(b).flat_map(|at| [at, at]).enumerate() {
                         out.send(geo.replica_dst(t, ctx.vp, k), msgs[at as usize].clone());
@@ -374,6 +402,7 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
         {
             let label = 3 * (tau - 1);
             let (payloads, dummies) = (1usize << tau, 1u64 << (tau - 1));
+            let positions = positions.clone();
             prog.step_oblivious(
                 label,
                 "mm-base",
@@ -381,24 +410,19 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                 route(payloads, label, dummies, move |vp, k| geo.product_dst(tau, vp, k)),
                 move |_st, ctx, inbox, out| {
                     let msgs = inbox.as_slice();
-                    let o = geo.path(tau, ctx.vp);
                     let side = 1usize << geo.log_side(tau);
                     // At level τ a segment is one VP: the slots are the dense
                     // row-major operand blocks.
-                    let mut table = [VACANT; SLOT_TABLE];
-                    let (a, b) = operand_slots(geo, tau, msgs, &mut table);
+                    let (a, b) = positions.operands(tau, ctx.vp);
                     for i in 0..side {
                         for j in 0..side {
                             let mut acc = V::zero();
                             for k in 0..side {
-                                let a_ik = msgs[a[i * side + k] as usize].value();
-                                let b_kj = msgs[b[k * side + j] as usize].value();
+                                let a_ik = &msgs[a[i * side + k] as usize];
+                                let b_kj = &msgs[b[k * side + j] as usize];
                                 acc = acc.add(&a_ik.mul(b_kj));
                             }
-                            out.send(
-                                geo.product_dst(tau, ctx.vp, i * side + j),
-                                MmMsg::M((o.h | i) as u16, (o.k | j) as u16, acc),
-                            );
+                            out.send(geo.product_dst(tau, ctx.vp, i * side + j), acc);
                         }
                     }
                     if wise {
@@ -412,6 +436,7 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
         for t in (1..tau).rev() {
             let label = 3 * (t - 1);
             let (payloads, dummies) = (1usize << t, 1u64 << (t - 1));
+            let positions = positions.clone();
             prog.step_oblivious(
                 label,
                 "mm-combine",
@@ -419,14 +444,9 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                 route(payloads, label, dummies, move |vp, k| geo.product_dst(t, vp, k)),
                 move |_st, ctx, inbox, out| {
                     let msgs = inbox.as_slice();
-                    let mut table = [VACANT; SLOT_TABLE];
-                    let pairs = product_pairs(geo, t, msgs, &mut table);
-                    for (p, pair) in pairs.chunks_exact(2).enumerate() {
-                        let MmMsg::M(i, j, m0) = &msgs[pair[0] as usize] else {
-                            unreachable!("only products ascend")
-                        };
-                        let m1 = msgs[pair[1] as usize].value();
-                        out.send(geo.product_dst(t, ctx.vp, p), MmMsg::M(*i, *j, m0.add(m1)));
+                    for (p, pair) in positions.products(t).chunks_exact(2).enumerate() {
+                        let (m0, m1) = (&msgs[pair[0] as usize], &msgs[pair[1] as usize]);
+                        out.send(geo.product_dst(t, ctx.vp, p), m0.add(m1));
                     }
                     if wise {
                         wiseness_dummies(ctx, label, dummies, out);
@@ -445,7 +465,7 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                 let [m0, m1] = inbox.as_slice() else {
                     unreachable!("C_hk = M_hk0 + M_hk1: two arrivals per VP")
                 };
-                st.a = m0.value().add(m1.value());
+                st.a = m0.add(m1);
             },
         );
         prog
@@ -487,14 +507,15 @@ mod tests {
 
     #[test]
     fn supports_stops_where_the_bodies_stop_indexing() {
-        // τ = 6 fills the slot table exactly.
+        // τ = MAX_TAU = 6 is the last size supported.
         assert!(RecursiveMm::<WrapU64>::supports(1 << 18));
         RecursiveMm::<WrapU64>::assert_supported(1 << 18);
         assert!(!RecursiveMm::<WrapU64>::supports(1 << 24));
     }
 
     #[test]
-    #[should_panic(expected = "2·2^6 messages (n ≤ 2^18): n = 16777216")]
+    #[should_panic(expected = "n ≤ 2^18 (the next size puts 2^33 operand replicas in flight): \
+                               n = 16777216")]
     fn a_size_past_the_slot_table_is_refused_by_name_up_front() {
         RecursiveMm::<WrapU64>::default().build(1 << 24);
     }
@@ -644,74 +665,94 @@ mod tests {
         }
     }
 
-    /// A deterministic shuffle that sends neighbours far apart.
-    fn shuffled<T>(mut items: Vec<T>) -> Vec<T> {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        for i in (1..items.len()).rev() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            items.swap(i, (state % (i as u64 + 1)) as usize);
-        }
-        items
+    #[test]
+    fn a_message_is_a_bare_value() {
+        assert_eq!(std::mem::size_of::<<RecursiveMm<WrapU64> as NobAlgorithm>::Msg>(), 8);
     }
 
-    /// Feeds the slot helpers, at every level of depth-`τ` recursion, the
-    /// inbox some VP would receive — in an arrival order no engine produces.
-    fn slots_survive_any_arrival_order(tau: u32) {
-        let geo = Geometry::new(1 << (3 * tau));
-        for t in 1..=tau {
-            // A VP at the far end of the machine, so the origins are not 0.
-            let vp = (1usize << (3 * tau)) - 1 - (t as usize);
-            let o = geo.path(t, vp);
-            let slots = 1usize << t;
-            let coords = |p: usize, row0: usize, col0: usize| {
-                let (li, lj) = geo.local(t, vp, p);
-                ((row0 | li) as u16, (col0 | lj) as u16)
-            };
-            let mut operands = Vec::new();
-            let mut products = Vec::new();
-            for p in 0..slots {
-                let ((ai, aj), (bi, bj)) = (coords(p, o.h, o.l), coords(p, o.l, o.k));
-                let (ci, cj) = coords(p, o.h, o.k);
-                operands.push(MmMsg::A(ai, aj, WrapU64(p as u64)));
-                operands.push(MmMsg::B(bi, bj, WrapU64(1000 + p as u64)));
-                products.push(MmMsg::M(ci, cj, WrapU64(p as u64)));
-                products.push(MmMsg::M(ci, cj, WrapU64(p as u64)));
-            }
-            let operands = shuffled(operands);
-            let mut table = [VACANT; SLOT_TABLE];
-            let (a, b) = operand_slots(geo, t, &operands, &mut table);
-            assert_eq!((a.len(), b.len()), (slots, slots));
-            for p in 0..slots {
-                let what = format!("τ={tau} t={t} slot {p}");
-                let (at_a, at_b) = (&operands[a[p] as usize], &operands[b[p] as usize]);
-                assert!(matches!(at_a, MmMsg::A(..)), "{what}");
-                assert!(matches!(at_b, MmMsg::B(..)), "{what}");
-                assert_eq!(at_a.value(), &WrapU64(p as u64), "{what}: A");
-                assert_eq!(at_b.value(), &WrapU64(1000 + p as u64), "{what}: B");
-            }
-            let products = shuffled(products);
-            let mut table = [VACANT; SLOT_TABLE];
-            let pairs = product_pairs(geo, t, &products, &mut table);
-            assert_eq!(pairs.len(), 2 * slots);
-            for (p, pair) in pairs.chunks_exact(2).enumerate() {
-                let what = format!("τ={tau} t={t} slot {p}");
-                assert!(pair[0] < pair[1], "{what}: pair in arrival order");
-                assert_eq!(products[pair[0] as usize].value(), &WrapU64(p as u64), "{what}");
-                assert_eq!(products[pair[1] as usize].value(), &WrapU64(p as u64), "{what}");
-            }
-            if slots >= 4 {
-                let apart = pairs.chunks_exact(2).filter(|pair| pair[1] - pair[0] > 1).count();
-                assert!(apart >= slots / 2, "τ={tau} t={t}: the shuffle kept pairs adjacent");
+    /// Which matrix an entry belongs to, and its global `(row, column)`.
+    type Entry = (char, usize, usize);
+
+    /// The entry of `matrix` (`'A'`, `'B'` or `'C'`) in slot `p` of `vp` at
+    /// level `t`, from coordinates alone: the base-8 digits of `vp`, most
+    /// significant first, are the `(h, k, l)` choices of the path from the
+    /// root, each one more bit of the block's origin — `A_{hl}`, `B_{lk}`,
+    /// `C_{hk}`.
+    fn entry(geo: Geometry, matrix: char, t: u32, vp: usize, p: usize) -> Entry {
+        let (mut h, mut k, mut l) = (0, 0, 0);
+        for d in 1..=t {
+            let digit = vp >> geo.log_seg(d) & 7;
+            let bit = geo.log_side(d);
+            h |= (digit >> 2) << bit;
+            k |= (digit >> 1 & 1) << bit;
+            l |= (digit & 1) << bit;
+        }
+        let (row, col) = match matrix {
+            'A' => (h, l),
+            'B' => (l, k),
+            _ => (h, k),
+        };
+        let (li, lj) = geo.local(t, vp, p);
+        (matrix, row | li, col | lj)
+    }
+
+    /// Every VP's inbox in the engine's delivery order — ascending source,
+    /// then send order — for the sends `(src, k) ↦ (dst, entry)`.
+    fn inboxes(
+        n: usize,
+        per_src: usize,
+        send: impl Fn(usize, usize) -> (usize, Entry),
+    ) -> Vec<Vec<Entry>> {
+        let mut inboxes = vec![Vec::new(); n];
+        for src in 0..n {
+            for k in 0..per_src {
+                let (dst, entry) = send(src, k);
+                inboxes[dst].push(entry);
             }
         }
+        inboxes
     }
 
     #[test]
-    fn slot_helpers_index_by_coordinates_not_arrival_order() {
-        for tau in [2, 4, 6] {
-            slots_survive_any_arrival_order(tau);
+    fn position_tables_are_the_declared_arrival_order() {
+        for n in [64usize, 4096] {
+            let geo = Geometry::new(n);
+            let positions = Positions::new(geo);
+            for t in 1..=geo.tau {
+                // What D_{t−1}'s declared routes deliver: the k-th message of
+                // either operand carries the sender's slot k >> 1.
+                let per_operand = Geometry::replicas(t - 1) / 2;
+                let arrived = inboxes(n, Geometry::replicas(t - 1), |src, k| {
+                    let matrix = if k < per_operand { 'A' } else { 'B' };
+                    let slot = (k & (per_operand - 1)) >> 1;
+                    (geo.replica_dst(t - 1, src, k), entry(geo, matrix, t - 1, src, slot))
+                });
+                for (vp, inbox) in arrived.iter().enumerate() {
+                    let (a, b) = positions.operands(t, vp);
+                    assert_eq!(inbox.len(), 2 << t, "n={n} t={t} vp={vp}");
+                    for p in 0..1 << t {
+                        let what = format!("n={n} t={t} vp={vp} slot {p}");
+                        assert_eq!(inbox[a[p] as usize], entry(geo, 'A', t, vp, p), "{what}");
+                        assert_eq!(inbox[b[p] as usize], entry(geo, 'B', t, vp, p), "{what}");
+                    }
+                }
+            }
+            for t in 1..geo.tau {
+                // What the base step (t + 1 = τ) or K_{t+1} delivers.
+                let arrived = inboxes(n, 2 << t, |src, p| {
+                    (geo.product_dst(t + 1, src, p), entry(geo, 'C', t + 1, src, p))
+                });
+                for (vp, inbox) in arrived.iter().enumerate() {
+                    assert_eq!(inbox.len(), 2 << t, "n={n} t={t} vp={vp}");
+                    for (p, pair) in positions.products(t).chunks_exact(2).enumerate() {
+                        let what = format!("n={n} t={t} vp={vp} slot {p}");
+                        assert!(pair[0] < pair[1], "{what}: first arrival first");
+                        for &at in pair {
+                            assert_eq!(inbox[at as usize], entry(geo, 'C', t, vp, p), "{what}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -338,6 +338,12 @@ enum InboxRepr<'a, M> {
 /// recently delivered message, `drain(..)` consumes front to back, and
 /// anything left over is discarded when the superstep ends — but reads
 /// directly from the engine's flat mailbox arena.
+///
+/// Delivery order is part of the contract, the same on every path
+/// (reference, serial, sharded, fused or not, planned or dynamic, folded):
+/// messages arrive by ascending source VP, and one source's messages in the
+/// order it sent them. A static algorithm may therefore name a message by
+/// its position in [`Inbox::as_slice`] instead of by a tag it carries.
 pub struct Inbox<'a, M> {
     repr: InboxRepr<'a, M>,
 }

@@ -10,6 +10,13 @@ cargo build --release --offline
 # one) but `cargo build` alone never compiles them — build them explicitly
 # so tier-1 catches example rot.
 cargo build --release --offline --examples
+# And run them: each asserts against a reference computation (≈ 3 s in all),
+# and they are the only end-to-end runs of `RecursiveMm` over the tropical
+# and Boolean semirings.
+for example in quickstart apsp_tropical reachability heat_diffusion heat_plate ranking spectrum; do
+    cargo run --release --offline -q --example "$example" > /dev/null
+done
+cargo run --release --offline -q -p nob-machine --example job_server > /dev/null
 cargo test -q --offline
 cargo clippy -q --offline --all-targets -- -D warnings
 cargo doc --no-deps -q --offline

@@ -232,6 +232,63 @@ fn outbox_len_mid_vp_reads_alike_on_every_path() {
     }
 }
 
+/// Every path delivers a VP's inbox in one order: ascending source VP, then
+/// the source's send order. Algorithms rely on it — `RecursiveMm` names each
+/// message by its inbox position — so a declared step whose payloads carry
+/// their `(src, k)` must leave every VP the same list on every path, and
+/// that list is pinned as literals here, not taken from any engine.
+#[test]
+fn inbox_order_is_ascending_source_then_send_order_on_every_path() {
+    let v = 16usize;
+    let mut prog: Program<Vec<(usize, usize)>, (usize, usize)> = Program::new(v, v);
+    // VP d hears from d ^ 1 (twice, sent first and last), from d − 5 mod v
+    // (another shard and fold at widths and folds of 4) and from itself.
+    let route = move |ctx: &network_oblivious::machine::Ctx, k: usize| {
+        Route::Data(match k {
+            0 | 3 => ctx.vp ^ 1,
+            1 => (ctx.vp + 5) % v,
+            _ => ctx.vp,
+        })
+    };
+    for _ in 0..2 {
+        prog.step_oblivious(0, "tagged", 4, route, move |st, ctx, inbox, out| {
+            st.extend(inbox.drain(..));
+            for k in 0..4 {
+                let Route::Data(dst) = route(ctx, k) else { unreachable!() };
+                out.send(dst, (ctx.vp, k));
+            }
+        });
+    }
+    prog.step_oblivious(0, "record", 0, |_, _| Route::End, |st, _, inbox, _| {
+        st.extend(inbox.drain(..));
+    });
+    let want_0 = [(0, 2), (1, 0), (1, 3), (11, 1)];
+    let want_5 = [(0, 1), (4, 0), (4, 3), (5, 2)];
+    let states = vec![Vec::new(); v];
+    let logged = RunOptions::with_log();
+    let reference = run_reference(&prog, states.clone(), &logged).unwrap();
+    assert_eq!(reference.states[0], [want_0, want_0].concat());
+    assert_eq!(reference.states[5], [want_5, want_5].concat());
+    for opts in [
+        RunOptions { workers: Some(1), ..RunOptions::with_log() },
+        RunOptions { workers: Some(1), fuse: false, ..RunOptions::with_log() },
+        RunOptions { workers: Some(1), use_plans: false, ..RunOptions::with_log() },
+        RunOptions { workers: Some(2), ..RunOptions::with_log() },
+        RunOptions { workers: Some(2), validate: false, ..RunOptions::with_log() },
+        RunOptions { workers: Some(4), ..RunOptions::with_log() },
+        RunOptions { workers: Some(4), validate: false, ..RunOptions::with_log() },
+    ] {
+        let got = run(&prog, states.clone(), &opts).unwrap();
+        assert_eq!(got.states, reference.states, "states under {opts:?}");
+        assert_eq!(got.message_log, reference.message_log, "log under {opts:?}");
+    }
+    for w in [1usize, 4] {
+        let opts = RunOptions { workers: Some(w), ..Default::default() };
+        let folded = run_folded(&prog, states.clone(), 4, &opts).unwrap();
+        assert_eq!(folded.states, reference.states, "folded p = 4 states at {w} workers");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
