@@ -66,10 +66,9 @@ impl NobAlgorithm for ObliviousBroadcast {
                     if let Some(m) = inbox.pop() {
                         *st = Some(m);
                     }
-                    let cluster = ctx.v >> i;
-                    if ctx.vp % cluster == 0 {
+                    if ctx.vp % (ctx.v >> i) == 0 {
                         if let Some(val) = *st {
-                            out.send(ctx.vp + cluster / 2, val);
+                            out.send(val);
                         }
                     }
                 },
@@ -163,10 +162,8 @@ impl NobAlgorithm for AwareBroadcast {
                     }
                     if ctx.vp % span == 0 {
                         if let Some(val) = *st {
-                            let mut dst = ctx.vp + next;
-                            while dst < ctx.vp + span {
-                                out.send(dst, val);
-                                dst += next;
+                            for _ in 1..span / next {
+                                out.send(val);
                             }
                         }
                     }

@@ -6,6 +6,8 @@ use nob_machine::{Ctx, Outbox, Route};
 /// label: VP `j` sends `count` dummy messages to VP `j + v/2^{label+1}`, for
 /// every `j < v/2^{label+1}` (Section 4.1: the device that makes the
 /// algorithms `(Θ(1), v)`-wise without changing their asymptotic costs).
+/// For undeclared steps only: a declared step states its dummies in its
+/// route ([`wiseness_route`]) and the engine emits them.
 #[inline]
 pub fn wiseness_dummies<M>(ctx: &Ctx, label: u32, count: u64, out: &mut Outbox<M>) {
     let span = ctx.v >> (label + 1);
@@ -19,11 +21,11 @@ pub fn wiseness_dummies<M>(ctx: &Ctx, label: u32, count: u64, out: &mut Outbox<M
     }
 }
 
-/// The oblivious-route declaration of [`wiseness_dummies`]: slot `k` (for
-/// `0 ≤ k < count`) of the dummy block a superstep's route reserves after
-/// its payload slots. Mirrors the emission exactly, so pattern supersteps
-/// can declare `route(ctx, j) = … payloads …, wiseness_route(ctx, label,
-/// count, j - payloads)`.
+/// The wiseness dummies of [`wiseness_dummies`] as route slots: slot `k`
+/// (for `0 ≤ k < count`) of the dummy block a declared superstep's route
+/// reserves after its payload slots, `route(ctx, j) = … payloads …,
+/// wiseness_route(ctx, label, count, j - payloads)`. The engine emits them;
+/// the step's body never does.
 #[inline]
 pub fn wiseness_route(ctx: &Ctx, label: u32, count: u64, k: usize) -> Route {
     let span = ctx.v >> (label + 1);

@@ -22,7 +22,7 @@
 //! see the natural-order spectrum. Values are double-precision [`Complex`]
 //! numbers; [`naive_dft`] is the `O(n²)` correctness oracle.
 
-use crate::common::{bit_reverse, ilog2, wiseness_dummies, wiseness_route};
+use crate::common::{bit_reverse, ilog2, wiseness_route};
 use nob_machine::{Ctx, Inbox, NobAlgorithm, Program, Route};
 
 /// A double-precision complex number (the FFT value type).
@@ -176,7 +176,7 @@ fn emit_fft(
             |ctx, _| Route::Data(ctx.vp ^ 1),
             move |st, ctx, inbox, out| {
                 do_pending(st, ctx, inbox, p);
-                out.send(ctx.vp ^ 1, st.val);
+                out.send(st.val);
             },
         );
         *pending = Pending::Bfly;
@@ -207,13 +207,7 @@ fn emit_fft(
             },
             move |st, ctx, inbox, out| {
                 do_pending(st, ctx, inbox, p);
-                let base = ctx.vp - ctx.vp % m;
-                let off = ctx.vp - base;
-                let (t1, t2) = (off / m2, off % m2);
-                out.send(base + t2 * m1 + t1, st.val);
-                if wise {
-                    wiseness_dummies(ctx, label, 1, out);
-                }
+                out.send(st.val);
             },
         );
         *pending = Pending::Perm;
@@ -242,15 +236,11 @@ fn emit_fft(
             },
             move |st, ctx, inbox, out| {
                 do_pending(st, ctx, inbox, p);
-                let base = ctx.vp - ctx.vp % m;
-                let off = ctx.vp - base;
+                let off = ctx.vp % m;
                 let (t2, t1p) = (off / m1, off % m1);
                 let k1 = bit_reverse(t1p, lg_m1);
                 st.val = st.val.mul(Complex::twiddle(t2 * k1 % m, m));
-                out.send(base + t1p * m2 + t2, st.val);
-                if wise {
-                    wiseness_dummies(ctx, label, 1, out);
-                }
+                out.send(st.val);
             },
         );
         *pending = Pending::Perm;
@@ -379,7 +369,7 @@ impl NobAlgorithm for BinaryExchangeFft {
                     if let Some((pd, tw)) = &combine {
                         binex_combine(st, ctx, inbox, *pd, tw);
                     }
-                    out.send(ctx.vp ^ d, st.val);
+                    out.send(st.val);
                 },
             );
             prev = Some((d, twiddle_table(d)));

@@ -114,10 +114,9 @@ impl<V: Semiring> NobAlgorithm for CannonMm<V> {
                     Route::Data(morton_encode((i + s - j % s) % s, j))
                 }
             },
-            move |st: &mut CannonState<V>, ctx, _inbox, out| {
-                let (i, j) = morton_decode(ctx.vp);
-                out.send(morton_encode(i, (j + s - i % s) % s), CannonMsg::A(st.a.clone()));
-                out.send(morton_encode((i + s - j % s) % s, j), CannonMsg::B(st.b.clone()));
+            move |st: &mut CannonState<V>, _ctx, _inbox, out| {
+                out.send(CannonMsg::A(st.a.clone()));
+                out.send(CannonMsg::B(st.b.clone()));
             },
         );
 
@@ -136,13 +135,12 @@ impl<V: Semiring> NobAlgorithm for CannonMm<V> {
                         Route::Data(morton_encode((i + s - 1) % s, j))
                     }
                 },
-                move |st, ctx, inbox, out| {
+                move |st, _ctx, inbox, out| {
                     ingest(st, inbox);
                     st.c = st.c.add(&st.a.mul(&st.b));
-                    if q + 1 < s {
-                        let (i, j) = morton_decode(ctx.vp);
-                        out.send(morton_encode(i, (j + s - 1) % s), CannonMsg::A(st.a.clone()));
-                        out.send(morton_encode((i + s - 1) % s, j), CannonMsg::B(st.b.clone()));
+                    if shifts {
+                        out.send(CannonMsg::A(st.a.clone()));
+                        out.send(CannonMsg::B(st.b.clone()));
                     }
                 },
             );

@@ -23,8 +23,8 @@
 //! with sub-local row-major index `e` belongs to VP `segment base + (e >> t)`
 //! as its *slot* `e & (2^t − 1)`. The `k`-th send of a step carries a fixed
 //! slot to a destination that is a function of `(vp, k)` only — `Geometry`
-//! holds one destination helper per direction, and both the declared route
-//! and the step body call it, so declaration and sends cannot drift. Every
+//! holds one destination helper per direction, which the declared route
+//! calls; the step bodies only say what they send, in slot order. Every
 //! VP receives the same number of payloads in every step, so each plan is an
 //! `O(1)` [`nob_machine::plan::PlanLayout::Uniform`] summary.
 //!
@@ -60,7 +60,7 @@
 //! so every plan, trace and message log, are defined by.
 
 use super::MmInput;
-use crate::common::{wiseness_dummies, wiseness_route};
+use crate::common::wiseness_route;
 use crate::semiring::{Matrix, Semiring};
 use nob_machine::{Ctx, NobAlgorithm, Program, Route};
 use std::marker::PhantomData;
@@ -267,8 +267,8 @@ const MAX_TAU: u32 = 6;
 const _: () = assert!(2 << MAX_TAU <= u16::MAX as usize);
 
 /// The declared route of a step whose every VP sends `payloads` messages,
-/// the `k`-th to `dst(vp, k)`, followed by the wiseness dummy block of
-/// [`wiseness_dummies`]`(ctx, label, dummies, _)`.
+/// the `k`-th to `dst(vp, k)`, followed by the wiseness dummy block
+/// [`wiseness_route`]`(ctx, label, dummies, _)`.
 fn route(
     payloads: usize,
     label: u32,
@@ -388,11 +388,8 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                         (inbox.as_slice(), positions.operands(t, ctx.vp))
                     };
                     // Two replicas per slot: all of A's, then all of B's.
-                    for (k, &at) in a.iter().chain(b).flat_map(|at| [at, at]).enumerate() {
-                        out.send(geo.replica_dst(t, ctx.vp, k), msgs[at as usize].clone());
-                    }
-                    if wise {
-                        wiseness_dummies(ctx, label, dummies, out);
+                    for &at in a.iter().chain(b).flat_map(|at| [at, at]) {
+                        out.send(msgs[at as usize].clone());
                     }
                 },
             );
@@ -422,11 +419,8 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                                 let b_kj = &msgs[b[k * side + j] as usize];
                                 acc = acc.add(&a_ik.mul(b_kj));
                             }
-                            out.send(geo.product_dst(tau, ctx.vp, i * side + j), acc);
+                            out.send(acc);
                         }
-                    }
-                    if wise {
-                        wiseness_dummies(ctx, label, dummies, out);
                     }
                 },
             );
@@ -442,14 +436,10 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
                 "mm-combine",
                 out_degree(payloads, dummies),
                 route(payloads, label, dummies, move |vp, k| geo.product_dst(t, vp, k)),
-                move |_st, ctx, inbox, out| {
+                move |_st, _ctx, inbox, out| {
                     let msgs = inbox.as_slice();
-                    for (p, pair) in positions.products(t).chunks_exact(2).enumerate() {
-                        let (m0, m1) = (&msgs[pair[0] as usize], &msgs[pair[1] as usize]);
-                        out.send(geo.product_dst(t, ctx.vp, p), m0.add(m1));
-                    }
-                    if wise {
-                        wiseness_dummies(ctx, label, dummies, out);
+                    for pair in positions.products(t).chunks_exact(2) {
+                        out.send(msgs[pair[0] as usize].add(&msgs[pair[1] as usize]));
                     }
                 },
             );

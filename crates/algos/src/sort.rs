@@ -30,7 +30,7 @@
 //! supersteps, `H = Θ((n/p)·log p·log n + σ·log²n)` — asymptotically worse
 //! than Columnsort for `p = n^{Ω(1)}`.
 
-use crate::common::{ilog2, wiseness_dummies, wiseness_route};
+use crate::common::{ilog2, wiseness_route};
 use nob_machine::{Ctx, Inbox, NobAlgorithm, Program, Route};
 
 /// Trait bound bundle for sortable keys.
@@ -215,9 +215,8 @@ fn compile_sort<K: SortKey>(
             },
             move |st: &mut K, ctx, inbox, out| {
                 ingest_item(st, inbox);
-                let base = ctx.vp - ctx.vp % m;
-                if ctx.vp != base {
-                    out.send(base, st.clone());
+                if ctx.vp % m != 0 {
+                    out.send(st.clone());
                 }
             },
         );
@@ -239,8 +238,7 @@ fn compile_sort<K: SortKey>(
                 }
             },
             move |st: &mut K, ctx, inbox, out| {
-                let base = ctx.vp - ctx.vp % m;
-                if ctx.vp == base {
+                if ctx.vp % m == 0 {
                     // The segment fits a fixed array (m ≤ BASE), so a leader
                     // sorts without touching the heap: gathered keys in
                     // arrival order, its own key last, the rest left default.
@@ -253,8 +251,8 @@ fn compile_sort<K: SortKey>(
                     all[..len].sort();
                     let mut sorted = all.into_iter().take(len);
                     *st = sorted.next().expect("segment non-empty");
-                    for (off, item) in sorted.enumerate() {
-                        out.send(base + off + 1, item);
+                    for item in sorted {
+                        out.send(item);
                     }
                 } else {
                     inbox.clear();
@@ -284,14 +282,9 @@ fn compile_sort<K: SortKey>(
                 let q = ctx.vp - base;
                 Route::Data(base + f(q, r, s, m))
             },
-            move |st: &mut K, ctx: &Ctx, inbox, out| {
+            move |st: &mut K, _: &Ctx, inbox, out| {
                 ingest_item(st, inbox);
-                let base = ctx.vp - ctx.vp % m;
-                let q = ctx.vp - base;
-                out.send(base + f(q, r, s, m), st.clone());
-                if wise {
-                    wiseness_dummies(ctx, label, 1, out);
-                }
+                out.send(st.clone());
             },
         );
     };
@@ -407,7 +400,7 @@ impl<K: SortKey> NobAlgorithm for BitonicSort<K> {
                         if let Some((pk, pj)) = p {
                             bitonic_combine(st, ctx, inbox, pk, pj);
                         }
-                        out.send(ctx.vp ^ (1 << j), st.clone());
+                        out.send(st.clone());
                     },
                 );
                 pending = Some((k, j));

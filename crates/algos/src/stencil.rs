@@ -635,12 +635,12 @@ impl<O: StencilOp> NobAlgorithm for NaiveStencil<O> {
                         st.left = None;
                         st.right = None;
                     }
-                    if step + 1 < ctx.n {
+                    if sends {
                         if ctx.vp > 0 {
-                            out.send(ctx.vp - 1, (false, st.cur.clone()));
+                            out.send((false, st.cur.clone()));
                         }
                         if ctx.vp + 1 < ctx.v {
-                            out.send(ctx.vp + 1, (true, st.cur.clone()));
+                            out.send((true, st.cur.clone()));
                         }
                     }
                 },

@@ -688,8 +688,8 @@ impl<O: Stencil2Op> NobAlgorithm for NaiveStencil2<O> {
 
     fn build(&self, n: usize) -> Program<Naive2State<O::V>, ((i64, i64), O::V)> {
         let mut prog = Program::new(n * n, n);
-        // The 8 neighbour offsets in the closure's (δx outer, δy inner)
-        // emission order, for the oblivious route declaration.
+        // The 8 neighbour offsets in (δx outer, δy inner) order: the route's
+        // slots, and the body's sends to the neighbours that exist.
         const OFFS: [(i64, i64); 8] =
             [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)];
         for step in 0..n {
@@ -721,21 +721,12 @@ impl<O: Stencil2Op> NobAlgorithm for NaiveStencil2<O> {
                         }
                         st.cur = O::apply(&vals);
                     }
-                    if step + 1 < ctx.n {
+                    if sends {
                         let (x, y) = ((ctx.vp / ctx.n) as i64, (ctx.vp % ctx.n) as i64);
-                        for dx in -1..=1i64 {
-                            for dy in -1..=1i64 {
-                                if dx == 0 && dy == 0 {
-                                    continue;
-                                }
-                                let (nx, ny) = (x + dx, y + dy);
-                                if in_region(nx, ny, 0, ctx.n as i64) {
-                                    // The receiver records us at the inverse offset.
-                                    out.send(
-                                        (nx * ctx.n as i64 + ny) as usize,
-                                        ((-dx, -dy), st.cur.clone()),
-                                    );
-                                }
+                        for (dx, dy) in OFFS {
+                            if in_region(x + dx, y + dy, 0, ctx.n as i64) {
+                                // The receiver records us at the inverse offset.
+                                out.send(((-dx, -dy), st.cur.clone()));
                             }
                         }
                     }

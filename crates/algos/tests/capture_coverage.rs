@@ -62,7 +62,6 @@ where
     for (i, opts) in tiers.into_iter().enumerate() {
         let res = run(&prog, alg.init(n, input), &opts)
             .unwrap_or_else(|e| panic!("{name}: captured replay tier {i} failed: {e}"));
-        assert!(res.fallback.is_none(), "{name}: captured replay tier {i} fell back");
         assert_eq!(alg.extract(n, res.states), want, "{name}: replay tier {i} diverged");
     }
     added

@@ -27,11 +27,11 @@ fn butterfly(v: usize) -> Program<u64, u64> {
             "bfly",
             1,
             move |ctx, _| Route::Data(ctx.vp ^ d),
-            move |st, ctx, inbox, out| {
+            move |st, _ctx, inbox, out| {
                 for m in inbox.drain(..) {
                     *st = st.wrapping_mul(31).wrapping_add(m);
                 }
-                out.send(ctx.vp ^ d, *st);
+                out.send(*st);
             },
         );
     }

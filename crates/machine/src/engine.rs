@@ -34,7 +34,8 @@
 //!   staged pipeline — one counting pass over the compiled
 //!   [`crate::plan::StepPlan`] sizes the write arena, VP closures write
 //!   payloads *directly* into their destination slots (run by the step's
-//!   chunk kernel: one call per chunk, the body inlined), and the superstep
+//!   chunk kernel: one call per chunk, the body and the route inlined —
+//!   the route names each payload's destination), and the superstep
 //!   record is the plan's precomputed metrics (`O(log v)`), with the
 //!   cluster constraint proven once at build time. On the sharded path
 //!   the destination slot may live in a *peer shard's* arena: each worker
@@ -81,8 +82,6 @@
 //!   some planned step must count its route because fusion is off or its
 //!   plan has no [`crate::plan::PlanLayout`].
 //!
-//! The census is per *attempt*: [`PlanFallback::Dynamic`] retries with
-//! `use_plans = false`, and that retry sizes itself for the dynamic tier.
 //! Deciding up front rather than at the first dynamic step keeps every
 //! allocation out of the superstep loop (`tests/allocation.rs`). The sharded
 //! executor does not take a census yet: its worker kits always carry their
@@ -98,7 +97,7 @@
 //! * **Metrics are send-phase metrics**: dummy messages count toward every
 //!   degree (the paper's wiseness device) but are never delivered.
 
-use crate::mailbox::{route_serial, Arena, ChunkStage, Inbox};
+use crate::mailbox::{route_serial, Arena, ChunkStage, DirectOut, DirectSink};
 use crate::program::{Ctx, Envelope, Program};
 use crate::shard::Executor;
 use nob_core::fault::FaultPlan;
@@ -111,25 +110,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What to do when a planned superstep's route disagrees with its closure
-/// at run time (a [`ModelError::PlanMismatch`]) on a *non-validated* run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanFallback {
-    /// Fail the run with the mismatch (default). Under
-    /// [`RunOptions::validate`] a mismatch is always a hard failure — it is
-    /// a model violation to report, not a condition to paper over.
-    #[default]
-    Fail,
-    /// Transparently re-execute the whole run with `use_plans = false`: the
-    /// dynamic path discovers the real pattern message by message, so a
-    /// stale or mis-declared route degrades to correct-but-slower instead
-    /// of failing. The abandoned attempt's error is recorded in
-    /// [`RunResult::fallback`] for observability. Only consulted when
-    /// validation is off, plans are enabled, and the program declares at
-    /// least one oblivious route.
-    Dynamic,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
@@ -137,24 +117,17 @@ pub struct RunOptions {
     /// the serial path when the machine or the worker pool is too small for
     /// sharding to pay; see the module docs).
     pub parallel: bool,
-    /// Check the run against the model (default: `true`). On a *dynamic*
-    /// superstep: the i-superstep cluster constraint on every message. On
-    /// a *planned* one — whose declared route was proven cluster-legal
-    /// once, at compile time — conformance of the actual sends to that
-    /// route: the direct writer sums a 64-bit route digest over every send
-    /// (destination, kind and position; dummies included) and the engine
-    /// compares it with the digest the plan stored, before the superstep's
-    /// arena is committed. A mismatch is a
-    /// [`ModelError::PlanMismatch`] naming the step and the first VP of the
-    /// shard whose sum differs (not the diverging send).
+    /// Check the run against the model (default: `true`). Two checks
+    /// depend on it: the i-superstep cluster constraint on every message
+    /// of a *dynamic* superstep, and the report of a declared route that
+    /// failed its compile-time proof — with it the run fails with that
+    /// fault, without it the step runs on the dynamic path.
     ///
-    /// What stays exact with or without this flag: a destination outside
-    /// the machine, a payload leaving its shard cluster, more payloads to a
-    /// destination than planned, fewer payloads written than declared. What
-    /// only the digest catches — with probability `1 − 2⁻⁶⁴` — is a
-    /// divergence that keeps all of those: another destination with the
-    /// same counts, sends swapped between or within VPs, a payload sent as
-    /// a dummy or the reverse, a dummy missing or extra.
+    /// A *planned* superstep's checks do not depend on it: its route was
+    /// proven cluster-legal once, at compile time, its destinations come
+    /// from that route, and a body that sends one payload more or fewer
+    /// than the route declares is an exact [`ModelError::PlanMismatch`]
+    /// either way.
     pub validate: bool,
     /// Keep the raw per-superstep message log — `(src VP, dst VP)` for
     /// [`run`], `(src proc, dst proc)` of processor-external messages for
@@ -172,17 +145,12 @@ pub struct RunOptions {
     /// Execute supersteps that declared an oblivious route
     /// ([`Program::step_oblivious`]) from their compiled [`crate::plan::StepPlan`]:
     /// analytic metrics, compile-proven cluster constraint, and the
-    /// direct-write scatter on the serial path (default: `true`). Disabling
-    /// runs every step on the dynamic path — results are bit-for-bit
-    /// identical either way (enforced by the differential suites); the flag
-    /// exists for benchmarking and for differential testing itself.
-    ///
-    /// Mis-declared routes are fully rejected only under
-    /// [`RunOptions::validate`]; with validation off the engine trusts the
-    /// declaration like it trusts cluster discipline, except as a
-    /// memory-safety check: both the serial and the sharded direct writers
-    /// still bound every write by its planned slot region and enforce the
-    /// payload multiset before publishing an arena.
+    /// direct-write scatter (default: `true`). Disabling runs every step on
+    /// the dynamic path, where a declared body's sends are staged with the
+    /// route's destinations and dummies — results are bit-for-bit identical
+    /// either way (enforced by the differential suites), a body that breaks
+    /// its route fails identically too, and the flag exists for
+    /// benchmarking and for differential testing itself.
     pub use_plans: bool,
     /// Run planned supersteps on the *fused* tier where the plan proves it
     /// safe (default: `true`): on the serial path, size the write arena
@@ -195,9 +163,6 @@ pub struct RunOptions {
     /// the differential suites); `false` reproduces the one-barrier
     /// protocol exactly, for benchmarking and differential testing.
     pub fuse: bool,
-    /// Degradation policy for a [`ModelError::PlanMismatch`] on a
-    /// non-validated planned run (default: [`PlanFallback::Fail`]).
-    pub plan_fallback: PlanFallback,
     /// Deterministic fault-injection plan (default: `None`). When armed,
     /// the executors consult it at every instrumented phase boundary; when
     /// absent the cost is one `Option` discriminant test per phase — never
@@ -233,7 +198,6 @@ impl Default for RunOptions {
             workers: None,
             use_plans: true,
             fuse: true,
-            plan_fallback: PlanFallback::Fail,
             faults: None,
             stall_timeout: None,
             telemetry: None,
@@ -259,10 +223,6 @@ pub struct RunResult<S> {
     pub trace: CommTrace,
     /// Raw message log (one entry per recorded superstep) when requested.
     pub message_log: Option<Vec<Vec<(u32, u32)>>>,
-    /// When [`RunOptions::plan_fallback`] re-executed the run on the
-    /// dynamic path, the abandoned planned attempt's error; `None` for a
-    /// run that completed first try.
-    pub fallback: Option<ModelError>,
 }
 
 /// Minimum VPs per shard for a default (`workers: None`) worker count:
@@ -374,13 +334,8 @@ fn run_core<S: Send + Clone, M: Send>(
     prog.check_states_len(states.len())?;
     let width = shard_count(v, 1 << spec.levels, opts);
     let mut exec = Executor::new(width);
-    let done = exec.execute(prog, &mut states, spec, opts, width)?;
-    Ok(RunResult {
-        states,
-        trace: exec.trace.snapshot(),
-        message_log: done.message_log,
-        fallback: done.fallback,
-    })
+    let message_log = exec.attempt(prog, &mut states, spec, opts, width)?;
+    Ok(RunResult { states, trace: exec.trace.snapshot(), message_log })
 }
 
 /// Fault-injection sites instrumented on the serial path (the sharded
@@ -426,7 +381,7 @@ fn runnable_plan<'a, S, M>(
 
 /// The single-shard execution loop: the whole machine is one shard, and
 /// steady-state supersteps allocate nothing (the engine's headline property,
-/// proven by `tests/allocation.rs`) — what [`Executor::execute`] runs at
+/// proven by `tests/allocation.rs`) — what [`Executor::attempt`] runs at
 /// width 1.
 pub(crate) fn run_serial<S: Send, M: Send>(
     prog: &Program<S, M>,
@@ -520,16 +475,13 @@ pub(crate) fn run_serial<S: Send, M: Send>(
                     &mut dst_counts,
                     &mut cursors,
                     &mut dst_seen,
-                    &mut stage.outbox,
-                    opts.validate,
+                    &mut stage,
                     opts.fuse,
                 )
             }));
             match outcome {
                 Ok(result) => result?,
-                Err(payload) => {
-                    return Err(vp_panic_error(step.name, stage.outbox.panic_vp(), payload))
-                }
+                Err(payload) => return Err(vp_panic_error(step.name, stage.panic_vp(), payload)),
             }
             if let (Some(tl), Some(t0)) = (tele, t0) {
                 tl.record(0, Site::SerialPlanned, t0.elapsed());
@@ -571,21 +523,19 @@ pub(crate) fn run_serial<S: Send, M: Send>(
                 if let Some(f) = faults {
                     f.check(FAULT_SERIAL_EXEC, 0, t)?;
                 }
-                exec_chunk(prog, step, 0, v, states, slab, offsets, &mut stage);
+                exec_chunk(prog, step, 0, states, slab, offsets, &mut stage);
                 Ok(())
             }));
             match outcome {
                 Ok(result) => result?,
-                Err(payload) => {
-                    return Err(vp_panic_error(step.name, stage.outbox.panic_vp(), payload))
-                }
+                Err(payload) => return Err(vp_panic_error(step.name, stage.panic_vp(), payload)),
             }
             if let (Some(tl), Some(t0)) = (tele, t0) {
                 tl.record(0, Site::SerialExec, t0.elapsed());
             }
         }
-        if stage.outbox.take_oob() {
-            return Err(crate::program::oob_dst_error());
+        if let Some(e) = stage.outbox.take_error(step.name) {
+            return Err(e);
         }
 
         // --- streaming validation + metrics + routing counts (one pass) ---
@@ -704,21 +654,19 @@ pub(crate) fn capture_run<S, M>(
                 if let Some(f) = faults {
                     f.check(FAULT_SERIAL_CAPTURE, 0, t)?;
                 }
-                exec_chunk(prog, step, 0, v, &mut states, slab, offsets, &mut stage);
+                exec_chunk(prog, step, 0, &mut states, slab, offsets, &mut stage);
                 Ok(())
             }));
             match outcome {
                 Ok(result) => result?,
-                Err(payload) => {
-                    return Err(vp_panic_error(step.name, stage.outbox.panic_vp(), payload))
-                }
+                Err(payload) => return Err(vp_panic_error(step.name, stage.panic_vp(), payload)),
             }
             if let (Some(tl), Some(t0)) = (tele, t0) {
                 tl.record(0, Site::SerialCapture, t0.elapsed());
             }
         }
-        if stage.outbox.take_oob() {
-            return Err(crate::program::oob_dst_error());
+        if let Some(e) = stage.outbox.take_error(step.name) {
+            return Err(e);
         }
 
         // --- forced validation + routing counts ----------------------------
@@ -782,18 +730,11 @@ pub(crate) fn capture_run<S, M>(
 /// validation scan, no streaming counters, no counting-sort scatter. The
 /// caller pushes the plan's precomputed metrics afterwards.
 ///
-/// Mis-declared plans are rejected, never silently executed: the direct
-/// writer bounds every write by its destination's planned range, and the
-/// payload total is compared against the plan *before* the arena is
-/// committed (an under-filled slab is never published — its payloads are
-/// leaked, not dropped, which is safe and bounded by one superstep). Those
-/// checks are exact. With validation on, the writer also sums a route
-/// digest over every send (dummies included), compared at the same point
-/// against the plan's: a divergence in destination, kind or order that
-/// keeps every count is caught with probability `1 − 2⁻⁶⁴`, reported as
-/// a `PlanMismatch` of the step at VP 0 (the serial "shard"'s first VP —
-/// a sum names no send), and its fully written arena is leaked like any
-/// other rejected one.
+/// A body that breaks its route is rejected, never silently executed: one
+/// payload too many is refused by its writer, and the payload total is
+/// compared against the plan *before* the arena is committed, so one too
+/// few never publishes an under-filled slab (its payloads are leaked, not
+/// dropped, which is safe and bounded by one superstep).
 #[allow(clippy::too_many_arguments)]
 fn run_planned_step<S, M: Send>(
     step: &crate::program::Superstep<S, M>,
@@ -804,8 +745,7 @@ fn run_planned_step<S, M: Send>(
     dst_counts: &mut [u32],
     cursors: &mut [u32],
     dst_seen: &mut [u64],
-    outbox: &mut crate::program::Outbox<M>,
-    validate: bool,
+    stage: &mut ChunkStage<M>,
     fuse: bool,
 ) -> Result<(), ModelError> {
     let [a0, a1] = arenas;
@@ -842,11 +782,10 @@ fn run_planned_step<S, M: Send>(
     // Arm the direct writer over the write arena's freshly sized slab.
     {
         let (wslab, woffsets) = write.split_for_scatter(total);
-        outbox.enter_direct(crate::mailbox::DirectSink::Serial(crate::mailbox::DirectOut::new(
+        stage.direct = Some(DirectSink::Serial(DirectOut::new(
             wslab,
             cursors,
             woffsets,
-            validate,
             uniform_k,
             bitmap.then_some(&mut *dst_seen),
         )));
@@ -856,11 +795,11 @@ fn run_planned_step<S, M: Send>(
     // the read arena as usual.
     let (rslab, roffsets) = read.take_read();
     let base = Ctx { vp: 0, v, log_v: plan.log_v, n: plan.n };
-    step.kernel().run_chunk(&step.exec, base, states, rslab, roffsets, outbox);
+    step.kernel().run_chunk(&step.exec, base, states, rslab, roffsets, stage);
 
-    let (written, fault, digest) = match outbox.exit_direct() {
-        crate::mailbox::DirectSink::Serial(d) => d.finish(),
-        crate::mailbox::DirectSink::Sharded(_) => unreachable!("serial path arms a serial sink"),
+    let (written, fault) = match stage.direct.take() {
+        Some(DirectSink::Serial(d)) => d.finish(),
+        _ => unreachable!("serial path arms a serial sink"),
     };
     if let Some((vp, reason)) = fault {
         return Err(ModelError::PlanMismatch { step: step.name, vp, reason });
@@ -881,13 +820,6 @@ fn run_planned_step<S, M: Send>(
             reason: "destination received fewer payload messages than the route declares",
         });
     }
-    if digest.is_some_and(|d| d != plan.digest) {
-        return Err(ModelError::PlanMismatch {
-            step: step.name,
-            vp: 0,
-            reason: crate::mailbox::DIGEST_MISMATCH,
-        });
-    }
     write.commit_write(total);
     Ok(())
 }
@@ -904,9 +836,9 @@ pub(crate) fn plan_log_entry(
 ) {
     let v = 1usize << plan.log_v;
     if spec.full {
-        plan.for_each_message(0..v, |s, _, d, _| out.push((s as u32, d as u32)));
+        plan.for_each_message(0..v, |s, d, _| out.push((s as u32, d as u32)));
     } else {
-        plan.for_each_message(0..v, |s, _, d, _| {
+        plan.for_each_message(0..v, |s, d, _| {
             let (ps, pd) = (s >> spec.gran_shift, d >> spec.gran_shift);
             if ps != pd {
                 out.push((ps as u32, pd as u32));
@@ -919,42 +851,37 @@ pub(crate) fn plan_log_entry(
 /// inboxes out of the shard's slab and staging sends contiguously. Shared
 /// by the serial path (one shard covering the machine) and the sharded
 /// executor's workers.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_chunk<S, M>(
     prog: &Program<S, M>,
     step: &crate::program::Superstep<S, M>,
     vp_lo: usize,
-    vp_count: usize,
     states: &mut [S],
     slab: &mut [std::mem::MaybeUninit<M>],
     offsets: &[u32],
     stage: &mut ChunkStage<M>,
 ) {
     stage.reset();
-    let v = prog.v();
-    let log_v = prog.log_v();
-    let n = prog.n();
-    let base = offsets[0];
-    debug_assert_eq!((offsets[vp_count] - base) as usize, slab.len());
-    let mut slab_rest = slab;
-    for (i, state) in states.iter_mut().take(vp_count).enumerate() {
-        let len = (offsets[i + 1] - offsets[i]) as usize;
-        let taken = std::mem::take(&mut slab_rest);
-        let (mine, rest) = taken.split_at_mut(len);
-        slab_rest = rest;
-        let mut inbox = Inbox::over_slab(mine);
-        stage.outbox.begin_vp();
-        stage.outbox.cur_vp = vp_lo + i;
-        let ctx = Ctx { vp: vp_lo + i, v, log_v, n };
-        (step.exec)(state, &ctx, &mut inbox, &mut stage.outbox);
-        stage.vp_ends.push(stage.outbox.msgs.len() as u32);
-        // `inbox` drops here: unconsumed messages are discarded.
-    }
+    let base = Ctx { vp: vp_lo, v: prog.v(), log_v: prog.log_v(), n: prog.n() };
+    let ChunkStage { outbox, vp_ends, .. } = stage;
+    crate::program::for_each_vp(base, states, slab, offsets, |state, ctx, inbox| {
+        outbox.begin_vp();
+        outbox.cur_vp = ctx.vp;
+        (step.exec)(state, &ctx, inbox, outbox);
+        vp_ends.push(outbox.msgs.len() as u32);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::Inbox;
+
+    /// Folds every delivered message into the state.
+    fn absorb(st: &mut u64, inbox: &mut Inbox<'_, u64>) {
+        for m in inbox.drain(..) {
+            *st = st.wrapping_add(m);
+        }
+    }
 
     /// Cluster-halving broadcast: in superstep i the first VP of each
     /// i-cluster forwards the value to the first VP of the sibling
@@ -1218,15 +1145,6 @@ mod tests {
         for r in 0..rounds {
             let l = (r as u32) % log_v;
             let d = v >> (l + 1);
-            let body = move |st: &mut u64, ctx: &Ctx, inbox: &mut Inbox<'_, u64>, out: &mut crate::program::Outbox<u64>| {
-                for m in inbox.drain(..) {
-                    *st = st.wrapping_add(m);
-                }
-                out.send(ctx.vp ^ d, *st);
-                if ctx.vp < d {
-                    out.send_dummy(ctx.vp + d);
-                }
-            };
             planned.step_oblivious(
                 l,
                 "bfly",
@@ -1240,17 +1158,23 @@ mod tests {
                         Route::Skip
                     }
                 },
-                body,
+                |st, _, inbox, out| {
+                    absorb(st, inbox);
+                    out.send(*st);
+                },
             );
-            dynamic.step(l, "bfly", body);
+            dynamic.step(l, "bfly", move |st, ctx, inbox, out| {
+                absorb(st, inbox);
+                out.send(ctx.vp ^ d, *st);
+                if ctx.vp < d {
+                    out.send_dummy(ctx.vp + d);
+                }
+            });
         }
-        let consume = |st: &mut u64, _: &Ctx, inbox: &mut Inbox<'_, u64>, _: &mut crate::program::Outbox<u64>| {
-            for m in inbox.drain(..) {
-                *st = st.wrapping_add(m);
-            }
-        };
-        planned.step_oblivious(log_v - 1, "consume", 0, |_, _| crate::plan::Route::Skip, consume);
-        dynamic.step(log_v - 1, "consume", consume);
+        planned.step_oblivious(log_v - 1, "consume", 0, |_, _| Route::Skip, |st, _, inbox, _| {
+            absorb(st, inbox)
+        });
+        dynamic.step(log_v - 1, "consume", |st, _, inbox, _| absorb(st, inbox));
         (planned, dynamic)
     }
 
@@ -1302,124 +1226,63 @@ mod tests {
     fn misdeclared_route_is_rejected_not_silently_executed() {
         use crate::plan::Route;
         let v = 8usize;
-        // Route declares vp ^ 1; the closure actually sends vp ^ 2.
-        let mut lying: Program<u64, u64> = Program::new(v, v);
-        lying.step_oblivious(
-            0,
-            "liar",
-            1,
-            |ctx, _| Route::Data(ctx.vp ^ 1),
-            |_, ctx, _, out| out.send(ctx.vp ^ 2, 1),
-        );
+        // The route declares one payload per VP; the body sends two on VP
+        // `extra` and none on VP `none`. Neither runs, on any path, with or
+        // without validation.
+        let liar = |extra: usize, none: usize| {
+            let mut p: Program<u64, u64> = Program::new(v, v);
+            p.step_oblivious(
+                0,
+                "liar",
+                1,
+                |ctx, _| Route::Data(ctx.vp ^ 1),
+                move |_, ctx, _, out| {
+                    if ctx.vp != none {
+                        out.send(1);
+                    }
+                    if ctx.vp == extra {
+                        out.send(2);
+                    }
+                },
+            );
+            p
+        };
+        let (over, under) = (liar(3, v), liar(v, 5));
         let states: Vec<u64> = vec![0; v];
-        for w in [1usize, 2] {
-            let err = run(&lying, states.clone(), &RunOptions { workers: Some(w), ..Default::default() })
-                .expect_err("mis-declared route must be rejected");
-            assert!(
-                matches!(err, ModelError::PlanMismatch { step: "liar", .. }),
-                "wrong error at {w} workers: {err:?}"
-            );
-        }
-        // Safety net without validation: the route digest is off, but the
-        // payload *multiset* checks still refuse to publish an arena whose
-        // slot occupancy disagrees with the plan — on the serial path
-        // (cursor bounds + written total) and identically on the sharded
-        // direct cross-shard path (per-(source shard, destination) region
-        // bounds + per-worker written totals). (A mis-declaration that
-        // happens to preserve every per-destination count — e.g. one
-        // permutation declared as another — needs validation to be caught;
-        // here VP 0 hoards both messages so destination counts diverge.)
-        let mut skew: Program<u64, u64> = Program::new(v, v);
-        skew.step_oblivious(
-            0,
-            "skew",
-            1,
-            |ctx, _| Route::Data(ctx.vp ^ 1),
-            |_, ctx, _, out| out.send(if ctx.vp < 2 { 0 } else { ctx.vp ^ 1 }, 1),
-        );
         for w in [1usize, 2, 4] {
-            let noval = RunOptions { validate: false, workers: Some(w), ..Default::default() };
-            let err = run(&skew, states.clone(), &noval)
-                .expect_err("multiset mismatch must be caught without validation");
-            assert!(matches!(err, ModelError::PlanMismatch { .. }), "w = {w}: got {err:?}");
-        }
-
-        // Declaring fewer sends than the closure performs is also caught.
-        let mut over: Program<u64, u64> = Program::new(v, v);
-        over.step_oblivious(
-            0,
-            "over",
-            1,
-            |ctx, _| Route::Data(ctx.vp ^ 1),
-            |_, ctx, _, out| {
-                out.send(ctx.vp ^ 1, 1);
-                out.send(ctx.vp ^ 1, 2);
-            },
-        );
-        let err = run(&over, states.clone(), &RunOptions::default()).expect_err("overfull");
-        assert!(matches!(err, ModelError::PlanMismatch { .. }), "got {err:?}");
-    }
-
-    /// A program whose declared route diverges from its closure in a way
-    /// the non-validated safety net still catches (VP 0 hoards both
-    /// messages, skewing destination counts), next to a dynamic twin with
-    /// the closure's *actual* behavior.
-    fn skewed_pair(v: usize) -> (Program<u64, u64>, Program<u64, u64>) {
-        use crate::plan::Route;
-        let body = |_: &mut u64, ctx: &Ctx, _: &mut Inbox<'_, u64>, out: &mut crate::program::Outbox<u64>| {
-            out.send(if ctx.vp < 2 { 0 } else { ctx.vp ^ 1 }, ctx.vp as u64)
-        };
-        let consume = |st: &mut u64, _: &Ctx, inbox: &mut Inbox<'_, u64>, _: &mut crate::program::Outbox<u64>| {
-            for m in inbox.drain(..) {
-                *st = st.wrapping_add(m);
+            for validate in [true, false] {
+                for use_plans in [true, false] {
+                    let opts =
+                        RunOptions { workers: Some(w), validate, use_plans, ..Default::default() };
+                    let what = format!("w = {w}, validate = {validate}, plans = {use_plans}");
+                    let err = run(&over, states.clone(), &opts).expect_err(&what);
+                    assert_eq!(
+                        err,
+                        ModelError::PlanMismatch {
+                            step: "liar",
+                            vp: 3,
+                            reason: "more payload messages than the route declares"
+                        },
+                        "{what}"
+                    );
+                    let err = run(&under, states.clone(), &opts).expect_err(&what);
+                    let liar = matches!(err, ModelError::PlanMismatch { step: "liar", .. });
+                    assert!(liar, "{what}: {err:?}");
+                }
             }
-        };
-        let mut lying: Program<u64, u64> = Program::new(v, v);
-        lying.step_oblivious(0, "skew", 1, |ctx, _| Route::Data(ctx.vp ^ 1), body);
-        lying.step_oblivious(0, "consume", 0, |_, _| Route::End, consume);
-        let mut honest: Program<u64, u64> = Program::new(v, v);
-        honest.step(0, "skew", body);
-        honest.step(0, "consume", consume);
-        (lying, honest)
-    }
-
-    #[test]
-    fn plan_fallback_reexecutes_dynamically_and_records_the_mismatch() {
-        let v = 8usize;
-        let (lying, honest) = skewed_pair(v);
-        let states: Vec<u64> = (0..v as u64).collect();
-        for w in [1usize, 2, 4] {
-            let noval =
-                RunOptions { validate: false, workers: Some(w), ..RunOptions::with_log() };
-            // Default policy: the mismatch is the run's error.
-            let err = run(&lying, states.clone(), &noval)
-                .expect_err("Fail policy must surface the mismatch");
-            assert!(matches!(err, ModelError::PlanMismatch { .. }), "w = {w}: got {err:?}");
-            // Dynamic policy: same run degrades to the dynamic path and
-            // matches the honest twin bit for bit, keeping the abandoned
-            // attempt's error as the fallback record.
-            let opts = RunOptions { plan_fallback: PlanFallback::Dynamic, ..noval.clone() };
-            let res = run(&lying, states.clone(), &opts).expect("fallback must recover");
-            assert!(
-                matches!(res.fallback, Some(ModelError::PlanMismatch { .. })),
-                "w = {w}: fallback record missing: {:?}",
-                res.fallback
-            );
-            let want = run(&honest, states.clone(), &noval).unwrap();
-            assert_eq!(res.states, want.states, "fallback states diverge at {w} workers");
-            assert_eq!(res.trace, want.trace, "fallback trace diverges at {w} workers");
-            assert_eq!(res.message_log, want.message_log, "fallback log diverges at {w} workers");
         }
-        // A healthy planned run under the Dynamic policy stays on the
-        // planned path: no fallback recorded.
-        let (planned, _) = butterfly_pair(v, 3);
-        let opts = RunOptions {
-            validate: false,
-            plan_fallback: PlanFallback::Dynamic,
-            ..Default::default()
-        };
-        let res = run(&planned, states.clone(), &opts).unwrap();
-        assert!(res.fallback.is_none(), "clean run must not record a fallback");
+        let opts = RunOptions::default();
+        let staged = crate::reference::run_reference(&under, states.clone(), &opts).unwrap_err();
+        assert_eq!(
+            staged,
+            ModelError::PlanMismatch {
+                step: "liar",
+                vp: 5,
+                reason: "fewer payload messages than the route declares"
+            },
+            "the staged body names the VP that fell short"
+        );
+        assert!(crate::reference::run_reference(&over, states, &opts).is_err());
     }
 
     #[test]
@@ -1428,18 +1291,10 @@ mod tests {
         let v = 8usize;
         let mut p: Program<u64, u64> = Program::new(v, v);
         // A label-2 route crossing the bisection: illegal by construction.
-        p.step_oblivious(
-            2,
-            "rogue",
-            1,
-            |ctx, _| Route::Data(ctx.vp ^ 4),
-            |st, ctx, inbox, out| {
-                for m in inbox.drain(..) {
-                    *st = st.wrapping_add(m);
-                }
-                out.send(ctx.vp ^ 4, *st + 1);
-            },
-        );
+        p.step_oblivious(2, "rogue", 1, |ctx, _| Route::Data(ctx.vp ^ 4), |st, _, inbox, out| {
+            absorb(st, inbox);
+            out.send(*st + 1);
+        });
         p.step(2, "consume", |st, _, inbox, _| {
             for m in inbox.drain(..) {
                 *st = st.wrapping_add(m);
@@ -1480,12 +1335,6 @@ mod tests {
     #[test]
     fn every_census_branch_matches_the_reference_engine() {
         use crate::plan::{Route, LAYOUT_TABLE_MAX_V};
-        type Body = fn(&mut u64, &Ctx, &mut Inbox<'_, u64>, &mut crate::program::Outbox<u64>);
-        let consume: Body = |st, _, inbox, _| {
-            for m in inbox.drain(..) {
-                *st = st.wrapping_add(m);
-            }
-        };
         let check = |what: &str, prog: &Program<u64, u64>, opts: &RunOptions| {
             let states: Vec<u64> = (0..prog.v() as u64).map(|x| x * 7 + 1).collect();
             let got = run(prog, states.clone(), opts).unwrap_or_else(|e| panic!("{what}: {e:?}"));
@@ -1493,7 +1342,6 @@ mod tests {
             assert_eq!(got.states, want.states, "{what}: states");
             assert_eq!(got.trace, want.trace, "{what}: trace");
             assert_eq!(got.message_log, want.message_log, "{what}: message log");
-            got
         };
         let base = RunOptions { workers: Some(1), ..RunOptions::with_log() };
         let noval = RunOptions { validate: false, ..base.clone() };
@@ -1508,50 +1356,34 @@ mod tests {
         // A plan-less step after six planned ones.
         let (mut tail, _) = butterfly_pair(v, 5);
         tail.step(3, "tail", |st, ctx, inbox, out| {
-            for m in inbox.drain(..) {
-                *st = st.wrapping_add(m);
-            }
+            absorb(st, inbox);
             out.send(ctx.vp ^ 1, *st);
         });
-        tail.step(3, "consume", consume);
+        tail.step(3, "consume", |st, _, inbox, _| absorb(st, inbox));
         check("plan-less step last", &tail, &base);
 
         // A compile-faulted plan (a label-2 route crossing the bisection)
         // falling through to the dynamic body under `validate: false`.
         let (mut rogue, _) = butterfly_pair(v, 5);
-        let cross: Body = |st, ctx, inbox, out| {
-            for m in inbox.drain(..) {
-                *st = st.wrapping_add(m);
-            }
-            out.send(ctx.vp ^ 8, *st);
-        };
-        rogue.step_oblivious(2, "rogue", 1, |ctx, _| Route::Data(ctx.vp ^ 8), cross);
-        rogue.step_oblivious(2, "consume", 0, |_, _| Route::End, consume);
+        rogue.step_oblivious(2, "rogue", 1, |ctx, _| Route::Data(ctx.vp ^ 8), |st, _, inbox, out| {
+            absorb(st, inbox);
+            out.send(*st);
+        });
+        rogue.step_oblivious(2, "consume", 0, |_, _| Route::End, |st, _, inbox, _| {
+            absorb(st, inbox)
+        });
         assert!(rogue.steps()[6].plan().is_some_and(|p| p.fault().is_some()));
         check("faulted plan, validate off", &rogue, &noval);
-
-        // A mis-declared route (declared vp ^ 1, VP 0 hoards) after honest
-        // planned steps: the Dynamic policy's retry takes its own census.
-        let (mut lying, _) = butterfly_pair(v, 5);
-        lying.step_oblivious(0, "skew", 1, |ctx, _| Route::Data(ctx.vp ^ 1), |st, ctx, _, out| {
-            out.send(if ctx.vp < 2 { 0 } else { ctx.vp ^ 1 }, *st)
-        });
-        lying.step_oblivious(0, "consume", 0, |_, _| Route::End, consume);
-        let fallback = RunOptions { plan_fallback: PlanFallback::Dynamic, ..noval.clone() };
-        let res = check("PlanFallback::Dynamic", &lying, &fallback);
-        assert!(matches!(res.fallback, Some(ModelError::PlanMismatch { step: "skew", .. })));
 
         // A fan-in whose layout has no period short enough to keep
         // (`layout() == None`): the one planned step that counts its route.
         let wide = 2 * LAYOUT_TABLE_MAX_V;
         let (mut fan, _) = butterfly_pair(wide, 2);
         fan.step_oblivious(0, "fan-in", 1, |_, _| Route::Data(0), |st, _, inbox, out| {
-            for m in inbox.drain(..) {
-                *st = st.wrapping_add(m);
-            }
-            out.send(0, *st);
+            absorb(st, inbox);
+            out.send(*st);
         });
-        fan.step_oblivious(0, "consume", 0, |_, _| Route::End, consume);
+        fan.step_oblivious(0, "consume", 0, |_, _| Route::End, |st, _, inbox, _| absorb(st, inbox));
         let fan_in = fan.steps()[3].plan().expect("declared");
         assert!(fan_in.fault().is_none() && fan_in.layout().is_none());
         check("layout-less fan-in", &fan, &base);

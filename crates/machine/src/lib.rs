@@ -38,10 +38,8 @@
 //! planned tier's two message slabs, two offset tables, cursor table and
 //! seen-bitmap, and never the dynamic tier's streaming degree counters
 //! (`48·v` bytes), staging markers or per-destination counts — at
-//! `v = 2^14`, 710 kB per job instead of 1 606. The census is taken per
-//! *attempt*: a [`PlanFallback::Dynamic`] retry runs with plans off and
-//! gets the full dynamic engine (see [`engine`], "What a serial run
-//! allocates").
+//! `v = 2^14`, 710 kB per job instead of 1 606 (see [`engine`], "What a
+//! serial run allocates").
 //!
 //! How a step acquires its plan:
 //!
@@ -65,52 +63,40 @@
 //!   the sharded path (each worker pre-partitions its write arena by
 //!   (source shard, destination VP) and publishes a window peers write
 //!   through — no lane staging, no gather pass, one barrier per planned
-//!   superstep). Because `step_oblivious` knows the body's concrete type,
-//!   it also builds the step's **chunk kernel**: one loop over a range of
-//!   VPs with the body inlined, running over a stack-local copy of the
-//!   engine's outbox so the direct writer's state stays in registers. The
-//!   serial path (one chunk, the machine) and every sharded worker (one
-//!   chunk, its shard) run a planned step through that kernel — one
-//!   dynamic call per chunk instead of one per VP; the boxed body is kept
-//!   for the dynamic tier, capture and the reference engine. Plan
-//!   invariants: a plan never changes semantics, only cost (enforced by
-//!   differential suites); a cluster-violating route
-//!   faults at compile time and reports like the dynamic engine would; and
-//!   a mis-declared route surfaces as
-//!   [`nob_core::ModelError::PlanMismatch`], never as corrupt memory. Four
-//!   checks are exact on every run, because memory safety never trusts
-//!   the declaration: a destination outside the machine, a payload leaving
-//!   the shard cluster, more payloads to a destination than planned (the
-//!   direct writers bound every write by its planned slot region), fewer
-//!   payloads written than declared (checked before any arena is
-//!   published). A divergence that keeps all of those — another
-//!   destination with the same counts, one permutation declared as
-//!   another, sends reordered within a VP, a payload sent as a dummy or the
-//!   reverse, a dummy missing or extra — is caught under validation by a
-//!   **route digest**: compile sums a 64-bit term over every declared
-//!   send, the writers sum the same term over every actual one, and the
-//!   two sums are compared before the arena is committed, so the
-//!   per-superstep check costs one hash per send instead of a second
-//!   evaluation of the route. It holds with probability `1 − 2⁻⁶⁴` and
-//!   names the step and the first VP of the shard whose sum differs, not
-//!   the diverging send. With validation *off* such a divergence executes
-//!   with the declared metrics recorded unchecked — the program's problem,
-//!   exactly like a cluster violation is.
+//!   superstep). The route is the only place the pattern is written down:
+//!   the step's body says what it sends, never where — its writer,
+//!   [`program::Slots`], has only `send(msg)`, which fills the VP's next
+//!   declared payload slot with the destination the route names there,
+//!   and the declared dummies are the engine's to emit. Because
+//!   `step_oblivious` knows the body's and the route's concrete types, it
+//!   also builds the step's **chunk kernel**: one loop over a range of VPs
+//!   with both inlined, running over a stack-local copy of the engine's
+//!   direct writer so its state stays in registers. The serial path (one
+//!   chunk, the machine) and every sharded worker (one chunk, its shard)
+//!   run a planned step through that kernel — one dynamic call per chunk
+//!   instead of one per VP; the boxed body, which stages the same
+//!   destinations and dummies, is kept for the dynamic tier, capture and
+//!   the reference engine. Plan invariants: a plan never changes
+//!   semantics, only cost (enforced by differential suites); a
+//!   cluster-violating route faults at compile time and reports like the
+//!   dynamic engine would; and a body that sends one payload more or
+//!   fewer than its route declares surfaces as an exact
+//!   [`nob_core::ModelError::PlanMismatch`] on every path, validated or
+//!   not — nothing else about its sends can disagree with the route.
+//!   Memory safety never trusts the declaration: the direct writers bound
+//!   every write by the machine, the shard cluster and its planned slot
+//!   region, and no arena is published before its written total matches.
 //! * **Captured** ([`program::Program::capture_plans`]): a program whose
 //!   routes are deterministic for its inputs but inconvenient (or
 //!   impossible) to declare obliviously can record one dynamic run and
 //!   compile the observed routes into `StepPlan`s table-backed per step —
-//!   replayed, validated and direct-written exactly like declared routes
-//!   (their chunk kernel calls the boxed body: its concrete type is gone).
-//!   **Cache invalidation**: a capture is valid only for the same program
-//!   instance and the same `(initial states, v)` it was recorded against.
-//!   A run whose behavior drifts from its capture is *detected*, never
-//!   silently mis-delivered: under validation the sends' digest is checked
-//!   against the captured route's, and even without validation the direct
-//!   writers' slot bounds and payload-total gates reject any
-//!   count-changing drift — either way a structured
-//!   [`nob_core::ModelError::PlanMismatch`], or a transparent re-execution
-//!   on the dynamic path under [`engine::PlanFallback::Dynamic`].
+//!   replayed and direct-written like declared routes. Their bodies still
+//!   send by destination, so each VP's sends are staged and compared with
+//!   the captured table before they are written. **Cache invalidation**: a
+//!   capture is valid only for the same program instance and the same
+//!   `(initial states, v)` it was recorded against. A run whose behavior
+//!   drifts from its capture is *detected*, never silently mis-delivered:
+//!   a structured [`nob_core::ModelError::PlanMismatch`].
 //!
 //! A program's step sequence is a *schedule* over its distinct supersteps:
 //! a recursive algorithm emits a sub-schedule once and appends it again with
@@ -137,8 +123,8 @@
 //!   run — [`engine::run`], [`engine::run_folded`], a
 //!   [`server::JobServer`] job — goes through the same executor entry,
 //!   which owns a gang (`n − 1` parked threads; the caller is worker 0)
-//!   and the recyclable run state, and holds the only worker body, the
-//!   only gang rendezvous and the only plan-fallback retry. The two
+//!   and the recyclable run state, and holds the only worker body and the
+//!   only gang rendezvous. The two
 //!   callers differ in the executor's *lifetime* only: `run` builds one
 //!   for the call (threads spawned and joined per run), a server keeps
 //!   one until it drops. Width 1 is the same entry running the serial
@@ -210,9 +196,7 @@
 //! window, every write is bounds-checked against its (source shard,
 //! destination) region, and per-worker written totals gate every commit —
 //! so slabs are only ever committed fully initialized, each slot written
-//! exactly once, whatever the routes declared. (Validation's route digest
-//! is compared at the same gate but guards nothing in memory; an arena it
-//! rejects is leaked like any other.) Lane payload moves
+//! exactly once, however many payloads the bodies sent. Lane payload moves
 //! themselves go through safe `Vec` drains, so abandoned supersteps
 //! (validation errors, panics) drop staged messages through ordinary
 //! destructors.
@@ -241,10 +225,6 @@
 //!   real failure would take (sites are listed in the `shard` module
 //!   docs). Without a plan the cost is one `Option` test per phase — the
 //!   zero-allocation steady state is unchanged.
-//! * **Graceful degradation** — [`engine::PlanFallback::Dynamic`] lets a
-//!   non-validated run that trips a plan-mismatch safety net re-execute
-//!   transparently on the dynamic path, recording the abandoned attempt's
-//!   error in [`engine::RunResult::fallback`].
 //!
 //! The chaos suite (`tests/chaos.rs`) sweeps injected faults over
 //! site × flavor × shard width and asserts structured errors, lockstep
@@ -273,9 +253,8 @@
 //!   fingerprint of the initial states — the capture validity rule above —
 //!   so a lookalike job with different data re-captures instead of
 //!   replaying a stale route. The cache only ever changes *cost*: a wrong
-//!   or stale entry surfaces as [`nob_core::ModelError::PlanMismatch`] (or
-//!   a [`engine::PlanFallback::Dynamic`] re-run) through the same safety
-//!   gates that police declared routes.
+//!   or stale entry surfaces as [`nob_core::ModelError::PlanMismatch`]
+//!   through the same gates that police declared routes.
 //! * **Admission** — FIFO with one size-aware exception: the earliest
 //!   small job (`v ≤ small_cutoff`) overtakes a large queued head, at most
 //!   `max_overtakes` times, so interactive jobs are not starved behind a
@@ -390,10 +369,10 @@ pub mod server;
 mod shard;
 pub mod traits;
 
-pub use engine::{run, run_folded, PlanFallback, RunOptions, RunResult};
+pub use engine::{run, run_folded, RunOptions, RunResult};
 pub use mailbox::Inbox;
 pub use plan::{Route, StepPlan};
-pub use program::{Ctx, LanePlan, Outbox, Program, Superstep};
+pub use program::{Ctx, LanePlan, Outbox, Program, Slots, Superstep};
 pub use server::{
     JobOptions, JobResult, JobServer, JobSpec, JobTicket, ProgramSource, ServerConfig,
     ServerStats, ShapeKey,

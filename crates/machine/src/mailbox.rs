@@ -22,7 +22,9 @@
 //! * `DirectOut` — the *planned* alternative to staging + counting sort:
 //!   for supersteps with a compiled communication plan, VP closures write
 //!   payloads straight into their destination arena slots through
-//!   cursor-guarded raw writes (see invariant 4).
+//!   cursor-guarded raw writes (see invariant 4). The destination of each
+//!   write comes from the step's route (`crate::program::Slots`) or, for a
+//!   captured plan, from a send already compared with the captured table.
 //! * `DirectShard` / `DirectGrid` — the sharded form of the same idea:
 //!   each worker *publishes* a window onto its write arena (slab pointer
 //!   plus a per-(source shard, destination VP) slot-region table) before a
@@ -58,15 +60,15 @@
 //!    edges. Lanes themselves are plain `Vec`s — payload moves go through
 //!    safe `drain`, so a superstep abandoned mid-phase (validation error,
 //!    panic) drops any staged payloads through normal `Vec` destructors.
-//! 4. `DirectOut` never trusts the declared route: every write is
-//!    bounds-checked against its destination's planned slot range (disjoint
-//!    ranges ⇒ each slot written at most once) and the engine compares the
-//!    written total against the plan *before* `commit_write`, so a slab is
-//!    only ever published fully initialized. On the mismatch path nothing
-//!    is committed; written payloads are leaked (never dropped, never
-//!    re-observed), bounded by one superstep's traffic. Validation's route
-//!    digest is compared at the same point and takes the same path: it is a
-//!    conformance check, not a memory guard.
+//! 4. `DirectOut` never trusts the plan's layout or the body's send
+//!    count: every write is bounds-checked against its destination's
+//!    machine range and planned slot range (disjoint ranges ⇒ each slot
+//!    written at most once) and the engine compares the written total
+//!    against the plan *before* `commit_write`, so a slab is only ever
+//!    published fully initialized. On the mismatch path (a body that sent
+//!    more or fewer payloads than its route declares) nothing is
+//!    committed; written payloads are leaked (never dropped, never
+//!    re-observed), bounded by one superstep's traffic.
 //! 5. `DirectGrid` slot ownership is phase-disciplined like the lane grid,
 //!    but at *slot-region* granularity. A window for write-arena parity `x`
 //!    is published only by the arena's owner during a *prepare* phase and
@@ -471,23 +473,42 @@ impl<M> Drop for Drain<'_, '_, M> {
     }
 }
 
-/// Staged messages of one chunk of consecutive VPs, reused across supersteps.
+/// The send side of one chunk of consecutive VPs, reused across
+/// supersteps: the staging outbox of dynamic steps and the direct writer of
+/// planned ones.
 pub(crate) struct ChunkStage<M> {
     /// Contiguous `(dst, envelope)` pairs in send order.
     pub(crate) outbox: crate::program::Outbox<M>,
     /// `vp_ends[i]` = end index (into `outbox.msgs`) of the messages sent by
     /// the chunk's `i`-th VP.
     pub(crate) vp_ends: Vec<u32>,
+    /// The direct writer the engine arms for one planned superstep and
+    /// takes back after it; `None` between planned supersteps.
+    pub(crate) direct: Option<DirectSink<M>>,
 }
 
 impl<M> ChunkStage<M> {
     pub(crate) fn new(chunk_vps: usize) -> Self {
-        ChunkStage { outbox: crate::program::Outbox::new(), vp_ends: Vec::with_capacity(chunk_vps) }
+        ChunkStage {
+            outbox: crate::program::Outbox::new(),
+            vp_ends: Vec::with_capacity(chunk_vps),
+            direct: None,
+        }
     }
 
     pub(crate) fn reset(&mut self) {
         self.outbox.reset();
         self.vp_ends.clear();
+    }
+
+    /// The VP to attribute an in-flight closure panic to, disarming any
+    /// direct writer left armed by the unwind (engine-internal; called on
+    /// the `catch_unwind` failure path only).
+    pub(crate) fn panic_vp(&mut self) -> usize {
+        match self.direct.take() {
+            Some(d) => d.current_vp(),
+            None => self.outbox.cur_vp,
+        }
     }
 }
 
@@ -513,22 +534,23 @@ pub(crate) fn route_serial<M>(
 /// payloads straight into the destination arena slot, replacing the staging
 /// copy and the counting sort of the dynamic serial path.
 ///
-/// Installed into the shared [`crate::program::Outbox`] for the duration of
-/// one planned superstep (raw pointers into the engine's write slab, cursor
-/// and offset tables — all sized and fixed before installation). A stable
+/// Armed in the engine's [`ChunkStage`] for the duration of one planned
+/// superstep (raw pointers into the engine's write slab, cursor and offset
+/// tables — all sized and fixed before installation). A stable
 /// counting sort assigns slot `cursors[d]++` to each message in send order,
 /// which is exactly what this writer does online, so per-inbox delivery
 /// order is identical to the staged scatter's.
 ///
 /// # Safety model
 ///
-/// The *declared route* sized the destination ranges, but the *closure*
-/// chooses destinations at run time — the two can disagree (mis-declared
-/// plan). Soundness never depends on the declaration being honest:
+/// The *declared route* sized the destination ranges and names every
+/// destination written, but the *closure* decides how many payloads it
+/// sends — the two can disagree (a mis-declared step). Soundness never
+/// depends on the declaration being honest:
 ///
-/// * every write is bounds-checked against its destination's planned slot
-///   range (`cursors[d] < offsets[d+1]`), so writes stay inside the slab
-///   and no slot is written twice;
+/// * every write is bounds-checked against the machine range and its
+///   destination's planned slot range (`cursors[d] < offsets[d+1]`), so
+///   writes stay inside the slab and no slot is written twice;
 /// * the engine compares the total written count against the plan before
 ///   committing the arena, so an under-filled slab (uninitialized slots) is
 ///   reported as a [`nob_core::ModelError::PlanMismatch`] instead of ever
@@ -538,16 +560,6 @@ pub(crate) fn route_serial<M>(
 /// slot written exactly once. On the error path nothing is committed; the
 /// written payloads are leaked (not dropped) — safe, and bounded by one
 /// superstep's traffic.
-///
-/// With validation on, the writer also sums every admitted send —
-/// destination, kind and position, dummies included, since those feed the
-/// precomputed metrics — into a route digest ([`crate::plan::mix`]), which
-/// the engine compares against the plan's before committing. The digest
-/// never guards memory: the bounds above alone do. A send it rejects has
-/// already been written into a bounded slot of an arena that is then never
-/// committed, so under validation too a wrong payload is leaked, never
-/// dropped or read — the same rule as for the non-validated path's wrong
-/// sends.
 pub(crate) struct DirectOut<M> {
     slab: *mut MaybeUninit<M>,
     slab_len: usize,
@@ -572,50 +584,23 @@ pub(crate) struct DirectOut<M> {
     core: DirectCore,
 }
 
-/// The [`nob_core::ModelError::PlanMismatch`] reason of a route digest that
-/// disagrees with the declared one — attributed to the step and the first
-/// VP of the shard whose sum differs, since a sum cannot name the send.
-pub(crate) const DIGEST_MISMATCH: &str = "sends disagree with the declared route";
-
 /// State shared by both planned direct writers — [`DirectOut`] (serial)
-/// and [`DirectShard`] (sharded): per-VP send accounting, the first
-/// recorded fault, and the validation-mode route digest. One
-/// implementation of the send preamble (fault short-circuit, machine-range
-/// check), of the digest term and of dummy metering, so the two paths'
-/// mis-declaration detectors cannot drift apart.
+/// and [`DirectShard`] (sharded): the written total, the VP whose sends are
+/// in progress and the first recorded fault. One implementation of the
+/// send preamble (fault short-circuit, machine-range check), so the two
+/// paths' checks cannot drift apart.
 pub(crate) struct DirectCore {
     v: usize,
     /// Payload messages written so far (whole superstep).
     written: u64,
-    /// Messages (data + dummy) sent by the current VP, for
-    /// [`crate::program::Outbox::len`] semantics — and, less one, the
-    /// position of the send in progress.
-    vp_sent: usize,
     cur_vp: usize,
     /// First exact-check failure: `(vp, reason)`.
     fault: Option<(usize, &'static str)>,
-    /// Wrapping sum of [`crate::plan::mix`] over the admitted sends
-    /// (validation mode only; `None` costs nothing per send).
-    digest: Option<u64>,
 }
 
 impl DirectCore {
-    fn new(v: usize, validate: bool) -> Self {
-        DirectCore {
-            v,
-            written: 0,
-            vp_sent: 0,
-            cur_vp: 0,
-            fault: None,
-            digest: validate.then_some(0),
-        }
-    }
-
-    /// Starts the given VP's sends (resets the per-VP counter).
-    #[inline]
-    fn begin_vp(&mut self, vp: usize) {
-        self.cur_vp = vp;
-        self.vp_sent = 0;
+    fn new(v: usize) -> Self {
+        DirectCore { v, written: 0, cur_vp: 0, fault: None }
     }
 
     #[inline]
@@ -625,20 +610,11 @@ impl DirectCore {
         }
     }
 
-    /// Adds the send in progress to the digest (validation mode).
-    #[inline]
-    fn accept(&mut self, dst: usize, data: bool) {
-        if let Some(d) = self.digest.as_mut() {
-            *d = d.wrapping_add(crate::plan::mix(self.cur_vp, self.vp_sent - 1, dst, data));
-        }
-    }
-
-    /// The shared preamble of a payload send: counts it, short-circuits on
-    /// a recorded fault (drop quietly, the run aborts) and checks the
-    /// machine range. Returns whether the write may proceed.
+    /// The shared preamble of a payload send: short-circuits on a recorded
+    /// fault (drop quietly, the run aborts) and checks the machine range.
+    /// Returns whether the write may proceed.
     #[inline]
     fn admit_data(&mut self, dst: usize) -> bool {
-        self.vp_sent += 1;
         if self.fault.is_some() {
             return false;
         }
@@ -648,39 +624,17 @@ impl DirectCore {
         }
         true
     }
-
-    /// Records a payload written into its slot.
-    #[inline]
-    fn wrote(&mut self, dst: usize) {
-        self.written += 1;
-        self.accept(dst, true);
-    }
-
-    /// Meters a dummy message in full — no slot, no write, on either path;
-    /// the precomputed metrics already account for it.
-    #[inline]
-    fn send_dummy(&mut self, dst: usize) {
-        self.vp_sent += 1;
-        if self.fault.is_some() {
-            return;
-        }
-        if dst >= self.v {
-            self.fail("message destination out of machine range");
-            return;
-        }
-        self.accept(dst, false);
-    }
 }
 
 // SAFETY: the raw pointers target engine-owned buffers only ever accessed
-// from the thread executing the superstep; `DirectOut` is `None` inside any
-// `Outbox` that crosses threads (it is installed and removed within one
-// serial superstep). `M: Send` because payloads are moved through the slab.
+// from the thread executing the superstep; the `ChunkStage::direct` slot of
+// any stage that crosses threads is `None` (a `DirectOut` is armed and taken
+// back within one serial superstep). `M: Send` because payloads are moved
+// through the slab.
 unsafe impl<M: Send> Send for DirectOut<M> {}
 
 impl<M> DirectOut<M> {
     /// Arms a writer over the engine's scatter state for one superstep.
-    /// `validate` turns on the route digest.
     ///
     /// SAFETY contract (upheld by the engine): the three buffers outlive the
     /// superstep, are not accessed through any other path while the writer
@@ -696,7 +650,6 @@ impl<M> DirectOut<M> {
         slab: &mut [MaybeUninit<M>],
         cursors: &mut [u32],
         limits: &[u32],
-        validate: bool,
         uniform_k: u32,
         bits: Option<&mut [u64]>,
     ) -> Self {
@@ -718,7 +671,7 @@ impl<M> DirectOut<M> {
             limits: limits.as_ptr(),
             uniform_k,
             bits,
-            core: DirectCore::new(v, validate),
+            core: DirectCore::new(v),
         }
     }
 
@@ -760,22 +713,21 @@ impl<M> DirectOut<M> {
                 *self.cursors.add(dst) = cur + 1;
             }
         }
-        self.core.wrote(dst);
+        self.core.written += 1;
     }
 
-    /// Disarms the writer: `(payloads written, first fault, route digest)`,
-    /// the digest `Some` under validation only. The engine must refuse to
-    /// commit the arena unless the fault is `None`, the written count equals
-    /// the plan's payload total and a digest equals the plan's.
-    pub(crate) fn finish(self) -> (u64, Option<(usize, &'static str)>, Option<u64>) {
-        (self.core.written, self.core.fault, self.core.digest)
+    /// Disarms the writer: `(payloads written, first fault)`. The engine
+    /// must refuse to commit the arena unless the fault is `None` and the
+    /// written count equals the plan's payload total.
+    pub(crate) fn finish(self) -> (u64, Option<(usize, &'static str)>) {
+        (self.core.written, self.core.fault)
     }
 }
 
-/// The direct writer installed in an [`crate::program::Outbox`] for one
-/// planned superstep: the serial whole-machine form or the sharded
-/// cross-shard form. Algorithm closures use the same `send`/`send_dummy`
-/// API either way and cannot observe the difference.
+/// The direct writer armed in a [`ChunkStage`] for one planned superstep:
+/// the serial whole-machine form or the sharded cross-shard form. A
+/// declared body's [`crate::program::Slots`] and a captured plan's replay
+/// write through it and cannot observe the difference.
 pub(crate) enum DirectSink<M> {
     /// Serial path: one arena covering the whole machine ([`DirectOut`]).
     Serial(DirectOut<M>),
@@ -785,15 +737,6 @@ pub(crate) enum DirectSink<M> {
 }
 
 impl<M> DirectSink<M> {
-    /// The shared accounting/checker state of whichever writer is armed.
-    #[inline]
-    fn core(&self) -> &DirectCore {
-        match self {
-            DirectSink::Serial(d) => &d.core,
-            DirectSink::Sharded(d) => &d.core,
-        }
-    }
-
     #[inline]
     fn core_mut(&mut self) -> &mut DirectCore {
         match self {
@@ -802,39 +745,44 @@ impl<M> DirectSink<M> {
         }
     }
 
-    /// Starts the given VP's sends.
+    /// Starts the given VP's sends (fault and panic attribution).
     #[inline]
     pub(crate) fn begin_vp(&mut self, vp: usize) {
-        self.core_mut().begin_vp(vp);
-    }
-
-    /// Messages sent by the current VP so far.
-    #[inline]
-    pub(crate) fn vp_sent(&self) -> usize {
-        self.core().vp_sent
+        self.core_mut().cur_vp = vp;
     }
 
     /// The VP whose sends are in progress (panic attribution).
     #[inline]
     pub(crate) fn current_vp(&self) -> usize {
-        self.core().cur_vp
+        match self {
+            DirectSink::Serial(d) => d.core.cur_vp,
+            DirectSink::Sharded(d) => d.core.cur_vp,
+        }
+    }
+
+    /// Records a send that disagrees with the step's declaration, at the
+    /// current VP; the first one recorded is the superstep's error.
+    #[inline]
+    pub(crate) fn fail(&mut self, reason: &'static str) {
+        self.core_mut().fail(reason);
     }
 
     /// Delivers a payload message into its planned slot (the slot lives in
     /// the whole-machine arena or a destination shard's arena, depending on
     /// the armed writer).
-    #[inline]
+    ///
+    /// Kept out of line, one copy per message type: a declared step's body
+    /// inlines its writer's `send` — the route's destination arithmetic —
+    /// and stays small enough for its chunk kernel to inline the body in
+    /// turn. With this inlined as well, bodies grew past that, and a body
+    /// the kernel calls per VP ran the binary-exchange FFT at twice the
+    /// time per job.
+    #[inline(never)]
     pub(crate) fn send(&mut self, dst: usize, msg: M) {
         match self {
             DirectSink::Serial(d) => d.send(dst, msg),
             DirectSink::Sharded(d) => d.send(dst, msg),
         }
-    }
-
-    /// Meters a dummy message (identical on both paths).
-    #[inline]
-    pub(crate) fn send_dummy(&mut self, dst: usize) {
-        self.core_mut().send_dummy(dst);
     }
 }
 
@@ -946,10 +894,10 @@ impl<M> DirectGrid<M> {
 /// # Safety model
 ///
 /// Identical in spirit to [`DirectOut`] (soundness never trusts the
-/// declared route), with the region table replacing the flat offsets:
+/// declaration), with the region table replacing the flat offsets:
 ///
-/// * a send outside the superstep's shard cluster — impossible for an
-///   honest closure, since the declaration was cluster-proven at compile
+/// * a send outside the superstep's shard cluster — impossible while the
+///   destinations come from the route, which was cluster-proven at compile
 ///   time — faults immediately (windows outside the cluster span carry
 ///   stale tables and must never be consulted);
 /// * every write is bounds-checked against its `(source shard,
@@ -963,11 +911,7 @@ impl<M> DirectGrid<M> {
 ///
 /// On the fault path nothing is committed and written payloads are leaked
 /// (never dropped, never re-observed), bounded by one superstep's traffic —
-/// the same policy as the serial writer. With validation on, the writer
-/// sums the route digest exactly like the serial path; the executor
-/// compares each worker's sum against its shard's declared digest next to
-/// the written total, before any arena is committed, so a send only the
-/// digest rejects is likewise written, never committed, and leaked.
+/// the same policy as the serial writer.
 pub(crate) struct DirectShard<M> {
     /// Window slots of this superstep's parity (`shards` entries).
     windows: *const UnsafeCell<DirectWindow<M>>,
@@ -1007,7 +951,6 @@ impl<M> DirectShard<M> {
         shard_shift: u32,
         vps: usize,
         v: usize,
-        validate: bool,
     ) -> Self {
         debug_assert!(parity < 2 && span.end <= grid.shards && span.contains(&shard));
         DirectShard {
@@ -1019,19 +962,14 @@ impl<M> DirectShard<M> {
             span_hi: span.end,
             shard_shift,
             vps,
-            core: DirectCore::new(v, validate),
+            core: DirectCore::new(v),
         }
     }
 
     /// Delivers a payload message into its planned slot of the destination
-    /// shard's arena.
-    ///
-    /// Kept out of line: a planned step's kernel inlines its body, and with
-    /// it every send site's writers. The serial writer's state lives in
-    /// registers there; this one reads its window through memory on every
-    /// send anyway, so a call costs little, while inlining it too would
-    /// double each send site's code.
-    #[inline(never)]
+    /// shard's arena (called through [`DirectSink::send`], which is out of
+    /// line).
+    #[inline]
     pub(crate) fn send(&mut self, dst: usize, msg: M) {
         if !self.core.admit_data(dst) {
             return;
@@ -1065,7 +1003,7 @@ impl<M> DirectShard<M> {
             (*w.slab.add(cur as usize)).write(msg);
             *cur_ptr = cur + 1;
         }
-        self.core.wrote(dst);
+        self.core.written += 1;
     }
 
     /// Payload messages written by this worker so far (whole superstep).
@@ -1078,12 +1016,6 @@ impl<M> DirectShard<M> {
     #[inline]
     pub(crate) fn fault_info(&self) -> Option<(usize, &'static str)> {
         self.core.fault
-    }
-
-    /// The route digest of this worker's sends (`Some` under validation).
-    #[inline]
-    pub(crate) fn digest(&self) -> Option<u64> {
-        self.core.digest
     }
 
     /// The first destination VP whose slot region from this shard was left

@@ -30,10 +30,11 @@
 //!   (`crate::mailbox::DirectOut`) — no staging copy, no counting sort.
 //!   The closures run through the step's chunk kernel
 //!   (`crate::program::ChunkKernel`), one monomorphic loop per chunk of
-//!   VPs.
+//!   VPs, which evaluates the same route inline for each send's
+//!   destination.
 //!
 //! A *declared* plan deliberately stores **no O(v) or O(messages) tables** —
-//! only the boxed route function, `O(log v)` metric words and a
+//! only the shared route function, `O(log v)` metric words and a
 //! [`PlanLayout`] summary of the per-destination payload counts: `O(1)` when
 //! they are uniform, else a prefix-sum table over **one period** of them
 //! (32 entries for a Columnsort base-case gather at any `v`; a layout with
@@ -48,32 +49,31 @@
 //! A *captured* plan (`StepPlan::compile_captured`) is the deliberate
 //! exception: it **is** a table — the exact `(dst, kind)` sequence of one
 //! recorded dynamic superstep, wrapped in a route closure and compiled
-//! through the same pipeline, so replays get the identical metrics,
-//! cluster proof and mis-declaration detection as declared routes.
+//! through the same pipeline, so replays get the identical metrics and
+//! cluster proof as declared routes.
 //!
 //! # Mis-declared routes
 //!
-//! The closure of a planned superstep keeps sending through the ordinary
-//! [`crate::program::Outbox`] API (same destinations, same order), so a
-//! declaration can disagree with reality. Safety never depends on honesty:
-//! the direct writer bounds every write by the destination's planned slot
-//! range and the engine checks the written total before publishing the
-//! arena, so any mismatch in the *data multiset* surfaces as
-//! [`ModelError::PlanMismatch`] instead of corrupt memory or metrics.
+//! A declared step's body names no destination: its writer
+//! ([`crate::program::Slots`]) fills the VP's next [`Route::Data`] slot per
+//! send and takes the destination from the route, and the engine emits the
+//! declared dummies itself. So a body cannot send to another destination,
+//! reorder its sends, or send a payload as a dummy — there is no second
+//! copy of the pattern to drift from the first. What a body can still get
+//! wrong is *how many* payloads it sends, and both directions are exact
+//! [`ModelError::PlanMismatch`]es on every path, validated or not: a send
+//! past the VP's [`Route::End`] (or its `out_degree`) is refused by the
+//! writer, and a payload slot left unsent leaves its destination short,
+//! which the written-total check finds before any arena is published (the
+//! staging paths find it when the body returns). A *captured* route is a
+//! table the body sends by destination against, so its replay compares
+//! every send with the table before writing it.
 //!
-//! Validated runs also pin the exact *sequence* — destination, kind and
-//! position of every send, dummies included — without consulting the route
-//! again. Compile sums one `mix` term per declared send into the plan's
-//! **route digest**; the direct writer sums the same term per actual send,
-//! and the engine compares the two before committing. Four checks stay
-//! exact on every run, validated or not: a destination outside the machine,
-//! a payload leaving the shard cluster (sharded path), more payloads to a
-//! destination than planned, fewer payloads written than declared. Anything
-//! else the old per-send route walk caught — a different destination that
-//! keeps every count, two sends swapped, a payload sent as a dummy or the
-//! reverse, a dummy missing or extra — is caught by the digest, with
-//! probability `1 − 2⁻⁶⁴`. It is attributed more coarsely: the step and the
-//! first VP of the shard whose sum disagrees, not the diverging send.
+//! Safety never depends on any of this: the direct writers still bound
+//! every write by the destination's machine range, shard cluster and
+//! planned slot range, and the engine checks the written total before
+//! publishing an arena, so a mismatch surfaces as an error, never as
+//! corrupt memory or metrics.
 
 use crate::program::Ctx;
 use nob_core::folding::message_allowed;
@@ -163,11 +163,11 @@ impl PlanLayout {
 /// does with its `k`-th send of the superstep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// A payload message to the given VP (the closure's matching
-    /// `send(dst, …)`).
+    /// A payload message to the given VP: the body's next
+    /// [`crate::program::Slots::send`] fills it.
     Data(usize),
-    /// A wiseness dummy to the given VP (the closure's matching
-    /// `send_dummy(dst)`): metered, never delivered.
+    /// A wiseness dummy to the given VP, emitted by the engine (never by
+    /// the body): metered, never delivered.
     Dummy(usize),
     /// No message in this slot (lets a single `out_degree` cover VPs with
     /// different fan-outs — boundary VPs, non-leaders, unwise variants).
@@ -177,7 +177,7 @@ pub enum Route {
     /// whole segment while everyone else idles) cost one route call per
     /// idle VP instead of `out_degree` — at compile and in every
     /// enumeration after it (the engine's counting pass, the per-width
-    /// send totals and digests). Use [`Route::Skip`] only for *holes*
+    /// send totals). Use [`Route::Skip`] only for *holes*
     /// followed by more messages.
     End,
 }
@@ -186,40 +186,9 @@ pub enum Route {
 /// per-superstep without generics.
 pub(crate) type RouteDyn = dyn Fn(&Ctx, usize) -> Route + Send + Sync;
 
-/// Boxed [`RouteDyn`].
-pub(crate) type RouteFn = Box<RouteDyn>;
-
-/// SplitMix64's finalizer (its output function, without the generator's
-/// state increment): a full-avalanche bijection on `u64` that maps 0 to 0.
-#[inline]
-fn splitmix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// The route digest's term for one send: VP `vp`'s `j`-th send of the
-/// superstep (dummies count, [`Route::Skip`] holes do not) going to `dst`,
-/// a payload iff `data`. A digest is the wrapping sum of these terms, so
-/// the digest of a VP range is the sum of its VPs' and shard digests add up
-/// to the machine's.
-///
-/// The term must not be linear in its inputs — with a linear term, two
-/// sends of one VP trading destinations would cancel out of the sum — so
-/// it ends in a full-avalanche finalizer. `(vp, dst)` packs losslessly
-/// below the `2^32`-VP design limit and the finalizer is a bijection, so
-/// two sends at the same position and of the same kind differ in their
-/// term whenever they differ at all. The position and kind enter through
-/// a Fibonacci-hashing multiply, which spreads small values over all 64
-/// bits at the cost of one multiplication (one finalizer per send, not
-/// two: this runs on every validated send and every compiled one). Its
-/// `+ 1` keeps the finalizer's fixed point 0 out of reach: VP 0's first
-/// send, a dummy to itself, must not weigh nothing.
-#[inline]
-pub(crate) fn mix(vp: usize, j: usize, dst: usize, data: bool) -> u64 {
-    let pos = ((j as u64) << 1) | u64::from(data);
-    splitmix((((vp as u64) << 32) | dst as u64) ^ (pos + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
+/// A shared [`RouteDyn`]: the plan enumerates it, and a declared step's
+/// chunk kernel holds the same object with its concrete type.
+pub(crate) type RouteFn = std::sync::Arc<RouteDyn>;
 
 /// The compiled communication plan of one oblivious superstep (see the
 /// module docs). Built once per program by
@@ -236,11 +205,6 @@ pub struct StepPlan {
     pub(crate) metrics: StepMetrics,
     /// Declared payload (deliverable) messages.
     pub(crate) total_data: u64,
-    /// Route digest of the whole machine: the wrapping sum of [`mix`] over
-    /// every declared send. Validated serial runs compare the writer's sum
-    /// against it; the sharded path checks per-shard digests from
-    /// [`crate::program::Program::send_totals`], which sum to this.
-    pub(crate) digest: u64,
     /// First route violation found at compile time (out-of-range
     /// destination or cluster escape), if any; a faulted plan is never
     /// executed directly.
@@ -278,31 +242,33 @@ impl StepPlan {
     /// Compiles `route` for an `label`-superstep on `M(v)`: one enumeration
     /// of the declared multiset produces the analytic metrics, the payload
     /// total, and the cluster-constraint proof. Generic over the route so
-    /// that enumeration runs with it inlined; the stored plan boxes it
-    /// (every later, per-execution use goes through the [`RouteFn`]).
+    /// that enumeration runs with it inlined, through a reference the
+    /// compiler may assume nothing else writes, so the route's captures are
+    /// read once, not once per slot; the plan keeps `shared`, the same
+    /// route, for its later enumerations.
     pub(crate) fn compile<R>(
         v: usize,
         log_v: u32,
         n: usize,
         label: u32,
         out_degree: usize,
-        route: R,
+        route: &R,
+        shared: RouteFn,
     ) -> StepPlan
     where
-        R: Fn(&Ctx, usize) -> Route + Send + Sync + 'static,
+        R: Fn(&Ctx, usize) -> Route,
     {
         // A step that declares no message slot (every shipped program ends
         // in one) has nothing to enumerate: no `O(v)` scratch, no scan.
         if out_degree == 0 {
             return StepPlan {
-                route: Box::new(route),
+                route: shared,
                 out_degree,
                 v,
                 log_v,
                 n,
                 metrics: StepMetrics::silent(log_v),
                 total_data: 0,
-                digest: 0,
                 fault: None,
                 min_locality: log_v,
                 layout: Some(PlanLayout::Uniform(0)),
@@ -311,7 +277,6 @@ impl StepPlan {
         }
         let mut metrics = StepMetricsBuilder::new(log_v);
         let mut total_data = 0u64;
-        let mut digest = 0u64;
         let mut fault = None;
         let mut min_locality = log_v;
         // Transient per-destination payload counts (compile-time only):
@@ -320,16 +285,13 @@ impl StepPlan {
         let mut counts_ok = true;
         'scan: for vp in 0..v {
             let ctx = Ctx { vp, v, log_v, n };
-            let mut j = 0;
             for k in 0..out_degree {
-                let (dst, data) = match (route)(&ctx, k) {
+                let (dst, data) = match route(&ctx, k) {
                     Route::Data(d) => (d, true),
                     Route::Dummy(d) => (d, false),
                     Route::Skip => continue,
                     Route::End => break,
                 };
-                digest = digest.wrapping_add(mix(vp, j, dst, data));
-                j += 1;
                 if dst >= v {
                     fault = Some(ModelError::BadParameter {
                         what: "dst",
@@ -367,14 +329,13 @@ impl StepPlan {
             _ => 0,
         };
         StepPlan {
-            route: Box::new(route),
+            route: shared,
             out_degree,
             v,
             log_v,
             n,
             metrics: metrics.finish(),
             total_data,
-            digest,
             fault,
             min_locality,
             layout,
@@ -387,10 +348,10 @@ impl StepPlan {
     /// (`v + 1` entries) over a flat `(dst, is_data)` slot table in send
     /// order. The table is wrapped in an ordinary route closure and pushed
     /// through [`StepPlan::compile`], so a captured plan gets the same
-    /// analytic metrics, cluster proof, direct-write scatter and route
-    /// digest as a declared one — the executors cannot tell them apart,
-    /// and a stale capture (the program's dynamic pattern changed) surfaces
-    /// as a [`ModelError::PlanMismatch`] exactly like a mis-declared route.
+    /// analytic metrics, cluster proof and direct-write scatter as a
+    /// declared one. Its replay checks every send against the table before
+    /// writing it, so a stale capture (the program's dynamic pattern
+    /// changed) surfaces as a [`ModelError::PlanMismatch`].
     pub(crate) fn compile_captured(
         v: usize,
         log_v: u32,
@@ -419,7 +380,8 @@ impl StepPlan {
                 Route::End
             }
         };
-        let mut plan = StepPlan::compile(v, log_v, n, label, out_degree, route);
+        let route = std::sync::Arc::new(route);
+        let mut plan = StepPlan::compile(v, log_v, n, label, out_degree, &*route, route.clone());
         plan.approx_bytes += table_bytes;
         plan
     }
@@ -490,28 +452,23 @@ impl StepPlan {
         Ok(())
     }
 
-    /// Calls `f(src, j, dst, is_data)` for every declared message of the
-    /// VPs in `vps`, in send order (ascending VP, then slot index) — the
-    /// exact order the dynamic engine observes and logs. `j` is the
-    /// message's position among its VP's sends (`Skip` holes take none):
-    /// with the other three, the inputs of one [`mix`] term.
+    /// Calls `f(src, dst, is_data)` for every declared message of the VPs
+    /// in `vps`, in send order (ascending VP, then slot index) — the exact
+    /// order the dynamic engine observes and logs.
     pub(crate) fn for_each_message(
         &self,
         vps: std::ops::Range<usize>,
-        mut f: impl FnMut(usize, usize, usize, bool),
+        mut f: impl FnMut(usize, usize, bool),
     ) {
         for vp in vps {
             let ctx = Ctx { vp, v: self.v, log_v: self.log_v, n: self.n };
-            let mut j = 0;
             for k in 0..self.out_degree {
-                let (dst, data) = match (self.route)(&ctx, k) {
-                    Route::Data(d) => (d, true),
-                    Route::Dummy(d) => (d, false),
-                    Route::Skip => continue,
+                match (self.route)(&ctx, k) {
+                    Route::Data(d) => f(vp, d, true),
+                    Route::Dummy(d) => f(vp, d, false),
+                    Route::Skip => {}
                     Route::End => break,
-                };
-                f(vp, j, dst, data);
-                j += 1;
+                }
             }
         }
     }
@@ -521,50 +478,59 @@ impl StepPlan {
 mod tests {
     use super::*;
 
-    fn route_exchange(d: usize) -> RouteFn {
-        Box::new(move |ctx: &Ctx, _k| Route::Data(ctx.vp ^ d))
+    /// Compiles `route` on `M(v)` with input size `v`.
+    fn compile(
+        v: usize,
+        label: u32,
+        out_degree: usize,
+        route: impl Fn(&Ctx, usize) -> Route + Send + Sync + 'static,
+    ) -> StepPlan {
+        let route = std::sync::Arc::new(route);
+        StepPlan::compile(v, v.ilog2(), v, label, out_degree, &*route, route.clone())
+    }
+
+    fn route_exchange(d: usize) -> impl Fn(&Ctx, usize) -> Route + Send + Sync + 'static {
+        move |ctx: &Ctx, _k| Route::Data(ctx.vp ^ d)
     }
 
     #[test]
     fn compile_proves_cluster_constraint() {
         // vp ^ 4 crosses the bisection of v = 8: legal in a 0-superstep,
         // a compile-time fault in a 1-superstep.
-        let ok = StepPlan::compile(8, 3, 8, 0, 1, route_exchange(4));
+        let ok = compile(8, 0, 1, route_exchange(4));
         assert!(ok.fault().is_none());
         assert_eq!(ok.total_data(), 8);
-        let bad = StepPlan::compile(8, 3, 8, 1, 1, route_exchange(4));
+        let bad = compile(8, 1, 1, route_exchange(4));
         assert!(matches!(
             bad.fault(),
             Some(ModelError::ClusterViolation { label: 1, src: 0, dst: 4 })
         ));
-        let oob = StepPlan::compile(8, 3, 8, 0, 1, |_, _| Route::Data(8));
+        let oob = compile(8, 0, 1, |_, _| Route::Data(8));
         assert!(matches!(oob.fault(), Some(ModelError::BadParameter { .. })));
     }
 
     #[test]
     fn compile_metrics_count_dummies_and_skips() {
-        // VP 0 sends one payload to 1 and one dummy to 2; everyone else idles.
-        let plan = StepPlan::compile(
-            4,
-            2,
-            4,
-            0,
-            2,
-            |ctx, k| match (ctx.vp, k) {
-                (0, 0) => Route::Data(1),
-                (0, 1) => Route::Dummy(2),
-                _ => Route::Skip,
-            },
-        );
+        // VP 0 sends one payload to 1 and one dummy to 2; VP 3 a payload to
+        // 2 after a hole, then ends (its last slot is never read); everyone
+        // else idles.
+        let plan = compile(4, 0, 4, |ctx, k| match (ctx.vp, k) {
+            (0, 0) => Route::Data(1),
+            (0, 1) => Route::Dummy(2),
+            (3, 1) => Route::Data(2),
+            (3, 2) => Route::End,
+            (3, 3) => Route::Data(usize::MAX),
+            _ => Route::Skip,
+        });
         assert!(plan.fault().is_none());
-        assert_eq!(plan.total_data(), 1);
-        assert_eq!(plan.metrics().total_at(2, true), 2, "dummy counts in metrics");
+        assert_eq!(plan.total_data(), 2);
+        assert_eq!(plan.metrics().total_at(2, true), 3, "dummy counts in metrics");
         let mut counts = vec![0u32; 4];
         plan.count_data(&mut counts).unwrap();
-        assert_eq!(counts, vec![0, 1, 0, 0], "dummy takes no payload slot");
+        assert_eq!(counts, vec![0, 1, 1, 0], "dummy takes no payload slot");
         let mut seen = Vec::new();
-        plan.for_each_message(0..4, |s, _, d, data| seen.push((s, d, data)));
-        assert_eq!(seen, vec![(0, 1, true), (0, 2, false)]);
+        plan.for_each_message(0..4, |s, d, data| seen.push((s, d, data)));
+        assert_eq!(seen, vec![(0, 1, true), (0, 2, false), (3, 2, true)]);
     }
 
     #[test]
@@ -583,10 +549,10 @@ mod tests {
         };
         for log_v in [1u32, 2, 5] {
             let v = 1usize << log_v;
-            let plan = StepPlan::compile(v, log_v, v, 0, 5, route);
+            let plan = compile(v, 0, 5, route);
             assert!(plan.fault().is_none());
             let mut sent = Vec::new();
-            plan.for_each_message(0..v, |s, _, d, _| sent.push((s, d)));
+            plan.for_each_message(0..v, |s, d, _| sent.push((s, d)));
             let stream = |mut c: DegreeCounters| {
                 c.begin_superstep();
                 sent.iter().for_each(|&(s, d)| c.record(s, d));
@@ -605,70 +571,16 @@ mod tests {
     }
 
     #[test]
-    fn mix_is_not_linear_so_swapped_sends_change_the_digest() {
-        // VP 5 sends to 1 then 2, or to 2 then 1: same VP, same positions,
-        // same destinations — a linear term would sum both orders alike.
-        let sent = mix(5, 0, 1, true).wrapping_add(mix(5, 1, 2, true));
-        let swapped = mix(5, 0, 2, true).wrapping_add(mix(5, 1, 1, true));
-        assert_ne!(sent, swapped);
-        // No send weighs nothing — not even VP 0's first, a dummy to itself
-        // (the finalizer maps 0 to 0) — and no two sends of a small machine
-        // share a term: every input moves it, the kind bit included.
-        assert_ne!(mix(0, 0, 0, false), 0);
-        let mut seen = std::collections::HashSet::new();
-        for (vp, j, dst, data) in (0..16).flat_map(|vp| {
-            (0..8).flat_map(move |j| (0..16).flat_map(move |d| [(vp, j, d, true), (vp, j, d, false)]))
-        }) {
-            assert!(seen.insert(mix(vp, j, dst, data)), "term collision at {vp} {j} {dst} {data}");
-        }
-    }
-
-    #[test]
-    fn compile_digest_sums_one_term_per_declared_send() {
-        // Skip holes take no position and End stops the VP: VP 1 declares
-        // a payload to 0 at position 0 and a dummy to 3 at position 1.
-        let plan = StepPlan::compile(
-            4,
-            2,
-            4,
-            0,
-            5,
-            |ctx, k| match (ctx.vp, k) {
-                (1, 0) => Route::Skip,
-                (1, 1) => Route::Data(0),
-                (1, 2) => Route::Dummy(3),
-                (1, 3) => Route::End,
-                (1, 4) => Route::Data(1),
-                (2, 0) => Route::Data(2),
-                _ => Route::Skip,
-            },
-        );
-        let want = [mix(1, 0, 0, true), mix(1, 1, 3, false), mix(2, 0, 2, true)];
-        assert_eq!(plan.digest, want.iter().fold(0u64, |s, &t| s.wrapping_add(t)));
-        // The run-time enumeration hands out the same terms, so any split
-        // of the VPs into ranges sums back to the plan's digest.
-        let mut sum = 0u64;
-        for vps in [0..1, 1..3, 3..4] {
-            plan.for_each_message(vps, |src, j, dst, data| {
-                sum = sum.wrapping_add(mix(src, j, dst, data));
-            });
-        }
-        assert_eq!(sum, plan.digest);
-        // A step without message slots has the empty sum.
-        assert_eq!(StepPlan::compile(4, 2, 4, 0, 0, |_, _| Route::End).digest, 0);
-    }
-
-    #[test]
     fn compile_detects_uniform_and_table_layouts() {
         // Butterfly exchange: exactly one payload per destination → Uniform(1).
-        let fft = StepPlan::compile(8, 3, 8, 0, 1, route_exchange(1));
+        let fft = compile(8, 0, 1, route_exchange(1));
         assert!(matches!(fft.layout(), Some(PlanLayout::Uniform(1))));
         // All-idle step → Uniform(0).
-        let idle = StepPlan::compile(8, 3, 8, 0, 1, |_, _| Route::End);
+        let idle = compile(8, 0, 1, |_, _| Route::End);
         assert!(matches!(idle.layout(), Some(PlanLayout::Uniform(0))));
         assert_eq!(idle.min_locality, 3, "no payloads: locality is log v");
         // Skewed fan-in: VP 0 receives everything → explicit table (v small).
-        let fan = StepPlan::compile(4, 2, 4, 0, 1, |_, _| Route::Data(0));
+        let fan = compile(4, 0, 1, |_, _| Route::Data(0));
         match fan.layout() {
             Some(PlanLayout::Table(t)) => assert_eq!(&t[..], &[0, 4, 4, 4, 4]),
             other => panic!("expected table layout, got {other:?}"),
@@ -677,7 +589,7 @@ mod tests {
         assert_eq!(fan.layout().map(|l| l.count(3)), Some(0));
         // A faulted compile never advertises a layout (or locality); it is
         // only trivially "local" at the degenerate one-shard fold.
-        let bad = StepPlan::compile(8, 3, 8, 1, 1, route_exchange(4));
+        let bad = compile(8, 1, 1, route_exchange(4));
         assert!(bad.layout().is_none());
         assert!(!bad.shard_local(1));
     }
@@ -685,9 +597,9 @@ mod tests {
     #[test]
     fn a_step_without_message_slots_compiles_without_a_scan() {
         // Not even the route is consulted: this one would fault if it were.
-        let shortcut = StepPlan::compile(8, 3, 8, 2, 0, |_, _| Route::Data(usize::MAX));
+        let shortcut = compile(8, 2, 0, |_, _| Route::Data(usize::MAX));
         // The same step through the enumeration.
-        let scanned = StepPlan::compile(8, 3, 8, 2, 1, |_, _| Route::End);
+        let scanned = compile(8, 2, 1, |_, _| Route::End);
         assert!(shortcut.fault().is_none());
         assert!(matches!(shortcut.layout(), Some(PlanLayout::Uniform(0))));
         assert_eq!(shortcut.total_data(), 0);
@@ -699,18 +611,18 @@ mod tests {
 
     /// Gather to / scatter from the leader of every `m`-segment — the
     /// Columnsort base case.
-    fn route_gather(m: usize) -> RouteFn {
-        Box::new(move |ctx: &Ctx, _k| match ctx.vp % m {
+    fn route_gather(m: usize) -> impl Fn(&Ctx, usize) -> Route + Send + Sync + 'static {
+        move |ctx: &Ctx, _k| match ctx.vp % m {
             0 => Route::End,
             off => Route::Data(ctx.vp - off),
-        })
+        }
     }
 
-    fn route_scatter(m: usize) -> RouteFn {
-        Box::new(move |ctx: &Ctx, k| match ctx.vp % m {
+    fn route_scatter(m: usize) -> impl Fn(&Ctx, usize) -> Route + Send + Sync + 'static {
+        move |ctx: &Ctx, k| match ctx.vp % m {
             0 => Route::Data(ctx.vp + k + 1),
             _ => Route::End,
-        })
+        }
     }
 
     #[test]
@@ -721,8 +633,8 @@ mod tests {
         };
         // Segments of 4 on v = 16: the counts repeat every 4 destinations,
         // so 5 table entries describe all 16.
-        let gather = StepPlan::compile(16, 4, 16, 2, 1, route_gather(4));
-        let scatter = StepPlan::compile(16, 4, 16, 2, 3, route_scatter(4));
+        let gather = compile(16, 2, 1, route_gather(4));
+        let scatter = compile(16, 2, 3, route_scatter(4));
         assert_eq!(table_of(&gather), [0, 3, 3, 3, 3]);
         assert_eq!(table_of(&scatter), [0, 0, 1, 2, 3]);
         for d in 0..16 {
@@ -732,7 +644,7 @@ mod tests {
         }
         assert_eq!(gather.approx_bytes(), std::mem::size_of::<StepPlan>() as u64 + 5 * 4);
         // A fan-in with no shorter period keeps all v + 1 entries.
-        let fan = StepPlan::compile(16, 4, 16, 0, 1, |_, _| Route::Data(5));
+        let fan = compile(16, 0, 1, |_, _| Route::Data(5));
         let table = table_of(&fan);
         assert_eq!(table.len(), 17);
         assert_eq!((table[5], table[6]), (0, 16));
@@ -741,36 +653,29 @@ mod tests {
         // keep their small table and only the period-v fan-in goes without.
         let v = 2 * LAYOUT_TABLE_MAX_V;
         let log_v = v.ilog2();
-        let wide = StepPlan::compile(v, log_v, v, log_v - 5, 1, route_gather(32));
+        let wide = compile(v, log_v - 5, 1, route_gather(32));
         assert_eq!(table_of(&wide).len(), 33);
         assert_eq!(wide.layout().map(|l| (l.count(v - 32), l.count(v - 1))), Some((31, 0)));
-        let fan = StepPlan::compile(v, log_v, v, 0, 1, |_, _| Route::Data(0));
+        let fan = compile(v, 0, 1, |_, _| Route::Data(0));
         assert!(fan.fault().is_none() && fan.layout().is_none());
     }
 
     #[test]
     fn min_locality_tracks_payload_cluster_depth() {
         // vp ^ 1 stays inside every 2-VP cluster: locality log_v - 1.
-        let near = StepPlan::compile(8, 3, 8, 0, 1, route_exchange(1));
+        let near = compile(8, 0, 1, route_exchange(1));
         assert_eq!(near.min_locality, 2);
         assert!(near.shard_local(2) && !near.shard_local(3));
         // vp ^ 4 crosses the bisection: locality 0, never shard-local.
-        let far = StepPlan::compile(8, 3, 8, 0, 1, route_exchange(4));
+        let far = compile(8, 0, 1, route_exchange(4));
         assert_eq!(far.min_locality, 0);
         assert!(far.shard_local(0) && !far.shard_local(1));
         // Self-sends and dummies don't narrow locality: a dummy across the
         // bisection touches no payload window, so the step stays fusible.
-        let dummy = StepPlan::compile(
-            8,
-            3,
-            8,
-            0,
-            2,
-            |ctx, k| match k {
-                0 => Route::Data(ctx.vp),
-                _ => Route::Dummy(ctx.vp ^ 4),
-            },
-        );
+        let dummy = compile(8, 0, 2, |ctx, k| match k {
+            0 => Route::Data(ctx.vp),
+            _ => Route::Dummy(ctx.vp ^ 4),
+        });
         assert_eq!(dummy.min_locality, 3);
         assert!(dummy.shard_local(3));
     }
@@ -786,7 +691,7 @@ mod tests {
         assert_eq!(plan.total_data(), 2);
         assert_eq!(plan.out_degree, 2);
         let mut seen = Vec::new();
-        plan.for_each_message(0..4, |s, _, d, data| seen.push((s, d, data)));
+        plan.for_each_message(0..4, |s, d, data| seen.push((s, d, data)));
         assert_eq!(seen, vec![(0, 1, true), (0, 0, false), (2, 3, true)]);
         assert_eq!(plan.min_locality, 1, "both payloads stay in their pair");
         assert!(plan.shard_local(1));

@@ -23,25 +23,29 @@ use nob_core::metrics::{CommTrace, SuperstepRecord};
 use nob_core::model::log2_exact;
 use nob_core::ModelError;
 
+/// One VP's staged messages, `(dst, envelope)` in send order.
+type Staged<M> = Vec<(u32, Envelope<M>)>;
+
 /// Executes one VP: delivers the inbox, runs the closure, returns the
-/// staged messages.
+/// staged messages — or the error its sends left behind (a destination
+/// beyond the `u32` range, a declared body that broke its route).
 fn run_one<S, M>(
     prog: &Program<S, M>,
     step: &crate::program::Superstep<S, M>,
     vp: usize,
     state: &mut S,
     inbox: &mut Vec<M>,
-) -> Vec<(u32, Envelope<M>)> {
+) -> Result<Staged<M>, ModelError> {
     let ctx = crate::program::Ctx { vp, v: prog.v(), log_v: prog.log_v(), n: prog.n() };
     let mut out = Outbox::new();
     let mut ib = Inbox::over_vec(inbox);
     (step.exec)(state, &ctx, &mut ib, &mut out);
     drop(ib);
     inbox.clear();
-    // allow-panic: the legacy baseline keeps its historical panic on an
-    // out-of-u32-range destination (the arena engine reports a ModelError).
-    assert!(!out.oob_dst, "destination id exceeds u32 range");
-    out.msgs
+    match out.take_error(step.name) {
+        Some(e) => Err(e),
+        None => Ok(out.msgs),
+    }
 }
 
 /// Runs the computation + send phase for every VP in ascending order and
@@ -53,7 +57,7 @@ fn exec_phase<S, M>(
     step: &crate::program::Superstep<S, M>,
     states: &mut [S],
     inboxes: &mut [Vec<M>],
-) -> Vec<Vec<(u32, Envelope<M>)>> {
+) -> Result<Vec<Staged<M>>, ModelError> {
     (0..prog.v()).map(|vp| run_one(prog, step, vp, &mut states[vp], &mut inboxes[vp])).collect()
 }
 
@@ -74,18 +78,11 @@ pub fn run_reference<S: Send, M: Send>(
     let mut message_log = opts.collect_messages.then(Vec::new);
 
     for step in prog.steps() {
-        let outboxes = exec_phase(prog, step, &mut states, &mut inboxes);
+        let outboxes = exec_phase(prog, step, &mut states, &mut inboxes)?;
 
         if opts.validate {
             for (src, out) in outboxes.iter().enumerate() {
-                let shim = Outbox {
-                    msgs: out.iter().map(|&(d, _)| (d, Envelope::Dummy)).collect(),
-                    vp_start: 0,
-                    direct: None,
-                    cur_vp: 0,
-                    oob_dst: false,
-                };
-                validate_outbox::<M>(src, step.label, log_v, v, &shim)?;
+                validate_outbox(src, step.label, log_v, v, out)?;
             }
         }
 
@@ -108,7 +105,7 @@ pub fn run_reference<S: Send, M: Send>(
         }
     }
 
-    Ok(RunResult { states, trace, message_log, fallback: None })
+    Ok(RunResult { states, trace, message_log })
 }
 
 /// Legacy folded execution. Semantically identical to
@@ -135,18 +132,11 @@ pub fn run_folded_reference<S: Send, M: Send>(
     let mut trace = CommTrace::new(p, prog.n());
 
     for step in prog.steps() {
-        let outboxes = exec_phase(prog, step, &mut states, &mut inboxes);
+        let outboxes = exec_phase(prog, step, &mut states, &mut inboxes)?;
 
         if opts.validate {
             for (src, out) in outboxes.iter().enumerate() {
-                let shim = Outbox {
-                    msgs: out.iter().map(|&(d, _)| (d, Envelope::Dummy)).collect(),
-                    vp_start: 0,
-                    direct: None,
-                    cur_vp: 0,
-                    oob_dst: false,
-                };
-                validate_outbox::<M>(src, step.label, log_v, v, &shim)?;
+                validate_outbox(src, step.label, log_v, v, out)?;
             }
         }
 
@@ -171,5 +161,5 @@ pub fn run_folded_reference<S: Send, M: Send>(
         }
     }
 
-    Ok(RunResult { states, trace, message_log: None, fallback: None })
+    Ok(RunResult { states, trace, message_log: None })
 }

@@ -39,9 +39,8 @@
 //! and the cache trusts that name the same way the engine trusts a declared
 //! oblivious route. A key that misdescribes its program degrades exactly
 //! like a mis-declared route: the planned path's bounds and written-total
-//! checks (and, under validation, its route digest) surface a
-//! [`ModelError::PlanMismatch`] (or a
-//! [`PlanFallback::Dynamic`] degrade) — never corruption and never an
+//! checks (and a captured plan's per-send comparison with its table)
+//! surface a [`ModelError::PlanMismatch`] — never corruption and never an
 //! out-of-bounds write. For [`ProgramSource::Prebuilt`] jobs the submitted
 //! program is authoritative (the executor derives the lane plan and send
 //! totals from the program it runs), so even a lying key cannot misroute
@@ -67,7 +66,7 @@
 //! `max_overtakes` times becomes non-overtakable, bounding large-job
 //! starvation.
 
-use crate::engine::{GranSpec, PlanFallback, RunOptions};
+use crate::engine::{GranSpec, RunOptions};
 use crate::program::Program;
 use crate::shard::{lock, Executor};
 use nob_core::fault::FaultPlan;
@@ -127,14 +126,12 @@ pub enum ProgramSource<S, M> {
 /// (worker count is the server's, parallelism is the gang).
 #[derive(Debug, Clone)]
 pub struct JobOptions {
-    /// Check the i-superstep cluster constraint on every message.
+    /// Check the run against the model ([`RunOptions::validate`]).
     pub validate: bool,
     /// Execute declared/captured communication plans.
     pub use_plans: bool,
     /// Allow the zero-barrier fused tier for shard-local planned steps.
     pub fuse: bool,
-    /// Degradation policy for a plan mismatch on a non-validated run.
-    pub plan_fallback: PlanFallback,
     /// Keep the raw per-superstep message log.
     pub collect_messages: bool,
     /// Materialize the job's [`CommTrace`] (skip for latency-critical jobs:
@@ -154,7 +151,6 @@ impl Default for JobOptions {
             validate: true,
             use_plans: true,
             fuse: true,
-            plan_fallback: PlanFallback::Fail,
             collect_messages: false,
             want_trace: true,
             faults: None,
@@ -190,9 +186,6 @@ pub struct JobResult<S> {
     pub message_log: Option<Vec<Vec<(u32, u32)>>>,
     /// Barrier rounds the gang walked for this job (0 on the serial path).
     pub rounds: u64,
-    /// The abandoned planned attempt's error when
-    /// [`PlanFallback::Dynamic`] re-executed the job dynamically.
-    pub fallback: Option<ModelError>,
     /// Time this job spent queued before the scheduler popped it. `None`
     /// when the server runs without telemetry ([`ServerConfig::telemetry`])
     /// — lifecycle timing obeys the same zero-cost arming rule as spans.
@@ -282,8 +275,6 @@ pub struct ServerStats {
     pub cache_hits: u64,
     /// Plan-cache misses (cold builds).
     pub cache_misses: u64,
-    /// Jobs that degraded to the dynamic path via [`PlanFallback::Dynamic`].
-    pub fallbacks: u64,
     /// Jobs routed to the scheduler's serial path (`v <` gang width).
     pub serial_jobs: u64,
 }
@@ -294,7 +285,6 @@ struct StatsInner {
     failed: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    fallbacks: AtomicU64,
     serial_jobs: AtomicU64,
 }
 
@@ -305,7 +295,6 @@ impl StatsInner {
             failed: self.failed.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
             serial_jobs: self.serial_jobs.load(Ordering::Relaxed),
         }
     }
@@ -801,7 +790,6 @@ fn process_job<S, M>(
         collect_messages: opts.collect_messages,
         use_plans: opts.use_plans,
         fuse: opts.fuse,
-        plan_fallback: opts.plan_fallback,
         faults: opts.faults.clone(),
         stall_timeout: opts.stall_timeout,
         telemetry: cfg.telemetry.clone(),
@@ -809,7 +797,7 @@ fn process_job<S, M>(
         ..RunOptions::default()
     };
     let spec = GranSpec { levels: prog.log_v(), gran_shift: 0, full: true };
-    let executed = exec.execute(&prog, &mut job.states, spec, &run_opts, width);
+    let executed = exec.attempt(&prog, &mut job.states, spec, &run_opts, width);
     let service = match (tele, svc0) {
         (Some(tl), Some(t0)) => {
             let d = t0.elapsed();
@@ -818,26 +806,16 @@ fn process_job<S, M>(
         }
         _ => None,
     };
-    let outcome = executed.map(|done| JobResult {
+    let outcome = executed.map(|message_log| JobResult {
         states: std::mem::take(&mut job.states),
         trace: opts.want_trace.then(|| exec.trace.snapshot()),
-        message_log: done.message_log,
+        message_log,
         rounds: exec.rounds,
-        fallback: done.fallback,
         queue_wait,
         service,
     });
-    match &outcome {
-        Ok(r) => {
-            if r.fallback.is_some() {
-                stats.fallbacks.fetch_add(1, Ordering::Relaxed);
-            }
-            stats.completed.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(_) => {
-            stats.failed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    let stat = if outcome.is_ok() { &stats.completed } else { &stats.failed };
+    stat.fetch_add(1, Ordering::Relaxed);
     fulfill(&job.ticket, outcome);
 }
 

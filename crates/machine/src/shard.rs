@@ -17,10 +17,10 @@
 //! # One driver
 //!
 //! Whoever asks for a run — [`crate::engine::run`], `run_folded`, or a
-//! [`crate::server::JobServer`] job — it goes through [`Executor::execute`],
-//! which holds the only fallback-retry, the only `Shared` view and the only
-//! worker body. An executor owns a [`Gang`] (`n − 1` parked OS threads; the
-//! caller is worker 0) and the recyclable run state: lane and direct grids,
+//! [`crate::server::JobServer`] job — it goes through [`Executor::attempt`],
+//! which holds the only `Shared` view and the only worker body. An executor
+//! owns a [`Gang`] (`n − 1` parked OS threads; the caller is worker 0) and
+//! the recyclable run state: lane and direct grids,
 //! barrier, per-worker [`WorkerKit`]s, per-trace-shape shard cells and merge
 //! scratch, and the trace builder. `run` builds an executor for the call and
 //! drops it — threads are spawned and joined per run; a `JobServer` keeps
@@ -69,8 +69,8 @@
 //!   source VP, then send order). The worker publishes a window onto the
 //!   arena (slab + tables) through the [`DirectGrid`].
 //! * **Exec** — every worker runs its VPs with a [`DirectShard`] writer
-//!   armed in the outbox: `send` moves each payload straight into the
-//!   destination *shard's* arena slot through the published window — no
+//!   armed: each send moves its payload straight into the destination
+//!   *shard's* arena slot through the published window — no
 //!   staging, no lanes, no receive-side pass at all. The worker then checks
 //!   its written total against its declared total (the cursor-bounds /
 //!   written-total safety net of the serial path, per shard), pipelines the
@@ -201,13 +201,12 @@
 // each site carries its SAFETY note.
 #![allow(unsafe_code)]
 
-use crate::engine::{exec_chunk, run_serial, GranSpec, PlanFallback, RunOptions, MAX_WORKERS};
+use crate::engine::{exec_chunk, run_serial, GranSpec, RunOptions, MAX_WORKERS};
 use crate::mailbox::{
     bump_count, Arena, ChunkStage, DirectGrid, DirectShard, DirectSink, DirectWindow, LaneGrid,
-    DIGEST_MISMATCH,
 };
 use crate::plan::StepPlan;
-use crate::program::{Ctx, Declared, Envelope, LanePlan, Program, Superstep};
+use crate::program::{Ctx, Envelope, LanePlan, Program, Superstep};
 use nob_core::folding::message_allowed;
 use nob_core::metrics::{DegreeCounters, EpochMerge, TraceBuilder};
 use nob_core::model::log2_exact;
@@ -332,11 +331,10 @@ struct Shared<'p, S, M> {
     prog: &'p Program<S, M>,
     core: &'p GangCore<M>,
     cells: &'p [Mutex<ShardCell>],
-    /// The program's declared payload totals and route digests at this
-    /// width ([`Program::send_totals`], `[step][shard]` row-major) — the
-    /// planned path's written-total safety net and validation's digest.
-    /// Empty when no step runs planned.
-    totals: &'p [Declared],
+    /// The program's declared payload totals at this width
+    /// ([`Program::send_totals`], `[step][shard]` row-major) — the planned
+    /// path's written-total check. Empty when no step runs planned.
+    totals: &'p [u64],
     /// The run's fault-injection plan, if any (see the module docs).
     faults: Option<&'p FaultPlan>,
     /// The run's telemetry sink, if any ([`RunOptions::telemetry`]): every
@@ -409,8 +407,9 @@ impl<M> WorkerKit<M> {
     fn reset(&mut self, vps: usize) {
         self.stage.reset();
         self.stage.outbox.oob_dst = false;
+        self.stage.outbox.mismatch = None;
         self.stage.outbox.cur_vp = 0;
-        debug_assert!(self.stage.outbox.direct.is_none(), "direct sink across runs");
+        debug_assert!(self.stage.direct.is_none(), "direct sink across runs");
         self.local.clear();
         for arena in &mut self.arenas {
             arena.recycle(vps);
@@ -693,26 +692,15 @@ fn gang_worker(w: usize, rv: &Rendezvous) {
     }
 }
 
-/// What [`Executor::execute`] hands back besides the states it ran in
-/// place; the trace and the barrier-round count stay readable on the
-/// executor.
-pub(crate) struct Executed {
-    /// The raw message log, when the options asked for one.
-    pub(crate) message_log: Option<Vec<Vec<(u32, u32)>>>,
-    /// The abandoned planned attempt's error when
-    /// [`PlanFallback::Dynamic`] re-executed the run dynamically.
-    pub(crate) fallback: Option<ModelError>,
-}
-
 /// The one driver (see the module docs): a gang plus the run state it
-/// recycles, behind the single entry [`Executor::execute`].
+/// recycles, behind the single entry [`Executor::attempt`].
 pub(crate) struct Executor<M> {
     /// `None` at width 1, which needs neither threads nor grids.
     gang: Option<GangState<M>>,
-    /// The last attempt's trace; materialize it with
+    /// The last run's trace; materialize it with
     /// [`TraceBuilder::snapshot`].
     pub(crate) trace: TraceBuilder,
-    /// Barrier rounds the gang walked in the last attempt — a protocol
+    /// Barrier rounds the gang walked in the last run — a protocol
     /// diagnostic: dynamic supersteps cost three, steady-state planned
     /// supersteps one, fused ones none; on failure, the round the gang
     /// exited at. 0 on the serial path.
@@ -750,43 +738,11 @@ impl<M: Send> Executor<M> {
 
     /// Executes `prog` over `states` in place at `width` workers — the
     /// executor's own width, or 1 for the serial loop — with trace
-    /// granularity and folding semantics from `spec`. Results are
+    /// granularity and folding semantics from `spec`, on a reset trace;
+    /// returns the message log when the options ask for one. Results are
     /// bit-for-bit identical at every width.
-    ///
-    /// Holds the plan-fallback policy: degradation is armed only when a
-    /// mismatch can actually surface from a trusted plan — validation off
-    /// (under validation a mismatch is a model violation to report), plans
-    /// on, and at least one oblivious route declared. A partial attempt
-    /// mutates the states, so the pristine inputs are cloned up front — only
-    /// when armed, keeping the default path's allocation profile unchanged.
-    pub(crate) fn execute<S: Send + Clone>(
-        &mut self,
-        prog: &Program<S, M>,
-        states: &mut [S],
-        spec: GranSpec,
-        opts: &RunOptions,
-        width: usize,
-    ) -> Result<Executed, ModelError> {
-        let armed = opts.plan_fallback == PlanFallback::Dynamic
-            && opts.use_plans
-            && !opts.validate
-            && prog.planned_steps() > 0;
-        let saved = if armed { states.to_vec() } else { Vec::new() };
-        match self.attempt(prog, states, spec, opts, width) {
-            Err(mismatch @ ModelError::PlanMismatch { .. }) if armed => {
-                states.iter_mut().zip(saved).for_each(|(s, pristine)| *s = pristine);
-                let retry = RunOptions { use_plans: false, ..opts.clone() };
-                let message_log = self.attempt(prog, states, spec, &retry, width)?;
-                Ok(Executed { message_log, fallback: Some(mismatch) })
-            }
-            first => first.map(|message_log| Executed { message_log, fallback: None }),
-        }
-    }
-
-    /// One execution attempt (the whole superstep sequence) on a reset trace
-    /// and a fresh log.
     #[allow(clippy::type_complexity)]
-    fn attempt<S: Send>(
+    pub(crate) fn attempt<S: Send>(
         &mut self,
         prog: &Program<S, M>,
         states: &mut [S],
@@ -861,8 +817,8 @@ impl<M: Send> GangState<M> {
             tl.enter(0, Site::ShardPrepare, 0);
             Instant::now()
         });
-        let totals = (opts.use_plans && prog.planned_steps() > 0)
-            .then(|| prog.send_totals(n_shards, opts.validate));
+        let planned = opts.use_plans && prog.planned_steps() > 0;
+        let totals = planned.then(|| prog.send_totals(n_shards));
         if let (Some(tl), Some(t0)) = (tele, t0) {
             tl.record(0, Site::ShardPrepare, t0.elapsed());
         }
@@ -1132,7 +1088,7 @@ fn shard_loop<S: Send, M: Send>(
                 Ok(())
             }));
             if !matches!(outcome, Ok(Ok(()))) {
-                let vp = if outcome.is_err() { me.kit.stage.outbox.panic_vp() } else { me.vp_lo };
+                let vp = if outcome.is_err() { me.kit.stage.panic_vp() } else { me.vp_lo };
                 settle(shared, me.w, outcome, step.name, vp, rounds + 1);
                 // Healthy peers next wait at `rounds + 1` iff some later
                 // step is non-fused; otherwise they run to completion
@@ -1170,7 +1126,7 @@ fn shard_loop<S: Send, M: Send>(
                 if matches!(outcome, Ok(Ok(()))) {
                     span_end(shared, me.w, Site::ShardPrepare, t0);
                 }
-                let vp = if outcome.is_err() { me.kit.stage.outbox.panic_vp() } else { me.vp_lo };
+                let vp = if outcome.is_err() { me.kit.stage.panic_vp() } else { me.vp_lo };
                 settle(shared, me.w, outcome, step.name, vp, rounds + 1);
                 if !gang_wait(shared, me.w, rounds + 1) {
                     break;
@@ -1214,7 +1170,7 @@ fn shard_loop<S: Send, M: Send>(
                 // by construction, never a standalone phase of its own.
                 span_end(shared, me.w, Site::ShardExecPlanned, t0);
             }
-            let vp = if outcome.is_err() { me.kit.stage.outbox.panic_vp() } else { me.vp_lo };
+            let vp = if outcome.is_err() { me.kit.stage.panic_vp() } else { me.vp_lo };
             settle(shared, me.w, outcome, step.name, vp, rounds + 1);
             if !gang_wait(shared, me.w, rounds + 1) {
                 break;
@@ -1239,7 +1195,7 @@ fn shard_loop<S: Send, M: Send>(
                 Ok(())
             }));
             if !matches!(outcome, Ok(Ok(()))) {
-                let vp = if outcome.is_err() { me.kit.stage.outbox.panic_vp() } else { me.vp_lo };
+                let vp = if outcome.is_err() { me.kit.stage.panic_vp() } else { me.vp_lo };
                 settle(shared, me.w, outcome, step.name, vp, rounds + 1);
                 if t + 1 < steps.len() && gang_wait(shared, me.w, rounds + 1) {
                     rounds += 1;
@@ -1271,16 +1227,8 @@ fn shard_loop<S: Send, M: Send>(
             {
                 let read = &mut me.kit.arenas[read_idx];
                 let (slab, offsets) = read.take_read();
-                exec_chunk(
-                    shared.prog,
-                    step,
-                    me.vp_lo,
-                    me.vps,
-                    me.states,
-                    slab,
-                    offsets,
-                    &mut me.kit.stage,
-                );
+                let stage = &mut me.kit.stage;
+                exec_chunk(shared.prog, step, me.vp_lo, me.states, slab, offsets, stage);
             }
             span_end(shared, me.w, Site::ShardExec, t0);
             let t0 = span_start(shared, me.w, Site::ShardFlush, t);
@@ -1289,7 +1237,7 @@ fn shard_loop<S: Send, M: Send>(
             span_end(shared, me.w, Site::ShardFlush, t0);
             Ok(())
         }));
-        let vp = if outcome.is_err() { me.kit.stage.outbox.panic_vp() } else { me.vp_lo };
+        let vp = if outcome.is_err() { me.kit.stage.panic_vp() } else { me.vp_lo };
         settle(shared, me.w, outcome, step.name, vp, rounds + 1);
         if !gang_wait(shared, me.w, rounds + 1) {
             break;
@@ -1420,7 +1368,7 @@ fn prepare_direct<S, M: Send>(
     {
         let dst_counts = &mut me.kit.dst_counts;
         let starts = &mut tabs.starts;
-        plan.for_each_message(lo * vps..hi * vps, |src, _, dst, data| {
+        plan.for_each_message(lo * vps..hi * vps, |src, dst, data| {
             if !data || err.is_some() {
                 return;
             }
@@ -1476,14 +1424,11 @@ fn prepare_direct<S, M: Send>(
 /// Executes one planned superstep on this worker's VPs — one call of the
 /// step's chunk kernel ([`crate::program::ChunkKernel`]) over the shard —
 /// with the cross-shard direct writer armed: payloads land straight in the
-/// destination shards' arenas and dummies are only metered. Before anyone
-/// commits, the worker checks its sends against its row of
-/// [`Program::send_totals`]: the writer's exact checks (machine range,
-/// cluster span, region bounds), the written total, and — under validation
-/// — the route digest of its VPs' sends. A digest mismatch is a
-/// `PlanMismatch` at this shard's first VP (a sum names no send, only the
-/// shard whose sum differs); like every other rejection it leaves the
-/// written payloads uncommitted and leaked.
+/// destination shards' arenas. Before anyone commits, the worker checks its
+/// sends: the writer's exact checks (machine range, cluster span, region
+/// bounds, a payload past the route's last slot) and the written total
+/// against its row of [`Program::send_totals`]. Like every rejection, a
+/// failed check leaves the written payloads uncommitted and leaked.
 fn exec_planned<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
@@ -1500,56 +1445,35 @@ fn exec_planned<S, M: Send>(
     // `me.w` of those windows is this worker's exclusively until the next
     // barrier (invariant 5).
     let sink = unsafe {
-        DirectShard::new(
-            &shared.core.direct,
-            widx,
-            me.w,
-            span,
-            shard_shift,
-            me.vps,
-            shared.v,
-            shared.validate,
-        )
+        DirectShard::new(&shared.core.direct, widx, me.w, span, shard_shift, me.vps, shared.v)
     };
-    me.kit.stage.outbox.enter_direct(DirectSink::Sharded(sink));
+    me.kit.stage.direct = Some(DirectSink::Sharded(sink));
 
     {
         let read = &mut me.kit.arenas[read_idx];
         let (slab, offsets) = read.take_read();
         let base = Ctx { vp: me.vp_lo, v: shared.v, log_v: shared.log_v, n: shared.prog.n() };
-        let out = &mut me.kit.stage.outbox;
-        step.kernel().run_chunk(&step.exec, base, me.states, slab, offsets, out);
+        step.kernel().run_chunk(&step.exec, base, me.states, slab, offsets, &mut me.kit.stage);
     }
 
-    match me.kit.stage.outbox.exit_direct() {
-        DirectSink::Sharded(out) => {
-            if let Some((vp, reason)) = out.fault_info() {
-                return Err(ModelError::PlanMismatch { step: step.name, vp, reason });
-            }
-            let declared = shared.totals[t * shared.n_shards + me.w];
-            if out.written() != declared.data {
-                // Region capacities sum to the declared total, so a
-                // shortfall means some region of ours was left short:
-                // blame the first starved receiver (the sender is unknown,
-                // the starved inbox is not).
-                // SAFETY: still this worker's exec phase — reads only its
-                // own cursor rows and the immutable region tables.
-                let vp = unsafe { out.first_starved() }.unwrap_or(me.vp_lo);
-                return Err(ModelError::PlanMismatch {
-                    step: step.name,
-                    vp,
-                    reason: "destination received fewer payload messages than the route declares",
-                });
-            }
-            if out.digest().is_some_and(|d| d != declared.digest) {
-                return Err(ModelError::PlanMismatch {
-                    step: step.name,
-                    vp: me.vp_lo,
-                    reason: DIGEST_MISMATCH,
-                });
-            }
-        }
-        DirectSink::Serial(_) => unreachable!("sharded exec arms a sharded sink"),
+    let Some(DirectSink::Sharded(out)) = me.kit.stage.direct.take() else {
+        unreachable!("sharded exec arms a sharded sink")
+    };
+    if let Some((vp, reason)) = out.fault_info() {
+        return Err(ModelError::PlanMismatch { step: step.name, vp, reason });
+    }
+    if out.written() != shared.totals[t * shared.n_shards + me.w] {
+        // Region capacities sum to the declared total, so a shortfall means
+        // some region of ours was left short: blame the first starved
+        // receiver (the sender is unknown, the starved inbox is not).
+        // SAFETY: still this worker's exec phase — reads only its own
+        // cursor rows and the immutable region tables.
+        let vp = unsafe { out.first_starved() }.unwrap_or(me.vp_lo);
+        return Err(ModelError::PlanMismatch {
+            step: step.name,
+            vp,
+            reason: "destination received fewer payload messages than the route declares",
+        });
     }
     Ok(())
 }
@@ -1583,8 +1507,8 @@ fn flush<S, M: Send>(
     step: &Superstep<S, M>,
     record_step: bool,
 ) -> Result<(), ModelError> {
-    if me.kit.stage.outbox.take_oob() {
-        return Err(crate::program::oob_dst_error());
+    if let Some(e) = me.kit.stage.outbox.take_error(step.name) {
+        return Err(e);
     }
     let v = shared.v;
     let log_v = shared.log_v;
@@ -1788,12 +1712,12 @@ mod tests {
                 "bfly",
                 if last { 0 } else { 1 },
                 move |ctx, _| Route::Data(ctx.vp ^ d),
-                move |st, ctx, inbox, out| {
+                move |st, _, inbox, out| {
                     for m in inbox.drain(..) {
                         *st = st.wrapping_add(m);
                     }
                     if !last {
-                        out.send(ctx.vp ^ d, *st);
+                        out.send(*st);
                     }
                 },
             );
@@ -1832,7 +1756,7 @@ mod tests {
     ) -> (u64, nob_core::metrics::CommTrace, Result<(), ModelError>) {
         let spec = GranSpec { levels: prog.log_v(), gran_shift: 0, full: true };
         let mut exec = Executor::new(n_shards);
-        let outcome = exec.execute(prog, states, spec, opts, n_shards).map(|_| ());
+        let outcome = exec.attempt(prog, states, spec, opts, n_shards).map(|_| ());
         (exec.rounds, exec.trace.snapshot(), outcome)
     }
 
@@ -1902,29 +1826,32 @@ mod tests {
         let v = 16usize;
         let mut prog: Program<u64, u64> = Program::new(v, v);
         let d = v / 2;
-        let body = move |st: &mut u64,
-                         ctx: &Ctx,
-                         inbox: &mut Inbox<'_, u64>,
-                         out: &mut crate::program::Outbox<u64>| {
-            for m in inbox.drain(..) {
-                *st = st.wrapping_add(m);
-            }
-            out.send(ctx.vp ^ d, *st);
-        };
-        let consume = |st: &mut u64,
-                       _: &Ctx,
-                       inbox: &mut Inbox<'_, u64>,
-                       _: &mut crate::program::Outbox<u64>| {
+        let absorb = |st: &mut u64, inbox: &mut Inbox<'_, u64>| {
             for m in inbox.drain(..) {
                 *st = st.wrapping_add(m);
             }
         };
+        fn forward<R: Fn(&Ctx, usize) -> Route>(
+            st: &mut u64,
+            _: &Ctx,
+            inbox: &mut Inbox<'_, u64>,
+            out: &mut crate::program::Slots<'_, u64, R>,
+        ) {
+            for m in inbox.drain(..) {
+                *st = st.wrapping_add(m);
+            }
+            out.send(*st);
+        }
+        let route = move |ctx: &Ctx, _| Route::Data(ctx.vp ^ d);
         // dynamic, planned, planned, dynamic-consume:
         // 3 + (1 + 1) + 1 + 3 = 9 barriers.
-        prog.step(0, "dyn", body);
-        prog.step_oblivious(0, "pl1", 1, move |ctx, _| Route::Data(ctx.vp ^ d), body);
-        prog.step_oblivious(0, "pl2", 1, move |ctx, _| Route::Data(ctx.vp ^ d), body);
-        prog.step(0, "consume", consume);
+        prog.step(0, "dyn", move |st, ctx, inbox, out| {
+            absorb(st, inbox);
+            out.send(ctx.vp ^ d, *st);
+        });
+        prog.step_oblivious(0, "pl1", 1, route, forward);
+        prog.step_oblivious(0, "pl2", 1, route, forward);
+        prog.step(0, "consume", move |st, _, inbox, _| absorb(st, inbox));
         let mut states: Vec<u64> = (0..v as u64).collect();
         let (b, _) = run_counting(&prog, &mut states, 2, &RunOptions::default());
         assert_eq!(b, 9, "prepare pipelining must skip the extra barrier between planned steps");
@@ -1933,7 +1860,7 @@ mod tests {
     #[test]
     fn vp_panics_exit_the_gang_in_lockstep_at_every_width() {
         let v = 8usize;
-        let boom = |_: &mut u64, ctx: &Ctx, _: &mut Inbox<'_, u64>, _: &mut crate::program::Outbox<u64>| {
+        let explode = |ctx: &Ctx| {
             if ctx.vp == 5 {
                 panic!("vp exploded");
             }
@@ -1943,7 +1870,7 @@ mod tests {
         // Dynamic protocol: the panic settles before the flush barrier, so
         // the whole gang exits at round 1 — no matter the width.
         let mut dynamic: Program<u64, u64> = Program::new(v, v);
-        dynamic.step(0, "boom", boom);
+        dynamic.step(0, "boom", move |_, ctx, _, _| explode(ctx));
         for w in [2usize, 4, 8] {
             let mut states = vec![0u64; v];
             let (rounds, _, outcome) = run_raw(&dynamic, &mut states, w, &RunOptions::default());
@@ -1957,7 +1884,7 @@ mod tests {
         // step for healthy peers to wait at, and every worker leaves
         // without ever touching the barrier.
         let mut planned: Program<u64, u64> = Program::new(v, v);
-        planned.step_oblivious(0, "boom", 0, |_, _| Route::End, boom);
+        planned.step_oblivious(0, "boom", 0, |_, _| Route::End, move |_, ctx, _, _| explode(ctx));
         for w in [2usize, 4, 8] {
             let mut states = vec![0u64; v];
             let (rounds, _, outcome) = run_raw(&planned, &mut states, w, &RunOptions::default());

@@ -14,7 +14,7 @@
 //! reservation), end-of-run trace materialization, and whatever libtest's
 //! other threads allocate meanwhile.
 
-use nob_machine::{run, Ctx, PlanFallback, Program, RunOptions};
+use nob_machine::{run, Ctx, Program, RunOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -365,40 +365,6 @@ fn log_collecting_runs_allocate_one_entry_per_recorded_superstep() {
 }
 
 #[test]
-fn dynamic_fallback_on_unplanned_programs_does_not_clone_states() {
-    let _serial = serial();
-    // `PlanFallback::Dynamic` clones the pristine states up front so a
-    // failed planned attempt can be retried from scratch — but the
-    // insurance is only bought when a planned step exists to fail. A fully
-    // dynamic program (zero planned steps) must have an allocation profile
-    // identical to the default policy's.
-    let v = 1 << 8;
-    let count_run = |fallback: PlanFallback| -> usize {
-        let prog = counting_butterfly_silent(v, 8);
-        assert_eq!(prog.planned_steps(), 0, "fixture must be fully dynamic");
-        let states: Vec<u64> = (0..v as u64).collect();
-        let opts = RunOptions {
-            parallel: false,
-            validate: false,
-            plan_fallback: fallback,
-            ..Default::default()
-        };
-        ALLOCS.store(0, Ordering::SeqCst);
-        arm();
-        let res = run(&prog, states, &opts).unwrap();
-        disarm();
-        assert!(res.fallback.is_none(), "nothing to fall back from");
-        ALLOCS.load(Ordering::SeqCst)
-    };
-    let _ = count_run(PlanFallback::Fail);
-    assert_eq!(
-        count_run(PlanFallback::Dynamic),
-        count_run(PlanFallback::Fail),
-        "arming fallback on an unplanned program must not clone the states",
-    );
-}
-
-#[test]
 fn warm_server_jobs_do_not_allocate_across_jobs() {
     use nob_machine::server::{JobServer, JobSpec, ProgramSource, ServerConfig, ShapeKey};
     use nob_machine::Route;
@@ -463,7 +429,7 @@ fn warm_server_jobs_do_not_allocate_across_jobs() {
                     *st = st.wrapping_add(m);
                 }
                 if !last {
-                    out.send(ctx.vp ^ d, *st);
+                    out.send(*st);
                 }
             },
         );
@@ -528,7 +494,7 @@ fn planned_butterfly_armed(
                     *st = st.wrapping_add(m);
                 }
                 if !last {
-                    out.send(ctx.vp ^ d, *st);
+                    out.send(*st);
                 }
             },
         );
@@ -551,12 +517,12 @@ fn planned_butterfly_silent(v: usize, rounds: usize, trailing_dynamic: bool) -> 
             "bfly-planned",
             if last { 0 } else { 1 },
             move |ctx, _| Route::Data(ctx.vp ^ d),
-            move |st, ctx, inbox, out| {
+            move |st, _, inbox, out| {
                 for m in inbox.drain(..) {
                     *st = st.wrapping_add(m);
                 }
                 if !last {
-                    out.send(ctx.vp ^ d, *st);
+                    out.send(*st);
                 }
             },
         );

@@ -49,9 +49,9 @@ fn mixed_program() -> Program<u64, u64> {
         "pl-b",
         1,
         |ctx, _| Route::Data(ctx.vp ^ 8),
-        move |st, ctx, inbox, out| {
+        move |st, _, inbox, out| {
             fold(st, inbox);
-            out.send(ctx.vp ^ 8, *st + 2);
+            out.send(*st + 2);
         },
     );
     prog.step_oblivious(
@@ -59,9 +59,9 @@ fn mixed_program() -> Program<u64, u64> {
         "pl-c",
         1,
         |ctx, _| Route::Data(ctx.vp ^ 4),
-        move |st, ctx, inbox, out| {
+        move |st, _, inbox, out| {
             fold(st, inbox);
-            out.send(ctx.vp ^ 4, *st + 3);
+            out.send(*st + 3);
         },
     );
     prog.step_oblivious(
@@ -69,9 +69,9 @@ fn mixed_program() -> Program<u64, u64> {
         "fu-d",
         1,
         |ctx, _| Route::Data(ctx.vp ^ 1),
-        move |st, ctx, inbox, out| {
+        move |st, _, inbox, out| {
             fold(st, inbox);
-            out.send(ctx.vp ^ 1, *st + 4);
+            out.send(*st + 4);
         },
     );
     prog.step_oblivious(
@@ -79,9 +79,9 @@ fn mixed_program() -> Program<u64, u64> {
         "fu-e",
         1,
         |ctx, _| Route::Data(ctx.vp ^ 1),
-        move |st, ctx, inbox, out| {
+        move |st, _, inbox, out| {
             fold(st, inbox);
-            out.send(ctx.vp ^ 1, *st + 5);
+            out.send(*st + 5);
         },
     );
     prog.step(0, "dyn-f", move |st, _, inbox, _| fold(st, inbox));
@@ -107,7 +107,6 @@ fn assert_clean(got: &RunResult<u64>, want: &RunResult<u64>, what: &str) {
     assert_eq!(got.states, want.states, "{what}: states contaminated");
     assert_eq!(got.trace, want.trace, "{what}: trace contaminated");
     assert_eq!(got.message_log, want.message_log, "{what}: log contaminated");
-    assert!(got.fallback.is_none(), "{what}: spurious fallback");
 }
 
 /// Drives one injected run and checks invariants 1 and 3.

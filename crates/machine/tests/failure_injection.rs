@@ -100,28 +100,31 @@ fn validation_off_really_skips_the_checks() {
 /// A body that panics mid-VP on the planned path is attributed to its VP —
 /// serial and sharded, fused and unfused, whether the step's kernel inlines
 /// a declared body or runs a captured one boxed. The planned path runs a
-/// chunk over a copy of the engine's outbox, so this holds only if the copy
-/// goes back before the engine asks which VP unwound.
+/// chunk over a copy of the engine's direct writer, so this holds only if
+/// the copy goes back before the engine asks which VP unwound.
 #[test]
 fn a_panic_on_the_planned_path_names_its_vp() {
     use nob_machine::Route;
     let v = 64usize;
     // State: whether this VP panics. Every VP sends first, so the writer is
     // mid-VP when VP 37 unwinds.
-    let body = |st: &mut bool, ctx: &nob_machine::Ctx, _: &mut nob_machine::Inbox<'_, u8>,
-                out: &mut nob_machine::Outbox<u8>| {
-        out.send(ctx.vp ^ 1, 7);
+    let give_up = |st: &bool, ctx: &nob_machine::Ctx| {
         if *st {
             panic!("vp {} gave up", ctx.vp);
         }
     };
+    let route = |ctx: &nob_machine::Ctx, _| Route::Data(ctx.vp ^ 1);
     let mut declared: Program<bool, u8> = Program::new(v, v);
-    declared.step_oblivious(0, "warm-up", 1, |ctx, _| Route::Data(ctx.vp ^ 1), |_, ctx, _, out| {
-        out.send(ctx.vp ^ 1, 1)
+    declared.step_oblivious(0, "warm-up", 1, route, |_, _, _, out| out.send(1));
+    declared.step_oblivious(0, "boom", 1, route, move |st, ctx, _, out| {
+        out.send(7);
+        give_up(st, ctx);
     });
-    declared.step_oblivious(0, "boom", 1, |ctx, _| Route::Data(ctx.vp ^ 1), body);
     let mut captured: Program<bool, u8> = Program::new(v, v);
-    captured.step(0, "boom", body);
+    captured.step(0, "boom", move |st, ctx, _, out| {
+        out.send(ctx.vp ^ 1, 7);
+        give_up(st, ctx);
+    });
     assert_eq!(captured.capture_plans(vec![false; v]).unwrap(), 1);
 
     let mut states = vec![false; v];

@@ -3,16 +3,33 @@
 //! compile-proven cluster constraint, direct-write scatter) must be
 //! **bit-for-bit indistinguishable** from dynamic execution — states, trace
 //! and raw message log, at full granularity and every folding, on the serial
-//! and the sharded path — and a mis-declared route must be rejected under
-//! validation instead of silently corrupting metrics.
+//! and the sharded path — and a body that breaks its declaration must be
+//! rejected instead of silently corrupting metrics.
 //!
-//! Validation compares a route *digest*, so the second half of this file
-//! holds it to an independent oracle: the exact per-send lockstep walk of
-//! the declared route, which lives only here.
+//! A declared body says what it sends, never where: its writer fills the
+//! VP's next declared payload slot, and the engine emits the declared
+//! dummies. So of the ways a body's sends could once leave its declaration,
+//! these no longer type-check:
+//!
+//! * a payload to another VP than the route names;
+//! * two neighbouring VPs trading payload destinations;
+//! * two VPs in different halves of the machine trading destinations;
+//! * one VP's sends in another order;
+//! * a payload sent as a dummy;
+//! * a dummy sent as a payload;
+//! * a declared dummy left out;
+//! * a dummy the route does not declare.
+//!
+//! What a body can still get wrong is *how many* payloads it sends, or it
+//! can panic. The second half of this file generates those divergences from
+//! random slot tables and holds every path to the exact error, with the
+//! lockstep walk of the declared route (`walk_next`) as the oracle.
+//!
+//! [`StepPlan`]: nob_machine::StepPlan
 
 use nob_core::ModelError;
 use nob_machine::reference::{run_folded_reference, run_reference};
-use nob_machine::{run, run_folded, Ctx, Program, Route, RunOptions};
+use nob_machine::{run, run_folded, Ctx, Inbox, Program, Route, RunOptions};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -24,6 +41,13 @@ fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+/// Folds every delivered message into the state.
+fn absorb(st: &mut u64, inbox: &mut Inbox<'_, u64>) {
+    for m in inbox.drain(..) {
+        *st = st.wrapping_mul(31).wrapping_add(m);
+    }
 }
 
 /// The declared slot of VP `vp` at index `k` for a step descriptor:
@@ -42,45 +66,41 @@ fn slot(v: usize, label: u32, seed: u64, fanout: u8, vp: usize, k: usize) -> Rou
 }
 
 /// Builds the program twice from the same descriptors: once with plans
-/// declared (`oblivious = true`), once purely dynamic. Identical SPMD
-/// semantics by construction.
+/// declared (`oblivious = true`), once purely dynamic, sending to the
+/// declared destinations itself. Identical SPMD semantics by construction.
 fn build_program(v: usize, steps: &[(u32, u64, u8)], oblivious: bool) -> Program<u64, u64> {
     let mut prog: Program<u64, u64> = Program::new(v, v);
     let log_v = prog.log_v();
     for &(raw_label, seed, fanout) in steps {
         let label = raw_label % log_v.max(1);
-        let body = move |st: &mut u64,
-                         ctx: &Ctx,
-                         inbox: &mut nob_machine::Inbox<'_, u64>,
-                         out: &mut nob_machine::Outbox<u64>| {
-            for m in inbox.drain(..) {
-                *st = st.wrapping_mul(31).wrapping_add(m);
-            }
-            for k in 0..=fanout as usize {
-                match slot(ctx.v, label, seed, fanout, ctx.vp, k) {
-                    Route::Data(dst) => out.send(dst, *st ^ mix(seed.wrapping_add(k as u64))),
-                    Route::Dummy(dst) => out.send_dummy(dst),
-                    Route::Skip | Route::End => {}
-                }
-            }
-        };
+        let payload = move |st: u64, k: usize| st ^ mix(seed.wrapping_add(k as u64));
         if oblivious {
             prog.step_oblivious(
                 label,
                 "random-planned",
                 fanout as usize + 1,
                 move |ctx, k| slot(ctx.v, label, seed, fanout, ctx.vp, k),
-                body,
+                move |st, _, inbox, out| {
+                    absorb(st, inbox);
+                    for k in 0..fanout as usize {
+                        out.send(payload(*st, k));
+                    }
+                },
             );
         } else {
-            prog.step(label, "random-dynamic", body);
+            prog.step(label, "random-dynamic", move |st, ctx, inbox, out| {
+                absorb(st, inbox);
+                for k in 0..=fanout as usize {
+                    match slot(ctx.v, label, seed, fanout, ctx.vp, k) {
+                        Route::Data(dst) => out.send(dst, payload(*st, k)),
+                        Route::Dummy(dst) => out.send_dummy(dst),
+                        Route::Skip | Route::End => {}
+                    }
+                }
+            });
         }
     }
-    prog.step(log_v - 1, "consume", |st, _ctx, inbox, _out| {
-        for m in inbox.drain(..) {
-            *st = st.wrapping_mul(31).wrapping_add(m);
-        }
-    });
+    prog.step(log_v - 1, "consume", |st, _ctx, inbox, _out| absorb(st, inbox));
     prog
 }
 
@@ -157,106 +177,100 @@ proptest! {
         }
     }
 
-    /// A deliberately mis-declared route — the closure sends to a cyclic
-    /// perturbation of every declared destination — is rejected under
-    /// validation on every execution path (serial direct write, and the
-    /// sharded direct cross-shard scatter at p ∈ {2, 4, 8}), never
-    /// silently executed; the gang exits the reduced one-barrier protocol
-    /// in lockstep with a [`nob_core::ModelError::PlanMismatch`], not a
-    /// hang, a panic or memory corruption.
+    /// A body that sends one payload more than its route declares, on one
+    /// VP, is rejected with the exact error on every path — serial direct
+    /// write, the sharded direct cross-shard scatter at p ∈ {2, 4, 8}, the
+    /// staged dynamic path — under validation and without it; the gang
+    /// exits in lockstep with a [`nob_core::ModelError::PlanMismatch`], not
+    /// a hang, a panic or memory corruption.
     #[test]
     fn misdeclared_routes_are_rejected_under_validation(
-        (v, mut steps) in arb_steps(),
+        (v, steps) in arb_steps(),
         step_seed in any::<u64>(),
     ) {
-        // Ensure at least one payload message exists to mis-declare.
-        steps[0].2 = steps[0].2.max(1);
         let (raw_label, _, fanout) = steps[0];
         let mut prog: Program<u64, u64> = Program::new(v, v);
         let log_v = prog.log_v();
         let label = raw_label % log_v.max(1);
         let seed = step_seed;
+        let greedy = step_seed as usize % v;
         prog.step_oblivious(
             label,
-            "perturbed",
+            "overfull",
             fanout as usize + 1,
             move |ctx, k| slot(ctx.v, label, seed, fanout, ctx.vp, k),
             move |_st, ctx, _inbox, out| {
-                let cluster = ctx.v >> label;
-                let base = ctx.vp - ctx.vp % cluster;
-                for k in 0..=fanout as usize {
-                    match slot(ctx.v, label, seed, fanout, ctx.vp, k) {
-                        // Shift every declared destination by one within the
-                        // cluster: guaranteed different (cluster ≥ 2).
-                        Route::Data(dst) => {
-                            out.send(base + (dst - base + 1) % cluster, 7)
-                        }
-                        Route::Dummy(dst) => out.send_dummy(dst),
-                        Route::Skip | Route::End => {}
-                    }
+                let extra = usize::from(ctx.vp == greedy);
+                for _ in 0..fanout as usize + extra {
+                    out.send(7);
                 }
             },
         );
+        let want = ModelError::PlanMismatch {
+            step: "overfull",
+            vp: greedy,
+            reason: "more payload messages than the route declares",
+        };
         let states: Vec<u64> = vec![0; v];
         for w in [1usize, 2, 4, 8] {
-            let opts = RunOptions { workers: Some(w), ..Default::default() };
-            let err = run(&prog, states.clone(), &opts)
-                .expect_err("mis-declared route must be rejected under validation");
-            prop_assert!(
-                matches!(err, nob_core::ModelError::PlanMismatch { .. }),
-                "unexpected error at {} workers: {:?}", w, err
-            );
+            for (validate, use_plans) in [(true, true), (false, true), (true, false)] {
+                let opts =
+                    RunOptions { workers: Some(w), validate, use_plans, ..Default::default() };
+                let err = run(&prog, states.clone(), &opts)
+                    .expect_err("an extra payload must be rejected");
+                prop_assert_eq!(
+                    &err, &want,
+                    "at {} workers, validate = {}, plans = {}", w, validate, use_plans
+                );
+            }
         }
     }
 
-    /// A route whose closure escapes the declared shard cluster on the
-    /// cross-shard direct-write path is caught by the writer's span check
-    /// as a [`nob_core::ModelError::PlanMismatch`] — never a stale-window
-    /// write — even with validation (and thus the route digest) off.
+    /// A captured route whose replay escapes the shard cluster it recorded
+    /// is caught as a [`nob_core::ModelError::PlanMismatch`] before the
+    /// send is written — never a stale-window write — with validation on
+    /// or off. (A declared body cannot escape: its destinations are its
+    /// route's, proven cluster-legal at compile time.)
     #[test]
     fn cross_shard_escape_is_plan_mismatch_not_memory_corruption(
         lg in 2u32..6,
         validate in any::<bool>(),
     ) {
         let v = 1usize << lg;
+        let escape = Arc::new(AtomicBool::new(false));
         let mut prog: Program<u64, u64> = Program::new(v, v);
-        // Declared: a shard-local self-send (label log_v - 1 keeps every
-        // cluster inside one shard at w >= 2). Actual: VP 0 sends across
-        // the machine's bisection — outside the declared cluster span.
-        let label = lg - 1;
-        prog.step_oblivious(
-            label,
-            "escapee",
-            1,
-            |ctx, _| Route::Data(ctx.vp),
-            |_st, ctx, _inbox, out| {
-                if ctx.vp == 0 {
-                    out.send(ctx.v - 1, 13);
-                } else {
-                    out.send(ctx.vp, 13);
-                }
-            },
-        );
+        // Captured: a shard-local self-send (label log_v - 1 keeps every
+        // cluster inside one shard at w >= 2). Replayed: VP 0 sends across
+        // the machine's bisection — outside the captured cluster span.
+        let flag = Arc::clone(&escape);
+        prog.step(lg - 1, "escapee", move |_st, ctx, _inbox, out| {
+            let far = ctx.vp == 0 && flag.load(Ordering::Relaxed);
+            out.send(if far { ctx.v - 1 } else { ctx.vp }, 13);
+        });
         let states: Vec<u64> = vec![0; v];
+        prop_assert_eq!(prog.capture_plans(states.clone()).unwrap(), 1);
+        escape.store(true, Ordering::Relaxed);
+        let want = ModelError::PlanMismatch {
+            step: "escapee",
+            vp: 0,
+            reason: "sends disagree with the captured route",
+        };
         for w in [2usize, 4] {
             let opts = RunOptions { validate, workers: Some(w), ..Default::default() };
             let err = run(&prog, states.clone(), &opts)
                 .expect_err("cluster-escaping send must be rejected");
-            prop_assert!(
-                matches!(err, nob_core::ModelError::PlanMismatch { .. }),
-                "unexpected error at {} workers (validate = {}): {:?}", w, validate, err
-            );
+            prop_assert_eq!(&err, &want, "at {} workers (validate = {})", w, validate);
         }
     }
 }
 
-// --- Validation against an independent oracle ------------------------------
+// --- Representable divergences against the slot-walk oracle ----------------
 
-/// The exact check validation replaced: one step of a lockstep walk of a
-/// VP's declared route. Advances `k` past [`Route::Skip`] holes to the next
-/// declared send and returns it as `(dst, is_data)`, or `None` once the
-/// declaration is exhausted (`k` reaches `out_degree` or the route returns
-/// [`Route::End`]).
+/// One step of a lockstep walk of a VP's declared route — the walk the
+/// declared writer makes. Advances `k` past [`Route::Skip`] holes to the
+/// next declared send and returns it as `(dst, is_data)`, or `None` once
+/// the declaration is exhausted (`k` reaches `out_degree` or the route
+/// returns [`Route::End`]).
 fn walk_next(
     route: &dyn Fn(&Ctx, usize) -> Route,
     ctx: &Ctx,
@@ -304,21 +318,21 @@ fn walk_next_skips_and_finishes() {
     assert_eq!(k, 3, "the walk is finished, not paused");
 }
 
-/// Every VP's send sequence for one superstep, `(dst, is_data)` in order.
-type Sends = Vec<Vec<(usize, bool)>>;
-
-/// The oracle's view of a declared slot table: each VP's walk to the end.
-fn walk_all(slots: &[Vec<Route>]) -> Sends {
+/// The destinations of every VP's declared payloads, in slot order: the
+/// oracle's walk of a slot table to the end, dummies skipped.
+fn payloads(slots: &[Vec<Route>]) -> Vec<Vec<usize>> {
     let v = slots.len();
     let route = |ctx: &Ctx, k: usize| slots[ctx.vp][k];
     (0..v)
         .map(|vp| {
             let ctx = Ctx { vp, v, log_v: v.ilog2(), n: v };
-            let (mut k, mut seq) = (0, Vec::new());
-            while let Some(send) = walk_next(&route, &ctx, &mut k, slots[vp].len()) {
-                seq.push(send);
+            let (mut k, mut dsts) = (0, Vec::new());
+            while let Some((dst, data)) = walk_next(&route, &ctx, &mut k, slots[vp].len()) {
+                if data {
+                    dsts.push(dst);
+                }
             }
-            seq
+            dsts
         })
         .collect()
 }
@@ -357,105 +371,96 @@ fn random_slots(rng: &mut TestRng, v: usize, label: u32, out_degree: usize) -> V
         .collect()
 }
 
-/// The ways a closure's sends can leave its declaration that only the
-/// exact per-send walk — and now the digest — used to catch.
+/// The divergences a declared body can still commit.
 #[derive(Debug, Clone, Copy)]
 enum Divergence {
     Honest,
-    /// One payload to another VP of the same cluster.
-    WrongDst,
-    /// Two neighbouring VPs (`a`, `a ^ 1`) trade payload destinations:
-    /// every per-destination count is unchanged.
-    SwapNeighbours,
-    /// VPs `a` and `a + v/2` — two shards at every width ≥ 2 — trade
-    /// payload destinations (in a 0-superstep, so both stay legal).
-    SwapAcrossHalves,
-    /// A VP's first two sends in the other order.
-    SwapWithinVp,
-    DataAsDummy,
-    DummyAsData,
-    DropDummy,
-    AddDummy,
+    /// One VP sends one payload more than it declares.
+    OneTooMany,
+    /// One VP with a declared payload leaves its last one unsent.
+    OneTooFew,
+    /// A VP that declares no payload sends one.
+    FromSilentVp,
+    /// One VP panics after its first send (or before any, if it declares
+    /// none), mid-walk.
+    Panic,
 }
 
-const DIVERGENCES: [Divergence; 9] = [
+const DIVERGENCES: [Divergence; 5] = [
     Divergence::Honest,
-    Divergence::WrongDst,
-    Divergence::SwapNeighbours,
-    Divergence::SwapAcrossHalves,
-    Divergence::SwapWithinVp,
-    Divergence::DataAsDummy,
-    Divergence::DummyAsData,
-    Divergence::DropDummy,
-    Divergence::AddDummy,
+    Divergence::OneTooMany,
+    Divergence::OneTooFew,
+    Divergence::FromSilentVp,
+    Divergence::Panic,
 ];
 
-/// Applies `kind` to the first VP (scanning cyclically from `start`) whose
-/// sends have the shape it needs; a table with no such VP is left honest —
-/// the oracle, not this function, decides whether the sends diverge.
-fn inject(kind: Divergence, sends: &mut Sends, label: u32, start: usize) {
-    let v = sends.len();
-    let first_data = |seq: &[(usize, bool)]| seq.iter().position(|s| s.1);
-    let first_dummy = |seq: &[(usize, bool)]| seq.iter().position(|s| !s.1);
-    let swap_first_payloads = |sends: &mut Sends, a: usize, b: usize| {
-        if let (Some(i), Some(j)) = (first_data(&sends[a]), first_data(&sends[b])) {
-            let (da, db) = (sends[a][i].0, sends[b][j].0);
-            sends[a][i].0 = db;
-            sends[b][j].0 = da;
-            return true;
-        }
-        false
-    };
-    for vp in (0..v).map(|i| (start + i) % v) {
-        let seq = &mut sends[vp];
-        let done = match kind {
-            Divergence::Honest => true,
-            Divergence::WrongDst => first_data(seq).is_some_and(|i| {
-                let cluster = v >> label;
-                let base = vp - vp % cluster;
-                seq[i].0 = base + (seq[i].0 - base + 1) % cluster;
-                true
-            }),
-            Divergence::SwapNeighbours => swap_first_payloads(sends, vp, vp ^ 1),
-            Divergence::SwapAcrossHalves => {
-                let a = vp % (v / 2);
-                swap_first_payloads(sends, a, a + v / 2)
-            }
-            Divergence::SwapWithinVp => {
-                seq.len() >= 2 && {
-                    seq.swap(0, 1);
-                    true
-                }
-            }
-            Divergence::DataAsDummy => first_data(seq).is_some_and(|i| {
-                seq[i].1 = false;
-                true
-            }),
-            Divergence::DummyAsData => first_dummy(seq).is_some_and(|i| {
-                seq[i].1 = true;
-                true
-            }),
-            Divergence::DropDummy => first_dummy(seq).is_some_and(|i| {
-                seq.remove(i);
-                true
-            }),
-            Divergence::AddDummy => {
-                seq.push((vp, false));
-                true
-            }
-        };
-        if done {
-            return;
-        }
-    }
+/// What the body of one step does, per VP: how many payloads it sends, and
+/// which VP (if any) panics.
+struct Replay {
+    sends: Vec<usize>,
+    panics: Option<usize>,
 }
 
-/// A program of declared steps whose closures replay `actual` instead of
-/// the declaration, plus a planned consuming step.
-fn replay_program(v: usize, steps: Vec<(u32, Vec<Vec<Route>>, Sends)>) -> Program<u64, u64> {
+/// The error a run must fail with, if the divergence was applied: a
+/// planned step and a staged one (dynamic path, reference engine) name the
+/// same VP but for one case — a payload left unsent, which a planned step
+/// finds at the destination it starved and a staged one at the sender.
+struct Verdict {
+    planned: ModelError,
+    staged: ModelError,
+}
+
+/// Applies `kind` to the first VP (scanning cyclically from `start`) whose
+/// declaration has the shape it needs; a table with no such VP is left
+/// honest. Returns the body's replay and, if something diverged, the
+/// verdict.
+fn inject(kind: Divergence, declared: &[Vec<usize>], start: usize) -> (Replay, Option<Verdict>) {
+    let v = declared.len();
+    let mut replay = Replay { sends: declared.iter().map(Vec::len).collect(), panics: None };
+    let mismatch = |vp: usize, reason: &'static str| ModelError::PlanMismatch {
+        step: "replayed",
+        vp,
+        reason,
+    };
+    let same = |e: ModelError| Some(Verdict { planned: e.clone(), staged: e });
+    let vp_where = |shape: &dyn Fn(&[usize]) -> bool| {
+        (0..v).map(|i| (start + i) % v).find(|&vp| shape(&declared[vp]))
+    };
+    let verdict = match kind {
+        Divergence::Honest => None,
+        Divergence::OneTooMany | Divergence::FromSilentVp => {
+            let silent = matches!(kind, Divergence::FromSilentVp);
+            vp_where(&|d| !silent || d.is_empty()).and_then(|vp| {
+                replay.sends[vp] += 1;
+                same(mismatch(vp, "more payload messages than the route declares"))
+            })
+        }
+        Divergence::OneTooFew => vp_where(&|d| !d.is_empty()).map(|vp| {
+            replay.sends[vp] -= 1;
+            let starved = *declared[vp].last().expect("a declared payload");
+            Verdict {
+                planned: mismatch(
+                    starved,
+                    "destination received fewer payload messages than the route declares",
+                ),
+                staged: mismatch(vp, "fewer payload messages than the route declares"),
+            }
+        }),
+        Divergence::Panic => {
+            let vp = start % v;
+            replay.panics = Some(vp);
+            same(ModelError::VpPanic { step: "replayed", vp, payload: format!("vp {vp} gave up") })
+        }
+    };
+    (replay, verdict)
+}
+
+/// A program of declared steps whose bodies follow `replay` instead of the
+/// declaration, plus a planned consuming step.
+fn replay_program(v: usize, steps: Vec<(u32, Vec<Vec<Route>>, Replay)>) -> Program<u64, u64> {
     let mut prog: Program<u64, u64> = Program::new(v, v);
     let log_v = prog.log_v();
-    for (label, slots, actual) in steps {
+    for (label, slots, replay) in steps {
         let out_degree = slots[0].len();
         let slots = Arc::new(slots);
         prog.step_oblivious(
@@ -464,23 +469,22 @@ fn replay_program(v: usize, steps: Vec<(u32, Vec<Vec<Route>>, Sends)>) -> Progra
             out_degree,
             move |ctx, k| slots[ctx.vp][k],
             move |st, ctx, inbox, out| {
-                for m in inbox.drain(..) {
-                    *st = st.wrapping_mul(31).wrapping_add(m);
-                }
-                for (j, &(dst, data)) in actual[ctx.vp].iter().enumerate() {
-                    if data {
-                        out.send(dst, *st ^ mix(j as u64 + 1));
-                    } else {
-                        out.send_dummy(dst);
+                absorb(st, inbox);
+                let panics = replay.panics == Some(ctx.vp);
+                for j in 0..replay.sends[ctx.vp] {
+                    out.send(*st ^ mix(j as u64 + 1));
+                    if panics {
+                        panic!("vp {} gave up", ctx.vp);
                     }
+                }
+                if panics {
+                    panic!("vp {} gave up", ctx.vp);
                 }
             },
         );
     }
     prog.step_oblivious(log_v - 1, "consume", 0, |_, _| Route::End, |st, _ctx, inbox, _out| {
-        for m in inbox.drain(..) {
-            *st = st.wrapping_mul(31).wrapping_add(m);
-        }
+        absorb(st, inbox)
     });
     prog
 }
@@ -488,67 +492,71 @@ fn replay_program(v: usize, steps: Vec<(u32, Vec<Vec<Route>>, Sends)>) -> Progra
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(144))]
 
-    /// Validation ≡ the exact lockstep walk. Random declared programs —
-    /// `Skip` holes, `End`s, dummies, fused and cross-shard steps — with one
-    /// divergence of each kind injected into one step. A validated run, at
-    /// widths 1, 2 and 4 with fusion on and off and folded, fails with a
-    /// `PlanMismatch` exactly when the oracle's walk of the declared route
-    /// disagrees with the closure's sends; otherwise it equals the
-    /// reference engine bit for bit.
+    /// Random declared programs — `Skip` holes, `End`s, dummies, fused and
+    /// cross-shard steps — with one representable divergence injected into
+    /// one step. On every path — widths 1, 2 and 4, fusion on and off,
+    /// validation on and off, plans off, folded at p ∈ {2, v/2}, and the
+    /// reference engines — a divergent run fails with exactly the error
+    /// the slot-walk oracle predicts; an honest one equals the reference
+    /// engine bit for bit, dummies at their declared positions included.
     #[test]
-    fn validation_rejects_exactly_what_the_lockstep_walk_rejects(
+    fn representable_divergences_are_rejected_exactly_on_every_path(
         log_v in 2u32..6,
         n_steps in 1usize..4,
         seed in any::<u64>(),
-        which in 0usize..9,
+        which in 0usize..5,
     ) {
         let v = 1usize << log_v;
         let kind = DIVERGENCES[which];
         let mut rng = TestRng::new(seed);
         let bad = rng.below(n_steps as u64) as usize;
         let mut steps = Vec::new();
-        let mut diverges = false;
+        let mut verdict = None;
         for t in 0..n_steps {
-            let label = match kind {
-                // Only a 0-superstep lets two halves of the machine trade
-                // destinations legally.
-                Divergence::SwapAcrossHalves if t == bad => 0,
-                _ => rng.below(u64::from(log_v)) as u32,
-            };
+            let label = rng.below(u64::from(log_v)) as u32;
             let out_degree = 1 + rng.below(4) as usize;
             let slots = random_slots(&mut rng, v, label, out_degree);
-            let declared = walk_all(&slots);
-            let mut actual = declared.clone();
-            if t == bad {
-                inject(kind, &mut actual, label, rng.below(v as u64) as usize);
-            }
-            diverges |= actual != declared;
-            steps.push((label, slots, actual));
+            let start = rng.below(v as u64) as usize;
+            let honest = if t == bad { kind } else { Divergence::Honest };
+            let (replay, diverged) = inject(honest, &payloads(&slots), start);
+            verdict = verdict.or(diverged);
+            steps.push((label, slots, replay));
         }
         let prog = replay_program(v, steps);
         let states: Vec<u64> = (0..v as u64).map(|x| x * 7 + 3).collect();
-        let check = |what: &str, got: Result<nob_machine::RunResult<u64>, ModelError>,
-                     want: &dyn Fn() -> nob_machine::RunResult<u64>| {
-            if diverges {
-                prop_assert!(
-                    matches!(got, Err(ModelError::PlanMismatch { step: "replayed", .. })),
-                    "{:?} must be rejected ({}): {:?}", kind, what, got.map(|r| r.states)
-                );
-            } else {
-                let got = got.map_err(|e| TestCaseError::Fail(format!("{what}: {e:?}")))?;
-                let want = want();
-                prop_assert_eq!(&got.states, &want.states, "{} states", what);
-                prop_assert_eq!(&got.trace, &want.trace, "{} trace", what);
-                prop_assert_eq!(&got.message_log, &want.message_log, "{} log", what);
+        type Outcome = Result<nob_machine::RunResult<u64>, ModelError>;
+        let check = |what: &str, planned: bool, got: Outcome, want: &dyn Fn() -> Outcome| {
+            match &verdict {
+                Some(verdict) => {
+                    let err = if planned { &verdict.planned } else { &verdict.staged };
+                    prop_assert_eq!(got.as_ref().err(), Some(err), "{:?} ({})", kind, what);
+                }
+                None => {
+                    let got = got.map_err(|e| TestCaseError::Fail(format!("{what}: {e:?}")))?;
+                    let want = want().map_err(|e| TestCaseError::Fail(format!("{what}: {e:?}")))?;
+                    prop_assert_eq!(&got.states, &want.states, "{} states", what);
+                    prop_assert_eq!(&got.trace, &want.trace, "{} trace", what);
+                    prop_assert_eq!(&got.message_log, &want.message_log, "{} log", what);
+                }
             }
             Ok(())
         };
+        let base = RunOptions::with_log();
+        // The reference engine reports mismatches too (a panic it lets
+        // unwind).
+        if let Some(verdict) = verdict.as_ref().filter(|_| !matches!(kind, Divergence::Panic)) {
+            let got = run_reference(&prog, states.clone(), &base).err();
+            prop_assert_eq!(got.as_ref(), Some(&verdict.staged), "{:?} (reference)", kind);
+        }
         for w in [1usize, 2, 4] {
-            for fuse in [true, false] {
-                let opts = RunOptions { workers: Some(w), fuse, ..RunOptions::with_log() };
-                let what = format!("w = {w}, fuse = {fuse}");
-                check(&what, run(&prog, states.clone(), &opts), &|| {
-                    run_reference(&prog, states.clone(), &opts).unwrap()
+            for (fuse, validate, use_plans) in
+                [(true, true, true), (false, true, true), (true, false, true), (true, true, false)]
+            {
+                let opts =
+                    RunOptions { workers: Some(w), fuse, validate, use_plans, ..base.clone() };
+                let what = format!("w = {w}, fuse {fuse}, validate {validate}, plans {use_plans}");
+                check(&what, use_plans, run(&prog, states.clone(), &opts), &|| {
+                    run_reference(&prog, states.clone(), &opts)
                 })?;
             }
             for p in [2, v / 2] {
@@ -556,18 +564,18 @@ proptest! {
                 // above compare logs.
                 let opts = RunOptions { workers: Some(w), ..RunOptions::default() };
                 let what = format!("folded p = {p}, w = {w}");
-                check(&what, run_folded(&prog, states.clone(), p, &opts), &|| {
-                    run_folded_reference(&prog, states.clone(), p, &opts).unwrap()
+                check(&what, true, run_folded(&prog, states.clone(), p, &opts), &|| {
+                    run_folded_reference(&prog, states.clone(), p, &opts)
                 })?;
             }
         }
     }
 }
 
-// --- Leak, not drop: a rejected arena under validation ----------------------
+// --- Leak, not drop: a rejected arena ----------------------------------------
 
 /// Payload ids of [`leak_not_drop_under_validation`]: `0..V` for the honest
-/// step's messages, `V..3V` for the mis-declared step's.
+/// step's messages, `V..3V` for the short step's.
 const LEAK_V: usize = 16;
 static DROPS: [AtomicU8; 3 * LEAK_V] = [const { AtomicU8::new(0) }; 3 * LEAK_V];
 /// Set by a drop that finds no live payload where one should be.
@@ -600,11 +608,11 @@ impl Drop for Counted {
     }
 }
 
-/// Under validation a send only the digest rejects has already been
-/// written into its bounded slot, so the whole arena of the rejected step
-/// is full when the run aborts. It must be leaked — never committed,
-/// dropped or read — on the serial writer (width 1) and the cross-shard
-/// writer (width 2: the step crosses the bisection), while the honest
+/// A step whose one VP leaves a payload slot unsent has written every
+/// other payload into its bounded slot when the run aborts, so its arena is
+/// full but one. It must be leaked — never committed, dropped or read — on
+/// the serial writer (width 1) and the cross-shard writer (width 2: the
+/// step crosses the bisection), with validation on or off, while the honest
 /// step's payloads are each dropped exactly once.
 #[test]
 fn leak_not_drop_under_validation() {
@@ -615,19 +623,20 @@ fn leak_not_drop_under_validation() {
         "honest",
         1,
         |ctx, _| Route::Data(ctx.vp ^ 1),
-        |_, ctx, _, out| out.send(ctx.vp ^ 1, Counted::new(ctx.vp)),
+        |_, ctx, _, out| out.send(Counted::new(ctx.vp)),
     );
-    // Declared: across the bisection, then to itself. Sent: the other way
-    // round — same destinations, same counts, only the order differs.
+    // Declared: across the bisection, then to itself. VP 5 stops short.
     prog.step_oblivious(
         0,
-        "swapped",
+        "short",
         2,
         move |ctx, k| Route::Data(if k == 0 { ctx.vp ^ (v / 2) } else { ctx.vp }),
         move |_, ctx, inbox, out| {
             inbox.clear();
-            out.send(ctx.vp, Counted::new(v + 2 * ctx.vp));
-            out.send(ctx.vp ^ (v / 2), Counted::new(v + 2 * ctx.vp + 1));
+            out.send(Counted::new(v + 2 * ctx.vp));
+            if ctx.vp != 5 {
+                out.send(Counted::new(v + 2 * ctx.vp + 1));
+            }
         },
     );
     prog.step(0, "after", |_, _, inbox, _| {
@@ -636,19 +645,27 @@ fn leak_not_drop_under_validation() {
         }
     });
     for w in [1usize, 2] {
-        for d in &DROPS {
-            d.store(0, Ordering::SeqCst);
+        for validate in [true, false] {
+            for d in &DROPS {
+                d.store(0, Ordering::SeqCst);
+            }
+            let opts = RunOptions { workers: Some(w), validate, ..RunOptions::default() };
+            let err = run(&prog, vec![0; v], &opts).expect_err("a short VP must be rejected");
+            let what = format!("w = {w}, validate = {validate}");
+            assert_eq!(
+                err,
+                ModelError::PlanMismatch {
+                    step: "short",
+                    vp: 5,
+                    reason: "destination received fewer payload messages than the route declares",
+                },
+                "{what}"
+            );
+            let drops: Vec<u8> = DROPS.iter().map(|d| d.load(Ordering::SeqCst)).collect();
+            assert!(drops[..v].iter().all(|&d| d == 1), "{what}: honest payloads {drops:?}");
+            assert!(drops[v..].iter().all(|&d| d == 0), "{what}: rejected payloads {drops:?}");
+            assert!(!GARBAGE_DROP.load(Ordering::SeqCst), "{what}: a drop read a dead slot");
+            assert!(!READ_AFTER_ABORT.load(Ordering::SeqCst), "{what}: read after the abort");
         }
-        let opts = RunOptions { workers: Some(w), ..RunOptions::default() };
-        let err = run(&prog, vec![0; v], &opts).expect_err("order swap must be rejected");
-        assert!(
-            matches!(err, ModelError::PlanMismatch { step: "swapped", .. }),
-            "w = {w}: {err:?}"
-        );
-        let drops: Vec<u8> = DROPS.iter().map(|d| d.load(Ordering::SeqCst)).collect();
-        assert!(drops[..v].iter().all(|&d| d == 1), "w = {w}: honest payloads {drops:?}");
-        assert!(drops[v..].iter().all(|&d| d == 0), "w = {w}: rejected payloads {drops:?}");
-        assert!(!GARBAGE_DROP.load(Ordering::SeqCst), "w = {w}: a drop read a dead slot");
-        assert!(!READ_AFTER_ABORT.load(Ordering::SeqCst), "w = {w}: read after the abort");
     }
 }

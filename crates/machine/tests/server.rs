@@ -12,7 +12,7 @@ use nob_machine::plan::Route;
 use nob_machine::server::{
     JobOptions, JobServer, JobSpec, ProgramSource, ServerConfig, ShapeKey,
 };
-use nob_machine::{run, PlanFallback, Program, RunOptions};
+use nob_machine::{run, Program, RunOptions};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -39,11 +39,11 @@ fn butterfly(v: usize) -> Program<u64, u64> {
             "bfly",
             1,
             move |ctx, _| Route::Data(ctx.vp ^ bit),
-            move |st, ctx, inbox, out| {
+            move |st, _, inbox, out| {
                 for m in inbox.drain(..) {
                     *st = st.wrapping_mul(31).wrapping_add(m);
                 }
-                out.send(ctx.vp ^ bit, *st ^ bit as u64);
+                out.send(*st ^ bit as u64);
             },
         );
     }
@@ -105,7 +105,6 @@ fn server_matches_run_cold_and_warm() {
             .unwrap();
         assert_eq!(res.states, want.states, "round {round} states");
         assert_eq!(res.trace.as_ref(), Some(&want.trace), "round {round} trace");
-        assert!(res.fallback.is_none());
     }
     let stats = srv.stats();
     assert_eq!(stats.completed, 3);
@@ -237,9 +236,8 @@ fn mismatched_states_length_fails_the_job_not_the_server() {
 }
 
 /// A cached captured entry whose program has drifted is *detected* on the
-/// warm hit — a structured `PlanMismatch` under validation, a transparent
-/// dynamic re-run under `PlanFallback::Dynamic` — and either way the gang
-/// serves the next job cleanly.
+/// warm hit — a structured `PlanMismatch`, with validation on or off — and
+/// the gang serves the next job cleanly.
 #[test]
 fn stale_captured_hit_degrades_structurally() {
     let v = 32;
@@ -254,7 +252,8 @@ fn stale_captured_hit_degrades_structurally() {
         .unwrap()
         .wait()
         .unwrap();
-    assert!(first.fallback.is_none());
+    let live = run(&poisonable(v, &flag), states.clone(), &RunOptions::default()).unwrap();
+    assert_eq!(first.states, live.states);
 
     // The program's behavior drifts out from under the cache entry.
     flag.store(true, Ordering::Relaxed);
@@ -268,23 +267,17 @@ fn stale_captured_hit_degrades_structurally() {
         .expect_err("stale capture must be rejected");
     assert!(matches!(err, ModelError::PlanMismatch { .. }), "got {err:?}");
 
-    // Non-validated warm hit under Dynamic fallback: completes with the
-    // live behavior and records the abandoned attempt.
-    let live = run(&poisonable(v, &flag), states.clone(), &RunOptions::default()).unwrap();
-    let mut fb_spec = spec.clone();
-    fb_spec.opts = JobOptions {
-        validate: false,
-        plan_fallback: PlanFallback::Dynamic,
-        ..JobOptions::default()
-    };
+    // Non-validated warm hit: the replay compares every send with the
+    // captured table whatever the options, so it is rejected the same way.
+    let mut noval = spec.clone();
+    noval.opts = JobOptions { validate: false, ..JobOptions::default() };
     let f2 = Arc::clone(&flag);
-    let res = srv
-        .submit_captured(fb_spec, states.clone(), move || poisonable(v, &f2))
+    let err = srv
+        .submit_captured(noval, states.clone(), move || poisonable(v, &f2))
         .unwrap()
         .wait()
-        .unwrap();
-    assert!(matches!(res.fallback, Some(ModelError::PlanMismatch { .. })));
-    assert_eq!(res.states, live.states, "degraded run executes live behavior");
+        .expect_err("stale capture must be rejected without validation too");
+    assert!(matches!(err, ModelError::PlanMismatch { .. }), "got {err:?}");
 
     // The gang is still serviceable for an unrelated program.
     let clean = seed_states(64, 5);

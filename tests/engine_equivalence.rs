@@ -164,45 +164,40 @@ where
     }
 }
 
-/// `Outbox::len` mid-VP reads the same on every path: a declared step whose
-/// body records `out.len()` between its sends (into its own state and into
-/// the payloads it sends) must leave identical states, traces and logs
-/// whether it runs through its planned kernel — serial or sharded, fused or
-/// not, folded — on the dynamic path, or on the reference engine.
+/// `Outbox::len` mid-VP reads the same on every path: a [`Program::step`]
+/// body that records `out.len()` between its sends (into its own state and
+/// into the payloads it sends) must leave identical states, traces and logs
+/// on the dynamic path — serial or sharded, validated or not, folded — on
+/// the reference engine, and replayed from its captured plans through the
+/// planned kernels, fused or not. (A declared body's writer has no `len`:
+/// it sends into its route's slots.)
 #[test]
 fn outbox_len_mid_vp_reads_alike_on_every_path() {
     let v = 32usize;
-    let mut prog: Program<Vec<usize>, usize> = Program::new(v, v);
-    let half = v / 2;
-    // Slots: a payload to the neighbour, a wiseness dummy across the
-    // bisection, a payload to the next VP — odd VPs skip the dummy.
-    let route = move |ctx: &network_oblivious::machine::Ctx, k: usize| match k {
-        0 => Route::Data(ctx.vp ^ 1),
-        1 if ctx.vp % 2 == 1 => Route::Skip,
-        1 => Route::Dummy(ctx.vp ^ half),
-        _ => Route::Data((ctx.vp + 1) % v),
-    };
-    let body = move |st: &mut Vec<usize>,
-                     ctx: &network_oblivious::machine::Ctx,
-                     inbox: &mut network_oblivious::machine::Inbox<'_, usize>,
-                     out: &mut network_oblivious::machine::Outbox<usize>| {
-        st.extend(inbox.drain(..));
-        st.push(out.len());
-        out.send(ctx.vp ^ 1, out.len());
-        if ctx.vp.is_multiple_of(2) {
-            out.send_dummy(ctx.vp ^ half);
+    let build = || {
+        let mut prog: Program<Vec<usize>, usize> = Program::new(v, v);
+        // A payload to the neighbour, a wiseness dummy across the bisection
+        // (even VPs only), a payload to the next VP.
+        for _ in 0..3 {
+            prog.step(0, "len", move |st, ctx, inbox, out| {
+                st.extend(inbox.drain(..));
+                st.push(out.len());
+                out.send(ctx.vp ^ 1, out.len());
+                if ctx.vp.is_multiple_of(2) {
+                    out.send_dummy(ctx.vp ^ (v / 2));
+                }
+                st.push(out.len());
+                out.send((ctx.vp + 1) % v, 10 + out.len());
+                st.push(out.len());
+            });
         }
-        st.push(out.len());
-        out.send((ctx.vp + 1) % v, 10 + out.len());
-        st.push(out.len());
+        prog.step(0, "drain", |st, _, inbox, out| {
+            st.extend(inbox.drain(..));
+            st.push(out.len());
+        });
+        prog
     };
-    for _ in 0..3 {
-        prog.step_oblivious(0, "len", 3, route, body);
-    }
-    prog.step_oblivious(0, "drain", 0, |_, _| Route::End, move |st, _, inbox, out| {
-        st.extend(inbox.drain(..));
-        st.push(out.len());
-    });
+    let (prog, mut captured) = (build(), build());
     let states = vec![Vec::new(); v];
     let logged = RunOptions::with_log();
     let want = run_reference(&prog, states.clone(), &logged).unwrap();
@@ -210,12 +205,88 @@ fn outbox_len_mid_vp_reads_alike_on_every_path() {
     // payloads — the lengths read on the sending side.
     assert_eq!(&want.states[0][..6], &[0, 2, 3, 0, 11, 0]);
     assert_eq!(&want.states[1][..6], &[0, 1, 2, 0, 12, 0]);
-    for opts in [
+    let paths = [
         logged.clone(),
-        RunOptions { use_plans: false, ..RunOptions::with_log() },
         RunOptions { fuse: false, ..RunOptions::with_log() },
         RunOptions { workers: Some(2), ..RunOptions::with_log() },
         RunOptions { workers: Some(4), fuse: false, ..RunOptions::with_log() },
+        RunOptions { workers: Some(4), validate: false, ..RunOptions::with_log() },
+    ];
+    assert_eq!(captured.capture_plans(states.clone()).unwrap(), 4);
+    for prog in [&prog, &captured] {
+        for opts in &paths {
+            let got = run(prog, states.clone(), opts).unwrap();
+            assert_eq!(got.states, want.states, "states under {opts:?}");
+            assert_eq!(got.trace, want.trace, "trace under {opts:?}");
+            assert_eq!(got.message_log, want.message_log, "log under {opts:?}");
+        }
+        for w in [1usize, 4] {
+            let opts = RunOptions { workers: Some(w), ..Default::default() };
+            let folded = run_folded(prog, states.clone(), 4, &opts).unwrap();
+            let legacy = run_folded_reference(prog, states.clone(), 4, &opts).unwrap();
+            assert_eq!(folded.states, want.states, "folded states at {w} workers");
+            assert_eq!(folded.trace, legacy.trace, "folded trace at {w} workers");
+        }
+    }
+}
+
+/// A declared body never sends a dummy: the engine emits the route's, at
+/// their declared positions among the payloads, on every path. A route
+/// that interleaves `Data`, `Dummy`, `Skip` and `End` slots — a dummy
+/// before a payload, a VP that ends after one payload, one that only sends
+/// dummies — leaves the same states, trace and message log (dummies
+/// included) on the reference engine, the dynamic path, the serial planned
+/// path fused and not, the sharded one at widths 2 and 4 with validation on
+/// and off, and folded at p = 4; and the log shows where each dummy went.
+#[test]
+fn declared_dummies_land_at_their_slot_positions_on_every_path() {
+    use network_oblivious::machine::Ctx;
+    let v = 16usize;
+    let route = move |ctx: &Ctx, k: usize| match (ctx.vp, k) {
+        (3, 0) => Route::Dummy(2),
+        (3, 1) => Route::Dummy(11),
+        (3, _) => Route::End,
+        (vp, 0) if vp % 2 == 0 => Route::Dummy(vp ^ 8),
+        (_, 0) | (_, 2) => Route::Skip,
+        (vp, 1) => Route::Data(vp ^ 1),
+        (vp, 3) if vp % 4 == 1 => Route::End,
+        (vp, 3) => Route::Dummy((vp + 3) % v),
+        (vp, _) => Route::Data((vp + 5) % v),
+    };
+    let mut prog: Program<Vec<(usize, usize)>, (usize, usize)> = Program::new(v, v);
+    for _ in 0..3 {
+        prog.step_oblivious(0, "interleaved", 5, route, |st, ctx, inbox, out| {
+            st.extend(inbox.drain(..));
+            let payloads = match ctx.vp {
+                3 => 0,
+                vp if vp % 4 == 1 => 1,
+                _ => 2,
+            };
+            for j in 0..payloads {
+                out.send((ctx.vp, j));
+            }
+        });
+    }
+    prog.step_oblivious(0, "record", 0, |_, _| Route::End, |st, _, inbox, _| {
+        st.extend(inbox.drain(..));
+    });
+    let states = vec![Vec::new(); v];
+    let logged = RunOptions::with_log();
+    let want = run_reference(&prog, states.clone(), &logged).unwrap();
+    let log = want.message_log.as_ref().unwrap();
+    assert_eq!(
+        log[0][..11],
+        [(0, 8), (0, 1), (0, 3), (0, 5), (1, 0), (2, 10), (2, 3), (2, 5), (2, 7), (3, 2), (3, 11)],
+        "each VP's dummies sit where its route declares them"
+    );
+    assert_eq!(&want.states[3][..2], &[(2, 0), (14, 1)], "VP 3 sends only dummies, yet hears");
+    for opts in [
+        RunOptions { use_plans: false, ..RunOptions::with_log() },
+        RunOptions { workers: Some(1), ..RunOptions::with_log() },
+        RunOptions { workers: Some(1), fuse: false, ..RunOptions::with_log() },
+        RunOptions { workers: Some(2), ..RunOptions::with_log() },
+        RunOptions { workers: Some(2), validate: false, ..RunOptions::with_log() },
+        RunOptions { workers: Some(4), ..RunOptions::with_log() },
         RunOptions { workers: Some(4), validate: false, ..RunOptions::with_log() },
     ] {
         let got = run(&prog, states.clone(), &opts).unwrap();
@@ -224,7 +295,7 @@ fn outbox_len_mid_vp_reads_alike_on_every_path() {
         assert_eq!(got.message_log, want.message_log, "log under {opts:?}");
     }
     for w in [1usize, 4] {
-        let opts = RunOptions { workers: Some(w), ..Default::default() };
+        let opts = RunOptions { workers: Some(w), ..RunOptions::with_log() };
         let folded = run_folded(&prog, states.clone(), 4, &opts).unwrap();
         let legacy = run_folded_reference(&prog, states.clone(), 4, &opts).unwrap();
         assert_eq!(folded.states, want.states, "folded states at {w} workers");
@@ -251,11 +322,10 @@ fn inbox_order_is_ascending_source_then_send_order_on_every_path() {
         })
     };
     for _ in 0..2 {
-        prog.step_oblivious(0, "tagged", 4, route, move |st, ctx, inbox, out| {
+        prog.step_oblivious(0, "tagged", 4, route, |st, ctx, inbox, out| {
             st.extend(inbox.drain(..));
             for k in 0..4 {
-                let Route::Data(dst) = route(ctx, k) else { unreachable!() };
-                out.send(dst, (ctx.vp, k));
+                out.send((ctx.vp, k));
             }
         });
     }
