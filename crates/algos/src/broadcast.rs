@@ -12,7 +12,7 @@
 //! `GAP = Ω(log σ₂/(log σ₁ + log log σ₂))` of Thm. 4.16 evaluated at
 //! `σ₁ = O(1)`.
 
-use nob_machine::{NobAlgorithm, Program, Route};
+use nob_machine::{Ctx, NobAlgorithm, Program, Route};
 
 /// Per-VP state: the entry of `V` held by this VP (`Some` once known).
 pub type BroadcastState = Option<u64>;
@@ -54,9 +54,9 @@ impl NobAlgorithm for ObliviousBroadcast {
                 i,
                 "bcast-halve",
                 1,
-                move |ctx, _| {
+                move |ctx: &Ctx, _| {
                     let cluster = ctx.v >> i;
-                    if ctx.vp % cluster == 0 {
+                    if ctx.vp.is_multiple_of(cluster) {
                         Route::Data(ctx.vp + cluster / 2)
                     } else {
                         Route::End
@@ -78,7 +78,7 @@ impl NobAlgorithm for ObliviousBroadcast {
             log_v - 1,
             "bcast-consume",
             0,
-            |_, _| Route::Skip,
+            |_: &Ctx, _| Route::Skip,
             |st, _ctx, inbox, _out| {
                 if let Some(m) = inbox.pop() {
                     *st = Some(m);
@@ -149,8 +149,8 @@ impl NobAlgorithm for AwareBroadcast {
                 label,
                 "bcast-kary",
                 span / next - 1,
-                move |ctx, k| {
-                    if ctx.vp % span == 0 {
+                move |ctx: &Ctx, k| {
+                    if ctx.vp.is_multiple_of(span) {
                         Route::Data(ctx.vp + (k + 1) * next)
                     } else {
                         Route::End
@@ -175,7 +175,7 @@ impl NobAlgorithm for AwareBroadcast {
             log_v - 1,
             "bcast-consume",
             0,
-            |_, _| Route::Skip,
+            |_: &Ctx, _| Route::Skip,
             |st, _ctx, inbox, _out| {
                 if let Some(m) = inbox.pop() {
                     *st = Some(m);

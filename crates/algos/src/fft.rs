@@ -23,7 +23,7 @@
 //! numbers; [`naive_dft`] is the `O(n²)` correctness oracle.
 
 use crate::common::{bit_reverse, ilog2, wiseness_route};
-use nob_machine::{Ctx, Inbox, NobAlgorithm, Program, Route};
+use nob_machine::{Ctx, Inbox, NobAlgorithm, Program, Route, Xor};
 
 /// A double-precision complex number (the FFT value type).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -173,7 +173,7 @@ fn emit_fft(
             log_v - 1,
             "fft-butterfly",
             1,
-            |ctx, _| Route::Data(ctx.vp ^ 1),
+            Xor(1),
             move |st, ctx, inbox, out| {
                 do_pending(st, ctx, inbox, p);
                 out.send(st.val);
@@ -196,7 +196,7 @@ fn emit_fft(
             label,
             "fft-transpose",
             out_degree,
-            move |ctx, k| {
+            move |ctx: &Ctx, k| {
                 if k > 0 {
                     return wiseness_route(ctx, label, 1, k - 1);
                 }
@@ -225,7 +225,7 @@ fn emit_fft(
             label,
             "fft-twiddle",
             out_degree,
-            move |ctx, k| {
+            move |ctx: &Ctx, k| {
                 if k > 0 {
                     return wiseness_route(ctx, label, 1, k - 1);
                 }
@@ -281,7 +281,7 @@ impl NobAlgorithm for RecursiveFft {
             log_v - 1,
             "fft-finalize",
             0,
-            |_, _| Route::Skip,
+            |_: &Ctx, _| Route::Skip,
             move |st, ctx, inbox, _out| {
                 do_pending(st, ctx, inbox, p);
             },
@@ -311,23 +311,34 @@ impl BinaryExchangeFft {
 }
 
 /// Completes the DIF butterfly of the round with stride `d` (block `2d`).
-/// `tw` is the round's precomputed twiddle table (`tw[j] = ω_{2d}^j`,
-/// built once per program by [`twiddle_table`]) — bit-for-bit the values
-/// [`Complex::twiddle`] would produce, without paying `cos`/`sin` per VP
-/// on the execution hot path.
-fn binex_combine(st: &mut FftState, ctx: &Ctx, inbox: &mut Inbox<'_, Complex>, d: usize, tw: &[Complex]) {
-    debug_assert_eq!(tw.len(), d);
+/// `tw` is the program's one twiddle table (`tw[j] = ω_n^j` for `j < n / 2`,
+/// built once per program by [`twiddle_table`]), and the round reads
+/// `ω_{2d}^j = ω_n^{j·n/2d}` at stride `step = n / 2d` — bit-for-bit the
+/// value [`Complex::twiddle`]`(j, 2d)` would produce (the two angles differ
+/// by the power-of-two factor `n / 2d` in numerator and denominator, so
+/// they round alike), without paying `cos`/`sin` per VP on the execution
+/// hot path.
+fn binex_combine(
+    st: &mut FftState,
+    ctx: &Ctx,
+    inbox: &mut Inbox<'_, Complex>,
+    d: usize,
+    step: usize,
+    tw: &[Complex],
+) {
+    debug_assert_eq!(d * step, tw.len());
     let other = inbox.pop().expect("butterfly partner message");
     st.val = if ctx.vp & d == 0 {
         st.val.add(other)
     } else {
-        other.sub(st.val).mul(tw[ctx.vp % d])
+        other.sub(st.val).mul(tw[(ctx.vp & (d - 1)) * step])
     };
 }
 
-/// The stride-`d` round's twiddle table: `tw[j] = ω_{2d}^j` for `j < d`.
-fn twiddle_table(d: usize) -> std::sync::Arc<[Complex]> {
-    (0..d).map(|j| Complex::twiddle(j, 2 * d)).collect()
+/// The twiddle table of an `n`-input binary-exchange FFT, shared by all its
+/// rounds: `tw[j] = ω_n^j` for `j < n / 2`.
+fn twiddle_table(n: usize) -> std::sync::Arc<[Complex]> {
+    (0..n / 2).map(|j| Complex::twiddle(j, n)).collect()
 }
 
 impl NobAlgorithm for BinaryExchangeFft {
@@ -354,34 +365,29 @@ impl NobAlgorithm for BinaryExchangeFft {
         assert!(Self::supports(n), "BinaryExchangeFft supports powers of two, got {n}");
         let mut prog = Program::new(n, n);
         let log_n = prog.log_v();
-        // Round l's combine stride equals round l-1's send stride, so each
-        // round hands its twiddle table to the next step's closure.
-        let mut prev: Option<(usize, std::sync::Arc<[Complex]>)> = None;
+        let tw = twiddle_table(n);
+        // Round l's combine stride equals round l-1's send stride; each
+        // round hands it, with its twiddle step, to the next step's closure.
+        let mut prev: Option<(usize, usize)> = None;
         for l in 0..log_n {
             let d = n >> (l + 1);
-            let combine = prev.take();
-            prog.step_oblivious(
-                l,
-                "binex-round",
-                1,
-                move |ctx, _| Route::Data(ctx.vp ^ d),
-                move |st, ctx, inbox, out| {
-                    if let Some((pd, tw)) = &combine {
-                        binex_combine(st, ctx, inbox, *pd, tw);
-                    }
-                    out.send(st.val);
-                },
-            );
-            prev = Some((d, twiddle_table(d)));
+            let (combine, tw) = (prev.take(), tw.clone());
+            prog.step_oblivious(l, "binex-round", 1, Xor(d), move |st, ctx, inbox, out| {
+                if let Some((pd, step)) = combine {
+                    binex_combine(st, ctx, inbox, pd, step, &tw);
+                }
+                out.send(st.val);
+            });
+            prev = Some((d, n / (2 * d)));
         }
-        let (pd, tw) = prev.expect("log_n >= 1 for supported sizes");
+        let (pd, step) = prev.expect("log_n >= 1 for supported sizes");
         prog.step_oblivious(
             log_n - 1,
             "binex-finalize",
             0,
-            |_, _| Route::Skip,
+            |_: &Ctx, _| Route::Skip,
             move |st, ctx, inbox, _out| {
-                binex_combine(st, ctx, inbox, pd, &tw);
+                binex_combine(st, ctx, inbox, pd, step, &tw);
             },
         );
         prog
@@ -435,6 +441,23 @@ mod tests {
             let (got, _) =
                 execute(&BinaryExchangeFft, n, &xs[..], &RunOptions::default()).unwrap();
             assert_spectra_match(&got, &want, n);
+        }
+    }
+
+    #[test]
+    fn the_shared_twiddle_table_is_every_rounds_table_bit_for_bit() {
+        for n in [1usize << 4, 1 << 10, 1 << 14] {
+            let tw = twiddle_table(n);
+            let mut d = n / 2;
+            while d >= 1 {
+                let step = n / (2 * d);
+                for j in 0..d {
+                    let (got, want) = (tw[j * step], Complex::twiddle(j, 2 * d));
+                    assert_eq!(got.re.to_bits(), want.re.to_bits(), "n {n} d {d} j {j} re");
+                    assert_eq!(got.im.to_bits(), want.im.to_bits(), "n {n} d {d} j {j} im");
+                }
+                d /= 2;
+            }
         }
     }
 

@@ -16,7 +16,7 @@
 use super::MmInput;
 use crate::common::{morton_decode, morton_encode};
 use crate::semiring::{Matrix, Semiring};
-use nob_machine::{Inbox, NobAlgorithm, Program, Route};
+use nob_machine::{Ctx, Inbox, NobAlgorithm, Program, Route};
 use std::marker::PhantomData;
 
 /// Per-VP state: the resident entries (values travel; coordinates are
@@ -106,7 +106,7 @@ impl<V: Semiring> NobAlgorithm for CannonMm<V> {
             0,
             "cannon-skew",
             2,
-            move |ctx, k| {
+            move |ctx: &Ctx, k| {
                 let (i, j) = morton_decode(ctx.vp);
                 if k == 0 {
                     Route::Data(morton_encode(i, (j + s - i % s) % s))
@@ -127,7 +127,7 @@ impl<V: Semiring> NobAlgorithm for CannonMm<V> {
                 0,
                 "cannon-round",
                 if shifts { 2 } else { 0 },
-                move |ctx, k| {
+                move |ctx: &Ctx, k| {
                     let (i, j) = morton_decode(ctx.vp);
                     if k == 0 {
                         Route::Data(morton_encode(i, (j + s - 1) % s))

@@ -450,7 +450,7 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
             log_v - 1,
             "mm-finalize",
             0,
-            |_, _| Route::Skip,
+            |_: &Ctx, _| Route::Skip,
             move |st, _ctx, inbox, _out| {
                 let [m0, m1] = inbox.as_slice() else {
                     unreachable!("C_hk = M_hk0 + M_hk1: two arrivals per VP")

@@ -31,7 +31,7 @@
 //! than Columnsort for `p = n^{Ω(1)}`.
 
 use crate::common::{ilog2, wiseness_route};
-use nob_machine::{Ctx, Inbox, NobAlgorithm, Program, Route};
+use nob_machine::{Ctx, Inbox, NobAlgorithm, Program, Route, Xor};
 
 /// Trait bound bundle for sortable keys.
 pub trait SortKey: Ord + Clone + Send + Sync + Default + std::fmt::Debug + 'static {}
@@ -205,7 +205,7 @@ fn compile_sort<K: SortKey>(
             label,
             "sort-gather",
             1,
-            move |ctx, _| {
+            move |ctx: &Ctx, _| {
                 let base = ctx.vp - ctx.vp % m;
                 if ctx.vp != base {
                     Route::Data(base)
@@ -227,7 +227,7 @@ fn compile_sort<K: SortKey>(
             label,
             "sort-scatter",
             m - 1,
-            move |ctx, k| {
+            move |ctx: &Ctx, k| {
                 let base = ctx.vp - ctx.vp % m;
                 if ctx.vp == base {
                     Route::Data(base + k + 1)
@@ -327,7 +327,7 @@ impl<K: SortKey> NobAlgorithm for ColumnSort<K> {
             log_v - 1,
             "sort-finalize",
             0,
-            |_, _| Route::Skip,
+            |_: &Ctx, _| Route::Skip,
             |st, _ctx, inbox, _out| {
                 ingest_item(st, inbox);
             },
@@ -395,7 +395,7 @@ impl<K: SortKey> NobAlgorithm for BitonicSort<K> {
                     label,
                     "bitonic-exchange",
                     1,
-                    move |ctx, _| Route::Data(ctx.vp ^ (1 << j)),
+                    Xor(1 << j),
                     move |st: &mut K, ctx, inbox, out| {
                         if let Some((pk, pj)) = p {
                             bitonic_combine(st, ctx, inbox, pk, pj);
@@ -411,7 +411,7 @@ impl<K: SortKey> NobAlgorithm for BitonicSort<K> {
             log_n - 1,
             "bitonic-finalize",
             0,
-            |_, _| Route::Skip,
+            |_: &Ctx, _| Route::Skip,
             move |st, ctx, inbox, _out| {
                 if let Some((pk, pj)) = p {
                     bitonic_combine(st, ctx, inbox, pk, pj);

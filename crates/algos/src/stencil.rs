@@ -609,7 +609,7 @@ impl<O: StencilOp> NobAlgorithm for NaiveStencil<O> {
                 0,
                 "naive-step",
                 if sends { 2 } else { 0 },
-                move |ctx, k| {
+                move |ctx: &Ctx, k| {
                     if k == 0 {
                         if ctx.vp > 0 {
                             Route::Data(ctx.vp - 1)

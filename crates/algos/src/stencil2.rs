@@ -698,7 +698,7 @@ impl<O: Stencil2Op> NobAlgorithm for NaiveStencil2<O> {
                 0,
                 "naive2-step",
                 if sends { 8 } else { 0 },
-                move |ctx, k| {
+                move |ctx: &Ctx, k| {
                     let (dx, dy) = OFFS[k];
                     let (x, y) = ((ctx.vp / ctx.n) as i64, (ctx.vp % ctx.n) as i64);
                     let (nx, ny) = (x + dx, y + dy);

@@ -516,6 +516,22 @@ impl StepMetrics {
         StepMetrics { levels: log_v, h_by_fold: zeros.clone(), ext_prefix: zeros, total: 0 }
     }
 
+    /// The metrics of a butterfly exchange on `2^log_v` VPs — every VP sends
+    /// one message to its partner, and partners share their top `prefix ≤
+    /// log_v` bits — in `O(log v)`, without enumerating it: a processor of
+    /// fold `2^j > 2^prefix` sends and receives all `v / 2^j` of its VPs'
+    /// messages across its boundary, and one of a coarser fold none. What a
+    /// [`StepMetricsBuilder`] fed those `v` messages finishes to.
+    pub fn exchange(log_v: u32, prefix: u32) -> Self {
+        let v = 1u64 << log_v;
+        StepMetrics {
+            levels: log_v,
+            h_by_fold: (1..=log_v).map(|j| if j > prefix { v >> j } else { 0 }).collect(),
+            ext_prefix: (1..=log_v).map(|j| if j > prefix { v } else { 0 }).collect(),
+            total: v,
+        }
+    }
+
     /// Fold levels covered.
     #[inline]
     pub fn levels(&self) -> u32 {
@@ -1266,6 +1282,19 @@ mod tests {
     fn silent_step_metrics_are_what_an_unfed_builder_finishes_to() {
         for log_v in [1u32, 2, 5, 8] {
             assert_eq!(StepMetrics::silent(log_v), StepMetricsBuilder::new(log_v).finish());
+        }
+    }
+
+    #[test]
+    fn exchange_step_metrics_are_what_a_builder_fed_the_butterfly_finishes_to() {
+        for log_v in 1u32..=8 {
+            let v = 1usize << log_v;
+            for mask in 0..v {
+                let mut b = StepMetricsBuilder::new(log_v);
+                (0..v).for_each(|vp| b.record(vp, vp ^ mask));
+                let prefix = crate::folding::common_prefix(0, mask, log_v);
+                assert_eq!(StepMetrics::exchange(log_v, prefix), b.finish(), "v {v} mask {mask}");
+            }
         }
     }
 

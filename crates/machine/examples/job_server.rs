@@ -11,12 +11,13 @@
 //! admission rules.
 
 use nob_machine::{
-    JobServer, JobSpec, ProgramSource, Route, ServerConfig, ShapeKey,
+    Ctx, JobServer, JobSpec, ProgramSource, Route, ServerConfig, ShapeKey, Xor,
 };
 use nob_machine::Program;
 
 /// A butterfly all-to-all over `v` virtual processors, declared with
-/// oblivious routes so every superstep carries a compiled plan.
+/// oblivious routes so every superstep carries a compiled plan — each
+/// exchange an [`Xor`] route value, whose plan is computed in closed form.
 fn butterfly(v: usize) -> Program<u64, u64> {
     let mut prog: Program<u64, u64> = Program::new(v, v);
     let log_v = prog.log_v();
@@ -26,7 +27,7 @@ fn butterfly(v: usize) -> Program<u64, u64> {
             l,
             "bfly",
             1,
-            move |ctx, _| Route::Data(ctx.vp ^ d),
+            Xor(d),
             move |st, _ctx, inbox, out| {
                 for m in inbox.drain(..) {
                     *st = st.wrapping_mul(31).wrapping_add(m);
@@ -40,7 +41,7 @@ fn butterfly(v: usize) -> Program<u64, u64> {
         log_v - 1,
         "bfly-consume",
         0,
-        |_, _| Route::End,
+        |_: &Ctx, _| Route::End,
         |st, _ctx, inbox, _out| {
             for m in inbox.drain(..) {
                 *st = st.wrapping_mul(31).wrapping_add(m);

@@ -1149,7 +1149,7 @@ mod tests {
                 l,
                 "bfly",
                 2,
-                move |ctx, k| {
+                move |ctx: &Ctx, k| {
                     if k == 0 {
                         Route::Data(ctx.vp ^ d)
                     } else if ctx.vp < d {
@@ -1171,7 +1171,7 @@ mod tests {
                 }
             });
         }
-        planned.step_oblivious(log_v - 1, "consume", 0, |_, _| Route::Skip, |st, _, inbox, _| {
+        planned.step_oblivious(log_v - 1, "consume", 0, |_: &Ctx, _| Route::Skip, |st, _, inbox, _| {
             absorb(st, inbox)
         });
         dynamic.step(log_v - 1, "consume", |st, _, inbox, _| absorb(st, inbox));
@@ -1224,7 +1224,7 @@ mod tests {
 
     #[test]
     fn misdeclared_route_is_rejected_not_silently_executed() {
-        use crate::plan::Route;
+        use crate::plan::Xor;
         let v = 8usize;
         // The route declares one payload per VP; the body sends two on VP
         // `extra` and none on VP `none`. Neither runs, on any path, with or
@@ -1235,7 +1235,7 @@ mod tests {
                 0,
                 "liar",
                 1,
-                |ctx, _| Route::Data(ctx.vp ^ 1),
+                Xor(1),
                 move |_, ctx, _, out| {
                     if ctx.vp != none {
                         out.send(1);
@@ -1287,11 +1287,11 @@ mod tests {
 
     #[test]
     fn cluster_violating_route_faults_at_compile_and_reports_under_validate() {
-        use crate::plan::Route;
+        use crate::plan::Xor;
         let v = 8usize;
         let mut p: Program<u64, u64> = Program::new(v, v);
         // A label-2 route crossing the bisection: illegal by construction.
-        p.step_oblivious(2, "rogue", 1, |ctx, _| Route::Data(ctx.vp ^ 4), |st, _, inbox, out| {
+        p.step_oblivious(2, "rogue", 1, Xor(4), |st, _, inbox, out| {
             absorb(st, inbox);
             out.send(*st + 1);
         });
@@ -1334,7 +1334,7 @@ mod tests {
     /// planned steps, so scratch the census left out would be missed then.
     #[test]
     fn every_census_branch_matches_the_reference_engine() {
-        use crate::plan::{Route, LAYOUT_TABLE_MAX_V};
+        use crate::plan::{Route, Xor, LAYOUT_TABLE_MAX_V};
         let check = |what: &str, prog: &Program<u64, u64>, opts: &RunOptions| {
             let states: Vec<u64> = (0..prog.v() as u64).map(|x| x * 7 + 1).collect();
             let got = run(prog, states.clone(), opts).unwrap_or_else(|e| panic!("{what}: {e:?}"));
@@ -1365,11 +1365,11 @@ mod tests {
         // A compile-faulted plan (a label-2 route crossing the bisection)
         // falling through to the dynamic body under `validate: false`.
         let (mut rogue, _) = butterfly_pair(v, 5);
-        rogue.step_oblivious(2, "rogue", 1, |ctx, _| Route::Data(ctx.vp ^ 8), |st, _, inbox, out| {
+        rogue.step_oblivious(2, "rogue", 1, Xor(8), |st, _, inbox, out| {
             absorb(st, inbox);
             out.send(*st);
         });
-        rogue.step_oblivious(2, "consume", 0, |_, _| Route::End, |st, _, inbox, _| {
+        rogue.step_oblivious(2, "consume", 0, |_: &Ctx, _| Route::End, |st, _, inbox, _| {
             absorb(st, inbox)
         });
         assert!(rogue.steps()[6].plan().is_some_and(|p| p.fault().is_some()));
@@ -1379,11 +1379,11 @@ mod tests {
         // (`layout() == None`): the one planned step that counts its route.
         let wide = 2 * LAYOUT_TABLE_MAX_V;
         let (mut fan, _) = butterfly_pair(wide, 2);
-        fan.step_oblivious(0, "fan-in", 1, |_, _| Route::Data(0), |st, _, inbox, out| {
+        fan.step_oblivious(0, "fan-in", 1, |_: &Ctx, _| Route::Data(0), |st, _, inbox, out| {
             absorb(st, inbox);
             out.send(*st);
         });
-        fan.step_oblivious(0, "consume", 0, |_, _| Route::End, |st, _, inbox, _| absorb(st, inbox));
+        fan.step_oblivious(0, "consume", 0, |_: &Ctx, _| Route::End, |st, _, inbox, _| absorb(st, inbox));
         let fan_in = fan.steps()[3].plan().expect("declared");
         assert!(fan_in.fault().is_none() && fan_in.layout().is_none());
         check("layout-less fan-in", &fan, &base);

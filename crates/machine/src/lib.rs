@@ -50,9 +50,11 @@
 //!   the next superstep's mailbox arena.
 //! * **Oblivious** ([`program::Program::step_oblivious`]): the paper's
 //!   defining property — a network-oblivious pattern is a *static function
-//!   of the VP index and superstep* — is declared as a route
-//!   (`fn(&Ctx, k) → `[`plan::Route`]) and compiled at build time into a
-//!   [`plan::StepPlan`]: **analytic metrics** (the superstep record is
+//!   of the VP index and superstep* — is declared as a route (a
+//!   [`plan::DeclaredRoute`]: a closure `fn(&Ctx, k) → `[`plan::Route`],
+//!   enumerated once, or a route value such as the butterfly [`plan::Xor`],
+//!   whose plan is computed in closed form) and compiled at build time into
+//!   a [`plan::StepPlan`]: **analytic metrics** (the superstep record is
 //!   emitted in `O(log v)` per run, bit-for-bit identical to the streamed
 //!   counters, at every granularity at once), a **one-time
 //!   cluster-constraint proof** (validated runs skip the per-message
@@ -371,7 +373,7 @@ pub mod traits;
 
 pub use engine::{run, run_folded, RunOptions, RunResult};
 pub use mailbox::Inbox;
-pub use plan::{Route, StepPlan};
+pub use plan::{DeclaredRoute, Route, StepPlan, Xor};
 pub use program::{Ctx, LanePlan, Outbox, Program, Slots, Superstep};
 pub use server::{
     JobOptions, JobResult, JobServer, JobSpec, JobTicket, ProgramSource, ServerConfig,

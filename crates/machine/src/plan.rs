@@ -9,13 +9,15 @@
 //! dynamic. A [`StepPlan`] exploits the declared structure instead:
 //!
 //! * **Analytic metrics** ([`nob_core::metrics::StepMetrics`]): the declared
-//!   route is enumerated **once, at program build time** — three counter
-//!   increments per message (sent, received, and the traffic of the
-//!   lowest fold-tree node the message stays inside) into `3·v` words of
-//!   scratch, then one `O(v)` bottom-up fold; every later execution emits
-//!   the superstep record in `O(log v)`, bit-for-bit identical to what the
-//!   engine's streamed counters would produce (dummies included), at every
-//!   granularity at once.
+//!   route is enumerated **once, at program build time, or computed in
+//!   closed form by a route value** ([`DeclaredRoute`]). Enumeration is
+//!   three counter increments per message (sent, received, and the traffic
+//!   of the lowest fold-tree node the message stays inside) into `3·v` words
+//!   of scratch, then one `O(v)` bottom-up fold; a route value such as the
+//!   butterfly [`Xor`] states the same numbers in `O(log v)`. Every later
+//!   execution emits the superstep record in `O(log v)`, bit-for-bit
+//!   identical to what the engine's streamed counters would produce
+//!   (dummies included), at every granularity at once.
 //! * **A one-time cluster-constraint proof**: every declared `(src, dst)`
 //!   pair is checked against [`message_allowed`] at compile time, so
 //!   validated runs skip the per-message check entirely. A route that
@@ -76,7 +78,7 @@
 //! corrupt memory or metrics.
 
 use crate::program::Ctx;
-use nob_core::folding::message_allowed;
+use nob_core::folding::{common_prefix, message_allowed};
 use nob_core::metrics::{StepMetrics, StepMetricsBuilder};
 use nob_core::ModelError;
 
@@ -182,9 +184,157 @@ pub enum Route {
     End,
 }
 
+/// The declared route of an oblivious superstep
+/// ([`crate::program::Program::step_oblivious`]): slot `k` of each VP, a
+/// static function of the VP index.
+///
+/// Two kinds of value implement it. Every closure `Fn(&Ctx, usize) ->
+/// Route` does, and its plan is compiled by enumerating every slot of every
+/// VP once. A *route value* such as [`Xor`] also knows its plan in closed
+/// form — metrics, payload total, layout, locality and first fault in
+/// `O(log v)` — and compiling it enumerates nothing. The contract is that
+/// the closed form equals, field for field, what enumerating the value's
+/// own [`DeclaredRoute::slot`]s would find, and the trait is sealed so that
+/// no route outside this crate can claim a closed form that disagrees with
+/// its slots.
+///
+/// A closure passed inline names its context type, `|ctx: &Ctx, k| …`:
+/// the compiler infers a closure's signature only from an `Fn` bound.
+pub trait DeclaredRoute: sealed::ClosedForm {
+    /// What VP `ctx.vp` does with its `k`-th send of the superstep.
+    fn slot(&self, ctx: &Ctx, k: usize) -> Route;
+}
+
+impl<F: Fn(&Ctx, usize) -> Route> DeclaredRoute for F {
+    #[inline(always)]
+    fn slot(&self, ctx: &Ctx, k: usize) -> Route {
+        self(ctx, k)
+    }
+}
+
+impl<F: Fn(&Ctx, usize) -> Route> sealed::ClosedForm for F {}
+
+/// The butterfly exchange `vp → vp ⊕ mask`: slot 0 of every VP is a
+/// payload to its partner, every later slot [`Route::End`]. Its plan is
+/// computed in closed form: partners share their top `cp = log v −
+/// bitlen(mask)` bits, so the degree at fold `2^j` is `v / 2^j` for `j >
+/// cp` and 0 below, every destination receives one payload, and a
+/// `label`-superstep faults exactly when `mask ≥ v` or `label > cp`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Xor(pub usize);
+
+impl DeclaredRoute for Xor {
+    #[inline(always)]
+    fn slot(&self, ctx: &Ctx, k: usize) -> Route {
+        if k == 0 {
+            Route::Data(ctx.vp ^ self.0)
+        } else {
+            Route::End
+        }
+    }
+}
+
+impl sealed::ClosedForm for Xor {
+    fn summary(&self, v: usize, log_v: u32, label: u32, _: usize) -> Option<Summary> {
+        let Xor(mask) = *self;
+        // Every VP's one message faults alike, so enumeration stops at VP 0's.
+        if let Some(fault) = message_fault(0, mask, v, log_v, label) {
+            return Some(Summary::faulted(StepMetrics::silent(log_v), 0, fault));
+        }
+        let cp = common_prefix(0, mask, log_v);
+        Some(Summary {
+            metrics: StepMetrics::exchange(log_v, cp),
+            total_data: v as u64,
+            fault: None,
+            min_locality: cp,
+            layout: Some(PlanLayout::Uniform(1)),
+        })
+    }
+
+    fn payloads_per_vp(&self, out_degree: usize) -> Option<u64> {
+        Some(u64::from(out_degree > 0))
+    }
+}
+
+mod sealed {
+    use super::{ModelError, PlanLayout, StepMetrics};
+
+    /// The closed-form half of a [`super::DeclaredRoute`]. Private to this
+    /// crate, which seals the trait: only a route value defined here can
+    /// answer these hooks, and each answer must equal what enumerating the
+    /// value's slots finds.
+    pub trait ClosedForm {
+        /// The plan of this route for a `label`-superstep on `M(v)` with
+        /// `out_degree ≥ 1` slots per VP, or `None` to enumerate it.
+        fn summary(&self, _v: usize, _log_v: u32, _label: u32, _out_degree: usize) -> Option<Summary> {
+            None
+        }
+
+        /// The payloads each VP sends under `out_degree` slots, when it is
+        /// the same for every VP, or `None` to enumerate them.
+        fn payloads_per_vp(&self, _out_degree: usize) -> Option<u64> {
+            None
+        }
+    }
+
+    /// Everything a [`super::StepPlan`] knows about its route (see the
+    /// fields there), enumerated or in closed form.
+    pub struct Summary {
+        pub(crate) metrics: StepMetrics,
+        pub(crate) total_data: u64,
+        pub(crate) fault: Option<ModelError>,
+        pub(crate) min_locality: u32,
+        pub(crate) layout: Option<PlanLayout>,
+    }
+}
+
+use sealed::Summary;
+
+impl Summary {
+    /// A route that declares no message.
+    fn silent(log_v: u32) -> Summary {
+        Summary {
+            metrics: StepMetrics::silent(log_v),
+            total_data: 0,
+            fault: None,
+            min_locality: log_v,
+            layout: Some(PlanLayout::Uniform(0)),
+        }
+    }
+
+    /// A route whose enumeration stopped at `fault`, with the messages
+    /// counted before it: it advertises no locality and no layout.
+    fn faulted(metrics: StepMetrics, total_data: u64, fault: ModelError) -> Summary {
+        Summary { metrics, total_data, fault: Some(fault), min_locality: 0, layout: None }
+    }
+}
+
+/// Why a declared message `src → dst` of a `label`-superstep on `M(v)` may
+/// not be sent, if it may not: a destination out of range, or one outside
+/// the sender's `label`-cluster.
+#[inline]
+pub(crate) fn message_fault(
+    src: usize,
+    dst: usize,
+    v: usize,
+    log_v: u32,
+    label: u32,
+) -> Option<ModelError> {
+    if dst >= v {
+        Some(ModelError::BadParameter {
+            what: "dst",
+            reason: "message destination out of machine range",
+        })
+    } else if !message_allowed(src, dst, log_v, label) {
+        Some(ModelError::ClusterViolation { label, src, dst })
+    } else {
+        None
+    }
+}
+
 /// The dynamic form of a route: object-safe so plans can be stored
 /// per-superstep without generics.
-pub(crate) type RouteDyn = dyn Fn(&Ctx, usize) -> Route + Send + Sync;
+pub(crate) type RouteDyn = dyn DeclaredRoute + Send + Sync;
 
 /// A shared [`RouteDyn`]: the plan enumerates it, and a declared step's
 /// chunk kernel holds the same object with its concrete type.
@@ -238,15 +388,71 @@ impl std::fmt::Debug for StepPlan {
     }
 }
 
+/// Enumerates every declared slot of `route` once: three counter
+/// increments per message into the metrics builder, a per-destination
+/// payload count for the layout, and the cluster-constraint check that
+/// stops at the first fault.
+fn enumerate<R: DeclaredRoute>(
+    v: usize,
+    log_v: u32,
+    n: usize,
+    label: u32,
+    out_degree: usize,
+    route: &R,
+) -> Summary {
+    let mut metrics = StepMetricsBuilder::new(log_v);
+    let mut total_data = 0u64;
+    let mut min_locality = log_v;
+    // Transient per-destination payload counts (compile-time only): feeds
+    // the layout detection, dropped before the plan is stored.
+    let mut counts = vec![0u32; v];
+    let mut counts_ok = true;
+    for vp in 0..v {
+        let ctx = Ctx { vp, v, log_v, n };
+        for k in 0..out_degree {
+            let (dst, data) = match route.slot(&ctx, k) {
+                Route::Data(d) => (d, true),
+                Route::Dummy(d) => (d, false),
+                Route::Skip => continue,
+                Route::End => break,
+            };
+            if let Some(fault) = message_fault(vp, dst, v, log_v, label) {
+                return Summary::faulted(metrics.finish(), total_data, fault);
+            }
+            metrics.record(vp, dst);
+            if data {
+                total_data += 1;
+                match counts[dst].checked_add(1) {
+                    Some(c) => counts[dst] = c,
+                    // Dense beyond the design limit: the counting pass will
+                    // surface the ModelError at run time; just decline to
+                    // summarize the layout.
+                    None => counts_ok = false,
+                }
+                if dst != vp {
+                    min_locality = min_locality.min(log_v - 1 - (vp ^ dst).ilog2());
+                }
+            }
+        }
+    }
+    let (min_locality, layout) = if counts_ok {
+        (min_locality, PlanLayout::detect(&counts, total_data))
+    } else {
+        (0, None)
+    };
+    Summary { metrics: metrics.finish(), total_data, fault: None, min_locality, layout }
+}
+
 impl StepPlan {
-    /// Compiles `route` for an `label`-superstep on `M(v)`: one enumeration
-    /// of the declared multiset produces the analytic metrics, the payload
-    /// total, and the cluster-constraint proof. Generic over the route so
+    /// Compiles `route` for an `label`-superstep on `M(v)`: the analytic
+    /// metrics, the payload total, the layout and the cluster-constraint
+    /// proof, in closed form when the route is a value that has one, else by
+    /// one enumeration of the declared multiset. Generic over the route so
     /// that enumeration runs with it inlined, through a reference the
     /// compiler may assume nothing else writes, so the route's captures are
     /// read once, not once per slot; the plan keeps `shared`, the same
     /// route, for its later enumerations.
-    pub(crate) fn compile<R>(
+    pub(crate) fn compile<R: DeclaredRoute>(
         v: usize,
         log_v: u32,
         n: usize,
@@ -254,75 +460,15 @@ impl StepPlan {
         out_degree: usize,
         route: &R,
         shared: RouteFn,
-    ) -> StepPlan
-    where
-        R: Fn(&Ctx, usize) -> Route,
-    {
+    ) -> StepPlan {
         // A step that declares no message slot (every shipped program ends
         // in one) has nothing to enumerate: no `O(v)` scratch, no scan.
-        if out_degree == 0 {
-            return StepPlan {
-                route: shared,
-                out_degree,
-                v,
-                log_v,
-                n,
-                metrics: StepMetrics::silent(log_v),
-                total_data: 0,
-                fault: None,
-                min_locality: log_v,
-                layout: Some(PlanLayout::Uniform(0)),
-                approx_bytes: std::mem::size_of::<StepPlan>() as u64,
-            };
-        }
-        let mut metrics = StepMetricsBuilder::new(log_v);
-        let mut total_data = 0u64;
-        let mut fault = None;
-        let mut min_locality = log_v;
-        // Transient per-destination payload counts (compile-time only):
-        // feeds the layout detection, dropped before the plan is stored.
-        let mut counts = vec![0u32; v];
-        let mut counts_ok = true;
-        'scan: for vp in 0..v {
-            let ctx = Ctx { vp, v, log_v, n };
-            for k in 0..out_degree {
-                let (dst, data) = match route(&ctx, k) {
-                    Route::Data(d) => (d, true),
-                    Route::Dummy(d) => (d, false),
-                    Route::Skip => continue,
-                    Route::End => break,
-                };
-                if dst >= v {
-                    fault = Some(ModelError::BadParameter {
-                        what: "dst",
-                        reason: "message destination out of machine range",
-                    });
-                    break 'scan;
-                }
-                if !message_allowed(vp, dst, log_v, label) {
-                    fault = Some(ModelError::ClusterViolation { label, src: vp, dst });
-                    break 'scan;
-                }
-                metrics.record(vp, dst);
-                if data {
-                    total_data += 1;
-                    match counts[dst].checked_add(1) {
-                        Some(c) => counts[dst] = c,
-                        // Dense beyond the design limit: the counting pass
-                        // will surface the ModelError at run time; just
-                        // decline to summarize the layout.
-                        None => counts_ok = false,
-                    }
-                    if dst != vp {
-                        min_locality = min_locality.min(log_v - 1 - (vp ^ dst).ilog2());
-                    }
-                }
-            }
-        }
-        let (min_locality, layout) = if fault.is_none() && counts_ok {
-            (min_locality, PlanLayout::detect(&counts, total_data))
+        let Summary { metrics, total_data, fault, min_locality, layout } = if out_degree == 0 {
+            Summary::silent(log_v)
         } else {
-            (0, None)
+            route
+                .summary(v, log_v, label, out_degree)
+                .unwrap_or_else(|| enumerate(v, log_v, n, label, out_degree, route))
         };
         let layout_bytes = match &layout {
             Some(PlanLayout::Table(t)) => (t.len() * std::mem::size_of::<u32>()) as u64,
@@ -334,7 +480,7 @@ impl StepPlan {
             v,
             log_v,
             n,
-            metrics: metrics.finish(),
+            metrics,
             total_data,
             fault,
             min_locality,
@@ -430,6 +576,13 @@ impl StepPlan {
         self.min_locality >= log_shards
     }
 
+    /// The payloads each VP declares, when its route value states one
+    /// count for every VP; `None` for a route that must be enumerated.
+    #[inline]
+    pub(crate) fn payloads_per_vp(&self) -> Option<u64> {
+        self.route.payloads_per_vp(self.out_degree)
+    }
+
     /// Tallies the declared payload messages per destination into `counts`
     /// (the scatter's counting pass — one route call per declared slot, no
     /// staging, no per-message metric work). A route dense enough to
@@ -441,7 +594,7 @@ impl StepPlan {
         for vp in 0..self.v {
             let ctx = Ctx { vp, v: self.v, log_v: self.log_v, n: self.n };
             for k in 0..self.out_degree {
-                match (self.route)(&ctx, k) {
+                match self.route.slot(&ctx, k) {
                     // Compile proved d < v.
                     Route::Data(d) => crate::mailbox::bump_count(&mut counts[d])?,
                     Route::End => break,
@@ -463,7 +616,7 @@ impl StepPlan {
         for vp in vps {
             let ctx = Ctx { vp, v: self.v, log_v: self.log_v, n: self.n };
             for k in 0..self.out_degree {
-                match (self.route)(&ctx, k) {
+                match self.route.slot(&ctx, k) {
                     Route::Data(d) => f(vp, d, true),
                     Route::Dummy(d) => f(vp, d, false),
                     Route::Skip => {}
@@ -484,6 +637,16 @@ mod tests {
         label: u32,
         out_degree: usize,
         route: impl Fn(&Ctx, usize) -> Route + Send + Sync + 'static,
+    ) -> StepPlan {
+        compile_value(v, label, out_degree, route)
+    }
+
+    /// [`compile`] for any declared route, route values included.
+    fn compile_value(
+        v: usize,
+        label: u32,
+        out_degree: usize,
+        route: impl DeclaredRoute + Send + Sync + 'static,
     ) -> StepPlan {
         let route = std::sync::Arc::new(route);
         StepPlan::compile(v, v.ilog2(), v, label, out_degree, &*route, route.clone())
@@ -607,6 +770,58 @@ mod tests {
         assert_eq!(shortcut.metrics().h_prefix(3), [0, 0, 0]);
         assert_eq!(shortcut.min_locality, scanned.min_locality);
         assert_eq!(shortcut.approx_bytes(), scanned.approx_bytes());
+    }
+
+    #[test]
+    fn xor_plans_in_closed_form_equal_their_enumeration() {
+        for log_v in 1u32..=12 {
+            let v = 1usize << log_v;
+            // Every mask below 2v — the ones out of range fault at VP 0 both
+            // ways — up to v = 2^9. Past it, where that many enumerations
+            // take minutes in a debug build, the masks 2^b − 1, 2^b and 2^b
+            // + 1 (in range and out of it) and a spread of others.
+            let masks: Vec<usize> = if log_v <= 9 {
+                (0..2 * v).collect()
+            } else {
+                let forms = (0..=log_v).flat_map(|b| [(1 << b) - 1, 1 << b, (1 << b) + 1]);
+                forms.chain((1..16).map(|i| i * 0x9e37 % (2 * v))).collect()
+            };
+            for mask in masks {
+                let walk = move |ctx: &Ctx, k: usize| {
+                    if k == 0 {
+                        Route::Data(ctx.vp ^ mask)
+                    } else {
+                        Route::End
+                    }
+                };
+                for label in 0..log_v {
+                    for out_degree in 1..=3 {
+                        let closed = compile_value(v, label, out_degree, Xor(mask));
+                        let walked = compile(v, label, out_degree, walk);
+                        let what = format!("v {v} mask {mask} label {label} out_degree {out_degree}");
+                        let (a, b) = (closed.metrics(), walked.metrics());
+                        for l in 1..=log_v {
+                            assert_eq!(a.h_prefix(l), b.h_prefix(l), "{what} L{l}");
+                            for internal in [false, true] {
+                                assert_eq!(a.total_at(l, internal), b.total_at(l, internal), "{what} L{l}");
+                            }
+                        }
+                        assert_eq!(a, b, "{what}");
+                        assert_eq!(closed.total_data(), walked.total_data(), "{what}");
+                        assert_eq!(
+                            format!("{:?}", closed.layout()),
+                            format!("{:?}", walked.layout()),
+                            "{what}"
+                        );
+                        for s in 0..=log_v {
+                            assert_eq!(closed.shard_local(s), walked.shard_local(s), "{what} s {s}");
+                        }
+                        assert_eq!(closed.fault(), walked.fault(), "{what}");
+                        assert_eq!(closed.approx_bytes(), walked.approx_bytes(), "{what}");
+                    }
+                }
+            }
+        }
     }
 
     /// Gather to / scatter from the leader of every `m`-segment — the

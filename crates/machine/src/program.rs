@@ -1,9 +1,8 @@
 //! Static superstep programs: the executable form of an `M(v)` algorithm.
 
 use crate::mailbox::{ChunkStage, DirectSink, Inbox};
-use crate::plan::{Route, RouteFn, StepPlan};
+use crate::plan::{message_fault, DeclaredRoute, Route, RouteFn, StepPlan};
 use crate::shard::lock;
-use nob_core::folding::message_allowed;
 use nob_core::model::log2_exact;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -182,7 +181,7 @@ enum SlotTarget<'a, M> {
     Staged(&'a mut Outbox<M>),
 }
 
-impl<M, R: Fn(&Ctx, usize) -> Route> Slots<'_, M, R> {
+impl<M, R: DeclaredRoute> Slots<'_, M, R> {
     /// Sends `msg` as this VP's next declared payload; it is delivered at
     /// the start of the next superstep.
     #[inline]
@@ -212,7 +211,7 @@ const TOO_FEW: &str = "fewer payload messages than the route declares";
 /// `None` once the declaration is exhausted. The one walk of every
 /// [`Slots`] writer and of the staged body's end.
 #[inline(always)]
-fn next_payload<R: Fn(&Ctx, usize) -> Route>(
+fn next_payload<R: DeclaredRoute>(
     route: &R,
     ctx: &Ctx,
     next: &mut usize,
@@ -222,7 +221,7 @@ fn next_payload<R: Fn(&Ctx, usize) -> Route>(
     while *next < out_degree {
         let k = *next;
         *next += 1;
-        match route(ctx, k) {
+        match route.slot(ctx, k) {
             Route::Data(dst) => return Some(dst),
             Route::Dummy(dst) => dummy(dst),
             Route::Skip => {}
@@ -238,7 +237,7 @@ fn next_payload<R: Fn(&Ctx, usize) -> Route>(
 /// the writer, so a body the kernel does not inline may keep the writer's
 /// fields in registers across its calls.
 #[inline(never)]
-fn stage<M, R: Fn(&Ctx, usize) -> Route>(
+fn stage<M, R: DeclaredRoute>(
     route: &R,
     ctx: Ctx,
     mut next: usize,
@@ -298,7 +297,7 @@ struct DeclaredStep<R, F> {
     out_degree: usize,
 }
 
-impl<R: Fn(&Ctx, usize) -> Route, F> DeclaredStep<R, F> {
+impl<R: DeclaredRoute, F> DeclaredStep<R, F> {
     /// The writer of VP `ctx.vp`, from its first slot on.
     #[inline]
     fn slots<'a, M>(&'a self, ctx: Ctx, to: SlotTarget<'a, M>) -> Slots<'a, M, R> {
@@ -329,7 +328,7 @@ impl<R: Fn(&Ctx, usize) -> Route, F> DeclaredStep<R, F> {
 
 impl<S, M, R, F> ChunkKernel<S, M> for DeclaredStep<R, F>
 where
-    R: Fn(&Ctx, usize) -> Route + Send + Sync,
+    R: DeclaredRoute + Send + Sync,
     F: Fn(&mut S, &Ctx, &mut Inbox<'_, M>, &mut Slots<'_, M, R>) + Send + Sync,
 {
     fn run_chunk(
@@ -369,7 +368,7 @@ impl Captured {
     /// match the captured table; whether all of them did and none of the
     /// table was left unsent. Empties `out` either way.
     fn forward<M>(&self, ctx: &Ctx, out: &mut Outbox<M>, sink: &mut DirectSink<M>) -> bool {
-        let slot = |k: usize| if k < self.out_degree { (self.route)(ctx, k) } else { Route::End };
+        let slot = |k: usize| if k < self.out_degree { self.route.slot(ctx, k) } else { Route::End };
         let sent = out.msgs.len();
         let oob = std::mem::take(&mut out.oob_dst);
         for (k, (dst, env)) in out.msgs.drain(..).enumerate() {
@@ -600,6 +599,13 @@ impl<S, M> Program<S, M> {
     /// cluster-constraint proof, and the layout the engine's direct-write
     /// scatter runs from (see [`crate::plan`]).
     ///
+    /// `route` is any [`DeclaredRoute`]: a closure `|ctx: &Ctx, k| …`, whose
+    /// plan enumerates every slot of every VP once, or a route value such as
+    /// the butterfly [`crate::plan::Xor`], whose plan is computed in closed
+    /// form in `O(log v)`. The closed form equals that enumeration field for
+    /// field — metrics, payload total, layout, locality, first fault — and
+    /// the trait is sealed, so only this crate's route values have one.
+    ///
     /// The body must send **exactly** one payload per declared payload slot
     /// of its VP; one more or one fewer aborts the run with
     /// [`nob_core::ModelError::PlanMismatch`] on every path. Plans can be
@@ -618,7 +624,7 @@ impl<S, M> Program<S, M> {
         exec: F,
     ) -> &mut Self
     where
-        R: Fn(&Ctx, usize) -> Route + Send + Sync + 'static,
+        R: DeclaredRoute + Send + Sync + 'static,
         F: Fn(&mut S, &Ctx, &mut Inbox<'_, M>, &mut Slots<'_, M, R>) + Send + Sync + 'static,
     {
         // allow-panic: documented builder-time contract.
@@ -762,9 +768,10 @@ impl<S, M> Program<S, M> {
     /// without a usable plan) — what the sharded planned path checks each
     /// worker's written total against. It depends only on the plans and the
     /// width, so the route enumeration is paid once per `(distinct plan,
-    /// width)` — an entry sharing an earlier entry's plan copies that row —
-    /// and every later run — a reused program under `run` exactly like a
-    /// warm served job — reads the memo.
+    /// width)` — an entry sharing an earlier entry's plan copies that row,
+    /// and a route value whose VPs all send alike ([`crate::plan::Xor`])
+    /// is not enumerated at all — and every later run — a reused program
+    /// under `run` exactly like a warm served job — reads the memo.
     ///
     /// Trusting it is safe the same way trusting a declared route is: a
     /// row that disagrees with what a run actually sends surfaces as the
@@ -788,9 +795,15 @@ impl<S, M> Program<S, M> {
                 totals.copy_within(first..first + n_shards, row);
                 continue;
             }
+            // A route value that sends alike from every VP needs no walk.
+            let alike = plan.payloads_per_vp();
             for (w, shard) in totals[row..row + n_shards].iter_mut().enumerate() {
-                let vps = w * vps..(w + 1) * vps;
-                plan.for_each_message(vps, |_, _, data| *shard += u64::from(data));
+                match alike {
+                    Some(per_vp) => *shard = per_vp * vps as u64,
+                    None => plan.for_each_message(w * vps..(w + 1) * vps, |_, _, data| {
+                        *shard += u64::from(data)
+                    }),
+                }
             }
         }
         let totals: Arc<[u64]> = totals.into();
@@ -947,19 +960,10 @@ pub(crate) fn validate_outbox<M>(
     v: usize,
     msgs: &[(u32, Envelope<M>)],
 ) -> Result<(), nob_core::ModelError> {
-    for &(dst, _) in msgs {
-        let dst = dst as usize;
-        if dst >= v {
-            return Err(nob_core::ModelError::BadParameter {
-                what: "dst",
-                reason: "message destination out of machine range",
-            });
-        }
-        if !message_allowed(src, dst, log_v, label) {
-            return Err(nob_core::ModelError::ClusterViolation { label, src, dst });
-        }
+    match msgs.iter().find_map(|&(dst, _)| message_fault(src, dst as usize, v, log_v, label)) {
+        Some(fault) => Err(fault),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1035,7 +1039,7 @@ mod tests {
             0,
             "half",
             2,
-            |ctx, k| match (ctx.vp < 4, k) {
+            |ctx: &Ctx, k| match (ctx.vp < 4, k) {
                 (true, 0) => Route::Data(ctx.vp + 4),
                 (true, _) => Route::Dummy(ctx.vp),
                 _ => Route::End,
@@ -1061,6 +1065,32 @@ mod tests {
     }
 
     #[test]
+    fn closed_form_send_totals_equal_the_enumerated_ones() {
+        let v = 16usize;
+        // Out-of-range masks and cluster escapes at label 2 fault, so both
+        // programs leave those rows 0.
+        for mask in 0..2 * v {
+            let mut closed: Program<u64, u64> = Program::new(v, v);
+            let mut walked: Program<u64, u64> = Program::new(v, v);
+            for (label, out_degree) in [(0, 0), (0, 1), (0, 3), (2, 1)] {
+                let xor = crate::plan::Xor(mask);
+                closed.step_oblivious(label, "xor", out_degree, xor, |_, _, _, _| {});
+                let walk = move |ctx: &Ctx, k: usize| {
+                    if k == 0 {
+                        Route::Data(ctx.vp ^ mask)
+                    } else {
+                        Route::End
+                    }
+                };
+                walked.step_oblivious(label, "xor", out_degree, walk, |_, _, _, _| {});
+            }
+            for w in [2, 4, 8] {
+                assert_eq!(closed.send_totals(w), walked.send_totals(w), "mask {mask}, width {w}");
+            }
+        }
+    }
+
+    #[test]
     fn repeat_appends_entries_that_share_their_plans() {
         let v = 8usize;
         let mut p: Program<u64, u64> = Program::new(v, v);
@@ -1070,7 +1100,7 @@ mod tests {
             0,
             "fan-in",
             1,
-            |ctx, _| match ctx.vp % 4 {
+            |ctx: &Ctx, _| match ctx.vp % 4 {
                 0 => Route::End,
                 off => Route::Data(ctx.vp - off),
             },

@@ -1696,7 +1696,7 @@ fn merge_superstep<S, M>(
 mod tests {
     use super::*;
     use crate::mailbox::Inbox;
-    use crate::plan::Route;
+    use crate::plan::{DeclaredRoute, Route, Xor};
 
     /// A fully planned butterfly: every superstep carries a fault-free
     /// communication plan.
@@ -1711,7 +1711,7 @@ mod tests {
                 l,
                 "bfly",
                 if last { 0 } else { 1 },
-                move |ctx, _| Route::Data(ctx.vp ^ d),
+                Xor(d),
                 move |st, _, inbox, out| {
                     for m in inbox.drain(..) {
                         *st = st.wrapping_add(m);
@@ -1831,7 +1831,7 @@ mod tests {
                 *st = st.wrapping_add(m);
             }
         };
-        fn forward<R: Fn(&Ctx, usize) -> Route>(
+        fn forward<R: DeclaredRoute>(
             st: &mut u64,
             _: &Ctx,
             inbox: &mut Inbox<'_, u64>,
@@ -1842,7 +1842,7 @@ mod tests {
             }
             out.send(*st);
         }
-        let route = move |ctx: &Ctx, _| Route::Data(ctx.vp ^ d);
+        let route = Xor(d);
         // dynamic, planned, planned, dynamic-consume:
         // 3 + (1 + 1) + 1 + 3 = 9 barriers.
         prog.step(0, "dyn", move |st, ctx, inbox, out| {
@@ -1884,7 +1884,7 @@ mod tests {
         // step for healthy peers to wait at, and every worker leaves
         // without ever touching the barrier.
         let mut planned: Program<u64, u64> = Program::new(v, v);
-        planned.step_oblivious(0, "boom", 0, |_, _| Route::End, move |_, ctx, _, _| explode(ctx));
+        planned.step_oblivious(0, "boom", 0, |_: &Ctx, _| Route::End, move |_, ctx, _, _| explode(ctx));
         for w in [2usize, 4, 8] {
             let mut states = vec![0u64; v];
             let (rounds, _, outcome) = run_raw(&planned, &mut states, w, &RunOptions::default());

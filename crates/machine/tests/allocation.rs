@@ -367,7 +367,7 @@ fn log_collecting_runs_allocate_one_entry_per_recorded_superstep() {
 #[test]
 fn warm_server_jobs_do_not_allocate_across_jobs() {
     use nob_machine::server::{JobServer, JobSpec, ProgramSource, ServerConfig, ShapeKey};
-    use nob_machine::Route;
+    use nob_machine::Xor;
 
     let _serial = serial();
     // The job server's pooling claim, measured: after the first (cold) job
@@ -405,7 +405,7 @@ fn warm_server_jobs_do_not_allocate_across_jobs() {
             l,
             "bfly-served",
             if last { 0 } else { 1 },
-            move |ctx, _| Route::Data(ctx.vp ^ d),
+            Xor(d),
             move |st, ctx, inbox, out| {
                 if ctx.vp.is_multiple_of(v / SHARDS) {
                     let started = &STARTED[ctx.vp / (v / SHARDS)];
@@ -475,7 +475,7 @@ fn planned_butterfly_armed(
     arm_at: usize,
     shards: usize,
 ) -> Program<u64, u64> {
-    use nob_machine::Route;
+    use nob_machine::Xor;
     let mut prog: Program<u64, u64> = Program::new(v, v);
     let log_v = prog.log_v();
     for r in 0..rounds {
@@ -487,7 +487,7 @@ fn planned_butterfly_armed(
             l,
             "bfly-planned",
             if last { 0 } else { 1 },
-            move |ctx, _| Route::Data(ctx.vp ^ d),
+            Xor(d),
             move |st, ctx, inbox, out| {
                 window_hook(ctx, shards, arm, last);
                 for m in inbox.drain(..) {
@@ -505,7 +505,7 @@ fn planned_butterfly_armed(
 /// [`planned_butterfly_armed`] without the in-closure arming (the caller
 /// measures the whole run), optionally followed by one silent plan-less step.
 fn planned_butterfly_silent(v: usize, rounds: usize, trailing_dynamic: bool) -> Program<u64, u64> {
-    use nob_machine::Route;
+    use nob_machine::Xor;
     let mut prog: Program<u64, u64> = Program::new(v, v);
     let log_v = prog.log_v();
     for r in 0..rounds {
@@ -516,7 +516,7 @@ fn planned_butterfly_silent(v: usize, rounds: usize, trailing_dynamic: bool) -> 
             l,
             "bfly-planned",
             if last { 0 } else { 1 },
-            move |ctx, _| Route::Data(ctx.vp ^ d),
+            Xor(d),
             move |st, _, inbox, out| {
                 for m in inbox.drain(..) {
                     *st = st.wrapping_add(m);

@@ -188,14 +188,14 @@ fn stale_capture_is_rejected_as_plan_mismatch() {
 /// the capture, would surface as a `PlanMismatch`.
 #[test]
 fn send_totals_memo_tracks_width_and_capture() {
-    use nob_machine::Route;
+    use nob_machine::Xor;
     let v = 64;
     let mut prog = build_dynamic(v, &[(0, 7, 2), (1, 11, 1)]);
     prog.step_oblivious(
         0,
         "declared",
         1,
-        move |ctx, _| Route::Data(ctx.vp ^ (v / 2)),
+        Xor(v / 2),
         |st, _, inbox, out| {
             for m in inbox.drain(..) {
                 *st = st.wrapping_mul(31).wrapping_add(m);
@@ -231,7 +231,7 @@ fn send_totals_memo_tracks_width_and_capture() {
 /// Entries that already carry a plan, shared or not, are left untouched.
 #[test]
 fn capture_plans_each_occurrence_of_a_repeated_step_on_its_own() {
-    use nob_machine::Route;
+    use nob_machine::Xor;
     let v = 32;
     // Entries 0–2 are value-dependent (the last only consumes).
     let mut prog = build_dynamic(v, &[(0, 3, 2), (1, 5, 1)]);
@@ -239,7 +239,7 @@ fn capture_plans_each_occurrence_of_a_repeated_step_on_its_own() {
         0,
         "declared",
         1,
-        |ctx, _| Route::Data(ctx.vp ^ 1),
+        Xor(1),
         |st, _, inbox, out| {
             for m in inbox.drain(..) {
                 *st = st.wrapping_mul(31).wrapping_add(m);

@@ -23,7 +23,7 @@
 
 use nob_core::fault::{FaultKind, FaultPlan};
 use nob_core::ModelError;
-use nob_machine::plan::Route;
+use nob_machine::plan::Xor;
 use nob_machine::{run, Program, RunOptions, RunResult};
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,7 +48,7 @@ fn mixed_program() -> Program<u64, u64> {
         0,
         "pl-b",
         1,
-        |ctx, _| Route::Data(ctx.vp ^ 8),
+        Xor(8),
         move |st, _, inbox, out| {
             fold(st, inbox);
             out.send(*st + 2);
@@ -58,7 +58,7 @@ fn mixed_program() -> Program<u64, u64> {
         0,
         "pl-c",
         1,
-        |ctx, _| Route::Data(ctx.vp ^ 4),
+        Xor(4),
         move |st, _, inbox, out| {
             fold(st, inbox);
             out.send(*st + 3);
@@ -68,7 +68,7 @@ fn mixed_program() -> Program<u64, u64> {
         3,
         "fu-d",
         1,
-        |ctx, _| Route::Data(ctx.vp ^ 1),
+        Xor(1),
         move |st, _, inbox, out| {
             fold(st, inbox);
             out.send(*st + 4);
@@ -78,7 +78,7 @@ fn mixed_program() -> Program<u64, u64> {
         3,
         "fu-e",
         1,
-        |ctx, _| Route::Data(ctx.vp ^ 1),
+        Xor(1),
         move |st, _, inbox, out| {
             fold(st, inbox);
             out.send(*st + 5);

@@ -104,7 +104,7 @@ fn validation_off_really_skips_the_checks() {
 /// the copy goes back before the engine asks which VP unwound.
 #[test]
 fn a_panic_on_the_planned_path_names_its_vp() {
-    use nob_machine::Route;
+    use nob_machine::Xor;
     let v = 64usize;
     // State: whether this VP panics. Every VP sends first, so the writer is
     // mid-VP when VP 37 unwinds.
@@ -113,7 +113,7 @@ fn a_panic_on_the_planned_path_names_its_vp() {
             panic!("vp {} gave up", ctx.vp);
         }
     };
-    let route = |ctx: &nob_machine::Ctx, _| Route::Data(ctx.vp ^ 1);
+    let route = Xor(1);
     let mut declared: Program<bool, u8> = Program::new(v, v);
     declared.step_oblivious(0, "warm-up", 1, route, |_, _, _, out| out.send(1));
     declared.step_oblivious(0, "boom", 1, route, move |st, ctx, _, out| {

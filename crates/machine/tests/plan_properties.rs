@@ -29,7 +29,7 @@
 
 use nob_core::ModelError;
 use nob_machine::reference::{run_folded_reference, run_reference};
-use nob_machine::{run, run_folded, Ctx, Inbox, Program, Route, RunOptions};
+use nob_machine::{run, run_folded, Ctx, DeclaredRoute, Inbox, Program, Route, RunOptions, Slots, Xor};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -79,7 +79,7 @@ fn build_program(v: usize, steps: &[(u32, u64, u8)], oblivious: bool) -> Program
                 label,
                 "random-planned",
                 fanout as usize + 1,
-                move |ctx, k| slot(ctx.v, label, seed, fanout, ctx.vp, k),
+                move |ctx: &Ctx, k| slot(ctx.v, label, seed, fanout, ctx.vp, k),
                 move |st, _, inbox, out| {
                     absorb(st, inbox);
                     for k in 0..fanout as usize {
@@ -198,7 +198,7 @@ proptest! {
             label,
             "overfull",
             fanout as usize + 1,
-            move |ctx, k| slot(ctx.v, label, seed, fanout, ctx.vp, k),
+            move |ctx: &Ctx, k| slot(ctx.v, label, seed, fanout, ctx.vp, k),
             move |_st, ctx, _inbox, out| {
                 let extra = usize::from(ctx.vp == greedy);
                 for _ in 0..fanout as usize + extra {
@@ -371,6 +371,18 @@ fn random_slots(rng: &mut TestRng, v: usize, label: u32, out_degree: usize) -> V
         .collect()
 }
 
+/// The slot table of the butterfly [`Xor`]`(mask)` at `out_degree` slots:
+/// its one payload, then `End`.
+fn xor_slots(v: usize, mask: usize, out_degree: usize) -> Vec<Vec<Route>> {
+    (0..v)
+        .map(|vp| {
+            let mut slots = vec![Route::End; out_degree];
+            slots[0] = Route::Data(vp ^ mask);
+            slots
+        })
+        .collect()
+}
+
 /// The divergences a declared body can still commit.
 #[derive(Debug, Clone, Copy)]
 enum Divergence {
@@ -455,35 +467,52 @@ fn inject(kind: Divergence, declared: &[Vec<usize>], start: usize) -> (Replay, O
     (replay, verdict)
 }
 
-/// A program of declared steps whose bodies follow `replay` instead of the
-/// declaration, plus a planned consuming step.
-fn replay_program(v: usize, steps: Vec<(u32, Vec<Vec<Route>>, Replay)>) -> Program<u64, u64> {
+/// A body that follows `replay` instead of its step's declaration.
+fn replayed<R: DeclaredRoute>(
+    replay: Replay,
+) -> impl Fn(&mut u64, &Ctx, &mut Inbox<'_, u64>, &mut Slots<'_, u64, R>) + Send + Sync + 'static {
+    move |st, ctx, inbox, out| {
+        absorb(st, inbox);
+        let panics = replay.panics == Some(ctx.vp);
+        for j in 0..replay.sends[ctx.vp] {
+            out.send(*st ^ mix(j as u64 + 1));
+            if panics {
+                panic!("vp {} gave up", ctx.vp);
+            }
+        }
+        if panics {
+            panic!("vp {} gave up", ctx.vp);
+        }
+    }
+}
+
+/// One declared step of [`replay_program`]: its slot table, declared as
+/// that table or, when `xor` is set, as the route value [`Xor`]`(mask)`
+/// whose table it is.
+struct Declared {
+    label: u32,
+    slots: Vec<Vec<Route>>,
+    xor: Option<usize>,
+    replay: Replay,
+}
+
+/// A program of declared steps whose bodies follow their `replay` instead
+/// of the declaration, plus a planned consuming step.
+fn replay_program(v: usize, steps: Vec<Declared>) -> Program<u64, u64> {
     let mut prog: Program<u64, u64> = Program::new(v, v);
     let log_v = prog.log_v();
-    for (label, slots, replay) in steps {
+    for Declared { label, slots, xor, replay } in steps {
         let out_degree = slots[0].len();
-        let slots = Arc::new(slots);
-        prog.step_oblivious(
-            label,
-            "replayed",
-            out_degree,
-            move |ctx, k| slots[ctx.vp][k],
-            move |st, ctx, inbox, out| {
-                absorb(st, inbox);
-                let panics = replay.panics == Some(ctx.vp);
-                for j in 0..replay.sends[ctx.vp] {
-                    out.send(*st ^ mix(j as u64 + 1));
-                    if panics {
-                        panic!("vp {} gave up", ctx.vp);
-                    }
-                }
-                if panics {
-                    panic!("vp {} gave up", ctx.vp);
-                }
-            },
-        );
+        match xor {
+            Some(mask) => prog.step_oblivious(label, "replayed", out_degree, Xor(mask), replayed(replay)),
+            None => {
+                let slots = Arc::new(slots);
+                let route = move |ctx: &Ctx, k: usize| slots[ctx.vp][k];
+                prog.step_oblivious(label, "replayed", out_degree, route, replayed(replay))
+            }
+        };
     }
-    prog.step_oblivious(log_v - 1, "consume", 0, |_, _| Route::End, |st, _ctx, inbox, _out| {
+    prog.step_oblivious(log_v - 1, "consume", 0, |_: &Ctx, _| Route::End, |st, _ctx, inbox, _out| {
         absorb(st, inbox)
     });
     prog
@@ -493,8 +522,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(144))]
 
     /// Random declared programs — `Skip` holes, `End`s, dummies, fused and
-    /// cross-shard steps — with one representable divergence injected into
-    /// one step. On every path — widths 1, 2 and 4, fusion on and off,
+    /// cross-shard steps, and butterflies declared as the route value
+    /// [`Xor`], whose plans are computed in closed form — with one
+    /// representable divergence injected into one step. On every path — widths 1, 2 and 4, fusion on and off,
     /// validation on and off, plans off, folded at p ∈ {2, v/2}, and the
     /// reference engines — a divergent run fails with exactly the error
     /// the slot-walk oracle predicts; an honest one equals the reference
@@ -515,12 +545,17 @@ proptest! {
         for t in 0..n_steps {
             let label = rng.below(u64::from(log_v)) as u32;
             let out_degree = 1 + rng.below(4) as usize;
-            let slots = random_slots(&mut rng, v, label, out_degree);
+            // One step in three is a butterfly inside the label's cluster.
+            let xor = (rng.below(3) == 0).then(|| rng.below((v >> label) as u64) as usize);
+            let slots = match xor {
+                Some(mask) => xor_slots(v, mask, out_degree),
+                None => random_slots(&mut rng, v, label, out_degree),
+            };
             let start = rng.below(v as u64) as usize;
             let honest = if t == bad { kind } else { Divergence::Honest };
             let (replay, diverged) = inject(honest, &payloads(&slots), start);
             verdict = verdict.or(diverged);
-            steps.push((label, slots, replay));
+            steps.push(Declared { label, slots, xor, replay });
         }
         let prog = replay_program(v, steps);
         let states: Vec<u64> = (0..v as u64).map(|x| x * 7 + 3).collect();
@@ -622,7 +657,7 @@ fn leak_not_drop_under_validation() {
         0,
         "honest",
         1,
-        |ctx, _| Route::Data(ctx.vp ^ 1),
+        |ctx: &Ctx, _| Route::Data(ctx.vp ^ 1),
         |_, ctx, _, out| out.send(Counted::new(ctx.vp)),
     );
     // Declared: across the bisection, then to itself. VP 5 stops short.
@@ -630,7 +665,7 @@ fn leak_not_drop_under_validation() {
         0,
         "short",
         2,
-        move |ctx, k| Route::Data(if k == 0 { ctx.vp ^ (v / 2) } else { ctx.vp }),
+        move |ctx: &Ctx, k| Route::Data(if k == 0 { ctx.vp ^ (v / 2) } else { ctx.vp }),
         move |_, ctx, inbox, out| {
             inbox.clear();
             out.send(Counted::new(v + 2 * ctx.vp));

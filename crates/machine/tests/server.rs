@@ -8,7 +8,7 @@
 
 use nob_core::fault::FaultPlan;
 use nob_core::ModelError;
-use nob_machine::plan::Route;
+use nob_machine::plan::Xor;
 use nob_machine::server::{
     JobOptions, JobServer, JobSpec, ProgramSource, ServerConfig, ShapeKey,
 };
@@ -38,7 +38,7 @@ fn butterfly(v: usize) -> Program<u64, u64> {
             i,
             "bfly",
             1,
-            move |ctx, _| Route::Data(ctx.vp ^ bit),
+            Xor(bit),
             move |st, _, inbox, out| {
                 for m in inbox.drain(..) {
                     *st = st.wrapping_mul(31).wrapping_add(m);

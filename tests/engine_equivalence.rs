@@ -14,7 +14,7 @@ use network_oblivious::algos::sort::ColumnSort;
 use network_oblivious::algos::stencil::{stencil_reference, DiamondStencil, WrapSumOp};
 use network_oblivious::algos::stencil2::{stencil2_reference, OctaStencil, WrapSum2Op};
 use network_oblivious::machine::reference::{run_folded_reference, run_reference};
-use network_oblivious::machine::{run, run_folded, NobAlgorithm, Program, Route, RunOptions};
+use network_oblivious::machine::{run, run_folded, Ctx, NobAlgorithm, Program, Route, RunOptions};
 use proptest::prelude::*;
 
 /// Checks the full set of equivalences for one algorithm instance:
@@ -267,7 +267,7 @@ fn declared_dummies_land_at_their_slot_positions_on_every_path() {
             }
         });
     }
-    prog.step_oblivious(0, "record", 0, |_, _| Route::End, |st, _, inbox, _| {
+    prog.step_oblivious(0, "record", 0, |_: &Ctx, _| Route::End, |st, _, inbox, _| {
         st.extend(inbox.drain(..));
     });
     let states = vec![Vec::new(); v];
@@ -314,7 +314,7 @@ fn inbox_order_is_ascending_source_then_send_order_on_every_path() {
     let mut prog: Program<Vec<(usize, usize)>, (usize, usize)> = Program::new(v, v);
     // VP d hears from d ^ 1 (twice, sent first and last), from d − 5 mod v
     // (another shard and fold at widths and folds of 4) and from itself.
-    let route = move |ctx: &network_oblivious::machine::Ctx, k: usize| {
+    let route = move |ctx: &Ctx, k: usize| {
         Route::Data(match k {
             0 | 3 => ctx.vp ^ 1,
             1 => (ctx.vp + 5) % v,
@@ -329,7 +329,7 @@ fn inbox_order_is_ascending_source_then_send_order_on_every_path() {
             }
         });
     }
-    prog.step_oblivious(0, "record", 0, |_, _| Route::End, |st, _, inbox, _| {
+    prog.step_oblivious(0, "record", 0, |_: &Ctx, _| Route::End, |st, _, inbox, _| {
         st.extend(inbox.drain(..));
     });
     let want_0 = [(0, 2), (1, 0), (1, 3), (11, 1)];
