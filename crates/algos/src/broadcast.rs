@@ -239,16 +239,18 @@ mod tests {
 
     #[test]
     fn aware_matches_the_lower_bound_shape() {
-        // H_aware(p, σ) / LB(p, σ) stays bounded across a wide σ range when
-        // κ is tuned to σ (Theorem 4.15 tightness).
+        // H_aware(p, σ) / LB(p, σ) stays bounded across a wide σ range and
+        // every fold p when κ is tuned to σ (Theorem 4.15 tightness).
         let n = 1 << 12;
-        for sigma in [0.0, 2.0, 16.0, 256.0] {
+        for sigma in [0.0, 2.0, 16.0, 256.0, 4096.0] {
             let alg = AwareBroadcast::for_sigma(sigma);
             let (_, trace) = execute(&alg, n, &1, &RunOptions::default()).unwrap();
-            let measured = trace.comm_complexity(n, sigma);
-            let lb = nob_core::lower_bounds::broadcast(n, sigma);
-            let ratio = measured / lb;
-            assert!(ratio < 8.0, "sigma={sigma}: measured/LB = {ratio}");
+            for p in [16usize, 256, n] {
+                let measured = trace.comm_complexity(p, sigma);
+                let lb = nob_core::lower_bounds::broadcast(p, sigma);
+                let ratio = measured / lb;
+                assert!(ratio < 8.0, "p={p} sigma={sigma}: measured/LB = {ratio}");
+            }
         }
     }
 
@@ -267,5 +269,26 @@ mod tests {
             last_gap = gap;
         }
         assert!(last_gap > 2.0, "large-sigma gap should exceed a constant: {last_gap}");
+
+        // The obstruction behind it: every *fixed* fan-out κ loses more than
+        // a factor 2 to the σ-tuned tree at some σ.
+        let sigmas = [0.0, 4.0, 64.0, 1024.0, 16384.0];
+        let tuned: Vec<f64> = sigmas
+            .iter()
+            .map(|&sigma| {
+                let alg = AwareBroadcast::for_sigma(sigma);
+                let (_, t) = execute(&alg, n, &1, &RunOptions::default()).unwrap();
+                t.comm_complexity(n, sigma)
+            })
+            .collect();
+        for kappa in [2usize, 16, 256] {
+            let (_, t) = execute(&AwareBroadcast { kappa }, n, &1, &RunOptions::default()).unwrap();
+            let worst = sigmas
+                .iter()
+                .zip(&tuned)
+                .map(|(&sigma, &h)| t.comm_complexity(n, sigma) / h)
+                .fold(0.0, f64::max);
+            assert!(worst > 2.0, "kappa={kappa} is within {worst} of tuned at every sigma");
+        }
     }
 }

@@ -10,8 +10,8 @@
 //! Costs: `1 + √n` supersteps of label 0 and degree `O(1)`; on `M(p, σ)` the
 //! Morton blocks give `H_Cannon(n, p, σ) = Θ(√n·(√(n/p) + σ))` — worse than
 //! the 8-way recursion on *both* terms (`n/√p` vs `n/p^{2/3}` bandwidth,
-//! `σ√n` vs `σ·log p` latency), which is exactly the gap the D-BSP
-//! experiments expose.
+//! `σ√n` vs `σ·log p` latency), which is exactly the gap Cor 4.3 measures
+//! on D-BSP.
 
 use super::MmInput;
 use crate::common::{morton_decode, morton_encode};
@@ -212,7 +212,7 @@ mod tests {
 
     #[test]
     fn recursive_mm_beats_cannon_in_the_evaluation_model() {
-        // The headline comparison of E1/E2: at n = 4096 the recursive
+        // Thm 4.2 against the flat baseline: at n = 4096 the recursive
         // algorithm's H is strictly smaller for every p, on both the
         // bandwidth (σ = 0) and the latency-dominated (σ large) regimes.
         let n = 4096usize;

@@ -191,6 +191,7 @@ impl<V: Semiring> NobAlgorithm for SpaceEfficientMm<V> {
 mod tests {
     use super::*;
     use crate::semiring::WrapU64;
+    use nob_core::lower_bounds;
     use nob_machine::{execute, execute_folded, RunOptions};
 
     fn random_input(s: usize, seed: u64) -> MmInput<WrapU64> {
@@ -264,6 +265,18 @@ mod tests {
                 measured / predicted > 0.6 && measured / predicted < 1.7,
                 "H({pa})/H({pb}) = {measured:.2}, closed form {predicted:.2}"
             );
+        }
+        // Against the closed form n/√p + σ·√p the factor stays in 3.8–7.8,
+        // and against Irony–Toledo–Tiskin's Ω(n/√p + σ) it peaks at 46.8
+        // (p = 1024, σ = 16), where the σ·√p latency term dominates.
+        for p in [4usize, 16, 64, 256, 1024] {
+            for sigma in [0.0, 16.0] {
+                let h = trace.comm_complexity(p, sigma);
+                let ratio = h / lower_bounds::upper::mm_space(n, p, sigma);
+                assert!(ratio > 2.0 && ratio < 10.0, "p={p} sigma={sigma}: H/closed = {ratio}");
+                let ratio = h / lower_bounds::mm_space(n, p, sigma);
+                assert!(ratio < 64.0, "p={p} sigma={sigma}: measured/LB = {ratio}");
+            }
         }
     }
 

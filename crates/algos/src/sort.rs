@@ -346,7 +346,7 @@ impl<K: SortKey> NobAlgorithm for ColumnSort<K> {
 
 /// Batcher's bitonic sorting network on `M(n)`: stage `k` merges bitonic runs
 /// of length `2^k`; the substage exchanging at bit `j` is a
-/// `(log n − 1 − j)`-superstep. The flat class-C baseline for E5.
+/// `(log n − 1 − j)`-superstep. The flat class-C baseline for Thm 4.8.
 #[derive(Debug, Clone, Default)]
 pub struct BitonicSort<K> {
     _marker: std::marker::PhantomData<K>,
@@ -429,6 +429,7 @@ impl<K: SortKey> NobAlgorithm for BitonicSort<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nob_core::lower_bounds;
     use nob_machine::{execute, execute_folded, RunOptions};
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
@@ -548,9 +549,18 @@ mod tests {
         let (_, trace) = execute(&alg, n, &keys[..], &RunOptions::default()).unwrap();
         for p in [4usize, 64, 256] {
             let measured = trace.comm_complexity(p, 0.0);
-            let theory = nob_core::lower_bounds::upper::sort(n, p, 0.0);
+            let theory = lower_bounds::upper::sort(n, p, 0.0);
             let ratio = measured / theory;
             assert!(ratio > 0.05 && ratio < 20.0, "p={p}: measured/theory = {ratio}");
+        }
+        // Against Lemma 4.7's Ω(n·log n/(p·log(n/p)) + σ) the factor grows
+        // with p like Thm 4.8's (log n/log(n/p))^{log_{3/2} 4}: 1.2 at p = 2,
+        // 185 at p = 2048 and σ = 16, the maximum on this grid.
+        for p in [2usize, 8, 32, 128, 512, 2048] {
+            for sigma in [0.0, 16.0] {
+                let ratio = trace.comm_complexity(p, sigma) / lower_bounds::sort(n, p, sigma);
+                assert!(ratio < 256.0, "p={p} sigma={sigma}: measured/LB = {ratio}");
+            }
         }
     }
 
@@ -646,10 +656,10 @@ mod tests {
         // Columnsort's crossing-superstep count is (log n/log(n/p))^{log_{3/2}4}
         // — constant for p = n^{1−δ} — while bitonic's grows like
         // log p·(log n − log p). The constants favour bitonic at small n; the
-        // crossover for δ = 1/2 sits near n = 2^20. We (a) verify that the
-        // static schedule predicts the *measured* H at a simulable size, and
-        // (b) locate the crossover from the schedules alone (programs are
-        // static, so the schedule is the ground truth for S^i).
+        // crossover for δ = 1/2 lies between n = 2^12 and 2^14. We (a) verify
+        // that the static schedule predicts the *measured* H at a simulable
+        // size, and (b) locate the crossover from the schedules alone
+        // (programs are static, so the schedule is the ground truth for S^i).
         let col = ColumnSort::<u64>::new(false);
         let bit = BitonicSort::<u64>::default();
 
@@ -677,16 +687,25 @@ mod tests {
         // Below the crossover, bitonic's smaller step count wins.
         assert!(bit_steps < col_steps);
 
-        // (b) Above the crossover (n = 2^20, p = 2^10 = n^{1/2}) the
-        // oblivious recursion's constant step count beats bitonic's
-        // log p·(log n − log p) growth: 20 vs 55 crossing supersteps. Read
-        // off the label schedules: building the programs would compile
-        // every `StepPlan` for 2^20 VPs only to throw it away.
-        let n = 1usize << 20;
-        let p = 1usize << 10;
-        let c = crossing_steps(&columnsort_schedule(n), p);
-        let b = crossing_steps(&bitonic_schedule(n), p);
-        assert_eq!((c, b), (20, 55));
-        assert!(c < b, "above crossover columnsort should win: {c} vs {b}");
+        // (b) The crossover at p = n^{1/2}: from n = 2^14 on, the oblivious
+        // recursion's constant 20 crossing supersteps beat bitonic's
+        // log p·(log n − log p) growth (28 at n = 2^14, 55 at n = 2^20).
+        // Read off the label schedules: building the programs would compile
+        // every `StepPlan` for 2^22 VPs only to throw it away. Rows are
+        // (log n, (columnsort, bitonic)).
+        let rows = [
+            (12u32, (84, 21)),
+            (14, (20, 28)),
+            (16, (20, 36)),
+            (18, (20, 45)),
+            (20, (20, 55)),
+            (22, (20, 66)),
+        ];
+        for (lg, want) in rows {
+            let (n, p) = (1usize << lg, 1usize << (lg / 2));
+            let c = crossing_steps(&columnsort_schedule(n), p);
+            let b = crossing_steps(&bitonic_schedule(n), p);
+            assert_eq!((c, b), want, "n = 2^{lg}, p = 2^{}", lg / 2);
+        }
     }
 }

@@ -29,7 +29,7 @@
 //! [`NaiveStencil`] is the time-stepping baseline: `n−1` label-0 supersteps
 //! of degree O(1): `H = Θ(n·(1 + σ))` — bandwidth-optimal but paying the
 //! full latency `σ` *per time step*; the diamond algorithm wins exactly when
-//! latency dominates (E6).
+//! latency dominates (Thm 4.11).
 //!
 //! Cell values are generic over a [`StencilOp`]; the per-VP store keeps every
 //! computed cell (a simulator convenience — the paper's algorithm retains
@@ -118,6 +118,16 @@ fn in_region(x: i64, t: i64, n: i64) -> bool {
     0 <= x && x < n && 0 <= t && t < n
 }
 
+/// The `A` digit of the phase-`q` sub-diamond in column `b` of a recursive
+/// block's `k × k` grid, or `None` when phase `q` has none there. Phase `q`
+/// is the anti-diagonal `a + b = q` (Figure 1's horizontal stripe), so the
+/// `2k − 1` phases partition the grid.
+#[inline]
+fn phase_digit(q: usize, b: i64, k: i64) -> Option<i64> {
+    let a = q as i64 - b;
+    (0..k).contains(&a).then_some(a)
+}
+
 /// Static per-instance geometry.
 #[derive(Debug, Clone, Copy)]
 struct Geo {
@@ -173,11 +183,7 @@ impl Geo {
         let k = self.k as i64;
         for (j, &q) in qs.iter().enumerate() {
             let shift = self.k.pow(level - 1 - j as u32) as i64;
-            let b_digit = (b_global / shift) % k;
-            let a_digit = q as i64 - b_digit;
-            if !(0..k).contains(&a_digit) {
-                return None;
-            }
+            let a_digit = phase_digit(q, (b_global / shift) % k, k)?;
             a_global += a_digit * shift;
         }
         let (a, b) = (a_global, b_global);
@@ -447,7 +453,7 @@ fn emit_eval<O: StencilOp>(
                 }
                 for (a, b) in targets {
                     // In-phase, inside my level-ℓ block, live, and needed.
-                    if a.rem_euclid(k) + b.rem_euclid(k) != q as i64 {
+                    if phase_digit(q, b.rem_euclid(k), k) != Some(a.rem_euclid(k)) {
                         continue;
                     }
                     if b.div_euclid(k) != my_parent_b || a < 0 || b < 0 {
@@ -558,7 +564,7 @@ impl<O: StencilOp> NobAlgorithm for DiamondStencil<O> {
 /// time steps is one 0-superstep in which every VP sends its current value
 /// to both neighbours. `H(n, p, σ) = Θ(n·(1 + σ))` — bandwidth-optimal
 /// against Lemma 4.10 but paying σ per *time step*, which is exactly where
-/// the diamond algorithm wins (E6).
+/// the diamond algorithm wins (Thm 4.11).
 #[derive(Debug, Clone, Default)]
 pub struct NaiveStencil<O> {
     _marker: std::marker::PhantomData<O>,
@@ -657,6 +663,7 @@ impl<O: StencilOp> NobAlgorithm for NaiveStencil<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nob_core::lower_bounds;
     use nob_machine::{execute, execute_folded, RunOptions};
 
     fn input(n: usize) -> Vec<u64> {
@@ -717,7 +724,7 @@ mod tests {
 
     #[test]
     fn diamond_beats_naive_when_latency_dominates() {
-        // E6: the diamond algorithm trades a 4^√log n bandwidth factor for
+        // Thm 4.11: the diamond algorithm trades a 4^√log n bandwidth factor for
         // far fewer supersteps; it wins once σ is large.
         let n = 256;
         let xs = input(n);
@@ -743,6 +750,38 @@ mod tests {
     }
 
     #[test]
+    fn phases_partition_the_sub_diamond_grid_into_anti_diagonals() {
+        // Figure 1: a recursive block runs 2k − 1 phases; phase q evaluates
+        // the anti-diagonal a + b = q of the k × k sub-diamond grid, i.e.
+        // min(q + 1, 2k − 1 − q) sub-diamonds in parallel, and every
+        // sub-diamond runs in exactly one phase.
+        for k in [2usize, 4, 8] {
+            let mut phase_of = vec![None; k * k];
+            for q in 0..2 * k - 1 {
+                let mut population = 0;
+                for b in 0..k {
+                    if let Some(a) = phase_digit(q, b as i64, k as i64) {
+                        assert_eq!(a as usize + b, q, "k={k}: phase {q} off its anti-diagonal");
+                        let cell = &mut phase_of[a as usize * k + b];
+                        assert_eq!(cell.replace(q), None, "k={k}: cell ({a},{b}) in two phases");
+                        population += 1;
+                    }
+                }
+                assert_eq!(population, (q + 1).min(2 * k - 1 - q), "k={k}, phase {q}");
+            }
+            assert!(phase_of.iter().all(Option::is_some), "k={k}: a cell runs in no phase");
+        }
+        // Figure 1's instance, n = 256: k = 2^⌈√log n⌉ = 8, and the top
+        // block's schedule opens each of its 15 phases with one distribution.
+        let geo = Geo::new(256);
+        assert_eq!(geo.k, 8);
+        let prog = DiamondStencil::<WrapSumOp>::default().build(256);
+        let top_phases =
+            prog.steps().iter().filter(|s| s.label == 0 && s.name == "stencil-distribute").count();
+        assert_eq!(top_phases, 2 * geo.k - 1);
+    }
+
+    #[test]
     fn communication_complexity_matches_theorem_4_11() {
         // H(n, p, 0) = O(n·4^√log n): the measured/closed-form ratio stays
         // bounded across n.
@@ -752,9 +791,19 @@ mod tests {
             let (_, trace) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
             for p in [4usize, 16] {
                 let measured = trace.comm_complexity(p, 0.0);
-                let theory = nob_core::lower_bounds::upper::stencil1(n, p, 0.0);
+                let theory = lower_bounds::upper::stencil1(n, p, 0.0);
                 let ratio = measured / theory;
                 assert!(ratio < 8.0, "n={n} p={p}: measured/theory = {ratio}");
+            }
+            // Against Lemma 4.10's Ω(n + σ) the factor carries Thm 4.11's
+            // 4^√log n (≈ 30 at n = 64): it peaks at 269 (n = 64, p = 16,
+            // σ = 16) on this grid.
+            for p in [4usize, 8, 16] {
+                for sigma in [0.0, 16.0] {
+                    let ratio =
+                        trace.comm_complexity(p, sigma) / lower_bounds::stencil(n, 1, p, sigma);
+                    assert!(ratio < 320.0, "n={n} p={p} sigma={sigma}: measured/LB = {ratio}");
+                }
             }
         }
     }

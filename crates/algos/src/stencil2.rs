@@ -744,6 +744,7 @@ impl<O: Stencil2Op> NobAlgorithm for NaiveStencil2<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nob_core::lower_bounds;
     use nob_machine::{execute, execute_folded, RunOptions};
 
     fn input(n: usize) -> Vec<u64> {
@@ -794,9 +795,19 @@ mod tests {
             let (_, trace) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
             for p in [4usize, 16] {
                 let measured = trace.comm_complexity(p, 0.0);
-                let theory = nob_core::lower_bounds::upper::stencil2(n, p, 0.0);
+                let theory = lower_bounds::upper::stencil2(n, p, 0.0);
                 let ratio = measured / theory;
                 assert!(ratio < 8.0, "n={n} p={p}: measured/theory = {ratio}");
+            }
+            // Against Lemma 4.10's Ω(n²/√p + σ) the factor carries Thm
+            // 4.13's 8^√log n (64 at n = 16): it peaks at 1528 (n = 16,
+            // p = 64, σ = 16) on this grid.
+            for p in [4usize, 16, 64] {
+                for sigma in [0.0, 16.0] {
+                    let ratio =
+                        trace.comm_complexity(p, sigma) / lower_bounds::stencil(n, 2, p, sigma);
+                    assert!(ratio < 2048.0, "n={n} p={p} sigma={sigma}: measured/LB = {ratio}");
+                }
             }
         }
     }

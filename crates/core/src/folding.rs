@@ -6,7 +6,7 @@
 //! supersteps; supersteps with label `i ≥ j` become local computation.
 //!
 //! This module provides the index arithmetic shared by the metric machinery
-//! and the folded executor: ownership of VPs, cluster membership, and the
+//! and the folded executor: ownership of VPs, the cluster constraint, and the
 //! *externality threshold* of a message (the smallest fold at which it still
 //! crosses a processor boundary).
 
@@ -17,20 +17,6 @@
 pub fn proc_of_vp(vp: usize, log_v: u32, j: u32) -> usize {
     debug_assert!(j <= log_v);
     vp >> (log_v - j)
-}
-
-/// The `i`-cluster containing processing element `r` in a machine with
-/// `2^log_v` elements: elements sharing the `i` most significant index bits.
-#[inline]
-pub fn cluster_of(r: usize, log_v: u32, i: u32) -> usize {
-    debug_assert!(i <= log_v);
-    r >> (log_v - i)
-}
-
-/// Whether `a` and `b` lie in the same `i`-cluster of a `2^log_v`-element machine.
-#[inline]
-pub fn same_cluster(a: usize, b: usize, log_v: u32, i: u32) -> bool {
-    cluster_of(a, log_v, i) == cluster_of(b, log_v, i)
 }
 
 /// Number of leading index bits shared by `a` and `b` (out of `log_v`).

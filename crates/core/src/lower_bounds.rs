@@ -3,7 +3,7 @@
 //! These are the Scquizzato–Silvestri (STACS'14) bounds the paper's Lemmas
 //! 4.1, 4.4, 4.7 and 4.10 instantiate on `M(p, σ)`, plus the broadcast bound
 //! proved in Theorem 4.15. They are exposed as closed-form functions of
-//! `(n, p, σ)` so that experiment harnesses can report *optimality factors*
+//! `(n, p, σ)` so that tests can bound *optimality factors*
 //! `ρ = H_measured / H_lower` — the quantity the paper's Θ(1)-optimality
 //! claims bound.
 //!
@@ -93,12 +93,6 @@ pub mod upper {
     pub fn stencil2(n: usize, p: usize, _sigma: f64) -> f64 {
         let n_f = n as f64;
         n_f * n_f / (p as f64).sqrt() * 8.0f64.powf(paper_log2(n_f).sqrt())
-    }
-
-    /// The σ-aware broadcast of Section 4.5:
-    /// `H = O(max{2, σ}·log_{max{2,σ}} p)` (matches the lower bound).
-    pub fn broadcast_aware(p: usize, sigma: f64) -> f64 {
-        super::broadcast(p, sigma)
     }
 }
 

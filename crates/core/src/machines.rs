@@ -91,7 +91,7 @@ pub fn fat_tree(p: usize, a: f64) -> DbspMachine {
         .named(format!("fattree(p={p},a={a})"))
 }
 
-/// The standard suite of presets used by the experiment harnesses.
+/// The standard suite of presets used by the optimality tests.
 pub fn standard_suite(p: usize) -> Vec<DbspMachine> {
     vec![
         evaluation(p, 0.0),

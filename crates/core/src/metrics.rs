@@ -958,8 +958,7 @@ impl CommTrace {
 
     /// Serializes the trace to a compact line-oriented text format (one
     /// header line, then one line per superstep: `label total h(2) h(4) …`).
-    /// Used by the experiment harness to archive runs without extra
-    /// dependencies.
+    /// Archives a run without extra dependencies.
     pub fn to_text(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();

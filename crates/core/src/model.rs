@@ -117,7 +117,7 @@ pub struct DbspMachine {
     pub g: Vec<f64>,
     /// Latency vector `ℓ = (ℓ_0, …, ℓ_{log p − 1})`, time per superstep.
     pub ell: Vec<f64>,
-    /// Optional human-readable name (used by presets and experiment tables).
+    /// Optional human-readable name (used by presets and theorem reports).
     pub name: String,
 }
 

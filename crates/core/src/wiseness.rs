@@ -71,8 +71,7 @@ pub fn is_wise(trace: &CommTrace, alpha: f64, p: usize) -> bool {
 }
 
 /// The monotonicity fact noted after Definition 3.2: an (α, p)-wise algorithm
-/// is also (α′, p′)-wise for `p′ ≤ p`, `α′ ≤ α`. Exposed for tests and
-/// experiment tables.
+/// is also (α′, p′)-wise for `p′ ≤ p`, `α′ ≤ α`. Exposed for tests.
 pub fn alpha_profile(trace: &CommTrace, p_max: usize) -> Vec<(usize, f64)> {
     let mut out = Vec::new();
     let mut p = 2usize;

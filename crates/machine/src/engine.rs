@@ -48,8 +48,8 @@
 //! * **Sharded** (`crate::shard`): `n` persistent workers each own a
 //!   contiguous VP shard — its states, arenas, staging and a private
 //!   [`DegreeCounters`] — and exchange cross-shard messages of dynamic
-//!   supersteps through the statically planned lanes of
-//!   [`crate::program::LanePlan`]. The inter-superstep barrier is a
+//!   supersteps through lanes between the shards a superstep's label lets
+//!   talk. The inter-superstep barrier is a
 //!   per-lane handoff plus an `O(shards · log v)` counter merge instead
 //!   of a global counting sort (planned supersteps keep one barrier and
 //!   merge nothing). [`run_folded`] is the degenerate case *shard = fold*

@@ -135,11 +135,10 @@
 //!   travel through one structure-of-arrays lane per (source, destination)
 //!   shard pair — compact `(src, dst, has-payload)` headers separate from
 //!   the payload stream, so metric scans never touch payload bytes and the
-//!   paper's dummy messages occupy no payload slot. Which pairs can ever
-//!   be active is precomputed per program by [`program::LanePlan`] from
-//!   the superstep labels: an `i`-superstep only connects shards sharing
-//!   the top `i` shard-index bits, and supersteps with `label ≥ log n`
-//!   touch no lane at all.
+//!   paper's dummy messages occupy no payload slot. A superstep's label
+//!   bounds which pairs are active: an `i`-superstep only connects shards
+//!   sharing the top `i` shard-index bits, and supersteps with
+//!   `label ≥ log n` touch no lane at all.
 //! * **Barrier = handoff + merge** (dynamic supersteps): the
 //!   inter-superstep barrier is a per-lane ownership handoff (send phase
 //!   writes lane rows, gather phase drains lane columns) plus an
@@ -258,8 +257,8 @@
 //!   or stale entry surfaces as [`nob_core::ModelError::PlanMismatch`]
 //!   through the same gates that police declared routes.
 //! * **Admission** — FIFO with one size-aware exception: the earliest
-//!   small job (`v ≤ small_cutoff`) overtakes a large queued head, at most
-//!   `max_overtakes` times, so interactive jobs are not starved behind a
+//!   small job (`v ≤ 2^12`) overtakes a large queued head, at most 64
+//!   times, so interactive jobs are not starved behind a
 //!   bulk sort and bulk sorts are not starved by a stream of small ones.
 //! * **Isolation** — a `VpPanic`, injected fault or `GangStall` fails only
 //!   its own job's ticket; the barrier is re-armed with a fresh generation
@@ -374,7 +373,7 @@ pub mod traits;
 pub use engine::{run, run_folded, RunOptions, RunResult};
 pub use mailbox::Inbox;
 pub use plan::{DeclaredRoute, Route, StepPlan, Xor};
-pub use program::{Ctx, LanePlan, Outbox, Program, Slots, Superstep};
+pub use program::{Ctx, Outbox, Program, Slots, Superstep};
 pub use server::{
     JobOptions, JobResult, JobServer, JobSpec, JobTicket, ProgramSource, ServerConfig,
     ServerStats, ShapeKey,

@@ -835,118 +835,6 @@ impl<S, M> Program<S, M> {
     pub fn labels(&self) -> Vec<u32> {
         self.steps.iter().map(|s| s.label).collect()
     }
-
-    /// The static shard-communication plan of this program for `n_shards`
-    /// executor shards (see [`LanePlan`]). Because the program is *static*,
-    /// the plan depends only on the superstep labels fixed at build time,
-    /// never on the input.
-    pub fn lane_plan(&self, n_shards: usize) -> LanePlan {
-        LanePlan::new(self, n_shards)
-    }
-}
-
-/// The statically precomputed shard-communication plan of a program: which
-/// executor shards can exchange messages in which superstep.
-///
-/// The sharded executor assigns shard `w` the `v / n_shards` consecutive VPs
-/// starting at `w · v / n_shards` — exactly the paper's folding layout. The
-/// cluster constraint of an `i`-superstep then bounds communication at shard
-/// granularity: messages can only cross shards within the same `i`-cluster
-/// of the *shard* space, i.e. among the `n_shards >> i` shards sharing the
-/// top `i` shard-index bits (and not at all once `i ≥ log n_shards`).
-/// Since every superstep's label is fixed when the program is built, the
-/// whole plan — one peer span per superstep — is computed once per
-/// `(program, shard count)` pair and drives the per-superstep gather scan
-/// (the sharded replacement for the global scatter's full-buffer sweep):
-/// each shard touches only the lanes its label-cluster admits, and
-/// shard-local supersteps touch none. The lane grid itself allocates every
-/// pair eagerly — an unused lane is two empty `Vec`s, so capacity only
-/// materializes on pairs that actually carry traffic.
-///
-/// The plan is only sound when the cluster constraint is enforced
-/// (`RunOptions::validate`); validation-off runs must fall back to the
-/// all-pairs span.
-#[derive(Debug, Clone)]
-pub struct LanePlan {
-    n_shards: usize,
-    /// Per superstep: number of shards in each peer group (a power of two;
-    /// 1 means the superstep is shard-local).
-    cluster_shards: Vec<u32>,
-    /// The widest peer group over the whole program (`n_shards >> min
-    /// label`, clamped): bounds which shard pairs can *ever* communicate.
-    max_cluster_shards: u32,
-}
-
-impl LanePlan {
-    /// Computes the plan for `prog` on `n_shards` executor shards
-    /// (a power of two dividing `v`).
-    pub fn new<S, M>(prog: &Program<S, M>, n_shards: usize) -> Self {
-        // allow-panic: documented builder-time contract.
-        assert!(
-            n_shards.is_power_of_two() && n_shards <= prog.v(),
-            "shard count {n_shards} must be a power of two ≤ v = {}",
-            prog.v()
-        );
-        let log_s = log2_exact(n_shards);
-        let cluster_shards: Vec<u32> = prog
-            .steps()
-            .iter()
-            .map(|s| (n_shards >> s.label.min(log_s)) as u32)
-            .collect();
-        let max_cluster_shards = cluster_shards.iter().copied().max().unwrap_or(1);
-        LanePlan { n_shards, cluster_shards, max_cluster_shards }
-    }
-
-    /// The shard count the plan was computed for.
-    #[inline]
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    /// The shards that shard `shard` may exchange messages with in superstep
-    /// `step` (its own index included): a contiguous span, because shard
-    /// clusters are contiguous in shard space.
-    #[inline]
-    pub fn peer_span(&self, shard: usize, step: usize) -> std::ops::Range<usize> {
-        let c = self.cluster_shards[step] as usize;
-        let lo = shard - shard % c;
-        lo..lo + c
-    }
-
-    /// Whether any superstep of the program lets shards `a` and `b`
-    /// exchange messages — an introspection query for harnesses and tests
-    /// (the executor itself works from the per-superstep
-    /// [`LanePlan::peer_span`]).
-    #[inline]
-    pub fn pair_may_communicate(&self, a: usize, b: usize) -> bool {
-        let c = self.max_cluster_shards as usize;
-        a / c == b / c
-    }
-
-    /// Number of supersteps whose peer group spans more than one shard
-    /// (i.e. supersteps that exercise the lanes at all).
-    pub fn cross_shard_steps(&self) -> usize {
-        self.cluster_shards.iter().filter(|&&c| c > 1).count()
-    }
-
-    /// An empty plan to seed a pooled slot before its first
-    /// [`LanePlan::recompute_pooled`].
-    pub(crate) fn placeholder() -> Self {
-        LanePlan { n_shards: 1, cluster_shards: Vec::new(), max_cluster_shards: 1 }
-    }
-
-    /// Recomputes the plan for `prog` on `n_shards` in place — the
-    /// allocation-free counterpart of [`LanePlan::new`] for pooled slots
-    /// (grows `cluster_shards` only past its high-water step count).
-    pub(crate) fn recompute_pooled<S, M>(&mut self, prog: &Program<S, M>, n_shards: usize) {
-        debug_assert!(n_shards.is_power_of_two() && n_shards <= prog.v());
-        let log_s = log2_exact(n_shards);
-        self.n_shards = n_shards;
-        self.cluster_shards.clear();
-        self.cluster_shards
-            .extend(prog.steps().iter().map(|s| (n_shards >> s.label.min(log_s)) as u32));
-        self.max_cluster_shards = self.cluster_shards.iter().copied().max().unwrap_or(1);
-    }
 }
 
 /// Checks one VP's staged messages against the cluster constraint of an
@@ -1135,42 +1023,5 @@ mod tests {
         let mut p: Program<u64, u64> = Program::new(8, 8);
         p.step(0, "only", |_, _, _, _| {});
         p.repeat(0..2);
-    }
-
-    #[test]
-    fn lane_plan_spans_follow_labels() {
-        let mut p: Program<(), u8> = Program::new(16, 16);
-        p.step(0, "global", |_, _, _, _| {});
-        p.step(1, "half", |_, _, _, _| {});
-        p.step(3, "local", |_, _, _, _| {});
-        let plan = p.lane_plan(4);
-        assert_eq!(plan.n_shards(), 4);
-        // Label 0: all 4 shards talk.
-        assert_eq!(plan.peer_span(2, 0), 0..4);
-        // Label 1: shard clusters {0,1} and {2,3}.
-        assert_eq!(plan.peer_span(0, 1), 0..2);
-        assert_eq!(plan.peer_span(3, 1), 2..4);
-        // Label 3 ≥ log shards: shard-local.
-        assert_eq!(plan.peer_span(2, 2), 2..3);
-        assert_eq!(plan.cross_shard_steps(), 2);
-        assert!(plan.pair_may_communicate(0, 3));
-    }
-
-    #[test]
-    fn lane_plan_bounds_pairs_by_min_label() {
-        let mut p: Program<(), u8> = Program::new(16, 16);
-        p.step(1, "half", |_, _, _, _| {});
-        p.step(2, "quarter", |_, _, _, _| {});
-        let plan = p.lane_plan(8);
-        // Min label 1: shards only ever talk within their half.
-        assert!(plan.pair_may_communicate(0, 3));
-        assert!(plan.pair_may_communicate(4, 7));
-        assert!(!plan.pair_may_communicate(3, 4));
-        // An empty program has no cross-shard steps and isolated shards.
-        let empty: Program<(), u8> = Program::new(16, 16);
-        let plan = empty.lane_plan(8);
-        assert_eq!(plan.cross_shard_steps(), 0);
-        assert!(!plan.pair_may_communicate(0, 1));
-        assert!(plan.pair_may_communicate(5, 5));
     }
 }

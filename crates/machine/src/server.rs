@@ -42,7 +42,7 @@
 //! checks (and a captured plan's per-send comparison with its table)
 //! surface a [`ModelError::PlanMismatch`] — never corruption and never an
 //! out-of-bounds write. For [`ProgramSource::Prebuilt`] jobs the submitted
-//! program is authoritative (the executor derives the lane plan and send
+//! program is authoritative (the executor derives the lane spans and send
 //! totals from the program it runs), so even a lying key cannot misroute
 //! the dynamic path.
 //!
@@ -60,10 +60,10 @@
 //! # Admission
 //!
 //! The queue is FIFO with one size-aware exception: when the head job is
-//! large (`weight > small_cutoff`, weight = `v`), the earliest *small* job
-//! overtakes it, so interactive traffic is not starved behind a `v = 2^16`
-//! sort. Each overtake increments the head's counter; a head overtaken
-//! `max_overtakes` times becomes non-overtakable, bounding large-job
+//! large (`v > SMALL_CUTOFF` = 2^12), the earliest *small* job overtakes
+//! it, so interactive traffic is not starved behind a `v = 2^16` sort. Each
+//! overtake increments the head's counter; a head overtaken
+//! `MAX_OVERTAKES` = 64 times becomes non-overtakable, bounding large-job
 //! starvation.
 
 use crate::engine::{GranSpec, RunOptions};
@@ -229,12 +229,6 @@ pub struct ServerConfig {
     /// Gang width: a power of two in `1..=256`. Jobs with `v <` this run on
     /// the serial path of the scheduler thread instead.
     pub n_shards: usize,
-    /// Jobs with `v <= small_cutoff` count as small/interactive for
-    /// admission (may overtake a queued large job).
-    pub small_cutoff: u64,
-    /// A queued large job overtaken this many times becomes non-overtakable
-    /// (anti-starvation bound).
-    pub max_overtakes: u32,
     /// Plan-cache budget: total compiled bytes ([`Program::plan_bytes`])
     /// the cache may hold. When an insertion pushes the total past the
     /// budget, least-recently-used entries are evicted until it fits (the
@@ -250,17 +244,10 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A server of `n_shards` persistent workers with default admission
-    /// tuning (small = `v ≤ 2^12`, at most 64 overtakes), a 64 MiB plan
-    /// cache, and no telemetry.
+    /// A server of `n_shards` persistent workers with a 64 MiB plan cache
+    /// and no telemetry.
     pub fn with_shards(n_shards: usize) -> Self {
-        ServerConfig {
-            n_shards,
-            small_cutoff: 1 << 12,
-            max_overtakes: 64,
-            plan_cache_bytes: 64 << 20,
-            telemetry: None,
-        }
+        ServerConfig { n_shards, plan_cache_bytes: 64 << 20, telemetry: None }
     }
 }
 
@@ -323,6 +310,14 @@ struct Pending<S, M> {
     overtaken: u32,
 }
 
+/// Jobs with `v <= SMALL_CUTOFF` count as small/interactive for admission:
+/// they may overtake a queued large job.
+const SMALL_CUTOFF: u64 = 1 << 12;
+
+/// A queued large job overtaken this many times becomes non-overtakable
+/// (the anti-starvation bound).
+const MAX_OVERTAKES: u32 = 64;
+
 /// The FIFO + size-aware admission queue (see the module docs). Factored
 /// out of the locking so the policy is directly unit-testable.
 pub(crate) struct Admission<S, M> {
@@ -335,13 +330,11 @@ pub(crate) struct Admission<S, M> {
 }
 
 impl<S, M> Admission<S, M> {
-    fn new(cfg: &ServerConfig) -> Self {
-        Admission {
-            pending: Vec::new(),
-            small_cutoff: cfg.small_cutoff,
-            max_overtakes: cfg.max_overtakes,
-            overtakes: 0,
-        }
+    /// A queue whose small jobs are those with `v <= small_cutoff`, and whose
+    /// large head may be overtaken `max_overtakes` times (the server uses
+    /// [`SMALL_CUTOFF`] and [`MAX_OVERTAKES`]).
+    fn new(small_cutoff: u64, max_overtakes: u32) -> Self {
+        Admission { pending: Vec::new(), small_cutoff, max_overtakes, overtakes: 0 }
     }
 
     fn push(&mut self, job: JobRequest<S, M>) {
@@ -497,7 +490,10 @@ where
             });
         }
         let inner = Arc::new(ServerInner {
-            queue: Mutex::new(QueueState { q: Admission::new(&config), shutdown: false }),
+            queue: Mutex::new(QueueState {
+                q: Admission::new(SMALL_CUTOFF, MAX_OVERTAKES),
+                shutdown: false,
+            }),
             cv: Condvar::new(),
         });
         let stats = Arc::new(StatsInner::default());
@@ -836,9 +832,7 @@ mod tests {
 
     #[test]
     fn admission_small_overtakes_large_head() {
-        let cfg =
-            ServerConfig { small_cutoff: 8, max_overtakes: 2, ..ServerConfig::with_shards(2) };
-        let mut q: Admission<u64, u64> = Admission::new(&cfg);
+        let mut q: Admission<u64, u64> = Admission::new(8, 2);
         q.push(req(64)); // large head
         q.push(req(4)); // small
         q.push(req(4)); // small
@@ -853,9 +847,7 @@ mod tests {
 
     #[test]
     fn admission_small_head_is_fifo() {
-        let cfg =
-            ServerConfig { small_cutoff: 8, max_overtakes: 4, ..ServerConfig::with_shards(2) };
-        let mut q: Admission<u64, u64> = Admission::new(&cfg);
+        let mut q: Admission<u64, u64> = Admission::new(8, 4);
         q.push(req(4));
         q.push(req(2));
         assert_eq!(q.pop().map(|j| j.states.len()), Some(4));

@@ -32,9 +32,8 @@
 //!
 //! Cross-shard traffic of a dynamic superstep flows through the
 //! [`LaneGrid`]: one structure-of-arrays lane per (source, destination)
-//! shard pair, where the set of pairs that can ever be active is fixed
-//! before execution by the program's [`LanePlan`] (cluster labels bound
-//! which shards can talk in each superstep).
+//! shard pair. A superstep's label bounds which shards can talk: shard `w`
+//! exchanges messages only within its [`peer_span`].
 //!
 //! 1. **Exec + flush** — each worker runs its VPs (reading inboxes from its
 //!    own read arena), then drains its staging buffer once: validating,
@@ -43,7 +42,7 @@
 //!    buffer, cross-shard ones into the outgoing lanes of its row.
 //!    *Barrier.*
 //! 2. **Gather** — each worker scans the incoming lanes of its column (only
-//!    the peer span the [`LanePlan`] allows for this superstep's label):
+//!    the [`peer_span`] of this superstep's label):
 //!    one pass over the compact lane headers records receive-side metrics
 //!    and per-VP counts, then a second pass drains local spill + lanes in
 //!    ascending source-shard order into its own write arena — a purely
@@ -206,7 +205,7 @@ use crate::mailbox::{
     bump_count, Arena, ChunkStage, DirectGrid, DirectShard, DirectSink, DirectWindow, LaneGrid,
 };
 use crate::plan::StepPlan;
-use crate::program::{Ctx, Envelope, LanePlan, Program, Superstep};
+use crate::program::{Ctx, Envelope, Program, Superstep};
 use nob_core::folding::message_allowed;
 use nob_core::metrics::{DegreeCounters, EpochMerge, TraceBuilder};
 use nob_core::model::log2_exact;
@@ -282,10 +281,9 @@ impl ShapeRes {
 
 /// The gang's shape-independent infrastructure: every piece of
 /// executor-shared state that does **not** borrow from a particular program
-/// or run — the lane plan and grids, the barrier and the abort latch —
+/// or run — the lane grids, the barrier and the abort latch —
 /// recycled across runs by [`GangCore::reset_for_job`].
 struct GangCore<M> {
-    plan: LanePlan,
     grid: LaneGrid<M>,
     /// Published write-arena windows for planned supersteps, double-buffered
     /// by arena parity (invariant 5 in `mailbox`).
@@ -724,7 +722,6 @@ impl<M: Send> Executor<M> {
         let gang = (n_shards >= 2).then(|| GangState {
             gang: Gang::new(n_shards),
             core: GangCore {
-                plan: LanePlan::placeholder(),
                 grid: LaneGrid::new(n_shards),
                 direct: DirectGrid::new(n_shards),
                 barrier: GangBarrier::new(n_shards, None),
@@ -803,10 +800,6 @@ impl<M: Send> GangState<M> {
             cell.log_frag.clear();
         }
         self.core.reset_for_job(opts.stall_timeout);
-        // Always derived from the program actually executing, so whatever a
-        // caller believes about the program's shape cannot misroute the
-        // dynamic path.
-        self.core.plan.recompute_pooled(prog, n_shards);
         if let (Some(tl), Some(t0)) = (tele, t0) {
             tl.add(Counter::EpochResetNanos, t0.elapsed().as_nanos() as u64);
             tl.add(Counter::EpochResetCount, 1);
@@ -1022,8 +1015,21 @@ fn fused<S, M>(shared: &Shared<'_, S, M>, plan: &StepPlan) -> bool {
     shared.fuse && plan.shard_local(shared.log_shards)
 }
 
+/// The shards that shard `w` may exchange messages with in a superstep of
+/// sync label `label` on a `2^log_shards`-wide gang, its own index included.
+/// Shard `w` runs the `w`-th contiguous block of VPs (the paper's folding
+/// layout), so an `i`-cluster spans the `n_shards >> i` shards that share
+/// the top `i` shard-index bits, and a label `≥ log_shards` keeps a
+/// superstep shard-local.
+#[inline]
+fn peer_span(w: usize, label: u32, log_shards: u32) -> std::ops::Range<usize> {
+    let c = 1usize << (log_shards - label.min(log_shards));
+    let lo = w - w % c;
+    lo..lo + c
+}
+
 /// The source-shard span of planned superstep `t`'s scatter for worker `w`:
-/// the worker alone on the fused tier, the label's peer span otherwise.
+/// the worker alone on the fused tier, the label's [`peer_span`] otherwise.
 /// Both [`prepare_direct`] and [`exec_planned`] derive their span from
 /// here, so the region layout and the writer can never disagree about
 /// which rows are in play.
@@ -1037,7 +1043,7 @@ fn exec_span<S, M>(
     if fused(shared, plan) {
         w..w + 1
     } else {
-        shared.core.plan.peer_span(w, t)
+        peer_span(w, shared.prog.steps()[t].label, shared.log_shards)
     }
 }
 
@@ -1605,10 +1611,13 @@ fn gather<S, M: Send>(
     record_counters: bool,
     write_idx: usize,
 ) -> Result<(), ModelError> {
-    // The lane plan is derived from the cluster constraint, which only
+    // The peer span is derived from the cluster constraint, which only
     // validation enforces — unchecked runs must scan every potential peer.
-    let span =
-        if shared.validate { shared.core.plan.peer_span(me.w, t) } else { 0..shared.n_shards };
+    let span = if shared.validate {
+        peer_span(me.w, shared.prog.steps()[t].label, shared.log_shards)
+    } else {
+        0..shared.n_shards
+    };
     let vp_lo = me.vp_lo;
     let local = &mut me.kit.local;
     let dst_counts = &mut me.kit.dst_counts;
@@ -1697,6 +1706,22 @@ mod tests {
     use super::*;
     use crate::mailbox::Inbox;
     use crate::plan::{DeclaredRoute, Route, Xor};
+
+    #[test]
+    fn peer_spans_follow_labels() {
+        // (shard, label, log shards) → the shards it may talk to.
+        for (w, label, log_shards, span) in [
+            (2, 0, 2, 0..4), // label 0: all four shards talk
+            (0, 1, 2, 0..2), // label 1: shard halves {0, 1} and {2, 3}
+            (3, 1, 2, 2..4),
+            (2, 3, 2, 2..3), // label ≥ log shards: shard-local
+            (5, 1, 3, 4..8),
+            (5, 2, 3, 4..6),
+            (0, 0, 0, 0..1), // a single shard
+        ] {
+            assert_eq!(peer_span(w, label, log_shards), span, "w={w} label={label}");
+        }
+    }
 
     /// A fully planned butterfly: every superstep carries a fault-free
     /// communication plan.

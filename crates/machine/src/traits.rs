@@ -23,7 +23,7 @@ pub trait NobAlgorithm {
     /// Problem output.
     type Output;
 
-    /// Human-readable algorithm name (used in experiment tables).
+    /// Human-readable algorithm name (used in test failure messages).
     fn name(&self) -> String;
 
     /// The number of virtual processors `v(n)` the algorithm is specified on.

@@ -205,7 +205,7 @@ proptest! {
         let v = 16usize;
         let mut prog: Program<u64, u64> = Program::new(v, v);
         // A high-label superstep that ignores the cluster constraint: under
-        // the lane plan these destinations would be unreachable.
+        // the label's peer span these destinations would be unreachable.
         prog.step(3, "rogue", move |st, ctx, inbox, out| {
             for m in inbox.drain(..) {
                 *st = st.wrapping_add(m);

@@ -1,5 +1,5 @@
 //! Fitting D-BSP parameters from routed h-relations, and evaluating traces
-//! against the simulated network (experiment E14).
+//! against the simulated network (`tests/model_consistency.rs`).
 
 use crate::router::route_h_relation;
 use crate::topology::Topology;
@@ -94,7 +94,7 @@ pub fn fit_dbsp<T: Topology>(topo: &T, seed: u64) -> FitReport {
 
 /// Routes every superstep of a recorded message log (at VP granularity,
 /// folded onto the topology's processors) and returns the total cycle count —
-/// the "ground truth" the D-BSP prediction is compared against in E14.
+/// the "ground truth" the D-BSP prediction is compared against.
 pub fn simulate_trace<T: Topology>(topo: &T, trace: &CommTrace, log: &[Vec<(u32, u32)>]) -> u64 {
     let p = topo.p();
     let log_v = trace.log_v;

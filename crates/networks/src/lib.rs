@@ -9,7 +9,7 @@
 //! time of h-relations confined to nested clusters, and fits per-cluster
 //! `(g_i, ℓ_i)` pairs that can be compared against
 //! [`nob_core::machines::mesh2d`] / [`nob_core::machines::hypercube`] and
-//! used to evaluate traces (experiment E14).
+//! used to evaluate traces (`tests/model_consistency.rs`).
 //!
 //! Processor indices use the same nested-cluster numbering as D-BSP: for the
 //! mesh, processor `i` sits at the Morton position of `i`, so an `i`-cluster
@@ -24,4 +24,4 @@ pub mod topology;
 
 pub use fit::{fit_dbsp, simulate_trace, FitReport};
 pub use router::route_h_relation;
-pub use topology::{Hypercube, LinearArray, Mesh2D, Topology, Torus2D};
+pub use topology::{Hypercube, LinearArray, Mesh2D, Topology};

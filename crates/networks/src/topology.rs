@@ -170,67 +170,6 @@ impl Topology for LinearArray {
     }
 }
 
-/// A √p×√p torus (wraparound mesh) on the Morton placement, dimension-order
-/// routing along the shorter way around each ring.
-#[derive(Debug, Clone, Copy)]
-pub struct Torus2D {
-    side: usize,
-}
-
-impl Torus2D {
-    /// Builds a torus with `p = side²` processors (`side` a power of two).
-    pub fn new(p: usize) -> Torus2D {
-        assert!(p.is_power_of_two() && p.trailing_zeros().is_multiple_of(2), "p must be 4^m");
-        Torus2D { side: 1 << (p.trailing_zeros() / 2) }
-    }
-
-    fn ring_step(&self, from: usize, to: usize) -> usize {
-        let s = self.side;
-        let fwd = (to + s - from) % s;
-        if fwd != 0 && fwd <= s / 2 {
-            (from + 1) % s
-        } else {
-            (from + s - 1) % s
-        }
-    }
-
-    /// Processor at grid coordinates `(r, c)`.
-    pub fn id_of(&self, r: usize, c: usize) -> usize {
-        part1by1(r) << 1 | part1by1(c)
-    }
-}
-
-impl Topology for Torus2D {
-    fn p(&self) -> usize {
-        self.side * self.side
-    }
-
-    fn next_hop(&self, from: usize, to: usize) -> usize {
-        let (r0, c0) = (compact1by1(from >> 1), compact1by1(from));
-        let (r1, c1) = (compact1by1(to >> 1), compact1by1(to));
-        if c0 != c1 {
-            part1by1(r0) << 1 | part1by1(self.ring_step(c0, c1))
-        } else {
-            part1by1(self.ring_step(r0, r1)) << 1 | part1by1(c0)
-        }
-    }
-
-    fn distance(&self, from: usize, to: usize) -> usize {
-        let s = self.side;
-        let (r0, c0) = (compact1by1(from >> 1), compact1by1(from));
-        let (r1, c1) = (compact1by1(to >> 1), compact1by1(to));
-        let ring = |a: usize, b: usize| {
-            let d = (b + s - a) % s;
-            d.min(s - d)
-        };
-        ring(r0, r1) + ring(c0, c1)
-    }
-
-    fn name(&self) -> String {
-        format!("torus2d({}x{})", self.side, self.side)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,35 +232,5 @@ mod tests {
         assert_eq!(a.distance(0, 15), 15);
         assert_eq!(a.next_hop(3, 10), 4);
         assert_eq!(a.next_hop(10, 3), 9);
-    }
-
-    #[test]
-    fn torus_wraps_around_the_short_way() {
-        let t = Torus2D::new(64);
-        // Opposite corners of an 8x8 torus wrap in both rings: 1 + 1 hops.
-        let (a, b) = (t.p() - 1, 0usize);
-        assert_eq!(t.distance(a, b), 2);
-        // Mid-ring pairs take the 4 + 4 route, and routing delivers in
-        // exactly `distance` hops.
-        let (a, b) = (t.id_of(0, 0), t.id_of(4, 4));
-        assert_eq!(t.distance(a, b), 8);
-        let mut cur = a;
-        let mut hops = 0;
-        while cur != b {
-            cur = t.next_hop(cur, b);
-            hops += 1;
-            assert!(hops <= 8, "torus routing loop");
-        }
-        assert_eq!(hops, 8);
-    }
-
-    #[test]
-    fn torus_beats_mesh_on_wrap_heavy_relations() {
-        use crate::router::route_h_relation;
-        let mesh = Mesh2D::new(64);
-        let torus = Torus2D::new(64);
-        // Bit-complement pairs: corner-to-corner — the torus halves the paths.
-        let msgs: Vec<(usize, usize)> = (0..64).map(|s| (s, 63 - s)).collect();
-        assert!(route_h_relation(&torus, &msgs) <= route_h_relation(&mesh, &msgs));
     }
 }

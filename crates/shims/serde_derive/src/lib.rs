@@ -1,6 +1,6 @@
 //! Offline shim for `serde_derive`: the derives expand to nothing. Nothing
-//! in this workspace serializes through serde — the experiment harness
-//! writes its own line-oriented text and JSON formats — so the derive
+//! in this workspace serializes through serde — the repo benchmark writes
+//! its own line-oriented text and JSON formats — so the derive
 //! positions on model types are kept compiling without generating code.
 
 use proc_macro::TokenStream;

@@ -55,5 +55,5 @@ fn main() {
     println!("  columnsort D = {:.0}", t_col.comm_time(&mesh));
     println!("  bitonic    D = {:.0}", t_bit.comm_time(&mesh));
     println!("(bitonic's constants win at this n; the schedule-level crossover");
-    println!(" sits at n = 2^14 — see `cargo run -p nob-bench --bin exp_sort`.)");
+    println!(" sits at n = 2^14 — see the `columnsort_bitonic_crossover` test.)");
 }

@@ -18,7 +18,7 @@
 //!   folded execution, the ascend–descend protocol);
 //! * [`algos`] — matrix multiplication, FFT, Columnsort, stencils,
 //!   broadcast, primitives, and the class-C baselines;
-//! * [`networks`] — packet-level mesh/torus/array/hypercube simulators and
+//! * [`networks`] — packet-level mesh/array/hypercube simulators and
 //!   D-BSP parameter fitting.
 //!
 //! ## A complete round trip
@@ -56,8 +56,15 @@
 //! assert_eq!(folded, product);
 //! ```
 //!
-//! See the [`machine`] crate docs for the system inventory, the `exp_*`
-//! binaries of `crates/bench` for the paper-vs-measured tables,
+//! The paper's statements are asserted by the test suite, next to the code
+//! they are about: each algorithm's `communication_complexity_matches_theorem_*`
+//! test bounds its `H` against the Section-4 closed form and lower bound,
+//! `tests/optimality.rs` checks Corollaries 4.3, 4.6 and 4.9 through
+//! Theorem 3.4, `tests/model_consistency.rs` Lemma 3.1, wiseness, the exact
+//! folded h-relations and the network fits, and `tests/protocol.rs`
+//! Theorem 5.3.
+//!
+//! See the [`machine`] crate docs for the system inventory,
 //! `benchmark/README.md` for the repo benchmark, `ROADMAP.md` and
 //! `CHANGES.md` for where the code is going and has been, and `examples/`
 //! for domain scenarios.
