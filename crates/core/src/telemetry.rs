@@ -43,8 +43,6 @@ pub enum Site {
     SerialPlanned,
     /// Serial engine: one dynamic superstep's VP execution sweep.
     SerialExec,
-    /// Serial engine: plan capture over a program's trace run.
-    SerialCapture,
     /// Sharded executor: per-worker planned-path sizing (route enumeration
     /// or cached-total application).
     ShardPrepare,
@@ -68,13 +66,12 @@ pub enum Site {
 
 impl Site {
     /// Number of instrumented sites (the slot-array length).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Every site, in slot order — iterate this to build a full report.
     pub const ALL: [Site; Site::COUNT] = [
         Site::SerialPlanned,
         Site::SerialExec,
-        Site::SerialCapture,
         Site::ShardPrepare,
         Site::ShardExec,
         Site::ShardExecPlanned,
@@ -92,7 +89,6 @@ impl Site {
         match self {
             Site::SerialPlanned => "serial:planned",
             Site::SerialExec => "serial:exec",
-            Site::SerialCapture => "serial:capture",
             Site::ShardPrepare => "shard:prepare",
             Site::ShardExec => "shard:exec",
             Site::ShardExecPlanned => "shard:exec_planned",

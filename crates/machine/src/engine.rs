@@ -98,10 +98,10 @@
 //!   degree (the paper's wiseness device) but are never delivered.
 
 use crate::mailbox::{route_serial, Arena, ChunkStage, DirectOut, DirectSink};
+use crate::plan::message_fault;
 use crate::program::{Ctx, Envelope, Program};
 use crate::shard::Executor;
 use nob_core::fault::FaultPlan;
-use nob_core::folding::message_allowed;
 use nob_core::metrics::{CommTrace, DegreeCounters, TraceBuilder};
 use nob_core::model::log2_exact;
 use nob_core::telemetry::{Site, TelemetrySink};
@@ -249,6 +249,27 @@ pub(crate) struct GranSpec {
     pub(crate) full: bool,
 }
 
+impl GranSpec {
+    /// The message-log entry of a message `src → dst` (VP ids): the VP pair
+    /// at full granularity; folded, the processor pair, or `None` for a
+    /// message internal to its processor. Every log — serial, sharded and
+    /// planned — is projected through this one method.
+    #[inline]
+    pub(crate) fn log_pair(self, src: usize, dst: usize) -> Option<(u32, u32)> {
+        if self.full {
+            return Some((src as u32, dst as u32));
+        }
+        let (ps, pd) = (src >> self.gran_shift, dst >> self.gran_shift);
+        (ps != pd).then_some((ps as u32, pd as u32))
+    }
+}
+
+/// One plan-less superstep's send sequence as a run recorded it for
+/// [`Program::capture_plans`]: the step's schedule index, the per-VP prefix
+/// offsets and the flat `(dst, is_data)` slot table — the input of
+/// [`crate::plan::StepPlan::compile_captured`].
+pub(crate) type CapturedStep = (usize, Vec<u32>, Vec<(u32, bool)>);
+
 /// Number of executor shards for a machine of `v` VPs at metric granularity
 /// `gran`: a power of two between 1 and `gran`.
 fn shard_count(v: usize, gran: usize, opts: &RunOptions) -> usize {
@@ -347,10 +368,6 @@ fn run_core<S: Send + Clone, M: Send>(
 pub(crate) const FAULT_SERIAL_PLANNED: &str = "serial:planned";
 /// See [`FAULT_SERIAL_PLANNED`].
 pub(crate) const FAULT_SERIAL_EXEC: &str = "serial:exec";
-/// The capture run's computation + send phase (see [`capture_run`]): checked
-/// inside the phase's `catch_unwind` like the other serial sites, so a fault
-/// during trace capture rides the same recovery as a closure panic there.
-pub(crate) const FAULT_SERIAL_CAPTURE: &str = "serial:capture";
 
 /// Renders a caught closure panic as the structured
 /// [`ModelError::VpPanic`], preserving string payloads verbatim. Shared by
@@ -383,6 +400,12 @@ fn runnable_plan<'a, S, M>(
 /// steady-state supersteps allocate nothing (the engine's headline property,
 /// proven by `tests/allocation.rs`) — what [`Executor::attempt`] runs at
 /// width 1.
+///
+/// `capture` is [`Program::capture_plans`]' recorder (`None` on every run
+/// path): each superstep that runs on the dynamic body appends its staged
+/// send sequence there, before the scatter drains it. Under the validated,
+/// planned options capture runs with, those are exactly the plan-less
+/// steps.
 pub(crate) fn run_serial<S: Send, M: Send>(
     prog: &Program<S, M>,
     states: &mut [S],
@@ -390,6 +413,7 @@ pub(crate) fn run_serial<S: Send, M: Send>(
     opts: &RunOptions,
     trace: &mut TraceBuilder,
     message_log: &mut Option<Vec<Vec<(u32, u32)>>>,
+    mut capture: Option<&mut Vec<CapturedStep>>,
 ) -> Result<(), ModelError> {
     let v = prog.v();
     let log_v = prog.log_v();
@@ -549,28 +573,15 @@ pub(crate) fn run_serial<S: Send, M: Send>(
             for (dst, env) in &stage.outbox.msgs[msg_idx..end as usize] {
                 let dst = *dst as usize;
                 if opts.validate {
-                    if dst >= v {
-                        return Err(ModelError::BadParameter {
-                            what: "dst",
-                            reason: "message destination out of machine range",
-                        });
-                    }
-                    if !message_allowed(src, dst, log_v, step.label) {
-                        return Err(ModelError::ClusterViolation { label: step.label, src, dst });
+                    if let Some(fault) = message_fault(src, dst, v, log_v, step.label) {
+                        return Err(fault);
                     }
                 }
                 if record_step {
                     counters.record(src, dst);
                 }
                 if want_log {
-                    if spec.full {
-                        log_scratch.push((src as u32, dst as u32));
-                    } else {
-                        let (ps, pd) = (src >> spec.gran_shift, dst >> spec.gran_shift);
-                        if ps != pd {
-                            log_scratch.push((ps as u32, pd as u32));
-                        }
-                    }
+                    log_scratch.extend(spec.log_pair(src, dst));
                 }
                 if matches!(env, Envelope::Data(_)) {
                     // Checked: a wrapped count would mis-size the arena
@@ -590,6 +601,19 @@ pub(crate) fn run_serial<S: Send, M: Send>(
             }
         }
 
+        if let Some(rec) = capture.as_deref_mut() {
+            let mut offsets = Vec::with_capacity(v + 1);
+            offsets.push(0u32);
+            offsets.extend_from_slice(&stage.vp_ends);
+            let slots = stage
+                .outbox
+                .msgs
+                .iter()
+                .map(|(dst, env)| (*dst, matches!(env, Envelope::Data(_))))
+                .collect();
+            rec.push((t, offsets, slots));
+        }
+
         // --- routing (messages become visible next superstep) --------------
         {
             crate::mailbox::fault_edge(faults, crate::mailbox::FAULT_PREPARE_WRITE, 0, t)?;
@@ -602,121 +626,6 @@ pub(crate) fn run_serial<S: Send, M: Send>(
         read_idx = 1 - read_idx;
     }
     Ok(())
-}
-
-/// The trace-capture run behind [`Program::capture_plans`]: one serial,
-/// *fully dynamic* execution of the whole program that records, for every
-/// superstep without a declared plan, the exact send sequence as per-VP
-/// prefix offsets over a flat `(dst, is_data)` slot table — the input of
-/// [`crate::plan::StepPlan::compile_captured`]. Steps that already carry a
-/// plan replay dynamically too (so the recorded run is exactly the dynamic
-/// semantics end to end) and yield `None`.
-///
-/// Validation is forced on regardless of any run options: a capture that
-/// escaped its cluster would compile into a plan [`StepPlan::compile`]
-/// rejects anyway, so the violation is reported here, at its source.
-/// Metrics, traces and logs are not produced — the run exists only for its
-/// side effect on the captured tables; the final states are discarded.
-#[allow(clippy::type_complexity)]
-pub(crate) fn capture_run<S, M>(
-    prog: &Program<S, M>,
-    mut states: Vec<S>,
-    faults: Option<&FaultPlan>,
-    tele: Option<&TelemetrySink>,
-) -> Result<Vec<Option<(Vec<u32>, Vec<(u32, bool)>)>>, ModelError> {
-    let v = prog.v();
-    prog.check_states_len(states.len())?;
-    let log_v = prog.log_v();
-    let mut stage: ChunkStage<M> = ChunkStage::new(v);
-    let mut arenas = [Arena::<M>::new(v), Arena::<M>::new(v)];
-    let mut read_idx = 0usize;
-    let mut dst_counts = vec![0u32; v];
-    let mut cursors = vec![0u32; v];
-    let mut captures = Vec::with_capacity(prog.steps().len());
-
-    for (t, step) in prog.steps().iter().enumerate() {
-        // Declared plans are honored, never re-captured; a route that failed
-        // its compile-time proof is reported up front, exactly as a
-        // validated planned run would report it.
-        if let Some(fault) = step.plan().and_then(|p| p.fault()) {
-            return Err(fault.clone());
-        }
-
-        // --- computation + send phase (always the dynamic path) -----------
-        {
-            let t0 = tele.map(|tl| {
-                tl.enter(0, Site::SerialCapture, t);
-                Instant::now()
-            });
-            let read = &mut arenas[read_idx];
-            let (slab, offsets) = read.take_read();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(f) = faults {
-                    f.check(FAULT_SERIAL_CAPTURE, 0, t)?;
-                }
-                exec_chunk(prog, step, 0, &mut states, slab, offsets, &mut stage);
-                Ok(())
-            }));
-            match outcome {
-                Ok(result) => result?,
-                Err(payload) => return Err(vp_panic_error(step.name, stage.panic_vp(), payload)),
-            }
-            if let (Some(tl), Some(t0)) = (tele, t0) {
-                tl.record(0, Site::SerialCapture, t0.elapsed());
-            }
-        }
-        if let Some(e) = stage.outbox.take_error(step.name) {
-            return Err(e);
-        }
-
-        // --- forced validation + routing counts ----------------------------
-        let mut msg_idx = 0usize;
-        for (src, &end) in stage.vp_ends.iter().enumerate() {
-            for (dst, env) in &stage.outbox.msgs[msg_idx..end as usize] {
-                let dst = *dst as usize;
-                if dst >= v {
-                    return Err(ModelError::BadParameter {
-                        what: "dst",
-                        reason: "message destination out of machine range",
-                    });
-                }
-                if !message_allowed(src, dst, log_v, step.label) {
-                    return Err(ModelError::ClusterViolation { label: step.label, src, dst });
-                }
-                if matches!(env, Envelope::Data(_)) {
-                    crate::mailbox::bump_count(&mut dst_counts[dst])?;
-                }
-            }
-            msg_idx = end as usize;
-        }
-
-        // --- record the trace before the scatter drains it -----------------
-        captures.push(if step.plan().is_none() {
-            let mut offsets = Vec::with_capacity(v + 1);
-            offsets.push(0u32);
-            offsets.extend_from_slice(&stage.vp_ends);
-            let slots = stage
-                .outbox
-                .msgs
-                .iter()
-                .map(|(dst, env)| (*dst, matches!(env, Envelope::Data(_))))
-                .collect();
-            Some((offsets, slots))
-        } else {
-            None
-        });
-
-        // --- routing --------------------------------------------------------
-        {
-            let write = &mut arenas[1 - read_idx];
-            let total = write.prepare_write(&mut dst_counts, &mut cursors);
-            let (slab, _offsets) = write.split_for_scatter(total);
-            route_serial(&mut stage, &mut cursors, slab);
-            write.commit_write(total);
-        }
-        read_idx = 1 - read_idx;
-    }
-    Ok(captures)
 }
 
 /// Executes one planned superstep on the serial path: a counting pass over
@@ -835,16 +744,7 @@ pub(crate) fn plan_log_entry(
     out: &mut Vec<(u32, u32)>,
 ) {
     let v = 1usize << plan.log_v;
-    if spec.full {
-        plan.for_each_message(0..v, |s, d, _| out.push((s as u32, d as u32)));
-    } else {
-        plan.for_each_message(0..v, |s, d, _| {
-            let (ps, pd) = (s >> spec.gran_shift, d >> spec.gran_shift);
-            if ps != pd {
-                out.push((ps as u32, pd as u32));
-            }
-        });
-    }
+    plan.for_each_message(0..v, |s, d, _| out.extend(spec.log_pair(s, d)));
 }
 
 /// Runs the superstep closure for every VP of one shard, carving per-VP

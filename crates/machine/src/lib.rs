@@ -77,8 +77,8 @@
 //!   chunk, the machine) and every sharded worker (one chunk, its shard)
 //!   run a planned step through that kernel — one dynamic call per chunk
 //!   instead of one per VP; the boxed body, which stages the same
-//!   destinations and dummies, is kept for the dynamic tier, capture and
-//!   the reference engine. Plan invariants: a plan never changes
+//!   destinations and dummies, is kept for the dynamic tier and the
+//!   reference engine. Plan invariants: a plan never changes
 //!   semantics, only cost (enforced by differential suites); a
 //!   cluster-violating route faults at compile time and reports like the
 //!   dynamic engine would; and a body that sends one payload more or
@@ -90,8 +90,9 @@
 //!   region, and no arena is published before its written total matches.
 //! * **Captured** ([`program::Program::capture_plans`]): a program whose
 //!   routes are deterministic for its inputs but inconvenient (or
-//!   impossible) to declare obliviously can record one dynamic run and
-//!   compile the observed routes into `StepPlan`s table-backed per step —
+//!   impossible) to declare obliviously can record one ordinary serial run
+//!   (validation forced on, declared steps run planned) and compile the
+//!   sends of its plan-less steps into `StepPlan`s table-backed per step —
 //!   replayed and direct-written like declared routes. Their bodies still
 //!   send by destination, so each VP's sends are staged and compared with
 //!   the captured table before they are written. **Cache invalidation**: a
@@ -250,11 +251,11 @@
 //! * **Plan cache** — compiled programs (StepPlans, layouts and the
 //!   declared send totals memoised on the program) are cached under
 //!   `(shape fingerprint, v, width)`, where the shape is the submitter-declared
-//!   [`server::ShapeKey`]. Captured-plan entries additionally key on a
-//!   fingerprint of the initial states — the capture validity rule above —
-//!   so a lookalike job with different data re-captures instead of
-//!   replaying a stale route. The cache only ever changes *cost*: a wrong
-//!   or stale entry surfaces as [`nob_core::ModelError::PlanMismatch`]
+//!   [`server::ShapeKey`]. The key names no data: a captured program is
+//!   submitted as [`server::ProgramSource::Prebuilt`], so each job runs
+//!   the program its submitter captured — the capture validity rule above
+//!   is the submitter's. The cache only ever changes *cost*: a wrong or
+//!   stale entry surfaces as [`nob_core::ModelError::PlanMismatch`]
 //!   through the same gates that police declared routes.
 //! * **Admission** — FIFO with one size-aware exception: the earliest
 //!   small job (`v ≤ 2^12`) overtakes a large queued head, at most 64
@@ -279,7 +280,7 @@
 //!   exactly what `scripts/exact_counts.txt` records (the exact-count
 //!   gate, `scripts/exact_gate.sh`, counts with the sink armed).
 //! * **Sites, not strings** — spans are keyed by the static
-//!   [`nob_core::telemetry::Site`] enum (serial planned/exec/capture;
+//!   [`nob_core::telemetry::Site`] enum (serial planned/exec;
 //!   shard prepare/exec/exec-planned/fused-exec/commit/flush/gather/
 //!   merge/barrier-wait), one flat slot array per worker: recording is
 //!   two `Instant` reads and a relaxed add, no hashing, no locks, no
@@ -292,7 +293,7 @@
 //!   holds as a checkable invariant.
 //! * **Reports** — [`nob_core::telemetry::TelemetrySink::run_report`]
 //!   aggregates worker slots into a stable JSON snapshot
-//!   (`{"schema":"nob-telemetry-v1","kind":"run",...}`, always all 12
+//!   (`{"schema":"nob-telemetry-v1","kind":"run",...}`, always all 11
 //!   sites) and `server_report` the flat `"kind":"server"` counter
 //!   object. The chaos suite asserts that an armed run observes every
 //!   site, the server suite the lifecycle invariants; the repo benchmark's

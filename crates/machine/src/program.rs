@@ -1,8 +1,10 @@
 //! Static superstep programs: the executable form of an `M(v)` algorithm.
 
+use crate::engine::{run_serial, GranSpec, RunOptions};
 use crate::mailbox::{ChunkStage, DirectSink, Inbox};
 use crate::plan::{message_fault, DeclaredRoute, Route, RouteFn, StepPlan};
 use crate::shard::lock;
+use nob_core::metrics::TraceBuilder;
 use nob_core::model::log2_exact;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -176,7 +178,7 @@ enum SlotTarget<'a, M> {
     /// and dummies — already in the plan's metrics — are never written.
     Direct(&'a mut DirectSink<M>),
     /// The staging outbox of every path that runs the boxed body (dynamic,
-    /// capture, the reference engine): dummies are staged at their declared
+    /// the reference engine): dummies are staged at their declared
     /// positions, so traces and message logs are the declared route's.
     Staged(&'a mut Outbox<M>),
 }
@@ -696,15 +698,22 @@ impl<S, M> Program<S, M> {
         Err(nob_core::ModelError::BadVectorLength { what: "states", expected: self.v, got: len })
     }
 
-    /// Records one dynamic execution of this program on `states` (the
-    /// initial VP states, exactly as they would be passed to a run) and
-    /// compiles the observed send sequence of every *plan-less* superstep
-    /// into a replayable captured [`StepPlan`] (see
-    /// `StepPlan::compile_captured`). Returns the number of fault-free
-    /// plans added; on success every superstep is planned and the program
-    /// executes on the direct-write scatter — serial, sharded and fused —
-    /// exactly like one declared with [`Program::step_oblivious`]
-    /// throughout.
+    /// Records one serial run of this program on `states` (the initial VP
+    /// states, exactly as they would be passed to a run) and compiles the
+    /// observed send sequence of every *plan-less* superstep into a
+    /// replayable captured [`StepPlan`] (see `StepPlan::compile_captured`).
+    /// Returns the number of fault-free plans added; on success every
+    /// superstep is planned and the program executes on the direct-write
+    /// scatter — serial, sharded and fused — exactly like one declared with
+    /// [`Program::step_oblivious`] throughout.
+    ///
+    /// The run is the ordinary serial loop with validation forced on,
+    /// whatever options later runs use: a plan-less step's sends are
+    /// checked against the cluster constraint as they are recorded, and a
+    /// declared route that failed its compile-time proof is reported at its
+    /// step. Steps that already carry a plan (declared or captured) run
+    /// planned and are left untouched — states are bit-for-bit those of the
+    /// dynamic path either way. A failed capture adds no plans.
     ///
     /// **Cache invalidation:** a capture is a trace of *this* program
     /// instance. It stays valid precisely as long as the dynamic send
@@ -719,36 +728,26 @@ impl<S, M> Program<S, M> {
     /// (data-dependent routing) are not capturable — replay detection
     /// makes that an error, not a wrong answer.
     ///
-    /// Schedule entries that already carry a plan (declared or captured)
-    /// are left untouched; the capture run replays them dynamically for
-    /// fidelity with the recorded execution.
-    ///
     /// **Repeated entries** ([`Program::repeat`]): a plan-less body may send
     /// differently at each of its occurrences (its destinations can depend
     /// on state), so capture un-shares — every plan-less *entry* gets the
     /// plan compiled from what that occurrence sent, and one occurrence's
     /// captured sequence is never replayed for another. Only the body stays
     /// shared.
-    pub fn capture_plans(&mut self, states: Vec<S>) -> Result<usize, nob_core::ModelError> {
-        self.capture_plans_with(states, None, None)
-    }
-
-    /// [`Program::capture_plans`] with a deterministic fault plan and/or a
-    /// telemetry sink armed for the capture run itself (fault site
-    /// `serial:capture`; telemetry spans under the same name) — the chaos
-    /// suite's and the job server's entry point; other callers use
-    /// [`Program::capture_plans`].
-    pub fn capture_plans_with(
-        &mut self,
-        states: Vec<S>,
-        faults: Option<&nob_core::fault::FaultPlan>,
-        telemetry: Option<&nob_core::telemetry::TelemetrySink>,
-    ) -> Result<usize, nob_core::ModelError> {
-        let captures = crate::engine::capture_run(self, states, faults, telemetry)?;
+    pub fn capture_plans(&mut self, mut states: Vec<S>) -> Result<usize, nob_core::ModelError>
+    where
+        S: Send,
+        M: Send,
+    {
+        self.check_states_len(states.len())?;
+        let opts = RunOptions { validate: true, ..RunOptions::default() };
+        let spec = GranSpec { levels: self.log_v, gran_shift: 0, full: true };
+        let mut trace = TraceBuilder::new(self.v, self.n, self.steps.len());
+        let mut captures = Vec::new();
+        run_serial(self, &mut states, spec, &opts, &mut trace, &mut None, Some(&mut captures))?;
         lock(&self.send_totals).clear();
         let mut added = 0;
-        for (t, cap) in captures.into_iter().enumerate() {
-            let Some((offsets, slots)) = cap else { continue };
+        for (t, offsets, slots) in captures {
             let step = &mut self.steps[t];
             let plan = StepPlan::compile_captured(
                 self.v, self.log_v, self.n, step.label, offsets, slots,

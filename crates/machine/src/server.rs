@@ -16,10 +16,10 @@
 //!   width)`: repeat requests reuse the built [`Program`] — its `StepPlan`s,
 //!   `PlanLayout`s and memoised declared send totals included — so a warm
 //!   job skips program construction, plan compilation *and* route
-//!   enumeration. Captured plans (see [`Program::capture_plans`])
-//!   additionally key on a fingerprint of the initial states, the PR-7
-//!   validity rule: a lookalike job with different states misses and
-//!   re-captures instead of replaying someone else's routes.
+//!   enumeration. The key names no data: a program whose plans were
+//!   captured from initial states ([`Program::capture_plans`]) is submitted
+//!   as [`ProgramSource::Prebuilt`], so the program a job runs is always
+//!   the one its submitter captured.
 //! * **Ticket and telemetry bookkeeping** — per-job results, lifecycle
 //!   timing and counters.
 //!
@@ -39,12 +39,19 @@
 //! and the cache trusts that name the same way the engine trusts a declared
 //! oblivious route. A key that misdescribes its program degrades exactly
 //! like a mis-declared route: the planned path's bounds and written-total
-//! checks (and a captured plan's per-send comparison with its table)
-//! surface a [`ModelError::PlanMismatch`] — never corruption and never an
-//! out-of-bounds write. For [`ProgramSource::Prebuilt`] jobs the submitted
-//! program is authoritative (the executor derives the lane spans and send
-//! totals from the program it runs), so even a lying key cannot misroute
-//! the dynamic path.
+//! checks surface a [`ModelError::PlanMismatch`] — never corruption and
+//! never an out-of-bounds write. For [`ProgramSource::Prebuilt`] jobs the
+//! submitted program is authoritative (the executor derives the lane spans
+//! and send totals from the program it runs), so even a lying key cannot
+//! misroute the dynamic path. That is how a captured program is served:
+//! the job runs the capture its submitter made. A capture that does not
+//! fit the data it runs on — stale, or reached through a [`ProgramSource::Build`]
+//! key that names it — fails that job with the replay's per-send
+//! `PlanMismatch`.
+//!
+//! A [`ProgramSource::Build`] closure runs on the scheduler thread; one
+//! that panics fails only its own job, with the panic message kept in a
+//! [`ModelError::VpPanic`] whose step is `"program builder"`.
 //!
 //! # Failure isolation
 //!
@@ -66,7 +73,7 @@
 //! `MAX_OVERTAKES` = 64 times becomes non-overtakable, bounding large-job
 //! starvation.
 
-use crate::engine::{GranSpec, RunOptions};
+use crate::engine::{vp_panic_error, GranSpec, RunOptions, MAX_WORKERS};
 use crate::program::Program;
 use crate::shard::{lock, Executor};
 use nob_core::fault::FaultPlan;
@@ -75,6 +82,7 @@ use nob_core::telemetry::{Counter, TelemetrySink};
 use nob_core::ModelError;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -112,14 +120,10 @@ pub enum ProgramSource<S, M> {
     /// it.
     Prebuilt(Arc<Program<S, M>>),
     /// Built on first use and cached under the job's [`ShapeKey`]; repeat
-    /// submissions reuse the cached program, compiled plans included.
+    /// submissions reuse the cached program, compiled plans included. A
+    /// builder that panics fails its job with a [`ModelError::VpPanic`]
+    /// carrying the panic message.
     Build(Box<dyn FnOnce() -> Program<S, M> + Send>),
-    /// Like [`ProgramSource::Build`], followed by
-    /// [`Program::capture_plans`] over the job's initial states. The cache
-    /// entry keys on a fingerprint of those states (the PR-7 capture
-    /// validity rule), so a lookalike job with different data misses and
-    /// re-captures rather than replaying a stale route.
-    BuildCaptured(Box<dyn FnOnce() -> Program<S, M> + Send>),
 }
 
 /// Per-job execution options — the serving subset of [`RunOptions`]
@@ -297,7 +301,6 @@ struct JobRequest<S, M> {
     /// `Some` until [`resolve_program`] consumes it (an `Option` so the
     /// resolver can take the builder out by value).
     source: Option<ProgramSource<S, M>>,
-    states_fp: Option<u64>,
     ticket: Arc<TicketCell<S>>,
     /// Submission timestamp, stamped only when the server's telemetry is
     /// armed (queue-wait attribution; disarmed submissions never read the
@@ -388,9 +391,6 @@ struct CacheKey {
     shape: u64,
     v: usize,
     n_shards: usize,
-    /// `Some` exactly for captured-plan entries: the PR-7
-    /// `(initial states, v)` validity key.
-    states_fp: Option<u64>,
 }
 
 struct CacheEntry<S, M> {
@@ -483,10 +483,10 @@ where
     /// Creates a server and spawns its gang (`config.n_shards` workers, one
     /// of them the scheduler thread itself).
     pub fn new(config: ServerConfig) -> Result<Self, ModelError> {
-        if !config.n_shards.is_power_of_two() || config.n_shards == 0 || config.n_shards > 256 {
+        if !config.n_shards.is_power_of_two() || config.n_shards > MAX_WORKERS {
             return Err(ModelError::BadParameter {
                 what: "n_shards",
-                reason: "gang width must be a power of two in 1..=256",
+                reason: "gang width must be a power of two no larger than the worker ceiling",
             });
         }
         let inner = Arc::new(ServerInner {
@@ -512,23 +512,32 @@ where
         Ok(JobServer { inner, stats, scheduler: Some(scheduler), telemetry })
     }
 
-    fn enqueue(
+    /// Submits a job; the returned ticket resolves when it has run.
+    ///
+    /// The machine size is the states' length, so it must be a power of
+    /// two ([`ModelError::NotPowerOfTwo`]) and at least 2, the smallest
+    /// machine a [`Program`] describes ([`ModelError::BadParameter`]).
+    pub fn submit(
         &self,
         spec: JobSpec,
         states: Vec<S>,
         source: ProgramSource<S, M>,
-        states_fp: Option<u64>,
     ) -> Result<JobTicket<S>, ModelError> {
         let v = states.len();
         if !v.is_power_of_two() {
             return Err(ModelError::NotPowerOfTwo { what: "v", value: v });
+        }
+        if v < 2 {
+            return Err(ModelError::BadParameter {
+                what: "v",
+                reason: "a job's machine needs at least 2 VPs",
+            });
         }
         let cell = Arc::new(TicketCell { slot: Mutex::new(None), cv: Condvar::new() });
         let job = JobRequest {
             states,
             spec,
             source: Some(source),
-            states_fp,
             ticket: Arc::clone(&cell),
             enqueued: self.telemetry.is_some().then(Instant::now),
         };
@@ -541,50 +550,6 @@ where
         }
         self.inner.cv.notify_all();
         Ok(JobTicket { cell })
-    }
-
-    /// Submits a job; the returned ticket resolves when it has run.
-    ///
-    /// A [`ProgramSource::BuildCaptured`] source is refused with a
-    /// [`ModelError::BadParameter`]: its cache entry must key on the initial
-    /// states, which only [`JobServer::submit_captured`] fingerprints —
-    /// enqueued from here it would be cached without them, and a lookalike
-    /// job with other data would replay the wrong routes.
-    pub fn submit(
-        &self,
-        spec: JobSpec,
-        states: Vec<S>,
-        source: ProgramSource<S, M>,
-    ) -> Result<JobTicket<S>, ModelError> {
-        if matches!(source, ProgramSource::BuildCaptured(_)) {
-            return Err(ModelError::BadParameter {
-                what: "source",
-                reason: "captured sources go through submit_captured \
-                         (their cache entry must key on the initial states)",
-            });
-        }
-        self.enqueue(spec, states, source, None)
-    }
-
-    /// Submits a job whose program captures its plans from these initial
-    /// states ([`ProgramSource::BuildCaptured`]); the cache entry keys on a
-    /// fingerprint of the states, per the capture validity rule.
-    pub fn submit_captured(
-        &self,
-        spec: JobSpec,
-        states: Vec<S>,
-        build: impl FnOnce() -> Program<S, M> + Send + 'static,
-    ) -> Result<JobTicket<S>, ModelError>
-    where
-        S: Hash,
-    {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        states.len().hash(&mut h);
-        for s in &states {
-            s.hash(&mut h);
-        }
-        let fp = h.finish();
-        self.enqueue(spec, states, ProgramSource::BuildCaptured(Box::new(build)), Some(fp))
     }
 
     /// Submit-and-wait convenience for sequential callers.
@@ -674,12 +639,7 @@ fn resolve_program<S: Send + Clone, M: Send>(
     n_shards: usize,
     tele: Option<&TelemetrySink>,
 ) -> Result<(Arc<Program<S, M>>, bool), ModelError> {
-    let key = CacheKey {
-        shape: job.spec.shape.fingerprint(),
-        v: job.states.len(),
-        n_shards,
-        states_fp: job.states_fp,
-    };
+    let key = CacheKey { shape: job.spec.shape.fingerprint(), v: job.states.len(), n_shards };
     // Take the source out; a cache hit never needs the builder.
     let Some(source) = job.source.take() else {
         // Unreachable: every job is resolved exactly once.
@@ -699,9 +659,7 @@ fn resolve_program<S: Send + Clone, M: Send>(
             }
             Ok((prog, hit))
         }
-        ProgramSource::Build(build) | ProgramSource::BuildCaptured(build)
-            if cache.entries.contains_key(&key) =>
-        {
+        ProgramSource::Build(build) if cache.entries.contains_key(&key) => {
             drop(build);
             cache.touch(&key);
             // allow-panic: guarded by the contains_key arm condition above.
@@ -709,16 +667,11 @@ fn resolve_program<S: Send + Clone, M: Send>(
             Ok((Arc::clone(&entry.prog), true))
         }
         ProgramSource::Build(build) => {
-            let prog = build();
+            // The builder is the submitter's code on the scheduler thread:
+            // a panic in it fails this job only, never the server.
+            let prog = catch_unwind(AssertUnwindSafe(build))
+                .map_err(|payload| vp_panic_error("program builder", 0, payload))?;
             prog.check_states_len(job.states.len())?;
-            let prog = Arc::new(prog);
-            cache.insert(key, Arc::clone(&prog), tele);
-            Ok((prog, false))
-        }
-        ProgramSource::BuildCaptured(build) => {
-            let mut prog = build();
-            // A states/`v` mismatch is the capture run's own first check.
-            prog.capture_plans_with(job.states.clone(), None, tele)?;
             let prog = Arc::new(prog);
             cache.insert(key, Arc::clone(&prog), tele);
             Ok((prog, false))
@@ -824,7 +777,6 @@ mod tests {
             states: vec![0; v],
             spec: JobSpec::new(ShapeKey { algo: "t", variant: 0 }),
             source: Some(ProgramSource::Prebuilt(Arc::new(Program::new(v, v)))),
-            states_fp: None,
             ticket: Arc::new(TicketCell { slot: Mutex::new(None), cv: Condvar::new() }),
             enqueued: None,
         }

@@ -204,9 +204,8 @@ use crate::engine::{exec_chunk, run_serial, GranSpec, RunOptions, MAX_WORKERS};
 use crate::mailbox::{
     bump_count, Arena, ChunkStage, DirectGrid, DirectShard, DirectSink, DirectWindow, LaneGrid,
 };
-use crate::plan::StepPlan;
+use crate::plan::{message_fault, StepPlan};
 use crate::program::{Ctx, Envelope, Program, Superstep};
-use nob_core::folding::message_allowed;
 use nob_core::metrics::{DegreeCounters, EpochMerge, TraceBuilder};
 use nob_core::model::log2_exact;
 use nob_core::fault::FaultPlan;
@@ -754,7 +753,7 @@ impl<M: Send> Executor<M> {
                 debug_assert_eq!(width, gang.kits.len(), "a gang runs at its own width");
                 gang.run(prog, states, spec, opts, &mut self.trace, &mut log)
             }
-            None => (0, run_serial(prog, states, spec, opts, &mut self.trace, &mut log)),
+            None => (0, run_serial(prog, states, spec, opts, &mut self.trace, &mut log, None)),
         };
         self.rounds = rounds;
         outcome?;
@@ -1538,14 +1537,8 @@ fn flush<S, M: Send>(
             msg_idx += 1;
             let d = dst as usize;
             if shared.validate {
-                if d >= v {
-                    return Err(ModelError::BadParameter {
-                        what: "dst",
-                        reason: "message destination out of machine range",
-                    });
-                }
-                if !message_allowed(src, d, log_v, step.label) {
-                    return Err(ModelError::ClusterViolation { label: step.label, src, dst: d });
+                if let Some(fault) = message_fault(src, d, v, log_v, step.label) {
+                    return Err(fault);
                 }
             }
             let dst_shard = d >> shard_shift;
@@ -1558,14 +1551,7 @@ fn flush<S, M: Send>(
                 }
             }
             if want_log {
-                if shared.spec.full {
-                    cell.log_frag.push((src as u32, dst));
-                } else {
-                    let (ps, pd) = (src >> shared.spec.gran_shift, d >> shared.spec.gran_shift);
-                    if ps != pd {
-                        cell.log_frag.push((ps as u32, pd as u32));
-                    }
-                }
+                cell.log_frag.extend(shared.spec.log_pair(src, d));
             }
             match env {
                 Envelope::Data(m) => {

@@ -25,6 +25,7 @@ use nob_core::fault::{FaultKind, FaultPlan};
 use nob_core::ModelError;
 use nob_machine::plan::Xor;
 use nob_machine::{run, Program, RunOptions, RunResult};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -241,16 +242,15 @@ fn every_telemetry_site_is_observed_in_an_armed_run() {
     // share the failpoints' names, so naming a failpoint says nothing about
     // whether its span is still *recorded*. One sink armed over the driver
     // program sharded (prepare, exec, exec_planned, fused_exec, commit,
-    // flush, gather, merge, barrier_wait), serial (serial:planned,
-    // serial:exec) and captured (serial:capture) must have observed every
-    // site, so a dropped `record` call fails here with the site's name.
+    // flush, gather, merge, barrier_wait) and serial (serial:planned,
+    // serial:exec) must have observed every site, so a dropped `record`
+    // call fails here with the site's name.
     let sink = Arc::new(TelemetrySink::for_workers(4));
-    let mut prog = mixed_program();
+    let prog = mixed_program();
     for w in [4usize, 1] {
         let armed = RunOptions { telemetry: Some(Arc::clone(&sink)), ..opts(w) };
         run(&prog, init_states(), &armed).expect("armed run");
     }
-    prog.capture_plans_with(init_states(), None, Some(&sink)).expect("armed capture");
     let report = sink.run_report();
     assert_eq!(report.sites.len(), Site::COUNT, "the report lists every site");
     for site in Site::ALL {
@@ -299,45 +299,39 @@ fn armed_telemetry_attributes_gang_stalls() {
 
 #[test]
 fn capture_failpoint_is_reachable_and_structured() {
-    // The capture run has its own failpoint (`serial:capture`, inside the
-    // per-step `catch_unwind`): both flavors must surface structured, the
-    // program must stay uncorrupted, and a clean capture afterwards must
-    // still reach 100% coverage and replay identically.
-    let prog = mixed_program();
+    // Capture is one serial run, so a panic during capture rides the serial
+    // loop's own recovery. The driver program gains a last, dynamic step
+    // whose body panics at VP 5 while `trip` is set: the capture must fail
+    // structured, add no plans and leave the program runnable, and a clean
+    // capture afterwards must still reach 100% coverage and replay
+    // identically.
+    let trip = Arc::new(AtomicBool::new(false));
+    let mut prog = mixed_program();
+    let armed = Arc::clone(&trip);
+    prog.step(0, "trip", move |_, ctx, _, _| {
+        if ctx.vp == 5 && armed.load(Ordering::Relaxed) {
+            panic!("tripped during capture");
+        }
+    });
     let baseline = run(&prog, init_states(), &opts(1)).expect("baseline");
+    let planned = prog.planned_steps();
 
-    for kind in [FaultKind::Error, FaultKind::Panic] {
-        let mut prog = mixed_program();
-        let plan = match kind {
-            FaultKind::Error => FaultPlan::error_at("serial:capture", 0, 0),
-            FaultKind::Panic => FaultPlan::panic_at("serial:capture", 0, 0),
-        };
-        let err = prog
-            .capture_plans_with(init_states(), Some(&plan), None)
-            .expect_err("armed capture must fail");
-        assert_eq!(plan.fired(), 1, "{kind:?}: capture failpoint did not fire");
-        match kind {
-            FaultKind::Error => assert!(
-                matches!(err, ModelError::FaultInjected { site: "serial:capture", .. }),
-                "{kind:?}: wrong error {err:?}"
-            ),
-            FaultKind::Panic => assert!(
-                matches!(&err, ModelError::VpPanic { payload, .. } if payload.contains("injected panic")),
-                "{kind:?}: wrong error {err:?}"
-            ),
-        }
-        // A failed capture adds no plans and leaves the program runnable …
-        assert_clean(&run(&prog, init_states(), &opts(2)).unwrap(), &baseline, "post-fault run");
-        // … and a clean capture afterwards closes every gap.
-        let added = prog.capture_plans(init_states()).expect("clean capture");
-        assert!(added > 0, "clean capture added nothing");
-        assert_eq!(prog.planned_steps(), prog.steps().len(), "not 100% planned");
-        for w in [1usize, 2, 4, 8] {
-            assert_clean(
-                &run(&prog, init_states(), &opts(w)).unwrap(),
-                &baseline,
-                "captured replay",
-            );
-        }
+    trip.store(true, Ordering::Relaxed);
+    let err = prog.capture_plans(init_states()).expect_err("a panicking capture must fail");
+    trip.store(false, Ordering::Relaxed);
+    assert!(
+        matches!(&err, ModelError::VpPanic { step: "trip", vp: 5, payload }
+            if payload.contains("tripped during capture")),
+        "wrong error {err:?}"
+    );
+    // A failed capture adds no plans and leaves the program runnable …
+    assert_eq!(prog.planned_steps(), planned, "a failed capture added plans");
+    assert_clean(&run(&prog, init_states(), &opts(2)).unwrap(), &baseline, "post-panic run");
+    // … and a clean capture afterwards closes every gap.
+    let added = prog.capture_plans(init_states()).expect("clean capture");
+    assert!(added > 0, "clean capture added nothing");
+    assert_eq!(prog.planned_steps(), prog.steps().len(), "not 100% planned");
+    for w in [1usize, 2, 4, 8] {
+        assert_clean(&run(&prog, init_states(), &opts(w)).unwrap(), &baseline, "captured replay");
     }
 }

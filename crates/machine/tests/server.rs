@@ -1,10 +1,9 @@
 //! Integration suite for the multi-tenant job server
 //! ([`nob_machine::server`]): results must be bit-for-bit identical to the
 //! batch engine's, the compiled-plan cache must key on `(shape, v, width)`
-//! — plus the initial states for captured plans — and must degrade
-//! structurally (never corrupt) when a cached entry goes stale, and a
-//! failing job (injected fault, stall) must leave the persistent gang
-//! serviceable for the next one.
+//! and must degrade structurally (never corrupt) when a program goes stale,
+//! and a failing job (injected fault, stall, panicking builder) must leave
+//! the persistent gang serviceable for the next one.
 
 use nob_core::fault::FaultPlan;
 use nob_core::ModelError;
@@ -165,49 +164,6 @@ fn cache_misses_across_v_and_width() {
     assert_eq!(stats.serial_jobs, 2, "v=4 rides the serial path");
 }
 
-/// Captured-plan entries key on the initial states: a lookalike job — same
-/// shape, same `v`, different data — misses and re-captures against its own
-/// states instead of replaying the other job's routes; the one door that
-/// would skip the fingerprint, a captured source through `submit`, is shut.
-#[test]
-fn captured_lookalike_misses_and_recaptures() {
-    let v = 32;
-    let flag = Arc::new(AtomicBool::new(false));
-    let states_a = seed_states(v, 1);
-    let states_b = seed_states(v, 2);
-    let want_a = run(&poisonable(v, &flag), states_a.clone(), &RunOptions::default()).unwrap();
-    let want_b = run(&poisonable(v, &flag), states_b.clone(), &RunOptions::default()).unwrap();
-
-    let srv = server(4);
-    let spec = JobSpec::new(ShapeKey { algo: "captured", variant: 0 });
-    // Plain `submit` would enqueue a captured source without the states
-    // fingerprint and cache it under the bare shape, so it refuses it — in
-    // every profile (it was a `debug_assert!`: in a release build job B
-    // below hit job A's entry and failed with `PlanMismatch`). The counts
-    // at the end show the refusal reached neither the queue nor the cache.
-    let f = Arc::clone(&flag);
-    let captured = ProgramSource::BuildCaptured(Box::new(move || poisonable(v, &f)));
-    match srv.submit(spec.clone(), states_a.clone(), captured) {
-        Err(ModelError::BadParameter { what: "source", .. }) => {}
-        Err(e) => panic!("wrong error {e:?}"),
-        Ok(_) => panic!("a captured source was enqueued without its fingerprint"),
-    }
-    let submit = |states: Vec<u64>| {
-        let f = Arc::clone(&flag);
-        srv.submit_captured(spec.clone(), states, move || poisonable(v, &f))
-            .unwrap()
-            .wait()
-            .unwrap()
-    };
-    assert_eq!(submit(states_a.clone()).states, want_a.states);
-    assert_eq!(submit(states_a).states, want_a.states, "same states: warm replay");
-    assert_eq!(submit(states_b).states, want_b.states, "lookalike re-captures");
-    let stats = srv.stats();
-    assert_eq!(stats.cache_misses, 2, "two captures: states A and states B");
-    assert_eq!(stats.cache_hits, 1, "one warm replay of A");
-    assert_eq!((stats.completed, stats.failed), (3, 0));
-}
-
 /// A job whose state vector does not match its program's `v` fails with the
 /// same structured `BadVectorLength` a direct `run` reports — whichever way
 /// the program arrives — and the server serves the next job.
@@ -223,7 +179,6 @@ fn mismatched_states_length_fails_the_job_not_the_server() {
     let served = [
         srv.run_job(spec.clone(), long(), ProgramSource::Prebuilt(Arc::new(butterfly(v)))),
         srv.run_job(spec.clone(), long(), ProgramSource::Build(Box::new(move || butterfly(v)))),
-        srv.submit_captured(spec.clone(), long(), move || butterfly(v)).unwrap().wait(),
     ];
     for (i, res) in served.into_iter().enumerate() {
         assert_eq!(res.err(), Some(want.clone()), "source {i}");
@@ -232,52 +187,45 @@ fn mismatched_states_length_fails_the_job_not_the_server() {
     let clean = run(&butterfly(v), states.clone(), &RunOptions::default()).unwrap();
     let source = ProgramSource::Build(Box::new(move || butterfly(v)));
     assert_eq!(srv.run_job(spec, states, source).unwrap().states, clean.states);
-    assert_eq!(srv.stats().failed, 3);
+    assert_eq!(srv.stats().failed, 2);
 }
 
-/// A cached captured entry whose program has drifted is *detected* on the
-/// warm hit — a structured `PlanMismatch`, with validation on or off — and
-/// the gang serves the next job cleanly.
+/// A captured program served as `Prebuilt` whose behavior has drifted is
+/// *detected* on the warm hit — a structured `PlanMismatch`, with validation
+/// on or off — and the gang serves the next job cleanly.
 #[test]
 fn stale_captured_hit_degrades_structurally() {
     let v = 32;
     let flag = Arc::new(AtomicBool::new(false));
     let states = seed_states(v, 9);
+    let mut captured = poisonable(v, &flag);
+    assert_eq!(captured.capture_plans(states.clone()).unwrap(), 2);
+    let captured = Arc::new(captured);
 
     let srv = server(4);
     let spec = JobSpec::new(ShapeKey { algo: "poisonable", variant: 0 });
-    let f0 = Arc::clone(&flag);
-    let first = srv
-        .submit_captured(spec.clone(), states.clone(), move || poisonable(v, &f0))
-        .unwrap()
-        .wait()
-        .unwrap();
+    let submit = |spec: JobSpec| {
+        srv.run_job(spec, states.clone(), ProgramSource::Prebuilt(Arc::clone(&captured)))
+    };
+    let first = submit(spec.clone()).unwrap();
     let live = run(&poisonable(v, &flag), states.clone(), &RunOptions::default()).unwrap();
     assert_eq!(first.states, live.states);
 
-    // The program's behavior drifts out from under the cache entry.
+    // The program's behavior drifts out from under its captured plans.
     flag.store(true, Ordering::Relaxed);
 
     // Validated warm hit: rejected as a structured mismatch.
-    let f1 = Arc::clone(&flag);
-    let err = srv
-        .submit_captured(spec.clone(), states.clone(), move || poisonable(v, &f1))
-        .unwrap()
-        .wait()
-        .expect_err("stale capture must be rejected");
+    let err = submit(spec.clone()).expect_err("stale capture must be rejected");
     assert!(matches!(err, ModelError::PlanMismatch { .. }), "got {err:?}");
 
     // Non-validated warm hit: the replay compares every send with the
     // captured table whatever the options, so it is rejected the same way.
     let mut noval = spec.clone();
     noval.opts = JobOptions { validate: false, ..JobOptions::default() };
-    let f2 = Arc::clone(&flag);
-    let err = srv
-        .submit_captured(noval, states.clone(), move || poisonable(v, &f2))
-        .unwrap()
-        .wait()
-        .expect_err("stale capture must be rejected without validation too");
+    let err = submit(noval).expect_err("stale capture must be rejected without validation too");
     assert!(matches!(err, ModelError::PlanMismatch { .. }), "got {err:?}");
+    let stats = srv.stats();
+    assert_eq!((stats.cache_misses, stats.cache_hits), (1, 2), "one program, warm twice");
 
     // The gang is still serviceable for an unrelated program.
     let clean = seed_states(64, 5);
@@ -579,6 +527,41 @@ fn prebuilt_jobs_and_drop_semantics() {
         }
     }
     assert!(refused >= 2, "shutdown must refuse still-queued jobs, refused {refused} of 3");
+}
+
+/// A builder that panics fails its own job with a structured `VpPanic`
+/// that keeps the panic message, and the next job is served: the builder
+/// runs on the scheduler thread, which a panic there must not unwind (that
+/// left the job's ticket and every later one unresolved). A machine too
+/// small for any program (`v = 1`) is refused at submit.
+#[test]
+fn panicking_builder_fails_its_job_and_the_next_is_served() {
+    const PATIENCE: Duration = Duration::from_secs(10);
+    let v = 32;
+    let states = seed_states(v, 43);
+    let want = run(&butterfly(v), states.clone(), &RunOptions::default()).unwrap();
+    // The jobs run on a helper thread, so a hung ticket fails the test at
+    // the timeout instead of wedging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let srv = server(4);
+        let spec = JobSpec::new(ShapeKey { algo: "bfly", variant: v as u64 });
+        let build = |f: fn() -> Program<u64, u64>| ProgramSource::Build(Box::new(f));
+        let tiny = srv.submit(spec.clone(), vec![0], build(|| Program::new(1, 1)));
+        let panicked = srv.run_job(spec.clone(), states.clone(), build(|| panic!("builder gave up")));
+        let next = srv.run_job(spec, states, ProgramSource::Build(Box::new(move || butterfly(v))));
+        let _ = tx.send((tiny.err(), panicked.err(), next.map(|r| r.states), srv.stats()));
+    });
+    let (tiny, panicked, next, stats) =
+        rx.recv_timeout(PATIENCE).expect("a panicking builder hung the server");
+    assert!(matches!(tiny, Some(ModelError::BadParameter { what: "v", .. })), "got {tiny:?}");
+    assert!(
+        matches!(&panicked, Some(ModelError::VpPanic { step: "program builder", payload, .. })
+            if payload == "builder gave up"),
+        "got {panicked:?}"
+    );
+    assert_eq!(next.unwrap(), want.states, "the next job must be served");
+    assert_eq!((stats.completed, stats.failed), (1, 1));
 }
 
 /// A panic on shard 0 — the thread that called into the gang: the caller of
