@@ -245,10 +245,11 @@ impl DegreeCounters {
     pub fn begin_superstep(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            // Epoch wrapped (after 2^32 supersteps): hard-reset the stamps so
-            // stale epoch-0 counts cannot be mistaken for current ones.
-            self.out_epoch.fill(u32::MAX);
-            self.in_epoch.fill(u32::MAX);
+            // Epoch wrapped (after 2^32 supersteps): hard-reset the stamps to
+            // 0, the one epoch never live after `begin_superstep`, so no
+            // pre-wrap count can match a later cycle's epoch.
+            self.out_epoch.fill(0);
+            self.in_epoch.fill(0);
             self.epoch = 1;
         }
         self.max_by_level.fill(0);
@@ -1021,6 +1022,32 @@ mod tests {
     fn star_step() -> SuperstepRecord {
         let msgs: Vec<(usize, usize)> = (1..8).map(|d| (0, d)).collect();
         SuperstepRecord::from_messages(0, 3, msgs)
+    }
+
+    #[test]
+    fn epoch_wrap_forgets_pre_wrap_counts() {
+        // Count a message at the last epoch before the wrap, wrap, then
+        // jump to the next cycle's `u32::MAX`: the slot that message
+        // stamped must start from zero again, as on a fresh counter.
+        let fresh = {
+            let mut c = DegreeCounters::full(3);
+            c.begin_superstep();
+            c.record(0, 7);
+            c
+        };
+        let mut c = DegreeCounters::full(3);
+        c.epoch = u32::MAX - 1;
+        c.begin_superstep();
+        c.record(0, 7);
+        c.begin_superstep();
+        assert_eq!(c.epoch, 1, "the epoch wraps to 1");
+        c.epoch = u32::MAX - 1;
+        c.begin_superstep();
+        c.record(0, 7);
+        for j in 1..=3 {
+            assert_eq!(c.level_max(j), fresh.level_max(j), "level {j}");
+        }
+        assert_eq!(c.total(), fresh.total());
     }
 
     #[test]

@@ -98,7 +98,7 @@
 //!   degree (the paper's wiseness device) but are never delivered.
 
 use crate::mailbox::{route_serial, Arena, ChunkStage, DirectOut, DirectSink};
-use crate::plan::message_fault;
+use crate::plan::{message_fault, PlanLayout, StepPlan};
 use crate::program::{Ctx, Envelope, Program};
 use crate::shard::Executor;
 use nob_core::fault::FaultPlan;
@@ -113,9 +113,10 @@ use std::time::{Duration, Instant};
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Execute the machine's shards in parallel (the engine falls back to
-    /// the serial path when the machine or the worker pool is too small for
-    /// sharding to pay; see the module docs).
+    /// Execute the machine's shards in parallel on a gang of workers
+    /// (default: `true`; the width is [`RunOptions::workers`]). `false`
+    /// runs the serial loop on the calling thread, as `workers: Some(1)`
+    /// does; so does a width that resolves to 1 (see the module docs).
     pub parallel: bool,
     /// Check the run against the model (default: `true`). Two checks
     /// depend on it: the i-superstep cluster constraint on every message
@@ -153,15 +154,16 @@ pub struct RunOptions {
     /// benchmarking and for differential testing itself.
     pub use_plans: bool,
     /// Run planned supersteps on the *fused* tier where the plan proves it
-    /// safe (default: `true`): on the serial path, size the write arena
-    /// straight from the plan's `O(1)` layout summary instead of
-    /// re-enumerating the route; on the sharded path, execute planned
-    /// supersteps whose payloads are proven shard-local entirely inside
-    /// their own worker — no window publication, no cross-shard reads and
-    /// **no barrier at all** (consecutive such steps form a zero-barrier
-    /// pipeline). Results are bit-for-bit identical either way (enforced by
-    /// the differential suites); `false` reproduces the one-barrier
-    /// protocol exactly, for benchmarking and differential testing.
+    /// safe (default: `true`). A planned step whose payloads stay in one
+    /// arena sizes it straight from the plan's `O(1)` layout summary
+    /// instead of re-enumerating the route. On the sharded path, a planned
+    /// step whose payloads are proven shard-local runs as the serial
+    /// planned step on each worker's own shard — no window, no cross-shard
+    /// write and **no barrier at all** (consecutive such steps form a
+    /// zero-barrier pipeline). Results are bit-for-bit identical either way
+    /// (enforced by the differential suites); `false` reproduces the
+    /// one-barrier protocol exactly, for benchmarking and differential
+    /// testing.
     pub fuse: bool,
     /// Deterministic fault-injection plan (default: `None`). When armed,
     /// the executors consult it at every instrumented phase boundary; when
@@ -385,15 +387,16 @@ pub(crate) fn vp_panic_error(
     ModelError::VpPanic { step, vp, payload: msg }
 }
 
-/// The plan the serial loop executes `step` from, if any: plans enabled and
-/// the step's route compiled without a fault. The tier census and the loop's
-/// dispatch both ask this one question, so what a run allocated and what it
-/// executes cannot disagree.
-fn runnable_plan<'a, S, M>(
-    step: &'a crate::program::Superstep<S, M>,
-    opts: &RunOptions,
-) -> Option<&'a crate::plan::StepPlan> {
-    step.plan().filter(|p| opts.use_plans && p.fault().is_none())
+/// The plan a run executes `step` from, if any: plans enabled
+/// ([`RunOptions::use_plans`]) and the step's route compiled without a
+/// fault. The serial loop's tier census and dispatch and every gang
+/// worker's dispatch ask this one question, so what a run allocated and
+/// what it executes cannot disagree.
+pub(crate) fn runnable_plan<S, M>(
+    step: &crate::program::Superstep<S, M>,
+    use_plans: bool,
+) -> Option<&StepPlan> {
+    step.plan().filter(|p| use_plans && p.fault().is_none())
 }
 
 /// The single-shard execution loop: the whole machine is one shard, and
@@ -431,7 +434,7 @@ pub(crate) fn run_serial<S: Send, M: Send>(
     let mut largest = [0u64; 2];
     let (mut dynamic, mut counting) = (false, false);
     for (t, step) in prog.steps().iter().enumerate() {
-        match runnable_plan(step, opts) {
+        match runnable_plan(step, opts.use_plans) {
             Some(plan) => {
                 largest[1 - t % 2] = largest[1 - t % 2].max(plan.total_data());
                 counting |= !opts.fuse || plan.layout().is_none();
@@ -481,7 +484,7 @@ pub(crate) fn run_serial<S: Send, M: Send>(
         let want_log = message_log.is_some() && record_step;
 
         // --- planned supersteps: direct-write scatter + analytic metrics --
-        if let Some(plan) = runnable_plan(step, opts) {
+        if let Some(plan) = runnable_plan(step, opts.use_plans) {
             let t0 = tele.map(|tl| {
                 tl.enter(0, Site::SerialPlanned, t);
                 Instant::now()
@@ -493,12 +496,13 @@ pub(crate) fn run_serial<S: Send, M: Send>(
                 run_planned_step(
                     step,
                     plan,
+                    0,
                     states,
                     &mut arenas,
                     read_idx,
                     &mut dst_counts,
                     &mut cursors,
-                    &mut dst_seen,
+                    Some(&mut dst_seen),
                     &mut stage,
                     opts.fuse,
                 )
@@ -510,16 +514,7 @@ pub(crate) fn run_serial<S: Send, M: Send>(
             if let (Some(tl), Some(t0)) = (tele, t0) {
                 tl.record(0, Site::SerialPlanned, t0.elapsed());
             }
-            if record_step {
-                trace.push_precomputed(step.label, plan.metrics(), spec.full);
-                if want_log {
-                    log_scratch.clear();
-                    plan_log_entry(plan, spec, &mut log_scratch);
-                    if let Some(log) = message_log.as_mut() {
-                        log.push(log_scratch.clone());
-                    }
-                }
-            }
+            push_planned_record(trace, message_log.as_mut(), step.label, plan, spec);
             read_idx = 1 - read_idx;
             continue;
         }
@@ -628,104 +623,112 @@ pub(crate) fn run_serial<S: Send, M: Send>(
     Ok(())
 }
 
-/// Executes one planned superstep on the serial path: a counting pass over
-/// the declared route sizes the write arena — or, on the fused tier
-/// (`fuse` and the plan carries a [`crate::plan::PlanLayout`]), the arena
-/// is sized straight from the `O(1)` layout summary with no route
-/// enumeration at all — the step's chunk kernel
-/// ([`crate::program::ChunkKernel`]) then runs every VP closure, which
-/// writes its payloads **directly into the destination arena slot**
-/// through the cursor-guarded [`DirectOut`] — no staging copy, no
-/// validation scan, no streaming counters, no counting-sort scatter. The
-/// caller pushes the plan's precomputed metrics afterwards.
+/// Executes one planned superstep whose payloads stay in one arena: the
+/// whole machine's on the serial loop (`base` 0), or a gang worker's shard
+/// `[base, base + states.len())` on a fused step — under the paper's
+/// folding a superstep whose traffic stays inside a processor is local
+/// computation there, so both are this one routine.
+///
+/// The write arena is sized from the plan's `O(1)`
+/// [`crate::plan::PlanLayout`] summary when `fuse` is set and compile
+/// detected one, else by a counting pass over the range's declared routes;
+/// the step's chunk kernel ([`crate::program::ChunkKernel`]) then runs every
+/// VP closure, which writes its payloads **directly into the destination
+/// arena slot** through the cursor-guarded [`DirectOut`] — no staging
+/// copy, no validation scan, no streaming counters, no counting-sort
+/// scatter. The caller pushes the plan's precomputed record afterwards.
 ///
 /// A body that breaks its route is rejected, never silently executed: one
-/// payload too many is refused by its writer, and the payload total is
-/// compared against the plan *before* the arena is committed, so one too
-/// few never publishes an under-filled slab (its payloads are leaked, not
-/// dropped, which is safe and bounded by one superstep).
+/// payload too many, or one leaving the range, is refused by its writer,
+/// and the written total is compared against the sized total *before* the
+/// arena is committed, so one too few never publishes an under-filled slab
+/// (its payloads are leaked, not dropped, which is safe and bounded by one
+/// superstep).
 #[allow(clippy::too_many_arguments)]
-fn run_planned_step<S, M: Send>(
+pub(crate) fn run_planned_step<S, M: Send>(
     step: &crate::program::Superstep<S, M>,
-    plan: &crate::plan::StepPlan,
+    plan: &StepPlan,
+    base: usize,
     states: &mut [S],
     arenas: &mut [Arena<M>; 2],
     read_idx: usize,
     dst_counts: &mut [u32],
     cursors: &mut [u32],
-    dst_seen: &mut [u64],
+    dst_seen: Option<&mut [u64]>,
     stage: &mut ChunkStage<M>,
     fuse: bool,
 ) -> Result<(), ModelError> {
     let [a0, a1] = arenas;
     let (read, write) = if read_idx == 0 { (a0, a1) } else { (a1, a0) };
+    let v = plan.v;
     // Not `dst_counts.len()`: that table is empty on a run whose every
     // planned step is sized from its layout.
-    let v = states.len();
+    let len = states.len();
 
-    // Size the write arena: from the plan's O(1) layout summary when the
-    // fused tier is enabled and compile detected one, else the counting
-    // pass over the declared route. Either way the direct writer re-checks
-    // every slot bound at write time, so a wrong layout could only surface
-    // as PlanMismatch, never as an out-of-bounds write. Unit layouts
-    // (`k == 1` — butterflies, shuffles, transposes) deliver through the
-    // L1-resident seen-bitmap instead of the cursor table.
-    let (total, uniform_k) = match plan.layout().filter(|_| fuse) {
-        Some(&crate::plan::PlanLayout::Uniform(k)) => {
-            (write.prepare_write_uniform(k, (k != 1).then_some(&mut *cursors)), k)
+    // Size the write arena. Either way the direct writer re-checks every
+    // slot bound at write time, so a wrong layout could only surface as
+    // PlanMismatch, never as an out-of-bounds write. Unit layouts (`k == 1`
+    // — butterflies, shuffles, transposes) deliver through the caller's
+    // L1-resident seen-bitmap when it lends one, else through the cursor
+    // table with uniform limits.
+    let layout = plan.layout().filter(|_| fuse);
+    let mut bits = dst_seen.filter(|_| matches!(layout, Some(PlanLayout::Uniform(1))));
+    let (total, uniform_k) = match layout {
+        Some(&PlanLayout::Uniform(k)) => {
+            (write.prepare_write_uniform(k, bits.is_none().then_some(&mut *cursors)), k)
         }
-        Some(layout @ crate::plan::PlanLayout::Table(_)) => {
-            (write.prepare_write_counts(|d| layout.count(d), cursors), 0)
+        Some(layout @ PlanLayout::Table(_)) => {
+            (write.prepare_write_counts(|d| layout.count(base + d), cursors), 0)
         }
         None => {
-            plan.count_data(dst_counts)?;
+            plan.count_data(base..base + len, dst_counts)?;
             (write.prepare_write(dst_counts, cursors), 0)
         }
     };
-    debug_assert_eq!(total as u64, plan.total_data(), "count pass disagrees with compile pass");
-    let bitmap = uniform_k == 1;
-    if bitmap {
-        dst_seen.fill(0);
+    debug_assert!(len < v || total as u64 == plan.total_data(), "count pass disagrees");
+    if let Some(b) = bits.as_deref_mut() {
+        b.fill(0);
     }
 
     // Arm the direct writer over the write arena's freshly sized slab.
     {
         let (wslab, woffsets) = write.split_for_scatter(total);
-        stage.direct = Some(DirectSink::Serial(DirectOut::new(
+        stage.direct = Some(DirectSink::Local(DirectOut::new(
             wslab,
             cursors,
             woffsets,
             uniform_k,
-            bitmap.then_some(&mut *dst_seen),
+            bits.as_deref_mut(),
+            base,
+            v,
         )));
     }
 
     // Execute the chunk through the step's kernel, carving inboxes out of
     // the read arena as usual.
     let (rslab, roffsets) = read.take_read();
-    let base = Ctx { vp: 0, v, log_v: plan.log_v, n: plan.n };
-    step.kernel().run_chunk(&step.exec, base, states, rslab, roffsets, stage);
+    let ctx = Ctx { vp: base, v, log_v: plan.log_v, n: plan.n };
+    step.kernel().run_chunk(&step.exec, ctx, states, rslab, roffsets, stage);
 
     let (written, fault) = match stage.direct.take() {
-        Some(DirectSink::Serial(d)) => d.finish(),
-        _ => unreachable!("serial path arms a serial sink"),
+        Some(DirectSink::Local(d)) => d.finish(),
+        _ => unreachable!("a one-arena planned step arms a local sink"),
     };
     if let Some((vp, reason)) = fault {
         return Err(ModelError::PlanMismatch { step: step.name, vp, reason });
     }
-    if written != plan.total_data() {
+    if written != total as u64 {
         // Attribute the shortfall to the first destination whose inbox
         // range was left short (the sender is unknown, but the starved
         // receiver is not).
         let (_, woffsets) = write.split_for_scatter(total);
-        let vp = if bitmap {
-            (0..v).find(|&d| dst_seen[d >> 6] & (1u64 << (d & 63)) == 0).unwrap_or(0)
-        } else {
-            (0..v).find(|&d| cursors[d] < woffsets[d + 1]).unwrap_or(0)
+        let d = match bits {
+            Some(b) => (0..len).find(|&d| b[d >> 6] & (1u64 << (d & 63)) == 0),
+            None => (0..len).find(|&d| cursors[d] < woffsets[d + 1]),
         };
         return Err(ModelError::PlanMismatch {
             step: step.name,
-            vp,
+            vp: base + d.unwrap_or(0),
             reason: "destination received fewer payload messages than the route declares",
         });
     }
@@ -733,18 +736,33 @@ fn run_planned_step<S, M: Send>(
     Ok(())
 }
 
-/// Materializes the message-log entry of a planned superstep straight from
-/// its route (same order as the dynamic path: ascending source VP, then
-/// send order; dummies included at full granularity, processor-external
-/// pairs only when folded). Shared by the serial path and the sharded
-/// coordinator so the two can never emit differently shaped entries.
-pub(crate) fn plan_log_entry(
-    plan: &crate::plan::StepPlan,
+/// Records a planned superstep whose label the trace records (`label <
+/// spec.levels`): the plan's precomputed `O(log v)` metrics and, when the
+/// run keeps a message log, the entry materialized from the route (same
+/// order as the dynamic path: ascending source VP, then send order; dummies
+/// included at full granularity, processor-external pairs only when
+/// folded). The record's message total is exactly the entry's length, so
+/// each entry is one exact-size allocation. The serial loop and the gang's
+/// coordinator both record through here, so the two can never emit
+/// differently shaped records.
+pub(crate) fn push_planned_record(
+    trace: &mut TraceBuilder,
+    log: Option<&mut Vec<Vec<(u32, u32)>>>,
+    label: u32,
+    plan: &StepPlan,
     spec: GranSpec,
-    out: &mut Vec<(u32, u32)>,
 ) {
-    let v = 1usize << plan.log_v;
-    plan.for_each_message(0..v, |s, d, _| out.extend(spec.log_pair(s, d)));
+    if label >= spec.levels {
+        return;
+    }
+    trace.push_precomputed(label, plan.metrics(), spec.full);
+    if let Some(log) = log {
+        let len = plan.metrics().total_at(spec.levels, spec.full) as usize;
+        let mut entry = Vec::with_capacity(len);
+        plan.for_each_message(0..plan.v, |s, d, _| entry.extend(spec.log_pair(s, d)));
+        debug_assert_eq!(entry.len(), len, "log entry disagrees with the record's total");
+        log.push(entry);
+    }
 }
 
 /// Runs the superstep closure for every VP of one shard, carving per-VP

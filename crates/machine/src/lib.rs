@@ -158,10 +158,12 @@
 //!   every worker commits its own (fully written, total-checked) arena.
 //! * **Zero barriers** (fused supersteps): when a plan's compile-time
 //!   payload-locality summary proves every payload stays within its
-//!   sender's shard at the current width, each worker sizes its arena
-//!   from the plan's `O(1)` [`plan::PlanLayout`] (or a shard-local count
-//!   pass), executes, and commits — entirely locally, no window
-//!   publication, no barrier at all. Runs of consecutive fused steps form
+//!   sender's shard at the current width, the step is local computation on
+//!   each worker (the paper's folding), so each worker runs it as the
+//!   serial loop's planned step on its own shard — one routine: size the
+//!   arena from the plan's `O(1)` [`plan::PlanLayout`] (or a count pass
+//!   over the shard's routes), execute, check the written total, commit —
+//!   no window, no barrier at all. Runs of consecutive fused steps form
 //!   an unsynchronized per-worker pipeline; metrics are still pushed per
 //!   superstep and traces stay bit-for-bit identical. Disable with
 //!   [`engine::RunOptions::fuse`]`= false` to reproduce the one-barrier
@@ -186,11 +188,14 @@
 //! views uniquely own the messages handed to closures, (3) lane-grid
 //! access is phase-disciplined — row-exclusive while sending,
 //! column-exclusive while gathering, with the executor barrier providing
-//! the happens-before edges — (4) the serial planned writer
-//! (`mailbox::DirectOut`) bounds every payload write by its destination's
-//! planned slot range and the engine refuses to publish an arena whose
-//! written total disagrees with the plan, and (5) cross-shard planned
-//! writes (`mailbox::DirectShard` through `mailbox::DirectGrid`) follow
+//! the happens-before edges — (4) the one-arena planned writer
+//! (`mailbox::DirectOut`, used by the serial loop and by a worker's fused
+//! step over its own shard, on buffers private to the executing thread)
+//! bounds every payload write by its arena's VP range and its
+//! destination's planned slot range, and the engine refuses to publish an
+//! arena whose written total disagrees with the total it sized, and (5)
+//! cross-shard planned writes (`mailbox::DirectShard` through
+//! `mailbox::DirectGrid`) follow
 //! the same discipline at slot-region granularity: windows are published
 //! only in prepare phases and read only in the exec phases after the next
 //! barrier (double-buffered by arena parity so republication never races

@@ -25,10 +25,14 @@
 //!   cursor-guarded raw writes (see invariant 4). The destination of each
 //!   write comes from the step's route (`crate::program::Slots`) or, for a
 //!   captured plan, from a send already compared with the captured table.
-//! * `DirectShard` / `DirectGrid` — the sharded form of the same idea:
+//!   It serves every planned step whose payloads stay in one arena: each
+//!   step of the serial loop, and a gang worker's *fused* step over its own
+//!   shard.
+//! * `DirectShard` / `DirectGrid` — the cross-shard form of the same idea:
 //!   each worker *publishes* a window onto its write arena (slab pointer
 //!   plus a per-(source shard, destination VP) slot-region table) before a
-//!   planned superstep, and every peer's VP closures then write payloads
+//!   planned superstep whose payloads cross shards, and every peer's VP
+//!   closures then write payloads
 //!   straight into the remote arena slots their route owns — no lane
 //!   staging, no per-shard counting sort, one barrier per planned
 //!   superstep (see invariant 5).
@@ -60,15 +64,20 @@
 //!    edges. Lanes themselves are plain `Vec`s — payload moves go through
 //!    safe `drain`, so a superstep abandoned mid-phase (validation error,
 //!    panic) drops any staged payloads through normal `Vec` destructors.
-//! 4. `DirectOut` never trusts the plan's layout or the body's send
-//!    count: every write is bounds-checked against its destination's
-//!    machine range and planned slot range (disjoint ranges ⇒ each slot
-//!    written at most once) and the engine compares the written total
-//!    against the plan *before* `commit_write`, so a slab is only ever
-//!    published fully initialized. On the mismatch path (a body that sent
-//!    more or fewer payloads than its route declares) nothing is
-//!    committed; written payloads are leaked (never dropped, never
-//!    re-observed), bounded by one superstep's traffic.
+//! 4. `DirectOut` writes into buffers private to the thread executing the
+//!    superstep — the serial loop's, or one gang worker's on a fused step,
+//!    whose plan proved every payload stays in the worker's shard — so no
+//!    other thread is involved and no barrier orders anything. It never
+//!    trusts the plan's layout or the body's send count: every write is
+//!    bounds-checked against the VP range `[base, base + len)` of its
+//!    arena and its destination's planned slot range (disjoint ranges ⇒
+//!    each slot written at most once), and the engine compares the written
+//!    total against the total it sized the arena for *before*
+//!    `commit_write`, so a slab is only ever published fully initialized.
+//!    On the mismatch path (a body that sent more or fewer payloads than
+//!    its route declares) nothing is committed; written payloads are
+//!    leaked (never dropped, never re-observed), bounded by one
+//!    superstep's traffic.
 //! 5. `DirectGrid` slot ownership is phase-disciplined like the lane grid,
 //!    but at *slot-region* granularity. A window for write-arena parity `x`
 //!    is published only by the arena's owner during a *prepare* phase and
@@ -85,12 +94,8 @@
 //!    fully initialized with each slot written exactly once no matter what
 //!    the routes declared. The executor's barrier provides every
 //!    happens-before edge (publish → read, peer writes → owner commit).
-//!    During *fused* (shard-local planned) supersteps this discipline
-//!    degenerates to exclusivity: the plan proved every payload of worker
-//!    `w` stays inside shard `w`, so the window slot at `(parity, w)` — its
-//!    publication, its cursor row, its slot regions and the commit — is
-//!    touched only by worker `w` itself, and no barrier (hence no
-//!    happens-before edge to any peer) is required at all.
+//!    Fused (shard-local planned) supersteps never touch the grid: they
+//!    write through a `DirectOut` under invariant 4.
 #![allow(unsafe_code)]
 
 use crate::program::Envelope;
@@ -536,7 +541,9 @@ pub(crate) fn route_serial<M>(
 ///
 /// Armed in the engine's [`ChunkStage`] for the duration of one planned
 /// superstep (raw pointers into the engine's write slab, cursor and offset
-/// tables — all sized and fixed before installation). A stable
+/// tables — all sized and fixed before installation). The arena holds the
+/// inboxes of the VPs `[base, base + len)`: the whole machine on the serial
+/// loop, one worker's shard on a fused step. A stable
 /// counting sort assigns slot `cursors[d]++` to each message in send order,
 /// which is exactly what this writer does online, so per-inbox delivery
 /// order is identical to the staged scatter's.
@@ -548,7 +555,7 @@ pub(crate) fn route_serial<M>(
 /// sends — the two can disagree (a mis-declared step). Soundness never
 /// depends on the declaration being honest:
 ///
-/// * every write is bounds-checked against the machine range and its
+/// * every write is bounds-checked against the arena's VP range and its
 ///   destination's planned slot range (`cursors[d] < offsets[d+1]`), so
 ///   writes stay inside the slab and no slot is written twice;
 /// * the engine compares the total written count against the plan before
@@ -562,9 +569,11 @@ pub(crate) fn route_serial<M>(
 /// superstep's traffic.
 pub(crate) struct DirectOut<M> {
     slab: *mut MaybeUninit<M>,
-    slab_len: usize,
+    /// The arena's VPs are `[base, base + 2^log_len)`.
+    base: usize,
+    log_len: u32,
     cursors: *mut u32,
-    /// Offsets table (`v + 1` entries): destination `d` owns slots
+    /// Offsets table (`len + 1` entries): destination `base + d` owns slots
     /// `[offsets[d], offsets[d+1])`.
     limits: *const u32,
     /// Non-zero when the offsets table is the affine prefix sum of a
@@ -572,10 +581,10 @@ pub(crate) struct DirectOut<M> {
     /// limits are then computed as `(d + 1) * k` instead of loaded, saving
     /// one scattered table read per payload on the fused fast path.
     uniform_k: u32,
-    /// Unit-layout fast path (`uniform_k == 1`): a zeroed `v`-bit map the
-    /// engine lends for the superstep. The slot for `dst` is exactly `dst`,
-    /// so delivery test-and-sets one L1-resident bit instead of
-    /// read-modify-writing the `O(v)`-byte cursor table — one scattered
+    /// Unit-layout fast path (`uniform_k == 1`): a zeroed `len`-bit map the
+    /// engine lends for the superstep. The slot for `dst` is exactly
+    /// `dst − base`, so delivery test-and-sets one L1-resident bit instead
+    /// of read-modify-writing the `O(v)`-byte cursor table — one scattered
     /// cache miss per payload less once `v` outgrows the cache. A repeated
     /// destination finds its bit set (same fault as a cursor at its limit),
     /// and `finish`'s written-total gate still catches starved
@@ -584,9 +593,9 @@ pub(crate) struct DirectOut<M> {
     core: DirectCore,
 }
 
-/// State shared by both planned direct writers — [`DirectOut`] (serial)
-/// and [`DirectShard`] (sharded): the written total, the VP whose sends are
-/// in progress and the first recorded fault. One implementation of the
+/// State shared by both planned direct writers — [`DirectOut`] (one arena)
+/// and [`DirectShard`] (cross-shard): the written total, the VP whose sends
+/// are in progress and the first recorded fault. One implementation of the
 /// send preamble (fault short-circuit, machine-range check), so the two
 /// paths' checks cannot drift apart.
 pub(crate) struct DirectCore {
@@ -626,11 +635,12 @@ impl DirectCore {
     }
 }
 
-// SAFETY: the raw pointers target engine-owned buffers only ever accessed
-// from the thread executing the superstep; the `ChunkStage::direct` slot of
-// any stage that crosses threads is `None` (a `DirectOut` is armed and taken
-// back within one serial superstep). `M: Send` because payloads are moved
-// through the slab.
+// SAFETY: the raw pointers target buffers owned by the serial loop or by
+// one gang worker, only ever accessed from the thread executing the
+// superstep; the `ChunkStage::direct` slot of any stage that crosses threads
+// is `None` (a `DirectOut` is armed and taken back within one planned
+// superstep on one thread). `M: Send` because payloads are moved through
+// the slab.
 unsafe impl<M: Send> Send for DirectOut<M> {}
 
 impl<M> DirectOut<M> {
@@ -638,35 +648,42 @@ impl<M> DirectOut<M> {
     ///
     /// SAFETY contract (upheld by the engine): the three buffers outlive the
     /// superstep, are not accessed through any other path while the writer
-    /// is installed, `cursors` was initialized to the offsets prefix, and
-    /// `limits` is the matching `v + 1`-entry offsets table.
-    /// `uniform_k`, when non-zero, asserts the offsets table is the affine
-    /// prefix sum `offsets[d] = d * uniform_k` (the engine passes the
-    /// plan's detected [`crate::plan::PlanLayout::Uniform`] count); 0 means
-    /// general table limits. `bits` (unit layouts only, `uniform_k == 1`)
-    /// lends an all-zero `v`-bit seen-map that replaces the cursor table
-    /// for the superstep; it must outlive the writer like the buffers do.
+    /// is installed, `cursors` (one entry per VP of `[base, base + len)`,
+    /// `len = cursors.len()`) was initialized to the offsets prefix, and
+    /// `limits` is the matching `len + 1`-entry offsets table; `v` is the
+    /// machine size. `uniform_k`, when non-zero, asserts the offsets table
+    /// is the affine prefix sum `offsets[d] = d * uniform_k` (the engine
+    /// passes the plan's detected [`crate::plan::PlanLayout::Uniform`]
+    /// count); 0 means general table limits. `bits` (unit layouts only,
+    /// `uniform_k == 1`) lends an all-zero `len`-bit seen-map that replaces
+    /// the cursor table for the superstep; it must outlive the writer like
+    /// the buffers do.
     pub(crate) fn new(
         slab: &mut [MaybeUninit<M>],
         cursors: &mut [u32],
         limits: &[u32],
         uniform_k: u32,
         bits: Option<&mut [u64]>,
+        base: usize,
+        v: usize,
     ) -> Self {
-        let v = cursors.len();
-        debug_assert_eq!(limits.len(), v + 1);
+        let len = cursors.len();
+        debug_assert!(len.is_power_of_two() && base.is_multiple_of(len) && base + len <= v);
+        debug_assert_eq!(limits.len(), len + 1);
+        debug_assert_eq!(slab.len(), limits[len] as usize, "slab sized to the offsets");
         debug_assert!(
             uniform_k == 0 || limits.iter().enumerate().all(|(d, &o)| o == d as u32 * uniform_k),
             "uniform_k disagrees with the offsets table"
         );
         let bits = bits.map(|b| {
             debug_assert!(uniform_k == 1, "seen-bitmap mode requires a unit layout");
-            debug_assert!(b.len() * 64 >= v && b.iter().all(|&w| w == 0));
+            debug_assert!(b.len() * 64 >= len && b.iter().all(|&w| w == 0));
             b.as_mut_ptr()
         });
         DirectOut {
             slab: slab.as_mut_ptr(),
-            slab_len: slab.len(),
+            base,
+            log_len: len.trailing_zeros(),
             cursors: cursors.as_mut_ptr(),
             limits: limits.as_ptr(),
             uniform_k,
@@ -681,36 +698,44 @@ impl<M> DirectOut<M> {
         if !self.core.admit_data(dst) {
             return;
         }
-        // SAFETY: dst < v bounds the bit/cursor/limit accesses; the seen-bit
+        let d = dst.wrapping_sub(self.base);
+        if d >> self.log_len != 0 {
+            // The declared route keeps a fused step's payloads inside the
+            // shard, so a destination outside the arena is a divergence
+            // from it (unreachable on the serial loop, whose arena is the
+            // machine).
+            self.core.fail("send leaves the declared route's shard cluster");
+            return;
+        }
+        // SAFETY: d < len bounds the bit/cursor/limit accesses; the seen-bit
         // (unit layouts) or cursor check bounds the slab write inside the
-        // destination's planned range (ranges are disjoint and within
-        // `slab_len` by construction of the offsets prefix sum; for unit
-        // layouts the range is exactly slot `dst`).
+        // destination's planned range (ranges are disjoint and within the
+        // slab by construction of the offsets prefix sum; for unit layouts
+        // the range is exactly slot `d`).
         unsafe {
             if let Some(bits) = self.bits {
-                let word = bits.add(dst >> 6);
-                let mask = 1u64 << (dst & 63);
+                let word = bits.add(d >> 6);
+                let mask = 1u64 << (d & 63);
                 if *word & mask != 0 {
                     self.core.fail("more payload messages to a destination than planned");
                     return;
                 }
                 *word |= mask;
-                debug_assert!(dst < self.slab_len);
-                (*self.slab.add(dst)).write(msg);
+                (*self.slab.add(d)).write(msg);
             } else {
-                let cur = *self.cursors.add(dst);
+                let cur = *self.cursors.add(d);
                 let limit = if self.uniform_k != 0 {
-                    (dst as u32 + 1) * self.uniform_k
+                    (d as u32 + 1) * self.uniform_k
                 } else {
-                    *self.limits.add(dst + 1)
+                    *self.limits.add(d + 1)
                 };
                 if cur >= limit {
                     self.core.fail("more payload messages to a destination than planned");
                     return;
                 }
-                debug_assert!((cur as usize) < self.slab_len);
+                debug_assert!(cur < *self.limits.add(1 << self.log_len));
                 (*self.slab.add(cur as usize)).write(msg);
-                *self.cursors.add(dst) = cur + 1;
+                *self.cursors.add(d) = cur + 1;
             }
         }
         self.core.written += 1;
@@ -718,30 +743,32 @@ impl<M> DirectOut<M> {
 
     /// Disarms the writer: `(payloads written, first fault)`. The engine
     /// must refuse to commit the arena unless the fault is `None` and the
-    /// written count equals the plan's payload total.
+    /// written count equals the total it sized the arena for.
     pub(crate) fn finish(self) -> (u64, Option<(usize, &'static str)>) {
         (self.core.written, self.core.fault)
     }
 }
 
 /// The direct writer armed in a [`ChunkStage`] for one planned superstep:
-/// the serial whole-machine form or the sharded cross-shard form. A
-/// declared body's [`crate::program::Slots`] and a captured plan's replay
-/// write through it and cannot observe the difference.
+/// into one arena of the executing thread, or across shards. A declared
+/// body's [`crate::program::Slots`] and a captured plan's replay write
+/// through it and cannot observe the difference.
 pub(crate) enum DirectSink<M> {
-    /// Serial path: one arena covering the whole machine ([`DirectOut`]).
-    Serial(DirectOut<M>),
-    /// Sharded path: cross-shard writes through published arena windows
+    /// Every payload lands in the executing thread's own arena
+    /// ([`DirectOut`]): the whole machine's on the serial loop, the
+    /// worker's shard's on a fused step.
+    Local(DirectOut<M>),
+    /// Cross-shard writes through published arena windows
     /// ([`DirectShard`]).
-    Sharded(DirectShard<M>),
+    Cross(DirectShard<M>),
 }
 
 impl<M> DirectSink<M> {
     #[inline]
     fn core_mut(&mut self) -> &mut DirectCore {
         match self {
-            DirectSink::Serial(d) => &mut d.core,
-            DirectSink::Sharded(d) => &mut d.core,
+            DirectSink::Local(d) => &mut d.core,
+            DirectSink::Cross(d) => &mut d.core,
         }
     }
 
@@ -755,8 +782,8 @@ impl<M> DirectSink<M> {
     #[inline]
     pub(crate) fn current_vp(&self) -> usize {
         match self {
-            DirectSink::Serial(d) => d.core.cur_vp,
-            DirectSink::Sharded(d) => d.core.cur_vp,
+            DirectSink::Local(d) => d.core.cur_vp,
+            DirectSink::Cross(d) => d.core.cur_vp,
         }
     }
 
@@ -768,8 +795,8 @@ impl<M> DirectSink<M> {
     }
 
     /// Delivers a payload message into its planned slot (the slot lives in
-    /// the whole-machine arena or a destination shard's arena, depending on
-    /// the armed writer).
+    /// the executing thread's own arena or a destination shard's arena,
+    /// depending on the armed writer).
     ///
     /// Kept out of line, one copy per message type: a declared step's body
     /// inlines its writer's `send` — the route's destination arithmetic —
@@ -780,8 +807,8 @@ impl<M> DirectSink<M> {
     #[inline(never)]
     pub(crate) fn send(&mut self, dst: usize, msg: M) {
         match self {
-            DirectSink::Serial(d) => d.send(dst, msg),
-            DirectSink::Sharded(d) => d.send(dst, msg),
+            DirectSink::Local(d) => d.send(dst, msg),
+            DirectSink::Cross(d) => d.send(dst, msg),
         }
     }
 }
@@ -1303,6 +1330,37 @@ mod tests {
         assert_eq!(first_two, vec![1, 2]);
         // Drain drop removed the rest, like Vec::drain.
         assert!(inbox.is_empty());
+    }
+
+    #[test]
+    fn direct_out_refuses_destinations_outside_its_base_range() {
+        // A writer over VPs [4, 6) of an 8-VP machine, as on a fused step of
+        // shard 2 of 4. No route reaches these refusals (destinations come
+        // from a compile-proven route), so only this test covers them.
+        let (v, base, len) = (8, 4, 2);
+        let mut arena: Arena<String> = Arena::new(len);
+        let mut cursors = vec![0u32; len];
+        let total = arena.prepare_write_uniform(1, Some(&mut cursors));
+        let cluster = "send leaves the declared route's shard cluster";
+        let machine = "message destination out of machine range";
+        for (dst, reason) in [(0, cluster), (3, cluster), (6, cluster), (7, cluster), (8, machine)] {
+            let (slab, offsets) = arena.split_for_scatter(total);
+            let mut sink =
+                DirectSink::Local(DirectOut::new(slab, &mut cursors, offsets, 1, None, base, v));
+            sink.begin_vp(5);
+            sink.send(dst, format!("to {dst}"));
+            let DirectSink::Local(out) = sink else { unreachable!() };
+            assert_eq!(out.finish(), (0, Some((5, reason))), "destination {dst}");
+            assert_eq!(cursors, [0, 1], "destination {dst} moved a cursor");
+        }
+        // The refusals left every slot to its owner.
+        let (slab, offsets) = arena.split_for_scatter(total);
+        let mut out = DirectOut::new(slab, &mut cursors, offsets, 1, None, base, v);
+        out.send(5, "b".to_string());
+        out.send(4, "a".to_string());
+        assert_eq!(out.finish(), (2, None));
+        arena.commit_write(total);
+        assert_eq!(arena_contents(&mut arena, len), [["a"], ["b"]]);
     }
 
     #[test]

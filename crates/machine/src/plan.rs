@@ -583,20 +583,27 @@ impl StepPlan {
         self.route.payloads_per_vp(self.out_degree)
     }
 
-    /// Tallies the declared payload messages per destination into `counts`
-    /// (the scatter's counting pass — one route call per declared slot, no
-    /// staging, no per-message metric work). A route dense enough to
-    /// overflow a per-destination `u32` count is a [`ModelError`], never a
-    /// silent cap (a capped count would corrupt the prefix-sum offsets the
-    /// unsafe scatter trusts).
-    pub(crate) fn count_data(&self, counts: &mut [u32]) -> Result<(), ModelError> {
-        debug_assert_eq!(counts.len(), self.v);
-        for vp in 0..self.v {
+    /// Tallies the payload messages the VPs in `vps` declare into `counts`,
+    /// one entry per destination of the same range (`counts[d − vps.start]`;
+    /// the scatter's counting pass — one route call per declared slot, no
+    /// staging, no per-message metric work). The range is the machine, or
+    /// the shard of a step whose payloads compile proved shard-local. A
+    /// route dense enough to overflow a per-destination `u32` count is a
+    /// [`ModelError`], never a silent cap (a capped count would corrupt the
+    /// prefix-sum offsets the unsafe scatter trusts).
+    pub(crate) fn count_data(
+        &self,
+        vps: std::ops::Range<usize>,
+        counts: &mut [u32],
+    ) -> Result<(), ModelError> {
+        debug_assert_eq!(counts.len(), vps.len());
+        let lo = vps.start;
+        for vp in vps {
             let ctx = Ctx { vp, v: self.v, log_v: self.log_v, n: self.n };
             for k in 0..self.out_degree {
                 match self.route.slot(&ctx, k) {
-                    // Compile proved d < v.
-                    Route::Data(d) => crate::mailbox::bump_count(&mut counts[d])?,
+                    // Compile proved d in the range.
+                    Route::Data(d) => crate::mailbox::bump_count(&mut counts[d - lo])?,
                     Route::End => break,
                     Route::Dummy(_) | Route::Skip => {}
                 }
@@ -689,8 +696,11 @@ mod tests {
         assert_eq!(plan.total_data(), 2);
         assert_eq!(plan.metrics().total_at(2, true), 3, "dummy counts in metrics");
         let mut counts = vec![0u32; 4];
-        plan.count_data(&mut counts).unwrap();
+        plan.count_data(0..4, &mut counts).unwrap();
         assert_eq!(counts, vec![0, 1, 1, 0], "dummy takes no payload slot");
+        let mut upper = vec![0u32; 2];
+        plan.count_data(2..4, &mut upper).unwrap();
+        assert_eq!(upper, vec![1, 0], "a source range counts its own destinations");
         let mut seen = Vec::new();
         plan.for_each_message(0..4, |s, d, data| seen.push((s, d, data)));
         assert_eq!(seen, vec![(0, 1, true), (0, 2, false), (3, 2, true)]);

@@ -73,47 +73,47 @@
 //!   staging, no lanes, no receive-side pass at all. The worker then checks
 //!   its written total against its declared total (the cursor-bounds /
 //!   written-total safety net of the serial path, per shard), pipelines the
-//!   prepare for the next superstep if that one is planned too, and hits
-//!   the **single barrier**. After it, each worker commits its own arena
-//!   (peers are done writing) and the arenas swap.
+//!   prepare for the next superstep if that one is a cross-shard planned
+//!   step too, and hits the **single barrier**. After it, each worker
+//!   commits its own arena (peers are done writing) and the arenas swap.
 //!
 //! There is nothing to merge: the coordinator pushes the plan's precomputed
 //! `O(log v)` record (and materializes the log entry from the route) during
 //! its own exec phase, overlapped with the other workers' execution —
 //! the `EpochMerge` runs only for dynamic supersteps. Steady-state planned
 //! supersteps therefore cost exactly **one barrier**; a planned superstep
-//! directly after a dynamic one (or at the start of a run) pays one extra
-//! prepare barrier.
+//! directly after a dynamic or fused one (or at the start of a run) pays
+//! one extra prepare barrier.
 //!
 //! # Fused superstep protocol (zero barriers)
 //!
 //! A planned superstep whose compile-time payload-locality summary
 //! ([`StepPlan::shard_local`]) proves every payload stays within its
-//! sender's shard needs no cross-shard window at all. The worker sizes its
-//! own write arena — from the plan's `O(1)` [`crate::plan::PlanLayout`]
-//! when compile detected one, else a count pass over its shard's routes —
-//! executes its VPs with the direct writer bounded to its own shard,
-//! pushes the superstep record, checks its written total, and **commits
-//! immediately**: no window publication, no barrier, no round consumed.
-//! Consecutive fused supersteps therefore form an unsynchronized
-//! per-worker pipeline; the gang next meets at the first cross-shard or
-//! dynamic step. The decision is a pure function of `(plan, n_shards,
-//! `[`RunOptions::fuse`]`)`, so every worker takes the same arm and the
-//! barrier-round sequence stays deterministic — which the failure
-//! protocol below relies on. Fused steps never pipeline a *prepare* into
-//! a predecessor (their arena is sized locally, and publishing a window
-//! for a step peers run at different times would race); a cross-shard
-//! planned step may still pipeline-prepare across an intervening fused
-//! run, because every worker's prepare enumerates spans with the same
-//! fused/unfused classification. `RunOptions { fuse: false, .. }`
+//! sender's shard is, under the paper's folding, local computation on each
+//! processor. So the worker runs it as the serial loop's planned step on its
+//! own shard — the one routine `crate::engine::run_planned_step`, with the
+//! shard's first VP as its base: it sizes its own write arena (from the
+//! plan's `O(1)` [`crate::plan::PlanLayout`] when compile detected one,
+//! else a count pass over its shard's routes), executes its VPs with the
+//! one-arena writer [`crate::mailbox::DirectOut`], checks its written total
+//! against the total it sized, and **commits immediately**. The coordinator
+//! pushes the superstep record. It touches only the worker's own buffers: no
+//! window, no barrier, no round consumed. Consecutive fused supersteps
+//! therefore form an unsynchronized per-worker pipeline; the gang next
+//! meets at the first cross-shard or dynamic step. The decision is a pure
+//! function of `(plan, n_shards, `[`RunOptions::fuse`]`)`, so every worker
+//! takes the same arm and the barrier-round sequence stays deterministic —
+//! which the failure protocol below relies on. A cross-shard planned step
+//! pipelines its prepare only into a cross-shard successor; a fused
+//! successor sizes its own arena. `RunOptions { fuse: false, .. }`
 //! reproduces the one-barrier protocol bit for bit.
 //!
 //! Delivery order is preserved bit for bit on all three protocols: lanes
 //! are drained (and direct-write regions laid out) in ascending
 //! source-shard order, each internally in ascending source-VP, then send,
-//! order — exactly the serial engine's stable counting sort. (A fused
-//! step's sources are all shard-internal, so worker-local counting-sort
-//! order *is* the global order.)
+//! order — exactly the serial engine's stable counting sort. A fused step's
+//! sources are all shard-internal, so the serial step's counting-sort order
+//! over the shard *is* the global order.
 //!
 //! # Failure protocol
 //!
@@ -197,10 +197,14 @@
 // phase-disciplined window publication plus per-source-shard cursor-row
 // exclusivity for direct cross-shard writes — invariant 5) the barrier
 // protocol here upholds, plus the one lifetime erasure of [`Gang::scope`];
-// each site carries its SAFETY note.
+// each site carries its SAFETY note. Fused steps call no accessor: they
+// write through the one-arena writer under invariant 4.
 #![allow(unsafe_code)]
 
-use crate::engine::{exec_chunk, run_serial, GranSpec, RunOptions, MAX_WORKERS};
+use crate::engine::{
+    exec_chunk, push_planned_record, run_planned_step, run_serial, runnable_plan, GranSpec,
+    RunOptions, MAX_WORKERS,
+};
 use crate::mailbox::{
     bump_count, Arena, ChunkStage, DirectGrid, DirectShard, DirectSink, DirectWindow, LaneGrid,
 };
@@ -231,8 +235,8 @@ const FAULT_FLUSH: &str = "shard:flush";
 const FAULT_GATHER: &str = "shard:gather";
 /// See [`FAULT_PREPARE`].
 const FAULT_MERGE: &str = "shard:merge";
-/// See [`FAULT_PREPARE`]. Wraps the whole fused iteration (inline prepare,
-/// exec, record, commit) — the zero-barrier tier's single failure site.
+/// See [`FAULT_PREPARE`]. Wraps the whole fused iteration (sizing, exec,
+/// commit, record) — the zero-barrier tier's single failure site.
 const FAULT_FUSED_EXEC: &str = "shard:fused_exec";
 
 /// Per-shard state crossing the worker/coordinator boundary. Protected by a
@@ -996,14 +1000,6 @@ fn settle<S, M>(
     shared.core.abort_round.fetch_min(next_round, Ordering::SeqCst);
 }
 
-/// The usable communication plan of a step, under the run's plan policy.
-fn active_plan<'p, S, M>(
-    shared: &Shared<'p, S, M>,
-    step: &'p Superstep<S, M>,
-) -> Option<&'p StepPlan> {
-    step.plan().filter(|p| shared.use_plans && p.fault().is_none())
-}
-
 /// Whether `plan`'s superstep runs on the **fused** zero-barrier tier:
 /// fusion is enabled and the plan proved at compile time that every payload
 /// stays inside its source's shard. A purely static predicate (of the plan
@@ -1027,25 +1023,6 @@ fn peer_span(w: usize, label: u32, log_shards: u32) -> std::ops::Range<usize> {
     lo..lo + c
 }
 
-/// The source-shard span of planned superstep `t`'s scatter for worker `w`:
-/// the worker alone on the fused tier, the label's [`peer_span`] otherwise.
-/// Both [`prepare_direct`] and [`exec_planned`] derive their span from
-/// here, so the region layout and the writer can never disagree about
-/// which rows are in play.
-#[inline]
-fn exec_span<S, M>(
-    shared: &Shared<'_, S, M>,
-    w: usize,
-    t: usize,
-    plan: &StepPlan,
-) -> std::ops::Range<usize> {
-    if fused(shared, plan) {
-        w..w + 1
-    } else {
-        peer_span(w, shared.prog.steps()[t].label, shared.log_shards)
-    }
-}
-
 /// The per-worker superstep loop (see the module docs for the two barrier
 /// protocols). `coord` is `Some` exactly for worker 0. Returns the number of
 /// barrier rounds walked.
@@ -1060,36 +1037,36 @@ fn shard_loop<S: Send, M: Send>(
     // (pipelined prepare). Deterministic across workers on the non-abort
     // path, so the gang's barrier sequences always agree.
     let mut prepared = false;
-    let steps = shared.prog.steps();
+    let (steps, spec) = (shared.prog.steps(), shared.spec);
     for (t, step) in steps.iter().enumerate() {
-        let record_step = step.label < shared.spec.levels;
+        let record_step = step.label < spec.levels;
         let plan = step.plan().filter(|_| shared.use_plans);
 
         // --- fused path: shard-local planned superstep, zero barriers -----
-        if let Some(plan) = active_plan(shared, step).filter(|p| fused(shared, p)) {
-            let widx = 1 - read_idx;
-            // The whole iteration is one shard-local unit: lay out our own
-            // write arena (unless a preceding cross-shard step pipelined
-            // it), run our VPs with the direct writer over our own window,
-            // record (coordinator), and commit immediately — no peer ever
-            // reads this parity's window slot `me.w`, so no barrier
-            // separates any of it (invariant 5's fused extension). A fused
-            // step never pipelines a prepare for its successor: publishing
-            // a window a *peer* would read with no intervening barrier is
-            // exactly the race the parity discipline forbids.
+        if let Some(plan) = runnable_plan(step, shared.use_plans).filter(|p| fused(shared, p)) {
+            // Every payload stays in this worker's shard, so the step is the
+            // serial loop's planned step on the shard: it touches only this
+            // worker's buffers and commits at once — no window, no barrier,
+            // no round consumed (invariant 4).
             let t0 = span_start(shared, me.w, Site::ShardFusedExec, t);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 fault_check(shared, FAULT_FUSED_EXEC, me.w, t)?;
-                if !prepared {
-                    prepare_direct(me, shared, t, plan, widx)?;
-                }
-                exec_planned(me, shared, step, plan, t, read_idx)?;
+                run_planned_step(
+                    step,
+                    plan,
+                    me.vp_lo,
+                    me.states,
+                    &mut me.kit.arenas,
+                    read_idx,
+                    &mut me.kit.dst_counts,
+                    &mut me.kit.cursors,
+                    None,
+                    &mut me.kit.stage,
+                    true,
+                )?;
                 if let Some(c) = coord.as_mut() {
-                    if record_step {
-                        push_planned_record(c, shared, step.label, plan);
-                    }
+                    push_planned_record(c.trace, c.log.as_deref_mut(), step.label, plan, spec);
                 }
-                me.kit.arenas[widx].commit_write(me.pending_total[widx]);
                 Ok(())
             }));
             if !matches!(outcome, Ok(Ok(()))) {
@@ -1104,7 +1081,7 @@ fn shard_loop<S: Send, M: Send>(
                 // worker at its barrier, where the abort stamp exits it),
                 // so both see the same first non-fused successor.
                 let peers_wait_again = steps[t + 1..].iter().any(|s| {
-                    active_plan(shared, s).is_none_or(|p| !fused(shared, p))
+                    runnable_plan(s, shared.use_plans).is_none_or(|p| !fused(shared, p))
                 });
                 if peers_wait_again && gang_wait(shared, me.w, rounds + 1) {
                     rounds += 1;
@@ -1112,13 +1089,12 @@ fn shard_loop<S: Send, M: Send>(
                 break;
             }
             span_end(shared, me.w, Site::ShardFusedExec, t0);
-            prepared = false;
             read_idx = 1 - read_idx;
             continue;
         }
 
         // --- planned path: direct cross-shard scatter, one barrier --------
-        if let Some(plan) = active_plan(shared, step) {
+        if let Some(plan) = runnable_plan(step, shared.use_plans) {
             let widx = 1 - read_idx;
             if !prepared {
                 // First planned superstep of a run (or after a dynamic
@@ -1143,19 +1119,22 @@ fn shard_loop<S: Send, M: Send>(
                     break;
                 }
             }
-            let next_plan = steps.get(t + 1).and_then(|s| active_plan(shared, s));
+            // A fused successor sizes its own arena; only a cross-shard one
+            // has a window to prepare.
+            let next_plan = steps
+                .get(t + 1)
+                .and_then(|s| runnable_plan(s, shared.use_plans))
+                .filter(|p| !fused(shared, p));
             let mut prepped_next = false;
             let t0 = span_start(shared, me.w, Site::ShardExecPlanned, t);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 fault_check(shared, FAULT_EXEC_PLANNED, me.w, t)?;
-                exec_planned(me, shared, step, plan, t, read_idx)?;
+                exec_planned(me, shared, step, t, read_idx)?;
                 if let Some(c) = coord.as_mut() {
                     // Nothing to merge for a planned superstep: push the
                     // precomputed record here, overlapped with the other
                     // workers' exec phases — no merge barrier.
-                    if record_step {
-                        push_planned_record(c, shared, step.label, plan);
-                    }
+                    push_planned_record(c.trace, c.log.as_deref_mut(), step.label, plan, spec);
                 }
                 if let Some(np) = next_plan {
                     // Pipeline the next planned superstep's prepare into
@@ -1321,46 +1300,17 @@ fn prepare_direct<S, M: Send>(
     plan: &StepPlan,
     widx: usize,
 ) -> Result<(), ModelError> {
+    debug_assert!(!fused(shared, plan), "a fused step sizes its own arena");
     // The cluster span is sound without runtime validation: the plan is
     // fault-free, so every declared (src, dst) pair was proven
     // cluster-legal at compile time. (Sends *diverging* from the
     // declaration are caught by the writer's span/region checks.)
-    let span = exec_span(shared, me.w, t, plan);
+    let span = peer_span(me.w, shared.prog.steps()[t].label, shared.log_shards);
     let (lo, hi) = (span.start, span.end);
     let vps = me.vps;
     let shard_shift = shared.log_v - shared.log_shards;
     let w = me.w;
     let vp_lo = me.vp_lo;
-
-    // Single-shard span + layout summary: every payload to one of our
-    // destinations originates inside our own shard (by fusion locality or
-    // by a label at least log shards deep), so the plan's *global*
-    // per-destination counts are exactly our region sizes — size the arena
-    // straight from the O(1) layout, no route enumeration at all. The
-    // writer still re-checks every slot bound, so a wrong layout could
-    // only surface as PlanMismatch, never as an out-of-bounds write.
-    if hi - lo == 1 {
-        if let Some(layout) = plan.layout().filter(|_| shared.fuse) {
-            let total =
-                me.kit.arenas[widx].prepare_write_counts(|d| layout.count(vp_lo + d), &mut me.kit.cursors);
-            let tabs = &mut me.kit.direct_tabs[widx];
-            for d in 0..vps {
-                let base = me.kit.cursors[d];
-                tabs.starts[lo * vps + d] = base;
-                tabs.cursors[lo * vps + d] = base;
-                tabs.starts[(lo + 1) * vps + d] = base + layout.count(vp_lo + d);
-            }
-            let (slab, _offsets) = me.kit.arenas[widx].split_for_scatter(total);
-            let tabs = &mut me.kit.direct_tabs[widx];
-            let window = DirectWindow::new(slab, &tabs.starts, &mut tabs.cursors, vp_lo as u32);
-            me.pending_total[widx] = total;
-            // SAFETY: identical publication discipline to the general path
-            // below (prepare phase, own window slot, parity alternation);
-            // invariant 5.
-            unsafe { shared.core.direct.publish(widx, w, window) };
-            return Ok(());
-        }
-    }
 
     // Counting pass: rows `lo..hi` of the start table accumulate
     // per-(source shard, destination) payload counts while `dst_counts`
@@ -1438,12 +1388,11 @@ fn exec_planned<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
     step: &Superstep<S, M>,
-    plan: &StepPlan,
     t: usize,
     read_idx: usize,
 ) -> Result<(), ModelError> {
     let widx = 1 - read_idx;
-    let span = exec_span(shared, me.w, t, plan);
+    let span = peer_span(me.w, step.label, shared.log_shards);
     let shard_shift = shared.log_v - shared.log_shards;
     // SAFETY: exec phase — every window of parity `widx` in the span was
     // published before the barrier this phase follows, and cursor row
@@ -1452,7 +1401,7 @@ fn exec_planned<S, M: Send>(
     let sink = unsafe {
         DirectShard::new(&shared.core.direct, widx, me.w, span, shard_shift, me.vps, shared.v)
     };
-    me.kit.stage.direct = Some(DirectSink::Sharded(sink));
+    me.kit.stage.direct = Some(DirectSink::Cross(sink));
 
     {
         let read = &mut me.kit.arenas[read_idx];
@@ -1461,8 +1410,8 @@ fn exec_planned<S, M: Send>(
         step.kernel().run_chunk(&step.exec, base, me.states, slab, offsets, &mut me.kit.stage);
     }
 
-    let Some(DirectSink::Sharded(out)) = me.kit.stage.direct.take() else {
-        unreachable!("sharded exec arms a sharded sink")
+    let Some(DirectSink::Cross(out)) = me.kit.stage.direct.take() else {
+        unreachable!("a cross-shard planned step arms a cross-shard sink")
     };
     if let Some((vp, reason)) = out.fault_info() {
         return Err(ModelError::PlanMismatch { step: step.name, vp, reason });
@@ -1481,25 +1430,6 @@ fn exec_planned<S, M: Send>(
         });
     }
     Ok(())
-}
-
-/// Coordinator-side record of a planned superstep: the precomputed
-/// `O(log v)` metrics and (when requested) the log entry materialized from
-/// the route — same global order as the dynamic path (ascending source VP,
-/// then send order). Runs inside the coordinator's exec phase, overlapped
-/// with the other workers' execution; no merge, no extra barrier.
-fn push_planned_record<S, M>(
-    coord: &mut Coord<'_>,
-    shared: &Shared<'_, S, M>,
-    label: u32,
-    plan: &StepPlan,
-) {
-    coord.trace.push_precomputed(label, plan.metrics(), shared.spec.full);
-    if let Some(log) = coord.log.as_deref_mut() {
-        let mut entry = Vec::new();
-        crate::engine::plan_log_entry(plan, shared.spec, &mut entry);
-        log.push(entry);
-    }
 }
 
 /// Drains the shard's staged sends of a dynamic superstep once: validation,

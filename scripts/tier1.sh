@@ -49,4 +49,8 @@ scripts/exact_gate.sh
 # BENCHMARK.json, toy-size run of all four workloads).
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+# Code size — non-test lines and public-API items per crate — printed so
+# every verification log carries the numbers the roadmap tracks.
+scripts/loc.sh
+
 echo "tier1: OK"
