@@ -1,13 +1,13 @@
 //! Layout helpers shared by the algorithm implementations.
 
-use nob_machine::{Ctx, Outbox, Route};
+use nob_machine::{Ctx, Outbox};
 
 /// Emits the paper's wiseness dummy messages for a superstep with the given
 /// label: VP `j` sends `count` dummy messages to VP `j + v/2^{label+1}`, for
 /// every `j < v/2^{label+1}` (Section 4.1: the device that makes the
 /// algorithms `(Θ(1), v)`-wise without changing their asymptotic costs).
 /// For undeclared steps only: a declared step states its dummies in its
-/// route ([`wiseness_route`]) and the engine emits them.
+/// route ([`nob_machine::InCluster`]'s dummy count) and the engine emits them.
 #[inline]
 pub fn wiseness_dummies<M>(ctx: &Ctx, label: u32, count: u64, out: &mut Outbox<M>) {
     let span = ctx.v >> (label + 1);
@@ -18,23 +18,6 @@ pub fn wiseness_dummies<M>(ctx: &Ctx, label: u32, count: u64, out: &mut Outbox<M
         for _ in 0..count {
             out.send_dummy(ctx.vp + span);
         }
-    }
-}
-
-/// The wiseness dummies of [`wiseness_dummies`] as route slots: slot `k`
-/// (for `0 ≤ k < count`) of the dummy block a declared superstep's route
-/// reserves after its payload slots, `route(ctx, j) = … payloads …,
-/// wiseness_route(ctx, label, count, j - payloads)`. The engine emits them;
-/// the step's body never does.
-#[inline]
-pub fn wiseness_route(ctx: &Ctx, label: u32, count: u64, k: usize) -> Route {
-    let span = ctx.v >> (label + 1);
-    if span > 0 && ctx.vp < span && (k as u64) < count {
-        Route::Dummy(ctx.vp + span)
-    } else {
-        // The dummy block is always the tail of a route, so terminate the
-        // VP's declaration outright (cheap exhaustion checks).
-        Route::End
     }
 }
 
@@ -90,6 +73,61 @@ pub fn bit_reverse(x: usize, bits: u32) -> usize {
 pub fn ilog2(x: usize) -> u32 {
     debug_assert!(x.is_power_of_two());
     x.trailing_zeros()
+}
+
+/// The routes the converted steps declared as closures on every VP before
+/// they were stated per cluster, and the check that each step still compiles
+/// to the plan its closure did.
+#[cfg(test)]
+pub(crate) mod parent_routes {
+    use nob_machine::{Ctx, Program, Route, StepPlan};
+
+    /// A route stated for every VP.
+    pub(crate) type Closure = Box<dyn Fn(&Ctx, usize) -> Route + Send + Sync>;
+
+    /// Slot `k ≥ payloads` of a step's route: the wiseness dummies as the
+    /// closures declared them, VP `j` to `j + v/2^{label+1}` for every `j <
+    /// v/2^{label+1}`, `dummies` times.
+    pub(crate) fn wiseness(ctx: &Ctx, label: u32, dummies: usize, k: usize) -> Route {
+        let span = ctx.v >> (label + 1);
+        if span > 0 && ctx.vp < span && k < dummies {
+            Route::Dummy(ctx.vp + span)
+        } else {
+            Route::End
+        }
+    }
+
+    /// Asserts that every step of `prog` for which `parent` names an
+    /// `(out_degree, route)` compiles to the plan that route compiles to,
+    /// field for field; returns how many steps it compared.
+    pub(crate) fn assert_parent_plans<S, M>(
+        prog: &Program<S, M>,
+        parent: impl Fn(&str, u32) -> Option<(usize, Closure)>,
+    ) -> usize {
+        let (v, n, log_v) = (prog.v(), prog.n(), prog.log_v());
+        let mut compared = 0;
+        for (t, step) in prog.steps().iter().enumerate() {
+            let Some((out_degree, route)) = parent(step.name, step.label) else { continue };
+            let mut walked: Program<u8, u8> = Program::new(v, n);
+            walked.step_oblivious(step.label, step.name, out_degree, route, |_, _, _, _| {});
+            let (a, b) = (step.plan().expect("declared"), walked.steps()[0].plan().expect("declared"));
+            assert_same_plan(a, b, log_v, &format!("v {v} step {t} `{}`", step.name));
+            compared += 1;
+        }
+        compared
+    }
+
+    /// Every field a plan exposes, compared.
+    fn assert_same_plan(a: &StepPlan, b: &StepPlan, log_v: u32, what: &str) {
+        assert_eq!(a.metrics(), b.metrics(), "{what}");
+        assert_eq!(a.total_data(), b.total_data(), "{what}");
+        assert_eq!(format!("{:?}", a.layout()), format!("{:?}", b.layout()), "{what}");
+        for s in 0..=log_v {
+            assert_eq!(a.shard_local(s), b.shard_local(s), "{what} s {s}");
+        }
+        assert_eq!(a.fault(), b.fault(), "{what}");
+        assert_eq!(a.approx_bytes(), b.approx_bytes(), "{what}");
+    }
 }
 
 #[cfg(test)]

@@ -22,8 +22,8 @@
 //! see the natural-order spectrum. Values are double-precision [`Complex`]
 //! numbers; [`naive_dft`] is the `O(n²)` correctness oracle.
 
-use crate::common::{bit_reverse, ilog2, wiseness_route};
-use nob_machine::{Ctx, Inbox, NobAlgorithm, Program, Route, Xor};
+use crate::common::{bit_reverse, ilog2};
+use nob_machine::{Ctx, InCluster, Inbox, NobAlgorithm, Program, Route, Xor};
 
 /// A double-precision complex number (the FFT value type).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -183,9 +183,9 @@ fn emit_fft(
         return;
     }
     let label = log_v - ilog2(m);
-    let m1 = 1usize << ilog2(m).div_ceil(2);
-    let m2 = m / m1;
-    let out_degree = if wise { 2 } else { 1 };
+    let (lg_m1, lg_m2) = (ilog2(m).div_ceil(2), ilog2(m) / 2);
+    let (m1, m2) = (1usize << lg_m1, 1usize << lg_m2);
+    let dummies = usize::from(wise);
 
     // Transpose: u = t1·m2 + t2  →  t2·m1 + t1, so each column of the m1×m2
     // view becomes one aligned m1-segment. A pure permutation (plus the
@@ -195,16 +195,10 @@ fn emit_fft(
         prog.step_oblivious(
             label,
             "fft-transpose",
-            out_degree,
-            move |ctx: &Ctx, k| {
-                if k > 0 {
-                    return wiseness_route(ctx, label, 1, k - 1);
-                }
-                let base = ctx.vp - ctx.vp % m;
-                let off = ctx.vp - base;
-                let (t1, t2) = (off / m2, off % m2);
-                Route::Data(base + t2 * m1 + t1)
-            },
+            1 + dummies,
+            InCluster::new(m, 1, dummies, move |off, _| {
+                Route::Data((off & (m2 - 1)) << lg_m1 | off >> lg_m2)
+            }),
             move |st, ctx, inbox, out| {
                 do_pending(st, ctx, inbox, p);
                 out.send(st.val);
@@ -220,24 +214,17 @@ fn emit_fft(
     // k1 = rev(t1'); multiply by ω_m^{t2·k1} and send to t1'·m2 + t2.
     {
         let p = *pending;
-        let lg_m1 = ilog2(m1);
         prog.step_oblivious(
             label,
             "fft-twiddle",
-            out_degree,
-            move |ctx: &Ctx, k| {
-                if k > 0 {
-                    return wiseness_route(ctx, label, 1, k - 1);
-                }
-                let base = ctx.vp - ctx.vp % m;
-                let off = ctx.vp - base;
-                let (t2, t1p) = (off / m1, off % m1);
-                Route::Data(base + t1p * m2 + t2)
-            },
+            1 + dummies,
+            InCluster::new(m, 1, dummies, move |off, _| {
+                Route::Data((off & (m1 - 1)) << lg_m2 | off >> lg_m1)
+            }),
             move |st, ctx, inbox, out| {
                 do_pending(st, ctx, inbox, p);
-                let off = ctx.vp % m;
-                let (t2, t1p) = (off / m1, off % m1);
+                let off = ctx.vp & (m - 1);
+                let (t2, t1p) = (off >> lg_m1, off & (m1 - 1));
                 let k1 = bit_reverse(t1p, lg_m1);
                 st.val = st.val.mul(Complex::twiddle(t2 * k1 % m, m));
                 out.send(st.val);
@@ -404,6 +391,44 @@ mod tests {
     use super::*;
     use nob_core::lower_bounds;
     use nob_machine::{execute, execute_folded, RunOptions};
+
+    #[test]
+    fn converted_steps_compile_to_their_closure_plans() {
+        use crate::common::parent_routes::{assert_parent_plans, wiseness, Closure};
+        for n in [256usize, 8192] {
+            for wise in [true, false] {
+                let prog = RecursiveFft::new(wise).build(n);
+                // The transposes as closures on every VP, with `%` and `/`.
+                let parent = |name: &str, label: u32| -> Option<(usize, Closure)> {
+                    let m = n >> label;
+                    let m1 = 1usize << ilog2(m).div_ceil(2);
+                    let m2 = m / m1;
+                    let (from, to) = match name {
+                        "fft-transpose" => (m2, m1),
+                        "fft-twiddle" => (m1, m2),
+                        _ => return None,
+                    };
+                    let dummies = usize::from(wise);
+                    let route = move |ctx: &Ctx, k| {
+                        if k > 0 {
+                            return wiseness(ctx, label, dummies, k - 1);
+                        }
+                        let base = ctx.vp - ctx.vp % m;
+                        let off = ctx.vp - base;
+                        Route::Data(base + (off % from) * to + off / from)
+                    };
+                    Some((1 + dummies, Box::new(route)))
+                };
+                let converted = prog
+                    .steps()
+                    .iter()
+                    .filter(|s| matches!(s.name, "fft-transpose" | "fft-twiddle"))
+                    .count();
+                assert!(converted > 0);
+                assert_eq!(assert_parent_plans(&prog, parent), converted, "n {n} wise {wise}");
+            }
+        }
+    }
 
     fn impulse_and_tone(n: usize) -> Vec<Complex> {
         (0..n)

@@ -22,9 +22,12 @@
 //! row-major over the segment, `2^t` consecutive entries per VP, so the entry
 //! with sub-local row-major index `e` belongs to VP `segment base + (e >> t)`
 //! as its *slot* `e & (2^t − 1)`. The `k`-th send of a step carries a fixed
-//! slot to a destination that is a function of `(vp, k)` only — `Geometry`
-//! holds one destination helper per direction, which the declared route
-//! calls; the step bodies only say what they send, in slot order. Every
+//! slot to a destination inside the sender's segment of the step's level
+//! whose offset there is a function of the sender's offset and `k` only, so
+//! every route is stated for one segment ([`nob_machine::InCluster`], a
+//! plan compiled from the first segment alone) — `Geometry` holds one
+//! offset helper per direction, which the declared route calls; the step
+//! bodies only say what they send, in slot order. Every
 //! VP receives the same number of payloads in every step, so each plan is an
 //! `O(1)` [`nob_machine::plan::PlanLayout::Uniform`] summary.
 //!
@@ -60,9 +63,8 @@
 //! so every plan, trace and message log, are defined by.
 
 use super::MmInput;
-use crate::common::wiseness_route;
 use crate::semiring::{Matrix, Semiring};
-use nob_machine::{Ctx, NobAlgorithm, Program, Route};
+use nob_machine::{Ctx, InCluster, NobAlgorithm, Program, Route};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -108,10 +110,15 @@ impl Geometry {
         3 * (self.tau - t)
     }
 
-    /// Sub-local `(row, column)` of the entry in slot `p` of `vp` at level
-    /// `t`.
-    fn local(self, t: u32, vp: usize, p: usize) -> (usize, usize) {
-        let e = (vp & ((1 << self.log_seg(t)) - 1)) << t | p;
+    /// The offset of `vp` in its level-`t` segment.
+    fn offset(self, t: u32, vp: usize) -> usize {
+        vp & ((1 << self.log_seg(t)) - 1)
+    }
+
+    /// Sub-local `(row, column)` of the entry in slot `p` of the VP at
+    /// offset `off` of its level-`t` segment.
+    fn local(self, t: u32, off: usize, p: usize) -> (usize, usize) {
+        let e = off << t | p;
         let bits = self.log_side(t);
         (e >> bits, e & ((1 << bits) - 1))
     }
@@ -122,53 +129,56 @@ impl Geometry {
         4 << t
     }
 
-    /// The `k`-th operand message of `vp` in `D_t` (`k < replicas(t)`): its
-    /// destination and the slot it fills there. Message `k` of either
+    /// The `k`-th operand message of the VP at offset `off` of its level-`t`
+    /// segment in `D_t` (`k < replicas(t)`): its destination's offset in the
+    /// same segment and the slot it fills there. Message `k` of either
     /// operand carries the entry in slot `k >> 1` to the child segment
     /// picked by replica bit `k & 1` — `A_{hl}` goes to `S_{h·l}`, `B_{lk}`
     /// to `S_{·kl}` — where its row-major index `e` in the child's quadrant
     /// makes it slot `e mod 2^{t+1}` of VP `e >> (t + 1)`.
-    fn replica(self, t: u32, vp: usize, k: usize) -> (usize, usize) {
+    fn replica(self, t: u32, off: usize, k: usize) -> (usize, usize) {
         let per_operand = Self::replicas(t) / 2;
-        let (li, lj) = self.local(t, vp, (k & (per_operand - 1)) >> 1);
+        let (li, lj) = self.local(t, off, (k & (per_operand - 1)) >> 1);
         let r = k & 1;
         let half_bits = self.log_side(t + 1);
         let (hi, lo) = (li >> half_bits, lj >> half_bits);
         let digit = if k < per_operand { hi << 2 | r << 1 | lo } else { r << 2 | lo << 1 | hi };
         let mask = (1 << half_bits) - 1;
         let e = (li & mask) << half_bits | (lj & mask);
-        let seg = self.log_seg(t);
-        let child = (vp >> seg << seg) + (digit << self.log_seg(t + 1));
+        let child = digit << self.log_seg(t + 1);
         (child + (e >> (t + 1)), e & ((2 << t) - 1))
     }
 
-    /// Destination of the `k`-th operand message of `vp` in `D_t`.
+    /// Destination offset of the `k`-th operand message of offset `off` in
+    /// `D_t`.
     ///
     /// Forced inline, like [`Geometry::product_dst`]: `StepPlan::compile`
     /// calls the route once per declared send, and left to itself the
     /// compiler calls this out of line there, which made `build` at
     /// `n = 4096` ≈ 3.1 → 4.3 ms on a 2-vCPU Xeon VM.
     #[inline(always)]
-    fn replica_dst(self, t: u32, vp: usize, k: usize) -> usize {
-        self.replica(t, vp, k).0
+    fn replica_dst(self, t: u32, off: usize, k: usize) -> usize {
+        self.replica(t, off, k).0
     }
 
-    /// The `C` entry in slot `p` of `vp` at level `t ≥ 1`: its level-`t − 1`
-    /// owner and the slot it fills there. The `(h, k)` digits of `vp`'s
-    /// child segment place its `C_{hk}` quadrant inside the parent's `C`.
-    fn product(self, t: u32, vp: usize, p: usize) -> (usize, usize) {
-        let (li, lj) = self.local(t, vp, p);
+    /// The `C` entry in slot `p` of the VP at offset `off` of its level-`t −
+    /// 1` segment, at level `t ≥ 1`: the offset of its level-`t − 1` owner in
+    /// the same segment and the slot it fills there. The `(h, k)` digits of
+    /// `off`'s child segment place its `C_{hk}` quadrant inside the parent's
+    /// `C`.
+    fn product(self, t: u32, off: usize, p: usize) -> (usize, usize) {
+        let (li, lj) = self.local(t, self.offset(t, off), p);
         let bits = self.log_side(t);
-        let digit = vp >> self.log_seg(t) & 7;
+        let digit = off >> self.log_seg(t) & 7;
         let e = ((digit >> 2) << bits | li) << (bits + 1) | (digit >> 1 & 1) << bits | lj;
-        let parent = self.log_seg(t - 1);
-        ((vp >> parent << parent) + (e >> (t - 1)), e & ((1 << (t - 1)) - 1))
+        (e >> (t - 1), e & ((1 << (t - 1)) - 1))
     }
 
-    /// The level-`t − 1` owner of the `C` entry in slot `p` of `vp`.
+    /// The offset of the level-`t − 1` owner of the `C` entry in slot `p` of
+    /// offset `off`.
     #[inline(always)]
-    fn product_dst(self, t: u32, vp: usize, p: usize) -> usize {
-        self.product(t, vp, p).0
+    fn product_dst(self, t: u32, off: usize, p: usize) -> usize {
+        self.product(t, off, p).0
     }
 }
 
@@ -266,24 +276,6 @@ const MAX_TAU: u32 = 6;
 // Every inbox position fits a table entry.
 const _: () = assert!(2 << MAX_TAU <= u16::MAX as usize);
 
-/// The declared route of a step whose every VP sends `payloads` messages,
-/// the `k`-th to `dst(vp, k)`, followed by the wiseness dummy block
-/// [`wiseness_route`]`(ctx, label, dummies, _)`.
-fn route(
-    payloads: usize,
-    label: u32,
-    dummies: u64,
-    dst: impl Fn(usize, usize) -> usize + Send + Sync + 'static,
-) -> impl Fn(&Ctx, usize) -> Route + Send + Sync + 'static {
-    move |ctx, k| {
-        if k < payloads {
-            Route::Data(dst(ctx.vp, k))
-        } else {
-            wiseness_route(ctx, label, dummies, k - payloads)
-        }
-    }
-}
-
 /// The 8-way recursive network-oblivious matrix multiplication.
 ///
 /// Supported sizes: `n = 64^e` (so that the matrix side is a power of two and
@@ -362,21 +354,23 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
         let positions = Arc::new(Positions::new(geo));
         let mut prog: Program<MmState<V>, V> = Program::new(n, n);
         let log_v = prog.log_v();
-        let wise = self.wise;
-        // A step's wiseness dummies trail its payloads.
-        let out_degree =
-            |payloads: usize, dummies: u64| payloads + usize::from(wise) * dummies as usize;
+        // Every step's route is stated per segment of its level, the step's
+        // label-cluster ([`InCluster`]), and its wiseness dummies trail its
+        // payloads.
+        let wise = usize::from(self.wise);
 
         // --- Distribution steps D_0 .. D_{τ−1} ------------------------------
         for t in 0..tau {
             let label = 3 * t;
-            let (payloads, dummies) = (Geometry::replicas(t), 1u64 << t);
+            let (payloads, dummies) = (Geometry::replicas(t), wise << t);
             let positions = positions.clone();
             prog.step_oblivious(
                 label,
                 "mm-distribute",
-                out_degree(payloads, dummies),
-                route(payloads, label, dummies, move |vp, k| geo.replica_dst(t, vp, k)),
+                payloads + dummies,
+                InCluster::new(n >> label, payloads, dummies, move |off, k| {
+                    Route::Data(geo.replica_dst(t, off, k))
+                }),
                 move |st, ctx, inbox, out| {
                     // Every level forwards what it received; D_0 "receives"
                     // the VP's own two entries.
@@ -398,13 +392,15 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
         // --- Base: sequential n^{1/6}-side multiply, send M upward ----------
         {
             let label = 3 * (tau - 1);
-            let (payloads, dummies) = (1usize << tau, 1u64 << (tau - 1));
+            let (payloads, dummies) = (1usize << tau, wise << (tau - 1));
             let positions = positions.clone();
             prog.step_oblivious(
                 label,
                 "mm-base",
-                out_degree(payloads, dummies),
-                route(payloads, label, dummies, move |vp, k| geo.product_dst(tau, vp, k)),
+                payloads + dummies,
+                InCluster::new(n >> label, payloads, dummies, move |off, k| {
+                    Route::Data(geo.product_dst(tau, off, k))
+                }),
                 move |_st, ctx, inbox, out| {
                     let msgs = inbox.as_slice();
                     let side = 1usize << geo.log_side(tau);
@@ -429,13 +425,15 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
         // --- Combine steps K_{τ−1} .. K_1 -----------------------------------
         for t in (1..tau).rev() {
             let label = 3 * (t - 1);
-            let (payloads, dummies) = (1usize << t, 1u64 << (t - 1));
+            let (payloads, dummies) = (1usize << t, wise << (t - 1));
             let positions = positions.clone();
             prog.step_oblivious(
                 label,
                 "mm-combine",
-                out_degree(payloads, dummies),
-                route(payloads, label, dummies, move |vp, k| geo.product_dst(t, vp, k)),
+                payloads + dummies,
+                InCluster::new(n >> label, payloads, dummies, move |off, k| {
+                    Route::Data(geo.product_dst(t, off, k))
+                }),
                 move |_st, _ctx, inbox, out| {
                     let msgs = inbox.as_slice();
                     for pair in positions.products(t).chunks_exact(2) {
@@ -691,7 +689,7 @@ mod tests {
             'B' => (l, k),
             _ => (h, k),
         };
-        let (li, lj) = geo.local(t, vp, p);
+        let (li, lj) = geo.local(t, geo.offset(t, vp), p);
         (matrix, row | li, col | lj)
     }
 
@@ -717,6 +715,8 @@ mod tests {
         for n in [64usize, 4096] {
             let geo = Geometry::new(n);
             let positions = Positions::new(geo);
+            // The routes name offsets in their level's segments.
+            let base = |vp: usize, t: u32| vp >> geo.log_seg(t) << geo.log_seg(t);
             for t in 1..=geo.tau {
                 // What D_{t−1}'s declared routes deliver: the k-th message of
                 // either operand carries the sender's slot k >> 1.
@@ -724,7 +724,8 @@ mod tests {
                 let arrived = inboxes(n, Geometry::replicas(t - 1), |src, k| {
                     let matrix = if k < per_operand { 'A' } else { 'B' };
                     let slot = (k & (per_operand - 1)) >> 1;
-                    (geo.replica_dst(t - 1, src, k), entry(geo, matrix, t - 1, src, slot))
+                    let dst = base(src, t - 1) + geo.replica_dst(t - 1, geo.offset(t - 1, src), k);
+                    (dst, entry(geo, matrix, t - 1, src, slot))
                 });
                 for (vp, inbox) in arrived.iter().enumerate() {
                     let (a, b) = positions.operands(t, vp);
@@ -739,7 +740,8 @@ mod tests {
             for t in 1..geo.tau {
                 // What the base step (t + 1 = τ) or K_{t+1} delivers.
                 let arrived = inboxes(n, 2 << t, |src, p| {
-                    (geo.product_dst(t + 1, src, p), entry(geo, 'C', t + 1, src, p))
+                    let dst = base(src, t) + geo.product_dst(t + 1, geo.offset(t, src), p);
+                    (dst, entry(geo, 'C', t + 1, src, p))
                 });
                 for (vp, inbox) in arrived.iter().enumerate() {
                     assert_eq!(inbox.len(), 2 << t, "n={n} t={t} vp={vp}");
@@ -751,6 +753,43 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn converted_steps_compile_to_their_closure_plans() {
+        use crate::common::parent_routes::{assert_parent_plans, wiseness, Closure};
+        for n in [64usize, 4096] {
+            for wise in [true, false] {
+                let prog = RecursiveMm::<WrapU64>::new(wise).build(n);
+                let geo = Geometry::new(n);
+                // The routes as closures on every VP: the segment base plus
+                // the destination's offset in it.
+                let parent = |name: &str, label: u32| -> Option<(usize, Closure)> {
+                    let base = move |vp: usize, t: u32| vp >> geo.log_seg(t) << geo.log_seg(t);
+                    let distribute = name == "mm-distribute";
+                    let (t, payloads, dummies) = match name {
+                        "mm-distribute" => (label / 3, Geometry::replicas(label / 3), 1 << (label / 3)),
+                        "mm-base" | "mm-combine" => (label / 3 + 1, 2 << (label / 3), 1 << (label / 3)),
+                        _ => return None,
+                    };
+                    let dst = move |vp, k| match distribute {
+                        true => base(vp, t) + geo.replica_dst(t, geo.offset(t, vp), k),
+                        false => base(vp, t - 1) + geo.product_dst(t, geo.offset(t - 1, vp), k),
+                    };
+                    let dummies = usize::from(wise) * dummies;
+                    let route = move |ctx: &Ctx, k| {
+                        if k < payloads {
+                            Route::Data(dst(ctx.vp, k))
+                        } else {
+                            wiseness(ctx, label, dummies, k - payloads)
+                        }
+                    };
+                    Some((payloads + dummies, Box::new(route)))
+                };
+                let converted = prog.steps().len() - 1; // all but the finalize
+                assert_eq!(assert_parent_plans(&prog, parent), converted, "n {n} wise {wise}");
             }
         }
     }

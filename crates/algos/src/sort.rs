@@ -12,10 +12,11 @@
 //!
 //! * **Shape**: the paper takes `r = n^{2/3}` (`r ≥ s²`); Leighton's
 //!   correctness condition is `r ≥ 2(s−1)²`, which `r = s²` misses. We take
-//!   `r = 2^{⌈2·log m/3⌉+1} = Θ(m^{2/3})` — same recurrence
+//!   `r = 2^{⌊2·log m/3⌋+1}`, within `[2^{1/3}, 2]·m^{2/3}` — same recurrence
 //!   `H(m) = 4·H(Θ(m^{2/3})) + O(m/p + σ)`, hence the same Theorem 4.8 bound
 //!   `H_sort(n, p, σ) = O((n/p + σ)·(log n/log(n/p))^{log_{3/2} 4})` — which
-//!   satisfies Leighton's condition at every recursion level.
+//!   satisfies Leighton's condition at every recursion level: `s = m/r ≤
+//!   (m/2)^{1/3}`, so `2(s−1)² < 2s² ≤ 2^{1/3}·m^{2/3} ≤ r`.
 //! * **The −∞ convention, tag-free**: footnote 6 asks phase 7 to treat the
 //!   r/2 keys wrapped by the cyclic shift as smaller than the rest of column
 //!   0. After phase 5 the sequence is sorted up to local disorder of width
@@ -30,8 +31,8 @@
 //! supersteps, `H = Θ((n/p)·log p·log n + σ·log²n)` — asymptotically worse
 //! than Columnsort for `p = n^{Ω(1)}`.
 
-use crate::common::{ilog2, wiseness_route};
-use nob_machine::{Ctx, Inbox, NobAlgorithm, Program, Route, Xor};
+use crate::common::ilog2;
+use nob_machine::{Ctx, InCluster, Inbox, NobAlgorithm, Program, Route, Xor};
 
 /// Trait bound bundle for sortable keys.
 pub trait SortKey: Ord + Clone + Send + Sync + Default + std::fmt::Debug + 'static {}
@@ -41,8 +42,10 @@ impl<K: Ord + Clone + Send + Sync + Default + std::fmt::Debug + 'static> SortKey
 /// gather/sort/scatter (degree ≤ 32 = O(1)).
 const BASE: usize = 32;
 
-/// The column length `r` used for an m-key Columnsort instance: the smallest
-/// power of two `≥ 2·m^{2/3}` (clamped so that `s = m/r ≥ 2`).
+/// The column length `r` used for an m-key Columnsort instance:
+/// `2^{⌊2·log m/3⌋+1}`, between `2^{1/3}·m^{2/3}` and `2·m^{2/3}` (clamped
+/// so that `s = m/r ≥ 2`). Not always `≥ 2·m^{2/3}`: `m = 128` takes `r =
+/// 32 < 50.8`, where Leighton's condition still holds (`2(s−1)² = 18`).
 pub fn column_len(m: usize) -> usize {
     let lm = ilog2(m) as usize;
     1usize << ((2 * lm / 3 + 1).min(lm - 1))
@@ -55,25 +58,26 @@ pub fn leighton_ok(r: usize, s: usize) -> bool {
 
 // --------------------------------------------------------------------------
 // Phase permutations (positions are column-major linear ranks within the
-// m-key instance: q ↔ (row q mod r, column q div r)).
+// m-key instance: q ↔ (row q mod r, column q div r)). `r = 2^lr` and `s =
+// 2^ls` are powers of two, so each is shifts and masks.
 // --------------------------------------------------------------------------
 
 /// Phase 2: pick up in column-major order, deposit in row-major order.
 #[inline]
-fn transpose(q: usize, r: usize, s: usize, _m: usize) -> usize {
-    (q % s) * r + q / s
+fn transpose(q: usize, lr: u32, ls: u32) -> usize {
+    (q & ((1 << ls) - 1)) << lr | q >> ls
 }
 
 /// Phase 4: the inverse "diagonalizing" permutation.
 #[inline]
-fn untranspose(q: usize, r: usize, s: usize, _m: usize) -> usize {
-    (q % r) * s + q / r
+fn untranspose(q: usize, lr: u32, ls: u32) -> usize {
+    (q & ((1 << lr) - 1)) << ls | q >> lr
 }
 
 /// Phase 6: cyclic shift down by r/2 (footnote 6 of the paper).
 #[inline]
-fn shift(q: usize, r: usize, _s: usize, m: usize) -> usize {
-    (q + r / 2) % m
+fn shift(q: usize, lr: u32, ls: u32) -> usize {
+    (q + (1 << lr >> 1)) & ((1 << (lr + ls)) - 1)
 }
 
 /// Phase 8: inverse shift, with the column-0 fix-up implementing the
@@ -81,7 +85,8 @@ fn shift(q: usize, r: usize, _s: usize, m: usize) -> usize {
 /// sort, column 0 holds the globally smallest r/2 keys followed by the r/2
 /// wrapped (largest) keys.
 #[inline]
-fn unshift_fix(q: usize, r: usize, _s: usize, m: usize) -> usize {
+fn unshift_fix(q: usize, lr: u32, ls: u32) -> usize {
+    let (r, m) = (1 << lr, 1 << (lr + ls));
     if q < r / 2 {
         q // column-0 lower part: already in final position
     } else if q < r {
@@ -106,26 +111,27 @@ pub fn columnsort_seq<K: SortKey>(items: &mut [K]) {
     let r = column_len(m);
     let s = m / r;
     debug_assert!(leighton_ok(r, s), "r = {r}, s = {s}");
+    let (lr, ls) = (ilog2(r), ilog2(s));
     let sort_columns = |v: &mut [K]| {
         for col in v.chunks_mut(r) {
             columnsort_seq(col);
         }
     };
-    let permute = |v: &mut [K], f: fn(usize, usize, usize, usize) -> usize| {
+    fn permute<K: Clone>(v: &mut [K], lr: u32, ls: u32, f: impl Fn(usize, u32, u32) -> usize) {
         let mut out: Vec<K> = v.to_vec();
         for (q, item) in v.iter().enumerate() {
-            out[f(q, r, s, m)] = item.clone();
+            out[f(q, lr, ls)] = item.clone();
         }
         v.clone_from_slice(&out);
-    };
+    }
     sort_columns(items); // 1
-    permute(items, transpose); // 2
+    permute(items, lr, ls, transpose); // 2
     sort_columns(items); // 3
-    permute(items, untranspose); // 4
+    permute(items, lr, ls, untranspose); // 4
     sort_columns(items); // 5
-    permute(items, shift); // 6
+    permute(items, lr, ls, shift); // 6
     sort_columns(items); // 7
-    permute(items, unshift_fix); // 8
+    permute(items, lr, ls, unshift_fix); // 8
 }
 
 // --------------------------------------------------------------------------
@@ -205,40 +211,31 @@ fn compile_sort<K: SortKey>(
             label,
             "sort-gather",
             1,
-            move |ctx: &Ctx, _| {
-                let base = ctx.vp - ctx.vp % m;
-                if ctx.vp != base {
-                    Route::Data(base)
-                } else {
-                    Route::End
-                }
-            },
+            InCluster::new(m, 1, 0, |off, _| if off == 0 { Route::End } else { Route::Data(0) }),
             move |st: &mut K, ctx, inbox, out| {
                 ingest_item(st, inbox);
-                if ctx.vp % m != 0 {
+                if ctx.vp & (m - 1) != 0 {
                     out.send(st.clone());
                 }
             },
         );
         // …sort locally, scatter back (static fan-out: the leader sends one
         // key to each segment position — only the *payloads* depend on the
-        // data, never the destinations).
+        // data, never the destinations). Non-leaders send nothing at all:
+        // End (not Skip) keeps this wide fan-out O(1) per idle VP.
         prog.step_oblivious(
             label,
             "sort-scatter",
             m - 1,
-            move |ctx: &Ctx, k| {
-                let base = ctx.vp - ctx.vp % m;
-                if ctx.vp == base {
-                    Route::Data(base + k + 1)
+            InCluster::new(m, m - 1, 0, |off, k| {
+                if off == 0 {
+                    Route::Data(k + 1)
                 } else {
-                    // Non-leaders send nothing at all: End (not Skip) keeps
-                    // this wide fan-out O(1) per idle VP.
                     Route::End
                 }
-            },
+            }),
             move |st: &mut K, ctx, inbox, out| {
-                if ctx.vp % m == 0 {
+                if ctx.vp & (m - 1) == 0 {
                     // The segment fits a fixed array (m ≤ BASE), so a leader
                     // sorts without touching the heap: gathered keys in
                     // arrival order, its own key last, the rest left default.
@@ -266,37 +263,37 @@ fn compile_sort<K: SortKey>(
     let s = m / r;
     debug_assert!(leighton_ok(r, s), "r = {r}, s = {s} at m = {m}");
 
-    let permute = |prog: &mut Program<K, K>,
-                   name: &'static str,
-                   f: fn(usize, usize, usize, usize) -> usize| {
-        let out_degree = if wise { 2 } else { 1 };
-        prog.step_oblivious(
-            label,
-            name,
-            out_degree,
-            move |ctx: &Ctx, k| {
-                if k > 0 {
-                    return wiseness_route(ctx, label, 1, k - 1);
-                }
-                let base = ctx.vp - ctx.vp % m;
-                let q = ctx.vp - base;
-                Route::Data(base + f(q, r, s, m))
-            },
-            move |st: &mut K, _: &Ctx, inbox, out| {
-                ingest_item(st, inbox);
-                out.send(st.clone());
-            },
-        );
-    };
-
+    let (lr, ls) = (ilog2(r), ilog2(s));
+    let dummies = usize::from(wise);
     emit_sort(prog, n, r, wise, emitted); // 1
-    permute(prog, "sort-transpose", transpose); // 2
+    permute(prog, label, "sort-transpose", dummies, move |q| transpose(q, lr, ls)); // 2
     emit_sort(prog, n, r, wise, emitted); // 3
-    permute(prog, "sort-untranspose", untranspose); // 4
+    permute(prog, label, "sort-untranspose", dummies, move |q| untranspose(q, lr, ls)); // 4
     emit_sort(prog, n, r, wise, emitted); // 5
-    permute(prog, "sort-shift", shift); // 6
+    permute(prog, label, "sort-shift", dummies, move |q| shift(q, lr, ls)); // 6
     emit_sort(prog, n, r, wise, emitted); // 7
-    permute(prog, "sort-unshift", unshift_fix); // 8
+    permute(prog, label, "sort-unshift", dummies, move |q| unshift_fix(q, lr, ls)); // 8
+}
+
+/// Emits a phase permutation `f` of every `label`-cluster, then the
+/// wiseness dummies.
+fn permute<K: SortKey>(
+    prog: &mut Program<K, K>,
+    label: u32,
+    name: &'static str,
+    dummies: usize,
+    f: impl Fn(usize) -> usize + Send + Sync + 'static,
+) {
+    prog.step_oblivious(
+        label,
+        name,
+        1 + dummies,
+        InCluster::new(prog.v() >> label, 1, dummies, move |off, _| Route::Data(f(off))),
+        |st: &mut K, _, inbox, out| {
+            ingest_item(st, inbox);
+            out.send(st.clone());
+        },
+    );
 }
 
 impl<K: SortKey> NobAlgorithm for ColumnSort<K> {
@@ -450,9 +447,10 @@ mod tests {
             let s = m / r;
             assert!(leighton_ok(r, s), "m={m}: r={r}, s={s}");
             assert!(r < m, "must recurse on smaller instances");
-            // r = Θ(m^{2/3}): within [m^{2/3}, 4·m^{2/3}].
-            let target = (m as f64).powf(2.0 / 3.0);
-            assert!(r as f64 >= target && (r as f64) <= 4.0 * target, "m={m}: r={r}");
+            // r = Θ(m^{2/3}): within [2^{1/3}·m^{2/3}, 2·m^{2/3}], both ends
+            // reached (up to rounding).
+            let ratio = r as f64 / (m as f64).powf(2.0 / 3.0);
+            assert!(ratio >= 2f64.cbrt() - 1e-9 && ratio <= 2.0 + 1e-9, "m={m}: r={r}");
             m *= 2;
         }
     }
@@ -626,6 +624,57 @@ mod tests {
         };
         assert_eq!(plan_of(gathers[0]), plan_of(gathers[63]));
         assert!(prog.plan_bytes() <= 36_000, "{} plan bytes", prog.plan_bytes());
+    }
+
+    #[test]
+    fn converted_steps_compile_to_their_closure_plans() {
+        use crate::common::parent_routes::{assert_parent_plans, wiseness, Closure};
+        for n in [512usize, 4096] {
+            for wise in [true, false] {
+                let prog = ColumnSort::<u64>::new(wise).build(n);
+                // The routes as closures on every VP, with `%` and `/`.
+                let parent = |name: &str, label: u32| -> Option<(usize, Closure)> {
+                    let m = n >> label;
+                    let (r, s) = (column_len(m), m / column_len(m));
+                    let perm: fn(usize, usize, usize, usize) -> usize = match name {
+                        "sort-gather" => {
+                            let gather = move |ctx: &Ctx, _| match ctx.vp % m {
+                                0 => Route::End,
+                                off => Route::Data(ctx.vp - off),
+                            };
+                            return Some((1, Box::new(gather)));
+                        }
+                        "sort-scatter" => {
+                            let scatter = move |ctx: &Ctx, k| match ctx.vp % m {
+                                0 => Route::Data(ctx.vp + k + 1),
+                                _ => Route::End,
+                            };
+                            return Some((m - 1, Box::new(scatter)));
+                        }
+                        "sort-transpose" => |q, r, s, _| (q % s) * r + q / s,
+                        "sort-untranspose" => |q, r, s, _| (q % r) * s + q / r,
+                        "sort-shift" => |q, r, _, m| (q + r / 2) % m,
+                        "sort-unshift" => |q, r, _, m| match q {
+                            q if q < r / 2 => q,
+                            q if q < r => m - r + q,
+                            q => q - r / 2,
+                        },
+                        _ => return None,
+                    };
+                    let dummies = usize::from(wise);
+                    let route = move |ctx: &Ctx, k| {
+                        if k > 0 {
+                            return wiseness(ctx, label, dummies, k - 1);
+                        }
+                        let base = ctx.vp - ctx.vp % m;
+                        Route::Data(base + perm(ctx.vp - base, r, s, m))
+                    };
+                    Some((1 + dummies, Box::new(route)))
+                };
+                let converted = prog.steps().len() - 1; // all but the finalize
+                assert_eq!(assert_parent_plans(&prog, parent), converted, "n {n} wise {wise}");
+            }
+        }
     }
 
     #[test]

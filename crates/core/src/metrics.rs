@@ -533,6 +533,30 @@ impl StepMetrics {
         }
     }
 
+    /// These metrics, of the messages of one `label`-cluster (a machine of
+    /// `2^self.levels()` VPs), lifted to the machine `2^label` times larger
+    /// whose cluster 0 that cluster is and whose `copies` other clusters each
+    /// send the same messages, translated, except `extra` of them that are
+    /// external at every fold of a cluster (the wiseness dummies, which only
+    /// cluster 0 sends). Every fold `2^j` with `j ≤ label` holds whole
+    /// clusters, so its degree and externality are 0; at a finer fold the
+    /// degree is cluster 0's, which sends at least what every other does,
+    /// and every cluster's external messages add up. What a
+    /// [`StepMetricsBuilder`] fed every cluster's messages finishes to.
+    pub fn lifted(self, label: u32, copies: u64, extra: u64) -> Self {
+        if label == 0 {
+            return self;
+        }
+        let zeros = std::iter::repeat_n(0, label as usize);
+        let rest = |m: u64| m + copies * (m - extra);
+        StepMetrics {
+            levels: label + self.levels,
+            h_by_fold: zeros.clone().chain(self.h_by_fold).collect(),
+            ext_prefix: zeros.chain(self.ext_prefix.into_iter().map(rest)).collect(),
+            total: rest(self.total),
+        }
+    }
+
     /// Fold levels covered.
     #[inline]
     pub fn levels(&self) -> u32 {

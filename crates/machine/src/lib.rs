@@ -52,8 +52,10 @@
 //!   defining property — a network-oblivious pattern is a *static function
 //!   of the VP index and superstep* — is declared as a route (a
 //!   [`plan::DeclaredRoute`]: a closure `fn(&Ctx, k) → `[`plan::Route`],
-//!   enumerated once, or a route value such as the butterfly [`plan::Xor`],
-//!   whose plan is computed in closed form) and compiled at build time into
+//!   enumerated once over every VP; a route value stated for one aligned
+//!   cluster, [`plan::InCluster`], enumerated over cluster 0 alone; or the
+//!   butterfly [`plan::Xor`], whose plan is computed in closed form) and
+//!   compiled at build time into
 //!   a [`plan::StepPlan`]: **analytic metrics** (the superstep record is
 //!   emitted in `O(log v)` per run, bit-for-bit identical to the streamed
 //!   counters, at every granularity at once), a **one-time
@@ -378,7 +380,7 @@ pub mod traits;
 
 pub use engine::{run, run_folded, RunOptions, RunResult};
 pub use mailbox::Inbox;
-pub use plan::{DeclaredRoute, Route, StepPlan, Xor};
+pub use plan::{DeclaredRoute, InCluster, Route, StepPlan, Xor};
 pub use program::{Ctx, Outbox, Program, Slots, Superstep};
 pub use server::{
     JobOptions, JobResult, JobServer, JobSpec, JobTicket, ProgramSource, ServerConfig,

@@ -13,8 +13,12 @@
 //!   closed form by a route value** ([`DeclaredRoute`]). Enumeration is
 //!   three counter increments per message (sent, received, and the traffic
 //!   of the lowest fold-tree node the message stays inside) into `3·v` words
-//!   of scratch, then one `O(v)` bottom-up fold; a route value such as the
-//!   butterfly [`Xor`] states the same numbers in `O(log v)`. Every later
+//!   of scratch, then one `O(v)` bottom-up fold — `O(v · out_degree)` for
+//!   a closure. A route value narrows or skips the walk: an [`InCluster`]
+//!   route is stated for one `label`-cluster that every cluster runs alike,
+//!   so its plan enumerates cluster 0 alone, in `O((v >> label) ·
+//!   out_degree)`, and lifts it to the machine; the butterfly [`Xor`]
+//!   states the same numbers in `O(log v)`. Every later
 //!   execution emits the superstep record in `O(log v)`, bit-for-bit
 //!   identical to what the engine's streamed counters would produce
 //!   (dummies included), at every granularity at once.
@@ -190,13 +194,13 @@ pub enum Route {
 ///
 /// Two kinds of value implement it. Every closure `Fn(&Ctx, usize) ->
 /// Route` does, and its plan is compiled by enumerating every slot of every
-/// VP once. A *route value* such as [`Xor`] also knows its plan in closed
-/// form — metrics, payload total, layout, locality and first fault in
-/// `O(log v)` — and compiling it enumerates nothing. The contract is that
-/// the closed form equals, field for field, what enumerating the value's
-/// own [`DeclaredRoute::slot`]s would find, and the trait is sealed so that
-/// no route outside this crate can claim a closed form that disagrees with
-/// its slots.
+/// VP once. A *route value* also knows its plan in closed form — metrics,
+/// payload total, layout, locality and first fault: [`Xor`] in `O(log v)`,
+/// enumerating nothing, and [`InCluster`] from one cluster's slots. The
+/// contract is that the closed form equals, field for field, what
+/// enumerating the value's own [`DeclaredRoute::slot`]s would find, and the
+/// trait is sealed so that no route outside this crate can claim a closed
+/// form that disagrees with its slots.
 ///
 /// A closure passed inline names its context type, `|ctx: &Ctx, k| …`:
 /// the compiler infers a closure's signature only from an `Fn` bound.
@@ -235,7 +239,7 @@ impl DeclaredRoute for Xor {
 }
 
 impl sealed::ClosedForm for Xor {
-    fn summary(&self, v: usize, log_v: u32, label: u32, _: usize) -> Option<Summary> {
+    fn summary(&self, v: usize, log_v: u32, _: usize, label: u32, _: usize) -> Option<Summary> {
         let Xor(mask) = *self;
         // Every VP's one message faults alike, so enumeration stops at VP 0's.
         if let Some(fault) = message_fault(0, mask, v, log_v, label) {
@@ -256,6 +260,84 @@ impl sealed::ClosedForm for Xor {
     }
 }
 
+/// A route stated for one aligned cluster of `c` VPs — the `label`-cluster
+/// of a machine of `v = c · 2^label` VPs — which every cluster runs alike:
+/// `f(off, k)` answers slot `k < slots` of the VP at offset `off` of its
+/// cluster, naming destinations by their offset in the same cluster, and
+/// the route adds the cluster base. So the route is translation invariant
+/// and keeps to its cluster by construction; the one way to mis-declare it
+/// is an offset `≥ c`, which is a compile fault. After the `slots` answered
+/// by `f` come `dummies` wiseness slots (JACM §4.1): VP `j < c/2` of cluster
+/// 0, and no other, sends each of them as a dummy to `j + c/2`. An
+/// [`Route::End`] from `f` ends its VP's declaration, dummies included.
+///
+/// Its plan is compiled from cluster 0 alone, in `O(c · out_degree)`
+/// rather than `O(v · out_degree)`: a fold `2^j` with `j ≤ label` holds
+/// whole clusters, so all of its traffic is internal; a finer fold reads
+/// cluster 0's degrees, and its message totals are cluster 0's plus the
+/// other clusters' copies of it without the dummies. Payload total, layout,
+/// locality and first fault are cluster 0's too (the layout repeats with
+/// period `c`), and the per-shard send totals of a machine folded onto
+/// shards of at least `c` VPs need no walk at all.
+///
+/// `c` is a power of two, `2 ≤ c ≤ v`; the route holds the mask `c − 1`, so
+/// a send computes its cluster base with one `and`.
+#[derive(Debug, Clone, Copy)]
+pub struct InCluster<F> {
+    mask: usize,
+    slots: usize,
+    dummies: usize,
+    f: F,
+}
+
+impl<F: Fn(usize, usize) -> Route> InCluster<F> {
+    /// The route whose every aligned cluster of `c` VPs declares `f`'s
+    /// `slots` slots per VP, then `dummies` wiseness dummy slots (see the
+    /// type docs).
+    pub fn new(c: usize, slots: usize, dummies: usize, f: F) -> Self {
+        InCluster { mask: c.wrapping_sub(1), slots, dummies, f }
+    }
+
+    /// The cluster size, when it is one the closed forms hold for on
+    /// `M(v)`; any other size compiles by enumeration like a closure.
+    fn size(&self, v: usize) -> Option<usize> {
+        let c = self.mask.wrapping_add(1);
+        (c.is_power_of_two() && (2..=v).contains(&c)).then_some(c)
+    }
+}
+
+impl<F: Fn(usize, usize) -> Route> DeclaredRoute for InCluster<F> {
+    #[inline(always)]
+    fn slot(&self, ctx: &Ctx, k: usize) -> Route {
+        let off = ctx.vp & self.mask;
+        if k < self.slots {
+            match (self.f)(off, k) {
+                Route::Data(d) => Route::Data(ctx.vp - off + d),
+                Route::Dummy(d) => Route::Dummy(ctx.vp - off + d),
+                end_or_skip => end_or_skip,
+            }
+        } else if k - self.slots < self.dummies && ctx.vp < self.mask.wrapping_add(1) / 2 {
+            Route::Dummy(ctx.vp + self.mask.wrapping_add(1) / 2)
+        } else {
+            Route::End
+        }
+    }
+}
+
+impl<F: Fn(usize, usize) -> Route> sealed::ClosedForm for InCluster<F> {
+    fn summary(&self, v: usize, log_v: u32, n: usize, label: u32, out_degree: usize) -> Option<Summary> {
+        // A superstep coarser than the clusters would let an offset `≥ c`
+        // escape cluster 0 unfaulted, into traffic cluster 0 cannot stand
+        // for: such a step enumerates the machine.
+        let cluster = Cluster { label: log_v - self.size(v)?.ilog2(), extra_from: self.slots };
+        (label >= cluster.label).then(|| enumerate(v, log_v, n, label, out_degree, self, cluster))
+    }
+
+    fn cluster_size(&self, v: usize) -> Option<usize> {
+        self.size(v)
+    }
+}
+
 mod sealed {
     use super::{ModelError, PlanLayout, StepMetrics};
 
@@ -266,7 +348,21 @@ mod sealed {
     pub trait ClosedForm {
         /// The plan of this route for a `label`-superstep on `M(v)` with
         /// `out_degree ≥ 1` slots per VP, or `None` to enumerate it.
-        fn summary(&self, _v: usize, _log_v: u32, _label: u32, _out_degree: usize) -> Option<Summary> {
+        fn summary(
+            &self,
+            _v: usize,
+            _log_v: u32,
+            _n: usize,
+            _label: u32,
+            _out_degree: usize,
+        ) -> Option<Summary> {
+            None
+        }
+
+        /// The size of the aligned clusters of `M(v)` this route is stated
+        /// per — every one of them sends what cluster 0 sends, translated,
+        /// up to cluster 0's wiseness dummies — or `None`.
+        fn cluster_size(&self, _v: usize) -> Option<usize> {
             None
         }
 
@@ -388,10 +484,24 @@ impl std::fmt::Debug for StepPlan {
     }
 }
 
-/// Enumerates every declared slot of `route` once: three counter
-/// increments per message into the metrics builder, a per-destination
-/// payload count for the layout, and the cluster-constraint check that
-/// stops at the first fault.
+/// The clusters an enumeration walks one of: `label`-clusters that all
+/// send alike, except that slots from `extra_from` on (the wiseness dummies)
+/// are cluster 0's alone. The whole machine is the one `0`-cluster.
+struct Cluster {
+    label: u32,
+    extra_from: usize,
+}
+
+impl Cluster {
+    /// The machine as its own cluster: a route stated for every VP.
+    const MACHINE: Cluster = Cluster { label: 0, extra_from: usize::MAX };
+}
+
+/// Enumerates every declared slot of `route` in cluster 0 of `cluster` once:
+/// three counter increments per message into the metrics builder, a
+/// per-destination payload count for the layout, and the cluster-constraint
+/// check that stops at the first fault; then lifts what cluster 0 sends to
+/// the machine ([`StepMetrics::lifted`]).
 fn enumerate<R: DeclaredRoute>(
     v: usize,
     log_v: u32,
@@ -399,29 +509,36 @@ fn enumerate<R: DeclaredRoute>(
     label: u32,
     out_degree: usize,
     route: &R,
+    cluster: Cluster,
 ) -> Summary {
-    let mut metrics = StepMetricsBuilder::new(log_v);
-    let mut total_data = 0u64;
+    let log_c = log_v - cluster.label;
+    let c = 1usize << log_c;
+    let mut metrics = StepMetricsBuilder::new(log_c);
+    let (mut data, mut extra) = (0u64, 0u64);
     let mut min_locality = log_v;
     // Transient per-destination payload counts (compile-time only): feeds
     // the layout detection, dropped before the plan is stored.
-    let mut counts = vec![0u32; v];
+    let mut counts = vec![0u32; c];
     let mut counts_ok = true;
-    for vp in 0..v {
+    for vp in 0..c {
         let ctx = Ctx { vp, v, log_v, n };
         for k in 0..out_degree {
-            let (dst, data) = match route.slot(&ctx, k) {
+            let (dst, is_data) = match route.slot(&ctx, k) {
                 Route::Data(d) => (d, true),
                 Route::Dummy(d) => (d, false),
                 Route::Skip => continue,
                 Route::End => break,
             };
             if let Some(fault) = message_fault(vp, dst, v, log_v, label) {
-                return Summary::faulted(metrics.finish(), total_data, fault);
+                // Cluster 0 comes first in the machine's enumeration order
+                // too, so nothing past it has been counted there either.
+                let metrics = metrics.finish().lifted(cluster.label, 0, 0);
+                return Summary::faulted(metrics, data, fault);
             }
             metrics.record(vp, dst);
-            if data {
-                total_data += 1;
+            extra += u64::from(k >= cluster.extra_from);
+            if is_data {
+                data += 1;
                 match counts[dst].checked_add(1) {
                     Some(c) => counts[dst] = c,
                     // Dense beyond the design limit: the counting pass will
@@ -435,12 +552,17 @@ fn enumerate<R: DeclaredRoute>(
             }
         }
     }
+    let total_data = data << cluster.label;
+    // Every cluster's counts are cluster 0's, so the machine's layout has
+    // cluster 0's period.
     let (min_locality, layout) = if counts_ok {
         (min_locality, PlanLayout::detect(&counts, total_data))
     } else {
         (0, None)
     };
-    Summary { metrics: metrics.finish(), total_data, fault: None, min_locality, layout }
+    let copies = (1u64 << cluster.label) - 1;
+    let metrics = metrics.finish().lifted(cluster.label, copies, extra);
+    Summary { metrics, total_data, fault: None, min_locality, layout }
 }
 
 impl StepPlan {
@@ -467,8 +589,8 @@ impl StepPlan {
             Summary::silent(log_v)
         } else {
             route
-                .summary(v, log_v, label, out_degree)
-                .unwrap_or_else(|| enumerate(v, log_v, n, label, out_degree, route))
+                .summary(v, log_v, n, label, out_degree)
+                .unwrap_or_else(|| enumerate(v, log_v, n, label, out_degree, route, Cluster::MACHINE))
         };
         let layout_bytes = match &layout {
             Some(PlanLayout::Table(t)) => (t.len() * std::mem::size_of::<u32>()) as u64,
@@ -581,6 +703,13 @@ impl StepPlan {
     #[inline]
     pub(crate) fn payloads_per_vp(&self) -> Option<u64> {
         self.route.payloads_per_vp(self.out_degree)
+    }
+
+    /// The size of the clusters this plan's route is stated per
+    /// ([`InCluster`]), if it is.
+    #[inline]
+    pub(crate) fn cluster_size(&self) -> Option<usize> {
+        self.route.cluster_size(self.v)
     }
 
     /// Tallies the payload messages the VPs in `vps` declare into `counts`,
@@ -828,6 +957,87 @@ mod tests {
                         }
                         assert_eq!(closed.fault(), walked.fault(), "{what}");
                         assert_eq!(closed.approx_bytes(), walked.approx_bytes(), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_cluster_plans_in_closed_form_equal_their_enumeration() {
+        use crate::program::Program;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        for log_v in 1u32..=10 {
+            let v = 1usize << log_v;
+            for label in 0..log_v {
+                let c = v >> label;
+                for dummies in 0..=2 {
+                    for trial in 0..3 {
+                        // A random table per cluster offset: payloads and
+                        // f's own dummies inside the cluster, holes, early
+                        // ends — and in the last trial one offset ≥ c, the
+                        // one fault a value can declare.
+                        let slots = 1 + next() % 3;
+                        let mut table: Vec<Route> = (0..c * slots)
+                            .map(|_| match next() % 16 {
+                                0 => Route::End,
+                                1 | 2 => Route::Skip,
+                                3 => Route::Dummy(next() % c),
+                                _ => Route::Data(next() % c),
+                            })
+                            .collect();
+                        if trial == 2 {
+                            let at = next() % table.len();
+                            table[at] = Route::Data(c + next() % v);
+                        }
+                        let table: std::sync::Arc<[Route]> = table.into();
+                        let value = InCluster::new(c, slots, dummies, move |off, k| table[off * slots + k]);
+                        let walk = {
+                            let value = value.clone();
+                            move |ctx: &Ctx, k: usize| value.slot(ctx, k)
+                        };
+                        // A step label above the value's makes every
+                        // message that leaves a finer cluster a fault too;
+                        // one below it lets an offset ≥ c escape unfaulted.
+                        for step_label in [label / 2, label, log_v - 1] {
+                            for out_degree in [slots + dummies, slots + dummies + 1, 1] {
+                                let what = format!(
+                                    "v {v} label {label}/{step_label} dummies {dummies} trial {trial} \
+                                     out_degree {out_degree}"
+                                );
+                                let closed = compile_value(v, step_label, out_degree, value.clone());
+                                let walked = compile(v, step_label, out_degree, walk.clone());
+                                assert_eq!(closed.metrics(), walked.metrics(), "{what}");
+                                assert_eq!(closed.total_data(), walked.total_data(), "{what}");
+                                assert_eq!(
+                                    format!("{:?}", closed.layout()),
+                                    format!("{:?}", walked.layout()),
+                                    "{what}"
+                                );
+                                assert_eq!(closed.min_locality, walked.min_locality, "{what}");
+                                for s in 0..=log_v {
+                                    assert_eq!(closed.shard_local(s), walked.shard_local(s), "{what} s {s}");
+                                }
+                                assert_eq!(closed.fault(), walked.fault(), "{what}");
+                                assert_eq!(closed.approx_bytes(), walked.approx_bytes(), "{what}");
+                                assert_eq!(closed.payloads_per_vp(), walked.payloads_per_vp(), "{what}");
+                                // The per-shard send totals: none walked or
+                                // one cluster walked, against every VP.
+                                let mut programs = (Program::<u8, u8>::new(v, v), Program::<u8, u8>::new(v, v));
+                                programs.0.step_oblivious(step_label, "closed", out_degree, value.clone(), |_, _, _, _| {});
+                                programs.1.step_oblivious(step_label, "walked", out_degree, walk.clone(), |_, _, _, _| {});
+                                for w in [2, 4, 8].into_iter().filter(|&w| w <= v) {
+                                    let (a, b) = (programs.0.send_totals(w), programs.1.send_totals(w));
+                                    assert_eq!(a, b, "{what} width {w}");
+                                }
+                            }
+                        }
                     }
                 }
             }

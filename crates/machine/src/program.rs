@@ -602,11 +602,14 @@ impl<S, M> Program<S, M> {
     /// scatter runs from (see [`crate::plan`]).
     ///
     /// `route` is any [`DeclaredRoute`]: a closure `|ctx: &Ctx, k| …`, whose
-    /// plan enumerates every slot of every VP once, or a route value such as
-    /// the butterfly [`crate::plan::Xor`], whose plan is computed in closed
-    /// form in `O(log v)`. The closed form equals that enumeration field for
-    /// field — metrics, payload total, layout, locality, first fault — and
-    /// the trait is sealed, so only this crate's route values have one.
+    /// plan enumerates every slot of every VP once; a route stated for one
+    /// aligned cluster, [`crate::plan::InCluster`] — offsets in, offsets out,
+    /// plus its wiseness dummy count — whose plan enumerates cluster 0 alone
+    /// in `O((v >> label) · out_degree)`; or the butterfly
+    /// [`crate::plan::Xor`], whose plan is computed in `O(log v)`. The closed
+    /// forms equal the enumeration field for field — metrics, payload total,
+    /// layout, locality, first fault — and the trait is sealed, so only this
+    /// crate's route values have one.
     ///
     /// The body must send **exactly** one payload per declared payload slot
     /// of its VP; one more or one fewer aborts the run with
@@ -768,9 +771,12 @@ impl<S, M> Program<S, M> {
     /// worker's written total against. It depends only on the plans and the
     /// width, so the route enumeration is paid once per `(distinct plan,
     /// width)` — an entry sharing an earlier entry's plan copies that row,
-    /// and a route value whose VPs all send alike ([`crate::plan::Xor`])
-    /// is not enumerated at all — and every later run — a reused program
-    /// under `run` exactly like a warm served job — reads the memo.
+    /// a route value whose VPs all send alike ([`crate::plan::Xor`]) is not
+    /// enumerated at all, and one stated per cluster
+    /// ([`crate::plan::InCluster`]) is answered in `O(1)` per shard when a
+    /// shard holds whole clusters and from one cluster's walk otherwise —
+    /// and every later run — a reused program under `run` exactly like a
+    /// warm served job — reads the memo.
     ///
     /// Trusting it is safe the same way trusting a declared route is: a
     /// row that disagrees with what a run actually sends surfaces as the
@@ -794,14 +800,27 @@ impl<S, M> Program<S, M> {
                 totals.copy_within(first..first + n_shards, row);
                 continue;
             }
-            // A route value that sends alike from every VP needs no walk.
-            let alike = plan.payloads_per_vp();
-            for (w, shard) in totals[row..row + n_shards].iter_mut().enumerate() {
-                match alike {
-                    Some(per_vp) => *shard = per_vp * vps as u64,
-                    None => plan.for_each_message(w * vps..(w + 1) * vps, |_, _, data| {
-                        *shard += u64::from(data)
-                    }),
+            let shards = &mut totals[row..row + n_shards];
+            // A route value that sends alike from every VP needs no walk, and
+            // one stated per cluster walks at most one cluster: a shard of
+            // whole clusters sends its share of the total, and a cluster of
+            // several shards sends what cluster 0's do.
+            match (plan.payloads_per_vp(), plan.cluster_size()) {
+                (Some(per_vp), _) => shards.fill(per_vp * vps as u64),
+                (None, Some(c)) if c <= vps => shards.fill(plan.total_data() / n_shards as u64),
+                (None, c) => {
+                    let walked = c.map_or(n_shards, |c| c / vps);
+                    for w in 0..n_shards {
+                        shards[w] = if w < walked {
+                            let mut sent = 0;
+                            plan.for_each_message(w * vps..(w + 1) * vps, |_, _, data| {
+                                sent += u64::from(data)
+                            });
+                            sent
+                        } else {
+                            shards[w % walked]
+                        };
+                    }
                 }
             }
         }

@@ -245,7 +245,9 @@ const FAULT_FUSED_EXEC: &str = "shard:fused_exec";
 /// the coordinator between the gather and merge barriers), so every lock is
 /// uncontended.
 struct ShardCell {
-    counters: DegreeCounters,
+    /// The dynamic tier's streamed degree counters: `None` in a run whose
+    /// every step is planned, which never records through them.
+    counters: Option<DegreeCounters>,
     /// This shard's slice of the superstep's message log, in source order.
     log_frag: Vec<(u32, u32)>,
     /// First model violation detected by this shard, if any.
@@ -253,25 +255,28 @@ struct ShardCell {
 }
 
 /// The pooled per-trace-shape coordinator state — shard cells and merge
-/// scratch sized by `(log v, fold levels, granularity)` — kept per shape so a
-/// server alternating shapes does not re-allocate counters every job.
+/// scratch sized by `(log v, fold levels, granularity)`, with the dynamic
+/// tier's counters only for a run that has a dynamic step — kept per shape so
+/// a server alternating shapes does not re-allocate counters every job.
 struct ShapeRes {
-    shape: (u32, u32, bool),
+    shape: (u32, u32, bool, bool),
     cells: Vec<Mutex<ShardCell>>,
     merge: EpochMerge,
 }
 
 impl ShapeRes {
-    fn new(spec: GranSpec, log_v: u32, log_shards: u32) -> Self {
+    fn new(spec: GranSpec, log_v: u32, log_shards: u32, dynamic: bool) -> Self {
         let counters = |w| {
-            if spec.full {
-                DegreeCounters::shard_full(log_v, log_shards, w)
-            } else {
-                DegreeCounters::shard_folded(log_v, spec.levels, log_shards, w)
-            }
+            dynamic.then(|| {
+                if spec.full {
+                    DegreeCounters::shard_full(log_v, log_shards, w)
+                } else {
+                    DegreeCounters::shard_folded(log_v, spec.levels, log_shards, w)
+                }
+            })
         };
         ShapeRes {
-            shape: (log_v, spec.levels, spec.full),
+            shape: (log_v, spec.levels, spec.full, dynamic),
             cells: (0..1usize << log_shards)
                 .map(|w| {
                     Mutex::new(ShardCell { counters: counters(w), log_frag: Vec::new(), error: None })
@@ -789,9 +794,12 @@ impl<M: Send> GangState<M> {
 
         // --- recycle the pooled run state -------------------------------
         let t0 = tele.map(|_| Instant::now());
-        let shape = (log_v, spec.levels, spec.full);
+        // The serial loop's tier census: the dynamic tier's counters exist
+        // only for a run that has a step without a runnable plan.
+        let dynamic = prog.steps().iter().any(|s| runnable_plan(s, opts.use_plans).is_none());
+        let shape = (log_v, spec.levels, spec.full, dynamic);
         let at = self.shapes.iter().position(|s| s.shape == shape).unwrap_or_else(|| {
-            self.shapes.push(ShapeRes::new(spec, log_v, log_shards));
+            self.shapes.push(ShapeRes::new(spec, log_v, log_shards, dynamic));
             self.shapes.len() - 1
         });
         let ShapeRes { cells, merge, .. } = &mut self.shapes[at];
@@ -1449,8 +1457,9 @@ fn flush<S, M: Send>(
     let log_v = shared.log_v;
     let shard_shift = log_v - shared.log_shards;
     let vp_lo32 = me.vp_lo as u32;
-    if record_step {
-        cell.counters.begin_superstep();
+    let mut counters = cell.counters.as_mut().filter(|_| record_step);
+    if let Some(counters) = counters.as_mut() {
+        counters.begin_superstep();
     }
     cell.log_frag.clear();
     let want_log = record_step && shared.collect_log;
@@ -1473,11 +1482,11 @@ fn flush<S, M: Send>(
             }
             let dst_shard = d >> shard_shift;
             let local = dst_shard == me.w;
-            if record_step {
+            if let Some(counters) = counters.as_mut() {
                 if local {
-                    cell.counters.record(src, d);
+                    counters.record(src, d);
                 } else {
-                    cell.counters.record_sent(src, d);
+                    counters.record_sent(src, d);
                 }
             }
             if want_log {
@@ -1535,6 +1544,7 @@ fn gather<S, M: Send>(
         0..shared.n_shards
     };
     let vp_lo = me.vp_lo;
+    let mut counters = cell.counters.as_mut().filter(|_| record_counters);
     let local = &mut me.kit.local;
     let dst_counts = &mut me.kit.dst_counts;
     let cursors = &mut me.kit.cursors;
@@ -1552,8 +1562,8 @@ fn gather<S, M: Send>(
             // column `me.w` until the next barrier (invariant 3).
             let lane = unsafe { shared.core.grid.lane_in(s_prev, me.w) };
             for hdr in &lane.hdrs {
-                if record_counters {
-                    cell.counters.record_received(hdr.src as usize, hdr.dst as usize);
+                if let Some(counters) = counters.as_mut() {
+                    counters.record_received(hdr.src as usize, hdr.dst as usize);
                 }
                 if hdr.data {
                     bump_count(&mut dst_counts[hdr.dst as usize - vp_lo])?;
@@ -1605,7 +1615,9 @@ fn merge_superstep<S, M>(
     let mut entry = shared.collect_log.then(Vec::new);
     for w in 0..shared.n_shards {
         let cell = lock(&shared.cells[w]);
-        coord.merge.add_shard(w, &cell.counters);
+        if let Some(counters) = &cell.counters {
+            coord.merge.add_shard(w, counters);
+        }
         if let Some(e) = entry.as_mut() {
             e.extend_from_slice(&cell.log_frag);
         }

@@ -13,6 +13,7 @@
 #
 #   scripts/pairs.sh <parent-dir> <change-dir> [--pairs 10] [--seconds 20] [--seed 1] <workload>…
 #   scripts/pairs.sh … --trace 1 --metric drive.job_p50_us --metric drive.jobs_per_sec:higher <workload>…
+#   scripts/pairs.sh … --cut setup_s=0.012 <workload>…
 #
 # Fails on `correct=false`, on `failed` > 0 and on a run that prints no
 # status line. Prints, per workload × gated metric (both are lower-is-better):
@@ -25,11 +26,15 @@
 # narrows an untraced table). A metric is lower-is-better unless named as
 # `<name>:higher`; a run that does not report a named metric fails the
 # comparison.
+#
+# `--cut <metric>=<value>` (repeatable) counts the host's modes: under that
+# metric's row it prints, per side, how many runs fell below the value and
+# how many at or above it. A cut on a metric the table has no row for fails.
 set -euo pipefail
 
 usage() {
     echo "usage: $0 <parent-dir> <change-dir> [--pairs N] [--seconds S] [--seed N]" \
-        "[--trace 0|1] [--metric NAME[:higher]]... <workload>..." >&2
+        "[--trace 0|1] [--metric NAME[:higher]]... [--cut NAME=VALUE]... <workload>..." >&2
     exit 2
 }
 
@@ -43,6 +48,7 @@ seed=1
 trace=0
 metrics=()
 higher=()
+cuts=()
 dirs=()
 workloads=()
 while [ $# -gt 0 ]; do
@@ -55,6 +61,10 @@ while [ $# -gt 0 ]; do
             name="${2:?--metric needs a value}"; shift
             case "$name" in *:higher) name="${name%:higher}"; higher+=("$name") ;; esac
             metrics+=("$name") ;;
+        --cut)
+            cut="${2:?--cut needs a value}"; shift
+            [[ "$cut" =~ ^[^=[:space:]]+=-?[0-9]+(\.[0-9]+)?$ ]] || usage
+            cuts+=("$cut") ;;
         -*) usage ;;
         *) if [ ${#dirs[@]} -lt 2 ]; then dirs+=("$(realpath "$1")"); else workloads+=("$1"); fi ;;
     esac
@@ -114,13 +124,13 @@ done
 echo "parent $parent, change $change: $pairs alternating pairs, --seconds $seconds --seed $seed --trace $trace"
 # Sorted by (workload, metric, side, value), so each side's runs arrive in
 # rank order and a quantile is an interpolated index.
-sort -k1,1 -k2,2 -k3,3 -k5,5g "$tmp/values" | awk -v higher="${higher[*]-}" '
+sort -k1,1 -k2,2 -k3,3 -k5,5g "$tmp/values" | awk -v higher="${higher[*]-}" -v cuts="${cuts[*]-}" '
     function quantile(side, q,    pos, lo) {
         pos = 1 + (n[side] - 1) * q; lo = int(pos)
         if (lo >= n[side]) return ranked[side, n[side]]
         return ranked[side, lo] + (pos - lo) * (ranked[side, lo + 1] - ranked[side, lo])
     }
-    function flush(    pm, cm, wins, ties, i, c, p) {
+    function flush(    pm, cm, wins, ties, i, c, p, s, side, below) {
         if (!key) return
         for (i = 1; i <= n["parent"]; i++) {
             c = by_pair["change", i]; p = by_pair["parent", i]
@@ -133,12 +143,27 @@ sort -k1,1 -k2,2 -k3,3 -k5,5g "$tmp/values" | awk -v higher="${higher[*]-}" '
             cm, quantile("change", 0.25), quantile("change", 0.75),
             pm ? 100 * (cm - pm) / pm : 0, wins, n["parent"], ties ? " (" ties " tied)" : "",
             (m in up) ? " (higher wins)" : ""
+        if (m in cut) {
+            printf "%-13s %-12s cut %s:", w, m, cut[m]
+            for (s = 1; s <= 2; s++) {
+                side = s == 1 ? "parent" : "change"; below = 0
+                for (i = 1; i <= n[side]; i++) below += ranked[side, i] < cut[m] + 0
+                printf " %s %d below, %d at or above%s", side, below, n[side] - below, s == 1 ? ";" : "\n"
+            }
+            cut_seen[m] = 1
+        }
         split("", ranked); split("", by_pair); split("", n)
     }
     ($1 " " $2) != key { flush(); key = $1 " " $2; w = $1; m = $2 }
     { ranked[$3, ++n[$3]] = $5 + 0; by_pair[$3, $4] = $5 + 0 }
-    END { flush() }
+    END {
+        flush()
+        for (m in cut) if (!(m in cut_seen)) {
+            print "pairs: --cut " m "=" cut[m] ": no such metric in the table" > "/dev/stderr"; exit 1
+        }
+    }
     BEGIN {
         split(higher, h, " "); for (k in h) up[h[k]] = 1
+        split(cuts, c, " "); for (k in c) { eq = index(c[k], "="); cut[substr(c[k], 1, eq - 1)] = substr(c[k], eq + 1) }
         printf "%-13s %-12s %s\n", "workload", "metric", "median [q1, q3] per side, change vs parent median, pairs the change won"
     }'

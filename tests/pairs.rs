@@ -9,7 +9,8 @@
 //! in length are refused before any run; and an incorrect, failed or silent
 //! run fails the whole comparison, naming side, pair and workload; and
 //! `--trace 1` runs the traced benchmark, tabulates only the named metrics
-//! (`:higher` flips the win test) and fails on a name no run reports.
+//! (`:higher` flips the win test) and fails on a name no run reports; and
+//! `--cut` counts each side's runs below and at or above a value.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -176,4 +177,35 @@ fn a_metric_no_run_reports_fails_the_comparison() {
     let out = pairs(&root, names, &["--trace", "1", "w"]);
     assert_eq!(out.status.code(), Some(2), "{}", text(&out.stdout));
     assert!(text(&out.stderr).contains("needs at least one --metric"), "{}", text(&out.stderr));
+}
+
+#[test]
+fn cuts_count_each_sides_runs_below_and_at_or_above() {
+    let names = ["parent", "change"];
+    let root = sandbox("cut", names, [&PARENT, &CHANGE]);
+    let cuts = ["--cut", "peak_rss_mb=11", "--cut", "setup_s=0.25"];
+    let out = pairs(&root, names, &[&["--pairs", "4"], &cuts[..], &["w"]].concat());
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    let table = text(&out.stdout);
+    // Parent 10 11 12 13, change 8 9 10 12: a run at the cut counts above.
+    let rss = "w             peak_rss_mb  cut 11: parent 1 below, 3 at or above; \
+               change 3 below, 1 at or above";
+    // Parent and change .1 .2 .3 .4.
+    let setup = "w             setup_s      cut 0.25: parent 2 below, 2 at or above; \
+                 change 2 below, 2 at or above";
+    for line in [rss, setup] {
+        assert!(table.lines().any(|l| l == line), "`{line}` not in:\n{table}");
+    }
+    // Each count sits under its metric's row.
+    let lines: Vec<&str> = table.lines().collect();
+    let at = lines.iter().position(|l| *l == rss).unwrap();
+    assert!(lines[at - 1].contains("peak_rss_mb  parent"), "{table}");
+
+    // A cut on a metric without a row, or one without a value, fails.
+    let root = sandbox("cut_unknown", names, [&PARENT, &CHANGE]);
+    let out = pairs(&root, names, &["--pairs", "2", "--cut", "setup_ms=1", "w"]);
+    assert_eq!(out.status.code(), Some(1), "{}", text(&out.stdout));
+    assert!(text(&out.stderr).contains("--cut setup_ms=1: no such metric"), "{}", text(&out.stderr));
+    let out = pairs(&root, names, &["--cut", "setup_s", "w"]);
+    assert_eq!(out.status.code(), Some(2), "{}", text(&out.stderr));
 }
