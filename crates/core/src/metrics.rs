@@ -773,8 +773,7 @@ impl TraceBuilder {
     }
 
     /// Materializes the accumulated records as a [`CommTrace`] without
-    /// consuming the builder — the pooled counterpart of
-    /// [`TraceBuilder::finish`], for builders that outlive the run.
+    /// consuming the builder, so a pooled builder outlives the run.
     pub fn snapshot(&self) -> CommTrace {
         let levels = self.log_gran as usize;
         let steps = self
@@ -799,23 +798,6 @@ impl TraceBuilder {
     /// Whether no superstep has been pushed yet.
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
-    }
-
-    /// Materializes the accumulated records as a [`CommTrace`].
-    pub fn finish(self) -> CommTrace {
-        let levels = self.log_gran as usize;
-        let steps = self
-            .labels
-            .iter()
-            .zip(&self.totals)
-            .enumerate()
-            .map(|(i, (&label, &total))| SuperstepRecord {
-                label,
-                h_by_fold: self.flat_h[i * levels..(i + 1) * levels].to_vec(),
-                total_msgs: total,
-            })
-            .collect();
-        CommTrace { log_v: self.log_gran, n: self.n, steps }
     }
 }
 
@@ -1364,7 +1346,7 @@ mod tests {
         t1.push_superstep(0, &c);
         let mut t2 = TraceBuilder::new(16, 16, 1);
         t2.push_precomputed(0, &m, true);
-        assert_eq!(t1.finish(), t2.finish());
+        assert_eq!(t1.snapshot(), t2.snapshot());
         // Folded granularity: internal messages drop out of the total.
         let mut cf = DegreeCounters::folded(log_v, 2);
         cf.begin_superstep();
@@ -1375,7 +1357,7 @@ mod tests {
         t1.push_superstep(0, &cf);
         let mut t2 = TraceBuilder::new(4, 16, 1);
         t2.push_precomputed(0, &m, false);
-        assert_eq!(t1.finish(), t2.finish());
+        assert_eq!(t1.snapshot(), t2.snapshot());
     }
 
     #[test]

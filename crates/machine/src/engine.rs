@@ -46,10 +46,10 @@
 //!   runs inline with a serial counting-sort scatter and allocates nothing
 //!   in steady state (proven by `tests/allocation.rs`).
 //! * **Sharded** (`crate::shard`): `n` persistent workers each own a
-//!   contiguous VP shard — its states, arenas, staging and a private
-//!   [`DegreeCounters`] — and exchange cross-shard messages of dynamic
-//!   supersteps through lanes between the shards a superstep's label lets
-//!   talk. The inter-superstep barrier is a
+//!   contiguous VP shard — its states, arenas, staging and, for a run with
+//!   a dynamic superstep, a private [`DegreeCounters`] — and exchange the
+//!   messages of dynamic supersteps through lanes between the shards a
+//!   superstep's label lets talk. The inter-superstep barrier is a
 //!   per-lane handoff plus an `O(shards · log v)` counter merge instead
 //!   of a global counting sort (planned supersteps keep one barrier and
 //!   merge nothing). [`run_folded`] is the degenerate case *shard = fold*
@@ -84,8 +84,9 @@
 //!
 //! Deciding up front rather than at the first dynamic step keeps every
 //! allocation out of the superstep loop (`tests/allocation.rs`). The sharded
-//! executor does not take a census yet: its worker kits always carry their
-//! shard's counters.
+//! executor takes the same census per run: its dynamic tier — each shard's
+//! counters, the lanes and the counter merge — exists only for a run that
+//! has a step without a runnable plan.
 //!
 //! # Invariants
 //!
@@ -123,6 +124,10 @@ pub struct RunOptions {
     /// of a *dynamic* superstep, and the report of a declared route that
     /// failed its compile-time proof — with it the run fails with that
     /// fault, without it the step runs on the dynamic path.
+    ///
+    /// A destination past the machine (`dst ≥ v`) is refused either way,
+    /// with [`ModelError::BadParameter`] `{ what: "dst", .. }`: every
+    /// engine, the reference included, indexes its receivers by it.
     ///
     /// A *planned* superstep's checks do not depend on it: its route was
     /// proven cluster-legal once, at compile time, its destinations come
@@ -567,10 +572,8 @@ pub(crate) fn run_serial<S: Send, M: Send>(
         for (src, &end) in stage.vp_ends.iter().enumerate() {
             for (dst, env) in &stage.outbox.msgs[msg_idx..end as usize] {
                 let dst = *dst as usize;
-                if opts.validate {
-                    if let Some(fault) = message_fault(src, dst, v, log_v, step.label) {
-                        return Err(fault);
-                    }
+                if let Some(fault) = message_fault(src, dst, v, log_v, step.label, opts.validate) {
+                    return Err(fault);
                 }
                 if record_step {
                     counters.record(src, dst);

@@ -134,17 +134,21 @@
 //!   for the call (threads spawned and joined per run), a server keeps
 //!   one until it drops. Width 1 is the same entry running the serial
 //!   loop on the calling thread.
-//! * **Lanes** ([`mailbox`]): cross-shard messages of *dynamic* supersteps
-//!   travel through one structure-of-arrays lane per (source, destination)
-//!   shard pair — compact `(src, dst, has-payload)` headers separate from
-//!   the payload stream, so metric scans never touch payload bytes and the
-//!   paper's dummy messages occupy no payload slot. A superstep's label
-//!   bounds which pairs are active: an `i`-superstep only connects shards
-//!   sharing the top `i` shard-index bits, and supersteps with
-//!   `label ≥ log n` touch no lane at all.
+//! * **Lanes** ([`mailbox`]): the messages of *dynamic* supersteps travel
+//!   through one structure-of-arrays lane per (source, destination) shard
+//!   pair, shard-internal ones through the diagonal — compact `(src, dst,
+//!   has-payload)` headers separate from the payload stream, so metric
+//!   scans never touch payload bytes and the paper's dummy messages occupy
+//!   no payload slot. A superstep's label bounds which pairs are active:
+//!   an `i`-superstep only connects shards sharing the top `i` shard-index
+//!   bits, and supersteps with `label ≥ log n` use the diagonal alone. The
+//!   lanes and the counter merge below are built only for a run that has a
+//!   dynamic superstep.
 //! * **Barrier = handoff + merge** (dynamic supersteps): the
-//!   inter-superstep barrier is a per-lane ownership handoff (send phase
-//!   writes lane rows, gather phase drains lane columns) plus an
+//!   inter-superstep barrier hands every lane from its sender to its
+//!   receiver, as `M(v)` hands a superstep's messages over at its `sync`
+//!   (send phase fills lane rows, gather phase drains lane columns; each
+//!   lane is a `Mutex` the barrier keeps uncontended) plus an
 //!   `O(n · log v)` epoch-merge of the shard counters
 //!   ([`nob_core::metrics::EpochMerge`]) — replacing the global counting
 //!   sort in which every worker re-scanned the entire staging buffer.
@@ -179,23 +183,22 @@
 //! ### Unsafe surface
 //!
 //! Two modules carry `unsafe`, and `crates/lint/unsafe_inventory.txt` pins
-//! their counts. `shard` has the calls into the grid accessors below — each
-//! with the phase argument that makes it sound — and one lifetime erasure:
+//! their counts. `shard` has the calls into the direct-grid accessors
+//! below — each with the phase argument that makes it sound — and one
+//! lifetime erasure:
 //! the gang's scope hands its parked threads a `'static`-erased reference
 //! to the caller's closure, sound because the scope returns only after
 //! every worker's done handshake, *including when the caller unwinds*
 //! (the argument of the standard library's scoped threads, with the join
-//! replaced by the handshake). Everything else is in [`mailbox`], behind five documented
-//! invariants: (1) arena slabs track their initialized prefix, (2) inbox
-//! views uniquely own the messages handed to closures, (3) lane-grid
-//! access is phase-disciplined — row-exclusive while sending,
-//! column-exclusive while gathering, with the executor barrier providing
-//! the happens-before edges — (4) the one-arena planned writer
+//! replaced by the handshake). Everything else is in [`mailbox`], behind
+//! four documented invariants: (1) arena slabs track their initialized
+//! prefix, (2) inbox views uniquely own the messages handed to closures,
+//! (3) the one-arena planned writer
 //! (`mailbox::DirectOut`, used by the serial loop and by a worker's fused
 //! step over its own shard, on buffers private to the executing thread)
 //! bounds every payload write by its arena's VP range and its
 //! destination's planned slot range, and the engine refuses to publish an
-//! arena whose written total disagrees with the total it sized, and (5)
+//! arena whose written total disagrees with the total it sized, and (4)
 //! cross-shard planned writes (`mailbox::DirectShard` through
 //! `mailbox::DirectGrid`) follow
 //! the same discipline at slot-region granularity: windows are published
@@ -205,10 +208,10 @@
 //! window, every write is bounds-checked against its (source shard,
 //! destination) region, and per-worker written totals gate every commit —
 //! so slabs are only ever committed fully initialized, each slot written
-//! exactly once, however many payloads the bodies sent. Lane payload moves
-//! themselves go through safe `Vec` drains, so abandoned supersteps
-//! (validation errors, panics) drop staged messages through ordinary
-//! destructors.
+//! exactly once, however many payloads the bodies sent. The lanes of
+//! dynamic supersteps carry no `unsafe` at all: each is a `Mutex` over
+//! plain `Vec`s, so abandoned supersteps (validation errors, panics) drop
+//! staged messages through ordinary destructors.
 //!
 //! ## Robustness
 //!

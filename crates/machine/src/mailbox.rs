@@ -22,7 +22,7 @@
 //! * `DirectOut` — the *planned* alternative to staging + counting sort:
 //!   for supersteps with a compiled communication plan, VP closures write
 //!   payloads straight into their destination arena slots through
-//!   cursor-guarded raw writes (see invariant 4). The destination of each
+//!   cursor-guarded raw writes (see invariant 3). The destination of each
 //!   write comes from the step's route (`crate::program::Slots`) or, for a
 //!   captured plan, from a send already compared with the captured table.
 //!   It serves every planned step whose payloads stay in one arena: each
@@ -35,14 +35,16 @@
 //!   closures then write payloads
 //!   straight into the remote arena slots their route owns — no lane
 //!   staging, no per-shard counting sort, one barrier per planned
-//!   superstep (see invariant 5).
-//! * `Lane` / `LaneGrid` — the sharded executor's cross-shard message
-//!   path for *dynamic* supersteps: one lane per (source shard,
-//!   destination shard) pair, staged in structure-of-arrays form
-//!   (`LaneHdr` headers separate from payloads) so metric/validation scans
-//!   touch only the compact header stream and dummy messages carry no
-//!   payload slot at all. The grid replaces the legacy global scatter, in
-//!   which every worker re-scanned the entire staging buffer.
+//!   superstep (see invariant 4).
+//! * `Lane` / `LaneGrid` — the sharded executor's message path for
+//!   *dynamic* supersteps: one lane per (source shard, destination shard)
+//!   pair, shard-internal traffic on the diagonal, staged in
+//!   structure-of-arrays form (`LaneHdr` headers separate from payloads) so
+//!   metric/validation scans touch only the compact header stream and
+//!   dummy messages carry no payload slot at all. Each lane is a `Mutex`:
+//!   its sender fills it before the superstep's barrier and its receiver
+//!   drains it after, so the locks are never contended and the handover
+//!   needs no `unsafe`.
 //!
 //! # Safety invariants
 //!
@@ -56,15 +58,7 @@
 //!    leftovers. If a VP closure panics, inboxes not yet constructed leak
 //!    their messages — safe, never observed as initialized again because
 //!    `filled` is already 0.
-//! 3. `LaneGrid` access is phase-disciplined: during a superstep's *send*
-//!    phase, lane `(s, d)` is touched only by shard `s` (via
-//!    `LaneGrid::lane_out`); during the *gather* phase, only by shard `d`
-//!    (via `LaneGrid::lane_in`). The two phases are separated by the
-//!    executor's barrier, which also provides the necessary happens-before
-//!    edges. Lanes themselves are plain `Vec`s — payload moves go through
-//!    safe `drain`, so a superstep abandoned mid-phase (validation error,
-//!    panic) drops any staged payloads through normal `Vec` destructors.
-//! 4. `DirectOut` writes into buffers private to the thread executing the
+//! 3. `DirectOut` writes into buffers private to the thread executing the
 //!    superstep — the serial loop's, or one gang worker's on a fused step,
 //!    whose plan proved every payload stays in the worker's shard — so no
 //!    other thread is involved and no barrier orders anything. It never
@@ -78,16 +72,16 @@
 //!    its route declares) nothing is committed; written payloads are
 //!    leaked (never dropped, never re-observed), bounded by one
 //!    superstep's traffic.
-//! 5. `DirectGrid` slot ownership is phase-disciplined like the lane grid,
-//!    but at *slot-region* granularity. A window for write-arena parity `x`
-//!    is published only by the arena's owner during a *prepare* phase and
-//!    read by peers only in the *exec* phases that follow the next barrier;
+//! 4. `DirectGrid` slot ownership is phase-disciplined at *slot-region*
+//!    granularity. A window for write-arena parity `x` is published only
+//!    by the arena's owner during a *prepare* phase and read by peers only
+//!    in the *exec* phases that follow the next barrier;
 //!    consecutive planned supersteps alternate parities, so a window is
 //!    never republished while a peer may still read it. Within an exec
 //!    phase, the cursor table row of source shard `s` (and the disjoint
 //!    slot regions those cursors index) is touched only by worker `s`; the
 //!    immutable `starts` table is shared read-only. Region bounds are
-//!    enforced on every write exactly as in invariant 4 — `cursors[s][d] <
+//!    enforced on every write exactly as in invariant 3 — `cursors[s][d] <
 //!    starts[s + 1][d]`, regions disjoint by the prefix-sum construction —
 //!    and each worker's written total is compared against its declared
 //!    payload total before any arena is committed, so a committed slab is
@@ -95,14 +89,16 @@
 //!    the routes declared. The executor's barrier provides every
 //!    happens-before edge (publish → read, peer writes → owner commit).
 //!    Fused (shard-local planned) supersteps never touch the grid: they
-//!    write through a `DirectOut` under invariant 4.
+//!    write through a `DirectOut` under invariant 3.
 #![allow(unsafe_code)]
 
 use crate::program::Envelope;
+use crate::shard::lock;
 use nob_core::ModelError;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ops::RangeFull;
+use std::sync::{Mutex, MutexGuard};
 
 /// Checked increment of a per-destination payload count. A wrapped `u32`
 /// count would mis-size the write arena and send the unsafe scatter out of
@@ -814,7 +810,7 @@ impl<M> DirectSink<M> {
 }
 
 /// A shard's published view of its write arena for one planned superstep:
-/// the raw scatter state peers write through (invariant 5).
+/// the raw scatter state peers write through (invariant 4).
 ///
 /// `starts` points at an `(n_shards + 1) × vps` region table (row-major,
 /// row = source shard): destination VP `d` (shard-relative) owns the slab
@@ -876,18 +872,18 @@ impl<M> DirectWindow<M> {
 
 /// The published arena windows of all shards, double-buffered by
 /// write-arena parity so a prepare for superstep `t + 1` never races the
-/// exec-phase reads of superstep `t` (invariant 5).
+/// exec-phase reads of superstep `t` (invariant 4).
 pub(crate) struct DirectGrid<M> {
     /// `2 × shards` windows: parity-major, then shard.
     windows: Vec<UnsafeCell<DirectWindow<M>>>,
     shards: usize,
 }
 
-// SAFETY: invariant 5 — window publication and every access through the
+// SAFETY: invariant 4 — window publication and every access through the
 // published pointers are phase-disciplined by the executor's barrier, and
 // `M` only ever moves between threads.
 unsafe impl<M: Send> Send for DirectGrid<M> {}
-// SAFETY: same phase discipline as the Send impl above (invariant 5).
+// SAFETY: same phase discipline as the Send impl above (invariant 4).
 unsafe impl<M: Send> Sync for DirectGrid<M> {}
 
 impl<M> DirectGrid<M> {
@@ -902,7 +898,7 @@ impl<M> DirectGrid<M> {
     ///
     /// # Safety
     /// The caller must be the worker owning `shard`, during a prepare phase
-    /// for that parity (invariant 5): no other thread may touch this slot
+    /// for that parity (invariant 4): no other thread may touch this slot
     /// until the next barrier, and the previous window of this parity must
     /// have no remaining readers (guaranteed by parity alternation).
     pub(crate) unsafe fn publish(&self, parity: usize, shard: usize, window: DirectWindow<M>) {
@@ -955,7 +951,7 @@ pub(crate) struct DirectShard<M> {
 }
 
 // SAFETY: the raw pointers target executor-owned buffers whose access is
-// phase-disciplined per invariant 5; a `DirectShard` is installed and
+// phase-disciplined per invariant 4; a `DirectShard` is installed and
 // removed within one worker's exec phase and `M: Send` because payloads
 // move through peer slabs.
 unsafe impl<M: Send> Send for DirectShard<M> {}
@@ -968,7 +964,7 @@ impl<M> DirectShard<M> {
     /// Exec phase only: every window in `span` must have been published for
     /// `parity` before the barrier this phase follows, and cursor row
     /// `shard` of those windows must not be touched by any other thread
-    /// until the next barrier (invariant 5).
+    /// until the next barrier (invariant 4).
     #[allow(clippy::too_many_arguments)]
     pub(crate) unsafe fn new(
         grid: &DirectGrid<M>,
@@ -1014,7 +1010,7 @@ impl<M> DirectShard<M> {
         // `self.shard` is this worker's exclusively; the region check
         // bounds the slab write inside the destination's planned range
         // (regions disjoint and within `slab_len` by the prefix-sum
-        // construction). See invariant 5.
+        // construction). See invariant 4.
         unsafe {
             let w = (*self.windows.add(ds)).get().read();
             let d_rel = dst - w.vp_lo as usize;
@@ -1071,7 +1067,7 @@ impl<M> DirectShard<M> {
     }
 }
 
-/// Header of one staged cross-shard message: the `(src, dst)` pair plus a
+/// Header of one staged lane message: the `(src, dst)` pair plus a
 /// payload flag, kept apart from the payloads (structure-of-arrays) so the
 /// gather's metric/counting scan streams through 12-byte records regardless
 /// of the message type `M`.
@@ -1087,8 +1083,8 @@ pub(crate) struct LaneHdr {
     pub(crate) data: bool,
 }
 
-/// One cross-shard message lane: the staged traffic of a single (source
-/// shard → destination shard) pair for the current superstep, in send order.
+/// One message lane: the staged traffic of a single (source shard →
+/// destination shard) pair for the current superstep, in send order.
 ///
 /// Headers and payloads are parallel sequences: payload `k` belongs to the
 /// `k`-th header with `data == true`. Both vectors grow to the pair's
@@ -1142,72 +1138,40 @@ impl<M> Lane<M> {
     }
 }
 
-/// The full `shards × shards` matrix of message [`Lane`]s, shared by all
-/// executor workers.
+/// The `shards × shards` matrix of message [`Lane`]s of the dynamic tier,
+/// row-major by source shard, shared by all executor workers.
 ///
-/// Interior mutability is required because lane `(s, d)` is written by
-/// worker `s` and drained by worker `d` — but never in the same phase:
-/// access follows invariant 3 (send phase: row-exclusive via
-/// [`LaneGrid::lane_out`]; gather phase: column-exclusive via
-/// [`LaneGrid::lane_in`]; phases separated by the executor barrier). The
-/// two accessors are the same pointer cast — the distinct names exist so
-/// call sites document which phase's discipline they rely on.
+/// A lane changes hands at the barrier, as a superstep's messages do in
+/// `M(v)`: lane `(s, d)` is filled by worker `s` during a superstep's flush
+/// and drained by worker `d` during its gather, and the executor's barrier
+/// separates the two phases. So the lock of a lane is never contended; it
+/// makes the handover checkable instead of argued. A flush locks again only
+/// when its destination shard changes and a gather locks each lane of its
+/// span once, never per message.
 pub(crate) struct LaneGrid<M> {
-    lanes: Vec<UnsafeCell<Lane<M>>>,
+    lanes: Vec<Mutex<Lane<M>>>,
     shards: usize,
 }
 
-// SAFETY: invariant 3 — the executor's barrier protocol makes all lane
-// accesses data-race-free and `M` only ever moves between threads.
-unsafe impl<M: Send> Send for LaneGrid<M> {}
-unsafe impl<M: Send> Sync for LaneGrid<M> {}
-
 impl<M> LaneGrid<M> {
     pub(crate) fn new(shards: usize) -> Self {
-        LaneGrid {
-            lanes: (0..shards * shards).map(|_| UnsafeCell::new(Lane::new())).collect(),
-            shards,
-        }
+        LaneGrid { lanes: (0..shards * shards).map(|_| Mutex::new(Lane::new())).collect(), shards }
     }
 
-    /// The outgoing lane `src → dst`, for the send phase.
-    ///
-    /// # Safety
-    /// The caller must be the worker owning shard `src`, during a send
-    /// phase (invariant 3): no other thread may touch row `src` until the
-    /// next barrier.
+    /// The lane `src → dst`, locked.
     #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn lane_out(&self, src: usize, dst: usize) -> &mut Lane<M> {
+    pub(crate) fn lane(&self, src: usize, dst: usize) -> MutexGuard<'_, Lane<M>> {
         debug_assert!(src < self.shards && dst < self.shards);
-        // SAFETY: the fn's contract — row `src` is the calling worker's
-        // exclusively until the next barrier (invariant 3).
-        unsafe { &mut *self.lanes[src * self.shards + dst].get() }
-    }
-
-    /// The incoming lane `src → dst`, for the gather phase.
-    ///
-    /// # Safety
-    /// The caller must be the worker owning shard `dst`, during a gather
-    /// phase (invariant 3): no other thread may touch column `dst` until
-    /// the next barrier.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn lane_in(&self, src: usize, dst: usize) -> &mut Lane<M> {
-        debug_assert!(src < self.shards && dst < self.shards);
-        // SAFETY: the fn's contract — column `dst` is the calling worker's
-        // exclusively until the next barrier (invariant 3).
-        unsafe { &mut *self.lanes[src * self.shards + dst].get() }
+        lock(&self.lanes[src * self.shards + dst])
     }
 
     /// Empties every lane, keeping capacities — the between-jobs reset of a
     /// pooled grid. A job that aborted mid-superstep can leave staged
     /// headers and payloads behind; draining them here (payloads dropped)
-    /// keeps them out of the next job's gather. `&mut self` proves no
-    /// worker holds a lane, so no unsafe access is involved.
+    /// keeps them out of the next job's gather.
     pub(crate) fn clear_all(&mut self) {
-        for cell in &mut self.lanes {
-            let lane = cell.get_mut();
+        for lane in &mut self.lanes {
+            let lane = lane.get_mut().unwrap_or_else(|e| e.into_inner());
             lane.hdrs.clear();
             lane.payloads.clear();
         }
@@ -1307,8 +1271,7 @@ mod tests {
         DROPS.store(0, Ordering::SeqCst);
         {
             let grid: LaneGrid<Tracked> = LaneGrid::new(2);
-            // SAFETY: single-threaded test; trivially phase-exclusive.
-            let lane = unsafe { grid.lane_out(0, 1) };
+            let mut lane = grid.lane(0, 1);
             lane.push_data(0, 4, Tracked);
             lane.push_dummy(1, 5);
             lane.push_data(2, 6, Tracked);

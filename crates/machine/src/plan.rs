@@ -242,7 +242,7 @@ impl sealed::ClosedForm for Xor {
     fn summary(&self, v: usize, log_v: u32, _: usize, label: u32, _: usize) -> Option<Summary> {
         let Xor(mask) = *self;
         // Every VP's one message faults alike, so enumeration stops at VP 0's.
-        if let Some(fault) = message_fault(0, mask, v, log_v, label) {
+        if let Some(fault) = message_fault(0, mask, v, log_v, label, true) {
             return Some(Summary::faulted(StepMetrics::silent(log_v), 0, fault));
         }
         let cp = common_prefix(0, mask, log_v);
@@ -405,9 +405,12 @@ impl Summary {
     }
 }
 
-/// Why a declared message `src → dst` of a `label`-superstep on `M(v)` may
-/// not be sent, if it may not: a destination out of range, or one outside
-/// the sender's `label`-cluster.
+/// Why a message `src → dst` of a `label`-superstep on `M(v)` may not be
+/// sent, if it may not: a destination out of range, or — when
+/// `check_cluster` — one outside the sender's `label`-cluster. A route's
+/// compile checks both; a dynamic superstep checks the cluster only under
+/// [`crate::RunOptions::validate`], and the range always, since every
+/// engine indexes its receivers by it.
 #[inline]
 pub(crate) fn message_fault(
     src: usize,
@@ -415,13 +418,14 @@ pub(crate) fn message_fault(
     v: usize,
     log_v: u32,
     label: u32,
+    check_cluster: bool,
 ) -> Option<ModelError> {
     if dst >= v {
         Some(ModelError::BadParameter {
             what: "dst",
             reason: "message destination out of machine range",
         })
-    } else if !message_allowed(src, dst, log_v, label) {
+    } else if check_cluster && !message_allowed(src, dst, log_v, label) {
         Some(ModelError::ClusterViolation { label, src, dst })
     } else {
         None
@@ -529,7 +533,7 @@ fn enumerate<R: DeclaredRoute>(
                 Route::Skip => continue,
                 Route::End => break,
             };
-            if let Some(fault) = message_fault(vp, dst, v, log_v, label) {
+            if let Some(fault) = message_fault(vp, dst, v, log_v, label, true) {
                 // Cluster 0 comes first in the machine's enumeration order
                 // too, so nothing past it has been counted there either.
                 let metrics = metrics.finish().lifted(cluster.label, 0, 0);

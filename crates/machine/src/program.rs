@@ -855,8 +855,8 @@ impl<S, M> Program<S, M> {
     }
 }
 
-/// Checks one VP's staged messages against the cluster constraint of an
-/// `i`-superstep.
+/// Checks one VP's staged messages against the machine range and, when
+/// `check_cluster`, the cluster constraint of an `i`-superstep.
 /// Used by the reference engine and by unit tests; the arena engine folds
 /// the same checks into its streaming metrics pass.
 pub(crate) fn validate_outbox<M>(
@@ -865,8 +865,12 @@ pub(crate) fn validate_outbox<M>(
     log_v: u32,
     v: usize,
     msgs: &[(u32, Envelope<M>)],
+    check_cluster: bool,
 ) -> Result<(), nob_core::ModelError> {
-    match msgs.iter().find_map(|&(dst, _)| message_fault(src, dst as usize, v, log_v, label)) {
+    let fault = |&(dst, _): &(u32, Envelope<M>)| {
+        message_fault(src, dst as usize, v, log_v, label, check_cluster)
+    };
+    match msgs.iter().find_map(fault) {
         Some(fault) => Err(fault),
         None => Ok(()),
     }
@@ -909,8 +913,11 @@ mod tests {
     fn validate_outbox_flags_cluster_escape() {
         let mut o: Outbox<u32> = Outbox::new();
         o.send(4, 1); // VP 0 -> VP 4 crosses the top bisection of v = 8.
-        assert!(validate_outbox(0, 1, 3, 8, &o.msgs).is_err());
-        assert!(validate_outbox(0, 0, 3, 8, &o.msgs).is_ok());
+        assert!(validate_outbox(0, 1, 3, 8, &o.msgs, true).is_err());
+        assert!(validate_outbox(0, 1, 3, 8, &o.msgs, false).is_ok());
+        assert!(validate_outbox(0, 0, 3, 8, &o.msgs, true).is_ok());
+        o.send(8, 2); // beyond v = 8: refused with or without the cluster check
+        assert!(validate_outbox(0, 0, 3, 8, &o.msgs, false).is_err());
     }
 
     #[test]

@@ -80,10 +80,8 @@ pub fn run_reference<S: Send, M: Send>(
     for step in prog.steps() {
         let outboxes = exec_phase(prog, step, &mut states, &mut inboxes)?;
 
-        if opts.validate {
-            for (src, out) in outboxes.iter().enumerate() {
-                validate_outbox(src, step.label, log_v, v, out)?;
-            }
+        for (src, out) in outboxes.iter().enumerate() {
+            validate_outbox(src, step.label, log_v, v, out, opts.validate)?;
         }
 
         let edges: Vec<(usize, usize, u64)> = outboxes
@@ -134,10 +132,8 @@ pub fn run_folded_reference<S: Send, M: Send>(
     for step in prog.steps() {
         let outboxes = exec_phase(prog, step, &mut states, &mut inboxes)?;
 
-        if opts.validate {
-            for (src, out) in outboxes.iter().enumerate() {
-                validate_outbox(src, step.label, log_v, v, out)?;
-            }
+        for (src, out) in outboxes.iter().enumerate() {
+            validate_outbox(src, step.label, log_v, v, out, opts.validate)?;
         }
 
         if step.label < log_p {

@@ -1,18 +1,18 @@
 //! The sharded executor: one gang of workers over shard-owned mailboxes,
-//! exchanging messages through statically planned lanes (dynamic
-//! supersteps), direct cross-shard arena writes (planned supersteps), or no
-//! synchronization at all (fused shard-local planned supersteps).
+//! exchanging messages through lanes (dynamic supersteps), direct
+//! cross-shard arena writes (planned supersteps), or no synchronization at
+//! all (fused shard-local planned supersteps).
 //!
 //! # Architecture
 //!
 //! Worker `w` of an `n_shards`-wide run exclusively owns the contiguous VP
 //! shard `[w·v/n, (w+1)·v/n)` — its states, its pair of double-buffered
-//! [`Arena`]s, its staging buffer and a private shard-local
-//! [`DegreeCounters`] — mirroring the paper's folding layout (processor `r`
-//! of `M(p)` simulates the `v/p` consecutive VPs starting at `r·v/p`). Each
-//! superstep runs one of three protocols, chosen by whether it carries a
-//! usable communication plan and whether that plan's payloads provably stay
-//! shard-local at the current width.
+//! [`Arena`]s, its staging buffer and, in a run with a dynamic superstep, a
+//! private shard-local [`DegreeCounters`] — mirroring the paper's folding
+//! layout (processor `r` of `M(p)` simulates the `v/p` consecutive VPs
+//! starting at `r·v/p`). Each superstep runs one of three protocols, chosen
+//! by whether it carries a usable communication plan and whether that
+//! plan's payloads provably stay shard-local at the current width.
 //!
 //! # One driver
 //!
@@ -20,33 +20,37 @@
 //! [`crate::server::JobServer`] job — it goes through [`Executor::attempt`],
 //! which holds the only `Shared` view and the only worker body. An executor
 //! owns a [`Gang`] (`n − 1` parked OS threads; the caller is worker 0) and
-//! the recyclable run state: lane and direct grids,
-//! barrier, per-worker [`WorkerKit`]s, per-trace-shape shard cells and merge
-//! scratch, and the trace builder. `run` builds an executor for the call and
-//! drops it — threads are spawned and joined per run; a `JobServer` keeps
-//! one for its lifetime, so a warm job costs one [`Gang::scope`] rendezvous
-//! and allocates nothing. Width 1 is the same entry with no gang: the
+//! the recyclable run state: the direct grid, barrier, per-worker
+//! [`WorkerKit`]s, per-trace-shape shard cells, and the trace builder — plus
+//! the dynamic tier's lanes, counters and merge scratch, built only for a
+//! run that has a dynamic superstep. `run` builds an executor for the call
+//! and drops it — threads are spawned and joined per run; a `JobServer`
+//! keeps one for its lifetime, so a warm job costs one [`Gang::scope`]
+//! rendezvous and allocates nothing. Width 1 is the same entry with no gang: the
 //! serial loop of `crate::engine` on the calling thread.
 //!
 //! # Dynamic superstep protocol (three barriers)
 //!
-//! Cross-shard traffic of a dynamic superstep flows through the
-//! [`LaneGrid`]: one structure-of-arrays lane per (source, destination)
-//! shard pair. A superstep's label bounds which shards can talk: shard `w`
-//! exchanges messages only within its [`peer_span`].
+//! The traffic of a dynamic superstep flows through the [`LaneGrid`]: one
+//! structure-of-arrays lane per (source, destination) shard pair, the
+//! diagonal one for shard-internal messages. A lane changes hands at the
+//! barrier, as the paper's messages do at `sync`: its sender fills it
+//! before, its receiver drains it after. Each lane is a `Mutex` the barrier
+//! keeps uncontended. A superstep's label bounds which shards can talk:
+//! shard `w` exchanges messages only within its [`peer_span`].
 //!
 //! 1. **Exec + flush** — each worker runs its VPs (reading inboxes from its
-//!    own read arena), then drains its staging buffer once: validating,
+//!    own read arena), then drains its staging buffer once: checking the
+//!    destination range (and, under validation, the cluster constraint),
 //!    recording send-side metrics, appending its message-log fragment, and
-//!    demultiplexing payloads — shard-internal ones into a local spill
-//!    buffer, cross-shard ones into the outgoing lanes of its row.
+//!    demultiplexing payloads into the lanes of its row, holding each
+//!    lane's lock until the destination shard changes. *Barrier.*
+//! 2. **Gather** — each worker locks the incoming lanes of its column once
+//!    (only the [`peer_span`] of this superstep's label): one pass over the
+//!    compact lane headers records receive-side metrics and per-VP counts,
+//!    then a second pass drains the lanes in ascending source-shard order
+//!    into its own write arena — a purely shard-local counting sort.
 //!    *Barrier.*
-//! 2. **Gather** — each worker scans the incoming lanes of its column (only
-//!    the [`peer_span`] of this superstep's label):
-//!    one pass over the compact lane headers records receive-side metrics
-//!    and per-VP counts, then a second pass drains local spill + lanes in
-//!    ascending source-shard order into its own write arena — a purely
-//!    shard-local counting sort. *Barrier.*
 //! 3. **Merge** — worker 0 combines the shard counters through
 //!    [`EpochMerge`] (`O(n_shards · log v)`), pushes the superstep record,
 //!    and concatenates log fragments in shard order. *Barrier*, then the
@@ -133,10 +137,11 @@
 //! the pipelined prepares depend only on the static plan coverage.) The
 //! run then reports the lowest-numbered shard's error — also the first in
 //! source order, matching the serial engine, which downgrades closure
-//! panics to the identical `VpPanic`. Abandoned lane payloads are
-//! reclaimed by plain `Vec` destructors; partially written direct-scatter
-//! slabs are never committed, so their payloads leak (never dropped, never
-//! re-observed), bounded by one superstep's traffic.
+//! panics to the identical `VpPanic`. Abandoned lane payloads stay in
+//! their lanes until the next run empties them (or the executor drops
+//! them); partially written direct-scatter slabs are never committed, so
+//! their payloads leak (never dropped, never re-observed), bounded by one
+//! superstep's traffic.
 //!
 //! One failure point lies *after* its barrier: the planned protocol's
 //! arena commit, which must run once peers are done writing into the
@@ -191,14 +196,14 @@
 //! legal because folded runs pin *shard = fold*. The default shard count
 //! is only a number (see [`crate::engine::RunOptions::workers`]).
 
-// The `unsafe` in this module is the calls into the lane-grid and
-// direct-grid accessors of `mailbox`, whose safety contracts
-// (phase-disciplined row/column exclusivity for lanes — invariant 3 — and
-// phase-disciplined window publication plus per-source-shard cursor-row
-// exclusivity for direct cross-shard writes — invariant 5) the barrier
-// protocol here upholds, plus the one lifetime erasure of [`Gang::scope`];
-// each site carries its SAFETY note. Fused steps call no accessor: they
-// write through the one-arena writer under invariant 4.
+// The `unsafe` in this module is the calls into the direct-grid accessors
+// of `mailbox`, whose safety contract (phase-disciplined window
+// publication plus per-source-shard cursor-row exclusivity for direct
+// cross-shard writes — invariant 4) the barrier protocol here upholds,
+// plus the one lifetime erasure of [`Gang::scope`]; each site carries its
+// SAFETY note. Fused steps call no accessor: they write through the
+// one-arena writer under invariant 3. The lanes of dynamic steps need no
+// `unsafe`: each is a `Mutex`.
 #![allow(unsafe_code)]
 
 use crate::engine::{
@@ -256,12 +261,15 @@ struct ShardCell {
 
 /// The pooled per-trace-shape coordinator state — shard cells and merge
 /// scratch sized by `(log v, fold levels, granularity)`, with the dynamic
-/// tier's counters only for a run that has a dynamic step — kept per shape so
-/// a server alternating shapes does not re-allocate counters every job.
+/// tier's counters and merge scratch only for a run that has a dynamic step
+/// — kept per shape so a server alternating shapes does not re-allocate
+/// counters every job.
 struct ShapeRes {
     shape: (u32, u32, bool, bool),
     cells: Vec<Mutex<ShardCell>>,
-    merge: EpochMerge,
+    /// `None` in a run whose every step is planned, which merges no
+    /// counters.
+    merge: Option<EpochMerge>,
 }
 
 impl ShapeRes {
@@ -282,19 +290,21 @@ impl ShapeRes {
                     Mutex::new(ShardCell { counters: counters(w), log_frag: Vec::new(), error: None })
                 })
                 .collect(),
-            merge: EpochMerge::new(spec.levels, log_shards),
+            merge: dynamic.then(|| EpochMerge::new(spec.levels, log_shards)),
         }
     }
 }
 
 /// The gang's shape-independent infrastructure: every piece of
 /// executor-shared state that does **not** borrow from a particular program
-/// or run — the lane grids, the barrier and the abort latch —
+/// or run — the lanes, the direct grid, the barrier and the abort latch —
 /// recycled across runs by [`GangCore::reset_for_job`].
 struct GangCore<M> {
-    grid: LaneGrid<M>,
+    /// The dynamic tier's message lanes, built by the first run that has a
+    /// dynamic step: a gang that only ever runs planned steps has none.
+    lanes: Option<LaneGrid<M>>,
     /// Published write-arena windows for planned supersteps, double-buffered
-    /// by arena parity (invariant 5 in `mailbox`).
+    /// by arena parity (invariant 4 in `mailbox`).
     direct: DirectGrid<M>,
     barrier: GangBarrier,
     /// Earliest barrier round preceded by an error or panic (`u64::MAX`
@@ -320,13 +330,19 @@ impl<M> GangCore<M> {
     /// * the abort latch re-arms at `u64::MAX` (healthy);
     /// * the lanes are emptied — a run that aborted mid-superstep can leave
     ///   staged traffic behind that must not leak into the next run's
-    ///   gather. Stale published windows in `direct` are left in place:
-    ///   they are never read before the next prepare republishes them
-    ///   (parity discipline, invariant 5 in `mailbox`).
-    fn reset_for_job(&mut self, stall_timeout: Option<Duration>) {
+    ///   gather — and built first if this run has a dynamic step and the
+    ///   gang has none yet. Stale published windows in `direct` are left in
+    ///   place: they are never read before the next prepare republishes
+    ///   them (parity discipline, invariant 4 in `mailbox`).
+    fn reset_for_job(&mut self, stall_timeout: Option<Duration>, n_shards: usize, dynamic: bool) {
         self.barrier.reset(stall_timeout);
         *self.abort_round.get_mut() = u64::MAX;
-        self.grid.clear_all();
+        if dynamic {
+            self.lanes.get_or_insert_with(|| LaneGrid::new(n_shards));
+        }
+        if let Some(lanes) = &mut self.lanes {
+            lanes.clear_all();
+        }
     }
 }
 
@@ -380,11 +396,6 @@ struct DirectTables {
 /// jobs, not just within one.
 struct WorkerKit<M> {
     stage: ChunkStage<M>,
-    /// Shard-internal deliveries spilled during a dynamic flush: `(dst −
-    /// vp_lo, payload)` in source order. Cross-shard payloads go to lanes
-    /// instead, so this buffer alone serves shard-local dynamic supersteps
-    /// (`label ≥ log n_shards`) without touching the grid at all.
-    local: Vec<(u32, M)>,
     arenas: [Arena<M>; 2],
     dst_counts: Vec<u32>,
     cursors: Vec<u32>,
@@ -396,7 +407,6 @@ impl<M> WorkerKit<M> {
     fn new(vps: usize) -> Self {
         WorkerKit {
             stage: ChunkStage::new(vps),
-            local: Vec::new(),
             arenas: [Arena::new(vps), Arena::new(vps)],
             dst_counts: vec![0u32; vps],
             cursors: vec![0u32; vps],
@@ -404,8 +414,8 @@ impl<M> WorkerKit<M> {
         }
     }
 
-    /// Re-targets a pooled kit at a run of `vps` VPs per shard: staging,
-    /// spill and arenas are emptied (a failed run can leave residue in any
+    /// Re-targets a pooled kit at a run of `vps` VPs per shard: staging and
+    /// arenas are emptied (a failed run can leave residue in any
     /// of them, including a still-set out-of-band flag) and the scatter
     /// scratch is rebuilt all-zero — the between-supersteps invariant
     /// `prepare_write` maintains — while every buffer keeps its high-water
@@ -416,7 +426,6 @@ impl<M> WorkerKit<M> {
         self.stage.outbox.mismatch = None;
         self.stage.outbox.cur_vp = 0;
         debug_assert!(self.stage.direct.is_none(), "direct sink across runs");
-        self.local.clear();
         for arena in &mut self.arenas {
             arena.recycle(vps);
         }
@@ -454,7 +463,9 @@ struct Worker<'a, S, M> {
 /// Coordinator-only resources, held by worker 0 (which runs on the calling
 /// thread).
 struct Coord<'a> {
-    merge: &'a mut EpochMerge,
+    /// The dynamic tier's merge scratch: `None` when every step runs
+    /// planned.
+    merge: Option<&'a mut EpochMerge>,
     trace: &'a mut TraceBuilder,
     log: Option<&'a mut Vec<Vec<(u32, u32)>>>,
 }
@@ -730,7 +741,7 @@ impl<M: Send> Executor<M> {
         let gang = (n_shards >= 2).then(|| GangState {
             gang: Gang::new(n_shards),
             core: GangCore {
-                grid: LaneGrid::new(n_shards),
+                lanes: None,
                 direct: DirectGrid::new(n_shards),
                 barrier: GangBarrier::new(n_shards, None),
                 abort_round: AtomicU64::new(u64::MAX),
@@ -794,8 +805,9 @@ impl<M: Send> GangState<M> {
 
         // --- recycle the pooled run state -------------------------------
         let t0 = tele.map(|_| Instant::now());
-        // The serial loop's tier census: the dynamic tier's counters exist
-        // only for a run that has a step without a runnable plan.
+        // The serial loop's tier census: the dynamic tier's counters, lanes
+        // and merge scratch exist only for a run that has a step without a
+        // runnable plan.
         let dynamic = prog.steps().iter().any(|s| runnable_plan(s, opts.use_plans).is_none());
         let shape = (log_v, spec.levels, spec.full, dynamic);
         let at = self.shapes.iter().position(|s| s.shape == shape).unwrap_or_else(|| {
@@ -810,7 +822,7 @@ impl<M: Send> GangState<M> {
             cell.error = None;
             cell.log_frag.clear();
         }
-        self.core.reset_for_job(opts.stall_timeout);
+        self.core.reset_for_job(opts.stall_timeout, n_shards, dynamic);
         if let (Some(tl), Some(t0)) = (tele, t0) {
             tl.add(Counter::EpochResetNanos, t0.elapsed().as_nanos() as u64);
             tl.add(Counter::EpochResetCount, 1);
@@ -851,7 +863,7 @@ impl<M: Send> GangState<M> {
         for (seat, shard) in seats.iter().zip(states.chunks_mut(vps)) {
             *lock(seat) = Some(shard);
         }
-        let coord = Mutex::new(Some(Coord { merge, trace, log: log.as_mut() }));
+        let coord = Mutex::new(Some(Coord { merge: merge.as_mut(), trace, log: log.as_mut() }));
         let rounds = AtomicU64::new(0);
         let kits = &self.kits;
         let t0 = tele.map(|_| Instant::now());
@@ -1055,7 +1067,7 @@ fn shard_loop<S: Send, M: Send>(
             // Every payload stays in this worker's shard, so the step is the
             // serial loop's planned step on the shard: it touches only this
             // worker's buffers and commits at once — no window, no barrier,
-            // no round consumed (invariant 4).
+            // no round consumed (invariant 3).
             let t0 = span_start(shared, me.w, Site::ShardFusedExec, t);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 fault_check(shared, FAULT_FUSED_EXEC, me.w, t)?;
@@ -1202,6 +1214,9 @@ fn shard_loop<S: Send, M: Send>(
 
         // --- dynamic path: three-barrier lane protocol --------------------
         prepared = false;
+        let Some(lanes) = &shared.core.lanes else {
+            unreachable!("the census builds the dynamic tier for every step it does not plan")
+        };
 
         // --- phase 1: exec + flush ----------------------------------------
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1225,7 +1240,7 @@ fn shard_loop<S: Send, M: Send>(
             span_end(shared, me.w, Site::ShardExec, t0);
             let t0 = span_start(shared, me.w, Site::ShardFlush, t);
             let mut cell = lock(&shared.cells[me.w]);
-            flush(me, shared, &mut cell, step, record_step)?;
+            flush(me, shared, lanes, &mut cell, step, record_step)?;
             span_end(shared, me.w, Site::ShardFlush, t0);
             Ok(())
         }));
@@ -1246,7 +1261,7 @@ fn shard_loop<S: Send, M: Send>(
             fault_check(shared, FAULT_GATHER, me.w, t)?;
             let t0 = span_start(shared, me.w, Site::ShardGather, t);
             let mut cell = lock(&shared.cells[me.w]);
-            gather(me, shared, &mut cell, t, record_step, 1 - read_idx)?;
+            gather(me, shared, lanes, &mut cell, t, record_step, 1 - read_idx)?;
             span_end(shared, me.w, Site::ShardGather, t0);
             Ok(())
         }));
@@ -1379,7 +1394,7 @@ fn prepare_direct<S, M: Send>(
     // SAFETY: prepare phase for parity `widx` — this worker owns its window
     // slot, peers read it only after the next barrier, and the previous
     // window of this parity has no remaining readers (parity alternation);
-    // invariant 5.
+    // invariant 4.
     unsafe { shared.core.direct.publish(widx, w, window) };
     Ok(())
 }
@@ -1405,7 +1420,7 @@ fn exec_planned<S, M: Send>(
     // SAFETY: exec phase — every window of parity `widx` in the span was
     // published before the barrier this phase follows, and cursor row
     // `me.w` of those windows is this worker's exclusively until the next
-    // barrier (invariant 5).
+    // barrier (invariant 4).
     let sink = unsafe {
         DirectShard::new(&shared.core.direct, widx, me.w, span, shard_shift, me.vps, shared.v)
     };
@@ -1440,12 +1455,14 @@ fn exec_planned<S, M: Send>(
     Ok(())
 }
 
-/// Drains the shard's staged sends of a dynamic superstep once: validation,
-/// send-side metrics, log fragment, and payload demultiplexing (local spill
-/// vs outgoing lanes).
+/// Drains the shard's staged sends of a dynamic superstep once: the
+/// destination range check (and, under validation, the cluster check),
+/// send-side metrics, log fragment, and payload demultiplexing into this
+/// worker's row of lanes — the diagonal one for shard-internal payloads.
 fn flush<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
+    lanes: &LaneGrid<M>,
     cell: &mut ShardCell,
     step: &Superstep<S, M>,
     record_step: bool,
@@ -1456,7 +1473,6 @@ fn flush<S, M: Send>(
     let v = shared.v;
     let log_v = shared.log_v;
     let shard_shift = log_v - shared.log_shards;
-    let vp_lo32 = me.vp_lo as u32;
     let mut counters = cell.counters.as_mut().filter(|_| record_step);
     if let Some(counters) = counters.as_mut() {
         counters.begin_superstep();
@@ -1464,6 +1480,10 @@ fn flush<S, M: Send>(
     cell.log_frag.clear();
     let want_log = record_step && shared.collect_log;
 
+    // The lane being filled stays locked until the destination shard
+    // changes: no lock per message.
+    let mut held = me.w;
+    let mut lane = lanes.lane(me.w, me.w);
     let mut msg_idx = 0usize;
     let mut staged = me.kit.stage.outbox.msgs.drain(..);
     for (i, &end) in me.kit.stage.vp_ends.iter().enumerate() {
@@ -1475,10 +1495,8 @@ fn flush<S, M: Send>(
             let (dst, env) = staged.next().expect("vp_ends bound the staged messages");
             msg_idx += 1;
             let d = dst as usize;
-            if shared.validate {
-                if let Some(fault) = message_fault(src, d, v, log_v, step.label) {
-                    return Err(fault);
-                }
+            if let Some(fault) = message_fault(src, d, v, log_v, step.label, shared.validate) {
+                return Err(fault);
             }
             let dst_shard = d >> shard_shift;
             let local = dst_shard == me.w;
@@ -1492,28 +1510,18 @@ fn flush<S, M: Send>(
             if want_log {
                 cell.log_frag.extend(shared.spec.log_pair(src, d));
             }
+            if local && matches!(env, Envelope::Dummy) {
+                continue; // metered above, delivered nowhere
+            }
+            if dst_shard != held {
+                held = dst_shard;
+                lane = lanes.lane(me.w, dst_shard);
+            }
             match env {
-                Envelope::Data(m) => {
-                    if local {
-                        me.kit.local.push((dst - vp_lo32, m));
-                    } else {
-                        // SAFETY: send phase — this worker exclusively owns
-                        // grid row `me.w` until the next barrier
-                        // (invariant 3 in `mailbox`).
-                        unsafe { shared.core.grid.lane_out(me.w, dst_shard) }.push_data(
-                            src as u32,
-                            dst,
-                            m,
-                        );
-                    }
-                }
-                Envelope::Dummy => {
-                    if !local {
-                        // SAFETY: as above. Cross-shard dummies ride the
-                        // lane headers so the receiver can meter them.
-                        unsafe { shared.core.grid.lane_out(me.w, dst_shard) }.push_dummy(src as u32, dst);
-                    }
-                }
+                Envelope::Data(m) => lane.push_data(src as u32, dst, m),
+                // Cross-shard dummies ride the lane headers so the receiver
+                // can meter them.
+                Envelope::Dummy => lane.push_dummy(src as u32, dst),
             }
         }
     }
@@ -1523,14 +1531,16 @@ fn flush<S, M: Send>(
 }
 
 /// Builds this shard's inboxes for the next superstep (dynamic path):
-/// counts destinations over local spill + incoming lane headers (recording
-/// receive-side metrics when `record_counters`), then drains everything
-/// into the write arena in ascending source order. Per-destination counts
-/// are checked — an overflowing count is a [`ModelError`], never a silent
-/// cap that would corrupt the counting-sort offsets.
+/// counts destinations over the incoming lane headers (recording
+/// receive-side metrics of cross-shard messages when `record_counters`),
+/// then drains every lane into the write arena in ascending source order.
+/// Per-destination counts are checked — an overflowing count is a
+/// [`ModelError`], never a silent cap that would corrupt the counting-sort
+/// offsets.
 fn gather<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
+    lanes: &LaneGrid<M>,
     cell: &mut ShardCell,
     t: usize,
     record_counters: bool,
@@ -1545,29 +1555,28 @@ fn gather<S, M: Send>(
     };
     let vp_lo = me.vp_lo;
     let mut counters = cell.counters.as_mut().filter(|_| record_counters);
-    let local = &mut me.kit.local;
     let dst_counts = &mut me.kit.dst_counts;
     let cursors = &mut me.kit.cursors;
 
     // `dst_counts` is all-zero here: `prepare_write` zeroes the counts as
     // it consumes them (no per-superstep `fill(0)` sweep).
     crate::mailbox::fault_edge(shared.faults, crate::mailbox::FAULT_BUMP_COUNT, me.w, t)?;
-    for s_prev in span.clone() {
-        if s_prev == me.w {
-            for &(dst_rel, _) in local.iter() {
-                bump_count(&mut dst_counts[dst_rel as usize])?;
+    // Each incoming lane of the span is locked once, for both passes; its
+    // sender filled it before the barrier this phase follows.
+    let mut held = [const { None }; MAX_WORKERS];
+    let incoming = &mut held[..span.len()];
+    for (s_prev, slot) in span.clone().zip(incoming.iter_mut()) {
+        *slot = Some(lanes.lane(s_prev, me.w));
+    }
+    for (s_prev, lane) in span.zip(incoming.iter().flatten()) {
+        // A shard-internal message was metered whole by this worker's flush.
+        let mut counters = counters.as_deref_mut().filter(|_| s_prev != me.w);
+        for hdr in &lane.hdrs {
+            if let Some(counters) = counters.as_mut() {
+                counters.record_received(hdr.src as usize, hdr.dst as usize);
             }
-        } else {
-            // SAFETY: gather phase — this worker exclusively owns grid
-            // column `me.w` until the next barrier (invariant 3).
-            let lane = unsafe { shared.core.grid.lane_in(s_prev, me.w) };
-            for hdr in &lane.hdrs {
-                if let Some(counters) = counters.as_mut() {
-                    counters.record_received(hdr.src as usize, hdr.dst as usize);
-                }
-                if hdr.data {
-                    bump_count(&mut dst_counts[hdr.dst as usize - vp_lo])?;
-                }
+            if hdr.data {
+                bump_count(&mut dst_counts[hdr.dst as usize - vp_lo])?;
             }
         }
     }
@@ -1576,22 +1585,12 @@ fn gather<S, M: Send>(
     let write = &mut me.kit.arenas[write_idx];
     let total = write.prepare_write(dst_counts, cursors);
     let (slab, _offsets) = write.split_for_scatter(total);
-    for s_prev in span {
-        if s_prev == me.w {
-            for (dst_rel, m) in local.drain(..) {
-                let cur = &mut cursors[dst_rel as usize];
-                slab[*cur as usize].write(m);
-                *cur += 1;
-            }
-        } else {
-            // SAFETY: as above.
-            let lane = unsafe { shared.core.grid.lane_in(s_prev, me.w) };
-            lane.drain_deliveries(|dst, m| {
-                let cur = &mut cursors[dst as usize - vp_lo];
-                slab[*cur as usize].write(m);
-                *cur += 1;
-            });
-        }
+    for lane in incoming.iter_mut().flatten() {
+        lane.drain_deliveries(|dst, m| {
+            let cur = &mut cursors[dst as usize - vp_lo];
+            slab[*cur as usize].write(m);
+            *cur += 1;
+        });
     }
     write.commit_write(total);
     Ok(())
@@ -1611,19 +1610,22 @@ fn merge_superstep<S, M>(
     if !record_step {
         return;
     }
-    coord.merge.begin_superstep();
+    let Some(merge) = coord.merge.as_deref_mut() else {
+        unreachable!("the census builds the dynamic tier for every step it does not plan")
+    };
+    merge.begin_superstep();
     let mut entry = shared.collect_log.then(Vec::new);
     for w in 0..shared.n_shards {
         let cell = lock(&shared.cells[w]);
         if let Some(counters) = &cell.counters {
-            coord.merge.add_shard(w, counters);
+            merge.add_shard(w, counters);
         }
         if let Some(e) = entry.as_mut() {
             e.extend_from_slice(&cell.log_frag);
         }
     }
-    coord.merge.finish();
-    coord.trace.push_merged(label, coord.merge);
+    merge.finish();
+    coord.trace.push_merged(label, merge);
     if let (Some(log), Some(entry)) = (coord.log.as_deref_mut(), entry) {
         log.push(entry);
     }

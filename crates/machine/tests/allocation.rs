@@ -155,8 +155,8 @@ fn sharded_steady_state_does_not_allocate_per_superstep() {
     // The sharded executor allocates at run setup (workers, lanes, cells,
     // shard arenas) and as lanes/arenas grow to their high-water marks
     // during the first label cycle — but a steady superstep must cost
-    // *nothing*: lane pushes, local spill, gather counting sort, epoch
-    // merge, trace push and barrier waits all reuse capacity. The counter
+    // *nothing*: lane pushes (the diagonal lane's included), gather counting
+    // sort, epoch merge, trace push and barrier waits all reuse capacity. The counter
     // is armed from inside the program after a full label cycle (so every
     // lane pattern has hit its high-water mark) and disarmed by the final
     // superstep, excluding one-time setup, worker spawning and end-of-run

@@ -1,6 +1,7 @@
 //! Failure-injection tests: the engine must reject model violations loudly
 //! rather than mis-account them.
 
+use nob_machine::reference::{run_folded_reference, run_reference};
 use nob_machine::{run, run_folded, Program, RunOptions};
 use nob_core::ModelError;
 
@@ -19,15 +20,37 @@ fn message_outside_cluster_is_rejected_with_the_offending_edge() {
     }
 }
 
+/// A dynamic send past the machine is the same structured error on every
+/// engine, at every width, with validation on or off: every engine indexes
+/// its receivers by the destination, so the range check is not optional
+/// the way the cluster check is.
 #[test]
 fn out_of_range_destination_is_rejected() {
-    let mut p: Program<(), u8> = Program::new(8, 8);
+    let v = 16;
+    let mut p: Program<(), u8> = Program::new(v, v);
     p.step(0, "overflow", |_, ctx, _, out| {
         if ctx.vp == 0 {
-            out.send(8, 1);
+            out.send(32, 1);
         }
     });
-    assert!(run(&p, vec![(); 8], &RunOptions::default()).is_err());
+    let want = ModelError::BadParameter {
+        what: "dst",
+        reason: "message destination out of machine range",
+    };
+    for validate in [true, false] {
+        for workers in [1usize, 2, 4] {
+            let opts = RunOptions { workers: Some(workers), validate, ..Default::default() };
+            let what = format!("width {workers}, validate {validate}");
+            assert_eq!(run(&p, vec![(); v], &opts).err(), Some(want.clone()), "run, {what}");
+            let folded = run_folded(&p, vec![(); v], 4, &opts).err();
+            assert_eq!(folded, Some(want.clone()), "run_folded, {what}");
+        }
+        let opts = RunOptions { validate, ..Default::default() };
+        let reference = run_reference(&p, vec![(); v], &opts).err();
+        assert_eq!(reference, Some(want.clone()), "run_reference, validate {validate}");
+        let folded = run_folded_reference(&p, vec![(); v], 4, &opts).err();
+        assert_eq!(folded, Some(want.clone()), "run_folded_reference, validate {validate}");
+    }
 }
 
 #[test]

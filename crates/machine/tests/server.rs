@@ -111,7 +111,10 @@ fn server_matches_run_cold_and_warm() {
     assert_eq!(stats.cache_hits, 2);
 }
 
-/// Dynamic (unplanned) programs are served identically too, warm included.
+/// Dynamic (unplanned) programs are served identically too, warm included,
+/// at every gang width — also right after a job that failed with staged
+/// traffic still in the lanes: one that fails at `shard:gather` on worker 1
+/// leaves its column undrained, and the next job must not deliver it.
 #[test]
 fn server_serves_dynamic_programs() {
     let v = 32;
@@ -119,19 +122,27 @@ fn server_serves_dynamic_programs() {
     let states = seed_states(v, 3);
     let want = run(&poisonable(v, &flag), states.clone(), &RunOptions::default()).unwrap();
 
-    let srv = server(4);
-    let spec = JobSpec::new(ShapeKey { algo: "dyn", variant: 0 });
-    for _ in 0..2 {
-        let f = Arc::clone(&flag);
-        let res = srv
-            .run_job(
-                spec.clone(),
-                states.clone(),
-                ProgramSource::Build(Box::new(move || poisonable(v, &f))),
-            )
-            .unwrap();
-        assert_eq!(res.states, want.states);
-        assert_eq!(res.trace.as_ref(), Some(&want.trace));
+    for width in [2usize, 4] {
+        let srv = server(width);
+        let submit = |opts: JobOptions| {
+            let f = Arc::clone(&flag);
+            let mut spec = JobSpec::new(ShapeKey { algo: "dyn", variant: 0 });
+            spec.opts = opts;
+            srv.run_job(spec, states.clone(), ProgramSource::Build(Box::new(move || poisonable(v, &f))))
+        };
+        let faulty = JobOptions {
+            faults: Some(Arc::new(FaultPlan::error_at("shard:gather", 1, 0))),
+            ..JobOptions::default()
+        };
+        for job in ["cold", "warm", "after gather fault"] {
+            let res = submit(JobOptions::default()).unwrap();
+            assert_eq!(res.states, want.states, "width {width}, {job} job");
+            assert_eq!(res.trace.as_ref(), Some(&want.trace), "width {width}, {job} job");
+            if job == "warm" {
+                let err = submit(faulty.clone()).expect_err("armed gather fault must fail the job");
+                assert!(matches!(err, ModelError::FaultInjected { .. }), "width {width}: {err:?}");
+            }
+        }
     }
 }
 

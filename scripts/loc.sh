@@ -21,8 +21,13 @@
 # the crate root (a `pub fn` of a private type counts), a `pub use` of a
 # brace list is one item, and `pub` fields and enum variants are none.
 #
+# The `unsafe` count is the sum of TREE's `crates/lint/unsafe_inventory.txt`
+# (`path count` lines; `#` lines are comments) — the per-file counts of
+# non-test `unsafe` keywords that nob-lint's NL004 holds the tree to.
+#
 # Prints one `crate lines` row per crate and a `total` row, then one
-# `api crate items` row per crate, so two trees diff line by line.
+# `api crate items` row per crate and an `unsafe n` row, so two trees diff
+# line by line.
 set -euo pipefail
 tree="${1:-$(dirname "$0")/..}"
 
@@ -63,3 +68,5 @@ for crate in core machine algos; do
 done
 printf '%-8s %6d\n' total "$total"
 printf '%s\n' "${apis[@]}"
+printf '%-8s %6d\n' unsafe \
+    "$(awk '!/^#/ && NF == 2 { n += $2 } END { print n + 0 }' "$tree/crates/lint/unsafe_inventory.txt")"

@@ -1,13 +1,14 @@
 //! The code-size count's own behaviour (`scripts/loc.sh`).
 //!
 //! Hermetic, like `text_delta.rs`: each case plants a fixture tree with the
-//! three crate source directories the script reads, so nothing of this
-//! repository is counted. What is pinned: blank lines, `//`, `///`, `//!`
-//! and `/* … */` lines and a `#[cfg(test)]` module (nested braces included)
-//! are not code; code with a trailing comment and code after the test
-//! module are. A bare `pub` item counts toward the API size; `pub(crate)`,
-//! `pub(super)`, `pub` fields, commented-out items and test-module items
-//! do not.
+//! three crate source directories the script reads and an `unsafe`
+//! inventory, so nothing of this repository is counted. What is pinned:
+//! blank lines, `//`, `///`, `//!` and `/* … */` lines and a `#[cfg(test)]`
+//! module (nested braces included) are not code; code with a trailing
+//! comment and code after the test module are. A bare `pub` item counts
+//! toward the API size; `pub(crate)`, `pub(super)`, `pub` fields,
+//! commented-out items and test-module items do not. The `unsafe` row sums
+//! the inventory's `path count` lines and skips its comments.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -47,7 +48,15 @@ mod tests {
 pub fn after_tests() {} // code, api
 "#;
 
-/// A tree whose `crates/{core,machine,algos}/src` hold the given files.
+/// An `unsafe` inventory in the baseline's format: 7 + 4 = 11.
+const INVENTORY: &str = "# nob-lint unsafe inventory baseline (rule NL004).
+# crates/machine/src/ignored.rs 100
+crates/machine/src/mailbox.rs 7
+crates/machine/src/shard.rs 4
+";
+
+/// A tree whose `crates/{core,machine,algos}/src` hold the given files,
+/// plus [`INVENTORY`].
 fn sandbox(case: &str, files: [(&str, &str); 3]) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("loc").join(case);
     let _ = fs::remove_dir_all(&root);
@@ -56,6 +65,9 @@ fn sandbox(case: &str, files: [(&str, &str); 3]) -> PathBuf {
         fs::create_dir_all(&src).unwrap();
         fs::write(src.join("lib.rs"), text).unwrap();
     }
+    let lint = root.join("crates").join("lint");
+    fs::create_dir_all(&lint).unwrap();
+    fs::write(lint.join("unsafe_inventory.txt"), INVENTORY).unwrap();
     root
 }
 
@@ -93,6 +105,7 @@ fn counts_code_lines_and_public_items() {
         vec!["api", "core", "1"],
         vec!["api", "machine", "5"],
         vec!["api", "algos", "0"],
+        vec!["unsafe", "11"],
     ];
     assert_eq!(rows, want, "rows of the fixture tree");
 }
