@@ -208,8 +208,7 @@ mod tests {
 
     #[test]
     fn oblivious_broadcast_reaches_everyone() {
-        let (out, trace) =
-            execute(&ObliviousBroadcast, 64, &42, &RunOptions::default()).unwrap();
+        let (out, trace) = execute(&ObliviousBroadcast, 64, &42, &RunOptions::default()).unwrap();
         assert!(out.iter().all(|&x| x == 42));
         // One superstep per level, degree 1 each.
         assert_eq!(trace.s_counts(), vec![1, 1, 1, 1, 1, 2]);

@@ -110,7 +110,8 @@ pub(crate) mod parent_routes {
             let Some((out_degree, route)) = parent(step.name, step.label) else { continue };
             let mut walked: Program<u8, u8> = Program::new(v, n);
             walked.step_oblivious(step.label, step.name, out_degree, route, |_, _, _, _| {});
-            let (a, b) = (step.plan().expect("declared"), walked.steps()[0].plan().expect("declared"));
+            let (a, b) =
+                (step.plan().expect("declared"), walked.steps()[0].plan().expect("declared"));
             assert_same_plan(a, b, log_v, &format!("v {v} step {t} `{}`", step.name));
             compared += 1;
         }

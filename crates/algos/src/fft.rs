@@ -169,16 +169,10 @@ fn emit_fft(
         // superstep's ingest (Pending::Bfly). The pattern is the static
         // pair-exchange permutation, declared as an oblivious route.
         let p = *pending;
-        prog.step_oblivious(
-            log_v - 1,
-            "fft-butterfly",
-            1,
-            Xor(1),
-            move |st, ctx, inbox, out| {
-                do_pending(st, ctx, inbox, p);
-                out.send(st.val);
-            },
-        );
+        prog.step_oblivious(log_v - 1, "fft-butterfly", 1, Xor(1), move |st, ctx, inbox, out| {
+            do_pending(st, ctx, inbox, p);
+            out.send(st.val);
+        });
         *pending = Pending::Bfly;
         return;
     }
@@ -464,8 +458,7 @@ mod tests {
             let n = 1usize << lg;
             let xs = impulse_and_tone(n);
             let want = naive_dft(&xs);
-            let (got, _) =
-                execute(&BinaryExchangeFft, n, &xs[..], &RunOptions::default()).unwrap();
+            let (got, _) = execute(&BinaryExchangeFft, n, &xs[..], &RunOptions::default()).unwrap();
             assert_spectra_match(&got, &want, n);
         }
     }

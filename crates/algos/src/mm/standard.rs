@@ -565,8 +565,7 @@ mod tests {
         let alg = RecursiveMm::<WrapU64>::default();
         let (full_out, full_trace) = execute(&alg, 64, &input, &RunOptions::default()).unwrap();
         for p in [2usize, 8, 16, 64] {
-            let (out, trace) =
-                execute_folded(&alg, 64, &input, p, &RunOptions::default()).unwrap();
+            let (out, trace) = execute_folded(&alg, 64, &input, p, &RunOptions::default()).unwrap();
             assert_eq!(out, full_out, "folded output diverges at p = {p}");
             let mut q = 2;
             while q <= p {
@@ -770,8 +769,12 @@ mod tests {
                     let base = move |vp: usize, t: u32| vp >> geo.log_seg(t) << geo.log_seg(t);
                     let distribute = name == "mm-distribute";
                     let (t, payloads, dummies) = match name {
-                        "mm-distribute" => (label / 3, Geometry::replicas(label / 3), 1 << (label / 3)),
-                        "mm-base" | "mm-combine" => (label / 3 + 1, 2 << (label / 3), 1 << (label / 3)),
+                        "mm-distribute" => {
+                            (label / 3, Geometry::replicas(label / 3), 1 << (label / 3))
+                        }
+                        "mm-base" | "mm-combine" => {
+                            (label / 3 + 1, 2 << (label / 3), 1 << (label / 3))
+                        }
                         _ => return None,
                     };
                     let dst = move |vp, k| match distribute {

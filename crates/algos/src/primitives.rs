@@ -116,7 +116,12 @@ impl<T: Clone + Send + Sync + Default + 'static> NobAlgorithm for TreeScan<T> {
         assert_eq!(input.len(), n);
         input
             .iter()
-            .map(|x| ScanState { own: x.clone(), subtree: x.clone(), lefts: Vec::new(), prefix: None })
+            .map(|x| ScanState {
+                own: x.clone(),
+                subtree: x.clone(),
+                lefts: Vec::new(),
+                prefix: None,
+            })
             .collect()
     }
 
@@ -130,15 +135,19 @@ impl<T: Clone + Send + Sync + Default + 'static> NobAlgorithm for TreeScan<T> {
         for t in 1..=log_v {
             let label = log_v - t;
             let half = 1usize << (t - 1);
-            prog.step(label, "scan-up", move |st: &mut ScanState<T>, _ctx, inbox: &mut Inbox<T>, out| {
-                for m in inbox.drain(..) {
-                    st.lefts.push(m.clone());
-                    st.subtree = op(&m, &st.subtree);
-                }
-                if _ctx.vp % (half * 2) == half - 1 {
-                    out.send(_ctx.vp + half, st.subtree.clone());
-                }
-            });
+            prog.step(
+                label,
+                "scan-up",
+                move |st: &mut ScanState<T>, _ctx, inbox: &mut Inbox<T>, out| {
+                    for m in inbox.drain(..) {
+                        st.lefts.push(m.clone());
+                        st.subtree = op(&m, &st.subtree);
+                    }
+                    if _ctx.vp % (half * 2) == half - 1 {
+                        out.send(_ctx.vp + half, st.subtree.clone());
+                    }
+                },
+            );
         }
 
         // Down-sweep: round t, the right edge of each 2^t block knows its
@@ -213,7 +222,10 @@ impl NobAlgorithm for MatrixTranspose {
 
     fn init(&self, n: usize, input: &[f64]) -> Vec<f64> {
         assert_eq!(input.len(), n);
-        assert!(n.is_power_of_two() && n.trailing_zeros().is_multiple_of(2), "n must be an even power of 2");
+        assert!(
+            n.is_power_of_two() && n.trailing_zeros().is_multiple_of(2),
+            "n must be an even power of 2"
+        );
         input.to_vec()
     }
 

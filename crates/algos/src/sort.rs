@@ -227,13 +227,18 @@ fn compile_sort<K: SortKey>(
             label,
             "sort-scatter",
             m - 1,
-            InCluster::new(m, m - 1, 0, |off, k| {
-                if off == 0 {
-                    Route::Data(k + 1)
-                } else {
-                    Route::End
-                }
-            }),
+            InCluster::new(
+                m,
+                m - 1,
+                0,
+                |off, k| {
+                    if off == 0 {
+                        Route::Data(k + 1)
+                    } else {
+                        Route::End
+                    }
+                },
+            ),
             move |st: &mut K, ctx, inbox, out| {
                 if ctx.vp & (m - 1) == 0 {
                     // The segment fits a fixed array (m ≤ BASE), so a leader
@@ -272,7 +277,8 @@ fn compile_sort<K: SortKey>(
     emit_sort(prog, n, r, wise, emitted); // 5
     permute(prog, label, "sort-shift", dummies, move |q| shift(q, lr, ls)); // 6
     emit_sort(prog, n, r, wise, emitted); // 7
-    permute(prog, label, "sort-unshift", dummies, move |q| unshift_fix(q, lr, ls)); // 8
+    permute(prog, label, "sort-unshift", dummies, move |q| unshift_fix(q, lr, ls));
+    // 8
 }
 
 /// Emits a phase permutation `f` of every `label`-cluster, then the
@@ -619,9 +625,8 @@ mod tests {
         let prog = ColumnSort::<u64>::default().build(4096);
         let gathers: Vec<_> = prog.steps().iter().filter(|s| s.name == "sort-gather").collect();
         assert_eq!((prog.steps().len(), gathers.len()), (213, 64));
-        let plan_of = |s: &nob_machine::Superstep<u64, u64>| {
-            std::ptr::from_ref(s.plan().expect("declared"))
-        };
+        let plan_of =
+            |s: &nob_machine::Superstep<u64, u64>| std::ptr::from_ref(s.plan().expect("declared"));
         assert_eq!(plan_of(gathers[0]), plan_of(gathers[63]));
         assert!(prog.plan_bytes() <= 36_000, "{} plan bytes", prog.plan_bytes());
     }
@@ -731,7 +736,10 @@ mod tests {
             let measured = t.comm_complexity(p, 0.0);
             let predicted = alg_steps as f64 * per_proc;
             let ratio = measured / predicted;
-            assert!(ratio > 0.3 && ratio < 1.5, "{name}: measured {measured} vs predicted {predicted}");
+            assert!(
+                ratio > 0.3 && ratio < 1.5,
+                "{name}: measured {measured} vs predicted {predicted}"
+            );
         }
         // Below the crossover, bitonic's smaller step count wins.
         assert!(bit_steps < col_steps);

@@ -228,10 +228,7 @@ pub struct StencilState<V> {
 
 impl<V: Clone> StencilState<V> {
     fn insert(&mut self, key: (i64, i64), val: V, mask: ServeMask) {
-        self.store
-            .entry(key)
-            .and_modify(|e| e.1 |= mask)
-            .or_insert((val, mask));
+        self.store.entry(key).and_modify(|e| e.1 |= mask).or_insert((val, mask));
     }
 
     fn value(&self, x: i64, t: i64) -> Option<&V> {
@@ -598,10 +595,7 @@ impl<O: StencilOp> NobAlgorithm for NaiveStencil<O> {
     fn init(&self, n: usize, input: &[O::V]) -> Vec<NaiveState<O::V>> {
         assert!(n.is_power_of_two() && n >= 2);
         assert_eq!(input.len(), n);
-        input
-            .iter()
-            .map(|v| NaiveState { cur: v.clone(), left: None, right: None })
-            .collect()
+        input.iter().map(|v| NaiveState { cur: v.clone(), left: None, right: None }).collect()
     }
 
     fn build(&self, n: usize) -> Program<NaiveState<O::V>, NaiveMsg<O::V>> {

@@ -174,8 +174,7 @@ impl Geo2 {
     /// Owner VP of spatial column `(x, y)` within the level-ℓ block `(…b…f)`.
     fn owner(&self, b: i64, f: i64, x: i64, y: i64, level: u32) -> usize {
         let m = self.m(level) as i64;
-        self.seg_base(b, f, level)
-            + (x.rem_euclid(m) * m + y.rem_euclid(m)) as usize
+        self.seg_base(b, f, level) + (x.rem_euclid(m) * m + y.rem_euclid(m)) as usize
     }
 
     /// The block containing rotated point `(u, w, p, q)` at level ℓ.
@@ -510,8 +509,7 @@ fn emit_eval2<O: Stencil2Op>(
                             if (du + dw == 0) != (dp + dq == 0) {
                                 continue; // successors advance both planes
                             }
-                            let blk =
-                                geo.block_of(u + du, w + dw, p + dp, q + dq, level + 1);
+                            let blk = geo.block_of(u + du, w + dw, p + dp, q + dq, level + 1);
                             if !targets.contains(&blk) {
                                 targets.push(blk);
                             }
@@ -533,9 +531,7 @@ fn emit_eval2<O: Stencil2Op>(
                         }
                         // Child must sit inside my level-ℓ segment.
                         let child_base = geo.seg_base(b, f, level + 1);
-                        if child_base < my_seg_base
-                            || child_base >= my_seg_base + mseg * mseg
-                        {
+                        if child_base < my_seg_base || child_base >= my_seg_base + mseg * mseg {
                             continue;
                         }
                         if geo.my_block(child_base, level + 1, &qs_child) != Some(blk) {

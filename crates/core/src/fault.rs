@@ -115,7 +115,12 @@ impl FaultPlan {
     /// current superstep. Fires the first matching arm whose occurrence
     /// count is reached: `FaultKind::Error` returns the structured error,
     /// `FaultKind::Panic` unwinds with a recognizable message.
-    pub fn check(&self, site: &'static str, shard: usize, superstep: usize) -> Result<(), ModelError> {
+    pub fn check(
+        &self,
+        site: &'static str,
+        shard: usize,
+        superstep: usize,
+    ) -> Result<(), ModelError> {
         for arm in &self.arms {
             if arm.site != site {
                 continue;
@@ -182,7 +187,12 @@ mod tests {
         assert_eq!(plan.check("site:a", 1, 2), Ok(()));
         assert_eq!(
             plan.check("site:a", 1, 2),
-            Err(ModelError::FaultInjected { site: "site:a", shard: 1, superstep: 2, occurrence: 1 })
+            Err(ModelError::FaultInjected {
+                site: "site:a",
+                shard: 1,
+                superstep: 2,
+                occurrence: 1
+            })
         );
         assert_eq!(plan.fired(), 1);
         // Past its occurrence the arm stays quiet.

@@ -63,8 +63,7 @@ mod tests {
     fn unbalanced_trace(log_v: u32, n: u64) -> CommTrace {
         let v = 1usize << log_v;
         let mut t = CommTrace::new(v, n as usize);
-        t.steps
-            .push(SuperstepRecord::from_counted_edges(0, log_v, &[(0, v / 2, n)]));
+        t.steps.push(SuperstepRecord::from_counted_edges(0, log_v, &[(0, v / 2, n)]));
         t
     }
 
@@ -86,8 +85,7 @@ mod tests {
         // A trace with one message-bearing 0-superstep and many silent ones.
         let v = 8usize;
         let mut t = CommTrace::new(v, v);
-        t.steps
-            .push(SuperstepRecord::from_counted_edges(0, 3, &[(0, 4, 4)]));
+        t.steps.push(SuperstepRecord::from_counted_edges(0, 3, &[(0, 4, 4)]));
         for _ in 0..7 {
             t.steps.push(SuperstepRecord::from_counted_edges(0, 3, &[]));
         }

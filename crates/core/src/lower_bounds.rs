@@ -141,7 +141,9 @@ mod tests {
         for &n in &[1usize << 10, 1 << 14] {
             for &p in &[2usize, 16, 256] {
                 for &s in &[0.0, 1.0, 32.0] {
-                    assert!(upper::mm(n, p, s) + 1e-9 >= mm(n, p, s) - s * (paper_log2(p as f64) - 1.0));
+                    assert!(
+                        upper::mm(n, p, s) + 1e-9 >= mm(n, p, s) - s * (paper_log2(p as f64) - 1.0)
+                    );
                     assert!(upper::fft(n, p, s) + 1e-9 >= fft(n, p, s) - s);
                     assert!(upper::sort(n, p, s) + 1e-9 >= sort(n, p, s) - s);
                 }

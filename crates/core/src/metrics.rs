@@ -316,10 +316,7 @@ impl DegreeCounters {
         debug_assert!(x != 0, "a cross-shard message cannot be a self-send");
         let bitlen = usize::BITS - x.leading_zeros();
         let j_min = (self.log_v - bitlen) + 1;
-        debug_assert!(
-            j_min <= self.split,
-            "record_sent() requires a shard-external message"
-        );
+        debug_assert!(j_min <= self.split, "record_sent() requires a shard-external message");
         self.total += 1;
         for j in j_min..=self.split {
             self.out_coarse[(j - 1) as usize] += 1;
@@ -343,10 +340,7 @@ impl DegreeCounters {
         debug_assert!(x != 0, "a cross-shard message cannot be a self-send");
         let bitlen = usize::BITS - x.leading_zeros();
         let j_min = (self.log_v - bitlen) + 1;
-        debug_assert!(
-            j_min <= self.split,
-            "record_received() requires a shard-external message"
-        );
+        debug_assert!(j_min <= self.split, "record_received() requires a shard-external message");
         for j in j_min..=self.split {
             self.in_coarse[(j - 1) as usize] += 1;
         }
@@ -815,11 +809,7 @@ pub struct FoldedMetrics {
 impl FoldedMetrics {
     /// Communication complexity `H(n, p, σ) = Σ_i (F^i + S^i·σ)` (Eq. 1).
     pub fn comm_complexity(&self, sigma: f64) -> f64 {
-        self.f
-            .iter()
-            .zip(&self.s)
-            .map(|(&f, &s)| f as f64 + s as f64 * sigma)
-            .sum()
+        self.f.iter().zip(&self.s).map(|(&f, &s)| f as f64 + s as f64 * sigma).sum()
     }
 
     /// Communication time `D(n, p, g, ℓ) = Σ_i (F^i·g_i + S^i·ℓ_i)` (Eq. 2)
@@ -950,9 +940,7 @@ impl CommTrace {
     /// Panics if the machine is larger than the trace's `M(v)`.
     pub fn comm_time(&self, machine: &DbspMachine) -> f64 {
         // allow-panic: fold(machine.p) yields matching metrics by construction.
-        self.fold(machine.p)
-            .comm_time(machine)
-            .expect("fold(machine.p) produces matching metrics")
+        self.fold(machine.p).comm_time(machine).expect("fold(machine.p) produces matching metrics")
     }
 
     /// Appends the records of `other` (executed on the same machine size) to
@@ -1005,8 +993,7 @@ impl CommTrace {
                 continue;
             }
             let mut it = line.split_whitespace();
-            let label: u32 =
-                it.next().and_then(|t| t.parse().ok()).ok_or(bad("missing label"))?;
+            let label: u32 = it.next().and_then(|t| t.parse().ok()).ok_or(bad("missing label"))?;
             let total_msgs: u64 =
                 it.next().and_then(|t| t.parse().ok()).ok_or(bad("missing total"))?;
             let h_by_fold: Vec<u64> =
@@ -1081,7 +1068,11 @@ mod tests {
 
     /// Streams unit edges through counters; multiplicity `c` becomes `c`
     /// calls, as the engine produces.
-    fn stream(label: u32, counters: &mut DegreeCounters, edges: &[(usize, usize, u64)]) -> SuperstepRecord {
+    fn stream(
+        label: u32,
+        counters: &mut DegreeCounters,
+        edges: &[(usize, usize, u64)],
+    ) -> SuperstepRecord {
         counters.begin_superstep();
         for &(s, d, c) in edges {
             for _ in 0..c {
@@ -1300,9 +1291,8 @@ mod tests {
             // Top differing bit 0: every lowest common node is a leaf pair's
             // parent (the last v / 2 heap entries), mixed with self-sends
             // that no level but the full total sees.
-            let leaves: Vec<_> = (0..v)
-                .flat_map(|k| [(k, k ^ 1, 1 + (k as u64 % 3)), (k, k, 1)])
-                .collect();
+            let leaves: Vec<_> =
+                (0..v).flat_map(|k| [(k, k ^ 1, 1 + (k as u64 % 3)), (k, k, 1)]).collect();
             assert_step_metrics_match(log_v, &leaves, &format!("log_v {log_v} leaves"));
             // Both ends at once, on the same VPs.
             let both = [root.to_vec(), leaves].concat();
@@ -1435,13 +1425,11 @@ mod tests {
     fn two_step_trace() -> CommTrace {
         let mut t = CommTrace::new(8, 8);
         // A 0-superstep: bisection exchange, each VP k <-> k+4. Degree 1 everywhere.
-        let msgs: Vec<(usize, usize)> =
-            (0..4).flat_map(|k| [(k, k + 4), (k + 4, k)]).collect();
+        let msgs: Vec<(usize, usize)> = (0..4).flat_map(|k| [(k, k + 4), (k + 4, k)]).collect();
         t.steps.push(SuperstepRecord::from_messages(0, 3, msgs));
         // A 1-superstep: within each half, k <-> k+2.
-        let msgs: Vec<(usize, usize)> = (0..2)
-            .flat_map(|k| [(k, k + 2), (k + 2, k), (k + 4, k + 6), (k + 6, k + 4)])
-            .collect();
+        let msgs: Vec<(usize, usize)> =
+            (0..2).flat_map(|k| [(k, k + 2), (k + 2, k), (k + 4, k + 6), (k + 6, k + 4)]).collect();
         t.steps.push(SuperstepRecord::from_messages(1, 3, msgs));
         t
     }

@@ -137,7 +137,10 @@ impl DbspMachine {
         }
         for (what, v) in [("g", &g), ("ell", &ell)] {
             if v.iter().any(|x| !x.is_finite() || *x < 0.0) {
-                return Err(ModelError::BadParameter { what, reason: "entries must be finite and >= 0" });
+                return Err(ModelError::BadParameter {
+                    what,
+                    reason: "entries must be finite and >= 0",
+                });
             }
         }
         if g.contains(&0.0) {
@@ -208,10 +211,7 @@ mod tests {
     #[test]
     fn spec_model_validates_power_of_two() {
         assert!(SpecModel::new(8).is_ok());
-        assert_eq!(
-            SpecModel::new(12),
-            Err(ModelError::NotPowerOfTwo { what: "v", value: 12 })
-        );
+        assert_eq!(SpecModel::new(12), Err(ModelError::NotPowerOfTwo { what: "v", value: 12 }));
         assert!(SpecModel::new(0).is_err());
     }
 

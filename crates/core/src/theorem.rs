@@ -110,11 +110,8 @@ fn h_affine(trace: &CommTrace, p: usize) -> (f64, f64) {
 /// Ratio `H_C(σ)/H_A(σ)` handling `σ = ∞` via the slope ratio; `None` when
 /// both sides vanish (vacuous).
 fn h_ratio(a: (f64, f64), c: (f64, f64), sigma: f64) -> Option<f64> {
-    let (num, den) = if sigma.is_infinite() {
-        (c.1, a.1)
-    } else {
-        (c.0 + sigma * c.1, a.0 + sigma * a.1)
-    };
+    let (num, den) =
+        if sigma.is_infinite() { (c.1, a.1) } else { (c.0 + sigma * c.1, a.0 + sigma * a.1) };
     if den == 0.0 && num == 0.0 {
         None
     } else if den == 0.0 {
@@ -137,7 +134,8 @@ pub fn beta_measured(a: &CommTrace, c: &CommTrace, ranges: &SigmaRanges, p: usiz
         let ha = h_affine(a, fold);
         let hc = h_affine(c, fold);
         for psi in [psi_m, psi_big] {
-            let sigma = if psi.is_infinite() { f64::INFINITY } else { psi * p as f64 / fold as f64 };
+            let sigma =
+                if psi.is_infinite() { f64::INFINITY } else { psi * p as f64 / fold as f64 };
             if let Some(r) = h_ratio(ha, hc, sigma) {
                 beta = beta.min(r);
             }
@@ -216,14 +214,24 @@ pub fn check_thm_3_4(
         }
         let d_a = a.comm_time(m);
         let d_c = c.comm_time(m);
-        let factor = if alpha > 0.0 && b > 0.0 { (1.0 + alpha) / (alpha * b) } else { f64::INFINITY };
+        let factor =
+            if alpha > 0.0 && b > 0.0 { (1.0 + alpha) / (alpha * b) } else { f64::INFINITY };
         let bound = factor * d_c;
         // A non-finite factor means the premise degenerated (α or β = 0): the
         // theorem is vacuous on this machine.
         let holds = !factor.is_finite() || d_a <= bound * (1.0 + 1e-9);
-        checks.push(MachineCheck { machine: m.name.clone(), p: m.p, d_a, d_c, bound, admissible, holds });
+        checks.push(MachineCheck {
+            machine: m.name.clone(),
+            p: m.p,
+            d_a,
+            d_c,
+            bound,
+            admissible,
+            holds,
+        });
     }
-    let factor = if alpha > 0.0 && beta > 0.0 { (1.0 + alpha) / (alpha * beta) } else { f64::INFINITY };
+    let factor =
+        if alpha > 0.0 && beta > 0.0 { (1.0 + alpha) / (alpha * beta) } else { f64::INFINITY };
     Thm34Report { alpha, beta, factor, machines: checks }
 }
 

@@ -92,8 +92,7 @@ mod tests {
     fn unbalanced_trace(log_v: u32, n: u64) -> CommTrace {
         let v = 1usize << log_v;
         let mut t = CommTrace::new(v, n as usize);
-        t.steps
-            .push(SuperstepRecord::from_counted_edges(0, log_v, &[(0, v / 2, n)]));
+        t.steps.push(SuperstepRecord::from_counted_edges(0, log_v, &[(0, v / 2, n)]));
         t
     }
 

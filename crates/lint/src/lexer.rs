@@ -52,7 +52,11 @@ struct Sink {
 
 impl Sink {
     fn new() -> Self {
-        Sink { code: vec![String::new()], comments: vec![String::new()], strings: vec![String::new()] }
+        Sink {
+            code: vec![String::new()],
+            comments: vec![String::new()],
+            strings: vec![String::new()],
+        }
     }
 
     fn newline(&mut self) {
@@ -284,7 +288,12 @@ fn test_spans(code: &[String]) -> Vec<bool> {
         // Find the gated item's body: the first `{` (brace-match to its
         // close) or terminating `;` after the attribute. Later attributes
         // and the item header are scanned through transparently.
-        let col0 = code[start].chars().collect::<Vec<_>>().windows(2).position(|w| w == ['#', '[']).unwrap_or(0);
+        let col0 = code[start]
+            .chars()
+            .collect::<Vec<_>>()
+            .windows(2)
+            .position(|w| w == ['#', '['])
+            .unwrap_or(0);
         let mut depth = 0usize;
         let mut end = start;
         'scan: for (li, line) in code.iter().enumerate().skip(start) {

@@ -234,7 +234,9 @@ pub fn run(config: &Config) -> io::Result<Report> {
         rules::unsafe_inventory(&inventory, &baseline, &shown, &mut findings);
     }
 
-    findings.sort_by(|a, b| (a.file.as_str(), a.line, a.rule.id()).cmp(&(b.file.as_str(), b.line, b.rule.id())));
+    findings.sort_by(|a, b| {
+        (a.file.as_str(), a.line, a.rule.id()).cmp(&(b.file.as_str(), b.line, b.rule.id()))
+    });
     Ok(Report { findings, files_scanned: files.len(), inventory })
 }
 
@@ -249,11 +251,7 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<
         if path.is_dir() {
             collect_rs(root, &path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
             let src = fs::read_to_string(&path)?;
             out.push(SourceFile { path: rel, lex: lexer::lex(&src) });
         }

@@ -36,7 +36,9 @@ impl SourceFile {
     fn is_guarded_core(&self) -> bool {
         matches!(
             self.path.as_str(),
-            "crates/core/src/fault.rs" | "crates/core/src/telemetry.rs" | "crates/core/src/metrics.rs"
+            "crates/core/src/fault.rs"
+                | "crates/core/src/telemetry.rs"
+                | "crates/core/src/metrics.rs"
         )
     }
 
@@ -316,16 +318,16 @@ pub fn ordering_justified(files: &[SourceFile], out: &mut Vec<Finding>) {
 /// (`tele.map(…)`, `telemetry.is_some()…`) or a span helper built from
 /// one, so a disarmed run never pays for `Instant::now`.
 pub fn instant_gate(files: &[SourceFile], out: &mut Vec<Finding>) {
-    const GUARDS: [&str; 4] = ["telemetry.map(", "tele.map(", "telemetry.is_some()", "tele.is_some()"];
+    const GUARDS: [&str; 4] =
+        ["telemetry.map(", "tele.map(", "telemetry.is_some()", "tele.is_some()"];
     for f in files.iter().filter(|f| f.is_engine_src()) {
         for (li, line) in f.lex.code.iter().enumerate() {
             if f.lex.test[li] || !line.contains("Instant::now") {
                 continue;
             }
             let lo = li.saturating_sub(JUSTIFY_WINDOW);
-            let guarded = (lo..=li).any(|l| {
-                f.lex.code.get(l).is_some_and(|c| GUARDS.iter().any(|g| c.contains(g)))
-            });
+            let guarded = (lo..=li)
+                .any(|l| f.lex.code.get(l).is_some_and(|c| GUARDS.iter().any(|g| c.contains(g))));
             if !guarded && !justified(&f.lex, li, "instant-ok:") {
                 out.push(Finding::new(
                     Rule::InstantGate,
@@ -391,9 +393,8 @@ pub fn site_coverage(files: &[SourceFile], out: &mut Vec<Finding>) {
 
     for s in &sites {
         let qualified = format!("Site::{}", s.variant);
-        let instrumented = exec
-            .iter()
-            .any(|f| f.lex.code.iter().any(|l| code_path_used(l, &qualified)));
+        let instrumented =
+            exec.iter().any(|f| f.lex.code.iter().any(|l| code_path_used(l, &qualified)));
         if !instrumented {
             out.push(Finding::new(
                 Rule::SiteCoverage,
@@ -426,14 +427,18 @@ pub fn site_coverage(files: &[SourceFile], out: &mut Vec<Finding>) {
             .filter(|f| f.is_engine_src())
             .flat_map(|f| f.lex.code.iter().enumerate().map(move |(li, l)| (f, li, l)))
             .any(|(f, li, l)| {
-                (f.path != fs.file || li + 1 != fs.line) && !find_token(l, &fs.const_name).is_empty()
+                (f.path != fs.file || li + 1 != fs.line)
+                    && !find_token(l, &fs.const_name).is_empty()
             });
         if !used {
             out.push(Finding::new(
                 Rule::SiteCoverage,
                 &fs.file,
                 fs.line,
-                format!("failpoint `{}` (`{}`) is declared but never checked", fs.const_name, fs.site),
+                format!(
+                    "failpoint `{}` (`{}`) is declared but never checked",
+                    fs.const_name, fs.site
+                ),
             ));
         }
         let tested = tests.iter().any(|f| f.lex.strings.iter().any(|l| l.contains(&fs.site)));

@@ -10,10 +10,8 @@
 //! rounds. See the crate docs' "Serving" section for the cache-key and
 //! admission rules.
 
-use nob_machine::{
-    Ctx, JobServer, JobSpec, ProgramSource, Route, ServerConfig, ShapeKey, Xor,
-};
 use nob_machine::Program;
+use nob_machine::{Ctx, JobServer, JobSpec, ProgramSource, Route, ServerConfig, ShapeKey, Xor};
 
 /// A butterfly all-to-all over `v` virtual processors, declared with
 /// oblivious routes so every superstep carries a compiled plan — each
@@ -23,18 +21,12 @@ fn butterfly(v: usize) -> Program<u64, u64> {
     let log_v = prog.log_v();
     for l in 0..log_v {
         let d = v >> (l + 1);
-        prog.step_oblivious(
-            l,
-            "bfly",
-            1,
-            Xor(d),
-            move |st, _ctx, inbox, out| {
-                for m in inbox.drain(..) {
-                    *st = st.wrapping_mul(31).wrapping_add(m);
-                }
-                out.send(*st);
-            },
-        );
+        prog.step_oblivious(l, "bfly", 1, Xor(d), move |st, _ctx, inbox, out| {
+            for m in inbox.drain(..) {
+                *st = st.wrapping_mul(31).wrapping_add(m);
+            }
+            out.send(*st);
+        });
     }
     // Final superstep: consume the last exchange, send nothing.
     prog.step_oblivious(

@@ -847,7 +847,8 @@ mod tests {
         // After log v rounds every cluster leader (here: every even-indexed
         // chain) has the value; with v = 16 all VPs that are the first of
         // some cluster at some level got it: 0, 8, 4, 12, 2, 6, 10, 14, odds.
-        let got: Vec<usize> = res.states.iter().enumerate().filter(|(_, s)| s.is_some()).map(|(i, _)| i).collect();
+        let got: Vec<usize> =
+            res.states.iter().enumerate().filter(|(_, s)| s.is_some()).map(|(i, _)| i).collect();
         assert_eq!(got.len(), 16, "all VPs reached: {got:?}");
         // Metrics: one i-superstep per level plus the silent consume step.
         assert_eq!(res.trace.superstep_count(), 5);
@@ -1092,9 +1093,13 @@ mod tests {
                 }
             });
         }
-        planned.step_oblivious(log_v - 1, "consume", 0, |_: &Ctx, _| Route::Skip, |st, _, inbox, _| {
-            absorb(st, inbox)
-        });
+        planned.step_oblivious(
+            log_v - 1,
+            "consume",
+            0,
+            |_: &Ctx, _| Route::Skip,
+            |st, _, inbox, _| absorb(st, inbox),
+        );
         dynamic.step(log_v - 1, "consume", |st, _, inbox, _| absorb(st, inbox));
         (planned, dynamic)
     }
@@ -1152,20 +1157,14 @@ mod tests {
         // without validation.
         let liar = |extra: usize, none: usize| {
             let mut p: Program<u64, u64> = Program::new(v, v);
-            p.step_oblivious(
-                0,
-                "liar",
-                1,
-                Xor(1),
-                move |_, ctx, _, out| {
-                    if ctx.vp != none {
-                        out.send(1);
-                    }
-                    if ctx.vp == extra {
-                        out.send(2);
-                    }
-                },
-            );
+            p.step_oblivious(0, "liar", 1, Xor(1), move |_, ctx, _, out| {
+                if ctx.vp != none {
+                    out.send(1);
+                }
+                if ctx.vp == extra {
+                    out.send(2);
+                }
+            });
             p
         };
         let (over, under) = (liar(3, v), liar(v, 5));
@@ -1224,8 +1223,9 @@ mod tests {
         assert_eq!(p.planned_steps(), 0, "faulted plan is not usable");
         let states: Vec<u64> = (0..v as u64).collect();
         for w in [1usize, 2] {
-            let err = run(&p, states.clone(), &RunOptions { workers: Some(w), ..Default::default() })
-                .expect_err("validated run must reject the route");
+            let err =
+                run(&p, states.clone(), &RunOptions { workers: Some(w), ..Default::default() })
+                    .expect_err("validated run must reject the route");
             assert!(matches!(err, ModelError::ClusterViolation { label: 2, .. }), "got {err:?}");
         }
         // Validation off: the step falls back to the dynamic path and runs
@@ -1290,9 +1290,13 @@ mod tests {
             absorb(st, inbox);
             out.send(*st);
         });
-        rogue.step_oblivious(2, "consume", 0, |_: &Ctx, _| Route::End, |st, _, inbox, _| {
-            absorb(st, inbox)
-        });
+        rogue.step_oblivious(
+            2,
+            "consume",
+            0,
+            |_: &Ctx, _| Route::End,
+            |st, _, inbox, _| absorb(st, inbox),
+        );
         assert!(rogue.steps()[6].plan().is_some_and(|p| p.fault().is_some()));
         check("faulted plan, validate off", &rogue, &noval);
 
@@ -1300,11 +1304,23 @@ mod tests {
         // (`layout() == None`): the one planned step that counts its route.
         let wide = 2 * LAYOUT_TABLE_MAX_V;
         let (mut fan, _) = butterfly_pair(wide, 2);
-        fan.step_oblivious(0, "fan-in", 1, |_: &Ctx, _| Route::Data(0), |st, _, inbox, out| {
-            absorb(st, inbox);
-            out.send(*st);
-        });
-        fan.step_oblivious(0, "consume", 0, |_: &Ctx, _| Route::End, |st, _, inbox, _| absorb(st, inbox));
+        fan.step_oblivious(
+            0,
+            "fan-in",
+            1,
+            |_: &Ctx, _| Route::Data(0),
+            |st, _, inbox, out| {
+                absorb(st, inbox);
+                out.send(*st);
+            },
+        );
+        fan.step_oblivious(
+            0,
+            "consume",
+            0,
+            |_: &Ctx, _| Route::End,
+            |st, _, inbox, _| absorb(st, inbox),
+        );
         let fan_in = fan.steps()[3].plan().expect("declared");
         assert!(fan_in.fault().is_none() && fan_in.layout().is_none());
         check("layout-less fan-in", &fan, &base);

@@ -386,7 +386,7 @@ pub use mailbox::Inbox;
 pub use plan::{DeclaredRoute, InCluster, Route, StepPlan, Xor};
 pub use program::{Ctx, Outbox, Program, Slots, Superstep};
 pub use server::{
-    JobOptions, JobResult, JobServer, JobSpec, JobTicket, ProgramSource, ServerConfig,
-    ServerStats, ShapeKey,
+    JobOptions, JobResult, JobServer, JobSpec, JobTicket, ProgramSource, ServerConfig, ServerStats,
+    ShapeKey,
 };
 pub use traits::{execute, execute_folded, execute_with_log, NobAlgorithm};

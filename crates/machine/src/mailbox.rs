@@ -1283,8 +1283,7 @@ mod tests {
 
     #[test]
     fn inbox_pop_and_drain_follow_vec_semantics() {
-        let mut backing: Vec<MaybeUninit<u64>> =
-            (1..=4u64).map(MaybeUninit::new).collect();
+        let mut backing: Vec<MaybeUninit<u64>> = (1..=4u64).map(MaybeUninit::new).collect();
         let mut inbox = Inbox::over_slab(&mut backing);
         assert_eq!(inbox.len(), 4);
         assert_eq!(inbox.pop(), Some(4));
@@ -1306,7 +1305,8 @@ mod tests {
         let total = arena.prepare_write_uniform(1, Some(&mut cursors));
         let cluster = "send leaves the declared route's shard cluster";
         let machine = "message destination out of machine range";
-        for (dst, reason) in [(0, cluster), (3, cluster), (6, cluster), (7, cluster), (8, machine)] {
+        for (dst, reason) in [(0, cluster), (3, cluster), (6, cluster), (7, cluster), (8, machine)]
+        {
             let (slab, offsets) = arena.split_for_scatter(total);
             let mut sink =
                 DirectSink::Local(DirectOut::new(slab, &mut cursors, offsets, 1, None, base, v));
@@ -1337,10 +1337,7 @@ mod tests {
         assert!(bump_count(&mut c).is_ok());
         assert_eq!(c, u32::MAX);
         let err = bump_count(&mut c).expect_err("count past u32::MAX must error, not cap");
-        assert!(
-            matches!(err, ModelError::BadParameter { what: "dst_counts", .. }),
-            "got {err:?}"
-        );
+        assert!(matches!(err, ModelError::BadParameter { what: "dst_counts", .. }), "got {err:?}");
         assert_eq!(c, u32::MAX, "failed bump must leave the count unchanged");
     }
 

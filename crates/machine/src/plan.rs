@@ -325,7 +325,14 @@ impl<F: Fn(usize, usize) -> Route> DeclaredRoute for InCluster<F> {
 }
 
 impl<F: Fn(usize, usize) -> Route> sealed::ClosedForm for InCluster<F> {
-    fn summary(&self, v: usize, log_v: u32, n: usize, label: u32, out_degree: usize) -> Option<Summary> {
+    fn summary(
+        &self,
+        v: usize,
+        log_v: u32,
+        n: usize,
+        label: u32,
+        out_degree: usize,
+    ) -> Option<Summary> {
         // A superstep coarser than the clusters would let an offset `≥ c`
         // escape cluster 0 unfaulted, into traffic cluster 0 cannot stand
         // for: such a step enumerates the machine.
@@ -559,11 +566,8 @@ fn enumerate<R: DeclaredRoute>(
     let total_data = data << cluster.label;
     // Every cluster's counts are cluster 0's, so the machine's layout has
     // cluster 0's period.
-    let (min_locality, layout) = if counts_ok {
-        (min_locality, PlanLayout::detect(&counts, total_data))
-    } else {
-        (0, None)
-    };
+    let (min_locality, layout) =
+        if counts_ok { (min_locality, PlanLayout::detect(&counts, total_data)) } else { (0, None) };
     let copies = (1u64 << cluster.label) - 1;
     let metrics = metrics.finish().lifted(cluster.label, copies, extra);
     Summary { metrics, total_data, fault: None, min_locality, layout }
@@ -592,9 +596,9 @@ impl StepPlan {
         let Summary { metrics, total_data, fault, min_locality, layout } = if out_degree == 0 {
             Summary::silent(log_v)
         } else {
-            route
-                .summary(v, log_v, n, label, out_degree)
-                .unwrap_or_else(|| enumerate(v, log_v, n, label, out_degree, route, Cluster::MACHINE))
+            route.summary(v, log_v, n, label, out_degree).unwrap_or_else(|| {
+                enumerate(v, log_v, n, label, out_degree, route, Cluster::MACHINE)
+            })
         };
         let layout_bytes = match &layout {
             Some(PlanLayout::Table(t)) => (t.len() * std::mem::size_of::<u32>()) as u64,
@@ -638,7 +642,8 @@ impl StepPlan {
         // them into the plan's resident size before they are moved.
         let table_bytes = (offsets.len() * std::mem::size_of::<u32>()
             + slots.len() * std::mem::size_of::<(u32, bool)>()) as u64;
-        let out_degree = (0..v).map(|vp| (offsets[vp + 1] - offsets[vp]) as usize).max().unwrap_or(0);
+        let out_degree =
+            (0..v).map(|vp| (offsets[vp + 1] - offsets[vp]) as usize).max().unwrap_or(0);
         let route = move |ctx: &Ctx, k: usize| {
             let lo = offsets[ctx.vp] as usize;
             if lo + k < offsets[ctx.vp + 1] as usize {
@@ -941,12 +946,17 @@ mod tests {
                     for out_degree in 1..=3 {
                         let closed = compile_value(v, label, out_degree, Xor(mask));
                         let walked = compile(v, label, out_degree, walk);
-                        let what = format!("v {v} mask {mask} label {label} out_degree {out_degree}");
+                        let what =
+                            format!("v {v} mask {mask} label {label} out_degree {out_degree}");
                         let (a, b) = (closed.metrics(), walked.metrics());
                         for l in 1..=log_v {
                             assert_eq!(a.h_prefix(l), b.h_prefix(l), "{what} L{l}");
                             for internal in [false, true] {
-                                assert_eq!(a.total_at(l, internal), b.total_at(l, internal), "{what} L{l}");
+                                assert_eq!(
+                                    a.total_at(l, internal),
+                                    b.total_at(l, internal),
+                                    "{what} L{l}"
+                                );
                             }
                         }
                         assert_eq!(a, b, "{what}");
@@ -957,7 +967,11 @@ mod tests {
                             "{what}"
                         );
                         for s in 0..=log_v {
-                            assert_eq!(closed.shard_local(s), walked.shard_local(s), "{what} s {s}");
+                            assert_eq!(
+                                closed.shard_local(s),
+                                walked.shard_local(s),
+                                "{what} s {s}"
+                            );
                         }
                         assert_eq!(closed.fault(), walked.fault(), "{what}");
                         assert_eq!(closed.approx_bytes(), walked.approx_bytes(), "{what}");
@@ -1001,7 +1015,8 @@ mod tests {
                             table[at] = Route::Data(c + next() % v);
                         }
                         let table: std::sync::Arc<[Route]> = table.into();
-                        let value = InCluster::new(c, slots, dummies, move |off, k| table[off * slots + k]);
+                        let value =
+                            InCluster::new(c, slots, dummies, move |off, k| table[off * slots + k]);
                         let walk = {
                             let value = value.clone();
                             move |ctx: &Ctx, k: usize| value.slot(ctx, k)
@@ -1015,7 +1030,8 @@ mod tests {
                                     "v {v} label {label}/{step_label} dummies {dummies} trial {trial} \
                                      out_degree {out_degree}"
                                 );
-                                let closed = compile_value(v, step_label, out_degree, value.clone());
+                                let closed =
+                                    compile_value(v, step_label, out_degree, value.clone());
                                 let walked = compile(v, step_label, out_degree, walk.clone());
                                 assert_eq!(closed.metrics(), walked.metrics(), "{what}");
                                 assert_eq!(closed.total_data(), walked.total_data(), "{what}");
@@ -1026,18 +1042,40 @@ mod tests {
                                 );
                                 assert_eq!(closed.min_locality, walked.min_locality, "{what}");
                                 for s in 0..=log_v {
-                                    assert_eq!(closed.shard_local(s), walked.shard_local(s), "{what} s {s}");
+                                    assert_eq!(
+                                        closed.shard_local(s),
+                                        walked.shard_local(s),
+                                        "{what} s {s}"
+                                    );
                                 }
                                 assert_eq!(closed.fault(), walked.fault(), "{what}");
                                 assert_eq!(closed.approx_bytes(), walked.approx_bytes(), "{what}");
-                                assert_eq!(closed.payloads_per_vp(), walked.payloads_per_vp(), "{what}");
+                                assert_eq!(
+                                    closed.payloads_per_vp(),
+                                    walked.payloads_per_vp(),
+                                    "{what}"
+                                );
                                 // The per-shard send totals: none walked or
                                 // one cluster walked, against every VP.
-                                let mut programs = (Program::<u8, u8>::new(v, v), Program::<u8, u8>::new(v, v));
-                                programs.0.step_oblivious(step_label, "closed", out_degree, value.clone(), |_, _, _, _| {});
-                                programs.1.step_oblivious(step_label, "walked", out_degree, walk.clone(), |_, _, _, _| {});
+                                let mut programs =
+                                    (Program::<u8, u8>::new(v, v), Program::<u8, u8>::new(v, v));
+                                programs.0.step_oblivious(
+                                    step_label,
+                                    "closed",
+                                    out_degree,
+                                    value.clone(),
+                                    |_, _, _, _| {},
+                                );
+                                programs.1.step_oblivious(
+                                    step_label,
+                                    "walked",
+                                    out_degree,
+                                    walk.clone(),
+                                    |_, _, _, _| {},
+                                );
                                 for w in [2, 4, 8].into_iter().filter(|&w| w <= v) {
-                                    let (a, b) = (programs.0.send_totals(w), programs.1.send_totals(w));
+                                    let (a, b) =
+                                        (programs.0.send_totals(w), programs.1.send_totals(w));
                                     assert_eq!(a, b, "{what} width {w}");
                                 }
                             }

@@ -264,8 +264,7 @@ fn stage<M, R: DeclaredRoute>(
 ///
 /// Reference-counted so that [`Program::repeat`] can schedule the same body
 /// again without the algorithm rebuilding its closure.
-pub type StepFn<S, M> =
-    Arc<dyn Fn(&mut S, &Ctx, &mut Inbox<'_, M>, &mut Outbox<M>) + Send + Sync>;
+pub type StepFn<S, M> = Arc<dyn Fn(&mut S, &Ctx, &mut Inbox<'_, M>, &mut Outbox<M>) + Send + Sync>;
 
 /// The planned path's body for a whole chunk of VPs (engine-internal).
 ///
@@ -309,13 +308,8 @@ impl<R: DeclaredRoute, F> DeclaredStep<R, F> {
     /// The step's boxed body: the body on a staging writer, then the dummies
     /// its route declares after the last payload — or a mismatch, if a
     /// payload slot was left unsent.
-    fn run_staged<S, M>(
-        &self,
-        st: &mut S,
-        ctx: &Ctx,
-        inbox: &mut Inbox<'_, M>,
-        out: &mut Outbox<M>,
-    ) where
+    fn run_staged<S, M>(&self, st: &mut S, ctx: &Ctx, inbox: &mut Inbox<'_, M>, out: &mut Outbox<M>)
+    where
         F: Fn(&mut S, &Ctx, &mut Inbox<'_, M>, &mut Slots<'_, M, R>),
     {
         let mut slots = self.slots(*ctx, SlotTarget::Staged(&mut *out));
@@ -370,7 +364,8 @@ impl Captured {
     /// match the captured table; whether all of them did and none of the
     /// table was left unsent. Empties `out` either way.
     fn forward<M>(&self, ctx: &Ctx, out: &mut Outbox<M>, sink: &mut DirectSink<M>) -> bool {
-        let slot = |k: usize| if k < self.out_degree { self.route.slot(ctx, k) } else { Route::End };
+        let slot =
+            |k: usize| if k < self.out_degree { self.route.slot(ctx, k) } else { Route::End };
         let sent = out.msgs.len();
         let oob = std::mem::take(&mut out.oob_dst);
         for (k, (dst, env)) in out.msgs.drain(..).enumerate() {
@@ -752,9 +747,8 @@ impl<S, M> Program<S, M> {
         let mut added = 0;
         for (t, offsets, slots) in captures {
             let step = &mut self.steps[t];
-            let plan = StepPlan::compile_captured(
-                self.v, self.log_v, self.n, step.label, offsets, slots,
-            );
+            let plan =
+                StepPlan::compile_captured(self.v, self.log_v, self.n, step.label, offsets, slots);
             if plan.fault().is_none() {
                 added += 1;
             }

@@ -108,11 +108,7 @@ pub fn ascend_descend(trace: &CommTrace, log: &[Vec<(u32, u32)>], p: usize) -> C
 /// closing refinement for machines whose `g_i`, `ℓ_i` decay geometrically
 /// (e.g. meshes), where it improves the Thm 5.3 optimality loss from
 /// `O(log² p̄)` to `O(log p̄)`.
-pub fn ascend_descend_geometric(
-    trace: &CommTrace,
-    log: &[Vec<(u32, u32)>],
-    p: usize,
-) -> CommTrace {
+pub fn ascend_descend_geometric(trace: &CommTrace, log: &[Vec<(u32, u32)>], p: usize) -> CommTrace {
     ascend_descend_with(trace, log, p, true)
 }
 
@@ -230,10 +226,7 @@ mod tests {
         let m = machines::linear_array(p);
         let d_std = trace.comm_time(&m);
         let d_ad = rewritten.comm_time(&m);
-        assert!(
-            d_ad < d_std,
-            "ascend-descend should win on the array: {d_ad} vs {d_std}"
-        );
+        assert!(d_ad < d_std, "ascend-descend should win on the array: {d_ad} vs {d_std}");
     }
 
     #[test]

@@ -359,8 +359,7 @@ impl<S, M> Admission<S, M> {
         }
         let head_small = Self::weight(&self.pending[0]) <= self.small_cutoff;
         if !head_small && self.pending[0].overtaken < self.max_overtakes {
-            if let Some(i) =
-                self.pending.iter().position(|p| Self::weight(p) <= self.small_cutoff)
+            if let Some(i) = self.pending.iter().position(|p| Self::weight(p) <= self.small_cutoff)
             {
                 self.pending[0].overtaken += 1;
                 self.overtakes += 1;
@@ -439,11 +438,7 @@ impl<S, M> PlanCache<S, M> {
         }
         self.total_bytes += bytes;
         while self.total_bytes > self.budget_bytes && self.entries.len() > 1 {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
+            let victim = self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k);
             let Some(k) = victim else { break };
             if let Some(e) = self.entries.remove(&k) {
                 self.total_bytes -= e.bytes;

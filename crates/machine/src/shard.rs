@@ -215,9 +215,9 @@ use crate::mailbox::{
 };
 use crate::plan::{message_fault, StepPlan};
 use crate::program::{Ctx, Envelope, Program, Superstep};
+use nob_core::fault::FaultPlan;
 use nob_core::metrics::{DegreeCounters, EpochMerge, TraceBuilder};
 use nob_core::model::log2_exact;
-use nob_core::fault::FaultPlan;
 use nob_core::telemetry::{Counter, Site, TelemetrySink};
 use nob_core::{ModelError, StalledWorker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -287,7 +287,11 @@ impl ShapeRes {
             shape: (log_v, spec.levels, spec.full, dynamic),
             cells: (0..1usize << log_shards)
                 .map(|w| {
-                    Mutex::new(ShardCell { counters: counters(w), log_frag: Vec::new(), error: None })
+                    Mutex::new(ShardCell {
+                        counters: counters(w),
+                        log_frag: Vec::new(),
+                        error: None,
+                    })
                 })
                 .collect(),
             merge: dynamic.then(|| EpochMerge::new(spec.levels, log_shards)),
@@ -544,8 +548,7 @@ impl GangBarrier {
                     let (guard, timeout) =
                         self.cvar.wait_timeout(st, dur).unwrap_or_else(|e| e.into_inner());
                     let mut guard = guard;
-                    if timeout.timed_out() && guard.generation == gen && guard.stalled.is_none()
-                    {
+                    if timeout.timed_out() && guard.generation == gen && guard.stalled.is_none() {
                         let missing = self.n - guard.arrived;
                         guard.stalled = Some(missing);
                         self.cvar.notify_all();
@@ -983,9 +986,11 @@ fn gang_wait<S, M>(shared: &Shared<'_, S, M>, w: usize, next_round: u64) -> bool
         Ok(()) => true,
         Err(missing) => {
             let stalled = stalled_workers(shared, next_round);
-            lock(&shared.cells[w])
-                .error
-                .get_or_insert(ModelError::GangStall { round: next_round, missing, stalled });
+            lock(&shared.cells[w]).error.get_or_insert(ModelError::GangStall {
+                round: next_round,
+                missing,
+                stalled,
+            });
             false
         }
     }
@@ -1100,9 +1105,9 @@ fn shard_loop<S: Send, M: Send>(
                 // (a non-fused step in between would have parked the later
                 // worker at its barrier, where the abort stamp exits it),
                 // so both see the same first non-fused successor.
-                let peers_wait_again = steps[t + 1..].iter().any(|s| {
-                    runnable_plan(s, shared.use_plans).is_none_or(|p| !fused(shared, p))
-                });
+                let peers_wait_again = steps[t + 1..]
+                    .iter()
+                    .any(|s| runnable_plan(s, shared.use_plans).is_none_or(|p| !fused(shared, p)));
                 if peers_wait_again && gang_wait(shared, me.w, rounds + 1) {
                     rounds += 1;
                 }
@@ -1839,7 +1844,13 @@ mod tests {
         // step for healthy peers to wait at, and every worker leaves
         // without ever touching the barrier.
         let mut planned: Program<u64, u64> = Program::new(v, v);
-        planned.step_oblivious(0, "boom", 0, |_: &Ctx, _| Route::End, move |_, ctx, _, _| explode(ctx));
+        planned.step_oblivious(
+            0,
+            "boom",
+            0,
+            |_: &Ctx, _| Route::End,
+            move |_, ctx, _, _| explode(ctx),
+        );
         for w in [2usize, 4, 8] {
             let mut states = vec![0u64; v];
             let (rounds, _, outcome) = run_raw(&planned, &mut states, w, &RunOptions::default());

@@ -64,8 +64,7 @@ pub fn execute_with_log<A: NobAlgorithm>(
 ) -> Result<(A::Output, CommTrace, Vec<Vec<(u32, u32)>>), ModelError> {
     let states = alg.init(n, input);
     let prog = alg.build(n);
-    let RunResult { states, trace, message_log, .. } =
-        run(&prog, states, &RunOptions::with_log())?;
+    let RunResult { states, trace, message_log, .. } = run(&prog, states, &RunOptions::with_log())?;
     let message_log = message_log.ok_or(ModelError::BadParameter {
         what: "message_log",
         reason: "engine returned no message log for a log-requesting run",

@@ -111,7 +111,8 @@ fn steady_state_supersteps_do_not_allocate() {
     assert_eq!(res.trace.superstep_count(), rounds);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
-        allocs, 0,
+        allocs,
+        0,
         "{allocs} heap allocations during {} steady-state supersteps of v = {v}",
         rounds - 3,
     );
@@ -171,7 +172,8 @@ fn sharded_steady_state_does_not_allocate_per_superstep() {
     assert_eq!(res.trace.superstep_count(), rounds);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
-        allocs, 0,
+        allocs,
+        0,
         "{allocs} heap allocations during {} steady-state sharded supersteps of v = {v}",
         rounds - 17,
     );
@@ -197,7 +199,8 @@ fn sharded_planned_steady_state_does_not_allocate_per_superstep() {
     assert_eq!(res.trace.superstep_count(), rounds);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
-        allocs, 0,
+        allocs,
+        0,
         "{allocs} heap allocations during {} steady-state sharded planned supersteps of v = {v}",
         rounds - 17,
     );
@@ -228,7 +231,8 @@ fn telemetry_armed_sharded_steady_state_does_not_allocate() {
     assert_eq!(res.trace.superstep_count(), rounds);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
-        allocs, 0,
+        allocs,
+        0,
         "{allocs} heap allocations during {} telemetry-armed sharded supersteps of v = {v}",
         rounds - 17,
     );
@@ -255,11 +259,8 @@ fn telemetry_disarmed_runs_are_bit_for_bit_unchanged() {
     for workers in [1usize, 4] {
         let prog = counting_butterfly_silent(v, rounds);
         let states: Vec<u64> = (0..v as u64).collect();
-        let disarmed = RunOptions {
-            workers: Some(workers),
-            collect_messages: true,
-            ..Default::default()
-        };
+        let disarmed =
+            RunOptions { workers: Some(workers), collect_messages: true, ..Default::default() };
         let armed = RunOptions {
             telemetry: Some(std::sync::Arc::new(TelemetrySink::for_workers(workers))),
             ..disarmed.clone()
@@ -292,7 +293,8 @@ fn planned_steady_state_supersteps_do_not_allocate() {
     assert_eq!(res.trace.superstep_count(), rounds);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
-        allocs, 0,
+        allocs,
+        0,
         "{allocs} heap allocations during {} steady-state planned supersteps of v = {v}",
         rounds - 3,
     );
@@ -461,7 +463,8 @@ fn warm_server_jobs_do_not_allocate_across_jobs() {
     assert_eq!(stats.cache_hits, (JOBS - 1) as u64);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
-        allocs, 0,
+        allocs,
+        0,
         "{allocs} heap allocations across {} warm server jobs of v = {v}",
         JOBS - 2,
     );

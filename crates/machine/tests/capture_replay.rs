@@ -191,18 +191,12 @@ fn send_totals_memo_tracks_width_and_capture() {
     use nob_machine::Xor;
     let v = 64;
     let mut prog = build_dynamic(v, &[(0, 7, 2), (1, 11, 1)]);
-    prog.step_oblivious(
-        0,
-        "declared",
-        1,
-        Xor(v / 2),
-        |st, _, inbox, out| {
-            for m in inbox.drain(..) {
-                *st = st.wrapping_mul(31).wrapping_add(m);
-            }
-            out.send(*st);
-        },
-    );
+    prog.step_oblivious(0, "declared", 1, Xor(v / 2), |st, _, inbox, out| {
+        for m in inbox.drain(..) {
+            *st = st.wrapping_mul(31).wrapping_add(m);
+        }
+        out.send(*st);
+    });
     let check = |prog: &Program<u64, u64>, states: &[u64], what: &str| {
         for w in [2usize, 4] {
             let opts = RunOptions { workers: Some(w), ..RunOptions::with_log() };
@@ -235,18 +229,12 @@ fn capture_plans_each_occurrence_of_a_repeated_step_on_its_own() {
     let v = 32;
     // Entries 0–2 are value-dependent (the last only consumes).
     let mut prog = build_dynamic(v, &[(0, 3, 2), (1, 5, 1)]);
-    prog.step_oblivious(
-        0,
-        "declared",
-        1,
-        Xor(1),
-        |st, _, inbox, out| {
-            for m in inbox.drain(..) {
-                *st = st.wrapping_mul(31).wrapping_add(m);
-            }
-            out.send(*st);
-        },
-    );
+    prog.step_oblivious(0, "declared", 1, Xor(1), |st, _, inbox, out| {
+        for m in inbox.drain(..) {
+            *st = st.wrapping_mul(31).wrapping_add(m);
+        }
+        out.send(*st);
+    });
     prog.repeat(0..4);
     let plan_at = |prog: &Program<u64, u64>, t: usize| {
         let plan = prog.steps()[t].plan().unwrap_or_else(|| panic!("entry {t} has no plan"));

@@ -45,46 +45,22 @@ fn mixed_program() -> Program<u64, u64> {
         fold(st, inbox);
         out.send(ctx.vp ^ 8, *st + 1);
     });
-    prog.step_oblivious(
-        0,
-        "pl-b",
-        1,
-        Xor(8),
-        move |st, _, inbox, out| {
-            fold(st, inbox);
-            out.send(*st + 2);
-        },
-    );
-    prog.step_oblivious(
-        0,
-        "pl-c",
-        1,
-        Xor(4),
-        move |st, _, inbox, out| {
-            fold(st, inbox);
-            out.send(*st + 3);
-        },
-    );
-    prog.step_oblivious(
-        3,
-        "fu-d",
-        1,
-        Xor(1),
-        move |st, _, inbox, out| {
-            fold(st, inbox);
-            out.send(*st + 4);
-        },
-    );
-    prog.step_oblivious(
-        3,
-        "fu-e",
-        1,
-        Xor(1),
-        move |st, _, inbox, out| {
-            fold(st, inbox);
-            out.send(*st + 5);
-        },
-    );
+    prog.step_oblivious(0, "pl-b", 1, Xor(8), move |st, _, inbox, out| {
+        fold(st, inbox);
+        out.send(*st + 2);
+    });
+    prog.step_oblivious(0, "pl-c", 1, Xor(4), move |st, _, inbox, out| {
+        fold(st, inbox);
+        out.send(*st + 3);
+    });
+    prog.step_oblivious(3, "fu-d", 1, Xor(1), move |st, _, inbox, out| {
+        fold(st, inbox);
+        out.send(*st + 4);
+    });
+    prog.step_oblivious(3, "fu-e", 1, Xor(1), move |st, _, inbox, out| {
+        fold(st, inbox);
+        out.send(*st + 5);
+    });
     prog.step(0, "dyn-f", move |st, _, inbox, _| fold(st, inbox));
     prog
 }

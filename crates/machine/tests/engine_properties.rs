@@ -36,7 +36,8 @@ fn build_program(v: usize, steps: &[(u32, u64, u8)]) -> Program<u64, u64> {
             let cluster = ctx.v >> label;
             let base = ctx.vp - ctx.vp % cluster;
             for k in 0..fanout {
-                let dst = base + (mix(seed ^ (ctx.vp as u64) ^ (k as u64) << 32) as usize) % cluster;
+                let dst =
+                    base + (mix(seed ^ (ctx.vp as u64) ^ (k as u64) << 32) as usize) % cluster;
                 out.send(dst, *st ^ mix(seed.wrapping_add(k as u64)));
             }
             if mix(seed ^ ctx.vp as u64).is_multiple_of(3) {

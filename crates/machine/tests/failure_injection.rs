@@ -1,9 +1,9 @@
 //! Failure-injection tests: the engine must reject model violations loudly
 //! rather than mis-account them.
 
+use nob_core::ModelError;
 use nob_machine::reference::{run_folded_reference, run_reference};
 use nob_machine::{run, run_folded, Program, RunOptions};
-use nob_core::ModelError;
 
 #[test]
 fn message_outside_cluster_is_rejected_with_the_offending_edge() {

@@ -29,7 +29,9 @@
 
 use nob_core::ModelError;
 use nob_machine::reference::{run_folded_reference, run_reference};
-use nob_machine::{run, run_folded, Ctx, DeclaredRoute, Inbox, Program, Route, RunOptions, Slots, Xor};
+use nob_machine::{
+    run, run_folded, Ctx, DeclaredRoute, Inbox, Program, Route, RunOptions, Slots, Xor,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -429,11 +431,8 @@ struct Verdict {
 fn inject(kind: Divergence, declared: &[Vec<usize>], start: usize) -> (Replay, Option<Verdict>) {
     let v = declared.len();
     let mut replay = Replay { sends: declared.iter().map(Vec::len).collect(), panics: None };
-    let mismatch = |vp: usize, reason: &'static str| ModelError::PlanMismatch {
-        step: "replayed",
-        vp,
-        reason,
-    };
+    let mismatch =
+        |vp: usize, reason: &'static str| ModelError::PlanMismatch { step: "replayed", vp, reason };
     let same = |e: ModelError| Some(Verdict { planned: e.clone(), staged: e });
     let vp_where = |shape: &dyn Fn(&[usize]) -> bool| {
         (0..v).map(|i| (start + i) % v).find(|&vp| shape(&declared[vp]))
@@ -504,7 +503,9 @@ fn replay_program(v: usize, steps: Vec<Declared>) -> Program<u64, u64> {
     for Declared { label, slots, xor, replay } in steps {
         let out_degree = slots[0].len();
         match xor {
-            Some(mask) => prog.step_oblivious(label, "replayed", out_degree, Xor(mask), replayed(replay)),
+            Some(mask) => {
+                prog.step_oblivious(label, "replayed", out_degree, Xor(mask), replayed(replay))
+            }
             None => {
                 let slots = Arc::new(slots);
                 let route = move |ctx: &Ctx, k: usize| slots[ctx.vp][k];
@@ -512,9 +513,13 @@ fn replay_program(v: usize, steps: Vec<Declared>) -> Program<u64, u64> {
             }
         };
     }
-    prog.step_oblivious(log_v - 1, "consume", 0, |_: &Ctx, _| Route::End, |st, _ctx, inbox, _out| {
-        absorb(st, inbox)
-    });
+    prog.step_oblivious(
+        log_v - 1,
+        "consume",
+        0,
+        |_: &Ctx, _| Route::End,
+        |st, _ctx, inbox, _out| absorb(st, inbox),
+    );
     prog
 }
 

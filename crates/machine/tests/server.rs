@@ -8,9 +8,7 @@
 use nob_core::fault::FaultPlan;
 use nob_core::ModelError;
 use nob_machine::plan::Xor;
-use nob_machine::server::{
-    JobOptions, JobServer, JobSpec, ProgramSource, ServerConfig, ShapeKey,
-};
+use nob_machine::server::{JobOptions, JobServer, JobSpec, ProgramSource, ServerConfig, ShapeKey};
 use nob_machine::{run, Program, RunOptions};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -33,18 +31,12 @@ fn butterfly(v: usize) -> Program<u64, u64> {
     let log_v = prog.log_v();
     for i in 0..log_v {
         let bit = 1usize << (log_v - 1 - i);
-        prog.step_oblivious(
-            i,
-            "bfly",
-            1,
-            Xor(bit),
-            move |st, _, inbox, out| {
-                for m in inbox.drain(..) {
-                    *st = st.wrapping_mul(31).wrapping_add(m);
-                }
-                out.send(*st ^ bit as u64);
-            },
-        );
+        prog.step_oblivious(i, "bfly", 1, Xor(bit), move |st, _, inbox, out| {
+            for m in inbox.drain(..) {
+                *st = st.wrapping_mul(31).wrapping_add(m);
+            }
+            out.send(*st ^ bit as u64);
+        });
     }
     prog.step(log_v - 1, "consume", |st, _ctx, inbox, _out| {
         for m in inbox.drain(..) {
@@ -100,7 +92,11 @@ fn server_matches_run_cold_and_warm() {
     let spec = JobSpec::new(ShapeKey { algo: "bfly", variant: v as u64 });
     for round in 0..3 {
         let res = srv
-            .run_job(spec.clone(), states.clone(), ProgramSource::Build(Box::new(move || butterfly(v))))
+            .run_job(
+                spec.clone(),
+                states.clone(),
+                ProgramSource::Build(Box::new(move || butterfly(v))),
+            )
             .unwrap();
         assert_eq!(res.states, want.states, "round {round} states");
         assert_eq!(res.trace.as_ref(), Some(&want.trace), "round {round} trace");
@@ -128,7 +124,11 @@ fn server_serves_dynamic_programs() {
             let f = Arc::clone(&flag);
             let mut spec = JobSpec::new(ShapeKey { algo: "dyn", variant: 0 });
             spec.opts = opts;
-            srv.run_job(spec, states.clone(), ProgramSource::Build(Box::new(move || poisonable(v, &f))))
+            srv.run_job(
+                spec,
+                states.clone(),
+                ProgramSource::Build(Box::new(move || poisonable(v, &f))),
+            )
         };
         let faulty = JobOptions {
             faults: Some(Arc::new(FaultPlan::error_at("shard:gather", 1, 0))),
@@ -265,16 +265,11 @@ fn gang_survives_injected_fault_between_jobs() {
     let submit = |opts: JobOptions| {
         let mut spec = spec.clone();
         spec.opts = opts;
-        srv.run_job(
-            spec,
-            states.clone(),
-            ProgramSource::Build(Box::new(move || butterfly(v))),
-        )
+        srv.run_job(spec, states.clone(), ProgramSource::Build(Box::new(move || butterfly(v))))
     };
     // Warm the cache first, then alternate faulty and clean jobs.
     assert_eq!(submit(JobOptions::default()).unwrap().states, want.states);
-    for (site, shard) in
-        [("shard:exec_planned", 1usize), ("shard:commit", 2), ("shard:prepare", 3)]
+    for (site, shard) in [("shard:exec_planned", 1usize), ("shard:commit", 2), ("shard:prepare", 3)]
     {
         let faulty = JobOptions {
             faults: Some(Arc::new(FaultPlan::error_at(site, shard, 1))),
@@ -285,10 +280,7 @@ fn gang_survives_injected_fault_between_jobs() {
             Err(e) => e,
             Ok(_) => panic!("armed fault at {site} shard {shard} did not fail the job"),
         };
-        assert!(
-            matches!(err, ModelError::FaultInjected { .. }),
-            "{site}: got {err:?}"
-        );
+        assert!(matches!(err, ModelError::FaultInjected { .. }), "{site}: got {err:?}");
         let clean = submit(JobOptions::default()).unwrap();
         assert_eq!(clean.states, want.states, "{site}: gang not serviceable after fault");
         assert_eq!(clean.trace.as_ref(), Some(&want.trace), "{site}: trace residue");
@@ -338,21 +330,25 @@ fn gang_survives_stall_between_jobs() {
             prog
         }
     };
-    let want = run(&build(Arc::new(AtomicBool::new(false)))(), states.clone(), &RunOptions::default())
-        .unwrap();
+    let want =
+        run(&build(Arc::new(AtomicBool::new(false)))(), states.clone(), &RunOptions::default())
+            .unwrap();
 
     let srv = server(4);
     let mut spec = JobSpec::new(ShapeKey { algo: "slow", variant: 0 });
     spec.opts.stall_timeout = Some(Duration::from_millis(40));
     let err = srv
-        .run_job(spec.clone(), states.clone(), ProgramSource::Build(Box::new(build(Arc::clone(&trip)))))
+        .run_job(
+            spec.clone(),
+            states.clone(),
+            ProgramSource::Build(Box::new(build(Arc::clone(&trip)))),
+        )
         .expect_err("watchdog must fail the stalled job");
     assert!(matches!(err, ModelError::GangStall { .. }), "got {err:?}");
     assert!(!trip.load(Ordering::Relaxed), "the slow VP actually ran");
 
-    let res = srv
-        .run_job(spec, states.clone(), ProgramSource::Build(Box::new(build(trip))))
-        .unwrap();
+    let res =
+        srv.run_job(spec, states.clone(), ProgramSource::Build(Box::new(build(trip)))).unwrap();
     assert_eq!(res.states, want.states, "gang not serviceable after stall");
 }
 
@@ -498,8 +494,12 @@ fn prebuilt_jobs_and_drop_semantics() {
     let tail_spec = JobSpec::new(ShapeKey { algo: "parked", variant: 1 });
     let queued: Vec<_> = (0..3)
         .map(|_| {
-            srv.submit(tail_spec.clone(), states.clone(), ProgramSource::Prebuilt(Arc::clone(&tail)))
-                .unwrap()
+            srv.submit(
+                tail_spec.clone(),
+                states.clone(),
+                ProgramSource::Prebuilt(Arc::clone(&tail)),
+            )
+            .unwrap()
         })
         .collect();
 
@@ -559,7 +559,8 @@ fn panicking_builder_fails_its_job_and_the_next_is_served() {
         let spec = JobSpec::new(ShapeKey { algo: "bfly", variant: v as u64 });
         let build = |f: fn() -> Program<u64, u64>| ProgramSource::Build(Box::new(f));
         let tiny = srv.submit(spec.clone(), vec![0], build(|| Program::new(1, 1)));
-        let panicked = srv.run_job(spec.clone(), states.clone(), build(|| panic!("builder gave up")));
+        let panicked =
+            srv.run_job(spec.clone(), states.clone(), build(|| panic!("builder gave up")));
         let next = srv.run_job(spec, states, ProgramSource::Build(Box::new(move || butterfly(v))));
         let _ = tx.send((tiny.err(), panicked.err(), next.map(|r| r.states), srv.stats()));
     });
@@ -653,7 +654,11 @@ fn alternating_shapes_and_serial_jobs_match_run_and_keep_their_counters() {
                 .unwrap();
             assert_eq!(res.states, want.states, "round {round}, v = {v}: states");
             assert_eq!(res.trace.as_ref(), Some(&want.trace), "round {round}, v = {v}: trace");
-            assert_eq!(res.rounds == 0, v == 2, "round {round}, v = {v}: only width 1 is barrier-free");
+            assert_eq!(
+                res.rounds == 0,
+                v == 2,
+                "round {round}, v = {v}: only width 1 is barrier-free"
+            );
         }
     }
     let gang_jobs = 2 * rounds;

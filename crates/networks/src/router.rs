@@ -17,11 +17,8 @@ pub fn route_h_relation<T: Topology>(topo: &T, msgs: &[(usize, usize)]) -> u64 {
         at: usize,
         dst: usize,
     }
-    let mut flights: Vec<Flight> = msgs
-        .iter()
-        .filter(|(s, d)| s != d)
-        .map(|&(s, d)| Flight { at: s, dst: d })
-        .collect();
+    let mut flights: Vec<Flight> =
+        msgs.iter().filter(|(s, d)| s != d).map(|&(s, d)| Flight { at: s, dst: d }).collect();
     let mut cycles = 0u64;
     let mut live: Vec<usize> = (0..flights.len()).collect();
     while !live.is_empty() {

@@ -11,14 +11,14 @@ use network_oblivious::machine::{execute, RunOptions};
 fn main() {
     let n = 256usize;
     // A hot spot in the middle of a cold rod.
-    let input: Vec<f64> = (0..n).map(|x| if (120..136).contains(&x) { 100.0 } else { 0.0 }).collect();
+    let input: Vec<f64> =
+        (0..n).map(|x| if (120..136).contains(&x) { 100.0 } else { 0.0 }).collect();
 
     let (heat, t_diamond) =
         execute(&DiamondStencil::<HeatOp>::default(), n, &input[..], &RunOptions::default())
             .unwrap();
     let (heat_naive, t_naive) =
-        execute(&NaiveStencil::<HeatOp>::default(), n, &input[..], &RunOptions::default())
-            .unwrap();
+        execute(&NaiveStencil::<HeatOp>::default(), n, &input[..], &RunOptions::default()).unwrap();
 
     // Same DAG, same physics.
     for (a, b) in heat.iter().zip(&heat_naive) {

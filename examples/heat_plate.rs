@@ -48,8 +48,7 @@ fn main() {
         assert!((a - b).abs() < 1e-9);
     }
     let (_, t_naive) =
-        execute(&NaiveStencil2::<Heat2>::default(), n, &input[..], &RunOptions::default())
-            .unwrap();
+        execute(&NaiveStencil2::<Heat2>::default(), n, &input[..], &RunOptions::default()).unwrap();
 
     println!("plate after {n} steps (temperature, one char per cell):");
     let max = plate.iter().cloned().fold(1e-12f64, f64::max);
@@ -66,11 +65,6 @@ fn main() {
     println!("\ncosts on machine presets (v = n² = {}):", n * n);
     println!("{:<24} {:>12} {:>12}", "machine", "D_octa", "D_naive");
     for m in machines::standard_suite(16) {
-        println!(
-            "{:<24} {:>12.0} {:>12.0}",
-            m.name,
-            t_octa.comm_time(&m),
-            t_naive.comm_time(&m)
-        );
+        println!("{:<24} {:>12.0} {:>12.0}", m.name, t_octa.comm_time(&m), t_naive.comm_time(&m));
     }
 }

@@ -22,13 +22,9 @@ fn main() {
     };
     let records: Vec<(u64, u64)> = (0..n as u64).map(|id| (rng() % 100_000, id)).collect();
 
-    let (ranked, t_col) = execute(
-        &ColumnSort::<(u64, u64)>::default(),
-        n,
-        &records[..],
-        &RunOptions::default(),
-    )
-    .unwrap();
+    let (ranked, t_col) =
+        execute(&ColumnSort::<(u64, u64)>::default(), n, &records[..], &RunOptions::default())
+            .unwrap();
 
     // Verify against the sequential reference and std sort.
     let mut seq = records.clone();
@@ -43,13 +39,9 @@ fn main() {
         println!("  #{rank}: score {score}, id {id}");
     }
 
-    let (_, t_bit) = execute(
-        &BitonicSort::<(u64, u64)>::default(),
-        n,
-        &records[..],
-        &RunOptions::default(),
-    )
-    .unwrap();
+    let (_, t_bit) =
+        execute(&BitonicSort::<(u64, u64)>::default(), n, &records[..], &RunOptions::default())
+            .unwrap();
     println!("\ncommunication on a 64-node mesh vs the bitonic baseline:");
     let mesh = machines::mesh2d(64);
     println!("  columnsort D = {:.0}", t_col.comm_time(&mesh));

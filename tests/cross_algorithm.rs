@@ -15,7 +15,9 @@ use network_oblivious::algos::sort::{BitonicSort, ColumnSort};
 use network_oblivious::algos::stencil::{
     stencil_reference, DiamondStencil, NaiveStencil, WrapSumOp,
 };
-use network_oblivious::algos::stencil2::{stencil2_reference, NaiveStencil2, OctaStencil, WrapSum2Op};
+use network_oblivious::algos::stencil2::{
+    stencil2_reference, NaiveStencil2, OctaStencil, WrapSum2Op,
+};
 use network_oblivious::machine::{execute, execute_folded, NobAlgorithm, RunOptions};
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
@@ -140,8 +142,7 @@ fn stencils_agree_and_fold() {
             .unwrap();
     assert_eq!(got, want);
     let (got, _) =
-        execute(&NaiveStencil::<WrapSumOp>::default(), n, &xs[..], &RunOptions::default())
-            .unwrap();
+        execute(&NaiveStencil::<WrapSumOp>::default(), n, &xs[..], &RunOptions::default()).unwrap();
     assert_eq!(got, want);
     folding_invariant(&DiamondStencil::<WrapSumOp>::default(), n, &xs[..]);
 

@@ -52,10 +52,7 @@ where
         ("sharded planned", RunOptions { workers: Some(2), ..RunOptions::with_log() }),
         ("sharded planned", RunOptions { workers: Some(4), ..RunOptions::with_log() }),
         ("sharded planned", RunOptions { workers: Some(8), ..RunOptions::with_log() }),
-        (
-            "serial fuse-off",
-            RunOptions { workers: Some(1), fuse: false, ..RunOptions::with_log() },
-        ),
+        ("serial fuse-off", RunOptions { workers: Some(1), fuse: false, ..RunOptions::with_log() }),
         (
             "sharded fuse-off",
             RunOptions { workers: Some(4), fuse: false, ..RunOptions::with_log() },
@@ -73,10 +70,7 @@ where
         let sharded = run(&prog, states.clone(), &opts).unwrap();
         assert_eq!(sharded.states, plan_on.states, "{what} states at {w} workers, n = {n}");
         assert_eq!(sharded.trace, plan_on.trace, "{what} trace at {w} workers, n = {n}");
-        assert_eq!(
-            sharded.message_log, plan_on.message_log,
-            "{what} log at {w} workers, n = {n}"
-        );
+        assert_eq!(sharded.message_log, plan_on.message_log, "{what} log at {w} workers, n = {n}");
     }
     for &p in ps {
         if p > prog.v() {
@@ -117,10 +111,7 @@ where
             sharded_folded.states, folded.states,
             "sharded folded states at p = {p}, n = {n}"
         );
-        assert_eq!(
-            sharded_folded.trace, folded.trace,
-            "sharded folded trace at p = {p}, n = {n}"
-        );
+        assert_eq!(sharded_folded.trace, folded.trace, "sharded folded trace at p = {p}, n = {n}");
         // Fusion changes cost, never results — folded, serial and sharded.
         for w in [1usize, 4] {
             let unfused = run_folded(
@@ -267,9 +258,15 @@ fn declared_dummies_land_at_their_slot_positions_on_every_path() {
             }
         });
     }
-    prog.step_oblivious(0, "record", 0, |_: &Ctx, _| Route::End, |st, _, inbox, _| {
-        st.extend(inbox.drain(..));
-    });
+    prog.step_oblivious(
+        0,
+        "record",
+        0,
+        |_: &Ctx, _| Route::End,
+        |st, _, inbox, _| {
+            st.extend(inbox.drain(..));
+        },
+    );
     let states = vec![Vec::new(); v];
     let logged = RunOptions::with_log();
     let want = run_reference(&prog, states.clone(), &logged).unwrap();
@@ -329,9 +326,15 @@ fn inbox_order_is_ascending_source_then_send_order_on_every_path() {
             }
         });
     }
-    prog.step_oblivious(0, "record", 0, |_: &Ctx, _| Route::End, |st, _, inbox, _| {
-        st.extend(inbox.drain(..));
-    });
+    prog.step_oblivious(
+        0,
+        "record",
+        0,
+        |_: &Ctx, _| Route::End,
+        |st, _, inbox, _| {
+            st.extend(inbox.drain(..));
+        },
+    );
     let want_0 = [(0, 2), (1, 0), (1, 3), (11, 1)];
     let want_5 = [(0, 1), (4, 0), (4, 3), (5, 2)];
     let states = vec![Vec::new(); v];

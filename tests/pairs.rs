@@ -205,7 +205,11 @@ fn cuts_count_each_sides_runs_below_and_at_or_above() {
     let root = sandbox("cut_unknown", names, [&PARENT, &CHANGE]);
     let out = pairs(&root, names, &["--pairs", "2", "--cut", "setup_ms=1", "w"]);
     assert_eq!(out.status.code(), Some(1), "{}", text(&out.stdout));
-    assert!(text(&out.stderr).contains("--cut setup_ms=1: no such metric"), "{}", text(&out.stderr));
+    assert!(
+        text(&out.stderr).contains("--cut setup_ms=1: no such metric"),
+        "{}",
+        text(&out.stderr)
+    );
     let out = pairs(&root, names, &["--cut", "setup_s", "w"]);
     assert_eq!(out.status.code(), Some(2), "{}", text(&out.stderr));
 }

@@ -5,8 +5,8 @@ use network_oblivious::algos::broadcast::ObliviousBroadcast;
 use network_oblivious::algos::sort::ColumnSort;
 use network_oblivious::core::theorem::thm_5_3_factor;
 use network_oblivious::core::{fullness, machines};
-use network_oblivious::machine::protocol::ascend_descend;
 use network_oblivious::machine::execute_with_log;
+use network_oblivious::machine::protocol::ascend_descend;
 
 #[test]
 fn protocol_preserves_label_structure() {
@@ -14,8 +14,7 @@ fn protocol_preserves_label_structure() {
     // works inside the original cluster) and < log p.
     let n = 256usize;
     let keys: Vec<u64> = (0..n as u64).map(|k| k ^ 0x5a).collect();
-    let (_, trace, log) =
-        execute_with_log(&ColumnSort::<u64>::default(), n, &keys[..]).unwrap();
+    let (_, trace, log) = execute_with_log(&ColumnSort::<u64>::default(), n, &keys[..]).unwrap();
     for p in [4usize, 16, 64] {
         let rewritten = ascend_descend(&trace, &log, p);
         let log_p = p.trailing_zeros();
@@ -34,8 +33,7 @@ fn protocol_cost_stays_within_thm_5_3() {
     // measured blow-up of H against that envelope (constant 8).
     let n = 256usize;
     let keys: Vec<u64> = (0..n as u64).map(|k| k.wrapping_mul(0x2545_f491)).collect();
-    let (_, trace, log) =
-        execute_with_log(&ColumnSort::<u64>::default(), n, &keys[..]).unwrap();
+    let (_, trace, log) = execute_with_log(&ColumnSort::<u64>::default(), n, &keys[..]).unwrap();
     let p = 16usize;
     let gamma = fullness::gamma_max(&trace, p).gamma.min(1.0);
     assert!(gamma > 0.0);

@@ -73,9 +73,10 @@ fn reports_text_and_the_largest_movers_by_symbol() {
         assert_eq!((f[1], f[2], f[3]), ("0", "->", f[0].trim_start_matches('+')), "{row}");
         assert!(delta <= last, "movers are sorted by size: {report}");
         last = delta;
-        let hashed = row.rsplit("::h").next().is_some_and(|h| {
-            h.len() == 16 && h.bytes().all(|b| b.is_ascii_hexdigit())
-        });
+        let hashed = row
+            .rsplit("::h")
+            .next()
+            .is_some_and(|h| h.len() == 16 && h.bytes().all(|b| b.is_ascii_hexdigit()));
         assert!(!hashed, "hash suffix left on `{row}`");
     }
 }
