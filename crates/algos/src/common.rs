@@ -1,24 +1,10 @@
 //! Layout helpers shared by the algorithm implementations.
 
-use nob_machine::{Ctx, Outbox};
+use nob_machine::{Ctx, Route};
 
-/// Emits the paper's wiseness dummy messages for a superstep with the given
-/// label: VP `j` sends `count` dummy messages to VP `j + v/2^{label+1}`, for
-/// every `j < v/2^{label+1}` (Section 4.1: the device that makes the
-/// algorithms `(Θ(1), v)`-wise without changing their asymptotic costs).
-/// For undeclared steps only: a declared step states its dummies in its
-/// route ([`nob_machine::InCluster`]'s dummy count) and the engine emits them.
-#[inline]
-pub fn wiseness_dummies<M>(ctx: &Ctx, label: u32, count: u64, out: &mut Outbox<M>) {
-    let span = ctx.v >> (label + 1);
-    if span == 0 {
-        return;
-    }
-    if ctx.vp < span {
-        for _ in 0..count {
-            out.send_dummy(ctx.vp + span);
-        }
-    }
+/// The route of a step that sends nothing.
+pub(crate) fn silent(_: &Ctx, _: usize) -> Route {
+    Route::Skip
 }
 
 /// Interleaves the bits of `(i, j)` into a Morton (Z-order) index: bit `b` of

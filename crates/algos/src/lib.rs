@@ -20,8 +20,13 @@
 //!   blocks used by the bigger algorithms and the ascend–descend protocol;
 //! * [`semiring`] — the algebraic substrate for MM (numeric, Boolean,
 //!   tropical);
-//! * [`common`] — layout helpers (Morton order, wiseness dummies, bit
-//!   reversal) shared across algorithms.
+//! * [`common`] — layout helpers (Morton order, bit reversal) shared
+//!   across algorithms.
+//!
+//! Every algorithm but [`stencil::DiamondStencil`] and
+//! [`stencil2::OctaStencil`] declares the route of every step, so its
+//! program is fully planned when built, and each of its messages is a bare
+//! value named by its inbox position.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,10 +13,10 @@
 //! `σ√n` vs `σ·log p` latency), which is exactly the gap Cor 4.3 measures
 //! on D-BSP.
 
-use super::MmInput;
+use super::{operands, MmInput};
 use crate::common::{morton_decode, morton_encode};
 use crate::semiring::{Matrix, Semiring};
-use nob_machine::{Ctx, Inbox, NobAlgorithm, Program, Route};
+use nob_machine::{Ctx, NobAlgorithm, Program, Route};
 use std::marker::PhantomData;
 
 /// Per-VP state: the resident entries (values travel; coordinates are
@@ -26,15 +26,6 @@ pub struct CannonState<V> {
     a: V,
     b: V,
     c: V,
-}
-
-/// Message payload: a travelling operand value.
-#[derive(Debug, Clone)]
-pub enum CannonMsg<V> {
-    /// A value of the left operand moving left along its row.
-    A(V),
-    /// A value of the right operand moving up along its column.
-    B(V),
 }
 
 /// Cannon's algorithm (flat baseline). Supports every `n = 4^m ≥ 4`.
@@ -56,18 +47,9 @@ impl<V> CannonMm<V> {
     }
 }
 
-fn ingest<V>(st: &mut CannonState<V>, inbox: &mut Inbox<'_, CannonMsg<V>>) {
-    for msg in inbox.drain(..) {
-        match msg {
-            CannonMsg::A(v) => st.a = v,
-            CannonMsg::B(v) => st.b = v,
-        }
-    }
-}
-
 impl<V: Semiring> NobAlgorithm for CannonMm<V> {
     type State = CannonState<V>;
-    type Msg = CannonMsg<V>;
+    type Msg = V;
     type Input = MmInput<V>;
     type Output = Matrix<V>;
 
@@ -94,7 +76,7 @@ impl<V: Semiring> NobAlgorithm for CannonMm<V> {
             .collect()
     }
 
-    fn build(&self, n: usize) -> Program<CannonState<V>, CannonMsg<V>> {
+    fn build(&self, n: usize) -> Program<CannonState<V>, V> {
         assert!(Self::supports(n), "CannonMm supports n = 4^m, got {n}");
         let s = 1usize << (n.trailing_zeros() / 2);
         let mut prog = Program::new(n, n);
@@ -115,8 +97,8 @@ impl<V: Semiring> NobAlgorithm for CannonMm<V> {
                 }
             },
             move |st: &mut CannonState<V>, _ctx, _inbox, out| {
-                out.send(CannonMsg::A(st.a.clone()));
-                out.send(CannonMsg::B(st.b.clone()));
+                out.send(st.a.clone());
+                out.send(st.b.clone());
             },
         );
 
@@ -135,12 +117,19 @@ impl<V: Semiring> NobAlgorithm for CannonMm<V> {
                         Route::Data(morton_encode((i + s - 1) % s, j))
                     }
                 },
-                move |st, _ctx, inbox, out| {
-                    ingest(st, inbox);
+                move |st, ctx, inbox, out| {
+                    // The first round takes in the skew: A[i,j] came from
+                    // (i, j+i), B[i,j] from (i+j, j); every later round the
+                    // shift from (i, j+1) and (i+1, j).
+                    let (i, j) = morton_decode(ctx.vp);
+                    let (di, dj) = if q == 0 { (j, i) } else { (1, 1) };
+                    let a_from = morton_encode(i, (j + dj) % s);
+                    let b_from = morton_encode((i + di) % s, j);
+                    (st.a, st.b) = operands(inbox, a_from, b_from);
                     st.c = st.c.add(&st.a.mul(&st.b));
                     if shifts {
-                        out.send(CannonMsg::A(st.a.clone()));
-                        out.send(CannonMsg::B(st.b.clone()));
+                        out.send(st.a.clone());
+                        out.send(st.b.clone());
                     }
                 },
             );

@@ -17,12 +17,20 @@
 //!
 //! Inputs and outputs are distributed one entry per VP, as the paper
 //! prescribes ("no entry initially replicated"; the layout itself is free).
+//!
+//! All three declare every step's route
+//! ([`nob_machine::Program::step_oblivious`]), and their messages are bare
+//! semiring values. An arrival is named by its inbox position: the engine
+//! delivers by ascending source VP, then send order, on every path, and
+//! who sends to whom depends on `n` alone, so a receiver works out each
+//! sender from its own VP index.
 
 pub mod cannon;
 pub mod space;
 pub mod standard;
 
 use crate::semiring::{Matrix, Semiring};
+use nob_machine::Inbox;
 
 /// Input of the n-MM problem: the operand matrices.
 #[derive(Debug, Clone)]
@@ -46,36 +54,41 @@ impl<V: Semiring> MmInput<V> {
     }
 }
 
-/// Message payload of [`space::SpaceEfficientMm`]: an operand entry in
-/// flight, tagged with its matrix and global coordinates. Both operands
-/// reach a VP in one inbox, so the tag tells them apart, and each entry
-/// carries its coordinates along as it moves.
+/// The two operand entries that reach a VP in one inbox, as `(A, B)`.
 ///
-/// Coordinates travel as `u16`, which makes a message 16 bytes instead of 24
-/// for every 8-byte semiring (a third off both of that algorithm's mailbox
-/// arenas): a matrix side is `√n`, so they fit for every `n ≤ 2^32` — no
-/// tighter than the engine's own `u32` VP ids, since it runs on `v = n`. Its
-/// builder asserts it. ([`standard::RecursiveMm`] needs neither tag nor
-/// coordinates: it sends bare values and names an entry by its inbox
-/// position.)
-#[derive(Debug, Clone)]
-pub enum MmMsg<V> {
-    /// An entry of the left operand.
-    A(u16, u16, V),
-    /// An entry of the right operand.
-    B(u16, u16, V),
+/// A message of [`space::SpaceEfficientMm`] and [`cannon::CannonMm`] is the
+/// bare semiring value, as in [`standard::RecursiveMm`]: no tag says which
+/// operand it holds and no coordinates say where it belongs, because each
+/// step's route names its endpoints and they depend on `n` alone. The
+/// engine delivers by ascending source VP, then send order
+/// ([`nob_machine::Inbox`]), and every sender sends its entry of `A`
+/// before its entry of `B`. So a receiver that knows from its own VP index
+/// that its `A` entry comes from `a_from` and its `B` entry from `b_from`
+/// reads the `A` entry first exactly when `a_from ≤ b_from`; the two
+/// coincide only where the sender is the receiver itself, and then slot
+/// order puts `A` first.
+fn operands<V>(inbox: &mut Inbox<'_, V>, a_from: usize, b_from: usize) -> (V, V) {
+    let mut arrivals = inbox.drain(..);
+    let (Some(first), Some(second)) = (arrivals.next(), arrivals.next()) else {
+        unreachable!("one entry of each operand per VP")
+    };
+    if a_from <= b_from {
+        (first, second)
+    } else {
+        (second, first)
+    }
 }
-
-/// Largest `n` whose matrix coordinates fit [`MmMsg`]'s `u16` fields.
-const MAX_N: u64 = 1 << 32;
 
 #[cfg(test)]
 mod tests {
-    use super::MmMsg;
+    use super::cannon::CannonMm;
+    use super::space::SpaceEfficientMm;
     use crate::semiring::WrapU64;
+    use nob_machine::NobAlgorithm;
 
     #[test]
-    fn message_is_16_bytes_for_an_8_byte_semiring() {
-        assert_eq!(std::mem::size_of::<MmMsg<WrapU64>>(), 16);
+    fn messages_are_bare_values() {
+        assert_eq!(std::mem::size_of::<<SpaceEfficientMm<WrapU64> as NobAlgorithm>::Msg>(), 8);
+        assert_eq!(std::mem::size_of::<<CannonMm<WrapU64> as NobAlgorithm>::Msg>(), 8);
     }
 }

@@ -14,18 +14,25 @@
 //! among algorithms with `O(n/v)` memory per processing element
 //! (Irony–Toledo–Tiskin), at the price of a larger bandwidth term than the
 //! 8-way algorithm's `n/p^{2/3}`.
+//!
+//! Every step is declared: its route is stated for one segment of its level
+//! ([`nob_machine::InCluster`]), two payload slots per VP (the entry of `A`,
+//! then the entry of `B`) and, when `wise`, one wiseness dummy. A message is
+//! the bare entry. A receiver knows from its own offset where each of its
+//! two entries comes from, because each quadrant map is an involution, and
+//! reads them off its inbox in delivery order (see [`super`]).
 
-use super::{MmInput, MmMsg};
-use crate::common::{morton_decode, wiseness_dummies};
+use super::{operands, MmInput};
+use crate::common::{morton_decode, silent};
 use crate::semiring::{Matrix, Semiring};
-use nob_machine::{Ctx, Inbox, NobAlgorithm, Outbox, Program};
+use nob_machine::{InCluster, Inbox, NobAlgorithm, Program, Route};
 use std::marker::PhantomData;
 
 /// Per-VP state: exactly one entry of each matrix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpaceMmState<V> {
-    a: (u32, u32, V),
-    b: (u32, u32, V),
+    a: V,
+    b: V,
     c: V,
 }
 
@@ -55,88 +62,101 @@ impl<V> SpaceEfficientMm<V> {
     }
 }
 
-/// Sends this VP's operand entries through the round-`r` quadrant permutation
-/// at recursion level `t` (and, because the permutation is an involution, also
-/// back home).
-fn send_permuted<V: Semiring>(
-    st: &SpaceMmState<V>,
-    ctx: &Ctx,
-    t: usize,
+/// The quadrant permutation of round `r` on the segments of one level,
+/// each of four quarters of `2^lg_child` VPs.
+#[derive(Debug, Clone, Copy)]
+struct Round {
+    lg_child: u32,
     r: usize,
-    out: &mut Outbox<MmMsg<V>>,
-) {
-    let seg_size = ctx.v >> (2 * t); // level-t segment size n/4^t
-    let child = seg_size / 4;
-    let seg_base = ctx.vp - ctx.vp % seg_size;
-    let digit = (ctx.vp - seg_base) / child;
-    let off = (ctx.vp - seg_base) % child;
-    let (hi, lo) = (digit >> 1, digit & 1);
-    // A_{h,k} at digit (h,k) is needed by segment (h, k⊕h⊕r).
-    let a_dst = seg_base + ((hi << 1) | (lo ^ hi ^ r)) * child + off;
-    // B_{x,k} at digit (x,k) is needed by segment (x⊕k⊕r, k).
-    let b_dst = seg_base + (((hi ^ lo ^ r) << 1) | lo) * child + off;
-    let (ai, aj, av) = &st.a;
-    let (bi, bj, bv) = &st.b;
-    out.send(a_dst, MmMsg::A(*ai as u16, *aj as u16, av.clone()));
-    out.send(b_dst, MmMsg::B(*bi as u16, *bj as u16, bv.clone()));
 }
 
-/// Replaces the held operand entries with the ones that just arrived.
-fn ingest<V: Semiring>(st: &mut SpaceMmState<V>, inbox: &mut Inbox<'_, MmMsg<V>>) {
-    for msg in inbox.drain(..) {
-        match msg {
-            MmMsg::A(i, j, v) => st.a = (i.into(), j.into(), v),
-            MmMsg::B(i, j, v) => st.b = (i.into(), j.into(), v),
-        }
+impl Round {
+    /// The segment size, the cluster of the level's steps.
+    fn seg(self) -> usize {
+        4 << self.lg_child
+    }
+
+    /// Where the round sends the entry of `A` (`k = 0`) or of `B` (`k = 1`)
+    /// held at offset `off` of its segment, as an offset in that segment:
+    /// `A_{h,k}` at digit `(h,k)` is needed by quarter `(h, k⊕h⊕r)`, and
+    /// `B_{x,k}` at digit `(x,k)` by quarter `(x⊕k⊕r, k)`, at the same
+    /// offset in the quarter. Both maps are involutions, so the same round
+    /// moves data out and back.
+    fn dst(self, off: usize, k: usize) -> usize {
+        let digit = off >> self.lg_child;
+        let (hi, lo) = (digit >> 1, digit & 1);
+        let to = if k == 0 { hi << 1 | (lo ^ hi ^ self.r) } else { (hi ^ lo ^ self.r) << 1 | lo };
+        to << self.lg_child | off & ((1 << self.lg_child) - 1)
     }
 }
 
-/// Emits the superstep schedule for level `t` segments (size `n/4^t`).
-fn emit<V: Semiring>(
-    prog: &mut Program<SpaceMmState<V>, MmMsg<V>>,
-    n: usize,
-    t: usize,
-    wise: bool,
+/// Replaces the held operand entries with the ones the round `from` sent
+/// here, if any. As its maps are involutions, this VP's entry of `A` comes
+/// from the VP it would send its own `A` entry to, and likewise for `B`.
+fn ingest<V>(st: &mut SpaceMmState<V>, vp: usize, inbox: &mut Inbox<'_, V>, from: Option<Round>) {
+    let Some(from) = from else { return };
+    let off = vp & (from.seg() - 1);
+    (st.a, st.b) = operands(inbox, from.dst(off, 0), from.dst(off, 1));
+}
+
+/// Emits one superstep of `round` at `label`: it takes in what the previous
+/// step, `*from`, sent, multiplies its resident pair if `multiply`, and
+/// sends both operand entries through the round's permutation, then its
+/// wiseness dummies.
+fn permute<V: Semiring>(
+    prog: &mut Program<SpaceMmState<V>, V>,
+    name: &'static str,
+    label: u32,
+    round: Round,
+    dummies: usize,
+    from: &mut Option<Round>,
+    multiply: bool,
 ) {
-    let child = (n >> (2 * t)) / 4;
+    let prev = from.replace(round);
+    let route =
+        InCluster::new(round.seg(), 2, dummies, move |off, k| Route::Data(round.dst(off, k)));
+    prog.step_oblivious(label, name, 2 + dummies, route, move |st, ctx, inbox, out| {
+        ingest(st, ctx.vp, inbox, prev);
+        if multiply {
+            st.c = st.c.add(&st.a.mul(&st.b));
+        }
+        out.send(st.a.clone());
+        out.send(st.b.clone());
+    });
+}
+
+/// Emits the superstep schedule for level `t` segments (size `n/4^t`),
+/// whose first step takes in what `*from` sent; leaves its last step in
+/// `*from`.
+fn emit<V: Semiring>(
+    prog: &mut Program<SpaceMmState<V>, V>,
+    n: usize,
+    t: u32,
+    wise: bool,
+    from: &mut Option<Round>,
+) {
+    let label = 2 * t;
+    let lg_child = n.trailing_zeros() - label - 2;
+    let dummies = usize::from(wise);
     for r in 0..2usize {
-        let label = (2 * t) as u32;
+        let round = Round { lg_child, r };
         // Move out: route the operand quadrants for round r.
-        prog.step(label, "smm-move", move |st, ctx, inbox, out| {
-            ingest(st, inbox);
-            send_permuted(st, ctx, t, r, out);
-            if wise {
-                wiseness_dummies(ctx, label, 1, out);
-            }
-        });
-        if child == 1 {
+        permute(prog, "smm-move", label, round, dummies, from, false);
+        if lg_child == 0 {
             // Base: the single-VP segment multiplies and sends the operands
             // straight back (same involutive permutation).
-            prog.step(label, "smm-base", move |st, ctx, inbox, out| {
-                ingest(st, inbox);
-                st.c = st.c.add(&st.a.2.mul(&st.b.2));
-                send_permuted(st, ctx, t, r, out);
-                if wise {
-                    wiseness_dummies(ctx, label, 1, out);
-                }
-            });
+            permute(prog, "smm-base", label, round, dummies, from, true);
         } else {
-            emit(prog, n, t + 1, wise);
+            emit(prog, n, t + 1, wise, from);
             // Move back: restore canonical layout for the next round/level.
-            prog.step(label, "smm-restore", move |st, ctx, inbox, out| {
-                ingest(st, inbox);
-                send_permuted(st, ctx, t, r, out);
-                if wise {
-                    wiseness_dummies(ctx, label, 1, out);
-                }
-            });
+            permute(prog, "smm-restore", label, round, dummies, from, false);
         }
     }
 }
 
 impl<V: Semiring> NobAlgorithm for SpaceEfficientMm<V> {
     type State = SpaceMmState<V>;
-    type Msg = MmMsg<V>;
+    type Msg = V;
     type Input = MmInput<V>;
     type Output = Matrix<V>;
 
@@ -155,23 +175,23 @@ impl<V: Semiring> NobAlgorithm for SpaceEfficientMm<V> {
             .map(|vp| {
                 let (i, j) = morton_decode(vp);
                 SpaceMmState {
-                    a: (i as u32, j as u32, input.a.get(i, j).clone()),
-                    b: (i as u32, j as u32, input.b.get(i, j).clone()),
+                    a: input.a.get(i, j).clone(),
+                    b: input.b.get(i, j).clone(),
                     c: V::zero(),
                 }
             })
             .collect()
     }
 
-    fn build(&self, n: usize) -> Program<SpaceMmState<V>, MmMsg<V>> {
+    fn build(&self, n: usize) -> Program<SpaceMmState<V>, V> {
         assert!(Self::supports(n), "SpaceEfficientMm supports n = 4^m, got {n}");
-        assert!(n as u64 <= super::MAX_N, "MmMsg coordinates are u16: n = {n} > 2^32");
         let mut prog = Program::new(n, n);
         let log_v = prog.log_v();
-        emit(&mut prog, n, 0, self.wise);
+        let mut from = None;
+        emit(&mut prog, n, 0, self.wise, &mut from);
         // Consume the final restore messages.
-        prog.step(log_v - 1, "smm-finalize", |st, _ctx, inbox, _out| {
-            ingest(st, inbox);
+        prog.step_oblivious(log_v - 1, "smm-finalize", 0, silent, move |st, ctx, inbox, _| {
+            ingest(st, ctx.vp, inbox, from)
         });
         prog
     }

@@ -7,8 +7,16 @@
 //! cost of [`TreeScan`]), and transposition is the data movement at the heart
 //! of the FFT and sorting algorithms. They double as small, readable examples
 //! of the programming model.
+//!
+//! Every step declares its route ([`Program::step_oblivious`]). A tree step
+//! has one sender per cluster of its level, so it is stated for one cluster
+//! ([`InCluster`]). The one exception is the scan's down-sweep, whose
+//! senders are the right edges of every block but the first; its route is
+//! a closure over the VP index. Each VP receives at most one message per
+//! step, so no message needs to say where it came from.
 
-use nob_machine::{Inbox, NobAlgorithm, Program};
+use crate::common::silent;
+use nob_machine::{Ctx, InCluster, NobAlgorithm, Program, Route};
 
 /// A binary associative combiner used by [`TreeReduce`] and [`TreeScan`].
 /// Function pointers keep the algorithm objects cheap to clone and the
@@ -47,21 +55,22 @@ impl<T: Clone + Send + Sync + Default + 'static> NobAlgorithm for TreeReduce<T> 
         let mut prog = Program::new(n, n);
         let log_v = prog.log_v();
         let op = self.op;
-        // Round t combines blocks of size 2^t: the right half-leader sends
-        // its partial to the block leader. Labels walk outward with t.
+        // Round t combines blocks of size 2^t, the step's clusters: the
+        // right half-leader sends its partial to the block leader. Labels
+        // walk outward with t.
         for t in 1..=log_v {
-            let label = log_v - t;
             let half = 1usize << (t - 1);
-            prog.step(label, "reduce-up", move |st, ctx, inbox, out| {
+            let route = one_sender(2 * half, half, 0);
+            prog.step_oblivious(log_v - t, "reduce-up", 1, route, move |st, ctx, inbox, out| {
                 for m in inbox.drain(..) {
                     *st = op(st, &m);
                 }
                 if ctx.vp % (half * 2) == half {
-                    out.send(ctx.vp - half, st.clone());
+                    out.send(st.clone());
                 }
             });
         }
-        prog.step(0, "reduce-finalize", move |st, _ctx, inbox, _out| {
+        prog.step_oblivious(0, "reduce-finalize", 0, silent, move |st, _, inbox, _| {
             for m in inbox.drain(..) {
                 *st = op(st, &m);
             }
@@ -75,7 +84,7 @@ impl<T: Clone + Send + Sync + Default + 'static> NobAlgorithm for TreeReduce<T> 
 }
 
 /// Scan VP state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScanState<T> {
     /// The VP's original element.
     own: T,
@@ -126,38 +135,45 @@ impl<T: Clone + Send + Sync + Default + 'static> NobAlgorithm for TreeScan<T> {
     }
 
     fn build(&self, n: usize) -> Program<ScanState<T>, T> {
-        let mut prog = Program::new(n, n);
+        let mut prog: Program<ScanState<T>, T> = Program::new(n, n);
         let log_v = prog.log_v();
         let op = self.op;
 
         // Up-sweep: round t, the right edge of each left half (r ≡ 2^{t−1}−1
-        // mod 2^t) sends its subtree total to the block's right edge.
+        // mod 2^t) sends its subtree total to the right edge of its 2^t
+        // block, the step's cluster.
         for t in 1..=log_v {
-            let label = log_v - t;
             let half = 1usize << (t - 1);
-            prog.step(
-                label,
-                "scan-up",
-                move |st: &mut ScanState<T>, _ctx, inbox: &mut Inbox<T>, out| {
-                    for m in inbox.drain(..) {
-                        st.lefts.push(m.clone());
-                        st.subtree = op(&m, &st.subtree);
-                    }
-                    if _ctx.vp % (half * 2) == half - 1 {
-                        out.send(_ctx.vp + half, st.subtree.clone());
-                    }
-                },
-            );
+            let route = one_sender(2 * half, half - 1, 2 * half - 1);
+            prog.step_oblivious(log_v - t, "scan-up", 1, route, move |st, ctx, inbox, out| {
+                for m in inbox.drain(..) {
+                    st.lefts.push(m.clone());
+                    st.subtree = op(&m, &st.subtree);
+                }
+                if ctx.vp % (half * 2) == half - 1 {
+                    out.send(st.subtree.clone());
+                }
+            });
         }
 
         // Down-sweep: round t, the right edge of each 2^t block knows its
         // block's exclusive prefix; it forwards that prefix to its left
-        // child's right edge and absorbs the left-half total itself.
+        // child's right edge and absorbs the left-half total itself. Only
+        // the first block's prefix is empty, so the senders are the right
+        // edges of every block but the first: the route differs from one
+        // cluster to the next, so it is stated per VP.
         for t in (1..=log_v).rev() {
-            let label = log_v - t;
             let half = 1usize << (t - 1);
+            let block = half * 2;
             let is_turnaround = t == log_v;
-            prog.step(label, "scan-down", move |st, ctx, inbox, out| {
+            let route = move |ctx: &Ctx, _| {
+                if ctx.vp % block == block - 1 && ctx.vp >= block {
+                    Route::Data(ctx.vp - half)
+                } else {
+                    Route::End
+                }
+            };
+            prog.step_oblivious(log_v - t, "scan-down", 1, route, move |st, ctx, inbox, out| {
                 if is_turnaround {
                     // Last up-sweep message arrives here (root only).
                     for m in inbox.drain(..) {
@@ -167,11 +183,10 @@ impl<T: Clone + Send + Sync + Default + 'static> NobAlgorithm for TreeScan<T> {
                 } else if let Some(m) = inbox.pop() {
                     st.prefix = Some(m);
                 }
-                let block = half * 2;
                 if ctx.vp % block == block - 1 {
                     let left_sum = st.lefts.pop().expect("up-sweep left-half total");
                     if let Some(p) = &st.prefix {
-                        out.send(ctx.vp - half, p.clone());
+                        out.send(p.clone());
                     }
                     st.prefix = Some(match &st.prefix {
                         None => left_sum,
@@ -180,7 +195,7 @@ impl<T: Clone + Send + Sync + Default + 'static> NobAlgorithm for TreeScan<T> {
                 }
             });
         }
-        prog.step(log_v - 1, "scan-finalize", |st, _ctx, inbox, _out| {
+        prog.step_oblivious(log_v - 1, "scan-finalize", 0, silent, |st, _, inbox, _| {
             if let Some(m) = inbox.pop() {
                 st.prefix = Some(m);
             }
@@ -222,22 +237,18 @@ impl NobAlgorithm for MatrixTranspose {
 
     fn init(&self, n: usize, input: &[f64]) -> Vec<f64> {
         assert_eq!(input.len(), n);
-        assert!(
-            n.is_power_of_two() && n.trailing_zeros().is_multiple_of(2),
-            "n must be an even power of 2"
-        );
+        assert_square(n);
         input.to_vec()
     }
 
     fn build(&self, n: usize) -> Program<f64, f64> {
+        assert_square(n);
         let s = 1usize << (n.trailing_zeros() / 2);
         let mut prog = Program::new(n, n);
         let log_v = prog.log_v();
-        prog.step(0, "transpose-send", move |st, ctx, _inbox, out| {
-            let (i, j) = (ctx.vp / s, ctx.vp % s);
-            out.send(j * s + i, *st);
-        });
-        prog.step(log_v - 1, "transpose-recv", |st, _ctx, inbox, _out| {
+        let route = move |ctx: &Ctx, _| Route::Data((ctx.vp % s) * s + ctx.vp / s);
+        prog.step_oblivious(0, "transpose-send", 1, route, |st, _, _, out| out.send(*st));
+        prog.step_oblivious(log_v - 1, "transpose-recv", 0, silent, |st, _, inbox, _| {
             *st = inbox.pop().expect("transposed entry");
         });
         prog
@@ -246,6 +257,21 @@ impl NobAlgorithm for MatrixTranspose {
     fn extract(&self, _n: usize, states: Vec<f64>) -> Vec<f64> {
         states
     }
+}
+
+/// The route of a tree step on clusters of `c` VPs: the VP at offset
+/// `from` of each cluster sends one payload to the one at offset `to`.
+fn one_sender(c: usize, from: usize, to: usize) -> InCluster<impl Fn(usize, usize) -> Route> {
+    InCluster::new(c, 1, 0, move |off, _| if off == from { Route::Data(to) } else { Route::End })
+}
+
+/// Panics unless `n` is an even power of two, so that the `n` entries form
+/// a square matrix: on any other size the transpose is no permutation.
+fn assert_square(n: usize) {
+    assert!(
+        n.is_power_of_two() && n.trailing_zeros().is_multiple_of(2),
+        "n must be an even power of 2"
+    );
 }
 
 #[cfg(test)]
@@ -323,6 +349,14 @@ mod tests {
             let lp = nob_core::model::paper_log2(p as f64);
             assert!(h <= 2.0 * lp + 1.0, "H({p}) = {h}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "n must be an even power of 2")]
+    fn transpose_build_rejects_a_size_init_rejects() {
+        // At n = 8 the "transpose" would send two entries each to VPs 2
+        // and 3 and none to VPs 6 and 7.
+        MatrixTranspose.build(8);
     }
 
     #[test]

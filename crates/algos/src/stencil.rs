@@ -36,10 +36,16 @@
 //! only O(1) halo values per VP; metrics are unaffected).
 //!
 //! Plan coverage: [`NaiveStencil`]'s halo exchange is a fixed shift and
-//! declares an oblivious route (planned execution); the diamond algorithm's
-//! distribution/up-propagation supersteps derive their sends by iterating
-//! the per-VP value store, whose order is delivery-history-dependent, so
-//! they stay on the engine's dynamic path.
+//! declares its route (planned execution). Its messages are bare cell
+//! values: a VP's arrivals come by ascending source VP, its left
+//! neighbour's value before its right one's, so the inbox position names
+//! the neighbour. The diamond algorithm's three undeclared steps,
+//! `stencil-upprop`, `stencil-row` and `stencil-distribute`, derive their
+//! sends by iterating the per-VP value store, whose order depends on the
+//! delivery history. They run on the engine's dynamic path, or planned
+//! once `Program::capture_plans` has recorded them. With the three of
+//! [`crate::stencil2::OctaStencil`], they are the only shipped steps that
+//! need capture.
 
 use nob_machine::{Ctx, Inbox, NobAlgorithm, Outbox, Program, Route};
 use std::collections::BTreeMap;
@@ -567,20 +573,15 @@ pub struct NaiveStencil<O> {
     _marker: std::marker::PhantomData<O>,
 }
 
-/// Naive VP state: current value plus the neighbour values of the last step.
-#[derive(Debug, Clone, Default)]
+/// Naive VP state: the current value of the VP's column.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NaiveState<V> {
     cur: V,
-    left: Option<V>,
-    right: Option<V>,
 }
-
-/// Neighbour value message: `(from_left, value)`.
-pub type NaiveMsg<V> = (bool, V);
 
 impl<O: StencilOp> NobAlgorithm for NaiveStencil<O> {
     type State = NaiveState<O::V>;
-    type Msg = NaiveMsg<O::V>;
+    type Msg = O::V;
     type Input = [O::V];
     type Output = Vec<O::V>;
 
@@ -595,10 +596,10 @@ impl<O: StencilOp> NobAlgorithm for NaiveStencil<O> {
     fn init(&self, n: usize, input: &[O::V]) -> Vec<NaiveState<O::V>> {
         assert!(n.is_power_of_two() && n >= 2);
         assert_eq!(input.len(), n);
-        input.iter().map(|v| NaiveState { cur: v.clone(), left: None, right: None }).collect()
+        input.iter().map(|v| NaiveState { cur: v.clone() }).collect()
     }
 
-    fn build(&self, n: usize) -> Program<NaiveState<O::V>, NaiveMsg<O::V>> {
+    fn build(&self, n: usize) -> Program<NaiveState<O::V>, O::V> {
         let mut prog = Program::new(n, n);
         for step in 0..n {
             // The halo exchange is the canonical fixed-shift pattern: every
@@ -623,24 +624,20 @@ impl<O: StencilOp> NobAlgorithm for NaiveStencil<O> {
                     }
                 },
                 move |st: &mut NaiveState<O::V>, ctx, inbox, out| {
-                    for (from_left, v) in inbox.drain(..) {
-                        if from_left {
-                            st.left = Some(v);
-                        } else {
-                            st.right = Some(v);
-                        }
-                    }
                     if step > 0 {
-                        st.cur = O::apply(st.left.as_ref(), Some(&st.cur), st.right.as_ref());
-                        st.left = None;
-                        st.right = None;
+                        // Arrivals by ascending source: the left neighbour's
+                        // value, if there is one, then the right one's.
+                        let mut arrivals = inbox.drain(..);
+                        let left = if ctx.vp > 0 { arrivals.next() } else { None };
+                        let right = arrivals.next();
+                        st.cur = O::apply(left.as_ref(), Some(&st.cur), right.as_ref());
                     }
                     if sends {
                         if ctx.vp > 0 {
-                            out.send((false, st.cur.clone()));
+                            out.send(st.cur.clone());
                         }
                         if ctx.vp + 1 < ctx.v {
-                            out.send((true, st.cur.clone()));
+                            out.send(st.cur.clone());
                         }
                     }
                 },

@@ -28,6 +28,18 @@
 //!
 //! [`NaiveStencil2`] is the time-stepping baseline (`n` label-0 supersteps,
 //! `H = Θ(n·(√(n²/p) + σ))`).
+//!
+//! Plan coverage: [`NaiveStencil2`]'s 9-point exchange declares its route
+//! (planned execution), and its messages are bare cell values: a VP's
+//! arrivals come by ascending source VP `x·n + y`, which is the order of
+//! the neighbours' offsets `(δx, δy)`, so the inbox position names the
+//! neighbour. The octahedron algorithm's three undeclared steps,
+//! `stencil2-upprop`, `stencil2-row` and `stencil2-distribute`, derive
+//! their sends by iterating the per-VP value store, whose order depends on
+//! the delivery history. They run on the engine's dynamic path, or planned
+//! once `Program::capture_plans` has recorded them. With the three of
+//! [`crate::stencil::DiamondStencil`], they are the only shipped steps that
+//! need capture.
 
 use nob_machine::{Ctx, Inbox, NobAlgorithm, Outbox, Program, Route};
 use std::collections::BTreeMap;
@@ -656,16 +668,15 @@ pub struct NaiveStencil2<O> {
     _marker: std::marker::PhantomData<O>,
 }
 
-/// Naive VP state: my value plus last-step neighbour values keyed by (δx, δy).
-#[derive(Debug, Clone, Default)]
+/// Naive VP state: the current value of the VP's cell.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Naive2State<V> {
     cur: V,
-    neigh: Vec<((i64, i64), V)>,
 }
 
 impl<O: Stencil2Op> NobAlgorithm for NaiveStencil2<O> {
     type State = Naive2State<O::V>;
-    type Msg = ((i64, i64), O::V);
+    type Msg = O::V;
     type Input = [O::V];
     type Output = Vec<O::V>;
 
@@ -679,10 +690,10 @@ impl<O: Stencil2Op> NobAlgorithm for NaiveStencil2<O> {
 
     fn init(&self, n: usize, input: &[O::V]) -> Vec<Naive2State<O::V>> {
         assert_eq!(input.len(), n * n);
-        input.iter().map(|v| Naive2State { cur: v.clone(), neigh: Vec::new() }).collect()
+        input.iter().map(|v| Naive2State { cur: v.clone() }).collect()
     }
 
-    fn build(&self, n: usize) -> Program<Naive2State<O::V>, ((i64, i64), O::V)> {
+    fn build(&self, n: usize) -> Program<Naive2State<O::V>, O::V> {
         let mut prog = Program::new(n * n, n);
         // The 8 neighbour offsets in (δx outer, δy inner) order: the route's
         // slots, and the body's sends to the neighbours that exist.
@@ -705,24 +716,24 @@ impl<O: Stencil2Op> NobAlgorithm for NaiveStencil2<O> {
                     }
                 },
                 move |st: &mut Naive2State<O::V>, ctx, inbox, out| {
-                    st.neigh.clear();
-                    for m in inbox.drain(..) {
-                        st.neigh.push(m);
-                    }
+                    let (x, y) = ((ctx.vp / ctx.n) as i64, (ctx.vp % ctx.n) as i64);
                     if step > 0 {
+                        // Arrivals by ascending source VP `x·n + y`, which is
+                        // the neighbours' (δx, δy) in `OFFS` order.
+                        let mut arrivals = inbox.iter();
                         let mut vals: [[Option<&O::V>; 3]; 3] = Default::default();
                         vals[1][1] = Some(&st.cur);
-                        for ((dx, dy), v) in &st.neigh {
-                            vals[(dy + 1) as usize][(dx + 1) as usize] = Some(v);
+                        for (dx, dy) in OFFS {
+                            if in_region(x + dx, y + dy, 0, ctx.n as i64) {
+                                vals[(dy + 1) as usize][(dx + 1) as usize] = arrivals.next();
+                            }
                         }
                         st.cur = O::apply(&vals);
                     }
                     if sends {
-                        let (x, y) = ((ctx.vp / ctx.n) as i64, (ctx.vp % ctx.n) as i64);
                         for (dx, dy) in OFFS {
                             if in_region(x + dx, y + dy, 0, ctx.n as i64) {
-                                // The receiver records us at the inverse offset.
-                                out.send(((-dx, -dy), st.cur.clone()));
+                                out.send(st.cur.clone());
                             }
                         }
                     }

@@ -2,15 +2,18 @@
 //! inputs across sizes, plus trace-level claims (dummy messages help
 //! wiseness, degrees stay within the theorems' shapes).
 
+use nob_algos::broadcast::{AwareBroadcast, ObliviousBroadcast};
 use nob_algos::fft::{naive_dft, BinaryExchangeFft, Complex, RecursiveFft};
 use nob_algos::mm::cannon::CannonMm;
 use nob_algos::mm::space::SpaceEfficientMm;
 use nob_algos::mm::standard::RecursiveMm;
 use nob_algos::mm::MmInput;
+use nob_algos::primitives::{CombineFn, MatrixTranspose, TreeReduce, TreeScan};
 use nob_algos::semiring::{Matrix, MinPlus, Semiring, WrapU64};
 use nob_algos::sort::{columnsort_seq, BitonicSort, ColumnSort};
-use nob_algos::stencil::{stencil_reference, DiamondStencil, WrapSumOp};
-use nob_machine::{execute, RunOptions};
+use nob_algos::stencil::{stencil_reference, DiamondStencil, NaiveStencil, WrapSumOp};
+use nob_algos::stencil2::{NaiveStencil2, WrapSum2Op};
+use nob_machine::{execute, NobAlgorithm, RunOptions};
 use proptest::prelude::*;
 
 proptest! {
@@ -195,4 +198,38 @@ proptest! {
             prop_assert!(without < with, "{}: alpha {} without, {} with", name, without, with);
         }
     }
+}
+
+/// Every algorithm but the two recursive stencils is static *and says so*:
+/// each of its steps declares its route, so its program is fully planned
+/// when built, with no capture. `DiamondStencil` and `OctaStencil` are the
+/// exceptions: their up-propagation, row and distribution steps send while
+/// iterating the per-VP store.
+#[test]
+fn every_algorithm_but_the_recursive_stencils_is_declared() {
+    fn declared<A: NobAlgorithm>(alg: &A, sizes: [usize; 2]) {
+        for n in sizes {
+            let prog = alg.build(n);
+            assert_eq!(prog.planned_steps(), prog.steps().len(), "{} at n = {n}", alg.name());
+        }
+    }
+    fn add(a: &u64, b: &u64) -> u64 {
+        a.wrapping_add(*b)
+    }
+    for wise in [false, true] {
+        declared(&RecursiveMm::<WrapU64>::new(wise), [64, 4096]);
+        declared(&SpaceEfficientMm::<WrapU64>::new(wise), [16, 256]);
+        declared(&RecursiveFft::new(wise), [16, 256]);
+        declared(&ColumnSort::<u64>::new(wise), [64, 512]);
+    }
+    declared(&CannonMm::<WrapU64>::default(), [16, 64]);
+    declared(&BinaryExchangeFft, [16, 256]);
+    declared(&BitonicSort::<u64>::default(), [16, 64]);
+    declared(&ObliviousBroadcast, [16, 64]);
+    declared(&AwareBroadcast { kappa: 4 }, [16, 64]);
+    declared(&TreeReduce { op: add as CombineFn<u64> }, [8, 64]);
+    declared(&TreeScan { op: add as CombineFn<u64> }, [8, 64]);
+    declared(&MatrixTranspose, [16, 64]);
+    declared(&NaiveStencil::<WrapSumOp>::default(), [8, 32]);
+    declared(&NaiveStencil2::<WrapSum2Op>::default(), [4, 8]);
 }

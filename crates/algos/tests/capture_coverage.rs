@@ -1,13 +1,19 @@
-//! 100%-planned coverage via trace capture (the PR 7 acceptance bar).
+//! 100%-planned coverage via trace capture.
 //!
 //! Every shipped algorithm must run *all* of its supersteps planned once
 //! `Program::capture_plans` has filled the gaps left by dynamic (data- or
 //! value-dependent) steps. For algorithms that declare every route up front
-//! (FFT, sorts, recursive and Cannon MM, broadcasts) capture must be a
-//! no-op; for the rest (tree primitives, transpose, space-efficient MM inner
-//! levels, the diamond and octahedron stencils) capture must close every
-//! remaining gap and the captured replay — serial, sharded, fused and
-//! unfused — must be bit-for-bit identical to the live dynamic run.
+//! — FFT, sorts, the three MMs, broadcasts, the tree primitives and the
+//! transpose — capture must be a no-op: each is already fully planned, and
+//! so is every algorithm but the two recursive stencils. For those two (the
+//! diamond and octahedron stencils) capture must close every remaining gap
+//! and the captured replay — serial, sharded, fused and unfused — must be
+//! bit-for-bit identical to the live dynamic run.
+//!
+//! The `*_captures_to_full_coverage` cases of the tree primitives, the
+//! transpose and the space-efficient MM keep their names from when those
+//! algorithms left steps to capture; they now assert that capture adds
+//! nothing.
 
 use nob_algos::broadcast::{AwareBroadcast, ObliviousBroadcast};
 use nob_algos::fft::{BinaryExchangeFft, Complex, RecursiveFft};
@@ -75,7 +81,7 @@ fn add(a: &u64, b: &u64) -> u64 {
 fn tree_reduce_captures_to_full_coverage() {
     let xs: Vec<u64> = (0..64).map(|i| i * 3 + 1).collect();
     let alg = TreeReduce { op: add as CombineFn<u64> };
-    assert!(capture_and_replay(&alg, 64, &xs[..]) > 0);
+    assert_eq!(capture_and_replay(&alg, 64, &xs[..]), 0);
 }
 
 #[test]
@@ -83,13 +89,13 @@ fn tree_scan_captures_to_full_coverage() {
     let mut next = rng(11);
     let xs: Vec<u64> = (0..64).map(|_| next()).collect();
     let alg = TreeScan { op: add as CombineFn<u64> };
-    assert!(capture_and_replay(&alg, 64, &xs[..]) > 0);
+    assert_eq!(capture_and_replay(&alg, 64, &xs[..]), 0);
 }
 
 #[test]
 fn matrix_transpose_captures_to_full_coverage() {
     let xs: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
-    assert!(capture_and_replay(&MatrixTranspose, 64, &xs[..]) > 0);
+    assert_eq!(capture_and_replay(&MatrixTranspose, 64, &xs[..]), 0);
 }
 
 #[test]
@@ -118,7 +124,7 @@ fn space_efficient_mm_captures_to_full_coverage() {
         Matrix::from_fn(s, |_, _| WrapU64(next())),
         Matrix::from_fn(s, |_, _| WrapU64(next())),
     );
-    assert!(capture_and_replay(&SpaceEfficientMm::<WrapU64>::default(), 64, &input) > 0);
+    assert_eq!(capture_and_replay(&SpaceEfficientMm::<WrapU64>::default(), 64, &input), 0);
 }
 
 #[test]

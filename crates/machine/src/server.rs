@@ -130,15 +130,12 @@ pub enum ProgramSource<S, M> {
 }
 
 /// Per-job execution options — the serving subset of [`RunOptions`]
-/// (worker count is the server's, parallelism is the gang).
+/// (worker count is the server's, parallelism is the gang, and a job runs
+/// with [`RunOptions`]' default plans and fusion).
 #[derive(Debug, Clone)]
 pub struct JobOptions {
     /// Check the run against the model ([`RunOptions::validate`]).
     pub validate: bool,
-    /// Execute declared/captured communication plans.
-    pub use_plans: bool,
-    /// Allow the zero-barrier fused tier for shard-local planned steps.
-    pub fuse: bool,
     /// Keep the raw per-superstep message log.
     pub collect_messages: bool,
     /// Materialize the job's [`CommTrace`] (skip for latency-critical jobs:
@@ -156,8 +153,6 @@ impl Default for JobOptions {
     fn default() -> Self {
         JobOptions {
             validate: true,
-            use_plans: true,
-            fuse: true,
             collect_messages: false,
             want_trace: true,
             faults: None,
@@ -735,8 +730,6 @@ fn process_job<S, M>(
     let run_opts = RunOptions {
         validate: opts.validate,
         collect_messages: opts.collect_messages,
-        use_plans: opts.use_plans,
-        fuse: opts.fuse,
         faults: opts.faults.clone(),
         stall_timeout: opts.stall_timeout,
         telemetry: cfg.telemetry.clone(),

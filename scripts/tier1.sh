@@ -18,6 +18,9 @@ for example in quickstart apsp_tropical reachability heat_diffusion heat_plate r
 done
 cargo run --release --offline -q -p nob-machine --example job_server > /dev/null
 cargo test -q --offline
+# Formatting: the workspace style is the root rustfmt.toml (the same as
+# benchmark/rustfmt.toml), so a drift shows as a diff here.
+cargo fmt --all --check
 cargo clippy -q --offline --all-targets -- -D warnings
 cargo doc --no-deps -q --offline
 

@@ -7,12 +7,18 @@
 
 use network_oblivious::algos::fft::{naive_dft, BinaryExchangeFft, Complex};
 use network_oblivious::algos::mm::cannon::CannonMm;
+use network_oblivious::algos::mm::space::SpaceEfficientMm;
 use network_oblivious::algos::mm::standard::RecursiveMm;
 use network_oblivious::algos::mm::MmInput;
+use network_oblivious::algos::primitives::{CombineFn, MatrixTranspose, TreeReduce, TreeScan};
 use network_oblivious::algos::semiring::{Matrix, WrapU64};
 use network_oblivious::algos::sort::ColumnSort;
-use network_oblivious::algos::stencil::{stencil_reference, DiamondStencil, WrapSumOp};
-use network_oblivious::algos::stencil2::{stencil2_reference, OctaStencil, WrapSum2Op};
+use network_oblivious::algos::stencil::{
+    stencil_reference, DiamondStencil, NaiveStencil, WrapSumOp,
+};
+use network_oblivious::algos::stencil2::{
+    stencil2_reference, NaiveStencil2, OctaStencil, WrapSum2Op,
+};
 use network_oblivious::machine::reference::{run_folded_reference, run_reference};
 use network_oblivious::machine::{run, run_folded, Ctx, NobAlgorithm, Program, Route, RunOptions};
 use proptest::prelude::*;
@@ -522,5 +528,118 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(got, stencil2_reference::<WrapSum2Op>(&xs, n));
+    }
+
+    /// The space-efficient MM (§4.1.1), which names each operand entry by
+    /// its inbox position: n ∈ {16, 64}, wise and unwise, folds
+    /// p ∈ {2, 4, 8}; the output must be the semiring product.
+    #[test]
+    fn space_mm_full_folded_and_reference_agree(
+        e in 2u32..4,
+        seed in any::<u64>(),
+        wise in any::<bool>(),
+    ) {
+        let n = 1usize << (2 * e);
+        let mut next = xorshift(seed);
+        let side = 1usize << e;
+        let a = Matrix::from_fn(side, |_, _| WrapU64(next()));
+        let b = Matrix::from_fn(side, |_, _| WrapU64(next()));
+        let input = MmInput::new(a.clone(), b.clone());
+        let alg = SpaceEfficientMm::<WrapU64>::new(wise);
+        assert_engine_equivalences(&alg, n, &input, &[2, 4, 8]);
+        let (got, _) = network_oblivious::machine::execute(
+            &alg,
+            n,
+            &input,
+            &RunOptions::default(),
+        )
+        .unwrap();
+        prop_assert_eq!(got, a.mul_reference(&b));
+    }
+
+    /// Tree reduction and the two-sweep scan: sizes 2..=128, folds
+    /// p ∈ {2, 4, 8}; the outputs must be the sum and the prefix sums.
+    #[test]
+    fn tree_primitives_full_folded_and_reference_agree(lg in 1u32..8, seed in any::<u64>()) {
+        let n = 1usize << lg;
+        let mut next = xorshift(seed);
+        let xs: Vec<u64> = (0..n).map(|_| next()).collect();
+        fn add(a: &u64, b: &u64) -> u64 {
+            a.wrapping_add(*b)
+        }
+        let reduce = TreeReduce { op: add as CombineFn<u64> };
+        assert_engine_equivalences(&reduce, n, &xs[..], &[2, 4, 8]);
+        let (total, _) =
+            network_oblivious::machine::execute(&reduce, n, &xs[..], &RunOptions::default())
+                .unwrap();
+        prop_assert_eq!(total, xs.iter().fold(0u64, |acc, x| acc.wrapping_add(*x)));
+        let scan = TreeScan { op: add as CombineFn<u64> };
+        assert_engine_equivalences(&scan, n, &xs[..], &[2, 4, 8]);
+        let (prefix, _) =
+            network_oblivious::machine::execute(&scan, n, &xs[..], &RunOptions::default())
+                .unwrap();
+        let want: Vec<u64> = xs
+            .iter()
+            .scan(0u64, |acc, x| {
+                *acc = acc.wrapping_add(*x);
+                Some(*acc)
+            })
+            .collect();
+        prop_assert_eq!(prefix, want);
+    }
+
+    /// Matrix transposition: n ∈ {4, 16, 64}, folds p ∈ {2, 4, 8}.
+    #[test]
+    fn transpose_full_folded_and_reference_agree(e in 1u32..4, seed in any::<u64>()) {
+        let (side, n) = (1usize << e, 1usize << (2 * e));
+        let mut next = xorshift(seed);
+        let xs: Vec<f64> = (0..n).map(|_| (next() % 1_000_000) as f64).collect();
+        assert_engine_equivalences(&MatrixTranspose, n, &xs[..], &[2, 4, 8]);
+        let (got, _) = network_oblivious::machine::execute(
+            &MatrixTranspose,
+            n,
+            &xs[..],
+            &RunOptions::default(),
+        )
+        .unwrap();
+        for (k, x) in got.iter().enumerate() {
+            prop_assert_eq!(*x, xs[(k % side) * side + k / side]);
+        }
+    }
+
+    /// The time-stepping stencil baselines, which name each neighbour's
+    /// value by its inbox position: 1-D on n ∈ {8, 16, 32}, 2-D on sides
+    /// {2, 4, 8}, folds p ∈ {2, 4, 8}; the outputs must match the direct
+    /// references.
+    #[test]
+    fn naive_stencils_full_folded_and_reference_agree(lg in 1u32..4, seed in any::<u64>()) {
+        let mut next = xorshift(seed);
+        let n = 1usize << (lg + 2);
+        let xs: Vec<u64> = (0..n).map(|_| next()).collect();
+        let alg = NaiveStencil::<WrapSumOp>::default();
+        assert_engine_equivalences(&alg, n, &xs[..], &[2, 4, 8]);
+        let (got, _) =
+            network_oblivious::machine::execute(&alg, n, &xs[..], &RunOptions::default())
+                .unwrap();
+        prop_assert_eq!(got, stencil_reference::<WrapSumOp>(&xs));
+        let side = 1usize << lg;
+        let xs: Vec<u64> = (0..side * side).map(|_| next()).collect();
+        let alg = NaiveStencil2::<WrapSum2Op>::default();
+        assert_engine_equivalences(&alg, side, &xs[..], &[2, 4, 8]);
+        let (got, _) =
+            network_oblivious::machine::execute(&alg, side, &xs[..], &RunOptions::default())
+                .unwrap();
+        prop_assert_eq!(got, stencil2_reference::<WrapSum2Op>(&xs, side));
+    }
+}
+
+/// The seeded xorshift stream the newer cases draw their inputs from.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
     }
 }
