@@ -294,11 +294,12 @@ fn needed_by(geo: &Geo, x: i64, t: i64, a: i64, b: i64, level: u32) -> bool {
 }
 
 /// Is `(x, t)` on the *output halo* of the level-ℓ block `(a, b)` — i.e.,
-/// does some successor of it lie outside the box?
+/// does it lie in the box with some successor outside it?
 fn on_output_halo(geo: &Geo, x: i64, t: i64, a: i64, b: i64, level: u32) -> bool {
     let len = geo.len(level);
     let (u, w) = to_uw(x, t, geo.n);
-    u >= (a + 1) * len - 2 || w >= (b + 1) * len - 2
+    let inside = u >= a * len && u < (a + 1) * len && w >= b * len && w < (b + 1) * len;
+    inside && (u >= (a + 1) * len - 2 || w >= (b + 1) * len - 2)
 }
 
 /// Evaluates the row-`t` cells of block `(a, b)` owned by `vp`, storing them
@@ -784,16 +785,18 @@ mod tests {
                 let measured = trace.comm_complexity(p, 0.0);
                 let theory = lower_bounds::upper::stencil1(n, p, 0.0);
                 let ratio = measured / theory;
-                assert!(ratio < 8.0, "n={n} p={p}: measured/theory = {ratio}");
+                // At most 0.81 on this grid (n = 64 and 256, p = 16).
+                assert!(ratio < 1.0, "n={n} p={p}: measured/theory = {ratio}");
             }
             // Against Lemma 4.10's Ω(n + σ) the factor carries Thm 4.11's
-            // 4^√log n (≈ 30 at n = 64): it peaks at 269 (n = 64, p = 16,
-            // σ = 16) on this grid.
+            // 4^√log n (≈ 30 at n = 64) and the σ term of ~(2k−1)^{log_k p}
+            // supersteps: it peaks at 115 (n = 64, p = 16, σ = 16) on this
+            // grid, and at 67 for n = 256.
             for p in [4usize, 8, 16] {
                 for sigma in [0.0, 16.0] {
                     let ratio =
                         trace.comm_complexity(p, sigma) / lower_bounds::stencil(n, 1, p, sigma);
-                    assert!(ratio < 320.0, "n={n} p={p} sigma={sigma}: measured/LB = {ratio}");
+                    assert!(ratio < 128.0, "n={n} p={p} sigma={sigma}: measured/LB = {ratio}");
                 }
             }
         }

@@ -333,16 +333,21 @@ fn needed_by(geo: &Geo2, x: i64, y: i64, t: i64, blk: Block, level: u32) -> bool
     false
 }
 
-/// Is the cell on the output halo of its block?
+/// Is the cell on the output halo of block `blk`: in the box, with some
+/// successor outside it?
 fn on_output_halo(geo: &Geo2, x: i64, y: i64, t: i64, blk: Block, level: u32) -> bool {
     let len = geo.len(level);
     let (a, b, e, f) = blk;
     let (u, w) = rot(x, t, geo.n);
     let (p, q) = rot(y, t, geo.n);
-    u >= (a + 1) * len - 2
-        || w >= (b + 1) * len - 2
-        || p >= (e + 1) * len - 2
-        || q >= (f + 1) * len - 2
+    let inside = [(u, a), (w, b), (p, e), (q, f)]
+        .into_iter()
+        .all(|(c, lo)| c >= lo * len && c < (lo + 1) * len);
+    inside
+        && (u >= (a + 1) * len - 2
+            || w >= (b + 1) * len - 2
+            || p >= (e + 1) * len - 2
+            || q >= (f + 1) * len - 2)
 }
 
 /// Evaluates row `t` of block `blk` (cells owned by `vp`), storing with
@@ -804,16 +809,18 @@ mod tests {
                 let measured = trace.comm_complexity(p, 0.0);
                 let theory = lower_bounds::upper::stencil2(n, p, 0.0);
                 let ratio = measured / theory;
-                assert!(ratio < 8.0, "n={n} p={p}: measured/theory = {ratio}");
+                // At most 1.64 on this grid (n = 8, p = 16).
+                assert!(ratio < 2.0, "n={n} p={p}: measured/theory = {ratio}");
             }
             // Against Lemma 4.10's Ω(n²/√p + σ) the factor carries Thm
-            // 4.13's 8^√log n (64 at n = 16): it peaks at 1528 (n = 16,
-            // p = 64, σ = 16) on this grid.
+            // 4.13's 8^√log n (64 at n = 16) and the σ term of the
+            // phases' supersteps: it peaks at 1106 (n = 16, p = 64, σ = 16)
+            // on this grid; without σ it stays below 100.
             for p in [4usize, 16, 64] {
                 for sigma in [0.0, 16.0] {
                     let ratio =
                         trace.comm_complexity(p, sigma) / lower_bounds::stencil(n, 2, p, sigma);
-                    assert!(ratio < 2048.0, "n={n} p={p} sigma={sigma}: measured/LB = {ratio}");
+                    assert!(ratio < 1200.0, "n={n} p={p} sigma={sigma}: measured/LB = {ratio}");
                 }
             }
         }
