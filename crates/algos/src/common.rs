@@ -7,6 +7,51 @@ pub(crate) fn silent(_: &Ctx, _: usize) -> Route {
     Route::Skip
 }
 
+/// A static step's sends, listed once at build time: for each VP, the items
+/// it ships and their destinations, in send order. The route of the step
+/// reads the destinations, its body the items, so one enumerator states
+/// both. A send to the sender itself is not listed: the item is already
+/// there.
+pub(crate) struct Shipments<K> {
+    /// VP `vp`'s sends are `sends[start[vp]..start[vp + 1]]`.
+    start: Vec<usize>,
+    sends: Vec<(K, usize)>,
+}
+
+impl<K> Shipments<K> {
+    /// Lists the sends of a machine of `v` VPs: `each(vp, push)` calls
+    /// `push(item, dst)` once per send of VP `vp`, in order.
+    pub(crate) fn new(v: usize, mut each: impl FnMut(usize, &mut dyn FnMut(K, usize))) -> Self {
+        let mut start = Vec::with_capacity(v + 1);
+        let mut sends = Vec::new();
+        for vp in 0..v {
+            start.push(sends.len());
+            each(vp, &mut |item, dst| {
+                if dst != vp {
+                    sends.push((item, dst));
+                }
+            });
+        }
+        start.push(sends.len());
+        Shipments { start, sends }
+    }
+
+    /// VP `vp`'s sends, in order.
+    pub(crate) fn of(&self, vp: usize) -> &[(K, usize)] {
+        &self.sends[self.start[vp]..self.start[vp + 1]]
+    }
+
+    /// The most sends of any one VP.
+    pub(crate) fn out_degree(&self) -> usize {
+        self.start.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
+    }
+
+    /// Slot `k` of VP `vp`: its `k`-th send.
+    pub(crate) fn route(&self, vp: usize, k: usize) -> Route {
+        self.of(vp).get(k).map_or(Route::End, |&(_, dst)| Route::Data(dst))
+    }
+}
+
 /// Interleaves the bits of `(i, j)` into a Morton (Z-order) index: bit `b` of
 /// `i` lands at position `2b+1`, bit `b` of `j` at position `2b`. Top-down,
 /// the 2-bit digits of the result are the quadrant choices `(i-bit, j-bit)`,

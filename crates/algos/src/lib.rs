@@ -23,10 +23,10 @@
 //! * [`common`] — layout helpers (Morton order, bit reversal) shared
 //!   across algorithms.
 //!
-//! Every algorithm but [`stencil::DiamondStencil`] and
-//! [`stencil2::OctaStencil`] declares the route of every step, so its
-//! program is fully planned when built, and each of its messages is a bare
-//! value named by its inbox position.
+//! Every algorithm declares the route of every step, so its program is
+//! fully planned when built. Each message is a bare value named by its
+//! inbox position, except those of [`stencil::DiamondStencil`] and
+//! [`stencil2::OctaStencil`], which name the cell they carry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -47,6 +47,7 @@ impl<T: Clone + Send + Sync + Default + 'static> NobAlgorithm for TreeReduce<T> 
     }
 
     fn init(&self, n: usize, input: &[T]) -> Vec<T> {
+        assert_machine(n);
         assert_eq!(input.len(), n);
         input.to_vec()
     }
@@ -122,6 +123,7 @@ impl<T: Clone + Send + Sync + Default + 'static> NobAlgorithm for TreeScan<T> {
     }
 
     fn init(&self, n: usize, input: &[T]) -> Vec<ScanState<T>> {
+        assert_machine(n);
         assert_eq!(input.len(), n);
         input
             .iter()
@@ -236,8 +238,9 @@ impl NobAlgorithm for MatrixTranspose {
     }
 
     fn init(&self, n: usize, input: &[f64]) -> Vec<f64> {
-        assert_eq!(input.len(), n);
         assert_square(n);
+        assert_machine(n);
+        assert_eq!(input.len(), n);
         input.to_vec()
     }
 
@@ -263,6 +266,12 @@ impl NobAlgorithm for MatrixTranspose {
 /// `from` of each cluster sends one payload to the one at offset `to`.
 fn one_sender(c: usize, from: usize, to: usize) -> InCluster<impl Fn(usize, usize) -> Route> {
     InCluster::new(c, 1, 0, move |off, _| if off == from { Route::Data(to) } else { Route::End })
+}
+
+/// Panics unless `v` VPs make a machine, as `Program::new` does (with its
+/// message): so `init` rejects every size `build` does.
+fn assert_machine(v: usize) {
+    assert!(v.is_power_of_two() && v >= 2, "v = {v} must be a power of two >= 2");
 }
 
 /// Panics unless `n` is an even power of two, so that the `n` entries form
@@ -357,6 +366,25 @@ mod tests {
         // At n = 8 the "transpose" would send two entries each to VPs 2
         // and 3 and none to VPs 6 and 7.
         MatrixTranspose.build(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "v = 1 must be a power of two >= 2")]
+    fn transpose_init_rejects_a_size_build_rejects() {
+        // 1 = 2^0 is an even power of two, but no machine.
+        MatrixTranspose.init(1, &[0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "v = 6 must be a power of two >= 2")]
+    fn reduce_init_rejects_a_size_build_rejects() {
+        TreeReduce { op: add as CombineFn<u64> }.init(6, &[0; 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "v = 1 must be a power of two >= 2")]
+    fn scan_init_rejects_a_size_build_rejects() {
+        TreeScan { op: add as CombineFn<u64> }.init(1, &[0]);
     }
 
     #[test]

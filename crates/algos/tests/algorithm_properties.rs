@@ -12,7 +12,7 @@ use nob_algos::primitives::{CombineFn, MatrixTranspose, TreeReduce, TreeScan};
 use nob_algos::semiring::{Matrix, MinPlus, Semiring, WrapU64};
 use nob_algos::sort::{columnsort_seq, BitonicSort, ColumnSort};
 use nob_algos::stencil::{stencil_reference, DiamondStencil, NaiveStencil, WrapSumOp};
-use nob_algos::stencil2::{NaiveStencil2, WrapSum2Op};
+use nob_algos::stencil2::{NaiveStencil2, OctaStencil, WrapSum2Op};
 use nob_machine::{execute, NobAlgorithm, RunOptions};
 use proptest::prelude::*;
 
@@ -200,13 +200,10 @@ proptest! {
     }
 }
 
-/// Every algorithm but the two recursive stencils is static *and says so*:
-/// each of its steps declares its route, so its program is fully planned
-/// when built, with no capture. `DiamondStencil` and `OctaStencil` are the
-/// exceptions: their up-propagation, row and distribution steps send while
-/// iterating the per-VP store.
+/// Every algorithm is static *and says so*: each of its steps declares its
+/// route, so its program is fully planned when built, with no capture.
 #[test]
-fn every_algorithm_but_the_recursive_stencils_is_declared() {
+fn every_algorithm_is_declared() {
     fn declared<A: NobAlgorithm>(alg: &A, sizes: [usize; 2]) {
         for n in sizes {
             let prog = alg.build(n);
@@ -232,4 +229,6 @@ fn every_algorithm_but_the_recursive_stencils_is_declared() {
     declared(&MatrixTranspose, [16, 64]);
     declared(&NaiveStencil::<WrapSumOp>::default(), [8, 32]);
     declared(&NaiveStencil2::<WrapSum2Op>::default(), [4, 8]);
+    declared(&DiamondStencil::<WrapSumOp>::default(), [16, 64]);
+    declared(&OctaStencil::<WrapSum2Op>::default(), [4, 8]);
 }

@@ -2,18 +2,18 @@
 //!
 //! Every shipped algorithm must run *all* of its supersteps planned once
 //! `Program::capture_plans` has filled the gaps left by dynamic (data- or
-//! value-dependent) steps. For algorithms that declare every route up front
-//! — FFT, sorts, the three MMs, broadcasts, the tree primitives and the
-//! transpose — capture must be a no-op: each is already fully planned, and
-//! so is every algorithm but the two recursive stencils. For those two (the
-//! diamond and octahedron stencils) capture must close every remaining gap
-//! and the captured replay — serial, sharded, fused and unfused — must be
-//! bit-for-bit identical to the live dynamic run.
+//! value-dependent) steps. Every shipped algorithm declares every route up
+//! front — FFT, sorts, the three MMs, broadcasts, the tree primitives, the
+//! transpose and the stencils — so capture must be a no-op: each program
+//! is already fully planned, and the replay of its program on every
+//! executor tier — serial, sharded, fused and unfused — must reproduce the
+//! live run. Capture itself, on programs with undeclared steps, is tested
+//! in `nob-machine`'s `capture_replay.rs`.
 //!
 //! The `*_captures_to_full_coverage` cases of the tree primitives, the
-//! transpose and the space-efficient MM keep their names from when those
-//! algorithms left steps to capture; they now assert that capture adds
-//! nothing.
+//! transpose, the space-efficient MM and the two recursive stencils keep
+//! their names from when those algorithms left steps to capture; they now
+//! assert that capture adds nothing.
 
 use nob_algos::broadcast::{AwareBroadcast, ObliviousBroadcast};
 use nob_algos::fft::{BinaryExchangeFft, Complex, RecursiveFft};
@@ -142,7 +142,7 @@ fn cannon_mm_is_already_fully_planned() {
 fn diamond_stencil_captures_to_full_coverage() {
     let mut next = rng(53);
     let xs: Vec<u64> = (0..32).map(|_| next() % 1_000_000).collect();
-    assert!(capture_and_replay(&DiamondStencil::<WrapSumOp>::default(), 32, &xs[..]) > 0);
+    assert_eq!(capture_and_replay(&DiamondStencil::<WrapSumOp>::default(), 32, &xs[..]), 0);
 }
 
 #[test]
@@ -150,7 +150,7 @@ fn octa_stencil_captures_to_full_coverage() {
     let mut next = rng(61);
     let n = 4;
     let xs: Vec<u64> = (0..n * n).map(|_| next() % 1_000_000).collect();
-    assert!(capture_and_replay(&OctaStencil::<WrapSum2Op>::default(), n, &xs[..]) > 0);
+    assert_eq!(capture_and_replay(&OctaStencil::<WrapSum2Op>::default(), n, &xs[..]), 0);
 }
 
 #[test]

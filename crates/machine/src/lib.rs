@@ -101,11 +101,10 @@
 //!   capture is valid only for the same program instance and the same
 //!   `(initial states, v)` it was recorded against. A run whose behavior
 //!   drifts from its capture is *detected*, never silently mis-delivered:
-//!   a structured [`nob_core::ModelError::PlanMismatch`]. Its shipped
-//!   users are `nob-algos`' `DiamondStencil` and `OctaStencil`: their
-//!   up-propagation, row and distribution steps send while iterating the
-//!   per-VP value store. Every other shipped algorithm declares all of its
-//!   steps.
+//!   a structured [`nob_core::ModelError::PlanMismatch`]. No shipped
+//!   algorithm needs it: every algorithm of `nob-algos` declares all of
+//!   its steps, so capture serves only programs with undeclared
+//!   [`program::Program::step`]s.
 //!
 //! A program's step sequence is a *schedule* over its distinct supersteps:
 //! a recursive algorithm emits a sub-schedule once and appends it again with

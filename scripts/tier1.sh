@@ -17,7 +17,11 @@ for example in quickstart apsp_tropical reachability heat_diffusion heat_plate r
     cargo run --release --offline -q --example "$example" > /dev/null
 done
 cargo run --release --offline -q -p nob-machine --example job_server > /dev/null
+# The full suite, timed: the roadmap tracks tier-1 wall time, so every
+# verification log carries it.
+test_start=$SECONDS
 cargo test -q --offline
+echo "tier1: cargo test -q took $((SECONDS - test_start)) s"
 # Formatting: the workspace style is the root rustfmt.toml (the same as
 # benchmark/rustfmt.toml), so a drift shows as a diff here.
 cargo fmt --all --check
