@@ -204,7 +204,8 @@ pub fn measured_gap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nob_machine::{execute, execute_folded, RunOptions};
+    use crate::common::folding::executed_folding;
+    use nob_machine::{execute, RunOptions};
 
     #[test]
     fn oblivious_broadcast_reaches_everyone() {
@@ -227,11 +228,10 @@ mod tests {
     #[test]
     fn folding_preserves_output() {
         for p in [2usize, 8, 32] {
-            let (out, _) =
-                execute_folded(&ObliviousBroadcast, 64, &9, p, &RunOptions::default()).unwrap();
+            let (out, _) = executed_folding(&ObliviousBroadcast, 64, &9, p);
             assert!(out.iter().all(|&x| x == 9));
             let alg = AwareBroadcast { kappa: 8 };
-            let (out, _) = execute_folded(&alg, 64, &9, p, &RunOptions::default()).unwrap();
+            let (out, _) = executed_folding(&alg, 64, &9, p);
             assert!(out.iter().all(|&x| x == 9));
         }
     }

@@ -383,8 +383,9 @@ impl NobAlgorithm for BinaryExchangeFft {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use nob_core::lower_bounds;
-    use nob_machine::{execute, execute_folded, RunOptions};
+    use nob_machine::{execute, RunOptions};
 
     #[test]
     fn converted_steps_compile_to_their_closure_plans() {
@@ -496,7 +497,7 @@ mod tests {
         let alg = RecursiveFft::default();
         let (full, full_trace) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
         for p in [2usize, 8, 64] {
-            let (out, trace) = execute_folded(&alg, n, &xs[..], p, &RunOptions::default()).unwrap();
+            let (out, trace) = executed_folding(&alg, n, &xs[..], p);
             assert_spectra_match(&out, &full, n);
             let mut q = 2;
             while q <= p {

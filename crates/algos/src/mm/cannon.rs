@@ -151,9 +151,10 @@ impl<V: Semiring> NobAlgorithm for CannonMm<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use crate::mm::standard::RecursiveMm;
     use crate::semiring::WrapU64;
-    use nob_machine::{execute, execute_folded, RunOptions};
+    use nob_machine::{execute, RunOptions};
 
     fn random_input(s: usize, seed: u64) -> MmInput<WrapU64> {
         let mut state = seed | 1;
@@ -194,7 +195,7 @@ mod tests {
         let alg = CannonMm::<WrapU64>::default();
         let (full, _) = execute(&alg, 64, &input, &RunOptions::default()).unwrap();
         for p in [2usize, 4, 16] {
-            let (out, _) = execute_folded(&alg, 64, &input, p, &RunOptions::default()).unwrap();
+            let (out, _) = executed_folding(&alg, 64, &input, p);
             assert_eq!(out, full);
         }
     }

@@ -210,9 +210,10 @@ impl<V: Semiring> NobAlgorithm for SpaceEfficientMm<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use crate::semiring::WrapU64;
     use nob_core::lower_bounds;
-    use nob_machine::{execute, execute_folded, RunOptions};
+    use nob_machine::{execute, RunOptions};
 
     fn random_input(s: usize, seed: u64) -> MmInput<WrapU64> {
         let mut state = seed | 1;
@@ -258,7 +259,7 @@ mod tests {
         let (full_out, full_trace) = execute(&alg, 64, &input, &RunOptions::default()).unwrap();
         assert_eq!(full_out, input.a.mul_reference(&input.b));
         for p in [2usize, 4, 16, 64] {
-            let (out, trace) = execute_folded(&alg, 64, &input, p, &RunOptions::default()).unwrap();
+            let (out, trace) = executed_folding(&alg, 64, &input, p);
             assert_eq!(out, full_out);
             let mut q = 2;
             while q <= p {

@@ -468,10 +468,11 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use crate::semiring::{MinPlus, NumF64, WrapU64};
     use nob_core::lower_bounds;
     use nob_machine::plan::PlanLayout;
-    use nob_machine::{execute, execute_folded, run, RunOptions};
+    use nob_machine::{execute, run, RunOptions};
 
     fn random_input(s: usize, seed: u64) -> MmInput<WrapU64> {
         let mut state = seed | 1;
@@ -565,7 +566,7 @@ mod tests {
         let alg = RecursiveMm::<WrapU64>::default();
         let (full_out, full_trace) = execute(&alg, 64, &input, &RunOptions::default()).unwrap();
         for p in [2usize, 8, 16, 64] {
-            let (out, trace) = execute_folded(&alg, 64, &input, p, &RunOptions::default()).unwrap();
+            let (out, trace) = executed_folding(&alg, 64, &input, p);
             assert_eq!(out, full_out, "folded output diverges at p = {p}");
             let mut q = 2;
             while q <= p {

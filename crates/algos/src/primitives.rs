@@ -286,7 +286,8 @@ fn assert_square(n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nob_machine::{execute, execute_folded, RunOptions};
+    use crate::common::folding::executed_folding;
+    use nob_machine::{execute, RunOptions};
 
     fn add(a: &u64, b: &u64) -> u64 {
         a + b
@@ -340,7 +341,7 @@ mod tests {
         let alg = TreeScan { op: add as CombineFn<u64> };
         let (full, full_trace) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
         for p in [2usize, 8, 32] {
-            let (out, trace) = execute_folded(&alg, n, &xs[..], p, &RunOptions::default()).unwrap();
+            let (out, trace) = executed_folding(&alg, n, &xs[..], p);
             assert_eq!(out, full);
             assert_eq!(trace.fold(p), full_trace.fold(p));
         }

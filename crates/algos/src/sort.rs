@@ -432,8 +432,9 @@ impl<K: SortKey> NobAlgorithm for BitonicSort<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use nob_core::lower_bounds;
-    use nob_machine::{execute, execute_folded, RunOptions};
+    use nob_machine::{execute, RunOptions};
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed | 1;
@@ -520,8 +521,7 @@ mod tests {
         let alg = ColumnSort::<u64>::default();
         let (full, full_trace) = execute(&alg, n, &keys[..], &RunOptions::default()).unwrap();
         for p in [2usize, 8, 32, 128] {
-            let (out, trace) =
-                execute_folded(&alg, n, &keys[..], p, &RunOptions::default()).unwrap();
+            let (out, trace) = executed_folding(&alg, n, &keys[..], p);
             assert_eq!(out, full);
             let mut q = 2;
             while q <= p {

@@ -637,8 +637,9 @@ impl<O: StencilOp> NobAlgorithm for NaiveStencil<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use nob_core::lower_bounds;
-    use nob_machine::{execute, execute_folded, RunOptions};
+    use nob_machine::{execute, RunOptions};
 
     fn input(n: usize) -> Vec<u64> {
         (0..n as u64).map(|x| x.wrapping_mul(0x9e37_79b9) % 1009).collect()
@@ -686,7 +687,7 @@ mod tests {
         let alg = DiamondStencil::<WrapSumOp>::default();
         let (full, full_trace) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
         for p in [2usize, 8, 64] {
-            let (out, trace) = execute_folded(&alg, n, &xs[..], p, &RunOptions::default()).unwrap();
+            let (out, trace) = executed_folding(&alg, n, &xs[..], p);
             assert_eq!(out, full);
             let mut q = 2;
             while q <= p {

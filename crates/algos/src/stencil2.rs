@@ -651,8 +651,9 @@ impl<O: Stencil2Op> NobAlgorithm for NaiveStencil2<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use nob_core::lower_bounds;
-    use nob_machine::{execute, execute_folded, RunOptions};
+    use nob_machine::{execute, RunOptions};
 
     fn input(n: usize) -> Vec<u64> {
         (0..(n * n) as u64).map(|x| x.wrapping_mul(0x9e37_79b9) % 911).collect()
@@ -687,7 +688,7 @@ mod tests {
         let alg = OctaStencil::<WrapSum2Op>::default();
         let (full, full_trace) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
         for p in [2usize, 4, 16, 64] {
-            let (out, trace) = execute_folded(&alg, n, &xs[..], p, &RunOptions::default()).unwrap();
+            let (out, trace) = executed_folding(&alg, n, &xs[..], p);
             assert_eq!(out, full);
             assert_eq!(trace.fold(p), full_trace.fold(p));
         }

@@ -6,7 +6,7 @@
 //! supersteps; supersteps with label `i ≥ j` become local computation.
 //!
 //! This module provides the index arithmetic shared by the metric machinery
-//! and the folded executor: ownership of VPs, the cluster constraint, and the
+//! and the reference engine's executed folding: ownership of VPs, the cluster constraint, and the
 //! *externality threshold* of a message (the smallest fold at which it still
 //! crosses a processor boundary).
 

@@ -103,7 +103,7 @@ impl SuperstepRecord {
 /// edge list once per fold level.
 ///
 /// One `DegreeCounters` instance is reused across all supersteps of a run.
-/// For every fold level `j` (`1 ≤ j ≤ levels`) it maintains per-processor
+/// For every fold level `j` (`1 ≤ j ≤ log v`) it maintains per-processor
 /// sent/received counts plus a *running maximum* `max_k max(out_k, in_k)`;
 /// since counts only grow within a superstep, the running maximum equals the
 /// final maximum, so producing a [`SuperstepRecord`] costs `O(levels)` with
@@ -111,19 +111,20 @@ impl SuperstepRecord {
 /// epoch stamp instead of zeroing, so [`DegreeCounters::begin_superstep`] is
 /// `O(1)`.
 ///
-/// Per message the work is `O(#levels at which the message is external)`:
-/// the externality threshold comes from one `xor`/`leading_zeros`, and a
-/// message internal at every tracked level (e.g. a VP sending to itself, or
-/// a processor-internal message in a folded run) costs `O(1)`.
+/// Every message counts toward the total, a VP's message to itself
+/// included (it is internal at every fold, so it touches no degree). Per
+/// message the work is `O(#levels at which the message is external)`: the
+/// externality threshold comes from one `xor`/`leading_zeros`, and a
+/// self-send costs `O(1)`.
 ///
 /// # Shard-local counters
 ///
 /// The sharded executor gives every shard (a contiguous block of
 /// `2^(log_v - log_shards)` VPs) a private instance built with
-/// [`DegreeCounters::shard_full`] / [`DegreeCounters::shard_folded`]. The
-/// tracked levels split at `split = log_shards`:
+/// [`DegreeCounters::shard_full`]. The tracked levels split at
+/// `split = log_shards`:
 ///
-/// * **Fine levels** (`split < j ≤ levels`): a fold-level processor is
+/// * **Fine levels** (`split < j ≤ log_v`): a fold-level processor is
 ///   contained in exactly one shard, so its sent counter is bumped only by
 ///   the shard owning the source VP ([`DegreeCounters::record`] for
 ///   shard-internal messages, [`DegreeCounters::record_sent`] for outgoing
@@ -145,20 +146,13 @@ impl SuperstepRecord {
 /// layout is identical to the pre-shard counters.
 #[derive(Debug, Clone)]
 pub struct DegreeCounters {
-    /// `log2 v` of the id space messages are expressed in (VP granularity).
+    /// `log2 v` of the id space messages are expressed in (VP granularity),
+    /// and the number of fold levels tracked.
     log_v: u32,
-    /// Number of fold levels tracked: `log_v` for full-granularity runs,
-    /// `log p` for folded runs.
-    levels: u32,
     /// Number of coarse levels (`= log_shards`; 0 when not sharded).
     split: u32,
     /// Index of the owning shard (0 when not sharded).
     shard: usize,
-    /// Whether messages internal at every tracked level count toward
-    /// `total()`. Full-granularity traces count them (a self-send is still a
-    /// message); folded traces only count processor-external messages,
-    /// matching the paper's folding semantics.
-    count_internal: bool,
     /// Flattened fine-level counters; level `j` occupies the
     /// `2^(j - split)` slots starting at `2^(j - split) - 2`, covering the
     /// processors owned by `shard` (all of them when `split = 0`).
@@ -179,62 +173,31 @@ pub struct DegreeCounters {
 }
 
 impl DegreeCounters {
-    /// Counters for a full-granularity run on `M(2^log_v)`: all `log_v` fold
-    /// levels are tracked and internal (self-send) messages count toward the
-    /// total, mirroring [`SuperstepRecord::from_counted_edges`].
+    /// Counters for a run on `M(2^log_v)`: all `log_v` fold levels are
+    /// tracked, mirroring [`SuperstepRecord::from_counted_edges`].
     pub fn full(log_v: u32) -> Self {
-        Self::with_layout(log_v, log_v, 0, 0, true)
+        Self::shard_full(log_v, 0, 0)
     }
 
-    /// Counters for a folded run on `M(2^log_p)` whose messages are given at
-    /// VP granularity (`2^log_v` ids): only `log_p` levels are tracked, and
-    /// messages internal to a processor are not counted at all.
-    pub fn folded(log_v: u32, log_p: u32) -> Self {
-        Self::with_levels(log_v, log_p, false)
-    }
-
-    /// Shard-local counters for shard `shard` of `2^log_shards` in a
-    /// full-granularity run (see the type docs on the fine/coarse split).
+    /// Shard-local counters for shard `shard` of `2^log_shards` (see the
+    /// type docs on the fine/coarse split).
     pub fn shard_full(log_v: u32, log_shards: u32, shard: usize) -> Self {
-        Self::with_layout(log_v, log_v, log_shards, shard, true)
-    }
-
-    /// Shard-local counters for shard `shard` of `2^log_shards` in a run
-    /// folded onto `M(2^log_p)`; requires `log_shards ≤ log_p` (a shard
-    /// never spans fold-level processors).
-    pub fn shard_folded(log_v: u32, log_p: u32, log_shards: u32, shard: usize) -> Self {
-        Self::with_layout(log_v, log_p, log_shards, shard, false)
-    }
-
-    fn with_levels(log_v: u32, levels: u32, count_internal: bool) -> Self {
-        Self::with_layout(log_v, levels, 0, 0, count_internal)
-    }
-
-    fn with_layout(
-        log_v: u32,
-        levels: u32,
-        split: u32,
-        shard: usize,
-        count_internal: bool,
-    ) -> Self {
+        let split = log_shards;
         // allow-panic: constructor contract on engine-internal wiring.
-        assert!(levels <= log_v, "cannot track more fold levels than log v");
-        assert!(split <= levels, "shards must not outnumber fold-level processors");
-        assert!(shard < (1usize << split) || (split == 0 && shard == 0), "shard out of range");
-        let slots = (1usize << (levels - split + 1)) - 2;
+        assert!(split <= log_v, "shards must not outnumber VPs");
+        assert!(shard < (1usize << split), "shard out of range");
+        let slots = (1usize << (log_v - split + 1)) - 2;
         DegreeCounters {
             log_v,
-            levels,
             split,
             shard,
-            count_internal,
             out_cnt: vec![0; slots],
             in_cnt: vec![0; slots],
             out_epoch: vec![0; slots],
             in_epoch: vec![0; slots],
             out_coarse: vec![0; split as usize],
             in_coarse: vec![0; split as usize],
-            max_by_level: vec![0; levels as usize],
+            max_by_level: vec![0; log_v as usize],
             total: 0,
             epoch: 0,
         }
@@ -258,7 +221,7 @@ impl DegreeCounters {
         self.total = 0;
     }
 
-    /// Slot index of fine level `j` (`split < j ≤ levels`) for the global
+    /// Slot index of fine level `j` (`split < j ≤ log_v`) for the global
     /// fold-level processor `p_global`, which must be owned by this shard.
     #[inline]
     fn fine_index(&self, j: u32, p_global: usize) -> usize {
@@ -273,29 +236,20 @@ impl DegreeCounters {
     /// counts them in every degree metric.
     #[inline]
     pub fn record(&mut self, src: usize, dst: usize) {
+        self.total += 1;
         let x = src ^ dst;
         if x == 0 {
-            if self.count_internal {
-                self.total += 1;
-            }
             return;
         }
         // The message is external at fold 2^j iff the top j bits differ,
         // i.e. for all j > common_prefix = log_v - bitlen(x).
         let bitlen = usize::BITS - x.leading_zeros();
         let j_min = (self.log_v - bitlen) + 1;
-        if j_min > self.levels {
-            if self.count_internal {
-                self.total += 1;
-            }
-            return;
-        }
         debug_assert!(
             j_min > self.split,
             "record() is for shard-internal messages; use record_sent/record_received"
         );
-        self.total += 1;
-        for j in j_min..=self.levels {
+        for j in j_min..=self.log_v {
             let shift = self.log_v - j;
             let ps = self.fine_index(j, src >> shift);
             let pd = self.fine_index(j, dst >> shift);
@@ -322,7 +276,7 @@ impl DegreeCounters {
             self.out_coarse[(j - 1) as usize] += 1;
         }
         // A shard-external message is external at every fine level.
-        for j in (self.split + 1)..=self.levels {
+        for j in (self.split + 1)..=self.log_v {
             let shift = self.log_v - j;
             let ps = self.fine_index(j, src >> shift);
             let sent = Self::bump(&mut self.out_cnt, &mut self.out_epoch, ps, self.epoch);
@@ -344,7 +298,7 @@ impl DegreeCounters {
         for j in j_min..=self.split {
             self.in_coarse[(j - 1) as usize] += 1;
         }
-        for j in (self.split + 1)..=self.levels {
+        for j in (self.split + 1)..=self.log_v {
             let shift = self.log_v - j;
             let pd = self.fine_index(j, dst >> shift);
             let recv = Self::bump(&mut self.in_cnt, &mut self.in_epoch, pd, self.epoch);
@@ -363,13 +317,13 @@ impl DegreeCounters {
         cnt[idx]
     }
 
-    /// Number of tracked fold levels.
+    /// Number of tracked fold levels (`log v`).
     #[inline]
     pub fn levels(&self) -> u32 {
-        self.levels
+        self.log_v
     }
 
-    /// The superstep degree `h^s` at fold `2^j` so far (`1 ≤ j ≤ levels`).
+    /// The superstep degree `h^s` at fold `2^j` so far (`1 ≤ j ≤ log v`).
     /// For shard-local counters this is only exact at fine levels
     /// (`j > log_shards`); coarse levels are assembled by [`EpochMerge`].
     #[inline]
@@ -378,7 +332,7 @@ impl DegreeCounters {
         self.max_by_level[(j - 1) as usize]
     }
 
-    /// Messages recorded this superstep (per the `count_internal` policy).
+    /// Messages recorded this superstep, self-sends included.
     #[inline]
     pub fn total(&self) -> u64 {
         self.total
@@ -393,23 +347,14 @@ impl DegreeCounters {
 /// the engine's streamed [`DegreeCounters`] would produce for the same
 /// multiset (dummy messages included), and then emit a superstep record in
 /// `O(log v)` per run via [`TraceBuilder::push_precomputed`], instead of
-/// paying the per-message `O(log v)` counter walk on every execution.
-///
-/// One instance serves **every** granularity at once: a folded run on
-/// `M(2^L)` reads the first `L` degree levels (identical, level by level,
-/// to what folded counters would have accumulated) and the
-/// externality-prefix total `ext(L)` (folded traces count only messages
-/// external at fold `2^L`, exactly the `count_internal = false` policy of
-/// [`DegreeCounters::folded`]).
+/// paying the per-message `O(log v)` counter walk on every execution. Like
+/// the record it produces, it holds the degree of every folding at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepMetrics {
     /// Fold levels covered (`log v` of the machine the step was declared on).
     levels: u32,
     /// `h_by_fold[j-1]` = superstep degree at fold `2^j`, `1 ≤ j ≤ levels`.
     h_by_fold: Vec<u64>,
-    /// `ext_prefix[j-1]` = number of declared messages external at fold
-    /// `2^j` (monotone non-decreasing in `j`).
-    ext_prefix: Vec<u64>,
     /// All declared messages, internal ones (self-sends) included.
     total: u64,
 }
@@ -478,17 +423,15 @@ impl StepMetricsBuilder {
     pub fn finish(self) -> StepMetrics {
         let StepMetricsBuilder { log_v, mut sent, mut recv, cross, total } = self;
         let mut h_by_fold = vec![0; log_v as usize];
-        let mut ext_prefix = vec![0; log_v as usize];
         // Invariant: entering level j, `sent[p]` / `recv[p]` (p < 2^j) count
         // the messages processor p of fold 2^j exchanges with other
         // processors of that fold.
         for j in (1..=log_v).rev() {
             let half = 1usize << (j - 1);
-            let (mut h, mut ext) = (0, 0);
+            let mut h = 0;
             for p in 0..half {
                 let (l, r) = (2 * p, 2 * p + 1);
                 h = h.max(sent[l]).max(recv[l]).max(sent[r]).max(recv[r]);
-                ext += sent[l] + sent[r];
                 // Siblings merge into processor p of fold 2^(j-1); the
                 // traffic between them is internal to it, in both counts.
                 let between = cross[half + p];
@@ -496,9 +439,8 @@ impl StepMetricsBuilder {
                 recv[p] = recv[l] + recv[r] - between;
             }
             h_by_fold[(j - 1) as usize] = h;
-            ext_prefix[(j - 1) as usize] = ext;
         }
-        StepMetrics { levels: log_v, h_by_fold, ext_prefix, total }
+        StepMetrics { levels: log_v, h_by_fold, total }
     }
 }
 
@@ -507,8 +449,7 @@ impl StepMetrics {
     /// `2^log_v` VPs — what a [`StepMetricsBuilder`] fed no message
     /// finishes to, without its `O(v)` accumulators.
     pub fn silent(log_v: u32) -> Self {
-        let zeros = vec![0; log_v as usize];
-        StepMetrics { levels: log_v, h_by_fold: zeros.clone(), ext_prefix: zeros, total: 0 }
+        StepMetrics { levels: log_v, h_by_fold: vec![0; log_v as usize], total: 0 }
     }
 
     /// The metrics of a butterfly exchange on `2^log_v` VPs — every VP sends
@@ -522,7 +463,6 @@ impl StepMetrics {
         StepMetrics {
             levels: log_v,
             h_by_fold: (1..=log_v).map(|j| if j > prefix { v >> j } else { 0 }).collect(),
-            ext_prefix: (1..=log_v).map(|j| if j > prefix { v } else { 0 }).collect(),
             total: v,
         }
     }
@@ -533,21 +473,18 @@ impl StepMetrics {
     /// send the same messages, translated, except `extra` of them that are
     /// external at every fold of a cluster (the wiseness dummies, which only
     /// cluster 0 sends). Every fold `2^j` with `j ≤ label` holds whole
-    /// clusters, so its degree and externality are 0; at a finer fold the
-    /// degree is cluster 0's, which sends at least what every other does,
-    /// and every cluster's external messages add up. What a
-    /// [`StepMetricsBuilder`] fed every cluster's messages finishes to.
+    /// clusters, so its degree is 0; at a finer fold the degree is cluster
+    /// 0's, which sends at least what every other does, and the clusters'
+    /// messages add up. What a [`StepMetricsBuilder`] fed every cluster's
+    /// messages finishes to.
     pub fn lifted(self, label: u32, copies: u64, extra: u64) -> Self {
         if label == 0 {
             return self;
         }
-        let zeros = std::iter::repeat_n(0, label as usize);
-        let rest = |m: u64| m + copies * (m - extra);
         StepMetrics {
             levels: label + self.levels,
-            h_by_fold: zeros.clone().chain(self.h_by_fold).collect(),
-            ext_prefix: zeros.chain(self.ext_prefix.into_iter().map(rest)).collect(),
-            total: rest(self.total),
+            h_by_fold: std::iter::repeat_n(0, label as usize).chain(self.h_by_fold).collect(),
+            total: self.total + copies * (self.total - extra),
         }
     }
 
@@ -557,24 +494,17 @@ impl StepMetrics {
         self.levels
     }
 
-    /// The degree vector for a trace of granularity `2^levels`
-    /// (`1 ≤ levels ≤ self.levels()`): `h(2^1) … h(2^levels)`.
+    /// The degree vector `h(2^1) … h(2^levels)`.
     #[inline]
-    pub fn h_prefix(&self, levels: u32) -> &[u64] {
-        &self.h_by_fold[..levels as usize]
+    pub fn h_by_fold(&self) -> &[u64] {
+        &self.h_by_fold
     }
 
-    /// The message total a trace at granularity `2^levels` records for this
-    /// superstep: every message when `count_internal` (full-granularity
-    /// traces), otherwise only messages external at fold `2^levels` (folded
-    /// traces, cf. [`DegreeCounters::folded`]).
+    /// Every declared message, internal ones (self-sends) included — the
+    /// record's `total_msgs`.
     #[inline]
-    pub fn total_at(&self, levels: u32, count_internal: bool) -> u64 {
-        if count_internal {
-            self.total
-        } else {
-            self.ext_prefix[(levels - 1) as usize]
-        }
+    pub fn total(&self) -> u64 {
+        self.total
     }
 }
 
@@ -631,7 +561,7 @@ impl EpochMerge {
     /// Folds shard `shard`'s counters for the current superstep into the
     /// merge.
     pub fn add_shard(&mut self, shard: usize, c: &DegreeCounters) {
-        debug_assert_eq!(c.levels, self.levels, "level count mismatch");
+        debug_assert_eq!(c.log_v, self.levels, "level count mismatch");
         debug_assert_eq!(c.split, self.split, "shard-split mismatch");
         debug_assert_eq!(c.shard, shard, "counters added under the wrong shard id");
         self.total += c.total;
@@ -689,7 +619,7 @@ impl EpochMerge {
 /// count), and materializes the [`CommTrace`] once at the end of the run.
 #[derive(Debug)]
 pub struct TraceBuilder {
-    /// `log2` of the trace granularity (`log v` or `log p`).
+    /// `log2` of the trace granularity (`log v`).
     log_gran: u32,
     n: usize,
     labels: Vec<u32>,
@@ -727,15 +657,13 @@ impl TraceBuilder {
     /// of a planned oblivious superstep: `O(log gran)`, no per-message work
     /// — and, on the sharded path, no [`EpochMerge`] and no merge barrier
     /// (the coordinator pushes the record inside its own exec phase,
-    /// overlapped with the other workers' execution). `count_internal`
-    /// selects the total policy (`true` for full-granularity traces,
-    /// `false` for folded ones). Allocation-free while within the reserved
-    /// capacity.
-    pub fn push_precomputed(&mut self, label: u32, metrics: &StepMetrics, count_internal: bool) {
-        debug_assert!(metrics.levels() >= self.log_gran, "plan narrower than the trace");
+    /// overlapped with the other workers' execution). Allocation-free while
+    /// within the reserved capacity.
+    pub fn push_precomputed(&mut self, label: u32, metrics: &StepMetrics) {
+        debug_assert_eq!(metrics.levels(), self.log_gran, "granularity mismatch");
         self.labels.push(label);
-        self.totals.push(metrics.total_at(self.log_gran, count_internal));
-        self.flat_h.extend_from_slice(metrics.h_prefix(self.log_gran));
+        self.totals.push(metrics.total());
+        self.flat_h.extend_from_slice(metrics.h_by_fold());
     }
 
     /// Appends one superstep's metrics from a completed [`EpochMerge`] of
@@ -1112,21 +1040,13 @@ mod tests {
     fn stream_sharded(
         label: u32,
         log_v: u32,
-        levels: u32,
         log_shards: u32,
         edges: &[(usize, usize, u64)],
     ) -> SuperstepRecord {
         let shards = 1usize << log_shards;
         let shard_shift = log_v - log_shards;
-        let mut locals: Vec<DegreeCounters> = (0..shards)
-            .map(|w| {
-                if levels == log_v {
-                    DegreeCounters::shard_full(log_v, log_shards, w)
-                } else {
-                    DegreeCounters::shard_folded(log_v, levels, log_shards, w)
-                }
-            })
-            .collect();
+        let mut locals: Vec<DegreeCounters> =
+            (0..shards).map(|w| DegreeCounters::shard_full(log_v, log_shards, w)).collect();
         for c in &mut locals {
             c.begin_superstep();
         }
@@ -1141,7 +1061,7 @@ mod tests {
                 }
             }
         }
-        let mut merge = EpochMerge::new(levels, log_shards);
+        let mut merge = EpochMerge::new(log_v, log_shards);
         merge.begin_superstep();
         for (w, c) in locals.iter().enumerate() {
             merge.add_shard(w, c);
@@ -1149,7 +1069,7 @@ mod tests {
         merge.finish();
         SuperstepRecord {
             label,
-            h_by_fold: (1..=levels).map(|j| merge.level_max(j)).collect(),
+            h_by_fold: (1..=log_v).map(|j| merge.level_max(j)).collect(),
             total_msgs: merge.total(),
         }
     }
@@ -1167,32 +1087,20 @@ mod tests {
                 let d = (state >> 40) as usize % v;
                 edges.push((s, d, 1 + state % 2));
             }
-            // Full granularity, every shard width that fits.
+            // Every shard width that fits.
             for log_shards in 0..=log_v {
-                let got = stream_sharded(0, log_v, log_v, log_shards, &edges);
+                let got = stream_sharded(0, log_v, log_shards, &edges);
                 let want = SuperstepRecord::from_counted_edges(0, log_v, &edges);
-                assert_eq!(got, want, "full-gran divergence at 2^{log_shards} shards: {edges:?}");
-            }
-            // Folded granularity p = 8, shard counts up to p.
-            for log_shards in 0..=3u32 {
-                let got = stream_sharded(0, log_v, 3, log_shards, &edges);
-                let shift = log_v - 3;
-                let ext: Vec<(usize, usize, u64)> = edges
-                    .iter()
-                    .map(|&(s, d, c)| (s >> shift, d >> shift, c))
-                    .filter(|(ps, pd, _)| ps != pd)
-                    .collect();
-                let want = SuperstepRecord::from_counted_edges(0, 3, &ext);
-                assert_eq!(got, want, "folded divergence at 2^{log_shards} shards: {edges:?}");
+                assert_eq!(got, want, "divergence at 2^{log_shards} shards: {edges:?}");
             }
         }
     }
 
     /// Asserts that `StepMetricsBuilder` over `edges` (multiplicity `c` =
     /// `c` records, in the given order) is bit-for-bit what the engine's
-    /// streamed counters produce for the same multiset — full granularity
-    /// *and* every folded granularity (`h` prefix and both total policies)
-    /// — and what `from_counted_edges` derives from the edge list.
+    /// streamed counters produce for the same multiset — every fold's
+    /// degree and the total — and what `from_counted_edges` derives from
+    /// the edge list.
     fn assert_step_metrics_match(log_v: u32, edges: &[(usize, usize, u64)], what: &str) {
         let mut b = StepMetricsBuilder::new(log_v);
         for &(s, d, c) in edges {
@@ -1203,24 +1111,9 @@ mod tests {
         let m = b.finish();
         assert_eq!(m.levels(), log_v, "{what}");
         let want = stream(0, &mut DegreeCounters::full(log_v), edges);
-        assert_eq!(m.h_prefix(log_v), &want.h_by_fold[..], "{what}");
-        assert_eq!(m.total_at(log_v, true), want.total_msgs, "{what}");
+        assert_eq!(m.h_by_fold(), &want.h_by_fold[..], "{what}");
+        assert_eq!(m.total(), want.total_msgs, "{what}");
         assert_eq!(want, SuperstepRecord::from_counted_edges(0, log_v, edges), "{what}");
-        for levels in 1..=log_v {
-            let want = stream(0, &mut DegreeCounters::folded(log_v, levels), edges);
-            assert_eq!(m.h_prefix(levels), &want.h_by_fold[..], "{what} L{levels}");
-            assert_eq!(m.total_at(levels, false), want.total_msgs, "{what} L{levels}");
-            // The folded record is also the counted-edge record of the
-            // processor-external edges at that granularity.
-            let shift = log_v - levels;
-            let ext: Vec<(usize, usize, u64)> = edges
-                .iter()
-                .map(|&(s, d, c)| (s >> shift, d >> shift, c))
-                .filter(|(ps, pd, _)| ps != pd)
-                .collect();
-            let counted = SuperstepRecord::from_counted_edges(0, levels, &ext);
-            assert_eq!(want, counted, "{what} L{levels}");
-        }
     }
 
     /// A deterministic pseudo-random value stream.
@@ -1250,8 +1143,7 @@ mod tests {
     fn step_metrics_match_streamed_counters_on_structured_patterns() {
         for log_v in [1u32, 2, 5, 8] {
             let v = 1usize << log_v;
-            // Nothing is external anywhere: only the full-granularity total
-            // sees these.
+            // Nothing is external anywhere: only the total sees these.
             let selfs: Vec<_> = (0..v).map(|k| (k, k, 1 + (k as u64 & 1))).collect();
             assert_step_metrics_match(log_v, &selfs, &format!("log_v {log_v} self-sends"));
             // Total fan-in with multiplicity: the receive side sets every
@@ -1335,18 +1227,7 @@ mod tests {
         let mut t1 = TraceBuilder::new(16, 16, 1);
         t1.push_superstep(0, &c);
         let mut t2 = TraceBuilder::new(16, 16, 1);
-        t2.push_precomputed(0, &m, true);
-        assert_eq!(t1.snapshot(), t2.snapshot());
-        // Folded granularity: internal messages drop out of the total.
-        let mut cf = DegreeCounters::folded(log_v, 2);
-        cf.begin_superstep();
-        for &(s, d) in &edges {
-            cf.record(s, d);
-        }
-        let mut t1 = TraceBuilder::new(4, 16, 1);
-        t1.push_superstep(0, &cf);
-        let mut t2 = TraceBuilder::new(4, 16, 1);
-        t2.push_precomputed(0, &m, false);
+        t2.push_precomputed(0, &m);
         assert_eq!(t1.snapshot(), t2.snapshot());
     }
 
@@ -1383,24 +1264,6 @@ mod tests {
         assert_eq!(merge.level_max(1), 0);
         assert_eq!(merge.level_max(4), 1);
         assert_eq!(merge.total(), 1);
-    }
-
-    #[test]
-    fn folded_counters_drop_internal_messages() {
-        // v = 16 folded to p = 4 (levels = 2). A message 0 -> 3 is internal
-        // at p = 4 (same top-2 bits): not counted at all.
-        let mut c = DegreeCounters::folded(4, 2);
-        c.begin_superstep();
-        c.record(0, 3);
-        assert_eq!(c.total(), 0);
-        // 0 -> 12 crosses the bisection: external at both tracked levels.
-        c.record(0, 12);
-        assert_eq!(c.total(), 1);
-        let rec = SuperstepRecord::from_degree_counters(0, &c);
-        assert_eq!(rec.h_by_fold, vec![1, 1]);
-        // Matches the legacy path over processor-granularity external edges.
-        let want = SuperstepRecord::from_counted_edges(0, 2, &[(0, 3, 1)]);
-        assert_eq!(rec, want);
     }
 
     #[test]

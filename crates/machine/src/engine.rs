@@ -1,6 +1,12 @@
-//! The superstep execution engine: full-granularity and folded runs on
-//! zero-allocation mailbox arenas, executed serially or by the sharded
-//! executor's gang.
+//! The superstep execution engine: runs on `M(v)` over zero-allocation
+//! mailbox arenas, executed serially or by the sharded executor's gang.
+//!
+//! Every run records at granularity `v`: its [`CommTrace`] holds each
+//! superstep's degree for every folding `M(2^j)` at once, so the metrics of
+//! a folding onto `M(p)` are [`CommTrace::fold`] of that one trace, never a
+//! second execution. (The one executed folding is
+//! [`crate::reference::run_folded_reference`], the oracle the test suites
+//! check that claim against.)
 //!
 //! # Architecture: shards over double-buffered mailbox arenas
 //!
@@ -52,9 +58,9 @@
 //!   superstep's label lets talk. The inter-superstep barrier is a
 //!   per-lane handoff plus an `O(shards · log v)` counter merge instead
 //!   of a global counting sort (planned supersteps keep one barrier and
-//!   merge nothing). [`run_folded`] is the degenerate case *shard = fold*
-//!   (capped by the worker budget), which unifies the two execution modes
-//!   over one code path.
+//!   merge nothing). A shard is laid out like a processor of the paper's
+//!   folding: worker `w` of `n` simulates the `v/n` consecutive VPs
+//!   starting at `w·v/n`.
 //!
 //! The shard count derives from [`RunOptions::workers`] or, when that is
 //! `None`, from the `NOB_THREADS` environment variable or else the visible
@@ -72,8 +78,8 @@
 //! * **always** — the two arenas (a `4·(v + 1)`-byte offset table each; each
 //!   slab reserved once at its largest planned superstep), the cursor table
 //!   (`4·v`), the seen-bitmap (`v / 8`);
-//! * **dynamic tier** — the streaming [`DegreeCounters`] (`≈ 48·v` bytes at
-//!   full granularity) and the staging end markers (`4·v`; the staging
+//! * **dynamic tier** — the streaming [`DegreeCounters`] (`≈ 48·v` bytes)
+//!   and the staging end markers (`4·v`; the staging
 //!   buffer itself grows to the largest dynamic superstep): iff some step
 //!   can reach the dynamic body — plans are off, the step has no plan, or
 //!   its plan carries a compile fault (which a validated run reports and a
@@ -104,7 +110,6 @@ use crate::program::{Ctx, Envelope, Program};
 use crate::shard::Executor;
 use nob_core::fault::FaultPlan;
 use nob_core::metrics::{CommTrace, DegreeCounters, TraceBuilder};
-use nob_core::model::log2_exact;
 use nob_core::telemetry::{Site, TelemetrySink};
 use nob_core::ModelError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,17 +140,17 @@ pub struct RunOptions {
     /// than the route declares is an exact [`ModelError::PlanMismatch`]
     /// either way.
     pub validate: bool,
-    /// Keep the raw per-superstep message log — `(src VP, dst VP)` for
-    /// [`run`], `(src proc, dst proc)` of processor-external messages for
-    /// [`run_folded`] — needed by the ascend–descend protocol rewriter;
-    /// costs memory proportional to the total message volume.
+    /// Keep the raw per-superstep message log — one `(src VP, dst VP)` pair
+    /// per message, dummies included, in delivery order — needed by the
+    /// ascend–descend protocol rewriter; costs memory proportional to the
+    /// total message volume. A folding's `(src proc, dst proc)` pairs are
+    /// the external ones of its projection `vp >> (log v − log p)`.
     pub collect_messages: bool,
     /// Pins the number of executor shards (persistent workers). `None`
     /// derives the width from the `NOB_THREADS` environment variable or
     /// else the visible CPUs (no thread is spawned to find out); `Some(1)`
     /// forces the serial path. Values are clamped to a power of two no
-    /// larger than the metric granularity of the run (and a hard ceiling
-    /// of 256 OS threads). Ignored when [`RunOptions::parallel`] is
+    /// larger than `v` (and a hard ceiling of 256 OS threads). Ignored when [`RunOptions::parallel`] is
     /// `false`, which always takes the serial path.
     pub workers: Option<usize>,
     /// Execute supersteps that declared an oblivious route
@@ -222,11 +227,10 @@ impl RunOptions {
 /// Outcome of an engine run.
 #[derive(Debug, Clone)]
 pub struct RunResult<S> {
-    /// Final per-VP states (index = VP id; for folded runs, VP states are
-    /// still reported per VP, grouped under their owning processor).
+    /// Final per-VP states (index = VP id).
     pub states: Vec<S>,
-    /// The communication trace (granularity `v` for [`run`], granularity `p`
-    /// for [`run_folded`]).
+    /// The communication trace at granularity `v`: [`CommTrace::fold`]
+    /// gives the metrics of any folding `M(p)`.
     pub trace: CommTrace,
     /// Raw message log (one entry per recorded superstep) when requested.
     pub message_log: Option<Vec<Vec<(u32, u32)>>>,
@@ -243,43 +247,15 @@ const MIN_VPS_PER_WORKER: usize = 64;
 /// strand the already-spawned gang on its barrier.
 pub(crate) const MAX_WORKERS: usize = 256;
 
-/// The metric granularity of a run, shared between the serial and sharded
-/// paths.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GranSpec {
-    /// Fold levels tracked: `log v` for full runs, `log p` for folded ones.
-    pub(crate) levels: u32,
-    /// Shift from VP ids to metric-granularity processor ids.
-    pub(crate) gran_shift: u32,
-    /// Whether this is a full-granularity run (affects message-log format
-    /// and whether granularity-internal messages count).
-    pub(crate) full: bool,
-}
-
-impl GranSpec {
-    /// The message-log entry of a message `src → dst` (VP ids): the VP pair
-    /// at full granularity; folded, the processor pair, or `None` for a
-    /// message internal to its processor. Every log — serial, sharded and
-    /// planned — is projected through this one method.
-    #[inline]
-    pub(crate) fn log_pair(self, src: usize, dst: usize) -> Option<(u32, u32)> {
-        if self.full {
-            return Some((src as u32, dst as u32));
-        }
-        let (ps, pd) = (src >> self.gran_shift, dst >> self.gran_shift);
-        (ps != pd).then_some((ps as u32, pd as u32))
-    }
-}
-
 /// One plan-less superstep's send sequence as a run recorded it for
 /// [`Program::capture_plans`]: the step's schedule index, the per-VP prefix
 /// offsets and the flat `(dst, is_data)` slot table — the input of
 /// [`crate::plan::StepPlan::compile_captured`].
 pub(crate) type CapturedStep = (usize, Vec<u32>, Vec<(u32, bool)>);
 
-/// Number of executor shards for a machine of `v` VPs at metric granularity
-/// `gran`: a power of two between 1 and `gran`.
-fn shard_count(v: usize, gran: usize, opts: &RunOptions) -> usize {
+/// Number of executor shards for a machine of `v` VPs: a power of two
+/// between 1 and `v`.
+fn shard_count(v: usize, opts: &RunOptions) -> usize {
     if !opts.parallel {
         return 1;
     }
@@ -293,7 +269,7 @@ fn shard_count(v: usize, gran: usize, opts: &RunOptions) -> usize {
             threads.min(v / MIN_VPS_PER_WORKER)
         }
     };
-    let cap = cap.min(gran);
+    let cap = cap.min(v);
     if cap < 2 {
         1
     } else {
@@ -308,61 +284,18 @@ fn shard_count(v: usize, gran: usize, opts: &RunOptions) -> usize {
 /// [`ModelError::BadVectorLength`]). The returned trace records,
 /// for each superstep, the degree of every folding `M(2^j)`, so that
 /// `H(n, 2^j, σ)` and `D(n, p, g, ℓ)` can be evaluated analytically afterward.
-pub fn run<S: Send + Clone, M: Send>(
-    prog: &Program<S, M>,
-    states: Vec<S>,
-    opts: &RunOptions,
-) -> Result<RunResult<S>, ModelError> {
-    let log_v = prog.log_v();
-    run_core(prog, states, GranSpec { levels: log_v, gran_shift: 0, full: true }, opts)
-}
-
-/// Executes the *folding* of `prog` on `M(p)` with `p ≤ v`: processor `r`
-/// carries out the work of the `v/p` consecutively numbered VPs starting at
-/// `r·v/p` (Section 2 of the paper).
 ///
-/// Supersteps with label `≥ log p` become local computation: they are still
-/// executed (the VP closures run and their messages are delivered — all
-/// destinations are then within the same processor) but produce no superstep
-/// record, exactly as in the paper's folding semantics. The returned trace
-/// has granularity `p`. When `opts.collect_messages` is set, the log carries
-/// one entry per *recorded* superstep holding the processor-external
-/// `(src proc, dst proc)` pairs at granularity `p`, aligned with
-/// `trace.steps` for the protocol rewriter.
-///
-/// Under the sharded executor this is the degenerate case *shard = fold*:
-/// the folding is executed by up to `p` persistent workers, each simulating
-/// one processor's consecutive VPs (fewer when the worker budget is
-/// smaller — shards then span whole processors and the metrics are merged
-/// identically).
-pub fn run_folded<S: Send + Clone, M: Send>(
-    prog: &Program<S, M>,
-    states: Vec<S>,
-    p: usize,
-    opts: &RunOptions,
-) -> Result<RunResult<S>, ModelError> {
-    let v = prog.v();
-    if !p.is_power_of_two() || p < 2 || p > v {
-        return Err(ModelError::BadFold { p, v });
-    }
-    let log_p = log2_exact(p);
-    let spec = GranSpec { levels: log_p, gran_shift: prog.log_v() - log_p, full: false };
-    run_core(prog, states, spec, opts)
-}
-
 /// Builds an executor for this one call — spawning the gang's threads when
 /// the width asks for any — runs `prog` through it, and drops it.
-fn run_core<S: Send + Clone, M: Send>(
+pub fn run<S: Send + Clone, M: Send>(
     prog: &Program<S, M>,
     mut states: Vec<S>,
-    spec: GranSpec,
     opts: &RunOptions,
 ) -> Result<RunResult<S>, ModelError> {
-    let v = prog.v();
     prog.check_states_len(states.len())?;
-    let width = shard_count(v, 1 << spec.levels, opts);
+    let width = shard_count(prog.v(), opts);
     let mut exec = Executor::new(width);
-    let message_log = exec.attempt(prog, &mut states, spec, opts, width)?;
+    let message_log = exec.attempt(prog, &mut states, opts, width)?;
     Ok(RunResult { states, trace: exec.trace.snapshot(), message_log })
 }
 
@@ -417,7 +350,6 @@ pub(crate) fn runnable_plan<S, M>(
 pub(crate) fn run_serial<S: Send, M: Send>(
     prog: &Program<S, M>,
     states: &mut [S],
-    spec: GranSpec,
     opts: &RunOptions,
     trace: &mut TraceBuilder,
     message_log: &mut Option<Vec<Vec<(u32, u32)>>>,
@@ -425,7 +357,6 @@ pub(crate) fn run_serial<S: Send, M: Send>(
 ) -> Result<(), ModelError> {
     let v = prog.v();
     let log_v = prog.log_v();
-    let levels = spec.levels;
     let mut arenas = [Arena::<M>::new(v), Arena::<M>::new(v)];
     // The tier census: one walk over the schedule, before the first
     // superstep, decides what this attempt can execute and so what it
@@ -456,13 +387,7 @@ pub(crate) fn run_serial<S: Send, M: Send>(
     }
     // Dynamic-tier scratch — the streaming counters and the staging end
     // markers — exists only when some step can reach the dynamic body.
-    let mut counters = dynamic.then(|| {
-        if spec.full {
-            DegreeCounters::full(log_v)
-        } else {
-            DegreeCounters::folded(log_v, levels)
-        }
-    });
+    let mut counters = dynamic.then(|| DegreeCounters::full(log_v));
     let mut stage: ChunkStage<M> = ChunkStage::new(if dynamic { v } else { 0 });
     let mut read_idx = 0usize;
     // Per-destination counts of the dynamic body and of the planned counting
@@ -478,16 +403,14 @@ pub(crate) fn run_serial<S: Send, M: Send>(
     // stays allocation-free.
     let mut dst_seen = vec![0u64; v.div_ceil(64)];
     // Recycled per-superstep log entry scratch: log-collecting runs pay one
-    // exact-size allocation per recorded superstep (the entry pushed into
-    // the log), never repeated growth.
+    // exact-size allocation per superstep (the entry pushed into the log),
+    // never repeated growth.
     let mut log_scratch: Vec<(u32, u32)> = Vec::new();
+    let want_log = message_log.is_some();
     let faults = opts.faults.as_deref();
     let tele = opts.telemetry.as_deref();
 
     for (t, step) in prog.steps().iter().enumerate() {
-        let record_step = step.label < levels;
-        let want_log = message_log.is_some() && record_step;
-
         // --- planned supersteps: direct-write scatter + analytic metrics --
         if let Some(plan) = runnable_plan(step, opts.use_plans) {
             let t0 = tele.map(|tl| {
@@ -519,7 +442,7 @@ pub(crate) fn run_serial<S: Send, M: Send>(
             if let (Some(tl), Some(t0)) = (tele, t0) {
                 tl.record(0, Site::SerialPlanned, t0.elapsed());
             }
-            push_planned_record(trace, message_log.as_mut(), step.label, plan, spec);
+            push_planned_record(trace, message_log.as_mut(), step.label, plan);
             read_idx = 1 - read_idx;
             continue;
         }
@@ -565,9 +488,7 @@ pub(crate) fn run_serial<S: Send, M: Send>(
         // --- streaming validation + metrics + routing counts (one pass) ---
         crate::mailbox::fault_edge(faults, crate::mailbox::FAULT_BUMP_COUNT, 0, t)?;
         counters.begin_superstep();
-        if want_log {
-            log_scratch.clear();
-        }
+        log_scratch.clear();
         let mut msg_idx = 0usize;
         for (src, &end) in stage.vp_ends.iter().enumerate() {
             for (dst, env) in &stage.outbox.msgs[msg_idx..end as usize] {
@@ -575,11 +496,9 @@ pub(crate) fn run_serial<S: Send, M: Send>(
                 if let Some(fault) = message_fault(src, dst, v, log_v, step.label, opts.validate) {
                     return Err(fault);
                 }
-                if record_step {
-                    counters.record(src, dst);
-                }
+                counters.record(src, dst);
                 if want_log {
-                    log_scratch.extend(spec.log_pair(src, dst));
+                    log_scratch.push((src as u32, dst as u32));
                 }
                 if matches!(env, Envelope::Data(_)) {
                     // Checked: a wrapped count would mis-size the arena
@@ -590,13 +509,9 @@ pub(crate) fn run_serial<S: Send, M: Send>(
             }
             msg_idx = end as usize;
         }
-        if record_step {
-            trace.push_superstep(step.label, counters);
-            if want_log {
-                if let Some(log) = message_log.as_mut() {
-                    log.push(log_scratch.clone());
-                }
-            }
+        trace.push_superstep(step.label, counters);
+        if let Some(log) = message_log.as_mut() {
+            log.push(log_scratch.clone());
         }
 
         if let Some(rec) = capture.as_deref_mut() {
@@ -739,30 +654,24 @@ pub(crate) fn run_planned_step<S, M: Send>(
     Ok(())
 }
 
-/// Records a planned superstep whose label the trace records (`label <
-/// spec.levels`): the plan's precomputed `O(log v)` metrics and, when the
-/// run keeps a message log, the entry materialized from the route (same
-/// order as the dynamic path: ascending source VP, then send order; dummies
-/// included at full granularity, processor-external pairs only when
-/// folded). The record's message total is exactly the entry's length, so
-/// each entry is one exact-size allocation. The serial loop and the gang's
-/// coordinator both record through here, so the two can never emit
-/// differently shaped records.
+/// Records a planned superstep: the plan's precomputed `O(log v)` metrics
+/// and, when the run keeps a message log, the entry materialized from the
+/// route (same order as the dynamic path: ascending source VP, then send
+/// order, dummies included). The record's message total is exactly the
+/// entry's length, so each entry is one exact-size allocation. The serial
+/// loop and the gang's coordinator both record through here, so the two
+/// can never emit differently shaped records.
 pub(crate) fn push_planned_record(
     trace: &mut TraceBuilder,
     log: Option<&mut Vec<Vec<(u32, u32)>>>,
     label: u32,
     plan: &StepPlan,
-    spec: GranSpec,
 ) {
-    if label >= spec.levels {
-        return;
-    }
-    trace.push_precomputed(label, plan.metrics(), spec.full);
+    trace.push_precomputed(label, plan.metrics());
     if let Some(log) = log {
-        let len = plan.metrics().total_at(spec.levels, spec.full) as usize;
+        let len = plan.metrics().total() as usize;
         let mut entry = Vec::with_capacity(len);
-        plan.for_each_message(0..plan.v, |s, d, _| entry.extend(spec.log_pair(s, d)));
+        plan.for_each_message(0..plan.v, |s, d, _| entry.push((s as u32, d as u32)));
         debug_assert_eq!(entry.len(), len, "log entry disagrees with the record's total");
         log.push(entry);
     }
@@ -869,7 +778,9 @@ mod tests {
         let prog = broadcast_program(v);
         let full = run(&prog, states.clone(), &RunOptions::default()).unwrap();
         for p in [2usize, 4, 8, 16] {
-            let folded = run_folded(&prog, states.clone(), p, &RunOptions::default()).unwrap();
+            let opts = RunOptions::default();
+            let folded =
+                crate::reference::run_folded_reference(&prog, states.clone(), p, &opts).unwrap();
             // Same outputs...
             assert_eq!(folded.states, full.states, "states diverge at p = {p}");
             // ...and metrics matching the analytic fold at every sub-level.
@@ -967,39 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn folded_message_log_is_processor_granularity() {
-        let mut p: Program<(), u8> = Program::new(8, 8);
-        // Label 0: VP0 -> VP7 crosses every boundary; VP4 -> VP5 is internal
-        // at p = 2 and p = 4... VP4 and VP5 share the top two bits of three.
-        p.step(0, "far", |_, ctx, _, out| {
-            if ctx.vp == 0 {
-                out.send(7, 1);
-            }
-            if ctx.vp == 4 {
-                out.send(5, 1);
-            }
-        });
-        // Label 2: local at p = 4, produces no record and no log entry.
-        p.step(2, "near", |_, ctx, _, out| {
-            if ctx.vp == 0 {
-                out.send(1, 1);
-            }
-        });
-        let res = run_folded(&p, vec![(); 8], 4, &RunOptions::with_log()).unwrap();
-        let log = res.message_log.unwrap();
-        assert_eq!(res.trace.superstep_count(), 1);
-        assert_eq!(log.len(), res.trace.superstep_count(), "log aligns with trace");
-        // VP0 -> VP7 becomes proc 0 -> proc 3; VP4 -> VP5 is internal to
-        // proc 2 and is not logged.
-        assert_eq!(log[0], vec![(0, 3)]);
-        // Shard = fold: the sharded folded run produces the same log.
-        let opts = RunOptions { workers: Some(4), ..RunOptions::with_log() };
-        let sharded = run_folded(&p, vec![(); 8], 4, &opts).unwrap();
-        assert_eq!(sharded.trace, res.trace);
-        assert_eq!(sharded.message_log.unwrap(), log);
-    }
-
-    #[test]
     fn inbox_is_cleared_between_supersteps() {
         let mut p: Program<Vec<u64>, u64> = Program::new(4, 4);
         p.step(0, "send", |_, ctx, _, out| out.send(ctx.vp ^ 1, ctx.vp as u64));
@@ -1023,17 +901,6 @@ mod tests {
             assert_eq!(sh.states, serial.states, "states diverge at {w} workers");
             assert_eq!(sh.trace, serial.trace, "trace diverges at {w} workers");
             assert_eq!(sh.message_log, serial.message_log, "log diverges at {w} workers");
-        }
-        // Folded runs: every (p, workers ≤ p) combination agrees with the
-        // serial folding.
-        for p in [2usize, 4, 8] {
-            let serial_folded =
-                run_folded(&prog, states.clone(), p, &RunOptions::default()).unwrap();
-            for w in [2usize, 4, 8] {
-                let sh = run_folded(&prog, states.clone(), p, &sharded(w)).unwrap();
-                assert_eq!(sh.states, serial_folded.states, "folded states, p={p} w={w}");
-                assert_eq!(sh.trace, serial_folded.trace, "folded trace, p={p} w={w}");
-            }
         }
     }
 
@@ -1129,17 +996,6 @@ mod tests {
             assert_eq!(sh.states, want.states, "sharded planned states at {w} workers");
             assert_eq!(sh.trace, want.trace, "sharded planned trace at {w} workers");
             assert_eq!(sh.message_log, want.message_log, "sharded planned log at {w} workers");
-        }
-        // Folded runs agree too (planned metrics at granularity p).
-        for p in [2usize, 4, 8] {
-            let fw = run_folded(&dynamic, states.clone(), p, &base).unwrap();
-            for w in [1usize, 2] {
-                let opts = RunOptions { workers: Some(w), ..RunOptions::with_log() };
-                let fp = run_folded(&planned, states.clone(), p, &opts).unwrap();
-                assert_eq!(fp.states, fw.states, "folded planned states p={p} w={w}");
-                assert_eq!(fp.trace, fw.trace, "folded planned trace p={p} w={w}");
-                assert_eq!(fp.message_log, fw.message_log, "folded planned log p={p} w={w}");
-            }
         }
         // Validation-off planned runs still agree (safety checks only).
         let noval = RunOptions { validate: false, workers: Some(1), ..Default::default() };
@@ -1340,17 +1196,5 @@ mod tests {
         assert_eq!(arena.states, legacy.states);
         assert_eq!(arena.trace, legacy.trace);
         assert_eq!(arena.message_log, legacy.message_log);
-        for p in [2usize, 4, 8] {
-            let a = run_folded(&prog, states.clone(), p, &RunOptions::default()).unwrap();
-            let l = crate::reference::run_folded_reference(
-                &prog,
-                states.clone(),
-                p,
-                &RunOptions::default(),
-            )
-            .unwrap();
-            assert_eq!(a.states, l.states, "folded states diverge at p = {p}");
-            assert_eq!(a.trace, l.trace, "folded trace diverges at p = {p}");
-        }
     }
 }

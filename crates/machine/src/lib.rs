@@ -128,7 +128,7 @@
 //!   and a private set of shard-local degree counters
 //!   ([`nob_core::metrics::DegreeCounters`]). There is no global mailbox
 //!   and no global scatter. There is also exactly **one driver**: every
-//!   run — [`engine::run`], [`engine::run_folded`], a
+//!   run — [`engine::run`], plan capture, a
 //!   [`server::JobServer`] job — goes through the same executor entry,
 //!   which owns a gang (`n − 1` parked threads; the caller is worker 0)
 //!   and the recyclable run state, and holds the only worker body and the
@@ -359,15 +359,17 @@
 //!   `NOB_THREADS` or else the visible CPUs). Produces the output
 //!   states plus a [`nob_core::CommTrace`] carrying per-superstep degrees
 //!   for *every* folding `M(2^j)` at once.
-//! * [`engine::run_folded`] — actually executes the folding on `p < v`
-//!   processors, recording metrics at granularity `p`. Under the sharded
-//!   executor this is the degenerate case *shard = fold* (capped by the
-//!   worker budget), so full and folded execution share one code path.
+//!   A folding onto `M(p)` is a view of that one run, not a second
+//!   execution: [`nob_core::CommTrace::fold`] gives its metrics, and its
+//!   outputs are the run's.
 //! * [`protocol::ascend_descend`] — rewrites a message log into the
 //!   Section-5 ascend–descend protocol execution, the basis of Theorem 5.3.
 //! * [`reference::run_reference`] — the preserved legacy engine (per-VP
 //!   `Vec` mailboxes, always serial), kept as the differential-testing
-//!   oracle and benchmarking baseline for the sharded engine.
+//!   oracle and benchmarking baseline for the sharded engine. Its
+//!   [`reference::run_folded_reference`] is the one executed folding: the
+//!   oracle for the paper's claim that folding preserves outputs and
+//!   metrics.
 
 // Unsafe is denied everywhere except `mailbox` and `shard` (see "Unsafe
 // surface" above).
@@ -384,7 +386,7 @@ pub mod server;
 mod shard;
 pub mod traits;
 
-pub use engine::{run, run_folded, RunOptions, RunResult};
+pub use engine::{run, RunOptions, RunResult};
 pub use mailbox::Inbox;
 pub use plan::{DeclaredRoute, InCluster, Route, StepPlan, Xor};
 pub use program::{Ctx, Outbox, Program, Slots, Superstep};
@@ -392,4 +394,4 @@ pub use server::{
     JobOptions, JobResult, JobServer, JobSpec, JobTicket, ProgramSource, ServerConfig, ServerStats,
     ShapeKey,
 };
-pub use traits::{execute, execute_folded, execute_with_log, NobAlgorithm};
+pub use traits::{execute, execute_with_log, NobAlgorithm};

@@ -343,7 +343,8 @@ enum InboxRepr<'a, M> {
 /// directly from the engine's flat mailbox arena.
 ///
 /// Delivery order is part of the contract, the same on every path
-/// (reference, serial, sharded, fused or not, planned or dynamic, folded):
+/// (the reference engine and its folding, serial, sharded, fused or not,
+/// planned or dynamic):
 /// messages arrive by ascending source VP, and one source's messages in the
 /// order it sent them. A static algorithm may therefore name a message by
 /// its position in [`Inbox::as_slice`] instead of by a tag it carries.

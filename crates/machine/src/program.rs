@@ -1,6 +1,6 @@
 //! Static superstep programs: the executable form of an `M(v)` algorithm.
 
-use crate::engine::{run_serial, GranSpec, RunOptions};
+use crate::engine::{run_serial, RunOptions};
 use crate::mailbox::{ChunkStage, DirectSink, Inbox};
 use crate::plan::{message_fault, DeclaredRoute, Route, RouteFn, StepPlan};
 use crate::shard::lock;
@@ -688,7 +688,7 @@ impl<S, M> Program<S, M> {
 
     /// `Ok` when `len` is one state per VP, else the structured
     /// [`nob_core::ModelError::BadVectorLength`] every entry point — `run`,
-    /// `run_folded`, plan capture, the job server — reports for it.
+    /// plan capture, the job server — reports for it.
     pub(crate) fn check_states_len(&self, len: usize) -> Result<(), nob_core::ModelError> {
         if len == self.v {
             return Ok(());
@@ -739,10 +739,9 @@ impl<S, M> Program<S, M> {
     {
         self.check_states_len(states.len())?;
         let opts = RunOptions { validate: true, ..RunOptions::default() };
-        let spec = GranSpec { levels: self.log_v, gran_shift: 0, full: true };
         let mut trace = TraceBuilder::new(self.v, self.n, self.steps.len());
         let mut captures = Vec::new();
-        run_serial(self, &mut states, spec, &opts, &mut trace, &mut None, Some(&mut captures))?;
+        run_serial(self, &mut states, &opts, &mut trace, &mut None, Some(&mut captures))?;
         lock(&self.send_totals).clear();
         let mut added = 0;
         for (t, offsets, slots) in captures {

@@ -2,7 +2,7 @@
 //! `Vec` outbox per VP per superstep, per-VP inbox vectors, edge-list
 //! materialization and `SuperstepRecord::from_counted_edges` metrics.
 //!
-//! It exists for two reasons:
+//! It exists for three reasons:
 //!
 //! 1. **Differential testing** — the arena engine must produce bit-for-bit
 //!    identical states, traces and message logs; the property tests in
@@ -10,6 +10,9 @@
 //! 2. **Benchmarking** — the repo benchmark (`benchmark/`) uses it as its
 //!    correctness oracle and reports the arena engine's speedup against it
 //!    (`reference.job_us`, `reference.speedup`).
+//! 3. **Folding** — [`run_folded_reference`] is the only code that
+//!    executes a folding: the arena engine always runs at granularity `v`,
+//!    and a folding's metrics are `CommTrace::fold` of that one trace.
 //!
 //! Its per-superstep costs (the reason it was replaced): `v` outbox
 //! allocations, one `(src, dst, 1)` tuple per message, `O(v)` zeroed scratch
@@ -106,10 +109,20 @@ pub fn run_reference<S: Send, M: Send>(
     Ok(RunResult { states, trace, message_log })
 }
 
-/// Legacy folded execution. Semantically identical to
-/// [`crate::engine::run_folded`], except that `collect_messages` is ignored
-/// (the historical behavior this PR's satellite fix addressed; kept so the
-/// differential tests pin the *fixed* semantics against the arena engine's).
+/// Executes the *folding* of `prog` on `M(p)` with `p ≤ v` (Section 2 of
+/// the paper): processor `r` carries out the work of the `v/p`
+/// consecutively numbered VPs starting at `r·v/p`, so a superstep with
+/// label `≥ log p` is local computation — still executed and delivered, but
+/// not recorded — and a recorded superstep counts only the messages that
+/// cross processors. The trace has granularity `p`; `collect_messages` is
+/// ignored.
+///
+/// The oracle for the paper's claim that folding preserves outputs and
+/// metrics: its states must equal [`crate::engine::run`]'s, and its
+/// records must be that run's records with `label < log p`, each degree
+/// vector cut to `log p` levels and each total the number of the run's
+/// messages external at `p`, so `fold(q)` agrees for every `q ≤ p`
+/// (`tests/engine_properties.rs`, `tests/cross_algorithm.rs`).
 pub fn run_folded_reference<S: Send, M: Send>(
     prog: &Program<S, M>,
     mut states: Vec<S>,

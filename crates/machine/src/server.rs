@@ -76,7 +76,7 @@
 //! `MAX_OVERTAKES` = 64 times becomes non-overtakable, bounding large-job
 //! starvation.
 
-use crate::engine::{vp_panic_error, GranSpec, RunOptions, MAX_WORKERS};
+use crate::engine::{vp_panic_error, RunOptions, MAX_WORKERS};
 use crate::program::Program;
 use crate::shard::{lock, Executor};
 use nob_core::fault::FaultPlan;
@@ -736,8 +736,7 @@ fn process_job<S, M>(
         // The width is this server's, passed to the executor directly.
         ..RunOptions::default()
     };
-    let spec = GranSpec { levels: prog.log_v(), gran_shift: 0, full: true };
-    let executed = exec.attempt(&prog, &mut job.states, spec, &run_opts, width);
+    let executed = exec.attempt(&prog, &mut job.states, &run_opts, width);
     let service = match (tele, svc0) {
         (Some(tl), Some(t0)) => {
             let d = t0.elapsed();

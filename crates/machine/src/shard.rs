@@ -16,7 +16,7 @@
 //!
 //! # One driver
 //!
-//! Whoever asks for a run — [`crate::engine::run`], `run_folded`, or a
+//! Whoever asks for a run — [`crate::engine::run`], plan capture, or a
 //! [`crate::server::JobServer`] job — it goes through [`Executor::attempt`],
 //! which holds the only `Shared` view and the only worker body. An executor
 //! owns a [`Gang`] (`n − 1` parked OS threads; the caller is worker 0) and
@@ -193,8 +193,8 @@
 //! scheduler, the only threads this crate spawns. There is no task pool: a
 //! barrier-coupled gang borrowing pool workers could deadlock against the
 //! pool's other users, and oversubscription (`workers >` CPUs) must stay
-//! legal because folded runs pin *shard = fold*. The default shard count
-//! is only a number (see [`crate::engine::RunOptions::workers`]).
+//! legal: an explicit width is honoured whatever the CPU count. The default
+//! shard count is only a number (see [`crate::engine::RunOptions::workers`]).
 
 // The `unsafe` in this module is the calls into the direct-grid accessors
 // of `mailbox`, whose safety contract (phase-disciplined window
@@ -207,8 +207,8 @@
 #![allow(unsafe_code)]
 
 use crate::engine::{
-    exec_chunk, push_planned_record, run_planned_step, run_serial, runnable_plan, GranSpec,
-    RunOptions, MAX_WORKERS,
+    exec_chunk, push_planned_record, run_planned_step, run_serial, runnable_plan, RunOptions,
+    MAX_WORKERS,
 };
 use crate::mailbox::{
     bump_count, Arena, ChunkStage, DirectGrid, DirectShard, DirectSink, DirectWindow, LaneGrid,
@@ -260,12 +260,11 @@ struct ShardCell {
 }
 
 /// The pooled per-trace-shape coordinator state — shard cells and merge
-/// scratch sized by `(log v, fold levels, granularity)`, with the dynamic
-/// tier's counters and merge scratch only for a run that has a dynamic step
-/// — kept per shape so a server alternating shapes does not re-allocate
-/// counters every job.
+/// scratch sized by `log v`, with the dynamic tier's counters and merge
+/// scratch only for a run that has a dynamic step — kept per shape so a
+/// server alternating shapes does not re-allocate counters every job.
 struct ShapeRes {
-    shape: (u32, u32, bool, bool),
+    shape: (u32, bool),
     cells: Vec<Mutex<ShardCell>>,
     /// `None` in a run whose every step is planned, which merges no
     /// counters.
@@ -273,28 +272,19 @@ struct ShapeRes {
 }
 
 impl ShapeRes {
-    fn new(spec: GranSpec, log_v: u32, log_shards: u32, dynamic: bool) -> Self {
-        let counters = |w| {
-            dynamic.then(|| {
-                if spec.full {
-                    DegreeCounters::shard_full(log_v, log_shards, w)
-                } else {
-                    DegreeCounters::shard_folded(log_v, spec.levels, log_shards, w)
-                }
-            })
-        };
+    fn new(log_v: u32, log_shards: u32, dynamic: bool) -> Self {
         ShapeRes {
-            shape: (log_v, spec.levels, spec.full, dynamic),
+            shape: (log_v, dynamic),
             cells: (0..1usize << log_shards)
                 .map(|w| {
                     Mutex::new(ShardCell {
-                        counters: counters(w),
+                        counters: dynamic.then(|| DegreeCounters::shard_full(log_v, log_shards, w)),
                         log_frag: Vec::new(),
                         error: None,
                     })
                 })
                 .collect(),
-            merge: dynamic.then(|| EpochMerge::new(spec.levels, log_shards)),
+            merge: dynamic.then(|| EpochMerge::new(log_v, log_shards)),
         }
     }
 }
@@ -369,7 +359,6 @@ struct Shared<'p, S, M> {
     /// half and `shard:barrier_wait` for gang waits). Disarmed runs pay one
     /// `Option` discriminant test per phase and never touch the clock.
     telemetry: Option<&'p TelemetrySink>,
-    spec: GranSpec,
     validate: bool,
     collect_log: bool,
     use_plans: bool,
@@ -756,8 +745,7 @@ impl<M: Send> Executor<M> {
     }
 
     /// Executes `prog` over `states` in place at `width` workers — the
-    /// executor's own width, or 1 for the serial loop — with trace
-    /// granularity and folding semantics from `spec`, on a reset trace;
+    /// executor's own width, or 1 for the serial loop — on a reset trace;
     /// returns the message log when the options ask for one. Results are
     /// bit-for-bit identical at every width.
     #[allow(clippy::type_complexity)]
@@ -765,18 +753,17 @@ impl<M: Send> Executor<M> {
         &mut self,
         prog: &Program<S, M>,
         states: &mut [S],
-        spec: GranSpec,
         opts: &RunOptions,
         width: usize,
     ) -> Result<Option<Vec<Vec<(u32, u32)>>>, ModelError> {
-        self.trace.reset(1 << spec.levels, prog.n(), prog.steps().len());
+        self.trace.reset(prog.v(), prog.n(), prog.steps().len());
         let mut log = opts.collect_messages.then(|| Vec::with_capacity(prog.steps().len()));
         let (rounds, outcome) = match self.gang.as_mut().filter(|_| width >= 2) {
             Some(gang) => {
                 debug_assert_eq!(width, gang.kits.len(), "a gang runs at its own width");
-                gang.run(prog, states, spec, opts, &mut self.trace, &mut log)
+                gang.run(prog, states, opts, &mut self.trace, &mut log)
             }
-            None => (0, run_serial(prog, states, spec, opts, &mut self.trace, &mut log, None)),
+            None => (0, run_serial(prog, states, opts, &mut self.trace, &mut log, None)),
         };
         self.rounds = rounds;
         outcome?;
@@ -794,7 +781,6 @@ impl<M: Send> GangState<M> {
         &mut self,
         prog: &Program<S, M>,
         states: &mut [S],
-        spec: GranSpec,
         opts: &RunOptions,
         trace: &mut TraceBuilder,
         log: &mut Option<Vec<Vec<(u32, u32)>>>,
@@ -802,7 +788,7 @@ impl<M: Send> GangState<M> {
         let n_shards = self.kits.len();
         let log_shards = log2_exact(n_shards);
         let (v, log_v) = (prog.v(), prog.log_v());
-        debug_assert!(log_shards <= spec.levels, "shards must not outnumber fold processors");
+        debug_assert!(log_shards <= log_v, "shards must not outnumber VPs");
         let vps = v / n_shards;
         let tele = opts.telemetry.as_deref();
 
@@ -812,9 +798,9 @@ impl<M: Send> GangState<M> {
         // and merge scratch exist only for a run that has a step without a
         // runnable plan.
         let dynamic = prog.steps().iter().any(|s| runnable_plan(s, opts.use_plans).is_none());
-        let shape = (log_v, spec.levels, spec.full, dynamic);
+        let shape = (log_v, dynamic);
         let at = self.shapes.iter().position(|s| s.shape == shape).unwrap_or_else(|| {
-            self.shapes.push(ShapeRes::new(spec, log_v, log_shards, dynamic));
+            self.shapes.push(ShapeRes::new(log_v, log_shards, dynamic));
             self.shapes.len() - 1
         });
         let ShapeRes { cells, merge, .. } = &mut self.shapes[at];
@@ -849,7 +835,6 @@ impl<M: Send> GangState<M> {
             totals: totals.as_deref().unwrap_or_default(),
             faults: opts.faults.as_deref(),
             telemetry: tele,
-            spec,
             validate: opts.validate,
             collect_log: log.is_some(),
             use_plans: opts.use_plans,
@@ -1062,9 +1047,8 @@ fn shard_loop<S: Send, M: Send>(
     // (pipelined prepare). Deterministic across workers on the non-abort
     // path, so the gang's barrier sequences always agree.
     let mut prepared = false;
-    let (steps, spec) = (shared.prog.steps(), shared.spec);
+    let steps = shared.prog.steps();
     for (t, step) in steps.iter().enumerate() {
-        let record_step = step.label < spec.levels;
         let plan = step.plan().filter(|_| shared.use_plans);
 
         // --- fused path: shard-local planned superstep, zero barriers -----
@@ -1090,7 +1074,7 @@ fn shard_loop<S: Send, M: Send>(
                     true,
                 )?;
                 if let Some(c) = coord.as_mut() {
-                    push_planned_record(c.trace, c.log.as_deref_mut(), step.label, plan, spec);
+                    push_planned_record(c.trace, c.log.as_deref_mut(), step.label, plan);
                 }
                 Ok(())
             }));
@@ -1159,7 +1143,7 @@ fn shard_loop<S: Send, M: Send>(
                     // Nothing to merge for a planned superstep: push the
                     // precomputed record here, overlapped with the other
                     // workers' exec phases — no merge barrier.
-                    push_planned_record(c.trace, c.log.as_deref_mut(), step.label, plan, spec);
+                    push_planned_record(c.trace, c.log.as_deref_mut(), step.label, plan);
                 }
                 if let Some(np) = next_plan {
                     // Pipeline the next planned superstep's prepare into
@@ -1245,7 +1229,7 @@ fn shard_loop<S: Send, M: Send>(
             span_end(shared, me.w, Site::ShardExec, t0);
             let t0 = span_start(shared, me.w, Site::ShardFlush, t);
             let mut cell = lock(&shared.cells[me.w]);
-            flush(me, shared, lanes, &mut cell, step, record_step)?;
+            flush(me, shared, lanes, &mut cell, step)?;
             span_end(shared, me.w, Site::ShardFlush, t0);
             Ok(())
         }));
@@ -1266,7 +1250,7 @@ fn shard_loop<S: Send, M: Send>(
             fault_check(shared, FAULT_GATHER, me.w, t)?;
             let t0 = span_start(shared, me.w, Site::ShardGather, t);
             let mut cell = lock(&shared.cells[me.w]);
-            gather(me, shared, lanes, &mut cell, t, record_step, 1 - read_idx)?;
+            gather(me, shared, lanes, &mut cell, t, 1 - read_idx)?;
             span_end(shared, me.w, Site::ShardGather, t0);
             Ok(())
         }));
@@ -1284,7 +1268,7 @@ fn shard_loop<S: Send, M: Send>(
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     fault_check(shared, FAULT_MERGE, 0, t)?;
                     let t0 = span_start(shared, 0, Site::ShardMerge, t);
-                    merge_superstep(c, shared, step.label, record_step);
+                    merge_superstep(c, shared, step.label);
                     span_end(shared, 0, Site::ShardMerge, t0);
                     Ok(())
                 }));
@@ -1470,7 +1454,6 @@ fn flush<S, M: Send>(
     lanes: &LaneGrid<M>,
     cell: &mut ShardCell,
     step: &Superstep<S, M>,
-    record_step: bool,
 ) -> Result<(), ModelError> {
     if let Some(e) = me.kit.stage.outbox.take_error(step.name) {
         return Err(e);
@@ -1478,12 +1461,12 @@ fn flush<S, M: Send>(
     let v = shared.v;
     let log_v = shared.log_v;
     let shard_shift = log_v - shared.log_shards;
-    let mut counters = cell.counters.as_mut().filter(|_| record_step);
+    let mut counters = cell.counters.as_mut();
     if let Some(counters) = counters.as_mut() {
         counters.begin_superstep();
     }
     cell.log_frag.clear();
-    let want_log = record_step && shared.collect_log;
+    let want_log = shared.collect_log;
 
     // The lane being filled stays locked until the destination shard
     // changes: no lock per message.
@@ -1513,7 +1496,7 @@ fn flush<S, M: Send>(
                 }
             }
             if want_log {
-                cell.log_frag.extend(shared.spec.log_pair(src, d));
+                cell.log_frag.push((src as u32, dst));
             }
             if local && matches!(env, Envelope::Dummy) {
                 continue; // metered above, delivered nowhere
@@ -1537,7 +1520,7 @@ fn flush<S, M: Send>(
 
 /// Builds this shard's inboxes for the next superstep (dynamic path):
 /// counts destinations over the incoming lane headers (recording
-/// receive-side metrics of cross-shard messages when `record_counters`),
+/// receive-side metrics of cross-shard messages),
 /// then drains every lane into the write arena in ascending source order.
 /// Per-destination counts are checked — an overflowing count is a
 /// [`ModelError`], never a silent cap that would corrupt the counting-sort
@@ -1548,7 +1531,6 @@ fn gather<S, M: Send>(
     lanes: &LaneGrid<M>,
     cell: &mut ShardCell,
     t: usize,
-    record_counters: bool,
     write_idx: usize,
 ) -> Result<(), ModelError> {
     // The peer span is derived from the cluster constraint, which only
@@ -1559,7 +1541,7 @@ fn gather<S, M: Send>(
         0..shared.n_shards
     };
     let vp_lo = me.vp_lo;
-    let mut counters = cell.counters.as_mut().filter(|_| record_counters);
+    let mut counters = cell.counters.as_mut();
     let dst_counts = &mut me.kit.dst_counts;
     let cursors = &mut me.kit.cursors;
 
@@ -1606,15 +1588,7 @@ fn gather<S, M: Send>(
 /// order = ascending source order). Planned supersteps never reach here —
 /// their records are pushed by [`push_planned_record`] with no merge at
 /// all.
-fn merge_superstep<S, M>(
-    coord: &mut Coord<'_>,
-    shared: &Shared<'_, S, M>,
-    label: u32,
-    record_step: bool,
-) {
-    if !record_step {
-        return;
-    }
+fn merge_superstep<S, M>(coord: &mut Coord<'_>, shared: &Shared<'_, S, M>, label: u32) {
     let Some(merge) = coord.merge.as_deref_mut() else {
         unreachable!("the census builds the dynamic tier for every step it does not plan")
     };
@@ -1714,9 +1688,8 @@ mod tests {
         n_shards: usize,
         opts: &RunOptions,
     ) -> (u64, nob_core::metrics::CommTrace, Result<(), ModelError>) {
-        let spec = GranSpec { levels: prog.log_v(), gran_shift: 0, full: true };
         let mut exec = Executor::new(n_shards);
-        let outcome = exec.attempt(prog, states, spec, opts, n_shards).map(|_| ());
+        let outcome = exec.attempt(prog, states, opts, n_shards).map(|_| ());
         (exec.rounds, exec.trace.snapshot(), outcome)
     }
 

@@ -2,12 +2,18 @@
 //! choice of `v(n)`, the initial data layout, the static superstep program,
 //! and the output extraction.
 
-use crate::engine::{run, run_folded, RunOptions, RunResult};
+use crate::engine::{run, RunOptions, RunResult};
 use crate::program::Program;
 use nob_core::{CommTrace, ModelError};
 
 /// A network-oblivious algorithm in the sense of the paper: specified on
 /// `M(v(n))` with no machine parameters, executable on any folding.
+///
+/// Its folding onto `M(p)` is evaluated, not re-executed: the trace of
+/// [`execute`] at granularity `v` gives every folding's metrics through
+/// [`CommTrace::fold`], and folding changes no output
+/// ([`crate::reference::run_folded_reference`] is the oracle that checks
+/// both).
 ///
 /// Implementations must be *static*: the superstep sequence returned by
 /// [`NobAlgorithm::build`] may depend on `n` only, never on the input values
@@ -70,20 +76,4 @@ pub fn execute_with_log<A: NobAlgorithm>(
         reason: "engine returned no message log for a log-requesting run",
     })?;
     Ok((alg.extract(n, states), trace, message_log))
-}
-
-/// Runs the *folding* of `alg` on `M(p)`: the executable counterpart of the
-/// analytic [`CommTrace::fold`]. Outputs must agree with [`execute`] (the
-/// integration suite asserts this for every algorithm in the repository).
-pub fn execute_folded<A: NobAlgorithm>(
-    alg: &A,
-    n: usize,
-    input: &A::Input,
-    p: usize,
-    opts: &RunOptions,
-) -> Result<(A::Output, CommTrace), ModelError> {
-    let states = alg.init(n, input);
-    let prog = alg.build(n);
-    let RunResult { states, trace, .. } = run_folded(&prog, states, p, opts)?;
-    Ok((alg.extract(n, states), trace))
 }

@@ -4,14 +4,15 @@
 //! [`StepPlan`]s and replayed must be **bit-for-bit indistinguishable** from
 //! the live dynamic run: states, trace and raw message log, serial and
 //! sharded at w ∈ {1, 2, 4, 8}, validation on and off, fused and unfused,
-//! and at every folding. A capture that has gone stale (the program's
+//! and under the reference engine's folding at every `p`. A capture that has gone stale (the program's
 //! behavior changed after capture) must surface as a structured
 //! [`nob_core::ModelError::PlanMismatch`], never as silent corruption.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use nob_machine::{run, run_folded, Program, RunOptions};
+use nob_machine::reference::run_folded_reference;
+use nob_machine::{run, Program, RunOptions};
 use proptest::prelude::*;
 
 /// Splitmix-style hash driving the value-dependent routes.
@@ -102,8 +103,10 @@ proptest! {
         }
     }
 
-    /// Folded captured replay ≡ folded dynamic execution at every p and
-    /// worker width.
+    /// A captured program's executed folding — the reference engine's — ≡
+    /// the run of the uncaptured program at every p: capture adds plans,
+    /// never changes what a step sends, so the folding keeps the states and
+    /// every fold of the trace.
     #[test]
     fn folded_captured_replay_matches_dynamic((v, steps) in arb_steps()) {
         let dynamic = build_dynamic(v, &steps);
@@ -112,16 +115,16 @@ proptest! {
         captured.capture_plans(states.clone()).unwrap();
         prop_assert_eq!(captured.planned_steps(), captured.steps().len());
 
+        let want = run(&dynamic, states.clone(), &RunOptions::default()).unwrap();
         let mut p = 2usize;
         while p <= v {
-            let serial = RunOptions { workers: Some(1), ..RunOptions::with_log() };
-            let want = run_folded(&dynamic, states.clone(), p, &serial).unwrap();
-            for w in [1usize, 2, 4, 8] {
-                let opts = RunOptions { workers: Some(w), ..RunOptions::with_log() };
-                let got = run_folded(&captured, states.clone(), p, &opts).unwrap();
-                prop_assert_eq!(&got.states, &want.states, "folded states p={} w={}", p, w);
-                prop_assert_eq!(&got.trace, &want.trace, "folded trace p={} w={}", p, w);
-                prop_assert_eq!(&got.message_log, &want.message_log, "folded log p={} w={}", p, w);
+            let got =
+                run_folded_reference(&captured, states.clone(), p, &RunOptions::default()).unwrap();
+            prop_assert_eq!(&got.states, &want.states, "folded states p={}", p);
+            let mut q = 2usize;
+            while q <= p {
+                prop_assert_eq!(got.trace.fold(q), want.trace.fold(q), "p={} q={}", p, q);
+                q *= 2;
             }
             p *= 2;
         }

@@ -4,11 +4,13 @@
 //!
 //! We generate random static programs — random labelled supersteps whose
 //! SPMD closures derive a cluster-respecting communication pattern and a
-//! state update from a per-step seed — and assert that folded execution
-//! agrees with full-granularity execution on both outputs and metrics, at
-//! every folding.
+//! state update from a per-step seed — and assert that the executed folding
+//! (the reference engine's, the only one) agrees with the full-granularity
+//! run on outputs and, record by record, on metrics, at every folding; and
+//! that every engine path agrees with the reference at full granularity.
 
-use nob_machine::{run, run_folded, Program, RunOptions};
+use nob_machine::reference::run_folded_reference;
+use nob_machine::{run, Program, RunOptions};
 use proptest::prelude::*;
 
 /// Splitmix-style hash used by the generated SPMD closures (deterministic,
@@ -66,21 +68,38 @@ fn arb_steps() -> impl Strategy<Value = (usize, Vec<(u32, u64, u8)>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Folded execution = full execution (outputs and all metrics), for
-    /// arbitrary static programs and all foldings.
+    /// Folding is a view of the one full run: for arbitrary static
+    /// programs and every `p`, the executed folding
+    /// ([`run_folded_reference`]) ends in the run's states, and its records
+    /// are exactly the run's records with `label < log p` — the degree
+    /// vector cut to `log p` levels, and the total the number of that
+    /// step's logged pairs `(src, dst)` whose processors `src >> (log v −
+    /// log p)` and `dst >> (log v − log p)` differ. So `fold(q)` of either
+    /// trace agrees for every `q ≤ p`.
     #[test]
     fn folding_is_semantics_preserving((v, steps) in arb_steps()) {
         let prog = build_program(v, &steps);
         let states: Vec<u64> = (0..v as u64).map(|x| x * 2 + 1).collect();
-        let full = run(&prog, states.clone(), &RunOptions::default()).unwrap();
+        let full = run(&prog, states.clone(), &RunOptions::with_log()).unwrap();
+        let log = full.message_log.as_ref().expect("log requested");
+        let log_v = full.trace.log_v;
         let mut p = 2usize;
         while p <= v {
-            let folded = run_folded(&prog, states.clone(), p, &RunOptions::default()).unwrap();
+            let log_p = p.trailing_zeros();
+            let shift = log_v - log_p;
+            let folded =
+                run_folded_reference(&prog, states.clone(), p, &RunOptions::default()).unwrap();
             prop_assert_eq!(&folded.states, &full.states, "states diverge at p = {}", p);
-            let mut q = 2usize;
-            while q <= p {
-                prop_assert_eq!(folded.trace.fold(q), full.trace.fold(q));
-                q *= 2;
+            prop_assert_eq!(folded.trace.log_v, log_p);
+            let kept: Vec<_> =
+                full.trace.steps.iter().zip(log).filter(|(s, _)| s.label < log_p).collect();
+            prop_assert_eq!(folded.trace.steps.len(), kept.len(), "records at p = {}", p);
+            for (got, (want, pairs)) in folded.trace.steps.iter().zip(kept) {
+                prop_assert_eq!(got.label, want.label, "p = {}", p);
+                prop_assert_eq!(&got.h_by_fold[..], &want.h_by_fold[..log_p as usize]);
+                let external =
+                    pairs.iter().filter(|&&(s, d)| (s >> shift) != (d >> shift)).count();
+                prop_assert_eq!(got.total_msgs, external as u64, "p = {}", p);
             }
             p *= 2;
         }
@@ -114,8 +133,7 @@ proptest! {
     }
 
     /// The arena engine is bit-for-bit equivalent to the preserved legacy
-    /// engine: same states, same trace, same message log — full granularity
-    /// and every folding.
+    /// engine: same states, same trace, same message log.
     #[test]
     fn arena_engine_matches_reference((v, steps) in arb_steps()) {
         let prog = build_program(v, &steps);
@@ -127,48 +145,11 @@ proptest! {
         prop_assert_eq!(&arena.states, &legacy.states);
         prop_assert_eq!(&arena.trace, &legacy.trace);
         prop_assert_eq!(&arena.message_log, &legacy.message_log);
-        let mut p = 2usize;
-        while p <= v {
-            let a = run_folded(&prog, states.clone(), p, &RunOptions::default()).unwrap();
-            let l = nob_machine::reference::run_folded_reference(
-                &prog,
-                states.clone(),
-                p,
-                &RunOptions::default(),
-            )
-            .unwrap();
-            prop_assert_eq!(&a.states, &l.states, "folded states diverge at p = {}", p);
-            prop_assert_eq!(&a.trace, &l.trace, "folded trace diverges at p = {}", p);
-            p *= 2;
-        }
-    }
-
-    /// The folded message log (satellite fix: `collect_messages` was silently
-    /// ignored) aligns with the recorded supersteps and explains exactly the
-    /// processor-external message totals.
-    #[test]
-    fn folded_message_log_matches_folded_metrics((v, steps) in arb_steps()) {
-        let prog = build_program(v, &steps);
-        let states: Vec<u64> = (0..v as u64).collect();
-        let mut p = 2usize;
-        while p <= v {
-            let res = run_folded(&prog, states.clone(), p, &RunOptions::with_log()).unwrap();
-            let log = res.message_log.as_ref().expect("log requested");
-            prop_assert_eq!(log.len(), res.trace.steps.len());
-            for (msgs, step) in log.iter().zip(&res.trace.steps) {
-                prop_assert_eq!(msgs.len() as u64, step.total_msgs);
-                for &(ps, pd) in msgs {
-                    prop_assert!((ps as usize) < p && (pd as usize) < p && ps != pd);
-                }
-            }
-            p *= 2;
-        }
     }
 
     /// The persistent sharded executor is bit-for-bit equivalent to the
     /// serial path on arbitrary static programs: same states, same trace,
-    /// same message log — full granularity and every folding, at every
-    /// shard width the machine admits.
+    /// same message log, at shard widths 2 and 4.
     #[test]
     fn sharded_executor_matches_serial((v, steps) in arb_steps()) {
         let prog = build_program(v, &steps);
@@ -180,21 +161,6 @@ proptest! {
             prop_assert_eq!(&sh.states, &serial.states, "states diverge at {} workers", w);
             prop_assert_eq!(&sh.trace, &serial.trace, "trace diverges at {} workers", w);
             prop_assert_eq!(&sh.message_log, &serial.message_log, "log diverges at {} workers", w);
-            let mut p = 2usize;
-            while p <= v {
-                let sf = run_folded(
-                    &prog,
-                    states.clone(),
-                    p,
-                    &RunOptions { workers: Some(w), ..RunOptions::with_log() },
-                )
-                .unwrap();
-                let lf = run_folded(&prog, states.clone(), p, &RunOptions::with_log()).unwrap();
-                prop_assert_eq!(&sf.states, &lf.states, "folded states, p = {} w = {}", p, w);
-                prop_assert_eq!(&sf.trace, &lf.trace, "folded trace, p = {} w = {}", p, w);
-                prop_assert_eq!(&sf.message_log, &lf.message_log, "folded log, p = {} w = {}", p, w);
-                p *= 2;
-            }
         }
     }
 

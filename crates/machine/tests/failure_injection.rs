@@ -3,7 +3,7 @@
 
 use nob_core::ModelError;
 use nob_machine::reference::{run_folded_reference, run_reference};
-use nob_machine::{run, run_folded, Program, RunOptions};
+use nob_machine::{run, Program, RunOptions};
 
 #[test]
 fn message_outside_cluster_is_rejected_with_the_offending_edge() {
@@ -42,8 +42,6 @@ fn out_of_range_destination_is_rejected() {
             let opts = RunOptions { workers: Some(workers), validate, ..Default::default() };
             let what = format!("width {workers}, validate {validate}");
             assert_eq!(run(&p, vec![(); v], &opts).err(), Some(want.clone()), "run, {what}");
-            let folded = run_folded(&p, vec![(); v], 4, &opts).err();
-            assert_eq!(folded, Some(want.clone()), "run_folded, {what}");
         }
         let opts = RunOptions { validate, ..Default::default() };
         let reference = run_reference(&p, vec![(); v], &opts).err();
@@ -53,6 +51,8 @@ fn out_of_range_destination_is_rejected() {
     }
 }
 
+/// The executed folding checks the cluster constraint of every superstep,
+/// the ones it does not record (label ≥ log p) included.
 #[test]
 fn folded_execution_validates_too() {
     let mut p: Program<(), u8> = Program::new(16, 16);
@@ -61,7 +61,8 @@ fn folded_execution_validates_too() {
             out.send(15, 1);
         }
     });
-    assert!(run_folded(&p, vec![(); 16], 4, &RunOptions::default()).is_err());
+    let err = run_folded_reference(&p, vec![(); 16], 4, &RunOptions::default()).err();
+    assert_eq!(err, Some(ModelError::ClusterViolation { label: 3, src: 0, dst: 15 }));
 }
 
 #[test]
@@ -69,7 +70,7 @@ fn bad_fold_targets_are_rejected() {
     let mut p: Program<u8, u8> = Program::new(8, 8);
     p.step(0, "noop", |_, _, _, _| {});
     for bad_p in [0usize, 3, 16] {
-        match run_folded(&p, vec![0; 8], bad_p, &RunOptions::default()) {
+        match run_folded_reference(&p, vec![0; 8], bad_p, &RunOptions::default()) {
             Err(ModelError::BadFold { .. }) => {}
             other => panic!("p = {bad_p}: expected BadFold, got {:?}", other.is_ok()),
         }
@@ -86,9 +87,7 @@ fn wrong_state_count_is_a_structured_error() {
     let want = ModelError::BadVectorLength { what: "states", expected: 8, got: 7 };
     for w in [1usize, 2] {
         let opts = RunOptions { workers: Some(w), ..Default::default() };
-        let (full, folded) = (run(&p, vec![0; 7], &opts), run_folded(&p, vec![0; 7], 4, &opts));
-        assert_eq!(full.err(), Some(want.clone()), "run, width {w}");
-        assert_eq!(folded.err(), Some(want.clone()), "run_folded, width {w}");
+        assert_eq!(run(&p, vec![0; 7], &opts).err(), Some(want.clone()), "run, width {w}");
     }
     assert_eq!(p.capture_plans(vec![0; 7]).err(), Some(want));
     assert_eq!(p.planned_steps(), 0, "a refused capture adds no plan");

@@ -2,9 +2,9 @@
 //! programs, executing from the compiled [`StepPlan`]s (analytic metrics,
 //! compile-proven cluster constraint, direct-write scatter) must be
 //! **bit-for-bit indistinguishable** from dynamic execution — states, trace
-//! and raw message log, at full granularity and every folding, on the serial
-//! and the sharded path — and a body that breaks its declaration must be
-//! rejected instead of silently corrupting metrics.
+//! and raw message log, on the serial and the sharded path, and under the
+//! reference engine's folding at every `p` — and a body that breaks its
+//! declaration must be rejected instead of silently corrupting metrics.
 //!
 //! A declared body says what it sends, never where: its writer fills the
 //! VP's next declared payload slot, and the engine emits the declared
@@ -29,9 +29,7 @@
 
 use nob_core::ModelError;
 use nob_machine::reference::{run_folded_reference, run_reference};
-use nob_machine::{
-    run, run_folded, Ctx, DeclaredRoute, Inbox, Program, Route, RunOptions, Slots, Xor,
-};
+use nob_machine::{run, Ctx, DeclaredRoute, Inbox, Program, Route, RunOptions, Slots, Xor};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -157,23 +155,25 @@ proptest! {
         }
     }
 
-    /// Folded planned execution ≡ folded dynamic execution at every p and
-    /// worker width (plan metrics collapse to granularity p analytically).
+    /// The reference engine's folding of a declared program ≡ the run of
+    /// its undeclared twin, at every p: a declared body stages its route's
+    /// destinations and dummies, so the executed folding keeps the twin's
+    /// states and every fold of its trace.
     #[test]
     fn folded_planned_execution_matches_dynamic((v, steps) in arb_steps()) {
         let planned = build_program(v, &steps, true);
         let dynamic = build_program(v, &steps, false);
         let states: Vec<u64> = (0..v as u64).collect();
+        let want = run(&dynamic, states.clone(), &RunOptions::default()).unwrap();
         let mut p = 2usize;
         while p <= v {
-            let serial = RunOptions { workers: Some(1), ..RunOptions::with_log() };
-            let want = run_folded(&dynamic, states.clone(), p, &serial).unwrap();
-            for w in [1usize, 2, 4] {
-                let opts = RunOptions { workers: Some(w), ..RunOptions::with_log() };
-                let got = run_folded(&planned, states.clone(), p, &opts).unwrap();
-                prop_assert_eq!(&got.states, &want.states, "folded states p={} w={}", p, w);
-                prop_assert_eq!(&got.trace, &want.trace, "folded trace p={} w={}", p, w);
-                prop_assert_eq!(&got.message_log, &want.message_log, "folded log p={} w={}", p, w);
+            let got =
+                run_folded_reference(&planned, states.clone(), p, &RunOptions::default()).unwrap();
+            prop_assert_eq!(&got.states, &want.states, "folded states p={}", p);
+            let mut q = 2usize;
+            while q <= p {
+                prop_assert_eq!(got.trace.fold(q), want.trace.fold(q), "p={} q={}", p, q);
+                q *= 2;
             }
             p *= 2;
         }
@@ -529,11 +529,12 @@ proptest! {
     /// Random declared programs — `Skip` holes, `End`s, dummies, fused and
     /// cross-shard steps, and butterflies declared as the route value
     /// [`Xor`], whose plans are computed in closed form — with one
-    /// representable divergence injected into one step. On every path — widths 1, 2 and 4, fusion on and off,
-    /// validation on and off, plans off, folded at p ∈ {2, v/2}, and the
-    /// reference engines — a divergent run fails with exactly the error
-    /// the slot-walk oracle predicts; an honest one equals the reference
-    /// engine bit for bit, dummies at their declared positions included.
+    /// representable divergence injected into one step. On every path —
+    /// widths 1, 2 and 4, fusion on and off, validation on and off, plans
+    /// off, and the reference engine and its folding at p ∈ {2, v/2} — a
+    /// divergent run fails with exactly the error the slot-walk oracle
+    /// predicts; an honest one equals the reference engine bit for bit,
+    /// dummies at their declared positions included.
     #[test]
     fn representable_divergences_are_rejected_exactly_on_every_path(
         log_v in 2u32..6,
@@ -599,14 +600,23 @@ proptest! {
                     run_reference(&prog, states.clone(), &opts)
                 })?;
             }
-            for p in [2, v / 2] {
-                // The folded reference keeps no message log; the full runs
-                // above compare logs.
-                let opts = RunOptions { workers: Some(w), ..RunOptions::default() };
-                let what = format!("folded p = {p}, w = {w}");
-                check(&what, true, run_folded(&prog, states.clone(), p, &opts), &|| {
-                    run_folded_reference(&prog, states.clone(), p, &opts)
-                })?;
+        }
+        // The executed folding — the reference engine's — fails where the
+        // run fails, with the staged path's error (a panic it lets unwind),
+        // and otherwise keeps the run's states and the folds of its trace.
+        for p in [2, v / 2] {
+            let folded = || run_folded_reference(&prog, states.clone(), p, &base);
+            match &verdict {
+                Some(_) if matches!(kind, Divergence::Panic) => {}
+                Some(verdict) => {
+                    let got = folded().err();
+                    prop_assert_eq!(got.as_ref(), Some(&verdict.staged), "{:?} (p = {})", kind, p);
+                }
+                None => {
+                    let (got, want) = (folded().unwrap(), run(&prog, states.clone(), &base).unwrap());
+                    prop_assert_eq!(&got.states, &want.states, "folded states p = {}", p);
+                    prop_assert_eq!(got.trace.fold(p), want.trace.fold(p), "folded p = {}", p);
+                }
             }
         }
     }

@@ -25,8 +25,16 @@
 # (`path count` lines; `#` lines are comments) — the per-file counts of
 # non-test `unsafe` keywords that nob-lint's NL004 holds the tree to.
 #
+# The option counts are the knobs of the engine's three configuration
+# structs, `RunOptions`, `JobOptions` and `ServerConfig`: the lines between
+# a column-0 `pub struct NAME {` under `crates/machine/src` and its
+# column-0 `}` that open, after exactly four spaces, with a bare `pub`
+# field (`pub name:`; not `pub(crate)`, not a comment). A struct the tree
+# does not define counts 0.
+#
 # Prints one `crate lines` row per crate and a `total` row, then one
-# `api crate items` row per crate and an `unsafe n` row, so two trees diff
+# `api crate items` row per crate, an `unsafe n` row and one
+# `options struct fields` row per configuration struct, so two trees diff
 # line by line.
 set -euo pipefail
 tree="${1:-$(dirname "$0")/..}"
@@ -70,3 +78,12 @@ printf '%-8s %6d\n' total "$total"
 printf '%s\n' "${apis[@]}"
 printf '%-8s %6d\n' unsafe \
     "$(awk '!/^#/ && NF == 2 { n += $2 } END { print n + 0 }' "$tree/crates/lint/unsafe_inventory.txt")"
+for config in RunOptions JobOptions ServerConfig; do
+    fields=$(find "$tree/crates/machine/src" -name '*.rs' -print0 | sort -z | xargs -0 awk -v name="$config" '
+        FNR == 1 { inside = 0 }
+        $0 ~ "^pub struct " name " [{]" { inside = 1; next }
+        inside && /^}/ { inside = 0 }
+        inside && /^    pub [A-Za-z_0-9]+:/ { n++ }
+        END { print n + 0 }')
+    printf 'options %-12s %6d\n' "$config" "$fields"
+done

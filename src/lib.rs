@@ -14,8 +14,8 @@
 //! * [`core`] — models, folding, communication metrics (`H`, `D`),
 //!   wiseness/fullness, the optimality theorems, lower bounds, machine
 //!   presets;
-//! * [`machine`] — the instrumented superstep VM (full-granularity and
-//!   folded execution, the ascend–descend protocol);
+//! * [`machine`] — the instrumented superstep VM (one run on `M(v)`
+//!   whose trace evaluates every folding, the ascend–descend protocol);
 //! * [`algos`] — matrix multiplication, FFT, Columnsort, stencils,
 //!   broadcast, primitives, and the class-C baselines;
 //! * [`networks`] — packet-level mesh/array/hypercube simulators and
@@ -28,7 +28,8 @@
 //! use network_oblivious::algos::mm::MmInput;
 //! use network_oblivious::algos::semiring::{Matrix, WrapU64};
 //! use network_oblivious::core::{lower_bounds, machines, wiseness};
-//! use network_oblivious::machine::{execute, execute_folded, RunOptions};
+//! use network_oblivious::machine::reference::run_folded_reference;
+//! use network_oblivious::machine::{execute, NobAlgorithm, RunOptions};
 //!
 //! // An n-MM instance (n = 64 entries per matrix).
 //! let a = Matrix::from_fn(8, |i, j| WrapU64((3 * i + j) as u64));
@@ -51,9 +52,12 @@
 //! // 4. The algorithm is (Θ(1), v)-wise, as Theorem 4.2 claims…
 //! assert!(wiseness::alpha_max(&trace, 64).alpha >= 0.25);
 //!
-//! // 5. …and folding actually runs: same product on 8 processors.
-//! let (folded, _) = execute_folded(&alg, 64, &input, 8, &RunOptions::default()).unwrap();
-//! assert_eq!(folded, product);
+//! // 5. …and folding it onto 8 processors changes nothing: the reference's
+//! //    executed folding computes the same product, with `trace.fold(8)`.
+//! let states = alg.init(64, &input);
+//! let folded = run_folded_reference(&alg.build(64), states, 8, &RunOptions::default()).unwrap();
+//! assert_eq!(alg.extract(64, folded.states), product);
+//! assert_eq!(folded.trace.fold(8), trace.fold(8));
 //! ```
 //!
 //! The paper's statements are asserted by the test suite, next to the code

@@ -1,7 +1,8 @@
 //! Integration: every algorithm in the repository computes the right answer
-//! at full granularity AND under folding, with folded metrics agreeing with
-//! the analytic fold of the full trace — the Section-2 folding semantics,
-//! end to end.
+//! at full granularity AND under folding — the reference engine's executed
+//! folding onto every `M(p)` reproduces the outputs, and its metrics are the
+//! analytic fold of the full trace: the Section-2 folding semantics, end to
+//! end.
 
 use network_oblivious::algos::broadcast::{AwareBroadcast, ObliviousBroadcast};
 use network_oblivious::algos::fft::{naive_dft, BinaryExchangeFft, Complex, RecursiveFft};
@@ -18,7 +19,8 @@ use network_oblivious::algos::stencil::{
 use network_oblivious::algos::stencil2::{
     stencil2_reference, NaiveStencil2, OctaStencil, WrapSum2Op,
 };
-use network_oblivious::machine::{execute, execute_folded, NobAlgorithm, RunOptions};
+use network_oblivious::machine::reference::run_folded_reference;
+use network_oblivious::machine::{execute, NobAlgorithm, RunOptions};
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed | 1;
@@ -30,19 +32,25 @@ fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// Runs `alg` at full granularity and at every power-of-two folding,
-/// asserting identical outputs and consistent metrics.
-fn folding_invariant<A>(alg: &A, n: usize, input: &A::Input)
-where
-    A: NobAlgorithm,
-    A::Output: PartialEq + std::fmt::Debug,
-{
+/// Runs `alg` at full granularity, and its folding onto every power-of-two
+/// `p ≤ v` through the reference engine, asserting that `same` holds of the
+/// two outputs and that the folding's trace gives the full trace's
+/// `fold(q)` for every `q ≤ p`.
+fn folding_invariant_by<A: NobAlgorithm>(
+    alg: &A,
+    n: usize,
+    input: &A::Input,
+    same: impl Fn(&A::Output, &A::Output) -> bool,
+) {
     let v = alg.v(n);
     let (full, full_trace) = execute(alg, n, input, &RunOptions::default()).unwrap();
+    let prog = alg.build(n);
     let mut p = 2usize;
     while p <= v {
-        let (out, trace) = execute_folded(alg, n, input, p, &RunOptions::default()).unwrap();
-        assert_eq!(out, full, "{}: output diverges at p = {p}", alg.name());
+        let states = alg.init(n, input);
+        let folded = run_folded_reference(&prog, states, p, &RunOptions::default()).unwrap();
+        let (out, trace) = (alg.extract(n, folded.states), folded.trace);
+        assert!(same(&out, &full), "{}: output diverges at p = {p}", alg.name());
         let mut q = 2;
         while q <= p {
             assert_eq!(
@@ -53,8 +61,17 @@ where
             );
             q *= 2;
         }
-        p *= 4;
+        p *= 2;
     }
+}
+
+/// [`folding_invariant_by`] with outputs compared by `==`.
+fn folding_invariant<A>(alg: &A, n: usize, input: &A::Input)
+where
+    A: NobAlgorithm,
+    A::Output: PartialEq,
+{
+    folding_invariant_by(alg, n, input, |a, b| a == b);
 }
 
 #[test]
@@ -101,18 +118,12 @@ fn fft_algorithms_agree_and_fold() {
     for (g, w) in got.iter().zip(&want) {
         assert!(g.close_to(*w, 1e-6));
     }
-    // Folding invariants need PartialEq outputs; compare via bit patterns.
-    let alg = RecursiveFft::default();
-    let v = alg.v(n);
-    let (full, _) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
-    let mut p = 2usize;
-    while p <= v {
-        let (out, _) = execute_folded(&alg, n, &xs[..], p, &RunOptions::default()).unwrap();
-        for (a, b) in out.iter().zip(&full) {
-            assert!(a.close_to(*b, 0.0), "fft folding not bitwise identical at p = {p}");
-        }
-        p *= 4;
-    }
+    // `Complex` has no `==`: a folding must reproduce the spectrum exactly.
+    let bitwise = |a: &Vec<Complex>, b: &Vec<Complex>| {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.close_to(*y, 0.0))
+    };
+    folding_invariant_by(&RecursiveFft::default(), n, &xs[..], bitwise);
+    folding_invariant_by(&BinaryExchangeFft, n, &xs[..], bitwise);
 }
 
 #[test]

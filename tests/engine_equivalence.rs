@@ -1,9 +1,9 @@
 //! Workspace-level equivalence property tests for the engine on the *real*
 //! Section-4 programs (not just toy broadcasts): full-granularity
-//! execution, folded execution at `p ∈ {2, 4, 8}`, the persistent sharded
-//! executor at several worker widths, and the preserved legacy reference
-//! engine must all agree on final states and on every analytic fold of the
-//! communication trace.
+//! execution, the persistent sharded executor at several worker widths and
+//! the preserved legacy reference engine must all agree on final states and
+//! traces, and the reference engine's executed folding at `p ∈ {2, 4, 8}`
+//! on final states and on every analytic fold of the communication trace.
 
 use network_oblivious::algos::fft::{naive_dft, BinaryExchangeFft, Complex};
 use network_oblivious::algos::mm::cannon::CannonMm;
@@ -20,12 +20,13 @@ use network_oblivious::algos::stencil2::{
     stencil2_reference, NaiveStencil2, OctaStencil, WrapSum2Op,
 };
 use network_oblivious::machine::reference::{run_folded_reference, run_reference};
-use network_oblivious::machine::{run, run_folded, Ctx, NobAlgorithm, Program, Route, RunOptions};
+use network_oblivious::machine::{run, Ctx, NobAlgorithm, Program, Route, RunOptions};
 use proptest::prelude::*;
 
 /// Checks the full set of equivalences for one algorithm instance:
-/// full run == folded run (states + all fold metrics) == reference engine
-/// == sharded executor (2 and 4 persistent workers), for every `p` in `ps`.
+/// full run == reference engine == sharded executor (2, 4 and 8 persistent
+/// workers), and the reference folding (states + all fold metrics) at every
+/// `p` in `ps`.
 fn assert_engine_equivalences<A>(alg: &A, n: usize, input: &A::Input, ps: &[usize])
 where
     A: NobAlgorithm,
@@ -78,77 +79,15 @@ where
         assert_eq!(sharded.trace, plan_on.trace, "{what} trace at {w} workers, n = {n}");
         assert_eq!(sharded.message_log, plan_on.message_log, "{what} log at {w} workers, n = {n}");
     }
+    // The executed folding — the reference engine's — reproduces the full
+    // run's states and the analytic fold of its trace at every
+    // sub-granularity.
     for &p in ps {
         if p > prog.v() {
             continue;
         }
-        let folded = run_folded(&prog, states.clone(), p, &opts).unwrap();
+        let folded = run_folded_reference(&prog, states.clone(), p, &opts).unwrap();
         assert_eq!(folded.states, full.states, "full vs folded states at p = {p}, n = {n}");
-        let folded_off = run_folded(
-            &prog,
-            states.clone(),
-            p,
-            &RunOptions { use_plans: false, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(
-            folded_off.states, folded.states,
-            "plan-on vs plan-off folded states at p = {p}, n = {n}"
-        );
-        assert_eq!(
-            folded_off.trace, folded.trace,
-            "plan-on vs plan-off folded trace at p = {p}, n = {n}"
-        );
-        let folded_legacy = run_folded_reference(&prog, states.clone(), p, &opts).unwrap();
-        assert_eq!(
-            folded.trace, folded_legacy.trace,
-            "arena vs reference folded trace at p = {p}, n = {n}"
-        );
-        // The sharded folding (shard = fold, capped by the worker budget)
-        // must agree with the serial folding exactly.
-        let sharded_folded = run_folded(
-            &prog,
-            states.clone(),
-            p,
-            &RunOptions { workers: Some(4), ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(
-            sharded_folded.states, folded.states,
-            "sharded folded states at p = {p}, n = {n}"
-        );
-        assert_eq!(sharded_folded.trace, folded.trace, "sharded folded trace at p = {p}, n = {n}");
-        // Fusion changes cost, never results — folded, serial and sharded.
-        for w in [1usize, 4] {
-            let unfused = run_folded(
-                &prog,
-                states.clone(),
-                p,
-                &RunOptions { workers: Some(w), fuse: false, ..Default::default() },
-            )
-            .unwrap();
-            assert_eq!(unfused.states, folded.states, "folded fuse-off states, p = {p}, w = {w}");
-            assert_eq!(unfused.trace, folded.trace, "folded fuse-off trace, p = {p}, w = {w}");
-        }
-        // And the sharded folding with plans disabled (lane path) matches
-        // the sharded planned folding (direct cross-shard path) exactly.
-        let sharded_folded_off = run_folded(
-            &prog,
-            states.clone(),
-            p,
-            &RunOptions { workers: Some(4), use_plans: false, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(
-            sharded_folded_off.states, folded.states,
-            "sharded folded plans-off states at p = {p}, n = {n}"
-        );
-        assert_eq!(
-            sharded_folded_off.trace, folded.trace,
-            "sharded folded plans-off trace at p = {p}, n = {n}"
-        );
-        // The executed folding must reproduce the analytic fold of the
-        // full-granularity trace at every sub-granularity.
         let mut q = 2;
         while q <= p {
             assert_eq!(
@@ -164,8 +103,8 @@ where
 /// `Outbox::len` mid-VP reads the same on every path: a [`Program::step`]
 /// body that records `out.len()` between its sends (into its own state and
 /// into the payloads it sends) must leave identical states, traces and logs
-/// on the dynamic path — serial or sharded, validated or not, folded — on
-/// the reference engine, and replayed from its captured plans through the
+/// on the dynamic path — serial or sharded, validated or not — on the
+/// reference engine and its folding, and replayed from its captured plans through the
 /// planned kernels, fused or not. (A declared body's writer has no `len`:
 /// it sends into its route's slots.)
 #[test]
@@ -217,13 +156,9 @@ fn outbox_len_mid_vp_reads_alike_on_every_path() {
             assert_eq!(got.trace, want.trace, "trace under {opts:?}");
             assert_eq!(got.message_log, want.message_log, "log under {opts:?}");
         }
-        for w in [1usize, 4] {
-            let opts = RunOptions { workers: Some(w), ..Default::default() };
-            let folded = run_folded(prog, states.clone(), 4, &opts).unwrap();
-            let legacy = run_folded_reference(prog, states.clone(), 4, &opts).unwrap();
-            assert_eq!(folded.states, want.states, "folded states at {w} workers");
-            assert_eq!(folded.trace, legacy.trace, "folded trace at {w} workers");
-        }
+        let folded = run_folded_reference(prog, states.clone(), 4, &logged).unwrap();
+        assert_eq!(folded.states, want.states, "folded states");
+        assert_eq!(folded.trace.fold(4), want.trace.fold(4), "folded metrics");
     }
 }
 
@@ -234,7 +169,8 @@ fn outbox_len_mid_vp_reads_alike_on_every_path() {
 /// dummies — leaves the same states, trace and message log (dummies
 /// included) on the reference engine, the dynamic path, the serial planned
 /// path fused and not, the sharded one at widths 2 and 4 with validation on
-/// and off, and folded at p = 4; and the log shows where each dummy went.
+/// and off, and the reference folding at p = 4 keeps the states and the
+/// folded metrics; and the log shows where each dummy went.
 #[test]
 fn declared_dummies_land_at_their_slot_positions_on_every_path() {
     use network_oblivious::machine::Ctx;
@@ -297,13 +233,9 @@ fn declared_dummies_land_at_their_slot_positions_on_every_path() {
         assert_eq!(got.trace, want.trace, "trace under {opts:?}");
         assert_eq!(got.message_log, want.message_log, "log under {opts:?}");
     }
-    for w in [1usize, 4] {
-        let opts = RunOptions { workers: Some(w), ..RunOptions::with_log() };
-        let folded = run_folded(&prog, states.clone(), 4, &opts).unwrap();
-        let legacy = run_folded_reference(&prog, states.clone(), 4, &opts).unwrap();
-        assert_eq!(folded.states, want.states, "folded states at {w} workers");
-        assert_eq!(folded.trace, legacy.trace, "folded trace at {w} workers");
-    }
+    let folded = run_folded_reference(&prog, states.clone(), 4, &logged).unwrap();
+    assert_eq!(folded.states, want.states, "folded states");
+    assert_eq!(folded.trace.fold(4), want.trace.fold(4), "folded metrics");
 }
 
 /// Every path delivers a VP's inbox in one order: ascending source VP, then
@@ -361,11 +293,8 @@ fn inbox_order_is_ascending_source_then_send_order_on_every_path() {
         assert_eq!(got.states, reference.states, "states under {opts:?}");
         assert_eq!(got.message_log, reference.message_log, "log under {opts:?}");
     }
-    for w in [1usize, 4] {
-        let opts = RunOptions { workers: Some(w), ..Default::default() };
-        let folded = run_folded(&prog, states.clone(), 4, &opts).unwrap();
-        assert_eq!(folded.states, reference.states, "folded p = 4 states at {w} workers");
-    }
+    let folded = run_folded_reference(&prog, states, 4, &logged).unwrap();
+    assert_eq!(folded.states, reference.states, "folded p = 4 states");
 }
 
 proptest! {

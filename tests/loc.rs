@@ -8,7 +8,11 @@
 //! comment and code after the test module are. A bare `pub` item counts
 //! toward the API size; `pub(crate)`, `pub(super)`, `pub` fields,
 //! commented-out items and test-module items do not. The `unsafe` row sums
-//! the inventory's `path count` lines and skips its comments.
+//! the inventory's `path count` lines and skips its comments. An `options`
+//! row counts the bare `pub` fields of `RunOptions`, `JobOptions` and
+//! `ServerConfig`, and nothing of a struct whose name only starts like one,
+//! of a field that is `pub(crate)`, private or commented out, or of a tree
+//! without the struct.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -106,6 +110,47 @@ fn counts_code_lines_and_public_items() {
         vec!["api", "machine", "5"],
         vec!["api", "algos", "0"],
         vec!["unsafe", "11"],
+        vec!["options", "RunOptions", "0"],
+        vec!["options", "JobOptions", "0"],
+        vec!["options", "ServerConfig", "0"],
     ];
     assert_eq!(rows, want, "rows of the fixture tree");
+}
+
+/// Configuration structs with every kind of field line the option count
+/// must tell apart; the trailing notes say which ones count.
+const OPTIONS: &str = r#"/// Engine options.
+pub struct RunOptions {
+    /// A documented field.
+    pub parallel: bool, // counts
+    pub(crate) hidden: u32,
+    private: u8,
+    // pub commented: u8,
+    pub workers: Option<usize>, // counts
+}
+
+pub struct JobOptions {
+    pub validate: bool, // counts
+}
+
+/// Starts like `ServerConfig`, is not it.
+pub struct ServerConfigBuilder {
+    pub n_shards: usize,
+}
+
+struct Other {
+    pub width: u32,
+}
+"#;
+
+#[test]
+fn counts_public_option_fields() {
+    let root = sandbox("options", [("core", ""), ("machine", OPTIONS), ("algos", "")]);
+    let rows: Vec<Vec<String>> = loc(&root).into_iter().filter(|row| row[0] == "options").collect();
+    let want: Vec<Vec<&str>> = vec![
+        vec!["options", "RunOptions", "2"],
+        vec!["options", "JobOptions", "1"],
+        vec!["options", "ServerConfig", "0"],
+    ];
+    assert_eq!(rows, want, "option rows of the fixture tree");
 }
