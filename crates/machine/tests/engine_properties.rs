@@ -71,15 +71,41 @@ proptest! {
     /// Folding is a view of the one full run: for arbitrary static
     /// programs and every `p`, the executed folding
     /// ([`run_folded_reference`]) ends in the run's states, and its records
-    /// are exactly the run's records with `label < log p` — the degree
-    /// vector cut to `log p` levels, and the total the number of that
-    /// step's logged pairs `(src, dst)` whose processors `src >> (log v −
-    /// log p)` and `dst >> (log v − log p)` differ. So `fold(q)` of either
-    /// trace agrees for every `q ≤ p`.
+    /// are exactly the run's records with `label < log p`, each degree
+    /// vector cut to `log p` levels. So `fold(q)` of either trace agrees
+    /// for every `q ≤ p` (the totals are pinned by
+    /// `folded_message_log_matches_folded_metrics`).
     #[test]
     fn folding_is_semantics_preserving((v, steps) in arb_steps()) {
         let prog = build_program(v, &steps);
         let states: Vec<u64> = (0..v as u64).map(|x| x * 2 + 1).collect();
+        let full = run(&prog, states.clone(), &RunOptions::default()).unwrap();
+        let mut p = 2usize;
+        while p <= v {
+            let log_p = p.trailing_zeros();
+            let folded =
+                run_folded_reference(&prog, states.clone(), p, &RunOptions::default()).unwrap();
+            prop_assert_eq!(&folded.states, &full.states, "states diverge at p = {}", p);
+            prop_assert_eq!(folded.trace.log_v, log_p);
+            let kept: Vec<_> = full.trace.steps.iter().filter(|s| s.label < log_p).collect();
+            prop_assert_eq!(folded.trace.steps.len(), kept.len(), "records at p = {}", p);
+            for (got, want) in folded.trace.steps.iter().zip(kept) {
+                prop_assert_eq!(got.label, want.label, "p = {}", p);
+                prop_assert_eq!(&got.h_by_fold[..], &want.h_by_fold[..log_p as usize]);
+            }
+            p *= 2;
+        }
+    }
+
+    /// The folded message log — the full run's log cut to the steps with
+    /// `label < log p`, each pair `(src, dst)` projected onto processors
+    /// `(src >> (log v − log p), dst >> (log v − log p))` and the
+    /// processor-internal pairs dropped — aligns with the executed
+    /// folding's records and explains exactly their totals.
+    #[test]
+    fn folded_message_log_matches_folded_metrics((v, steps) in arb_steps()) {
+        let prog = build_program(v, &steps);
+        let states: Vec<u64> = (0..v as u64).collect();
         let full = run(&prog, states.clone(), &RunOptions::with_log()).unwrap();
         let log = full.message_log.as_ref().expect("log requested");
         let log_v = full.trace.log_v;
@@ -89,17 +115,26 @@ proptest! {
             let shift = log_v - log_p;
             let folded =
                 run_folded_reference(&prog, states.clone(), p, &RunOptions::default()).unwrap();
-            prop_assert_eq!(&folded.states, &full.states, "states diverge at p = {}", p);
-            prop_assert_eq!(folded.trace.log_v, log_p);
-            let kept: Vec<_> =
-                full.trace.steps.iter().zip(log).filter(|(s, _)| s.label < log_p).collect();
-            prop_assert_eq!(folded.trace.steps.len(), kept.len(), "records at p = {}", p);
-            for (got, (want, pairs)) in folded.trace.steps.iter().zip(kept) {
-                prop_assert_eq!(got.label, want.label, "p = {}", p);
-                prop_assert_eq!(&got.h_by_fold[..], &want.h_by_fold[..log_p as usize]);
-                let external =
-                    pairs.iter().filter(|&&(s, d)| (s >> shift) != (d >> shift)).count();
-                prop_assert_eq!(got.total_msgs, external as u64, "p = {}", p);
+            let folded_log: Vec<Vec<(u32, u32)>> = full
+                .trace
+                .steps
+                .iter()
+                .zip(log)
+                .filter(|(s, _)| s.label < log_p)
+                .map(|(_, pairs)| {
+                    pairs
+                        .iter()
+                        .map(|&(s, d)| (s >> shift, d >> shift))
+                        .filter(|(ps, pd)| ps != pd)
+                        .collect()
+                })
+                .collect();
+            prop_assert_eq!(folded_log.len(), folded.trace.steps.len(), "p = {}", p);
+            for (msgs, step) in folded_log.iter().zip(&folded.trace.steps) {
+                prop_assert_eq!(msgs.len() as u64, step.total_msgs, "p = {}", p);
+                for &(ps, pd) in msgs {
+                    prop_assert!((ps as usize) < p && (pd as usize) < p);
+                }
             }
             p *= 2;
         }
