@@ -40,7 +40,7 @@
 //! and its body share, and the store keeps bare values by cell.
 
 use crate::common::Shipments;
-use crate::stencil::{plane_axis, plane_span, ship, CellMsg, StencilState};
+use crate::stencil::{distinct, plane_axis, plane_span, ship, CellMsg, StencilState};
 use nob_machine::{Ctx, NobAlgorithm, Program, Route};
 use std::collections::HashMap;
 
@@ -113,18 +113,6 @@ fn in_region(x: i64, y: i64, t: i64, n: i64) -> bool {
 /// to its neighbours and itself.
 const OFFSETS: [(i64, i64); 9] =
     [(1, 1), (1, 0), (1, -1), (0, 1), (0, 0), (0, -1), (-1, 1), (-1, 0), (-1, -1)];
-
-/// Calls `f` once per distinct destination of `dsts` other than `skip`, in
-/// first-seen order.
-fn distinct(dsts: impl Iterator<Item = usize>, skip: usize, mut f: impl FnMut(usize)) {
-    let mut seen = Vec::with_capacity(9);
-    for dst in dsts {
-        if dst != skip && !seen.contains(&dst) {
-            seen.push(dst);
-            f(dst);
-        }
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 struct Geo2 {
@@ -318,7 +306,7 @@ impl Geo2 {
     }
 
     /// `stencil2-row` of VP `vp`: each cell it evaluates in row `t` of its
-    /// level-ℓ block `blk`, to the distinct owners of its eight spatial
+    /// level-ℓ block `blk`, to the distinct owners of its in-square spatial
     /// neighbours.
     fn row_sends(
         &self,
@@ -330,7 +318,11 @@ impl Geo2 {
     ) {
         let (_, b, _, f) = blk;
         for (x, y) in self.row_cells(blk, level, t, vp) {
-            let dsts = OFFSETS.iter().map(|&(dx, dy)| self.owner(b, f, x + dx, y + dy, level));
+            let neighbours = OFFSETS
+                .iter()
+                .map(|&(dx, dy)| (x + dx, y + dy))
+                .filter(|&(nx, ny)| in_region(nx, ny, 0, self.n));
+            let dsts = neighbours.map(|(nx, ny)| self.owner(b, f, nx, ny, level));
             distinct(dsts, vp, |dst| push((x, y, t), dst));
         }
     }
