@@ -7,48 +7,61 @@ pub(crate) fn silent(_: &Ctx, _: usize) -> Route {
     Route::Skip
 }
 
-/// A static step's sends, listed once at build time: for each VP, the items
-/// it ships and their destinations, in send order. The route of the step
-/// reads the destinations, its body the items, so one enumerator states
-/// both. A send to the sender itself is not listed: the item is already
-/// there.
+/// A static step's sends, listed once at build time: for each VP that
+/// sends, the items it ships and their destinations, in send order. The
+/// route of the step reads the destinations, its body the items, so one
+/// enumerator states both. Only the sending VPs appear, so the table is as
+/// long as the step's traffic, not as the machine: a VP finds its sends by
+/// binary search. A send to the sender itself is not listed: the item is
+/// already there.
 pub(crate) struct Shipments<K> {
-    /// VP `vp`'s sends are `sends[start[vp]..start[vp + 1]]`.
-    start: Vec<usize>,
-    sends: Vec<(K, usize)>,
+    /// `(src, item, dst)` by ascending source VP, each source's in send
+    /// order (VP indices fit `u32`, as in the engine's message log).
+    sends: Vec<(u32, K, u32)>,
+    /// The most sends of any one VP.
+    out_degree: usize,
 }
 
 impl<K> Shipments<K> {
-    /// Lists the sends of a machine of `v` VPs: `each(vp, push)` calls
-    /// `push(item, dst)` once per send of VP `vp`, in order.
-    pub(crate) fn new(v: usize, mut each: impl FnMut(usize, &mut dyn FnMut(K, usize))) -> Self {
-        let mut start = Vec::with_capacity(v + 1);
-        let mut sends = Vec::new();
-        for vp in 0..v {
-            start.push(sends.len());
-            each(vp, &mut |item, dst| {
-                if dst != vp {
-                    sends.push((item, dst));
-                }
-            });
-        }
-        start.push(sends.len());
-        Shipments { start, sends }
+    /// Lists the sends that `each(push)` pushes as `push(src, item, dst)`,
+    /// by ascending source VP and, per source, in send order.
+    pub(crate) fn new(each: impl FnOnce(&mut dyn FnMut(usize, K, usize))) -> Self {
+        let (mut sends, mut out_degree, mut run) = (Vec::<(u32, K, u32)>::new(), 0, 0);
+        each(&mut |src, item, dst| {
+            if dst == src {
+                return;
+            }
+            let last = sends.last().map(|s| s.0 as usize);
+            debug_assert!(last <= Some(src), "sends listed out of source order");
+            run = if last == Some(src) { run + 1 } else { 1 };
+            out_degree = out_degree.max(run);
+            sends.push((src as u32, item, dst as u32));
+        });
+        Shipments { sends, out_degree }
     }
 
-    /// VP `vp`'s sends, in order.
-    pub(crate) fn of(&self, vp: usize) -> &[(K, usize)] {
-        &self.sends[self.start[vp]..self.start[vp + 1]]
+    /// The index of VP `vp`'s first send, if it sends.
+    fn start(&self, vp: usize) -> usize {
+        self.sends.partition_point(|s| (s.0 as usize) < vp)
+    }
+
+    /// VP `vp`'s items, in send order.
+    pub(crate) fn of(&self, vp: usize) -> impl Iterator<Item = &K> {
+        let sends = &self.sends[self.start(vp)..];
+        sends.iter().take_while(move |s| s.0 as usize == vp).map(|s| &s.1)
     }
 
     /// The most sends of any one VP.
     pub(crate) fn out_degree(&self) -> usize {
-        self.start.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
+        self.out_degree
     }
 
     /// Slot `k` of VP `vp`: its `k`-th send.
     pub(crate) fn route(&self, vp: usize, k: usize) -> Route {
-        self.of(vp).get(k).map_or(Route::End, |&(_, dst)| Route::Data(dst))
+        match self.sends.get(self.start(vp) + k) {
+            Some(&(src, _, dst)) if src as usize == vp => Route::Data(dst as usize),
+            _ => Route::End,
+        }
     }
 }
 

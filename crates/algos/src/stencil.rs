@@ -12,6 +12,17 @@
 //! empty blocks (the paper's "dummy diamonds" keep idle submachines in
 //! lockstep; our SPMD closures simply no-op).
 //!
+//! This module also holds the recursive schedule of [`crate::stencil2`]'s
+//! (n,2) algorithm, which rotates each spatial axis the same way: the
+//! schedule is written once over `D` spatial axes (`Geo<D>`, a block is one
+//! `(a, b)` box index pair per axis). A private `Geometry` trait, implemented
+//! for `Geo<1>` here and `Geo<2>` there, states only what differs between the
+//! dimensions: the step names, the neighbour offsets, the phase units of a
+//! recursive block and the children each runs, the columns a VP holds in a
+//! block, and the cell key; a private `Rule` states how one cell is
+//! evaluated from its predecessors. Box spans, liveness, owners, the three
+//! send enumerators and the recursion are shared.
+//!
 //! ## The algorithm (Thm. 4.11)
 //!
 //! With `k = 2^⌈√log n⌉`, each level-ℓ box splits into a k×k grid of child
@@ -41,12 +52,17 @@
 //! before its right one's, so the inbox position names the neighbour. The
 //! diamond algorithm is static too: which cells a VP ships in
 //! `stencil-row`, `stencil-upprop` and `stencil-distribute`, and to whom,
-//! follows from the box geometry and `n` alone. Each such step lists its
-//! sends once, at build time, from one enumerator of that geometry; its
-//! route reads the destinations and its body the cells. A cell's holder
-//! is fixed by the geometry as well — the owner of its column in the
-//! segment of the block that evaluates or receives it — so the store keeps
-//! bare values, and each message names the cell it carries.
+//! follows from the box geometry and `n` alone. The recursion carries the
+//! live blocks of each level under the current phase trail, as
+//! `(segment, block)` pairs: a phase's children are found once per parent
+//! segment, from its block and the phase, and an idle segment never
+//! appears. Each step lists its sends once, at build time, by walking its
+//! live blocks and their VPs' columns, into a table that holds only the VPs
+//! that send; its route finds a VP's destinations there by binary search,
+//! and its body the cells. A cell's holder is fixed by the geometry as well
+//! — the owner of its column in the segment of the block that evaluates or
+//! receives it — so the store keeps bare values, and each message names the
+//! cell it carries.
 
 use crate::common::Shipments;
 use nob_machine::{Ctx, NobAlgorithm, Program, Route};
@@ -107,19 +123,13 @@ pub fn stencil_reference<O: StencilOp>(input: &[O::V]) -> Vec<O::V> {
 }
 
 // --------------------------------------------------------------------------
-// Rotated-coordinate geometry.
+// The recursive box decomposition, over D spatial axes.
 // --------------------------------------------------------------------------
-
-/// Whether `(x, t)` is a node of the problem square.
-#[inline]
-fn in_region(x: i64, t: i64, n: i64) -> bool {
-    0 <= x && x < n && 0 <= t && t < n
-}
 
 /// The half-open `t`-range of spatial coordinate `xy` inside the rotated
 /// box `[a·len, (a+1)·len) × [b·len, (b+1)·len)` of `(xy + t, t − xy + n − 1)`.
 #[inline]
-pub(crate) fn plane_span(xy: i64, a: i64, b: i64, len: i64, n: i64) -> (i64, i64) {
+fn plane_span(xy: i64, [a, b]: [i64; 2], len: i64, n: i64) -> (i64, i64) {
     let c = xy - (n - 1);
     ((a * len - xy).max(b * len + c), ((a + 1) * len - xy).min((b + 1) * len + c))
 }
@@ -128,8 +138,7 @@ pub(crate) fn plane_span(xy: i64, a: i64, b: i64, len: i64, n: i64) -> (i64, i64
 /// [`plane_span`] in the box — grown by `grow` below along both rotated
 /// axes — may be non-empty (a superset: callers test the span).
 pub(crate) fn plane_axis(
-    a: i64,
-    b: i64,
+    [a, b]: [i64; 2],
     len: i64,
     grow: i64,
     n: i64,
@@ -144,7 +153,7 @@ pub(crate) fn plane_axis(
 
 /// Calls `f` once per distinct destination of `dsts` other than `skip`, in
 /// first-seen order.
-pub(crate) fn distinct(dsts: impl Iterator<Item = usize>, skip: usize, mut f: impl FnMut(usize)) {
+fn distinct(dsts: impl Iterator<Item = usize>, skip: usize, mut f: impl FnMut(usize)) {
     let mut seen = Vec::with_capacity(9);
     for dst in dsts {
         if dst != skip && !seen.contains(&dst) {
@@ -164,28 +173,91 @@ fn phase_digit(q: usize, b: i64, k: i64) -> Option<i64> {
     (0..k).contains(&a).then_some(a)
 }
 
-/// A level-ℓ block: its rotated box indices `(a, b)`.
-type Block = (i64, i64);
+/// A level-ℓ block: its rotated box indices `[a, b]` along each spatial
+/// axis (`(u, w) div len` for `x`, `(p, q) div len` for `y`).
+pub(crate) type Block<const D: usize> = [[i64; 2]; D];
 
-/// A cell `(x, t)` of the space-time square.
-type Cell = (i64, i64);
+/// A spatial column, or an offset between two.
+pub(crate) type Col<const D: usize> = [i64; D];
 
-/// Static per-instance geometry.
+/// The live blocks of one level under a phase trail, as `(segment, block)`
+/// pairs by ascending segment: the level-ℓ segment `s` is VPs
+/// `[s·m^D, (s+1)·m^D)` of side `m = n / k^ℓ`.
+type Live<const D: usize> = Vec<(usize, Block<D>)>;
+
+/// `col + off`.
+#[inline]
+fn shift<const D: usize>(mut col: Col<D>, off: &Col<D>) -> Col<D> {
+    col.iter_mut().zip(off).for_each(|(c, o)| *c += o);
+    col
+}
+
+/// Static per-instance geometry of the `D`-dimensional stencil on `M(n^D)`.
 #[derive(Debug, Clone, Copy)]
-struct Geo {
-    n: i64,
+pub(crate) struct Geo<const D: usize> {
+    pub(crate) n: i64,
     /// The decomposition arity `k = 2^⌈√log n⌉`.
-    k: usize,
+    pub(crate) k: usize,
     log_k: u32,
-    /// Box side at each level: `len_ℓ = 2n / k^ℓ`.
+    /// Levels until the segment side `m_ℓ = n/k^ℓ` drops below `k`.
     levels: u32,
 }
 
-impl Geo {
-    fn new(n: usize) -> Geo {
+/// What differs between the stencil's dimensions; everything else of the
+/// recursive schedule is written once over `D` axes.
+pub(crate) trait Geometry<const D: usize> {
+    /// The store key of a cell.
+    type Cell: Copy + Eq + Hash + Send + Sync + 'static;
+    /// The step names: row, up-propagation, distribution.
+    const STEPS: [&'static str; 3];
+    /// The spatial offsets from a cell to its successors, which are also
+    /// its neighbours and itself, in send order.
+    const OFFSETS: &'static [Col<D>];
+    /// The number of phase units of a recursive block.
+    fn phases(&self) -> usize;
+    /// Calls `push(digit, child)` for each child of level-ℓ block `blk`
+    /// that phase unit `q` runs, by ascending digit: the child runs on the
+    /// `digit`-th of the `k^D` sub-segments of `blk`'s segment. Liveness is
+    /// the caller's test.
+    fn children(&self, blk: Block<D>, q: usize, push: impl FnMut(usize, Block<D>));
+    /// The columns at position `r` of segments of side `side` that may meet
+    /// block `blk`'s box of side `len` grown by `grow` below (a superset,
+    /// ascending).
+    fn columns(
+        self,
+        blk: Block<D>,
+        len: i64,
+        grow: i64,
+        r: usize,
+        side: usize,
+    ) -> impl Iterator<Item = Col<D>>;
+    /// The key of cell `(col, t)`.
+    fn cell(col: Col<D>, t: i64) -> Self::Cell;
+}
+
+/// A cell rule of the `D`-dimensional stencil: how one cell is evaluated
+/// from its predecessors.
+pub(crate) trait Rule<const D: usize>: Send + Sync + 'static {
+    /// Cell value type.
+    type V: Clone + Send + Sync + 'static;
+    /// The new cell value; `pred(δ)` is the predecessor at spatial offset
+    /// `δ`, `None` outside the square.
+    fn eval<'a>(pred: impl Fn(Col<D>) -> Option<&'a Self::V>) -> Self::V
+    where
+        Self::V: 'a;
+}
+
+impl<O: StencilOp> Rule<1> for O {
+    type V = O::V;
+    fn eval<'a>(pred: impl Fn(Col<1>) -> Option<&'a O::V>) -> O::V {
+        O::apply(pred([-1]), pred([0]), pred([1]))
+    }
+}
+
+impl<const D: usize> Geo<D> {
+    fn new(n: usize) -> Self {
         let log_n = n.trailing_zeros().max(1);
         let k = 1usize << (log_n as f64).sqrt().ceil() as u32;
-        // Levels until the segment m_ℓ = n/k^ℓ drops below k (base case).
         let mut levels = 0;
         let mut m = n;
         while m >= k && m > 1 {
@@ -195,10 +267,16 @@ impl Geo {
         Geo { n: n as i64, k, log_k: k.trailing_zeros(), levels }
     }
 
-    /// Segment size at level ℓ.
+    /// Spatial side of a level-ℓ segment.
     #[inline]
-    fn seg(&self, level: u32) -> usize {
+    fn side(&self, level: u32) -> usize {
         (self.n as usize) / self.k.pow(level)
+    }
+
+    /// VPs of a level-ℓ segment.
+    #[inline]
+    fn seg_vps(&self, level: u32) -> usize {
+        self.side(level).pow(D as u32)
     }
 
     /// Box side at level ℓ.
@@ -207,145 +285,177 @@ impl Geo {
         2 * self.n / self.k.pow(level) as i64
     }
 
+    /// The label of a level-ℓ segment's supersteps.
+    #[inline]
+    fn label(&self, level: u32) -> u32 {
+        D as u32 * level * self.log_k
+    }
+
     /// The first time row of block `blk`'s box at level ℓ.
     #[inline]
-    fn t_min(&self, (a, b): Block, level: u32) -> i64 {
+    fn t_min(&self, blk: Block<D>, level: u32) -> i64 {
+        let [a, b] = blk[0];
         ((a + b) * self.len(level) - (self.n - 1)).div_euclid(2)
     }
 
-    /// The live block on this VP's level-ℓ segment under ancestor phases
-    /// `qs`, or `None` when the segment idles. The segment index *is* the
-    /// global `B` coordinate; `A`'s base-k digits are forced by the phases.
-    fn my_block(&self, vp: usize, level: u32, qs: &[usize]) -> Option<Block> {
-        debug_assert_eq!(qs.len(), level as usize);
-        let m = self.seg(level);
-        let b_global = (vp / m) as i64;
-        let mut a_global = 0i64;
-        let k = self.k as i64;
-        for (j, &q) in qs.iter().enumerate() {
-            let shift = self.k.pow(level - 1 - j as u32) as i64;
-            let a_digit = phase_digit(q, (b_global / shift) % k, k)?;
-            a_global += a_digit * shift;
-        }
-        let (a, b) = (a_global, b_global);
-        // Idle if the box misses the problem square entirely.
-        let len = self.len(level);
-        let (u0, w0) = (a * len, b * len);
-        // The square is the diamond |u−(n−1)| + |w−(n−1)| ≤ n−1; a box
-        // intersects it iff the box's closest corner does.
-        let cu = (self.n - 1).clamp(u0, u0 + len - 1);
-        let cw = (self.n - 1).clamp(w0, w0 + len - 1);
-        if (cu - (self.n - 1)).abs() + (cw - (self.n - 1)).abs() < self.n {
-            Some((a, b))
-        } else {
-            None
-        }
-    }
-
-    /// Owner of column `x` within the segment of block `(…, b)` at level ℓ:
-    /// the VP that evaluates, or holds the serving copy of, its cells.
+    /// Whether `col` lies in the spatial square.
     #[inline]
-    fn owner(&self, b: i64, x: i64, level: u32) -> usize {
-        let m = self.seg(level);
-        b as usize * m + (x.rem_euclid(m as i64)) as usize
+    fn in_square(&self, col: Col<D>) -> bool {
+        col.iter().all(|&c| 0 <= c && c < self.n)
     }
 
-    /// Whether `(x, t)` is a node inside block `blk`'s box of side `len`.
+    /// The half-open `t`-range of column `col` inside block `blk`'s box of
+    /// side `len`.
     #[inline]
-    fn holds(&self, (a, b): Block, len: i64, x: i64, t: i64) -> bool {
-        let (lo, hi) = plane_span(x, a, b, len, self.n);
-        in_region(x, t, self.n) && lo <= t && t < hi
+    fn t_span(&self, blk: Block<D>, len: i64, col: Col<D>) -> (i64, i64) {
+        let spans = col.iter().zip(blk).map(|(&c, ab)| plane_span(c, ab, len, self.n));
+        spans.fold((i64::MIN, i64::MAX), |(lo, hi), (l, h)| (lo.max(l), hi.min(h)))
     }
 
-    /// The columns `x ≡ vp (mod m)` of level-ℓ segments that may meet
-    /// block `blk`'s box of side `len` grown by `grow` below.
-    fn columns(
-        &self,
-        (a, b): Block,
-        len: i64,
-        grow: i64,
-        vp: usize,
-        m: usize,
-    ) -> impl Iterator<Item = i64> {
-        plane_axis(a, b, len, grow, self.n, (vp % m) as i64, m as i64)
+    /// Whether `(col, t)` is a node inside block `blk`'s box of side `len`.
+    #[inline]
+    fn holds(&self, blk: Block<D>, len: i64, col: Col<D>, t: i64) -> bool {
+        let (lo, hi) = self.t_span(blk, len, col);
+        self.in_square(col) && 0 <= t && t < self.n && lo <= t && t < hi
     }
 
-    /// The cells `vp` evaluates in row `t` of its level-ℓ block `blk`
-    /// (rows `t ≥ 1` only: row 0 is the input), by ascending column.
-    fn row_cells(&self, blk: Block, level: u32, t: i64, vp: usize) -> impl Iterator<Item = i64> {
-        let (geo, len) = (*self, self.len(level));
-        self.columns(blk, len, 0, vp, self.seg(level))
-            .filter(move |&x| t >= 1 && geo.holds(blk, len, x, t))
+    /// Whether block `blk`'s box at level ℓ can contain problem nodes: each
+    /// axis's rotated plane must clip the square's diamond, and the axes'
+    /// `u + w` windows must overlap (they all equal `2t + n − 1`).
+    fn live(&self, blk: Block<D>, level: u32) -> bool {
+        let (len, c) = (self.len(level), self.n - 1);
+        let clips = blk.iter().all(|&[a, b]| {
+            let du = c.clamp(a * len, (a + 1) * len - 1);
+            let dw = c.clamp(b * len, (b + 1) * len - 1);
+            (du - c).abs() + (dw - c).abs() < self.n
+        });
+        let sums = blk.map(|[a, b]| (a + b) * len);
+        clips && sums.iter().all(|&s| sums.iter().all(|&r| s < r + 2 * len - 1))
     }
 
-    /// `stencil-row` of VP `vp`: each cell it evaluates in row `t` of its
-    /// level-ℓ block `blk`, to the distinct owners of its in-square
-    /// neighbour columns `x ± 1`.
-    fn row_sends(
-        &self,
-        blk: Block,
+    /// The owner of column `col` in segment `seg` of side `side`: the VP
+    /// that evaluates, or holds the serving copy of, its cells.
+    #[inline]
+    fn owner(&self, seg: usize, col: Col<D>, side: usize) -> usize {
+        let m = side as i64;
+        let pos = col.iter().fold(0, |acc, &c| acc * m + c.rem_euclid(m));
+        seg * side.pow(D as u32) + pos as usize
+    }
+
+    /// VP `vp`'s block among the level-ℓ blocks `live`, and its position in
+    /// the block's segment.
+    fn block_of(&self, live: &Live<D>, level: u32, vp: usize) -> Option<(Block<D>, usize)> {
+        let nv = self.seg_vps(level);
+        let i = live.binary_search_by_key(&(vp / nv), |&(seg, _)| seg).ok()?;
+        Some((live[i].1, vp % nv))
+    }
+}
+
+impl<const D: usize> Geo<D>
+where
+    Self: Geometry<D>,
+{
+    /// The cells the VP at position `r` of its segment evaluates in row `t`
+    /// of its level-ℓ block `blk` (rows `t ≥ 1` only: row 0 is the input),
+    /// by ascending column.
+    fn row_cells(
+        self,
+        blk: Block<D>,
         level: u32,
         t: i64,
-        vp: usize,
-        push: &mut dyn FnMut(Cell, usize),
-    ) {
-        for x in self.row_cells(blk, level, t, vp) {
-            let neighbours = [x - 1, x + 1].into_iter().filter(|&nx| 0 <= nx && nx < self.n);
-            let dsts = neighbours.map(|nx| self.owner(blk.1, nx, level));
-            distinct(dsts, vp, |dst| push((x, t), dst));
-        }
+        r: usize,
+    ) -> impl Iterator<Item = Col<D>> {
+        let len = self.len(level);
+        self.columns(blk, len, 0, r, self.side(level))
+            .filter(move |&col| t >= 1 && self.holds(blk, len, col, t))
     }
 
-    /// `stencil-upprop` of VP `vp` at level ℓ ≥ 1: the output halo of its
-    /// block `blk` in its own columns — in each column, the box's last
-    /// two time rows, where a successor leaves the box — to the owners of
-    /// the parent's segment.
-    fn upprop_sends(&self, blk: Block, level: u32, vp: usize, push: &mut dyn FnMut(Cell, usize)) {
-        let (a, b) = blk;
-        let len = self.len(level);
-        let parent_b = b.div_euclid(self.k as i64);
-        for x in self.columns(blk, len, 0, vp, self.seg(level)) {
-            let (lo, hi) = plane_span(x, a, b, len, self.n);
-            for t in lo.max(hi - 2).max(0)..hi.min(self.n) {
-                push((x, t), self.owner(parent_b, x, level - 1));
+    /// Row step `r` of the level-ℓ base blocks `live`: each cell a VP
+    /// evaluates in row `t_min + r` of its block, to the distinct owners of
+    /// its in-square neighbours.
+    fn row_sends(
+        self,
+        live: &Live<D>,
+        level: u32,
+        r: i64,
+        push: &mut dyn FnMut(usize, CellOf<D>, usize),
+    ) {
+        let (side, nv) = (self.side(level), self.seg_vps(level));
+        for &(seg, blk) in live {
+            let t = self.t_min(blk, level) + r;
+            for i in 0..nv {
+                let vp = seg * nv + i;
+                for col in self.row_cells(blk, level, t, i) {
+                    let neighbours = Self::OFFSETS.iter().map(|off| shift(col, off));
+                    let dsts =
+                        neighbours.filter(|&c| self.in_square(c)).map(|c| self.owner(seg, c, side));
+                    distinct(dsts, vp, |dst| push(vp, Self::cell(col, t), dst));
+                }
             }
         }
     }
 
-    /// `stencil-distribute` of VP `vp` at level ℓ, into the children that
-    /// the phase trail `qs_child` runs: for each live child of its block,
-    /// the cells in the VP's own level-ℓ columns that the child needs — those
-    /// in the 2-wide window below its box with a successor inside, and the
-    /// `t = 0` inputs inside — each to the child's owner of its column,
-    /// then as scratch copies to the owners of its successors in the box.
-    fn distribute_sends(
-        &self,
+    /// Up-propagation of the level-ℓ blocks `live`, ℓ ≥ 1: each block's
+    /// output halo in each VP's own columns — in each column, the box's last
+    /// two time rows, where a successor leaves the box — to the owners of
+    /// the parent's segment.
+    fn upprop_sends(
+        self,
+        live: &Live<D>,
         level: u32,
-        qs_child: &[usize],
-        vp: usize,
-        push: &mut dyn FnMut(Cell, usize),
+        push: &mut dyn FnMut(usize, CellOf<D>, usize),
     ) {
-        let (m, len) = (self.seg(level), self.len(level + 1));
-        for digit in 0..self.k {
-            let child_vp = ((vp / m) * self.k + digit) * self.seg(level + 1);
-            let Some(blk @ (a, b)) = self.my_block(child_vp, level + 1, qs_child) else {
-                continue;
-            };
-            for x in self.columns(blk, len, 2, vp, m) {
-                let (lo, hi) = plane_span(x, a, b, len, self.n);
-                let input = (lo <= 0 && 0 < hi).then_some(0);
-                for t in (lo - 2..lo.min(hi)).chain(input) {
-                    let succ =
-                        [x + 1, x, x - 1].into_iter().filter(|&sx| self.holds(blk, len, sx, t + 1));
-                    if !in_region(x, t, self.n) || (t < lo && succ.clone().next().is_none()) {
-                        continue;
+        let (len, side, nv) = (self.len(level), self.side(level), self.seg_vps(level));
+        let (parent_side, kd) = (self.side(level - 1), self.k.pow(D as u32));
+        for &(seg, blk) in live {
+            for i in 0..nv {
+                let vp = seg * nv + i;
+                for col in self.columns(blk, len, 0, i, side) {
+                    let (lo, hi) = self.t_span(blk, len, col);
+                    for t in lo.max(hi - 2).max(0)..hi.min(self.n) {
+                        push(vp, Self::cell(col, t), self.owner(seg / kd, col, parent_side));
                     }
-                    let canonical = self.owner(b, x, level + 1);
-                    push((x, t), canonical);
-                    for sx in succ {
-                        let dst = self.owner(b, sx, level + 1);
-                        if dst != canonical {
-                            push((x, t), dst);
+                }
+            }
+        }
+    }
+
+    /// The distribution opening a phase of the level-ℓ blocks, into their
+    /// live children `children` (level ℓ+1): for each child, the cells in
+    /// each VP's own level-ℓ columns that the child needs — those in the
+    /// 2-wide window below its box with a successor inside, and the `t = 0`
+    /// inputs inside — each to the child's owner of its column, then as
+    /// scratch copies to the distinct owners of its successors in the box.
+    fn distribute_sends(
+        self,
+        children: &Live<D>,
+        level: u32,
+        push: &mut dyn FnMut(usize, CellOf<D>, usize),
+    ) {
+        let (side, nv) = (self.side(level), self.seg_vps(level));
+        let (len, child_side, kd) =
+            (self.len(level + 1), self.side(level + 1), self.k.pow(D as u32));
+        for family in children.chunk_by(|x, y| x.0 / kd == y.0 / kd) {
+            let parent = family[0].0 / kd;
+            for i in 0..nv {
+                let vp = parent * nv + i;
+                for &(seg, blk) in family {
+                    for col in self.columns(blk, len, 2, i, side) {
+                        let (lo, hi) = self.t_span(blk, len, col);
+                        let input = (lo <= 0 && 0 < hi).then_some(0);
+                        for t in (lo - 2..lo.min(hi)).chain(input) {
+                            let succ = Self::OFFSETS
+                                .iter()
+                                .map(|off| shift(col, off))
+                                .filter(|&s| self.holds(blk, len, s, t + 1));
+                            let in_region = self.in_square(col) && 0 <= t && t < self.n;
+                            if !in_region || (t < lo && succ.clone().next().is_none()) {
+                                continue;
+                            }
+                            let canonical = self.owner(seg, col, child_side);
+                            push(vp, Self::cell(col, t), canonical);
+                            let dsts = succ.map(|s| self.owner(seg, s, child_side));
+                            distinct(dsts, canonical, |dst| push(vp, Self::cell(col, t), dst));
                         }
                     }
                 }
@@ -380,13 +490,17 @@ pub struct CellMsg<V, K = (i64, i64)> {
     val: V,
 }
 
-type DiamondProgram<V> = Program<StencilState<V>, CellMsg<V>>;
+/// The program of a recursive stencil with cell key `K`.
+pub(crate) type StencilProgram<V, K> = Program<StencilState<V, K>, CellMsg<V, K>>;
+
+/// The cell key of the `D`-dimensional stencil.
+type CellOf<const D: usize> = <Geo<D> as Geometry<D>>::Cell;
 
 /// Appends one declared step of a recursive stencil: it stores its
 /// arrivals, runs `eval` on the VP's state, then ships the cells `sends`
 /// lists for the VP — the table its route reads.
-pub(crate) fn ship<V, K>(
-    prog: &mut Program<StencilState<V, K>, CellMsg<V, K>>,
+fn ship<V, K>(
+    prog: &mut StencilProgram<V, K>,
     label: u32,
     name: &'static str,
     sends: Shipments<K>,
@@ -401,10 +515,166 @@ pub(crate) fn ship<V, K>(
     prog.step_oblivious(label, name, sends.out_degree(), route, move |st, ctx, inbox, out| {
         st.store.extend(inbox.drain(..).map(|m| (m.cell, m.val)));
         eval(st, ctx.vp);
-        for &(cell, _) in sends.of(ctx.vp) {
+        for &cell in sends.of(ctx.vp) {
             out.send(CellMsg { cell, val: st.store[&cell].clone() });
         }
     });
+}
+
+// --------------------------------------------------------------------------
+// The recursive schedule.
+// --------------------------------------------------------------------------
+
+/// Builds the recursive stencil program of rule `O` on `M(n^D)`.
+pub(crate) fn build_recursive<const D: usize, O: Rule<D>>(
+    n: usize,
+) -> StencilProgram<O::V, CellOf<D>>
+where
+    Geo<D>: Geometry<D>,
+{
+    let mut prog = Program::new(n.pow(D as u32), n);
+    emit_eval::<D, O>(&mut prog, Geo::new(n), 0, vec![(0, [[0; 2]; D])]);
+    prog
+}
+
+/// Evaluates the cells of row `t` of block `blk` that the VP at position
+/// `r` of its level-ℓ segment owns.
+fn eval_row<const D: usize, O: Rule<D>>(
+    geo: Geo<D>,
+    st: &mut StencilState<O::V, CellOf<D>>,
+    blk: Block<D>,
+    level: u32,
+    t: i64,
+    r: usize,
+) where
+    Geo<D>: Geometry<D>,
+{
+    for col in geo.row_cells(blk, level, t, r) {
+        let pred = |off: Col<D>| {
+            let c = shift(col, &off);
+            let val = geo.in_square(c).then(|| st.value(Geo::<D>::cell(c, t - 1)));
+            debug_assert!(
+                !matches!(val, Some(None)),
+                "missing predecessor {c:?} of {col:?} at t = {t}"
+            );
+            val.flatten()
+        };
+        let val = O::eval(pred);
+        st.store.insert(Geo::<D>::cell(col, t), val);
+    }
+}
+
+/// Appends the up-propagation superstep of the level-ℓ blocks `live`: their
+/// output halos are shipped to the parent's owners. Single-VP base blocks
+/// also perform their whole (local) evaluation here.
+fn emit_upprop<const D: usize, O: Rule<D>>(
+    prog: &mut StencilProgram<O::V, CellOf<D>>,
+    geo: Geo<D>,
+    level: u32,
+    live: Arc<Live<D>>,
+    eval_local: bool,
+) where
+    Geo<D>: Geometry<D>,
+{
+    let sends = Shipments::new(|push| geo.upprop_sends(&live, level, push));
+    let name = <Geo<D> as Geometry<D>>::STEPS[1];
+    ship(prog, geo.label(level - 1), name, sends, move |st, vp| {
+        if let (true, Some((blk, r))) = (eval_local, geo.block_of(&live, level, vp)) {
+            let t_min = geo.t_min(blk, level);
+            for row in 0..2 * geo.len(level) {
+                eval_row::<D, O>(geo, st, blk, level, t_min + row, r);
+            }
+        }
+    });
+}
+
+/// Emits the schedule evaluating the live level-ℓ blocks `live`, ending
+/// with the up-propagation superstep to level ℓ−1 (omitted at the top).
+fn emit_eval<const D: usize, O: Rule<D>>(
+    prog: &mut StencilProgram<O::V, CellOf<D>>,
+    geo: Geo<D>,
+    level: u32,
+    live: Live<D>,
+) where
+    Geo<D>: Geometry<D>,
+{
+    let (side, label) = (geo.side(level), geo.label(level));
+    let [row_step, _, distribute_step] = <Geo<D> as Geometry<D>>::STEPS;
+
+    if level > 0 && (level >= geo.levels || side < geo.k) {
+        // ---- Base block ------------------------------------------------
+        let live = Arc::new(live);
+        if side > 1 {
+            // Row-by-row evaluation: 2·len supersteps of the segment label.
+            for row in 0..2 * geo.len(level) {
+                let sends = Shipments::new(|push| geo.row_sends(&live, level, row, push));
+                let live = Arc::clone(&live);
+                ship(prog, label, row_step, sends, move |st, vp| {
+                    if let Some((blk, r)) = geo.block_of(&live, level, vp) {
+                        eval_row::<D, O>(geo, st, blk, level, geo.t_min(blk, level) + row, r);
+                    }
+                });
+            }
+        }
+        emit_upprop::<D, O>(prog, geo, level, live, side == 1);
+        return;
+    }
+
+    // ---- Recursive block: its wavefront phases -------------------------
+    let kd = geo.k.pow(D as u32);
+    for q in 0..geo.phases() {
+        // Phase-start distribution: the serving copies feed the live
+        // children of phase q with their input halos (and t = 0 inputs).
+        let mut children = Vec::new();
+        for &(seg, blk) in &live {
+            geo.children(blk, q, |digit, child| {
+                if geo.live(child, level + 1) {
+                    children.push((seg * kd + digit, child));
+                }
+            });
+        }
+        let sends = Shipments::new(|push| geo.distribute_sends(&children, level, push));
+        ship(prog, label, distribute_step, sends, |_, _| {});
+        emit_eval::<D, O>(prog, geo, level + 1, children);
+    }
+
+    if level > 0 {
+        emit_upprop::<D, O>(prog, geo, level, Arc::new(live), false);
+    }
+}
+
+impl Geometry<1> for Geo<1> {
+    type Cell = (i64, i64);
+    const STEPS: [&'static str; 3] = ["stencil-row", "stencil-upprop", "stencil-distribute"];
+    const OFFSETS: &'static [Col<1>] = &[[1], [0], [-1]];
+
+    fn phases(&self) -> usize {
+        2 * self.k - 1
+    }
+
+    fn children(&self, [[a, b]]: Block<1>, q: usize, mut push: impl FnMut(usize, Block<1>)) {
+        let k = self.k as i64;
+        for bd in 0..k {
+            if let Some(ad) = phase_digit(q, bd, k) {
+                push(bd as usize, [[a * k + ad, b * k + bd]]);
+            }
+        }
+    }
+
+    fn columns(
+        self,
+        [ab]: Block<1>,
+        len: i64,
+        grow: i64,
+        r: usize,
+        side: usize,
+    ) -> impl Iterator<Item = Col<1>> {
+        plane_axis(ab, len, grow, self.n, r as i64, side as i64).map(|x| [x])
+    }
+
+    fn cell([x]: Col<1>, t: i64) -> (i64, i64) {
+        (x, t)
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -416,100 +686,6 @@ pub(crate) fn ship<V, K>(
 #[derive(Debug, Clone, Default)]
 pub struct DiamondStencil<O> {
     _marker: std::marker::PhantomData<O>,
-}
-
-/// Evaluates the cells of row `t` of block `blk` that `vp` owns.
-fn eval_row<O: StencilOp>(
-    geo: &Geo,
-    st: &mut StencilState<O::V>,
-    vp: usize,
-    blk: Block,
-    level: u32,
-    t: i64,
-) {
-    for x in geo.row_cells(blk, level, t, vp) {
-        let l = (x > 0).then(|| st.value((x - 1, t - 1))).flatten();
-        let c = st.value((x, t - 1));
-        let r = (x + 1 < geo.n).then(|| st.value((x + 1, t - 1))).flatten();
-        debug_assert!(
-            (x == 0 || l.is_some()) && c.is_some() && (x + 1 == geo.n || r.is_some()),
-            "missing in-region predecessor of ({x}, {t}) on VP {vp}"
-        );
-        let val = O::apply(l, c, r);
-        st.store.insert((x, t), val);
-    }
-}
-
-/// Appends the up-propagation superstep of a level-ℓ block: its output halo
-/// is shipped to the parent's owners. Single-VP base blocks also perform
-/// their whole (local) evaluation here.
-fn emit_upprop<O: StencilOp>(
-    prog: &mut DiamondProgram<O::V>,
-    geo: Geo,
-    level: u32,
-    qs: Vec<usize>,
-    eval_local: bool,
-) {
-    let sends = Shipments::new(geo.n as usize, |vp, push| {
-        if let Some(blk) = geo.my_block(vp, level, &qs) {
-            geo.upprop_sends(blk, level, vp, push);
-        }
-    });
-    ship(prog, (level - 1) * geo.log_k, "stencil-upprop", sends, move |st, vp| {
-        if let (true, Some(blk)) = (eval_local, geo.my_block(vp, level, &qs)) {
-            let t_min = geo.t_min(blk, level);
-            for r in 0..2 * geo.len(level) {
-                eval_row::<O>(&geo, st, vp, blk, level, t_min + r);
-            }
-        }
-    });
-}
-
-/// Emits the schedule evaluating all live level-ℓ blocks (under ancestor
-/// phases `qs`), ending with the up-propagation superstep to level ℓ−1
-/// (omitted at the top level).
-fn emit_eval<O: StencilOp>(prog: &mut DiamondProgram<O::V>, geo: Geo, level: u32, qs: Vec<usize>) {
-    let (v, m, label) = (geo.n as usize, geo.seg(level), level * geo.log_k);
-
-    if level > 0 && (level >= geo.levels || m < geo.k) {
-        // ---- Base block ------------------------------------------------
-        if m > 1 {
-            // Row-by-row evaluation: 2·len supersteps of the segment label.
-            for r in 0..2 * geo.len(level) {
-                let qs = qs.clone();
-                let row = move |vp| {
-                    geo.my_block(vp, level, &qs).map(|blk| (blk, geo.t_min(blk, level) + r))
-                };
-                let sends = Shipments::new(v, |vp, push| {
-                    if let Some((blk, t)) = row(vp) {
-                        geo.row_sends(blk, level, t, vp, push);
-                    }
-                });
-                ship(prog, label, "stencil-row", sends, move |st, vp| {
-                    if let Some((blk, t)) = row(vp) {
-                        eval_row::<O>(&geo, st, vp, blk, level, t);
-                    }
-                });
-            }
-        }
-        emit_upprop::<O>(prog, geo, level, qs, m == 1);
-        return;
-    }
-
-    // ---- Recursive block: 2k−1 wavefront phases ------------------------
-    for q in 0..(2 * geo.k - 1) {
-        // Phase-start distribution: the serving copies feed the live
-        // children of phase q with their input halos (and t = 0 inputs).
-        let mut qs_child = qs.clone();
-        qs_child.push(q);
-        let sends = Shipments::new(v, |vp, push| geo.distribute_sends(level, &qs_child, vp, push));
-        ship(prog, label, "stencil-distribute", sends, |_, _| {});
-        emit_eval::<O>(prog, geo, level + 1, qs_child);
-    }
-
-    if level > 0 {
-        emit_upprop::<O>(prog, geo, level, qs, false);
-    }
 }
 
 impl<O: StencilOp> NobAlgorithm for DiamondStencil<O> {
@@ -534,11 +710,8 @@ impl<O: StencilOp> NobAlgorithm for DiamondStencil<O> {
         (0..n).map(|x| StencilState { store: input_cell(x) }).collect()
     }
 
-    fn build(&self, n: usize) -> DiamondProgram<O::V> {
-        let geo = Geo::new(n);
-        let mut prog = Program::new(n, n);
-        emit_eval::<O>(&mut prog, geo, 0, Vec::new());
-        prog
+    fn build(&self, n: usize) -> StencilProgram<O::V, (i64, i64)> {
+        build_recursive::<1, O>(n)
     }
 
     fn extract(&self, n: usize, states: Vec<StencilState<O::V>>) -> Vec<O::V> {
@@ -761,7 +934,7 @@ mod tests {
         }
         // Figure 1's instance, n = 256: k = 2^⌈√log n⌉ = 8, and the top
         // block's schedule opens each of its 15 phases with one distribution.
-        let geo = Geo::new(256);
+        let geo = Geo::<1>::new(256);
         assert_eq!(geo.k, 8);
         let prog = DiamondStencil::<WrapSumOp>::default().build(256);
         let top_phases =

@@ -29,18 +29,26 @@
 //! [`NaiveStencil2`] is the time-stepping baseline (`n` label-0 supersteps,
 //! `H = Θ(n·(√(n²/p) + σ))`).
 //!
+//! The recursion is [`crate::stencil`]'s, written once for both dimensions:
+//! this module states only what is two-dimensional about it — the phase
+//! units `(ph, δ)` and the children each runs, the columns `(x, y)` a VP
+//! holds in a block, the nine offsets, and the 9-point evaluation.
+//!
 //! Plan coverage: every step declares its route. [`NaiveStencil2`]'s
 //! 9-point exchange is a fixed pattern, and its messages are bare cell
 //! values: a VP's arrivals come by ascending source VP `x·n + y`, which is
 //! the order of the neighbours' offsets `(δx, δy)`, so the inbox position
 //! names the neighbour. The octahedron algorithm's `stencil2-row`,
 //! `stencil2-upprop` and `stencil2-distribute` steps are static like the
-//! diamond algorithm's ([`crate::stencil`]): each lists its sends once, at
-//! build time, from one enumerator of the box geometry, which its route
-//! and its body share, and the store keeps bare values by cell.
+//! diamond algorithm's, and built by the same enumerators: each step walks
+//! its live blocks once, at build time, and lists the sends of only the VPs
+//! that send; its route and its body share that table, and the store keeps
+//! bare values by cell.
 
-use crate::common::Shipments;
-use crate::stencil::{distinct, plane_axis, plane_span, ship, CellMsg, StencilState};
+use crate::stencil::{
+    build_recursive, plane_axis, Block, CellMsg, Col, Geo, Geometry, Rule, StencilProgram,
+    StencilState,
+};
 use nob_machine::{Ctx, NobAlgorithm, Program, Route};
 use std::collections::HashMap;
 
@@ -109,285 +117,98 @@ fn in_region(x: i64, y: i64, t: i64, n: i64) -> bool {
     0 <= x && x < n && 0 <= y && y < n && 0 <= t && t < n
 }
 
-/// The nine spatial offsets `(δx, δy)`: from a cell to its successors, and
-/// to its neighbours and itself.
-const OFFSETS: [(i64, i64); 9] =
-    [(1, 1), (1, 0), (1, -1), (0, 1), (0, 0), (0, -1), (-1, 1), (-1, 0), (-1, -1)];
-
-#[derive(Debug, Clone, Copy)]
-struct Geo2 {
-    n: i64,
-    k: usize,
-    log_k: u32,
-    levels: u32,
+/// Resolves the digit-sum pair `(g, h)` of a phase unit `(ph, δ)` inside a
+/// parent whose global plane-sum difference is `d = (a+b) − (e+f)`.
+///
+/// `g + h = ph` and, because the global coupling `|sums(u,w) − sums(p,q)|
+/// ≤ 1` must hold after appending the digits, `g − h = −d·k + (δ − 1)` with
+/// `δ ∈ {0, 1, 2}`. Returns `None` when the unit is empty for this parent
+/// (parity mismatch or out-of-range sums).
+fn digit_sums(k: i64, ph: usize, delta: usize, d: i64) -> Option<(i64, i64)> {
+    let gmh = -d * k + (delta as i64 - 1);
+    let gph = ph as i64;
+    if (gph + gmh).rem_euclid(2) != 0 {
+        return None;
+    }
+    let g = (gph + gmh) / 2;
+    let h = gph - g;
+    let max = 2 * k - 2;
+    ((0..=max).contains(&g) && (0..=max).contains(&h)).then_some((g, h))
 }
 
-/// A level-ℓ block: 4D rotated box indices.
-type Block = (i64, i64, i64, i64);
+/// The (n,2) geometry: blocks are `[[a, b], [e, f]]` in the rotated
+/// `(u, w)` and `(p, q)` planes, and a level-ℓ segment is the `m × m` VPs
+/// `x·m + y` of its side `m`.
+impl Geometry<2> for Geo<2> {
+    type Cell = Cell;
+    const STEPS: [&'static str; 3] = ["stencil2-row", "stencil2-upprop", "stencil2-distribute"];
+    /// The nine spatial offsets `(δx, δy)`.
+    const OFFSETS: &'static [Col<2>] =
+        &[[1, 1], [1, 0], [1, -1], [0, 1], [0, 0], [0, -1], [-1, 1], [-1, 0], [-1, -1]];
 
-/// A cell `(x, y, t)` of the space-time cube.
-type Cell = (i64, i64, i64);
-
-impl Geo2 {
-    fn new(n: usize) -> Geo2 {
-        let log_n = n.trailing_zeros().max(1);
-        let k = 1usize << (log_n as f64).sqrt().ceil() as u32;
-        let mut levels = 0;
-        let mut m = n;
-        while m >= k && m > 1 {
-            levels += 1;
-            m /= k;
-        }
-        Geo2 { n: n as i64, k, log_k: k.trailing_zeros(), levels }
+    /// `4k − 3` wavefront phases `ph = a + b + e + f`, each in three `δ`
+    /// sub-rounds (see [`digit_sums`]: the live digit-sum split depends on
+    /// the parent's plane-sum difference, which ranges over {−1, 0, +1}).
+    fn phases(&self) -> usize {
+        (4 * self.k - 3) * 3
     }
 
-    /// Spatial segment side at level ℓ (segment = m² VPs).
-    #[inline]
-    fn m(&self, level: u32) -> usize {
-        (self.n as usize) / self.k.pow(level)
-    }
-
-    #[inline]
-    fn len(&self, level: u32) -> i64 {
-        2 * self.n / self.k.pow(level) as i64
-    }
-
-    /// The first time row of block `(a, b, …)`'s box at level ℓ.
-    #[inline]
-    fn t_min(&self, (a, b, _, _): Block, level: u32) -> i64 {
-        ((a + b) * self.len(level) - (self.n - 1)).div_euclid(2)
-    }
-
-    /// Resolves the digit-sum pair `(g, h)` of a phase unit `(ph, δ)` inside
-    /// a parent whose global plane-sum difference is `d = (a+b) − (e+f)`.
-    ///
-    /// `g + h = ph` and, because the global coupling `|sums(u,w) − sums(p,q)|
-    /// ≤ 1` must hold after appending the digits, `g − h = −d·k + (δ − 1)`
-    /// with `δ ∈ {0, 1, 2}`. Returns `None` when the unit is empty for this
-    /// parent (parity mismatch or out-of-range sums).
-    fn digit_sums(&self, ph: usize, delta: usize, d: i64) -> Option<(i64, i64)> {
-        let k = self.k as i64;
-        let gmh = -d * k + (delta as i64 - 1);
-        let gph = ph as i64;
-        if (gph + gmh).rem_euclid(2) != 0 {
-            return None;
-        }
-        let g = (gph + gmh) / 2;
-        let h = gph - g;
-        let max = 2 * k - 2;
-        ((0..=max).contains(&g) && (0..=max).contains(&h)).then_some((g, h))
-    }
-
-    /// Segment base VP of the block with w-index `b` and q-index `f` at ℓ.
-    fn seg_base(&self, b: i64, f: i64, level: u32) -> usize {
-        let k = self.k as i64;
-        let mut base = 0usize;
-        for j in 1..=level {
-            let mj = self.m(j);
-            let shift = self.k.pow(level - j) as i64;
-            let bd = (b / shift).rem_euclid(k) as usize;
-            let fd = (f / shift).rem_euclid(k) as usize;
-            base += (bd * self.k + fd) * mj * mj;
-        }
-        base
-    }
-
-    /// Owner VP of spatial column `(x, y)` within the level-ℓ block `(…b…f)`.
-    fn owner(&self, b: i64, f: i64, x: i64, y: i64, level: u32) -> usize {
-        let m = self.m(level) as i64;
-        self.seg_base(b, f, level) + (x.rem_euclid(m) * m + y.rem_euclid(m)) as usize
-    }
-
-    /// Whether the block's box can contain problem nodes.
-    fn block_live(&self, (a, b, e, f): Block, level: u32) -> bool {
-        if a < 0 || b < 0 || e < 0 || f < 0 {
-            return false;
-        }
-        let len = self.len(level);
-        let c = self.n - 1;
-        // Each rotated plane must clip its diamond…
-        let du = c.clamp(a * len, (a + 1) * len - 1);
-        let dw = c.clamp(b * len, (b + 1) * len - 1);
-        if (du - c).abs() + (dw - c).abs() > c {
-            return false;
-        }
-        let dp = c.clamp(e * len, (e + 1) * len - 1);
-        let dq = c.clamp(f * len, (f + 1) * len - 1);
-        if (dp - c).abs() + (dq - c).abs() > c {
-            return false;
-        }
-        // …and the u+w and p+q windows must overlap (coupling u+w = p+q).
-        let s_uw = (a + b) * len;
-        let s_pq = (e + f) * len;
-        s_uw < s_pq + 2 * len - 1 && s_pq < s_uw + 2 * len - 1
-    }
-
-    /// The live block on this VP's level-ℓ segment under the phase-unit
-    /// trail `qs = [(ph, δ), …]`, if any.
-    fn my_block(&self, vp: usize, level: u32, qs: &[(usize, usize)]) -> Option<Block> {
-        debug_assert_eq!(qs.len(), level as usize);
-        let k = self.k as i64;
-        // Decode (b, f) digits from the VP index; force (a, e) digits from
-        // the phase units and the running parent sum difference.
-        let mut rem = vp;
-        let mut b = 0i64;
-        let mut f = 0i64;
-        let mut a = 0i64;
-        let mut e = 0i64;
-        for (j, &(ph, delta)) in qs.iter().enumerate() {
-            let j = j as u32 + 1;
-            let mj = self.m(j);
-            let digit_pair = rem / (mj * mj);
-            rem %= mj * mj;
-            let bd = (digit_pair / self.k) as i64;
-            let fd = (digit_pair % self.k) as i64;
-            let d = (a + b) - (e + f);
-            let (g, h) = self.digit_sums(ph, delta, d)?;
-            let ad = g - bd;
-            let ed = h - fd;
-            if !(0..k).contains(&ad) || !(0..k).contains(&ed) {
-                return None;
-            }
-            b = b * k + bd;
-            f = f * k + fd;
-            a = a * k + ad;
-            e = e * k + ed;
-        }
-        let blk = (a, b, e, f);
-        self.block_live(blk, level).then_some(blk)
-    }
-
-    /// Whether `(x, y, t)` is a node inside block `blk`'s box of side `len`.
-    #[inline]
-    fn holds(&self, blk: Block, len: i64, x: i64, y: i64, t: i64) -> bool {
-        let (lo, hi) = self.t_span(blk, len, x, y);
-        in_region(x, y, t, self.n) && lo <= t && t < hi
-    }
-
-    /// The half-open `t`-range of column `(x, y)` inside block `blk`'s box
-    /// of side `len`.
-    #[inline]
-    fn t_span(&self, (a, b, e, f): Block, len: i64, x: i64, y: i64) -> (i64, i64) {
-        let (xl, xh) = plane_span(x, a, b, len, self.n);
-        let (yl, yh) = plane_span(y, e, f, len, self.n);
-        (xl.max(yl), xh.min(yh))
-    }
-
-    /// The columns `(x, y)` at `vp`'s position in level-ℓ segments of side
-    /// `m` that may meet block `blk`'s box of side `len`, grown by `grow`
-    /// below; `x` outer, `y` inner.
-    fn columns(
+    fn children(
         &self,
-        blk: Block,
-        len: i64,
-        grow: i64,
-        vp: usize,
-        m: usize,
-    ) -> impl Iterator<Item = (i64, i64)> {
-        let (a, b, e, f) = blk;
-        let (n, off) = (self.n, vp % (m * m));
-        let (rx, ry, m) = ((off / m) as i64, (off % m) as i64, m as i64);
-        plane_axis(a, b, len, grow, n, rx, m)
-            .flat_map(move |x| plane_axis(e, f, len, grow, n, ry, m).map(move |y| (x, y)))
-    }
-
-    /// The cells `vp` evaluates in row `t` of its level-ℓ block `blk` (rows
-    /// `t ≥ 1` only: row 0 is the input).
-    fn row_cells(
-        &self,
-        blk: Block,
-        level: u32,
-        t: i64,
-        vp: usize,
-    ) -> impl Iterator<Item = (i64, i64)> {
-        let (geo, len) = (*self, self.len(level));
-        self.columns(blk, len, 0, vp, self.m(level))
-            .filter(move |&(x, y)| t >= 1 && geo.holds(blk, len, x, y, t))
-    }
-
-    /// `stencil2-row` of VP `vp`: each cell it evaluates in row `t` of its
-    /// level-ℓ block `blk`, to the distinct owners of its in-square spatial
-    /// neighbours.
-    fn row_sends(
-        &self,
-        blk: Block,
-        level: u32,
-        t: i64,
-        vp: usize,
-        push: &mut dyn FnMut(Cell, usize),
+        [[a, b], [e, f]]: Block<2>,
+        q: usize,
+        mut push: impl FnMut(usize, Block<2>),
     ) {
-        let (_, b, _, f) = blk;
-        for (x, y) in self.row_cells(blk, level, t, vp) {
-            let neighbours = OFFSETS
-                .iter()
-                .map(|&(dx, dy)| (x + dx, y + dy))
-                .filter(|&(nx, ny)| in_region(nx, ny, 0, self.n));
-            let dsts = neighbours.map(|(nx, ny)| self.owner(b, f, nx, ny, level));
-            distinct(dsts, vp, |dst| push((x, y, t), dst));
-        }
-    }
-
-    /// `stencil2-upprop` of VP `vp` at level ℓ ≥ 1: the output halo of its
-    /// block `blk` in its own columns — in each column, the box's last two
-    /// time rows, where a successor leaves the box — to the owners of the
-    /// parent's segment.
-    fn upprop_sends(&self, blk: Block, level: u32, vp: usize, push: &mut dyn FnMut(Cell, usize)) {
-        let (_, b, _, f) = blk;
-        let len = self.len(level);
         let k = self.k as i64;
-        for (x, y) in self.columns(blk, len, 0, vp, self.m(level)) {
-            let (lo, hi) = self.t_span(blk, len, x, y);
-            for t in lo.max(hi - 2).max(0)..hi.min(self.n) {
-                push((x, y, t), self.owner(b.div_euclid(k), f.div_euclid(k), x, y, level - 1));
-            }
-        }
-    }
-
-    /// `stencil2-distribute` of VP `vp` at level ℓ, into the children that
-    /// the phase-unit trail `qs_child` runs: for each live child of its
-    /// block, the cells at the VP's own level-ℓ position that the child
-    /// needs — those in the 2-wide window below its box with a successor
-    /// inside, and the `t = 0` inputs inside — each to the child's owner of
-    /// its column, then as scratch copies to the distinct owners of its
-    /// successors in the box.
-    fn distribute_sends(
-        &self,
-        level: u32,
-        qs_child: &[(usize, usize)],
-        vp: usize,
-        push: &mut dyn FnMut(Cell, usize),
-    ) {
-        let (m, mc, len) = (self.m(level), self.m(level + 1), self.len(level + 1));
-        let base = vp - vp % (m * m);
-        for digits in 0..self.k * self.k {
-            let Some(blk) = self.my_block(base + digits * mc * mc, level + 1, qs_child) else {
-                continue;
-            };
-            let (_, b, _, f) = blk;
-            for (x, y) in self.columns(blk, len, 2, vp, m) {
-                let (lo, hi) = self.t_span(blk, len, x, y);
-                let input = (lo <= 0 && 0 < hi).then_some(0);
-                for t in (lo - 2..lo.min(hi)).chain(input) {
-                    let succ = OFFSETS
-                        .iter()
-                        .map(|&(dx, dy)| (x + dx, y + dy))
-                        .filter(|&(sx, sy)| self.holds(blk, len, sx, sy, t + 1));
-                    if !in_region(x, y, t, self.n) || (t < lo && succ.clone().next().is_none()) {
-                        continue;
-                    }
-                    let canonical = self.owner(b, f, x, y, level + 1);
-                    push((x, y, t), canonical);
-                    let dsts = succ.map(|(sx, sy)| self.owner(b, f, sx, sy, level + 1));
-                    distinct(dsts, canonical, |dst| push((x, y, t), dst));
+        let Some((g, h)) = digit_sums(k, q / 3, q % 3, (a + b) - (e + f)) else { return };
+        for bd in 0..k {
+            for fd in 0..k {
+                let (ad, ed) = (g - bd, h - fd);
+                if (0..k).contains(&ad) && (0..k).contains(&ed) {
+                    let child = [[a * k + ad, b * k + bd], [e * k + ed, f * k + fd]];
+                    push((bd * k + fd) as usize, child);
                 }
             }
         }
     }
+
+    fn columns(
+        self,
+        [ab, ef]: Block<2>,
+        len: i64,
+        grow: i64,
+        r: usize,
+        side: usize,
+    ) -> impl Iterator<Item = Col<2>> {
+        let (n, rx, ry, m) = (self.n, (r / side) as i64, (r % side) as i64, side as i64);
+        plane_axis(ab, len, grow, n, rx, m)
+            .flat_map(move |x| plane_axis(ef, len, grow, n, ry, m).map(move |y| [x, y]))
+    }
+
+    fn cell([x, y]: Col<2>, t: i64) -> Cell {
+        (x, y, t)
+    }
+}
+
+impl<O: Stencil2Op> Rule<2> for O {
+    type V = O::V;
+    fn eval<'a>(pred: impl Fn(Col<2>) -> Option<&'a O::V>) -> O::V {
+        let mut vals: [[Option<&O::V>; 3]; 3] = Default::default();
+        for dy in -1..=1i64 {
+            for dx in -1..=1i64 {
+                vals[(dy + 1) as usize][(dx + 1) as usize] = pred([dx, dy]);
+            }
+        }
+        O::apply(&vals)
+    }
 }
 
 // --------------------------------------------------------------------------
-// State, messages, evaluation.
+// State and messages.
 // --------------------------------------------------------------------------
+
+/// A cell `(x, y, t)` of the space-time cube.
+type Cell = (i64, i64, i64);
 
 /// Per-VP value store for the (n,2)-stencil: the cells this VP evaluated or
 /// received, by `(x, y, t)`.
@@ -396,112 +217,7 @@ pub type Stencil2State<V> = StencilState<V, Cell>;
 /// A cell value in flight, named by its coordinates `(x, y, t)`.
 pub type Cell2Msg<V> = CellMsg<V, Cell>;
 
-type OctaProgram<V> = Program<Stencil2State<V>, Cell2Msg<V>>;
-
-/// Evaluates the cells of row `t` of block `blk` that `vp` owns.
-fn eval_row2<O: Stencil2Op>(
-    geo: &Geo2,
-    st: &mut Stencil2State<O::V>,
-    vp: usize,
-    blk: Block,
-    level: u32,
-    t: i64,
-) {
-    for (x, y) in geo.row_cells(blk, level, t, vp) {
-        let mut vals: [[Option<&O::V>; 3]; 3] = Default::default();
-        let mut missing = false;
-        for dy in -1..=1i64 {
-            for dx in -1..=1i64 {
-                let (px, py) = (x + dx, y + dy);
-                if in_region(px, py, t - 1, geo.n) {
-                    let v = st.value((px, py, t - 1));
-                    if v.is_none() {
-                        missing = true;
-                    }
-                    vals[(dy + 1) as usize][(dx + 1) as usize] = v;
-                }
-            }
-        }
-        debug_assert!(!missing, "missing predecessor of ({x},{y},{t}) on VP {vp}");
-        let val = O::apply(&vals);
-        st.store.insert((x, y, t), val);
-    }
-}
-
-/// Appends the up-propagation superstep of level-ℓ blocks (single-VP blocks
-/// also evaluate here).
-fn emit_upprop2<O: Stencil2Op>(
-    prog: &mut OctaProgram<O::V>,
-    geo: Geo2,
-    level: u32,
-    qs: Vec<(usize, usize)>,
-    eval_local: bool,
-) {
-    let sends = Shipments::new(prog.v(), |vp, push| {
-        if let Some(blk) = geo.my_block(vp, level, &qs) {
-            geo.upprop_sends(blk, level, vp, push);
-        }
-    });
-    ship(prog, 2 * (level - 1) * geo.log_k, "stencil2-upprop", sends, move |st, vp| {
-        if let (true, Some(blk)) = (eval_local, geo.my_block(vp, level, &qs)) {
-            let t_min = geo.t_min(blk, level);
-            for r in 0..2 * geo.len(level) {
-                eval_row2::<O>(&geo, st, vp, blk, level, t_min + r);
-            }
-        }
-    });
-}
-
-/// Emits the schedule for all live level-ℓ blocks under phase trail `qs`.
-fn emit_eval2<O: Stencil2Op>(
-    prog: &mut OctaProgram<O::V>,
-    geo: Geo2,
-    level: u32,
-    qs: Vec<(usize, usize)>,
-) {
-    let (v, m, label) = (prog.v(), geo.m(level), 2 * level * geo.log_k);
-
-    if level > 0 && (level >= geo.levels || m < geo.k) {
-        if m > 1 {
-            for r in 0..2 * geo.len(level) {
-                let qs = qs.clone();
-                let row = move |vp| {
-                    geo.my_block(vp, level, &qs).map(|blk| (blk, geo.t_min(blk, level) + r))
-                };
-                let sends = Shipments::new(v, |vp, push| {
-                    if let Some((blk, t)) = row(vp) {
-                        geo.row_sends(blk, level, t, vp, push);
-                    }
-                });
-                ship(prog, label, "stencil2-row", sends, move |st, vp| {
-                    if let Some((blk, t)) = row(vp) {
-                        eval_row2::<O>(&geo, st, vp, blk, level, t);
-                    }
-                });
-            }
-        }
-        emit_upprop2::<O>(prog, geo, level, qs, m == 1);
-        return;
-    }
-
-    // 4k−3 wavefront phases, each in three δ sub-rounds (see
-    // `Geo2::digit_sums`: the live digit-sum split depends on the parent's
-    // plane-sum difference, which ranges over {−1, 0, +1}).
-    for ph in 0..(4 * geo.k - 3) {
-        for delta in 0..3usize {
-            let mut qs_child = qs.clone();
-            qs_child.push((ph, delta));
-            let sends =
-                Shipments::new(v, |vp, push| geo.distribute_sends(level, &qs_child, vp, push));
-            ship(prog, label, "stencil2-distribute", sends, |_, _| {});
-            emit_eval2::<O>(prog, geo, level + 1, qs_child);
-        }
-    }
-
-    if level > 0 {
-        emit_upprop2::<O>(prog, geo, level, qs, false);
-    }
-}
+type OctaProgram<V> = StencilProgram<V, Cell>;
 
 /// The recursive octahedron/tetrahedron (n,2)-stencil algorithm on `M(n²)`.
 /// Supports every power of two `n ≥ 2`.
@@ -534,10 +250,7 @@ impl<O: Stencil2Op> NobAlgorithm for OctaStencil<O> {
     }
 
     fn build(&self, n: usize) -> OctaProgram<O::V> {
-        let geo = Geo2::new(n);
-        let mut prog = Program::new(n * n, n);
-        emit_eval2::<O>(&mut prog, geo, 0, Vec::new());
-        prog
+        build_recursive::<2, O>(n)
     }
 
     fn extract(&self, n: usize, states: Vec<Stencil2State<O::V>>) -> Vec<O::V> {
