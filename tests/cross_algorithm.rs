@@ -124,6 +124,9 @@ fn fft_algorithms_agree_and_fold() {
     };
     folding_invariant_by(&RecursiveFft::default(), n, &xs[..], bitwise);
     folding_invariant_by(&BinaryExchangeFft, n, &xs[..], bitwise);
+    // `RecursiveFft` splits `n` into `√n × √n` only when `log n` is even.
+    let xs64: Vec<Complex> = xs.iter().step_by(2).copied().collect();
+    folding_invariant_by(&RecursiveFft::default(), 64, &xs64[..], bitwise);
 }
 
 #[test]
@@ -141,6 +144,8 @@ fn sort_algorithms_agree_and_fold() {
     assert_eq!(got, want);
     folding_invariant(&ColumnSort::<u64>::default(), n, &keys[..]);
     folding_invariant(&BitonicSort::<u64>::default(), n, &keys[..]);
+    // `n = 128` is the size whose columns fall below `2·n^{2/3}` (`r = 32`).
+    folding_invariant(&ColumnSort::<u64>::default(), 128, &keys[..128]);
 }
 
 #[test]
@@ -173,16 +178,19 @@ fn stencils_agree_and_fold() {
 
 #[test]
 fn broadcast_and_primitives_fold() {
-    let n = 256usize;
-    folding_invariant(&ObliviousBroadcast, n, &42u64);
-    folding_invariant(&AwareBroadcast { kappa: 8 }, n, &42u64);
-
     fn add(a: &u64, b: &u64) -> u64 {
         a + b
     }
-    let xs: Vec<u64> = (0..n as u64).collect();
-    folding_invariant(&TreeReduce { op: add as CombineFn<u64> }, n, &xs[..]);
-    folding_invariant(&TreeScan { op: add as CombineFn<u64> }, n, &xs[..]);
+    // At `n = 64` the aware broadcast's 8-ary tree is complete; at 256 its
+    // last level is 4-ary.
+    for n in [64usize, 256] {
+        folding_invariant(&ObliviousBroadcast, n, &42u64);
+        folding_invariant(&AwareBroadcast { kappa: 8 }, n, &42u64);
+        let xs: Vec<u64> = (0..n as u64).collect();
+        folding_invariant(&TreeScan { op: add as CombineFn<u64> }, n, &xs[..]);
+    }
+    let xs: Vec<u64> = (0..256).collect();
+    folding_invariant(&TreeReduce { op: add as CombineFn<u64> }, 256, &xs[..]);
     let fs: Vec<f64> = (0..64).map(|k| k as f64).collect();
     folding_invariant(&MatrixTranspose, 64, &fs[..]);
 }
