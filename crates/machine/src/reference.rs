@@ -73,9 +73,7 @@ pub fn run_reference<S: Send, M: Send>(
 ) -> Result<RunResult<S>, ModelError> {
     let v = prog.v();
     let log_v = prog.log_v();
-    // allow-panic: the legacy oracle keeps its historical caller contract
-    // (the arena engine reports `BadVectorLength`).
-    assert_eq!(states.len(), v, "one state per VP required");
+    prog.check_states_len(states.len())?;
     let mut inboxes: Vec<Vec<M>> = (0..v).map(|_| Vec::new()).collect();
     let mut trace = CommTrace::new(v, prog.n());
     let mut message_log = opts.collect_messages.then(Vec::new);
@@ -136,9 +134,7 @@ pub fn run_folded_reference<S: Send, M: Send>(
     }
     let log_p = log2_exact(p);
     let width = v / p;
-    // allow-panic: the legacy oracle keeps its historical caller contract
-    // (the arena engine reports `BadVectorLength`).
-    assert_eq!(states.len(), v, "one state per VP required");
+    prog.check_states_len(states.len())?;
     let mut inboxes: Vec<Vec<M>> = (0..v).map(|_| Vec::new()).collect();
     let mut trace = CommTrace::new(p, prog.n());
 

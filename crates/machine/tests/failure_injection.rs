@@ -89,6 +89,10 @@ fn wrong_state_count_is_a_structured_error() {
         let opts = RunOptions { workers: Some(w), ..Default::default() };
         assert_eq!(run(&p, vec![0; 7], &opts).err(), Some(want.clone()), "run, width {w}");
     }
+    let opts = RunOptions::default();
+    assert_eq!(run_reference(&p, vec![0; 7], &opts).err(), Some(want.clone()), "reference");
+    let folded = run_folded_reference(&p, vec![0; 7], 4, &opts).err();
+    assert_eq!(folded, Some(want.clone()), "reference folding");
     assert_eq!(p.capture_plans(vec![0; 7]).err(), Some(want));
     assert_eq!(p.planned_steps(), 0, "a refused capture adds no plan");
 }
