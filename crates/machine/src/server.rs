@@ -136,8 +136,6 @@ pub enum ProgramSource<S, M> {
 pub struct JobOptions {
     /// Check the run against the model ([`RunOptions::validate`]).
     pub validate: bool,
-    /// Keep the raw per-superstep message log.
-    pub collect_messages: bool,
     /// Materialize the job's [`CommTrace`] (skip for latency-critical jobs:
     /// the pooled trace builder still records, but no per-step vectors are
     /// allocated for the result).
@@ -151,13 +149,7 @@ pub struct JobOptions {
 
 impl Default for JobOptions {
     fn default() -> Self {
-        JobOptions {
-            validate: true,
-            collect_messages: false,
-            want_trace: true,
-            faults: None,
-            stall_timeout: None,
-        }
+        JobOptions { validate: true, want_trace: true, faults: None, stall_timeout: None }
     }
 }
 
@@ -184,7 +176,9 @@ pub struct JobResult<S> {
     pub states: Vec<S>,
     /// The communication trace, when [`JobOptions::want_trace`] was set.
     pub trace: Option<CommTrace>,
-    /// Raw message log, when requested.
+    /// Always `None`: a served job keeps no message log; a direct
+    /// [`crate::engine::run`] with [`RunOptions::collect_messages`] does.
+    /// The field stays while the repo benchmark's served runner reads it.
     pub message_log: Option<Vec<Vec<(u32, u32)>>>,
     /// Barrier rounds the gang walked for this job (0 on the serial path).
     pub rounds: u64,
@@ -729,7 +723,6 @@ fn process_job<S, M>(
     let opts = &job.spec.opts;
     let run_opts = RunOptions {
         validate: opts.validate,
-        collect_messages: opts.collect_messages,
         faults: opts.faults.clone(),
         stall_timeout: opts.stall_timeout,
         telemetry: cfg.telemetry.clone(),
@@ -745,10 +738,10 @@ fn process_job<S, M>(
         }
         _ => None,
     };
-    let outcome = executed.map(|message_log| JobResult {
+    let outcome = executed.map(|_| JobResult {
         states: std::mem::take(&mut job.states),
         trace: opts.want_trace.then(|| exec.trace.snapshot()),
-        message_log,
+        message_log: None,
         rounds: exec.rounds,
         queue_wait,
         service,
