@@ -12,56 +12,60 @@ pub(crate) fn silent(_: &Ctx, _: usize) -> Route {
 /// route of the step reads the destinations, its body the items, so one
 /// enumerator states both. Only the sending VPs appear, so the table is as
 /// long as the step's traffic, not as the machine: a VP finds its sends by
-/// binary search. A send to the sender itself is not listed: the item is
-/// already there.
+/// binary search among the senders. A send to the sender itself is not
+/// listed: the item is already there.
 pub(crate) struct Shipments<K> {
-    /// `(src, item, dst)` by ascending source VP, each source's in send
-    /// order (VP indices fit `u32`, as in the engine's message log).
-    sends: Vec<(u32, K, u32)>,
-    /// The most sends of any one VP.
-    out_degree: usize,
+    /// `(vp, first)` per sending VP by ascending VP, then a sentinel
+    /// `(u32::MAX, sends.len())`: VP `vp`'s sends are
+    /// `sends[first..next first]` (VP indices fit `u32`, as in the engine's
+    /// message log).
+    senders: Vec<(u32, u32)>,
+    /// `(item, dst)`, by sender and, per sender, in send order.
+    sends: Vec<(K, u32)>,
 }
 
 impl<K> Shipments<K> {
     /// Lists the sends that `each(push)` pushes as `push(src, item, dst)`,
     /// by ascending source VP and, per source, in send order.
     pub(crate) fn new(each: impl FnOnce(&mut dyn FnMut(usize, K, usize))) -> Self {
-        let (mut sends, mut out_degree, mut run) = (Vec::<(u32, K, u32)>::new(), 0, 0);
+        let (mut senders, mut sends) = (Vec::<(u32, u32)>::new(), Vec::new());
         each(&mut |src, item, dst| {
             if dst == src {
                 return;
             }
-            let last = sends.last().map(|s| s.0 as usize);
-            debug_assert!(last <= Some(src), "sends listed out of source order");
-            run = if last == Some(src) { run + 1 } else { 1 };
-            out_degree = out_degree.max(run);
-            sends.push((src as u32, item, dst as u32));
+            let src = src as u32;
+            match senders.last() {
+                Some(&(last, _)) if last == src => {}
+                last => {
+                    debug_assert!(last < Some(&(src, 0)), "sends listed out of source order");
+                    senders.push((src, sends.len() as u32));
+                }
+            }
+            sends.push((item, dst as u32));
         });
-        Shipments { sends, out_degree }
+        senders.push((u32::MAX, sends.len() as u32));
+        Shipments { senders, sends }
     }
 
-    /// The index of VP `vp`'s first send, if it sends.
-    fn start(&self, vp: usize) -> usize {
-        self.sends.partition_point(|s| (s.0 as usize) < vp)
-    }
-
-    /// VP `vp`'s items, in send order.
-    pub(crate) fn of(&self, vp: usize) -> impl Iterator<Item = &K> {
-        let sends = &self.sends[self.start(vp)..];
-        sends.iter().take_while(move |s| s.0 as usize == vp).map(|s| &s.1)
+    /// VP `vp`'s sends, in order.
+    pub(crate) fn of(&self, vp: usize) -> &[(K, u32)] {
+        let i = self.senders.partition_point(|&(src, _)| (src as usize) < vp);
+        match self.senders[i] {
+            (src, first) if src as usize == vp => {
+                &self.sends[first as usize..self.senders[i + 1].1 as usize]
+            }
+            _ => &[],
+        }
     }
 
     /// The most sends of any one VP.
     pub(crate) fn out_degree(&self) -> usize {
-        self.out_degree
+        self.senders.windows(2).map(|w| (w[1].1 - w[0].1) as usize).max().unwrap_or(0)
     }
 
     /// Slot `k` of VP `vp`: its `k`-th send.
     pub(crate) fn route(&self, vp: usize, k: usize) -> Route {
-        match self.sends.get(self.start(vp) + k) {
-            Some(&(src, _, dst)) if src as usize == vp => Route::Data(dst as usize),
-            _ => Route::End,
-        }
+        self.of(vp).get(k).map_or(Route::End, |&(_, dst)| Route::Data(dst as usize))
     }
 }
 

@@ -188,7 +188,9 @@ type Live<const D: usize> = Vec<(usize, Block<D>)>;
 /// `col + off`.
 #[inline]
 fn shift<const D: usize>(mut col: Col<D>, off: &Col<D>) -> Col<D> {
-    col.iter_mut().zip(off).for_each(|(c, o)| *c += o);
+    for i in 0..D {
+        col[i] += off[i];
+    }
     col
 }
 
@@ -301,15 +303,19 @@ impl<const D: usize> Geo<D> {
     /// Whether `col` lies in the spatial square.
     #[inline]
     fn in_square(&self, col: Col<D>) -> bool {
-        col.iter().all(|&c| 0 <= c && c < self.n)
+        (0..D).all(|i| 0 <= col[i] && col[i] < self.n)
     }
 
     /// The half-open `t`-range of column `col` inside block `blk`'s box of
     /// side `len`.
     #[inline]
     fn t_span(&self, blk: Block<D>, len: i64, col: Col<D>) -> (i64, i64) {
-        let spans = col.iter().zip(blk).map(|(&c, ab)| plane_span(c, ab, len, self.n));
-        spans.fold((i64::MIN, i64::MAX), |(lo, hi), (l, h)| (lo.max(l), hi.min(h)))
+        let (mut lo, mut hi) = (i64::MIN, i64::MAX);
+        for i in 0..D {
+            let (l, h) = plane_span(col[i], blk[i], len, self.n);
+            (lo, hi) = (lo.max(l), hi.min(h));
+        }
+        (lo, hi)
     }
 
     /// Whether `(col, t)` is a node inside block `blk`'s box of side `len`.
@@ -338,7 +344,10 @@ impl<const D: usize> Geo<D> {
     #[inline]
     fn owner(&self, seg: usize, col: Col<D>, side: usize) -> usize {
         let m = side as i64;
-        let pos = col.iter().fold(0, |acc, &c| acc * m + c.rem_euclid(m));
+        let mut pos = 0;
+        for c in col {
+            pos = pos * m + c.rem_euclid(m);
+        }
         seg * side.pow(D as u32) + pos as usize
     }
 
@@ -515,7 +524,7 @@ fn ship<V, K>(
     prog.step_oblivious(label, name, sends.out_degree(), route, move |st, ctx, inbox, out| {
         st.store.extend(inbox.drain(..).map(|m| (m.cell, m.val)));
         eval(st, ctx.vp);
-        for &cell in sends.of(ctx.vp) {
+        for &(cell, _) in sends.of(ctx.vp) {
             out.send(CellMsg { cell, val: st.store[&cell].clone() });
         }
     });
