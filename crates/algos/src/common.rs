@@ -37,7 +37,7 @@ impl<K> Shipments<K> {
             match senders.last() {
                 Some(&(last, _)) if last == src => {}
                 last => {
-                    debug_assert!(last < Some(&(src, 0)), "sends listed out of source order");
+                    debug_assert!(last.is_none_or(|&(vp, _)| vp < src), "sends out of VP order");
                     senders.push((src, sends.len() as u32));
                 }
             }

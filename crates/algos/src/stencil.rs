@@ -244,9 +244,7 @@ pub(crate) trait Rule<const D: usize>: Send + Sync + 'static {
     type V: Clone + Send + Sync + 'static;
     /// The new cell value; `pred(δ)` is the predecessor at spatial offset
     /// `δ`, `None` outside the square.
-    fn eval<'a>(pred: impl Fn(Col<D>) -> Option<&'a Self::V>) -> Self::V
-    where
-        Self::V: 'a;
+    fn eval<'a>(pred: impl Fn(Col<D>) -> Option<&'a Self::V>) -> Self::V;
 }
 
 impl<O: StencilOp> Rule<1> for O {
