@@ -204,6 +204,7 @@ pub fn measured_gap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use nob_machine::{execute, RunOptions};
 
     #[test]
@@ -221,6 +222,17 @@ mod tests {
             let alg = AwareBroadcast { kappa };
             let (out, _) = execute(&alg, 64, &7, &RunOptions::default()).unwrap();
             assert!(out.iter().all(|&x| x == 7), "kappa = {kappa}");
+        }
+    }
+
+    #[test]
+    fn folding_preserves_output() {
+        for p in [2usize, 8, 32] {
+            let (out, _) = executed_folding(&ObliviousBroadcast, 64, &9, p);
+            assert!(out.iter().all(|&x| x == 9));
+            let alg = AwareBroadcast { kappa: 8 };
+            let (out, _) = executed_folding(&alg, 64, &9, p);
+            assert!(out.iter().all(|&x| x == 9));
         }
     }
 

@@ -179,6 +179,30 @@ pub(crate) mod parent_routes {
     }
 }
 
+/// The executed folding of an algorithm, for the per-algorithm folding
+/// tests.
+#[cfg(test)]
+pub(crate) mod folding {
+    use nob_core::CommTrace;
+    use nob_machine::reference::run_folded_reference;
+    use nob_machine::{NobAlgorithm, RunOptions};
+
+    /// Runs `alg`'s folding onto `M(p)` through the reference engine — the
+    /// one executed folding — and returns its output and its trace at
+    /// granularity `p`.
+    pub(crate) fn executed_folding<A: NobAlgorithm>(
+        alg: &A,
+        n: usize,
+        input: &A::Input,
+        p: usize,
+    ) -> (A::Output, CommTrace) {
+        let states = alg.init(n, input);
+        let folded = run_folded_reference(&alg.build(n), states, p, &RunOptions::default())
+            .expect("the folding runs");
+        (alg.extract(n, folded.states), folded.trace)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

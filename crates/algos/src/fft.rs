@@ -383,6 +383,7 @@ impl NobAlgorithm for BinaryExchangeFft {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use nob_core::lower_bounds;
     use nob_machine::{execute, RunOptions};
 
@@ -487,6 +488,23 @@ mod tests {
         let (a, _) = execute(&RecursiveFft::default(), n, &xs[..], &RunOptions::default()).unwrap();
         let (b, _) = execute(&BinaryExchangeFft, n, &xs[..], &RunOptions::default()).unwrap();
         assert_spectra_match(&a, &b, n);
+    }
+
+    #[test]
+    fn folding_preserves_output_and_metrics() {
+        let n = 64;
+        let xs = impulse_and_tone(n);
+        let alg = RecursiveFft::default();
+        let (full, full_trace) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
+        for p in [2usize, 8, 64] {
+            let (out, trace) = executed_folding(&alg, n, &xs[..], p);
+            assert_spectra_match(&out, &full, n);
+            let mut q = 2;
+            while q <= p {
+                assert_eq!(trace.fold(q), full_trace.fold(q));
+                q *= 2;
+            }
+        }
     }
 
     #[test]

@@ -151,6 +151,7 @@ impl<V: Semiring> NobAlgorithm for CannonMm<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use crate::mm::standard::RecursiveMm;
     use crate::semiring::WrapU64;
     use nob_machine::{execute, RunOptions};
@@ -186,6 +187,17 @@ mod tests {
         let (_, trace) = execute(&alg, 256, &input, &RunOptions::default()).unwrap();
         assert_eq!(trace.superstep_count(), 17); // skew + 16 rounds
         assert_eq!(trace.s_counts()[0], 17);
+    }
+
+    #[test]
+    fn folding_preserves_output() {
+        let input = random_input(8, 77);
+        let alg = CannonMm::<WrapU64>::default();
+        let (full, _) = execute(&alg, 64, &input, &RunOptions::default()).unwrap();
+        for p in [2usize, 4, 16] {
+            let (out, _) = executed_folding(&alg, 64, &input, p);
+            assert_eq!(out, full);
+        }
     }
 
     #[test]

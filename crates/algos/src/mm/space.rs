@@ -210,6 +210,7 @@ impl<V: Semiring> NobAlgorithm for SpaceEfficientMm<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use crate::semiring::WrapU64;
     use nob_core::lower_bounds;
     use nob_machine::{execute, RunOptions};
@@ -249,6 +250,23 @@ mod tests {
         assert!(s[0] >= 2 && s[0] <= 6, "S^0 = {}", s[0]);
         assert!(s[2] >= 4 && s[2] <= 12, "S^2 = {}", s[2]);
         assert!(s[4] >= 8 && s[4] <= 24, "S^4 = {}", s[4]);
+    }
+
+    #[test]
+    fn folding_preserves_output_and_metrics() {
+        let input = random_input(8, 5);
+        let alg = SpaceEfficientMm::<WrapU64>::default();
+        let (full_out, full_trace) = execute(&alg, 64, &input, &RunOptions::default()).unwrap();
+        assert_eq!(full_out, input.a.mul_reference(&input.b));
+        for p in [2usize, 4, 16, 64] {
+            let (out, trace) = executed_folding(&alg, 64, &input, p);
+            assert_eq!(out, full_out);
+            let mut q = 2;
+            while q <= p {
+                assert_eq!(trace.fold(q), full_trace.fold(q));
+                q *= 2;
+            }
+        }
     }
 
     #[test]

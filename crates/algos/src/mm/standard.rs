@@ -468,6 +468,7 @@ impl<V: Semiring> NobAlgorithm for RecursiveMm<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use crate::semiring::{MinPlus, NumF64, WrapU64};
     use nob_core::lower_bounds;
     use nob_machine::plan::PlanLayout;
@@ -557,6 +558,22 @@ mod tests {
         let alg = RecursiveMm::<NumF64>::default();
         let (got, _) = execute(&alg, 64, &input, &RunOptions::default()).unwrap();
         assert!(got.close_to(&expect));
+    }
+
+    #[test]
+    fn folding_preserves_output_and_metrics() {
+        let input = random_input(8, 3);
+        let alg = RecursiveMm::<WrapU64>::default();
+        let (full_out, full_trace) = execute(&alg, 64, &input, &RunOptions::default()).unwrap();
+        for p in [2usize, 8, 16, 64] {
+            let (out, trace) = executed_folding(&alg, 64, &input, p);
+            assert_eq!(out, full_out, "folded output diverges at p = {p}");
+            let mut q = 2;
+            while q <= p {
+                assert_eq!(trace.fold(q), full_trace.fold(q), "metrics diverge at {p}/{q}");
+                q *= 2;
+            }
+        }
     }
 
     #[test]

@@ -286,6 +286,7 @@ fn assert_square(n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use nob_machine::{execute, RunOptions};
 
     fn add(a: &u64, b: &u64) -> u64 {
@@ -330,6 +331,19 @@ mod tests {
             assert_eq!(got, want, "n = {n}");
             assert_eq!(trace.max_degree(), 1);
             assert_eq!(trace.superstep_count(), 2 * lg + 1);
+        }
+    }
+
+    #[test]
+    fn scan_folding_is_consistent() {
+        let n = 64;
+        let xs: Vec<u64> = (0..n as u64).map(|i| i ^ 21).collect();
+        let alg = TreeScan { op: add as CombineFn<u64> };
+        let (full, full_trace) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
+        for p in [2usize, 8, 32] {
+            let (out, trace) = executed_folding(&alg, n, &xs[..], p);
+            assert_eq!(out, full);
+            assert_eq!(trace.fold(p), full_trace.fold(p));
         }
     }
 

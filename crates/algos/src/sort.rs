@@ -432,6 +432,7 @@ impl<K: SortKey> NobAlgorithm for BitonicSort<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use nob_core::lower_bounds;
     use nob_machine::{execute, RunOptions};
 
@@ -510,6 +511,24 @@ mod tests {
         let alg = ColumnSort::<u64>::default();
         let (got, _) = execute(&alg, n, &keys[..], &RunOptions::default()).unwrap();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn folding_preserves_output_and_metrics() {
+        let mut rng = xorshift(3);
+        let n = 128;
+        let keys: Vec<u64> = (0..n).map(|_| rng()).collect();
+        let alg = ColumnSort::<u64>::default();
+        let (full, full_trace) = execute(&alg, n, &keys[..], &RunOptions::default()).unwrap();
+        for p in [2usize, 8, 32, 128] {
+            let (out, trace) = executed_folding(&alg, n, &keys[..], p);
+            assert_eq!(out, full);
+            let mut q = 2;
+            while q <= p {
+                assert_eq!(trace.fold(q), full_trace.fold(q));
+                q *= 2;
+            }
+        }
     }
 
     #[test]

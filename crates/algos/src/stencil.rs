@@ -830,6 +830,7 @@ impl<O: StencilOp> NobAlgorithm for NaiveStencil<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use nob_core::lower_bounds;
     use nob_machine::{execute, RunOptions};
 
@@ -869,6 +870,23 @@ mod tests {
         let (got, _) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-9, "{g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn folding_preserves_output_and_metrics() {
+        let n = 64;
+        let xs = input(n);
+        let alg = DiamondStencil::<WrapSumOp>::default();
+        let (full, full_trace) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
+        for p in [2usize, 8, 64] {
+            let (out, trace) = executed_folding(&alg, n, &xs[..], p);
+            assert_eq!(out, full);
+            let mut q = 2;
+            while q <= p {
+                assert_eq!(trace.fold(q), full_trace.fold(q));
+                q *= 2;
+            }
         }
     }
 

@@ -356,6 +356,7 @@ impl<O: Stencil2Op> NobAlgorithm for NaiveStencil2<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::folding::executed_folding;
     use nob_core::lower_bounds;
     use nob_machine::{execute, RunOptions};
 
@@ -382,6 +383,19 @@ mod tests {
             let alg = OctaStencil::<WrapSum2Op>::default();
             let (got, _) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
             assert_eq!(got, want, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn octa_folding_is_consistent() {
+        let n = 8;
+        let xs = input(n);
+        let alg = OctaStencil::<WrapSum2Op>::default();
+        let (full, full_trace) = execute(&alg, n, &xs[..], &RunOptions::default()).unwrap();
+        for p in [2usize, 4, 16, 64] {
+            let (out, trace) = executed_folding(&alg, n, &xs[..], p);
+            assert_eq!(out, full);
+            assert_eq!(trace.fold(p), full_trace.fold(p));
         }
     }
 
