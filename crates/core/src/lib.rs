@@ -52,6 +52,6 @@ pub mod wiseness;
 
 pub use error::{ModelError, StalledWorker};
 pub use fault::{FaultArm, FaultKind, FaultPlan};
-pub use metrics::{CommTrace, DegreeCounters, FoldedMetrics, SuperstepRecord};
+pub use metrics::{CommTrace, FoldedMetrics, SuperstepRecord};
 pub use model::{DbspMachine, EvalModel, SpecModel};
 pub use telemetry::{RunReport, ServerReport, TelemetrySink};

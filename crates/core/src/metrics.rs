@@ -30,19 +30,6 @@ pub struct SuperstepRecord {
 }
 
 impl SuperstepRecord {
-    /// Builds the record of a superstep from streaming [`DegreeCounters`]
-    /// filled during the engine's send phase. Equivalent to
-    /// [`SuperstepRecord::from_counted_edges`] over the same message multiset
-    /// (the property tests assert bit-for-bit equality), but costs `O(log v)`
-    /// here because the per-fold maxima were maintained incrementally.
-    pub fn from_degree_counters(label: u32, counters: &DegreeCounters) -> Self {
-        SuperstepRecord {
-            label,
-            h_by_fold: (1..=counters.levels()).map(|j| counters.level_max(j)).collect(),
-            total_msgs: counters.total(),
-        }
-    }
-
     /// Builds the record of a superstep from its message multiset, given as
     /// counted edges `(src VP, dst VP, multiplicity)`.
     ///
@@ -98,257 +85,16 @@ impl SuperstepRecord {
     }
 }
 
-/// Streaming per-fold degree counters: the allocation-free replacement for
-/// materializing one `(src, dst, 1)` edge per message and re-scanning the
-/// edge list once per fold level.
-///
-/// One `DegreeCounters` instance is reused across all supersteps of a run.
-/// For every fold level `j` (`1 ≤ j ≤ log v`) it maintains per-processor
-/// sent/received counts plus a *running maximum* `max_k max(out_k, in_k)`;
-/// since counts only grow within a superstep, the running maximum equals the
-/// final maximum, so producing a [`SuperstepRecord`] costs `O(levels)` with
-/// no scan. Stale counts from previous supersteps are invalidated by an
-/// epoch stamp instead of zeroing, so [`DegreeCounters::begin_superstep`] is
-/// `O(1)`.
-///
-/// Every message counts toward the total, a VP's message to itself
-/// included (it is internal at every fold, so it touches no degree). Per
-/// message the work is `O(#levels at which the message is external)`: the
-/// externality threshold comes from one `xor`/`leading_zeros`, and a
-/// self-send costs `O(1)`.
-///
-/// # Shard-local counters
-///
-/// The sharded executor gives every shard (a contiguous block of
-/// `2^(log_v - log_shards)` VPs) a private instance built with
-/// [`DegreeCounters::shard_full`]. The tracked levels split at
-/// `split = log_shards`:
-///
-/// * **Fine levels** (`split < j ≤ log_v`): a fold-level processor is
-///   contained in exactly one shard, so its sent counter is bumped only by
-///   the shard owning the source VP ([`DegreeCounters::record`] for
-///   shard-internal messages, [`DegreeCounters::record_sent`] for outgoing
-///   ones) and its received counter only by the shard owning the
-///   destination ([`DegreeCounters::record_received`], called by the
-///   receiving shard while draining its incoming lanes). Slot ownership is
-///   disjoint across shards, so each shard's running maximum is exact and
-///   the global maximum is the max over shards. Only the `2^(j - split)`
-///   processors owned by the shard are allocated per level, keeping total
-///   slot memory independent of the shard count.
-/// * **Coarse levels** (`1 ≤ j ≤ split`): a fold-level processor spans
-///   whole shards, so per-shard counts are partial sums — but each shard
-///   maps into exactly *one* processor per coarse level, so two scalars per
-///   level suffice. [`EpochMerge`] adds them up per processor and takes the
-///   maximum once per superstep, replacing the per-message level walk with
-///   one `O(shards · log shards)` batch at the barrier.
-///
-/// With `log_shards = 0` (the serial engine) every level is fine and the
-/// layout is identical to the pre-shard counters.
-#[derive(Debug, Clone)]
-pub struct DegreeCounters {
-    /// `log2 v` of the id space messages are expressed in (VP granularity),
-    /// and the number of fold levels tracked.
-    log_v: u32,
-    /// Number of coarse levels (`= log_shards`; 0 when not sharded).
-    split: u32,
-    /// Index of the owning shard (0 when not sharded).
-    shard: usize,
-    /// Flattened fine-level counters; level `j` occupies the
-    /// `2^(j - split)` slots starting at `2^(j - split) - 2`, covering the
-    /// processors owned by `shard` (all of them when `split = 0`).
-    out_cnt: Vec<u64>,
-    in_cnt: Vec<u64>,
-    out_epoch: Vec<u32>,
-    in_epoch: Vec<u32>,
-    /// Per-shard scalars for coarse levels `1..=split`: messages external at
-    /// that level sent by (resp. received by) this shard's VPs.
-    out_coarse: Vec<u64>,
-    in_coarse: Vec<u64>,
-    /// `max_by_level[j - 1]` = running `max_k max(out_k, in_k)` at fine
-    /// level `j` over the slots this instance owns (unused for coarse
-    /// levels — [`EpochMerge`] computes those).
-    max_by_level: Vec<u64>,
-    total: u64,
-    epoch: u32,
-}
-
-impl DegreeCounters {
-    /// Counters for a run on `M(2^log_v)`: all `log_v` fold levels are
-    /// tracked, mirroring [`SuperstepRecord::from_counted_edges`].
-    pub fn full(log_v: u32) -> Self {
-        Self::shard_full(log_v, 0, 0)
-    }
-
-    /// Shard-local counters for shard `shard` of `2^log_shards` (see the
-    /// type docs on the fine/coarse split).
-    pub fn shard_full(log_v: u32, log_shards: u32, shard: usize) -> Self {
-        let split = log_shards;
-        // allow-panic: constructor contract on engine-internal wiring.
-        assert!(split <= log_v, "shards must not outnumber VPs");
-        assert!(shard < (1usize << split), "shard out of range");
-        let slots = (1usize << (log_v - split + 1)) - 2;
-        DegreeCounters {
-            log_v,
-            split,
-            shard,
-            out_cnt: vec![0; slots],
-            in_cnt: vec![0; slots],
-            out_epoch: vec![0; slots],
-            in_epoch: vec![0; slots],
-            out_coarse: vec![0; split as usize],
-            in_coarse: vec![0; split as usize],
-            max_by_level: vec![0; log_v as usize],
-            total: 0,
-            epoch: 0,
-        }
-    }
-
-    /// Invalidates all counts in `O(1)` (epoch bump); call between
-    /// supersteps.
-    pub fn begin_superstep(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Epoch wrapped (after 2^32 supersteps): hard-reset the stamps to
-            // 0, the one epoch never live after `begin_superstep`, so no
-            // pre-wrap count can match a later cycle's epoch.
-            self.out_epoch.fill(0);
-            self.in_epoch.fill(0);
-            self.epoch = 1;
-        }
-        self.max_by_level.fill(0);
-        self.out_coarse.fill(0);
-        self.in_coarse.fill(0);
-        self.total = 0;
-    }
-
-    /// Slot index of fine level `j` (`split < j ≤ log_v`) for the global
-    /// fold-level processor `p_global`, which must be owned by this shard.
-    #[inline]
-    fn fine_index(&self, j: u32, p_global: usize) -> usize {
-        let w = j - self.split;
-        ((1usize << w) - 2) + p_global - (self.shard << w)
-    }
-
-    /// Records one message `src → dst` (VP-granularity ids) whose endpoints
-    /// are both owned by this instance — any message for the serial engine,
-    /// shard-internal messages for the sharded one. Dummy messages are
-    /// recorded exactly like payload messages — the paper's wiseness device
-    /// counts them in every degree metric.
-    #[inline]
-    pub fn record(&mut self, src: usize, dst: usize) {
-        self.total += 1;
-        let x = src ^ dst;
-        if x == 0 {
-            return;
-        }
-        // The message is external at fold 2^j iff the top j bits differ,
-        // i.e. for all j > common_prefix = log_v - bitlen(x).
-        let bitlen = usize::BITS - x.leading_zeros();
-        let j_min = (self.log_v - bitlen) + 1;
-        debug_assert!(
-            j_min > self.split,
-            "record() is for shard-internal messages; use record_sent/record_received"
-        );
-        for j in j_min..=self.log_v {
-            let shift = self.log_v - j;
-            let ps = self.fine_index(j, src >> shift);
-            let pd = self.fine_index(j, dst >> shift);
-            let sent = Self::bump(&mut self.out_cnt, &mut self.out_epoch, ps, self.epoch);
-            let recv = Self::bump(&mut self.in_cnt, &mut self.in_epoch, pd, self.epoch);
-            let m = &mut self.max_by_level[(j - 1) as usize];
-            *m = (*m).max(sent.max(recv));
-        }
-    }
-
-    /// Records the *send side* of a message leaving this shard (`src` owned
-    /// here, `dst` owned by another shard). Counts toward `total()`; the
-    /// receiving shard accounts the in-side via
-    /// [`DegreeCounters::record_received`].
-    #[inline]
-    pub fn record_sent(&mut self, src: usize, dst: usize) {
-        let x = src ^ dst;
-        debug_assert!(x != 0, "a cross-shard message cannot be a self-send");
-        let bitlen = usize::BITS - x.leading_zeros();
-        let j_min = (self.log_v - bitlen) + 1;
-        debug_assert!(j_min <= self.split, "record_sent() requires a shard-external message");
-        self.total += 1;
-        for j in j_min..=self.split {
-            self.out_coarse[(j - 1) as usize] += 1;
-        }
-        // A shard-external message is external at every fine level.
-        for j in (self.split + 1)..=self.log_v {
-            let shift = self.log_v - j;
-            let ps = self.fine_index(j, src >> shift);
-            let sent = Self::bump(&mut self.out_cnt, &mut self.out_epoch, ps, self.epoch);
-            let m = &mut self.max_by_level[(j - 1) as usize];
-            *m = (*m).max(sent);
-        }
-    }
-
-    /// Records the *receive side* of a message arriving from another shard
-    /// (`dst` owned here). Does **not** count toward `total()` — the sender
-    /// already did.
-    #[inline]
-    pub fn record_received(&mut self, src: usize, dst: usize) {
-        let x = src ^ dst;
-        debug_assert!(x != 0, "a cross-shard message cannot be a self-send");
-        let bitlen = usize::BITS - x.leading_zeros();
-        let j_min = (self.log_v - bitlen) + 1;
-        debug_assert!(j_min <= self.split, "record_received() requires a shard-external message");
-        for j in j_min..=self.split {
-            self.in_coarse[(j - 1) as usize] += 1;
-        }
-        for j in (self.split + 1)..=self.log_v {
-            let shift = self.log_v - j;
-            let pd = self.fine_index(j, dst >> shift);
-            let recv = Self::bump(&mut self.in_cnt, &mut self.in_epoch, pd, self.epoch);
-            let m = &mut self.max_by_level[(j - 1) as usize];
-            *m = (*m).max(recv);
-        }
-    }
-
-    #[inline]
-    fn bump(cnt: &mut [u64], epoch: &mut [u32], idx: usize, cur: u32) -> u64 {
-        if epoch[idx] != cur {
-            epoch[idx] = cur;
-            cnt[idx] = 0;
-        }
-        cnt[idx] += 1;
-        cnt[idx]
-    }
-
-    /// Number of tracked fold levels (`log v`).
-    #[inline]
-    pub fn levels(&self) -> u32 {
-        self.log_v
-    }
-
-    /// The superstep degree `h^s` at fold `2^j` so far (`1 ≤ j ≤ log v`).
-    /// For shard-local counters this is only exact at fine levels
-    /// (`j > log_shards`); coarse levels are assembled by [`EpochMerge`].
-    #[inline]
-    pub fn level_max(&self, j: u32) -> u64 {
-        debug_assert!(j > self.split, "coarse levels are only exact after an EpochMerge");
-        self.max_by_level[(j - 1) as usize]
-    }
-
-    /// Messages recorded this superstep, self-sends included.
-    #[inline]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-}
-
 /// Precomputed metrics of one *oblivious* superstep: the analytic record of
 /// a message multiset that is a static function of the VP index.
 ///
 /// Communication-plan layers compile these once per program with a
-/// [`StepMetricsBuilder`], whose result is **bit-for-bit identical** to what
-/// the engine's streamed [`DegreeCounters`] would produce for the same
-/// multiset (dummy messages included), and then emit a superstep record in
+/// [`StepMetricsBuilder`] — the accumulator the engine also meters its
+/// dynamic supersteps with, so the two agree bit for bit on the same
+/// multiset (dummy messages included) — and then emit a superstep record in
 /// `O(log v)` per run via [`TraceBuilder::push_precomputed`], instead of
-/// paying the per-message `O(log v)` counter walk on every execution. Like
-/// the record it produces, it holds the degree of every folding at once.
+/// recording every message on every execution. Like the record it
+/// produces, it holds the degree of every folding at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepMetrics {
     /// Fold levels covered (`log v` of the machine the step was declared on).
@@ -359,14 +105,14 @@ pub struct StepMetrics {
     total: u64,
 }
 
-/// Accumulator for [`StepMetrics`]: feed every declared message once (in
-/// any order), then [`StepMetricsBuilder::finish`].
+/// The one accumulator of a superstep's degrees: feed every message once (in
+/// any order), then [`StepMetricsBuilder::finish`] it into a plan's
+/// [`StepMetrics`], or [`StepMetricsBuilder::finish_into`] a trace — what the
+/// engine does once per dynamic superstep, reusing one builder for the run.
 ///
 /// A message is external at fold `2^j` exactly for `j ≥ j_min`, its *first
-/// external level*. Instead of walking those levels per message (what the
-/// streamed [`DegreeCounters`] must do, because the engine needs every
-/// level's running maximum after each superstep), `record` only notes the
-/// two ends of that range — the per-VP counts (level `log v`, where every
+/// external level*. Instead of walking those levels per message, `record`
+/// only notes the two ends of that range — the per-VP counts (level `log v`, where every
 /// non-self message is external) and one count at the node of the fold tree
 /// where the message stops being external — and `finish` recovers every
 /// level in one bottom-up `O(v)` pass: a processor's external traffic one
@@ -381,6 +127,10 @@ pub struct StepMetrics {
 /// fold `2^d` (`0 ≤ d < log v`; entry 0 is unused) — and `finish` subtracts
 /// it from the merged sent and the merged received count alike. Scratch is
 /// `3·v` words and `record` makes three scattered increments.
+///
+/// All three arrays are additive in the multiset, so builders that each saw
+/// part of a superstep — a gang's shards, each metering what it sends —
+/// [`StepMetricsBuilder::add`] up to the builder of the whole.
 #[derive(Debug)]
 pub struct StepMetricsBuilder {
     log_v: u32,
@@ -409,24 +159,68 @@ impl StepMetricsBuilder {
         if x == 0 {
             return;
         }
-        // The top differing bit sits `shift` places up (DegreeCounters'
-        // threshold arithmetic), so the two ids share their top
-        // `log_v - shift - 1` bits: leaf `v + src` of the heap-ordered fold
-        // tree, lifted `shift + 1` levels, is their lowest common node.
+        // The top differing bit sits `shift` places up, so the two ids share
+        // their top `log_v - shift - 1` bits: leaf `v + src` of the
+        // heap-ordered fold tree, lifted `shift + 1` levels, is their lowest
+        // common node.
         let up = x.ilog2() + 1;
         self.sent[src] += 1;
         self.recv[dst] += 1;
         self.cross[((1usize << self.log_v) | src) >> up] += 1;
     }
 
+    /// Adds `other`'s messages to these: afterwards this builder holds the
+    /// union of the two multisets. Both must be on the same machine.
+    pub fn add(&mut self, other: &StepMetricsBuilder) {
+        debug_assert_eq!(self.log_v, other.log_v, "machine size mismatch");
+        for (mine, theirs) in [
+            (&mut self.sent, &other.sent),
+            (&mut self.recv, &other.recv),
+            (&mut self.cross, &other.cross),
+        ] {
+            mine.iter_mut().zip(theirs).for_each(|(a, b)| *a += b);
+        }
+        self.total += other.total;
+    }
+
+    /// Empties the builder in place, as [`StepMetricsBuilder::new`] makes
+    /// it, keeping its arrays.
+    pub fn clear(&mut self) {
+        self.sent.fill(0);
+        self.recv.fill(0);
+        self.cross.fill(0);
+        self.total = 0;
+    }
+
     /// Seals the accumulated multiset into immutable [`StepMetrics`].
-    pub fn finish(self) -> StepMetrics {
-        let StepMetricsBuilder { log_v, mut sent, mut recv, cross, total } = self;
-        let mut h_by_fold = vec![0; log_v as usize];
+    pub fn finish(mut self) -> StepMetrics {
+        let mut h_by_fold = vec![0; self.log_v as usize];
+        self.fold_into(&mut h_by_fold);
+        StepMetrics { levels: self.log_v, h_by_fold, total: self.total }
+    }
+
+    /// Appends the accumulated multiset to `trace` as one `label`-superstep
+    /// and empties the builder for the next one: the engine's per-superstep
+    /// finish, which allocates nothing while `trace` is within its reserved
+    /// capacity.
+    pub fn finish_into(&mut self, label: u32, trace: &mut TraceBuilder) {
+        debug_assert_eq!(self.log_v, trace.log_v, "machine size mismatch");
+        let at = trace.flat_h.len();
+        trace.flat_h.resize(at + self.log_v as usize, 0);
+        self.fold_into(&mut trace.flat_h[at..]);
+        trace.labels.push(label);
+        trace.totals.push(self.total);
+        self.clear();
+    }
+
+    /// The bottom-up pass: writes the degree at fold `2^j` to
+    /// `h_by_fold[j - 1]`, leaving `sent` and `recv` spent.
+    fn fold_into(&mut self, h_by_fold: &mut [u64]) {
+        let StepMetricsBuilder { log_v, sent, recv, cross, .. } = self;
         // Invariant: entering level j, `sent[p]` / `recv[p]` (p < 2^j) count
         // the messages processor p of fold 2^j exchanges with other
         // processors of that fold.
-        for j in (1..=log_v).rev() {
+        for j in (1..=*log_v).rev() {
             let half = 1usize << (j - 1);
             let mut h = 0;
             for p in 0..half {
@@ -440,7 +234,6 @@ impl StepMetricsBuilder {
             }
             h_by_fold[(j - 1) as usize] = h;
         }
-        StepMetrics { levels: log_v, h_by_fold, total }
     }
 }
 
@@ -508,109 +301,8 @@ impl StepMetrics {
     }
 }
 
-/// Combines the shard-local [`DegreeCounters`] of one superstep into the
-/// global per-fold degrees — the barrier-time half of the sharded metric
-/// pipeline for *dynamic* supersteps. Planned (oblivious) supersteps never
-/// merge at all: their record is the plan's precomputed [`StepMetrics`],
-/// pushed by the coordinator via [`TraceBuilder::push_precomputed`] during
-/// its own exec phase — overlapped with the other workers' execution, with
-/// no merge barrier behind it.
-///
-/// Fine-level maxima are exact per shard (disjoint slot ownership), so the
-/// merge is a plain `max` per level. Coarse levels are reassembled from the
-/// per-shard scalars: shard `w` maps into processor `w >> (log_shards - j)`
-/// at level `j`, its scalars are added there, and the processor maximum is
-/// taken once in [`EpochMerge::finish`]. One instance is allocated per run
-/// and reused across supersteps (allocation-free in steady state).
-#[derive(Debug)]
-pub struct EpochMerge {
-    levels: u32,
-    split: u32,
-    /// Flattened coarse sums; level `j` occupies `2^j` slots at `2^j - 2`.
-    out_sum: Vec<u64>,
-    in_sum: Vec<u64>,
-    max_by_level: Vec<u64>,
-    total: u64,
-}
-
-impl EpochMerge {
-    /// A merger for `2^log_shards` shards tracking `levels` fold levels.
-    pub fn new(levels: u32, log_shards: u32) -> Self {
-        // allow-panic: constructor contract on engine-internal wiring.
-        assert!(log_shards <= levels, "shards must not outnumber fold-level processors");
-        let coarse_slots = (1usize << (log_shards + 1)) - 2;
-        EpochMerge {
-            levels,
-            split: log_shards,
-            out_sum: vec![0; coarse_slots],
-            in_sum: vec![0; coarse_slots],
-            max_by_level: vec![0; levels as usize],
-            total: 0,
-        }
-    }
-
-    /// Resets the merge state; call once per superstep before
-    /// [`EpochMerge::add_shard`].
-    pub fn begin_superstep(&mut self) {
-        self.out_sum.fill(0);
-        self.in_sum.fill(0);
-        self.max_by_level.fill(0);
-        self.total = 0;
-    }
-
-    /// Folds shard `shard`'s counters for the current superstep into the
-    /// merge.
-    pub fn add_shard(&mut self, shard: usize, c: &DegreeCounters) {
-        debug_assert_eq!(c.log_v, self.levels, "level count mismatch");
-        debug_assert_eq!(c.split, self.split, "shard-split mismatch");
-        debug_assert_eq!(c.shard, shard, "counters added under the wrong shard id");
-        self.total += c.total;
-        for j in (self.split + 1)..=self.levels {
-            let m = &mut self.max_by_level[(j - 1) as usize];
-            *m = (*m).max(c.max_by_level[(j - 1) as usize]);
-        }
-        for j in 1..=self.split {
-            let proc = shard >> (self.split - j);
-            let base = (1usize << j) - 2;
-            self.out_sum[base + proc] += c.out_coarse[(j - 1) as usize];
-            self.in_sum[base + proc] += c.in_coarse[(j - 1) as usize];
-        }
-    }
-
-    /// Computes the coarse-level maxima from the accumulated sums; call
-    /// after the last [`EpochMerge::add_shard`] of the superstep.
-    pub fn finish(&mut self) {
-        for j in 1..=self.split {
-            let base = (1usize << j) - 2;
-            let procs = 1usize << j;
-            self.max_by_level[(j - 1) as usize] = (0..procs)
-                .map(|k| self.out_sum[base + k].max(self.in_sum[base + k]))
-                .max()
-                .unwrap_or(0);
-        }
-    }
-
-    /// The merged superstep degree `h^s` at fold `2^j` (`1 ≤ j ≤ levels`);
-    /// valid after [`EpochMerge::finish`].
-    #[inline]
-    pub fn level_max(&self, j: u32) -> u64 {
-        self.max_by_level[(j - 1) as usize]
-    }
-
-    /// Merged message total of the superstep.
-    #[inline]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of tracked fold levels.
-    #[inline]
-    pub fn levels(&self) -> u32 {
-        self.levels
-    }
-}
-
-/// Accumulates superstep records in flat, pre-reserved storage.
+/// Accumulates superstep records at granularity `v` in flat, pre-reserved
+/// storage.
 ///
 /// The engine's steady-state loop must not allocate; pushing a
 /// [`SuperstepRecord`] directly would allocate its `h_by_fold` vector per
@@ -619,8 +311,7 @@ impl EpochMerge {
 /// count), and materializes the [`CommTrace`] once at the end of the run.
 #[derive(Debug)]
 pub struct TraceBuilder {
-    /// `log2` of the trace granularity (`log v`).
-    log_gran: u32,
+    log_v: u32,
     n: usize,
     labels: Vec<u32>,
     totals: Vec<u64>,
@@ -629,75 +320,51 @@ pub struct TraceBuilder {
 }
 
 impl TraceBuilder {
-    /// A builder for a trace at granularity `gran` with room for
+    /// A builder for a trace of a run on `v` VPs with room for
     /// `expected_steps` supersteps without reallocation.
-    pub fn new(gran: usize, n: usize, expected_steps: usize) -> Self {
-        let log_gran = log2_exact(gran);
+    pub fn new(v: usize, n: usize, expected_steps: usize) -> Self {
+        let log_v = log2_exact(v);
         TraceBuilder {
-            log_gran,
+            log_v,
             n,
             labels: Vec::with_capacity(expected_steps),
             totals: Vec::with_capacity(expected_steps),
-            flat_h: Vec::with_capacity(expected_steps * log_gran as usize),
-        }
-    }
-
-    /// Appends one superstep's metrics from its streaming counters.
-    /// Allocation-free while within the reserved capacity.
-    pub fn push_superstep(&mut self, label: u32, counters: &DegreeCounters) {
-        debug_assert_eq!(counters.levels(), self.log_gran, "granularity mismatch");
-        self.labels.push(label);
-        self.totals.push(counters.total());
-        for j in 1..=counters.levels() {
-            self.flat_h.push(counters.level_max(j));
+            flat_h: Vec::with_capacity(expected_steps * log_v as usize),
         }
     }
 
     /// Appends one superstep's metrics from the precomputed [`StepMetrics`]
-    /// of a planned oblivious superstep: `O(log gran)`, no per-message work
-    /// — and, on the sharded path, no [`EpochMerge`] and no merge barrier
-    /// (the coordinator pushes the record inside its own exec phase,
-    /// overlapped with the other workers' execution). Allocation-free while
-    /// within the reserved capacity.
+    /// of a planned oblivious superstep: `O(log v)`, no per-message work —
+    /// and, on the sharded path, no merge barrier (the coordinator pushes the
+    /// record inside its own exec phase, overlapped with the other workers'
+    /// execution). Allocation-free while within the reserved capacity.
     pub fn push_precomputed(&mut self, label: u32, metrics: &StepMetrics) {
-        debug_assert_eq!(metrics.levels(), self.log_gran, "granularity mismatch");
+        debug_assert_eq!(metrics.levels(), self.log_v, "granularity mismatch");
         self.labels.push(label);
         self.totals.push(metrics.total());
         self.flat_h.extend_from_slice(metrics.h_by_fold());
     }
 
-    /// Appends one superstep's metrics from a completed [`EpochMerge`] of
-    /// shard-local counters. Allocation-free while within the reserved
-    /// capacity.
-    pub fn push_merged(&mut self, label: u32, merged: &EpochMerge) {
-        debug_assert_eq!(merged.levels(), self.log_gran, "granularity mismatch");
-        self.labels.push(label);
-        self.totals.push(merged.total());
-        for j in 1..=merged.levels() {
-            self.flat_h.push(merged.level_max(j));
-        }
-    }
-
     /// Re-targets a pooled builder at a new run: records are cleared (the
-    /// flat storage keeps its capacity) and the granularity and problem size
-    /// are replaced, so a serving layer can recycle one builder across jobs
-    /// without re-paying its three vector allocations. Grows only when
+    /// flat storage keeps its capacity) and the machine size `v` and problem
+    /// size are replaced, so a serving layer can recycle one builder across
+    /// jobs without re-paying its three vector allocations. Grows only when
     /// `expected_steps` exceeds every previous run's reservation.
-    pub fn reset(&mut self, gran: usize, n: usize, expected_steps: usize) {
-        self.log_gran = log2_exact(gran);
+    pub fn reset(&mut self, v: usize, n: usize, expected_steps: usize) {
+        self.log_v = log2_exact(v);
         self.n = n;
         self.labels.clear();
         self.totals.clear();
         self.flat_h.clear();
         self.labels.reserve(expected_steps);
         self.totals.reserve(expected_steps);
-        self.flat_h.reserve(expected_steps * self.log_gran as usize);
+        self.flat_h.reserve(expected_steps * self.log_v as usize);
     }
 
     /// Materializes the accumulated records as a [`CommTrace`] without
     /// consuming the builder, so a pooled builder outlives the run.
     pub fn snapshot(&self) -> CommTrace {
-        let levels = self.log_gran as usize;
+        let levels = self.log_v as usize;
         let steps = self
             .labels
             .iter()
@@ -709,7 +376,7 @@ impl TraceBuilder {
                 total_msgs: total,
             })
             .collect();
-        CommTrace { log_v: self.log_gran, n: self.n, steps }
+        CommTrace { log_v: self.log_v, n: self.n, steps }
     }
 
     /// Number of supersteps pushed so far.
@@ -900,7 +567,11 @@ impl CommTrace {
         out
     }
 
-    /// Parses the [`CommTrace::to_text`] format.
+    /// Parses the [`CommTrace::to_text`] format. A header whose `log_v` has
+    /// no machine (`v = 2^log_v` must fit a `usize`) and a record whose
+    /// label is not one of the machine's (`label < max(1, log_v)`, as
+    /// `Program::step` requires) are refused, not parsed into a trace that
+    /// panics later.
     pub fn from_text(text: &str) -> Result<CommTrace, ModelError> {
         let bad = |reason: &'static str| ModelError::BadParameter { what: "trace", reason };
         let mut lines = text.lines();
@@ -915,6 +586,9 @@ impl CommTrace {
             }
         }
         let (log_v, n) = (log_v.ok_or(bad("missing log_v"))?, n.ok_or(bad("missing n"))?);
+        if log_v >= usize::BITS {
+            return Err(bad("log_v too large for a machine"));
+        }
         let mut steps = Vec::new();
         for line in lines {
             if line.trim().is_empty() {
@@ -922,6 +596,9 @@ impl CommTrace {
             }
             let mut it = line.split_whitespace();
             let label: u32 = it.next().and_then(|t| t.parse().ok()).ok_or(bad("missing label"))?;
+            if label >= log_v.max(1) {
+                return Err(bad("label out of range"));
+            }
             let total_msgs: u64 =
                 it.next().and_then(|t| t.parse().ok()).ok_or(bad("missing total"))?;
             let h_by_fold: Vec<u64> =
@@ -943,32 +620,6 @@ mod tests {
     fn star_step() -> SuperstepRecord {
         let msgs: Vec<(usize, usize)> = (1..8).map(|d| (0, d)).collect();
         SuperstepRecord::from_messages(0, 3, msgs)
-    }
-
-    #[test]
-    fn epoch_wrap_forgets_pre_wrap_counts() {
-        // Count a message at the last epoch before the wrap, wrap, then
-        // jump to the next cycle's `u32::MAX`: the slot that message
-        // stamped must start from zero again, as on a fresh counter.
-        let fresh = {
-            let mut c = DegreeCounters::full(3);
-            c.begin_superstep();
-            c.record(0, 7);
-            c
-        };
-        let mut c = DegreeCounters::full(3);
-        c.epoch = u32::MAX - 1;
-        c.begin_superstep();
-        c.record(0, 7);
-        c.begin_superstep();
-        assert_eq!(c.epoch, 1, "the epoch wraps to 1");
-        c.epoch = u32::MAX - 1;
-        c.begin_superstep();
-        c.record(0, 7);
-        for j in 1..=3 {
-            assert_eq!(c.level_max(j), fresh.level_max(j), "level {j}");
-        }
-        assert_eq!(c.total(), fresh.total());
     }
 
     #[test]
@@ -994,126 +645,22 @@ mod tests {
         assert_eq!(s.h(3), 1);
     }
 
-    /// Streams unit edges through counters; multiplicity `c` becomes `c`
-    /// calls, as the engine produces.
+    /// Streams unit edges through one reused builder into `trace`, as the
+    /// engine meters a dynamic superstep: multiplicity `c` becomes `c`
+    /// records, and the builder is left empty for the next superstep.
     fn stream(
         label: u32,
-        counters: &mut DegreeCounters,
+        builder: &mut StepMetricsBuilder,
+        trace: &mut TraceBuilder,
         edges: &[(usize, usize, u64)],
     ) -> SuperstepRecord {
-        counters.begin_superstep();
         for &(s, d, c) in edges {
             for _ in 0..c {
-                counters.record(s, d);
+                builder.record(s, d);
             }
         }
-        SuperstepRecord::from_degree_counters(label, counters)
-    }
-
-    #[test]
-    fn degree_counters_match_counted_edges_exactly() {
-        let log_v = 4u32;
-        let v = 1usize << log_v;
-        let mut counters = DegreeCounters::full(log_v);
-        // A deterministic pseudo-random pattern including self-sends, bursts
-        // and cross-bisection traffic; reuse the counters across "supersteps"
-        // to exercise the epoch invalidation.
-        let mut state = 0x1234_5678u64;
-        for round in 0..32 {
-            let mut edges = Vec::new();
-            for _ in 0..(round % 7) * 3 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let s = (state >> 20) as usize % v;
-                let d = (state >> 40) as usize % v;
-                let c = 1 + (state % 3);
-                edges.push((s, d, c));
-            }
-            let label = round % log_v;
-            let want = SuperstepRecord::from_counted_edges(label, log_v, &edges);
-            let got = stream(label, &mut counters, &edges);
-            assert_eq!(got, want, "divergence at round {round}: {edges:?}");
-        }
-    }
-
-    /// Replays `edges` the way the sharded executor does — send side on the
-    /// source shard, receive side on the destination shard — and merges.
-    fn stream_sharded(
-        label: u32,
-        log_v: u32,
-        log_shards: u32,
-        edges: &[(usize, usize, u64)],
-    ) -> SuperstepRecord {
-        let shards = 1usize << log_shards;
-        let shard_shift = log_v - log_shards;
-        let mut locals: Vec<DegreeCounters> =
-            (0..shards).map(|w| DegreeCounters::shard_full(log_v, log_shards, w)).collect();
-        for c in &mut locals {
-            c.begin_superstep();
-        }
-        for &(s, d, cnt) in edges {
-            let (ws, wd) = (s >> shard_shift, d >> shard_shift);
-            for _ in 0..cnt {
-                if ws == wd {
-                    locals[ws].record(s, d);
-                } else {
-                    locals[ws].record_sent(s, d);
-                    locals[wd].record_received(s, d);
-                }
-            }
-        }
-        let mut merge = EpochMerge::new(log_v, log_shards);
-        merge.begin_superstep();
-        for (w, c) in locals.iter().enumerate() {
-            merge.add_shard(w, c);
-        }
-        merge.finish();
-        SuperstepRecord {
-            label,
-            h_by_fold: (1..=log_v).map(|j| merge.level_max(j)).collect(),
-            total_msgs: merge.total(),
-        }
-    }
-
-    #[test]
-    fn sharded_counters_match_counted_edges_exactly() {
-        let log_v = 5u32;
-        let v = 1usize << log_v;
-        let mut state = 0xdead_beefu64;
-        for round in 0..48 {
-            let mut edges = Vec::new();
-            for _ in 0..(round % 9) * 2 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let s = (state >> 20) as usize % v;
-                let d = (state >> 40) as usize % v;
-                edges.push((s, d, 1 + state % 2));
-            }
-            // Every shard width that fits.
-            for log_shards in 0..=log_v {
-                let got = stream_sharded(0, log_v, log_shards, &edges);
-                let want = SuperstepRecord::from_counted_edges(0, log_v, &edges);
-                assert_eq!(got, want, "divergence at 2^{log_shards} shards: {edges:?}");
-            }
-        }
-    }
-
-    /// Asserts that `StepMetricsBuilder` over `edges` (multiplicity `c` =
-    /// `c` records, in the given order) is bit-for-bit what the engine's
-    /// streamed counters produce for the same multiset — every fold's
-    /// degree and the total — and what `from_counted_edges` derives from
-    /// the edge list.
-    fn assert_step_metrics_match(log_v: u32, edges: &[(usize, usize, u64)], what: &str) {
-        let mut b = StepMetricsBuilder::new(log_v);
-        for &(s, d, c) in edges {
-            for _ in 0..c {
-                b.record(s, d);
-            }
-        }
-        let m = b.finish();
-        assert_eq!(m.levels(), log_v, "{what}");
-        let want = stream(0, &mut DegreeCounters::full(log_v), edges);
-        assert_eq!(m.h_by_fold(), &want.h_by_fold[..], "{what}");
-        assert_eq!(m.total(), want.total_msgs, "{what}");
-        assert_eq!(want, SuperstepRecord::from_counted_edges(0, log_v, edges), "{what}");
+        builder.finish_into(label, trace);
+        trace.snapshot().steps.pop().unwrap()
     }
 
     /// A deterministic pseudo-random value stream.
@@ -1123,6 +670,84 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             state >> 20
         }
+    }
+
+    #[test]
+    fn degree_counters_match_counted_edges_exactly() {
+        let log_v = 4u32;
+        let v = 1usize << log_v;
+        // A deterministic pseudo-random pattern including self-sends, bursts
+        // and cross-bisection traffic; one builder and one trace serve every
+        // "superstep", so a count left over from one would show in the next.
+        let mut builder = StepMetricsBuilder::new(log_v);
+        let mut trace = TraceBuilder::new(v, v, 32);
+        let mut next = lcg(0x1234_5678);
+        for round in 0..32 {
+            let edges: Vec<(usize, usize, u64)> = (0..(round % 7) * 3)
+                .map(|_| (next() as usize % v, next() as usize % v, 1 + next() % 3))
+                .collect();
+            let label = round % log_v;
+            let want = SuperstepRecord::from_counted_edges(label, log_v, &edges);
+            let got = stream(label, &mut builder, &mut trace, &edges);
+            assert_eq!(got, want, "divergence at round {round}: {edges:?}");
+        }
+        assert_eq!(trace.len(), 32);
+    }
+
+    #[test]
+    fn sharded_counters_match_counted_edges_exactly() {
+        // The gang's metering: each shard's builder sees only the messages
+        // its shard sends, and the coordinator adds the shard builders into
+        // shard 0's and finishes the sum. The builders are reused across
+        // rounds, each emptied before its shard's next superstep.
+        let log_v = 5u32;
+        let v = 1usize << log_v;
+        let mut next = lcg(0xdead_beef);
+        for log_shards in 0..=log_v {
+            let shard_shift = log_v - log_shards;
+            let mut shards: Vec<_> =
+                (0..1usize << log_shards).map(|_| StepMetricsBuilder::new(log_v)).collect();
+            let mut trace = TraceBuilder::new(v, v, 48);
+            for round in 0..48 {
+                let edges: Vec<(usize, usize, u64)> = (0..(round % 9) * 2)
+                    .map(|_| (next() as usize % v, next() as usize % v, 1 + next() % 2))
+                    .collect();
+                shards.iter_mut().for_each(StepMetricsBuilder::clear);
+                for &(s, d, c) in &edges {
+                    for _ in 0..c {
+                        shards[s >> shard_shift].record(s, d);
+                    }
+                }
+                let (sum, rest) = shards.split_first_mut().unwrap();
+                rest.iter().for_each(|b| sum.add(b));
+                sum.finish_into(0, &mut trace);
+                let got = trace.snapshot().steps.pop().unwrap();
+                let want = SuperstepRecord::from_counted_edges(0, log_v, &edges);
+                assert_eq!(got, want, "divergence at 2^{log_shards} shards: {edges:?}");
+            }
+        }
+    }
+
+    /// Asserts that `StepMetricsBuilder` over `edges` (multiplicity `c` =
+    /// `c` records, in the given order) finishes to what the engine's
+    /// streamed form, a reused builder finished into a trace, records for
+    /// the same multiset — every fold's degree and the total — and what
+    /// `from_counted_edges` derives from the edge list.
+    fn assert_step_metrics_match(log_v: u32, edges: &[(usize, usize, u64)], what: &str) {
+        let mut b = StepMetricsBuilder::new(log_v);
+        for &(s, d, c) in edges {
+            for _ in 0..c {
+                b.record(s, d);
+            }
+        }
+        let m = b.finish();
+        assert_eq!(m.levels(), log_v, "{what}");
+        let v = 1usize << log_v;
+        let want =
+            stream(0, &mut StepMetricsBuilder::new(log_v), &mut TraceBuilder::new(v, v, 1), edges);
+        assert_eq!(m.h_by_fold(), &want.h_by_fold[..], "{what}");
+        assert_eq!(m.total(), want.total_msgs, "{what}");
+        assert_eq!(want, SuperstepRecord::from_counted_edges(0, log_v, edges), "{what}");
     }
 
     #[test]
@@ -1217,53 +842,17 @@ mod tests {
         let log_v = 4u32;
         let edges = [(0usize, 9usize), (3, 3), (7, 8), (0, 9), (15, 0)];
         let mut b = StepMetricsBuilder::new(log_v);
-        let mut c = DegreeCounters::full(log_v);
-        c.begin_superstep();
+        let mut c = StepMetricsBuilder::new(log_v);
         for &(s, d) in &edges {
             b.record(s, d);
             c.record(s, d);
         }
         let m = b.finish();
         let mut t1 = TraceBuilder::new(16, 16, 1);
-        t1.push_superstep(0, &c);
+        c.finish_into(0, &mut t1);
         let mut t2 = TraceBuilder::new(16, 16, 1);
         t2.push_precomputed(0, &m);
         assert_eq!(t1.snapshot(), t2.snapshot());
-    }
-
-    #[test]
-    fn epoch_merge_is_reusable_across_supersteps() {
-        // The same counters + merger across two supersteps must not leak
-        // counts from the first into the second (epoch stamps + scalar
-        // resets).
-        let log_v = 4u32;
-        let mut a = DegreeCounters::shard_full(log_v, 1, 0);
-        let mut b = DegreeCounters::shard_full(log_v, 1, 1);
-        let mut merge = EpochMerge::new(log_v, 1);
-        // Superstep 1: a burst across the bisection.
-        a.begin_superstep();
-        b.begin_superstep();
-        for _ in 0..5 {
-            a.record_sent(0, 12);
-            b.record_received(0, 12);
-        }
-        merge.begin_superstep();
-        merge.add_shard(0, &a);
-        merge.add_shard(1, &b);
-        merge.finish();
-        assert_eq!(merge.level_max(1), 5);
-        assert_eq!(merge.total(), 5);
-        // Superstep 2: a single local message; the bisection count is gone.
-        a.begin_superstep();
-        b.begin_superstep();
-        a.record(1, 2);
-        merge.begin_superstep();
-        merge.add_shard(0, &a);
-        merge.add_shard(1, &b);
-        merge.finish();
-        assert_eq!(merge.level_max(1), 0);
-        assert_eq!(merge.level_max(4), 1);
-        assert_eq!(merge.total(), 1);
     }
 
     #[test]
@@ -1361,5 +950,28 @@ mod tests {
         assert!(CommTrace::from_text("").is_err());
         assert!(CommTrace::from_text("commtrace v1 log_v=3 steps=1\n0 1 9 9").is_err());
         assert!(CommTrace::from_text("commtrace v1 log_v=3 n=8 steps=1\n0 x 1 1 1").is_err());
+    }
+
+    #[test]
+    fn text_with_no_machine_or_a_foreign_label_is_refused() {
+        let refused = |text: &str| {
+            let err = CommTrace::from_text(text).expect_err(text);
+            assert!(
+                matches!(err, ModelError::BadParameter { what: "trace", .. }),
+                "{text}: {err:?}"
+            );
+        };
+        // A label of no superstep of M(4), and the one label of M(1) past 0.
+        refused("commtrace v1 log_v=2 n=4 steps=1\n5 1 0 0\n");
+        refused("commtrace v1 log_v=2 n=4 steps=1\n2 1 0 0\n");
+        refused("commtrace v1 log_v=0 n=1 steps=1\n1 0\n");
+        // No machine has 2^70 (or 2^64) VPs.
+        refused("commtrace v1 log_v=70 n=4 steps=0\n");
+        refused("commtrace v1 log_v=64 n=4 steps=0\n");
+        // The edges of what is accepted: the last label, and M(1)'s label 0.
+        let t = CommTrace::from_text("commtrace v1 log_v=2 n=4 steps=1\n1 1 0 1\n").unwrap();
+        assert_eq!(t.s_counts(), vec![0, 1]);
+        let t = CommTrace::from_text("commtrace v1 log_v=0 n=1 steps=1\n0 3\n").unwrap();
+        assert_eq!((t.v(), t.s_counts()), (1, vec![1]));
     }
 }

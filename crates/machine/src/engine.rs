@@ -26,12 +26,14 @@
 //! * **Send staging** (`mailbox::ChunkStage`): each shard appends its
 //!   VPs' `(dst, envelope)` pairs to a recycled flat buffer with per-VP end
 //!   markers, consumed by the routing pass.
-//! * **Streaming metrics** ([`nob_core::metrics::DegreeCounters`]): a single
-//!   pass over the staged messages validates the cluster constraint,
-//!   accumulates per-fold-level degree counters (epoch-stamped, with running
-//!   maxima, so emitting a superstep record is `O(log v)`), counts per
-//!   destination for the scatter, and optionally appends to the message
-//!   log — one loop where the legacy engine made `log v + 3` passes.
+//! * **Streaming metrics** ([`nob_core::metrics::StepMetricsBuilder`], the
+//!   accumulator plans compile their metrics with): a single pass over the
+//!   staged messages validates the cluster constraint, records each message
+//!   into the builder (three counter increments), counts per destination
+//!   for the scatter, and optionally appends to the message log — one loop
+//!   where the legacy engine made `log v + 3` passes. The builder then
+//!   finishes into the trace in one `O(v)` pass and is reused for the next
+//!   superstep.
 //!
 //! # Execution paths
 //!
@@ -53,14 +55,14 @@
 //!   in steady state (proven by `tests/allocation.rs`).
 //! * **Sharded** (`crate::shard`): `n` persistent workers each own a
 //!   contiguous VP shard — its states, arenas, staging and, for a run with
-//!   a dynamic superstep, a private [`DegreeCounters`] — and exchange the
-//!   messages of dynamic supersteps through lanes between the shards a
-//!   superstep's label lets talk. The inter-superstep barrier is a
-//!   per-lane handoff plus an `O(shards · log v)` counter merge instead
-//!   of a global counting sort (planned supersteps keep one barrier and
-//!   merge nothing). A shard is laid out like a processor of the paper's
-//!   folding: worker `w` of `n` simulates the `v/n` consecutive VPs
-//!   starting at `w·v/n`.
+//!   a dynamic superstep, a private metrics builder that meters what the
+//!   shard sends — and exchange the messages of dynamic supersteps through
+//!   lanes between the shards a superstep's label lets talk. The
+//!   inter-superstep barrier is a per-lane handoff plus an `O(shards · v)`
+//!   sum of the shard builders instead of a global counting sort (planned
+//!   supersteps keep one barrier and merge nothing). A shard is laid out
+//!   like a processor of the paper's folding: worker `w` of `n` simulates
+//!   the `v/n` consecutive VPs starting at `w·v/n`.
 //!
 //! The shard count derives from [`RunOptions::workers`] or, when that is
 //! `None`, from the `NOB_THREADS` environment variable or else the visible
@@ -78,8 +80,8 @@
 //! * **always** — the two arenas (a `4·(v + 1)`-byte offset table each; each
 //!   slab reserved once at its largest planned superstep), the cursor table
 //!   (`4·v`), the seen-bitmap (`v / 8`);
-//! * **dynamic tier** — the streaming [`DegreeCounters`] (`≈ 48·v` bytes)
-//!   and the staging end markers (`4·v`; the staging
+//! * **dynamic tier** — the metrics builder (`24·v` bytes: three `v`-word
+//!   arrays) and the staging end markers (`4·v`; the staging
 //!   buffer itself grows to the largest dynamic superstep): iff some step
 //!   can reach the dynamic body — plans are off, the step has no plan, or
 //!   its plan carries a compile fault (which a validated run reports and a
@@ -91,8 +93,8 @@
 //! Deciding up front rather than at the first dynamic step keeps every
 //! allocation out of the superstep loop (`tests/allocation.rs`). The sharded
 //! executor takes the same census per run: its dynamic tier — each shard's
-//! counters, the lanes and the counter merge — exists only for a run that
-//! has a step without a runnable plan.
+//! metrics builder and the lanes — exists only for a run that has a step
+//! without a runnable plan.
 //!
 //! # Invariants
 //!
@@ -109,7 +111,7 @@ use crate::plan::{message_fault, PlanLayout, StepPlan};
 use crate::program::{Ctx, Envelope, Program};
 use crate::shard::Executor;
 use nob_core::fault::FaultPlan;
-use nob_core::metrics::{CommTrace, DegreeCounters, TraceBuilder};
+use nob_core::metrics::{CommTrace, StepMetricsBuilder, TraceBuilder};
 use nob_core::telemetry::{Site, TelemetrySink};
 use nob_core::ModelError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -385,9 +387,9 @@ pub(crate) fn run_serial<S: Send, M: Send>(
             arena.reserve(total as usize);
         }
     }
-    // Dynamic-tier scratch — the streaming counters and the staging end
+    // Dynamic-tier scratch — the metrics builder and the staging end
     // markers — exists only when some step can reach the dynamic body.
-    let mut counters = dynamic.then(|| DegreeCounters::full(log_v));
+    let mut metrics = dynamic.then(|| StepMetricsBuilder::new(log_v));
     let mut stage: ChunkStage<M> = ChunkStage::new(if dynamic { v } else { 0 });
     let mut read_idx = 0usize;
     // Per-destination counts of the dynamic body and of the planned counting
@@ -454,7 +456,7 @@ pub(crate) fn run_serial<S: Send, M: Send>(
                 return Err(fault.clone());
             }
         }
-        let Some(counters) = counters.as_mut() else {
+        let Some(metrics) = metrics.as_mut() else {
             unreachable!("the census allocates the dynamic tier for every step it does not plan")
         };
 
@@ -487,7 +489,6 @@ pub(crate) fn run_serial<S: Send, M: Send>(
 
         // --- streaming validation + metrics + routing counts (one pass) ---
         crate::mailbox::fault_edge(faults, crate::mailbox::FAULT_BUMP_COUNT, 0, t)?;
-        counters.begin_superstep();
         log_scratch.clear();
         let mut msg_idx = 0usize;
         for (src, &end) in stage.vp_ends.iter().enumerate() {
@@ -496,7 +497,7 @@ pub(crate) fn run_serial<S: Send, M: Send>(
                 if let Some(fault) = message_fault(src, dst, v, log_v, step.label, opts.validate) {
                     return Err(fault);
                 }
-                counters.record(src, dst);
+                metrics.record(src, dst);
                 if want_log {
                     log_scratch.push((src as u32, dst as u32));
                 }
@@ -509,7 +510,7 @@ pub(crate) fn run_serial<S: Send, M: Send>(
             }
             msg_idx = end as usize;
         }
-        trace.push_superstep(step.label, counters);
+        metrics.finish_into(step.label, trace);
         if let Some(log) = message_log.as_mut() {
             log.push(log_scratch.clone());
         }
@@ -553,7 +554,7 @@ pub(crate) fn run_serial<S: Send, M: Send>(
 /// the step's chunk kernel ([`crate::program::ChunkKernel`]) then runs every
 /// VP closure, which writes its payloads **directly into the destination
 /// arena slot** through the cursor-guarded [`DirectOut`] — no staging
-/// copy, no validation scan, no streaming counters, no counting-sort
+/// copy, no validation scan, no metering, no counting-sort
 /// scatter. The caller pushes the plan's precomputed record afterwards.
 ///
 /// A body that breaks its route is rejected, never silently executed: one
@@ -850,8 +851,9 @@ mod tests {
         assert_eq!(res.states, vec![0, 0, 0, 0], "dummy delivered?");
         assert_eq!(res.trace.steps[0].total_msgs, 1);
         assert_eq!(res.trace.steps[0].h(1), 1);
-        // Same through the sharded executor (the dummy crosses a shard
-        // boundary at 4 workers, so it rides a lane header).
+        // Same through the sharded executor: the dummy crosses a shard
+        // boundary at 2 and 4 workers, and the sending shard meters it
+        // without putting it in any lane.
         for w in [2usize, 4] {
             let s = run(&p, vec![0; 4], &sharded(w)).unwrap();
             assert_eq!(s.states, res.states, "dummy delivered at {w} workers?");

@@ -36,8 +36,8 @@
 //! program's plans and the run options — so the serial loop takes a census
 //! up front and allocates per tier: a fully declared program gets the
 //! planned tier's two message slabs, two offset tables, cursor table and
-//! seen-bitmap, and never the dynamic tier's streaming degree counters
-//! (`48·v` bytes), staging markers or per-destination counts — at
+//! seen-bitmap, and never the dynamic tier's metrics builder (`24·v`
+//! bytes), staging markers or per-destination counts — at
 //! `v = 2^14`, 710 kB per job instead of 1 606 (see [`engine`], "What a
 //! serial run allocates").
 //!
@@ -45,9 +45,9 @@
 //!
 //! * **Dynamic** ([`program::Program::step`]): the closure's sends define
 //!   the pattern. The engine discovers it message by message — staging the
-//!   `(dst, envelope)` pairs, validating the cluster constraint, streaming
-//!   per-fold degree counters, then counting-sort scattering payloads into
-//!   the next superstep's mailbox arena.
+//!   `(dst, envelope)` pairs, validating the cluster constraint, metering
+//!   every message into a degree builder, then counting-sort scattering
+//!   payloads into the next superstep's mailbox arena.
 //! * **Oblivious** ([`program::Program::step_oblivious`]): the paper's
 //!   defining property — a network-oblivious pattern is a *static function
 //!   of the VP index and superstep* — is declared as a route (a
@@ -125,8 +125,9 @@
 //! * **Shards** (`shard`): `n` workers, each exclusively owning a
 //!   contiguous VP shard — its slice of the states, its pair of
 //!   double-buffered mailbox `mailbox::Arena`s, its send-staging buffer,
-//!   and a private set of shard-local degree counters
-//!   ([`nob_core::metrics::DegreeCounters`]). There is no global mailbox
+//!   and a private metrics builder
+//!   ([`nob_core::metrics::StepMetricsBuilder`]) that meters every message
+//!   the shard sends. There is no global mailbox
 //!   and no global scatter. There is also exactly **one driver**: every
 //!   run — [`engine::run`], plan capture, a
 //!   [`server::JobServer`] job — goes through the same executor entry,
@@ -139,22 +140,23 @@
 //!   loop on the calling thread.
 //! * **Lanes** ([`mailbox`]): the messages of *dynamic* supersteps travel
 //!   through one structure-of-arrays lane per (source, destination) shard
-//!   pair, shard-internal ones through the diagonal — compact `(src, dst,
-//!   has-payload)` headers separate from the payload stream, so metric
-//!   scans never touch payload bytes and the paper's dummy messages occupy
-//!   no payload slot. A superstep's label bounds which pairs are active:
-//!   an `i`-superstep only connects shards sharing the top `i` shard-index
-//!   bits, and supersteps with `label ≥ log n` use the diagonal alone. The
-//!   lanes and the counter merge below are built only for a run that has a
-//!   dynamic superstep.
+//!   pair, shard-internal ones through the diagonal — a compact destination
+//!   stream separate from the payload stream, so the receiver's counting
+//!   scan never touches payload bytes. Lanes carry payloads only: the
+//!   paper's dummy messages are metered by their sender and go nowhere. A
+//!   superstep's label bounds which pairs are active: an `i`-superstep only
+//!   connects shards sharing the top `i` shard-index bits, and supersteps
+//!   with `label ≥ log n` use the diagonal alone. The lanes and the
+//!   builders are built only for a run that has a dynamic superstep.
 //! * **Barrier = handoff + merge** (dynamic supersteps): the
 //!   inter-superstep barrier hands every lane from its sender to its
 //!   receiver, as `M(v)` hands a superstep's messages over at its `sync`
 //!   (send phase fills lane rows, gather phase drains lane columns; each
-//!   lane is a `Mutex` the barrier keeps uncontended) plus an
-//!   `O(n · log v)` epoch-merge of the shard counters
-//!   ([`nob_core::metrics::EpochMerge`]) — replacing the global counting
-//!   sort in which every worker re-scanned the entire staging buffer.
+//!   lane is a `Mutex` the barrier keeps uncontended) plus an `O(n · v)`
+//!   sum of the shard builders, whose counts are additive
+//!   ([`nob_core::metrics::StepMetricsBuilder::add`]) — replacing the
+//!   global counting sort in which every worker re-scanned the entire
+//!   staging buffer.
 //!   Three barriers per superstep: flush, gather, merge.
 //! * **One barrier** (planned supersteps): a superstep with a compiled
 //!   plan skips lanes, gather and merge entirely. Each worker
@@ -258,9 +260,9 @@
 //!   the gang, collect the done handshakes) instead of thread spawns and
 //!   joins. A job's states are executed in place — each worker gets its
 //!   `split_at_mut` shard — and worker arenas, staging buffers, scatter
-//!   scratch, shard counters and the trace builder are recycled across
-//!   jobs, extending the engine's zero-allocation steady state *across*
-//!   jobs (pinned by `tests/allocation.rs`).
+//!   scratch, shard metrics builders and the trace builder are recycled
+//!   across jobs, extending the engine's zero-allocation steady state
+//!   *across* jobs (pinned by `tests/allocation.rs`).
 //! * **Plan cache** — compiled programs (StepPlans, layouts and the
 //!   declared send totals memoised on the program) are cached under
 //!   `(shape fingerprint, v, width)`, where the shape is the submitter-declared

@@ -39,9 +39,10 @@
 //! * `Lane` / `LaneGrid` — the sharded executor's message path for
 //!   *dynamic* supersteps: one lane per (source shard, destination shard)
 //!   pair, shard-internal traffic on the diagonal, staged in
-//!   structure-of-arrays form (`LaneHdr` headers separate from payloads) so
-//!   metric/validation scans touch only the compact header stream and
-//!   dummy messages carry no payload slot at all. Each lane is a `Mutex`:
+//!   structure-of-arrays form (destinations separate from payloads) so the
+//!   receiver's counting scan touches only the compact destination stream.
+//!   Lanes carry payload messages only: the sender meters every message,
+//!   so a dummy never leaves its shard. Each lane is a `Mutex`:
 //!   its sender fills it before the superstep's barrier and its receiver
 //!   drains it after, so the locks are never contended and the handover
 //!   needs no `unsafe`.
@@ -1068,74 +1069,49 @@ impl<M> DirectShard<M> {
     }
 }
 
-/// Header of one staged lane message: the `(src, dst)` pair plus a
-/// payload flag, kept apart from the payloads (structure-of-arrays) so the
-/// gather's metric/counting scan streams through 12-byte records regardless
-/// of the message type `M`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LaneHdr {
-    /// Source VP (global id; the receiving shard needs it for in-side
-    /// degree accounting).
-    pub(crate) src: u32,
-    /// Destination VP (global id).
-    pub(crate) dst: u32,
-    /// Whether a payload slot accompanies this header (`false` for the
-    /// paper's dummy messages, which are metered but never delivered).
-    pub(crate) data: bool,
-}
-
-/// One message lane: the staged traffic of a single (source shard →
-/// destination shard) pair for the current superstep, in send order.
+/// One message lane: the staged payload messages of a single (source
+/// shard → destination shard) pair for the current superstep, in send
+/// order. Dummies never enter one: their sender has metered them, and
+/// nothing delivers them.
 ///
-/// Headers and payloads are parallel sequences: payload `k` belongs to the
-/// `k`-th header with `data == true`. Both vectors grow to the pair's
-/// high-water traffic and are recycled, so steady-state supersteps push
-/// within capacity and allocate nothing.
+/// Destinations and payloads are parallel sequences, so the gather's
+/// counting scan streams through 4-byte destinations whatever the message
+/// type `M`. Both vectors grow to the pair's high-water traffic and are
+/// recycled, so steady-state supersteps push within capacity and allocate
+/// nothing.
 #[derive(Debug)]
 pub(crate) struct Lane<M> {
-    pub(crate) hdrs: Vec<LaneHdr>,
+    /// Destination VP (global id) of each staged payload.
+    pub(crate) dsts: Vec<u32>,
     payloads: Vec<M>,
 }
 
 impl<M> Lane<M> {
     pub(crate) fn new() -> Self {
-        Lane { hdrs: Vec::new(), payloads: Vec::new() }
+        Lane { dsts: Vec::new(), payloads: Vec::new() }
     }
 
-    /// Stages a payload message.
+    /// Stages a payload message for VP `dst`.
     #[inline]
-    pub(crate) fn push_data(&mut self, src: u32, dst: u32, msg: M) {
-        self.hdrs.push(LaneHdr { src, dst, data: true });
+    pub(crate) fn push(&mut self, dst: u32, msg: M) {
+        self.dsts.push(dst);
         self.payloads.push(msg);
     }
 
-    /// Stages a dummy message (header only).
-    #[inline]
-    pub(crate) fn push_dummy(&mut self, src: u32, dst: u32) {
-        self.hdrs.push(LaneHdr { src, dst, data: false });
-    }
-
-    /// Number of staged messages (payload + dummy).
+    /// Number of staged messages.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.hdrs.len()
+        self.dsts.len()
     }
 
-    /// Drains every staged *payload* message in send order, invoking
+    /// Drains every staged message in send order, invoking
     /// `deliver(dst, payload)` for each, then clears the lane (capacity
-    /// kept). Dummy headers are discarded.
+    /// kept).
     pub(crate) fn drain_deliveries(&mut self, mut deliver: impl FnMut(u32, M)) {
-        let mut payloads = self.payloads.drain(..);
-        for hdr in &self.hdrs {
-            if hdr.data {
-                // allow-panic: push_data pairs every data header with a payload
-                let m = payloads.next().expect("one payload per data header");
-                deliver(hdr.dst, m);
-            }
+        for (&dst, m) in self.dsts.iter().zip(self.payloads.drain(..)) {
+            deliver(dst, m);
         }
-        debug_assert!(payloads.next().is_none(), "payloads without headers");
-        drop(payloads);
-        self.hdrs.clear();
+        self.dsts.clear();
     }
 }
 
@@ -1168,12 +1144,12 @@ impl<M> LaneGrid<M> {
 
     /// Empties every lane, keeping capacities — the between-jobs reset of a
     /// pooled grid. A job that aborted mid-superstep can leave staged
-    /// headers and payloads behind; draining them here (payloads dropped)
-    /// keeps them out of the next job's gather.
+    /// messages behind; draining them here (payloads dropped) keeps them
+    /// out of the next job's gather.
     pub(crate) fn clear_all(&mut self) {
         for lane in &mut self.lanes {
             let lane = lane.get_mut().unwrap_or_else(|e| e.into_inner());
-            lane.hdrs.clear();
+            lane.dsts.clear();
             lane.payloads.clear();
         }
     }
@@ -1242,18 +1218,18 @@ mod tests {
     }
 
     #[test]
-    fn lane_preserves_order_and_skips_dummies() {
+    fn lane_preserves_send_order() {
         let mut lane: Lane<String> = Lane::new();
-        lane.push_data(0, 9, "x".into());
-        lane.push_dummy(1, 9);
-        lane.push_data(2, 8, "y".into());
+        lane.push(9, "x".into());
+        lane.push(8, "y".into());
+        lane.push(9, "w".into());
         assert_eq!(lane.len(), 3);
         let mut got = Vec::new();
         lane.drain_deliveries(|dst, m| got.push((dst, m)));
-        assert_eq!(got, vec![(9, "x".to_string()), (8, "y".to_string())]);
+        assert_eq!(got, vec![(9, "x".to_string()), (8, "y".to_string()), (9, "w".to_string())]);
         assert_eq!(lane.len(), 0, "lane recycled empty");
         // Reuse after draining: capacity path, same semantics.
-        lane.push_data(3, 7, "z".into());
+        lane.push(7, "z".into());
         let mut got = Vec::new();
         lane.drain_deliveries(|dst, m| got.push((dst, m)));
         assert_eq!(got, vec![(7, "z".to_string())]);
@@ -1273,9 +1249,8 @@ mod tests {
         {
             let grid: LaneGrid<Tracked> = LaneGrid::new(2);
             let mut lane = grid.lane(0, 1);
-            lane.push_data(0, 4, Tracked);
-            lane.push_dummy(1, 5);
-            lane.push_data(2, 6, Tracked);
+            lane.push(4, Tracked);
+            lane.push(6, Tracked);
             // Grid dropped with staged traffic (as after a validation
             // error): plain Vec destructors reclaim the payloads.
         }

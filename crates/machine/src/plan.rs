@@ -4,7 +4,7 @@
 //! The defining property of a network-oblivious algorithm is that its
 //! communication pattern is a **static function of the VP index and the
 //! superstep** — yet a closure-driven engine still pays per-message costs
-//! (cluster validation, streaming degree counters, a staged counting-sort
+//! (cluster validation, per-message metering, a staged counting-sort
 //! scatter that touches every payload twice) as if destinations were
 //! dynamic. A [`StepPlan`] exploits the declared structure instead:
 //!
@@ -20,8 +20,8 @@
 //!   out_degree)`, and lifts it to the machine; the butterfly [`Xor`]
 //!   states the same numbers in `O(log v)`. Every later
 //!   execution emits the superstep record in `O(log v)`, bit-for-bit
-//!   identical to what the engine's streamed counters would produce
-//!   (dummies included), at every granularity at once.
+//!   identical to what the engine's dynamic path meters with the same
+//!   builder (dummies included), at every granularity at once.
 //! * **A one-time cluster-constraint proof**: every declared `(src, dst)`
 //!   pair is checked against [`message_allowed`] at compile time, so
 //!   validated runs skip the per-message check entirely. A route that
@@ -846,7 +846,7 @@ mod tests {
 
     #[test]
     fn compiled_metrics_with_dummies_match_streamed_counters() {
-        use nob_core::metrics::{DegreeCounters, SuperstepRecord};
+        use nob_core::metrics::{StepMetricsBuilder, SuperstepRecord, TraceBuilder};
         // Per VP: a payload across the top bisection, a dummy to the
         // neighbour (top differing bit 0), a self-send, a skipped slot, and
         // on every third VP a dummy to VP 0.
@@ -862,10 +862,17 @@ mod tests {
             let v = 1usize << log_v;
             let plan = compile(v, 0, 5, route);
             assert!(plan.fault().is_none());
-            let mut c = DegreeCounters::full(log_v);
-            c.begin_superstep();
-            plan.for_each_message(0..v, |s, d, _| c.record(s, d));
-            let full = SuperstepRecord::from_degree_counters(0, &c);
+            // The dynamic path's metering of the same messages, and the
+            // reference record of their multiset.
+            let (mut streamed, mut edges) = (StepMetricsBuilder::new(log_v), Vec::new());
+            plan.for_each_message(0..v, |s, d, _| {
+                streamed.record(s, d);
+                edges.push((s, d, 1));
+            });
+            let mut trace = TraceBuilder::new(v, v, 1);
+            streamed.finish_into(0, &mut trace);
+            let full = SuperstepRecord::from_counted_edges(0, log_v, &edges);
+            assert_eq!(trace.snapshot().steps, std::slice::from_ref(&full), "v {v}");
             let m = plan.metrics();
             assert_eq!(m.h_by_fold(), &full.h_by_fold[..], "v {v}");
             assert_eq!(m.total(), full.total_msgs, "v {v}");

@@ -27,9 +27,9 @@
 //! thread is worker 0 of every job, the gang's other threads are spawned
 //! once and parked between jobs, a job's states are executed in place (each
 //! worker gets its `split_at_mut` shard — no per-job copies), and worker
-//! kits, grids, shard cells, merge scratch and the trace builder are
-//! recycled, so warm steady state allocates nothing *across* jobs (the
-//! cross-job case in `tests/allocation.rs`). Jobs with `v` below the gang
+//! kits, grids, shard cells and the trace builder are recycled, so warm
+//! steady state allocates nothing *across* jobs (the cross-job case in
+//! `tests/allocation.rs`). Jobs with `v` below the gang
 //! width run at width 1 on the scheduler thread.
 //!
 //! # Trust model of the cache key

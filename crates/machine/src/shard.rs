@@ -8,9 +8,9 @@
 //! Worker `w` of an `n_shards`-wide run exclusively owns the contiguous VP
 //! shard `[w·v/n, (w+1)·v/n)` — its states, its pair of double-buffered
 //! [`Arena`]s, its staging buffer and, in a run with a dynamic superstep, a
-//! private shard-local [`DegreeCounters`] — mirroring the paper's folding
-//! layout (processor `r` of `M(p)` simulates the `v/p` consecutive VPs
-//! starting at `r·v/p`). Each superstep runs one of three protocols, chosen
+//! private [`StepMetricsBuilder`] for what it sends — mirroring the paper's
+//! folding layout (processor `r` of `M(p)` simulates the `v/p` consecutive
+//! VPs starting at `r·v/p`). Each superstep runs one of three protocols, chosen
 //! by whether it carries a usable communication plan and whether that
 //! plan's payloads provably stay shard-local at the current width.
 //!
@@ -22,8 +22,8 @@
 //! owns a [`Gang`] (`n − 1` parked OS threads; the caller is worker 0) and
 //! the recyclable run state: the direct grid, barrier, per-worker
 //! [`WorkerKit`]s, per-trace-shape shard cells, and the trace builder — plus
-//! the dynamic tier's lanes, counters and merge scratch, built only for a
-//! run that has a dynamic superstep. `run` builds an executor for the call
+//! the dynamic tier's lanes and metrics builders, built only for a run that
+//! has a dynamic superstep. `run` builds an executor for the call
 //! and drops it — threads are spawned and joined per run; a `JobServer`
 //! keeps one for its lifetime, so a warm job costs one [`Gang::scope`]
 //! rendezvous and allocates nothing. Width 1 is the same entry with no gang: the
@@ -42,19 +42,21 @@
 //! 1. **Exec + flush** — each worker runs its VPs (reading inboxes from its
 //!    own read arena), then drains its staging buffer once: checking the
 //!    destination range (and, under validation, the cluster constraint),
-//!    recording send-side metrics, appending its message-log fragment, and
+//!    recording every message it sends, shard-internal or not, into its
+//!    shard's metrics builder, appending its message-log fragment, and
 //!    demultiplexing payloads into the lanes of its row, holding each
-//!    lane's lock until the destination shard changes. *Barrier.*
+//!    lane's lock until the destination shard changes. Dummies are metered
+//!    there and go in no lane. *Barrier.*
 //! 2. **Gather** — each worker locks the incoming lanes of its column once
 //!    (only the [`peer_span`] of this superstep's label): one pass over the
-//!    compact lane headers records receive-side metrics and per-VP counts,
-//!    then a second pass drains the lanes in ascending source-shard order
-//!    into its own write arena — a purely shard-local counting sort.
-//!    *Barrier.*
-//! 3. **Merge** — worker 0 combines the shard counters through
-//!    [`EpochMerge`] (`O(n_shards · log v)`), pushes the superstep record,
-//!    and concatenates log fragments in shard order. *Barrier*, then the
-//!    arenas swap roles and the next superstep begins.
+//!    lanes' destination streams counts per-VP deliveries, then a second
+//!    pass drains the lanes in ascending source-shard order into its own
+//!    write arena — a purely shard-local counting sort. *Barrier.*
+//! 3. **Merge** — worker 0 adds the shard builders into shard 0's
+//!    (`O(n_shards · v)`: the degree counts are additive), finishes the sum
+//!    into the superstep record, and concatenates log fragments in shard
+//!    order. *Barrier*, then the arenas swap roles and the next superstep
+//!    begins.
 //!
 //! # Planned superstep protocol (one barrier)
 //!
@@ -84,7 +86,7 @@
 //! There is nothing to merge: the coordinator pushes the plan's precomputed
 //! `O(log v)` record (and materializes the log entry from the route) during
 //! its own exec phase, overlapped with the other workers' execution —
-//! the `EpochMerge` runs only for dynamic supersteps. Steady-state planned
+//! the merge runs only for dynamic supersteps. Steady-state planned
 //! supersteps therefore cost exactly **one barrier**; a planned superstep
 //! directly after a dynamic or fused one (or at the start of a run) pays
 //! one extra prepare barrier.
@@ -216,7 +218,7 @@ use crate::mailbox::{
 use crate::plan::{message_fault, StepPlan};
 use crate::program::{Ctx, Envelope, Program, Superstep};
 use nob_core::fault::FaultPlan;
-use nob_core::metrics::{DegreeCounters, EpochMerge, TraceBuilder};
+use nob_core::metrics::{StepMetricsBuilder, TraceBuilder};
 use nob_core::model::log2_exact;
 use nob_core::telemetry::{Counter, Site, TelemetrySink};
 use nob_core::{ModelError, StalledWorker};
@@ -246,29 +248,27 @@ const FAULT_FUSED_EXEC: &str = "shard:fused_exec";
 
 /// Per-shard state crossing the worker/coordinator boundary. Protected by a
 /// mutex only to satisfy the type system: the barrier protocol already
-/// serializes access (the owning worker holds it during exec/flush/gather,
-/// the coordinator between the gather and merge barriers), so every lock is
+/// serializes access (the owning worker holds it during exec/flush, the
+/// coordinator between the gather and merge barriers), so every lock is
 /// uncontended.
 struct ShardCell {
-    /// The dynamic tier's streamed degree counters: `None` in a run whose
-    /// every step is planned, which never records through them.
-    counters: Option<DegreeCounters>,
+    /// The dynamic tier's metrics of the messages this shard sent in the
+    /// current superstep: `None` in a run whose every step is planned, which
+    /// never records through it.
+    metrics: Option<StepMetricsBuilder>,
     /// This shard's slice of the superstep's message log, in source order.
     log_frag: Vec<(u32, u32)>,
     /// First model violation detected by this shard, if any.
     error: Option<ModelError>,
 }
 
-/// The pooled per-trace-shape coordinator state — shard cells and merge
-/// scratch sized by `log v`, with the dynamic tier's counters and merge
-/// scratch only for a run that has a dynamic step — kept per shape so a
-/// server alternating shapes does not re-allocate counters every job.
+/// The pooled per-trace-shape shard cells — with the dynamic tier's
+/// metrics builders, sized by `v`, only for a run that has a dynamic step —
+/// kept per shape so a server alternating shapes does not re-allocate
+/// builders every job.
 struct ShapeRes {
     shape: (u32, bool),
     cells: Vec<Mutex<ShardCell>>,
-    /// `None` in a run whose every step is planned, which merges no
-    /// counters.
-    merge: Option<EpochMerge>,
 }
 
 impl ShapeRes {
@@ -276,15 +276,14 @@ impl ShapeRes {
         ShapeRes {
             shape: (log_v, dynamic),
             cells: (0..1usize << log_shards)
-                .map(|w| {
+                .map(|_| {
                     Mutex::new(ShardCell {
-                        counters: dynamic.then(|| DegreeCounters::shard_full(log_v, log_shards, w)),
+                        metrics: dynamic.then(|| StepMetricsBuilder::new(log_v)),
                         log_frag: Vec::new(),
                         error: None,
                     })
                 })
                 .collect(),
-            merge: dynamic.then(|| EpochMerge::new(log_v, log_shards)),
         }
     }
 }
@@ -456,9 +455,6 @@ struct Worker<'a, S, M> {
 /// Coordinator-only resources, held by worker 0 (which runs on the calling
 /// thread).
 struct Coord<'a> {
-    /// The dynamic tier's merge scratch: `None` when every step runs
-    /// planned.
-    merge: Option<&'a mut EpochMerge>,
     trace: &'a mut TraceBuilder,
     log: Option<&'a mut Vec<Vec<(u32, u32)>>>,
 }
@@ -794,19 +790,19 @@ impl<M: Send> GangState<M> {
 
         // --- recycle the pooled run state -------------------------------
         let t0 = tele.map(|_| Instant::now());
-        // The serial loop's tier census: the dynamic tier's counters, lanes
-        // and merge scratch exist only for a run that has a step without a
-        // runnable plan.
+        // The serial loop's tier census: the dynamic tier's metrics builders
+        // and lanes exist only for a run that has a step without a runnable
+        // plan.
         let dynamic = prog.steps().iter().any(|s| runnable_plan(s, opts.use_plans).is_none());
         let shape = (log_v, dynamic);
         let at = self.shapes.iter().position(|s| s.shape == shape).unwrap_or_else(|| {
             self.shapes.push(ShapeRes::new(log_v, log_shards, dynamic));
             self.shapes.len() - 1
         });
-        let ShapeRes { cells, merge, .. } = &mut self.shapes[at];
+        let cells = &mut self.shapes[at].cells;
         for cell in cells.iter_mut() {
-            // Counters are epoch-stamped and reset themselves at
-            // `begin_superstep`; only a failed run's residue needs clearing.
+            // Each flush empties its shard's builder before metering; only a
+            // failed run's residue needs clearing here.
             let cell = cell.get_mut().unwrap_or_else(|e| e.into_inner());
             cell.error = None;
             cell.log_frag.clear();
@@ -851,7 +847,7 @@ impl<M: Send> GangState<M> {
         for (seat, shard) in seats.iter().zip(states.chunks_mut(vps)) {
             *lock(seat) = Some(shard);
         }
-        let coord = Mutex::new(Some(Coord { merge: merge.as_mut(), trace, log: log.as_mut() }));
+        let coord = Mutex::new(Some(Coord { trace, log: log.as_mut() }));
         let rounds = AtomicU64::new(0);
         let kits = &self.kits;
         let t0 = tele.map(|_| Instant::now());
@@ -1249,8 +1245,7 @@ fn shard_loop<S: Send, M: Send>(
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             fault_check(shared, FAULT_GATHER, me.w, t)?;
             let t0 = span_start(shared, me.w, Site::ShardGather, t);
-            let mut cell = lock(&shared.cells[me.w]);
-            gather(me, shared, lanes, &mut cell, t, 1 - read_idx)?;
+            gather(me, shared, lanes, t, 1 - read_idx)?;
             span_end(shared, me.w, Site::ShardGather, t0);
             Ok(())
         }));
@@ -1446,8 +1441,10 @@ fn exec_planned<S, M: Send>(
 
 /// Drains the shard's staged sends of a dynamic superstep once: the
 /// destination range check (and, under validation, the cluster check),
-/// send-side metrics, log fragment, and payload demultiplexing into this
-/// worker's row of lanes — the diagonal one for shard-internal payloads.
+/// metering into the shard's builder, log fragment, and payload
+/// demultiplexing into this worker's row of lanes — the diagonal one for
+/// shard-internal payloads. Every message is metered here, on its sender's
+/// shard, so dummies go in no lane.
 fn flush<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
@@ -1461,10 +1458,10 @@ fn flush<S, M: Send>(
     let v = shared.v;
     let log_v = shared.log_v;
     let shard_shift = log_v - shared.log_shards;
-    let mut counters = cell.counters.as_mut();
-    if let Some(counters) = counters.as_mut() {
-        counters.begin_superstep();
-    }
+    let Some(metrics) = cell.metrics.as_mut() else {
+        unreachable!("the census builds the dynamic tier for every step it does not plan")
+    };
+    metrics.clear();
     cell.log_frag.clear();
     let want_log = shared.collect_log;
 
@@ -1486,31 +1483,19 @@ fn flush<S, M: Send>(
             if let Some(fault) = message_fault(src, d, v, log_v, step.label, shared.validate) {
                 return Err(fault);
             }
-            let dst_shard = d >> shard_shift;
-            let local = dst_shard == me.w;
-            if let Some(counters) = counters.as_mut() {
-                if local {
-                    counters.record(src, d);
-                } else {
-                    counters.record_sent(src, d);
-                }
-            }
+            metrics.record(src, d);
             if want_log {
                 cell.log_frag.push((src as u32, dst));
             }
-            if local && matches!(env, Envelope::Dummy) {
+            let Envelope::Data(m) = env else {
                 continue; // metered above, delivered nowhere
-            }
+            };
+            let dst_shard = d >> shard_shift;
             if dst_shard != held {
                 held = dst_shard;
                 lane = lanes.lane(me.w, dst_shard);
             }
-            match env {
-                Envelope::Data(m) => lane.push_data(src as u32, dst, m),
-                // Cross-shard dummies ride the lane headers so the receiver
-                // can meter them.
-                Envelope::Dummy => lane.push_dummy(src as u32, dst),
-            }
+            lane.push(dst, m);
         }
     }
     drop(staged);
@@ -1519,9 +1504,8 @@ fn flush<S, M: Send>(
 }
 
 /// Builds this shard's inboxes for the next superstep (dynamic path):
-/// counts destinations over the incoming lane headers (recording
-/// receive-side metrics of cross-shard messages),
-/// then drains every lane into the write arena in ascending source order.
+/// counts destinations over the incoming lanes' destination streams, then
+/// drains every lane into the write arena in ascending source order.
 /// Per-destination counts are checked — an overflowing count is a
 /// [`ModelError`], never a silent cap that would corrupt the counting-sort
 /// offsets.
@@ -1529,7 +1513,6 @@ fn gather<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
     lanes: &LaneGrid<M>,
-    cell: &mut ShardCell,
     t: usize,
     write_idx: usize,
 ) -> Result<(), ModelError> {
@@ -1541,7 +1524,6 @@ fn gather<S, M: Send>(
         0..shared.n_shards
     };
     let vp_lo = me.vp_lo;
-    let mut counters = cell.counters.as_mut();
     let dst_counts = &mut me.kit.dst_counts;
     let cursors = &mut me.kit.cursors;
 
@@ -1555,16 +1537,9 @@ fn gather<S, M: Send>(
     for (s_prev, slot) in span.clone().zip(incoming.iter_mut()) {
         *slot = Some(lanes.lane(s_prev, me.w));
     }
-    for (s_prev, lane) in span.zip(incoming.iter().flatten()) {
-        // A shard-internal message was metered whole by this worker's flush.
-        let mut counters = counters.as_deref_mut().filter(|_| s_prev != me.w);
-        for hdr in &lane.hdrs {
-            if let Some(counters) = counters.as_mut() {
-                counters.record_received(hdr.src as usize, hdr.dst as usize);
-            }
-            if hdr.data {
-                bump_count(&mut dst_counts[hdr.dst as usize - vp_lo])?;
-            }
+    for lane in incoming.iter().flatten() {
+        for &dst in &lane.dsts {
+            bump_count(&mut dst_counts[dst as usize - vp_lo])?;
         }
     }
 
@@ -1583,28 +1558,28 @@ fn gather<S, M: Send>(
     Ok(())
 }
 
-/// Coordinator: merges shard counters of a dynamic superstep into the
-/// superstep record and assembles the message-log entry (fragments in shard
-/// order = ascending source order). Planned supersteps never reach here —
-/// their records are pushed by [`push_planned_record`] with no merge at
-/// all.
+/// Coordinator: adds the shard builders of a dynamic superstep into shard
+/// 0's, finishes the sum into the superstep record, and assembles the
+/// message-log entry (fragments in shard order = ascending source order).
+/// Planned supersteps never reach here — their records are pushed by
+/// [`push_planned_record`] with no merge at all.
 fn merge_superstep<S, M>(coord: &mut Coord<'_>, shared: &Shared<'_, S, M>, label: u32) {
-    let Some(merge) = coord.merge.as_deref_mut() else {
+    let mut first = lock(&shared.cells[0]);
+    let first = &mut *first;
+    let Some(sum) = first.metrics.as_mut() else {
         unreachable!("the census builds the dynamic tier for every step it does not plan")
     };
-    merge.begin_superstep();
-    let mut entry = shared.collect_log.then(Vec::new);
-    for w in 0..shared.n_shards {
-        let cell = lock(&shared.cells[w]);
-        if let Some(counters) = &cell.counters {
-            merge.add_shard(w, counters);
+    let mut entry = shared.collect_log.then(|| first.log_frag.clone());
+    for cell in &shared.cells[1..] {
+        let cell = lock(cell);
+        if let Some(metrics) = &cell.metrics {
+            sum.add(metrics);
         }
         if let Some(e) = entry.as_mut() {
             e.extend_from_slice(&cell.log_frag);
         }
     }
-    merge.finish();
-    coord.trace.push_merged(label, merge);
+    sum.finish_into(label, coord.trace);
     if let (Some(log), Some(entry)) = (coord.log.as_deref_mut(), entry) {
         log.push(entry);
     }

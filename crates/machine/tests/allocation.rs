@@ -307,9 +307,10 @@ fn a_declared_program_does_not_allocate_the_dynamic_tier() {
     // execute. A fully declared program, validation on, gets the planned
     // tier only: two message slabs, two offset tables, the cursor table, the
     // seen-bitmap (`12.125·v` bytes beside the slabs) and the trace — not
-    // the streaming counters (`48·v` bytes alone), the staging end markers
-    // or the per-destination counts (`4·v` each). One trailing plan-less
-    // step and the dynamic tier is back.
+    // the metrics builder (`24·v` bytes: three `v`-word arrays), the
+    // staging end markers or the per-destination counts (`4·v` each). One
+    // trailing plan-less step and the dynamic tier, `32·v` bytes of it
+    // before the staging buffer grows, is back.
     let v = 1 << 12;
     let bytes_per_run = |trailing_dynamic: bool| -> usize {
         let prog = planned_butterfly_silent(v, 24, trailing_dynamic);
@@ -330,7 +331,7 @@ fn a_declared_program_does_not_allocate_the_dynamic_tier() {
     assert!(declared <= budget, "declared run allocated {declared} B, budget {budget} B (v = {v})");
     let mixed = bytes_per_run(true);
     assert!(
-        mixed >= declared + 48 * v,
+        mixed >= declared + 32 * v,
         "a plan-less step must bring the dynamic tier back: {mixed} B vs {declared} B declared",
     );
 }

@@ -26,7 +26,9 @@ echo "tier1: cargo test -q took $((SECONDS - test_start)) s"
 # benchmark/rustfmt.toml), so a drift shows as a diff here.
 cargo fmt --all --check
 cargo clippy -q --offline --all-targets -- -D warnings
-cargo doc --no-deps -q --offline
+# Docs build warning-free: an intra-doc link to a deleted item fails here
+# instead of rendering as plain text.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --offline
 
 # Engine-invariant lint (nob-lint): panic-freedom, checked arithmetic,
 # unsafe hygiene + inventory baseline, SeqCst justification, telemetry/
