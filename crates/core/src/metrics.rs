@@ -112,10 +112,10 @@ pub struct StepMetrics {
 ///
 /// A message is external at fold `2^j` exactly for `j ≥ j_min`, its *first
 /// external level*. Instead of walking those levels per message, `record`
-/// only notes the two ends of that range — the per-VP counts (level `log v`, where every
-/// non-self message is external) and one count at the node of the fold tree
-/// where the message stops being external — and `finish` recovers every
-/// level in one bottom-up `O(v)` pass: a processor's external traffic one
+/// only notes the two ends of that range — the per-VP counts (level
+/// `log v`, where every non-self message is external) and one count at the
+/// node of the fold tree where the message stops being external — and
+/// `finish` recovers every level in one bottom-up `O(v)` pass: a processor's external traffic one
 /// level up is its two children's, minus the traffic between the two.
 ///
 /// That subtraction needs one array, not one per direction. The messages
@@ -159,10 +159,9 @@ impl StepMetricsBuilder {
         if x == 0 {
             return;
         }
-        // The top differing bit sits `shift` places up, so the two ids share
-        // their top `log_v - shift - 1` bits: leaf `v + src` of the
-        // heap-ordered fold tree, lifted `shift + 1` levels, is their lowest
-        // common node.
+        // The top differing bit is bit `up - 1`, so the two ids share their
+        // top `log_v - up` bits: leaf `v + src` of the heap-ordered fold
+        // tree, lifted `up` levels, is their lowest common node.
         let up = x.ilog2() + 1;
         self.sent[src] += 1;
         self.recv[dst] += 1;

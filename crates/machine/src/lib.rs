@@ -57,8 +57,8 @@
 //!   butterfly [`plan::Xor`], whose plan is computed in closed form) and
 //!   compiled at build time into
 //!   a [`plan::StepPlan`]: **analytic metrics** (the superstep record is
-//!   emitted in `O(log v)` per run, bit-for-bit identical to the streamed
-//!   counters, at every granularity at once), a **one-time
+//!   emitted in `O(log v)` per run, bit-for-bit identical to what the
+//!   dynamic path meters, at every granularity at once), a **one-time
 //!   cluster-constraint proof** (validated runs skip the per-message
 //!   check), and a **direct-write scatter** — VP closures write payloads
 //!   straight into the destination arena slot, eliminating the staging
