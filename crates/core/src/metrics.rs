@@ -567,24 +567,28 @@ impl CommTrace {
     }
 
     /// Parses the [`CommTrace::to_text`] format. A header whose `log_v` has
-    /// no machine (`v = 2^log_v` must fit a `usize`) and a record whose
-    /// label is not one of the machine's (`label < max(1, log_v)`, as
-    /// `Program::step` requires) are refused, not parsed into a trace that
-    /// panics later.
+    /// no machine (`v = 2^log_v` must fit a `usize`), a record whose label
+    /// is not one of the machine's (`label < max(1, log_v)`, as
+    /// `Program::step` requires) and a header whose `steps=` is missing or
+    /// differs from the number of records (a truncated or padded archive)
+    /// are refused, not parsed into a trace that panics later or reads as
+    /// another run.
     pub fn from_text(text: &str) -> Result<CommTrace, ModelError> {
         let bad = |reason: &'static str| ModelError::BadParameter { what: "trace", reason };
         let mut lines = text.lines();
         let header = lines.next().ok_or(bad("empty input"))?;
-        let mut log_v = None;
-        let mut n = None;
+        let (mut log_v, mut n, mut declared) = (None, None, None);
         for tok in header.split_whitespace() {
             if let Some(v) = tok.strip_prefix("log_v=") {
                 log_v = v.parse::<u32>().ok();
             } else if let Some(v) = tok.strip_prefix("n=") {
                 n = v.parse::<usize>().ok();
+            } else if let Some(v) = tok.strip_prefix("steps=") {
+                declared = v.parse::<usize>().ok();
             }
         }
         let (log_v, n) = (log_v.ok_or(bad("missing log_v"))?, n.ok_or(bad("missing n"))?);
+        let declared = declared.ok_or(bad("missing steps"))?;
         if log_v >= usize::BITS {
             return Err(bad("log_v too large for a machine"));
         }
@@ -606,6 +610,9 @@ impl CommTrace {
                 return Err(bad("degree vector length mismatch"));
             }
             steps.push(SuperstepRecord { label, h_by_fold, total_msgs });
+        }
+        if steps.len() != declared {
+            return Err(bad("step count differs from the header's"));
         }
         Ok(CommTrace { log_v, n, steps })
     }
@@ -972,5 +979,66 @@ mod tests {
         assert_eq!(t.s_counts(), vec![0, 1]);
         let t = CommTrace::from_text("commtrace v1 log_v=0 n=1 steps=1\n0 3\n").unwrap();
         assert_eq!((t.v(), t.s_counts()), (1, vec![1]));
+    }
+
+    #[test]
+    fn text_whose_step_count_disagrees_with_its_header_is_refused() {
+        let refused = |text: &str| {
+            let err = CommTrace::from_text(text).expect_err(text);
+            assert!(
+                matches!(err, ModelError::BadParameter { what: "trace", .. }),
+                "{text}: {err:?}"
+            );
+        };
+        // A truncated archive: three supersteps declared, one present.
+        refused("commtrace v1 log_v=2 n=4 steps=3\n0 1 1 1\n");
+        // Padded, and undeclared.
+        refused("commtrace v1 log_v=2 n=4 steps=0\n0 1 1 1\n");
+        refused("commtrace v1 log_v=2 n=4\n0 1 1 1\n");
+        refused("commtrace v1 log_v=2 n=4 steps=x\n0 1 1 1\n");
+        // Blank lines are not records.
+        let t = CommTrace::from_text("commtrace v1 log_v=2 n=4 steps=1\n\n0 1 1 1\n\n").unwrap();
+        assert_eq!(t.superstep_count(), 1);
+        // What `to_text` writes, `from_text` reads back, empty trace included.
+        for t in [two_step_trace(), zero_degree_trace(), CommTrace::new(8, 8)] {
+            assert_eq!(CommTrace::from_text(&t.to_text()).unwrap(), t);
+        }
+    }
+
+    /// On `M(8)`: a 0-superstep of self-sends only (degree 0 at every
+    /// fold), a 1-superstep inside the halves but across the quarters
+    /// (degree 0 at `p = 2`, 1 at `p ≥ 4`), and a 0-superstep of one
+    /// message across the bisection (degree 1 at every fold).
+    fn zero_degree_trace() -> CommTrace {
+        let mut t = CommTrace::new(8, 8);
+        t.steps.push(SuperstepRecord::from_messages(0, 3, (0..8).map(|k| (k, k))));
+        t.steps.push(SuperstepRecord::from_messages(1, 3, vec![(0, 2), (2, 0)]));
+        t.steps.push(SuperstepRecord::from_messages(0, 3, vec![(0, 4)]));
+        t
+    }
+
+    #[test]
+    fn zero_degree_supersteps_count_in_s() {
+        // `S^i` counts every i-superstep, whatever its degree: a
+        // superstep that sends nothing across a fold still ends with a
+        // synchronization the folded machine pays `σ` (`ℓ_i`) for.
+        let t = zero_degree_trace();
+        assert_eq!(
+            t.steps.iter().map(|s| s.h_by_fold.clone()).collect::<Vec<_>>(),
+            [[0, 0, 0], [0, 1, 1], [1, 1, 1]]
+        );
+        assert_eq!(t.s_counts(), [2, 1, 0]);
+        assert_eq!(t.fold(2), FoldedMetrics { p: 2, f: vec![1], s: vec![2] });
+        assert_eq!(t.fold(4), FoldedMetrics { p: 4, f: vec![1, 1], s: vec![2, 1] });
+        assert_eq!(t.fold(8), FoldedMetrics { p: 8, f: vec![1, 1, 0], s: vec![2, 1, 0] });
+        // Eq. (1): H = Σ_i (F^i + S^i·σ).
+        assert_eq!(t.comm_complexity(2, 10.0), 1.0 + 2.0 * 10.0);
+        assert_eq!(t.comm_complexity(4, 10.0), (1.0 + 2.0 * 10.0) + (1.0 + 10.0));
+        assert_eq!(t.comm_complexity(8, 0.5), (1.0 + 1.0) + (1.0 + 0.5));
+        // Eq. (2): D = Σ_i (F^i·g_i + S^i·ℓ_i).
+        let m = DbspMachine::new(4, vec![4.0, 2.0], vec![16.0, 4.0]).unwrap();
+        assert_eq!(t.comm_time(&m), (4.0 + 2.0 * 16.0) + (2.0 + 4.0));
+        let m = DbspMachine::new(2, vec![3.0], vec![7.0]).unwrap();
+        assert_eq!(t.comm_time(&m), 3.0 + 2.0 * 7.0);
     }
 }

@@ -12,6 +12,7 @@
 //! | NL005 | `ordering-justified` | every `Ordering::SeqCst` outside tests carries an `// ordering:` justification |
 //! | NL006 | `site-coverage`      | every telemetry `Site` and failpoint string is instrumented in the executors and reachable from a test |
 //! | NL007 | `instant-gate`       | `Instant::now` in engine sources only behind an armed-telemetry guard (escape: `instant-ok:`) |
+//! | NL008 | `invariant-ref`      | every `invariant N` cited in a non-test engine comment names an entry of `mailbox.rs`'s `# Safety invariants` list |
 //!
 //! The scanner ([`lexer`]) is comment/string/attribute-aware, so a
 //! `panic!` in a doc comment never fires and a marker inside a string
@@ -41,10 +42,11 @@ pub enum Rule {
     OrderingJustified,
     SiteCoverage,
     InstantGate,
+    InvariantRef,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 8] = [
         Rule::NoPanic,
         Rule::NoSaturating,
         Rule::UnsafeSafety,
@@ -52,6 +54,7 @@ impl Rule {
         Rule::OrderingJustified,
         Rule::SiteCoverage,
         Rule::InstantGate,
+        Rule::InvariantRef,
     ];
 
     pub fn id(self) -> &'static str {
@@ -63,6 +66,7 @@ impl Rule {
             Rule::OrderingJustified => "NL005",
             Rule::SiteCoverage => "NL006",
             Rule::InstantGate => "NL007",
+            Rule::InvariantRef => "NL008",
         }
     }
 
@@ -75,6 +79,7 @@ impl Rule {
             Rule::OrderingJustified => "ordering-justified",
             Rule::SiteCoverage => "site-coverage",
             Rule::InstantGate => "instant-gate",
+            Rule::InvariantRef => "invariant-ref",
         }
     }
 }
@@ -219,6 +224,7 @@ pub fn run(config: &Config) -> io::Result<Report> {
     rules::ordering_justified(&files, &mut findings);
     rules::site_coverage(&files, &mut findings);
     rules::instant_gate(&files, &mut findings);
+    rules::invariant_ref(&files, &mut findings);
 
     let inventory = rules::unsafe_counts(&files);
     if config.update_baseline {

@@ -539,3 +539,84 @@ fn parse_fault_consts(files: &[SourceFile]) -> Vec<FaultSite> {
     }
     out
 }
+
+/// The file whose `# Safety invariants` list the engine's numbered
+/// invariant citations name.
+const INVARIANTS_FILE: &str = "crates/machine/src/mailbox.rs";
+
+/// The text of a comment-view line without the `!` or `/` of a doc
+/// comment's delimiter, which the view keeps.
+fn doc_text(comment: &str) -> &str {
+    comment.trim_start().trim_start_matches(['!', '/']).trim_start()
+}
+
+/// The entry numbers of a `# Safety invariants` list: the comment lines
+/// `N. …` from the heading down to the first line of code.
+fn invariant_entries(f: &SourceFile) -> Vec<u64> {
+    let heading = |c: &String| doc_text(c).trim_end() == "# Safety invariants";
+    let Some(head) = f.lex.comments.iter().position(heading) else {
+        return Vec::new();
+    };
+    f.lex
+        .comments
+        .iter()
+        .zip(&f.lex.code)
+        .skip(head + 1)
+        .take_while(|(_, code)| code.trim().is_empty())
+        .filter_map(|(c, _)| {
+            let (n, rest) = leading_number(doc_text(c))?;
+            rest.starts_with(". ").then_some(n)
+        })
+        .collect()
+}
+
+/// The number `line` starts with, and what follows it.
+fn leading_number(line: &str) -> Option<(u64, &str)> {
+    let end = line.find(|c: char| !c.is_ascii_digit()).unwrap_or(line.len());
+    Some((line[..end].parse().ok()?, &line[end..]))
+}
+
+/// The numbers a comment cites as `invariant N` or `invariants N` (either
+/// case; the first number of a list).
+fn cited_invariants(comment: &str) -> Vec<u64> {
+    let lower = comment.to_ascii_lowercase();
+    ["invariant", "invariants"]
+        .into_iter()
+        .flat_map(|tok| find_token(&lower, tok).into_iter().map(move |at| at + tok.len()))
+        .filter_map(|after| {
+            let rest = &lower[after..];
+            let digits = rest.trim_start();
+            if digits.len() == rest.len() {
+                return None; // no space: not a citation
+            }
+            leading_number(digits).map(|(n, _)| n)
+        })
+        .collect()
+}
+
+/// NL008 `invariant-ref`: every `invariant N` cited in a non-test engine
+/// comment names an entry of the `# Safety invariants` list in
+/// `crates/machine/src/mailbox.rs`, so a renumbering or a deleted
+/// invariant cannot leave a safety argument pointing at nothing.
+pub fn invariant_ref(files: &[SourceFile], out: &mut Vec<Finding>) {
+    let entries =
+        files.iter().find(|f| f.path == INVARIANTS_FILE).map(invariant_entries).unwrap_or_default();
+    for f in files.iter().filter(|f| f.is_engine_src()) {
+        for (li, comment) in f.lex.comments.iter().enumerate() {
+            if f.lex.test[li] {
+                continue;
+            }
+            for n in cited_invariants(comment).into_iter().filter(|n| !entries.contains(n)) {
+                out.push(Finding::new(
+                    Rule::InvariantRef,
+                    &f.path,
+                    li + 1,
+                    format!(
+                        "`invariant {n}` names no entry of the `# Safety invariants` list \
+                         in {INVARIANTS_FILE} (entries: {entries:?})"
+                    ),
+                ));
+            }
+        }
+    }
+}

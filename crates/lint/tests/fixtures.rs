@@ -206,6 +206,26 @@ fn instant_gate_escape_hatch_silences() {
     assert_findings(&lint("instant_gate/escape"), &[]);
 }
 
+// --- NL008 invariant-ref ---------------------------------------------
+
+#[test]
+fn invariant_ref_fires_on_citations_of_no_listed_invariant() {
+    let r = lint("invariant_ref/firing");
+    let f = "crates/machine/src/shard.rs";
+    assert_findings(
+        &r,
+        &[
+            (Rule::InvariantRef, f, 1), // invariant 3: the list stops at 2
+            (Rule::InvariantRef, f, 4), // invariants 7 (and 1)
+        ],
+    );
+}
+
+#[test]
+fn invariant_ref_accepts_listed_citations_and_tests() {
+    assert_findings(&lint("invariant_ref/clean"), &[]);
+}
+
 // --- Lexer false positives ----------------------------------------------
 
 #[test]

@@ -46,10 +46,10 @@
 //!   the route names each payload's destination), and the superstep
 //!   record is the plan's precomputed metrics (`O(log v)`), with the
 //!   cluster constraint proven once at build time. On the sharded path
-//!   the destination slot may live in a *peer shard's* arena: each worker
-//!   pre-partitions its write arena by (source shard, destination VP) and
-//!   publishes a window peers write through, collapsing the superstep to
-//!   a single barrier with no lane staging and no merge.
+//!   a payload bound for a *peer shard* goes into the sender's out-lane
+//!   for that shard, handed over at the superstep's single barrier and
+//!   drained into the receiver's arena, sized from the plan — no
+//!   metering and no merge.
 //! * **Serial** (1 shard): the whole machine is one shard; the loop above
 //!   runs inline with a serial counting-sort scatter and allocates nothing
 //!   in steady state (proven by `tests/allocation.rs`).
@@ -170,8 +170,8 @@ pub struct RunOptions {
     /// arena sizes it straight from the plan's `O(1)` layout summary
     /// instead of re-enumerating the route. On the sharded path, a planned
     /// step whose payloads are proven shard-local runs as the serial
-    /// planned step on each worker's own shard — no window, no cross-shard
-    /// write and **no barrier at all** (consecutive such steps form a
+    /// planned step on each worker's own shard — no hand-over between
+    /// shards and **no barrier at all** (consecutive such steps form a
     /// zero-barrier pipeline). Results are bit-for-bit identical either way
     /// (enforced by the differential suites); `false` reproduces the
     /// one-barrier protocol exactly, for benchmarking and differential

@@ -63,11 +63,12 @@
 //!   check), and a **direct-write scatter** — VP closures write payloads
 //!   straight into the destination arena slot, eliminating the staging
 //!   copy and the counting sort: into the whole-machine arena on the
-//!   serial path, and straight into the destination *shard's* arena on
-//!   the sharded path (each worker pre-partitions its write arena by
-//!   (source shard, destination VP) and publishes a window peers write
-//!   through — no lane staging, no gather pass, one barrier per planned
-//!   superstep). The route is the only place the pattern is written down:
+//!   serial path, into the shard's arena on a sharded worker's fused
+//!   (shard-local) step; a payload
+//!   bound for another shard goes into the sender's out-lane for it,
+//!   handed over at the step's one barrier and drained into the
+//!   receiver's arena, sized from the plan. The route is the only place
+//!   the pattern is written down:
 //!   the step's body says what it sends, never where — its writer,
 //!   [`program::Slots`], has only `send(msg)`, which fills the VP's next
 //!   declared payload slot with the destination the route names there,
@@ -159,14 +160,14 @@
 //!   staging buffer.
 //!   Three barriers per superstep: flush, gather, merge.
 //! * **One barrier** (planned supersteps): a superstep with a compiled
-//!   plan skips lanes, gather and merge entirely. Each worker
-//!   pre-partitions its write arena by (source shard, destination VP)
-//!   from the declared routes — pipelined into the previous superstep's
-//!   exec phase — and publishes a window; peer closures then write
-//!   payloads straight into the remote arena slots their route owns,
-//!   while the coordinator pushes the plan's precomputed record with
-//!   nothing to merge. One barrier per planned superstep, after which
-//!   every worker commits its own (fully written, total-checked) arena.
+//!   plan skips staging, metering and merge. Each worker sizes its own
+//!   write arena from the declared routes of its shard cluster, runs its
+//!   VPs with each payload pushed into its out-lane for the destination
+//!   shard, checks its written total against the declared one and hands
+//!   the lanes over, while the coordinator pushes the plan's precomputed
+//!   record with nothing to merge. One barrier per planned superstep,
+//!   after which every worker drains the lanes addressed to it into its
+//!   arena (each inbox bounds-checked and exactly filled) and commits.
 //! * **Zero barriers** (fused supersteps): when a plan's compile-time
 //!   payload-locality summary proves every payload stays within its
 //!   sender's shard at the current width, the step is local computation on
@@ -174,7 +175,7 @@
 //!   serial loop's planned step on its own shard — one routine: size the
 //!   arena from the plan's `O(1)` [`plan::PlanLayout`] (or a count pass
 //!   over the shard's routes), execute, check the written total, commit —
-//!   no window, no barrier at all. Runs of consecutive fused steps form
+//!   no hand-over, no barrier at all. Runs of consecutive fused steps form
 //!   an unsynchronized per-worker pipeline; metrics are still pushed per
 //!   superstep and traces stay bit-for-bit identical. Disable with
 //!   [`engine::RunOptions::fuse`]`= false` to reproduce the one-barrier
@@ -188,35 +189,28 @@
 //! ### Unsafe surface
 //!
 //! Two modules carry `unsafe`, and `crates/lint/unsafe_inventory.txt` pins
-//! their counts. `shard` has the calls into the direct-grid accessors
-//! below — each with the phase argument that makes it sound — and one
-//! lifetime erasure:
+//! their counts. `shard` has one lifetime erasure:
 //! the gang's scope hands its parked threads a `'static`-erased reference
 //! to the caller's closure, sound because the scope returns only after
 //! every worker's done handshake, *including when the caller unwinds*
 //! (the argument of the standard library's scoped threads, with the join
 //! replaced by the handshake). Everything else is in [`mailbox`], behind
-//! four documented invariants: (1) arena slabs track their initialized
+//! three documented invariants: (1) arena slabs track their initialized
 //! prefix, (2) inbox views uniquely own the messages handed to closures,
-//! (3) the one-arena planned writer
+//! and (3) the one-arena planned writer
 //! (`mailbox::DirectOut`, used by the serial loop and by a worker's fused
 //! step over its own shard, on buffers private to the executing thread)
 //! bounds every payload write by its arena's VP range and its
 //! destination's planned slot range, and the engine refuses to publish an
-//! arena whose written total disagrees with the total it sized, and (4)
-//! cross-shard planned writes (`mailbox::DirectShard` through
-//! `mailbox::DirectGrid`) follow
-//! the same discipline at slot-region granularity: windows are published
-//! only in prepare phases and read only in the exec phases after the next
-//! barrier (double-buffered by arena parity so republication never races
-//! a reader), each worker owns exactly its own cursor row of every
-//! window, every write is bounds-checked against its (source shard,
-//! destination) region, and per-worker written totals gate every commit —
-//! so slabs are only ever committed fully initialized, each slot written
-//! exactly once, however many payloads the bodies sent. The lanes of
-//! dynamic supersteps carry no `unsafe` at all: each is a `Mutex` over
-//! plain `Vec`s, so abandoned supersteps (validation errors, panics) drop
-//! staged messages through ordinary destructors.
+//! arena whose written total disagrees with the total it sized — so slabs
+//! are only ever committed fully initialized, each slot written exactly
+//! once, however many payloads the bodies sent. Every message that crosses
+//! shards changes hands in a lane, with no `unsafe` at all: each lane is a
+//! `Mutex` over plain `Vec`s, filled before a barrier and drained after it.
+//! A dynamic superstep's lanes drop abandoned messages through ordinary
+//! destructors; a cross-shard planned superstep's (`mailbox::CrossOut`)
+//! carry `ManuallyDrop` payloads, so a rejected step's leak, as the
+//! one-arena writer's do.
 //!
 //! ## Robustness
 //!

@@ -2,8 +2,7 @@
 //! zero-allocation message path.
 //!
 //! The engine's `unsafe` lives here, behind a few small abstractions (the
-//! rest is `crate::shard`'s calls into them and its one gang-scope lifetime
-//! erasure):
+//! rest is `crate::shard`'s one gang-scope lifetime erasure):
 //!
 //! * `Arena` — a contiguous message slab (`Vec<MaybeUninit<M>>`) plus
 //!   per-VP offset ranges. Each shard (the whole machine, for the serial
@@ -28,24 +27,24 @@
 //!   It serves every planned step whose payloads stay in one arena: each
 //!   step of the serial loop, and a gang worker's *fused* step over its own
 //!   shard.
-//! * `DirectShard` / `DirectGrid` — the cross-shard form of the same idea:
-//!   each worker *publishes* a window onto its write arena (slab pointer
-//!   plus a per-(source shard, destination VP) slot-region table) before a
-//!   planned superstep whose payloads cross shards, and every peer's VP
-//!   closures then write payloads
-//!   straight into the remote arena slots their route owns — no lane
-//!   staging, no per-shard counting sort, one barrier per planned
-//!   superstep (see invariant 4).
-//! * `Lane` / `LaneGrid` — the sharded executor's message path for
-//!   *dynamic* supersteps: one lane per (source shard, destination shard)
-//!   pair, shard-internal traffic on the diagonal, staged in
-//!   structure-of-arrays form (destinations separate from payloads) so the
-//!   receiver's counting scan touches only the compact destination stream.
-//!   Lanes carry payload messages only: the sender meters every message,
-//!   so a dummy never leaves its shard. Each lane is a `Mutex`:
-//!   its sender fills it before the superstep's barrier and its receiver
-//!   drains it after, so the locks are never contended and the handover
-//!   needs no `unsafe`.
+//! * `CrossOut` — the writer of a planned step whose payloads cross
+//!   shards. It writes into no arena: each payload goes, in send order, into
+//!   the sending worker's own out-lane for its destination shard, and the
+//!   lanes change hands at the superstep's one barrier, after which each
+//!   receiver drains its incoming lanes into its own write arena — the
+//!   model's own semantics, where a superstep's messages become visible at
+//!   its end.
+//! * `Lane` / `LaneGrid` — the sharded executor's hand-over buffers, one
+//!   lane per (source shard, destination shard) pair, shard-internal
+//!   traffic on the diagonal, staged in structure-of-arrays form
+//!   (destinations separate from payloads). They serve both tiers: the
+//!   *dynamic* tier's lanes carry payload messages only (the sender meters
+//!   every message, so a dummy never leaves its shard), and the planned
+//!   tier's cross-shard steps hand their `CrossOut` lanes over through two
+//!   more grids, alternating by barrier round. Each lane is a `Mutex`:
+//!   its sender fills it before a barrier and its receiver drains it
+//!   after, so the locks are never contended and the handover needs no
+//!   `unsafe`.
 //!
 //! # Safety invariants
 //!
@@ -73,32 +72,13 @@
 //!    its route declares) nothing is committed; written payloads are
 //!    leaked (never dropped, never re-observed), bounded by one
 //!    superstep's traffic.
-//! 4. `DirectGrid` slot ownership is phase-disciplined at *slot-region*
-//!    granularity. A window for write-arena parity `x` is published only
-//!    by the arena's owner during a *prepare* phase and read by peers only
-//!    in the *exec* phases that follow the next barrier;
-//!    consecutive planned supersteps alternate parities, so a window is
-//!    never republished while a peer may still read it. Within an exec
-//!    phase, the cursor table row of source shard `s` (and the disjoint
-//!    slot regions those cursors index) is touched only by worker `s`; the
-//!    immutable `starts` table is shared read-only. Region bounds are
-//!    enforced on every write exactly as in invariant 3 — `cursors[s][d] <
-//!    starts[s + 1][d]`, regions disjoint by the prefix-sum construction —
-//!    and each worker's written total is compared against its declared
-//!    payload total before any arena is committed, so a committed slab is
-//!    fully initialized with each slot written exactly once no matter what
-//!    the routes declared. The executor's barrier provides every
-//!    happens-before edge (publish → read, peer writes → owner commit).
-//!    Fused (shard-local planned) supersteps never touch the grid: they
-//!    write through a `DirectOut` under invariant 3.
 #![allow(unsafe_code)]
 
 use crate::program::Envelope;
 use crate::shard::lock;
 use nob_core::ModelError;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::ops::RangeFull;
+use std::mem::{ManuallyDrop, MaybeUninit};
+use std::ops::{Range, RangeFull};
 use std::sync::{Mutex, MutexGuard};
 
 /// Checked increment of a per-destination payload count. A wrapped `u32`
@@ -592,7 +572,7 @@ pub(crate) struct DirectOut<M> {
 }
 
 /// State shared by both planned direct writers — [`DirectOut`] (one arena)
-/// and [`DirectShard`] (cross-shard): the written total, the VP whose sends
+/// and [`CrossOut`] (cross-shard): the written total, the VP whose sends
 /// are in progress and the first recorded fault. One implementation of the
 /// send preamble (fault short-circuit, machine-range check), so the two
 /// paths' checks cannot drift apart.
@@ -748,7 +728,7 @@ impl<M> DirectOut<M> {
 }
 
 /// The direct writer armed in a [`ChunkStage`] for one planned superstep:
-/// into one arena of the executing thread, or across shards. A declared
+/// into one arena of the executing thread, or into out-lanes across shards. A declared
 /// body's [`crate::program::Slots`] and a captured plan's replay write
 /// through it and cannot observe the difference.
 pub(crate) enum DirectSink<M> {
@@ -756,9 +736,9 @@ pub(crate) enum DirectSink<M> {
     /// ([`DirectOut`]): the whole machine's on the serial loop, the
     /// worker's shard's on a fused step.
     Local(DirectOut<M>),
-    /// Cross-shard writes through published arena windows
-    /// ([`DirectShard`]).
-    Cross(DirectShard<M>),
+    /// Cross-shard sends into the worker's out-lanes, handed over at the
+    /// barrier ([`CrossOut`]).
+    Cross(CrossOut<M>),
 }
 
 impl<M> DirectSink<M> {
@@ -792,9 +772,9 @@ impl<M> DirectSink<M> {
         self.core_mut().fail(reason);
     }
 
-    /// Delivers a payload message into its planned slot (the slot lives in
-    /// the executing thread's own arena or a destination shard's arena,
-    /// depending on the armed writer).
+    /// Delivers a payload message: into its planned slot of the executing
+    /// thread's own arena, or into the out-lane of its destination shard,
+    /// depending on the armed writer.
     ///
     /// Kept out of line, one copy per message type: a declared step's body
     /// inlines its writer's `send` — the route's destination arithmetic —
@@ -811,291 +791,103 @@ impl<M> DirectSink<M> {
     }
 }
 
-/// A shard's published view of its write arena for one planned superstep:
-/// the raw scatter state peers write through (invariant 4).
+/// The cross-shard writer of one worker for one planned superstep: the
+/// sharded counterpart of [`DirectOut`]. It writes into no arena. Each
+/// payload goes, in send order, into the worker's own out-lane for its
+/// destination shard (its own shard included); the executor hands the
+/// lanes over at the superstep's barrier, and each receiver drains its
+/// incoming lanes into its own write arena, sized from the plan. Plain
+/// `Vec` pushes: no `unsafe`, and no lock per send.
 ///
-/// `starts` points at an `(n_shards + 1) × vps` region table (row-major,
-/// row = source shard): destination VP `d` (shard-relative) owns the slab
-/// slots `[starts[s][d], starts[s + 1][d])` for payloads arriving from
-/// shard `s` — the counting-sort layout pre-partitioned by source shard, so
-/// delivery order (ascending source VP, then send order) is preserved
-/// without any receive-side pass. `cursors` is the matching `n_shards ×
-/// vps` live-cursor table; row `s` is advanced only by worker `s`.
-pub(crate) struct DirectWindow<M> {
-    slab: *mut MaybeUninit<M>,
-    slab_len: usize,
-    starts: *const u32,
-    cursors: *mut u32,
-    /// First VP owned by the window's shard (global id).
-    vp_lo: u32,
-}
-
-impl<M> Clone for DirectWindow<M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for DirectWindow<M> {}
-
-impl<M> DirectWindow<M> {
-    /// A window no one may write through (pre-publication placeholder).
-    fn empty() -> Self {
-        DirectWindow {
-            slab: std::ptr::null_mut(),
-            slab_len: 0,
-            starts: std::ptr::null(),
-            cursors: std::ptr::null_mut(),
-            vp_lo: 0,
-        }
-    }
-
-    /// Builds a window over an arena's scatter state.
-    ///
-    /// SAFETY contract (upheld by the publishing worker): the three buffers
-    /// outlive every exec phase the window is read in, `starts` has
-    /// `(n_shards + 1) · vps` entries forming disjoint in-bounds regions
-    /// over `slab`, and `cursors` (`n_shards · vps` entries) was initialized
-    /// to the region starts.
-    pub(crate) fn new(
-        slab: &mut [MaybeUninit<M>],
-        starts: &[u32],
-        cursors: &mut [u32],
-        vp_lo: u32,
-    ) -> Self {
-        DirectWindow {
-            slab: slab.as_mut_ptr(),
-            slab_len: slab.len(),
-            starts: starts.as_ptr(),
-            cursors: cursors.as_mut_ptr(),
-            vp_lo,
-        }
-    }
-}
-
-/// The published arena windows of all shards, double-buffered by
-/// write-arena parity so a prepare for superstep `t + 1` never races the
-/// exec-phase reads of superstep `t` (invariant 4).
-pub(crate) struct DirectGrid<M> {
-    /// `2 × shards` windows: parity-major, then shard.
-    windows: Vec<UnsafeCell<DirectWindow<M>>>,
-    shards: usize,
-}
-
-// SAFETY: invariant 4 — window publication and every access through the
-// published pointers are phase-disciplined by the executor's barrier, and
-// `M` only ever moves between threads.
-unsafe impl<M: Send> Send for DirectGrid<M> {}
-// SAFETY: same phase discipline as the Send impl above (invariant 4).
-unsafe impl<M: Send> Sync for DirectGrid<M> {}
-
-impl<M> DirectGrid<M> {
-    pub(crate) fn new(shards: usize) -> Self {
-        DirectGrid {
-            windows: (0..2 * shards).map(|_| UnsafeCell::new(DirectWindow::empty())).collect(),
-            shards,
-        }
-    }
-
-    /// Publishes shard `shard`'s window for write-arena parity `parity`.
-    ///
-    /// # Safety
-    /// The caller must be the worker owning `shard`, during a prepare phase
-    /// for that parity (invariant 4): no other thread may touch this slot
-    /// until the next barrier, and the previous window of this parity must
-    /// have no remaining readers (guaranteed by parity alternation).
-    pub(crate) unsafe fn publish(&self, parity: usize, shard: usize, window: DirectWindow<M>) {
-        debug_assert!(parity < 2 && shard < self.shards);
-        // SAFETY: the fn's contract — this slot is the calling worker's
-        // exclusively during this parity's prepare phase.
-        unsafe { *self.windows[parity * self.shards + shard].get() = window };
-    }
-}
-
-/// The cross-shard direct writer of one worker for one planned superstep:
-/// the sharded counterpart of [`DirectOut`], writing payloads straight into
-/// the *peer* shard arenas through the windows published in the preceding
-/// prepare phase — no lane staging, no receive-side counting sort.
-///
-/// # Safety model
-///
-/// Identical in spirit to [`DirectOut`] (soundness never trusts the
-/// declaration), with the region table replacing the flat offsets:
-///
-/// * a send outside the superstep's shard cluster — impossible while the
-///   destinations come from the route, which was cluster-proven at compile
-///   time — faults immediately (windows outside the cluster span carry
-///   stale tables and must never be consulted);
-/// * every write is bounds-checked against its `(source shard,
-///   destination)` region (`cursors[s][d] < starts[s + 1][d]`), so writes
-///   stay inside the destination slab and no slot is written twice;
-/// * the executor compares each worker's written total against its declared
-///   payload total before any arena is committed. Region capacities sum to
-///   exactly the declared totals, so all checks passing implies every
-///   region exactly full — every committed slab fully initialized, each
-///   slot written exactly once.
-///
-/// On the fault path nothing is committed and written payloads are leaked
-/// (never dropped, never re-observed), bounded by one superstep's traffic —
-/// the same policy as the serial writer.
-pub(crate) struct DirectShard<M> {
-    /// Window slots of this superstep's parity (`shards` entries).
-    windows: *const UnsafeCell<DirectWindow<M>>,
-    /// This worker's shard id — its row in every cursor table.
-    shard: usize,
-    /// Shard cluster of the superstep: only `[span_lo, span_hi)` windows
-    /// carry tables prepared for this superstep.
-    span_lo: usize,
-    span_hi: usize,
+/// It keeps the send preamble of [`DirectCore`] — the fault short-circuit
+/// and the machine-range check — plus the cluster-span check: a send
+/// outside the superstep's shard cluster (impossible while destinations
+/// come from the route, which was cluster-proven at compile time) faults.
+/// Payloads travel as `ManuallyDrop<M>`, so a lane abandoned by a rejected
+/// superstep leaks them, never drops them — the policy of the one-arena
+/// writer.
+pub(crate) struct CrossOut<M> {
+    /// One out-lane per shard of the gang; only the span's are written.
+    lanes: Vec<Lane<ManuallyDrop<M>>>,
+    /// Shard cluster of the superstep.
+    span: Range<usize>,
     shard_shift: u32,
-    /// VPs per shard (row stride of the region tables).
-    vps: usize,
     core: DirectCore,
 }
 
-// SAFETY: the raw pointers target executor-owned buffers whose access is
-// phase-disciplined per invariant 4; a `DirectShard` is installed and
-// removed within one worker's exec phase and `M: Send` because payloads
-// move through peer slabs.
-unsafe impl<M: Send> Send for DirectShard<M> {}
-
-impl<M> DirectShard<M> {
-    /// Arms a writer for worker `shard` over the windows of write-arena
-    /// parity `parity`, for a superstep whose shard cluster is `span`.
-    ///
-    /// # Safety
-    /// Exec phase only: every window in `span` must have been published for
-    /// `parity` before the barrier this phase follows, and cursor row
-    /// `shard` of those windows must not be touched by any other thread
-    /// until the next barrier (invariant 4).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) unsafe fn new(
-        grid: &DirectGrid<M>,
-        parity: usize,
-        shard: usize,
-        span: std::ops::Range<usize>,
+impl<M> CrossOut<M> {
+    /// Arms a writer over the worker's (empty) out-lanes for a superstep
+    /// whose shard cluster is `span`; `v` is the machine size.
+    pub(crate) fn new(
+        lanes: Vec<Lane<ManuallyDrop<M>>>,
+        span: Range<usize>,
         shard_shift: u32,
-        vps: usize,
         v: usize,
     ) -> Self {
-        debug_assert!(parity < 2 && span.end <= grid.shards && span.contains(&shard));
-        DirectShard {
-            // SAFETY: `parity < 2` (debug-asserted), so the offset stays
-            // inside the grid's `2 × shards` window array.
-            windows: unsafe { grid.windows.as_ptr().add(parity * grid.shards) },
-            shard,
-            span_lo: span.start,
-            span_hi: span.end,
-            shard_shift,
-            vps,
-            core: DirectCore::new(v),
-        }
+        debug_assert!(span.end <= lanes.len() && lanes.iter().all(|l| l.dsts.is_empty()));
+        CrossOut { lanes, span, shard_shift, core: DirectCore::new(v) }
     }
 
-    /// Delivers a payload message into its planned slot of the destination
-    /// shard's arena (called through [`DirectSink::send`], which is out of
-    /// line).
+    /// Stages a payload message in its destination shard's out-lane
+    /// (called through [`DirectSink::send`], which is out of line).
     #[inline]
     pub(crate) fn send(&mut self, dst: usize, msg: M) {
         if !self.core.admit_data(dst) {
             return;
         }
         let ds = dst >> self.shard_shift;
-        if ds < self.span_lo || ds >= self.span_hi {
-            // The declaration is cluster-proven, so an out-of-span send is
-            // necessarily a divergence from it; windows outside the span
-            // hold stale tables and must never be consulted.
+        if !self.span.contains(&ds) {
             self.core.fail("send leaves the declared route's shard cluster");
             return;
         }
-        // SAFETY: ds is in this superstep's span, so the window was
-        // published for this parity before the barrier; cursor row
-        // `self.shard` is this worker's exclusively; the region check
-        // bounds the slab write inside the destination's planned range
-        // (regions disjoint and within `slab_len` by the prefix-sum
-        // construction). See invariant 4.
-        unsafe {
-            let w = (*self.windows.add(ds)).get().read();
-            let d_rel = dst - w.vp_lo as usize;
-            debug_assert!(d_rel < self.vps);
-            let cur_ptr = w.cursors.add(self.shard * self.vps + d_rel);
-            let cur = *cur_ptr;
-            let limit = *w.starts.add((self.shard + 1) * self.vps + d_rel);
-            if cur >= limit {
-                self.core.fail("more payload messages to a destination than planned");
-                return;
-            }
-            debug_assert!((cur as usize) < w.slab_len);
-            (*w.slab.add(cur as usize)).write(msg);
-            *cur_ptr = cur + 1;
-        }
+        self.lanes[ds].push(dst as u32, ManuallyDrop::new(msg));
         self.core.written += 1;
     }
 
-    /// Payload messages written by this worker so far (whole superstep).
-    #[inline]
-    pub(crate) fn written(&self) -> u64 {
-        self.core.written
-    }
-
-    /// The first exact-check failure, if any: `(vp, reason)`.
-    #[inline]
-    pub(crate) fn fault_info(&self) -> Option<(usize, &'static str)> {
-        self.core.fault
-    }
-
-    /// The first destination VP whose slot region from this shard was left
-    /// short — the starved receiver to blame when the written total falls
-    /// below the declared total (a sum names no sender).
-    ///
-    /// # Safety
-    /// Exec phase only (same discipline as [`DirectShard::send`]): reads
-    /// this worker's own cursor rows and the immutable region tables.
-    pub(crate) unsafe fn first_starved(&self) -> Option<usize> {
-        for ds in self.span_lo..self.span_hi {
-            // SAFETY: in-span window published before this phase; cursor
-            // row `self.shard` is this worker's own.
-            unsafe {
-                let w = (*self.windows.add(ds)).get().read();
-                for d in 0..self.vps {
-                    let cur = *w.cursors.add(self.shard * self.vps + d);
-                    let limit = *w.starts.add((self.shard + 1) * self.vps + d);
-                    if cur < limit {
-                        return Some(w.vp_lo as usize + d);
-                    }
-                }
-            }
-        }
-        None
+    /// Disarms the writer: `(out-lanes, payloads written, first fault)`.
+    /// The executor hands the lanes over only if the fault is `None` and
+    /// the written count equals the worker's declared payload total.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn finish(self) -> (Vec<Lane<ManuallyDrop<M>>>, u64, Option<(usize, &'static str)>) {
+        (self.lanes, self.core.written, self.core.fault)
     }
 }
 
-/// One message lane: the staged payload messages of a single (source
-/// shard → destination shard) pair for the current superstep, in send
-/// order. Dummies never enter one: their sender has metered them, and
-/// nothing delivers them.
+/// One message lane: the staged payloads `T` of a single (source shard →
+/// destination shard) pair for the current superstep, in send order.
+/// Dummies never enter one: their sender has metered them, and nothing
+/// delivers them. The dynamic tier's lanes carry `M`; the planned tier's
+/// carry `ManuallyDrop<M>`, whose abandoned payloads leak (see
+/// [`CrossOut`]).
 ///
 /// Destinations and payloads are parallel sequences, so the gather's
 /// counting scan streams through 4-byte destinations whatever the message
-/// type `M`. Both vectors grow to the pair's high-water traffic and are
+/// type. Both vectors grow to the pair's high-water traffic and are
 /// recycled, so steady-state supersteps push within capacity and allocate
 /// nothing.
 #[derive(Debug)]
-pub(crate) struct Lane<M> {
+pub(crate) struct Lane<T> {
     /// Destination VP (global id) of each staged payload.
     pub(crate) dsts: Vec<u32>,
-    payloads: Vec<M>,
+    payloads: Vec<T>,
 }
 
-impl<M> Lane<M> {
+impl<T> Lane<T> {
     pub(crate) fn new() -> Self {
         Lane { dsts: Vec::new(), payloads: Vec::new() }
     }
 
     /// Stages a payload message for VP `dst`.
     #[inline]
-    pub(crate) fn push(&mut self, dst: u32, msg: M) {
+    pub(crate) fn push(&mut self, dst: u32, msg: T) {
         self.dsts.push(dst);
         self.payloads.push(msg);
+    }
+
+    /// Makes room for `n` more staged messages.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.dsts.reserve(n);
+        self.payloads.reserve(n);
     }
 
     /// Number of staged messages.
@@ -1107,50 +899,55 @@ impl<M> Lane<M> {
     /// Drains every staged message in send order, invoking
     /// `deliver(dst, payload)` for each, then clears the lane (capacity
     /// kept).
-    pub(crate) fn drain_deliveries(&mut self, mut deliver: impl FnMut(u32, M)) {
+    pub(crate) fn drain_deliveries(&mut self, mut deliver: impl FnMut(u32, T)) {
         for (&dst, m) in self.dsts.iter().zip(self.payloads.drain(..)) {
             deliver(dst, m);
         }
         self.dsts.clear();
     }
+
+    /// Empties the lane, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.dsts.clear();
+        self.payloads.clear();
+    }
 }
 
-/// The `shards × shards` matrix of message [`Lane`]s of the dynamic tier,
-/// row-major by source shard, shared by all executor workers.
+/// A `shards × shards` matrix of message [`Lane`]s, row-major by source
+/// shard, shared by all executor workers.
 ///
 /// A lane changes hands at the barrier, as a superstep's messages do in
-/// `M(v)`: lane `(s, d)` is filled by worker `s` during a superstep's flush
-/// and drained by worker `d` during its gather, and the executor's barrier
-/// separates the two phases. So the lock of a lane is never contended; it
-/// makes the handover checkable instead of argued. A flush locks again only
-/// when its destination shard changes and a gather locks each lane of its
-/// span once, never per message.
-pub(crate) struct LaneGrid<M> {
-    lanes: Vec<Mutex<Lane<M>>>,
+/// `M(v)`: lane `(s, d)` is filled by worker `s` before a barrier — during
+/// a dynamic superstep's flush, or by swapping in its out-lane after a
+/// cross-shard planned exec — and drained by worker `d` after it, and the
+/// executor's barrier separates the two phases. So the lock of a lane is
+/// never contended; it makes the handover checkable instead of argued. A
+/// flush locks again only when its destination shard changes, a hand-over
+/// locks each lane of its span once, and a drain too, never per message.
+pub(crate) struct LaneGrid<T> {
+    lanes: Vec<Mutex<Lane<T>>>,
     shards: usize,
 }
 
-impl<M> LaneGrid<M> {
+impl<T> LaneGrid<T> {
     pub(crate) fn new(shards: usize) -> Self {
         LaneGrid { lanes: (0..shards * shards).map(|_| Mutex::new(Lane::new())).collect(), shards }
     }
 
     /// The lane `src → dst`, locked.
     #[inline]
-    pub(crate) fn lane(&self, src: usize, dst: usize) -> MutexGuard<'_, Lane<M>> {
+    pub(crate) fn lane(&self, src: usize, dst: usize) -> MutexGuard<'_, Lane<T>> {
         debug_assert!(src < self.shards && dst < self.shards);
         lock(&self.lanes[src * self.shards + dst])
     }
 
     /// Empties every lane, keeping capacities — the between-jobs reset of a
     /// pooled grid. A job that aborted mid-superstep can leave staged
-    /// messages behind; draining them here (payloads dropped) keeps them
-    /// out of the next job's gather.
+    /// messages behind; clearing them here (payloads dropped, or leaked if
+    /// `T` is a `ManuallyDrop`) keeps them out of the next job's drains.
     pub(crate) fn clear_all(&mut self) {
         for lane in &mut self.lanes {
-            let lane = lane.get_mut().unwrap_or_else(|e| e.into_inner());
-            lane.dsts.clear();
-            lane.payloads.clear();
+            lane.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
         }
     }
 }

@@ -1135,7 +1135,7 @@ mod tests {
         assert_eq!(far.min_locality, 0);
         assert!(far.shard_local(0) && !far.shard_local(1));
         // Self-sends and dummies don't narrow locality: a dummy across the
-        // bisection touches no payload window, so the step stays fusible.
+        // bisection carries no payload across it, so the step stays fusible.
         let dummy = compile(8, 0, 2, |ctx, k| match k {
             0 => Route::Data(ctx.vp),
             _ => Route::Dummy(ctx.vp ^ 4),

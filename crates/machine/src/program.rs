@@ -448,7 +448,8 @@ impl<'a, M> OnStack<'a, M> {
 impl<M> Drop for OnStack<'_, M> {
     #[inline]
     fn drop(&mut self) {
-        *self.home = self.local.take();
+        // `home` is still empty (`new` took it), so nothing is dropped.
+        std::mem::forget(std::mem::replace(self.home, self.local.take()));
     }
 }
 

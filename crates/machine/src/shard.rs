@@ -1,7 +1,7 @@
 //! The sharded executor: one gang of workers over shard-owned mailboxes,
-//! exchanging messages through lanes (dynamic supersteps), direct
-//! cross-shard arena writes (planned supersteps), or no synchronization at
-//! all (fused shard-local planned supersteps).
+//! exchanging messages through lanes that change hands at a barrier
+//! (dynamic and cross-shard planned supersteps), or with no
+//! synchronization at all (fused shard-local planned supersteps).
 //!
 //! # Architecture
 //!
@@ -20,7 +20,7 @@
 //! [`crate::server::JobServer`] job — it goes through [`Executor::attempt`],
 //! which holds the only `Shared` view and the only worker body. An executor
 //! owns a [`Gang`] (`n − 1` parked OS threads; the caller is worker 0) and
-//! the recyclable run state: the direct grid, barrier, per-worker
+//! the recyclable run state: the hand-over slots, barrier, per-worker
 //! [`WorkerKit`]s, per-trace-shape shard cells, and the trace builder — plus
 //! the dynamic tier's lanes and metrics builders, built only for a run that
 //! has a dynamic superstep. `run` builds an executor for the call
@@ -62,34 +62,37 @@
 //!
 //! A superstep with a fault-free [`StepPlan`] needs none of that: its
 //! communication pattern is a static function of the VP index, proven
-//! cluster-legal at compile time, with analytic metrics. The executor
-//! therefore extends the serial direct-write scatter **across shards**:
+//! cluster-legal at compile time, with analytic metrics. Its payloads
+//! still change hands at the barrier, as in `M(v)`, but through out-lanes
+//! the sender fills without staging or metering, and into inboxes whose
+//! sizes come from the plan:
 //!
-//! * **Prepare** (pipelined into the *previous* superstep's exec phase, or
-//!   run standalone with one extra barrier when the previous superstep was
-//!   dynamic): each worker enumerates the declared routes of its shard
-//!   cluster once, pre-partitioning its own write arena by *(source shard,
-//!   destination VP)* — a region table giving every peer the exact disjoint
-//!   slab slots its payloads will fill, in counting-sort order (ascending
-//!   source VP, then send order). The worker publishes a window onto the
-//!   arena (slab + tables) through the [`DirectGrid`].
-//! * **Exec** — every worker runs its VPs with a [`DirectShard`] writer
-//!   armed: each send moves its payload straight into the destination
-//!   *shard's* arena slot through the published window — no
-//!   staging, no lanes, no receive-side pass at all. The worker then checks
-//!   its written total against its declared total (the cursor-bounds /
-//!   written-total safety net of the serial path, per shard), pipelines the
-//!   prepare for the next superstep if that one is a cross-shard planned
-//!   step too, and hits the **single barrier**. After it, each worker
-//!   commits its own arena (peers are done writing) and the arenas swap.
+//! * **Prepare** — each worker sizes its own write arena: one enumeration
+//!   of the declared routes of its shard cluster counts the payloads bound
+//!   for each of its VPs, and [`Arena::prepare_write`] turns the counts
+//!   into inbox ranges and cursors. No peer needs this layout.
+//! * **Exec** — every worker runs its VPs with a [`CrossOut`] writer armed:
+//!   each send pushes `(dst, payload)`, in send order, into the worker's
+//!   own out-lane for the destination shard (its own shard included). The
+//!   worker then checks its sends — the writer's exact checks and its
+//!   written total against its declared total — and swaps each non-empty
+//!   out-lane into its hand-over slot, an O(1) exchange under an
+//!   uncontended `Mutex` that keeps both lanes' capacity. Then the
+//!   **single barrier**.
+//! * **Commit** — each worker drains the slots addressed to it in
+//!   ascending source-shard order into its write arena, each payload into
+//!   its destination's next slot (bounds-checked; an inbox that over- or
+//!   under-fills commits nothing), and commits the arena; the arenas swap.
 //!
-//! There is nothing to merge: the coordinator pushes the plan's precomputed
-//! `O(log v)` record (and materializes the log entry from the route) during
-//! its own exec phase, overlapped with the other workers' execution —
-//! the merge runs only for dynamic supersteps. Steady-state planned
-//! supersteps therefore cost exactly **one barrier**; a planned superstep
-//! directly after a dynamic or fused one (or at the start of a run) pays
-//! one extra prepare barrier.
+//! The slots come in two grids, alternating by barrier round: fused steps
+//! between two cross-shard steps put no barrier between a receiver's drain
+//! and a fast sender's next hand-over, so consecutive cross-shard steps
+//! must not share slots; steps two rounds apart are ordered by the barrier
+//! between them. There is nothing to merge: the coordinator pushes the
+//! plan's precomputed `O(log v)` record (and materializes the log entry
+//! from the route) during its own exec phase, overlapped with the other
+//! workers' execution — the merge runs only for dynamic supersteps. Every
+//! non-fused planned superstep therefore costs exactly **one barrier**.
 //!
 //! # Fused superstep protocol (zero barriers)
 //!
@@ -104,20 +107,18 @@
 //! one-arena writer [`crate::mailbox::DirectOut`], checks its written total
 //! against the total it sized, and **commits immediately**. The coordinator
 //! pushes the superstep record. It touches only the worker's own buffers: no
-//! window, no barrier, no round consumed. Consecutive fused supersteps
+//! hand-over, no barrier, no round consumed. Consecutive fused supersteps
 //! therefore form an unsynchronized per-worker pipeline; the gang next
 //! meets at the first cross-shard or dynamic step. The decision is a pure
 //! function of `(plan, n_shards, `[`RunOptions::fuse`]`)`, so every worker
 //! takes the same arm and the barrier-round sequence stays deterministic —
-//! which the failure protocol below relies on. A cross-shard planned step
-//! pipelines its prepare only into a cross-shard successor; a fused
-//! successor sizes its own arena. `RunOptions { fuse: false, .. }`
-//! reproduces the one-barrier protocol bit for bit.
+//! which the failure protocol below relies on. `RunOptions { fuse: false,
+//! .. }` reproduces the one-barrier protocol bit for bit.
 //!
 //! Delivery order is preserved bit for bit on all three protocols: lanes
-//! are drained (and direct-write regions laid out) in ascending
-//! source-shard order, each internally in ascending source-VP, then send,
-//! order — exactly the serial engine's stable counting sort. A fused step's
+//! are drained in ascending source-shard order, each internally in
+//! ascending source-VP, then send, order — exactly the serial engine's
+//! stable counting sort. A fused step's
 //! sources are all shard-internal, so the serial step's counting-sort order
 //! over the shard *is* the global order.
 //!
@@ -135,23 +136,24 @@
 //! for round `r` happens-before every release from round `r`, while a
 //! faster peer's failure in a *later* phase stamps a later round that a
 //! round-`r` check deliberately ignores. (The barrier sequence itself is a
-//! deterministic function of the program: the per-step protocol choice and
-//! the pipelined prepares depend only on the static plan coverage.) The
+//! deterministic function of the program: the per-step protocol choice
+//! depends only on the static plan coverage.) The
 //! run then reports the lowest-numbered shard's error — also the first in
 //! source order, matching the serial engine, which downgrades closure
-//! panics to the identical `VpPanic`. Abandoned lane payloads stay in
-//! their lanes until the next run empties them (or the executor drops
-//! them); partially written direct-scatter slabs are never committed, so
-//! their payloads leak (never dropped, never re-observed), bounded by one
+//! panics to the identical `VpPanic`. Abandoned dynamic-lane payloads stay
+//! in their lanes until the next run empties them (or the executor drops
+//! them). A rejected planned step is caught by its sender before the
+//! barrier, so no receiver commits any of it; its payloads, carried as
+//! `ManuallyDrop`, leak (never dropped, never re-observed), bounded by one
 //! superstep's traffic.
 //!
 //! One failure point lies *after* its barrier: the planned protocol's
-//! arena commit, which must run once peers are done writing into the
-//! arena. A failure there (instrumented as the `shard:commit` failpoint)
+//! commit, which drains the handed-over lanes. A failure there (an inbox
+//! that would over- or under-fill, or the `shard:commit` failpoint)
 //! settles for the *next* round and pays exactly one more wait — the
 //! round every healthy peer reaches next — so the gang still exits in
-//! lockstep; at the last superstep there is no next round and the worker
-//! simply leaves.
+//! lockstep; if only fused steps follow, no peer waits again and the
+//! worker simply leaves.
 //!
 //! ## Watchdog
 //!
@@ -198,23 +200,17 @@
 //! legal: an explicit width is honoured whatever the CPU count. The default
 //! shard count is only a number (see [`crate::engine::RunOptions::workers`]).
 
-// The `unsafe` in this module is the calls into the direct-grid accessors
-// of `mailbox`, whose safety contract (phase-disciplined window
-// publication plus per-source-shard cursor-row exclusivity for direct
-// cross-shard writes — invariant 4) the barrier protocol here upholds,
-// plus the one lifetime erasure of [`Gang::scope`]; each site carries its
-// SAFETY note. Fused steps call no accessor: they write through the
-// one-arena writer under invariant 3. The lanes of dynamic steps need no
-// `unsafe`: each is a `Mutex`.
+// The one `unsafe` in this module is the lifetime erasure of
+// [`Gang::scope`], with its SAFETY note. Fused steps write through the
+// one-arena writer under invariant 3 of `mailbox`; every message that
+// crosses shards changes hands in a lane, and each lane is a `Mutex`.
 #![allow(unsafe_code)]
 
 use crate::engine::{
     exec_chunk, push_planned_record, run_planned_step, run_serial, runnable_plan, RunOptions,
     MAX_WORKERS,
 };
-use crate::mailbox::{
-    bump_count, Arena, ChunkStage, DirectGrid, DirectShard, DirectSink, DirectWindow, LaneGrid,
-};
+use crate::mailbox::{bump_count, Arena, ChunkStage, CrossOut, DirectSink, Lane, LaneGrid};
 use crate::plan::{message_fault, StepPlan};
 use crate::program::{Ctx, Envelope, Program, Superstep};
 use nob_core::fault::FaultPlan;
@@ -222,6 +218,7 @@ use nob_core::metrics::{StepMetricsBuilder, TraceBuilder};
 use nob_core::model::log2_exact;
 use nob_core::telemetry::{Counter, Site, TelemetrySink};
 use nob_core::{ModelError, StalledWorker};
+use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -290,15 +287,20 @@ impl ShapeRes {
 
 /// The gang's shape-independent infrastructure: every piece of
 /// executor-shared state that does **not** borrow from a particular program
-/// or run — the lanes, the direct grid, the barrier and the abort latch —
+/// or run — the lanes, the hand-over slots, the barrier and the abort latch —
 /// recycled across runs by [`GangCore::reset_for_job`].
 struct GangCore<M> {
     /// The dynamic tier's message lanes, built by the first run that has a
     /// dynamic step: a gang that only ever runs planned steps has none.
     lanes: Option<LaneGrid<M>>,
-    /// Published write-arena windows for planned supersteps, double-buffered
-    /// by arena parity (invariant 4 in `mailbox`).
-    direct: DirectGrid<M>,
+    /// The hand-over slots of cross-shard planned supersteps, one grid per
+    /// barrier-round parity: a step whose barrier is round `r` hands its
+    /// out-lanes over through `handover[r % 2]`. Fused steps between two
+    /// cross-shard steps put no barrier between a receiver's drain and a
+    /// fast sender's next hand-over, so consecutive cross-shard steps must
+    /// not share slots; two rounds apart, the barrier between them orders
+    /// the drain before the reuse.
+    handover: [LaneGrid<ManuallyDrop<M>>; 2],
     barrier: GangBarrier,
     /// Earliest barrier round preceded by an error or panic (`u64::MAX`
     /// while the run is healthy). A failing worker stamps the round it is
@@ -321,12 +323,10 @@ impl<M> GangCore<M> {
     /// * the barrier restarts at a clean generation with the new run's
     ///   watchdog timeout;
     /// * the abort latch re-arms at `u64::MAX` (healthy);
-    /// * the lanes are emptied — a run that aborted mid-superstep can leave
-    ///   staged traffic behind that must not leak into the next run's
-    ///   gather — and built first if this run has a dynamic step and the
-    ///   gang has none yet. Stale published windows in `direct` are left in
-    ///   place: they are never read before the next prepare republishes
-    ///   them (parity discipline, invariant 4 in `mailbox`).
+    /// * the lanes and hand-over slots are emptied — a run that aborted
+    ///   mid-superstep can leave staged traffic behind that must not leak
+    ///   into the next run's drains — and the lanes built first if this run
+    ///   has a dynamic step and the gang has none yet.
     fn reset_for_job(&mut self, stall_timeout: Option<Duration>, n_shards: usize, dynamic: bool) {
         self.barrier.reset(stall_timeout);
         *self.abort_round.get_mut() = u64::MAX;
@@ -335,6 +335,9 @@ impl<M> GangCore<M> {
         }
         if let Some(lanes) = &mut self.lanes {
             lanes.clear_all();
+        }
+        for slots in &mut self.handover {
+            slots.clear_all();
         }
     }
 }
@@ -347,8 +350,9 @@ struct Shared<'p, S, M> {
     core: &'p GangCore<M>,
     cells: &'p [Mutex<ShardCell>],
     /// The program's declared payload totals at this width
-    /// ([`Program::send_totals`], `[step][shard]` row-major) — the planned
-    /// path's written-total check. Empty when no step runs planned.
+    /// ([`Program::send_totals`], `[step][shard]` row-major) — the
+    /// cross-shard planned path's written-total check. Empty when no step
+    /// runs planned.
     totals: &'p [u64],
     /// The run's fault-injection plan, if any (see the module docs).
     faults: Option<&'p FaultPlan>,
@@ -370,17 +374,6 @@ struct Shared<'p, S, M> {
     log_shards: u32,
 }
 
-/// One parity's direct-write tables of a worker: the region-start table
-/// (`(n_shards + 1) × vps`, row-major by source shard) and the live cursor
-/// table (`n_shards × vps`) its published [`DirectWindow`] points into.
-/// Double-buffered alongside the arenas so preparing superstep `t + 1`
-/// never touches the tables peers still write through during superstep `t`.
-#[derive(Default)]
-struct DirectTables {
-    starts: Vec<u32>,
-    cursors: Vec<u32>,
-}
-
 /// The pooled, run-independent resources of one worker: everything a
 /// [`Worker`] uses except its identity and its states slice. They live in
 /// the [`Executor`] across runs ([`WorkerKit::reset`] between them), which
@@ -391,28 +384,31 @@ struct WorkerKit<M> {
     arenas: [Arena<M>; 2],
     dst_counts: Vec<u32>,
     cursors: Vec<u32>,
-    /// Direct-write region tables per arena parity (planned supersteps).
-    direct_tabs: [DirectTables; 2],
+    /// The out-lanes of cross-shard planned supersteps, one per destination
+    /// shard; lent to the [`CrossOut`] writer for each such step's exec and
+    /// swapped into the hand-over slots before its barrier.
+    outs: Vec<Lane<ManuallyDrop<M>>>,
 }
 
 impl<M> WorkerKit<M> {
-    fn new(vps: usize) -> Self {
+    fn new(vps: usize, n_shards: usize) -> Self {
         WorkerKit {
             stage: ChunkStage::new(vps),
             arenas: [Arena::new(vps), Arena::new(vps)],
             dst_counts: vec![0u32; vps],
             cursors: vec![0u32; vps],
-            direct_tabs: [DirectTables::default(), DirectTables::default()],
+            outs: (0..n_shards).map(|_| Lane::new()).collect(),
         }
     }
 
-    /// Re-targets a pooled kit at a run of `vps` VPs per shard: staging and
-    /// arenas are emptied (a failed run can leave residue in any
-    /// of them, including a still-set out-of-band flag) and the scatter
-    /// scratch is rebuilt all-zero — the between-supersteps invariant
-    /// `prepare_write` maintains — while every buffer keeps its high-water
-    /// capacity, so a warm same-shape run allocates nothing here.
-    fn reset(&mut self, vps: usize) {
+    /// Re-targets a pooled kit at a run of `vps` VPs per shard: staging,
+    /// arenas and out-lanes are emptied (a failed run can leave residue in
+    /// any of them, including a still-set out-of-band flag, and a panic
+    /// mid-exec drops the lent out-lanes) and the scatter scratch is
+    /// rebuilt all-zero — the between-supersteps invariant `prepare_write`
+    /// maintains — while every buffer keeps its high-water capacity, so a
+    /// warm same-shape run allocates nothing here.
+    fn reset(&mut self, vps: usize, n_shards: usize) {
         self.stage.reset();
         self.stage.outbox.oob_dst = false;
         self.stage.outbox.mismatch = None;
@@ -425,18 +421,10 @@ impl<M> WorkerKit<M> {
         self.dst_counts.resize(vps, 0);
         self.cursors.clear();
         self.cursors.resize(vps, 0);
-    }
-
-    /// Sizes both parities' direct-write tables for a run with planned
-    /// supersteps, within pooled capacity, so planned steady state starts at
-    /// its high-water shape instead of growing into it.
-    fn size_direct_tables(&mut self, n_shards: usize, vps: usize) {
-        for tabs in &mut self.direct_tabs {
-            tabs.starts.clear();
-            tabs.starts.resize((n_shards + 1) * vps, 0);
-            tabs.cursors.clear();
-            tabs.cursors.resize(n_shards * vps, 0);
+        for lane in &mut self.outs {
+            lane.clear();
         }
+        self.outs.resize_with(n_shards, Lane::new);
     }
 }
 
@@ -447,9 +435,9 @@ struct Worker<'a, S, M> {
     vps: usize,
     states: &'a mut [S],
     kit: &'a mut WorkerKit<M>,
-    /// Payload total of the prepared write arena per parity, committed
-    /// after the planned superstep's barrier.
-    pending_total: [usize; 2],
+    /// Payload total of the write arena prepared for the current
+    /// cross-shard planned superstep, committed after its barrier.
+    pending_total: usize,
 }
 
 /// Coordinator-only resources, held by worker 0 (which runs on the calling
@@ -706,7 +694,7 @@ pub(crate) struct Executor<M> {
     /// [`TraceBuilder::snapshot`].
     pub(crate) trace: TraceBuilder,
     /// Barrier rounds the gang walked in the last run — a protocol
-    /// diagnostic: dynamic supersteps cost three, steady-state planned
+    /// diagnostic: dynamic supersteps cost three, cross-shard planned
     /// supersteps one, fused ones none; on failure, the round the gang
     /// exited at. 0 on the serial path.
     pub(crate) rounds: u64,
@@ -730,7 +718,7 @@ impl<M: Send> Executor<M> {
             gang: Gang::new(n_shards),
             core: GangCore {
                 lanes: None,
-                direct: DirectGrid::new(n_shards),
+                handover: [LaneGrid::new(n_shards), LaneGrid::new(n_shards)],
                 barrier: GangBarrier::new(n_shards, None),
                 abort_round: AtomicU64::new(u64::MAX),
             },
@@ -867,16 +855,13 @@ impl<M: Send> GangState<M> {
                     if let Some(tl) = tele {
                         tl.add(Counter::PoolReuses, 1);
                     }
-                    kit.reset(vps);
+                    kit.reset(vps, n_shards);
                     kit
                 }
-                empty => empty.insert(WorkerKit::new(vps)),
+                empty => empty.insert(WorkerKit::new(vps, n_shards)),
             };
-            if !shared.totals.is_empty() {
-                kit.size_direct_tables(n_shards, vps);
-            }
             let states = lock(&seats[w]).take().unwrap_or_default();
-            let mut me = Worker { w, vp_lo: w * vps, vps, states, kit, pending_total: [0; 2] };
+            let mut me = Worker { w, vp_lo: w * vps, vps, states, kit, pending_total: 0 };
             let walked = shard_loop(&mut me, &shared, coord);
             if w == 0 {
                 rounds.store(walked, Ordering::Relaxed);
@@ -1029,6 +1014,20 @@ fn peer_span(w: usize, label: u32, log_shards: u32) -> std::ops::Range<usize> {
     lo..lo + c
 }
 
+/// Whether healthy workers wait at another barrier after superstep `t`:
+/// iff some later step is not fused. A worker that fails where its peers
+/// go on without waiting for it — in a fused step, or in a commit after
+/// its barrier — pays that one wait iff this holds, or it would wait
+/// alone. Two workers failing at *different* such points agree on it:
+/// everything between their two steps must be fused (a barrier in between
+/// would have exited the later worker on the earlier one's abort stamp),
+/// so both see the same first non-fused successor.
+fn peers_wait_again<S, M>(shared: &Shared<'_, S, M>, t: usize) -> bool {
+    shared.prog.steps()[t + 1..]
+        .iter()
+        .any(|s| runnable_plan(s, shared.use_plans).is_none_or(|p| !fused(shared, p)))
+}
+
 /// The per-worker superstep loop (see the module docs for the two barrier
 /// protocols). `coord` is `Some` exactly for worker 0. Returns the number of
 /// barrier rounds walked.
@@ -1039,10 +1038,6 @@ fn shard_loop<S: Send, M: Send>(
 ) -> u64 {
     let mut rounds = 0u64;
     let mut read_idx = 0usize;
-    // Whether the upcoming planned superstep's window is already published
-    // (pipelined prepare). Deterministic across workers on the non-abort
-    // path, so the gang's barrier sequences always agree.
-    let mut prepared = false;
     let steps = shared.prog.steps();
     for (t, step) in steps.iter().enumerate() {
         let plan = step.plan().filter(|_| shared.use_plans);
@@ -1051,8 +1046,8 @@ fn shard_loop<S: Send, M: Send>(
         if let Some(plan) = runnable_plan(step, shared.use_plans).filter(|p| fused(shared, p)) {
             // Every payload stays in this worker's shard, so the step is the
             // serial loop's planned step on the shard: it touches only this
-            // worker's buffers and commits at once — no window, no barrier,
-            // no round consumed (invariant 3).
+            // worker's buffers and commits at once — no hand-over, no
+            // barrier, no round consumed (invariant 3).
             let t0 = span_start(shared, me.w, Site::ShardFusedExec, t);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 fault_check(shared, FAULT_FUSED_EXEC, me.w, t)?;
@@ -1077,18 +1072,7 @@ fn shard_loop<S: Send, M: Send>(
             if !matches!(outcome, Ok(Ok(()))) {
                 let vp = if outcome.is_err() { me.kit.stage.panic_vp() } else { me.vp_lo };
                 settle(shared, me.w, outcome, step.name, vp, rounds + 1);
-                // Healthy peers next wait at `rounds + 1` iff some later
-                // step is non-fused; otherwise they run to completion
-                // without another barrier and so must we. Two workers
-                // failing at *different* fused steps agree on this scan:
-                // everything between their two steps must itself be fused
-                // (a non-fused step in between would have parked the later
-                // worker at its barrier, where the abort stamp exits it),
-                // so both see the same first non-fused successor.
-                let peers_wait_again = steps[t + 1..]
-                    .iter()
-                    .any(|s| runnable_plan(s, shared.use_plans).is_none_or(|p| !fused(shared, p)));
-                if peers_wait_again && gang_wait(shared, me.w, rounds + 1) {
+                if peers_wait_again(shared, t) && gang_wait(shared, me.w, rounds + 1) {
                     rounds += 1;
                 }
                 break;
@@ -1098,66 +1082,34 @@ fn shard_loop<S: Send, M: Send>(
             continue;
         }
 
-        // --- planned path: direct cross-shard scatter, one barrier --------
+        // --- planned path: payloads change hands at one barrier -----------
         if let Some(plan) = runnable_plan(step, shared.use_plans) {
             let widx = 1 - read_idx;
-            if !prepared {
-                // First planned superstep of a run (or after a dynamic
-                // one): publish the windows, then let everyone see them.
-                let t0 = span_start(shared, me.w, Site::ShardPrepare, t);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    fault_check(shared, FAULT_PREPARE, me.w, t)?;
-                    prepare_direct(me, shared, t, plan, widx)
-                }));
-                if matches!(outcome, Ok(Ok(()))) {
-                    span_end(shared, me.w, Site::ShardPrepare, t0);
-                }
-                let vp = if outcome.is_err() { me.kit.stage.panic_vp() } else { me.vp_lo };
-                settle(shared, me.w, outcome, step.name, vp, rounds + 1);
-                if !gang_wait(shared, me.w, rounds + 1) {
-                    break;
-                }
-                rounds += 1;
-                // ordering: SeqCst load — pairs with settle's fetch_min
-                // publication (see that site's justification).
-                if shared.core.abort_round.load(Ordering::SeqCst) <= rounds {
-                    break;
-                }
-            }
-            // A fused successor sizes its own arena; only a cross-shard one
-            // has a window to prepare.
-            let next_plan = steps
-                .get(t + 1)
-                .and_then(|s| runnable_plan(s, shared.use_plans))
-                .filter(|p| !fused(shared, p));
-            let mut prepped_next = false;
-            let t0 = span_start(shared, me.w, Site::ShardExecPlanned, t);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                fault_check(shared, FAULT_EXEC_PLANNED, me.w, t)?;
-                exec_planned(me, shared, step, t, read_idx)?;
-                if let Some(c) = coord.as_mut() {
-                    // Nothing to merge for a planned superstep: push the
-                    // precomputed record here, overlapped with the other
-                    // workers' exec phases — no merge barrier.
-                    push_planned_record(c.trace, c.log.as_deref_mut(), step.label, plan);
-                }
-                if let Some(np) = next_plan {
-                    // Pipeline the next planned superstep's prepare into
-                    // this exec phase: its write arena is this superstep's
-                    // (already consumed) read arena, and its windows land
-                    // in the other parity, so peers mid-exec never observe
-                    // the publication until the barrier below.
-                    fault_check(shared, FAULT_PREPARE, me.w, t + 1)?;
-                    prepare_direct(me, shared, t + 1, np, read_idx)?;
-                    prepped_next = true;
-                }
-                Ok(())
+            let parity = ((rounds + 1) % 2) as usize;
+            // Prepare, then exec: both before the one barrier, each its own
+            // span; a failed prepare skips the exec.
+            let t0 = span_start(shared, me.w, Site::ShardPrepare, t);
+            let mut outcome = catch_unwind(AssertUnwindSafe(|| {
+                fault_check(shared, FAULT_PREPARE, me.w, t)?;
+                prepare_cross(me, shared, step.label, plan, widx)
             }));
             if matches!(outcome, Ok(Ok(()))) {
-                // The pipelined prepare of `t + 1` (when taken) is billed to
-                // this exec span: it is overlapped with peers' exec phases
-                // by construction, never a standalone phase of its own.
-                span_end(shared, me.w, Site::ShardExecPlanned, t0);
+                span_end(shared, me.w, Site::ShardPrepare, t0);
+                let t0 = span_start(shared, me.w, Site::ShardExecPlanned, t);
+                outcome = catch_unwind(AssertUnwindSafe(|| {
+                    fault_check(shared, FAULT_EXEC_PLANNED, me.w, t)?;
+                    exec_cross(me, shared, step, plan, t, read_idx, parity)?;
+                    if let Some(c) = coord.as_mut() {
+                        // Nothing to merge for a planned superstep: push the
+                        // precomputed record here, overlapped with the other
+                        // workers' exec phases — no merge barrier.
+                        push_planned_record(c.trace, c.log.as_deref_mut(), step.label, plan);
+                    }
+                    Ok(())
+                }));
+                if matches!(outcome, Ok(Ok(()))) {
+                    span_end(shared, me.w, Site::ShardExecPlanned, t0);
+                }
             }
             let vp = if outcome.is_err() { me.kit.stage.panic_vp() } else { me.vp_lo };
             settle(shared, me.w, outcome, step.name, vp, rounds + 1);
@@ -1170,35 +1122,32 @@ fn shard_loop<S: Send, M: Send>(
             if shared.core.abort_round.load(Ordering::SeqCst) <= rounds {
                 break;
             }
-            // Peers are past the barrier: every region of this worker's
-            // write arena is full and checked, so publish it to the next
-            // superstep's read phase. This is the one failure point *after*
-            // its barrier (see the module docs): on failure, settle for the
-            // next round and pay exactly one more wait — the round every
-            // healthy peer reaches next — so the gang still exits in
-            // lockstep; at the last superstep there is no next round.
+            // Every sender has handed its lanes over: drain the incoming
+            // ones into this worker's write arena and publish it to the
+            // next superstep's read phase. This is the one failure point
+            // *after* its barrier (see the module docs): on failure, settle
+            // for the next round and pay exactly one more wait — the round
+            // every healthy peer reaches next — so the gang still exits in
+            // lockstep; if no barrier follows, there is none to pay.
             let t0 = span_start(shared, me.w, Site::ShardCommit, t);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 fault_check(shared, FAULT_COMMIT, me.w, t)?;
-                me.kit.arenas[widx].commit_write(me.pending_total[widx]);
-                Ok(())
+                commit_cross(me, shared, step, widx, parity)
             }));
             if !matches!(outcome, Ok(Ok(()))) {
                 let vp = if outcome.is_err() { me.kit.stage.panic_vp() } else { me.vp_lo };
                 settle(shared, me.w, outcome, step.name, vp, rounds + 1);
-                if t + 1 < steps.len() && gang_wait(shared, me.w, rounds + 1) {
+                if peers_wait_again(shared, t) && gang_wait(shared, me.w, rounds + 1) {
                     rounds += 1;
                 }
                 break;
             }
             span_end(shared, me.w, Site::ShardCommit, t0);
-            prepared = prepped_next;
             read_idx = 1 - read_idx;
             continue;
         }
 
         // --- dynamic path: three-barrier lane protocol --------------------
-        prepared = false;
         let Some(lanes) = &shared.core.lanes else {
             unreachable!("the census builds the dynamic tier for every step it does not plan")
         };
@@ -1293,149 +1242,186 @@ fn shard_loop<S: Send, M: Send>(
     rounds
 }
 
-/// Lays out this worker's write arena of parity `widx` for planned
-/// superstep `t` and publishes the window peers will write through:
-/// one enumeration of the shard cluster's declared routes yields the
-/// per-(source shard, destination VP) payload counts, the arena's offset
-/// table (via the ordinary [`Arena::prepare_write`]) and the region
-/// start/cursor tables — the counting sort pre-partitioned by source shard,
-/// so cross-shard delivery order matches the lane path bit for bit.
-fn prepare_direct<S, M: Send>(
+/// Sizes this worker's buffers for a cross-shard planned superstep of sync
+/// label `label`. One enumeration of the shard cluster's declared routes
+/// counts the payloads bound for each of this shard's VPs — checked, a
+/// capped count would mis-size the arena — which the ordinary
+/// [`Arena::prepare_write`] turns into write arena `widx`'s inbox ranges
+/// and cursors; the same pass counts this shard's payloads per destination
+/// shard, and each out-lane reserves its count, so a lane is allocated
+/// once at its size instead of growing into it.
+fn prepare_cross<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
-    t: usize,
+    label: u32,
     plan: &StepPlan,
     widx: usize,
 ) -> Result<(), ModelError> {
     debug_assert!(!fused(shared, plan), "a fused step sizes its own arena");
     // The cluster span is sound without runtime validation: the plan is
     // fault-free, so every declared (src, dst) pair was proven
-    // cluster-legal at compile time. (Sends *diverging* from the
-    // declaration are caught by the writer's span/region checks.)
-    let span = peer_span(me.w, shared.prog.steps()[t].label, shared.log_shards);
-    let (lo, hi) = (span.start, span.end);
-    let vps = me.vps;
+    // cluster-legal at compile time.
+    let span = peer_span(me.w, label, shared.log_shards);
     let shard_shift = shared.log_v - shared.log_shards;
-    let w = me.w;
-    let vp_lo = me.vp_lo;
-
-    // Counting pass: rows `lo..hi` of the start table accumulate
-    // per-(source shard, destination) payload counts while `dst_counts`
-    // (all-zero here, as always between supersteps) accumulates the
-    // per-destination totals — checked, a capped count would corrupt the
-    // prefix sums the unsafe scatter trusts.
-    let tabs = &mut me.kit.direct_tabs[widx];
-    tabs.starts[lo * vps..hi * vps].fill(0);
+    let (w, vp_lo, vps) = (me.w, me.vp_lo, me.vps);
+    // `dst_counts` is all-zero here, as always between supersteps.
+    let dst_counts = &mut me.kit.dst_counts;
+    let mut outgoing = [0usize; MAX_WORKERS];
     let mut err = None;
-    {
-        let dst_counts = &mut me.kit.dst_counts;
-        let starts = &mut tabs.starts;
-        plan.for_each_message(lo * vps..hi * vps, |src, dst, data| {
-            if !data || err.is_some() {
-                return;
-            }
-            if dst >> shard_shift != w {
-                return; // a peer's arena lays this one out
-            }
-            let d_rel = dst - vp_lo;
-            if let Err(e) = bump_count(&mut dst_counts[d_rel]) {
+    plan.for_each_message(span.start * vps..span.end * vps, |src, dst, data| {
+        if !data || err.is_some() {
+            return;
+        }
+        if src >> shard_shift == w {
+            outgoing[dst >> shard_shift] += 1;
+        }
+        if dst >> shard_shift == w {
+            if let Err(e) = bump_count(&mut dst_counts[dst - vp_lo]) {
                 err = Some(e);
-                return;
             }
-            starts[(src >> shard_shift) * vps + d_rel] += 1;
-        });
-    }
+        }
+    });
     if let Some(e) = err {
         return Err(e);
     }
-
-    // Offsets + slab sizing; `me.kit.cursors[d]` becomes each destination's
-    // inbox base and `dst_counts` is re-zeroed (the engine invariant).
-    let total = me.kit.arenas[widx].prepare_write(&mut me.kit.dst_counts, &mut me.kit.cursors);
-
-    // Prefix transform: region (s, d) starts where region (s - 1, d)
-    // ends; `me.kit.cursors` carries the running per-destination position and
-    // finishes at each inbox's end, which becomes the terminal bounds row.
-    let tabs = &mut me.kit.direct_tabs[widx];
-    for s in lo..hi {
-        let row = s * vps;
-        for (d, acc) in me.kit.cursors[..vps].iter_mut().enumerate() {
-            let cnt = tabs.starts[row + d];
-            tabs.starts[row + d] = *acc;
-            tabs.cursors[row + d] = *acc;
-            *acc += cnt;
-        }
+    for (lane, &n) in me.kit.outs.iter_mut().zip(&outgoing) {
+        lane.reserve(n);
     }
-    tabs.starts[hi * vps..(hi + 1) * vps].copy_from_slice(&me.kit.cursors[..vps]);
-
-    let (slab, _offsets) = me.kit.arenas[widx].split_for_scatter(total);
-    let tabs = &mut me.kit.direct_tabs[widx];
-    // The full cursor table is published; peers only touch their own rows,
-    // and only rows in the (symmetric) cluster span carry fresh regions —
-    // the writer's span check keeps stale rows unreachable.
-    let window = DirectWindow::new(slab, &tabs.starts, &mut tabs.cursors, vp_lo as u32);
-    me.pending_total[widx] = total;
-    // SAFETY: prepare phase for parity `widx` — this worker owns its window
-    // slot, peers read it only after the next barrier, and the previous
-    // window of this parity has no remaining readers (parity alternation);
-    // invariant 4.
-    unsafe { shared.core.direct.publish(widx, w, window) };
+    me.pending_total =
+        me.kit.arenas[widx].prepare_write(&mut me.kit.dst_counts, &mut me.kit.cursors);
     Ok(())
 }
 
-/// Executes one planned superstep on this worker's VPs — one call of the
-/// step's chunk kernel ([`crate::program::ChunkKernel`]) over the shard —
-/// with the cross-shard direct writer armed: payloads land straight in the
-/// destination shards' arenas. Before anyone commits, the worker checks its
-/// sends: the writer's exact checks (machine range, cluster span, region
-/// bounds, a payload past the route's last slot) and the written total
-/// against its row of [`Program::send_totals`]. Like every rejection, a
-/// failed check leaves the written payloads uncommitted and leaked.
-fn exec_planned<S, M: Send>(
+/// Executes one cross-shard planned superstep on this worker's VPs — one
+/// call of the step's chunk kernel ([`crate::program::ChunkKernel`]) over
+/// the shard — with the [`CrossOut`] writer armed over the worker's
+/// out-lanes. Then it checks its sends — the writer's exact checks
+/// (machine range, cluster span, a payload past the route's last slot) and
+/// the written total against its row of [`Program::send_totals`] — and
+/// only if all pass, swaps each out-lane of the span into its hand-over
+/// slot of this barrier round's `parity`. A rejected step is caught here,
+/// before the barrier, so no receiver commits any of it; its payloads stay
+/// in the out-lanes and leak.
+fn exec_cross<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
     step: &Superstep<S, M>,
+    plan: &StepPlan,
     t: usize,
     read_idx: usize,
+    parity: usize,
 ) -> Result<(), ModelError> {
-    let widx = 1 - read_idx;
     let span = peer_span(me.w, step.label, shared.log_shards);
     let shard_shift = shared.log_v - shared.log_shards;
-    // SAFETY: exec phase — every window of parity `widx` in the span was
-    // published before the barrier this phase follows, and cursor row
-    // `me.w` of those windows is this worker's exclusively until the next
-    // barrier (invariant 4).
-    let sink = unsafe {
-        DirectShard::new(&shared.core.direct, widx, me.w, span, shard_shift, me.vps, shared.v)
-    };
+    let lanes = std::mem::take(&mut me.kit.outs);
+    let sink = CrossOut::new(lanes, span.clone(), shard_shift, shared.v);
     me.kit.stage.direct = Some(DirectSink::Cross(sink));
-
     {
         let read = &mut me.kit.arenas[read_idx];
         let (slab, offsets) = read.take_read();
         let base = Ctx { vp: me.vp_lo, v: shared.v, log_v: shared.log_v, n: shared.prog.n() };
         step.kernel().run_chunk(&step.exec, base, me.states, slab, offsets, &mut me.kit.stage);
     }
-
     let Some(DirectSink::Cross(out)) = me.kit.stage.direct.take() else {
         unreachable!("a cross-shard planned step arms a cross-shard sink")
     };
-    if let Some((vp, reason)) = out.fault_info() {
+    let (lanes, written, fault) = out.finish();
+    me.kit.outs = lanes;
+    if let Some((vp, reason)) = fault {
         return Err(ModelError::PlanMismatch { step: step.name, vp, reason });
     }
-    if out.written() != shared.totals[t * shared.n_shards + me.w] {
-        // Region capacities sum to the declared total, so a shortfall means
-        // some region of ours was left short: blame the first starved
-        // receiver (the sender is unknown, the starved inbox is not).
-        // SAFETY: still this worker's exec phase — reads only its own
-        // cursor rows and the immutable region tables.
-        let vp = unsafe { out.first_starved() }.unwrap_or(me.vp_lo);
+    if written != shared.totals[t * shared.n_shards + me.w] {
+        // Blame the first starved receiver: the sender is unknown, the
+        // starved inbox is not.
+        let srcs = me.vp_lo..me.vp_lo + me.vps;
+        let dsts = span.start * me.vps..span.end * me.vps;
+        let vp = starved_inbox(plan, srcs, dsts, &me.kit.outs).unwrap_or(me.vp_lo);
         return Err(ModelError::PlanMismatch {
             step: step.name,
             vp,
             reason: "destination received fewer payload messages than the route declares",
         });
     }
+    // An empty out-lane stays: the slot it would replace is empty too (its
+    // receiver drained it), and swapping it would trade the lane's capacity
+    // for the slot's.
+    let slots = &shared.core.handover[parity];
+    for ds in span {
+        let out = &mut me.kit.outs[ds];
+        if !out.dsts.is_empty() {
+            std::mem::swap(&mut *slots.lane(me.w, ds), out);
+        }
+    }
+    Ok(())
+}
+
+/// The lowest destination VP to which the sources `srcs` sent fewer
+/// payloads (the out-lanes `sent`) than `plan` declares — the failure path
+/// of [`exec_cross`]'s written-total check. Every declared and every sent
+/// destination lies in the cluster's VPs `dsts`: the route is proven
+/// cluster-legal, and the writer refused any send outside the span.
+fn starved_inbox<M>(
+    plan: &StepPlan,
+    srcs: std::ops::Range<usize>,
+    dsts: std::ops::Range<usize>,
+    sent: &[Lane<ManuallyDrop<M>>],
+) -> Option<usize> {
+    let mut owed = vec![0i64; dsts.len()];
+    plan.for_each_message(srcs, |_, dst, data| {
+        if data {
+            owed[dst - dsts.start] += 1;
+        }
+    });
+    for &dst in sent.iter().flat_map(|lane| &lane.dsts) {
+        owed[dst as usize - dsts.start] -= 1;
+    }
+    owed.iter().position(|&n| n > 0).map(|d| dsts.start + d)
+}
+
+/// Drains the hand-over slots of `parity` addressed to this worker, in
+/// ascending source-shard order, into the write arena `widx` sized by
+/// [`prepare_cross`] — `gather`'s drain with the counts from the plan —
+/// and commits it. Every payload takes its destination's next slot,
+/// bounds-checked against the destination's inbox range; an inbox that
+/// would over- or under-fill commits nothing (its payloads leak) and is
+/// a [`ModelError::PlanMismatch`] naming it.
+fn commit_cross<S, M: Send>(
+    me: &mut Worker<'_, S, M>,
+    shared: &Shared<'_, S, M>,
+    step: &Superstep<S, M>,
+    widx: usize,
+    parity: usize,
+) -> Result<(), ModelError> {
+    let (vp_lo, total) = (me.vp_lo, me.pending_total);
+    let cursors = &mut me.kit.cursors;
+    let write = &mut me.kit.arenas[widx];
+    let (slab, offsets) = write.split_for_scatter(total);
+    let (mut written, mut over) = (0usize, None);
+    for s in peer_span(me.w, step.label, shared.log_shards) {
+        shared.core.handover[parity].lane(s, me.w).drain_deliveries(|dst, m| {
+            let d = dst as usize - vp_lo;
+            let cur = cursors[d];
+            if cur < offsets[d + 1] {
+                slab[cur as usize].write(ManuallyDrop::into_inner(m));
+                cursors[d] = cur + 1;
+                written += 1;
+            } else {
+                over.get_or_insert(dst as usize);
+            }
+        });
+    }
+    let mismatch = |vp, reason| Err(ModelError::PlanMismatch { step: step.name, vp, reason });
+    if let Some(vp) = over {
+        return mismatch(vp, "more payload messages to a destination than planned");
+    }
+    if written != total {
+        let d = (0..me.vps).find(|&d| cursors[d] < offsets[d + 1]).unwrap_or(0);
+        return mismatch(
+            vp_lo + d,
+            "destination received fewer payload messages than the route declares",
+        );
+    }
+    write.commit_write(total);
     Ok(())
 }
 
@@ -1590,6 +1576,7 @@ mod tests {
     use super::*;
     use crate::mailbox::Inbox;
     use crate::plan::{DeclaredRoute, Route, Xor};
+    use std::sync::atomic::AtomicU8;
 
     #[test]
     fn peer_spans_follow_labels() {
@@ -1682,14 +1669,13 @@ mod tests {
     #[test]
     fn planned_supersteps_cost_exactly_one_barrier() {
         // Three tiers on the same program: dynamic costs three barriers per
-        // superstep, the fuse-off planned protocol exactly one per step
-        // (+1 initial prepare), and the fused tier removes the barrier
-        // entirely from every superstep whose payload locality clears the
-        // shard depth. The butterfly's labels cycle 0,1,2,3 with matching
-        // exchange distances, so at 2 shards only the label-0 steps
-        // (r ∈ {0, 4}) stay cross-shard (2 barriers each incl. the
-        // prepare), and at 4 shards the label-1 steps join them
-        // (r ∈ {0, 1, 4, 5}; r = 1 and 5 ride a pipelined prepare).
+        // superstep, the fuse-off planned protocol exactly one per step,
+        // and the fused tier removes the barrier entirely from every
+        // superstep whose payload locality clears the shard depth. The
+        // butterfly's labels cycle 0,1,2,3 with matching exchange
+        // distances, so at 2 shards only the label-0 steps (r ∈ {0, 4})
+        // stay cross-shard, one barrier each, and at 4 shards the label-1
+        // steps join them (r ∈ {0, 1, 4, 5}).
         let (v, rounds) = (16usize, 9usize);
         let planned = planned_butterfly(v, rounds);
         let dynamic = dynamic_butterfly(v, rounds);
@@ -1699,7 +1685,7 @@ mod tests {
             assert_eq!(b, 3 * rounds as u64, "dynamic protocol is three barriers per step");
             states
         };
-        for (w, fused_barriers) in [(2usize, 4u64), (4, 6)] {
+        for (w, fused_barriers) in [(2usize, 2u64), (4, 4)] {
             let mut states: Vec<u64> = (0..v as u64).collect();
             let (b, trace) = run_counting(&planned, &mut states, w, &RunOptions::default());
             assert_eq!(
@@ -1714,9 +1700,8 @@ mod tests {
             let opts = RunOptions { fuse: false, ..Default::default() };
             let (b, trace) = run_counting(&planned, &mut states, w, &opts);
             assert_eq!(
-                b,
-                rounds as u64 + 1,
-                "fuse-off planned protocol must cost one barrier per step (+1 initial prepare) at {w} workers"
+                b, rounds as u64,
+                "fuse-off planned protocol must cost one barrier per step at {w} workers"
             );
             assert_eq!(states, want, "fuse-off results diverge at {w} workers");
             assert_eq!(trace.superstep_count(), rounds);
@@ -1730,7 +1715,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_programs_pay_one_prepare_barrier_per_dynamic_to_planned_edge() {
+    fn mixed_programs_pay_no_barrier_on_a_dynamic_to_planned_edge() {
         let v = 16usize;
         let mut prog: Program<u64, u64> = Program::new(v, v);
         let d = v / 2;
@@ -1751,8 +1736,9 @@ mod tests {
             out.send(*st);
         }
         let route = Xor(d);
-        // dynamic, planned, planned, dynamic-consume:
-        // 3 + (1 + 1) + 1 + 3 = 9 barriers.
+        // dynamic, planned, planned, dynamic-consume: 3 + 1 + 1 + 3 = 8
+        // barriers — a planned step after a dynamic one needs no prepare
+        // barrier, since no sender needs its receivers' layout.
         prog.step(0, "dyn", move |st, ctx, inbox, out| {
             absorb(st, inbox);
             out.send(ctx.vp ^ d, *st);
@@ -1762,7 +1748,138 @@ mod tests {
         prog.step(0, "consume", move |st, _, inbox, _| absorb(st, inbox));
         let mut states: Vec<u64> = (0..v as u64).collect();
         let (b, _) = run_counting(&prog, &mut states, 2, &RunOptions::default());
-        assert_eq!(b, 9, "prepare pipelining must skip the extra barrier between planned steps");
+        assert_eq!(b, 8, "a cross-shard planned step costs exactly its one barrier");
+    }
+
+    /// Payload ids of [`cross_shard_payloads_change_hands_at_the_barrier`]:
+    /// `(step · v + vp) · 2 + k` for the `k`-th send of `vp` in step `step`.
+    const HANDOVER_V: usize = 1 << 6;
+    const HANDOVER_STEPS: usize = 11;
+    static HANDOVER_MADE: [AtomicU8; HANDOVER_STEPS * HANDOVER_V * 2] =
+        [const { AtomicU8::new(0) }; HANDOVER_STEPS * HANDOVER_V * 2];
+    static HANDOVER_DROPS: [AtomicU8; HANDOVER_STEPS * HANDOVER_V * 2] =
+        [const { AtomicU8::new(0) }; HANDOVER_STEPS * HANDOVER_V * 2];
+
+    /// A payload that records its creation and its drop, once per id.
+    struct Counted {
+        id: usize,
+        val: u64,
+    }
+
+    impl Counted {
+        fn new(id: usize, val: u64) -> Self {
+            HANDOVER_MADE[id].fetch_add(1, Ordering::SeqCst);
+            Counted { id, val }
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            HANDOVER_DROPS[self.id].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Eleven declared steps on `M(2^6)`: seven with labels cycling 0, 1,
+    /// 2 whose payloads cross the label's half-clusters — each VP sends one
+    /// payload to its partner there, declares a dummy, then sends one to
+    /// itself (an out-lane to the sender's own shard) — with shard-local
+    /// steps (labels 4 and 5, partner `vp ^ 2` or `vp ^ 1`) between some
+    /// of them, and a final payload-free consume. Every state folds its
+    /// inbox in order, so any delivery-order slip shows in the states.
+    fn handover_program() -> (Program<u64, Counted>, Vec<(u32, bool)>) {
+        let v = HANDOVER_V;
+        // (label, crosses the label's half-clusters)
+        let schedule = [
+            (0, true),
+            (1, true),
+            (5, false),
+            (2, true),
+            (0, true),
+            (4, false),
+            (5, false),
+            (1, true),
+            (2, true),
+            (0, true),
+        ];
+        let mut prog: Program<u64, Counted> = Program::new(v, v);
+        for (t, &(label, cross)) in schedule.iter().enumerate() {
+            let partner = if cross { v >> (label + 1) } else { 1 << (5 - label) };
+            let route = move |ctx: &Ctx, k: usize| match k {
+                0 => Route::Data(ctx.vp ^ partner),
+                1 => Route::Dummy(ctx.vp ^ 1),
+                _ => Route::Data(ctx.vp),
+            };
+            prog.step_oblivious(label, "handover", 3, route, move |st, ctx, inbox, out| {
+                for m in inbox.drain(..) {
+                    *st = st.wrapping_mul(31).wrapping_add(m.val);
+                }
+                for k in 0..2 {
+                    let id = (t * v + ctx.vp) * 2 + k;
+                    out.send(Counted::new(id, st.wrapping_add(k as u64)));
+                }
+            });
+        }
+        prog.step_oblivious(
+            3,
+            "consume",
+            0,
+            |_: &Ctx, _| Route::End,
+            |st, _, inbox, _| {
+                for m in inbox.drain(..) {
+                    *st = st.wrapping_mul(31).wrapping_add(m.val);
+                }
+            },
+        );
+        let labels = prog.steps().iter().map(|s| s.label).collect::<Vec<_>>();
+        let crossing = schedule.iter().map(|&(_, c)| c).chain([false]);
+        (prog, labels.into_iter().zip(crossing).collect())
+    }
+
+    #[test]
+    fn cross_shard_payloads_change_hands_at_the_barrier() {
+        let (prog, steps) = handover_program();
+        assert_eq!(steps.len(), HANDOVER_STEPS);
+        let v = HANDOVER_V;
+        let init: Vec<u64> = (0..v as u64).map(|x| x * 7 + 3).collect();
+        let want = crate::reference::run_reference(&prog, init.clone(), &RunOptions::with_log())
+            .expect("reference run");
+        for w in [2usize, 4, 8] {
+            let log_shards = w.trailing_zeros();
+            for fuse in [true, false] {
+                let what = format!("w = {w}, fuse = {fuse}");
+                for id in 0..HANDOVER_MADE.len() {
+                    HANDOVER_MADE[id].store(0, Ordering::SeqCst);
+                    HANDOVER_DROPS[id].store(0, Ordering::SeqCst);
+                }
+                let opts = RunOptions { fuse, ..RunOptions::with_log() };
+                let mut states = init.clone();
+                let mut exec = Executor::new(w);
+                let log = exec.attempt(&prog, &mut states, &opts, w).expect(&what);
+                assert_eq!(states, want.states, "{what}: states");
+                assert_eq!(exec.trace.snapshot(), want.trace, "{what}: trace");
+                assert_eq!(log, want.message_log, "{what}: message log");
+                // One barrier per planned step that is not fused: every
+                // step if fusion is off, else each step whose payloads
+                // cross the shards (label below the shard depth).
+                let non_fused = steps
+                    .iter()
+                    .filter(|&&(label, cross)| !fuse || (cross && label < log_shards))
+                    .count();
+                assert_eq!(exec.rounds, non_fused as u64, "{what}: barrier rounds");
+                drop(exec);
+                for id in 0..HANDOVER_MADE.len() {
+                    let made = HANDOVER_MADE[id].load(Ordering::SeqCst);
+                    let dropped = HANDOVER_DROPS[id].load(Ordering::SeqCst);
+                    assert!(
+                        made <= 1 && dropped == made,
+                        "{what}: payload {id} made {made}, dropped {dropped}"
+                    );
+                }
+                let made: usize =
+                    HANDOVER_MADE.iter().map(|m| m.load(Ordering::SeqCst) as usize).sum();
+                assert_eq!(made, (HANDOVER_STEPS - 1) * v * 2, "{what}: payloads sent");
+            }
+        }
     }
 
     #[test]
@@ -1806,15 +1923,39 @@ mod tests {
             assert_eq!(rounds, 0, "fused gang must exit without any barrier at {w} workers");
         }
 
-        // Fusion off (the one-barrier protocol): the prepare barrier is
-        // round 1, the panicking exec settles before round 2 — the exit.
+        // Fusion off (the one-barrier protocol): the panicking exec settles
+        // before round 1 — the exit.
         for w in [2usize, 4, 8] {
             let mut states = vec![0u64; v];
             let opts = RunOptions { fuse: false, ..Default::default() };
             let (rounds, _, outcome) = run_raw(&planned, &mut states, w, &opts);
             assert_eq!(outcome.unwrap_err(), want, "planned error diverges at {w} workers");
-            assert_eq!(rounds, 2, "planned gang must exit at the exec barrier at {w} workers");
+            assert_eq!(rounds, 1, "planned gang must exit at the exec barrier at {w} workers");
         }
+    }
+
+    #[test]
+    fn a_failed_commit_followed_only_by_fused_steps_exits_without_waiting() {
+        // At 2 shards only the butterfly's first step crosses them; the
+        // three after it are fused, so healthy peers meet no barrier again.
+        // A worker whose commit fails must not wait for one: with no
+        // watchdog armed it would wait forever.
+        let v = 16usize;
+        let prog = planned_butterfly(v, 4);
+        let faults = Some(Arc::new(FaultPlan::error_at(FAULT_COMMIT, 1, 0)));
+        let opts = RunOptions { faults, ..Default::default() };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut states: Vec<u64> = (0..v as u64).collect();
+            let _ = tx.send(run_raw(&prog, &mut states, 2, &opts));
+        });
+        let (rounds, _, outcome) =
+            rx.recv_timeout(Duration::from_secs(60)).expect("the gang must exit without a peer");
+        assert!(
+            matches!(outcome, Err(ModelError::FaultInjected { site: FAULT_COMMIT, .. })),
+            "{outcome:?}"
+        );
+        assert_eq!(rounds, 1, "the gang exits after the cross-shard step's one barrier");
     }
 
     #[test]
