@@ -56,11 +56,13 @@
 //! * **Sharded** (`crate::shard`): `n` persistent workers each own a
 //!   contiguous VP shard — its states, arenas, staging and, for a run with
 //!   a dynamic superstep, a private metrics builder that meters what the
-//!   shard sends — and exchange the messages of dynamic supersteps through
-//!   lanes between the shards a superstep's label lets talk. The
-//!   inter-superstep barrier is a per-lane handoff plus an `O(shards · v)`
-//!   sum of the shard builders instead of a global counting sort (planned
-//!   supersteps keep one barrier and merge nothing). A shard is laid out
+//!   shard sends — and hand the payloads that cross shards over at a
+//!   barrier, through lanes between the shards a superstep's label lets
+//!   talk. A dynamic superstep costs two barriers — the hand-over, then a
+//!   shard-local counting sort on each worker and an `O(shards · v)` sum
+//!   of the shard builders on the coordinator — instead of a global
+//!   counting sort; a planned one costs one barrier and merges nothing,
+//!   and a fused one none. A shard is laid out
 //!   like a processor of the paper's folding: worker `w` of `n` simulates
 //!   the `v/n` consecutive VPs starting at `w·v/n`.
 //!
@@ -93,8 +95,8 @@
 //! Deciding up front rather than at the first dynamic step keeps every
 //! allocation out of the superstep loop (`tests/allocation.rs`). The sharded
 //! executor takes the same census per run: its dynamic tier — each shard's
-//! metrics builder and the lanes — exists only for a run that has a step
-//! without a runnable plan.
+//! metrics builder — exists only for a run that has a step without a
+//! runnable plan.
 //!
 //! # Invariants
 //!
@@ -609,18 +611,13 @@ pub(crate) fn run_planned_step<S, M: Send>(
         b.fill(0);
     }
 
-    // Arm the direct writer over the write arena's freshly sized slab.
+    // Arm the direct writer over the write arena's freshly sized slab. The
+    // slot is empty between planned steps: forgetting what `replace`
+    // returns keeps the sink's drop glue out of this function.
     {
         let (wslab, woffsets) = write.split_for_scatter(total);
-        stage.direct = Some(DirectSink::Local(DirectOut::new(
-            wslab,
-            cursors,
-            woffsets,
-            uniform_k,
-            bits.as_deref_mut(),
-            base,
-            v,
-        )));
+        let out = DirectOut::new(wslab, cursors, woffsets, uniform_k, bits.as_deref_mut(), base, v);
+        std::mem::forget(stage.direct.replace(DirectSink::Local(out)));
     }
 
     // Execute the chunk through the step's kernel, carving inboxes out of
@@ -631,7 +628,12 @@ pub(crate) fn run_planned_step<S, M: Send>(
 
     let (written, fault) = match stage.direct.take() {
         Some(DirectSink::Local(d)) => d.finish(),
-        _ => unreachable!("a one-arena planned step arms a local sink"),
+        // Forgotten like the write-back above: dropping it here would put
+        // the cross-shard sink's drop glue into this function.
+        other => {
+            std::mem::forget(other);
+            unreachable!("a one-arena planned step arms a local sink")
+        }
     };
     if let Some((vp, reason)) = fault {
         return Err(ModelError::PlanMismatch { step: step.name, vp, reason });

@@ -23,7 +23,7 @@
 //! where the step's traffic stays:
 //!
 //! 1. **Dynamic** — no plan. The engine discovers the pattern message by
-//!    message; three barriers per superstep on the sharded path.
+//!    message; two barriers per superstep on the sharded path.
 //! 2. **Planned** — a compiled [`plan::StepPlan`] (declared or captured).
 //!    Analytic metrics, direct-write scatter, one barrier per superstep.
 //! 3. **Fused** — a planned step whose payloads provably stay within each
@@ -139,26 +139,27 @@
 //!   for the call (threads spawned and joined per run), a server keeps
 //!   one until it drops. Width 1 is the same entry running the serial
 //!   loop on the calling thread.
-//! * **Lanes** ([`mailbox`]): the messages of *dynamic* supersteps travel
-//!   through one structure-of-arrays lane per (source, destination) shard
-//!   pair, shard-internal ones through the diagonal — a compact destination
-//!   stream separate from the payload stream, so the receiver's counting
-//!   scan never touches payload bytes. Lanes carry payloads only: the
-//!   paper's dummy messages are metered by their sender and go nowhere. A
-//!   superstep's label bounds which pairs are active: an `i`-superstep only
-//!   connects shards sharing the top `i` shard-index bits, and supersteps
-//!   with `label ≥ log n` use the diagonal alone. The lanes and the
-//!   builders are built only for a run that has a dynamic superstep.
-//! * **Barrier = handoff + merge** (dynamic supersteps): the
-//!   inter-superstep barrier hands every lane from its sender to its
-//!   receiver, as `M(v)` hands a superstep's messages over at its `sync`
-//!   (send phase fills lane rows, gather phase drains lane columns; each
-//!   lane is a `Mutex` the barrier keeps uncontended) plus an `O(n · v)`
-//!   sum of the shard builders, whose counts are additive
-//!   ([`nob_core::metrics::StepMetricsBuilder::add`]) — replacing the
-//!   global counting sort in which every worker re-scanned the entire
-//!   staging buffer.
-//!   Three barriers per superstep: flush, gather, merge.
+//! * **Lanes** ([`mailbox`]): the payloads of every superstep that is not
+//!   fused — dynamic or planned — travel through one structure-of-arrays
+//!   lane per (source, destination) shard pair, shard-internal ones
+//!   through the diagonal — a compact destination stream separate from the
+//!   payload stream, so the receiver's counting scan never touches payload
+//!   bytes. Lanes carry payloads only: the paper's dummy messages are
+//!   metered by their sender and go nowhere. A superstep's label bounds
+//!   which pairs are active: an `i`-superstep only connects shards sharing
+//!   the top `i` shard-index bits, and supersteps with `label ≥ log n` use
+//!   the diagonal alone. Each worker fills its own out-lanes and swaps them
+//!   into hand-over slots before a barrier; each receiver drains its slots
+//!   after it (each slot is a `Mutex` the barrier keeps uncontended), as
+//!   `M(v)` hands a superstep's messages over at its `sync`.
+//! * **Two barriers** (dynamic supersteps): after the hand-over barrier
+//!   every worker counts and drains its incoming slots into its own arena —
+//!   a shard-local counting sort — and the coordinator adds up the shard
+//!   builders in `O(n · v)` (their counts are additive,
+//!   [`nob_core::metrics::StepMetricsBuilder::add`]), replacing the global
+//!   counting sort in which every worker re-scanned the entire staging
+//!   buffer; the second barrier closes the superstep. The builders are
+//!   built only for a run that has a dynamic superstep.
 //! * **One barrier** (planned supersteps): a superstep with a compiled
 //!   plan skips staging, metering and merge. Each worker sizes its own
 //!   write arena from the declared routes of its shard cluster, runs its
@@ -207,10 +208,10 @@
 //! once, however many payloads the bodies sent. Every message that crosses
 //! shards changes hands in a lane, with no `unsafe` at all: each lane is a
 //! `Mutex` over plain `Vec`s, filled before a barrier and drained after it.
-//! A dynamic superstep's lanes drop abandoned messages through ordinary
-//! destructors; a cross-shard planned superstep's (`mailbox::CrossOut`)
-//! carry `ManuallyDrop` payloads, so a rejected step's leak, as the
-//! one-arena writer's do.
+//! Lanes carry `ManuallyDrop` payloads, so they add no drop glue to the
+//! planned kernels that fill them: messages a failed run left in them are
+//! dropped when the next run on the same executor empties the lanes, and
+//! leak if the executor is dropped first.
 //!
 //! ## Robustness
 //!

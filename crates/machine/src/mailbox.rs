@@ -37,14 +37,14 @@
 //! * `Lane` / `LaneGrid` — the sharded executor's hand-over buffers, one
 //!   lane per (source shard, destination shard) pair, shard-internal
 //!   traffic on the diagonal, staged in structure-of-arrays form
-//!   (destinations separate from payloads). They serve both tiers: the
-//!   *dynamic* tier's lanes carry payload messages only (the sender meters
-//!   every message, so a dummy never leaves its shard), and the planned
-//!   tier's cross-shard steps hand their `CrossOut` lanes over through two
-//!   more grids, alternating by barrier round. Each lane is a `Mutex`:
-//!   its sender fills it before a barrier and its receiver drains it
-//!   after, so the locks are never contended and the handover needs no
-//!   `unsafe`.
+//!   (destinations separate from payloads). One lane system serves both
+//!   tiers: each worker fills its own out-lanes — a dynamic step's flush
+//!   with payload messages only (the sender meters every message, so a
+//!   dummy never leaves its shard), a cross-shard planned step through
+//!   `CrossOut` — and swaps them into two slot grids, alternating by
+//!   barrier round. Each slot is a `Mutex`: its sender fills it before a
+//!   barrier and its receiver drains it after, so the locks are never
+//!   contended and the handover needs no `unsafe`.
 //!
 //! # Safety invariants
 //!
@@ -803,9 +803,9 @@ impl<M> DirectSink<M> {
 /// and the machine-range check — plus the cluster-span check: a send
 /// outside the superstep's shard cluster (impossible while destinations
 /// come from the route, which was cluster-proven at compile time) faults.
-/// Payloads travel as `ManuallyDrop<M>`, so a lane abandoned by a rejected
-/// superstep leaks them, never drops them — the policy of the one-arena
-/// writer.
+/// Payloads travel as `ManuallyDrop<M>`: a lane abandoned by a rejected
+/// superstep keeps them until the executor's next reset drops them (see
+/// [`Lane`]); they are never delivered.
 pub(crate) struct CrossOut<M> {
     /// One out-lane per shard of the gang; only the span's are written.
     lanes: Vec<Lane<ManuallyDrop<M>>>,
@@ -856,9 +856,10 @@ impl<M> CrossOut<M> {
 /// One message lane: the staged payloads `T` of a single (source shard →
 /// destination shard) pair for the current superstep, in send order.
 /// Dummies never enter one: their sender has metered them, and nothing
-/// delivers them. The dynamic tier's lanes carry `M`; the planned tier's
-/// carry `ManuallyDrop<M>`, whose abandoned payloads leak (see
-/// [`CrossOut`]).
+/// delivers them. The executor's lanes carry `ManuallyDrop<M>`, so a lane
+/// has no drop glue to put into the kernels that fill it: its payloads
+/// are dropped only by a drain or by [`Lane::clear`], and a lane dropped
+/// with payloads in it leaks them.
 ///
 /// Destinations and payloads are parallel sequences, so the gather's
 /// counting scan streams through 4-byte destinations whatever the message
@@ -905,11 +906,15 @@ impl<T> Lane<T> {
         }
         self.dsts.clear();
     }
+}
 
-    /// Empties the lane, keeping its capacity.
+impl<M> Lane<ManuallyDrop<M>> {
+    /// Empties the lane, dropping its payloads and keeping its capacity.
     pub(crate) fn clear(&mut self) {
         self.dsts.clear();
-        self.payloads.clear();
+        for m in self.payloads.drain(..) {
+            drop(ManuallyDrop::into_inner(m));
+        }
     }
 }
 
@@ -917,13 +922,14 @@ impl<T> Lane<T> {
 /// shard, shared by all executor workers.
 ///
 /// A lane changes hands at the barrier, as a superstep's messages do in
-/// `M(v)`: lane `(s, d)` is filled by worker `s` before a barrier — during
-/// a dynamic superstep's flush, or by swapping in its out-lane after a
+/// `M(v)`: lane `(s, d)` is filled by worker `s` before a barrier — by
+/// swapping in its out-lane after a dynamic superstep's flush or a
 /// cross-shard planned exec — and drained by worker `d` after it, and the
 /// executor's barrier separates the two phases. So the lock of a lane is
 /// never contended; it makes the handover checkable instead of argued. A
-/// flush locks again only when its destination shard changes, a hand-over
-/// locks each lane of its span once, and a drain too, never per message.
+/// hand-over locks each non-empty lane once, a drain each lane of its span
+/// once (a dynamic gather twice: it counts, then drains), never per
+/// message.
 pub(crate) struct LaneGrid<T> {
     lanes: Vec<Mutex<Lane<T>>>,
     shards: usize,
@@ -940,11 +946,13 @@ impl<T> LaneGrid<T> {
         debug_assert!(src < self.shards && dst < self.shards);
         lock(&self.lanes[src * self.shards + dst])
     }
+}
 
-    /// Empties every lane, keeping capacities — the between-jobs reset of a
-    /// pooled grid. A job that aborted mid-superstep can leave staged
-    /// messages behind; clearing them here (payloads dropped, or leaked if
-    /// `T` is a `ManuallyDrop`) keeps them out of the next job's drains.
+impl<M> LaneGrid<ManuallyDrop<M>> {
+    /// Empties every lane, dropping the payloads and keeping capacities —
+    /// the between-jobs reset of a pooled grid. A job that aborted
+    /// mid-superstep can leave staged messages behind; clearing them here
+    /// keeps them out of the next job's drains.
     pub(crate) fn clear_all(&mut self) {
         for lane in &mut self.lanes {
             lane.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
@@ -1043,14 +1051,18 @@ mod tests {
             }
         }
         DROPS.store(0, Ordering::SeqCst);
+        let mut grid: LaneGrid<ManuallyDrop<Tracked>> = LaneGrid::new(2);
         {
-            let grid: LaneGrid<Tracked> = LaneGrid::new(2);
             let mut lane = grid.lane(0, 1);
-            lane.push(4, Tracked);
-            lane.push(6, Tracked);
-            // Grid dropped with staged traffic (as after a validation
-            // error): plain Vec destructors reclaim the payloads.
+            lane.push(4, ManuallyDrop::new(Tracked));
+            lane.push(6, ManuallyDrop::new(Tracked));
         }
+        // Traffic staged by a job that aborted: the next job's reset drops
+        // it, once.
+        grid.clear_all();
+        assert_eq!(DROPS.load(Ordering::SeqCst), 2);
+        grid.clear_all();
+        drop(grid);
         assert_eq!(DROPS.load(Ordering::SeqCst), 2);
     }
 

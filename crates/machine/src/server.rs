@@ -57,10 +57,10 @@
 //!
 //! A `VpPanic`, fault injection, or `GangStall` in one job fails **that
 //! job's ticket** and leaves the gang serviceable: the executor re-arms the
-//! barrier with a fresh generation and drains worker-kit residue before
-//! every run, and empties the lanes before every run that has a dynamic
-//! superstep, so traffic a failed job staged is never delivered to the
-//! next (`tests/server.rs` fails a job at `shard:gather` to pin it). The
+//! barrier with a fresh generation and, before every run, drains
+//! worker-kit residue and empties the hand-over slots, dropping what they
+//! hold, so traffic a failed job staged is never delivered to the next
+//! (`tests/server.rs` fails a job at `shard:gather` to pin it). The
 //! one documented limit carries over from
 //! the engine: a VP closure that *never returns* wedges its worker thread
 //! forever, which no in-process watchdog can recover — `stall_timeout`

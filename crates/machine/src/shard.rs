@@ -22,41 +22,53 @@
 //! owns a [`Gang`] (`n − 1` parked OS threads; the caller is worker 0) and
 //! the recyclable run state: the hand-over slots, barrier, per-worker
 //! [`WorkerKit`]s, per-trace-shape shard cells, and the trace builder — plus
-//! the dynamic tier's lanes and metrics builders, built only for a run that
-//! has a dynamic superstep. `run` builds an executor for the call
+//! the dynamic tier's metrics builders, built only for a run that has a
+//! dynamic superstep. `run` builds an executor for the call
 //! and drops it — threads are spawned and joined per run; a `JobServer`
 //! keeps one for its lifetime, so a warm job costs one [`Gang::scope`]
 //! rendezvous and allocates nothing. Width 1 is the same entry with no gang: the
 //! serial loop of `crate::engine` on the calling thread.
 //!
-//! # Dynamic superstep protocol (three barriers)
+//! # Hand-over
 //!
-//! The traffic of a dynamic superstep flows through the [`LaneGrid`]: one
-//! structure-of-arrays lane per (source, destination) shard pair, the
-//! diagonal one for shard-internal messages. A lane changes hands at the
-//! barrier, as the paper's messages do at `sync`: its sender fills it
-//! before, its receiver drains it after. Each lane is a `Mutex` the barrier
-//! keeps uncontended. A superstep's label bounds which shards can talk:
-//! shard `w` exchanges messages only within its [`peer_span`].
+//! Every superstep whose payloads cross shards — dynamic, or planned and
+//! not fused — moves them through one lane system: each worker owns one
+//! structure-of-arrays out-lane per destination shard (its own shard's for
+//! shard-internal payloads), fills it before the barrier and swaps each
+//! non-empty one into its hand-over slot, an O(1) exchange under an
+//! uncontended `Mutex` that keeps both lanes' capacity. After the barrier
+//! each receiver drains the slots addressed to it in ascending source-shard
+//! order into its own write arena, each payload into its destination's next
+//! slot, bounds-checked. The lanes change hands at the barrier, as the
+//! paper's messages do at `sync`. A superstep's label bounds which shards
+//! can talk: shard `w` exchanges messages only within its [`peer_span`].
+//!
+//! The slots come in two grids, alternating by barrier round: fused steps
+//! between two cross-shard steps put no barrier between a receiver's drain
+//! and a fast sender's next hand-over, so consecutive hand-overs must not
+//! share slots; hand-overs two rounds apart are ordered by the barrier
+//! between them.
+//!
+//! # Dynamic superstep protocol (two barriers)
 //!
 //! 1. **Exec + flush** — each worker runs its VPs (reading inboxes from its
 //!    own read arena), then drains its staging buffer once: checking the
 //!    destination range (and, under validation, the cluster constraint),
 //!    recording every message it sends, shard-internal or not, into its
 //!    shard's metrics builder, appending its message-log fragment, and
-//!    demultiplexing payloads into the lanes of its row, holding each
-//!    lane's lock until the destination shard changes. Dummies are metered
-//!    there and go in no lane. *Barrier.*
-//! 2. **Gather** — each worker locks the incoming lanes of its column once
-//!    (only the [`peer_span`] of this superstep's label): one pass over the
-//!    lanes' destination streams counts per-VP deliveries, then a second
-//!    pass drains the lanes in ascending source-shard order into its own
-//!    write arena — a purely shard-local counting sort. *Barrier.*
-//! 3. **Merge** — worker 0 adds the shard builders into shard 0's
+//!    pushing each payload into its out-lane for the destination shard.
+//!    Dummies are metered there and go in no lane. It hands the out-lanes
+//!    over. *Barrier.*
+//! 2. **Gather + merge** — each worker counts the per-VP deliveries in the
+//!    incoming slots (only the [`peer_span`] of this superstep's label
+//!    under validation, every shard without it), sizes its write arena from
+//!    the counts and drains the slots into it — a purely shard-local
+//!    counting sort. Worker 0 then adds the shard builders into shard 0's
 //!    (`O(n_shards · v)`: the degree counts are additive), finishes the sum
 //!    into the superstep record, and concatenates log fragments in shard
-//!    order. *Barrier*, then the arenas swap roles and the next superstep
-//!    begins.
+//!    order: the builders and fragments are complete since the barrier and
+//!    untouched until the next flush, which follows the next one.
+//!    *Barrier*, then the arenas swap roles and the next superstep begins.
 //!
 //! # Planned superstep protocol (one barrier)
 //!
@@ -75,20 +87,13 @@
 //!   each send pushes `(dst, payload)`, in send order, into the worker's
 //!   own out-lane for the destination shard (its own shard included). The
 //!   worker then checks its sends — the writer's exact checks and its
-//!   written total against its declared total — and swaps each non-empty
-//!   out-lane into its hand-over slot, an O(1) exchange under an
-//!   uncontended `Mutex` that keeps both lanes' capacity. Then the
-//!   **single barrier**.
-//! * **Commit** — each worker drains the slots addressed to it in
-//!   ascending source-shard order into its write arena, each payload into
-//!   its destination's next slot (bounds-checked; an inbox that over- or
-//!   under-fills commits nothing), and commits the arena; the arenas swap.
+//!   written total against its declared total — and hands its out-lanes
+//!   over. Then the **single barrier**.
+//! * **Commit** — each worker drains the slots addressed to it into its
+//!   write arena (an inbox that over- or under-fills commits nothing), and
+//!   commits the arena; the arenas swap.
 //!
-//! The slots come in two grids, alternating by barrier round: fused steps
-//! between two cross-shard steps put no barrier between a receiver's drain
-//! and a fast sender's next hand-over, so consecutive cross-shard steps
-//! must not share slots; steps two rounds apart are ordered by the barrier
-//! between them. There is nothing to merge: the coordinator pushes the
+//! There is nothing to merge: the coordinator pushes the
 //! plan's precomputed `O(log v)` record (and materializes the log entry
 //! from the route) during its own exec phase, overlapped with the other
 //! workers' execution — the merge runs only for dynamic supersteps. Every
@@ -140,12 +145,13 @@
 //! depends only on the static plan coverage.) The
 //! run then reports the lowest-numbered shard's error — also the first in
 //! source order, matching the serial engine, which downgrades closure
-//! panics to the identical `VpPanic`. Abandoned dynamic-lane payloads stay
-//! in their lanes until the next run empties them (or the executor drops
-//! them). A rejected planned step is caught by its sender before the
-//! barrier, so no receiver commits any of it; its payloads, carried as
-//! `ManuallyDrop`, leak (never dropped, never re-observed), bounded by one
-//! superstep's traffic.
+//! panics to the identical `VpPanic`. A rejected planned step is caught by
+//! its sender before the barrier, so no receiver commits any of it.
+//! Payloads a failed run left undelivered — in out-lanes or hand-over
+//! slots, of either tier — are never re-observed: they travel as
+//! `ManuallyDrop`, the next run on the same executor drops them when it
+//! empties the lanes, and an executor dropped first leaks them, bounded by
+//! one superstep's traffic.
 //!
 //! One failure point lies *after* its barrier: the planned protocol's
 //! commit, which drains the handed-over lanes. A failure there (an inbox
@@ -173,8 +179,9 @@
 //! ([`RunOptions::faults`]) under its site name — `shard:prepare`,
 //! `shard:exec_planned`, `shard:fused_exec` (the fused tier's whole
 //! iteration), `shard:commit`, `shard:flush`, `shard:gather`,
-//! `shard:merge`, plus the `mailbox:bump_count` / `mailbox:prepare_write`
-//! edges inside gather — *inside* the phase's `catch_unwind`, so both
+//! `shard:merge` (worker 0, after its gather), plus the
+//! `mailbox:bump_count` / `mailbox:prepare_write` edges inside gather —
+//! *inside* the phase's `catch_unwind`, so both
 //! error- and panic-flavor faults traverse exactly the abort path a real
 //! failure would. A run without a plan pays one `Option` discriminant test
 //! per phase (`tests/allocation.rs` pins the steady state unchanged), and
@@ -203,14 +210,18 @@
 // The one `unsafe` in this module is the lifetime erasure of
 // [`Gang::scope`], with its SAFETY note. Fused steps write through the
 // one-arena writer under invariant 3 of `mailbox`; every message that
-// crosses shards changes hands in a lane, and each lane is a `Mutex`.
+// crosses shards changes hands in a hand-over slot, and each slot is a
+// `Mutex`.
 #![allow(unsafe_code)]
 
 use crate::engine::{
     exec_chunk, push_planned_record, run_planned_step, run_serial, runnable_plan, RunOptions,
     MAX_WORKERS,
 };
-use crate::mailbox::{bump_count, Arena, ChunkStage, CrossOut, DirectSink, Lane, LaneGrid};
+use crate::mailbox::{
+    bump_count, fault_edge, Arena, ChunkStage, CrossOut, DirectSink, Lane, LaneGrid,
+    FAULT_BUMP_COUNT, FAULT_PREPARE_WRITE,
+};
 use crate::plan::{message_fault, StepPlan};
 use crate::program::{Ctx, Envelope, Program, Superstep};
 use nob_core::fault::FaultPlan;
@@ -246,8 +257,8 @@ const FAULT_FUSED_EXEC: &str = "shard:fused_exec";
 /// Per-shard state crossing the worker/coordinator boundary. Protected by a
 /// mutex only to satisfy the type system: the barrier protocol already
 /// serializes access (the owning worker holds it during exec/flush, the
-/// coordinator between the gather and merge barriers), so every lock is
-/// uncontended.
+/// coordinator's merge reads it between the two barriers of a dynamic
+/// superstep), so every lock is uncontended.
 struct ShardCell {
     /// The dynamic tier's metrics of the messages this shard sent in the
     /// current superstep: `None` in a run whose every step is planned, which
@@ -287,19 +298,17 @@ impl ShapeRes {
 
 /// The gang's shape-independent infrastructure: every piece of
 /// executor-shared state that does **not** borrow from a particular program
-/// or run — the lanes, the hand-over slots, the barrier and the abort latch —
-/// recycled across runs by [`GangCore::reset_for_job`].
+/// or run — the hand-over slots, the barrier and the abort latch — recycled
+/// across runs by [`GangCore::reset_for_job`].
 struct GangCore<M> {
-    /// The dynamic tier's message lanes, built by the first run that has a
-    /// dynamic step: a gang that only ever runs planned steps has none.
-    lanes: Option<LaneGrid<M>>,
-    /// The hand-over slots of cross-shard planned supersteps, one grid per
-    /// barrier-round parity: a step whose barrier is round `r` hands its
+    /// The hand-over slots of every superstep whose payloads cross shards
+    /// (dynamic, or planned and not fused), one grid per barrier-round
+    /// parity: a step whose hand-over barrier is round `r` hands its
     /// out-lanes over through `handover[r % 2]`. Fused steps between two
     /// cross-shard steps put no barrier between a receiver's drain and a
-    /// fast sender's next hand-over, so consecutive cross-shard steps must
-    /// not share slots; two rounds apart, the barrier between them orders
-    /// the drain before the reuse.
+    /// fast sender's next hand-over, so consecutive hand-overs must not
+    /// share slots; two rounds apart, the barrier between them orders the
+    /// drain before the reuse.
     handover: [LaneGrid<ManuallyDrop<M>>; 2],
     barrier: GangBarrier,
     /// Earliest barrier round preceded by an error or panic (`u64::MAX`
@@ -323,19 +332,12 @@ impl<M> GangCore<M> {
     /// * the barrier restarts at a clean generation with the new run's
     ///   watchdog timeout;
     /// * the abort latch re-arms at `u64::MAX` (healthy);
-    /// * the lanes and hand-over slots are emptied — a run that aborted
-    ///   mid-superstep can leave staged traffic behind that must not leak
-    ///   into the next run's drains — and the lanes built first if this run
-    ///   has a dynamic step and the gang has none yet.
-    fn reset_for_job(&mut self, stall_timeout: Option<Duration>, n_shards: usize, dynamic: bool) {
+    /// * the hand-over slots are emptied, their payloads dropped — a run
+    ///   that aborted mid-superstep can leave staged traffic behind that
+    ///   must not leak into the next run's drains.
+    fn reset_for_job(&mut self, stall_timeout: Option<Duration>) {
         self.barrier.reset(stall_timeout);
         *self.abort_round.get_mut() = u64::MAX;
-        if dynamic {
-            self.lanes.get_or_insert_with(|| LaneGrid::new(n_shards));
-        }
-        if let Some(lanes) = &mut self.lanes {
-            lanes.clear_all();
-        }
         for slots in &mut self.handover {
             slots.clear_all();
         }
@@ -384,9 +386,10 @@ struct WorkerKit<M> {
     arenas: [Arena<M>; 2],
     dst_counts: Vec<u32>,
     cursors: Vec<u32>,
-    /// The out-lanes of cross-shard planned supersteps, one per destination
-    /// shard; lent to the [`CrossOut`] writer for each such step's exec and
-    /// swapped into the hand-over slots before its barrier.
+    /// The out-lanes of every superstep whose payloads cross shards, one
+    /// per destination shard: a dynamic step's flush fills them, a
+    /// cross-shard planned step lends them to its [`CrossOut`] writer, and
+    /// either swaps them into the hand-over slots before its barrier.
     outs: Vec<Lane<ManuallyDrop<M>>>,
 }
 
@@ -402,9 +405,10 @@ impl<M> WorkerKit<M> {
     }
 
     /// Re-targets a pooled kit at a run of `vps` VPs per shard: staging,
-    /// arenas and out-lanes are emptied (a failed run can leave residue in
-    /// any of them, including a still-set out-of-band flag, and a panic
-    /// mid-exec drops the lent out-lanes) and the scatter scratch is
+    /// arenas and out-lanes are emptied, their messages dropped (a failed
+    /// run can leave residue in any of them, including a still-set
+    /// out-of-band flag, and a panic mid-exec drops the lent out-lanes,
+    /// leaking what they held) and the scatter scratch is
     /// rebuilt all-zero — the between-supersteps invariant `prepare_write`
     /// maintains — while every buffer keeps its high-water capacity, so a
     /// warm same-shape run allocates nothing here.
@@ -694,7 +698,7 @@ pub(crate) struct Executor<M> {
     /// [`TraceBuilder::snapshot`].
     pub(crate) trace: TraceBuilder,
     /// Barrier rounds the gang walked in the last run — a protocol
-    /// diagnostic: dynamic supersteps cost three, cross-shard planned
+    /// diagnostic: dynamic supersteps cost two, cross-shard planned
     /// supersteps one, fused ones none; on failure, the round the gang
     /// exited at. 0 on the serial path.
     pub(crate) rounds: u64,
@@ -717,7 +721,6 @@ impl<M: Send> Executor<M> {
         let gang = (n_shards >= 2).then(|| GangState {
             gang: Gang::new(n_shards),
             core: GangCore {
-                lanes: None,
                 handover: [LaneGrid::new(n_shards), LaneGrid::new(n_shards)],
                 barrier: GangBarrier::new(n_shards, None),
                 abort_round: AtomicU64::new(u64::MAX),
@@ -779,8 +782,7 @@ impl<M: Send> GangState<M> {
         // --- recycle the pooled run state -------------------------------
         let t0 = tele.map(|_| Instant::now());
         // The serial loop's tier census: the dynamic tier's metrics builders
-        // and lanes exist only for a run that has a step without a runnable
-        // plan.
+        // exist only for a run that has a step without a runnable plan.
         let dynamic = prog.steps().iter().any(|s| runnable_plan(s, opts.use_plans).is_none());
         let shape = (log_v, dynamic);
         let at = self.shapes.iter().position(|s| s.shape == shape).unwrap_or_else(|| {
@@ -795,7 +797,7 @@ impl<M: Send> GangState<M> {
             cell.error = None;
             cell.log_frag.clear();
         }
-        self.core.reset_for_job(opts.stall_timeout, n_shards, dynamic);
+        self.core.reset_for_job(opts.stall_timeout);
         if let (Some(tl), Some(t0)) = (tele, t0) {
             tl.add(Counter::EpochResetNanos, t0.elapsed().as_nanos() as u64);
             tl.add(Counter::EpochResetCount, 1);
@@ -1132,7 +1134,8 @@ fn shard_loop<S: Send, M: Send>(
             let t0 = span_start(shared, me.w, Site::ShardCommit, t);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 fault_check(shared, FAULT_COMMIT, me.w, t)?;
-                commit_cross(me, shared, step, widx, parity)
+                let srcs = peer_span(me.w, step.label, shared.log_shards);
+                drain_handover(me, shared, step, srcs, parity, widx, me.pending_total)
             }));
             if !matches!(outcome, Ok(Ok(()))) {
                 let vp = if outcome.is_err() { me.kit.stage.panic_vp() } else { me.vp_lo };
@@ -1147,12 +1150,12 @@ fn shard_loop<S: Send, M: Send>(
             continue;
         }
 
-        // --- dynamic path: three-barrier lane protocol --------------------
-        let Some(lanes) = &shared.core.lanes else {
-            unreachable!("the census builds the dynamic tier for every step it does not plan")
-        };
+        // --- dynamic path: payloads change hands at the first of two
+        // barriers ---------------------------------------------------------
+        let widx = 1 - read_idx;
+        let parity = ((rounds + 1) % 2) as usize;
 
-        // --- phase 1: exec + flush ----------------------------------------
+        // --- phase 1: exec + flush + hand-over ----------------------------
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             fault_check(shared, FAULT_FLUSH, me.w, t)?;
             if shared.validate {
@@ -1174,7 +1177,7 @@ fn shard_loop<S: Send, M: Send>(
             span_end(shared, me.w, Site::ShardExec, t0);
             let t0 = span_start(shared, me.w, Site::ShardFlush, t);
             let mut cell = lock(&shared.cells[me.w]);
-            flush(me, shared, lanes, &mut cell, step)?;
+            flush(me, shared, &mut cell, step, parity)?;
             span_end(shared, me.w, Site::ShardFlush, t0);
             Ok(())
         }));
@@ -1190,35 +1193,24 @@ fn shard_loop<S: Send, M: Send>(
             break;
         }
 
-        // --- phase 2: gather ----------------------------------------------
+        // --- phase 2: gather, then the coordinator's merge ----------------
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             fault_check(shared, FAULT_GATHER, me.w, t)?;
             let t0 = span_start(shared, me.w, Site::ShardGather, t);
-            gather(me, shared, lanes, t, 1 - read_idx)?;
+            gather(me, shared, step, t, widx, parity)?;
             span_end(shared, me.w, Site::ShardGather, t0);
+            if let Some(c) = coord.as_mut() {
+                // Every flush completed its shard's builder and log
+                // fragment before the barrier, and the next flush follows
+                // the next barrier: no merge barrier of its own.
+                fault_check(shared, FAULT_MERGE, 0, t)?;
+                let t0 = span_start(shared, 0, Site::ShardMerge, t);
+                merge_superstep(c, shared, step.label);
+                span_end(shared, 0, Site::ShardMerge, t0);
+            }
             Ok(())
         }));
         settle(shared, me.w, outcome, step.name, me.vp_lo, rounds + 1);
-        if !gang_wait(shared, me.w, rounds + 1) {
-            break;
-        }
-        rounds += 1;
-
-        // --- phase 3: merge (coordinator only) ----------------------------
-        if let Some(c) = coord.as_mut() {
-            // ordering: SeqCst load — pairs with settle's fetch_min
-            // publication (see that site's justification).
-            if shared.core.abort_round.load(Ordering::SeqCst) > rounds {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    fault_check(shared, FAULT_MERGE, 0, t)?;
-                    let t0 = span_start(shared, 0, Site::ShardMerge, t);
-                    merge_superstep(c, shared, step.label);
-                    span_end(shared, 0, Site::ShardMerge, t0);
-                    Ok(())
-                }));
-                settle(shared, 0, outcome, step.name, 0, rounds + 1);
-            }
-        }
         if !gang_wait(shared, me.w, rounds + 1) {
             break;
         }
@@ -1315,7 +1307,9 @@ fn exec_cross<S, M: Send>(
     let shard_shift = shared.log_v - shared.log_shards;
     let lanes = std::mem::take(&mut me.kit.outs);
     let sink = CrossOut::new(lanes, span.clone(), shard_shift, shared.v);
-    me.kit.stage.direct = Some(DirectSink::Cross(sink));
+    // The slot is empty between planned steps: forgetting what `replace`
+    // returns keeps the sink's drop glue out of this function.
+    std::mem::forget(me.kit.stage.direct.replace(DirectSink::Cross(sink)));
     {
         let read = &mut me.kit.arenas[read_idx];
         let (slab, offsets) = read.take_read();
@@ -1342,17 +1336,21 @@ fn exec_cross<S, M: Send>(
             reason: "destination received fewer payload messages than the route declares",
         });
     }
-    // An empty out-lane stays: the slot it would replace is empty too (its
-    // receiver drained it), and swapping it would trade the lane's capacity
-    // for the slot's.
-    let slots = &shared.core.handover[parity];
-    for ds in span {
-        let out = &mut me.kit.outs[ds];
+    hand_over(&mut me.kit.outs, &shared.core.handover[parity], me.w);
+    Ok(())
+}
+
+/// Swaps each non-empty out-lane of worker `w` into its slot of `slots`,
+/// an O(1) exchange under an uncontended `Mutex` that keeps both lanes'
+/// capacity. An empty out-lane stays: the slot it would replace is empty
+/// too (its receiver drained it), and swapping it would trade the lane's
+/// capacity for the slot's.
+fn hand_over<M>(outs: &mut [Lane<ManuallyDrop<M>>], slots: &LaneGrid<ManuallyDrop<M>>, w: usize) {
+    for (ds, out) in outs.iter_mut().enumerate() {
         if !out.dsts.is_empty() {
-            std::mem::swap(&mut *slots.lane(me.w, ds), out);
+            std::mem::swap(&mut *slots.lane(w, ds), out);
         }
     }
-    Ok(())
 }
 
 /// The lowest destination VP to which the sources `srcs` sent fewer
@@ -1378,26 +1376,30 @@ fn starved_inbox<M>(
     owed.iter().position(|&n| n > 0).map(|d| dsts.start + d)
 }
 
-/// Drains the hand-over slots of `parity` addressed to this worker, in
-/// ascending source-shard order, into the write arena `widx` sized by
-/// [`prepare_cross`] — `gather`'s drain with the counts from the plan —
-/// and commits it. Every payload takes its destination's next slot,
-/// bounds-checked against the destination's inbox range; an inbox that
-/// would over- or under-fill commits nothing (its payloads leak) and is
-/// a [`ModelError::PlanMismatch`] naming it.
-fn commit_cross<S, M: Send>(
+/// Drains the hand-over slots of `parity` from the source shards `srcs`
+/// addressed to this worker, in ascending source-shard order, into write
+/// arena `widx`, whose inboxes were sized for `total` payloads, and commits
+/// it — the receive half of every hand-over. Every payload takes its
+/// destination's next slot, bounds-checked against the destination's inbox
+/// range; an inbox that would over- or under-fill commits nothing (its
+/// payloads leak) and is a [`ModelError::PlanMismatch`] naming it. A
+/// dynamic superstep sizes its inboxes from these very slots, so only a
+/// planned one can mismatch.
+fn drain_handover<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
     step: &Superstep<S, M>,
-    widx: usize,
+    srcs: std::ops::Range<usize>,
     parity: usize,
+    widx: usize,
+    total: usize,
 ) -> Result<(), ModelError> {
-    let (vp_lo, total) = (me.vp_lo, me.pending_total);
+    let vp_lo = me.vp_lo;
     let cursors = &mut me.kit.cursors;
     let write = &mut me.kit.arenas[widx];
     let (slab, offsets) = write.split_for_scatter(total);
     let (mut written, mut over) = (0usize, None);
-    for s in peer_span(me.w, step.label, shared.log_shards) {
+    for s in srcs {
         shared.core.handover[parity].lane(s, me.w).drain_deliveries(|dst, m| {
             let d = dst as usize - vp_lo;
             let cur = cursors[d];
@@ -1425,18 +1427,19 @@ fn commit_cross<S, M: Send>(
     Ok(())
 }
 
-/// Drains the shard's staged sends of a dynamic superstep once: the
+/// Drains the shard's staged sends of a dynamic superstep once — the
 /// destination range check (and, under validation, the cluster check),
-/// metering into the shard's builder, log fragment, and payload
-/// demultiplexing into this worker's row of lanes — the diagonal one for
-/// shard-internal payloads. Every message is metered here, on its sender's
-/// shard, so dummies go in no lane.
+/// metering into the shard's builder, log fragment, and each payload into
+/// this worker's out-lane for its destination shard — then hands the
+/// out-lanes over through the slots of this barrier round's `parity`.
+/// Every message is metered here, on its sender's shard, so dummies go in
+/// no lane.
 fn flush<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
-    lanes: &LaneGrid<M>,
     cell: &mut ShardCell,
     step: &Superstep<S, M>,
+    parity: usize,
 ) -> Result<(), ModelError> {
     if let Some(e) = me.kit.stage.outbox.take_error(step.name) {
         return Err(e);
@@ -1451,10 +1454,7 @@ fn flush<S, M: Send>(
     cell.log_frag.clear();
     let want_log = shared.collect_log;
 
-    // The lane being filled stays locked until the destination shard
-    // changes: no lock per message.
-    let mut held = me.w;
-    let mut lane = lanes.lane(me.w, me.w);
+    let outs = &mut me.kit.outs;
     let mut msg_idx = 0usize;
     let mut staged = me.kit.stage.outbox.msgs.drain(..);
     for (i, &end) in me.kit.stage.vp_ends.iter().enumerate() {
@@ -1476,72 +1476,48 @@ fn flush<S, M: Send>(
             let Envelope::Data(m) = env else {
                 continue; // metered above, delivered nowhere
             };
-            let dst_shard = d >> shard_shift;
-            if dst_shard != held {
-                held = dst_shard;
-                lane = lanes.lane(me.w, dst_shard);
-            }
-            lane.push(dst, m);
+            outs[d >> shard_shift].push(dst, ManuallyDrop::new(m));
         }
     }
     drop(staged);
     me.kit.stage.vp_ends.clear();
+    hand_over(&mut me.kit.outs, &shared.core.handover[parity], me.w);
     Ok(())
 }
 
 /// Builds this shard's inboxes for the next superstep (dynamic path):
-/// counts destinations over the incoming lanes' destination streams, then
-/// drains every lane into the write arena in ascending source order.
+/// counts the destinations in the incoming hand-over slots of `parity`,
+/// sizes write arena `widx` from the counts and drains the slots into it.
 /// Per-destination counts are checked — an overflowing count is a
 /// [`ModelError`], never a silent cap that would corrupt the counting-sort
 /// offsets.
 fn gather<S, M: Send>(
     me: &mut Worker<'_, S, M>,
     shared: &Shared<'_, S, M>,
-    lanes: &LaneGrid<M>,
+    step: &Superstep<S, M>,
     t: usize,
-    write_idx: usize,
+    widx: usize,
+    parity: usize,
 ) -> Result<(), ModelError> {
     // The peer span is derived from the cluster constraint, which only
     // validation enforces — unchecked runs must scan every potential peer.
-    let span = if shared.validate {
-        peer_span(me.w, shared.prog.steps()[t].label, shared.log_shards)
+    let srcs = if shared.validate {
+        peer_span(me.w, step.label, shared.log_shards)
     } else {
         0..shared.n_shards
     };
-    let vp_lo = me.vp_lo;
-    let dst_counts = &mut me.kit.dst_counts;
-    let cursors = &mut me.kit.cursors;
-
+    let slots = &shared.core.handover[parity];
     // `dst_counts` is all-zero here: `prepare_write` zeroes the counts as
     // it consumes them (no per-superstep `fill(0)` sweep).
-    crate::mailbox::fault_edge(shared.faults, crate::mailbox::FAULT_BUMP_COUNT, me.w, t)?;
-    // Each incoming lane of the span is locked once, for both passes; its
-    // sender filled it before the barrier this phase follows.
-    let mut held = [const { None }; MAX_WORKERS];
-    let incoming = &mut held[..span.len()];
-    for (s_prev, slot) in span.clone().zip(incoming.iter_mut()) {
-        *slot = Some(lanes.lane(s_prev, me.w));
-    }
-    for lane in incoming.iter().flatten() {
-        for &dst in &lane.dsts {
-            bump_count(&mut dst_counts[dst as usize - vp_lo])?;
+    fault_edge(shared.faults, FAULT_BUMP_COUNT, me.w, t)?;
+    for s in srcs.clone() {
+        for &dst in &slots.lane(s, me.w).dsts {
+            bump_count(&mut me.kit.dst_counts[dst as usize - me.vp_lo])?;
         }
     }
-
-    crate::mailbox::fault_edge(shared.faults, crate::mailbox::FAULT_PREPARE_WRITE, me.w, t)?;
-    let write = &mut me.kit.arenas[write_idx];
-    let total = write.prepare_write(dst_counts, cursors);
-    let (slab, _offsets) = write.split_for_scatter(total);
-    for lane in incoming.iter_mut().flatten() {
-        lane.drain_deliveries(|dst, m| {
-            let cur = &mut cursors[dst as usize - vp_lo];
-            slab[*cur as usize].write(m);
-            *cur += 1;
-        });
-    }
-    write.commit_write(total);
-    Ok(())
+    fault_edge(shared.faults, FAULT_PREPARE_WRITE, me.w, t)?;
+    let total = me.kit.arenas[widx].prepare_write(&mut me.kit.dst_counts, &mut me.kit.cursors);
+    drain_handover(me, shared, step, srcs, parity, widx, total)
 }
 
 /// Coordinator: adds the shard builders of a dynamic superstep into shard
@@ -1668,7 +1644,7 @@ mod tests {
 
     #[test]
     fn planned_supersteps_cost_exactly_one_barrier() {
-        // Three tiers on the same program: dynamic costs three barriers per
+        // Three tiers on the same program: dynamic costs two barriers per
         // superstep, the fuse-off planned protocol exactly one per step,
         // and the fused tier removes the barrier entirely from every
         // superstep whose payload locality clears the shard depth. The
@@ -1682,7 +1658,7 @@ mod tests {
         let want: Vec<u64> = {
             let mut states: Vec<u64> = (0..v as u64).collect();
             let (b, _) = run_counting(&dynamic, &mut states, 4, &RunOptions::default());
-            assert_eq!(b, 3 * rounds as u64, "dynamic protocol is three barriers per step");
+            assert_eq!(b, 2 * rounds as u64, "dynamic protocol is two barriers per step");
             states
         };
         for (w, fused_barriers) in [(2usize, 2u64), (4, 4)] {
@@ -1710,7 +1686,7 @@ mod tests {
         let mut states: Vec<u64> = (0..v as u64).collect();
         let opts = RunOptions { use_plans: false, ..Default::default() };
         let (b, _) = run_counting(&planned, &mut states, 2, &opts);
-        assert_eq!(b, 3 * rounds as u64);
+        assert_eq!(b, 2 * rounds as u64);
         assert_eq!(states, want);
     }
 
@@ -1736,7 +1712,7 @@ mod tests {
             out.send(*st);
         }
         let route = Xor(d);
-        // dynamic, planned, planned, dynamic-consume: 3 + 1 + 1 + 3 = 8
+        // dynamic, planned, planned, dynamic-consume: 2 + 1 + 1 + 2 = 6
         // barriers — a planned step after a dynamic one needs no prepare
         // barrier, since no sender needs its receivers' layout.
         prog.step(0, "dyn", move |st, ctx, inbox, out| {
@@ -1748,7 +1724,7 @@ mod tests {
         prog.step(0, "consume", move |st, _, inbox, _| absorb(st, inbox));
         let mut states: Vec<u64> = (0..v as u64).collect();
         let (b, _) = run_counting(&prog, &mut states, 2, &RunOptions::default());
-        assert_eq!(b, 8, "a cross-shard planned step costs exactly its one barrier");
+        assert_eq!(b, 6, "a cross-shard planned step costs exactly its one barrier");
     }
 
     /// Payload ids of [`cross_shard_payloads_change_hands_at_the_barrier`]:
@@ -1779,14 +1755,15 @@ mod tests {
         }
     }
 
-    /// Eleven declared steps on `M(2^6)`: seven with labels cycling 0, 1,
-    /// 2 whose payloads cross the label's half-clusters — each VP sends one
-    /// payload to its partner there, declares a dummy, then sends one to
-    /// itself (an out-lane to the sender's own shard) — with shard-local
-    /// steps (labels 4 and 5, partner `vp ^ 2` or `vp ^ 1`) between some
-    /// of them, and a final payload-free consume. Every state folds its
-    /// inbox in order, so any delivery-order slip shows in the states.
-    fn handover_program() -> (Program<u64, Counted>, Vec<(u32, bool)>) {
+    /// Eleven steps on `M(2^6)`: seven with labels cycling 0, 1, 2 whose
+    /// payloads cross the label's half-clusters — each VP sends one payload
+    /// to its partner there, a dummy, then one payload to itself (an
+    /// out-lane to the sender's own shard) — with shard-local steps (labels
+    /// 4 and 5, partner `vp ^ 2` or `vp ^ 1`) between some of them, and a
+    /// final payload-free consume. Every state folds its inbox in order, so
+    /// any delivery-order slip shows in the states. Declared steps, or with
+    /// `dynamic` their twins: the same sends through [`Program::step`].
+    fn handover_program(dynamic: bool) -> (Program<u64, Counted>, Vec<(u32, bool)>) {
         let v = HANDOVER_V;
         // (label, crosses the label's half-clusters)
         let schedule = [
@@ -1801,83 +1778,138 @@ mod tests {
             (2, true),
             (0, true),
         ];
+        let fold = |st: &mut u64, inbox: &mut Inbox<'_, Counted>| {
+            for m in inbox.drain(..) {
+                *st = st.wrapping_mul(31).wrapping_add(m.val);
+            }
+        };
         let mut prog: Program<u64, Counted> = Program::new(v, v);
         for (t, &(label, cross)) in schedule.iter().enumerate() {
             let partner = if cross { v >> (label + 1) } else { 1 << (5 - label) };
+            let payload = move |vp: usize, k: usize, st: u64| {
+                Counted::new((t * v + vp) * 2 + k, st.wrapping_add(k as u64))
+            };
+            if dynamic {
+                prog.step(label, "handover", move |st, ctx, inbox, out| {
+                    fold(st, inbox);
+                    out.send(ctx.vp ^ partner, payload(ctx.vp, 0, *st));
+                    out.send_dummy(ctx.vp ^ 1);
+                    out.send(ctx.vp, payload(ctx.vp, 1, *st));
+                });
+                continue;
+            }
             let route = move |ctx: &Ctx, k: usize| match k {
                 0 => Route::Data(ctx.vp ^ partner),
                 1 => Route::Dummy(ctx.vp ^ 1),
                 _ => Route::Data(ctx.vp),
             };
             prog.step_oblivious(label, "handover", 3, route, move |st, ctx, inbox, out| {
-                for m in inbox.drain(..) {
-                    *st = st.wrapping_mul(31).wrapping_add(m.val);
-                }
+                fold(st, inbox);
                 for k in 0..2 {
-                    let id = (t * v + ctx.vp) * 2 + k;
-                    out.send(Counted::new(id, st.wrapping_add(k as u64)));
+                    out.send(payload(ctx.vp, k, *st));
                 }
             });
         }
-        prog.step_oblivious(
-            3,
-            "consume",
-            0,
-            |_: &Ctx, _| Route::End,
-            |st, _, inbox, _| {
-                for m in inbox.drain(..) {
-                    *st = st.wrapping_mul(31).wrapping_add(m.val);
-                }
-            },
-        );
+        if dynamic {
+            prog.step(3, "consume", move |st, _, inbox, _| fold(st, inbox));
+        } else {
+            let end = |_: &Ctx, _| Route::End;
+            prog.step_oblivious(3, "consume", 0, end, move |st, _, inbox, _| fold(st, inbox));
+        }
         let labels = prog.steps().iter().map(|s| s.label).collect::<Vec<_>>();
         let crossing = schedule.iter().map(|&(_, c)| c).chain([false]);
         (prog, labels.into_iter().zip(crossing).collect())
     }
 
+    fn reset_handover_counts() {
+        for id in 0..HANDOVER_MADE.len() {
+            HANDOVER_MADE[id].store(0, Ordering::SeqCst);
+            HANDOVER_DROPS[id].store(0, Ordering::SeqCst);
+        }
+    }
+
+    /// Checks that every payload made since the last reset was dropped
+    /// exactly as often as it was made, at most `runs` times; returns how
+    /// many were made.
+    fn assert_dropped_as_made(runs: u8, what: &str) -> usize {
+        for id in 0..HANDOVER_MADE.len() {
+            let made = HANDOVER_MADE[id].load(Ordering::SeqCst);
+            let dropped = HANDOVER_DROPS[id].load(Ordering::SeqCst);
+            assert!(
+                made <= runs && dropped == made,
+                "{what}: payload {id} made {made}, dropped {dropped}"
+            );
+        }
+        HANDOVER_MADE.iter().map(|m| m.load(Ordering::SeqCst) as usize).sum()
+    }
+
     #[test]
     fn cross_shard_payloads_change_hands_at_the_barrier() {
-        let (prog, steps) = handover_program();
-        assert_eq!(steps.len(), HANDOVER_STEPS);
         let v = HANDOVER_V;
         let init: Vec<u64> = (0..v as u64).map(|x| x * 7 + 3).collect();
-        let want = crate::reference::run_reference(&prog, init.clone(), &RunOptions::with_log())
-            .expect("reference run");
-        for w in [2usize, 4, 8] {
-            let log_shards = w.trailing_zeros();
-            for fuse in [true, false] {
-                let what = format!("w = {w}, fuse = {fuse}");
-                for id in 0..HANDOVER_MADE.len() {
-                    HANDOVER_MADE[id].store(0, Ordering::SeqCst);
-                    HANDOVER_DROPS[id].store(0, Ordering::SeqCst);
+        for dynamic in [false, true] {
+            let (prog, steps) = handover_program(dynamic);
+            assert_eq!(steps.len(), HANDOVER_STEPS);
+            let want =
+                crate::reference::run_reference(&prog, init.clone(), &RunOptions::with_log())
+                    .expect("reference run");
+            for w in [2usize, 4, 8] {
+                let log_shards = w.trailing_zeros();
+                for fuse in [true, false] {
+                    let what = format!("dynamic = {dynamic}, w = {w}, fuse = {fuse}");
+                    reset_handover_counts();
+                    let opts = RunOptions { fuse, ..RunOptions::with_log() };
+                    let mut states = init.clone();
+                    let mut exec = Executor::new(w);
+                    let log = exec.attempt(&prog, &mut states, &opts, w).expect(&what);
+                    assert_eq!(states, want.states, "{what}: states");
+                    assert_eq!(exec.trace.snapshot(), want.trace, "{what}: trace");
+                    assert_eq!(log, want.message_log, "{what}: message log");
+                    // Two barriers per dynamic step. One per planned step
+                    // that is not fused: every step if fusion is off, else
+                    // each step whose payloads cross the shards (label
+                    // below the shard depth).
+                    let barriers = if dynamic {
+                        2 * steps.len()
+                    } else {
+                        steps
+                            .iter()
+                            .filter(|&&(label, cross)| !fuse || (cross && label < log_shards))
+                            .count()
+                    };
+                    assert_eq!(exec.rounds, barriers as u64, "{what}: barrier rounds");
+                    drop(exec);
+                    let made = assert_dropped_as_made(1, &what);
+                    assert_eq!(made, (HANDOVER_STEPS - 1) * v * 2, "{what}: payloads sent");
                 }
-                let opts = RunOptions { fuse, ..RunOptions::with_log() };
-                let mut states = init.clone();
+                if !dynamic {
+                    continue;
+                }
+                // A failed run leaves a step's payloads in the last shard's
+                // incoming slots; the next run on the same executor drops
+                // them, once.
+                let what = format!("dynamic, w = {w}, failed then clean");
+                reset_handover_counts();
                 let mut exec = Executor::new(w);
-                let log = exec.attempt(&prog, &mut states, &opts, w).expect(&what);
+                let faults = Some(Arc::new(FaultPlan::error_at(FAULT_GATHER, w - 1, 4)));
+                let opts = RunOptions { faults, ..RunOptions::with_log() };
+                let outcome = exec.attempt(&prog, &mut init.clone(), &opts, w);
+                assert!(
+                    matches!(outcome, Err(ModelError::FaultInjected { site: FAULT_GATHER, .. })),
+                    "{what}: {outcome:?}"
+                );
+                let sum = |c: &[AtomicU8]| -> usize {
+                    c.iter().map(|n| n.load(Ordering::SeqCst) as usize).sum()
+                };
+                assert!(
+                    sum(&HANDOVER_MADE) > sum(&HANDOVER_DROPS),
+                    "{what}: the failed run left nothing undelivered"
+                );
+                let mut states = init.clone();
+                let log = exec.attempt(&prog, &mut states, &RunOptions::with_log(), w);
+                assert_eq!(log.expect(&what), want.message_log, "{what}: message log");
                 assert_eq!(states, want.states, "{what}: states");
-                assert_eq!(exec.trace.snapshot(), want.trace, "{what}: trace");
-                assert_eq!(log, want.message_log, "{what}: message log");
-                // One barrier per planned step that is not fused: every
-                // step if fusion is off, else each step whose payloads
-                // cross the shards (label below the shard depth).
-                let non_fused = steps
-                    .iter()
-                    .filter(|&&(label, cross)| !fuse || (cross && label < log_shards))
-                    .count();
-                assert_eq!(exec.rounds, non_fused as u64, "{what}: barrier rounds");
-                drop(exec);
-                for id in 0..HANDOVER_MADE.len() {
-                    let made = HANDOVER_MADE[id].load(Ordering::SeqCst);
-                    let dropped = HANDOVER_DROPS[id].load(Ordering::SeqCst);
-                    assert!(
-                        made <= 1 && dropped == made,
-                        "{what}: payload {id} made {made}, dropped {dropped}"
-                    );
-                }
-                let made: usize =
-                    HANDOVER_MADE.iter().map(|m| m.load(Ordering::SeqCst) as usize).sum();
-                assert_eq!(made, (HANDOVER_STEPS - 1) * v * 2, "{what}: payloads sent");
+                assert_dropped_as_made(2, &what);
             }
         }
     }

@@ -182,13 +182,15 @@ fn sharded_steady_state_does_not_allocate_per_superstep() {
 #[test]
 fn sharded_planned_steady_state_does_not_allocate_per_superstep() {
     let _serial = serial();
-    // The sharded *planned* path — pipelined prepare (route counting into
-    // recycled region tables, prefix sums, window publication), direct
-    // cross-shard arena writes, the written-total safety check, the
-    // coordinator's O(log v) precomputed trace push, and the single
-    // barrier — must be allocation-free in steady state just like the
-    // dynamic sharded path. Armed after a full label cycle so both arenas
-    // and all region tables have reached their high-water shapes.
+    // The sharded *planned* path — each worker's prepare (route counting
+    // into recycled per-destination counts, prefix sums, out-lane
+    // reservations), sends pushed into its own out-lanes, the
+    // written-total safety check, the hand-over swap into the slots, the
+    // coordinator's O(log v) precomputed trace push, the single barrier and
+    // the drain into the receiver's arena — must be allocation-free in
+    // steady state just like the dynamic sharded path. Armed after a full
+    // label cycle so both arenas, the out-lanes and both slot grids have
+    // reached their high-water shapes.
     let v = 1 << 8;
     let rounds = 24;
     let prog = planned_butterfly_armed(v, rounds, 16, 4);
@@ -543,8 +545,8 @@ fn planned_butterfly_silent(v: usize, rounds: usize, trailing_dynamic: bool) -> 
 /// that superstep's own metrics + routing phases, and closes in the final
 /// closure, before end-of-run trace materialization. The serial path warms
 /// up in two supersteps (they grow the staging buffer and fill each of the
-/// two arenas once); the sharded executor's lanes, arenas and direct-write
-/// region tables need a full label cycle.
+/// two arenas once); the sharded executor's out-lanes, hand-over slots and
+/// arenas need a full label cycle.
 fn counting_butterfly_armed(
     v: usize,
     rounds: usize,

@@ -16,10 +16,11 @@
 //!    the same process is bit-for-bit identical (states, trace, message
 //!    log) to a baseline computed before any fault ran.
 //!
-//! The driver program mixes all three protocols — dynamic (three-barrier
-//! lane exchange), planned (one-barrier direct scatter, including a
-//! pipelined prepare edge) and fused (zero-barrier shard-local pipeline) —
-//! so every phase boundary is reachable.
+//! The driver program mixes all three protocols — dynamic (two-barrier
+//! hand-over: flush, then gather and the coordinator's merge), planned
+//! (one-barrier hand-over, including a dynamic-to-planned edge) and fused
+//! (zero-barrier shard-local pipeline) — so every phase boundary is
+//! reachable.
 
 use nob_core::fault::{FaultKind, FaultPlan};
 use nob_core::ModelError;
@@ -31,7 +32,8 @@ use std::time::Duration;
 
 const V: usize = 16;
 
-/// dynamic → planned → planned (pipelined prepare) → fused × 2
+/// dynamic → planned → planned (each a one-barrier hand-over where its
+/// payloads cross shards) → fused × 2
 /// (zero-barrier: vp^1 at label 3 has payload locality 3, shard-local at
 /// every swept width) → dynamic.
 fn mixed_program() -> Program<u64, u64> {

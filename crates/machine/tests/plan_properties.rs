@@ -230,8 +230,8 @@ proptest! {
 
     /// A captured route whose replay escapes the shard cluster it recorded
     /// is caught as a [`nob_core::ModelError::PlanMismatch`] before the
-    /// send is written — never a stale-window write — with validation on
-    /// or off. (A declared body cannot escape: its destinations are its
+    /// send enters an out-lane — never handed over to a shard outside the
+    /// cluster — with validation on or off. (A declared body cannot escape: its destinations are its
     /// route's, proven cluster-legal at compile time.)
     #[test]
     fn cross_shard_escape_is_plan_mismatch_not_memory_corruption(
